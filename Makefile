@@ -16,10 +16,15 @@ test:
 	$(GO) test ./...
 
 # The concurrency-sensitive layers under the race detector: the serving
-# engine (core.Server, epochs, recovery), the region manager, the fault
-# injector/stores, and the telemetry registry.
+# engine (core.Server, epochs, recovery), the region manager and the two
+# packages its access path reads without a lock of their own (topology
+# routes, memsim device counters), the fault injector/stores, the telemetry
+# registry, the cluster, and the scheduler and load generator the server
+# calls from several goroutines.
 race:
-	$(GO) test -race ./internal/core/... ./internal/region/... ./internal/fault/... ./internal/telemetry/... ./internal/cluster/... ./internal/shard/...
+	$(GO) test -race ./internal/core/... ./internal/region/... ./internal/topology/... ./internal/memsim/... \
+		./internal/fault/... ./internal/telemetry/... ./internal/cluster/... ./internal/shard/... \
+		./internal/sched/... ./internal/loadgen/...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -31,9 +36,11 @@ bench:
 # bench/BENCH_*_baseline.json captures are the before; the fresh run is the
 # after (previous local runs are kept as BENCH_*_before.json), and benchgate
 # fails the target when serve throughput regressed >10% vs the baseline
-# (override with BENCHGATE_TOLERANCE).
+# (override with BENCHGATE_TOLERANCE). The region access micro-benchmark is
+# gated the other way round — its units are costs: time per access may not
+# triple, and allocations per access may not rise at all.
 bench-smoke: loadgen-smoke
-	@for f in BENCH_parallel.json BENCH_serve.json BENCH_recover.json BENCH_shard.json BENCH_stream.json BENCH_migrate.json; do \
+	@for f in BENCH_parallel.json BENCH_serve.json BENCH_recover.json BENCH_shard.json BENCH_stream.json BENCH_migrate.json BENCH_region.json; do \
 		if [ -f $$f ]; then cp $$f $${f%.json}_before.json; fi; done
 	$(GO) test -run XXX -bench 'BenchmarkWideDAGParallel|BenchmarkServeParallel' \
 		-benchtime 2x -benchmem -json ./internal/core/ > BENCH_parallel.json
@@ -53,6 +60,9 @@ bench-smoke: loadgen-smoke
 	$(GO) test -run XXX -bench BenchmarkClusterRebalance \
 		-benchtime 2x -benchmem -json ./internal/shard/ > BENCH_migrate.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_migrate.json | head -20 || true
+	$(GO) test -run XXX -bench BenchmarkRegionAccess \
+		-benchtime 200000x -benchmem -json ./internal/region/ > BENCH_region.json
+	@grep -o '"Output":"Benchmark[^"]*' BENCH_region.json | head -20 || true
 	$(GO) run ./cmd/benchgate -baseline bench/BENCH_serve_baseline.json -current BENCH_serve.json
 	$(GO) run ./cmd/benchgate -baseline bench/BENCH_shard_baseline.json -current BENCH_shard.json \
 		-metrics jobs/s,speedup
@@ -60,6 +70,8 @@ bench-smoke: loadgen-smoke
 		-metrics windows/s
 	$(GO) run ./cmd/benchgate -baseline bench/BENCH_migrate_baseline.json -current BENCH_migrate.json \
 		-metrics exported/op,recalled/op -tolerance 0
+	$(GO) run ./cmd/benchgate -baseline bench/BENCH_region_baseline.json -current BENCH_region.json \
+		-metrics ns/op:2,allocs/op:0
 
 # Seconds-scale fixed-seed open-loop serving smoke: 4k submissions against
 # the SLO admission gate, replayed twice — the run itself fails if the two

@@ -1,7 +1,7 @@
 // Command benchgate compares a fresh `go test -json` benchmark capture
-// against a committed baseline and fails (exit 1) when a throughput metric
-// regressed beyond the tolerance — the serving-path regression gate
-// `make bench-smoke` runs in CI.
+// against a committed baseline and fails (exit 1) when a gated metric got
+// worse beyond its tolerance — the regression gate `make bench-smoke` runs
+// in CI.
 //
 // Both files are test2json streams; benchmark results arrive as Output
 // lines like
@@ -9,14 +9,20 @@
 //	BenchmarkServeOverlap/overlap ... 141.5 jobs/s ... 4728 allocs/op
 //
 // benchgate extracts, per benchmark name, every `<value> <unit>` metric
-// pair whose unit is listed in -metrics (higher-is-better units), and
-// requires current ≥ (1 - tolerance) × baseline for each. Benchmarks
-// present in only one file are reported but never fail the gate, so the
-// baseline does not have to be regenerated when a benchmark is added.
-// Every metric that is skipped (present in the baseline but missing from
-// the current capture, or non-positive in the baseline) is logged, and if
-// the run ends with zero metrics actually compared the gate fails: a
-// vacuous comparison must not read as a pass.
+// pair whose unit is listed in -metrics. "Worse" has a direction per unit:
+// the standard cost units of the testing package (ns/op, B/op, allocs/op)
+// are lower-is-better and require current ≤ (1 + tolerance) × baseline;
+// every other unit (jobs/s, speedup, admitted, ...) is higher-is-better and
+// requires current ≥ (1 - tolerance) × baseline. A unit may carry its own
+// tolerance as unit:tolerance — `-metrics ns/op:2,allocs/op:0` lets time
+// triple before failing but not a single allocation appear; units without
+// one use -tolerance. Benchmarks present in only one file are reported but
+// never fail the gate, so the baseline does not have to be regenerated when
+// a benchmark is added. Every metric that is skipped (present in the
+// baseline but missing from the current capture, or a non-positive baseline
+// of a higher-is-better unit) is logged, and if the run ends with zero
+// metrics actually compared the gate fails: a vacuous comparison must not
+// read as a pass.
 //
 // Usage:
 //
@@ -31,15 +37,61 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
 
 type metrics map[string]map[string]float64 // bench name → unit → value
 
+// lowerIsBetter reports the direction of a unit: the testing package's cost
+// units shrink when things improve, everything else grows.
+func lowerIsBetter(unit string) bool {
+	return unit == "ns/op" || unit == "B/op" || unit == "allocs/op"
+}
+
+// parseUnits reads a -metrics list: comma-separated units, each optionally
+// followed by :tolerance; units without one get def.
+func parseUnits(list string, def float64) (map[string]float64, error) {
+	units := make(map[string]float64)
+	for _, u := range strings.Split(list, ",") {
+		u = strings.TrimSpace(u)
+		if u == "" {
+			continue
+		}
+		tol := def
+		if unit, t, ok := strings.Cut(u, ":"); ok {
+			v, err := strconv.ParseFloat(t, 64)
+			if err != nil || v < 0 {
+				return nil, fmt.Errorf("bad tolerance in %q", u)
+			}
+			u, tol = unit, v
+		}
+		units[u] = tol
+	}
+	return units, nil
+}
+
+// stripProcs drops the -GOMAXPROCS suffix the testing package appends to
+// benchmark names on multi-core hosts, so a baseline captured on one core
+// count gates a run on another.
+func stripProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
+}
+
 // parse extracts benchmark metrics from a test2json stream.
-func parse(path string, units map[string]bool) (metrics, error) {
+func parse(path string, units map[string]float64) (metrics, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -68,10 +120,10 @@ func parse(path string, units map[string]bool) (metrics, error) {
 		if len(fields) < 3 {
 			continue
 		}
-		name := fields[0]
+		name := stripProcs(fields[0])
 		for i := 1; i+1 < len(fields); i++ {
 			unit := fields[i+1]
-			if !units[unit] {
+			if _, gated := units[unit]; !gated {
 				continue
 			}
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -87,11 +139,72 @@ func parse(path string, units map[string]bool) (metrics, error) {
 	return out, sc.Err()
 }
 
+// gate compares cur against base for every gated unit, logs one line per
+// decision to w, and returns how many metrics were compared and whether any
+// got worse beyond its tolerance.
+func gate(w io.Writer, base, cur metrics, units map[string]float64) (compared int, failed bool) {
+	names := make([]string, 0, len(base))
+	for name := range base {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		cm, ok := cur[name]
+		if !ok {
+			fmt.Fprintf(w, "benchgate: %s: in baseline only (ignored)\n", name)
+			continue
+		}
+		bm := base[name]
+		unitNames := make([]string, 0, len(bm))
+		for unit := range bm {
+			unitNames = append(unitNames, unit)
+		}
+		sort.Strings(unitNames)
+		for _, unit := range unitNames {
+			bv, tol := bm[unit], units[unit]
+			cv, ok := cm[unit]
+			if !ok {
+				// A metric the baseline has but the current capture lost is
+				// exactly how a broken benchmark slips past the gate —
+				// always say so.
+				fmt.Fprintf(w, "benchgate: %s: %s missing from current capture — skipped\n", name, unit)
+				continue
+			}
+			// A zero baseline is a real budget for a cost — 0 allocs/op must
+			// stay 0 at any tolerance — but no floor for a throughput.
+			lower := lowerIsBetter(unit)
+			if !lower && bv <= 0 {
+				fmt.Fprintf(w, "benchgate: %s: non-positive baseline %.4g %s — skipped\n", name, bv, unit)
+				continue
+			}
+			compared++
+			bound, limit := "floor", bv*(1-tol)
+			worse := cv < limit
+			if lower {
+				bound, limit = "ceiling", bv*(1+tol)
+				worse = cv > limit
+			}
+			verdict := "ok"
+			if worse {
+				verdict, failed = "REGRESSED", true
+			}
+			fmt.Fprintf(w, "benchgate: %s: %.4g %s vs baseline %.4g (%s %.4g) — %s\n",
+				name, cv, unit, bv, bound, limit, verdict)
+		}
+	}
+	for name := range cur {
+		if _, ok := base[name]; !ok {
+			fmt.Fprintf(w, "benchgate: %s: new benchmark, no baseline (ignored)\n", name)
+		}
+	}
+	return compared, failed
+}
+
 func main() {
 	baseline := flag.String("baseline", "", "committed test2json baseline capture")
 	current := flag.String("current", "", "fresh test2json capture to gate")
-	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional regression (0.10 = 10%)")
-	unitList := flag.String("metrics", "jobs/s", "comma-separated higher-is-better units to gate on")
+	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional regression (0.10 = 10%) for units without their own")
+	unitList := flag.String("metrics", "jobs/s", "comma-separated units to gate on, each optionally unit:tolerance; ns/op, B/op and allocs/op are lower-is-better, all others higher-is-better")
 	flag.Parse()
 	if *baseline == "" || *current == "" {
 		fmt.Fprintln(os.Stderr, "benchgate: -baseline and -current are required")
@@ -105,11 +218,10 @@ func main() {
 		}
 		*tolerance = v
 	}
-	units := make(map[string]bool)
-	for _, u := range strings.Split(*unitList, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			units[u] = true
-		}
+	units, err := parseUnits(*unitList, *tolerance)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchgate: -metrics: %v\n", err)
+		os.Exit(2)
 	}
 
 	base, err := parse(*baseline, units)
@@ -127,43 +239,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	failed := false
-	compared := 0
-	for name, bm := range base {
-		cm, ok := cur[name]
-		if !ok {
-			fmt.Printf("benchgate: %s: in baseline only (ignored)\n", name)
-			continue
-		}
-		for unit, bv := range bm {
-			cv, ok := cm[unit]
-			if !ok {
-				// A metric the baseline has but the current capture lost is
-				// exactly how a broken benchmark slips past the gate —
-				// always say so.
-				fmt.Printf("benchgate: %s: %s missing from current capture — skipped\n", name, unit)
-				continue
-			}
-			if bv <= 0 {
-				fmt.Printf("benchgate: %s: non-positive baseline %.4g %s — skipped\n", name, bv, unit)
-				continue
-			}
-			compared++
-			floor := bv * (1 - *tolerance)
-			verdict := "ok"
-			if cv < floor {
-				verdict = "REGRESSED"
-				failed = true
-			}
-			fmt.Printf("benchgate: %s: %.4g %s vs baseline %.4g (floor %.4g) — %s\n",
-				name, cv, unit, bv, floor, verdict)
-		}
-	}
-	for name := range cur {
-		if _, ok := base[name]; !ok {
-			fmt.Printf("benchgate: %s: new benchmark, no baseline (ignored)\n", name)
-		}
-	}
+	compared, failed := gate(os.Stdout, base, cur, units)
 	if compared == 0 {
 		// A gate that compared nothing passed nothing: renamed benchmarks,
 		// a bad -metrics list, or an empty capture must fail loudly, not
@@ -173,8 +249,7 @@ func main() {
 		os.Exit(1)
 	}
 	if failed {
-		fmt.Fprintf(os.Stderr, "benchgate: throughput regressed more than %.0f%% vs %s\n",
-			*tolerance*100, *baseline)
+		fmt.Fprintf(os.Stderr, "benchgate: a gated metric got worse beyond its tolerance vs %s\n", *baseline)
 		os.Exit(1)
 	}
 }

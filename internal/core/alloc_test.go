@@ -15,6 +15,10 @@ import (
 	"time"
 
 	"repro/internal/dataflow"
+	"repro/internal/memsim"
+	"repro/internal/props"
+	"repro/internal/region"
+	"repro/internal/telemetry"
 )
 
 // allocBudget runs fn once to warm pools and caches, then measures.
@@ -86,4 +90,77 @@ func TestAllocBudgetOverlappedBatch(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestAllocBudgetAccessPath pins the per-access budget at zero, on a
+// runtime as the server builds it: a synchronous 64-byte read and write of
+// an exclusive region under a task view, the string-keyed pricing call the
+// placers and the benchmark's layer replay use, and a resolved counter's Add.
+// A task body makes thousands of these per job, so one allocation here is
+// thousands per job.
+func TestAllocBudgetAccessPath(t *testing.T) {
+	rt, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := rt.Topology().NewTaskView()
+	h, err := rt.Regions().Alloc(region.Spec{Name: "budget", Class: props.Transfer, Size: 1 << 16,
+		Owner: "t", Compute: "node0/cpu0", Clock: view})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release() //nolint:errcheck
+	dev, err := h.DeviceID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter := rt.Telemetry().Handle(telemetry.LayerRegion, "bytes_read")
+	buf := make([]byte, 64)
+	i := 0
+	for name, fn := range map[string]func(){
+		"Handle.ReadAt": func() {
+			if _, err := h.ReadAt(0, int64(i%1024)*64, buf); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"Handle.WriteAt": func() {
+			if _, err := h.WriteAt(0, int64(i%1024)*64, buf); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"TaskView.AccessTime": func() {
+			if _, err := view.AccessTime("node0/cpu0", dev, 0, 64, memsim.Read, memsim.Sequential); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"Counter.Add": func() { counter.Add(64) },
+	} {
+		fn()
+		if got := testing.AllocsPerRun(200, func() { i++; fn() }); got != 0 {
+			t.Errorf("%s allocates %.0f per call, budget is 0", name, got)
+		}
+	}
+}
+
+// BenchmarkNewServer is the construction cost of the serving stack in the
+// repository benchmark's configuration — what its setup_s metric pays per
+// run besides generating inputs. Nothing on the access path may be
+// precomputed here: routes, counters and histogram buckets resolve on first
+// use, so this number does not grow when the hot path gains a cache.
+func BenchmarkNewServer(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s, err := NewServer(ServerConfig{
+			ExecConfig:   ExecConfig{Workers: 2},
+			EpochWorkers: 2, MaxBatch: 8, QueueDepth: 1024, Block: true,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := s.Close(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
 }

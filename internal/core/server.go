@@ -294,6 +294,10 @@ type Server struct {
 	slo        *sloState      // nil: admission is deadline-blind
 	scaler     *scaler        // nil: fixed worker pool
 
+	// queueWait is the server_queue_wait histogram every dequeued ticket is
+	// observed into, resolved once.
+	queueWait *telemetry.Histogram
+
 	queue chan *jobTicket
 	// shrink carries the auto-scaler's scale-down tokens; a worker that
 	// observes one exits. Nil (blocking forever in selects) without a
@@ -370,6 +374,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		maxLinger:  cfg.MaxLinger,
 		sequential: cfg.Sequential || cfg.Batching == BatchSequential,
 		rec:        rec,
+		queueWait:  rt.tel.HistHandle(telemetry.LayerRuntime, "server_queue_wait"),
 		queue:      make(chan *jobTicket, depth),
 	}
 	if cfg.SLO != nil {
@@ -656,7 +661,7 @@ func (s *Server) appendLive(batch []*jobTicket, t *jobTicket) []*jobTicket {
 // noteQueueWait records one observed queue wait — into the shared telemetry
 // histogram and, when auto-scaling, the controller's sliding window.
 func (s *Server) noteQueueWait(d time.Duration) {
-	s.rt.tel.Observe(telemetry.LayerRuntime, "server_queue_wait", d)
+	s.queueWait.Observe(d)
 	if s.scaler != nil {
 		s.scaler.note(d)
 	}

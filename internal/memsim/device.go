@@ -15,6 +15,7 @@ package memsim
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -156,10 +157,14 @@ type Device struct {
 	mu        sync.Mutex
 	busyUntil time.Duration // virtual time the service queue drains
 	allocated int64         // bytes handed out by the allocator layer
-	reads     uint64
-	writes    uint64
-	bytesRead uint64
-	bytesWr   uint64
+
+	// The access counters are atomics, not fields under mu: AccessQueued
+	// runs on every region access of every epoch and must not serialize
+	// them on one device lock just to count.
+	reads     atomic.Uint64
+	writes    atomic.Uint64
+	bytesRead atomic.Uint64
+	bytesWr   atomic.Uint64
 }
 
 // NewDevice builds a device from a validated spec.
@@ -217,8 +222,8 @@ func (d *Device) Access(now time.Duration, size int64, kind AccessKind, pat Patt
 	}
 	done := start + svc
 	d.busyUntil = done
-	d.countLocked(size, kind)
 	d.mu.Unlock()
+	d.count(size, kind)
 	return done
 }
 
@@ -235,21 +240,19 @@ func (d *Device) AccessQueued(busyUntil, now time.Duration, size int64, kind Acc
 		start = busyUntil
 	}
 	done = start + svc
-	d.mu.Lock()
-	d.countLocked(size, kind)
-	d.mu.Unlock()
+	d.count(size, kind)
 	return done, done
 }
 
-// countLocked bumps the access counters. Caller holds d.mu.
-func (d *Device) countLocked(size int64, kind AccessKind) {
+// count bumps the access counters.
+func (d *Device) count(size int64, kind AccessKind) {
 	switch kind {
 	case Read:
-		d.reads++
-		d.bytesRead += uint64(size)
+		d.reads.Add(1)
+		d.bytesRead.Add(uint64(size))
 	case Write:
-		d.writes++
-		d.bytesWr += uint64(size)
+		d.writes.Add(1)
+		d.bytesWr.Add(uint64(size))
 	}
 }
 
@@ -261,13 +264,15 @@ type Stats struct {
 	BusyUntil               time.Duration
 }
 
-// Stats returns a consistent snapshot.
+// Stats returns a snapshot. Allocated and BusyUntil are read together under
+// the device lock; each access counter is exact on its own, and all of them
+// are mutually consistent whenever no access is in flight.
 func (d *Device) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return Stats{
-		Reads: d.reads, Writes: d.writes,
-		BytesRead: d.bytesRead, BytesWritten: d.bytesWr,
+		Reads: d.reads.Load(), Writes: d.writes.Load(),
+		BytesRead: d.bytesRead.Load(), BytesWritten: d.bytesWr.Load(),
 		Allocated: d.allocated, BusyUntil: d.busyUntil,
 	}
 }

@@ -175,7 +175,7 @@ func TestCoherenceCostTopologyMissIsNotFree(t *testing.T) {
 	}
 	m.mu.Lock()
 	r := m.regions[h.id]
-	cost := m.coherenceCost(r, "no-such-compute", 0, 128, true)
+	cost := m.coherenceCost(r, "no-such-compute", nil, 0, 128, true)
 	m.mu.Unlock()
 	if cost <= 0 {
 		t.Errorf("coherence cost on caps miss = %v, want > 0", cost)

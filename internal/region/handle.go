@@ -44,6 +44,13 @@ type Handle struct {
 	// the per-access dependency list costs zero allocations. Owned by the
 	// task goroutine currently bound to the handle.
 	deps []int
+	// rt caches the resolved route from compute to the region's device, so
+	// pricing an access probes no routing table. It is good for as long as
+	// it still leads to the device the region is on — a migration (Transfer,
+	// Rebalance) changes r.device and the next access re-resolves by itself
+	// — and the graph it was resolved on has not changed. Nil until the
+	// first access, and while the pair does not resolve. Guarded by m.mu.
+	rt *topology.Route
 }
 
 // Fence is the pre-access barrier the runtime installs on handles whose
@@ -135,18 +142,19 @@ func checkRange(r *Region, off, n int64) error {
 }
 
 // coherenceCost runs the directory protocol for the touched lines of a
-// shared region and prices the actions. Caller holds m.mu.
-func (m *Manager) coherenceCost(r *Region, computeID string, off, n int64, write bool) time.Duration {
+// shared region and prices the actions; rt is the accessor's route to the
+// region's device, nil when it does not resolve. Caller holds m.mu.
+func (m *Manager) coherenceCost(r *Region, computeID string, rt *topology.Route, off, n int64, write bool) time.Duration {
 	if !r.everShared || r.req.Coherent != props.Require {
 		return 0 // exclusive ownership needs no protocol (§2.2)
 	}
 	// Each protocol action costs one traversal to the region's home device.
-	// A failed caps lookup (disconnected topology) must not make the
+	// An unresolved route (disconnected topology) must not make the
 	// protocol silently free: count the miss and charge the pessimistic
 	// manager-wide default instead.
 	latency := m.missLatency
-	if caps, ok := m.topo.EffectiveCaps(computeID, r.device.ID); ok {
-		latency = caps.Latency
+	if rt != nil {
+		latency = rt.Lat
 	} else {
 		m.reg.Add(telemetry.LayerCoherence, "topology_miss", 1)
 	}
@@ -162,9 +170,9 @@ func (m *Manager) coherenceCost(r *Region, computeID string, off, n int64, write
 			acts.Add(m.dir.Read(computeID, id))
 		}
 	}
-	m.reg.Add(telemetry.LayerCoherence, "invalidations", int64(acts.Invalidations))
-	m.reg.Add(telemetry.LayerCoherence, "writebacks", int64(acts.Writebacks))
-	m.reg.Add(telemetry.LayerCoherence, "fetches", int64(acts.Fetches))
+	m.invalidations.Add(int64(acts.Invalidations))
+	m.writebacks.Add(int64(acts.Writebacks))
+	m.fetches.Add(int64(acts.Fetches))
 	return time.Duration(acts.Total()) * latency
 }
 
@@ -189,23 +197,55 @@ func (h *Handle) fenceDeps(r *Region) []int {
 	return h.deps
 }
 
-// access is the common sync data path. It moves real bytes between the
-// region backing and the caller's buffer and returns the virtual completion
-// time. The payload copy runs under the region's own dataMu — outside the
-// manager lock — so independent tasks' memcpys proceed in parallel.
-func (h *Handle) access(now time.Duration, off int64, buf []byte, write bool, pat memsim.Pattern) (time.Duration, error) {
+// route returns the resolved route from the handle's compute device to the
+// region's current device: the cached one while it is still good, a fresh
+// resolution otherwise. Nil when the pair does not resolve. Caller holds
+// m.mu.
+func (h *Handle) route(r *Region) *topology.Route {
+	if rt := h.rt; rt != nil && rt.Mem == r.device && rt.Valid() {
+		return rt
+	}
+	h.rt, _ = h.m.topo.Route(h.compute, r.device.ID)
+	return h.rt
+}
+
+// price queues one access over rt on the clock view clk, or on the
+// device-global queues when there is none.
+func (m *Manager) price(clk topology.VClock, rt *topology.Route, now time.Duration, size int64, kind memsim.AccessKind, pat memsim.Pattern) time.Duration {
+	if clk != nil {
+		return clk.AccessRoute(rt, now, size, kind, pat)
+	}
+	return m.topo.AccessRoute(rt, now, size, kind, pat)
+}
+
+// access is the common data path. It moves real bytes between the region
+// backing and the caller's buffer and returns the virtual completion time.
+// Everything that decides and prices the access — handle lookup, the sync
+// check, fence, recall, bounds, queueing, coherence, counters — happens in
+// one critical section of the manager lock (reopened once if a fence has to
+// wait), against the handle's cached route; the payload copy then runs under
+// the region's own dataMu, outside the manager lock, so independent tasks'
+// memcpys proceed in parallel.
+//
+// sync marks a synchronous load/store, which fails on a device that only
+// exposes an asynchronous interface from here (Table 1's Sync column).
+func (h *Handle) access(now time.Duration, off int64, buf []byte, write, sync bool, pat memsim.Pattern) (time.Duration, error) {
 	h.m.mu.Lock()
 	r, err := h.m.lookup(h)
 	if err != nil {
 		h.m.mu.Unlock()
 		return now, err
 	}
+	rt := h.route(r)
+	if sync && (rt == nil || !rt.Sync) {
+		h.m.mu.Unlock()
+		return now, fmt.Errorf("%w: %s from %s", ErrSyncFarAccess, r.device.ID, h.compute)
+	}
 	// Fence exactly when coherenceCost will consult the directory: the
 	// everShared bit flips before any sharing consumer's handle exists, so
 	// reading it here is race-free and never-shared regions skip the barrier
-	// entirely — without a second lock acquisition on the hot path. Fencing
-	// drops the lock (the fence blocks on other tasks, which need it), so
-	// the region is re-resolved afterwards.
+	// entirely. Fencing drops the lock (the fence blocks on other tasks,
+	// which need it), so region and route are re-resolved afterwards.
 	if h.fence != nil && r.everShared && r.req.Coherent == props.Require {
 		deps := h.fenceDeps(r)
 		h.m.mu.Unlock()
@@ -217,6 +257,7 @@ func (h *Handle) access(now time.Duration, off int64, buf []byte, write bool, pa
 			h.m.mu.Unlock()
 			return now, err
 		}
+		rt = h.route(r)
 	}
 	// Fetch-on-read: an exported region is recalled to its home device
 	// before the access proceeds. The fabric read costs the accessor
@@ -236,21 +277,17 @@ func (h *Handle) access(now time.Duration, off int64, buf []byte, write bool, pa
 		return now, err
 	}
 	r.heat++
-	kind := memsim.Read
-	if write {
-		kind = memsim.Write
-	}
-	done, err := h.m.accessTime(h.clock, h.compute, r.device.ID, now, n, kind, pat)
-	if err != nil {
+	if rt == nil {
 		h.m.mu.Unlock()
-		return now, err
+		return now, h.m.topo.RouteError(h.compute, r.device.ID)
 	}
-	done += h.m.coherenceCost(r, h.compute, off, n, write)
+	kind, moved := memsim.Read, h.m.bytesRead
 	if write {
-		h.m.reg.Add(telemetry.LayerRegion, "bytes_written", n)
-	} else {
-		h.m.reg.Add(telemetry.LayerRegion, "bytes_read", n)
+		kind, moved = memsim.Write, h.m.bytesWritten
 	}
+	done := h.m.price(h.clock, rt, now, n, kind, pat)
+	done += h.m.coherenceCost(r, h.compute, rt, off, n, write)
+	moved.Add(n)
 	// Hand the copy over to the region lock: writers of data/sealed hold
 	// both locks, so holding either is enough to read them consistently.
 	r.dataMu.Lock()
@@ -276,41 +313,18 @@ func (h *Handle) access(now time.Duration, off int64, buf []byte, write bool, pa
 // that only expose an asynchronous interface (Table 1's Sync column) —
 // callers must use ReadAsync there, the point of §2.2(3).
 func (h *Handle) ReadAt(now time.Duration, off int64, buf []byte) (time.Duration, error) {
-	if err := h.requireSync(); err != nil {
-		return now, err
-	}
-	return h.access(now, off, buf, false, memsim.Sequential)
+	return h.access(now, off, buf, false, true, memsim.Sequential)
 }
 
 // WriteAt synchronously writes buf at off.
 func (h *Handle) WriteAt(now time.Duration, off int64, buf []byte) (time.Duration, error) {
-	if err := h.requireSync(); err != nil {
-		return now, err
-	}
-	return h.access(now, off, buf, true, memsim.Sequential)
+	return h.access(now, off, buf, true, true, memsim.Sequential)
 }
 
 // ReadAtRandom is ReadAt with a random-access cost profile (per-granule
 // latency), for pointer-chasing workloads.
 func (h *Handle) ReadAtRandom(now time.Duration, off int64, buf []byte) (time.Duration, error) {
-	if err := h.requireSync(); err != nil {
-		return now, err
-	}
-	return h.access(now, off, buf, false, memsim.Random)
-}
-
-func (h *Handle) requireSync() error {
-	h.m.mu.Lock()
-	defer h.m.mu.Unlock()
-	r, err := h.m.lookup(h)
-	if err != nil {
-		return err
-	}
-	caps, ok := h.m.topo.EffectiveCaps(h.compute, r.device.ID)
-	if !ok || !caps.Sync {
-		return fmt.Errorf("%w: %s from %s", ErrSyncFarAccess, r.device.ID, h.compute)
-	}
-	return nil
+	return h.access(now, off, buf, false, true, memsim.Random)
 }
 
 // Future is an in-flight asynchronous access (§2.2(3): far memory should be
@@ -336,13 +350,13 @@ func (f *Future) Await(now time.Duration) (time.Duration, error) {
 // ReadAsync issues a background read and returns immediately; the returned
 // Future completes at the device's virtual completion time.
 func (h *Handle) ReadAsync(now time.Duration, off int64, buf []byte) *Future {
-	done, err := h.access(now, off, buf, false, memsim.Sequential)
+	done, err := h.access(now, off, buf, false, false, memsim.Sequential)
 	return &Future{done: done, err: err}
 }
 
 // WriteAsync issues a background write.
 func (h *Handle) WriteAsync(now time.Duration, off int64, buf []byte) *Future {
-	done, err := h.access(now, off, buf, true, memsim.Sequential)
+	done, err := h.access(now, off, buf, true, false, memsim.Sequential)
 	return &Future{done: done, err: err}
 }
 
@@ -455,6 +469,10 @@ func (m *Manager) migrateToLocked(r *Region, computeID, devID string, now time.D
 	if dst.ID == r.device.ID {
 		return now, nil
 	}
+	to, ok := m.topo.Route(computeID, dst.ID)
+	if !ok {
+		return now, m.topo.RouteError(computeID, dst.ID)
+	}
 	// A local migration needs the payload resident; recall it first.
 	if err := m.ensureLocalLocked(r); err != nil {
 		return now, err
@@ -472,14 +490,11 @@ func (m *Manager) migrateToLocked(r *Region, computeID, devID string, now time.D
 		return now, err
 	}
 	// Price the copy: read from the old home, write to the new one.
-	rd, err := m.accessTime(clk, computeID, r.device.ID, now, r.size, memsim.Read, memsim.Sequential)
-	if err != nil {
-		rd = now // old home may be unreachable from the new compute; charge only the write
+	rd := now // old home may be unreachable from the new compute; charge only the write then
+	if from, ok := m.topo.Route(computeID, r.device.ID); ok {
+		rd = m.price(clk, from, now, r.size, memsim.Read, memsim.Sequential)
 	}
-	wr, err := m.accessTime(clk, computeID, dst.ID, rd, r.size, memsim.Write, memsim.Sequential)
-	if err != nil {
-		return now, err
-	}
+	wr := m.price(clk, to, rd, r.size, memsim.Write, memsim.Sequential)
 	// Release the old placement.
 	if b, ok := m.buddies[r.device.ID]; ok {
 		b.Free(r.offset) //nolint:errcheck // offset tracked by the manager
@@ -491,14 +506,11 @@ func (m *Manager) migrateToLocked(r *Region, computeID, devID string, now time.D
 	// Crossing the on-/off-node boundary changes the at-rest encryption
 	// obligation of confidential regions; toggle the sealing of the whole
 	// backing (seal and unseal are the same XOR keystream).
-	if caps, ok := m.topo.EffectiveCaps(computeID, dst.ID); ok {
-		newSealed := r.req.Confidential && caps.Remote
-		if newSealed != r.sealed {
-			r.dataMu.Lock()
-			keystreamAt(m.secret, r.id, 0, r.data)
-			r.sealed = newSealed
-			r.dataMu.Unlock()
-		}
+	if newSealed := r.req.Confidential && to.Remote; newSealed != r.sealed {
+		r.dataMu.Lock()
+		keystreamAt(m.secret, r.id, 0, r.data)
+		r.sealed = newSealed
+		r.dataMu.Unlock()
 	}
 	m.reg.Add(telemetry.LayerRegion, "migrations", 1)
 	m.reg.Add(telemetry.LayerRegion, "bytes_migrated", r.size)

@@ -177,6 +177,11 @@ type Manager struct {
 	// slowest memory device's latency — pessimistic but deterministic.
 	// Immutable after NewManager.
 	missLatency time.Duration
+
+	// The counters every access adds to, resolved once so the access path
+	// neither builds their keys nor takes the registry lock.
+	bytesRead, bytesWritten            *telemetry.Counter
+	invalidations, writebacks, fetches *telemetry.Counter
 }
 
 // Config assembles a Manager.
@@ -206,6 +211,12 @@ func NewManager(cfg Config) (*Manager, error) {
 		regions: make(map[ID]*Region),
 		buddies: make(map[string]*allocator.Buddy),
 		backing: make(map[int64][][]byte),
+
+		bytesRead:     cfg.Telemetry.Handle(telemetry.LayerRegion, "bytes_read"),
+		bytesWritten:  cfg.Telemetry.Handle(telemetry.LayerRegion, "bytes_written"),
+		invalidations: cfg.Telemetry.Handle(telemetry.LayerCoherence, "invalidations"),
+		writebacks:    cfg.Telemetry.Handle(telemetry.LayerCoherence, "writebacks"),
+		fetches:       cfg.Telemetry.Handle(telemetry.LayerCoherence, "fetches"),
 	}
 	m.missLatency = time.Microsecond
 	for _, dev := range cfg.Topology.Memories() {
@@ -356,15 +367,6 @@ func (m *Manager) Alloc(spec Spec) (*Handle, error) {
 	m.reg.Add(telemetry.LayerRegion, "allocs", 1)
 	m.reg.Add(telemetry.LayerRegion, "bytes_allocated", block)
 	return &Handle{m: m, id: id, gen: r.gen, owner: spec.Owner, compute: spec.Compute, clock: spec.Clock, rank: -1}, nil
-}
-
-// accessTime routes a virtual memory access through the handle's clock when
-// one is set, falling back to the device-global queues.
-func (m *Manager) accessTime(clk topology.VClock, computeID, memID string, now time.Duration, size int64, kind memsim.AccessKind, pat memsim.Pattern) (time.Duration, error) {
-	if clk != nil {
-		return clk.AccessTime(computeID, memID, now, size, kind, pat)
-	}
-	return m.topo.AccessTime(computeID, memID, now, size, kind, pat)
 }
 
 // lookup returns the live region for a handle. Caller holds m.mu.

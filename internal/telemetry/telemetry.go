@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -34,9 +35,39 @@ const (
 // instrumented unconditionally.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]int64
+	counters map[metricKey]*Counter
 	spans    []Span
-	hists    map[string]*Histogram
+	hists    map[metricKey]*Histogram
+}
+
+// metricKey names a counter or histogram; it prints as "layer/name".
+type metricKey struct {
+	layer Layer
+	name  string
+}
+
+func (k metricKey) String() string { return string(k.layer) + "/" + k.name }
+
+// Counter is one registry counter, resolved once with Registry.Handle so
+// that adding to it is a single atomic add: no key is built, no map probed
+// and no lock taken. A nil *Counter is a valid no-op sink, which is what a
+// nil registry hands out.
+type Counter struct {
+	n atomic.Int64
+	// listed latches on the first Add: a resolved counter that was never
+	// added to does not exist as far as Counters and Report are concerned.
+	listed atomic.Bool
+}
+
+// Add increments the counter. Nil-safe.
+func (c *Counter) Add(delta int64) {
+	if c == nil {
+		return
+	}
+	c.n.Add(delta)
+	if !c.listed.Load() {
+		c.listed.Store(true)
+	}
 }
 
 // Span is one attributed slice of simulated time.
@@ -54,18 +85,33 @@ func (s Span) Duration() time.Duration { return s.End - s.Start }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{counters: make(map[string]int64), hists: make(map[string]*Histogram)}
+	return &Registry{counters: make(map[metricKey]*Counter), hists: make(map[metricKey]*Histogram)}
 }
 
-// Add increments a named counter. Nil-safe.
-func (r *Registry) Add(layer Layer, name string, delta int64) {
+// Handle resolves a named counter, creating it unlisted on first use. The
+// returned counter stays the same object for the registry's lifetime (Reset
+// zeroes it in place), so a layer resolves its hot counters once and adds to
+// them without touching the registry again. Nil-safe: a nil registry
+// resolves to the nil counter.
+func (r *Registry) Handle(layer Layer, name string) *Counter {
 	if r == nil {
-		return
+		return nil
 	}
-	key := string(layer) + "/" + name
+	k := metricKey{layer, name}
 	r.mu.Lock()
-	r.counters[key] += delta
+	c, ok := r.counters[k]
+	if !ok {
+		c = new(Counter)
+		r.counters[k] = c
+	}
 	r.mu.Unlock()
+	return c
+}
+
+// Add increments a named counter: Handle(layer, name).Add(delta), for call
+// sites too cold to keep the handle. Nil-safe.
+func (r *Registry) Add(layer Layer, name string, delta int64) {
+	r.Handle(layer, name).Add(delta)
 }
 
 // Counter reads a counter (0 if absent). Nil-safe.
@@ -75,25 +121,36 @@ func (r *Registry) Counter(layer Layer, name string) int64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.counters[string(layer)+"/"+name]
+	if c, ok := r.counters[metricKey{layer, name}]; ok {
+		return c.n.Load()
+	}
+	return 0
 }
 
-// Observe records one sample into the named histogram, creating it with
-// DefaultWaitBounds on first use — distribution metrics (queue waits,
-// admission latency) where a sum counter would hide the tail. Nil-safe.
-func (r *Registry) Observe(layer Layer, name string, d time.Duration) {
+// HistHandle resolves the named histogram, creating it empty with
+// DefaultWaitBounds on first use — the Handle of distribution metrics. The
+// histogram stays the same object for the registry's lifetime. Nil-safe: a
+// nil registry resolves to the nil histogram, whose Observe is a no-op.
+func (r *Registry) HistHandle(layer Layer, name string) *Histogram {
 	if r == nil {
-		return
+		return nil
 	}
-	key := string(layer) + "/" + name
+	k := metricKey{layer, name}
 	r.mu.Lock()
-	h, ok := r.hists[key]
+	h, ok := r.hists[k]
 	if !ok {
-		h = NewHistogram(DefaultWaitBounds()...)
-		r.hists[key] = h
+		h = &Histogram{bounds: defaultWaitBounds}
+		r.hists[k] = h
 	}
 	r.mu.Unlock()
-	h.Observe(d)
+	return h
+}
+
+// Observe records one sample into the named histogram —
+// HistHandle(layer, name).Observe(d), for distribution metrics (queue waits,
+// admission latency) where a sum counter would hide the tail. Nil-safe.
+func (r *Registry) Observe(layer Layer, name string, d time.Duration) {
+	r.HistHandle(layer, name).Observe(d)
 }
 
 // Hist returns the named histogram, or nil if nothing was observed under
@@ -103,8 +160,12 @@ func (r *Registry) Hist(layer Layer, name string) *Histogram {
 		return nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.hists[string(layer)+"/"+name]
+	h := r.hists[metricKey{layer, name}]
+	r.mu.Unlock()
+	if h == nil || h.Count() == 0 {
+		return nil
+	}
+	return h
 }
 
 // Record stores a completed span. Nil-safe.
@@ -140,21 +201,30 @@ func (r *Registry) Counters() map[string]int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make(map[string]int64, len(r.counters))
-	for k, v := range r.counters {
-		out[k] = v
+	for k, c := range r.counters {
+		if c.listed.Load() {
+			out[k.String()] = c.n.Load()
+		}
 	}
 	return out
 }
 
-// Reset clears all state. Nil-safe.
+// Reset clears all state. Counters and histograms are emptied in place, not
+// dropped, so handles resolved before the reset keep feeding the registry
+// after it. Nil-safe.
 func (r *Registry) Reset() {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.counters = make(map[string]int64)
+	for _, c := range r.counters {
+		c.listed.Store(false)
+		c.n.Store(0)
+	}
 	r.spans = nil
-	r.hists = make(map[string]*Histogram)
+	for _, h := range r.hists {
+		h.reset()
+	}
 	r.mu.Unlock()
 }
 
@@ -204,9 +274,11 @@ func (r *Registry) Report() string {
 		fmt.Fprintf(&b, "  %-32s %d\n", k, counters[k])
 	}
 	r.mu.Lock()
-	hists := make(map[string]*Histogram, len(r.hists))
+	hists := make(map[string]HistSnapshot, len(r.hists))
 	for k, h := range r.hists {
-		hists[k] = h
+		if s := h.Snapshot(); s.Count > 0 {
+			hists[k.String()] = s
+		}
 	}
 	r.mu.Unlock()
 	if len(hists) > 0 {
@@ -217,7 +289,7 @@ func (r *Registry) Report() string {
 		sort.Strings(hkeys)
 		b.WriteString("histograms:\n")
 		for _, k := range hkeys {
-			s := hists[k].Snapshot()
+			s := hists[k]
 			fmt.Fprintf(&b, "  %-32s n=%d mean=%v p50=%v p99=%v p999=%v max=%v\n",
 				k, s.Count, s.Mean, s.P50, s.P99, s.P999, s.Max)
 		}
@@ -225,11 +297,12 @@ func (r *Registry) Report() string {
 	return b.String()
 }
 
-// Histogram is a fixed-bucket latency histogram for access profiles.
+// Histogram is a fixed-bucket latency histogram for access profiles. A nil
+// *Histogram is a valid no-op sink for Observe.
 type Histogram struct {
 	mu      sync.Mutex
-	bounds  []time.Duration
-	buckets []int64
+	bounds  []time.Duration // read-only; registry histograms share one slice
+	buckets []int64         // len(bounds)+1, allocated by the first Observe
 	count   int64
 	sum     time.Duration
 	max     time.Duration
@@ -243,7 +316,7 @@ func NewHistogram(bounds ...time.Duration) *Histogram {
 			panic("telemetry: histogram bounds must be ascending")
 		}
 	}
-	return &Histogram{bounds: bounds, buckets: make([]int64, len(bounds)+1)}
+	return &Histogram{bounds: bounds}
 }
 
 // DefaultLatencyBounds spans Table 1's latency range: 100ns … 10ms.
@@ -254,8 +327,11 @@ func DefaultLatencyBounds() []time.Duration {
 	}
 }
 
+// defaultWaitBounds is the one bounds slice every registry histogram shares.
+var defaultWaitBounds = DefaultWaitBounds()
+
 // DefaultWaitBounds spans queueing/wall-clock waits: 1µs … 10s. Registry
-// histograms created implicitly by Observe use these.
+// histograms (HistHandle, Observe) use these.
 func DefaultWaitBounds() []time.Duration {
 	return []time.Duration{
 		time.Microsecond, 10 * time.Microsecond, 100 * time.Microsecond,
@@ -264,10 +340,16 @@ func DefaultWaitBounds() []time.Duration {
 	}
 }
 
-// Observe records one sample.
+// Observe records one sample. Nil-safe.
 func (h *Histogram) Observe(d time.Duration) {
+	if h == nil {
+		return
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if h.buckets == nil {
+		h.buckets = make([]int64, len(h.bounds)+1)
+	}
 	i := sort.Search(len(h.bounds), func(i int) bool { return d <= h.bounds[i] })
 	h.buckets[i]++
 	h.count++
@@ -275,6 +357,14 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d > h.max {
 		h.max = d
 	}
+}
+
+// reset empties the histogram in place.
+func (h *Histogram) reset() {
+	h.mu.Lock()
+	clear(h.buckets)
+	h.count, h.sum, h.max = 0, 0, 0
+	h.mu.Unlock()
 }
 
 // Count returns the number of samples.

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -27,7 +26,7 @@ type Epoch struct {
 	topo *Topology
 
 	mu   sync.Mutex
-	busy map[string]time.Duration // memory device ID → queue drain time
+	busy []time.Duration // queue drain time per memory device, by Route.Idx
 }
 
 // VClock is a virtual-time view of the memory device queues: the contract
@@ -39,14 +38,74 @@ type VClock interface {
 	Topology() *Topology
 	// BusyUntil returns the view-local queue drain time of a memory device.
 	BusyUntil(memID string) time.Duration
-	// AccessTime is Topology.AccessTime against this view's queue state.
+	// AccessRoute prices one access over a resolved route against this
+	// view's queue state and advances it: the virtual completion time of an
+	// access of size bytes issued at virtual time now. Path latency both
+	// ways is added to the view-local queued service time, and transfer
+	// time is stretched if the path is narrower than the device.
+	AccessRoute(rt *Route, now time.Duration, size int64, kind memsim.AccessKind, pat memsim.Pattern) time.Duration
+	// AccessTime is AccessRoute over Route(computeID, memID), for callers
+	// that hold IDs rather than a route; it fails when the pair does not
+	// resolve.
 	AccessTime(computeID, memID string, now time.Duration, size int64, kind memsim.AccessKind, pat memsim.Pattern) (time.Duration, error)
+}
+
+// queued is the queue arithmetic every view shares: one access over rt
+// against a queue that drains at busy, returning the completion time and the
+// queue's new drain time.
+func (rt *Route) queued(busy, now time.Duration, size int64, kind memsim.AccessKind, pat memsim.Pattern) (done, newBusy time.Duration) {
+	done, newBusy = rt.Mem.AccessQueued(busy, now+rt.Path.Latency, size, kind, pat)
+	return done + rt.stretch(size) + rt.Path.Latency, newBusy
+}
+
+// stretch is the extra transfer time when the route is the bottleneck: the
+// gap between moving size bytes at path bandwidth vs device bandwidth.
+func (rt *Route) stretch(size int64) time.Duration {
+	if size <= 0 || rt.Path.Bandwidth >= rt.Mem.Bandwidth {
+		return 0
+	}
+	extra := time.Duration(float64(size)/rt.Path.Bandwidth*float64(time.Second)) -
+		time.Duration(float64(size)/rt.Mem.Bandwidth*float64(time.Second))
+	if extra < 0 {
+		return 0
+	}
+	return extra
+}
+
+// slot returns queue state long enough to hold index i. State is sized to
+// the topology when a view is made; it grows only when a memory device was
+// added afterwards.
+func slot(busy []time.Duration, i int) []time.Duration {
+	for len(busy) <= i {
+		busy = append(busy, 0)
+	}
+	return busy
+}
+
+// maxInto folds src into dst as an element-wise max and returns dst, grown
+// if src is longer.
+func maxInto(dst, src []time.Duration) []time.Duration {
+	dst = slot(dst, len(src)-1)
+	for i, t := range src {
+		if t > dst[i] {
+			dst[i] = t
+		}
+	}
+	return dst
+}
+
+// busyAt reads one device's drain time out of queue state.
+func (t *Topology) busyAt(busy []time.Duration, memID string) time.Duration {
+	if i, ok := t.memIdx[memID]; ok && i < len(busy) {
+		return busy[i]
+	}
+	return 0
 }
 
 // NewEpoch starts a fresh virtual-time epoch on this topology: every device
 // queue is seen as drained at t=0.
 func (t *Topology) NewEpoch() *Epoch {
-	return &Epoch{topo: t, busy: make(map[string]time.Duration)}
+	return &Epoch{topo: t, busy: make([]time.Duration, len(t.mems))}
 }
 
 // Topology returns the shared hardware graph this epoch runs on.
@@ -57,29 +116,26 @@ func (e *Epoch) Topology() *Topology { return e.topo }
 func (e *Epoch) BusyUntil(memID string) time.Duration {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.busy[memID]
+	return e.topo.busyAt(e.busy, memID)
 }
 
-// AccessTime is Topology.AccessTime against this epoch's queue state: the
-// virtual completion time of a memory access of size bytes issued by
-// computeID against memID at virtual time now. Path latency both ways is
-// added to the epoch-local queued service time, and transfer time is
-// stretched if the path is narrower than the device.
-func (e *Epoch) AccessTime(computeID, memID string, now time.Duration, size int64, kind memsim.AccessKind, pat memsim.Pattern) (time.Duration, error) {
-	mem, ok := e.topo.memories[memID]
-	if !ok {
-		return 0, fmt.Errorf("topology: unknown memory device %q", memID)
-	}
-	path, ok := e.topo.Path(computeID, memID)
-	if !ok {
-		return 0, fmt.Errorf("topology: no path %s→%s", computeID, memID)
-	}
+// AccessRoute implements VClock against this epoch's queue state.
+func (e *Epoch) AccessRoute(rt *Route, now time.Duration, size int64, kind memsim.AccessKind, pat memsim.Pattern) time.Duration {
 	e.mu.Lock()
-	done, busy := mem.AccessQueued(e.busy[memID], now+path.Latency, size, kind, pat)
-	e.busy[memID] = busy
+	e.busy = slot(e.busy, rt.Idx)
+	done, busy := rt.queued(e.busy[rt.Idx], now, size, kind, pat)
+	e.busy[rt.Idx] = busy
 	e.mu.Unlock()
-	done += pathStretch(path, mem, size)
-	return done + path.Latency, nil
+	return done
+}
+
+// AccessTime implements VClock.
+func (e *Epoch) AccessTime(computeID, memID string, now time.Duration, size int64, kind memsim.AccessKind, pat memsim.Pattern) (time.Duration, error) {
+	rt, ok := e.topo.Route(computeID, memID)
+	if !ok {
+		return 0, e.topo.RouteError(computeID, memID)
+	}
+	return e.AccessRoute(rt, now, size, kind, pat), nil
 }
 
 // View snapshots the epoch's current queue state into a fresh TaskView.
@@ -88,11 +144,7 @@ func (e *Epoch) AccessTime(computeID, memID string, now time.Duration, size int6
 func (e *Epoch) View() *TaskView {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	busy := make(map[string]time.Duration, len(e.busy))
-	for id, t := range e.busy {
-		busy[id] = t
-	}
-	return &TaskView{topo: e.topo, busy: busy}
+	return &TaskView{topo: e.topo, busy: append([]time.Duration(nil), e.busy...)}
 }
 
 // Absorb folds a finished task's queue state back into the epoch as an
@@ -100,16 +152,7 @@ func (e *Epoch) View() *TaskView {
 // the deepest backlog any of the run's tasks produced, so later jobs that
 // share the epoch queue behind the whole run.
 func (e *Epoch) Absorb(v *TaskView) {
-	if v == nil {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for id, t := range v.busy {
-		if t > e.busy[id] {
-			e.busy[id] = t
-		}
-	}
+	e.AbsorbViews(v)
 }
 
 // AbsorbViews folds several task views into the epoch under one lock
@@ -120,13 +163,8 @@ func (e *Epoch) AbsorbViews(vs ...*TaskView) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, v := range vs {
-		if v == nil {
-			continue
-		}
-		for id, t := range v.busy {
-			if t > e.busy[id] {
-				e.busy[id] = t
-			}
+		if v != nil {
+			e.busy = maxInto(e.busy, v.busy)
 		}
 	}
 }
@@ -143,16 +181,16 @@ func (e *Epoch) AbsorbViews(vs ...*TaskView) {
 // is synchronized by the wavefront dispatcher.
 type TaskView struct {
 	topo *Topology
-	busy map[string]time.Duration
+	busy []time.Duration // queue drain time per memory device, by Route.Idx
 }
 
-// viewPool recycles TaskViews (and, most importantly, their busy maps): a
+// viewPool recycles TaskViews (and, most importantly, their queue state): a
 // wavefront allocates one view per task, and on short serving batches the
-// per-task map churn was a measurable slice of the determinism tax. Views
-// enter the pool through PutTaskView once their run has absorbed them and
-// released every region that could price through them.
+// per-task churn was a measurable slice of the determinism tax. Views enter
+// the pool through PutTaskView once their run has absorbed them and released
+// every region that could price through them.
 var viewPool = sync.Pool{
-	New: func() any { return &TaskView{busy: make(map[string]time.Duration, 8)} },
+	New: func() any { return new(TaskView) },
 }
 
 // GetTaskView returns a pooled view initialized as a copy of src (same
@@ -161,10 +199,7 @@ var viewPool = sync.Pool{
 func GetTaskView(src *TaskView) *TaskView {
 	v := viewPool.Get().(*TaskView)
 	v.topo = src.topo
-	clear(v.busy)
-	for id, t := range src.busy {
-		v.busy[id] = t
-	}
+	v.busy = append(v.busy[:0], src.busy...)
 	return v
 }
 
@@ -182,63 +217,41 @@ func PutTaskView(v *TaskView) {
 
 // NewTaskView starts an empty view: every queue drained at t=0.
 func (t *Topology) NewTaskView() *TaskView {
-	return &TaskView{topo: t, busy: make(map[string]time.Duration)}
+	return &TaskView{topo: t, busy: make([]time.Duration, len(t.mems))}
 }
 
 // Topology returns the shared hardware graph this view runs on.
 func (v *TaskView) Topology() *Topology { return v.topo }
 
 // BusyUntil returns the view-local queue drain time of a memory device.
-func (v *TaskView) BusyUntil(memID string) time.Duration { return v.busy[memID] }
+func (v *TaskView) BusyUntil(memID string) time.Duration { return v.topo.busyAt(v.busy, memID) }
 
 // Merge folds another view in as an element-wise max. Seeding a task's view
 // is Merge over every predecessor's final view.
 func (v *TaskView) Merge(o *TaskView) {
-	if o == nil {
-		return
-	}
-	for id, t := range o.busy {
-		if t > v.busy[id] {
-			v.busy[id] = t
-		}
+	if o != nil {
+		v.busy = maxInto(v.busy, o.busy)
 	}
 }
 
 // Clone returns an independent copy of the view.
 func (v *TaskView) Clone() *TaskView {
-	busy := make(map[string]time.Duration, len(v.busy))
-	for id, t := range v.busy {
-		busy[id] = t
-	}
-	return &TaskView{topo: v.topo, busy: busy}
+	return &TaskView{topo: v.topo, busy: append([]time.Duration(nil), v.busy...)}
 }
 
-// AccessTime is Topology.AccessTime against this view's queue state.
+// AccessRoute implements VClock against this view's queue state.
+func (v *TaskView) AccessRoute(rt *Route, now time.Duration, size int64, kind memsim.AccessKind, pat memsim.Pattern) time.Duration {
+	v.busy = slot(v.busy, rt.Idx)
+	done, busy := rt.queued(v.busy[rt.Idx], now, size, kind, pat)
+	v.busy[rt.Idx] = busy
+	return done
+}
+
+// AccessTime implements VClock.
 func (v *TaskView) AccessTime(computeID, memID string, now time.Duration, size int64, kind memsim.AccessKind, pat memsim.Pattern) (time.Duration, error) {
-	mem, ok := v.topo.memories[memID]
+	rt, ok := v.topo.Route(computeID, memID)
 	if !ok {
-		return 0, fmt.Errorf("topology: unknown memory device %q", memID)
+		return 0, v.topo.RouteError(computeID, memID)
 	}
-	path, ok := v.topo.Path(computeID, memID)
-	if !ok {
-		return 0, fmt.Errorf("topology: no path %s→%s", computeID, memID)
-	}
-	done, busy := mem.AccessQueued(v.busy[memID], now+path.Latency, size, kind, pat)
-	v.busy[memID] = busy
-	done += pathStretch(path, mem, size)
-	return done + path.Latency, nil
-}
-
-// pathStretch is the extra transfer time when the route is the bottleneck:
-// the gap between moving size bytes at path bandwidth vs device bandwidth.
-func pathStretch(path PathInfo, mem *memsim.Device, size int64) time.Duration {
-	if size <= 0 || path.Bandwidth >= mem.Bandwidth {
-		return 0
-	}
-	extra := time.Duration(float64(size)/path.Bandwidth*float64(time.Second)) -
-		time.Duration(float64(size)/mem.Bandwidth*float64(time.Second))
-	if extra < 0 {
-		return 0
-	}
-	return extra
+	return v.AccessRoute(rt, now, size, kind, pat), nil
 }

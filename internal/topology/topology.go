@@ -6,10 +6,11 @@
 //
 // The central question the paper's §2.2 asks — "which physical memory device
 // best serves this request *from this compute device*?" — is answered here:
-// Path computes the cheapest interconnect route between a compute device and
-// a memory device, and EffectiveCaps folds the path cost into the device's
-// raw capabilities. The same memory device therefore presents different
-// capabilities to different compute devices (Figure 3).
+// Route resolves, once per (compute device, memory device) pair, the
+// cheapest interconnect path and everything about the pair that is fixed by
+// the graph; Path, EffectiveCaps, Addressable and AccessTime read it. The
+// same memory device therefore presents different capabilities to different
+// compute devices (Figure 3).
 package topology
 
 import (
@@ -17,6 +18,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/memsim"
@@ -109,32 +111,50 @@ type PathInfo struct {
 	Coherent  bool          // every hop preserves coherence
 }
 
+// Route is everything about one (source endpoint, destination endpoint) pair
+// that the graph fixes: the cheapest path and, when the destination is a
+// memory device, the device itself and the pair's derived access properties.
+// Routes are resolved lazily by Topology.Route and shared: treat one as
+// read-only. A holder that keeps a *Route across calls (region.Handle does)
+// must drop it once Valid reports false.
+type Route struct {
+	Mem    *memsim.Device // the memory device; nil when the destination is not one, or is unreachable
+	Idx    int            // Mem's dense index: its slot in Epoch and TaskView queue state
+	Path   PathInfo
+	Remote bool          // the path crosses the network fabric
+	Sync   bool          // synchronous loads/stores are sensible: Mem.Sync and not Remote
+	Lat    time.Duration // Mem.Latency + Path.Latency: one traversal to the device
+
+	reachable bool
+	stale     atomic.Bool // set when Connect or AddMemory changed the graph under it
+}
+
+// Valid reports whether the graph is still the one the route was resolved
+// on. Connect and AddMemory invalidate every route resolved before them.
+func (rt *Route) Valid() bool { return !rt.stale.Load() }
+
 // Topology is the full hardware graph.
 type Topology struct {
 	computes map[string]*ComputeDevice
-	memories map[string]*memsim.Device
+	memIdx   map[string]int // memory device ID → index into mems
 	adj      map[string][]Link
-	// order preserves insertion order for deterministic iteration.
+	// computeOrder and mems preserve insertion order for deterministic
+	// iteration; a memory device's position in mems is its dense index.
 	computeOrder []string
-	memoryOrder  []string
-	// pathCache memoizes routing results; the graph is static after
-	// construction and Path sits on every memory access's hot path.
-	pathMu    sync.RWMutex
-	pathCache map[[2]string]pathEntry
-}
-
-type pathEntry struct {
-	info PathInfo
-	ok   bool
+	mems         []*memsim.Device
+	// routes memoizes Route per (from, to) pair — the one routing cache;
+	// Route sits on every memory access's path. Created by the first
+	// resolution: building a topology precomputes nothing.
+	routeMu sync.RWMutex
+	routes  map[[2]string]*Route
 }
 
 // New returns an empty topology.
 func New() *Topology {
 	return &Topology{
-		computes:  make(map[string]*ComputeDevice),
-		memories:  make(map[string]*memsim.Device),
-		adj:       make(map[string][]Link),
-		pathCache: make(map[[2]string]pathEntry),
+		computes: make(map[string]*ComputeDevice),
+		memIdx:   make(map[string]int),
+		adj:      make(map[string][]Link),
 	}
 }
 
@@ -165,8 +185,9 @@ func (t *Topology) AddMemory(d *memsim.Device) error {
 	if t.has(d.ID) {
 		return fmt.Errorf("topology: duplicate id %q", d.ID)
 	}
-	t.memories[d.ID] = d
-	t.memoryOrder = append(t.memoryOrder, d.ID)
+	t.memIdx[d.ID] = len(t.mems)
+	t.mems = append(t.mems, d)
+	t.invalidateRoutes() // a route ending at this ID resolved it as a switch
 	return nil
 }
 
@@ -174,10 +195,22 @@ func (t *Topology) has(id string) bool {
 	if _, ok := t.computes[id]; ok {
 		return true
 	}
-	if _, ok := t.memories[id]; ok {
+	if _, ok := t.memIdx[id]; ok {
 		return true
 	}
 	return false
+}
+
+// invalidateRoutes drops every resolved route and marks it stale for the
+// holders that cached it. An empty cache is left as it is, so building a
+// graph link by link allocates nothing here.
+func (t *Topology) invalidateRoutes() {
+	t.routeMu.Lock()
+	for _, rt := range t.routes {
+		rt.stale.Store(true)
+	}
+	clear(t.routes)
+	t.routeMu.Unlock()
 }
 
 // Connect adds a bidirectional link. Unknown endpoints are allowed — they
@@ -193,9 +226,7 @@ func (t *Topology) Connect(l Link) error {
 	rev := l
 	rev.A, rev.B = l.B, l.A
 	t.adj[l.B] = append(t.adj[l.B], rev)
-	t.pathMu.Lock()
-	t.pathCache = make(map[[2]string]pathEntry) // routes changed
-	t.pathMu.Unlock()
+	t.invalidateRoutes()
 	return nil
 }
 
@@ -207,8 +238,11 @@ func (t *Topology) Compute(id string) (*ComputeDevice, bool) {
 
 // Memory returns a registered memory device.
 func (t *Topology) Memory(id string) (*memsim.Device, bool) {
-	d, ok := t.memories[id]
-	return d, ok
+	i, ok := t.memIdx[id]
+	if !ok {
+		return nil, false
+	}
+	return t.mems[i], true
 }
 
 // Computes returns all compute devices in insertion order.
@@ -222,11 +256,7 @@ func (t *Topology) Computes() []*ComputeDevice {
 
 // Memories returns all memory devices in insertion order.
 func (t *Topology) Memories() []*memsim.Device {
-	out := make([]*memsim.Device, 0, len(t.memoryOrder))
-	for _, id := range t.memoryOrder {
-		out = append(out, t.memories[id])
-	}
-	return out
+	return append([]*memsim.Device(nil), t.mems...)
 }
 
 // ComputesByKind returns compute devices of the given kind.
@@ -242,27 +272,72 @@ func (t *Topology) ComputesByKind(k ComputeKind) []*ComputeDevice {
 
 // Path routes from one endpoint to another, minimizing latency (ties broken
 // by hop count, then lexicographically for determinism). It returns false if
-// no route exists. Results are memoized: the graph is immutable once built
-// and Path runs on every simulated memory access.
+// no route exists.
 func (t *Topology) Path(from, to string) (PathInfo, bool) {
 	if from == to {
 		return PathInfo{Bandwidth: math.Inf(1), Coherent: true}, true
 	}
-	key := [2]string{from, to}
-	t.pathMu.RLock()
-	if e, hit := t.pathCache[key]; hit {
-		t.pathMu.RUnlock()
-		return e.info, e.ok
-	}
-	t.pathMu.RUnlock()
-	info, ok := t.route(from, to)
-	t.pathMu.Lock()
-	t.pathCache[key] = pathEntry{info: info, ok: ok}
-	t.pathMu.Unlock()
-	return info, ok
+	rt := t.resolve(from, to)
+	return rt.Path, rt.reachable
 }
 
-// route is the uncached Dijkstra search behind Path.
+// Route returns the resolved route from a compute device to a memory
+// device, or false when memID is not a memory device or no path reaches it.
+// Routes are resolved once per pair and memoized until Connect or AddMemory
+// changes the graph.
+func (t *Topology) Route(computeID, memID string) (*Route, bool) {
+	rt := t.resolve(computeID, memID)
+	if rt.Mem == nil { // not a memory device, or unreachable
+		return nil, false
+	}
+	return rt, true
+}
+
+// RouteError says why Route(computeID, memID) does not resolve.
+func (t *Topology) RouteError(computeID, memID string) error {
+	if _, ok := t.memIdx[memID]; !ok {
+		return fmt.Errorf("topology: unknown memory device %q", memID)
+	}
+	return fmt.Errorf("topology: no path %s→%s", computeID, memID)
+}
+
+// resolve returns the memoized route for a pair, searching on first use.
+func (t *Topology) resolve(from, to string) *Route {
+	key := [2]string{from, to}
+	t.routeMu.RLock()
+	rt, hit := t.routes[key]
+	t.routeMu.RUnlock()
+	if hit {
+		return rt
+	}
+	rt = &Route{Idx: -1}
+	rt.Path, rt.reachable = t.route(from, to)
+	if i, ok := t.memIdx[to]; ok && rt.reachable {
+		mem := t.mems[i]
+		rt.Mem, rt.Idx = mem, i
+		for _, l := range rt.Path.Hops {
+			if l.Kind == LinkNIC {
+				rt.Remote = true
+				break
+			}
+		}
+		rt.Sync = mem.Sync && !rt.Remote
+		rt.Lat = mem.Latency + rt.Path.Latency
+	}
+	t.routeMu.Lock()
+	if prior, raced := t.routes[key]; raced {
+		rt = prior // one route object per pair, whoever resolved it first
+	} else {
+		if t.routes == nil {
+			t.routes = make(map[[2]string]*Route)
+		}
+		t.routes[key] = rt
+	}
+	t.routeMu.Unlock()
+	return rt
+}
+
+// route is the uncached Dijkstra search behind resolve.
 func (t *Topology) route(from, to string) (PathInfo, bool) {
 	type state struct {
 		lat  time.Duration
@@ -332,66 +407,58 @@ func (t *Topology) route(from, to string) (PathInfo, bool) {
 // producing the capabilities the device offers *as seen from* the given
 // compute device. This is the paper's Figure 3 in code: DRAM looks fast from
 // the local CPU and slow from a GPU across PCIe; GDDR is the reverse.
+// Everything but FreeCapacity is fixed by the route.
 func (t *Topology) EffectiveCaps(computeID, memID string) (props.Capabilities, bool) {
-	mem, ok := t.memories[memID]
-	if !ok {
-		return props.Capabilities{}, false
-	}
 	if _, ok := t.computes[computeID]; !ok {
 		return props.Capabilities{}, false
 	}
-	path, ok := t.Path(computeID, memID)
+	rt, ok := t.Route(computeID, memID)
 	if !ok {
 		return props.Capabilities{}, false
 	}
+	mem := rt.Mem
 	bw := mem.Bandwidth
-	if path.Bandwidth < bw {
-		bw = path.Bandwidth
-	}
-	remote := false
-	for _, l := range path.Hops {
-		if l.Kind == LinkNIC {
-			remote = true
-			break
-		}
+	if rt.Path.Bandwidth < bw {
+		bw = rt.Path.Bandwidth
 	}
 	return props.Capabilities{
-		Latency:         mem.Latency + path.Latency,
+		Latency:         rt.Lat,
 		Bandwidth:       bw,
 		Granularity:     mem.Granularity,
 		ByteAddressable: mem.ByteAddressable(),
-		Coherent:        mem.Coherent && path.Coherent,
-		Sync:            mem.Sync && !remote,
+		Coherent:        mem.Coherent && rt.Path.Coherent,
+		Sync:            rt.Sync,
 		Persistent:      mem.Persistent,
-		Remote:          remote,
+		Remote:          rt.Remote,
 		FreeCapacity:    mem.Free(),
 	}, true
 }
 
 // AccessTime returns the virtual completion time of a memory access of size
-// bytes issued by computeID against memID at virtual time now: path latency
-// both ways is added to the device's queued service time, and transfer time
-// is scaled up if the path is narrower than the device.
+// bytes issued by computeID against memID at virtual time now, queued on the
+// device-global service queue: AccessRoute over the pair's route.
 func (t *Topology) AccessTime(computeID, memID string, now time.Duration, size int64, kind memsim.AccessKind, pat memsim.Pattern) (time.Duration, error) {
-	mem, ok := t.memories[memID]
+	rt, ok := t.Route(computeID, memID)
 	if !ok {
-		return 0, fmt.Errorf("topology: unknown memory device %q", memID)
+		return 0, t.RouteError(computeID, memID)
 	}
-	path, ok := t.Path(computeID, memID)
-	if !ok {
-		return 0, fmt.Errorf("topology: no path %s→%s", computeID, memID)
-	}
-	done := mem.Access(now+path.Latency, size, kind, pat)
-	// If the path is the bottleneck, stretch the transfer phase.
-	done += pathStretch(path, mem, size)
-	return done + path.Latency, nil
+	return t.AccessRoute(rt, now, size, kind, pat), nil
+}
+
+// AccessRoute prices one access over a resolved route against the
+// device-global service queue — what a handle without a clock view uses.
+// Epoch.AccessRoute and TaskView.AccessRoute are the same arithmetic against
+// a private queue.
+func (t *Topology) AccessRoute(rt *Route, now time.Duration, size int64, kind memsim.AccessKind, pat memsim.Pattern) time.Duration {
+	done := rt.Mem.Access(now+rt.Path.Latency, size, kind, pat)
+	return done + rt.stretch(size) + rt.Path.Latency
 }
 
 // ResetQueues drains every memory device's service queue — used between
 // measurement phases so one experiment's virtual backlog cannot leak into
 // the next.
 func (t *Topology) ResetQueues() {
-	for _, m := range t.memories {
+	for _, m := range t.mems {
 		m.ResetQueue()
 	}
 }
