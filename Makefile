@@ -19,12 +19,12 @@ test:
 # engine (core.Server, epochs, recovery), the region manager and the two
 # packages its access path reads without a lock of their own (topology
 # routes, memsim device counters), the fault injector/stores, the telemetry
-# registry, the cluster, and the scheduler and load generator the server
-# calls from several goroutines.
+# registry, the cluster, and the scheduler, load generator, placement
+# optimizer and job graph the server calls from several goroutines.
 race:
 	$(GO) test -race ./internal/core/... ./internal/region/... ./internal/topology/... ./internal/memsim/... \
 		./internal/fault/... ./internal/telemetry/... ./internal/cluster/... ./internal/shard/... \
-		./internal/sched/... ./internal/loadgen/...
+		./internal/sched/... ./internal/loadgen/... ./internal/placement/... ./internal/dataflow/...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -36,33 +36,32 @@ bench:
 # bench/BENCH_*_baseline.json captures are the before; the fresh run is the
 # after (previous local runs are kept as BENCH_*_before.json), and benchgate
 # fails the target when serve throughput regressed >10% vs the baseline
-# (override with BENCHGATE_TOLERANCE). The region access micro-benchmark is
-# gated the other way round — its units are costs: time per access may not
-# triple, and allocations per access may not rise at all.
+# (override with BENCHGATE_TOLERANCE). The region access and placement
+# micro-benchmarks are gated the other way round — their units are costs:
+# time per operation may not triple, and allocations per operation may not
+# rise at all.
+#
+# One captured run per entry: name:package:benchmark regexp:benchtime, written
+# to BENCH_<name>.json.
+SMOKE_BENCHES = \
+	'parallel:core:BenchmarkWideDAGParallel|BenchmarkServeParallel:2x' \
+	'serve:core:BenchmarkServeOverlap:2x' \
+	'recover:core:BenchmarkRecoverPartial:2x' \
+	'shard:shard:BenchmarkServeSharded:2x' \
+	'stream:core:BenchmarkStreamServe:2x' \
+	'migrate:shard:BenchmarkClusterRebalance:2x' \
+	'region:region:BenchmarkRegionAccess:200000x' \
+	'place:placement:BenchmarkPlaceEpoch:200000x'
+
 bench-smoke: loadgen-smoke
-	@for f in BENCH_parallel.json BENCH_serve.json BENCH_recover.json BENCH_shard.json BENCH_stream.json BENCH_migrate.json BENCH_region.json; do \
-		if [ -f $$f ]; then cp $$f $${f%.json}_before.json; fi; done
-	$(GO) test -run XXX -bench 'BenchmarkWideDAGParallel|BenchmarkServeParallel' \
-		-benchtime 2x -benchmem -json ./internal/core/ > BENCH_parallel.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_parallel.json | head -20 || true
-	$(GO) test -run XXX -bench BenchmarkServeOverlap \
-		-benchtime 2x -benchmem -json ./internal/core/ > BENCH_serve.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_serve.json | head -20 || true
-	$(GO) test -run XXX -bench BenchmarkRecoverPartial \
-		-benchtime 2x -benchmem -json ./internal/core/ > BENCH_recover.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_recover.json | head -20 || true
-	$(GO) test -run XXX -bench BenchmarkServeSharded \
-		-benchtime 2x -benchmem -json ./internal/shard/ > BENCH_shard.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_shard.json | head -20 || true
-	$(GO) test -run XXX -bench BenchmarkStreamServe \
-		-benchtime 2x -benchmem -json ./internal/core/ > BENCH_stream.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_stream.json | head -20 || true
-	$(GO) test -run XXX -bench BenchmarkClusterRebalance \
-		-benchtime 2x -benchmem -json ./internal/shard/ > BENCH_migrate.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_migrate.json | head -20 || true
-	$(GO) test -run XXX -bench BenchmarkRegionAccess \
-		-benchtime 200000x -benchmem -json ./internal/region/ > BENCH_region.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_region.json | head -20 || true
+	@set -e; for spec in $(SMOKE_BENCHES); do \
+		name=$${spec%%:*}; rest=$${spec#*:}; pkg=$${rest%%:*}; rest=$${rest#*:}; \
+		re=$${rest%:*}; n=$${rest##*:}; f=BENCH_$$name.json; \
+		if [ -f $$f ]; then cp $$f BENCH_$${name}_before.json; fi; \
+		echo "$(GO) test -run XXX -bench '$$re' -benchtime $$n -benchmem -json ./internal/$$pkg/ > $$f"; \
+		$(GO) test -run XXX -bench "$$re" -benchtime $$n -benchmem -json ./internal/$$pkg/ > $$f; \
+		grep -o '"Output":"Benchmark[^"]*' $$f | head -20 || true; \
+	done
 	$(GO) run ./cmd/benchgate -baseline bench/BENCH_serve_baseline.json -current BENCH_serve.json
 	$(GO) run ./cmd/benchgate -baseline bench/BENCH_shard_baseline.json -current BENCH_shard.json \
 		-metrics jobs/s,speedup
@@ -71,6 +70,8 @@ bench-smoke: loadgen-smoke
 	$(GO) run ./cmd/benchgate -baseline bench/BENCH_migrate_baseline.json -current BENCH_migrate.json \
 		-metrics exported/op,recalled/op -tolerance 0
 	$(GO) run ./cmd/benchgate -baseline bench/BENCH_region_baseline.json -current BENCH_region.json \
+		-metrics ns/op:2,allocs/op:0
+	$(GO) run ./cmd/benchgate -baseline bench/BENCH_place_baseline.json -current BENCH_place.json \
 		-metrics ns/op:2,allocs/op:0
 
 # Seconds-scale fixed-seed open-loop serving smoke: 4k submissions against

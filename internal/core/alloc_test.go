@@ -34,14 +34,15 @@ func allocBudget(t *testing.T, name string, budget float64, fn func()) {
 
 // TestAllocBudgetSoloWavefront pins the allocation count of one parallel
 // wavefront run of the wide diamond job (src → 8 branches → sink, with a
-// fenced job global): measured ~1.9k after pooling.
+// fenced job global): measured 621 with resolved placement candidates,
+// non-copying graph accessors and a memoized topological order (1 687 before).
 func TestAllocBudgetSoloWavefront(t *testing.T) {
 	rt, err := New(Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	iter := 0
-	allocBudget(t, "solo wavefront run", 2200, func() {
+	allocBudget(t, "solo wavefront run", 720, func() {
 		iter++
 		if _, err := rt.Run(wideJob(fmt.Sprintf("alloc%d", iter), 8)); err != nil {
 			t.Fatal(err)
@@ -50,7 +51,8 @@ func TestAllocBudgetSoloWavefront(t *testing.T) {
 }
 
 // TestAllocBudgetOverlappedBatch pins the allocation count of one
-// overlapped serving batch of four small jobs on a shared pool.
+// overlapped serving batch of four small jobs on a shared pool: measured
+// 1 640 (3 954 before the changes named above).
 func TestAllocBudgetOverlappedBatch(t *testing.T) {
 	rt, err := New(Config{Workers: 4})
 	if err != nil {
@@ -74,7 +76,7 @@ func TestAllocBudgetOverlappedBatch(t *testing.T) {
 			wideJob(fmt.Sprintf("w%d-3", iter), 4),
 		}
 	}
-	allocBudget(t, "overlapped batch (4 jobs)", 5200, func() {
+	allocBudget(t, "overlapped batch (4 jobs)", 1900, func() {
 		jobs := batch()
 		tks := make([]*Ticket, len(jobs))
 		for k, j := range jobs {

@@ -366,7 +366,8 @@ func (lr *lazyRestore) hydrate(r *run, task string, h *region.Handle) error {
 // after its checkpoint, or the entry was seeded outside the engine —
 // fetches eagerly in both modes and charges the observed Get price.
 func (r *run) restoreTaskAt(ctx *taskCtx, t *dataflow.Task, start time.Duration) (time.Duration, *TaskReport, error) {
-	for _, p := range t.Preds() {
+	for i, n := 0, t.NumPreds(); i < n; i++ {
+		p := t.Pred(i)
 		r.smu.Lock()
 		h := r.pending[t.ID()][p.ID()]
 		if h != nil {

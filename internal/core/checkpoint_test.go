@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,16 +26,23 @@ func newCkStore(t testing.TB) (*Checkpointer, *cluster.Fabric) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewCheckpointer(ckWithAutoFlush{store}), fabric
+	return NewCheckpointer(&ckWithAutoFlush{ErasureStore: store}), fabric
 }
 
 // ckWithAutoFlush seals spans on every Put so snapshots are immediately
 // durable (a real deployment would group-commit; tests want determinism).
+// Put and its Flush are one step under mu: two tasks checkpointing at once
+// would otherwise stage both objects before either seals, and the first
+// Flush would be charged for both while the second paid nothing — a
+// restore price that depends on wall-clock interleaving.
 type ckWithAutoFlush struct {
 	*fault.ErasureStore
+	mu sync.Mutex
 }
 
-func (s ckWithAutoFlush) Put(data []byte) (fault.ObjectID, time.Duration, error) {
+func (s *ckWithAutoFlush) Put(data []byte) (fault.ObjectID, time.Duration, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	id, d, err := s.ErasureStore.Put(data)
 	if err != nil {
 		return id, d, err

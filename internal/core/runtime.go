@@ -388,7 +388,8 @@ func (r *run) execTaskAt(w *wavefront, k int, t *dataflow.Task, view *topology.T
 	// Collect inputs: transfer exclusive outputs from predecessors (the
 	// Fig. 4 handover), adopt shared ones as-is. Handles are rebound to
 	// this task's clock view and fence as they cross the task boundary.
-	for _, p := range t.Preds() {
+	for i, n := 0, t.NumPreds(); i < n; i++ {
+		p := t.Pred(i)
 		r.smu.Lock()
 		h := r.pending[t.ID()][p.ID()]
 		if h != nil {
@@ -440,7 +441,7 @@ func (r *run) execTaskAt(w *wavefront, k int, t *dataflow.Task, view *topology.T
 		}
 	}
 	ctx.Charge(t.Props().Ops)
-	if ctx.output == nil && t.Props().OutputBytes > 0 && len(t.Succs()) > 0 {
+	if ctx.output == nil && t.Props().OutputBytes > 0 && t.NumSuccs() > 0 {
 		if _, err := ctx.Output(t.Props().OutputBytes); err != nil {
 			ctx.releaseAll()
 			return 0, nil, fmt.Errorf("implicit output: %w", err)
@@ -511,8 +512,7 @@ func (r *run) execTaskAt(w *wavefront, k int, t *dataflow.Task, view *topology.T
 // one successor → exclusive pending transfer; several → shared grants
 // (Global Scratch semantics); none → retained as the job's final output.
 func (r *run) deliverOutput(ctx *taskCtx, t *dataflow.Task) error {
-	succs := t.Succs()
-	switch len(succs) {
+	switch n := t.NumSuccs(); n {
 	case 0:
 		dev, err := ctx.output.DeviceID()
 		if err != nil {
@@ -527,15 +527,17 @@ func (r *run) deliverOutput(ctx *taskCtx, t *dataflow.Task) error {
 		return nil
 	case 1:
 		r.smu.Lock()
-		if r.pending[succs[0].ID()] == nil {
-			r.pending[succs[0].ID()] = make(map[string]*region.Handle)
+		s := t.Succ(0)
+		if r.pending[s.ID()] == nil {
+			r.pending[s.ID()] = make(map[string]*region.Handle)
 		}
-		r.pending[succs[0].ID()][t.ID()] = ctx.output
+		r.pending[s.ID()][t.ID()] = ctx.output
 		r.smu.Unlock()
 		ctx.output = nil
 		return nil
 	default:
-		for _, s := range succs {
+		for i := 0; i < n; i++ {
+			s := t.Succ(i)
 			sAsg := r.schedule.Assignments[s.ID()]
 			// All fan-out shares are granted here, at producer completion —
 			// before any consumer can launch — so the region's sharer set is

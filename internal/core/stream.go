@@ -272,6 +272,17 @@ func (s *Server) streamDriver(ctx context.Context, spec stream.Spec, opt SubmitO
 		}
 	}
 
+	// windowErr is the terminal error for a window that failed to submit or
+	// to complete: once the stream's context has ended that is the cancel,
+	// whatever the window itself reported (a cancel can land between the
+	// fill loop's check and its SubmitAsync).
+	windowErr := func(idx int, err error) error {
+		if ctx.Err() != nil {
+			return fmt.Errorf("%w: %w", ErrStreamCanceled, context.Cause(ctx))
+		}
+		return fmt.Errorf("core: stream %s window %d: %w", spec.Name, idx, err)
+	}
+
 	for {
 		// Fill the pipeline up to the in-flight bound. The source is only
 		// pulled here — at the bound, or once draining, it stays untouched.
@@ -304,7 +315,7 @@ func (s *Server) streamDriver(ctx context.Context, spec stream.Spec, opt SubmitO
 			}
 			tk, err := s.SubmitAsync(ctx, job, wopt)
 			if err != nil {
-				terminate(fmt.Errorf("core: stream %s window %d: %w", spec.Name, next, err))
+				terminate(windowErr(next, err))
 				return
 			}
 			q = append(q, inflight{idx: next, tk: tk})
@@ -323,11 +334,7 @@ func (s *Server) streamDriver(ctx context.Context, spec stream.Spec, opt SubmitO
 		head := q[0]
 		rep, err := head.tk.Wait(nil)
 		if err != nil {
-			if ctx.Err() != nil {
-				terminate(fmt.Errorf("%w: %w", ErrStreamCanceled, context.Cause(ctx)))
-				return
-			}
-			terminate(fmt.Errorf("core: stream %s window %d: %w", spec.Name, head.idx, err))
+			terminate(windowErr(head.idx, err))
 			return
 		}
 		q = q[1:]

@@ -132,7 +132,7 @@ func (c *taskCtx) Output(size int64) (*region.Handle, error) {
 		return nil, errors.New("core: task already allocated its output")
 	}
 	class := props.Transfer
-	if len(c.task.Succs()) > 1 {
+	if c.task.NumSuccs() > 1 {
 		// Several consumers: the output must be shareable, i.e. Global
 		// Scratch (Table 2's "data exchange" region).
 		class = props.GlobalScratch

@@ -151,29 +151,42 @@ func (p *wavePool) attach(w *wavefront) {
 	p.members = append(p.members, w)
 }
 
-// launch starts claimed tasks while worker slots are free, always picking
-// the lowest (rank, member sequence) claim across all members. Caller
-// holds p.mu.
-func (p *wavePool) launch() {
-	for p.slots > 0 {
-		var best *wavefront
-		for _, w := range p.members {
-			if w.canceled != nil || len(w.dispatch) == 0 {
-				continue
-			}
-			if best == nil || sched.BatchBefore(w.dispatch[0], w.seq, best.dispatch[0], best.seq) {
-				best = w
-			}
+// next takes the pool's next dispatchable task — the lowest (rank, member
+// sequence) claim across all members — and a worker slot for it; ok is false
+// when no slot is free or nothing is dispatchable. The caller must run the
+// task (runTask) or hand it to a goroutine that does. Caller holds p.mu.
+func (p *wavePool) next() (w *wavefront, k int, ok bool) {
+	if p.slots <= 0 {
+		return nil, 0, false
+	}
+	for _, m := range p.members {
+		if m.canceled != nil || len(m.dispatch) == 0 {
+			continue
 		}
-		if best == nil {
+		if w == nil || sched.BatchBefore(m.dispatch[0], m.seq, w.dispatch[0], w.seq) {
+			w = m
+		}
+	}
+	if w == nil {
+		return nil, 0, false
+	}
+	k = w.dispatch[0]
+	w.dispatch = w.dispatch[1:]
+	w.state[k] = tsRunning
+	w.inflight++
+	p.slots--
+	return w, k, true
+}
+
+// launch starts a task goroutine for every free worker slot that has a
+// dispatchable task. Caller holds p.mu.
+func (p *wavePool) launch() {
+	for {
+		w, k, ok := p.next()
+		if !ok {
 			return
 		}
-		k := best.dispatch[0]
-		best.dispatch = best.dispatch[1:]
-		best.state[k] = tsRunning
-		best.inflight++
-		p.slots--
-		go best.runTask(k)
+		go w.runTask(k)
 	}
 }
 
@@ -202,9 +215,9 @@ type wavefront struct {
 	devs     map[string]*sched.ClaimLedger
 
 	state      []taskState
-	unmet      []int           // remaining predecessor count
-	ready      []bool          // rank is tsReady (the claim ledger's grant mask)
-	readyAt    []time.Duration // max predecessor finish (virtual)
+	unmet      []int                // remaining predecessor count
+	ready      []bool               // rank is tsReady (the claim ledger's grant mask)
+	readyAt    []time.Duration      // max predecessor finish (virtual)
 	views      []*topology.TaskView // final clock views of done tasks
 	finish     []time.Duration
 	restored   []bool // checkpointed in a prior attempt: restore, don't run
@@ -291,7 +304,7 @@ func (r *run) newWavefront(order []*dataflow.Task, ranks map[string]int, cancel 
 			w.devOrder = append(w.devOrder, dev)
 		}
 		ds.Enqueue(k) // ascending: k iterates in rank order
-		w.unmet[k] = len(t.Preds())
+		w.unmet[k] = t.NumPreds()
 		if w.unmet[k] == 0 {
 			w.state[k] = tsReady
 			w.ready[k] = true
@@ -418,7 +431,9 @@ func (w *wavefront) drainedLocked() bool {
 
 // pump advances this member (claim granting, cancellation probe, failure
 // revocation) and then lets the pool launch whatever is now dispatchable —
-// across all members. Caller holds the pool lock.
+// across all members. It is for callers that cannot run a task themselves (a
+// run's driver, a task about to block at a fence); a retiring task goroutine
+// advances and continues instead (execAndRetire). Caller holds the pool lock.
 func (w *wavefront) pump() {
 	w.advance()
 	w.pool.launch()
@@ -493,21 +508,38 @@ func insertRank(s []int, k int) []int {
 // reading them here without the lock is race-free.
 func (w *wavefront) seedView(k int) *topology.TaskView {
 	v := topology.GetTaskView(w.seed)
-	for _, p := range w.order[k].Preds() {
-		v.Merge(w.views[w.rank[p.ID()]])
+	t := w.order[k]
+	for i, n := 0, t.NumPreds(); i < n; i++ {
+		v.Merge(w.views[w.rank[t.Pred(i).ID()]])
 	}
 	return v
 }
 
-// runTask executes one claimed task on a worker goroutine and folds its
-// outcome back into the dispatcher.
+// runTask is a task goroutine: it executes the claimed task (w, k), retires
+// it, and then runs to completion — the retiring goroutine already holds the
+// pool lock and has just advanced the dispatcher, so it keeps the task a
+// launch would have started first (the same lowest-(rank, sequence) pick,
+// possibly another member's) and executes it itself on its already-grown
+// stack, spawning goroutines only for any further free slots. It returns
+// when its slot has nothing left to run. Which goroutine executes a task is
+// wall-clock only: virtual time is fixed by the claim ledger before launch.
 func (w *wavefront) runTask(k int) {
+	for more := true; more; {
+		w, k, more = w.execAndRetire(k)
+	}
+}
+
+// execAndRetire executes one claimed task and folds its outcome back into
+// the dispatcher. It returns the task this goroutine continues with, if the
+// pool has one for the slot it just gave back.
+func (w *wavefront) execAndRetire(k int) (*wavefront, int, bool) {
 	t := w.order[k]
 	view := w.seedView(k)
 	fin, rep, err := w.r.execTaskAt(w, k, t, view, w.claimStart[k])
 
 	p := w.pool
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	w.inflight--
 	p.slots++
 	dev := w.devOf[k]
@@ -534,8 +566,8 @@ func (w *wavefront) runTask(k int) {
 		w.state[k] = tsDone
 		w.done++
 		w.views[k] = view
-		for _, s := range t.Succs() {
-			sk := w.rank[s.ID()]
+		for i, n := 0, t.NumSuccs(); i < n; i++ {
+			sk := w.rank[t.Succ(i).ID()]
 			w.unmet[sk]--
 			if fin > w.readyAt[sk] {
 				w.readyAt[sk] = fin
@@ -549,9 +581,11 @@ func (w *wavefront) runTask(k int) {
 			w.frontier++
 		}
 	}
-	w.pump()
+	w.advance()
+	nw, nk, more := p.next() // this goroutine's next task, before any spawn
+	p.launch()
 	p.cond.Broadcast()
-	p.mu.Unlock()
+	return nw, nk, more
 }
 
 // fence blocks the calling task (rank k) until the ordering its access

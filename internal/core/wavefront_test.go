@@ -147,31 +147,74 @@ func TestWavefrontDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// drainWorkerCounts are the pool sizes the drain tests run at: one slot
+// (every task but the first is a continuation of the goroutine that retired
+// its predecessor), a few, and the host's parallelism.
+func drainWorkerCounts() []int { return []int{1, 4, goruntime.GOMAXPROCS(0)} }
+
+// requireNoLeak fails if the runtime still holds a region or a device byte.
+func requireNoLeak(t *testing.T, rt *Runtime, after string) {
+	t.Helper()
+	if live := rt.Regions().Live(); live != 0 {
+		t.Errorf("leaked %d regions after %s", live, after)
+	}
+	for dev, bytes := range rt.Regions().DeviceBytes() {
+		if bytes != 0 {
+			t.Errorf("device %s holds %d bytes after %s", dev, bytes, after)
+		}
+	}
+}
+
 // TestWavefrontFaultDrainsClean injects a fault into a mid-rank branch
 // while the wavefront is wide open: the surfaced error must be that task's
 // (min-rank first-error-wins), in-flight siblings must drain, and no region
 // may leak — device bytes return to zero.
 func TestWavefrontFaultDrainsClean(t *testing.T) {
-	inj := fault.NewInjector(1, 0, 1)
-	inj.Kill("branch07", 1)
-	rt, err := New(Config{Workers: 8, Inject: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = rt.Run(wideJob("faulty", 16))
-	if !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("err = %v, want ErrInjected", err)
-	}
-	if !strings.Contains(err.Error(), "branch07") {
-		t.Errorf("err = %v, want the killed task surfaced", err)
-	}
-	if live := rt.Regions().Live(); live != 0 {
-		t.Errorf("leaked %d regions after mid-wavefront fault", live)
-	}
-	for dev, bytes := range rt.Regions().DeviceBytes() {
-		if bytes != 0 {
-			t.Errorf("device %s holds %d bytes after drain", dev, bytes)
+	for _, workers := range append(drainWorkerCounts(), 8) {
+		inj := fault.NewInjector(1, 0, 1)
+		inj.Kill("branch07", 1)
+		rt, err := New(Config{Workers: workers, Inject: inj})
+		if err != nil {
+			t.Fatal(err)
 		}
+		_, err = rt.Run(wideJob("faulty", 16))
+		if !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("workers=%d: err = %v, want ErrInjected", workers, err)
+		}
+		if !strings.Contains(err.Error(), "branch07") {
+			t.Errorf("workers=%d: err = %v, want the killed task surfaced", workers, err)
+		}
+		requireNoLeak(t, rt, "mid-wavefront fault")
+	}
+}
+
+// TestWavefrontBodyFailureDrainsClean fails two task bodies of the wide
+// diamond at run time — unlike an injected verdict, which is known before the
+// first launch, a body error reaches the dispatcher only when the goroutine
+// that ran it retires it, which is also where that goroutine picks its next
+// task. The lower of the two ranks must surface at every pool size, fenced
+// siblings above it must abort and drain, and nothing may leak.
+func TestWavefrontBodyFailureDrainsClean(t *testing.T) {
+	boom := errors.New("body failed")
+	for _, workers := range drainWorkerCounts() {
+		j := wideJob("bodyfail", 16)
+		for _, id := range []string{"branch05", "branch11"} {
+			id := id
+			bad := j.Task("bad-"+id, dataflow.Props{Ops: 1e4}, func(dataflow.Ctx) error {
+				return fmt.Errorf("%s: %w", id, boom)
+			})
+			tk, _ := j.Get(id)
+			tk.Then(bad)
+		}
+		rt, err := New(Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = rt.Run(j)
+		if !errors.Is(err, boom) || !strings.Contains(err.Error(), "bad-branch05") {
+			t.Fatalf("workers=%d: err = %v, want bad-branch05's failure", workers, err)
+		}
+		requireNoLeak(t, rt, "body failure")
 	}
 }
 
@@ -179,36 +222,97 @@ func TestWavefrontFaultDrainsClean(t *testing.T) {
 // running task body: the wavefront must stop dispatching, drain, release
 // every region, and surface the context error to the submitter.
 func TestWavefrontCancellationDrainsClean(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	j := dataflow.NewJob("cancelme")
-	first := j.Task("first", dataflow.Props{Ops: 1e4, OutputBytes: 1 << 10}, func(c dataflow.Ctx) error {
-		cancel() // the submission dies while its own DAG is mid-flight
-		return nil
-	})
-	for i := 0; i < 8; i++ {
-		tk := j.Task(fmt.Sprintf("tail%d", i), dataflow.Props{Ops: 1e4}, func(c dataflow.Ctx) error {
-			if _, err := c.Scratch("s", 4<<10); err != nil {
-				return err
-			}
+	for _, workers := range drainWorkerCounts() {
+		ctx, cancel := context.WithCancel(context.Background())
+		j := dataflow.NewJob("cancelme")
+		first := j.Task("first", dataflow.Props{Ops: 1e4, OutputBytes: 1 << 10}, func(c dataflow.Ctx) error {
+			cancel() // the submission dies while its own DAG is mid-flight
 			return nil
 		})
-		first.Then(tk)
+		for i := 0; i < 8; i++ {
+			tk := j.Task(fmt.Sprintf("tail%d", i), dataflow.Props{Ops: 1e4}, func(c dataflow.Ctx) error {
+				if _, err := c.Scratch("s", 4<<10); err != nil {
+					return err
+				}
+				return nil
+			})
+			first.Then(tk)
+		}
+		s := newTestServer(t, ServerConfig{EpochWorkers: 1, MaxBatch: 1, ExecConfig: ExecConfig{Workers: workers}})
+		_, err := s.Submit(ctx, j)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if err := s.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		requireNoLeak(t, s.Runtime(), "cancellation")
 	}
-	s := newTestServer(t, ServerConfig{EpochWorkers: 1, MaxBatch: 1})
-	_, err := s.Submit(ctx, j)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+}
+
+// goroutineID names the calling goroutine (the number in its stack header).
+func goroutineID() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:goruntime.Stack(buf[:], false)]))[1]
+}
+
+// recordingChain builds a depth-task chain whose bodies note which goroutine
+// ran them.
+func recordingChain(name string, depth int, seen *sync.Map) *dataflow.Job {
+	j := dataflow.NewJob(name)
+	var prev *dataflow.Task
+	for i := 0; i < depth; i++ {
+		tk := j.Task(fmt.Sprintf("t%02d", i), dataflow.Props{Ops: 1e4, OutputBytes: 1 << 10}, func(dataflow.Ctx) error {
+			seen.Store(goroutineID(), true)
+			return nil
+		})
+		if prev != nil {
+			prev.Then(tk)
+		}
+		prev = tk
 	}
-	if err := s.Close(context.Background()); err != nil {
+	return j
+}
+
+func countKeys(m *sync.Map) (n int) {
+	m.Range(func(any, any) bool { n++; return true })
+	return n
+}
+
+// TestTaskGoroutineRunsToCompletion: with one worker slot, the goroutine
+// that retires a task is the one that runs the next — a 64-task chain is one
+// goroutine, not 64, and so is a whole overlapped batch of chains, since the
+// continuation follows the pool's pick across members.
+func TestTaskGoroutineRunsToCompletion(t *testing.T) {
+	var solo sync.Map
+	rt, err := New(Config{Workers: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if live := s.Runtime().Regions().Live(); live != 0 {
-		t.Errorf("leaked %d regions after cancellation", live)
+	if _, err := rt.Run(recordingChain("chain", 64, &solo)); err != nil {
+		t.Fatal(err)
 	}
-	for dev, bytes := range s.Runtime().Regions().DeviceBytes() {
-		if bytes != 0 {
-			t.Errorf("device %s holds %d bytes after cancellation", dev, bytes)
+	if n := countKeys(&solo); n != 1 {
+		t.Errorf("a 64-task chain at Workers=1 ran on %d goroutines, want 1", n)
+	}
+
+	var batch sync.Map
+	s := newTestServer(t, ServerConfig{EpochWorkers: 1, MaxBatch: 8, QueueDepth: 16, Block: true, ExecConfig: ExecConfig{Workers: 1}})
+	jobs := make([]*dataflow.Job, 4)
+	for i := range jobs {
+		jobs[i] = recordingChain(fmt.Sprintf("chain%d", i), 16, &batch)
+	}
+	for i, tk := range submitOneBatch(t, s, jobs) {
+		rep, err := tk.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
 		}
+		if rep.BatchSize != len(jobs) {
+			t.Fatalf("job %d ran in a batch of %d, want %d", i, rep.BatchSize, len(jobs))
+		}
+	}
+	if n := countKeys(&batch); n != 1 {
+		t.Errorf("an overlapped batch of four 16-task chains at Workers=1 ran on %d goroutines, want 1", n)
 	}
 }
 

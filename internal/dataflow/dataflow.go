@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/props"
@@ -133,11 +134,25 @@ func (t *Task) Props() Props { return t.props }
 // Fn returns the task body (nil for structure-only tasks in tests).
 func (t *Task) Fn() Fn { return t.fn }
 
-// Preds returns the predecessor tasks in edge-insertion order.
+// Preds returns the predecessor tasks in edge-insertion order. The slice is
+// the caller's own copy; loops that only read use NumPreds and Pred.
 func (t *Task) Preds() []*Task { return append([]*Task(nil), t.preds...) }
 
-// Succs returns the successor tasks in edge-insertion order.
+// Succs returns the successor tasks in edge-insertion order. The slice is
+// the caller's own copy; loops that only read use NumSuccs and Succ.
 func (t *Task) Succs() []*Task { return append([]*Task(nil), t.succs...) }
+
+// NumPreds returns the number of predecessors.
+func (t *Task) NumPreds() int { return len(t.preds) }
+
+// Pred returns the i'th predecessor in edge-insertion order, 0 ≤ i < NumPreds.
+func (t *Task) Pred(i int) *Task { return t.preds[i] }
+
+// NumSuccs returns the number of successors.
+func (t *Task) NumSuccs() int { return len(t.succs) }
+
+// Succ returns the i'th successor in edge-insertion order, 0 ≤ i < NumSuccs.
+func (t *Task) Succ(i int) *Task { return t.succs[i] }
 
 // Then connects t → next and returns next, allowing chain syntax:
 // preprocess.Then(recognize).Then(track).
@@ -152,6 +167,16 @@ type Job struct {
 	name  string
 	tasks map[string]*Task
 	order []*Task // insertion order
+	// topo remembers Order's result and the graph it was computed on.
+	topo atomic.Pointer[topoMemo]
+}
+
+// topoMemo is one computed topological order. A job's tasks and edges are
+// only ever added, so the two counts identify the graph it belongs to.
+type topoMemo struct {
+	tasks, edges int
+	order        []*Task
+	err          error
 }
 
 // NewJob creates an empty job.
@@ -202,41 +227,70 @@ func (j *Job) Validate() error {
 			return fmt.Errorf("dataflow: task %s has negative work", t.id)
 		}
 	}
-	if _, err := j.TopoOrder(); err != nil {
-		return err
-	}
-	return nil
+	_, err := j.Order()
+	return err
 }
 
 // TopoOrder returns the tasks in a deterministic topological order
-// (Kahn's algorithm; ready set ordered by insertion index).
+// (Kahn's algorithm; ready set ordered by insertion index). The slice is the
+// caller's own copy; callers that only read use Order.
 func (j *Job) TopoOrder() ([]*Task, error) {
-	indeg := make(map[*Task]int, len(j.order))
-	idx := make(map[*Task]int, len(j.order))
-	for i, t := range j.order {
-		indeg[t] = len(t.preds)
-		idx[t] = i
-	}
-	var ready []*Task
+	order, err := j.Order()
+	return append([]*Task(nil), order...), err
+}
+
+// Order is TopoOrder without the copy: the returned slice is shared by every
+// caller and must not be modified. The order is computed once per graph —
+// validation, planning, estimation and execution of a submission all read
+// the same one — and again only after a task or an edge was added. Safe for
+// concurrent callers once the job is no longer being built.
+func (j *Job) Order() ([]*Task, error) {
+	edges := 0
 	for _, t := range j.order {
-		if indeg[t] == 0 {
-			ready = append(ready, t)
+		edges += len(t.succs)
+	}
+	if m := j.topo.Load(); m != nil && m.tasks == len(j.order) && m.edges == edges {
+		return m.order, m.err
+	}
+	order, err := j.sortTopo()
+	j.topo.Store(&topoMemo{tasks: len(j.order), edges: edges, order: order, err: err})
+	return order, err
+}
+
+// sortTopo is the uncached sort behind Order: Kahn's algorithm over the
+// tasks' insertion indices, the ready set kept ascending so the lowest index
+// is always next.
+func (j *Job) sortTopo() ([]*Task, error) {
+	n := len(j.order)
+	idx := make(map[*Task]int, n)
+	indeg := make([]int, n)
+	ready := make([]int, 0, n)
+	for i, t := range j.order {
+		idx[t] = i
+		indeg[i] = len(t.preds)
+		if indeg[i] == 0 {
+			ready = append(ready, i)
 		}
 	}
-	var out []*Task
+	out := make([]*Task, 0, n)
 	for len(ready) > 0 {
-		sort.Slice(ready, func(a, b int) bool { return idx[ready[a]] < idx[ready[b]] })
-		t := ready[0]
+		t := j.order[ready[0]]
 		ready = ready[1:]
 		out = append(out, t)
 		for _, s := range t.succs {
-			indeg[s]--
-			if indeg[s] == 0 {
-				ready = append(ready, s)
+			i, mine := idx[s]
+			if !mine {
+				continue // an edge out of the job orders nothing in it
+			}
+			if indeg[i]--; indeg[i] == 0 {
+				at := sort.SearchInts(ready, i)
+				ready = append(ready, 0)
+				copy(ready[at+1:], ready[at:])
+				ready[at] = i
 			}
 		}
 	}
-	if len(out) != len(j.order) {
+	if len(out) != n {
 		return nil, ErrCycle
 	}
 	return out, nil
@@ -267,7 +321,7 @@ func (j *Job) Sinks() []*Task {
 // CriticalPathOps returns the largest sum of Ops along any source→sink path
 // — a device-independent lower bound used by scheduler tests.
 func (j *Job) CriticalPathOps() (float64, error) {
-	order, err := j.TopoOrder()
+	order, err := j.Order()
 	if err != nil {
 		return 0, err
 	}

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -95,6 +96,110 @@ func TestCycleDetection(t *testing.T) {
 	if err := j.Validate(); !errors.Is(err, ErrCycle) {
 		t.Errorf("err = %v, want ErrCycle", err)
 	}
+}
+
+// TestOrderRememberedUntilTheGraphGrows: Order hands every caller the same
+// slice while the graph stands, recomputes after a task or an edge is added
+// (including an edge that turns a valid job cyclic, and keeps the error), and
+// TopoOrder stays the caller's own copy. Error texts are the ones Validate
+// always returned.
+func TestOrderRememberedUntilTheGraphGrows(t *testing.T) {
+	j := diamond()
+	o1, err := j.Order()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o2, _ := j.Order()
+	if &o1[0] != &o2[0] {
+		t.Error("Order must return the remembered slice while the graph is unchanged")
+	}
+	cp, _ := j.TopoOrder()
+	cp[0], cp[3] = cp[3], cp[0]
+	if o3, _ := j.Order(); o3[0].ID() != "a" || o3[3].ID() != "d" {
+		t.Error("mutating TopoOrder's copy reached the remembered order")
+	}
+
+	e := j.Task("e", Props{}, nil)
+	if o, _ := j.Order(); len(o) != 5 || o[4] != e {
+		t.Errorf("a new task must show up in the order, got %d tasks", len(o))
+	}
+	d, _ := j.Get("d")
+	e.Then(d) // e must now precede d
+	o, err := j.Order()
+	if err != nil || o[3] != e || o[4] != d {
+		t.Errorf("a new edge must reorder: %v, %v", o, err)
+	}
+	a, _ := j.Get("a")
+	d.Then(a)
+	for i := 0; i < 2; i++ { // computed, then remembered
+		if _, err := j.Order(); !errors.Is(err, ErrCycle) {
+			t.Errorf("call %d: err = %v, want ErrCycle", i, err)
+		}
+	}
+	if err := j.Validate(); err == nil || err.Error() != "dataflow: job graph has a cycle" {
+		t.Errorf("cyclic Validate error = %v", err)
+	}
+	if err := NewJob("empty").Validate(); err == nil || err.Error() != "dataflow: job has no tasks" {
+		t.Errorf("empty Validate error = %v", err)
+	}
+}
+
+// TestEdgeOutOfTheJobOrdersNothing: Then does not know about jobs, so a task
+// can be given a successor that belongs to another job. Such an edge has
+// never constrained either job's order, and the sort over insertion indices
+// must not take it for an edge to the task at the same index here.
+func TestEdgeOutOfTheJobOrdersNothing(t *testing.T) {
+	big := NewJob("big")
+	var last *Task
+	for _, id := range []string{"p", "q", "r", "s"} {
+		last = big.Task(id, Props{}, nil)
+	}
+	j := diamond()
+	a, _ := j.Get("a")
+	a.Then(last) // index 3 in its own job, and j has an index 3 too
+	small := NewJob("small")
+	x := small.Task("x", Props{}, nil)
+	x.Then(last) // index 3 does not exist in small at all
+	for _, job := range []*Job{j, small} {
+		order, err := job.Order()
+		if err != nil || len(order) != job.Len() {
+			t.Fatalf("%s: order %v, err %v", job.Name(), order, err)
+		}
+	}
+	if o, _ := j.Order(); o[0].ID() != "a" || o[1].ID() != "b" || o[2].ID() != "c" || o[3].ID() != "d" {
+		t.Errorf("diamond order changed by a foreign edge: %v", o)
+	}
+	// The receiving job does see a predecessor it cannot satisfy.
+	if _, err := big.Order(); !errors.Is(err, ErrCycle) {
+		t.Errorf("job with a foreign predecessor: err = %v, want ErrCycle as before", err)
+	}
+}
+
+// TestOrderConcurrentCallers: a built job is validated, planned and executed
+// from several goroutines at once (the same *Job may be in flight in more
+// than one submission); all of them must read one consistent order. Run
+// under -race.
+func TestOrderConcurrentCallers(t *testing.T) {
+	j := diamond()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				o, err := j.Order()
+				if err != nil || len(o) != 4 || o[0].ID() != "a" || o[3].ID() != "d" {
+					t.Errorf("Order = %v, %v", o, err)
+					return
+				}
+				if err := j.Validate(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestValidateRejectsEmptyAndNegative(t *testing.T) {

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/memsim"
 	"repro/internal/props"
 	"repro/internal/topology"
 )
@@ -44,6 +45,11 @@ const DefaultDecisionCap = 4096
 // props.Score (low latency, high bandwidth, confidentiality locality, and
 // premium-capacity conservation). Deterministic: ties break on device order.
 // Safe for concurrent callers.
+//
+// Everything that decision computes per device except free capacity and
+// queue backlog is fixed by (compute device, requirements without Capacity,
+// graph), so it is resolved once per such shape into a candidate list; a
+// placement is one pass over that list.
 type BestFit struct {
 	Topo *topology.Topology
 
@@ -53,6 +59,69 @@ type BestFit struct {
 	decisions []Decision
 	start     int
 	cap       int // 0 → DefaultDecisionCap
+	// shapes holds the candidate list of every request shape resolved on
+	// graph version shapesAt. Lists are immutable once stored. Resolved on
+	// first use, emptied when the graph changes or maxShapes is reached.
+	shapes   map[shape][]candidate
+	shapesAt uint64
+}
+
+// shape is what a candidate list is a pure function of, besides the graph:
+// the requesting compute device and the requirements with Capacity zeroed
+// (free capacity is the one capability that moves between placements).
+type shape struct {
+	compute string
+	req     props.Requirements
+}
+
+// candidate is one device that passes a shape's static hard constraints, with
+// the score it earns before the per-call backlog penalty.
+type candidate struct {
+	dev   *memsim.Device
+	idx   int // dev's dense index: its slot in a VClock's queue state
+	score float64
+}
+
+// maxShapes bounds the candidate cache. Serving traffic has a handful of
+// shapes per compute device; the bound only keeps arbitrary requirement
+// values (a MinBandwidth computed per request, say) from growing it forever.
+// Reaching it drops every list: they are cheap to resolve again.
+const maxShapes = 1024
+
+// candidates returns the devices a request of this shape may be placed on,
+// in device order, resolving the list on first use.
+func (b *BestFit) candidates(sh shape) []candidate {
+	sh.req.Capacity = 0
+	at := b.Topo.Version()
+	b.mu.Lock()
+	list, ok := b.shapes[sh]
+	ok = ok && b.shapesAt == at
+	b.mu.Unlock()
+	if ok {
+		return list
+	}
+	list = nil // a shape nothing fits resolves to an empty list, and is kept too
+	for i, dev := range b.Topo.Memories() {
+		if dev.HardwareManaged {
+			continue
+		}
+		caps, ok := b.Topo.EffectiveCaps(sh.compute, dev.ID)
+		if !ok || !sh.req.Matches(caps) {
+			continue
+		}
+		list = append(list, candidate{dev: dev, idx: i, score: sh.req.Score(caps)})
+	}
+	b.mu.Lock()
+	if b.shapesAt != at || len(b.shapes) >= maxShapes {
+		clear(b.shapes)
+		b.shapesAt = at
+	}
+	if b.shapes == nil {
+		b.shapes = make(map[shape][]candidate)
+	}
+	b.shapes[sh] = list
+	b.mu.Unlock()
+	return list
 }
 
 // NewBestFit builds the optimizer.
@@ -152,27 +221,22 @@ func backlogPenalty(busyUntil, now time.Duration) float64 {
 
 func (b *BestFit) placeAt(req props.Requirements, computeID string, now time.Duration, clk topology.VClock, contentionAware bool) (string, error) {
 	best, bestScore := "", 0.0
-	for _, dev := range b.Topo.Memories() {
-		if dev.HardwareManaged {
+	for _, c := range b.candidates(shape{compute: computeID, req: req}) {
+		if req.Capacity > 0 && c.dev.Free() < req.Capacity {
 			continue
 		}
-		caps, ok := b.Topo.EffectiveCaps(computeID, dev.ID)
-		if !ok {
-			continue
-		}
-		if ok, _ := req.Match(caps); !ok {
-			continue
-		}
-		s := req.Score(caps)
+		s := c.score
 		if contentionAware {
-			busy := dev.Stats().BusyUntil
+			var busy time.Duration
 			if clk != nil {
-				busy = clk.BusyUntil(dev.ID)
+				busy = clk.BusyAt(c.idx)
+			} else {
+				busy = c.dev.Stats().BusyUntil
 			}
 			s -= backlogPenalty(busy, now)
 		}
 		if best == "" || s > bestScore {
-			best, bestScore = dev.ID, s
+			best, bestScore = c.dev.ID, s
 		}
 	}
 	if best == "" {
@@ -212,7 +276,7 @@ func (b *BestFit) PlaceShared(req props.Requirements, computeIDs []string) (stri
 				ok = false
 				break
 			}
-			if m, _ := req.Match(caps); !m {
+			if !req.Matches(caps) {
 				ok = false
 				break
 			}
@@ -264,7 +328,7 @@ func (s *Static) Place(req props.Requirements, computeID string) (string, error)
 		if !ok {
 			continue
 		}
-		if ok, _ := req.Match(caps); ok {
+		if req.Matches(caps) {
 			return id, nil
 		}
 	}
@@ -299,7 +363,7 @@ func (r *Random) Place(req props.Requirements, computeID string) (string, error)
 		if !ok {
 			continue
 		}
-		if ok, _ := req.Match(caps); ok {
+		if req.Matches(caps) {
 			candidates = append(candidates, dev.ID)
 		}
 	}
@@ -337,7 +401,7 @@ func (w *Worst) Place(req props.Requirements, computeID string) (string, error) 
 		if !ok {
 			continue
 		}
-		if ok, _ := req.Match(caps); !ok {
+		if !req.Matches(caps) {
 			continue
 		}
 		s := req.Score(caps)

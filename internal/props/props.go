@@ -8,9 +8,9 @@
 // Capabilities that each (simulated) physical device offers, as seen from
 // the compute device executing the task.
 //
-// Requirements split into hard constraints (Match) and soft preferences
-// (Score). A device is a placement candidate only if Match succeeds;
-// candidates are then ranked by Score.
+// Requirements split into hard constraints (Matches, and Match for the
+// diagnostics) and soft preferences (Score). A device is a placement
+// candidate only if it matches; candidates are then ranked by Score.
 package props
 
 import (
@@ -156,21 +156,48 @@ type Violation struct {
 
 func (v Violation) String() string { return v.Field + ": " + v.Detail }
 
+// ceiling is the access latency the requirement admits: the absolute
+// MaxLatency when set, otherwise the Latency class's.
+func (r Requirements) ceiling() time.Duration {
+	if r.MaxLatency > 0 {
+		return r.MaxLatency
+	}
+	return r.Latency.Ceiling()
+}
+
+// The hard-constraint predicates. Matches and Match are both built from
+// these, so the boolean and the diagnostic form cannot drift apart.
+func (r Requirements) lacksCapacity(c Capabilities) bool {
+	return r.Capacity > 0 && c.FreeCapacity < r.Capacity
+}
+func (r Requirements) tooSlow(c Capabilities) bool { return c.Latency > r.ceiling() }
+func (r Requirements) tooNarrow(c Capabilities) bool {
+	return r.MinBandwidth > 0 && c.Bandwidth < r.MinBandwidth
+}
+
+// Matches reports whether capabilities satisfy all hard constraints — Match
+// without the diagnostics. Callers that only filter use this: it builds no
+// violation strings and allocates nothing.
+func (r Requirements) Matches(c Capabilities) bool {
+	return !r.lacksCapacity(c) && !r.tooSlow(c) && !r.tooNarrow(c) &&
+		r.Persistent.Satisfied(c.Persistent) && r.Coherent.Satisfied(c.Coherent) &&
+		r.Sync.Satisfied(c.Sync) && r.ByteAddr.Satisfied(c.ByteAddressable)
+}
+
 // Match reports whether capabilities satisfy all hard constraints and, if
 // not, the list of violations (for diagnostics and tests).
 func (r Requirements) Match(c Capabilities) (bool, []Violation) {
+	if r.Matches(c) {
+		return true, nil
+	}
 	var vs []Violation
-	if r.Capacity > 0 && c.FreeCapacity < r.Capacity {
+	if r.lacksCapacity(c) {
 		vs = append(vs, Violation{"capacity", fmt.Sprintf("need %d, free %d", r.Capacity, c.FreeCapacity)})
 	}
-	ceiling := r.Latency.Ceiling()
-	if r.MaxLatency > 0 {
-		ceiling = r.MaxLatency
+	if r.tooSlow(c) {
+		vs = append(vs, Violation{"latency", fmt.Sprintf("%v exceeds ceiling %v", c.Latency, r.ceiling())})
 	}
-	if c.Latency > ceiling {
-		vs = append(vs, Violation{"latency", fmt.Sprintf("%v exceeds ceiling %v", c.Latency, ceiling)})
-	}
-	if r.MinBandwidth > 0 && c.Bandwidth < r.MinBandwidth {
+	if r.tooNarrow(c) {
 		vs = append(vs, Violation{"bandwidth", fmt.Sprintf("%.0f < required %.0f", c.Bandwidth, r.MinBandwidth)})
 	}
 	if !r.Persistent.Satisfied(c.Persistent) {
@@ -185,7 +212,7 @@ func (r Requirements) Match(c Capabilities) (bool, []Violation) {
 	if !r.ByteAddr.Satisfied(c.ByteAddressable) {
 		vs = append(vs, Violation{"byteaddr", fmt.Sprintf("%s but device byteaddr=%t", r.ByteAddr, c.ByteAddressable)})
 	}
-	return len(vs) == 0, vs
+	return false, vs
 }
 
 // Score ranks a matching device: higher is better. The score rewards low
@@ -193,12 +220,8 @@ func (r Requirements) Match(c Capabilities) (bool, []Violation) {
 // penalizes wasting scarce premium devices on undemanding requests
 // (capacity pressure) as well as remote placement of confidential data.
 func (r Requirements) Score(c Capabilities) float64 {
-	ceiling := r.Latency.Ceiling()
-	if r.MaxLatency > 0 {
-		ceiling = r.MaxLatency
-	}
 	// Latency headroom in [0,1]: 1 when instant, →0 approaching the ceiling.
-	lat := 1.0 - float64(c.Latency)/float64(ceiling)
+	lat := 1.0 - float64(c.Latency)/float64(r.ceiling())
 	if lat < 0 {
 		lat = 0
 	}

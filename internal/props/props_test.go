@@ -253,6 +253,65 @@ func TestMatchMonotoneInCapabilities(t *testing.T) {
 	}
 }
 
+// Property: Matches is Match without the diagnostics — the two agree on
+// every requirement × capability pair, a mismatch names exactly the violated
+// constraints, and both agree with the constraint list written out
+// independently here. Every hard-constraint field is exercised, including the
+// absolute MaxLatency ceiling, the bandwidth floor and all four Tri fields.
+func TestMatchesAgreesWithMatch(t *testing.T) {
+	f := func(lat, bw, free uint32, flags uint8, capReq, maxLat, minBW uint32, latClass, tris uint8) bool {
+		c := quickCaps(lat, bw, free, flags)
+		r := Requirements{
+			Capacity:     int64(capReq % 3 * (free/2 + 1)), // 0, fits, or may not fit
+			Latency:      LatencyClass(latClass % 5),
+			MinBandwidth: float64(minBW%3) * float64(bw%1000) * 0.75e9, // 0, below, above
+			Persistent:   Tri(tris % 3),
+			Coherent:     Tri(tris / 3 % 3),
+			Sync:         Tri(tris / 9 % 3),
+			ByteAddr:     Tri(tris / 27 % 3),
+			Confidential: flags&32 != 0, // soft: must not affect matching
+			PreferLocal:  flags&64 != 0,
+		}
+		if maxLat%2 == 1 {
+			r.MaxLatency = time.Duration(maxLat%10_000_000) * time.Nanosecond
+		}
+		ceiling := r.Latency.Ceiling()
+		if r.MaxLatency > 0 {
+			ceiling = r.MaxLatency
+		}
+		want := map[string]bool{
+			"capacity":   r.Capacity > 0 && c.FreeCapacity < r.Capacity,
+			"latency":    c.Latency > ceiling,
+			"bandwidth":  r.MinBandwidth > 0 && c.Bandwidth < r.MinBandwidth,
+			"persistent": !r.Persistent.Satisfied(c.Persistent),
+			"coherent":   !r.Coherent.Satisfied(c.Coherent),
+			"sync":       !r.Sync.Satisfied(c.Sync),
+			"byteaddr":   !r.ByteAddr.Satisfied(c.ByteAddressable),
+		}
+		violated := 0
+		for _, v := range want {
+			if v {
+				violated++
+			}
+		}
+		ok, vs := r.Match(c)
+		if r.Matches(c) != ok || ok != (violated == 0) || len(vs) != violated {
+			t.Logf("%s vs %+v: Matches %t, Match %t %v, want violations %v", r, c, r.Matches(c), ok, vs, want)
+			return false
+		}
+		for _, v := range vs {
+			if !want[v.Field] {
+				t.Logf("%s vs %+v: spurious violation %s", r, c, v)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property: Merge is commutative on non-conflicting inputs, and the merged
 // requirement matches a device only if both inputs match it.
 func TestMergeSoundness(t *testing.T) {

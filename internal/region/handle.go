@@ -423,9 +423,7 @@ func (h *Handle) Transfer(now time.Duration, to Owner, toCompute string) (*Handl
 		// capacity constraint does not apply to staying put.
 		req := r.req
 		req.Capacity = 0
-		if ok, _ := req.Match(caps); ok {
-			zeroCopy = true
-		}
+		zeroCopy = req.Matches(caps)
 	}
 	r.gen++ // invalidate the source handle (move semantics)
 	nh := &Handle{m: h.m, id: r.id, gen: r.gen, owner: to, compute: toCompute, clock: h.clock, fence: h.fence, rank: h.rank}

@@ -106,7 +106,7 @@ func (m *Manager) addressableByAllOwners(r *Region, dev string) bool {
 		if !ok {
 			return false
 		}
-		if ok, _ := req.Match(caps); !ok {
+		if !req.Matches(caps) {
 			return false
 		}
 	}
@@ -306,7 +306,7 @@ func (m *Manager) bestOtherDevice(r *Region, comp, exclude string) (string, bool
 		if !ok {
 			continue
 		}
-		if ok, _ := req.Match(caps); !ok {
+		if !req.Matches(caps) {
 			continue
 		}
 		if !m.addressableByAllOwners(r, dev.ID) {

@@ -455,7 +455,7 @@ func (f FirstFit) Place(req props.Requirements, computeID string) (string, error
 		if !ok {
 			continue
 		}
-		if ok, _ := req.Match(caps); ok {
+		if req.Matches(caps) {
 			return dev.ID, nil
 		}
 	}

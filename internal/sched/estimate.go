@@ -37,7 +37,7 @@ type Estimate struct {
 // across its eligible devices, and each task's upward rank (critical-path
 // length to a sink under mean costs).
 func upwardRanks(job *dataflow.Job, topo *topology.Topology) ([]*dataflow.Task, map[*dataflow.Task]time.Duration, map[*dataflow.Task]time.Duration, error) {
-	order, err := job.TopoOrder()
+	order, err := job.Order()
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -66,8 +66,8 @@ func upwardRanks(job *dataflow.Job, topo *topology.Topology) ([]*dataflow.Task, 
 	for i := len(order) - 1; i >= 0; i-- {
 		t := order[i]
 		var max time.Duration
-		for _, s := range t.Succs() {
-			v := meanComm(t) + rank[s]
+		for i, n := 0, t.NumSuccs(); i < n; i++ {
+			v := meanComm(t) + rank[t.Succ(i)]
 			if v > max {
 				max = v
 			}

@@ -177,7 +177,8 @@ func (HEFT) ScheduleLoaded(job *dataflow.Job, topo *topology.Topology, initial m
 		for _, c := range eligible(t, topo) {
 			// Ready time: all predecessor outputs delivered to c.
 			var ready time.Duration
-			for _, p := range t.Preds() {
+			for i, n := 0, t.NumPreds(); i < n; i++ {
+				p := t.Pred(i)
 				pa := asg[p.ID()]
 				arr := pa.Finish + commTime(topo, placedOn[p], c.ID, p.Props().OutputBytes)
 				if arr > ready {
@@ -238,7 +239,7 @@ func listSchedule(job *dataflow.Job, topo *topology.Topology, policy string,
 	if err := job.Validate(); err != nil {
 		return nil, err
 	}
-	order, err := job.TopoOrder()
+	order, err := job.Order()
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +257,8 @@ func listSchedule(job *dataflow.Job, topo *topology.Topology, policy string,
 		}
 		c := pick(t, devs, i)
 		var ready time.Duration
-		for _, p := range t.Preds() {
+		for i, n := 0, t.NumPreds(); i < n; i++ {
+			p := t.Pred(i)
 			pa := asg[p.ID()]
 			arr := pa.Finish + commTime(topo, placedOn[p], c.ID, p.Props().OutputBytes)
 			if arr > ready {
@@ -300,7 +302,8 @@ func Validate(job *dataflow.Job, topo *topology.Topology, s *Schedule) error {
 		if kind, restricted := t.Props().Compute.Kind(); restricted && c.Kind != kind {
 			return fmt.Errorf("sched: task %s wants %s, got %s", t.ID(), t.Props().Compute, c.Kind)
 		}
-		for _, p := range t.Preds() {
+		for i, n := 0, t.NumPreds(); i < n; i++ {
+			p := t.Pred(i)
 			pa := s.Assignments[p.ID()]
 			if a.Start < pa.Finish {
 				return fmt.Errorf("sched: task %s starts before predecessor %s finishes", t.ID(), p.ID())
@@ -334,10 +337,10 @@ func Validate(job *dataflow.Job, topo *topology.Topology, s *Schedule) error {
 // tie-breaking, so the result is stable run-to-run). The wavefront executor
 // uses the rank as the global tie-breaker wherever two ready tasks contend
 // for the same virtual core, which is what keeps parallel dispatch
-// byte-for-byte deterministic. The order itself is returned alongside so
-// callers don't recompute it.
+// byte-for-byte deterministic. The order itself (dataflow.Job.Order: shared,
+// read-only) is returned alongside.
 func Ranks(job *dataflow.Job) (map[string]int, []*dataflow.Task, error) {
-	order, err := job.TopoOrder()
+	order, err := job.Order()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -352,9 +355,9 @@ func Ranks(job *dataflow.Job) (map[string]int, []*dataflow.Task, error) {
 // executor's initial ready-set state: tasks with a zero count are
 // immediately dispatchable.
 func PredCounts(job *dataflow.Job) map[string]int {
-	counts := make(map[string]int, len(job.Tasks()))
+	counts := make(map[string]int, job.Len())
 	for _, t := range job.Tasks() {
-		counts[t.ID()] = len(t.Preds())
+		counts[t.ID()] = t.NumPreds()
 	}
 	return counts
 }

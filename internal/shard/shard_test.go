@@ -15,9 +15,18 @@ import (
 // chainJob builds a deterministic three-stage pipeline. Structurally
 // identical inputs yield identical virtual timelines; only the name (the
 // routing key) varies.
-func chainJob(name string) *dataflow.Job {
+func chainJob(name string) *dataflow.Job { return heldChainJob(name, nil) }
+
+// heldChainJob is chainJob whose first task parks on release: the
+// submission stays in flight for as long as the test holds the channel open,
+// whichever epoch worker picks it up. A nil channel builds plain chainJob.
+func heldChainJob(name string, release <-chan struct{}) *dataflow.Job {
+	var hold dataflow.Fn
+	if release != nil {
+		hold = func(dataflow.Ctx) error { <-release; return nil }
+	}
 	j := dataflow.NewJob(name)
-	a := j.Task("ingest", dataflow.Props{Ops: 2e6, OutputBytes: 1 << 16}, nil)
+	a := j.Task("ingest", dataflow.Props{Ops: 2e6, OutputBytes: 1 << 16}, hold)
 	b := j.Task("filter", dataflow.Props{Ops: 4e6, OutputBytes: 1 << 14}, nil)
 	c := j.Task("reduce", dataflow.Props{Ops: 1e6}, nil)
 	a.Then(b)
@@ -216,10 +225,12 @@ func findJobFor(t *testing.T, c *Cluster, shard int, prefix string) string {
 
 // TestFailoverReroutesByteIdentical is the failover gate, run at the
 // worker counts the acceptance list names: a shard crashes with jobs in
-// flight (one mid-execution, the rest queued behind it); every ticket
-// still settles, re-routed to the survivor, and — recovery off, so the
-// survivor re-runs from scratch — every report is byte-identical to the
-// job's solo run.
+// flight — one parked mid-execution and three mates that are either queued
+// behind it (EpochWorkers=1) or parked in their own first task on the same
+// release channel (EpochWorkers=4), so none can finish on the victim before
+// the crash lands; every ticket still settles, re-routed to the survivor,
+// and — recovery off, so the survivor re-runs from scratch — every report is
+// byte-identical to the job's solo run.
 func TestFailoverReroutesByteIdentical(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("EpochWorkers=%d", workers), func(t *testing.T) {
@@ -252,7 +263,7 @@ func TestFailoverReroutesByteIdentical(t *testing.T) {
 			tks[gateName] = gtk
 			<-started // the victim shard is now executing the gate job
 			for _, n := range mateNames {
-				tk, err := c.SubmitAsync(context.Background(), chainJob(n))
+				tk, err := c.SubmitAsync(context.Background(), heldChainJob(n, release))
 				if err != nil {
 					t.Fatal(err)
 				}

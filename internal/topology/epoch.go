@@ -38,6 +38,9 @@ type VClock interface {
 	Topology() *Topology
 	// BusyUntil returns the view-local queue drain time of a memory device.
 	BusyUntil(memID string) time.Duration
+	// BusyAt is BusyUntil by the device's dense index (Route.Idx), for
+	// callers that resolved the device ahead of time.
+	BusyAt(idx int) time.Duration
 	// AccessRoute prices one access over a resolved route against this
 	// view's queue state and advances it: the virtual completion time of an
 	// access of size bytes issued at virtual time now. Path latency both
@@ -94,12 +97,21 @@ func maxInto(dst, src []time.Duration) []time.Duration {
 	return dst
 }
 
-// busyAt reads one device's drain time out of queue state.
-func (t *Topology) busyAt(busy []time.Duration, memID string) time.Duration {
-	if i, ok := t.memIdx[memID]; ok && i < len(busy) {
-		return busy[i]
+// busyAt reads one device's drain time out of queue state; a device the
+// state has not grown to yet (or no device at all, idx < 0) is idle.
+func busyAt(busy []time.Duration, idx int) time.Duration {
+	if idx >= 0 && idx < len(busy) {
+		return busy[idx]
 	}
 	return 0
+}
+
+// idxOf returns a memory device's dense index, or -1 for an unknown ID.
+func (t *Topology) idxOf(memID string) int {
+	if i, ok := t.memIdx[memID]; ok {
+		return i
+	}
+	return -1
 }
 
 // NewEpoch starts a fresh virtual-time epoch on this topology: every device
@@ -113,10 +125,13 @@ func (e *Epoch) Topology() *Topology { return e.topo }
 
 // BusyUntil returns the epoch-local queue drain time of a memory device —
 // the contention signal epoch-aware placers steer by.
-func (e *Epoch) BusyUntil(memID string) time.Duration {
+func (e *Epoch) BusyUntil(memID string) time.Duration { return e.BusyAt(e.topo.idxOf(memID)) }
+
+// BusyAt implements VClock.
+func (e *Epoch) BusyAt(idx int) time.Duration {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.topo.busyAt(e.busy, memID)
+	return busyAt(e.busy, idx)
 }
 
 // AccessRoute implements VClock against this epoch's queue state.
@@ -224,7 +239,10 @@ func (t *Topology) NewTaskView() *TaskView {
 func (v *TaskView) Topology() *Topology { return v.topo }
 
 // BusyUntil returns the view-local queue drain time of a memory device.
-func (v *TaskView) BusyUntil(memID string) time.Duration { return v.topo.busyAt(v.busy, memID) }
+func (v *TaskView) BusyUntil(memID string) time.Duration { return v.BusyAt(v.topo.idxOf(memID)) }
+
+// BusyAt implements VClock.
+func (v *TaskView) BusyAt(idx int) time.Duration { return busyAt(v.busy, idx) }
 
 // Merge folds another view in as an element-wise max. Seeding a task's view
 // is Merge over every predecessor's final view.

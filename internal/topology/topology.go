@@ -147,6 +147,9 @@ type Topology struct {
 	// resolution: building a topology precomputes nothing.
 	routeMu sync.RWMutex
 	routes  map[[2]string]*Route
+	// version counts graph changes (AddCompute, AddMemory, Connect): what a
+	// holder of state derived from the graph compares to know it is current.
+	version atomic.Uint64
 }
 
 // New returns an empty topology.
@@ -174,8 +177,15 @@ func (t *Topology) AddCompute(c *ComputeDevice) error {
 	}
 	t.computes[c.ID] = c
 	t.computeOrder = append(t.computeOrder, c.ID)
+	t.version.Add(1) // no route changes, but EffectiveCaps now answers for c.ID
 	return nil
 }
+
+// Version identifies the current graph: it changes whenever AddCompute,
+// AddMemory or Connect does. State derived from the graph (placement
+// candidates) records the version it was resolved at and is dropped once
+// Version differs.
+func (t *Topology) Version() uint64 { return t.version.Load() }
 
 // AddMemory registers a memory device built by memsim.
 func (t *Topology) AddMemory(d *memsim.Device) error {
@@ -201,10 +211,11 @@ func (t *Topology) has(id string) bool {
 	return false
 }
 
-// invalidateRoutes drops every resolved route and marks it stale for the
-// holders that cached it. An empty cache is left as it is, so building a
+// invalidateRoutes advances the graph version, drops every resolved route
+// and marks it stale for the holders that cached it. An empty cache is left as it is, so building a
 // graph link by link allocates nothing here.
 func (t *Topology) invalidateRoutes() {
+	t.version.Add(1)
 	t.routeMu.Lock()
 	for _, rt := range t.routes {
 		rt.stale.Store(true)
