@@ -36,10 +36,16 @@ bench:
 # bench/BENCH_*_baseline.json captures are the before; the fresh run is the
 # after (previous local runs are kept as BENCH_*_before.json), and benchgate
 # fails the target when serve throughput regressed >10% vs the baseline
-# (override with BENCHGATE_TOLERANCE). The region access and placement
-# micro-benchmarks are gated the other way round — their units are costs:
-# time per operation may not triple, and allocations per operation may not
-# rise at all.
+# (override with BENCHGATE_TOLERANCE). The stream benchmark is gated on its
+# exact metric instead — the windows that retire at the solo runs' virtual
+# watermark — because its windows/s at 2x is wall-clock noise; exact metrics
+# carry their zero tolerance in the unit, where BENCHGATE_TOLERANCE does not
+# reach. The region
+# access and placement micro-benchmarks are gated the other way round —
+# their units are costs: time per operation may not triple, and allocations
+# per operation may not rise at all. The region benchmark's parallel case
+# runs at one core and at two, each its own gated row, so the baseline shows
+# that the second core does not make an access dearer.
 #
 # One captured run per entry: name:package:benchmark regexp:benchtime, written
 # to BENCH_<name>.json.
@@ -66,9 +72,9 @@ bench-smoke: loadgen-smoke
 	$(GO) run ./cmd/benchgate -baseline bench/BENCH_shard_baseline.json -current BENCH_shard.json \
 		-metrics jobs/s,speedup
 	$(GO) run ./cmd/benchgate -baseline bench/BENCH_stream_baseline.json -current BENCH_stream.json \
-		-metrics windows/s
+		-metrics solo-identical-windows/op:0
 	$(GO) run ./cmd/benchgate -baseline bench/BENCH_migrate_baseline.json -current BENCH_migrate.json \
-		-metrics exported/op,recalled/op -tolerance 0
+		-metrics exported/op:0,recalled/op:0
 	$(GO) run ./cmd/benchgate -baseline bench/BENCH_region_baseline.json -current BENCH_region.json \
 		-metrics ns/op:2,allocs/op:0
 	$(GO) run ./cmd/benchgate -baseline bench/BENCH_place_baseline.json -current BENCH_place.json \

@@ -81,24 +81,51 @@ type lineState struct {
 // safe for concurrent use; each line is serialized through the directory
 // lock, mirroring a real home node's ordering point.
 type Directory struct {
-	mu    sync.Mutex
-	lines map[LineID]*lineState
+	mu sync.Mutex
+	// lines holds the tracked lines region by region, so that dropping a
+	// region costs the lines it has, not the lines there are: a region is
+	// dropped every time one is freed or migrated, and most were never
+	// shared and have none.
+	lines map[uint64]map[uint64]*lineState
+	// spare keeps the emptied line maps of dropped regions for the next
+	// region that starts sharing, so the index costs a serving job — which
+	// shares a few regions and drops them all — no allocation of its own.
+	spare []map[uint64]*lineState
 
 	stats Actions
 }
 
+// spareCap bounds the spare line maps kept.
+const spareCap = 32
+
 // NewDirectory returns an empty directory.
 func NewDirectory() *Directory {
-	return &Directory{lines: make(map[LineID]*lineState)}
+	return &Directory{lines: make(map[uint64]map[uint64]*lineState)}
 }
 
+// line returns the state of a line, tracking it from now on.
 func (d *Directory) line(id LineID) *lineState {
-	ls, ok := d.lines[id]
-	if !ok {
+	region := d.lines[id.Region]
+	if region == nil {
+		if n := len(d.spare); n > 0 {
+			region, d.spare = d.spare[n-1], d.spare[:n-1]
+		} else {
+			region = make(map[uint64]*lineState)
+		}
+		d.lines[id.Region] = region
+	}
+	ls := region[id.Line]
+	if ls == nil {
 		ls = &lineState{sharers: make(map[string]State)}
-		d.lines[id] = ls
+		region[id.Line] = ls
 	}
 	return ls
+}
+
+// tracked returns the state of a line if the directory tracks it.
+func (d *Directory) tracked(id LineID) (*lineState, bool) {
+	ls, ok := d.lines[id.Region][id.Line]
+	return ls, ok
 }
 
 // Read performs a coherent read of a line by device dev and returns the
@@ -180,7 +207,7 @@ func (d *Directory) Write(dev string, id LineID) Actions {
 func (d *Directory) Evict(dev string, id LineID) Actions {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	ls, ok := d.lines[id]
+	ls, ok := d.tracked(id)
 	var a Actions
 	if !ok {
 		return a
@@ -201,16 +228,21 @@ func (d *Directory) DropRegion(region uint64) Actions {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var a Actions
-	for id, ls := range d.lines {
-		if id.Region != region {
-			continue
-		}
+	lines, ok := d.lines[region]
+	if !ok {
+		return a
+	}
+	for _, ls := range lines {
 		for _, st := range ls.sharers {
 			if st == Modified {
 				a.Writebacks++
 			}
 		}
-		delete(d.lines, id)
+	}
+	delete(d.lines, region)
+	if len(d.spare) < spareCap {
+		clear(lines)
+		d.spare = append(d.spare, lines)
 	}
 	d.stats.Add(a)
 	return a
@@ -220,7 +252,7 @@ func (d *Directory) DropRegion(region uint64) Actions {
 func (d *Directory) StateOf(dev string, id LineID) State {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	ls, ok := d.lines[id]
+	ls, ok := d.tracked(id)
 	if !ok {
 		return Invalid
 	}
@@ -231,7 +263,7 @@ func (d *Directory) StateOf(dev string, id LineID) State {
 func (d *Directory) Sharers(id LineID) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	ls, ok := d.lines[id]
+	ls, ok := d.tracked(id)
 	if !ok {
 		return 0
 	}
@@ -251,30 +283,30 @@ func (d *Directory) Stats() Actions {
 func (d *Directory) CheckInvariants() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for id, ls := range d.lines {
-		var mCount, eCount, sCount int
-		for _, st := range ls.sharers {
-			switch st {
-			case Modified:
-				mCount++
-			case Exclusive:
-				eCount++
-			case Shared:
-				sCount++
-			case Invalid:
-				return fmt.Errorf("coherence: line %v tracks an Invalid sharer", id)
+	for region, lines := range d.lines {
+		for line, ls := range lines {
+			id := LineID{Region: region, Line: line}
+			var mCount, eCount int
+			for _, st := range ls.sharers {
+				switch st {
+				case Modified:
+					mCount++
+				case Exclusive:
+					eCount++
+				case Invalid:
+					return fmt.Errorf("coherence: line %v tracks an Invalid sharer", id)
+				}
+			}
+			if mCount > 1 {
+				return fmt.Errorf("coherence: line %v has %d writers", id, mCount)
+			}
+			if eCount > 1 {
+				return fmt.Errorf("coherence: line %v has %d exclusive holders", id, eCount)
+			}
+			if (mCount == 1 || eCount == 1) && len(ls.sharers) != 1 {
+				return fmt.Errorf("coherence: line %v mixes M/E with other sharers", id)
 			}
 		}
-		if mCount > 1 {
-			return fmt.Errorf("coherence: line %v has %d writers", id, mCount)
-		}
-		if eCount > 1 {
-			return fmt.Errorf("coherence: line %v has %d exclusive holders", id, eCount)
-		}
-		if (mCount == 1 || eCount == 1) && len(ls.sharers) != 1 {
-			return fmt.Errorf("coherence: line %v mixes M/E with other sharers", id)
-		}
-		_ = sCount
 	}
 	return nil
 }

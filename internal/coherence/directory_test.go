@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -129,6 +130,36 @@ func TestDropRegion(t *testing.T) {
 	}
 	if d.Sharers(LineID{2, 0}) != 1 {
 		t.Error("region 2 must be untouched")
+	}
+	// A region the directory never tracked, or already dropped, has nothing
+	// to write back and changes no count.
+	before := d.Stats()
+	if a := d.DropRegion(1); a != (Actions{}) {
+		t.Errorf("second drop of region 1 = %+v, want nothing", a)
+	}
+	if a := d.DropRegion(77); a != (Actions{}) {
+		t.Errorf("drop of a never-shared region = %+v, want nothing", a)
+	}
+	if d.Stats() != before {
+		t.Errorf("empty drops moved the stats: %+v → %+v", before, d.Stats())
+	}
+}
+
+// BenchmarkDropRegion: a drop costs the lines of the region dropped — none,
+// for the never-shared region most frees and migrations drop — whatever the
+// number of other regions' lines the directory tracks.
+func BenchmarkDropRegion(b *testing.B) {
+	for _, live := range []int{0, 1 << 16} {
+		b.Run(fmt.Sprintf("live=%d", live), func(b *testing.B) {
+			d := NewDirectory()
+			for i := 0; i < live; i++ {
+				d.Read("cpu0", LineID{Region: uint64(1 + i%64), Line: uint64(i / 64)})
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.DropRegion(1 << 40)
+			}
+		})
 	}
 }
 

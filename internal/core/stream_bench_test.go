@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/workload"
 )
@@ -14,7 +15,10 @@ import (
 // The first iteration of each sub-benchmark additionally asserts every
 // per-window report is byte-identical to the solo single-worker run, so
 // the committed baseline doubles as a determinism gate: throughput never
-// buys back reproducibility.
+// buys back reproducibility. What bench-smoke gates is the exact half of
+// that: solo-identical-windows/op, the windows of a stream that retire with
+// the virtual watermark where the solo runs leave it — all of them, on any
+// host. windows/s is wall-clock on a 2x run and is reported ungated.
 func BenchmarkStreamServe(b *testing.B) {
 	cfg := workload.StreamConfig{
 		Windows: 8, WindowSize: 32, EventSize: 64, Keys: 16,
@@ -24,6 +28,7 @@ func BenchmarkStreamServe(b *testing.B) {
 	events := workload.StreamEvents(cfg)
 	spec := workload.Stream(cfg)
 	want := make([]string, cfg.Windows)
+	wantMark := make([]time.Duration, cfg.Windows) // the watermark after window w retires
 	for w := range want {
 		job, err := spec.Instantiate(w, events[w*cfg.WindowSize:(w+1)*cfg.WindowSize])
 		if err != nil {
@@ -38,6 +43,10 @@ func BenchmarkStreamServe(b *testing.B) {
 			b.Fatal(err)
 		}
 		want[w] = rep.String()
+		wantMark[w] = rep.Makespan
+		if w > 0 {
+			wantMark[w] += wantMark[w-1]
+		}
 	}
 
 	for _, workers := range []int{1, 4} {
@@ -55,13 +64,17 @@ func BenchmarkStreamServe(b *testing.B) {
 			defer s.Close(context.Background()) //nolint:errcheck
 			b.ReportAllocs()
 			b.ResetTimer()
+			identical := 0
 			for i := 0; i < b.N; i++ {
 				tk, err := s.SubmitStream(context.Background(), workload.Stream(cfg))
 				if err != nil {
 					b.Fatal(err)
 				}
-				w := 0
+				w, mark := 0, time.Duration(0)
 				for rep := range tk.Reports() {
+					if mark += rep.Makespan; w < cfg.Windows && mark == wantMark[w] {
+						identical++
+					}
 					if i == 0 {
 						if got := rep.String(); got != want[w] {
 							b.Fatalf("EpochWorkers=%d window %d report diverges from solo single-worker run:\n--- solo ---\n%s--- served ---\n%s",
@@ -77,8 +90,12 @@ func BenchmarkStreamServe(b *testing.B) {
 				if w != cfg.Windows {
 					b.Fatalf("retired %d windows, want %d", w, cfg.Windows)
 				}
+				if tk.Watermark() != mark {
+					b.Fatalf("stream watermark %v, its windows' makespans sum to %v", tk.Watermark(), mark)
+				}
 			}
 			b.StopTimer()
+			b.ReportMetric(float64(identical)/float64(b.N), "solo-identical-windows/op")
 			if sec := b.Elapsed().Seconds(); sec > 0 {
 				b.ReportMetric(float64(cfg.Windows*b.N)/sec, "windows/s")
 			}

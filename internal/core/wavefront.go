@@ -403,8 +403,8 @@ func (w *wavefront) finalize() (failedTask string, err error) {
 
 // recycleViews returns the run's task views and seed snapshot to the pool.
 // Safe only after cleanup: every region the run held has been released, so
-// stale handles fail their manager lookup before their clock view — possibly
-// one of these, now recycled — would be consulted.
+// stale handles fail validation before their clock view — possibly one of
+// these, now recycled — would be consulted.
 func (w *wavefront) recycleViews() {
 	for k, v := range w.views {
 		topology.PutTaskView(v) // nil-safe: failed/skipped ranks have no view
@@ -536,6 +536,11 @@ func (w *wavefront) execAndRetire(k int) (*wavefront, int, bool) {
 	t := w.order[k]
 	view := w.seedView(k)
 	fin, rep, err := w.r.execTaskAt(w, k, t, view, w.claimStart[k])
+	// The view is also the task's access ledger: hand its counts to the
+	// shared counters now, however the task ended — ran, failed mid-body,
+	// was aborted at a fence, or was restored — and before it is retired
+	// below, so no one can see the task done and its accesses missing.
+	view.Publish()
 
 	p := w.pool
 	p.mu.Lock()

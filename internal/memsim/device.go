@@ -158,9 +158,9 @@ type Device struct {
 	busyUntil time.Duration // virtual time the service queue drains
 	allocated int64         // bytes handed out by the allocator layer
 
-	// The access counters are atomics, not fields under mu: AccessQueued
-	// runs on every region access of every epoch and must not serialize
-	// them on one device lock just to count.
+	// The access counters are atomics, not fields under mu: every epoch and
+	// every retiring task adds to them, and must not serialize on one device
+	// lock just to count.
 	reads     atomic.Uint64
 	writes    atomic.Uint64
 	bytesRead atomic.Uint64
@@ -223,36 +223,62 @@ func (d *Device) Access(now time.Duration, size int64, kind AccessKind, pat Patt
 	done := start + svc
 	d.busyUntil = done
 	d.mu.Unlock()
-	d.count(size, kind)
+	d.Count(size, kind)
 	return done
 }
 
-// AccessQueued is Access against a caller-held service-queue state instead
-// of the device-global one: busyUntil is the queue drain time the caller
-// tracks (one per virtual-time epoch), and the advanced value is returned
-// alongside the completion time. Device counters still accumulate globally;
-// only *queue time* is epoch-local, which is what lets concurrent epochs
-// share a device without serializing against each other's virtual backlog.
-func (d *Device) AccessQueued(busyUntil, now time.Duration, size int64, kind AccessKind, pat Pattern) (done, newBusyUntil time.Duration) {
-	svc := d.ServiceTime(size, kind, pat)
-	start := now
-	if busyUntil > start {
-		start = busyUntil
+// Queued is Access against a caller-held service-queue state instead of the
+// device-global one: busyUntil is the queue drain time the caller tracks (one
+// per virtual-time view), and the completion time returned is also the
+// queue's new drain time. Only *queue time* is view-local, which is what lets
+// concurrent views share a device without serializing against each other's
+// virtual backlog. Queued touches no device state at all: the caller counts
+// the access, at once with Count or in a Tally it hands over later.
+func (d *Device) Queued(busyUntil, now time.Duration, size int64, kind AccessKind, pat Pattern) time.Duration {
+	if busyUntil > now {
+		now = busyUntil
 	}
-	done = start + svc
-	d.count(size, kind)
-	return done, done
+	return now + d.ServiceTime(size, kind, pat)
 }
 
-// count bumps the access counters.
-func (d *Device) count(size int64, kind AccessKind) {
+// Count bumps the access counters for one access: a Tally of one.
+func (d *Device) Count(size int64, kind AccessKind) {
+	var t Tally
+	t.Count(size, kind)
+	d.AddTally(t)
+}
+
+// Tally is a batch of access counts kept away from the device: a task's
+// clock view counts its accesses in one per device, in plain integers no
+// other goroutine reads, and hands each over with AddTally when the task
+// retires — one atomic add per touched counter per task rather than two per
+// access on a cache line every task of every job shares.
+type Tally struct {
+	Reads, Writes           uint64
+	BytesRead, BytesWritten uint64
+}
+
+// Count tallies one access.
+func (t *Tally) Count(size int64, kind AccessKind) {
 	switch kind {
 	case Read:
-		d.reads.Add(1)
-		d.bytesRead.Add(uint64(size))
+		t.Reads++
+		t.BytesRead += uint64(size)
 	case Write:
-		d.writes.Add(1)
-		d.bytesWr.Add(uint64(size))
+		t.Writes++
+		t.BytesWritten += uint64(size)
+	}
+}
+
+// AddTally adds a batch of access counts to the device counters.
+func (d *Device) AddTally(t Tally) {
+	if t.Reads != 0 {
+		d.reads.Add(t.Reads)
+		d.bytesRead.Add(t.BytesRead)
+	}
+	if t.Writes != 0 {
+		d.writes.Add(t.Writes)
+		d.bytesWr.Add(t.BytesWritten)
 	}
 }
 

@@ -3,9 +3,11 @@ package region
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
+	"repro/internal/memsim"
 	"repro/internal/telemetry"
 )
 
@@ -36,8 +38,8 @@ var ErrNoExporter = errors.New("region: no remote exporter configured")
 // returned cost is the virtual time the fabric verbs took; the caller
 // decides whose clock pays it (the maintenance sweep's, never a serving
 // job's). Implementations must be safe for concurrent use; the manager
-// calls them with its own lock held, so they must never call back into the
-// region layer.
+// calls them with its own lock and the region's held, so they must never
+// call back into the region layer.
 type Exporter interface {
 	// Export pushes a region's payload to the remote pool and returns an
 	// opaque token naming the remote placement.
@@ -63,27 +65,21 @@ func (m *Manager) SetExporter(e Exporter) {
 // region keeps r.device (its pricing identity and recall target) and its
 // coherence-directory state, so no future access is priced differently for
 // the region having been away. Sealed regions export their ciphertext
-// as-is. Caller holds m.mu.
+// as-is. Caller holds m.mu and r.mu, so no access is mid-copy.
 func (m *Manager) exportLocked(r *Region) (time.Duration, error) {
 	if m.exporter == nil {
 		return 0, ErrNoExporter
 	}
-	// Lock order m.mu → dataMu matches the access path, which acquires
-	// dataMu before releasing m.mu — so no data copy can interleave here.
-	r.dataMu.Lock()
 	token, cost, err := m.exporter.Export(uint64(r.id), r.data[:r.size])
 	if err != nil {
-		r.dataMu.Unlock()
 		return 0, err
 	}
-	buf := r.data
-	r.data = nil
-	r.dataMu.Unlock()
 	if b, ok := m.buddies[r.device.ID]; ok {
 		b.Free(r.offset) //nolint:errcheck // offset tracked by the manager
 	}
 	r.device.Release(r.blockSize)
-	m.putBacking(r.blockSize, buf)
+	m.putBacking(r.blockSize, r.data)
+	r.data = nil
 	r.exported = true
 	r.token = token
 	m.reg.Add(telemetry.LayerRegion, "exports", 1)
@@ -97,7 +93,7 @@ func (m *Manager) exportLocked(r *Region) (time.Duration, error) {
 // and drops the remote copy. The returned cost is the fetch's virtual verb
 // time — accounted to telemetry and, on sweep-driven recalls, the sweep's
 // clock; the access path deliberately discards it so serving reports stay
-// byte-identical to runs that never exported. Caller holds m.mu.
+// byte-identical to runs that never exported. Caller holds m.mu and r.mu.
 func (m *Manager) recallLocked(r *Region) (time.Duration, error) {
 	if m.exporter == nil {
 		return 0, ErrNoExporter
@@ -134,9 +130,7 @@ func (m *Manager) recallLocked(r *Region) (time.Duration, error) {
 		return 0, fmt.Errorf("region: recall of %d: %w", r.id, err)
 	}
 	m.exporter.Drop(r.token) //nolint:errcheck // remote GC is best-effort
-	r.dataMu.Lock()
 	r.data = buf
-	r.dataMu.Unlock()
 	r.offset = off
 	r.exported = false
 	r.token = ""
@@ -146,46 +140,71 @@ func (m *Manager) recallLocked(r *Region) (time.Duration, error) {
 	return cost, nil
 }
 
+// recall is the access path's way to recallLocked: an access that found its
+// region exported let go of the region lock to get here in lock order. By now
+// another access, or a sweep, may have recalled the region, or its last owner
+// freed it — both leave nothing to do; the access finds out when it validates
+// again.
+func (m *Manager) recall(r *Region) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.freed || !r.exported {
+		return nil
+	}
+	_, err := m.recallLocked(r)
+	return err
+}
+
+// coldestOn returns the resident regions on dev whose heat is at most
+// maxHeat, coldest first (ties by id) — the order victims leave a device in.
+// Heat is read once per region, under its lock, so accesses running beside
+// the sweep cannot reorder the sort under it. Caller holds m.mu, and may hold
+// the lock of except, which is left out.
+func (m *Manager) coldestOn(dev *memsim.Device, maxHeat uint64, except *Region) []*Region {
+	var cold []*Region
+	heat := make(map[*Region]uint64)
+	for _, r := range m.regions {
+		if r == except || r.exported || r.device != dev {
+			continue
+		}
+		r.mu.Lock()
+		h := r.heat
+		r.mu.Unlock()
+		if h <= maxHeat {
+			cold = append(cold, r)
+			heat[r] = h
+		}
+	}
+	sort.Slice(cold, func(i, j int) bool {
+		if heat[cold[i]] != heat[cold[j]] {
+			return heat[cold[i]] < heat[cold[j]]
+		}
+		return cold[i].id < cold[j].id
+	})
+	return cold
+}
+
 // makeRoomLocked exports the coldest resident regions of need's device
 // until the device can take need back — the demand-paging eviction a full
-// tier forces. Caller holds m.mu.
+// tier forces. Caller holds m.mu and need.mu.
 func (m *Manager) makeRoomLocked(need *Region) error {
 	if m.exporter == nil {
 		return ErrNoExporter
 	}
-	var victims []*Region
-	for _, r := range m.regions {
-		if r != need && !r.freed && !r.exported && r.device.ID == need.device.ID {
-			victims = append(victims, r)
-		}
-	}
-	sort.Slice(victims, func(i, j int) bool {
-		if victims[i].heat != victims[j].heat {
-			return victims[i].heat < victims[j].heat
-		}
-		return victims[i].id < victims[j].id
-	})
-	for _, v := range victims {
+	for _, v := range m.coldestOn(need.device, math.MaxUint64, need) {
 		if need.device.Free() >= need.blockSize {
 			return nil
 		}
+		v.mu.Lock()
 		m.exportLocked(v) //nolint:errcheck // best-effort; the post-check decides
+		v.mu.Unlock()
 	}
 	if need.device.Free() >= need.blockSize {
 		return nil
 	}
 	return fmt.Errorf("region: device %s cannot host %d bytes even after eviction", need.device.ID, need.blockSize)
-}
-
-// ensureLocalLocked recalls an exported region so a caller that needs the
-// payload resident (data access, local migration) can proceed. A no-op for
-// resident regions. Caller holds m.mu.
-func (m *Manager) ensureLocalLocked(r *Region) error {
-	if !r.exported {
-		return nil
-	}
-	_, err := m.recallLocked(r)
-	return err
 }
 
 // Exported reports whether a region currently lives in the remote pool

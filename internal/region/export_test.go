@@ -276,9 +276,9 @@ func TestSweepRecallsHotExportedRegion(t *testing.T) {
 	}
 	// Mark the region hot without touching it (an access would recall it on
 	// the spot); the next sweep must bring it home instead.
-	m.mu.Lock()
-	m.regions[h.id].heat = 64
-	m.mu.Unlock()
+	h.r.mu.Lock()
+	h.r.heat = 64
+	h.r.mu.Unlock()
 	stats, err := m.Rebalance(0, RebalancePolicy{})
 	if err != nil {
 		t.Fatal(err)
@@ -316,11 +316,11 @@ func TestMakeRoomEvictsColdestFirst(t *testing.T) {
 	defer warm.Release()
 
 	m.mu.Lock()
-	m.regions[warm.id].heat = 8
-	dev := m.regions[cold.id].device
+	warm.r.heat = 8
+	dev := cold.r.device
 	// A need larger than current free space by exactly one block: exporting
 	// the single coldest resident must satisfy it.
-	need := &Region{id: 1 << 30, device: dev, blockSize: dev.Free() + m.regions[cold.id].blockSize}
+	need := &Region{id: 1 << 30, device: dev, blockSize: dev.Free() + cold.r.blockSize}
 	err := m.makeRoomLocked(need)
 	m.mu.Unlock()
 	if err != nil {

@@ -173,10 +173,9 @@ func TestCoherenceCostTopologyMissIsNotFree(t *testing.T) {
 	if _, err := h.Share("b", "node0/cpu0"); err != nil {
 		t.Fatal(err)
 	}
-	m.mu.Lock()
-	r := m.regions[h.id]
-	cost := m.coherenceCost(r, "no-such-compute", nil, 0, 128, true)
-	m.mu.Unlock()
+	h.r.mu.Lock()
+	cost := h.coherenceCost(nil, 0, 128, true)
+	h.r.mu.Unlock()
 	if cost <= 0 {
 		t.Errorf("coherence cost on caps miss = %v, want > 0", cost)
 	}

@@ -19,9 +19,15 @@ import (
 // All access methods take and return *virtual* time: `now` is the caller's
 // task-local clock, the returned value is the access completion time.
 type Handle struct {
-	m       *Manager
-	id      ID
-	gen     uint64
+	m *Manager
+	// r is the region itself, held for the handle's whole life: an access
+	// locks it and validates the handle against it, with no table between
+	// them. A freed region stays behind its handles as a tombstone.
+	r   *Region
+	gen uint64
+	// ownVer is r.ownVer as of the last time owner was found among the
+	// region's owners; while it still matches, owner is still there.
+	ownVer  uint64
 	owner   Owner
 	compute string
 	// clock, when non-nil, is the virtual-time view accesses through this
@@ -49,7 +55,8 @@ type Handle struct {
 	// it still leads to the device the region is on — a migration (Transfer,
 	// Rebalance) changes r.device and the next access re-resolves by itself
 	// — and the graph it was resolved on has not changed. Nil until the
-	// first access, and while the pair does not resolve. Guarded by m.mu.
+	// first access, and while the pair does not resolve. Like ownVer, written
+	// under r.mu.
 	rt *topology.Route
 }
 
@@ -83,54 +90,66 @@ func (h *Handle) Rebind(clk topology.VClock, rank int, f Fence) {
 }
 
 // ID returns the region id.
-func (h *Handle) ID() ID { return h.id }
+func (h *Handle) ID() ID { return h.r.id }
 
 // Owner returns the owning task.
 func (h *Handle) Owner() Owner { return h.owner }
 
+// enter locks the handle's region and validates the handle against it: not
+// freed, not moved from, still an owner. On an error nothing is left locked.
+func (h *Handle) enter() (*Region, error) {
+	r := h.r
+	r.mu.Lock()
+	var err error
+	switch {
+	case r.freed:
+		err = ErrFreed
+	case r.gen != h.gen:
+		err = ErrStaleHandle
+	case h.ownVer != r.ownVer:
+		if _, owns := r.owners[h.owner]; owns {
+			h.ownVer = r.ownVer
+		} else {
+			err = fmt.Errorf("%w: %s", ErrNotOwner, h.owner)
+		}
+	}
+	if err != nil {
+		r.mu.Unlock()
+		return nil, err
+	}
+	return r, nil
+}
+
+// look validates the handle and reads one property off its region, under
+// the region's lock.
+func look[T any](h *Handle, get func(*Region) T) (v T, err error) {
+	r, err := h.enter()
+	if err != nil {
+		return v, err
+	}
+	defer r.mu.Unlock()
+	return get(r), nil
+}
+
 // Size returns the region's logical size in bytes.
 func (h *Handle) Size() (int64, error) {
-	h.m.mu.Lock()
-	defer h.m.mu.Unlock()
-	r, err := h.m.lookup(h)
-	if err != nil {
-		return 0, err
-	}
-	return r.size, nil
+	return look(h, func(r *Region) int64 { return r.size })
 }
 
 // DeviceID returns the physical device the region is placed on — how tests
 // and reports observe the runtime's mapping decision (Fig. 3).
 func (h *Handle) DeviceID() (string, error) {
-	h.m.mu.Lock()
-	defer h.m.mu.Unlock()
-	r, err := h.m.lookup(h)
-	if err != nil {
-		return "", err
-	}
-	return r.device.ID, nil
+	return look(h, func(r *Region) string { return r.device.ID })
 }
 
 // Class returns the region class.
 func (h *Handle) Class() (props.RegionClass, error) {
-	h.m.mu.Lock()
-	defer h.m.mu.Unlock()
-	r, err := h.m.lookup(h)
-	if err != nil {
-		return props.Custom, err
-	}
-	return r.class, nil
+	return look(h, func(r *Region) props.RegionClass { return r.class })
 }
 
 // Sealed reports whether the region is encrypted at rest.
 func (h *Handle) Sealed() (bool, error) {
-	h.m.mu.Lock()
-	defer h.m.mu.Unlock()
-	r, err := h.m.lookup(h)
-	if err != nil {
-		return false, err
-	}
-	return r.sealed, nil
+	return look(h, func(r *Region) bool { return r.sealed })
 }
 
 // checkRange validates [off, off+n) against the region.
@@ -143,8 +162,9 @@ func checkRange(r *Region, off, n int64) error {
 
 // coherenceCost runs the directory protocol for the touched lines of a
 // shared region and prices the actions; rt is the accessor's route to the
-// region's device, nil when it does not resolve. Caller holds m.mu.
-func (m *Manager) coherenceCost(r *Region, computeID string, rt *topology.Route, off, n int64, write bool) time.Duration {
+// region's device, nil when it does not resolve. Caller holds r.mu.
+func (h *Handle) coherenceCost(rt *topology.Route, off, n int64, write bool) time.Duration {
+	r, m := h.r, h.m
 	if !r.everShared || r.req.Coherent != props.Require {
 		return 0 // exclusive ownership needs no protocol (§2.2)
 	}
@@ -165,23 +185,35 @@ func (m *Manager) coherenceCost(r *Region, computeID string, rt *topology.Route,
 	for l := first; l <= last; l++ {
 		id := coherence.LineID{Region: uint64(r.id), Line: uint64(l)}
 		if write {
-			acts.Add(m.dir.Write(computeID, id))
+			acts.Add(m.dir.Write(h.compute, id))
 		} else {
-			acts.Add(m.dir.Read(computeID, id))
+			acts.Add(m.dir.Read(h.compute, id))
 		}
 	}
-	m.invalidations.Add(int64(acts.Invalidations))
-	m.writebacks.Add(int64(acts.Writebacks))
-	m.fetches.Add(int64(acts.Fetches))
+	count(h.clock, m.invalidations, int64(acts.Invalidations))
+	count(h.clock, m.writebacks, int64(acts.Writebacks))
+	count(h.clock, m.fetches, int64(acts.Fetches))
 	return time.Duration(acts.Total()) * latency
+}
+
+// count adds n to one of the manager's per-access counters: at once, or —
+// for an access priced through a task's own clock view — in the view's
+// ledger, which the runtime publishes when the task retires.
+func count(clk topology.VClock, c *telemetry.Counter, n int64) {
+	if v, ok := clk.(*topology.TaskView); ok {
+		v.Defer(c, n)
+		return
+	}
+	c.Add(n)
 }
 
 // fenceDeps decides what the pre-access fence must wait for: nil demands
 // the full rank barrier (open sharing, or an unranked handle that cannot
 // prove anything about ordering); otherwise the region's sharer ranks below
 // the accessor's own — returned in the handle's reusable buffer, non-nil
-// even when empty. Caller holds m.mu.
-func (h *Handle) fenceDeps(r *Region) []int {
+// even when empty. Caller holds r.mu.
+func (h *Handle) fenceDeps() []int {
+	r := h.r
 	if r.openShared || h.rank < 0 {
 		return nil
 	}
@@ -200,12 +232,12 @@ func (h *Handle) fenceDeps(r *Region) []int {
 // route returns the resolved route from the handle's compute device to the
 // region's current device: the cached one while it is still good, a fresh
 // resolution otherwise. Nil when the pair does not resolve. Caller holds
-// m.mu.
-func (h *Handle) route(r *Region) *topology.Route {
-	if rt := h.rt; rt != nil && rt.Mem == r.device && rt.Valid() {
+// r.mu.
+func (h *Handle) route() *topology.Route {
+	if rt := h.rt; rt != nil && rt.Mem == h.r.device && rt.Valid() {
 		return rt
 	}
-	h.rt, _ = h.m.topo.Route(h.compute, r.device.ID)
+	h.rt, _ = h.m.topo.Route(h.compute, h.r.device.ID)
 	return h.rt
 }
 
@@ -218,46 +250,63 @@ func (m *Manager) price(clk topology.VClock, rt *topology.Route, now time.Durati
 	return m.topo.AccessRoute(rt, now, size, kind, pat)
 }
 
+// resident brings an exported region's payload home so the caller can touch
+// it. Recall changes the manager's tables, so this is the one place an access
+// needs the manager lock, and the lock order forbids taking it under r.mu:
+// let go of the region, recall under both locks, come back and validate
+// again. Whoever gets there first recalls; the others find it done. Caller
+// holds r.mu; on an error nothing is left locked.
+func (h *Handle) resident() error {
+	for r := h.r; r.exported; {
+		r.mu.Unlock()
+		if err := h.m.recall(r); err != nil {
+			return err
+		}
+		if _, err := h.enter(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // access is the common data path. It moves real bytes between the region
 // backing and the caller's buffer and returns the virtual completion time.
-// Everything that decides and prices the access — handle lookup, the sync
-// check, fence, recall, bounds, queueing, coherence, counters — happens in
-// one critical section of the manager lock (reopened once if a fence has to
-// wait), against the handle's cached route; the payload copy then runs under
-// the region's own dataMu, outside the manager lock, so independent tasks'
-// memcpys proceed in parallel.
+// Everything that decides and prices the access — validation, the sync
+// check, fence, recall, bounds, queueing, coherence, counting — and the
+// payload copy happen in one critical section of the region's own lock
+// (reopened if a fence has to wait or an exported region has to come home),
+// against the handle's cached route. The manager lock is not taken, and
+// with a task's clock view no shared counter is written either, so tasks on
+// different regions share nothing on this path.
 //
 // sync marks a synchronous load/store, which fails on a device that only
 // exposes an asynchronous interface from here (Table 1's Sync column).
 func (h *Handle) access(now time.Duration, off int64, buf []byte, write, sync bool, pat memsim.Pattern) (time.Duration, error) {
-	h.m.mu.Lock()
-	r, err := h.m.lookup(h)
+	r, err := h.enter()
 	if err != nil {
-		h.m.mu.Unlock()
 		return now, err
 	}
-	rt := h.route(r)
+	rt := h.route()
 	if sync && (rt == nil || !rt.Sync) {
-		h.m.mu.Unlock()
-		return now, fmt.Errorf("%w: %s from %s", ErrSyncFarAccess, r.device.ID, h.compute)
+		err := fmt.Errorf("%w: %s from %s", ErrSyncFarAccess, r.device.ID, h.compute)
+		r.mu.Unlock()
+		return now, err
 	}
 	// Fence exactly when coherenceCost will consult the directory: the
 	// everShared bit flips before any sharing consumer's handle exists, so
-	// reading it here is race-free and never-shared regions skip the barrier
-	// entirely. Fencing drops the lock (the fence blocks on other tasks,
-	// which need it), so region and route are re-resolved afterwards.
+	// never-shared regions skip the barrier entirely. Fencing drops the lock
+	// (the fence blocks on other tasks, which may need it), so handle and
+	// route are checked again afterwards.
 	if h.fence != nil && r.everShared && r.req.Coherent == props.Require {
-		deps := h.fenceDeps(r)
-		h.m.mu.Unlock()
+		deps := h.fenceDeps()
+		r.mu.Unlock()
 		if err := h.fence(deps); err != nil {
 			return now, err
 		}
-		h.m.mu.Lock()
-		if r, err = h.m.lookup(h); err != nil {
-			h.m.mu.Unlock()
+		if _, err := h.enter(); err != nil {
 			return now, err
 		}
-		rt = h.route(r)
+		rt = h.route()
 	}
 	// Fetch-on-read: an exported region is recalled to its home device
 	// before the access proceeds. The fabric read costs the accessor
@@ -266,33 +315,29 @@ func (h *Handle) access(now time.Duration, off int64, buf []byte, write, sync bo
 	// priced against, so the access below is byte-identical in virtual
 	// time to a run that never exported.
 	if r.exported {
-		if _, err := h.m.recallLocked(r); err != nil {
-			h.m.mu.Unlock()
+		if err := h.resident(); err != nil {
 			return now, err
 		}
+		rt = h.route()
 	}
 	n := int64(len(buf))
 	if err := checkRange(r, off, n); err != nil {
-		h.m.mu.Unlock()
+		r.mu.Unlock()
 		return now, err
 	}
 	r.heat++
 	if rt == nil {
-		h.m.mu.Unlock()
-		return now, h.m.topo.RouteError(h.compute, r.device.ID)
+		err := h.m.topo.RouteError(h.compute, r.device.ID)
+		r.mu.Unlock()
+		return now, err
 	}
 	kind, moved := memsim.Read, h.m.bytesRead
 	if write {
 		kind, moved = memsim.Write, h.m.bytesWritten
 	}
 	done := h.m.price(h.clock, rt, now, n, kind, pat)
-	done += h.m.coherenceCost(r, h.compute, rt, off, n, write)
-	moved.Add(n)
-	// Hand the copy over to the region lock: writers of data/sealed hold
-	// both locks, so holding either is enough to read them consistently.
-	r.dataMu.Lock()
-	h.m.mu.Unlock()
-	defer r.dataMu.Unlock()
+	done += h.coherenceCost(rt, off, n, write)
+	count(h.clock, moved, n)
 	if write {
 		if r.sealed {
 			sealRange(h.m.secret, r.id, r.data, off, buf)
@@ -306,6 +351,7 @@ func (h *Handle) access(now time.Duration, off int64, buf []byte, write, sync bo
 			copy(buf, r.data[off:])
 		}
 	}
+	r.mu.Unlock()
 	return done, nil
 }
 
@@ -369,23 +415,18 @@ func (h *Handle) WriteAsync(now time.Duration, off int64, buf []byte) *Future {
 // consumers — would make replayed virtual time diverge from the original
 // run. Task bodies must never call it; they go through WriteAt/WriteAsync.
 func (h *Handle) Hydrate(off int64, data []byte) error {
-	h.m.mu.Lock()
-	r, err := h.m.lookup(h)
+	r, err := h.enter()
 	if err != nil {
-		h.m.mu.Unlock()
 		return err
 	}
 	if err := checkRange(r, off, int64(len(data))); err != nil {
-		h.m.mu.Unlock()
+		r.mu.Unlock()
 		return err
 	}
-	if err := h.m.ensureLocalLocked(r); err != nil {
-		h.m.mu.Unlock()
+	if err := h.resident(); err != nil {
 		return err
 	}
-	r.dataMu.Lock()
-	h.m.mu.Unlock()
-	defer r.dataMu.Unlock()
+	defer r.mu.Unlock()
 	if r.sealed {
 		sealRange(h.m.secret, r.id, r.data, off, data)
 	} else {
@@ -403,10 +444,11 @@ func (h *Handle) Hydrate(off int64, data []byte) error {
 func (h *Handle) Transfer(now time.Duration, to Owner, toCompute string) (*Handle, time.Duration, error) {
 	h.m.mu.Lock()
 	defer h.m.mu.Unlock()
-	r, err := h.m.lookup(h)
+	r, err := h.enter()
 	if err != nil {
 		return nil, now, err
 	}
+	defer r.mu.Unlock()
 	if !r.class.Transferable() {
 		return nil, now, fmt.Errorf("%w: %s", ErrNotMovable, r.class)
 	}
@@ -426,9 +468,8 @@ func (h *Handle) Transfer(now time.Duration, to Owner, toCompute string) (*Handl
 		zeroCopy = req.Matches(caps)
 	}
 	r.gen++ // invalidate the source handle (move semantics)
-	nh := &Handle{m: h.m, id: r.id, gen: r.gen, owner: to, compute: toCompute, clock: h.clock, fence: h.fence, rank: h.rank}
-	delete(r.owners, h.owner)
-	r.owners[to] = toCompute
+	r.setOwner(h.owner, to, toCompute)
+	nh := &Handle{m: h.m, r: r, gen: r.gen, ownVer: r.ownVer, owner: to, compute: toCompute, clock: h.clock, fence: h.fence, rank: h.rank}
 	if zeroCopy {
 		h.m.reg.Add(telemetry.LayerRegion, "transfers_zero_copy", 1)
 		return nh, now, nil
@@ -438,18 +479,24 @@ func (h *Handle) Transfer(now time.Duration, to Owner, toCompute string) (*Handl
 	if err != nil {
 		// Roll the ownership move back so the caller still owns the data.
 		r.gen++
-		delete(r.owners, to)
-		r.owners[h.owner] = h.compute
-		h.gen = r.gen
+		r.setOwner(to, h.owner, h.compute)
+		h.gen, h.ownVer = r.gen, r.ownVer
 		return nil, now, err
 	}
-	nh.gen = r.gen
 	h.m.reg.Add(telemetry.LayerRegion, "transfers_migrated", 1)
 	return nh, done, nil
 }
 
+// setOwner replaces owner from with owner to, running on compute. Caller
+// holds m.mu and r.mu.
+func (r *Region) setOwner(from, to Owner, compute string) {
+	delete(r.owners, from)
+	r.owners[to] = compute
+	r.ownVer++
+}
+
 // migrateLocked moves a region to a device matching its requirements from
-// computeID, paying read+write virtual time. Caller holds m.mu.
+// computeID, paying read+write virtual time. Caller holds m.mu and r.mu.
 func (m *Manager) migrateLocked(r *Region, computeID string, now time.Duration, clk topology.VClock) (time.Duration, error) {
 	devID, err := m.placer.Place(r.req, computeID)
 	if err != nil {
@@ -458,7 +505,8 @@ func (m *Manager) migrateLocked(r *Region, computeID string, now time.Duration, 
 	return m.migrateToLocked(r, computeID, devID, now, clk)
 }
 
-// migrateToLocked moves a region to the named device. Caller holds m.mu.
+// migrateToLocked moves a region to the named device. Caller holds m.mu and
+// r.mu.
 func (m *Manager) migrateToLocked(r *Region, computeID, devID string, now time.Duration, clk topology.VClock) (time.Duration, error) {
 	dst, ok := m.topo.Memory(devID)
 	if !ok {
@@ -472,8 +520,10 @@ func (m *Manager) migrateToLocked(r *Region, computeID, devID string, now time.D
 		return now, m.topo.RouteError(computeID, dst.ID)
 	}
 	// A local migration needs the payload resident; recall it first.
-	if err := m.ensureLocalLocked(r); err != nil {
-		return now, err
+	if r.exported {
+		if _, err := m.recallLocked(r); err != nil {
+			return now, err
+		}
 	}
 	buddy, err := m.buddyFor(dst)
 	if err != nil {
@@ -505,10 +555,8 @@ func (m *Manager) migrateToLocked(r *Region, computeID, devID string, now time.D
 	// obligation of confidential regions; toggle the sealing of the whole
 	// backing (seal and unseal are the same XOR keystream).
 	if newSealed := r.req.Confidential && to.Remote; newSealed != r.sealed {
-		r.dataMu.Lock()
 		keystreamAt(m.secret, r.id, 0, r.data)
 		r.sealed = newSealed
-		r.dataMu.Unlock()
 	}
 	m.reg.Add(telemetry.LayerRegion, "migrations", 1)
 	m.reg.Add(telemetry.LayerRegion, "bytes_migrated", r.size)
@@ -540,10 +588,11 @@ func (h *Handle) ShareRanked(to Owner, toCompute string, rank int) (*Handle, err
 func (h *Handle) share(to Owner, toCompute string, rank int, open bool) (*Handle, error) {
 	h.m.mu.Lock()
 	defer h.m.mu.Unlock()
-	r, err := h.m.lookup(h)
+	r, err := h.enter()
 	if err != nil {
 		return nil, err
 	}
+	defer r.mu.Unlock()
 	if !r.class.Shareable() {
 		return nil, fmt.Errorf("%w: %s", ErrNotShareable, r.class)
 	}
@@ -565,11 +614,11 @@ func (h *Handle) share(to Owner, toCompute string, rank int, open bool) (*Handle
 		r.addSharer(rank)
 	}
 	h.m.reg.Add(telemetry.LayerRegion, "shares", 1)
-	return &Handle{m: h.m, id: r.id, gen: r.gen, owner: to, compute: toCompute, clock: h.clock, fence: h.fence, rank: rank}, nil
+	return &Handle{m: h.m, r: r, gen: r.gen, ownVer: r.ownVer, owner: to, compute: toCompute, clock: h.clock, fence: h.fence, rank: rank}, nil
 }
 
 // addSharer inserts a rank into the region's ascending sharer set, ignoring
-// duplicates and unranked (-1) parties. Caller holds m.mu.
+// duplicates and unranked (-1) parties. Caller holds m.mu and r.mu.
 func (r *Region) addSharer(rank int) {
 	if rank < 0 {
 		return
@@ -592,11 +641,13 @@ func (r *Region) addSharer(rank int) {
 func (h *Handle) Release() error {
 	h.m.mu.Lock()
 	defer h.m.mu.Unlock()
-	r, err := h.m.lookup(h)
+	r, err := h.enter()
 	if err != nil {
 		return err
 	}
+	defer r.mu.Unlock()
 	delete(r.owners, h.owner)
+	r.ownVer++
 	if len(r.owners) == 0 {
 		h.m.free(r)
 	}

@@ -2,6 +2,7 @@ package region
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -133,39 +134,26 @@ func (m *Manager) RebalanceIn(clk topology.VClock, now time.Duration, pol Rebala
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var stats RebalanceStats
-
-	// Deterministic region order: by id.
-	ids := make([]ID, 0, len(m.regions))
-	for id := range m.regions {
-		ids = append(ids, id)
+	// The sweep holds the manager lock throughout, so no region is placed,
+	// moved, shared or freed under it; it takes a region's own lock only
+	// while it works on that region, and accesses to every other region run
+	// beside it. moved books one migration of r that completed at done.
+	moved := func(r *Region, n *int, done time.Duration) {
+		*n++
+		stats.BytesMoved += r.size
+		if done > now {
+			stats.Cost += done - now
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
 	// Pass 1 — demotion: for every over-watermark device, move its coldest
 	// regions to the best *other* matching device until below the low
 	// watermark.
 	for _, dev := range m.topo.Memories() {
-		if dev.HardwareManaged {
+		if dev.HardwareManaged || dev.Utilization() <= pol.HighWatermark {
 			continue
 		}
-		if dev.Utilization() <= pol.HighWatermark {
-			continue
-		}
-		// Coldest-first victims on this device.
-		var victims []*Region
-		for _, id := range ids {
-			r := m.regions[id]
-			if r != nil && !r.freed && !r.exported && r.device.ID == dev.ID {
-				victims = append(victims, r)
-			}
-		}
-		sort.Slice(victims, func(i, j int) bool {
-			if victims[i].heat != victims[j].heat {
-				return victims[i].heat < victims[j].heat
-			}
-			return victims[i].id < victims[j].id
-		})
-		for _, r := range victims {
+		for _, r := range m.coldestOn(dev, math.MaxUint64, nil) {
 			if dev.Utilization() <= pol.LowWatermark {
 				break
 			}
@@ -174,17 +162,21 @@ func (m *Manager) RebalanceIn(clk topology.VClock, now time.Duration, pol Rebala
 			if !ok {
 				continue
 			}
+			r.mu.Lock()
 			done, err := m.migrateToLocked(r, comp, dst, now, clk)
-			if err != nil {
-				continue // best-effort: skip unmovable regions
-			}
-			stats.Demoted++
-			stats.BytesMoved += r.size
-			if done > now {
-				stats.Cost += done - now
+			r.mu.Unlock()
+			if err == nil { // best-effort: skip unmovable regions
+				moved(r, &stats.Demoted, done)
 			}
 		}
 	}
+
+	// Deterministic region order for the remaining passes: by id.
+	ids := make([]ID, 0, len(m.regions))
+	for id := range m.regions {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
 	// Pass 2 — promotion: hot regions move when a clearly better device
 	// has room. An exported region that ran hot is recalled home instead —
@@ -192,7 +184,9 @@ func (m *Manager) RebalanceIn(clk topology.VClock, now time.Duration, pol Rebala
 	// verbs on the sweep's clock.
 	for _, id := range ids {
 		r := m.regions[id]
-		if r == nil || r.freed || r.heat < pol.PromoteHeat {
+		r.mu.Lock()
+		if r.heat < pol.PromoteHeat {
+			r.mu.Unlock()
 			continue
 		}
 		if r.exported {
@@ -201,40 +195,12 @@ func (m *Manager) RebalanceIn(clk topology.VClock, now time.Duration, pol Rebala
 				stats.BytesRecalled += r.size
 				stats.Cost += cost
 			}
-			continue
+		} else if best, ok := m.promotionTarget(r, pol.ScoreMargin); ok {
+			if done, err := m.migrateToLocked(r, ownerCompute(r), best, now, clk); err == nil {
+				moved(r, &stats.Promoted, done)
+			}
 		}
-		comp := ownerCompute(r)
-		curCaps, ok := m.topo.EffectiveCaps(comp, r.device.ID)
-		if !ok {
-			continue
-		}
-		req := r.req
-		req.Capacity = r.blockSize
-		best, err := m.placer.Place(req, comp)
-		if err != nil || best == r.device.ID {
-			continue
-		}
-		bestCaps, ok := m.topo.EffectiveCaps(comp, best)
-		if !ok {
-			continue
-		}
-		cmpReq := r.req
-		cmpReq.Capacity = 0
-		if cmpReq.Score(bestCaps)-cmpReq.Score(curCaps) < pol.ScoreMargin {
-			continue
-		}
-		if !m.addressableByAllOwners(r, best) {
-			continue
-		}
-		done, err := m.migrateToLocked(r, comp, best, now, clk)
-		if err != nil {
-			continue
-		}
-		stats.Promoted++
-		stats.BytesMoved += r.size
-		if done > now {
-			stats.Cost += done - now
-		}
+		r.mu.Unlock()
 	}
 
 	// Pass 3 — eviction: a device still over the eviction watermark after
@@ -250,24 +216,13 @@ func (m *Manager) RebalanceIn(clk topology.VClock, now time.Duration, pol Rebala
 			if dev.HardwareManaged || dev.Utilization() <= pol.EvictWatermark {
 				continue
 			}
-			var victims []*Region
-			for _, id := range ids {
-				r := m.regions[id]
-				if r != nil && !r.freed && !r.exported && r.device.ID == dev.ID && r.heat <= pol.EvictHeat {
-					victims = append(victims, r)
-				}
-			}
-			sort.Slice(victims, func(i, j int) bool {
-				if victims[i].heat != victims[j].heat {
-					return victims[i].heat < victims[j].heat
-				}
-				return victims[i].id < victims[j].id
-			})
-			for _, r := range victims {
+			for _, r := range m.coldestOn(dev, pol.EvictHeat, nil) {
 				if dev.Utilization() <= target {
 					break
 				}
+				r.mu.Lock()
 				cost, err := m.exportLocked(r)
+				r.mu.Unlock()
 				if err != nil {
 					break // pool out of capacity; stop hammering this device
 				}
@@ -278,17 +233,46 @@ func (m *Manager) RebalanceIn(clk topology.VClock, now time.Duration, pol Rebala
 		}
 	}
 
-	// Decay heat.
+	// Decay heat. An access counts under the region lock alone, so halving
+	// under it loses no increment.
 	for _, id := range ids {
-		if r := m.regions[id]; r != nil {
-			r.heat >>= 1
-		}
+		r := m.regions[id]
+		r.mu.Lock()
+		r.heat >>= 1
+		r.mu.Unlock()
 	}
 	m.reg.Add(telemetry.LayerPlacement, "rebalance_promotions", int64(stats.Promoted))
 	m.reg.Add(telemetry.LayerPlacement, "rebalance_demotions", int64(stats.Demoted))
 	m.reg.Add(telemetry.LayerPlacement, "rebalance_exports", int64(stats.Exported))
 	m.reg.Add(telemetry.LayerPlacement, "rebalance_recalls", int64(stats.Recalled))
 	return stats, nil
+}
+
+// promotionTarget names the device a hot resident region should move to: the
+// placer's choice for it, when that is another device, scores better than
+// the current one by at least margin, and every owner can address it. Caller
+// holds m.mu.
+func (m *Manager) promotionTarget(r *Region, margin float64) (string, bool) {
+	comp := ownerCompute(r)
+	curCaps, ok := m.topo.EffectiveCaps(comp, r.device.ID)
+	if !ok {
+		return "", false
+	}
+	req := r.req
+	req.Capacity = r.blockSize
+	best, err := m.placer.Place(req, comp)
+	if err != nil || best == r.device.ID {
+		return "", false
+	}
+	bestCaps, ok := m.topo.EffectiveCaps(comp, best)
+	if !ok {
+		return "", false
+	}
+	req.Capacity = 0
+	if req.Score(bestCaps)-req.Score(curCaps) < margin {
+		return "", false
+	}
+	return best, m.addressableByAllOwners(r, best)
 }
 
 // bestOtherDevice finds the highest-scoring device other than exclude that
@@ -325,8 +309,10 @@ func (m *Manager) Heat(id ID) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	r, ok := m.regions[id]
-	if !ok || r.freed {
+	if !ok {
 		return 0, fmt.Errorf("%w: region %d", ErrFreed, id)
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return r.heat, nil
 }

@@ -48,7 +48,7 @@ func TestRebalancePromotesHotFarRegion(t *testing.T) {
 			t.Fatal(f.err)
 		}
 	}
-	heat, err := m.Heat(h.id)
+	heat, err := m.Heat(h.ID())
 	if err != nil || heat != 32 {
 		t.Fatalf("heat = %d (%v), want 32", heat, err)
 	}
@@ -67,7 +67,7 @@ func TestRebalancePromotesHotFarRegion(t *testing.T) {
 		t.Error("hot region must have left far memory")
 	}
 	// Heat decayed.
-	if heat, _ := m.Heat(h.id); heat != 16 {
+	if heat, _ := m.Heat(h.ID()); heat != 16 {
 		t.Errorf("heat after decay = %d, want 16", heat)
 	}
 }
@@ -248,11 +248,11 @@ func TestHeatTracking(t *testing.T) {
 	h.ReadAt(0, 0, buf)
 	h.WriteAt(0, 0, buf)
 	h.ReadAtRandom(0, 0, buf)
-	if heat, err := m.Heat(h.id); err != nil || heat != 3 {
+	if heat, err := m.Heat(h.ID()); err != nil || heat != 3 {
 		t.Errorf("heat = %d (%v), want 3", heat, err)
 	}
 	h.Release()
-	if _, err := m.Heat(h.id); err == nil {
+	if _, err := m.Heat(h.ID()); err == nil {
 		t.Error("heat of freed region must error")
 	}
 }

@@ -101,29 +101,36 @@ type PlacerEpoch interface {
 	PlaceEpoch(req props.Requirements, computeID string, now time.Duration, clk topology.VClock) (string, error)
 }
 
-// Region is the manager-internal state of one memory region.
+// Region is the manager-internal state of one memory region. Every handle to
+// it holds the *Region itself, so an access finds it without the manager.
 type Region struct {
+	// Fixed at Alloc.
 	id        ID
 	name      string
 	class     props.RegionClass
 	req       props.Requirements
-	device    *memsim.Device
-	offset    int64 // offset within the device's buddy arena
 	size      int64
 	blockSize int64
-	data      []byte // real host backing; ciphertext when sealed
-	sealed    bool   // encrypted at rest
-	gen       uint64 // bumped on ownership transfer to invalidate handles
-	owners    map[Owner]string
-	freed     bool
-	heat      uint64 // accesses since the last rebalance epoch (tiering)
-	// everShared latches once the region has had more than one owner:
-	// coherence pricing keys off it instead of the instantaneous owner
-	// count, so the cost of an access does not depend on whether a sibling
-	// task has released its share yet — a wall-clock race under parallel
-	// execution. (Realistic too: the directory still tracks the lines until
-	// they are dropped.)
-	everShared bool
+
+	// mu is the region's one lock: it guards every field below, which is
+	// everything an access reads, and an access takes no other. A field below
+	// is written only with mu held; every writer but the access path (which
+	// writes heat alone) holds Manager.mu as well, so a holder of Manager.mu
+	// may read any of them but heat without mu. Lock order: Manager.mu before
+	// mu, never the reverse — an access that needs the manager (recall of an
+	// exported region) lets go of mu first. Only a holder of Manager.mu ever
+	// holds two regions' locks at once.
+	mu     sync.Mutex
+	device *memsim.Device
+	offset int64  // offset within the device's buddy arena
+	data   []byte // real host backing; ciphertext when sealed
+	gen    uint64 // bumped on ownership transfer to invalidate handles
+	owners map[Owner]string
+	// ownVer counts the times an owner was taken out of owners. A handle
+	// stamps the value at which it last found its owner there, so the probe
+	// runs once per handle per removal instead of once per access.
+	ownVer uint64
+	heat   uint64 // accesses since the last rebalance epoch (tiering)
 	// sharers is the happens-before sharer set: the deterministic task
 	// ranks that were ever granted ownership through the rank-aware share
 	// path (ShareRanked — the runtime's output fan-out). An access through
@@ -134,6 +141,18 @@ type Region struct {
 	// grants all fan-out shares at producer completion — which
 	// happens-before every consumer launch.
 	sharers []int
+	token   string // names the remote placement while exported
+	// The flags sit together so they pack into one word: a region is
+	// allocated per task output, and its size class is counted per job.
+	sealed bool // encrypted at rest
+	freed  bool
+	// everShared latches once the region has had more than one owner:
+	// coherence pricing keys off it instead of the instantaneous owner
+	// count, so the cost of an access does not depend on whether a sibling
+	// task has released its share yet — a wall-clock race under parallel
+	// execution. (Realistic too: the directory still tracks the lines until
+	// they are dropped.)
+	everShared bool
 	// openShared marks sharing through the rank-blind path (Handle.Share:
 	// job globals joined mid-execution, user-level sharing). Future joiners
 	// with lower ranks are unknowable there, so fencing falls back to the
@@ -142,15 +161,9 @@ type Region struct {
 	// exported marks a region whose payload currently lives in the remote
 	// pool (export.go): the local buddy space, device reservation, and
 	// backing are released, and token names the remote placement. The
-	// region keeps r.device as its pricing identity and recall target, so
+	// region keeps device as its pricing identity and recall target, so
 	// virtual access costs never depend on whether it was away.
 	exported bool
-	token    string
-	// dataMu serializes the real byte copies against data (and the sealed
-	// flag governing them), letting the payload memcpy of concurrent tasks
-	// proceed outside the manager lock. Lock order: m.mu before dataMu;
-	// never acquire m.mu while holding dataMu.
-	dataMu sync.Mutex
 }
 
 // Manager owns all regions, per-device allocators, the coherence directory,
@@ -161,12 +174,15 @@ type Manager struct {
 	dir    *coherence.Directory
 	reg    *telemetry.Registry
 
+	// mu guards the manager's tables below. Whoever changes a region's
+	// placement, ownership or lifetime holds it, and the region's own lock
+	// while it writes the region's fields.
 	mu      sync.Mutex
 	nextID  ID
 	regions map[ID]*Region
 	buddies map[string]*allocator.Buddy
 	backing map[int64][][]byte // block size → recycled zeroed data backings
-	secret  [32]byte           // root key material for confidential regions
+	secret  [32]byte           // root key material for confidential regions; fixed by NewManager, read without mu
 	// exporter, when set, is the remote memory pool cold regions can be
 	// evicted to (export.go). Nil keeps all tiering node-local.
 	exporter Exporter
@@ -179,7 +195,8 @@ type Manager struct {
 	missLatency time.Duration
 
 	// The counters every access adds to, resolved once so the access path
-	// neither builds their keys nor takes the registry lock.
+	// neither builds their keys nor takes the registry lock. An access priced
+	// through a task's clock view defers the add to the view (count).
 	bytesRead, bytesWritten            *telemetry.Counter
 	invalidations, writebacks, fetches *telemetry.Counter
 }
@@ -366,51 +383,28 @@ func (m *Manager) Alloc(spec Spec) (*Handle, error) {
 	m.regions[id] = r
 	m.reg.Add(telemetry.LayerRegion, "allocs", 1)
 	m.reg.Add(telemetry.LayerRegion, "bytes_allocated", block)
-	return &Handle{m: m, id: id, gen: r.gen, owner: spec.Owner, compute: spec.Compute, clock: spec.Clock, rank: -1}, nil
+	return &Handle{m: m, r: r, owner: spec.Owner, compute: spec.Compute, clock: spec.Clock, rank: -1}, nil
 }
 
-// lookup returns the live region for a handle. Caller holds m.mu.
-func (m *Manager) lookup(h *Handle) (*Region, error) {
-	r, ok := m.regions[h.id]
-	if !ok {
-		return nil, ErrFreed
-	}
-	if r.freed {
-		return nil, ErrFreed
-	}
-	if r.gen != h.gen {
-		return nil, ErrStaleHandle
-	}
-	if _, owns := r.owners[h.owner]; !owns {
-		return nil, fmt.Errorf("%w: %s", ErrNotOwner, h.owner)
-	}
-	return r, nil
-}
-
-// free releases the region's resources. An exported region holds no local
-// space — only its remote placement is dropped. Caller holds m.mu.
+// free releases the region's resources: its local space or, for an exported
+// region, its remote placement. The backing goes back to the pool only here,
+// under the lock every access copies under, so no access ever touches a
+// recycled backing. Caller holds m.mu and r.mu.
 func (m *Manager) free(r *Region) {
 	r.freed = true
 	if r.exported {
 		if m.exporter != nil {
 			m.exporter.Drop(r.token) //nolint:errcheck // remote GC is best-effort
 		}
-		m.dir.DropRegion(uint64(r.id))
-		delete(m.regions, r.id)
-		m.reg.Add(telemetry.LayerRegion, "frees", 1)
-		m.reg.Add(telemetry.LayerRegion, "bytes_allocated", -r.blockSize)
-		return
+	} else {
+		if b, ok := m.buddies[r.device.ID]; ok {
+			b.Free(r.offset) //nolint:errcheck // offset tracked by the manager
+		}
+		r.device.Release(r.blockSize)
+		m.putBacking(r.blockSize, r.data)
+		r.data = nil
 	}
-	if b, ok := m.buddies[r.device.ID]; ok {
-		b.Free(r.offset) //nolint:errcheck // offset tracked by the manager
-	}
-	r.device.Release(r.blockSize)
 	m.dir.DropRegion(uint64(r.id))
-	r.dataMu.Lock() // wait out any in-flight payload copy
-	buf := r.data
-	r.data = nil
-	r.dataMu.Unlock()
-	m.putBacking(r.blockSize, buf)
 	delete(m.regions, r.id)
 	m.reg.Add(telemetry.LayerRegion, "frees", 1)
 	m.reg.Add(telemetry.LayerRegion, "bytes_allocated", -r.blockSize)

@@ -374,10 +374,9 @@ func TestConfidentialRemoteRegionsAreSealed(t *testing.T) {
 		t.Fatal(f.err)
 	}
 	// The raw backing must not contain the plaintext.
-	m.mu.Lock()
-	r := m.regions[h.id]
-	raw := append([]byte(nil), r.data[:len(secret)]...)
-	m.mu.Unlock()
+	h.r.mu.Lock()
+	raw := append([]byte(nil), h.r.data[:len(secret)]...)
+	h.r.mu.Unlock()
 	if bytes.Equal(raw, secret) {
 		t.Error("sealed backing stores plaintext")
 	}

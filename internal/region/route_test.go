@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -369,6 +370,10 @@ func TestConcurrentAccessCountsMatchSequential(t *testing.T) {
 // BenchmarkRegionAccess is the cost of one 64-byte synchronous access under
 // a task view: the unit the serving path multiplies by thousands per job.
 // bench/BENCH_region_baseline.json gates it (allocs/op at zero tolerance).
+// The parallel cases are tasks as the wavefront runs them — each goroutine
+// its own region, handle and view on the one manager — on one core and on
+// two: accesses to different regions share no lock and no counter, so the
+// second core must not make an access dearer.
 func BenchmarkRegionAccess(b *testing.B) {
 	m := newManager(b)
 	view := m.topo.NewTaskView()
@@ -400,6 +405,43 @@ func BenchmarkRegionAccess(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+	// Not b.RunParallel: at a fixed -benchtime its goroutines share out the
+	// iterations a handful at a time through one atomic counter, and on two
+	// cores that counter's cache line is the dearest thing in the loop.
+	for _, cores := range []int{1, 2} {
+		b.Run(fmt.Sprint("parallel/cores=", cores), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cores))
+			b.ReportAllocs()
+			var wg sync.WaitGroup
+			for g := 0; g < cores; g++ {
+				wg.Add(1)
+				go func(g, n int) {
+					defer wg.Done()
+					view := m.topo.NewTaskView()
+					h, err := m.Alloc(Spec{Name: "p", Class: props.Transfer, Size: 1 << 16,
+						Owner: Owner(fmt.Sprint("t", g)), Compute: "node0/cpu0", Clock: view})
+					if err != nil {
+						b.Error(err)
+						return
+					}
+					defer h.Release() //nolint:errcheck
+					defer view.Publish()
+					buf := make([]byte, 64)
+					for i := 0; i < n; i++ {
+						op := h.ReadAt
+						if i%2 == 1 {
+							op = h.WriteAt
+						}
+						if _, err := op(0, int64(i%1024)*64, buf); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(g, b.N/cores)
+			}
+			wg.Wait()
 		})
 	}
 }

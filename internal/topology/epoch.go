@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/memsim"
+	"repro/internal/telemetry"
 )
 
 // Epoch is one virtual-time epoch: a private view of every memory device's
@@ -55,10 +56,10 @@ type VClock interface {
 
 // queued is the queue arithmetic every view shares: one access over rt
 // against a queue that drains at busy, returning the completion time and the
-// queue's new drain time.
+// queue's new drain time. It counts nothing; each view counts its own way.
 func (rt *Route) queued(busy, now time.Duration, size int64, kind memsim.AccessKind, pat memsim.Pattern) (done, newBusy time.Duration) {
-	done, newBusy = rt.Mem.AccessQueued(busy, now+rt.Path.Latency, size, kind, pat)
-	return done + rt.stretch(size) + rt.Path.Latency, newBusy
+	newBusy = rt.Mem.Queued(busy, now+rt.Path.Latency, size, kind, pat)
+	return newBusy + rt.stretch(size) + rt.Path.Latency, newBusy
 }
 
 // stretch is the extra transfer time when the route is the bottleneck: the
@@ -134,13 +135,15 @@ func (e *Epoch) BusyAt(idx int) time.Duration {
 	return busyAt(e.busy, idx)
 }
 
-// AccessRoute implements VClock against this epoch's queue state.
+// AccessRoute implements VClock against this epoch's queue state. An epoch
+// is shared, so it counts each access on the device as it happens.
 func (e *Epoch) AccessRoute(rt *Route, now time.Duration, size int64, kind memsim.AccessKind, pat memsim.Pattern) time.Duration {
 	e.mu.Lock()
 	e.busy = slot(e.busy, rt.Idx)
 	done, busy := rt.queued(e.busy[rt.Idx], now, size, kind, pat)
 	e.busy[rt.Idx] = busy
 	e.mu.Unlock()
+	rt.Mem.Count(size, kind)
 	return done
 }
 
@@ -153,13 +156,17 @@ func (e *Epoch) AccessTime(computeID, memID string, now time.Duration, size int6
 	return e.AccessRoute(rt, now, size, kind, pat), nil
 }
 
-// View snapshots the epoch's current queue state into a fresh TaskView.
-// Wavefront source tasks seed from this; everything downstream seeds from
-// merged predecessor views.
+// View snapshots the epoch's current queue state into a TaskView. Wavefront
+// source tasks seed from this; everything downstream seeds from merged
+// predecessor views. The view comes from the pool that every run hands its
+// seed back to (PutTaskView), so a batch does not allocate one.
 func (e *Epoch) View() *TaskView {
+	v := viewPool.Get().(*TaskView)
+	v.topo = e.topo
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	return &TaskView{topo: e.topo, busy: append([]time.Duration(nil), e.busy...)}
+	v.busy = append(v.busy[:0], e.busy...)
+	e.mu.Unlock()
+	return v
 }
 
 // Absorb folds a finished task's queue state back into the epoch as an
@@ -191,12 +198,41 @@ func (e *Epoch) AbsorbViews(vs ...*TaskView) {
 // merely ran earlier in wall-clock time. That independence from dispatch
 // order is what keeps parallel execution byte-for-byte deterministic.
 //
+// A TaskView is also its task's access ledger. Pricing an access counts it
+// here, per device, in plain integers, and the region layer defers its own
+// per-access counter adds here (Defer); Publish hands the lot to the shared
+// counters in one go. The wavefront publishes a task's view when the task
+// retires, before anything can observe the task as done, so by the time a
+// job's ticket is delivered every access of the job is in the counters —
+// and no access on the way there wrote a cache line another task writes.
+//
 // A TaskView is NOT safe for concurrent use: it belongs to one task
 // goroutine. Cross-task handoff (predecessor final view → successor seed)
 // is synchronized by the wavefront dispatcher.
 type TaskView struct {
 	topo *Topology
 	busy []time.Duration // queue drain time per memory device, by Route.Idx
+	// The ledger lives in the view itself, in fixed arrays: it costs no
+	// allocation, GetTaskView has nothing to size, and Clone, Merge and
+	// Epoch.View, which carry queue state over, cannot carry it along. A task
+	// touches a device or two and the region layer defers to five counters;
+	// what does not fit is counted at once, as an epoch would.
+	touched  [4]deviceTally // accesses priced since the last Publish, nTouched in use
+	owed     [6]owedAdd     // counter adds deferred since the last Publish, nOwed in use
+	nTouched int
+	nOwed    int
+}
+
+// deviceTally counts the accesses to one memory device.
+type deviceTally struct {
+	mem *memsim.Device
+	memsim.Tally
+}
+
+// owedAdd is a deferred add of n to a shared counter.
+type owedAdd struct {
+	to *telemetry.Counter
+	n  int64
 }
 
 // viewPool recycles TaskViews (and, most importantly, their queue state): a
@@ -208,9 +244,10 @@ var viewPool = sync.Pool{
 	New: func() any { return new(TaskView) },
 }
 
-// GetTaskView returns a pooled view initialized as a copy of src (same
-// topology, same queue state) — the pooled equivalent of src.Clone(). The
-// caller owns the view until it hands it to PutTaskView.
+// GetTaskView returns a pooled view initialized as a copy of src's queue
+// state (same topology) with an empty ledger — PutTaskView published it —
+// the pooled equivalent of src.Clone(). The caller owns the view until it
+// hands it to PutTaskView.
 func GetTaskView(src *TaskView) *TaskView {
 	v := viewPool.Get().(*TaskView)
 	v.topo = src.topo
@@ -218,15 +255,17 @@ func GetTaskView(src *TaskView) *TaskView {
 	return v
 }
 
-// PutTaskView recycles a view. The caller must guarantee nothing can price
-// an access through it anymore — in the wavefront executor that holds after
-// finalize: the run's regions are released first, and every handle lookup
-// fails before its clock view would be consulted. Nil is a no-op, so callers
-// can put back sparse view tables without filtering.
+// PutTaskView recycles a view, publishing first whatever its ledger still
+// holds. The caller must guarantee nothing can price an access through it
+// anymore — in the wavefront executor that holds after finalize: the run's
+// regions are released first, and every handle fails validation before its
+// clock view would be consulted. Nil is a no-op, so callers can put back
+// sparse view tables without filtering.
 func PutTaskView(v *TaskView) {
 	if v == nil {
 		return
 	}
+	v.Publish()
 	viewPool.Put(v)
 }
 
@@ -257,12 +296,60 @@ func (v *TaskView) Clone() *TaskView {
 	return &TaskView{topo: v.topo, busy: append([]time.Duration(nil), v.busy...)}
 }
 
-// AccessRoute implements VClock against this view's queue state.
+// AccessRoute implements VClock against this view's queue state, and counts
+// the access in the view's ledger.
 func (v *TaskView) AccessRoute(rt *Route, now time.Duration, size int64, kind memsim.AccessKind, pat memsim.Pattern) time.Duration {
 	v.busy = slot(v.busy, rt.Idx)
 	done, busy := rt.queued(v.busy[rt.Idx], now, size, kind, pat)
 	v.busy[rt.Idx] = busy
+	for i := range v.touched[:v.nTouched] {
+		if v.touched[i].mem == rt.Mem {
+			v.touched[i].Count(size, kind)
+			return done
+		}
+	}
+	if v.nTouched == len(v.touched) {
+		rt.Mem.Count(size, kind)
+		return done
+	}
+	v.touched[v.nTouched].mem = rt.Mem
+	v.touched[v.nTouched].Count(size, kind)
+	v.nTouched++
 	return done
+}
+
+// Defer adds n to c when the view is next published instead of now: how a
+// layer above counts per access without writing a shared cache line per
+// access. The add happens exactly once, and happens even when n is zero.
+func (v *TaskView) Defer(c *telemetry.Counter, n int64) {
+	for i := range v.owed[:v.nOwed] {
+		if v.owed[i].to == c {
+			v.owed[i].n += n
+			return
+		}
+	}
+	if v.nOwed == len(v.owed) {
+		c.Add(n)
+		return
+	}
+	v.owed[v.nOwed] = owedAdd{c, n}
+	v.nOwed++
+}
+
+// Publish adds everything the ledger holds to the shared counters — each
+// device's access counts, each deferred add — and empties it, so publishing
+// twice counts once. The wavefront calls it as a task retires, on whichever
+// path the task took there; PutTaskView calls it again as a backstop.
+func (v *TaskView) Publish() {
+	for i := range v.touched[:v.nTouched] {
+		v.touched[i].mem.AddTally(v.touched[i].Tally)
+		v.touched[i] = deviceTally{}
+	}
+	for i := range v.owed[:v.nOwed] {
+		v.owed[i].to.Add(v.owed[i].n)
+		v.owed[i] = owedAdd{}
+	}
+	v.nTouched, v.nOwed = 0, 0
 }
 
 // AccessTime implements VClock.

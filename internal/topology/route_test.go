@@ -1,10 +1,12 @@
 package topology
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/memsim"
+	"repro/internal/telemetry"
 )
 
 // TestRouteMatchesEffectiveCaps: the route's derived fields are the ones
@@ -193,6 +195,91 @@ func TestViewsAgreeWithGlobalQueue(t *testing.T) {
 			t.Errorf("access %d to %s: queue drain times diverge", i, mem)
 		}
 	}
+}
+
+// TestViewLedger: a view counts what is priced through it and what is
+// deferred to it, shows none of it until it is published, and publishes each
+// count once — to a counter even a sum of zero, which is what lists it. A
+// clone, a merge and a pooled copy take the queue state and leave the ledger.
+// What does not fit the view's fixed storage is counted at once instead.
+func TestViewLedger(t *testing.T) {
+	topo := testbed(t)
+	reg := telemetry.NewRegistry()
+	moved, idle := reg.Handle(telemetry.LayerRegion, "bytes_read"), reg.Handle(telemetry.LayerRegion, "bytes_written")
+	dram, _ := topo.Memory("node0/dram0")
+	view := topo.NewTaskView()
+	for i := 0; i < 5; i++ {
+		if _, err := view.AccessTime("node0/cpu0", dram.ID, 0, 64, memsim.AccessKind(i%2), memsim.Sequential); err != nil {
+			t.Fatal(err)
+		}
+		view.Defer(moved, 64)
+	}
+	view.Defer(idle, 0)
+	if s := dram.Stats(); s.Reads+s.Writes != 0 || len(reg.Counters()) != 0 {
+		t.Fatalf("counts visible before the view was published: %+v %v", s, reg.Counters())
+	}
+	clone, pooled := view.Clone(), GetTaskView(view)
+	clone.Merge(view)
+	if clone.BusyUntil(dram.ID) != view.BusyUntil(dram.ID) || pooled.BusyUntil(dram.ID) != view.BusyUntil(dram.ID) {
+		t.Error("copies must carry the queue state")
+	}
+	clone.Publish()
+	PutTaskView(pooled)
+	if s := dram.Stats(); s.Reads+s.Writes != 0 {
+		t.Fatalf("a copy of the view published the view's ledger: %+v", s)
+	}
+	view.Publish()
+	view.Publish()
+	want := memsim.Stats{Reads: 3, Writes: 2, BytesRead: 192, BytesWritten: 128}
+	if s := dram.Stats(); s.Reads != want.Reads || s.Writes != want.Writes || s.BytesRead != want.BytesRead || s.BytesWritten != want.BytesWritten {
+		t.Errorf("device counts after publishing twice: %+v, want %+v", s, want)
+	}
+	if c := reg.Counters(); c["region/bytes_read"] != 320 || len(c) != 2 {
+		t.Errorf("counters after publishing twice: %v, want bytes_read 320 and bytes_written listed at 0", c)
+	}
+
+	// More devices and more counters than the ledger holds: exact all the same.
+	var counters []*telemetry.Counter
+	for i := 0; i < len(view.owed)+2; i++ {
+		counters = append(counters, reg.Handle(telemetry.LayerRuntime, fmt.Sprint("c", i)))
+	}
+	mems := topo.Memories()
+	for round := 0; round < 3; round++ {
+		for _, c := range counters {
+			view.Defer(c, 1)
+		}
+		for _, m := range mems {
+			if rt, ok := topo.Route("node0/cpu0", m.ID); ok {
+				view.AccessRoute(rt, 0, 8, memsim.Read, memsim.Sequential)
+			}
+		}
+	}
+	view.Publish()
+	for i := range counters {
+		if got := reg.Counter(telemetry.LayerRuntime, fmt.Sprint("c", i)); got != 3 {
+			t.Errorf("counter %d = %d, want 3", i, got)
+		}
+	}
+	reached := 0
+	for _, m := range mems {
+		if _, ok := topo.Route("node0/cpu0", m.ID); !ok {
+			continue
+		}
+		reached++
+		if got := m.Stats().Reads; got != 3+want.Reads*b2u(m == dram) {
+			t.Errorf("%s: %d reads, want %d", m.ID, got, 3+want.Reads*b2u(m == dram))
+		}
+	}
+	if reached <= len(view.touched) {
+		t.Fatalf("the testbed reaches %d devices from cpu0: not enough to overflow the ledger's %d", reached, len(view.touched))
+	}
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestAccessPathAllocatesNothing: pricing an access — by route or by ID —
