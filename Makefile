@@ -35,50 +35,48 @@ bench:
 # pool sizes, so this doubles as a determinism gate. The committed
 # bench/BENCH_*_baseline.json captures are the before; the fresh run is the
 # after (previous local runs are kept as BENCH_*_before.json), and benchgate
-# fails the target when serve throughput regressed >10% vs the baseline
-# (override with BENCHGATE_TOLERANCE). The stream benchmark is gated on its
-# exact metric instead — the windows that retire at the solo runs' virtual
-# watermark — because its windows/s at 2x is wall-clock noise; exact metrics
-# carry their zero tolerance in the unit, where BENCHGATE_TOLERANCE does not
-# reach. The region
-# access and placement micro-benchmarks are gated the other way round —
-# their units are costs: time per operation may not triple, and allocations
-# per operation may not rise at all. The region benchmark's parallel case
-# runs at one core and at two, each its own gated row, so the baseline shows
-# that the second core does not make an access dearer.
+# fails the target when a gated unit regressed against the baseline: serve
+# throughput by more than 10% (override with BENCHGATE_TOLERANCE). The stream
+# benchmark is gated on its exact metric instead — the windows that retire at
+# the solo runs' virtual watermark — because its windows/s at 2x is
+# wall-clock noise; exact metrics carry their zero tolerance in the unit,
+# where BENCHGATE_TOLERANCE does not reach. The region access, placement and
+# planner micro-benchmarks are gated the other way round — their units are
+# costs: time per operation may not triple, and allocations per operation may
+# not rise at all. The region benchmark's parallel case runs at one core and
+# at two, each its own gated row, so the baseline shows that the second core
+# does not make an access dearer.
 #
-# One captured run per entry: name:package:benchmark regexp:benchtime, written
-# to BENCH_<name>.json.
+# One row per captured run, name:package:benchmark regexp:benchtime[:gate],
+# written to BENCH_<name>.json. The gate, when there is one, is benchgate's
+# -metrics list (it holds colons of its own, so it is the last field) against
+# bench/BENCH_<name>_baseline.json. Every row is captured before any is gated.
 SMOKE_BENCHES = \
 	'parallel:core:BenchmarkWideDAGParallel|BenchmarkServeParallel:2x' \
-	'serve:core:BenchmarkServeOverlap:2x' \
+	'serve:core:BenchmarkServeOverlap:2x:jobs/s' \
 	'recover:core:BenchmarkRecoverPartial:2x' \
-	'shard:shard:BenchmarkServeSharded:2x' \
-	'stream:core:BenchmarkStreamServe:2x' \
-	'migrate:shard:BenchmarkClusterRebalance:2x' \
-	'region:region:BenchmarkRegionAccess:200000x' \
-	'place:placement:BenchmarkPlaceEpoch:200000x'
+	'shard:shard:BenchmarkServeSharded:2x:jobs/s,speedup' \
+	'stream:core:BenchmarkStreamServe:2x:solo-identical-windows/op:0' \
+	'migrate:shard:BenchmarkClusterRebalance:2x:exported/op:0,recalled/op:0' \
+	'region:region:BenchmarkRegionAccess:200000x:ns/op:2,allocs/op:0' \
+	'place:placement:BenchmarkPlaceEpoch:200000x:ns/op:2,allocs/op:0' \
+	'plan:sched:BenchmarkHEFT|BenchmarkEstimateJob:20000x:ns/op:2,allocs/op:0'
 
 bench-smoke: loadgen-smoke
 	@set -e; for spec in $(SMOKE_BENCHES); do \
 		name=$${spec%%:*}; rest=$${spec#*:}; pkg=$${rest%%:*}; rest=$${rest#*:}; \
-		re=$${rest%:*}; n=$${rest##*:}; f=BENCH_$$name.json; \
+		re=$${rest%%:*}; rest=$${rest#*:}; n=$${rest%%:*}; f=BENCH_$$name.json; \
 		if [ -f $$f ]; then cp $$f BENCH_$${name}_before.json; fi; \
 		echo "$(GO) test -run XXX -bench '$$re' -benchtime $$n -benchmem -json ./internal/$$pkg/ > $$f"; \
 		$(GO) test -run XXX -bench "$$re" -benchtime $$n -benchmem -json ./internal/$$pkg/ > $$f; \
 		grep -o '"Output":"Benchmark[^"]*' $$f | head -20 || true; \
+	done; \
+	for spec in $(SMOKE_BENCHES); do \
+		name=$${spec%%:*}; rest=$${spec#*:*:*:}; \
+		case $$rest in *:*) ;; *) continue ;; esac; \
+		echo "$(GO) run ./cmd/benchgate -baseline bench/BENCH_$${name}_baseline.json -current BENCH_$$name.json -metrics $${rest#*:}"; \
+		$(GO) run ./cmd/benchgate -baseline bench/BENCH_$${name}_baseline.json -current BENCH_$$name.json -metrics "$${rest#*:}"; \
 	done
-	$(GO) run ./cmd/benchgate -baseline bench/BENCH_serve_baseline.json -current BENCH_serve.json
-	$(GO) run ./cmd/benchgate -baseline bench/BENCH_shard_baseline.json -current BENCH_shard.json \
-		-metrics jobs/s,speedup
-	$(GO) run ./cmd/benchgate -baseline bench/BENCH_stream_baseline.json -current BENCH_stream.json \
-		-metrics solo-identical-windows/op:0
-	$(GO) run ./cmd/benchgate -baseline bench/BENCH_migrate_baseline.json -current BENCH_migrate.json \
-		-metrics exported/op:0,recalled/op:0
-	$(GO) run ./cmd/benchgate -baseline bench/BENCH_region_baseline.json -current BENCH_region.json \
-		-metrics ns/op:2,allocs/op:0
-	$(GO) run ./cmd/benchgate -baseline bench/BENCH_place_baseline.json -current BENCH_place.json \
-		-metrics ns/op:2,allocs/op:0
 
 # Seconds-scale fixed-seed open-loop serving smoke: 4k submissions against
 # the SLO admission gate, replayed twice — the run itself fails if the two

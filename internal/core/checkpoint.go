@@ -365,16 +365,10 @@ func (lr *lazyRestore) hydrate(r *run, task string, h *region.Handle) error {
 // store traffic differs. A record-less (cold) snapshot — the task failed
 // after its checkpoint, or the entry was seeded outside the engine —
 // fetches eagerly in both modes and charges the observed Get price.
-func (r *run) restoreTaskAt(ctx *taskCtx, t *dataflow.Task, start time.Duration) (time.Duration, *TaskReport, error) {
-	for i, n := 0, t.NumPreds(); i < n; i++ {
-		p := t.Pred(i)
-		r.smu.Lock()
-		h := r.pending[t.ID()][p.ID()]
-		if h != nil {
-			delete(r.pending[t.ID()], p.ID())
-		}
-		r.smu.Unlock()
-		if h != nil {
+func (r *run) restoreTaskAt(ctx *taskCtx, start time.Duration) (time.Duration, *TaskReport, error) {
+	t := ctx.task
+	for i := range r.g.Preds(ctx.rank) {
+		if h := r.takePending(ctx.rank, i); h != nil {
 			if h.Release() == nil { //nolint:errcheck // discarding a superseded input
 				ctx.noteRelease(h)
 			}
@@ -433,27 +427,19 @@ func (r *run) restoreTaskAt(ctx *taskCtx, t *dataflow.Task, start time.Duration)
 			}
 			ctx.now = now
 			if lazy {
-				r.smu.Lock()
-				r.lazy[t.ID()] = &lazyRestore{size: e.size}
-				r.smu.Unlock()
+				r.lazy[ctx.rank] = &lazyRestore{size: e.size}
 			}
 		}
-		if err := r.deliverOutput(ctx, t); err != nil {
+		if err := r.deliverOutput(ctx); err != nil {
 			ctx.releaseAll()
 			return 0, nil, err
 		}
 	}
 	ctx.Log("restored from checkpoint")
 	r.rt.tel.Add(telemetry.LayerFault, "restores", 1)
-	r.flushEvents(ctx)
-	rep := &TaskReport{
-		Task: t.ID(), Compute: ctx.compute.ID,
-		Start: start, Finish: ctx.now,
-		Regions: ctx.regions, Logs: ctx.logs,
-	}
 	r.rt.tel.Record(telemetry.Span{
 		Layer: telemetry.LayerFault, Job: r.job.Name(), Task: t.ID(),
 		Name: "restore", Start: start, End: ctx.now,
 	})
-	return ctx.now, rep, nil
+	return ctx.now, ctx.report(start), nil
 }

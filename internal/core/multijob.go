@@ -74,22 +74,14 @@ type MultiConfig struct {
 	ComputeStretch bool
 }
 
-// newLoad builds an empty per-device core-availability estimate.
-func (rt *Runtime) newLoad() map[string][]time.Duration {
-	load := make(map[string][]time.Duration)
-	for _, c := range rt.topo.Computes() {
-		load[c.ID] = make([]time.Duration, c.Cores)
-	}
-	return load
-}
-
-// scheduleInto plans one job against the accumulating load of previously
-// admitted jobs, folding the new plan back into load — how the runtime
-// packs concurrently submitted jobs across the cluster. A load-aware
-// scheduler is used when available.
-func (rt *Runtime) scheduleInto(j *dataflow.Job, load map[string][]time.Duration) (*sched.Schedule, error) {
+// scheduleInto plans one job against load, the flat per-core table of when
+// previously admitted jobs leave each core free, and folds the new plan back
+// into it — how the runtime packs concurrently submitted jobs across the
+// cluster. A nil load plans against an idle machine and folds nothing. A
+// load-aware scheduler is used when available.
+func (rt *Runtime) scheduleInto(j *dataflow.Job, load []time.Duration) (*sched.Schedule, error) {
 	loadAware, _ := rt.sched.(interface {
-		ScheduleLoaded(*dataflow.Job, *topology.Topology, map[string][]time.Duration) (*sched.Schedule, error)
+		ScheduleLoaded(*dataflow.Job, *topology.Topology, []time.Duration) (*sched.Schedule, error)
 	})
 	var schedule *sched.Schedule
 	var err error
@@ -98,11 +90,14 @@ func (rt *Runtime) scheduleInto(j *dataflow.Job, load map[string][]time.Duration
 	} else {
 		schedule, err = rt.sched.Schedule(j, rt.topo)
 	}
-	if err != nil {
-		return nil, err
+	if err != nil || load == nil {
+		return schedule, err
 	}
-	for _, a := range schedule.Assignments {
-		cores := load[a.Compute]
+	// Fold in rank order: each finish lands on the device's then-earliest
+	// core, so the order of the fold decides which core holds which finish.
+	cs := rt.topo.ComputeSet()
+	for _, a := range schedule.Tasks {
+		cores := cs.Cores(load, a.Dev)
 		idx := 0
 		for i := range cores {
 			if cores[i] < cores[idx] {
@@ -141,37 +136,29 @@ func (rt *Runtime) RunAll(jobs []*dataflow.Job, cfg MultiConfig) (*MultiReport, 
 	// between the jobs is the point; isolation from *other* batches and
 	// concurrent Runs comes from the epoch being private to this call.
 	epoch := rt.topo.NewEpoch()
-	// Shared core availability across all jobs.
-	cores := make(map[string][]time.Duration)
-	for _, c := range rt.topo.Computes() {
-		cores[c.ID] = make([]time.Duration, c.Cores)
-	}
-
-	load := rt.newLoad()
+	// Shared core availability across all jobs, and the planner's estimate
+	// of it.
+	nCores := rt.topo.ComputeSet().NumCores()
+	cores, load := make([]time.Duration, nCores), make([]time.Duration, nCores)
 	runs := make([]*run, 0, len(jobs))
-	orders := make([][]*dataflow.Task, 0, len(jobs))
-	rankSets := make([]map[string]int, 0, len(jobs))
 	for _, j := range jobs {
 		schedule, err := rt.scheduleInto(j, load)
 		if err != nil {
 			return nil, fmt.Errorf("core: scheduling %s: %w", j.Name(), err)
 		}
-		r := rt.newRun(j, schedule, epoch, j.Name(), cores)
-		ranks, order, err := sched.Ranks(j)
+		g, err := j.Graph()
 		if err != nil {
 			return nil, err
 		}
-		runs = append(runs, r)
-		orders = append(orders, order)
-		rankSets = append(rankSets, ranks)
+		runs = append(runs, rt.newRun(j, g, schedule, epoch, j.Name(), cores))
 	}
 
 	// Each job's DAG executes as a parallel wavefront over the shared core
 	// clocks; jobs run in admission order, and every completed job's clock
 	// views are absorbed into the shared epoch, so later jobs queue behind
 	// its device backlog — contention stays emergent and deterministic.
-	for i, r := range runs {
-		if failed, err := r.runWavefront(orders[i], rankSets[i], rt.workers, nil); err != nil {
+	for _, r := range runs {
+		if failed, err := r.runWavefront(rt.workers, nil); err != nil {
 			for _, rr := range runs {
 				rr.cleanup()
 			}

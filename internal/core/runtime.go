@@ -242,10 +242,15 @@ type globalEntry struct {
 	shared map[string]*region.Handle // task id → that task's share
 }
 
-// run is the per-job execution state.
+// run is the per-job execution state. Per-task state is indexed by rank (the
+// task's position in g.Order), per-edge state by g's edge slots, per-device
+// state by the device's index in cs — and each table is one block allocated
+// by newRun, sized by the job.
 type run struct {
 	rt       *Runtime
 	job      *dataflow.Job
+	g        *dataflow.Graph      // the job's graph, resolved to ranks
+	cs       *topology.ComputeSet // the devices schedule and cores index into
 	schedule *sched.Schedule
 	// epoch is the virtual-time view this run's accesses queue against.
 	// Runs in different epochs are fully isolated; runs sharing one epoch
@@ -258,38 +263,53 @@ type run struct {
 	// base is the earliest virtual time any task of this run may start —
 	// recovery retries use it to model per-attempt backoff on the epoch
 	// clock without perturbing batch mates.
-	base   time.Duration
-	cores  map[string][]time.Duration
-	finish map[string]time.Duration
-	// smu guards the cross-task shared maps (pending, globals) and the
-	// memory ledger against concurrent wavefront task goroutines. It is a
-	// leaf lock: nothing is called while holding it.
-	smu sync.Mutex
-	// pending maps consumer task → producer task → delivered handle.
-	pending map[string]map[string]*region.Handle
-	globals map[string]*globalEntry
-	// ranks maps task ID → deterministic topological rank for the current
-	// wavefront attempt (set by newWavefront). deliverOutput uses it to
-	// record consumer ranks on fan-out shares, which is what lets those
-	// regions fence per sharer instead of against the whole run.
-	ranks map[string]int
-	// events is the virtual memory ledger completed tasks journal into;
-	// computePeak sweeps it deterministically at run end (wavefront.go).
-	events []memEvent
-	report *Report
-	peak   map[string]int64
-	ck     *Checkpointer // nil unless recovery drives the run
-	ckID   string        // unique per-submission snapshot namespace
+	base time.Duration
+	// cores is the flat per-core availability table (cs.Cores windows it per
+	// device); idle marks a private table no task has finished on yet.
+	cores []time.Duration
+	idle  bool
+	// handles is one block of three tables. [0, g.Edges()): a delivered output
+	// awaiting its consumer, at the edge's slot. Then one slot per rank: a
+	// sink's final output, retained until cleanup. Then one per edge again:
+	// the storage tasks' input lists are carved from. A slot is written by the
+	// producer before it retires and read by the consumer after, which the
+	// pool lock orders; cleanup reads them all once the run has drained.
+	handles []*region.Handle
+	// smu guards the cross-task shared state (globals, the report's final
+	// outputs) against concurrent wavefront task goroutines. It is a leaf
+	// lock: nothing is called while holding it.
+	smu     sync.Mutex
+	globals map[string]*globalEntry // created by the first global
+	report  *Report
+	// ctxs and reports are the tasks' contexts and reports, by rank. Neither
+	// is recycled: a handle a body kept outlives the run holding its task's
+	// context as its fence, and the report is the submitter's.
+	ctxs    []taskCtx
+	reports []TaskReport
+	ck      *Checkpointer // nil unless recovery drives the run
+	ckID    string        // unique per-submission snapshot namespace
 	// partial selects lazy restore I/O on replay: a replayed task's output
 	// payload is fetched from the store only when a re-executed consumer
 	// receives it as input, instead of eagerly when the task is replayed.
 	// Virtual time is identical either way (see restoreTaskAt).
 	partial bool
-	// lazy maps a replayed producer's task ID to its re-materialized
-	// output's restore state. Written by replay task goroutines, read by
-	// consuming task goroutines (both guarded by smu).
-	lazy   map[string]*lazyRestore
+	// lazy holds, by producer rank, a replayed producer's re-materialized
+	// output's restore state; allocated by newWavefront when a partial replay
+	// restores anything. Written by the replayed producer, read by its
+	// consumers (ordered like handles).
+	lazy   []*lazyRestore
 	inject *fault.Injector
+}
+
+// inputBuf returns rank k's empty input list, with room for every in-edge.
+func (r *run) inputBuf(k int) []*region.Handle {
+	at := r.g.Edges() + r.g.Len() + r.g.InSlot(k)
+	return r.handles[at : at : at+len(r.g.Preds(k))]
+}
+
+// coresOf returns the core clocks of the device rank k is assigned to.
+func (r *run) coresOf(k int) []time.Duration {
+	return r.cs.Cores(r.cores, r.schedule.Tasks[k].Dev)
 }
 
 // Run executes the job to completion on the virtual clock and returns the
@@ -315,13 +335,13 @@ func (rt *Runtime) execute(job *dataflow.Job, ck *Checkpointer, ckID string, par
 	if err != nil {
 		return nil, err
 	}
-	ranks, order, err := sched.Ranks(job)
+	g, err := job.Graph()
 	if err != nil {
 		return nil, err
 	}
-	r := rt.newRun(job, schedule, rt.topo.NewEpoch(), job.Name(), nil)
+	r := rt.newRun(job, g, schedule, rt.topo.NewEpoch(), job.Name(), nil)
 	r.ck, r.ckID, r.partial = ck, ckID, partial
-	if failed, err := r.runWavefront(order, ranks, rt.workers, nil); err != nil {
+	if failed, err := r.runWavefront(rt.workers, nil); err != nil {
 		if failed != "" {
 			return nil, fmt.Errorf("core: task %s: %w", failed, err)
 		}
@@ -330,86 +350,79 @@ func (rt *Runtime) execute(job *dataflow.Job, ck *Checkpointer, ckID string, par
 	return r.report, nil
 }
 
-// newRun assembles per-job execution state. cores may be shared between
-// runs (RunAll, Server batches); nil gets this run its own fresh core
-// availability. ns namespaces region owners (see run.ns).
-func (rt *Runtime) newRun(job *dataflow.Job, schedule *sched.Schedule, epoch *topology.Epoch, ns string, cores map[string][]time.Duration) *run {
-	if cores == nil {
-		cores = make(map[string][]time.Duration)
-		for _, c := range rt.topo.Computes() {
-			cores[c.ID] = make([]time.Duration, c.Cores)
-		}
+// newRun assembles per-job execution state for the job and its resolved
+// graph. cores, a flat per-core table, may be shared between runs (RunAll,
+// Server batches); nil gets this run its own idle core availability. ns
+// namespaces region owners (see run.ns).
+func (rt *Runtime) newRun(job *dataflow.Job, g *dataflow.Graph, schedule *sched.Schedule, epoch *topology.Epoch, ns string, cores []time.Duration) *run {
+	cs := rt.topo.ComputeSet()
+	idle := cores == nil
+	if idle {
+		cores = make([]time.Duration, cs.NumCores())
 	}
+	n := g.Len()
 	return &run{
-		rt:       rt,
-		job:      job,
-		schedule: schedule,
-		epoch:    epoch,
-		ns:       ns,
-		cores:    cores,
-		finish:   make(map[string]time.Duration),
-		pending:  make(map[string]map[string]*region.Handle),
-		globals:  make(map[string]*globalEntry),
-		lazy:     make(map[string]*lazyRestore),
-		peak:     make(map[string]int64),
-		inject:   rt.inject,
+		rt: rt, job: job, g: g, cs: cs, schedule: schedule,
+		epoch: epoch, ns: ns,
+		cores: cores, idle: idle,
+		handles: make([]*region.Handle, 2*g.Edges()+n),
+		ctxs:    make([]taskCtx, n),
+		reports: make([]TaskReport, n),
+		inject:  rt.inject,
 		report: &Report{
 			Job: job.Name(), Scheduler: rt.sched.Name(), Placer: rt.placer.Name(),
-			Tasks:        make(map[string]*TaskReport),
-			FinalOutputs: make(map[string]string),
+			Tasks:           make(map[string]*TaskReport, n),
+			PeakDeviceBytes: make(map[string]int64),
+			FinalOutputs:    make(map[string]string),
 		},
 	}
 }
 
-// execTaskAt runs one task at its scheduled placement, starting at the
-// virtual time the dispatcher's core claim granted. It runs on a wavefront
+// execTaskAt runs the task of rank k at its scheduled placement, starting at
+// the virtual time the dispatcher's core claim granted. It runs on a wavefront
 // worker goroutine: all cross-task state it touches is either owned by this
-// task (ctx, its clock view) or guarded (r.smu for pending/globals/ledger,
-// w.mu inside fences). It returns the task's virtual finish time and report
-// — both non-nil even when a trailing release failed, matching the
-// sequential engine's accounting — or a nil report on failure before
-// completion.
-func (r *run) execTaskAt(w *wavefront, k int, t *dataflow.Task, view *topology.TaskView, start time.Duration) (time.Duration, *TaskReport, error) {
-	asg := r.schedule.Assignments[t.ID()]
-	comp, _ := r.rt.topo.Compute(asg.Compute)
-	ctx := &taskCtx{
-		run: r, task: t, compute: comp,
+// task (its context, its clock view, its slots of r.handles) or guarded
+// (r.smu for globals, the pool lock inside fences). It returns the
+// task's virtual finish time and report — both non-nil even when a trailing
+// release failed, matching the sequential engine's accounting — or a nil
+// report on failure before completion.
+func (r *run) execTaskAt(w *wavefront, k int, view *topology.TaskView, start time.Duration) (time.Duration, *TaskReport, error) {
+	t, asg := r.g.Order[k], &r.schedule.Tasks[k]
+	ctx := &r.ctxs[k]
+	*ctx = taskCtx{
+		run: r, task: t, compute: r.cs.Devices[asg.Dev],
 		now:     start,
 		owner:   region.Owner(r.ns + "/" + t.ID()),
+		inputs:  r.inputBuf(k),
 		regions: make(map[string]string),
 		view:    view,
 		rank:    k,
 	}
+	ctx.events = ctx.journal[:0]
 	ctx.fence = func(deps []int) error { return w.fence(k, deps) }
 	// Recovery fast path: a checkpointed task is restored, not re-run.
-	if w.restored[k] {
-		return r.restoreTaskAt(ctx, t, start)
+	if w.slots[k].restored {
+		return r.restoreTaskAt(ctx, start)
 	}
 	// Collect inputs: transfer exclusive outputs from predecessors (the
 	// Fig. 4 handover), adopt shared ones as-is. Handles are rebound to
 	// this task's clock view and fence as they cross the task boundary.
-	for i, n := 0, t.NumPreds(); i < n; i++ {
-		p := t.Pred(i)
-		r.smu.Lock()
-		h := r.pending[t.ID()][p.ID()]
-		if h != nil {
-			delete(r.pending[t.ID()], p.ID())
-		}
-		lr := r.lazy[p.ID()]
-		r.smu.Unlock()
+	for i, p := range r.g.Preds(k) {
+		h := r.takePending(k, i)
 		if h == nil {
 			continue
 		}
-		if lr != nil {
+		pid := r.g.Order[p].ID()
+		if r.lazy != nil && r.lazy[p] != nil {
 			// The producer was replayed from its checkpoint under partial
 			// replay: its region carries a placeholder payload until a task
 			// that actually re-executes receives it as input. Fetch the real
 			// bytes now (wall-clock only — the restore's virtual price was
 			// charged at the replayed producer, identically in both modes).
-			if err := lr.hydrate(r, p.ID(), h); err != nil {
+			if err := r.lazy[p].hydrate(r, pid, h); err != nil {
 				ctx.inputs = append(ctx.inputs, h) // keep it releasable
 				ctx.releaseAll()
-				return 0, nil, fmt.Errorf("restoring input from %s: %w", p.ID(), err)
+				return 0, nil, fmt.Errorf("restoring input from %s: %w", pid, err)
 			}
 		}
 		h.Rebind(view, k, ctx.fence)
@@ -419,7 +432,7 @@ func (r *run) execTaskAt(w *wavefront, k int, t *dataflow.Task, view *topology.T
 			if err != nil {
 				ctx.inputs = append(ctx.inputs, h) // keep it releasable
 				ctx.releaseAll()
-				return 0, nil, fmt.Errorf("input transfer from %s: %w", p.ID(), err)
+				return 0, nil, fmt.Errorf("input transfer from %s: %w", pid, err)
 			}
 			ctx.now = done
 			h = nh
@@ -441,7 +454,7 @@ func (r *run) execTaskAt(w *wavefront, k int, t *dataflow.Task, view *topology.T
 		}
 	}
 	ctx.Charge(t.Props().Ops)
-	if ctx.output == nil && t.Props().OutputBytes > 0 && t.NumSuccs() > 0 {
+	if ctx.output == nil && t.Props().OutputBytes > 0 && len(r.g.Succs(k)) > 0 {
 		if _, err := ctx.Output(t.Props().OutputBytes); err != nil {
 			ctx.releaseAll()
 			return 0, nil, fmt.Errorf("implicit output: %w", err)
@@ -458,7 +471,7 @@ func (r *run) execTaskAt(w *wavefront, k int, t *dataflow.Task, view *topology.T
 
 	// Hand the output over.
 	if ctx.output != nil {
-		if err := r.deliverOutput(ctx, t); err != nil {
+		if err := r.deliverOutput(ctx); err != nil {
 			ctx.releaseAll()
 			return 0, nil, err
 		}
@@ -484,10 +497,9 @@ func (r *run) execTaskAt(w *wavefront, k int, t *dataflow.Task, view *topology.T
 		}
 	}
 
-	// The task did run to completion: record its report and finish time
-	// even when a share release failed, so downstream accounting (makespan,
-	// spans, reports) stays consistent.
-	r.flushEvents(ctx)
+	// The task did run to completion: its report and finish time are
+	// recorded even when a share release failed, so downstream accounting
+	// (makespan, spans, reports) stays consistent.
 	if r.ck != nil && relErrs == nil {
 		// Fully successful: mark the snapshot warm-replayable so a later
 		// attempt can replay it at the deterministic recorded price (and,
@@ -496,64 +508,57 @@ func (r *run) execTaskAt(w *wavefront, k int, t *dataflow.Task, view *topology.T
 		// it always has.
 		r.ck.record(r.ckID, t.ID(), ctx.ckRestoreCost)
 	}
-	rep := &TaskReport{
-		Task: t.ID(), Compute: asg.Compute,
-		Start: start, Finish: ctx.now,
-		Regions: ctx.regions, Logs: ctx.logs,
-	}
 	r.rt.tel.Record(telemetry.Span{
 		Layer: telemetry.LayerRuntime, Job: r.job.Name(), Task: t.ID(),
 		Name: "exec", Start: start, End: ctx.now,
 	})
-	return ctx.now, rep, errors.Join(relErrs...)
+	return ctx.now, ctx.report(start), errors.Join(relErrs...)
+}
+
+// takePending removes and returns the output delivered along rank k's i'th
+// in-edge, nil if nothing was.
+func (r *run) takePending(k, i int) *region.Handle {
+	at := r.g.InSlot(k) + i
+	h := r.handles[at]
+	r.handles[at] = nil
+	return h
 }
 
 // deliverOutput routes a finished task's output region to its successors:
 // one successor → exclusive pending transfer; several → shared grants
 // (Global Scratch semantics); none → retained as the job's final output.
-func (r *run) deliverOutput(ctx *taskCtx, t *dataflow.Task) error {
-	switch n := t.NumSuccs(); n {
+func (r *run) deliverOutput(ctx *taskCtx) error {
+	k := ctx.rank
+	succs, slots := r.g.Succs(k), r.g.OutSlots(k)
+	switch len(succs) {
 	case 0:
 		dev, err := ctx.output.DeviceID()
 		if err != nil {
 			return err
 		}
 		r.smu.Lock()
-		r.report.FinalOutputs[t.ID()] = dev
-		// Retain until cleanup.
-		r.globals["__final__/"+t.ID()] = &globalEntry{handle: ctx.output}
+		r.report.FinalOutputs[ctx.task.ID()] = dev
 		r.smu.Unlock()
+		r.handles[r.g.Edges()+k] = ctx.output // retain until cleanup
 		ctx.output = nil
 		return nil
 	case 1:
-		r.smu.Lock()
-		s := t.Succ(0)
-		if r.pending[s.ID()] == nil {
-			r.pending[s.ID()] = make(map[string]*region.Handle)
-		}
-		r.pending[s.ID()][t.ID()] = ctx.output
-		r.smu.Unlock()
+		r.handles[slots[0]] = ctx.output
 		ctx.output = nil
 		return nil
 	default:
-		for i := 0; i < n; i++ {
-			s := t.Succ(i)
-			sAsg := r.schedule.Assignments[s.ID()]
+		for i, s := range succs {
+			sAsg := &r.schedule.Tasks[s]
 			// All fan-out shares are granted here, at producer completion —
 			// before any consumer can launch — so the region's sharer set is
 			// closed by construction and ShareRanked's per-sharer fencing is
 			// sound (see wavefront.fence).
-			sh, err := ctx.output.ShareRanked(region.Owner(r.ns+"/"+s.ID()+"/in"), sAsg.Compute, r.ranks[s.ID()])
+			sh, err := ctx.output.ShareRanked(region.Owner(r.ns+"/"+sAsg.Task+"/in"), sAsg.Compute, int(s))
 			if err != nil {
-				return fmt.Errorf("sharing output with %s: %w", s.ID(), err)
+				return fmt.Errorf("sharing output with %s: %w", sAsg.Task, err)
 			}
 			ctx.noteShare(sh)
-			r.smu.Lock()
-			if r.pending[s.ID()] == nil {
-				r.pending[s.ID()] = make(map[string]*region.Handle)
-			}
-			r.pending[s.ID()][t.ID()] = sh
-			r.smu.Unlock()
+			r.handles[slots[i]] = sh
 		}
 		// The producer's own claim ends; the shares keep the region alive.
 		out := ctx.output
@@ -571,18 +576,16 @@ func (r *run) deliverOutput(ctx *taskCtx, t *dataflow.Task) error {
 func (r *run) cleanup() {
 	r.smu.Lock()
 	globals := r.globals
-	pending := r.pending
-	r.globals = map[string]*globalEntry{}
-	r.pending = map[string]map[string]*region.Handle{}
+	r.globals = nil
 	r.smu.Unlock()
 	for _, g := range globals {
-		if g.handle != nil {
-			g.handle.Release() //nolint:errcheck // best-effort teardown
-		}
+		g.handle.Release() //nolint:errcheck // best-effort teardown
 	}
-	for _, m := range pending {
-		for _, h := range m {
+	held := r.handles[:r.g.Edges()+r.g.Len()]
+	for i, h := range held {
+		if h != nil {
 			h.Release() //nolint:errcheck // best-effort teardown
+			held[i] = nil
 		}
 	}
 }

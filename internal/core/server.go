@@ -33,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -671,8 +672,7 @@ func (s *Server) noteQueueWait(d time.Duration) {
 type liveJob struct {
 	t          *jobTicket
 	r          *run
-	order      []*dataflow.Task
-	ranks      map[string]int
+	w          *wavefront      // the current attempt's dispatcher (overlapped batches)
 	waits      []time.Duration // virtual backoff applied before each retry
 	attempt    int             // 1-based; >1 means recovery retried this submission
 	batchSize  int             // members this batch executed (Report.BatchSize)
@@ -715,47 +715,44 @@ func (s *Server) runBatch(batch []*jobTicket) {
 
 	// Plan every member; a scheduling failure only fails its own job.
 	epoch := rt.topo.NewEpoch()
-	var cores map[string][]time.Duration
+	// Sequential members share one core table and are planned against the
+	// batch's accumulating load; both stay nil for an overlapped batch, whose
+	// members get private idle clocks and plans.
+	var cores, load []time.Duration
 	if s.sequential {
-		cores = make(map[string][]time.Duration)
-		for _, c := range rt.topo.Computes() {
-			cores[c.ID] = make([]time.Duration, c.Cores)
-		}
+		nCores := rt.topo.ComputeSet().NumCores()
+		cores, load = make([]time.Duration, nCores), make([]time.Duration, nCores)
 	}
-	load := rt.newLoad()
-	lives := make([]*liveJob, 0, len(admitted))
+	lives := make([]liveJob, 0, len(admitted))
 	for _, t := range admitted {
 		var schedule *sched.Schedule
 		var err error
-		switch {
-		case s.sequential:
-			// Members queue behind each other: plan against the batch's
-			// accumulating load.
-			schedule, err = rt.scheduleInto(t.job, load)
-		case t.plan != nil:
+		if t.plan != nil && !s.sequential {
 			// SLO admission already planned this job against an idle
-			// machine — exactly the empty-load plan overlapped members use —
-			// so reuse it rather than paying HEFT twice per submission.
+			// machine — exactly the plan overlapped members use — so reuse it
+			// rather than paying HEFT twice per submission.
 			schedule = t.plan
-		default:
-			// Virtual isolation extends to planning: an empty load per
-			// member yields the same plan the job would get alone, which is
-			// what makes overlapped reports identical to solo runs.
-			schedule, err = rt.scheduleInto(t.job, rt.newLoad())
+		} else {
+			// Sequential members queue behind each other: plan against the
+			// batch's accumulating load. For overlapped members virtual
+			// isolation extends to planning: the idle machine (nil load)
+			// yields the same plan the job would get alone, which is what
+			// makes overlapped reports identical to solo runs.
+			schedule, err = rt.scheduleInto(t.job, load)
 		}
 		if err != nil {
 			s.fail(t, fmt.Errorf("core: scheduling %s: %w", t.job.Name(), err))
 			continue
 		}
-		ranks, order, err := sched.Ranks(t.job)
+		g, err := t.job.Graph()
 		if err != nil {
 			s.fail(t, err)
 			continue
 		}
 		// A unique owner namespace per submission lets identical jobs
 		// share the epoch without region-owner collisions.
-		ns := fmt.Sprintf("%s#%d", t.job.Name(), t.tk.id)
-		r := rt.newRun(t.job, schedule, epoch, ns, cores) // nil cores → private clocks
+		ns := t.job.Name() + "#" + strconv.FormatUint(t.tk.id, 10)
+		r := rt.newRun(t.job, g, schedule, epoch, ns, cores) // nil cores → private clocks
 		if s.rec != nil {
 			// The snapshot namespace is unique per submission, so
 			// same-named jobs in flight never cross-restore or
@@ -770,9 +767,10 @@ func (s *Server) runBatch(batch []*jobTicket) {
 			r.ck, r.ckID = s.rec.ck, ckID
 			r.partial = s.rec.partial
 		}
-		lives = append(lives, &liveJob{t: t, r: r, order: order, ranks: ranks, attempt: 1})
+		lives = append(lives, liveJob{t: t, r: r, attempt: 1})
 	}
-	for i, l := range lives {
+	for i := range lives {
+		l := &lives[i]
 		l.batchSize, l.batchIndex, l.overlapped = len(lives), i, !s.sequential
 	}
 	if len(lives) == 0 {
@@ -789,11 +787,12 @@ func (s *Server) runBatch(batch []*jobTicket) {
 // cores and epoch; jobs run in admission order, each queueing behind the
 // clock views its completed batch mates absorbed into the epoch. Failures
 // and retries stay per job.
-func (s *Server) runBatchSequential(lives []*liveJob, epoch *topology.Epoch, cores map[string][]time.Duration) {
+func (s *Server) runBatchSequential(lives []liveJob, epoch *topology.Epoch, cores []time.Duration) {
 	rt := s.rt
-	for _, l := range lives {
+	for i := range lives {
+		l := &lives[i]
 		for {
-			failed, err := l.r.runWavefront(l.order, l.ranks, rt.workers, l.t.ctx.Err)
+			failed, err := l.r.runWavefront(rt.workers, l.t.ctx.Err)
 			if err == nil {
 				s.complete(l)
 				break
@@ -813,7 +812,7 @@ func (s *Server) runBatchSequential(lives []*liveJob, epoch *topology.Epoch, cor
 			if s.rec != nil && l.attempt < s.rec.maxAttempts && l.t.ctx.Err() == nil {
 				rt.tel.Add(telemetry.LayerFault, "job_retries", 1)
 				wait := backoffWait(s.rec, l.attempt)
-				nr := rt.newRun(l.t.job, l.r.schedule, epoch, l.r.ns, cores)
+				nr := rt.newRun(l.t.job, l.r.g, l.r.schedule, epoch, l.r.ns, cores)
 				nr.ck, nr.ckID = l.r.ck, l.r.ckID
 				nr.partial = s.rec.partial
 				nr.base = l.r.base + wait
@@ -845,28 +844,34 @@ func (s *Server) runBatchSequential(lives []*liveJob, epoch *topology.Epoch, cor
 // the batch instead of serializing behind it; each retry inherits its
 // predecessor attempt's (deterministically rewound) core clocks and
 // checkpoints, exactly like the sequential path.
-func (s *Server) runBatchOverlapped(lives []*liveJob, epoch *topology.Epoch) {
+func (s *Server) runBatchOverlapped(lives []liveJob, epoch *topology.Epoch) {
 	rt := s.rt
 	// Batch-start snapshot: every member and every retry seeds from a clone
 	// of this view, never from a live epoch read that could see a mate's
 	// mid-flight absorbs.
 	seed := epoch.View()
 	p := newWavePool(rt.workers)
-	members := make(map[*wavefront]*liveJob, len(lives))
-	var active []*wavefront
-	for _, l := range lives {
+	// attempt builds l's current run's wavefront, or fails the submission.
+	attempt := func(l *liveJob) bool {
 		sv := topology.GetTaskView(seed)
-		w, failed, err := l.r.newWavefront(l.order, l.ranks, l.t.ctx.Err, sv)
+		w, failed, err := l.r.newWavefront(l.t.ctx.Err, sv)
 		if err != nil {
 			topology.PutTaskView(sv)
 			l.r.cleanup()
 			s.forget(l.r)
 			s.fail(l.t, fmt.Errorf("core: job %s task %s: %w", l.t.job.Name(), failed, err))
-			continue
+			return false
 		}
-		p.attach(w)
-		members[w] = l
-		active = append(active, w)
+		l.w = w
+		return true
+	}
+	active := make([]*liveJob, 0, len(lives))
+	drained := make([]*liveJob, 0, len(lives))
+	for i := range lives {
+		if l := &lives[i]; attempt(l) {
+			p.attach(l.w)
+			active = append(active, l)
+		}
 	}
 	if len(active) == 0 {
 		return
@@ -875,18 +880,18 @@ func (s *Server) runBatchOverlapped(lives []*liveJob, epoch *topology.Epoch) {
 	p.mu.Lock()
 	// Grant every member's initial claims before the first launch so the
 	// pool's (rank, submission) tiebreak sees the whole batch at once.
-	for _, w := range active {
-		w.advance()
+	for _, l := range active {
+		l.w.advance()
 	}
 	p.launch()
 	for len(active) > 0 {
-		var drained []*wavefront
+		drained = drained[:0]
 		rest := active[:0]
-		for _, w := range active {
-			if w.drainedLocked() {
-				drained = append(drained, w)
+		for _, l := range active {
+			if l.w.drainedLocked() {
+				drained = append(drained, l)
 			} else {
-				rest = append(rest, w)
+				rest = append(rest, l)
 			}
 		}
 		active = rest
@@ -898,10 +903,9 @@ func (s *Server) runBatchOverlapped(lives []*liveJob, epoch *topology.Epoch) {
 		// region teardown and checkpoint-store I/O, and the pool must keep
 		// dispatching the still-live members meanwhile.
 		p.mu.Unlock()
-		var retries []*wavefront
-		for _, w := range drained {
-			l := members[w]
-			failed, err := w.finalize()
+		var retries []*liveJob
+		for _, l := range drained {
+			failed, err := l.w.finalize()
 			if err == nil {
 				s.complete(l)
 				continue
@@ -916,24 +920,16 @@ func (s *Server) runBatchOverlapped(lives []*liveJob, epoch *topology.Epoch) {
 			if s.rec != nil && l.attempt < s.rec.maxAttempts && l.t.ctx.Err() == nil {
 				rt.tel.Add(telemetry.LayerFault, "job_retries", 1)
 				wait := backoffWait(s.rec, l.attempt)
-				nr := rt.newRun(l.t.job, l.r.schedule, epoch, l.r.ns, l.r.cores)
+				nr := rt.newRun(l.t.job, l.r.g, l.r.schedule, epoch, l.r.ns, l.r.cores)
 				nr.ck, nr.ckID = l.r.ck, l.r.ckID
 				nr.partial = s.rec.partial
 				nr.base = l.r.base + wait
 				l.waits = append(l.waits, wait)
 				l.r = nr
 				l.attempt++
-				sv := topology.GetTaskView(seed)
-				w2, failed2, err2 := nr.newWavefront(l.order, l.ranks, l.t.ctx.Err, sv)
-				if err2 != nil {
-					topology.PutTaskView(sv)
-					nr.cleanup()
-					s.forget(nr)
-					s.fail(l.t, fmt.Errorf("core: job %s task %s: %w", l.t.job.Name(), failed2, err2))
-					continue
+				if attempt(l) {
+					retries = append(retries, l)
 				}
-				members[w2] = l
-				retries = append(retries, w2)
 				continue
 			}
 			s.forget(l.r)
@@ -944,10 +940,10 @@ func (s *Server) runBatchOverlapped(lives []*liveJob, epoch *topology.Epoch) {
 			}
 		}
 		p.mu.Lock()
-		for _, w := range retries {
-			p.attach(w)
-			active = append(active, w)
-			w.advance()
+		for _, l := range retries {
+			p.attach(l.w)
+			active = append(active, l)
+			l.w.advance()
 		}
 		if len(retries) > 0 {
 			p.launch()

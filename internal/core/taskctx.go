@@ -37,11 +37,13 @@ type taskCtx struct {
 	view  *topology.TaskView
 	rank  int
 	fence region.Fence
-	// events is the task's virtual memory-ledger journal, published to the
-	// run on successful completion (wavefront.go); evseq orders same-time
-	// entries within the task.
-	events []memEvent
-	evseq  int
+	// events is the task's journal of the run's virtual memory ledger, which
+	// computePeak sweeps once the run has succeeded (wavefront.go); evseq
+	// orders same-time entries within the task. It starts in journal, which
+	// holds what a task with an output and an input or two notes.
+	events  []memEvent
+	evseq   int
+	journal [4]memEvent
 	// ckRestoreCost is the snapshot Put price stashed by checkpointTask;
 	// on full completion it becomes the entry's deterministic replay price
 	// (Checkpointer.record).
@@ -132,7 +134,7 @@ func (c *taskCtx) Output(size int64) (*region.Handle, error) {
 		return nil, errors.New("core: task already allocated its output")
 	}
 	class := props.Transfer
-	if c.task.NumSuccs() > 1 {
+	if len(c.run.g.Succs(c.rank)) > 1 {
 		// Several consumers: the output must be shareable, i.e. Global
 		// Scratch (Table 2's "data exchange" region).
 		class = props.GlobalScratch
@@ -231,6 +233,9 @@ func (c *taskCtx) Global(name string, class props.RegionClass, size int64) (*reg
 		}
 		c.noteAlloc(g.handle, size)
 		c.run.smu.Lock()
+		if c.run.globals == nil {
+			c.run.globals = make(map[string]*globalEntry)
+		}
 		c.run.globals[name] = g
 		c.run.smu.Unlock()
 		dev, _ := g.handle.DeviceID()
@@ -255,7 +260,7 @@ func (c *taskCtx) pinCompute(dev string) string {
 	if c.run.rt.topo.Addressable(c.compute.ID, dev) {
 		return c.compute.ID
 	}
-	for _, comp := range c.run.rt.topo.Computes() {
+	for _, comp := range c.run.cs.Devices {
 		if c.run.rt.topo.Addressable(comp.ID, dev) {
 			return comp.ID
 		}
@@ -263,17 +268,29 @@ func (c *taskCtx) pinCompute(dev string) string {
 	return c.compute.ID
 }
 
-// scheduledComputes lists the distinct compute devices the schedule uses.
+// scheduledComputes lists the distinct compute devices the schedule uses,
+// in the rank order of their first task.
 func (r *run) scheduledComputes() []string {
-	seen := map[string]bool{}
+	seen := make([]bool, len(r.cs.Devices))
 	var out []string
-	for _, a := range r.schedule.Assignments {
-		if !seen[a.Compute] {
-			seen[a.Compute] = true
+	for _, a := range r.schedule.Tasks {
+		if !seen[a.Dev] {
+			seen[a.Dev] = true
 			out = append(out, a.Compute)
 		}
 	}
 	return out
+}
+
+// report fills in the task's report from what the context recorded.
+func (c *taskCtx) report(start time.Duration) *TaskReport {
+	rep := &c.run.reports[c.rank]
+	*rep = TaskReport{
+		Task: c.task.ID(), Compute: c.compute.ID,
+		Start: start, Finish: c.now,
+		Regions: c.regions, Logs: c.logs,
+	}
+	return rep
 }
 
 // Log implements dataflow.Ctx.

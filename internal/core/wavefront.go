@@ -17,7 +17,7 @@ package core
 //     branch that merely ran earlier in wall-clock time.
 //
 //  2. A rank-ordered core-claim ledger. The task's rank (its topological
-//     index, sched.Ranks) is the global tie-breaker: per compute device,
+//     index, dataflow.Graph) is the global tie-breaker: per compute device,
 //     tasks claim virtual cores strictly in rank order, and a claim is only
 //     granted when the chosen core's availability cannot be altered by any
 //     lower-rank task still in flight on that device (the free core's clock
@@ -58,14 +58,15 @@ package core
 // the sorted journal instead of sampling wall-clock allocator state.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/allocator"
-	"repro/internal/dataflow"
 	"repro/internal/region"
 	"repro/internal/sched"
 	"repro/internal/topology"
@@ -172,7 +173,7 @@ func (p *wavePool) next() (w *wavefront, k int, ok bool) {
 	}
 	k = w.dispatch[0]
 	w.dispatch = w.dispatch[1:]
-	w.state[k] = tsRunning
+	w.slots[k].state = tsRunning
 	w.inflight++
 	p.slots--
 	return w, k, true
@@ -190,7 +191,21 @@ func (p *wavePool) launch() {
 	}
 }
 
-// wavefront is one run's dispatcher state — one member of a wavePool.
+// slot is one task's dispatcher state; a wavefront holds one per rank.
+type slot struct {
+	state      taskState
+	restored   bool  // checkpointed in a prior attempt: restore, don't run
+	reported   bool  // produced a task report (ran or restored to completion)
+	unmet      int32 // remaining predecessor count
+	claimCore  int32
+	claimStart time.Duration
+	finish     time.Duration
+	view       *topology.TaskView // final clock view, once done
+}
+
+// wavefront is one run's dispatcher state — one member of a wavePool. All of
+// it is indexed by task rank (the run's graph) or by compute-device index
+// (the run's compute set); nothing here is looked up by ID.
 type wavefront struct {
 	r      *run
 	pool   *wavePool
@@ -206,25 +221,17 @@ type wavefront struct {
 	seed *topology.TaskView
 	// baseCores snapshots the run's core clocks at wavefront construction,
 	// so a failure can rewind them to the deterministic sequential state.
-	baseCores map[string][]time.Duration
+	// Nil when the run started on private idle clocks: the snapshot is zeros.
+	baseCores []time.Duration
 
-	order    []*dataflow.Task
-	rank     map[string]int
-	devOf    []string // rank → assigned compute device
-	devOrder []string // deterministic device iteration order
-	devs     map[string]*sched.ClaimLedger
-
-	state      []taskState
-	unmet      []int                // remaining predecessor count
-	ready      []bool               // rank is tsReady (the claim ledger's grant mask)
-	readyAt    []time.Duration      // max predecessor finish (virtual)
-	views      []*topology.TaskView // final clock views of done tasks
-	finish     []time.Duration
-	restored   []bool // checkpointed in a prior attempt: restore, don't run
-	reported   []bool // produced a task report (ran or restored to completion)
-	claimCore  []int
-	claimStart []time.Duration
-	dispatch   []int // claimed ranks awaiting a worker slot, ascending
+	slots []slot
+	// ready and readyAt are the claim ledgers' grant mask (rank is tsReady)
+	// and start floor (max predecessor finish, virtual); plain slices because
+	// sched.ClaimLedger.GrantBatch reads them.
+	ready    []bool
+	readyAt  []time.Duration
+	devs     []sched.ClaimLedger // by compute-device index
+	dispatch []int               // claimed ranks awaiting a worker slot, ascending
 
 	inflight int // goroutines launched and not yet returned
 	frontier int // lowest rank not yet done
@@ -242,8 +249,8 @@ type wavefront struct {
 // live region is released and the returned task/error pair identifies the
 // lowest-rank failure. A cancellation (cancel returning non-nil) surfaces
 // as failedTask == "" with the probe's error.
-func (r *run) runWavefront(order []*dataflow.Task, ranks map[string]int, workers int, cancel func() error) (failedTask string, err error) {
-	w, failed, err := r.newWavefront(order, ranks, cancel, r.epoch.View())
+func (r *run) runWavefront(workers int, cancel func() error) (failedTask string, err error) {
+	w, failed, err := r.newWavefront(cancel, r.epoch.View())
 	if err != nil {
 		r.cleanup()
 		return failed, err
@@ -265,52 +272,38 @@ func (r *run) runWavefront(order []*dataflow.Task, ranks map[string]int, workers
 // injection / restore pre-pass. The returned wavefront is not yet attached
 // to a pool. On a validation error the failing task's ID is returned and
 // the caller owns run cleanup.
-func (r *run) newWavefront(order []*dataflow.Task, ranks map[string]int, cancel func() error, seed *topology.TaskView) (*wavefront, string, error) {
+func (r *run) newWavefront(cancel func() error, seed *topology.TaskView) (*wavefront, string, error) {
+	order, plan := r.g.Order, r.schedule.Tasks
 	// Validate the plan up front so scheduling gaps surface as task errors
 	// rather than mid-flight panics.
-	for _, t := range order {
-		asg, ok := r.schedule.Assignments[t.ID()]
-		if !ok {
+	for k, t := range order {
+		if k >= len(plan) || plan[k].Task != t.ID() {
 			return nil, t.ID(), errors.New("core: task missing from schedule")
 		}
-		if _, ok := r.rt.topo.Compute(asg.Compute); !ok {
-			return nil, t.ID(), fmt.Errorf("core: scheduled on unknown device %s", asg.Compute)
+		if d := plan[k].Dev; d < 0 || d >= len(r.cs.Devices) || r.cs.Devices[d].ID != plan[k].Compute {
+			return nil, t.ID(), fmt.Errorf("core: scheduled on unknown device %s", plan[k].Compute)
 		}
 	}
 	n := len(order)
 	w := &wavefront{
 		r: r, cancel: cancel, seed: seed,
-		order: order, rank: ranks,
-		devOf: make([]string, n), devs: make(map[string]*sched.ClaimLedger),
-		state: make([]taskState, n), unmet: make([]int, n), ready: make([]bool, n),
-		readyAt: make([]time.Duration, n), views: make([]*topology.TaskView, n),
-		finish: make([]time.Duration, n), restored: make([]bool, n),
-		reported:  make([]bool, n),
-		claimCore: make([]int, n), claimStart: make([]time.Duration, n),
-		baseCores: make(map[string][]time.Duration, len(r.cores)),
-		failRank:  -1,
+		slots: make([]slot, n), ready: make([]bool, n), readyAt: make([]time.Duration, n),
+		devs:     make([]sched.ClaimLedger, len(r.cs.Devices)),
+		dispatch: make([]int, 0, n), // a rank enters once and leaves from the front: never regrows
+		failRank: -1,
 	}
-	for dev, cs := range r.cores {
-		w.baseCores[dev] = append([]time.Duration(nil), cs...)
+	if !r.idle {
+		w.baseCores = append([]time.Duration(nil), r.cores...)
 	}
-	r.ranks = ranks
-	for k, t := range order {
-		dev := r.schedule.Assignments[t.ID()].Compute
-		w.devOf[k] = dev
-		ds := w.devs[dev]
-		if ds == nil {
-			ds = sched.NewClaimLedger()
-			w.devs[dev] = ds
-			w.devOrder = append(w.devOrder, dev)
-		}
-		ds.Enqueue(k) // ascending: k iterates in rank order
-		w.unmet[k] = t.NumPreds()
-		if w.unmet[k] == 0 {
-			w.state[k] = tsReady
+	for k := range order {
+		w.devs[plan[k].Dev].Enqueue(k) // ascending: k iterates in rank order
+		sl := &w.slots[k]
+		sl.unmet = int32(len(r.g.Preds(k)))
+		if sl.unmet == 0 {
+			sl.state = tsReady
 			w.ready[k] = true
 		}
 	}
-	sort.Strings(w.devOrder)
 
 	// Injection verdicts and restore decisions are taken eagerly in strict
 	// rank order, exactly as the sequential loop would consume them: tasks
@@ -321,14 +314,17 @@ func (r *run) newWavefront(order []*dataflow.Task, ranks map[string]int, cancel 
 	for k, t := range order {
 		if r.ck != nil {
 			if _, ok := r.ck.lookup(r.ckID, t.ID()); ok {
-				w.restored[k] = true
+				w.slots[k].restored = true
+				if r.partial && r.lazy == nil {
+					r.lazy = make([]*lazyRestore, n)
+				}
 				continue
 			}
 		}
 		if r.inject != nil {
 			if err := r.inject.Step(r.ns, t.ID()); err != nil {
 				w.failRank, w.failErr, w.failTask = k, err, t.ID()
-				w.state[k] = tsFailed
+				w.slots[k].state = tsFailed
 				w.ready[k] = false
 				break
 			}
@@ -360,18 +356,20 @@ func (w *wavefront) finalize() (failedTask string, err error) {
 	}
 	if w.failRank >= 0 {
 		if r.ck != nil {
-			for k := w.failRank + 1; k < len(w.order); k++ {
-				if w.state[k] == tsDone && !w.restored[k] {
-					r.ck.drop(r.ckID, w.order[k].ID())
+			for k := w.failRank + 1; k < len(w.slots); k++ {
+				if sl := &w.slots[k]; sl.state == tsDone && !sl.restored {
+					r.ck.drop(r.ckID, r.g.Order[k].ID())
 				}
 			}
 		}
-		for dev, base := range w.baseCores {
-			copy(r.cores[dev], base)
+		if w.baseCores == nil {
+			clear(r.cores)
+		} else {
+			copy(r.cores, w.baseCores)
 		}
-		for k := 0; k <= w.failRank && k < len(w.order); k++ {
-			if w.reported[k] {
-				r.cores[w.devOf[k]][w.claimCore[k]] = w.finish[k]
+		for k := 0; k <= w.failRank && k < len(w.slots); k++ {
+			if sl := &w.slots[k]; sl.reported {
+				r.coresOf(k)[sl.claimCore] = sl.finish
 			}
 		}
 		r.cleanup()
@@ -382,14 +380,20 @@ func (w *wavefront) finalize() (failedTask string, err error) {
 	// Success: fold every task's clock view back into the epoch so batch
 	// mates that run after this job queue behind its device backlog
 	// (sequential batches and RunAll; overlapped members never re-read the
-	// epoch, so for them this is inert bookkeeping).
-	r.epoch.AbsorbViews(w.views...)
+	// epoch, so for them this is inert bookkeeping). The views are merged
+	// into the seed first — the epoch already dominates it, and it is about
+	// to be recycled — so the epoch is locked once.
+	for k := range w.slots {
+		if v := w.slots[k].view; v != nil {
+			w.seed.Merge(v)
+		}
+	}
+	r.epoch.Absorb(w.seed)
 	r.cleanup()
 	w.recycleViews()
 	r.computePeak()
-	r.report.PeakDeviceBytes = r.peak
-	for k := range w.restored {
-		if w.restored[k] {
+	for k := range w.slots {
+		if w.slots[k].restored {
 			r.report.SkippedTasks++
 		}
 	}
@@ -406,9 +410,9 @@ func (w *wavefront) finalize() (failedTask string, err error) {
 // stale handles fail validation before their clock view — possibly one of
 // these, now recycled — would be consulted.
 func (w *wavefront) recycleViews() {
-	for k, v := range w.views {
-		topology.PutTaskView(v) // nil-safe: failed/skipped ranks have no view
-		w.views[k] = nil
+	for k := range w.slots {
+		topology.PutTaskView(w.slots[k].view) // nil-safe: failed/skipped ranks have no view
+		w.slots[k].view = nil
 	}
 	topology.PutTaskView(w.seed)
 	w.seed = nil
@@ -426,7 +430,7 @@ func (w *wavefront) drainedLocked() bool {
 	if w.failRank >= 0 {
 		return w.frontier >= w.failRank
 	}
-	return w.done == len(w.order)
+	return w.done == len(w.slots)
 }
 
 // pump advances this member (claim granting, cancellation probe, failure
@@ -453,21 +457,23 @@ func (w *wavefront) advance() {
 	if w.canceled != nil {
 		return
 	}
-	limit := len(w.order)
+	limit := len(w.slots)
 	if w.failRank >= 0 && w.failRank < limit {
 		limit = w.failRank // nothing at or above the failure rank dispatches
 	}
 	for {
 		progress := false
-		for _, dev := range w.devOrder {
-			ds := w.devs[dev]
+		for dev := range w.devs {
 			// The ledger grants the whole run of consecutive dispatchable
 			// head-of-queue ranks in one pass (sched.GrantBatch), so a
 			// completion that unblocks several ranks costs one critical
-			// section instead of one wakeup each.
-			for _, g := range ds.GrantBatch(w.r.cores[dev], w.r.base, limit, w.ready, w.readyAt) {
-				w.claimCore[g.Rank], w.claimStart[g.Rank] = g.Core, g.Start
-				w.state[g.Rank] = tsClaimed
+			// section instead of one wakeup each. Devices are independent, and
+			// dispatch is kept in rank order, so their order here is immaterial.
+			cores := w.r.cs.Cores(w.r.cores, dev)
+			for _, g := range w.devs[dev].GrantBatch(cores, w.r.base, limit, w.ready, w.readyAt) {
+				sl := &w.slots[g.Rank]
+				sl.claimCore, sl.claimStart = int32(g.Core), g.Start
+				sl.state = tsClaimed
 				w.ready[g.Rank] = false
 				w.dispatch = insertRank(w.dispatch, g.Rank)
 				progress = true
@@ -482,8 +488,8 @@ func (w *wavefront) advance() {
 					keep = append(keep, k)
 					continue
 				}
-				w.devs[w.devOf[k]].Release(w.claimCore[k])
-				w.state[k] = tsSkipped
+				w.ledger(k).Release(int(w.slots[k].claimCore))
+				w.slots[k].state = tsSkipped
 			}
 			w.dispatch = keep
 		}
@@ -508,11 +514,15 @@ func insertRank(s []int, k int) []int {
 // reading them here without the lock is race-free.
 func (w *wavefront) seedView(k int) *topology.TaskView {
 	v := topology.GetTaskView(w.seed)
-	t := w.order[k]
-	for i, n := 0, t.NumPreds(); i < n; i++ {
-		v.Merge(w.views[w.rank[t.Pred(i).ID()]])
+	for _, p := range w.r.g.Preds(k) {
+		v.Merge(w.slots[p].view)
 	}
 	return v
+}
+
+// ledger returns the claim ledger of the device rank k is assigned to.
+func (w *wavefront) ledger(k int) *sched.ClaimLedger {
+	return &w.devs[w.r.schedule.Tasks[k].Dev]
 }
 
 // runTask is a task goroutine: it executes the claimed task (w, k), retires
@@ -533,9 +543,9 @@ func (w *wavefront) runTask(k int) {
 // the dispatcher. It returns the task this goroutine continues with, if the
 // pool has one for the slot it just gave back.
 func (w *wavefront) execAndRetire(k int) (*wavefront, int, bool) {
-	t := w.order[k]
+	sl := &w.slots[k]
 	view := w.seedView(k)
-	fin, rep, err := w.r.execTaskAt(w, k, t, view, w.claimStart[k])
+	fin, rep, err := w.r.execTaskAt(w, k, view, sl.claimStart)
 	// The view is also the task's access ledger: hand its counts to the
 	// shared counters now, however the task ended — ran, failed mid-body,
 	// was aborted at a fence, or was restored — and before it is retired
@@ -547,42 +557,40 @@ func (w *wavefront) execAndRetire(k int) (*wavefront, int, bool) {
 	defer p.mu.Unlock()
 	w.inflight--
 	p.slots++
-	dev := w.devOf[k]
-	w.devs[dev].Release(w.claimCore[k])
+	w.ledger(k).Release(int(sl.claimCore))
 	if rep != nil {
 		// The task ran to completion (possibly with a release error):
 		// its core clock and report are recorded either way, exactly like
 		// the sequential engine.
-		w.reported[k] = true
-		w.r.cores[dev][w.claimCore[k]] = fin
-		w.finish[k] = fin
-		w.r.finish[t.ID()] = fin
-		w.r.report.Tasks[t.ID()] = rep
+		sl.reported = true
+		w.r.coresOf(k)[sl.claimCore] = fin
+		sl.finish = fin
+		w.r.report.Tasks[rep.Task] = rep
 	}
 	if err != nil {
-		w.state[k] = tsFailed
+		sl.state = tsFailed
 		if !errors.Is(err, errWavefrontAborted) && (w.failRank < 0 || k < w.failRank) {
-			w.failRank, w.failErr, w.failTask = k, err, t.ID()
+			w.failRank, w.failErr, w.failTask = k, err, w.r.g.Order[k].ID()
 		}
-		// The failed task's view was never published to w.views, so nothing
+		// The failed task's view was never published to its slot, so nothing
 		// merges from it or prices through it again — recycle it now.
 		topology.PutTaskView(view)
 	} else {
-		w.state[k] = tsDone
+		sl.state = tsDone
 		w.done++
-		w.views[k] = view
-		for i, n := 0, t.NumSuccs(); i < n; i++ {
-			sk := w.rank[t.Succ(i).ID()]
-			w.unmet[sk]--
+		sl.view = view
+		for _, sk := range w.r.g.Succs(k) {
+			succ := &w.slots[sk]
+			succ.unmet--
 			if fin > w.readyAt[sk] {
 				w.readyAt[sk] = fin
 			}
-			if w.unmet[sk] == 0 && w.state[sk] == tsWaiting {
-				w.state[sk] = tsReady
+			if succ.unmet == 0 && succ.state == tsWaiting {
+				succ.state = tsReady
 				w.ready[sk] = true
 			}
 		}
-		for w.frontier < len(w.order) && w.state[w.frontier] == tsDone {
+		for w.frontier < len(w.slots) && w.slots[w.frontier].state == tsDone {
 			w.frontier++
 		}
 	}
@@ -642,83 +650,68 @@ func (w *wavefront) fenceOpenLocked(k int, deps []int) bool {
 		return false
 	}
 	for _, d := range deps {
-		if d < k && w.state[d] != tsDone {
+		if d < k && w.slots[d].state != tsDone {
 			return false
 		}
 	}
 	return true
 }
 
-// computePeak sweeps the run's virtual memory ledger in deterministic
-// (time, rank, seq) order and records the per-device high-water mark.
-// Regions never released (job globals, retained final outputs) stay live
-// through the end of the sweep, matching their actual lifetime.
+// computePeak sweeps the run's virtual memory ledger — every task's journal;
+// in a run that succeeded each task ran to completion, so each journal is
+// whole — in deterministic (time, rank, seq) order and records the per-device
+// high-water mark. Regions never released (job globals, retained final
+// outputs) stay live through the end of the sweep, matching their actual
+// lifetime.
 func (r *run) computePeak() {
-	r.smu.Lock()
-	events := r.events
-	r.events = nil
-	r.smu.Unlock()
-	sort.Slice(events, func(i, j int) bool {
-		a, b := events[i], events[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.rank != b.rank {
-			return a.rank < b.rank
-		}
-		return a.seq < b.seq
+	total := 0
+	for k := range r.ctxs {
+		total += len(r.ctxs[k].events)
+	}
+	events := make([]memEvent, 0, total)
+	for k := range r.ctxs {
+		events = append(events, r.ctxs[k].events...)
+	}
+	slices.SortFunc(events, func(a, b memEvent) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.rank, b.rank), cmp.Compare(a.seq, b.seq))
 	})
 	type liveRegion struct {
 		dev   string
 		bytes int64
 		refs  int
 	}
-	live := make(map[region.ID]*liveRegion)
+	live := make(map[region.ID]liveRegion)
 	cur := make(map[string]int64)
 	bump := func(dev string) {
-		if cur[dev] > r.peak[dev] {
-			r.peak[dev] = cur[dev]
+		if cur[dev] > r.report.PeakDeviceBytes[dev] {
+			r.report.PeakDeviceBytes[dev] = cur[dev]
 		}
 	}
 	for _, e := range events {
-		switch e.kind {
-		case evAlloc:
-			live[e.id] = &liveRegion{dev: e.dev, bytes: e.bytes, refs: 1}
+		lr, known := live[e.id]
+		switch {
+		case e.kind == evAlloc:
+			lr = liveRegion{dev: e.dev, bytes: e.bytes, refs: 1}
 			cur[e.dev] += e.bytes
 			bump(e.dev)
-		case evShare:
-			if lr := live[e.id]; lr != nil {
-				lr.refs++
-			}
-		case evRelease:
-			if lr := live[e.id]; lr != nil {
-				lr.refs--
-				if lr.refs == 0 {
-					cur[lr.dev] -= lr.bytes
-					delete(live, e.id)
-				}
-			}
-		case evMove:
-			if lr := live[e.id]; lr != nil && lr.dev != e.dev {
+		case !known:
+			continue
+		case e.kind == evShare:
+			lr.refs++
+		case e.kind == evRelease:
+			if lr.refs--; lr.refs == 0 {
 				cur[lr.dev] -= lr.bytes
-				lr.dev = e.dev
-				cur[e.dev] += lr.bytes
-				bump(e.dev)
+				delete(live, e.id)
+				continue
 			}
+		case e.kind == evMove && lr.dev != e.dev:
+			cur[lr.dev] -= lr.bytes
+			lr.dev = e.dev
+			cur[e.dev] += lr.bytes
+			bump(e.dev)
 		}
+		live[e.id] = lr
 	}
-}
-
-// flushEvents publishes a completed task's ledger entries. Failed tasks
-// never flush: their run's report is discarded anyway, and partial journals
-// would imbalance the sweep.
-func (r *run) flushEvents(ctx *taskCtx) {
-	if len(ctx.events) == 0 {
-		return
-	}
-	r.smu.Lock()
-	r.events = append(r.events, ctx.events...)
-	r.smu.Unlock()
 }
 
 // note journals one ledger event at the context's current virtual time.

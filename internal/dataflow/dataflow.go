@@ -167,17 +167,54 @@ type Job struct {
 	name  string
 	tasks map[string]*Task
 	order []*Task // insertion order
-	// topo remembers Order's result and the graph it was computed on.
+	// topo remembers Graph's result and the graph it was computed on.
 	topo atomic.Pointer[topoMemo]
 }
 
-// topoMemo is one computed topological order. A job's tasks and edges are
-// only ever added, so the two counts identify the graph it belongs to.
+// topoMemo is one resolved graph. A job's tasks and edges are only ever
+// added, so the two counts identify the graph it belongs to.
 type topoMemo struct {
 	tasks, edges int
-	order        []*Task
+	g            *Graph
 	err          error
 }
+
+// Graph is a job's DAG resolved to ranks: a task's rank is its position in
+// the deterministic topological order, and every edge is held as the ranks
+// at its two ends (compressed rows, one []int32 block). It is what planning
+// and execution index their per-task state by, so none of them looks a task
+// up by ID or pointer. A Graph is shared by every caller and read-only.
+type Graph struct {
+	// Order is the topological order: Order[k] is the task of rank k.
+	Order []*Task
+	// Rank k's in-edges are preds[predOff[k]:predOff[k+1]], in edge-insertion
+	// order (Task.Pred order); its out-edges succs[succOff[k]:succOff[k+1]],
+	// in Task.Succ order with edges out of the job left out. slots is parallel
+	// to succs: the position in preds of the same edge seen from its consumer.
+	predOff, succOff    []int32
+	preds, succs, slots []int32
+}
+
+// Len returns the task count.
+func (g *Graph) Len() int { return len(g.Order) }
+
+// Edges returns the edge count: one slot per edge is what per-edge state
+// (a delivered output awaiting its consumer) is sized by.
+func (g *Graph) Edges() int { return len(g.preds) }
+
+// Preds returns the ranks of rank k's predecessors, in Task.Pred order.
+func (g *Graph) Preds(k int) []int32 { return g.preds[g.predOff[k]:g.predOff[k+1]] }
+
+// Succs returns the ranks of rank k's successors, in Task.Succ order.
+func (g *Graph) Succs(k int) []int32 { return g.succs[g.succOff[k]:g.succOff[k+1]] }
+
+// InSlot returns the edge slot of rank k's first in-edge; its i'th in-edge
+// (from Preds(k)[i]) has slot InSlot(k)+i. Slots number all edges 0..Edges()-1.
+func (g *Graph) InSlot(k int) int { return int(g.predOff[k]) }
+
+// OutSlots is parallel to Succs(k): the slot each out-edge has at its
+// consumer, i.e. OutSlots(k)[i] == InSlot(s)+j where Preds(s)[j] is this edge.
+func (g *Graph) OutSlots(k int) []int32 { return g.slots[g.succOff[k]:g.succOff[k+1]] }
 
 // NewJob creates an empty job.
 func NewJob(name string) *Job {
@@ -239,42 +276,55 @@ func (j *Job) TopoOrder() ([]*Task, error) {
 	return append([]*Task(nil), order...), err
 }
 
-// Order is TopoOrder without the copy: the returned slice is shared by every
-// caller and must not be modified. The order is computed once per graph —
+// Order is TopoOrder without the copy: Graph's order, shared by every caller.
+func (j *Job) Order() ([]*Task, error) {
+	g, err := j.Graph()
+	if err != nil {
+		return nil, err
+	}
+	return g.Order, nil
+}
+
+// Graph returns the job's resolved graph. It is computed once per graph —
 // validation, planning, estimation and execution of a submission all read
 // the same one — and again only after a task or an edge was added. Safe for
 // concurrent callers once the job is no longer being built.
-func (j *Job) Order() ([]*Task, error) {
+func (j *Job) Graph() (*Graph, error) {
 	edges := 0
 	for _, t := range j.order {
 		edges += len(t.succs)
 	}
 	if m := j.topo.Load(); m != nil && m.tasks == len(j.order) && m.edges == edges {
-		return m.order, m.err
+		return m.g, m.err
 	}
-	order, err := j.sortTopo()
-	j.topo.Store(&topoMemo{tasks: len(j.order), edges: edges, order: order, err: err})
-	return order, err
+	g, err := j.resolve()
+	j.topo.Store(&topoMemo{tasks: len(j.order), edges: edges, g: g, err: err})
+	return g, err
 }
 
-// sortTopo is the uncached sort behind Order: Kahn's algorithm over the
+// resolve is the uncached sort behind Graph: Kahn's algorithm over the
 // tasks' insertion indices, the ready set kept ascending so the lowest index
-// is always next.
-func (j *Job) sortTopo() ([]*Task, error) {
+// is always next; then every edge is rewritten from task pointers to ranks.
+func (j *Job) resolve() (*Graph, error) {
 	n := len(j.order)
 	idx := make(map[*Task]int, n)
 	indeg := make([]int, n)
 	ready := make([]int, 0, n)
+	nPreds, nSuccs := 0, 0
 	for i, t := range j.order {
 		idx[t] = i
 		indeg[i] = len(t.preds)
+		nPreds += len(t.preds)
+		nSuccs += len(t.succs)
 		if indeg[i] == 0 {
 			ready = append(ready, i)
 		}
 	}
 	out := make([]*Task, 0, n)
+	rank := make([]int32, n) // insertion index → rank
 	for len(ready) > 0 {
 		t := j.order[ready[0]]
+		rank[ready[0]] = int32(len(out))
 		ready = ready[1:]
 		out = append(out, t)
 		for _, s := range t.succs {
@@ -293,7 +343,42 @@ func (j *Job) sortTopo() ([]*Task, error) {
 	if len(out) != n {
 		return nil, ErrCycle
 	}
-	return out, nil
+	// Every predecessor is in the job (a foreign one would have left its task
+	// unsorted above); a foreign successor is skipped as the sort skipped it.
+	block := make([]int32, 2*(n+1)+nPreds+2*nSuccs)
+	g := &Graph{Order: out, predOff: block[:n+1], succOff: block[n+1 : 2*(n+1)]}
+	block = block[2*(n+1):]
+	g.preds, block = block[:0:nPreds], block[nPreds:]
+	g.succs, g.slots = block[:0:nSuccs], block[nSuccs:nSuccs:2*nSuccs]
+	for k, t := range out {
+		for _, p := range t.preds {
+			g.preds = append(g.preds, rank[idx[p]])
+		}
+		g.predOff[k+1] = int32(len(g.preds))
+		for _, s := range t.succs {
+			if i, mine := idx[s]; mine {
+				g.succs = append(g.succs, rank[i])
+			}
+		}
+		g.succOff[k+1] = int32(len(g.succs))
+	}
+	// Pair each out-edge with its consumer's in-edge: the first one from this
+	// producer not paired yet (Then appends both ends of an edge together, so
+	// a repeated edge pairs up in order).
+	g.slots = g.slots[:len(g.succs)]
+	paired := make([]bool, nPreds)
+	for p := range out {
+		for e := g.succOff[p]; e < g.succOff[p+1]; e++ {
+			s := g.succs[e]
+			for at := g.predOff[s]; at < g.predOff[s+1]; at++ {
+				if g.preds[at] == int32(p) && !paired[at] {
+					paired[at], g.slots[e] = true, at
+					break
+				}
+			}
+		}
+	}
+	return g, nil
 }
 
 // Sources returns tasks with no predecessors.
@@ -321,23 +406,22 @@ func (j *Job) Sinks() []*Task {
 // CriticalPathOps returns the largest sum of Ops along any source→sink path
 // — a device-independent lower bound used by scheduler tests.
 func (j *Job) CriticalPathOps() (float64, error) {
-	order, err := j.Order()
+	g, err := j.Graph()
 	if err != nil {
 		return 0, err
 	}
-	best := make(map[*Task]float64, len(order))
+	best := make([]float64, g.Len())
 	var max float64
-	for _, t := range order {
-		v := t.props.Ops
+	for k, t := range g.Order {
 		var in float64
-		for _, p := range t.preds {
+		for _, p := range g.Preds(k) {
 			if best[p] > in {
 				in = best[p]
 			}
 		}
-		best[t] = in + v
-		if best[t] > max {
-			max = best[t]
+		best[k] = in + t.props.Ops
+		if best[k] > max {
+			max = best[k]
 		}
 	}
 	return max, nil

@@ -17,13 +17,6 @@ import "time"
 // serialize access under their own dispatcher lock, which is where the
 // "one critical section" batching happens.
 
-// Claim is one granted virtual-core reservation: the rank holding the core
-// and the virtual time its task starts.
-type Claim struct {
-	Rank  int
-	Start time.Duration
-}
-
 // Grant is one GrantBatch decision: rank k starts on core at start.
 type Grant struct {
 	Rank  int
@@ -32,17 +25,18 @@ type Grant struct {
 }
 
 // ClaimLedger is the per-compute-device claim state: the ascending queue of
-// ranks still awaiting a core and the claims currently in flight.
+// ranks still awaiting a core and the claims currently in flight. The zero
+// value is an empty ledger.
 type ClaimLedger struct {
-	queue  []int         // ranks awaiting a core claim, ascending
-	held   map[int]Claim // core index → in-flight claim
-	grants []Grant       // reusable GrantBatch result buffer
+	queue []int // ranks awaiting a core claim, ascending
+	// held is indexed by core: the in-flight claim's start plus one, zero for
+	// a free core. Sized by the first grant.
+	held   []time.Duration
+	grants []Grant // reusable GrantBatch result buffer
 }
 
 // NewClaimLedger returns an empty ledger.
-func NewClaimLedger() *ClaimLedger {
-	return &ClaimLedger{held: make(map[int]Claim)}
-}
+func NewClaimLedger() *ClaimLedger { return &ClaimLedger{} }
 
 // Enqueue appends a rank to the claim queue. Callers enqueue in ascending
 // rank order (the wavefront builds queues by iterating ranks 0..n-1).
@@ -50,7 +44,11 @@ func (l *ClaimLedger) Enqueue(rank int) { l.queue = append(l.queue, rank) }
 
 // Release drops the in-flight claim on a core (task finished, or a failure
 // revoked an unlaunched claim).
-func (l *ClaimLedger) Release(core int) { delete(l.held, core) }
+func (l *ClaimLedger) Release(core int) {
+	if core < len(l.held) {
+		l.held[core] = 0
+	}
+}
 
 // GrantBatch grants claims to the longest run of consecutive grantable
 // head-of-queue ranks in one pass and returns them. A rank is grantable when
@@ -66,6 +64,9 @@ func (l *ClaimLedger) Release(core int) { delete(l.held, core) }
 // it before touching the ledger again.
 func (l *ClaimLedger) GrantBatch(cores []time.Duration, base time.Duration, limit int, ready []bool, readyAt []time.Duration) []Grant {
 	l.grants = l.grants[:0]
+	if len(l.held) < len(cores) && len(l.queue) > 0 {
+		l.held = append(l.held, make([]time.Duration, len(cores)-len(l.held))...)
+	}
 	for len(l.queue) > 0 {
 		k := l.queue[0]
 		if k >= limit || !ready[k] {
@@ -85,7 +86,7 @@ func (l *ClaimLedger) GrantBatch(cores []time.Duration, base time.Duration, limi
 		if base > start {
 			start = base
 		}
-		l.held[cand] = Claim{Rank: k, Start: start}
+		l.held[cand] = start + 1
 		l.grants = append(l.grants, Grant{Rank: k, Core: cand, Start: start})
 		l.queue = l.queue[1:]
 	}
@@ -97,7 +98,7 @@ func (l *ClaimLedger) GrantBatch(cores []time.Duration, base time.Duration, limi
 func (l *ClaimLedger) freeCore(cores []time.Duration) (int, bool) {
 	best, found := 0, false
 	for i := range cores {
-		if _, busy := l.held[i]; busy {
+		if l.held[i] != 0 {
 			continue
 		}
 		if !found || cores[i] < cores[best] {
@@ -111,9 +112,9 @@ func (l *ClaimLedger) freeCore(cores []time.Duration) (int, bool) {
 func (l *ClaimLedger) minHeldStart() (time.Duration, bool) {
 	var min time.Duration
 	found := false
-	for _, c := range l.held {
-		if !found || c.Start < min {
-			min, found = c.Start, true
+	for _, s := range l.held {
+		if s != 0 && (!found || s-1 < min) {
+			min, found = s-1, true
 		}
 	}
 	return min, found

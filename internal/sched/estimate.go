@@ -33,17 +33,18 @@ type Estimate struct {
 }
 
 // upwardRanks computes the HEFT cost-model primitives shared by scheduling
-// and estimation: the topological order, each task's mean execution time
-// across its eligible devices, and each task's upward rank (critical-path
-// length to a sink under mean costs).
-func upwardRanks(job *dataflow.Job, topo *topology.Topology) ([]*dataflow.Task, map[*dataflow.Task]time.Duration, map[*dataflow.Task]time.Duration, error) {
-	order, err := job.Order()
-	if err != nil {
+// and estimation, indexed by rank: the job's graph, each task's mean
+// execution time across its eligible devices, and each task's upward rank
+// (critical-path length to a sink under mean costs).
+func upwardRanks(job *dataflow.Job, cs *topology.ComputeSet) (g *dataflow.Graph, meanExec, rank []time.Duration, err error) {
+	if g, err = job.Graph(); err != nil {
 		return nil, nil, nil, err
 	}
-	meanExec := make(map[*dataflow.Task]time.Duration, len(order))
-	for _, t := range order {
-		devs := eligible(t, topo)
+	n := g.Len()
+	buf := make([]time.Duration, 2*n)
+	meanExec, rank = buf[:n], buf[n:]
+	for k, t := range g.Order {
+		devs := eligible(t, cs)
 		if len(devs) == 0 {
 			return nil, nil, nil, fmt.Errorf("%w: %s wants %s", ErrNoDevice, t.ID(), t.Props().Compute)
 		}
@@ -51,54 +52,55 @@ func upwardRanks(job *dataflow.Job, topo *topology.Topology) ([]*dataflow.Task, 
 		for _, d := range devs {
 			sum += execTime(t, d)
 		}
-		meanExec[t] = sum / time.Duration(len(devs))
-	}
-	// Mean communication: a representative cross-device figure.
-	meanComm := func(t *dataflow.Task) time.Duration {
-		b := t.Props().OutputBytes
-		if b <= 0 {
-			return 0
-		}
-		return time.Duration(float64(b) / 20e9 * float64(time.Second))
+		meanExec[k] = sum / time.Duration(len(devs))
 	}
 	// Upward ranks, computed in reverse topological order.
-	rank := make(map[*dataflow.Task]time.Duration, len(order))
-	for i := len(order) - 1; i >= 0; i-- {
-		t := order[i]
+	for k := n - 1; k >= 0; k-- {
+		// Mean communication: a representative cross-device figure.
+		var meanComm time.Duration
+		if b := g.Order[k].Props().OutputBytes; b > 0 {
+			meanComm = time.Duration(float64(b) / 20e9 * float64(time.Second))
+		}
 		var max time.Duration
-		for i, n := 0, t.NumSuccs(); i < n; i++ {
-			v := meanComm(t) + rank[t.Succ(i)]
-			if v > max {
+		for _, s := range g.Succs(k) {
+			if v := meanComm + rank[s]; v > max {
 				max = v
 			}
 		}
-		rank[t] = meanExec[t] + max
+		rank[k] = meanExec[k] + max
 	}
-	return order, meanExec, rank, nil
+	return g, meanExec, rank, nil
 }
 
 // EstimateJob prices a job on an idle topology with scheduler s (nil gives
 // HEFT). The returned schedule is the plan the estimate is derived from —
 // callers that go on to execute the job can reuse it instead of replanning,
 // which is how the serving path keeps SLO admission from doubling the
-// scheduling cost of every accepted submission.
+// scheduling cost of every accepted submission. Under HEFT the estimate and
+// the plan come from one pass over the cost model.
 func EstimateJob(job *dataflow.Job, topo *topology.Topology, s Scheduler) (Estimate, *Schedule, error) {
 	if s == nil {
 		s = HEFT{}
 	}
-	schedule, err := s.Schedule(job, topo)
+	if err := job.Validate(); err != nil {
+		return Estimate{}, nil, err
+	}
+	cs := topo.ComputeSet()
+	g, meanExec, rank, err := upwardRanks(job, cs)
 	if err != nil {
 		return Estimate{}, nil, err
 	}
-	order, meanExec, rank, err := upwardRanks(job, topo)
-	if err != nil {
+	var schedule *Schedule
+	if _, isHEFT := s.(HEFT); isHEFT {
+		schedule = heft(g, cs, rank, nil)
+	} else if schedule, err = s.Schedule(job, topo); err != nil {
 		return Estimate{}, nil, err
 	}
-	est := Estimate{Makespan: schedule.Makespan, Tasks: len(order)}
-	for _, t := range order {
-		est.TotalWork += meanExec[t]
-		if rank[t] > est.CriticalPath {
-			est.CriticalPath = rank[t]
+	est := Estimate{Makespan: schedule.Makespan, Tasks: g.Len()}
+	for k := range g.Order {
+		est.TotalWork += meanExec[k]
+		if rank[k] > est.CriticalPath {
+			est.CriticalPath = rank[k]
 		}
 	}
 	return est, schedule, nil

@@ -11,9 +11,10 @@
 package sched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/dataflow"
@@ -24,32 +25,30 @@ import (
 type Assignment struct {
 	Task    string
 	Compute string
+	Dev     int // Compute's dense index (topology.ComputeDevice.Index)
 	Start   time.Duration
 	Finish  time.Duration
 }
 
 // Schedule is a full plan for a job.
 type Schedule struct {
-	Policy      string
-	Assignments map[string]Assignment
-	Makespan    time.Duration
+	Policy string
+	// Tasks holds one assignment per task in rank order: Tasks[k] places the
+	// task at position k of the job's topological order (dataflow.Job.Order),
+	// which is the index internal/core executes by.
+	Tasks    []Assignment
+	Makespan time.Duration
 }
 
-// Order returns task IDs sorted by scheduled start (ties by ID) — the
-// execution order internal/core follows.
-func (s *Schedule) Order() []string {
-	ids := make([]string, 0, len(s.Assignments))
-	for id := range s.Assignments {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		sa, sb := s.Assignments[ids[a]], s.Assignments[ids[b]]
-		if sa.Start != sb.Start {
-			return sa.Start < sb.Start
+// Of returns the assignment of a task by ID — for validation, tests and
+// tables; planning and execution index Tasks by rank.
+func (s *Schedule) Of(task string) (Assignment, bool) {
+	for k := range s.Tasks {
+		if s.Tasks[k].Task == task {
+			return s.Tasks[k], true
 		}
-		return ids[a] < ids[b]
-	})
-	return ids
+	}
+	return Assignment{}, false
 }
 
 // BatchBefore is the deterministic cross-job dispatch order used when a
@@ -74,12 +73,12 @@ type Scheduler interface {
 // ErrNoDevice is returned when a task's device preference cannot be met.
 var ErrNoDevice = errors.New("sched: no compute device satisfies the task's preference")
 
-// eligible returns the compute devices a task may run on.
-func eligible(t *dataflow.Task, topo *topology.Topology) []*topology.ComputeDevice {
+// eligible returns the compute devices a task may run on (a shared list).
+func eligible(t *dataflow.Task, cs *topology.ComputeSet) []*topology.ComputeDevice {
 	if kind, ok := t.Props().Compute.Kind(); ok {
-		return topo.ComputesByKind(kind)
+		return cs.ByKind(kind)
 	}
-	return topo.Computes()
+	return cs.Devices
 }
 
 // execTime estimates a task's run time on a device from its declared Ops.
@@ -94,38 +93,47 @@ func execTime(t *dataflow.Task, c *topology.ComputeDevice) time.Duration {
 // commTime estimates moving `bytes` from the producer's device to the
 // consumer's. Same device → free (ownership transfer, Fig. 4). Otherwise we
 // price the cheapest path between the two compute endpoints.
-func commTime(topo *topology.Topology, from, to string, bytes int64) time.Duration {
+func commTime(cs *topology.ComputeSet, from, to int, bytes int64) time.Duration {
 	if from == to || bytes <= 0 {
 		return 0
 	}
-	p, ok := topo.Path(from, to)
+	lat, bandwidth, ok := cs.Link(from, to)
 	if !ok {
 		return time.Millisecond // effectively discourages the pairing
 	}
-	xfer := time.Duration(float64(bytes) / p.Bandwidth * float64(time.Second))
-	return p.Latency + xfer
+	xfer := time.Duration(float64(bytes) / bandwidth * float64(time.Second))
+	return lat + xfer
 }
 
-// coreState tracks per-core availability for one compute device.
-type coreState struct {
-	cores []time.Duration
-}
-
-func newCoreState(c *topology.ComputeDevice, initial []time.Duration) *coreState {
-	cores := make([]time.Duration, c.Cores)
-	copy(cores, initial)
-	return &coreState{cores: cores}
-}
-
-// earliest returns the index and free time of the first available core.
-func (cs *coreState) earliest() (int, time.Duration) {
-	best, bestAt := 0, cs.cores[0]
-	for i, at := range cs.cores {
+// earliest returns the index and free time of a device's first available
+// core (lowest index on ties).
+func earliest(cores []time.Duration) (int, time.Duration) {
+	best, bestAt := 0, cores[0]
+	for i, at := range cores {
 		if at < bestAt {
 			best, bestAt = i, at
 		}
 	}
 	return best, bestAt
+}
+
+// place is the placement step HEFT and the list baselines share: task k of
+// the graph goes on device c at the earliest time its inputs have arrived
+// there and one of c's cores is free. asg holds the assignments made so far
+// (every predecessor's), cores the flat per-core availability table.
+func place(g *dataflow.Graph, cs *topology.ComputeSet, asg []Assignment, cores []time.Duration, k int, c *topology.ComputeDevice) (core int, start, finish time.Duration) {
+	var ready time.Duration
+	for _, p := range g.Preds(k) {
+		arr := asg[p].Finish + commTime(cs, asg[p].Dev, c.Index(), g.Order[p].Props().OutputBytes)
+		if arr > ready {
+			ready = arr
+		}
+	}
+	core, start = earliest(cs.Cores(cores, c.Index()))
+	if ready > start {
+		start = ready
+	}
+	return core, start, start + execTime(g.Order[k], c)
 }
 
 // HEFT is the cost-model scheduler.
@@ -139,70 +147,53 @@ func (h HEFT) Schedule(job *dataflow.Job, topo *topology.Topology) (*Schedule, e
 	return h.ScheduleLoaded(job, topo, nil)
 }
 
-// ScheduleLoaded plans the job onto a machine that is already busy:
-// initial[device] gives per-core times before which nothing can start —
-// how the runtime packs concurrently submitted jobs across the cluster.
-func (HEFT) ScheduleLoaded(job *dataflow.Job, topo *topology.Topology, initial map[string][]time.Duration) (*Schedule, error) {
+// ScheduleLoaded plans the job onto a machine that is already busy: initial
+// is a flat per-core table (topology.ComputeSet.Cores) of times before which
+// nothing can start — how the runtime packs concurrently submitted jobs
+// across the cluster. Nil is an idle machine.
+func (HEFT) ScheduleLoaded(job *dataflow.Job, topo *topology.Topology, initial []time.Duration) (*Schedule, error) {
 	if err := job.Validate(); err != nil {
 		return nil, err
 	}
-	order, _, rank, err := upwardRanks(job, topo)
+	cs := topo.ComputeSet()
+	g, _, rank, err := upwardRanks(job, cs)
 	if err != nil {
 		return nil, err
 	}
+	return heft(g, cs, rank, initial), nil
+}
+
+// heft is the HEFT placement loop over precomputed upward ranks.
+func heft(g *dataflow.Graph, cs *topology.ComputeSet, rank, initial []time.Duration) *Schedule {
 	// Priority: rank descending (ties by topological position for
 	// determinism and dependency safety).
-	pos := make(map[*dataflow.Task]int, len(order))
-	for i, t := range order {
-		pos[t] = i
+	prio := make([]int32, g.Len())
+	for k := range prio {
+		prio[k] = int32(k)
 	}
-	prio := append([]*dataflow.Task(nil), order...)
-	sort.SliceStable(prio, func(a, b int) bool {
-		if rank[prio[a]] != rank[prio[b]] {
-			return rank[prio[a]] > rank[prio[b]]
-		}
-		return pos[prio[a]] < pos[prio[b]]
-	})
+	slices.SortStableFunc(prio, func(a, b int32) int { return cmp.Compare(rank[b], rank[a]) })
 
-	states := make(map[string]*coreState)
-	for _, c := range topo.Computes() {
-		states[c.ID] = newCoreState(c, initial[c.ID])
-	}
-	asg := make(map[string]Assignment, len(order))
-	placedOn := make(map[*dataflow.Task]string, len(order))
-	var makespan time.Duration
-	for _, t := range prio {
-		bestDev, bestCore := "", -1
+	cores := make([]time.Duration, cs.NumCores())
+	copy(cores, initial)
+	s := &Schedule{Policy: "HEFT", Tasks: make([]Assignment, g.Len())}
+	for _, k := range prio {
+		t := g.Order[k]
+		var best *topology.ComputeDevice
+		bestCore := -1
 		var bestStart, bestFinish time.Duration
-		for _, c := range eligible(t, topo) {
-			// Ready time: all predecessor outputs delivered to c.
-			var ready time.Duration
-			for i, n := 0, t.NumPreds(); i < n; i++ {
-				p := t.Pred(i)
-				pa := asg[p.ID()]
-				arr := pa.Finish + commTime(topo, placedOn[p], c.ID, p.Props().OutputBytes)
-				if arr > ready {
-					ready = arr
-				}
-			}
-			core, free := states[c.ID].earliest()
-			start := ready
-			if free > start {
-				start = free
-			}
-			finish := start + execTime(t, c)
-			if bestDev == "" || finish < bestFinish {
-				bestDev, bestCore, bestStart, bestFinish = c.ID, core, start, finish
+		for _, c := range eligible(t, cs) {
+			core, start, finish := place(g, cs, s.Tasks, cores, int(k), c)
+			if best == nil || finish < bestFinish {
+				best, bestCore, bestStart, bestFinish = c, core, start, finish
 			}
 		}
-		states[bestDev].cores[bestCore] = bestFinish
-		asg[t.ID()] = Assignment{Task: t.ID(), Compute: bestDev, Start: bestStart, Finish: bestFinish}
-		placedOn[t] = bestDev
-		if bestFinish > makespan {
-			makespan = bestFinish
+		cs.Cores(cores, best.Index())[bestCore] = bestFinish
+		s.Tasks[k] = Assignment{Task: t.ID(), Compute: best.ID, Dev: best.Index(), Start: bestStart, Finish: bestFinish}
+		if bestFinish > s.Makespan {
+			s.Makespan = bestFinish
 		}
 	}
-	return &Schedule{Policy: "HEFT", Assignments: asg, Makespan: makespan}, nil
+	return s
 }
 
 // FIFO assigns tasks in topological order to the first eligible device kind
@@ -239,56 +230,37 @@ func listSchedule(job *dataflow.Job, topo *topology.Topology, policy string,
 	if err := job.Validate(); err != nil {
 		return nil, err
 	}
-	order, err := job.Order()
+	g, err := job.Graph()
 	if err != nil {
 		return nil, err
 	}
-	states := make(map[string]*coreState)
-	for _, c := range topo.Computes() {
-		states[c.ID] = newCoreState(c, nil)
-	}
-	asg := make(map[string]Assignment, len(order))
-	placedOn := make(map[*dataflow.Task]string, len(order))
-	var makespan time.Duration
-	for i, t := range order {
-		devs := eligible(t, topo)
+	cs := topo.ComputeSet()
+	cores := make([]time.Duration, cs.NumCores())
+	s := &Schedule{Policy: policy, Tasks: make([]Assignment, g.Len())}
+	for k, t := range g.Order {
+		devs := eligible(t, cs)
 		if len(devs) == 0 {
 			return nil, fmt.Errorf("%w: %s wants %s", ErrNoDevice, t.ID(), t.Props().Compute)
 		}
-		c := pick(t, devs, i)
-		var ready time.Duration
-		for i, n := 0, t.NumPreds(); i < n; i++ {
-			p := t.Pred(i)
-			pa := asg[p.ID()]
-			arr := pa.Finish + commTime(topo, placedOn[p], c.ID, p.Props().OutputBytes)
-			if arr > ready {
-				ready = arr
-			}
-		}
-		core, free := states[c.ID].earliest()
-		start := ready
-		if free > start {
-			start = free
-		}
-		finish := start + execTime(t, c)
-		states[c.ID].cores[core] = finish
-		asg[t.ID()] = Assignment{Task: t.ID(), Compute: c.ID, Start: start, Finish: finish}
-		placedOn[t] = c.ID
-		if finish > makespan {
-			makespan = finish
+		c := pick(t, devs, k)
+		core, start, finish := place(g, cs, s.Tasks, cores, k, c)
+		cs.Cores(cores, c.Index())[core] = finish
+		s.Tasks[k] = Assignment{Task: t.ID(), Compute: c.ID, Dev: c.Index(), Start: start, Finish: finish}
+		if finish > s.Makespan {
+			s.Makespan = finish
 		}
 	}
-	return &Schedule{Policy: policy, Assignments: asg, Makespan: makespan}, nil
+	return s, nil
 }
 
 // Validate checks a schedule against the job: every task assigned exactly
 // once, precedence respected, and per-core capacity never exceeded.
 func Validate(job *dataflow.Job, topo *topology.Topology, s *Schedule) error {
-	if len(s.Assignments) != job.Len() {
-		return fmt.Errorf("sched: %d assignments for %d tasks", len(s.Assignments), job.Len())
+	if len(s.Tasks) != job.Len() {
+		return fmt.Errorf("sched: %d assignments for %d tasks", len(s.Tasks), job.Len())
 	}
 	for _, t := range job.Tasks() {
-		a, ok := s.Assignments[t.ID()]
+		a, ok := s.Of(t.ID())
 		if !ok {
 			return fmt.Errorf("sched: task %s unassigned", t.ID())
 		}
@@ -304,7 +276,7 @@ func Validate(job *dataflow.Job, topo *topology.Topology, s *Schedule) error {
 		}
 		for i, n := 0, t.NumPreds(); i < n; i++ {
 			p := t.Pred(i)
-			pa := s.Assignments[p.ID()]
+			pa, _ := s.Of(p.ID())
 			if a.Start < pa.Finish {
 				return fmt.Errorf("sched: task %s starts before predecessor %s finishes", t.ID(), p.ID())
 			}
@@ -312,7 +284,7 @@ func Validate(job *dataflow.Job, topo *topology.Topology, s *Schedule) error {
 	}
 	// Capacity: count overlapping tasks per device at each start instant.
 	byDev := make(map[string][]Assignment)
-	for _, a := range s.Assignments {
+	for _, a := range s.Tasks {
 		byDev[a.Compute] = append(byDev[a.Compute], a)
 	}
 	for dev, as := range byDev {
@@ -330,34 +302,4 @@ func Validate(job *dataflow.Job, topo *topology.Topology, s *Schedule) error {
 		}
 	}
 	return nil
-}
-
-// Ranks returns every task's deterministic execution rank — its index in
-// the job's topological order (Kahn's algorithm with insertion-index
-// tie-breaking, so the result is stable run-to-run). The wavefront executor
-// uses the rank as the global tie-breaker wherever two ready tasks contend
-// for the same virtual core, which is what keeps parallel dispatch
-// byte-for-byte deterministic. The order itself (dataflow.Job.Order: shared,
-// read-only) is returned alongside.
-func Ranks(job *dataflow.Job) (map[string]int, []*dataflow.Task, error) {
-	order, err := job.Order()
-	if err != nil {
-		return nil, nil, err
-	}
-	ranks := make(map[string]int, len(order))
-	for i, t := range order {
-		ranks[t.ID()] = i
-	}
-	return ranks, order, nil
-}
-
-// PredCounts returns every task's unmet-predecessor count — the wavefront
-// executor's initial ready-set state: tasks with a zero count are
-// immediately dispatchable.
-func PredCounts(job *dataflow.Job) map[string]int {
-	counts := make(map[string]int, job.Len())
-	for _, t := range job.Tasks() {
-		counts[t.ID()] = t.NumPreds()
-	}
-	return counts
 }

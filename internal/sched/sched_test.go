@@ -44,6 +44,16 @@ func fanoutJob(width int, ops float64) *dataflow.Job {
 	return j
 }
 
+// of is Schedule.Of for a task the schedule must hold.
+func of(t testing.TB, s *Schedule, task string) Assignment {
+	t.Helper()
+	a, ok := s.Of(task)
+	if !ok {
+		t.Fatalf("%s schedule has no assignment for %s", s.Policy, task)
+	}
+	return a
+}
+
 func allSchedulers() []Scheduler {
 	return []Scheduler{HEFT{}, FIFO{}, RoundRobin{}}
 }
@@ -76,10 +86,10 @@ func TestDevicePreferenceRespected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := sch.Assignments["train"].Compute; got != "node0/gpu0" {
+		if got := of(t, sch, "train").Compute; got != "node0/gpu0" {
 			t.Errorf("%s put the GPU task on %s", s.Name(), got)
 		}
-		c, _ := topo.Compute(sch.Assignments["prep"].Compute)
+		c, _ := topo.Compute(of(t, sch, "prep").Compute)
 		if c.Kind != topology.CPU {
 			t.Errorf("%s put the CPU task on %s", s.Name(), c.Kind)
 		}
@@ -110,7 +120,7 @@ func TestHEFTPrefersFastDevices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sch.Assignments["crunch"].Compute; got != "node0/tpu0" {
+	if got := of(t, sch, "crunch").Compute; got != "node0/tpu0" {
 		t.Errorf("HEFT put the heavy task on %s, want the TPU", got)
 	}
 }
@@ -141,33 +151,13 @@ func TestChainRespectsPrecedenceTimes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prevFinish := sch.Assignments["a"].Finish
+		prevFinish := of(t, sch, "a").Finish
 		for _, id := range []string{"b", "c", "d", "e"} {
-			a := sch.Assignments[id]
+			a := of(t, sch, id)
 			if a.Start < prevFinish {
 				t.Errorf("%s: %s starts at %v before predecessor finished at %v", s.Name(), id, a.Start, prevFinish)
 			}
 			prevFinish = a.Finish
-		}
-	}
-}
-
-func TestScheduleOrderSortsByStart(t *testing.T) {
-	topo := testbed(t)
-	sch, err := HEFT{}.Schedule(fanoutJob(4, 1e6), topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	order := sch.Order()
-	if order[0] != "src" {
-		t.Errorf("first scheduled must be src, got %s", order[0])
-	}
-	if order[len(order)-1] != "sink" {
-		t.Errorf("last scheduled must be sink, got %s", order[len(order)-1])
-	}
-	for i := 1; i < len(order); i++ {
-		if sch.Assignments[order[i]].Start < sch.Assignments[order[i-1]].Start {
-			t.Fatal("Order() must be non-decreasing in start time")
 		}
 	}
 }
@@ -184,8 +174,8 @@ func TestCommCostDiscouragesPointlessMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sch.Assignments["a"].Compute != sch.Assignments["b"].Compute {
-		t.Errorf("1 GiB handover split across %s and %s", sch.Assignments["a"].Compute, sch.Assignments["b"].Compute)
+	if of(t, sch, "a").Compute != of(t, sch, "b").Compute {
+		t.Errorf("1 GiB handover split across %s and %s", of(t, sch, "a").Compute, of(t, sch, "b").Compute)
 	}
 }
 
@@ -198,18 +188,13 @@ func TestValidateCatchesBrokenSchedules(t *testing.T) {
 	}
 	// Break precedence.
 	bad := *sch
-	bad.Assignments = map[string]Assignment{}
-	for k, v := range sch.Assignments {
-		bad.Assignments[k] = v
-	}
-	a := bad.Assignments["b"]
-	a.Start = 0
-	bad.Assignments["b"] = a
+	bad.Tasks = append([]Assignment(nil), sch.Tasks...)
+	bad.Tasks[1].Start = 0 // b, the chain's second task
 	if err := Validate(job, topo, &bad); err == nil {
 		t.Error("precedence violation must be caught")
 	}
 	// Drop a task.
-	delete(bad.Assignments, "c")
+	bad.Tasks = bad.Tasks[:2]
 	if err := Validate(job, topo, &bad); err == nil {
 		t.Error("missing assignment must be caught")
 	}
@@ -227,9 +212,9 @@ func TestSchedulerDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for id, a1 := range s1.Assignments {
-			if a2 := s2.Assignments[id]; a1 != a2 {
-				t.Fatalf("%s: nondeterministic assignment for %s: %+v vs %+v", s.Name(), id, a1, a2)
+		for k, a1 := range s1.Tasks {
+			if a2 := s2.Tasks[k]; a1 != a2 {
+				t.Fatalf("%s: nondeterministic assignment for %s: %+v vs %+v", s.Name(), a1.Task, a1, a2)
 			}
 		}
 	}

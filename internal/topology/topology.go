@@ -58,7 +58,13 @@ type ComputeDevice struct {
 	Node  string  // hosting node (chassis); "" for none
 	Gops  float64 // billions of scalar ops per second, the scheduler's speed model
 	Cores int     // parallel task slots
+
+	idx int // dense index, assigned by AddCompute: the device's slot in a ComputeSet
 }
+
+// Index returns the device's dense index in its topology: its position in
+// insertion order, and its slot in every table a ComputeSet describes.
+func (c *ComputeDevice) Index() int { return c.idx }
 
 // LinkKind tags interconnect technologies, mostly for reporting.
 type LinkKind uint8
@@ -150,6 +156,9 @@ type Topology struct {
 	// version counts graph changes (AddCompute, AddMemory, Connect): what a
 	// holder of state derived from the graph compares to know it is current.
 	version atomic.Uint64
+	// cset is the compute side of the graph resolved at one version; see
+	// ComputeSet.
+	cset atomic.Pointer[ComputeSet]
 }
 
 // New returns an empty topology.
@@ -175,6 +184,7 @@ func (t *Topology) AddCompute(c *ComputeDevice) error {
 	if c.Cores <= 0 {
 		c.Cores = 1
 	}
+	c.idx = len(t.computeOrder)
 	t.computes[c.ID] = c
 	t.computeOrder = append(t.computeOrder, c.ID)
 	t.version.Add(1) // no route changes, but EffectiveCaps now answers for c.ID
@@ -256,13 +266,82 @@ func (t *Topology) Memory(id string) (*memsim.Device, bool) {
 	return t.mems[i], true
 }
 
-// Computes returns all compute devices in insertion order.
-func (t *Topology) Computes() []*ComputeDevice {
-	out := make([]*ComputeDevice, 0, len(t.computeOrder))
-	for _, id := range t.computeOrder {
-		out = append(out, t.computes[id])
+// ComputeSet is the compute side of the graph resolved for one Version():
+// the devices by dense index, the per-kind lists, and where each device's
+// cores sit in one flat per-core table — what planning and execution index
+// their per-device state by instead of the device ID. It is resolved on
+// first use, shared and immutable; a graph change drops it.
+type ComputeSet struct {
+	// Devices lists the compute devices in insertion order; a device's
+	// position is its Index().
+	Devices []*ComputeDevice
+
+	topo    *Topology
+	version uint64
+	kinds   [FPGA + 1][]*ComputeDevice
+	coreOff []int32 // len(Devices)+1: device i's cores are [coreOff[i], coreOff[i+1])
+	// links is the Devices×Devices matrix of compute-to-compute routes, each
+	// resolved (and memoized in the topology's routing cache) on first use.
+	links []atomic.Pointer[Route]
+}
+
+// ComputeSet returns the resolved compute side of the current graph.
+func (t *Topology) ComputeSet() *ComputeSet {
+	v := t.Version()
+	if cs := t.cset.Load(); cs != nil && cs.version == v {
+		return cs
 	}
-	return out
+	n := len(t.computeOrder)
+	cs := &ComputeSet{
+		Devices: make([]*ComputeDevice, n), topo: t, version: v,
+		coreOff: make([]int32, n+1), links: make([]atomic.Pointer[Route], n*n),
+	}
+	for i, id := range t.computeOrder {
+		c := t.computes[id]
+		cs.Devices[i] = c
+		cs.coreOff[i+1] = cs.coreOff[i] + int32(c.Cores)
+		if int(c.Kind) < len(cs.kinds) {
+			cs.kinds[c.Kind] = append(cs.kinds[c.Kind], c)
+		}
+	}
+	t.cset.Store(cs)
+	return cs
+}
+
+// ByKind lists the devices of one kind, in insertion order. The list is
+// shared: read-only.
+func (cs *ComputeSet) ByKind(k ComputeKind) []*ComputeDevice {
+	if int(k) >= len(cs.kinds) {
+		return nil
+	}
+	return cs.kinds[k]
+}
+
+// NumCores is the length of the flat per-core table: every device's cores.
+func (cs *ComputeSet) NumCores() int { return int(cs.coreOff[len(cs.Devices)]) }
+
+// Cores returns device dev's window of a flat per-core table.
+func (cs *ComputeSet) Cores(table []time.Duration, dev int) []time.Duration {
+	return table[cs.coreOff[dev]:cs.coreOff[dev+1]]
+}
+
+// Link returns the latency and bandwidth of the cheapest path between two
+// compute devices — what moving a task's output from one to the other is
+// priced with; ok is false when no path joins them.
+func (cs *ComputeSet) Link(from, to int) (lat time.Duration, bandwidth float64, ok bool) {
+	cell := &cs.links[from*len(cs.Devices)+to]
+	rt := cell.Load()
+	if rt == nil {
+		rt = cs.topo.resolve(cs.Devices[from].ID, cs.Devices[to].ID)
+		cell.Store(rt)
+	}
+	return rt.Path.Latency, rt.Path.Bandwidth, rt.reachable
+}
+
+// Computes returns all compute devices in insertion order. The slice is the
+// caller's own copy; loops that only read use ComputeSet().Devices.
+func (t *Topology) Computes() []*ComputeDevice {
+	return append([]*ComputeDevice(nil), t.ComputeSet().Devices...)
 }
 
 // Memories returns all memory devices in insertion order.
@@ -270,15 +349,10 @@ func (t *Topology) Memories() []*memsim.Device {
 	return append([]*memsim.Device(nil), t.mems...)
 }
 
-// ComputesByKind returns compute devices of the given kind.
+// ComputesByKind returns compute devices of the given kind, as the caller's
+// own copy; loops that only read use ComputeSet().ByKind.
 func (t *Topology) ComputesByKind(k ComputeKind) []*ComputeDevice {
-	var out []*ComputeDevice
-	for _, c := range t.Computes() {
-		if c.Kind == k {
-			out = append(out, c)
-		}
-	}
-	return out
+	return append([]*ComputeDevice(nil), t.ComputeSet().ByKind(k)...)
 }
 
 // Path routes from one endpoint to another, minimizing latency (ties broken
