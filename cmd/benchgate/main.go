@@ -11,7 +11,8 @@
 // benchgate extracts, per benchmark name, every `<value> <unit>` metric
 // pair whose unit is listed in -metrics. "Worse" has a direction per unit:
 // the standard cost units of the testing package (ns/op, B/op, allocs/op)
-// are lower-is-better and require current ≤ (1 + tolerance) × baseline;
+// and every other bytes-per-operation unit (restored-B/op) are
+// lower-is-better and require current ≤ (1 + tolerance) × baseline;
 // every other unit (jobs/s, speedup, admitted, ...) is higher-is-better and
 // requires current ≥ (1 - tolerance) × baseline. A unit may carry its own
 // tolerance as unit:tolerance — `-metrics ns/op:2,allocs/op:0` lets time
@@ -47,9 +48,10 @@ import (
 type metrics map[string]map[string]float64 // bench name → unit → value
 
 // lowerIsBetter reports the direction of a unit: the testing package's cost
-// units shrink when things improve, everything else grows.
+// units, and any other count of bytes per operation (restored-B/op), shrink
+// when things improve; everything else grows.
 func lowerIsBetter(unit string) bool {
-	return unit == "ns/op" || unit == "B/op" || unit == "allocs/op"
+	return unit == "ns/op" || unit == "allocs/op" || strings.HasSuffix(unit, "B/op")
 }
 
 // parseUnits reads a -metrics list: comma-separated units, each optionally

@@ -139,6 +139,20 @@ func TestGateBothDirections(t *testing.T) {
 	}
 }
 
+// TestByteUnitsAreCosts: a benchmark's own bytes-per-operation metric gates
+// like B/op — growing fails, shrinking does not.
+func TestByteUnitsAreCosts(t *testing.T) {
+	units := map[string]float64{"restored-B/op": 0}
+	base := mustParse(t, capture(t, "BenchmarkRecover/partial \t 2\t 10 ns/op\t 196608 restored-B/op"), units)
+	for restored, wantFail := range map[string]bool{"196608": false, "65536": false, "196609": true} {
+		cur := mustParse(t, capture(t, "BenchmarkRecover/partial-2 \t 2\t 10 ns/op\t "+restored+" restored-B/op"), units)
+		var log strings.Builder
+		if compared, failed := gate(&log, base, cur, units); compared != 1 || failed != wantFail {
+			t.Errorf("%s restored-B/op: gate = (%d compared, failed %v), want (1, %v)\n%s", restored, compared, failed, wantFail, log.String())
+		}
+	}
+}
+
 // TestGateVacuousAndSkipped: nothing in common compares nothing (main turns
 // that into a failure), and a non-positive baseline of a higher-is-better
 // unit is skipped rather than divided by.

@@ -25,7 +25,6 @@ type options struct {
 	workers       int
 	queue         int
 	batch         int
-	overlap       bool
 	recover       bool
 	partialReplay bool
 	faultRate     float64
@@ -54,7 +53,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.workers, "workers", 4, "serve mode: epoch workers in the pool")
 	fs.IntVar(&o.queue, "queue", 64, "serve mode: admission queue depth")
 	fs.IntVar(&o.batch, "batch", 8, "serve mode: max jobs folded into one shared epoch")
-	fs.BoolVar(&o.overlap, "overlap", true, "serve mode: overlap whole jobs of a batch on the shared worker pool (false = legacy job-after-job batches)")
 	fs.BoolVar(&o.recover, "recover", false, "checkpointed recovery: retry failed jobs, restoring completed tasks")
 	fs.BoolVar(&o.partialReplay, "partialreplay", false, "with -recover: restore checkpoint payloads lazily, skipping store reads no re-executed task needs")
 	fs.Float64Var(&o.faultRate, "faultrate", 0, "inject one deterministic fault into this fraction of task sites (0..1)")

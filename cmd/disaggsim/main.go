@@ -55,7 +55,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/fault"
@@ -126,7 +125,7 @@ func main() {
 	if o.faultRate > 0 {
 		inject = fault.NewInjector(uint64(o.seed), o.faultRate, 1)
 	}
-	rt, err := core.New(core.Config{
+	rt, err := core.New(core.ExecConfig{
 		Topology: topo, Placer: placer, Scheduler: scheduler, Telemetry: tel,
 		Inject: inject, Workers: o.execWorkers,
 	})
@@ -134,53 +133,13 @@ func main() {
 		fatal(err)
 	}
 
-	if o.stream {
-		if err := serveStream(rt, tel, streamOpts{
-			windows: o.windows, workers: o.workers,
-			queueDepth: o.queue, maxBatch: o.batch,
-			crashWindow: o.crashWindow, recover: o.recover,
-			partialReplay: o.partialReplay, maxAttempts: o.maxAttempts,
-		}); err != nil {
-			fatal(err)
+	if o.stream || o.serve {
+		if o.stream {
+			err = serveStream(rt, o)
+		} else {
+			err = serveJobs(rt, buildJob, o, scheduler, inject)
 		}
-		if o.profile {
-			fmt.Println()
-			fmt.Print(tel.Report())
-		}
-		writeTrace(tel, o.trace)
-		return
-	}
-
-	if o.serve && o.shards > 1 {
-		if err := serveSharded(buildJob, shardServeOpts{
-			serveOpts: serveOpts{
-				jobName: o.job, jobList: o.jobs,
-				workers: o.workers, queueDepth: o.queue, maxBatch: o.batch,
-				overlap: o.overlap,
-				recover: o.recover, partialReplay: o.partialReplay,
-				maxAttempts: o.maxAttempts, inject: inject,
-			},
-			shards: o.shards, crash: o.crash, migrate: o.migrate,
-			scheduler: scheduler, exec: o.execWorkers, tel: tel,
-		}); err != nil {
-			fatal(err)
-		}
-		if o.profile {
-			fmt.Println()
-			fmt.Print(tel.Report())
-		}
-		writeTrace(tel, o.trace)
-		return
-	}
-
-	if o.serve {
-		if err := serveJobs(rt, tel, buildJob, serveOpts{
-			jobName: o.job, jobList: o.jobs,
-			workers: o.workers, queueDepth: o.queue, maxBatch: o.batch,
-			overlap: o.overlap,
-			recover: o.recover, partialReplay: o.partialReplay,
-			maxAttempts: o.maxAttempts, inject: inject,
-		}); err != nil {
+		if err != nil {
 			fatal(err)
 		}
 		if o.profile {
@@ -215,48 +174,25 @@ func main() {
 		return
 	}
 
-	var job *dataflow.Job
-	switch o.job {
-	case "hospital":
-		job = workload.Hospital(workload.DefaultHospital())
-	case "dbms":
-		job = workload.DBMS(workload.DefaultDBMS())
-	case "ml":
-		job = workload.ML(workload.DefaultML())
-	case "hpc":
-		job = workload.HPC(workload.DefaultHPC())
-	case "streaming":
-		job = workload.StreamWindow(workload.DefaultStream(), 0)
-	case "graph":
-		job = workload.Graph(workload.DefaultGraph())
-	default:
-		fatal(fmt.Errorf("unknown job %q", o.job))
+	job, err := buildJob(o.job)
+	if err != nil {
+		fatal(err)
 	}
 
 	var rep *core.Report
 	if o.recover {
-		store, err := newCheckpointStore()
-		if err != nil {
-			fatal(err)
-		}
-		run := rt.RunWithRecovery
-		if o.partialReplay {
-			run = rt.RunWithPartialReplay
-		}
-		var attempts int
-		rep, attempts, err = run(job, core.NewCheckpointer(store), o.maxAttempts)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("recovered run: %d attempt(s), %d restore(s), %d task(s) skipped, %d replayed, %d bytes restored\n",
-			attempts, tel.Counter(telemetry.LayerFault, "restores"),
-			rep.SkippedTasks, rep.ReplayedTasks,
-			tel.Counter(telemetry.LayerFault, "restored_bytes"))
+		rep, err = rt.Run(job, *recoveryPolicy(o))
 	} else {
 		rep, err = rt.Run(job)
-		if err != nil {
-			fatal(err)
-		}
+	}
+	if err != nil {
+		fatal(err)
+	}
+	if o.recover {
+		fmt.Printf("recovered run: %d attempt(s), %d restore(s), %d task(s) skipped, %d replayed, %d bytes restored\n",
+			rep.Attempts, tel.Counter(telemetry.LayerFault, "restores"),
+			rep.SkippedTasks, rep.ReplayedTasks,
+			tel.Counter(telemetry.LayerFault, "restored_bytes"))
 	}
 	fmt.Print(rep.String())
 	fmt.Println("\npeak device allocation:")
@@ -272,32 +208,31 @@ func main() {
 	writeTrace(tel, o.trace)
 }
 
-// serveOpts bundles the serve-mode flags.
-type serveOpts struct {
-	jobName, jobList              string
-	workers, queueDepth, maxBatch int
-	overlap                       bool
-	recover                       bool
-	partialReplay                 bool
-	maxAttempts                   int
-	inject                        *fault.Injector
-}
-
-// newCheckpointStore builds the CLI's checkpoint store: a 2-way replicated
-// far-memory store over a private 3-node fabric.
-func newCheckpointStore() (fault.Store, error) {
-	f := cluster.NewFabric(cluster.Config{})
-	for i := 0; i < 3; i++ {
-		if err := f.AddNode(fmt.Sprintf("ckmem%d", i), 1<<28); err != nil {
-			return nil, err
-		}
+// recoveryPolicy is -recover as a policy: checkpoints go to the engine's
+// default store (2-way replicated over a private 3-node fabric). Nil without
+// the flag.
+func recoveryPolicy(o *options) *core.RecoveryPolicy {
+	if !o.recover {
+		return nil
 	}
-	return fault.NewReplicatedStore(f, 2)
+	return &core.RecoveryPolicy{MaxAttempts: o.maxAttempts, PartialReplay: o.partialReplay}
 }
 
-// serveJobs drives core.Server from parallel goroutines: -jobs is either a
-// plain number (that many copies of -job) or a comma-separated mix.
-func serveJobs(rt *core.Runtime, tel *telemetry.Registry, buildJob func(string) (*dataflow.Job, error), o serveOpts) error {
+// serverConfig is the one ServerConfig behind -serve and -stream, whether one
+// server is built from it or a cluster of them.
+func serverConfig(o *options) core.ServerConfig {
+	return core.ServerConfig{
+		EpochWorkers: o.workers, QueueDepth: o.queue, MaxBatch: o.batch,
+		Block: true, Recovery: recoveryPolicy(o),
+	}
+}
+
+// serveJobs is serve mode. -jobs is either a plain number (that many copies
+// of -job) or a comma-separated mix; every job goes through one
+// core.Submitter — a server over rt, or with -shards N a cluster of N servers
+// (shard.go) — enqueued up front via the ticket API and then collected, so no
+// per-submission goroutine is needed.
+func serveJobs(rt *core.Runtime, buildJob func(string) (*dataflow.Job, error), o *options, scheduler sched.Scheduler, inject *fault.Injector) error {
 	names := serveJobNames(o)
 	jobs := make([]*dataflow.Job, len(names))
 	for i, name := range names {
@@ -308,64 +243,70 @@ func serveJobs(rt *core.Runtime, tel *telemetry.Registry, buildJob func(string) 
 		jobs[i] = j
 	}
 
-	cfg := core.ServerConfig{
-		Runtime: rt, EpochWorkers: o.workers, QueueDepth: o.queueDepth,
-		MaxBatch: o.maxBatch, Block: true, Sequential: !o.overlap,
-	}
-	if o.recover {
-		store, err := newCheckpointStore()
-		if err != nil {
-			return err
+	var (
+		sub core.Submitter
+		sc  *shardedServe // what -shards adds; nil without it
+		err error
+	)
+	cfg := serverConfig(o)
+	if o.shards > 1 {
+		// Each shard builds its own runtime, so hand over what rt was built
+		// from — except the placer, which is bound to rt's topology.
+		cfg.ExecConfig = core.ExecConfig{
+			Scheduler: scheduler, Workers: o.execWorkers, Inject: inject, Telemetry: rt.Telemetry(),
 		}
-		cfg.Recovery = &core.RecoveryPolicy{
-			Store: store, MaxAttempts: o.maxAttempts,
-			PartialReplay: o.partialReplay,
+		if sc, err = startSharded(cfg, o); err == nil {
+			sub = sc.c
 		}
+	} else {
+		cfg.Runtime = rt
+		sub, err = core.NewServer(cfg)
 	}
-	srv, err := core.NewServer(cfg)
 	if err != nil {
 		return err
 	}
-	// Async submission: enqueue every job up front via the ticket API, then
-	// collect outcomes — no per-submission goroutine needed.
+
 	tickets := make([]*core.Ticket, len(jobs))
 	for i, j := range jobs {
-		tk, err := srv.SubmitAsync(context.Background(), j)
-		if err != nil {
+		if tickets[i], err = sub.SubmitAsync(context.Background(), j); err != nil {
 			return err
 		}
-		tickets[i] = tk
+		if sc != nil && i == len(jobs)/2 {
+			if err := sc.crash(i + 1); err != nil {
+				return err
+			}
+		}
 	}
-	type outcome struct {
-		rep *core.Report
-		err error
-	}
-	results := make([]outcome, len(jobs))
+	failed := 0
 	for i, tk := range tickets {
 		rep, err := tk.Wait(context.Background())
-		results[i] = outcome{rep, err}
-	}
-	if err := srv.Close(context.Background()); err != nil {
-		return err
-	}
-
-	mode := "overlapped"
-	if !o.overlap {
-		mode = "sequential"
-	}
-	fmt.Printf("served %d jobs across %d workers (queue %d, batch %d, %s batches)\n",
-		len(jobs), o.workers, o.queueDepth, o.maxBatch, mode)
-	for i, out := range results {
-		if out.err != nil {
-			fmt.Printf("  %-16s #%-3d FAILED: %v\n", names[i], i, out.err)
+		if err != nil {
+			failed++
+			fmt.Printf("  %-16s #%-3d FAILED: %v\n", names[i], i, err)
 			continue
 		}
-		line := fmt.Sprintf("  %-16s #%-3d makespan %12v", names[i], i, out.rep.Makespan)
-		if out.rep.Attempts > 1 {
-			line += fmt.Sprintf("  (recovered, %d attempts)", out.rep.Attempts)
+		line := fmt.Sprintf("  %-16s #%-3d ", names[i], i)
+		if rep.Shard != "" {
+			line += fmt.Sprintf("on %-7s ", rep.Shard)
+		}
+		line += fmt.Sprintf("makespan %12v", rep.Makespan)
+		if rep.Attempts > 1 {
+			line += fmt.Sprintf("  (recovered, %d attempts)", rep.Attempts)
+		}
+		if rep.SkippedTasks > 0 {
+			line += fmt.Sprintf("  (resumed: %d tasks restored)", rep.SkippedTasks)
 		}
 		fmt.Println(line)
 	}
+	fmt.Printf("served %d of %d jobs: %d shard(s), %d workers each (queue %d, batch %d)\n",
+		len(jobs)-failed, len(jobs), max(o.shards, 1), o.workers, o.queue, o.batch)
+	if sc != nil {
+		sc.finish()
+	}
+	if err := sub.Close(context.Background()); err != nil {
+		return err
+	}
+	tel := sub.Runtime().Telemetry()
 	fmt.Printf("admission: admitted %d, completed %d, rejected %d, canceled %d, failed %d, epochs %d\n",
 		tel.Counter(telemetry.LayerRuntime, "server_admitted"),
 		tel.Counter(telemetry.LayerRuntime, "server_completed"),
@@ -377,9 +318,9 @@ func serveJobs(rt *core.Runtime, tel *telemetry.Registry, buildJob func(string) 
 		fmt.Printf("queue wait: p50 %v, p99 %v, max %v (n=%d)\n",
 			h.Quantile(0.50), h.Quantile(0.99), h.Max(), h.Count())
 	}
-	if o.inject != nil || o.recover {
+	if inject != nil || o.recover {
 		fmt.Printf("faults: injected %d; recovery: retries %d, checkpoints %d, restores %d, recovered jobs %d\n",
-			o.inject.Injected(),
+			inject.Injected(),
 			tel.Counter(telemetry.LayerFault, "job_retries"),
 			tel.Counter(telemetry.LayerFault, "checkpoints"),
 			tel.Counter(telemetry.LayerFault, "restores"),
@@ -389,6 +330,22 @@ func serveJobs(rt *core.Runtime, tel *telemetry.Registry, buildJob func(string) 
 			tel.Counter(telemetry.LayerFault, "lazy_hydrations"))
 	}
 	return nil
+}
+
+// serveJobNames expands -jobs/-job into the submission name list.
+func serveJobNames(o *options) []string {
+	n, err := strconv.Atoi(strings.TrimSpace(o.jobs))
+	switch {
+	case o.jobs == "":
+		n = 8
+	case err != nil || n <= 0:
+		return splitTrim(o.jobs)
+	}
+	names := make([]string, n)
+	for i := range names {
+		names[i] = o.job
+	}
+	return names
 }
 
 func writeTrace(tel *telemetry.Registry, path string) {
@@ -410,8 +367,6 @@ func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "disaggsim:", err)
 	os.Exit(1)
 }
-
-func atoiTrim(s string) (int, error) { return strconv.Atoi(strings.TrimSpace(s)) }
 
 func splitTrim(s string) []string {
 	var out []string

@@ -1,65 +1,37 @@
 package main
 
-// Sharded serve mode (-serve -shards N): submissions are routed by
-// consistent hash across N core.Server shards over the cluster fabric, and
-// -crash demonstrates failover — a shard dies mid-stream and its in-flight
-// jobs are re-routed to survivors (resuming from checkpoints with
-// -recover).
+// What -shards N adds to serve mode (serveJobs in main.go): submissions are
+// routed by consistent hash across N core.Server shards over the cluster
+// fabric; -crash kills a shard mid-stream — its in-flight jobs are re-routed
+// to survivors, resuming from checkpoints with -recover — and -migrate sweeps
+// cold regions into remote shards' memory while jobs are in flight.
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"repro"
 	"repro/internal/core"
-	"repro/internal/dataflow"
-	"repro/internal/sched"
-	"repro/internal/telemetry"
 )
 
-// shardServeOpts extends serveOpts for the sharded path.
-type shardServeOpts struct {
-	serveOpts
-	shards    int
-	crash     int  // shard to crash mid-stream; -1 disables
-	migrate   bool // evict cold regions to remote shards' pools while serving
-	scheduler sched.Scheduler
-	exec      int
-	tel       *telemetry.Registry
+// shardedServe is the cluster behind a sharded serve run and the demo's
+// moving parts around it.
+type shardedServe struct {
+	c *repro.Cluster
+	o *options
+	// sweeping is closed to stop the -migrate maintenance goroutine, swept
+	// when it has stopped.
+	sweeping, swept chan struct{}
 }
 
-// serveSharded drives a shard.Cluster with the serve-mode workload. Each
+// startSharded builds the cluster from the per-shard server template. Each
 // shard owns a private runtime (default testbed topology, best-fit placer),
 // so the -placer flag does not apply here. Identical workloads share a
-// routing key by design — consistent hashing co-locates them — so pass a
-// mix (-jobs hospital,dbms,ml,...) to spread load across shards.
-func serveSharded(buildJob func(string) (*dataflow.Job, error), o shardServeOpts) error {
-	names := serveJobNames(o.serveOpts)
-	jobs := make([]*dataflow.Job, len(names))
-	for i, name := range names {
-		j, err := buildJob(name)
-		if err != nil {
-			return err
-		}
-		jobs[i] = j
-	}
-
-	scfg := core.ServerConfig{
-		EpochWorkers: o.workers, QueueDepth: o.queueDepth,
-		MaxBatch: o.maxBatch, Block: true, Sequential: !o.overlap,
-	}
-	scfg.Scheduler = o.scheduler
-	scfg.Workers = o.exec
-	scfg.Inject = o.inject
-	scfg.Telemetry = o.tel
-	if o.recover {
-		scfg.Recovery = &core.RecoveryPolicy{
-			MaxAttempts: o.maxAttempts, PartialReplay: o.partialReplay,
-		}
-	}
+// routing key by design — consistent hashing co-locates them — so pass a mix
+// (-jobs hospital,dbms,ml,...) to spread load across shards.
+func startSharded(cfg core.ServerConfig, o *options) (*shardedServe, error) {
 	ccfg := repro.ClusterConfig{
-		Shards: o.shards, Server: scfg, TrackLoad: true, Migrate: o.migrate,
+		Shards: o.shards, Server: cfg, TrackLoad: true, Migrate: o.migrate,
 	}
 	if o.migrate {
 		// Demo watermark: the built-in workloads never fill a device, so
@@ -69,73 +41,51 @@ func serveSharded(buildJob func(string) (*dataflow.Job, error), o shardServeOpts
 	}
 	c, err := repro.NewCluster(ccfg)
 	if err != nil {
+		return nil, err
+	}
+	sc := &shardedServe{c: c, o: o, sweeping: make(chan struct{}), swept: make(chan struct{})}
+	if !o.migrate {
+		close(sc.swept)
+		return sc, nil
+	}
+	// A maintenance goroutine sweeps every shard while jobs are in flight:
+	// cold regions are exported to remote shards' pools and recalled on next
+	// access. Virtual time never sees the sweeps — the per-job reports are
+	// byte-identical with or without them.
+	go func() {
+		defer close(sc.swept)
+		for {
+			select {
+			case <-sc.sweeping:
+				return
+			default:
+			}
+			c.Rebalance(0)
+			time.Sleep(200 * time.Microsecond)
+		}
+	}()
+	return sc, nil
+}
+
+// crash kills the -crash shard, if one was named, with inFlight submissions
+// behind it.
+func (sc *shardedServe) crash(inFlight int) error {
+	if sc.o.crash < 0 || sc.o.crash >= sc.o.shards {
+		return nil
+	}
+	if err := sc.c.Crash(sc.o.crash); err != nil {
 		return err
 	}
+	fmt.Printf("crashed shard%d with %d submissions in flight\n", sc.o.crash, inFlight)
+	return nil
+}
 
-	// With -migrate, a maintenance goroutine sweeps every shard while jobs
-	// are in flight: cold regions are exported to remote shards' pools and
-	// recalled on next access. Virtual time never sees the sweeps — the
-	// per-job reports below are byte-identical with or without them.
-	stopSweeps := make(chan struct{})
-	sweepsDone := make(chan struct{})
-	if o.migrate {
-		go func() {
-			defer close(sweepsDone)
-			for {
-				select {
-				case <-stopSweeps:
-					return
-				default:
-				}
-				c.Rebalance(0) //nolint:errcheck // best-effort maintenance
-				time.Sleep(200 * time.Microsecond)
-			}
-		}()
-	} else {
-		close(sweepsDone)
-	}
-
-	tickets := make([]*core.Ticket, len(jobs))
-	for i, j := range jobs {
-		tk, err := c.SubmitAsync(context.Background(), j)
-		if err != nil {
-			return err
-		}
-		tickets[i] = tk
-		if o.crash >= 0 && o.crash < o.shards && i == len(jobs)/2 {
-			if err := c.Crash(o.crash); err != nil {
-				return err
-			}
-			fmt.Printf("crashed shard%d with %d submissions in flight\n", o.crash, i+1)
-		}
-	}
-	var failed int
-	for i, tk := range tickets {
-		rep, err := tk.Wait(context.Background())
-		if err != nil {
-			failed++
-			fmt.Printf("  %-16s #%-3d FAILED: %v\n", names[i], i, err)
-			continue
-		}
-		line := fmt.Sprintf("  %-16s #%-3d on %-7s makespan %12v", names[i], i, rep.Shard, rep.Makespan)
-		if rep.SkippedTasks > 0 {
-			line += fmt.Sprintf("  (resumed: %d tasks restored)", rep.SkippedTasks)
-		}
-		fmt.Println(line)
-	}
-	close(stopSweeps)
-	<-sweepsDone
-	stats := c.Stats()
-	var mig repro.MigrationStats
-	if o.migrate {
-		mig = c.MigrationStats()
-	}
-	if err := c.Close(context.Background()); err != nil {
-		return err
-	}
-
-	fmt.Printf("served %d jobs across %d shards (%d workers each)\n", len(jobs)-failed, o.shards, o.workers)
-	for _, st := range stats {
+// finish ends the sweeps and prints the per-shard ledger, which reads the
+// live fabric: call it before the cluster closes.
+func (sc *shardedServe) finish() {
+	close(sc.sweeping)
+	<-sc.swept
+	for _, st := range sc.c.Stats() {
 		state := "up"
 		if st.Down {
 			state = "DOWN"
@@ -144,27 +94,9 @@ func serveSharded(buildJob func(string) (*dataflow.Job, error), o shardServeOpts
 			st.Name, state, st.Submitted, st.Admitted, st.Rerouted, st.Completed,
 			time.Duration(st.EstWorkNs), st.Fabric.Verbs, st.Fabric.Bytes)
 	}
-	if o.migrate {
+	if sc.o.migrate {
+		mig := sc.c.MigrationStats()
 		fmt.Printf("migration: %d regions exported (%d bytes), %d recalled (%d bytes), %d live remote, verb time %v\n",
 			mig.Exported, mig.BytesOut, mig.Recalled, mig.BytesBack, mig.Live, mig.VerbTime)
 	}
-	return nil
-}
-
-// serveJobNames expands -jobs/-job into the submission name list (shared
-// with the single-server serve path).
-func serveJobNames(o serveOpts) []string {
-	var names []string
-	if n, err := atoiTrim(o.jobList); err == nil && n > 0 {
-		for i := 0; i < n; i++ {
-			names = append(names, o.jobName)
-		}
-	} else if o.jobList != "" {
-		names = splitTrim(o.jobList)
-	} else {
-		for i := 0; i < 8; i++ {
-			names = append(names, o.jobName)
-		}
-	}
-	return names
 }

@@ -18,34 +18,15 @@ import (
 	"repro/internal/workload"
 )
 
-// streamOpts bundles the stream-mode flags.
-type streamOpts struct {
-	windows, workers, queueDepth, maxBatch int
-	crashWindow                            int
-	recover, partialReplay                 bool
-	maxAttempts                            int
-}
-
 // serveStream drives one stream (and, with -crashwindow, its resumed
 // successor) through the serving engine.
-func serveStream(rt *core.Runtime, tel *telemetry.Registry, o streamOpts) error {
+func serveStream(rt *core.Runtime, o *options) error {
 	if o.crashWindow >= 0 && !o.recover {
 		return fmt.Errorf("-crashwindow requires -recover (resume restores from checkpoints)")
 	}
-	cfg := core.ServerConfig{
-		Runtime: rt, EpochWorkers: o.workers,
-		QueueDepth: o.queueDepth, MaxBatch: o.maxBatch, Block: true,
-	}
-	if o.recover {
-		store, err := newCheckpointStore()
-		if err != nil {
-			return err
-		}
-		cfg.Recovery = &core.RecoveryPolicy{
-			Store: store, MaxAttempts: o.maxAttempts,
-			PartialReplay: o.partialReplay,
-		}
-	}
+	tel := rt.Telemetry()
+	cfg := serverConfig(o)
+	cfg.Runtime = rt
 	srv, err := core.NewServer(cfg)
 	if err != nil {
 		return err

@@ -139,9 +139,9 @@ func main() {
 	}
 }
 
-// runOnce builds a fresh serving stack — one server, or a repro.Cluster
-// when shards > 1 — replays the traffic, and tears the stack down. Sharded
-// runs also return the per-shard routing/admission stats.
+// runOnce builds a fresh serving stack — a core.Submitter: one server, or a
+// repro.Cluster when shards > 1 — replays the traffic through it, and tears it
+// down. Sharded runs also return the per-shard routing/admission stats.
 func runOnce(cfg loadgen.Config, shards, workers, maxBatch, queue int, downTier bool, scaleMax int, scaleTarget time.Duration) (*loadgen.Result, []repro.ShardStats, error) {
 	scfg := core.ServerConfig{
 		EpochWorkers: workers, MaxBatch: maxBatch, QueueDepth: queue,
@@ -156,32 +156,27 @@ func runOnce(cfg loadgen.Config, shards, workers, maxBatch, queue int, downTier 
 	}
 
 	var (
-		target loadgen.Target
-		stats  func() []repro.ShardStats
-		closer func(context.Context) error
+		sub   core.Submitter
+		stats = func() []repro.ShardStats { return nil }
+		err   error
 	)
 	if shards > 1 {
-		c, err := repro.NewCluster(repro.ClusterConfig{Shards: shards, Server: scfg, TrackLoad: true})
-		if err != nil {
-			return nil, nil, err
+		var c *repro.Cluster
+		if c, err = repro.NewCluster(repro.ClusterConfig{Shards: shards, Server: scfg, TrackLoad: true}); err == nil {
+			sub, stats = c, c.Stats
 		}
-		target, stats, closer = c, c.Stats, c.Close
 	} else {
-		srv, err := core.NewServer(scfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		target, closer = srv, srv.Close
+		sub, err = core.NewServer(scfg)
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 
-	res, err := loadgen.Run(context.Background(), target, cfg)
-	var shardStats []repro.ShardStats
-	if stats != nil {
-		shardStats = stats() // before Close: Stats reads the live fabric
-	}
+	res, err := loadgen.Run(context.Background(), sub, cfg)
+	shardStats := stats() // before Close: Stats reads the live fabric
 	closeCtx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	if cerr := closer(closeCtx); err == nil {
+	if cerr := sub.Close(closeCtx); err == nil {
 		err = cerr
 	}
 	if err != nil {
@@ -189,8 +184,8 @@ func runOnce(cfg loadgen.Config, shards, workers, maxBatch, queue int, downTier 
 	}
 	if scaleMax > 0 {
 		fmt.Printf("loadgen: auto-scaler: scale-ups=%d scale-downs=%d\n",
-			target.Runtime().Telemetry().Counter("runtime", "server_scale_up"),
-			target.Runtime().Telemetry().Counter("runtime", "server_scale_down"))
+			sub.Runtime().Telemetry().Counter("runtime", "server_scale_up"),
+			sub.Runtime().Telemetry().Counter("runtime", "server_scale_down"))
 	}
 	return res, shardStats, nil
 }

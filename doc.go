@@ -37,11 +37,13 @@
 // # Serving
 //
 // [NewServer] wraps a Runtime in an admission-controlled serving engine:
-// a bounded queue, a worker pool that folds concurrent jobs into shared
-// virtual-time epochs, and whole-job overlap inside each batch.
+// a bounded queue, and a worker pool that folds concurrent jobs into
+// batches and overlaps whole jobs inside each batch while every job's
+// Report stays what Runtime.Run alone would have produced.
 // [Server.SubmitAsync] enqueues without blocking and returns a [Ticket];
-// Ticket.Wait collects the job's Report later. See
-// [ExampleServer_SubmitAsync].
+// Ticket.Wait collects the job's Report later. A Server is a [Submitter],
+// and so is a [Cluster]: a driver written against the interface serves
+// both. See [ExampleServer_SubmitAsync].
 //
 // # Sharded serving and the cluster fabric
 //
@@ -77,18 +79,22 @@
 // recovery is reproducible. Task outputs are checkpointed through a
 // [Checkpointer] into a fault-tolerant far-memory [FaultStore]
 // ([NewReplicatedStore], or the erasure-coded store in internal/fault).
-// Runtime.RunWithRecovery retries a failed job, completing checkpointed
-// tasks from their snapshots instead of re-executing them.
+// A [RecoveryPolicy] turns that on: passed to Runtime.Run it makes one run
+// fault-tolerant, set as ServerConfig.Recovery it does the same for every
+// served job — one mechanism, so the same job and fault report the same
+// bytes whichever door the job came through. A failed job is retried in
+// place, on its own virtual clock, completing checkpointed tasks from
+// their snapshots instead of re-executing them; [Report] says how many
+// attempts it took, what each waited, and how many tasks were skipped and
+// replayed.
 //
-// Runtime.RunWithPartialReplay is the lazy variant: the retry resumes from
-// the failed task onward, and a snapshot's payload is fetched from the
-// store only when a re-executed task actually reads it — snapshots whose
-// consumers were themselves checkpointed are never transferred. Virtual
-// time is unaffected by the laziness: partial replay produces a Report
-// byte-identical to full replay at any worker count, including for batch
-// mates of the failing job under a serving [RecoveryPolicy]. See
-// [ExampleRuntime_RunWithPartialReplay] and DESIGN.md for the equivalence
-// argument.
+// RecoveryPolicy.PartialReplay is the lazy variant: a snapshot's payload
+// is fetched from the store only when a re-executed task actually reads
+// it — snapshots whose consumers were themselves checkpointed are never
+// transferred. Virtual time is unaffected by the laziness: partial replay
+// produces a Report byte-identical to full replay at any worker count,
+// including for batch mates of the failing job. See [ExampleRuntime_Run]
+// and DESIGN.md for the equivalence argument.
 //
 // # Where to look next
 //

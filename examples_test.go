@@ -99,13 +99,14 @@ func ExampleServer_SubmitAsync() {
 	// etl-b: 3 tasks in 1 attempt(s)
 }
 
-// ExampleRuntime_RunWithPartialReplay recovers a job whose sink fails once.
-// The retry completes the two checkpointed upstream tasks from their
-// snapshots (skipped) and re-executes only the failed sink (replayed);
-// partial replay additionally fetches a snapshot's payload from the store
-// only when a re-executed task actually reads it. The recovered report is
-// byte-identical to RunWithRecovery's.
-func ExampleRuntime_RunWithPartialReplay() {
+// ExampleRuntime_Run recovers a job whose sink fails once: Run takes an
+// optional RecoveryPolicy. The retry completes the two checkpointed upstream
+// tasks from their snapshots (skipped) and re-executes only the failed sink
+// (replayed); PartialReplay additionally fetches a snapshot's payload from
+// the store only when a re-executed task actually reads it. The recovered
+// report is byte-identical with and without it — and to what a Server with
+// the same policy reports for the same job and fault.
+func ExampleRuntime_Run() {
 	inj := repro.NewFaultInjector(1, 0, 1)
 	inj.Kill("sink", 1) // the sink's first execution fails
 
@@ -113,7 +114,8 @@ func ExampleRuntime_RunWithPartialReplay() {
 	if err != nil {
 		panic(err)
 	}
-	// Checkpoints live in a 2-way replicated far-memory store.
+	// Checkpoints live in a 2-way replicated far-memory store (the default
+	// when Store is nil; spelled out here).
 	fabric := repro.NewFabric(repro.FabricConfig{})
 	for i := 0; i < 3; i++ {
 		if err := fabric.AddNode(fmt.Sprintf("ckmem%d", i), 1<<26); err != nil {
@@ -125,12 +127,12 @@ func ExampleRuntime_RunWithPartialReplay() {
 		panic(err)
 	}
 
-	rep, attempts, err := rt.RunWithPartialReplay(exampleJob("etl"), repro.NewCheckpointer(store), 3)
+	rep, err := rt.Run(exampleJob("etl"), repro.RecoveryPolicy{Store: store, PartialReplay: true})
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("recovered in %d attempts: %d skipped, %d replayed\n",
-		attempts, rep.SkippedTasks, rep.ReplayedTasks)
+		rep.Attempts, rep.SkippedTasks, rep.ReplayedTasks)
 	// Output:
 	// recovered in 2 attempts: 2 skipped, 1 replayed
 }

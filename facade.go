@@ -85,15 +85,16 @@ type (
 	// NewRuntime and ServerConfig's embedded defaults.
 	ExecConfig = core.ExecConfig
 	// RuntimeConfig assembles a Runtime; zero values get defaults.
-	RuntimeConfig = core.Config
+	RuntimeConfig = core.ExecConfig
 	// Report is the outcome of one job run.
 	Report = core.Report
 	// MultiReport is the outcome of a concurrent job batch.
 	MultiReport = core.MultiReport
 	// MultiConfig tunes concurrent execution.
 	MultiConfig = core.MultiConfig
-	// Checkpointer persists task outputs for Runtime.RunWithRecovery and
-	// Runtime.RunWithPartialReplay.
+	// Checkpointer persists task outputs for recovery
+	// (RecoveryPolicy.Checkpointer): share one between stacks that must be
+	// able to restore each other's snapshots.
 	Checkpointer = core.Checkpointer
 	// Server is the concurrent job-submission engine: bounded admission
 	// queue, worker pool batching jobs into shared virtual-time epochs,
@@ -108,18 +109,20 @@ type (
 	// Submit, SubmitAsync, and SubmitStream (at most one per call):
 	// admission inputs, tiering, resume, pre-admission, shard labeling.
 	SubmitOptions = core.SubmitOptions
-	// BatchMode selects how the serving pool forms virtual-time epochs
-	// (ServerConfig.Batching).
-	BatchMode = core.BatchMode
+	// Submitter is the submission side of a serving stack; a Server is one
+	// and a Cluster is one, so a driver written against it serves both.
+	Submitter = core.Submitter
 	// SLOPolicy makes admission deadline-aware (ServerConfig.SLO).
 	SLOPolicy = core.SLOPolicy
 	// AutoScalePolicy grows/shrinks the live worker pool against observed
 	// queue-wait p99 (ServerConfig.AutoScale).
 	AutoScalePolicy = core.AutoScalePolicy
-	// RecoveryPolicy makes served jobs fault-tolerant: checkpointed task
-	// outputs, bounded retries, virtual-time backoff (ServerConfig.Recovery).
-	// Set PartialReplay to restore checkpoint payloads lazily on retries;
-	// recovered reports stay byte-identical to full replay either way.
+	// RecoveryPolicy makes execution fault-tolerant: checkpointed task
+	// outputs, bounded retries, virtual-time backoff. Pass one to Runtime.Run
+	// for a single job, or set ServerConfig.Recovery for every served job —
+	// the same job and fault report the same either way. Set PartialReplay to
+	// restore checkpoint payloads lazily on retries; recovered reports stay
+	// byte-identical to full replay.
 	RecoveryPolicy = core.RecoveryPolicy
 	// Topology is the simulated hardware graph.
 	Topology = topology.Topology
@@ -132,7 +135,7 @@ type (
 // scheduler.
 func NewRuntime(cfg RuntimeConfig) (*Runtime, error) { return core.New(cfg) }
 
-// NewCheckpointer wraps a fault-tolerant store for RunWithRecovery.
+// NewCheckpointer wraps a fault-tolerant store (RecoveryPolicy.Checkpointer).
 var NewCheckpointer = core.NewCheckpointer
 
 // Fault tolerance (challenge 8(3)): durable far-memory stores for
@@ -168,16 +171,6 @@ var (
 
 // NewServer builds and starts a concurrent job-submission engine.
 var NewServer = core.NewServer
-
-// Epoch batching modes (ServerConfig.Batching).
-const (
-	// BatchOverlapped lets one worker batch several queued jobs into a
-	// shared epoch (the serving default).
-	BatchOverlapped = core.BatchOverlapped
-	// BatchSequential runs one job per epoch — the debugging/baseline mode
-	// previously spelled ServerConfig.Sequential.
-	BatchSequential = core.BatchSequential
-)
 
 // Serving-layer errors.
 var (

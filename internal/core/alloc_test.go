@@ -38,7 +38,7 @@ func allocBudget(t *testing.T, name string, budget float64, fn func()) {
 // fenced job global): measured 397 with plan and run state in rank- and
 // device-indexed blocks (621 with them in maps keyed by task and device ID).
 func TestAllocBudgetSoloWavefront(t *testing.T) {
-	rt, err := New(Config{Workers: 4})
+	rt, err := New(ExecConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestAllocBudgetSoloWavefront(t *testing.T) {
 // overlapped serving batch of four small jobs on a shared pool: measured
 // 1 038 (1 640 before the change named above).
 func TestAllocBudgetOverlappedBatch(t *testing.T) {
-	rt, err := New(Config{Workers: 4})
+	rt, err := New(ExecConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestAllocBudgetServedJob(t *testing.T) {
 // A task body makes thousands of these per job, so one allocation here is
 // thousands per job.
 func TestAllocBudgetAccessPath(t *testing.T) {
-	rt, err := New(Config{Workers: 1})
+	rt, err := New(ExecConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

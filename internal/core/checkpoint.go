@@ -23,12 +23,11 @@ import (
 // effect is its output region, so after each task completes the runtime
 // snapshots that output into a fault-tolerant far-memory store
 // (internal/fault — replication or Carbink-style erasure coding, the
-// operator's choice). When a task fails, RunWithRecovery re-runs the job:
-// tasks with a snapshot are *restored* — their output is fetched from the
-// store into a fresh region and handed to successors — instead of
-// re-executed. core.Server layers the same mechanism under concurrent
-// serving (ServerConfig.Recovery): retries replay inside the worker's
-// shared epoch.
+// operator's choice). When a task fails, the drive loop's ladder (exec.go)
+// re-runs the job: tasks with a snapshot are *restored* — their output is
+// fetched from the store into a fresh region and handed to successors —
+// instead of re-executed. The mechanism is the same for a solo Run with a
+// RecoveryPolicy and for every job of a Server built with one.
 //
 // Scope: the snapshot covers dataflow state (task outputs). Side effects on
 // job-global regions are transient by definition (Global Scratch) or
@@ -227,58 +226,88 @@ func defaultFaultStore() (fault.Store, error) {
 	return fault.NewReplicatedStore(f, 2)
 }
 
-// RunWithRecovery executes the job, checkpointing each task's output into
-// ck's store; on task failure it retries (up to maxAttempts total runs),
-// replaying completed tasks from their checkpoint records instead of
-// re-executing them. Every retry eagerly re-materializes each replayed
-// task's output from the store (whole-job replay: the full restore I/O is
-// paid up front). Returns the final report, the number of attempts used,
-// and the first error if all attempts failed. Snapshots are forgotten on
-// success and after the final failed attempt (nothing will ever replay
-// them).
-func (rt *Runtime) RunWithRecovery(job *dataflow.Job, ck *Checkpointer, maxAttempts int) (*Report, int, error) {
-	return rt.runRecovery(job, ck, maxAttempts, false)
+// RecoveryPolicy makes execution fault-tolerant: Runtime.Run takes one
+// for a single job, ServerConfig.Recovery one for every admitted job. Task
+// outputs are checkpointed into the policy's store, and a failed job is
+// retried in place — checkpointed tasks restored instead of re-executed, on
+// the job's own virtual clock — up to MaxAttempts.
+type RecoveryPolicy struct {
+	// Store is the fault-tolerant far-memory store holding checkpoints,
+	// shared by all workers — the operator's redundancy choice
+	// (fault.NewReplicatedStore, fault.NewErasureStore). Nil builds a
+	// default 2-way replicated store over a private 3-node fabric.
+	Store fault.Store
+	// Checkpointer, when set, is used directly instead of wrapping Store —
+	// the way a sharded deployment shares one snapshot namespace across
+	// every shard's server, so a job resubmitted on a survivor
+	// (SubmitOptions.ResumeID) can restore what a dead shard checkpointed.
+	Checkpointer *Checkpointer
+	// MaxAttempts caps total runs per submission, first included
+	// (default 3).
+	MaxAttempts int
+	// Backoff is the base per-retry delay in virtual time. Retries back off
+	// exponentially: the wait before attempt n+1 is Backoff·2^(n-1), capped
+	// at BackoffCap. Batch mates are unaffected; the waits a submission
+	// accumulated are reported in Report.AttemptWaits.
+	Backoff time.Duration
+	// BackoffCap bounds the exponential growth (default 8×Backoff).
+	BackoffCap time.Duration
+	// PartialReplay restores lazily: on a retry, completed tasks are still
+	// completed from their replay records without re-execution, but a task's
+	// output is fetched from the store only when a re-executed successor
+	// actually receives it. Interior outputs of the skipped prefix — those no
+	// re-executed task reads — are never fetched at all, which is where wide
+	// or deep DAGs save retry latency. Virtual-time accounting is identical
+	// to full replay: retried reports are byte-for-byte the same either way,
+	// only the real restore I/O is elided.
+	PartialReplay bool
 }
 
-// RunWithPartialReplay is RunWithRecovery with lazy restore I/O: on a retry,
-// completed tasks are still marked done from their records, but a task's
-// output is fetched from the store only when a replayed successor actually
-// consumes it. Interior outputs of the skipped prefix — those no replayed
-// task ever reads — are never fetched at all, which is where wide or deep
-// DAGs save retry latency. The final report is byte-identical to
-// RunWithRecovery's at any Workers setting: virtual time charges the same
-// recorded restore price per consumed input in both modes, and only the
-// real (wall-clock) store traffic differs.
-func (rt *Runtime) RunWithPartialReplay(job *dataflow.Job, ck *Checkpointer, maxAttempts int) (*Report, int, error) {
-	return rt.runRecovery(job, ck, maxAttempts, true)
+// recoveryState is a resolved RecoveryPolicy: what drive's ladder reads.
+type recoveryState struct {
+	ck          *Checkpointer
+	maxAttempts int
+	backoff     time.Duration
+	cap         time.Duration
+	partial     bool
 }
 
-// runRecovery is the shared retry loop behind RunWithRecovery (eager
-// restore) and RunWithPartialReplay (lazy restore).
-func (rt *Runtime) runRecovery(job *dataflow.Job, ck *Checkpointer, maxAttempts int, partial bool) (*Report, int, error) {
+// resolveRecovery fills a policy's defaults; a nil policy is no recovery.
+func resolveRecovery(pol *RecoveryPolicy) (*recoveryState, error) {
+	if pol == nil {
+		return nil, nil
+	}
+	ck := pol.Checkpointer
 	if ck == nil {
-		return nil, 0, fmt.Errorf("core: nil checkpointer")
-	}
-	if maxAttempts <= 0 {
-		maxAttempts = 2
-	}
-	id := ck.runID(job.Name())
-	var lastErr error
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		rep, err := rt.execute(job, ck, id, partial)
-		if err == nil {
-			ck.Forget(id)
-			rep.Attempts = attempt
-			if attempt > 1 {
-				rep.ReplayedTasks = len(rep.Tasks) - rep.SkippedTasks
+		store := pol.Store
+		if store == nil {
+			var err error
+			if store, err = defaultFaultStore(); err != nil {
+				return nil, err
 			}
-			return rep, attempt, nil
 		}
-		lastErr = err
-		rt.tel.Add(telemetry.LayerFault, "job_retries", 1)
+		ck = NewCheckpointer(store)
 	}
-	ck.Forget(id)
-	return nil, maxAttempts, fmt.Errorf("core: job %s failed after %d attempts: %w", job.Name(), maxAttempts, lastErr)
+	rec := &recoveryState{
+		ck: ck, maxAttempts: pol.MaxAttempts,
+		backoff: pol.Backoff, cap: pol.BackoffCap,
+		partial: pol.PartialReplay,
+	}
+	if rec.maxAttempts <= 0 {
+		rec.maxAttempts = 3
+	}
+	if rec.cap <= 0 {
+		rec.cap = 8 * rec.backoff
+	}
+	return rec, nil
+}
+
+// forget drops a settled submission's snapshots, so the checkpointer drains
+// back to zero entries. No-op without recovery.
+func (rec *recoveryState) forget(runID string) {
+	if rec != nil && runID != "" {
+		rec.ck.Forget(runID)
+	}
 }
 
 // checkpointTask snapshots a completed task's output (if any) into the

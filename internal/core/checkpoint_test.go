@@ -12,6 +12,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dataflow"
 	"repro/internal/fault"
+	"repro/internal/telemetry"
 )
 
 func newCkStore(t testing.TB) (*Checkpointer, *cluster.Fabric) {
@@ -54,6 +55,12 @@ func (s *ckWithAutoFlush) Put(data []byte) (fault.ObjectID, time.Duration, error
 // flakyJob builds a 3-task chain whose middle task fails the first
 // `failures` executions; counters observe re-execution.
 func flakyJob(failures int, execCounts map[string]*int) *dataflow.Job {
+	return flakyJobHook(failures, execCounts, nil)
+}
+
+// flakyJobHook is flakyJob with onFail called inside each failing execution,
+// before the failure is returned: the point between two attempts.
+func flakyJobHook(failures int, execCounts map[string]*int, onFail func()) *dataflow.Job {
 	j := dataflow.NewJob("flaky")
 	remaining := failures
 	count := func(id string) {
@@ -79,6 +86,9 @@ func flakyJob(failures int, execCounts map[string]*int) *dataflow.Job {
 		count("transform")
 		if remaining > 0 {
 			remaining--
+			if onFail != nil {
+				onFail()
+			}
 			return errors.New("transient failure")
 		}
 		in := ctx.Inputs()[0]
@@ -124,12 +134,12 @@ func TestRecoverySkipsCheckpointedTasks(t *testing.T) {
 	ck, _ := newCkStore(t)
 	counts := map[string]*int{"produce": new(int), "transform": new(int), "consume": new(int)}
 	job := flakyJob(1, counts)
-	rep, attempts, err := rt.RunWithRecovery(job, ck, 3)
+	rep, err := rt.Run(job, RecoveryPolicy{Checkpointer: ck})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if attempts != 2 {
-		t.Errorf("attempts = %d, want 2", attempts)
+	if rep.Attempts != 2 {
+		t.Errorf("attempts = %d, want 2", rep.Attempts)
 	}
 	// The producer ran once: its second "execution" was a restore.
 	if *counts["produce"] != 1 {
@@ -174,12 +184,15 @@ func TestRecoveryExhaustsAttempts(t *testing.T) {
 	rt := newRuntime(t)
 	ck, _ := newCkStore(t)
 	job := flakyJob(99, nil) // never succeeds
-	_, attempts, err := rt.RunWithRecovery(job, ck, 3)
+	_, err := rt.Run(job, RecoveryPolicy{Checkpointer: ck, MaxAttempts: 3})
 	if err == nil {
 		t.Fatal("permanently failing job must error")
 	}
-	if attempts != 3 {
-		t.Errorf("attempts = %d, want 3", attempts)
+	if got := rt.Telemetry().Counter(telemetry.LayerFault, "job_retries"); got != 2 {
+		t.Errorf("job_retries = %d, want 2 (three attempts)", got)
+	}
+	if ck.Snapshots() != 0 {
+		t.Errorf("snapshots after terminal failure = %d, want 0", ck.Snapshots())
 	}
 	if !strings.Contains(err.Error(), "after 3 attempts") {
 		t.Errorf("error must mention attempts: %v", err)
@@ -195,21 +208,19 @@ func TestRecoverySurvivesStorageNodeCrash(t *testing.T) {
 	rt := newRuntime(t)
 	ck, fabric := newCkStore(t)
 	counts := map[string]*int{"produce": new(int), "transform": new(int), "consume": new(int)}
-	job := flakyJob(1, counts)
-
-	// First attempt manually so we can crash a node before the retry; both
-	// attempts share one submission ID so the retry sees the snapshots.
-	id := ck.runID(job.Name())
-	_, err := rt.execute(job, ck, id, false)
-	if err == nil {
-		t.Fatal("first attempt should fail (flaky task)")
-	}
-	if err := fabric.Crash("ckmem0"); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := rt.execute(job, ck, id, false)
+	// The node dies inside the failing execution — after produce's snapshot
+	// was written, before the retry reads it back.
+	job := flakyJobHook(1, counts, func() {
+		if err := fabric.Crash("ckmem0"); err != nil {
+			t.Error(err)
+		}
+	})
+	rep, err := rt.Run(job, RecoveryPolicy{Checkpointer: ck})
 	if err != nil {
 		t.Fatalf("retry with crashed checkpoint node: %v", err)
+	}
+	if rep.Attempts != 2 {
+		t.Errorf("attempts = %d, want 2", rep.Attempts)
 	}
 	if *counts["produce"] != 1 {
 		t.Errorf("produce re-executed despite degraded checkpoint read")
@@ -223,19 +234,24 @@ func TestRecoverySurvivesStorageNodeCrash(t *testing.T) {
 	}
 }
 
-func TestRunWithRecoveryValidation(t *testing.T) {
+func TestRunRecoveryValidation(t *testing.T) {
 	rt := newRuntime(t)
-	if _, _, err := rt.RunWithRecovery(flakyJob(0, nil), nil, 2); err == nil {
-		t.Error("nil checkpointer must fail")
+	if _, err := rt.Run(flakyJob(0, nil), RecoveryPolicy{}, RecoveryPolicy{}); err == nil {
+		t.Error("two policies must fail")
+	}
+	// The zero policy is complete: default store, three attempts.
+	rep, err := rt.Run(flakyJob(2, nil), RecoveryPolicy{})
+	if err != nil || rep.Attempts != 3 {
+		t.Errorf("zero policy: attempts=%v err=%v, want 3 attempts", rep, err)
 	}
 }
 
 func TestRecoveryNoFailureSingleAttempt(t *testing.T) {
 	rt := newRuntime(t)
 	ck, _ := newCkStore(t)
-	rep, attempts, err := rt.RunWithRecovery(flakyJob(0, nil), ck, 3)
-	if err != nil || attempts != 1 {
-		t.Fatalf("clean job: attempts=%d err=%v", attempts, err)
+	rep, err := rt.Run(flakyJob(0, nil), RecoveryPolicy{Checkpointer: ck})
+	if err != nil || rep.Attempts != 1 {
+		t.Fatalf("clean job: report=%+v err=%v", rep, err)
 	}
 	if rep.Makespan <= 0 {
 		t.Error("makespan must be positive")

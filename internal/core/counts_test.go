@@ -54,7 +54,7 @@ func readCounts(rt *Runtime) accessCounts {
 }
 
 // countServer is a one-epoch-worker server on a fresh runtime.
-func countServer(t *testing.T, cfg Config, rec *RecoveryPolicy) (*Runtime, *Server) {
+func countServer(t *testing.T, cfg ExecConfig, rec *RecoveryPolicy) (*Runtime, *Server) {
 	t.Helper()
 	rt, err := New(cfg)
 	if err != nil {
@@ -91,7 +91,7 @@ func TestAccessCountsExactAndVisibleAtDelivery(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		t.Run(fmt.Sprint("workers=", workers), func(t *testing.T) {
-			rt, s := countServer(t, Config{Workers: workers}, nil)
+			rt, s := countServer(t, ExecConfig{Workers: workers}, nil)
 			for k, j := range mix() {
 				if _, err := s.Submit(context.Background(), j); err != nil {
 					t.Fatal(err)
@@ -150,7 +150,7 @@ func TestAccessCountsPublishedOncePerTask(t *testing.T) {
 	out := dataflow.Props{Ops: 1e4, OutputBytes: 256}
 
 	t.Run("fails mid-body", func(t *testing.T) {
-		rt, s := countServer(t, Config{Workers: 1}, nil)
+		rt, s := countServer(t, ExecConfig{Workers: 1}, nil)
 		j := dataflow.NewJob("fails")
 		a := j.Task("a", out, scratchTouch(10, nil))
 		b := j.Task("b", out, scratchTouch(7, func(dataflow.Ctx) error { return errBody }))
@@ -167,7 +167,7 @@ func TestAccessCountsPublishedOncePerTask(t *testing.T) {
 	})
 
 	t.Run("cancelled", func(t *testing.T) {
-		rt, s := countServer(t, Config{Workers: 1}, nil)
+		rt, s := countServer(t, ExecConfig{Workers: 1}, nil)
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		j := dataflow.NewJob("cancelled")
@@ -200,7 +200,7 @@ func TestAccessCountsPublishedOncePerTask(t *testing.T) {
 		// says so, and asks for a job global, whose first use fences on every
 		// lower rank; the lower rank waits for that, touches, and fails. The
 		// fence aborts the higher rank, whose accesses count all the same.
-		rt, s := countServer(t, Config{Workers: 2}, nil)
+		rt, s := countServer(t, ExecConfig{Workers: 2}, nil)
 		atFence := make(chan struct{})
 		j := dataflow.NewJob("aborted")
 		j.Task("low", dataflow.Props{Ops: 1e4}, func(ctx dataflow.Ctx) error {
@@ -224,7 +224,7 @@ func TestAccessCountsPublishedOncePerTask(t *testing.T) {
 	t.Run("restored from a checkpoint", func(t *testing.T) {
 		inj := fault.NewInjector(1, 0, 1)
 		inj.Kill("b", 1)
-		rt, s := countServer(t, Config{Workers: 1, Inject: inj}, &RecoveryPolicy{MaxAttempts: 3})
+		rt, s := countServer(t, ExecConfig{Workers: 1, Inject: inj}, &RecoveryPolicy{MaxAttempts: 3})
 		j := dataflow.NewJob("restored")
 		a := j.Task("a", out, scratchTouch(10, func(ctx dataflow.Ctx) error {
 			h, err := ctx.Output(256)

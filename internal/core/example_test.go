@@ -13,7 +13,7 @@ import (
 // two-task dataflow, let the runtime place and schedule it, and observe
 // the ownership handover.
 func Example() {
-	rt, err := core.New(core.Config{})
+	rt, err := core.New(core.ExecConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func Example() {
 // persistent task's ledger lands on persistent media without the code
 // naming a device.
 func Example_declarativeProperties() {
-	rt, err := core.New(core.Config{})
+	rt, err := core.New(core.ExecConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func Example_declarativeProperties() {
 // Example_globalRegions shows Table 2's shared regions: two tasks
 // coordinate through a named Global State region.
 func Example_globalRegions() {
-	rt, err := core.New(core.Config{})
+	rt, err := core.New(core.ExecConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

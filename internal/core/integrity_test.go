@@ -107,7 +107,7 @@ func indexOf(id string) int {
 func TestRandomDAGDataIntegrityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		rt, err := New(Config{})
+		rt, err := New(ExecConfig{})
 		if err != nil {
 			return false
 		}
@@ -160,12 +160,12 @@ func TestRandomDAGIntegrityUnderRecovery(t *testing.T) {
 	for _, s := range sinks {
 		s.Then(probe)
 	}
-	_, attempts, err := rt.RunWithRecovery(job, ck, 3)
+	rep, err := rt.Run(job, RecoveryPolicy{Checkpointer: ck})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if attempts != 2 {
-		t.Errorf("attempts = %d, want 2", attempts)
+	if rep.Attempts != 2 {
+		t.Errorf("attempts = %d, want 2", rep.Attempts)
 	}
 	if rt.Regions().Live() != 0 {
 		t.Errorf("leaked %d regions", rt.Regions().Live())

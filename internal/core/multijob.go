@@ -24,9 +24,10 @@ import (
 // RunAll is the *virtual-contention* multi-job mode: members run
 // job-after-job, each queueing behind the backlog its predecessors absorbed
 // into the shared epoch, so interference (stretch) is observable in the
-// reports. The Server's default batch mode makes the opposite trade —
-// overlapped wall-clock execution with virtual isolation per member (see
-// server.go); its Sequential knob recovers these RunAll semantics.
+// reports. A Server batch makes the opposite trade — overlapped wall-clock
+// execution with virtual isolation per member (see server.go). Both are
+// callers of the same drive loop (exec.go); they differ in what they make
+// their members share before calling it.
 
 // JobResult pairs a job's report with isolation diagnostics.
 type JobResult struct {
@@ -76,9 +77,8 @@ type MultiConfig struct {
 
 // scheduleInto plans one job against load, the flat per-core table of when
 // previously admitted jobs leave each core free, and folds the new plan back
-// into it — how the runtime packs concurrently submitted jobs across the
-// cluster. A nil load plans against an idle machine and folds nothing. A
-// load-aware scheduler is used when available.
+// into it — how RunAll packs concurrently submitted jobs across the cluster.
+// A load-aware scheduler is used when available.
 func (rt *Runtime) scheduleInto(j *dataflow.Job, load []time.Duration) (*sched.Schedule, error) {
 	loadAware, _ := rt.sched.(interface {
 		ScheduleLoaded(*dataflow.Job, *topology.Topology, []time.Duration) (*sched.Schedule, error)
@@ -90,8 +90,8 @@ func (rt *Runtime) scheduleInto(j *dataflow.Job, load []time.Duration) (*sched.S
 	} else {
 		schedule, err = rt.sched.Schedule(j, rt.topo)
 	}
-	if err != nil || load == nil {
-		return schedule, err
+	if err != nil {
+		return nil, err
 	}
 	// Fold in rank order: each finish lands on the device's then-earliest
 	// core, so the order of the fold decides which core holds which finish.
@@ -153,19 +153,13 @@ func (rt *Runtime) RunAll(jobs []*dataflow.Job, cfg MultiConfig) (*MultiReport, 
 		runs = append(runs, rt.newRun(j, g, schedule, epoch, j.Name(), cores))
 	}
 
-	// Each job's DAG executes as a parallel wavefront over the shared core
-	// clocks; jobs run in admission order, and every completed job's clock
-	// views are absorbed into the shared epoch, so later jobs queue behind
-	// its device backlog — contention stays emergent and deterministic.
+	// One drive call per job, in admission order, each over the shared core
+	// clocks: a completed job's clock views are absorbed into the shared
+	// epoch before the next call seeds from it, so later jobs queue behind its
+	// device backlog — contention stays emergent and deterministic.
 	for _, r := range runs {
-		if failed, err := r.runWavefront(rt.workers, nil); err != nil {
-			for _, rr := range runs {
-				rr.cleanup()
-			}
-			if failed != "" {
-				return nil, fmt.Errorf("core: job %s task %s: %w", r.job.Name(), failed, err)
-			}
-			return nil, fmt.Errorf("core: job %s: %w", r.job.Name(), err)
+		if _, err := rt.driveOne(epoch, nil, r); err != nil {
+			return nil, err
 		}
 	}
 
@@ -179,7 +173,7 @@ func (rt *Runtime) RunAll(jobs []*dataflow.Job, cfg MultiConfig) (*MultiReport, 
 
 	if cfg.ComputeStretch {
 		for i, j := range jobs {
-			iso, err := New(Config{Scheduler: rt.sched})
+			iso, err := New(ExecConfig{Scheduler: rt.sched})
 			if err != nil {
 				return nil, err
 			}

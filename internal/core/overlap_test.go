@@ -93,7 +93,7 @@ func requireSoloEqual(t *testing.T, label string, got, solo *Report) {
 func TestServeOverlapDeterministicAcrossWorkerCounts(t *testing.T) {
 	solo := make([]*Report, 0, 4)
 	for _, j := range overlapMixJobs() {
-		rt, err := New(Config{Workers: 1})
+		rt, err := New(ExecConfig{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestServeOverlapDeterministicAcrossWorkerCounts(t *testing.T) {
 		// Repeat each pool size a few times: a race that perturbs virtual
 		// time is unlikely to strike the first run.
 		for rep := 0; rep < 3; rep++ {
-			rt, err := New(Config{Workers: w})
+			rt, err := New(ExecConfig{Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,9 +135,9 @@ func TestServeOverlapDeterministicAcrossWorkerCounts(t *testing.T) {
 				t.Fatalf("workers=%d: leaked %d regions", w, live)
 			}
 			for i, r := range got {
-				if r.BatchSize != len(got) || r.BatchIndex != i || !r.Overlapped {
-					t.Fatalf("workers=%d job %d: batch fields = (%d,%d,%v), want (%d,%d,true)",
-						w, i, r.BatchSize, r.BatchIndex, r.Overlapped, len(got), i)
+				if r.BatchSize != len(got) || r.BatchIndex != i {
+					t.Fatalf("workers=%d job %d: batch fields = (%d,%d), want (%d,%d)",
+						w, i, r.BatchSize, r.BatchIndex, len(got), i)
 				}
 				requireSoloEqual(t, fmt.Sprintf("workers=%d job %d", w, i), r, solo[i])
 			}
@@ -172,7 +172,7 @@ func TestServeOverlapFaultIsolation(t *testing.T) {
 		return boom
 	})
 
-	rt, err := New(Config{Workers: 4})
+	rt, err := New(ExecConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,9 +199,9 @@ func TestServeOverlapFaultIsolation(t *testing.T) {
 		if r == nil {
 			continue
 		}
-		if r.BatchSize != 3 || r.BatchIndex != i || !r.Overlapped {
-			t.Errorf("job %d: batch fields = (%d,%d,%v), want (3,%d,true)",
-				i, r.BatchSize, r.BatchIndex, r.Overlapped, i)
+		if r.BatchSize != 3 || r.BatchIndex != i {
+			t.Errorf("job %d: batch fields = (%d,%d), want (3,%d)",
+				i, r.BatchSize, r.BatchIndex, i)
 		}
 	}
 
@@ -224,7 +224,7 @@ func TestServeOverlapFaultIsolation(t *testing.T) {
 
 func mustSoloRun(t *testing.T, j *dataflow.Job) *Report {
 	t.Helper()
-	rt, err := New(Config{Workers: 1})
+	rt, err := New(ExecConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,47 +290,6 @@ func TestServeOverlapRecoveryIsolation(t *testing.T) {
 	}
 	if live := s.Runtime().Regions().Live(); live != 0 {
 		t.Errorf("leaked %d regions", live)
-	}
-}
-
-// TestServeSequentialModeMatchesRunAll pins the legacy knob: with
-// ServerConfig.Sequential the batch runs job-after-job against the shared
-// epoch backlog (RunAll's virtual-contention semantics) and reports say so.
-func TestServeSequentialModeMatchesRunAll(t *testing.T) {
-	rt, err := New(Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewServer(ServerConfig{
-		Runtime: rt, EpochWorkers: 1, MaxBatch: 8, QueueDepth: 16, Block: true,
-		Sequential: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close(context.Background()) //nolint:errcheck
-	tks := submitOneBatch(t, s, []*dataflow.Job{pipelineJob("seq-a"), pipelineJob("seq-b")})
-	var reps []*Report
-	for i, tk := range tks {
-		rep, err := tk.Wait(context.Background())
-		if err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
-		reps = append(reps, rep)
-	}
-	for i, r := range reps {
-		if r.Overlapped {
-			t.Errorf("job %d: Overlapped = true in sequential mode", i)
-		}
-		if r.BatchSize != 2 || r.BatchIndex != i {
-			t.Errorf("job %d: batch fields = (%d,%d), want (2,%d)", i, r.BatchSize, r.BatchIndex, i)
-		}
-	}
-	// Virtual contention: the second member queues behind the backlog the
-	// first absorbed into the shared epoch, so it cannot finish earlier.
-	if reps[1].Makespan < reps[0].Makespan {
-		t.Errorf("sequential member 1 makespan %v < member 0 %v, want queued-behind",
-			reps[1].Makespan, reps[0].Makespan)
 	}
 }
 
@@ -410,13 +369,12 @@ func benchChainJob(name string, depth int, payload int64, stall time.Duration) *
 	return j
 }
 
-// BenchmarkServeOverlap is the serving-mode acceptance benchmark: a mixed
-// batch — two wide fan-outs that can use the pool alone and two serial
-// chains that cannot — served overlapped versus job-after-job on the same
-// four-worker pool. Overlap lets the chains' stalls hide under the wides'
-// waves (the gate records ≥1.3× wall-clock at workers=4); in overlap mode
-// every member's virtual makespan is additionally asserted identical to its
-// solo Workers=1 run — throughput never buys back determinism.
+// BenchmarkServeOverlap is the serving acceptance benchmark: a mixed batch —
+// two wide fan-outs that can use the pool alone and two serial chains that
+// cannot — served on one four-worker pool. Overlap lets the chains' stalls
+// hide under the wides' waves (the gate is the committed jobs/s); every
+// member's virtual makespan is additionally asserted identical to its solo
+// Workers=1 run — throughput never buys back determinism.
 func BenchmarkServeOverlap(b *testing.B) {
 	const (
 		wideWidth  = 8
@@ -436,7 +394,7 @@ func BenchmarkServeOverlap(b *testing.B) {
 	// pool-size-invariant, so job names cannot matter either.
 	refs := make([]time.Duration, 4)
 	for i, j := range batch(-1) {
-		rt, err := New(Config{Workers: 1})
+		rt, err := New(ExecConfig{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -446,44 +404,42 @@ func BenchmarkServeOverlap(b *testing.B) {
 		}
 		refs[i] = rep.Makespan
 	}
-	for _, mode := range []string{"overlap", "sequential"} {
-		b.Run(mode, func(b *testing.B) {
-			rt, err := New(Config{Workers: 4})
-			if err != nil {
-				b.Fatal(err)
-			}
-			s, err := NewServer(ServerConfig{
-				Runtime: rt, EpochWorkers: 1, MaxBatch: 8, QueueDepth: 64, Block: true,
-				MaxLinger:  5 * time.Millisecond,
-				Sequential: mode == "sequential",
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close(context.Background()) //nolint:errcheck
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				jobs := batch(i)
-				tks := make([]*Ticket, len(jobs))
-				for k, j := range jobs {
-					tk, err := s.SubmitAsync(context.Background(), j)
-					if err != nil {
-						b.Fatal(err)
-					}
-					tks[k] = tk
-				}
-				for k, tk := range tks {
-					rep, err := tk.Wait(context.Background())
-					if err != nil {
-						b.Fatal(err)
-					}
-					if mode == "overlap" && rep.Makespan != refs[k] {
-						b.Fatalf("job %d makespan %v != solo reference %v", k, rep.Makespan, refs[k])
-					}
-				}
-			}
-			b.ReportMetric(float64(b.N*len(refs))/b.Elapsed().Seconds(), "jobs/s")
+	// The sub-benchmark name is the one bench/BENCH_serve_baseline.json gates.
+	b.Run("overlap", func(b *testing.B) {
+		rt, err := New(ExecConfig{Workers: 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := NewServer(ServerConfig{
+			Runtime: rt, EpochWorkers: 1, MaxBatch: 8, QueueDepth: 64, Block: true,
+			MaxLinger: 5 * time.Millisecond,
 		})
-	}
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close(context.Background()) //nolint:errcheck
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			jobs := batch(i)
+			tks := make([]*Ticket, len(jobs))
+			for k, j := range jobs {
+				tk, err := s.SubmitAsync(context.Background(), j)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tks[k] = tk
+			}
+			for k, tk := range tks {
+				rep, err := tk.Wait(context.Background())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.Makespan != refs[k] {
+					b.Fatalf("job %d makespan %v != solo reference %v", k, rep.Makespan, refs[k])
+				}
+			}
+		}
+		b.ReportMetric(float64(b.N*len(refs))/b.Elapsed().Seconds(), "jobs/s")
+	})
 }

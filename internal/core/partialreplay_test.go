@@ -4,9 +4,10 @@ package core
 // tasks replay at the deterministic recorded price in both modes, and
 // partial replay additionally defers the real store fetch until a
 // re-executed consumer needs the payload. The headline contract under test:
-// RunWithPartialReplay's final report is byte-identical to
-// RunWithRecovery's at any Workers / EpochWorkers setting — the modes may
-// differ only in real (wall-clock) restore traffic, never in virtual time.
+// a recovered report under RecoveryPolicy.PartialReplay is byte-identical to
+// the same recovery without it at any Workers / EpochWorkers setting — the
+// modes may differ only in real (wall-clock) restore traffic, never in
+// virtual time.
 
 import (
 	"context"
@@ -86,22 +87,18 @@ func patternJob(name string, width, depth int) *dataflow.Job {
 // the given worker bound and targeted kills, a fresh erasure-coded store,
 // and the chosen replay mode. The report is returned with the runtime so
 // callers can inspect telemetry and leak counters.
-func runReplay(t *testing.T, job *dataflow.Job, workers int, kills map[string]int, partial bool, maxAttempts int) (*Report, int, *Runtime) {
+func runReplay(t *testing.T, job *dataflow.Job, workers int, kills map[string]int, partial bool, maxAttempts int) (*Report, *Runtime) {
 	t.Helper()
 	inj := fault.NewInjector(1, 0, 1)
 	for task, n := range kills {
 		inj.Kill(task, n)
 	}
-	rt, err := New(Config{Inject: inj, Workers: workers})
+	rt, err := New(ExecConfig{Inject: inj, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ck, _ := newCkStore(t)
-	run := rt.RunWithRecovery
-	if partial {
-		run = rt.RunWithPartialReplay
-	}
-	rep, attempts, err := run(job, ck, maxAttempts)
+	rep, err := rt.Run(job, RecoveryPolicy{Checkpointer: ck, MaxAttempts: maxAttempts, PartialReplay: partial})
 	if err != nil {
 		t.Fatalf("partial=%v workers=%d: %v", partial, workers, err)
 	}
@@ -111,7 +108,7 @@ func runReplay(t *testing.T, job *dataflow.Job, workers int, kills map[string]in
 	if live := rt.Regions().Live(); live != 0 {
 		t.Errorf("partial=%v workers=%d: leaked %d regions", partial, workers, live)
 	}
-	return rep, attempts, rt
+	return rep, rt
 }
 
 // TestPartialReplayMatchesFullReplay is the headline determinism gate: for
@@ -124,10 +121,10 @@ func TestPartialReplayMatchesFullReplay(t *testing.T) {
 	const width, depth = 4, 3
 	var want *Report
 	for _, w := range []int{1, 4, goruntime.GOMAXPROCS(0)} {
-		full, fullAttempts, _ := runReplay(t, patternJob("chains", width, depth), w, map[string]int{"sink": 1}, false, 3)
-		part, partAttempts, _ := runReplay(t, patternJob("chains", width, depth), w, map[string]int{"sink": 1}, true, 3)
-		if fullAttempts != 2 || partAttempts != 2 {
-			t.Fatalf("workers=%d: attempts full=%d partial=%d, want 2", w, fullAttempts, partAttempts)
+		full, _ := runReplay(t, patternJob("chains", width, depth), w, map[string]int{"sink": 1}, false, 3)
+		part, _ := runReplay(t, patternJob("chains", width, depth), w, map[string]int{"sink": 1}, true, 3)
+		if full.Attempts != 2 || part.Attempts != 2 {
+			t.Fatalf("workers=%d: attempts full=%d partial=%d, want 2", w, full.Attempts, part.Attempts)
 		}
 		if !reflect.DeepEqual(full, part) {
 			for id := range full.Tasks {
@@ -160,8 +157,8 @@ func TestPartialReplayMatchesFullReplay(t *testing.T) {
 // never pulled from the store at all.
 func TestPartialReplaySkipsUnreadRestores(t *testing.T) {
 	const width, depth = 4, 3
-	_, _, rtFull := runReplay(t, patternJob("chains", width, depth), 4, map[string]int{"sink": 1}, false, 3)
-	_, _, rtPart := runReplay(t, patternJob("chains", width, depth), 4, map[string]int{"sink": 1}, true, 3)
+	_, rtFull := runReplay(t, patternJob("chains", width, depth), 4, map[string]int{"sink": 1}, false, 3)
+	_, rtPart := runReplay(t, patternJob("chains", width, depth), 4, map[string]int{"sink": 1}, true, 3)
 
 	fullBytes := rtFull.Telemetry().Counter(telemetry.LayerFault, "restored_bytes")
 	partBytes := rtPart.Telemetry().Counter(telemetry.LayerFault, "restored_bytes")
@@ -193,10 +190,10 @@ func TestPartialReplayMultiFault(t *testing.T) {
 	const width, depth = 3, 3
 	kills := map[string]int{"c1s2": 1, "sink": 1}
 	for _, w := range []int{1, goruntime.GOMAXPROCS(0)} {
-		full, fullAttempts, _ := runReplay(t, patternJob("chains", width, depth), w, kills, false, 4)
-		part, partAttempts, _ := runReplay(t, patternJob("chains", width, depth), w, kills, true, 4)
-		if fullAttempts != 3 || partAttempts != 3 {
-			t.Fatalf("workers=%d: attempts full=%d partial=%d, want 3", w, fullAttempts, partAttempts)
+		full, _ := runReplay(t, patternJob("chains", width, depth), w, kills, false, 4)
+		part, _ := runReplay(t, patternJob("chains", width, depth), w, kills, true, 4)
+		if full.Attempts != 3 || part.Attempts != 3 {
+			t.Fatalf("workers=%d: attempts full=%d partial=%d, want 3", w, full.Attempts, part.Attempts)
 		}
 		if !reflect.DeepEqual(full, part) {
 			t.Fatalf("workers=%d: multi-fault partial report diverges:\n%+v\n!=\n%+v", w, full, part)
@@ -214,14 +211,14 @@ func TestPartialReplayMultiFault(t *testing.T) {
 // TestServePartialReplayOverlappedMatchesFull runs the same faulty batch —
 // two pattern jobs whose sinks are killed once each, plus an untouched
 // pipeline mate between them — through two servers that differ only in
-// RecoveryPolicy.PartialReplay, overlapped on a shared pool. Every
+// RecoveryPolicy.PartialReplay, on a shared pool. Every
 // member's report, including the never-failing mate's, must match
 // byte-for-byte.
 func TestServePartialReplayOverlappedMatchesFull(t *testing.T) {
 	serve := func(partial bool) []*Report {
 		inj := fault.NewInjector(1, 0, 1)
 		inj.Kill("sink", 2) // first executions: pa's attempt 1, pb's attempt 1
-		rt, err := New(Config{Inject: inj, Workers: 4})
+		rt, err := New(ExecConfig{Inject: inj, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,26 +318,23 @@ func BenchmarkRecoverPartial(b *testing.B) {
 	for _, mode := range []string{"full", "partial"} {
 		b.Run(mode, func(b *testing.B) {
 			inj := fault.NewInjector(1, 0, 1)
-			rt, err := New(Config{Inject: inj, Workers: 4})
+			rt, err := New(ExecConfig{Inject: inj, Workers: 4})
 			if err != nil {
 				b.Fatal(err)
 			}
-			ck, _ := newCkStore(b)
-			run := rt.RunWithRecovery
-			if mode == "partial" {
-				run = rt.RunWithPartialReplay
-			}
+			pol := RecoveryPolicy{PartialReplay: mode == "partial"}
+			pol.Checkpointer, _ = newCkStore(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			var rep *Report
 			for i := 0; i < b.N; i++ {
 				inj.Kill("sink", 1)
-				r, attempts, err := run(benchRecoverJob("recover", width, depth, payload), ck, 3)
+				r, err := rt.Run(benchRecoverJob("recover", width, depth, payload), pol)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if attempts != 2 {
-					b.Fatalf("attempts = %d, want 2", attempts)
+				if r.Attempts != 2 {
+					b.Fatalf("attempts = %d, want 2", r.Attempts)
 				}
 				rep = r
 			}
@@ -353,46 +347,5 @@ func BenchmarkRecoverPartial(b *testing.B) {
 				b.Fatalf("recovered report diverges between modes:\n%+v\n!=\n%+v", rep, want)
 			}
 		})
-	}
-}
-
-// TestRunWithPartialReplayAPI covers the facade-level entry point: replay
-// accounting on the report, a drained checkpointer, and the no-fault case
-// reporting no replay at all.
-func TestRunWithPartialReplayAPI(t *testing.T) {
-	inj := fault.NewInjector(1, 0, 1)
-	inj.Kill("sink", 1)
-	rt, err := New(Config{Inject: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck, _ := newCkStore(t)
-	rep, attempts, err := rt.RunWithPartialReplay(patternJob("p", 1, 2), ck, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if attempts != 2 || rep.Attempts != 2 {
-		t.Errorf("attempts = %d / report %d, want 2", attempts, rep.Attempts)
-	}
-	if rep.SkippedTasks != 2 || rep.ReplayedTasks != 1 {
-		t.Errorf("skipped/replayed = %d/%d, want 2/1", rep.SkippedTasks, rep.ReplayedTasks)
-	}
-	if got := ck.Snapshots(); got != 0 {
-		t.Errorf("%d snapshots leaked", got)
-	}
-
-	// No fault: one attempt, nothing skipped or replayed.
-	rt2, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck2, _ := newCkStore(t)
-	rep2, attempts2, err := rt2.RunWithPartialReplay(patternJob("p", 1, 2), ck2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if attempts2 != 1 || rep2.SkippedTasks != 0 || rep2.ReplayedTasks != 0 {
-		t.Errorf("clean run: attempts=%d skipped=%d replayed=%d, want 1/0/0",
-			attempts2, rep2.SkippedTasks, rep2.ReplayedTasks)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // a runtime carrying the given injector.
 func newRecoveryServer(t *testing.T, inj *fault.Injector, pol RecoveryPolicy, cfg ServerConfig) *Server {
 	t.Helper()
-	rt, err := New(Config{Inject: inj})
+	rt, err := New(ExecConfig{Inject: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestServeRecoveryConcurrentStress(t *testing.T) {
 // same injected workload without a RecoveryPolicy fails its submitters.
 func TestServeWithoutRecoverySurfacesFault(t *testing.T) {
 	inj := fault.NewInjector(1, 1.0, 1)
-	rt, err := New(Config{Inject: inj})
+	rt, err := New(ExecConfig{Inject: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,14 +240,14 @@ func TestCheckpointerConcurrentSameNameJobs(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rt, err := New(Config{})
+			rt, err := New(ExecConfig{})
 			if err != nil {
 				results[i].err = err
 				return
 			}
 			counts := map[string]*int{"produce": new(int), "transform": new(int), "consume": new(int)}
 			results[i].counts = counts
-			_, _, results[i].err = rt.RunWithRecovery(flakyJob(1, counts), ck, 3)
+			_, results[i].err = rt.Run(flakyJob(1, counts), RecoveryPolicy{Checkpointer: ck})
 		}(i)
 	}
 	wg.Wait()
@@ -319,13 +319,22 @@ func TestRestoreDeliversEmptyPayload(t *testing.T) {
 	p.Then(c)
 
 	// Simulate a prior attempt that checkpointed produce's output with an
-	// empty payload (hasOutput=true, zero bytes).
-	id := ck.runID(j.Name())
+	// empty payload (hasOutput=true, zero bytes), and resume from it.
+	id := ck.NewRunID(j.Name())
 	if _, err := ck.snapshot(id, "produce", nil, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.execute(j, ck, id, false); err != nil {
+	s, err := NewServer(ServerConfig{Runtime: rt, Recovery: &RecoveryPolicy{Checkpointer: ck}})
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer s.Close(context.Background()) //nolint:errcheck
+	rep, err := s.Submit(context.Background(), j, SubmitOptions{ResumeID: id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.SkippedTasks != 1 || rep.ReplayedTasks != 1 {
+		t.Errorf("skipped/replayed = %d/%d, want 1/1", rep.SkippedTasks, rep.ReplayedTasks)
 	}
 	if inputs := <-got; inputs != 1 {
 		t.Errorf("consumer saw %d inputs, want 1 (empty snapshot must still deliver)", inputs)

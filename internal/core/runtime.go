@@ -52,16 +52,11 @@ type ExecConfig struct {
 	Inject *fault.Injector
 	// Workers bounds the wavefront executor's worker pool: how many tasks
 	// may execute their real work (transfers, copies, bodies, checkpoint
-	// I/O) concurrently — within one run, and across every job of an
-	// overlapped serving batch, which shares a single pool. Virtual time is
-	// identical for every value — see wavefront.go. Zero or negative
-	// defaults to GOMAXPROCS.
+	// I/O) concurrently — within one run, and across every job of a serving
+	// batch, which shares a single pool. Virtual time is identical for every
+	// value — see wavefront.go. Zero or negative defaults to GOMAXPROCS.
 	Workers int
 }
-
-// Config is the historical name of ExecConfig, kept as an alias so existing
-// Runtime constructors keep compiling unchanged.
-type Config = ExecConfig
 
 // Runtime is the RTS instance. Run is safe for concurrent submission from
 // multiple goroutines: each call executes in its own virtual-time epoch
@@ -78,7 +73,7 @@ type Runtime struct {
 }
 
 // New builds a runtime.
-func New(cfg Config) (*Runtime, error) {
+func New(cfg ExecConfig) (*Runtime, error) {
 	topo := cfg.Topology
 	if topo == nil {
 		t, err := topology.BuildSingleNode(topology.DefaultSingleNode())
@@ -150,13 +145,12 @@ type Report struct {
 	PeakDeviceBytes map[string]int64
 	// FinalOutputs maps sink task → device holding its retained output.
 	FinalOutputs map[string]string
-	// Attempts is the number of runs recovery needed to complete the job
-	// (1 = no retry). Zero when the run was not recovery-managed.
+	// Attempts is the number of runs the job needed to complete (1 = no
+	// retry; only a RecoveryPolicy makes it more).
 	Attempts int
 	// AttemptWaits records the virtual backoff each retry waited before
 	// starting: AttemptWaits[i] is the delay applied ahead of attempt i+2.
-	// Empty when the job completed on its first attempt (or recovery was
-	// not policy-managed).
+	// Empty when the job completed on its first attempt.
 	AttemptWaits []time.Duration
 	// BatchSize and BatchIndex identify the serving batch this job executed
 	// in: how many jobs its epoch packed and this job's position in
@@ -165,10 +159,6 @@ type Report struct {
 	// the batch, identical at any worker-pool size.
 	BatchSize  int
 	BatchIndex int
-	// Overlapped reports whether the batch executed its members
-	// concurrently on a shared worker pool (the Server's default) rather
-	// than job-after-job (ServerConfig.Sequential).
-	Overlapped bool
 	// SLODeadline, SLOWait, and SLOPredicted are the deadline this
 	// submission was admitted against, the admission model's predicted
 	// virtual queue wait, and the predicted virtual sojourn (wait +
@@ -315,22 +305,31 @@ func (r *run) coresOf(k int) []time.Duration {
 // Run executes the job to completion on the virtual clock and returns the
 // report. On task failure every live region is released before returning
 // (no leaks), and the error identifies the failing task.
-func (rt *Runtime) Run(job *dataflow.Job) (*Report, error) {
-	return rt.execute(job, nil, "", false)
-}
-
-// execute is the shared engine behind Run, RunWithRecovery, and
-// RunWithPartialReplay. ckID is the snapshot namespace of this submission
-// (one per recovery call, so retries replay their own attempt's checkpoints
-// and nobody else's); partial selects lazy restore I/O on replay.
-func (rt *Runtime) execute(job *dataflow.Job, ck *Checkpointer, ckID string, partial bool) (*Report, error) {
+//
+// At most one RecoveryPolicy may be passed; with one the run is
+// fault-tolerant, exactly as a job served by a Server built with that policy
+// is: outputs are checkpointed, a failed attempt is retried with completed
+// tasks restored, and Report.Attempts, AttemptWaits, SkippedTasks and
+// ReplayedTasks say what it took.
+//
+// Run is a batch of one through the engine's drive loop (exec.go), in a fresh
+// virtual-time epoch: device service queues start drained and never touch the
+// shared topology, so concurrent Runs are isolated.
+func (rt *Runtime) Run(job *dataflow.Job, policy ...RecoveryPolicy) (*Report, error) {
+	var rec *recoveryState
+	switch len(policy) {
+	case 0:
+	case 1:
+		var err error
+		if rec, err = resolveRecovery(&policy[0]); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, errors.New("core: at most one RecoveryPolicy per run")
+	}
 	if err := job.Validate(); err != nil {
 		return nil, err
 	}
-	// Each run gets a fresh virtual-time epoch: device service queues start
-	// drained and never touch the shared topology, so concurrent Runs are
-	// isolated. (RunAll and Server batches share one epoch across their
-	// jobs — that is where contention is the point.)
 	schedule, err := rt.sched.Schedule(job, rt.topo)
 	if err != nil {
 		return nil, err
@@ -339,15 +338,8 @@ func (rt *Runtime) execute(job *dataflow.Job, ck *Checkpointer, ckID string, par
 	if err != nil {
 		return nil, err
 	}
-	r := rt.newRun(job, g, schedule, rt.topo.NewEpoch(), job.Name(), nil)
-	r.ck, r.ckID, r.partial = ck, ckID, partial
-	if failed, err := r.runWavefront(rt.workers, nil); err != nil {
-		if failed != "" {
-			return nil, fmt.Errorf("core: task %s: %w", failed, err)
-		}
-		return nil, err
-	}
-	return r.report, nil
+	epoch := rt.topo.NewEpoch()
+	return rt.driveOne(epoch, rec, rt.newRun(job, g, schedule, epoch, job.Name(), nil))
 }
 
 // newRun assembles per-job execution state for the job and its resolved
@@ -444,7 +436,7 @@ func (r *run) execTaskAt(w *wavefront, k int, view *topology.TaskView, start tim
 	}
 
 	// Fault injection happened eagerly at wavefront start (rank-ordered
-	// verdicts, see runWavefront): a task that reaches this point passed.
+	// verdicts, see newWavefront): a task that reaches this point passed.
 	// Run the body; structural tasks (nil fn) still cost their declared
 	// Ops and produce their declared output.
 	if fn := t.Fn(); fn != nil {

@@ -16,7 +16,7 @@ import (
 
 func newRuntime(t testing.TB) *Runtime {
 	t.Helper()
-	rt, err := New(Config{})
+	rt, err := New(ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestSchedulerChoiceAffectsMakespan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heftRT, err := New(Config{Topology: topo, Scheduler: sched.HEFT{}})
+	heftRT, err := New(ExecConfig{Topology: topo, Scheduler: sched.HEFT{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestSchedulerChoiceAffectsMakespan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fifoRT, err := New(Config{Topology: topo2, Scheduler: sched.FIFO{}})
+	fifoRT, err := New(ExecConfig{Topology: topo2, Scheduler: sched.FIFO{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestPlacerChoiceAffectsPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := New(Config{Topology: topo, Placer: placement.NewWorst(topo)})
+	rt, err := New(ExecConfig{Topology: topo, Placer: placement.NewWorst(topo)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,25 +9,25 @@ package core
 //     with ErrQueueFull, or block until a slot frees) and an async
 //     ticket-based submission API (SubmitAsync/Ticket) mirroring the
 //     paper's future-based far-memory interface at the job level,
-//   - epoch workers that batch whatever is queued into shared virtual-time
-//     epochs and, by default, *overlap* the whole batch on one bounded
-//     worker pool: every member's ready tasks compete for the shared slots
-//     in deterministic (rank, submission) order while each member's virtual
-//     time stays byte-identical to running the job alone
-//     (ServerConfig.Sequential restores job-after-job RunAll-style
-//     contention; separate batches are fully isolated either way),
+//   - epoch workers that batch whatever is queued and *overlap* the whole
+//     batch on one bounded worker pool: every member's ready tasks compete
+//     for the shared slots in deterministic (rank, submission) order while
+//     each member's virtual time stays byte-identical to running the job
+//     alone (separate batches are fully isolated too),
 //   - per-job context cancellation and deadlines, honored while queued and
 //     between tasks during execution,
 //   - optional fault-tolerant execution (ServerConfig.Recovery): task
 //     outputs are checkpointed into a shared fault.Store and failed jobs
-//     are retried inside the worker's epoch with checkpointed tasks
-//     restored instead of re-executed (challenge 8(3)),
+//     are retried inside their batch with checkpointed tasks restored
+//     instead of re-executed (challenge 8(3)),
 //   - graceful drain on Close, and
 //   - per-job admission / queue-wait / rejection counters plus spans in the
 //     runtime's telemetry registry, so the serving path is observable.
 //
 // Within a batch, each submission gets a unique owner namespace, so many
-// tenants may submit jobs with the same name concurrently.
+// tenants may submit jobs with the same name concurrently. The server admits,
+// batches, plans and stamps reports; executing a batch — retries included —
+// is the engine's drive loop (exec.go), the same one a solo Runtime.Run uses.
 
 import (
 	"context"
@@ -39,11 +39,9 @@ import (
 	"time"
 
 	"repro/internal/dataflow"
-	"repro/internal/fault"
 	"repro/internal/region"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
-	"repro/internal/topology"
 )
 
 // Errors reported by the serving layer.
@@ -90,25 +88,11 @@ type ServerConfig struct {
 	// and launches immediately. A positive linger trades a bounded amount
 	// of queue wait for fuller batches.
 	MaxLinger time.Duration
-	// Batching selects how a batch's members execute. BatchOverlapped (the
-	// zero value) overlaps whole jobs on the batch's shared worker pool
-	// with virtual isolation: every member's virtual-time report is
-	// computed as if it ran alone, and batch mates contend only for
-	// wall-clock resources. BatchSequential is the legacy mode: members
-	// execute job-after-job over shared core clocks and epoch backlog,
-	// each queueing behind its predecessors (RunAll semantics — virtual
-	// contention inside the batch).
-	Batching BatchMode
-	// Sequential is the legacy spelling of Batching == BatchSequential.
-	//
-	// Deprecated: compatibility alias, equivalent to setting Batching to
-	// BatchSequential (either selects the sequential mode).
-	Sequential bool
 	// Recovery, when set, makes every admitted job run fault-tolerantly:
 	// task outputs are checkpointed into the policy's store and a failed
-	// job is retried in place (restored tasks replayed inside the worker's
-	// epoch) up to MaxAttempts. Nil disables recovery: failures surface
-	// directly to the submitter.
+	// job is retried in place (restored tasks replayed inside its batch) up
+	// to MaxAttempts. Nil disables recovery: failures surface directly to
+	// the submitter.
 	Recovery *RecoveryPolicy
 	// SLO, when set, makes admission deadline-aware: every submission is
 	// priced with the scheduler's makespan estimate against a deterministic
@@ -123,80 +107,6 @@ type ServerConfig struct {
 	// queue-wait p99 toward the policy target. Purely a wall-clock control:
 	// it never alters admission decisions or virtual-time reports.
 	AutoScale *AutoScalePolicy
-}
-
-// BatchMode selects how a serving batch's members execute
-// (ServerConfig.Batching).
-type BatchMode int
-
-const (
-	// BatchOverlapped (default) overlaps whole jobs on the batch's shared
-	// worker pool with per-member virtual isolation.
-	BatchOverlapped BatchMode = iota
-	// BatchSequential executes members job-after-job with virtual
-	// contention inside the batch (RunAll semantics).
-	BatchSequential
-)
-
-// RecoveryPolicy configures fault-tolerant serving (ServerConfig.Recovery).
-type RecoveryPolicy struct {
-	// Store is the fault-tolerant far-memory store holding checkpoints,
-	// shared by all workers — the operator's redundancy choice
-	// (fault.NewReplicatedStore, fault.NewErasureStore). Nil builds a
-	// default 2-way replicated store over a private 3-node fabric.
-	Store fault.Store
-	// Checkpointer, when set, is used directly instead of wrapping Store —
-	// the way a sharded deployment shares one snapshot namespace across
-	// every shard's server, so a job resubmitted on a survivor
-	// (SubmitOptions.ResumeID) can restore what a dead shard checkpointed.
-	Checkpointer *Checkpointer
-	// MaxAttempts caps total runs per submission, first included
-	// (default 3).
-	MaxAttempts int
-	// Backoff is the base per-retry delay in virtual time. Retries back off
-	// exponentially: the wait before attempt n+1 is Backoff·2^(n-1), capped
-	// at BackoffCap. Batch mates are unaffected; the waits a submission
-	// accumulated are reported in Report.AttemptWaits.
-	Backoff time.Duration
-	// BackoffCap bounds the exponential growth (default 8×Backoff).
-	BackoffCap time.Duration
-	// PartialReplay resumes a retried job from the failed task onward:
-	// tasks whose checkpoints survived with unchanged transitive inputs are
-	// completed from their replay records without re-execution, and their
-	// outputs are rebound from the store lazily — restore I/O is performed
-	// (and charged to real wall-clock) only when a replayed successor
-	// actually reads the region. Virtual-time accounting is identical to
-	// full replay: retried reports are byte-for-byte the same either way,
-	// only the real restore I/O and re-execution work are elided.
-	PartialReplay bool
-}
-
-// recoveryState is the resolved serving-side recovery machinery.
-type recoveryState struct {
-	ck          *Checkpointer
-	maxAttempts int
-	backoff     time.Duration
-	cap         time.Duration
-	partial     bool
-}
-
-// backoffWait is the virtual-time delay inserted before the retry that
-// follows a failed attempt (1-based): backoff·2^(attempt-1), capped.
-func backoffWait(rec *recoveryState, attempt int) time.Duration {
-	if rec.backoff <= 0 {
-		return 0
-	}
-	w := rec.backoff
-	for i := 1; i < attempt; i++ {
-		w <<= 1
-		if w >= rec.cap || w <= 0 { // cap reached or shift overflowed
-			return rec.cap
-		}
-	}
-	if w > rec.cap {
-		return rec.cap
-	}
-	return w
 }
 
 // Ticket is an asynchronously admitted submission, returned by SubmitAsync.
@@ -267,7 +177,7 @@ type jobTicket struct {
 	enqueued time.Time
 	tk       *Ticket
 	// SLO admission state (zero without ServerConfig.SLO): the plan the
-	// estimate was derived from — reused by overlapped batches instead of
+	// estimate was derived from — reused by its batch instead of
 	// replanning — plus the deadline judged against, the model's predicted
 	// sojourn, and whether the job was down-tiered to best-effort.
 	plan       *sched.Schedule
@@ -282,18 +192,33 @@ type jobTicket struct {
 	resume string
 }
 
+// Submitter is the submission side of a serving stack — what a traffic
+// harness or a CLI needs of one. *Server is a Submitter and so is
+// shard.Cluster, so whatever drives one drives the other unchanged.
+type Submitter interface {
+	// SubmitAsync admits a job and returns its ticket, or an admission error.
+	SubmitAsync(ctx context.Context, job *dataflow.Job, opts ...SubmitOptions) (*Ticket, error)
+	// Close stops admission and drains what was admitted.
+	Close(ctx context.Context) error
+	// Runtime is the runtime behind the front door (a cluster's first
+	// shard's): the topology and scheduler to price sample jobs with, and the
+	// telemetry registry the stack counts into.
+	Runtime() *Runtime
+}
+
+var _ Submitter = (*Server)(nil)
+
 // Server is the admission-controlled serving engine. It is safe for
 // concurrent use by multiple goroutines.
 type Server struct {
-	rt         *Runtime
-	workers    int // configured EpochWorkers (the auto-scaler's baseline)
-	maxBatch   int
-	block      bool
-	maxLinger  time.Duration
-	sequential bool
-	rec        *recoveryState // nil: recovery disabled
-	slo        *sloState      // nil: admission is deadline-blind
-	scaler     *scaler        // nil: fixed worker pool
+	rt        *Runtime
+	workers   int // configured EpochWorkers (the auto-scaler's baseline)
+	maxBatch  int
+	block     bool
+	maxLinger time.Duration
+	rec       *recoveryState // nil: recovery disabled
+	slo       *sloState      // nil: admission is deadline-blind
+	scaler    *scaler        // nil: fixed worker pool
 
 	// queueWait is the server_queue_wait histogram every dequeued ticket is
 	// observed into, resolved once.
@@ -337,46 +262,19 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if maxBatch <= 0 {
 		maxBatch = 8
 	}
-	var rec *recoveryState
-	if cfg.Recovery != nil {
-		ck := cfg.Recovery.Checkpointer
-		if ck == nil {
-			store := cfg.Recovery.Store
-			if store == nil {
-				var err error
-				store, err = defaultFaultStore()
-				if err != nil {
-					return nil, err
-				}
-			}
-			ck = NewCheckpointer(store)
-		}
-		maxAttempts := cfg.Recovery.MaxAttempts
-		if maxAttempts <= 0 {
-			maxAttempts = 3
-		}
-		cap := cfg.Recovery.BackoffCap
-		if cap <= 0 {
-			cap = 8 * cfg.Recovery.Backoff
-		}
-		rec = &recoveryState{
-			ck:          ck,
-			maxAttempts: maxAttempts,
-			backoff:     cfg.Recovery.Backoff,
-			cap:         cap,
-			partial:     cfg.Recovery.PartialReplay,
-		}
+	rec, err := resolveRecovery(cfg.Recovery)
+	if err != nil {
+		return nil, err
 	}
 	s := &Server{
-		rt:         rt,
-		workers:    workers,
-		maxBatch:   maxBatch,
-		block:      cfg.Block,
-		maxLinger:  cfg.MaxLinger,
-		sequential: cfg.Sequential || cfg.Batching == BatchSequential,
-		rec:        rec,
-		queueWait:  rt.tel.HistHandle(telemetry.LayerRuntime, "server_queue_wait"),
-		queue:      make(chan *jobTicket, depth),
+		rt:        rt,
+		workers:   workers,
+		maxBatch:  maxBatch,
+		block:     cfg.Block,
+		maxLinger: cfg.MaxLinger,
+		rec:       rec,
+		queueWait: rt.tel.HistHandle(telemetry.LayerRuntime, "server_queue_wait"),
+		queue:     make(chan *jobTicket, depth),
 	}
 	if cfg.SLO != nil {
 		s.slo = newSLOState(*cfg.SLO, workers)
@@ -417,9 +315,10 @@ func (s *Server) Checkpointer() *Checkpointer {
 	return s.rec.ck
 }
 
-// resolveOpts folds a variadic options list into the single effective
-// SubmitOptions — the unified submission surface accepts at most one.
-func resolveOpts(opts []SubmitOptions) (SubmitOptions, error) {
+// ResolveOptions folds a variadic options list into the single effective
+// SubmitOptions — the unified submission surface accepts at most one. Every
+// Submitter resolves its options through it.
+func ResolveOptions(opts []SubmitOptions) (SubmitOptions, error) {
 	switch len(opts) {
 	case 0:
 		return SubmitOptions{}, nil
@@ -447,23 +346,15 @@ func resolveOpts(opts []SubmitOptions) (SubmitOptions, error) {
 // identical admission decisions run-to-run. Submit and SubmitStream accept
 // the same options; omitted options mean a plain submission.
 func (s *Server) SubmitAsync(ctx context.Context, job *dataflow.Job, opts ...SubmitOptions) (*Ticket, error) {
-	opt, err := resolveOpts(opts)
+	opt, err := ResolveOptions(opts)
 	if err != nil {
 		return nil, err
 	}
 	return s.submitAsync(ctx, job, opt)
 }
 
-// SubmitAsyncOpts is SubmitAsync with exactly one explicit SubmitOptions.
-//
-// Deprecated: pass the options directly to SubmitAsync, which now accepts
-// them variadically. Kept as a thin compatibility wrapper.
-func (s *Server) SubmitAsyncOpts(ctx context.Context, job *dataflow.Job, opt SubmitOptions) (*Ticket, error) {
-	return s.submitAsync(ctx, job, opt)
-}
-
-// submitAsync is the single admission path behind Submit, SubmitAsync,
-// SubmitAsyncOpts, and (per window) SubmitStream.
+// submitAsync is the single admission path behind Submit, SubmitAsync, and
+// (per window) SubmitStream.
 func (s *Server) submitAsync(ctx context.Context, job *dataflow.Job, opt SubmitOptions) (*Ticket, error) {
 	if job == nil {
 		return nil, errors.New("core: nil job")
@@ -668,29 +559,13 @@ func (s *Server) noteQueueWait(d time.Duration) {
 	}
 }
 
-// liveJob is one batch member's execution state.
-type liveJob struct {
-	t          *jobTicket
-	r          *run
-	w          *wavefront      // the current attempt's dispatcher (overlapped batches)
-	waits      []time.Duration // virtual backoff applied before each retry
-	attempt    int             // 1-based; >1 means recovery retried this submission
-	batchSize  int             // members this batch executed (Report.BatchSize)
-	batchIndex int             // this member's admission position (Report.BatchIndex)
-	overlapped bool            // executed on the shared pool, not job-after-job
-}
-
-// runBatch plans one batch and hands it to the mode-specific executor.
-// Failures and cancellations are isolated per job: the failing run's
-// regions are released and only its submitter sees the error.
-//
-// The two modes differ in what batch mates share. Sequential: one core
-// clock map and the epoch's accumulated backlog — members queue behind each
-// other in virtual time (RunAll semantics). Overlapped (default): members
-// get private core clocks and are planned against an empty load, so each
-// member's virtual-time report is byte-identical to running the job alone
-// at any pool size; mates contend only for wall-clock resources (the
-// shared worker pool, the allocator, the checkpoint store).
+// runBatch plans one batch and drives it. Members get private core clocks
+// and are planned against an idle machine, so each member's virtual-time
+// report is byte-identical to running the job alone at any pool size; mates
+// contend only for wall-clock resources (the shared worker pool, the
+// allocator, the checkpoint store). Failures and cancellations are isolated
+// per job: the failing run's regions are released and only its submitter
+// sees the error.
 func (s *Server) runBatch(batch []*jobTicket) {
 	rt := s.rt
 	dequeued := time.Now()
@@ -715,34 +590,20 @@ func (s *Server) runBatch(batch []*jobTicket) {
 
 	// Plan every member; a scheduling failure only fails its own job.
 	epoch := rt.topo.NewEpoch()
-	// Sequential members share one core table and are planned against the
-	// batch's accumulating load; both stay nil for an overlapped batch, whose
-	// members get private idle clocks and plans.
-	var cores, load []time.Duration
-	if s.sequential {
-		nCores := rt.topo.ComputeSet().NumCores()
-		cores, load = make([]time.Duration, nCores), make([]time.Duration, nCores)
-	}
-	lives := make([]liveJob, 0, len(admitted))
+	members := make([]member, 0, len(admitted))
+	planned := admitted[:0] // planned[i] is members[i]'s ticket
 	for _, t := range admitted {
-		var schedule *sched.Schedule
-		var err error
-		if t.plan != nil && !s.sequential {
-			// SLO admission already planned this job against an idle
-			// machine — exactly the plan overlapped members use — so reuse it
-			// rather than paying HEFT twice per submission.
-			schedule = t.plan
-		} else {
-			// Sequential members queue behind each other: plan against the
-			// batch's accumulating load. For overlapped members virtual
-			// isolation extends to planning: the idle machine (nil load)
-			// yields the same plan the job would get alone, which is what
-			// makes overlapped reports identical to solo runs.
-			schedule, err = rt.scheduleInto(t.job, load)
-		}
-		if err != nil {
-			s.fail(t, fmt.Errorf("core: scheduling %s: %w", t.job.Name(), err))
-			continue
+		// SLO admission already planned the job against an idle machine —
+		// the plan the job would get alone, which is what makes served
+		// reports identical to solo runs — so reuse it rather than paying
+		// HEFT twice per submission.
+		schedule := t.plan
+		if schedule == nil {
+			var err error
+			if schedule, err = rt.sched.Schedule(t.job, rt.topo); err != nil {
+				s.fail(t, fmt.Errorf("core: scheduling %s: %w", t.job.Name(), err))
+				continue
+			}
 		}
 		g, err := t.job.Graph()
 		if err != nil {
@@ -750,207 +611,29 @@ func (s *Server) runBatch(batch []*jobTicket) {
 			continue
 		}
 		// A unique owner namespace per submission lets identical jobs
-		// share the epoch without region-owner collisions.
+		// share the batch without region-owner collisions.
 		ns := t.job.Name() + "#" + strconv.FormatUint(t.tk.id, 10)
-		r := rt.newRun(t.job, g, schedule, epoch, ns, cores) // nil cores → private clocks
-		if s.rec != nil {
-			// The snapshot namespace is unique per submission, so
-			// same-named jobs in flight never cross-restore or
-			// cross-Forget each other's checkpoints. A submission carrying
-			// an external ResumeID adopts that namespace instead: snapshots
-			// a previous (dead-shard) attempt persisted there are restored
-			// rather than re-executed.
-			ckID := t.resume
-			if ckID == "" {
-				ckID = s.rec.ck.runID(t.job.Name())
-			}
-			r.ck, r.ckID = s.rec.ck, ckID
-			r.partial = s.rec.partial
-		}
-		lives = append(lives, liveJob{t: t, r: r, attempt: 1})
+		members = append(members, member{
+			r:      rt.newRun(t.job, g, schedule, epoch, ns, nil),
+			cancel: t.ctx.Err, resume: t.resume,
+		})
+		planned = append(planned, t)
 	}
-	for i := range lives {
-		l := &lives[i]
-		l.batchSize, l.batchIndex, l.overlapped = len(lives), i, !s.sequential
-	}
-	if len(lives) == 0 {
+	if len(members) == 0 {
 		return
 	}
-	if s.sequential {
-		s.runBatchSequential(lives, epoch, cores)
-		return
-	}
-	s.runBatchOverlapped(lives, epoch)
-}
-
-// runBatchSequential executes batch members job-after-job over the shared
-// cores and epoch; jobs run in admission order, each queueing behind the
-// clock views its completed batch mates absorbed into the epoch. Failures
-// and retries stay per job.
-func (s *Server) runBatchSequential(lives []liveJob, epoch *topology.Epoch, cores []time.Duration) {
-	rt := s.rt
-	for i := range lives {
-		l := &lives[i]
-		for {
-			failed, err := l.r.runWavefront(rt.workers, l.t.ctx.Err)
-			if err == nil {
-				s.complete(l)
-				break
-			}
-			if failed == "" && l.t.ctx.Err() != nil {
-				// Canceled mid-wavefront: the run was already cleaned up.
-				s.forgetCanceled(l)
-				rt.tel.Add(telemetry.LayerRuntime, "server_canceled", 1)
-				l.t.tk.deliver(nil, err)
-				break
-			}
-			// Recovery: retry in place, inside this worker's epoch. The
-			// fresh run shares the batch's cores and device queues;
-			// checkpointed tasks are restored instead of re-executed, and
-			// the exponential backoff pushes the retry's start on the
-			// virtual clock.
-			if s.rec != nil && l.attempt < s.rec.maxAttempts && l.t.ctx.Err() == nil {
-				rt.tel.Add(telemetry.LayerFault, "job_retries", 1)
-				wait := backoffWait(s.rec, l.attempt)
-				nr := rt.newRun(l.t.job, l.r.g, l.r.schedule, epoch, l.r.ns, cores)
-				nr.ck, nr.ckID = l.r.ck, l.r.ckID
-				nr.partial = s.rec.partial
-				nr.base = l.r.base + wait
-				l.waits = append(l.waits, wait)
-				l.r = nr
-				l.attempt++
-				continue
-			}
-			s.forget(l.r)
-			if failed != "" {
-				s.fail(l.t, fmt.Errorf("core: job %s task %s: %w", l.t.job.Name(), failed, err))
-			} else {
-				s.fail(l.t, err)
-			}
-			break
+	rt.drive(epoch, s.rec, members, func(i int, o outcome) {
+		t := planned[i]
+		switch {
+		case o.canceled:
+			rt.tel.Add(telemetry.LayerRuntime, "server_canceled", 1)
+			t.tk.deliver(nil, o.err)
+		case o.err != nil:
+			s.fail(t, o.err)
+		default:
+			s.complete(t, o.rep, len(planned), i)
 		}
-	}
-}
-
-// runBatchOverlapped executes all batch members concurrently on one shared
-// worker pool: every member's ready tasks compete for the pool's slots in
-// deterministic (rank, submission) order, so narrow phases of one job are
-// overlapped with its mates' work instead of idling the pool. Virtual
-// isolation keeps every member's report byte-identical to running the job
-// alone: each member prices against its own clone of the batch-start epoch
-// snapshot and its own core clocks, so a mate's failure, retry, or mere
-// presence never perturbs anyone else's virtual time. Recovery retries are
-// attached to the live pool as fresh members, overlapping with the rest of
-// the batch instead of serializing behind it; each retry inherits its
-// predecessor attempt's (deterministically rewound) core clocks and
-// checkpoints, exactly like the sequential path.
-func (s *Server) runBatchOverlapped(lives []liveJob, epoch *topology.Epoch) {
-	rt := s.rt
-	// Batch-start snapshot: every member and every retry seeds from a clone
-	// of this view, never from a live epoch read that could see a mate's
-	// mid-flight absorbs.
-	seed := epoch.View()
-	p := newWavePool(rt.workers)
-	// attempt builds l's current run's wavefront, or fails the submission.
-	attempt := func(l *liveJob) bool {
-		sv := topology.GetTaskView(seed)
-		w, failed, err := l.r.newWavefront(l.t.ctx.Err, sv)
-		if err != nil {
-			topology.PutTaskView(sv)
-			l.r.cleanup()
-			s.forget(l.r)
-			s.fail(l.t, fmt.Errorf("core: job %s task %s: %w", l.t.job.Name(), failed, err))
-			return false
-		}
-		l.w = w
-		return true
-	}
-	active := make([]*liveJob, 0, len(lives))
-	drained := make([]*liveJob, 0, len(lives))
-	for i := range lives {
-		if l := &lives[i]; attempt(l) {
-			p.attach(l.w)
-			active = append(active, l)
-		}
-	}
-	if len(active) == 0 {
-		return
-	}
-
-	p.mu.Lock()
-	// Grant every member's initial claims before the first launch so the
-	// pool's (rank, submission) tiebreak sees the whole batch at once.
-	for _, l := range active {
-		l.w.advance()
-	}
-	p.launch()
-	for len(active) > 0 {
-		drained = drained[:0]
-		rest := active[:0]
-		for _, l := range active {
-			if l.w.drainedLocked() {
-				drained = append(drained, l)
-			} else {
-				rest = append(rest, l)
-			}
-		}
-		active = rest
-		if len(drained) == 0 {
-			p.cond.Wait()
-			continue
-		}
-		// Finalize drained members outside the pool lock: finalization does
-		// region teardown and checkpoint-store I/O, and the pool must keep
-		// dispatching the still-live members meanwhile.
-		p.mu.Unlock()
-		var retries []*liveJob
-		for _, l := range drained {
-			failed, err := l.w.finalize()
-			if err == nil {
-				s.complete(l)
-				continue
-			}
-			if failed == "" && l.t.ctx.Err() != nil {
-				// Canceled mid-wavefront: the run was already cleaned up.
-				s.forgetCanceled(l)
-				rt.tel.Add(telemetry.LayerRuntime, "server_canceled", 1)
-				l.t.tk.deliver(nil, err)
-				continue
-			}
-			if s.rec != nil && l.attempt < s.rec.maxAttempts && l.t.ctx.Err() == nil {
-				rt.tel.Add(telemetry.LayerFault, "job_retries", 1)
-				wait := backoffWait(s.rec, l.attempt)
-				nr := rt.newRun(l.t.job, l.r.g, l.r.schedule, epoch, l.r.ns, l.r.cores)
-				nr.ck, nr.ckID = l.r.ck, l.r.ckID
-				nr.partial = s.rec.partial
-				nr.base = l.r.base + wait
-				l.waits = append(l.waits, wait)
-				l.r = nr
-				l.attempt++
-				if attempt(l) {
-					retries = append(retries, l)
-				}
-				continue
-			}
-			s.forget(l.r)
-			if failed != "" {
-				s.fail(l.t, fmt.Errorf("core: job %s task %s: %w", l.t.job.Name(), failed, err))
-			} else {
-				s.fail(l.t, err)
-			}
-		}
-		p.mu.Lock()
-		for _, l := range retries {
-			p.attach(l.w)
-			active = append(active, l)
-			l.w.advance()
-		}
-		if len(retries) > 0 {
-			p.launch()
-		}
-	}
-	p.mu.Unlock()
-	topology.PutTaskView(seed)
+	})
 }
 
 // fail delivers an error outcome.
@@ -959,60 +642,26 @@ func (s *Server) fail(t *jobTicket, err error) {
 	t.tk.deliver(nil, err)
 }
 
-// forget drops a terminated submission's snapshots so the checkpointer
-// drains back to zero entries. No-op without recovery.
-func (s *Server) forget(r *run) {
-	if s.rec != nil && r.ckID != "" {
-		s.rec.ck.Forget(r.ckID)
-	}
-}
-
-// forgetCanceled is forget for a canceled run, except when the submission
-// adopted an external checkpoint namespace (SubmitOptions.ResumeID): a
-// shard being killed cancels its in-flight jobs, and the snapshots they
-// persisted are exactly what the router's failover re-submission replays on
-// a survivor — the namespace owner forgets them, not the dying shard.
-func (s *Server) forgetCanceled(l *liveJob) {
-	if l.t.resume != "" {
-		return
-	}
-	s.forget(l.r)
-}
-
-// complete finalizes a finished run and delivers its report. Recovered
-// jobs (attempt > 1) are distinguished in spans and counters so replayed
-// work is visible in the serving profile.
-func (s *Server) complete(l *liveJob) {
-	// runWavefront already released the run's regions and finalized its
-	// peak-memory and makespan figures.
-	s.forget(l.r)
-	l.r.report.Attempts = l.attempt
-	l.r.report.AttemptWaits = l.waits
-	l.r.report.BatchSize = l.batchSize
-	l.r.report.BatchIndex = l.batchIndex
-	l.r.report.Overlapped = l.overlapped
-	l.r.report.SLODeadline = l.t.deadline
-	l.r.report.SLOWait = l.t.slowait
-	l.r.report.SLOPredicted = l.t.predicted
-	l.r.report.BestEffort = l.t.bestEffort
-	l.r.report.Shard = l.t.shard
+// complete stamps a finished job's report with what the serving side knows —
+// its batch, its admission verdict, its shard — and delivers it. Recovered
+// jobs are distinguished in spans and counters so replayed work is visible in
+// the serving profile: one that needed a retry, and one that restored tasks
+// on its first local attempt — a failover re-submission
+// (SubmitOptions.ResumeID) replaying what a dead shard checkpointed.
+func (s *Server) complete(t *jobTicket, rep *Report, batchSize, batchIndex int) {
+	rep.BatchSize, rep.BatchIndex = batchSize, batchIndex
+	rep.SLODeadline, rep.SLOWait, rep.SLOPredicted = t.deadline, t.slowait, t.predicted
+	rep.BestEffort = t.bestEffort
+	rep.Shard = t.shard
 	span := "serve"
-	if l.attempt > 1 {
+	if rep.Attempts > 1 || rep.SkippedTasks > 0 {
 		span = "serve-recovered"
-		l.r.report.ReplayedTasks = len(l.r.report.Tasks) - l.r.report.SkippedTasks
-		s.rt.tel.Add(telemetry.LayerRuntime, "server_recovered", 1)
-	} else if l.r.report.SkippedTasks > 0 {
-		// First local attempt, yet tasks were restored: a failover
-		// re-submission (SubmitOptions.ResumeID) replaying what a dead
-		// shard checkpointed.
-		span = "serve-recovered"
-		l.r.report.ReplayedTasks = len(l.r.report.Tasks) - l.r.report.SkippedTasks
 		s.rt.tel.Add(telemetry.LayerRuntime, "server_recovered", 1)
 	}
 	s.rt.tel.Add(telemetry.LayerRuntime, "server_completed", 1)
 	s.rt.tel.Record(telemetry.Span{
-		Layer: telemetry.LayerRuntime, Job: l.t.job.Name(),
-		Name: span, Start: 0, End: l.r.report.Makespan,
+		Layer: telemetry.LayerRuntime, Job: t.job.Name(),
+		Name: span, Start: 0, End: rep.Makespan,
 	})
-	l.t.tk.deliver(l.r.report, nil)
+	t.tk.deliver(rep, nil)
 }

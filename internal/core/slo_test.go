@@ -31,11 +31,11 @@ func TestSLOAdmissionModel(t *testing.T) {
 	est := estimateOf(t, s, pipelineJob("p"))
 	deadline := est + est/2 // fits one service time, not two
 
-	tk1, err := s.SubmitAsyncOpts(context.Background(), pipelineJob("p"), SubmitOptions{Deadline: deadline})
+	tk1, err := s.SubmitAsync(context.Background(), pipelineJob("p"), SubmitOptions{Deadline: deadline})
 	if err != nil {
 		t.Fatalf("first submission refused: %v", err)
 	}
-	_, err = s.SubmitAsyncOpts(context.Background(), pipelineJob("p"), SubmitOptions{Deadline: deadline})
+	_, err = s.SubmitAsync(context.Background(), pipelineJob("p"), SubmitOptions{Deadline: deadline})
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("second back-to-back submission: err = %v, want ErrDeadline", err)
 	}
@@ -45,7 +45,7 @@ func TestSLOAdmissionModel(t *testing.T) {
 
 	// After the modeled worker drains (arrival past its free time), the
 	// same deadline admits again.
-	tk3, err := s.SubmitAsyncOpts(context.Background(), pipelineJob("p"),
+	tk3, err := s.SubmitAsync(context.Background(), pipelineJob("p"),
 		SubmitOptions{Arrival: 2 * est, Deadline: deadline})
 	if err != nil {
 		t.Fatalf("post-drain submission refused: %v", err)
@@ -94,7 +94,7 @@ func TestSLOAdmissionDeterministic(t *testing.T) {
 			// Arrivals at 40% of the two-worker drain rate: overload, so the
 			// sequence mixes admissions and rejections.
 			arr := time.Duration(i) * est * 4 / 10
-			tk, err := s.SubmitAsyncOpts(context.Background(), pipelineJob("p"),
+			tk, err := s.SubmitAsync(context.Background(), pipelineJob("p"),
 				SubmitOptions{Arrival: arr, Deadline: 2 * est})
 			v := verdict{admitted: err == nil}
 			if err == nil {
@@ -130,11 +130,11 @@ func TestSLODownTier(t *testing.T) {
 	est := estimateOf(t, s, pipelineJob("p"))
 	deadline := est + est/2
 
-	tk1, err := s.SubmitAsyncOpts(context.Background(), pipelineJob("p"), SubmitOptions{Deadline: deadline})
+	tk1, err := s.SubmitAsync(context.Background(), pipelineJob("p"), SubmitOptions{Deadline: deadline})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk2, err := s.SubmitAsyncOpts(context.Background(), pipelineJob("p"), SubmitOptions{Deadline: deadline})
+	tk2, err := s.SubmitAsync(context.Background(), pipelineJob("p"), SubmitOptions{Deadline: deadline})
 	if err != nil {
 		t.Fatalf("DownTier policy refused a predicted miss: %v", err)
 	}
@@ -162,11 +162,11 @@ func TestSLODownTier(t *testing.T) {
 	}
 }
 
-// TestSLOUnset: without a policy, SubmitAsyncOpts ignores admission inputs
+// TestSLOUnset: without a policy, SubmitAsync ignores admission inputs
 // and reports carry zero SLO fields.
 func TestSLOUnset(t *testing.T) {
 	s := newTestServer(t, ServerConfig{EpochWorkers: 1})
-	tk, err := s.SubmitAsyncOpts(context.Background(), pipelineJob("p"),
+	tk, err := s.SubmitAsync(context.Background(), pipelineJob("p"),
 		SubmitOptions{Arrival: time.Hour, Deadline: time.Nanosecond})
 	if err != nil {
 		t.Fatalf("SLO-less server gated a submission: %v", err)

@@ -197,7 +197,7 @@ func streamMarker(idx int) string { return fmt.Sprintf("__window__%06d", idx) }
 // after the stream ends; a mid-stream Close fails the stream's next
 // window submission with ErrServerClosed.
 func (s *Server) SubmitStream(ctx context.Context, spec stream.Spec, opts ...SubmitOptions) (*StreamTicket, error) {
-	opt, err := resolveOpts(opts)
+	opt, err := ResolveOptions(opts)
 	if err != nil {
 		return nil, err
 	}

@@ -84,7 +84,7 @@ func TestStreamReportsMatchSoloAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := New(Config{Workers: 1})
+		rt, err := New(ExecConfig{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestSubmitStreamValidation(t *testing.T) {
 // transform — the resumed run is identical at any pool size.
 func crashResume(t *testing.T, workers int) (crashed, resumed *StreamTicket, resumedReps []*Report) {
 	t.Helper()
-	rt, err := New(Config{})
+	rt, err := New(ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestStreamCrashResume(t *testing.T) {
 
 	// Post-crash-point windows are byte-identical to an uninterrupted
 	// stream on an identical serving stack (same recovery pricing).
-	rt, err := New(Config{})
+	rt, err := New(ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from th
 // pre-resolved atomics; how a counter is stored must never show here.
 func TestTelemetrySurfaceGolden(t *testing.T) {
 	tel := telemetry.NewRegistry()
-	rt, err := New(Config{Telemetry: tel, Workers: 2})
+	rt, err := New(ExecConfig{Telemetry: tel, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

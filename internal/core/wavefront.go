@@ -41,10 +41,11 @@ package core
 //     run's core clocks are rewound to the deterministic post-failure state
 //     so recovery replays exactly what a sequential run would have.
 //
-// A wavefront executes inside a wavePool. Runtime.Run and RunAll drive a
-// pool with a single member; the Server's overlapped batch mode attaches
-// every batch member (and every recovery retry) to one shared pool, so many
-// jobs' ready tasks compete for the same bounded worker slots concurrently.
+// A wavefront executes inside a wavePool, and drive (exec.go) is the one
+// function that builds pools and attaches members to them. Runtime.Run and
+// RunAll drive a pool with a single member; a Server batch attaches every
+// batch member (and every recovery retry) to one shared pool, so many jobs'
+// ready tasks compete for the same bounded worker slots concurrently.
 // Determinism generalizes from one job to N because everything virtual is
 // per member — seed views, core clocks, claim ledgers, fences, failure
 // frontiers — and the only shared state, the pool's wall-clock worker
@@ -114,8 +115,8 @@ type memEvent struct {
 }
 
 // wavePool arbitrates one bounded worker pool across one or more
-// concurrently executing wavefronts — one member per batch submission when
-// the Server overlaps jobs, exactly one for Runtime.Run and RunAll. Members
+// concurrently executing wavefronts — one member per submission of a Server
+// batch, exactly one for Runtime.Run and RunAll. Members
 // share the pool's lock, condition variable, and worker slots; everything
 // virtual (core clocks, claim ledgers, seed views, fences, failure
 // frontiers) stays per member, which is what keeps each job's virtual time
@@ -214,7 +215,7 @@ type wavefront struct {
 
 	// seed is the epoch snapshot every task of this run prices against
 	// (merged with predecessor views). Snapshotting once — instead of
-	// reading the epoch per task — is what keeps overlapped batch members
+	// reading the epoch per task — is what keeps batch members
 	// deterministic: a mate that finishes mid-flight absorbs its views into
 	// the shared epoch, and a live read would leak that wall-clock-dependent
 	// backlog into this job's virtual time.
@@ -240,30 +241,6 @@ type wavefront struct {
 	failErr  error
 	failTask string
 	canceled error
-}
-
-// runWavefront executes the run's whole DAG on a single-member pool and
-// blocks until it drains — the Runtime.Run / RunAll / sequential-batch
-// engine. On success the run's report (peak memory, makespan) is finalized
-// and every task's clock view is absorbed into the epoch; on failure every
-// live region is released and the returned task/error pair identifies the
-// lowest-rank failure. A cancellation (cancel returning non-nil) surfaces
-// as failedTask == "" with the probe's error.
-func (r *run) runWavefront(workers int, cancel func() error) (failedTask string, err error) {
-	w, failed, err := r.newWavefront(cancel, r.epoch.View())
-	if err != nil {
-		r.cleanup()
-		return failed, err
-	}
-	p := newWavePool(workers)
-	p.attach(w)
-	p.mu.Lock()
-	w.pump()
-	for !w.drainedLocked() {
-		p.cond.Wait()
-	}
-	p.mu.Unlock()
-	return w.finalize()
 }
 
 // newWavefront validates the run's plan and assembles its dispatcher state:
@@ -377,12 +354,12 @@ func (w *wavefront) finalize() (failedTask string, err error) {
 		return w.failTask, w.failErr
 	}
 
-	// Success: fold every task's clock view back into the epoch so batch
-	// mates that run after this job queue behind its device backlog
-	// (sequential batches and RunAll; overlapped members never re-read the
-	// epoch, so for them this is inert bookkeeping). The views are merged
-	// into the seed first — the epoch already dominates it, and it is about
-	// to be recycled — so the epoch is locked once.
+	// Success: fold every task's clock view back into the epoch, so a job
+	// driven over the same epoch afterwards queues behind this one's device
+	// backlog (RunAll; the members of one drive call seeded before anyone
+	// absorbed, so among them this is inert bookkeeping). The views are
+	// merged into the seed first — the epoch already dominates it, and it is
+	// about to be recycled — so the epoch is locked once.
 	for k := range w.slots {
 		if v := w.slots[k].view; v != nil {
 			w.seed.Merge(v)
@@ -431,16 +408,6 @@ func (w *wavefront) drainedLocked() bool {
 		return w.frontier >= w.failRank
 	}
 	return w.done == len(w.slots)
-}
-
-// pump advances this member (claim granting, cancellation probe, failure
-// revocation) and then lets the pool launch whatever is now dispatchable —
-// across all members. It is for callers that cannot run a task themselves (a
-// run's driver, a task about to block at a fence); a retiring task goroutine
-// advances and continues instead (execAndRetire). Caller holds the pool lock.
-func (w *wavefront) pump() {
-	w.advance()
-	w.pool.launch()
 }
 
 // advance grants core claims in rank order per device, probes cancellation,
@@ -622,7 +589,10 @@ func (w *wavefront) fence(k int, deps []int) error {
 		return nil
 	}
 	p.slots++
-	w.pump()
+	// This goroutine cannot run a task while it waits: advance this member
+	// and let the pool start whatever is now dispatchable, across all members.
+	w.advance()
+	p.launch()
 	for !w.fenceOpenLocked(k, deps) {
 		if w.failRank >= 0 && w.failRank < k {
 			p.slots--

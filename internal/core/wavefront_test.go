@@ -100,7 +100,7 @@ func TestWavefrontDeterministicAcrossWorkerCounts(t *testing.T) {
 	counts := []int{1, 4, goruntime.GOMAXPROCS(0)}
 	var want *Report
 	for _, w := range counts {
-		rt, err := New(Config{Workers: w})
+		rt, err := New(ExecConfig{Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestWavefrontFaultDrainsClean(t *testing.T) {
 	for _, workers := range append(drainWorkerCounts(), 8) {
 		inj := fault.NewInjector(1, 0, 1)
 		inj.Kill("branch07", 1)
-		rt, err := New(Config{Workers: workers, Inject: inj})
+		rt, err := New(ExecConfig{Workers: workers, Inject: inj})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func TestWavefrontBodyFailureDrainsClean(t *testing.T) {
 			tk, _ := j.Get(id)
 			tk.Then(bad)
 		}
-		rt, err := New(Config{Workers: workers})
+		rt, err := New(ExecConfig{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +285,7 @@ func countKeys(m *sync.Map) (n int) {
 // continuation follows the pool's pick across members.
 func TestTaskGoroutineRunsToCompletion(t *testing.T) {
 	var solo sync.Map
-	rt, err := New(Config{Workers: 1})
+	rt, err := New(ExecConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestTaskGoroutineRunsToCompletion(t *testing.T) {
 // execution time rather than growing with the backlog.
 func TestServeMaxLingerBoundsQueueWait(t *testing.T) {
 	tel := telemetry.NewRegistry()
-	rt, err := New(Config{Telemetry: tel})
+	rt, err := New(ExecConfig{Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ var benchRefMakespan struct {
 func BenchmarkWideDAGParallel(b *testing.B) {
 	const width, payload, stall = 16, 1 << 20, 5 * time.Millisecond
 	benchRefMakespan.once.Do(func() {
-		rt, err := New(Config{Workers: 1})
+		rt, err := New(ExecConfig{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -448,7 +448,7 @@ func BenchmarkWideDAGParallel(b *testing.B) {
 	})
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			rt, err := New(Config{Workers: w})
+			rt, err := New(ExecConfig{Workers: w})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -477,7 +477,7 @@ func BenchmarkServeParallel(b *testing.B) {
 	}
 	for _, w := range counts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			rt, err := New(Config{Workers: w})
+			rt, err := New(ExecConfig{Workers: w})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,5 +1,5 @@
 // Package loadgen is the open-loop traffic harness: it replays a
-// production-shaped request stream against a core.Server and reports what
+// production-shaped request stream against a core.Submitter and reports what
 // the application sees — queue wait, virtual sojourn, wall latency — at
 // p50/p99/p999, plus the admission ledger (admitted / down-tiered /
 // rejected).
@@ -30,21 +30,10 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dataflow"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
-
-// Target is the serving surface the harness drives — satisfied by
-// *core.Server and by *shard.Cluster, so the same traffic replays against
-// one server or a sharded front end unchanged. Runtime() supplies the
-// topology/scheduler used to price sample jobs (deriveRate) and the
-// telemetry registry the queue-wait histogram is read from.
-type Target interface {
-	SubmitAsync(ctx context.Context, job *dataflow.Job, opts ...core.SubmitOptions) (*core.Ticket, error)
-	Runtime() *core.Runtime
-}
 
 // Process selects the arrival process.
 type Process string
@@ -287,7 +276,7 @@ func (a *arrivals) next() time.Duration {
 // deriveRate turns a target utilization into an arrival rate by pricing a
 // sample of the job stream with the scheduler's estimator: rate such that
 // (rate × mean estimated makespan) / workers = rho.
-func deriveRate(cfg Config, srv Target) (float64, error) {
+func deriveRate(cfg Config, srv core.Submitter) (float64, error) {
 	probe := workload.NewMix(cfg.Mix) // fresh sampler; the run's own mix is untouched
 	rt := srv.Runtime()
 	const sample = 200
@@ -320,7 +309,7 @@ type outcome struct {
 
 // Run replays cfg's traffic against srv and blocks until every admitted
 // job completes. srv must outlive the call; Run does not close it.
-func Run(ctx context.Context, srv Target, cfg Config) (*Result, error) {
+func Run(ctx context.Context, srv core.Submitter, cfg Config) (*Result, error) {
 	if srv == nil {
 		return nil, fmt.Errorf("loadgen: nil server")
 	}

@@ -119,7 +119,7 @@ func AblationScheduler() (*Artifact, error) {
 		if err != nil {
 			return nil, err
 		}
-		rt, err := core.New(core.Config{Topology: topo, Scheduler: s})
+		rt, err := core.New(core.ExecConfig{Topology: topo, Scheduler: s})
 		if err != nil {
 			return nil, err
 		}

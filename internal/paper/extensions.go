@@ -168,7 +168,7 @@ func AblationPlanner() (*Artifact, error) {
 // running the same jobs back to back: six 16-way compute jobs with mixed
 // device preferences share one runtime.
 func AblationMultiJob() (*Artifact, error) {
-	rt, err := core.New(core.Config{})
+	rt, err := core.New(core.ExecConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +253,7 @@ func AblationRecovery() (*Artifact, error) {
 
 	// Baselines on a clean job: B = plain makespan, B+O = with snapshots.
 	zero := 0
-	rtBase, err := core.New(core.Config{})
+	rtBase, err := core.New(core.ExecConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -265,12 +265,12 @@ func AblationRecovery() (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	rtOv, err := core.New(core.Config{})
+	rtOv, err := core.New(core.ExecConfig{})
 	if err != nil {
 		return nil, err
 	}
 	zero = 0
-	ovRep, _, err := rtOv.RunWithRecovery(mkJob(&zero), core.NewCheckpointer(storeOverhead), 1)
+	ovRep, err := rtOv.Run(mkJob(&zero), core.RecoveryPolicy{Store: storeOverhead})
 	if err != nil {
 		return nil, err
 	}
@@ -279,21 +279,24 @@ func AblationRecovery() (*Artifact, error) {
 	plainTotal := 2 * baseRep.Makespan
 
 	// With checkpoints: failed attempt (with snapshot overhead) + a retry
-	// that restores the four stages instead of recomputing them.
+	// that restores the four stages instead of recomputing them. The
+	// recovered report times the retry alone (it starts over on the cores the
+	// failed attempt left idle), so the failed attempt is priced by the clean
+	// checkpointed run above.
 	failures := 1
 	store, err := mkStore()
 	if err != nil {
 		return nil, err
 	}
-	rtCk, err := core.New(core.Config{})
+	rtCk, err := core.New(core.ExecConfig{})
 	if err != nil {
 		return nil, err
 	}
-	ck := core.NewCheckpointer(store)
-	repCk, attempts, err := rtCk.RunWithRecovery(mkJob(&failures), ck, 3)
+	repCk, err := rtCk.Run(mkJob(&failures), core.RecoveryPolicy{Store: store})
 	if err != nil {
 		return nil, err
 	}
+	attempts := repCk.Attempts
 	ckTotal := ovRep.Makespan + repCk.Makespan
 	saving := float64(plainTotal) / float64(ckTotal)
 	tbl := &table{header: []string{"Recovery mode", "Cost to finish after 1 failure", "Attempts", "Speedup"}}

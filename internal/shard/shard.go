@@ -166,8 +166,8 @@ type ShardStats struct {
 }
 
 // Cluster is the sharded serving front end. Submissions are routed by
-// consistent hash of the job signature; the submission API mirrors
-// core.Server so traffic harnesses drive either interchangeably. Safe for
+// consistent hash of the job signature; it is a core.Submitter, like the
+// core.Server each shard runs, so harnesses drive either interchangeably. Safe for
 // concurrent use; fingerprint reproducibility additionally requires a
 // single submitting goroutine (same as the admission model's decision
 // order).
@@ -183,6 +183,8 @@ type Cluster struct {
 	wg      sync.WaitGroup     // in-flight watchers
 	closed  atomic.Bool
 }
+
+var _ core.Submitter = (*Cluster)(nil)
 
 // NewCluster builds the fabric, the shards (each with a private runtime),
 // and the routing ring, and leases every shard's ledger slab. The cluster
@@ -638,28 +640,10 @@ func (sh *Shard) submit(ctx context.Context, job *dataflow.Job, opt core.SubmitO
 // errors (ErrDeadline, ErrQueueFull, validation) surface exactly as
 // core.Server reports them.
 func (c *Cluster) SubmitAsync(ctx context.Context, job *dataflow.Job, opts ...core.SubmitOptions) (*core.Ticket, error) {
-	var opt core.SubmitOptions
-	switch len(opts) {
-	case 0:
-	case 1:
-		opt = opts[0]
-	default:
-		return nil, errors.New("shard: at most one SubmitOptions per submission")
+	opt, err := core.ResolveOptions(opts)
+	if err != nil {
+		return nil, err
 	}
-	return c.submitAsync(ctx, job, opt)
-}
-
-// SubmitAsyncOpts is SubmitAsync with exactly one explicit SubmitOptions.
-//
-// Deprecated: pass the options directly to SubmitAsync, which now accepts
-// them variadically. Kept as a thin compatibility wrapper.
-func (c *Cluster) SubmitAsyncOpts(ctx context.Context, job *dataflow.Job, opt core.SubmitOptions) (*core.Ticket, error) {
-	return c.submitAsync(ctx, job, opt)
-}
-
-// submitAsync is the single routed-admission path behind Submit and
-// SubmitAsync.
-func (c *Cluster) submitAsync(ctx context.Context, job *dataflow.Job, opt core.SubmitOptions) (*core.Ticket, error) {
 	if c.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -738,33 +722,27 @@ func (c *Cluster) Submit(ctx context.Context, job *dataflow.Job, opts ...core.Su
 // to ring successors as shards die underneath it.
 func (c *Cluster) watch(ctx context.Context, rtk *core.Ticket, sh *Shard, tk *core.Ticket, cleanup func(), job *dataflow.Job, opt core.SubmitOptions, sig uint64) {
 	defer c.wg.Done()
+	// settle delivers the terminal outcome; the router owns the submission's
+	// checkpoint namespace, so it is the one that forgets it.
+	settle := func(rep *core.Report, err error) {
+		if c.ck != nil {
+			c.ck.Forget(opt.ResumeID)
+		}
+		rtk.Deliver(rep, err)
+	}
 	for {
 		rep, err := tk.Wait(nil) // the server always delivers exactly once
 		cleanup()
 		if err == nil {
 			sh.noteComplete(rep)
-			if c.ck != nil {
-				c.ck.Forget(opt.ResumeID) // terminal: the namespace owner GCs it
-			}
-			rtk.Deliver(rep, nil)
+			settle(rep, nil)
 			return
 		}
-		if ctx.Err() != nil {
-			// The submitter gave up; not the shard's fault.
+		if ctx.Err() != nil || !sh.isDown() {
+			// The submitter gave up, or the job genuinely failed on a
+			// healthy shard: terminal either way, and not the shard's fault.
 			sh.failed.Add(1)
-			if c.ck != nil {
-				c.ck.Forget(opt.ResumeID)
-			}
-			rtk.Deliver(nil, err)
-			return
-		}
-		if !sh.isDown() {
-			// Genuine job failure on a healthy shard: terminal.
-			sh.failed.Add(1)
-			if c.ck != nil {
-				c.ck.Forget(opt.ResumeID)
-			}
-			rtk.Deliver(nil, err)
+			settle(nil, err)
 			return
 		}
 		// The shard died with the job in flight. Adopt its ledger on the
@@ -773,10 +751,7 @@ func (c *Cluster) watch(ctx context.Context, rtk *core.Ticket, sh *Shard, tk *co
 		// checkpointed are restored instead of re-executed.
 		next, ferr := c.failover(sh, sig, rtk.ID(), opt)
 		if ferr != nil {
-			if c.ck != nil {
-				c.ck.Forget(opt.ResumeID)
-			}
-			rtk.Deliver(nil, fmt.Errorf("shard: re-routing %s after %s died: %w", job.Name(), sh.name, ferr))
+			settle(nil, fmt.Errorf("shard: re-routing %s after %s died: %w", job.Name(), sh.name, ferr))
 			return
 		}
 		ropt := opt
@@ -789,10 +764,7 @@ func (c *Cluster) watch(ctx context.Context, rtk *core.Ticket, sh *Shard, tk *co
 				continue
 			}
 			next.errored.Add(1)
-			if c.ck != nil {
-				c.ck.Forget(opt.ResumeID)
-			}
-			rtk.Deliver(nil, serr)
+			settle(nil, serr)
 			return
 		}
 		next.rerouted.Add(1)

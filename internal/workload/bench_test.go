@@ -12,7 +12,7 @@ import (
 
 func benchJob(b *testing.B, mk func() *dataflow.Job) {
 	b.Helper()
-	rt, err := core.New(core.Config{})
+	rt, err := core.New(core.ExecConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 
 func runJob(t *testing.T, job *dataflow.Job) *core.Report {
 	t.Helper()
-	rt, err := core.New(core.Config{})
+	rt, err := core.New(core.ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestStreamWindowPartitionedMatchesSingle(t *testing.T) {
 func TestRegionHashTableDirect(t *testing.T) {
 	// Exercise the hash table against a real runtime context through a
 	// one-task job.
-	rt, err := core.New(core.Config{})
+	rt, err := core.New(core.ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestRegionHashTableDirect(t *testing.T) {
 }
 
 func TestRegionHashTableFull(t *testing.T) {
-	rt, err := core.New(core.Config{})
+	rt, err := core.New(core.ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
