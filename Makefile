@@ -43,10 +43,12 @@ bench:
 # where BENCHGATE_TOLERANCE does not reach. The recovery benchmark is gated on
 # its exact metric too, and that one is a cost: the bytes a retry fetches back
 # from the checkpoint store, under full and under partial replay, may not grow
-# by one. The region access, placement and
-# planner micro-benchmarks are gated the other way round — their units are
+# by one, nor the bytes it allocates by a tenth (one payload-sized buffer per
+# task is a fifth). The region access, placement, planner and checkpoint
+# micro-benchmarks are gated the other way round — their units are
 # costs: time per operation may not triple, and allocations per operation may
-# not rise at all. The region benchmark's parallel case runs at one core and
+# not rise at all; a checkpoint's put → delete cycle may not double its bytes
+# either, which one payload-sized buffer per operation would do fifty times over. The region benchmark's parallel case runs at one core and
 # at two, each its own gated row, so the baseline shows that the second core
 # does not make an access dearer.
 #
@@ -57,7 +59,8 @@ bench:
 SMOKE_BENCHES = \
 	'parallel:core:BenchmarkWideDAGParallel|BenchmarkServeParallel:2x' \
 	'serve:core:BenchmarkServeOverlap:2x:jobs/s' \
-	'recover:core:BenchmarkRecoverPartial:2x:restored-B/op:0' \
+	'recover:core:BenchmarkRecoverPartial:2x:restored-B/op:0,B/op:0.1' \
+	'checkpoint:fault:BenchmarkReplicatedPut:20000x:ns/op:2,allocs/op:0,B/op:1' \
 	'shard:shard:BenchmarkServeSharded:2x:jobs/s,speedup' \
 	'stream:core:BenchmarkStreamServe:2x:solo-identical-windows/op:0' \
 	'migrate:shard:BenchmarkClusterRebalance:2x:exported/op:0,recalled/op:0' \

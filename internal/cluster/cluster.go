@@ -13,9 +13,12 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/allocator"
 )
 
 // Errors returned by fabric verbs. ErrUnreachable covers both crashed nodes
@@ -40,12 +43,19 @@ type SlabID struct {
 
 func (s SlabID) String() string { return fmt.Sprintf("%s/slab%d", s.Node, s.Slab) }
 
+// slabFreeBytes bounds the freed slab backings a memory node keeps for reuse,
+// so a burst of frees cannot pin its memory forever.
+const slabFreeBytes = 8 << 20
+
 // node is one memory node: capacity plus its exported slabs.
 type node struct {
 	capacity int64
 	used     int64
 	alive    bool
 	slabs    map[uint64][]byte
+	// free recycles the backings of freed slabs by size class. They are host
+	// memory, not modelled capacity: used counts live slabs only.
+	free     allocator.BufList
 	nextSlab uint64
 	verbs    uint64 // verbs executed at this node (survives crash: NIC-side)
 	bytes    uint64 // payload bytes moved to/from this node
@@ -63,6 +73,8 @@ type NodeStats struct {
 type Fabric struct {
 	mu         sync.Mutex
 	nodes      map[string]*node
+	names      []string          // every node, sorted
+	alive      []string          // the reachable ones, sorted; nil after a change until asked for
 	partition  map[string]bool   // nodes cut off from the initiators
 	leases     map[SlabID]string // slab ownership registry, held in the fabric
 	rtt        time.Duration     // one-sided verb round trip
@@ -104,7 +116,13 @@ func (f *Fabric) AddNode(name string, capacity int64) error {
 	if _, ok := f.nodes[name]; ok {
 		return fmt.Errorf("%w: %s", ErrSlabExists, name)
 	}
-	f.nodes[name] = &node{capacity: capacity, alive: true, slabs: make(map[uint64][]byte)}
+	f.nodes[name] = &node{
+		capacity: capacity, alive: true, slabs: make(map[uint64][]byte),
+		free: allocator.BufList{Limit: slabFreeBytes},
+	}
+	at, _ := slices.BinarySearch(f.names, name)
+	f.names = slices.Insert(f.names, at, name)
+	f.alive = nil
 	return nil
 }
 
@@ -112,26 +130,24 @@ func (f *Fabric) AddNode(name string, capacity int64) error {
 func (f *Fabric) Nodes() []string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]string, 0, len(f.nodes))
-	for n := range f.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return append([]string(nil), f.names...)
 }
 
-// AliveNodes lists reachable nodes.
+// AliveNodes lists reachable nodes, sorted. The list is built once per change
+// of membership or reachability and shared by every caller until the next:
+// callers must not modify it.
 func (f *Fabric) AliveNodes() []string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var out []string
-	for name, n := range f.nodes {
-		if n.alive && !f.partition[name] {
-			out = append(out, name)
+	if f.alive == nil {
+		f.alive = make([]string, 0, len(f.names))
+		for _, name := range f.names {
+			if f.nodes[name].alive && !f.partition[name] {
+				f.alive = append(f.alive, name)
+			}
 		}
 	}
-	sort.Strings(out)
-	return out
+	return f.alive
 }
 
 // reachable must be called with f.mu held.
@@ -158,7 +174,9 @@ func (f *Fabric) count(n *node, payload int) {
 }
 
 // AllocSlab carves size bytes out of a node and returns its slab handle and
-// the virtual time the verb took.
+// the virtual time the verb took. The slab reads all zeros, whether its
+// backing is fresh or a freed slab's: CompareAndSwap from 0 on a new slab
+// relies on it, and one tenant's bytes must not show in another's slab.
 func (f *Fabric) AllocSlab(nodeName string, size int64) (SlabID, time.Duration, error) {
 	if size <= 0 {
 		return SlabID{}, 0, ErrInvalidInput
@@ -174,7 +192,7 @@ func (f *Fabric) AllocSlab(nodeName string, size int64) (SlabID, time.Duration, 
 	}
 	id := n.nextSlab
 	n.nextSlab++
-	n.slabs[id] = make([]byte, size)
+	n.slabs[id] = n.free.Get(size, true)
 	n.used += size
 	f.count(n, 0)
 	return SlabID{Node: nodeName, Slab: id}, f.rtt, nil
@@ -194,6 +212,7 @@ func (f *Fabric) FreeSlab(id SlabID) (time.Duration, error) {
 	}
 	delete(n.slabs, id.Slab)
 	n.used -= int64(len(buf))
+	n.free.Put(buf)
 	delete(f.leases, id)
 	f.count(n, 0)
 	return f.rtt, nil
@@ -294,7 +313,9 @@ func (f *Fabric) Crash(nodeName string) error {
 	}
 	n.alive = false
 	n.slabs = make(map[uint64][]byte) // volatile memory is gone
+	n.free.Reset()                    // and so is what was kept of freed slabs
 	n.used = 0
+	f.alive = nil
 	return nil
 }
 
@@ -307,6 +328,7 @@ func (f *Fabric) Restart(nodeName string) error {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, nodeName)
 	}
 	n.alive = true
+	f.alive = nil
 	return nil
 }
 
@@ -318,6 +340,7 @@ func (f *Fabric) Partition(nodeName string) error {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, nodeName)
 	}
 	f.partition[nodeName] = true
+	f.alive = nil
 	return nil
 }
 
@@ -329,6 +352,7 @@ func (f *Fabric) Heal(nodeName string) error {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, nodeName)
 	}
 	delete(f.partition, nodeName)
+	f.alive = nil
 	return nil
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -220,6 +221,43 @@ func TestNodesListing(t *testing.T) {
 	}
 	if got := f.Nodes(); len(got) != 3 {
 		t.Error("Nodes() lists crashed nodes too")
+	}
+}
+
+// TestNodeListsStaySortedAndCurrent: names are kept sorted as nodes join in
+// any order, and the shared alive list is rebuilt after every change of
+// reachability — a list handed out before the change is not edited in place.
+func TestNodeListsStaySortedAndCurrent(t *testing.T) {
+	f := NewFabric(Config{})
+	for _, name := range []string{"m2", "m0", "m3", "m1"} {
+		if err := f.AddNode(name, 1<<10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all := []string{"m0", "m1", "m2", "m3"}
+	if got := f.Nodes(); !slices.Equal(got, all) {
+		t.Errorf("Nodes() = %v, want %v", got, all)
+	}
+	before := f.AliveNodes()
+	for _, step := range []struct {
+		op   func(string) error
+		node string
+		want []string
+	}{
+		{f.Crash, "m1", []string{"m0", "m2", "m3"}},
+		{f.Partition, "m3", []string{"m0", "m2"}},
+		{f.Restart, "m1", []string{"m0", "m1", "m2"}},
+		{f.Heal, "m3", all},
+	} {
+		if err := step.op(step.node); err != nil {
+			t.Fatal(err)
+		}
+		if got := f.AliveNodes(); !slices.Equal(got, step.want) {
+			t.Errorf("alive after %s changed = %v, want %v", step.node, got, step.want)
+		}
+	}
+	if !slices.Equal(before, all) {
+		t.Errorf("a list handed out earlier was edited: %v", before)
 	}
 }
 

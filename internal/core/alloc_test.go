@@ -11,6 +11,7 @@ package core
 import (
 	"context"
 	"fmt"
+	goruntime "runtime"
 	"testing"
 	"time"
 
@@ -103,32 +104,73 @@ func TestAllocBudgetOverlappedBatch(t *testing.T) {
 // Measured 98.0, and 223.3 before the change named above (the benchmark's
 // serve_declared, whose batches hold several jobs, reads 89.7 and 209.3).
 func TestAllocBudgetServedJob(t *testing.T) {
+	pass, jobs := servedMixPass(t, nil)
+	const budget = 113
+	pass()
+	got := testing.AllocsPerRun(3, pass) / jobs
+	t.Logf("served nil-body mix job: %.1f allocs/job (budget %d)", got, budget)
+	if got > budget {
+		t.Errorf("a served job allocates %.1f, budget is %d — per-task or per-device state back in maps?", got, budget)
+	}
+}
+
+// servedMixPass builds a server of the benchmark's shape, with rec as its
+// recovery policy, and returns a pass that submits 256 nil-body draws of the
+// serving mix to it one after another, with the number of jobs in a pass.
+func servedMixPass(t *testing.T, rec *RecoveryPolicy) (pass func(), jobs float64) {
+	t.Helper()
 	s, err := NewServer(ServerConfig{
 		ExecConfig:   ExecConfig{Workers: 2},
 		EpochWorkers: 2, MaxBatch: 8, QueueDepth: 1024, Block: true,
+		Recovery: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close(context.Background()) //nolint:errcheck
+	t.Cleanup(func() { s.Close(context.Background()) }) //nolint:errcheck
 	mix := workload.NewMix(workload.MixConfig{Seed: 42, RealFraction: -1})
 	pool := make([]*dataflow.Job, 256)
 	for i := range pool {
 		pool[i] = mix.Next()
 	}
-	const budget = 113
-	pass := func() {
+	return func() {
 		for _, j := range pool {
 			if _, err := s.Submit(context.Background(), j); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
+	}, float64(len(pool))
+}
+
+// TestAllocBudgetCheckpointedJob pins what recovery adds to a served job when
+// nothing fails: the same nil-body mix and server shape as
+// TestAllocBudgetServedJob with a RecoveryPolicy on, so every task output is
+// staged, written twice to the checkpoint fabric and forgotten when its job
+// settles. After a warm-up pass has filled the free lists from returned
+// buffers, that life cycle allocates nothing proportional to a payload.
+// Measured 20.1 KiB and 110.6 allocations a job; 137.3 KiB and 155.0 with a
+// fresh staging buffer and fresh slab backings per output, a namespace key
+// built per call and replica maps, which both budgets fail on.
+func TestAllocBudgetCheckpointedJob(t *testing.T) {
+	pass, jobs := servedMixPass(t, &RecoveryPolicy{PartialReplay: true})
+	const budgetKiB, budgetAllocs = 24, 122
 	pass()
-	got := testing.AllocsPerRun(3, pass) / float64(len(pool))
-	t.Logf("served nil-body mix job: %.1f allocs/job (budget %d)", got, budget)
-	if got > budget {
-		t.Errorf("a served job allocates %.1f, budget is %d — per-task or per-device state back in maps?", got, budget)
+	const passes = 3
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for i := 0; i < passes; i++ {
+		pass()
+	}
+	goruntime.ReadMemStats(&after)
+	jobs *= passes
+	kib := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / jobs
+	allocs := float64(after.Mallocs-before.Mallocs) / jobs
+	t.Logf("checkpointed nil-body mix job: %.1f KiB, %.1f allocs (budgets %d KiB, %d)", kib, allocs, budgetKiB, budgetAllocs)
+	if kib > budgetKiB {
+		t.Errorf("a checkpointed job allocates %.1f KiB, budget is %d — a payload-sized buffer per output is back", kib, budgetKiB)
+	}
+	if allocs > budgetAllocs {
+		t.Errorf("a checkpointed job makes %.1f allocations, budget is %d", allocs, budgetAllocs)
 	}
 }
 

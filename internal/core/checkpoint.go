@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/allocator"
 	"repro/internal/cluster"
 	"repro/internal/dataflow"
 	"repro/internal/fault"
@@ -34,18 +34,40 @@ import (
 // synchronization state (Global State) that tasks must be able to rebuild —
 // the same contract Spark-style lineage recovery imposes.
 
-// Checkpointer stores per-(submission, task) output snapshots in a
-// fault.Store. It is safe for concurrent use by many runs: entries are
-// keyed by a unique per-submission run ID (not the job name), so identical
-// jobs submitted concurrently never cross-restore or cross-Forget each
-// other's snapshots, and store I/O happens outside the entry lock so
-// workers never serialize on far-memory transfers.
+// Checkpointer stores task output snapshots in a fault.Store, one namespace
+// per submission. A run opens its namespace once and holds it, so a snapshot,
+// a lookup or a restore takes that namespace's lock and no other run's, and
+// forgetting a settled submission removes one map entry. Namespaces are keyed
+// by a unique per-submission run ID (not the job name): identical jobs
+// submitted concurrently never cross-restore or cross-Forget each other's
+// snapshots, whatever characters their names hold. Store I/O happens outside
+// every lock, so workers never serialize on far-memory transfers. The payload
+// buffers a snapshot is staged in and a restore is read into come from one
+// bounded free list (getBuf/putBuf): a checkpoint allocates nothing
+// proportional to its payload once the list has filled from returned buffers.
 type Checkpointer struct {
 	store fault.Store
 	seq   atomic.Uint64
 
+	mu     sync.Mutex              // guards spaces; taken before a namespace's lock, never after
+	spaces map[string]*ckNamespace // run ID → that submission's snapshots
+
+	bufMu sync.Mutex
+	bufs  allocator.BufList
+}
+
+// ckBufBytes bounds the payload buffers a Checkpointer keeps for reuse.
+const ckBufBytes = 4 << 20
+
+// ckNamespace is one submission's snapshots, by task ID. Every attempt of the
+// submission — retries, and a failover resubmission on another shard's server
+// (SubmitOptions.ResumeID) — opens the same one.
+type ckNamespace struct {
+	c  *Checkpointer
+	id string
+
 	mu      sync.Mutex
-	entries map[string]ckEntry // "runID/task" → entry
+	entries map[string]ckEntry // nil once forgotten
 }
 
 type ckEntry struct {
@@ -73,61 +95,87 @@ type ckEntry struct {
 
 // NewCheckpointer wraps a fault-tolerant store.
 func NewCheckpointer(store fault.Store) *Checkpointer {
-	return &Checkpointer{store: store, entries: make(map[string]ckEntry)}
+	return &Checkpointer{
+		store: store, spaces: make(map[string]*ckNamespace),
+		bufs: allocator.BufList{Limit: ckBufBytes},
+	}
 }
 
-// runID mints a unique snapshot namespace for one submission of job. All
-// attempts of that submission share the ID; concurrent submissions of
-// same-named jobs get distinct IDs.
-func (c *Checkpointer) runID(job string) string {
+// NewRunID mints a unique snapshot namespace ID for one submission of job. A
+// run mints its own; a sharded router or a stream mints one per submission
+// and threads it through SubmitOptions.ResumeID so every attempt of that
+// submission — the original and any failover re-submissions — shares the
+// namespace. Whoever minted it owns its lifecycle: call Forget once the
+// submission is settled.
+func (c *Checkpointer) NewRunID(job string) string {
 	return fmt.Sprintf("%s@%d", job, c.seq.Add(1))
 }
 
-// NewRunID mints a caller-owned snapshot namespace (see runID). A sharded
-// router mints one per submission and threads it through
-// SubmitOptions.ResumeID so every shard attempt of that submission — the
-// original and any failover re-submissions — shares the namespace. The
-// caller owns its lifecycle: call Forget once the submission is settled.
-func (c *Checkpointer) NewRunID(job string) string { return c.runID(job) }
-
-func ckKey(runID, task string) string { return runID + "/" + task }
-
-// lookup returns the entry for a task, if any.
-func (c *Checkpointer) lookup(runID, task string) (ckEntry, bool) {
+// open returns the namespace of runID, creating it on first use.
+func (c *Checkpointer) open(runID string) *ckNamespace {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[ckKey(runID, task)]
+	ns := c.spaces[runID]
+	if ns == nil {
+		ns = &ckNamespace{c: c, id: runID, entries: make(map[string]ckEntry)}
+		c.spaces[runID] = ns
+	}
+	return ns
+}
+
+// getBuf returns a payload buffer of length size from the free list. zero
+// asks for all zeros; otherwise the caller overwrites every byte.
+func (c *Checkpointer) getBuf(size int64, zero bool) []byte {
+	c.bufMu.Lock()
+	defer c.bufMu.Unlock()
+	return c.bufs.Get(size, zero)
+}
+
+// putBuf hands a payload buffer back once nothing reads it any more.
+func (c *Checkpointer) putBuf(buf []byte) {
+	c.bufMu.Lock()
+	c.bufs.Put(buf)
+	c.bufMu.Unlock()
+}
+
+// lookup returns the entry for a task, if any.
+func (ns *ckNamespace) lookup(task string) (ckEntry, bool) {
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	e, ok := ns.entries[task]
 	return e, ok
 }
 
 // snapshot persists a completed task's output bytes. hasOutput marks
 // whether the task produced an output region at all; data may be empty
-// either way. Returns the virtual time the store took.
+// either way, and is the caller's again on return (fault.Store.Put copies).
+// Returns the virtual time the store took.
 //
-// The store round-trips run outside the entry lock: N workers
+// The store round-trips run outside the namespace lock: N workers
 // checkpointing concurrently contend on the store's own synchronization
 // only, never on each other's bookkeeping.
-func (c *Checkpointer) snapshot(runID, task string, data []byte, hasOutput bool) (time.Duration, error) {
-	key := ckKey(runID, task)
+func (ns *ckNamespace) snapshot(task string, data []byte, hasOutput bool) (time.Duration, error) {
+	store := ns.c.store
 	e := ckEntry{hasOutput: hasOutput}
 	var d time.Duration
 	if hasOutput && len(data) > 0 {
-		obj, dd, err := c.store.Put(data)
+		obj, dd, err := store.Put(data)
 		if err != nil {
-			return dd, fmt.Errorf("core: checkpoint %s: %w", key, err)
+			return dd, fmt.Errorf("core: checkpoint %s/%s: %w", ns.id, task, err)
 		}
 		e.obj, e.size, d = obj, int64(len(data)), dd
 	}
-	c.mu.Lock()
-	old, had := c.entries[key]
-	c.entries[key] = e
-	c.mu.Unlock()
-	if had && old.size > 0 {
+	ns.mu.Lock()
+	stale, had := e, true // forgotten meanwhile: nothing may outlive Forget
+	if ns.entries != nil {
+		stale, had = ns.entries[task]
+		ns.entries[task] = e
+	}
+	ns.mu.Unlock()
+	if had && stale.size > 0 {
 		// Re-checkpoint (the run re-ran this task from scratch): drop the
-		// stale object, again outside the lock. A concurrent Forget of the
-		// same run may have deleted it already; the store's not-found reply
-		// is tolerated (best-effort GC).
-		c.store.Delete(old.obj) //nolint:errcheck // best-effort GC
+		// stale object, again outside the lock.
+		store.Delete(stale.obj) //nolint:errcheck // best-effort GC
 	}
 	return d, nil
 }
@@ -138,72 +186,71 @@ func (c *Checkpointer) snapshot(runID, task string, data []byte, hasOutput bool)
 // record-less entry and replays through the cold path. A re-snapshot
 // (snapshot called again for the same task) resets the entry cold until
 // the re-run completes and records again.
-func (c *Checkpointer) record(runID, task string, restoreCost time.Duration) {
-	key := ckKey(runID, task)
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
+func (ns *ckNamespace) record(task string, restoreCost time.Duration) {
+	ns.mu.Lock()
+	if e, ok := ns.entries[task]; ok {
 		e.recorded, e.restoreCost = true, restoreCost
-		c.entries[key] = e
+		ns.entries[task] = e
 	}
-	c.mu.Unlock()
+	ns.mu.Unlock()
 }
 
-// restore fetches a snapshot's bytes. hasOutput reports whether the task
-// had produced an output region (so an empty payload still must be
-// delivered to successors).
-func (c *Checkpointer) restore(runID, task string) (data []byte, hasOutput bool, d time.Duration, err error) {
-	c.mu.Lock()
-	e, ok := c.entries[ckKey(runID, task)]
-	c.mu.Unlock()
+// restore fetches a snapshot's bytes into a buffer from the checkpointer's
+// free list: the caller hands data to putBuf when it has consumed it.
+// hasOutput reports whether the task had produced an output region (so an
+// empty payload still must be delivered to successors).
+func (ns *ckNamespace) restore(task string) (data []byte, hasOutput bool, d time.Duration, err error) {
+	e, ok := ns.lookup(task)
 	if !ok {
-		return nil, false, 0, fmt.Errorf("core: no checkpoint for %s/%s", runID, task)
+		return nil, false, 0, fmt.Errorf("core: no checkpoint for %s/%s", ns.id, task)
 	}
 	if e.size == 0 {
 		return nil, e.hasOutput, 0, nil
 	}
-	data, d, err = c.store.Get(e.obj)
+	buf := ns.c.getBuf(e.size, false)
+	data, d, err = ns.c.store.GetInto(e.obj, buf)
 	if err != nil {
-		return nil, true, d, fmt.Errorf("core: restoring %s/%s: %w", runID, task, err)
+		ns.c.putBuf(buf)
+		return nil, true, d, fmt.Errorf("core: restoring %s/%s: %w", ns.id, task, err)
 	}
 	return data, true, d, nil
-}
-
-// Forget drops all snapshots of one submission (after it terminally
-// succeeded or failed). Entries leave the map under the lock; the store
-// deletes run outside it, so a slow store never blocks other runs'
-// snapshot/restore traffic.
-func (c *Checkpointer) Forget(runID string) {
-	prefix := runID + "/"
-	var objs []fault.ObjectID
-	c.mu.Lock()
-	for k, e := range c.entries {
-		if strings.HasPrefix(k, prefix) {
-			if e.size > 0 {
-				objs = append(objs, e.obj)
-			}
-			delete(c.entries, k)
-		}
-	}
-	c.mu.Unlock()
-	for _, obj := range objs {
-		c.store.Delete(obj) //nolint:errcheck // best-effort GC
-	}
 }
 
 // drop removes a single task's snapshot. The wavefront executor uses it
 // after a failure to trim snapshots that ranks *above* the failing task
 // produced out of sequential order — a sequential run would never have
 // executed them, so recovery must not replay them.
-func (c *Checkpointer) drop(runID, task string) {
-	key := ckKey(runID, task)
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if ok {
-		delete(c.entries, key)
-	}
-	c.mu.Unlock()
+func (ns *ckNamespace) drop(task string) {
+	ns.mu.Lock()
+	e, ok := ns.entries[task]
+	delete(ns.entries, task)
+	ns.mu.Unlock()
 	if ok && e.size > 0 {
-		c.store.Delete(e.obj) //nolint:errcheck // best-effort GC
+		ns.c.store.Delete(e.obj) //nolint:errcheck // best-effort GC
+	}
+}
+
+// Forget drops all snapshots of one submission (after it terminally
+// succeeded or failed): its namespace leaves the map, whatever the other
+// submissions in flight hold, and the store deletes run outside both locks,
+// so a slow store never blocks other runs' snapshot/restore traffic.
+// Forgetting an ID nothing is stored under is a no-op.
+func (c *Checkpointer) Forget(runID string) {
+	c.mu.Lock()
+	ns := c.spaces[runID]
+	delete(c.spaces, runID)
+	c.mu.Unlock()
+	if ns == nil {
+		return
+	}
+	ns.mu.Lock()
+	entries := ns.entries
+	ns.entries = nil
+	ns.mu.Unlock()
+	for _, e := range entries {
+		if e.size > 0 {
+			c.store.Delete(e.obj) //nolint:errcheck // best-effort GC
+		}
 	}
 }
 
@@ -211,7 +258,13 @@ func (c *Checkpointer) drop(runID, task string) {
 func (c *Checkpointer) Snapshots() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	n := 0
+	for _, ns := range c.spaces {
+		ns.mu.Lock()
+		n += len(ns.entries)
+		ns.mu.Unlock()
+	}
+	return n
 }
 
 // defaultFaultStore builds the serving default: a 2-way replicated
@@ -304,16 +357,17 @@ func resolveRecovery(pol *RecoveryPolicy) (*recoveryState, error) {
 
 // forget drops a settled submission's snapshots, so the checkpointer drains
 // back to zero entries. No-op without recovery.
-func (rec *recoveryState) forget(runID string) {
-	if rec != nil && runID != "" {
-		rec.ck.Forget(runID)
+func (rec *recoveryState) forget(ns *ckNamespace) {
+	if rec != nil && ns != nil {
+		rec.ck.Forget(ns.id)
 	}
 }
 
 // checkpointTask snapshots a completed task's output (if any) into the
 // checkpointer's store, charging the store's virtual time to the task. The
 // Put price is stashed on the context: when the task fully completes it
-// becomes the entry's deterministic replay price (record).
+// becomes the entry's deterministic replay price (record). The output is
+// staged through a recycled buffer that goes back when the store has copied it.
 func (r *run) checkpointTask(ctx *taskCtx, t *dataflow.Task) error {
 	var data []byte
 	hasOutput := ctx.output != nil
@@ -322,7 +376,8 @@ func (r *run) checkpointTask(ctx *taskCtx, t *dataflow.Task) error {
 		if err != nil {
 			return err
 		}
-		data = make([]byte, size)
+		data = r.ck.c.getBuf(size, false)
+		defer r.ck.c.putBuf(data)
 		f := ctx.output.ReadAsync(ctx.now, 0, data)
 		now, err := f.Await(ctx.now)
 		if err != nil {
@@ -330,7 +385,7 @@ func (r *run) checkpointTask(ctx *taskCtx, t *dataflow.Task) error {
 		}
 		ctx.now = now
 	}
-	d, err := r.ck.snapshot(r.ckID, t.ID(), data, hasOutput)
+	d, err := r.ck.snapshot(t.ID(), data, hasOutput)
 	if err != nil {
 		return err
 	}
@@ -362,10 +417,11 @@ func (lr *lazyRestore) hydrate(r *run, task string, h *region.Handle) error {
 	if lr.done {
 		return nil
 	}
-	data, _, _, err := r.ck.restore(r.ckID, task)
+	data, _, _, err := r.ck.restore(task)
 	if err != nil {
 		return err
 	}
+	defer r.ck.c.putBuf(data)
 	if len(data) > 0 {
 		if err := h.Hydrate(0, data); err != nil {
 			return err
@@ -404,9 +460,9 @@ func (r *run) restoreTaskAt(ctx *taskCtx, start time.Duration) (time.Duration, *
 		}
 	}
 	// Adopt inputs list as empty: the restored task does not run.
-	e, ok := r.ck.lookup(r.ckID, t.ID())
+	e, ok := r.ck.lookup(t.ID())
 	if !ok {
-		return 0, nil, fmt.Errorf("core: no checkpoint for %s/%s", r.ckID, t.ID())
+		return 0, nil, fmt.Errorf("core: no checkpoint for %s/%s", r.ck.id, t.ID())
 	}
 	lazy := r.partial && e.recorded
 	var data []byte
@@ -416,10 +472,11 @@ func (r *run) restoreTaskAt(ctx *taskCtx, start time.Duration) (time.Duration, *
 	} else {
 		var d time.Duration
 		var err error
-		data, hasOutput, d, err = r.ck.restore(r.ckID, t.ID())
+		data, hasOutput, d, err = r.ck.restore(t.ID())
 		if err != nil {
 			return 0, nil, err
 		}
+		defer r.ck.c.putBuf(data)
 		if e.recorded {
 			// Charge the deterministic price partial replay would charge,
 			// not the observed Get — keeping the two modes' virtual
@@ -445,8 +502,10 @@ func (r *run) restoreTaskAt(ctx *taskCtx, start time.Duration) (time.Duration, *
 			if lazy {
 				// Placeholder of the snapshot's exact size: the write below
 				// prices identically to the eager path, and the real bytes
-				// arrive through lazyRestore.hydrate if ever needed.
-				payload = make([]byte, e.size)
+				// arrive through lazyRestore.hydrate if ever needed. Zeroed: a
+				// region nobody hydrates must not show another job's bytes.
+				payload = r.ck.c.getBuf(e.size, true)
+				defer r.ck.c.putBuf(payload)
 			}
 			f := out.WriteAsync(ctx.now, 0, payload)
 			now, err := f.Await(ctx.now)

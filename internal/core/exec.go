@@ -78,7 +78,7 @@ func (rt *Runtime) drive(epoch *topology.Epoch, rec *recoveryState, members []me
 	}
 	// fail settles m with its last attempt's failure.
 	fail := func(i int, m *member, task string, err error) {
-		rec.forget(m.r.ckID)
+		rec.forget(m.r.ck)
 		job := m.r.job.Name()
 		if m.attempt > 1 {
 			err = fmt.Errorf("core: job %s failed after %d attempts: task %s: %w", job, m.attempt, task, err)
@@ -95,10 +95,11 @@ func (rt *Runtime) drive(epoch *topology.Epoch, rec *recoveryState, members []me
 		if rec != nil {
 			// The namespace is unique per submission, so same-named jobs in
 			// flight never restore or forget each other's snapshots.
-			m.r.ck, m.r.partial, m.r.ckID = rec.ck, rec.partial, m.resume
-			if m.resume == "" {
-				m.r.ckID = rec.ck.runID(m.r.job.Name())
+			id := m.resume
+			if id == "" {
+				id = rec.ck.NewRunID(m.r.job.Name())
 			}
+			m.r.ck, m.r.partial = rec.ck.open(id), rec.partial
 		}
 		if failed, err := begin(m); err != nil {
 			fail(i, m, failed, err)
@@ -133,7 +134,7 @@ func (rt *Runtime) drive(epoch *topology.Epoch, rec *recoveryState, members []me
 			gaveUp := m.cancel != nil && m.cancel() != nil
 			switch {
 			case err == nil:
-				rec.forget(m.r.ckID)
+				rec.forget(m.r.ck)
 				rep := m.r.report
 				rep.Attempts, rep.AttemptWaits = m.attempt, m.waits
 				if m.attempt > 1 || rep.SkippedTasks > 0 {
@@ -143,7 +144,7 @@ func (rt *Runtime) drive(epoch *topology.Epoch, rec *recoveryState, members []me
 			case failed == "" && gaveUp:
 				// Canceled mid-wavefront; the run is already cleaned up.
 				if m.resume == "" {
-					rec.forget(m.r.ckID)
+					rec.forget(m.r.ck)
 				}
 				settle(i, outcome{err: err, canceled: true})
 			case rec != nil && m.attempt < rec.maxAttempts && !gaveUp:
@@ -151,7 +152,7 @@ func (rt *Runtime) drive(epoch *topology.Epoch, rec *recoveryState, members []me
 				wait := backoffWait(rec, m.attempt)
 				prev := m.r
 				m.r = rt.newRun(prev.job, prev.g, prev.schedule, epoch, prev.ns, prev.cores)
-				m.r.ck, m.r.ckID, m.r.partial = prev.ck, prev.ckID, prev.partial
+				m.r.ck, m.r.partial = prev.ck, prev.partial
 				m.r.base = prev.base + wait
 				m.waits = append(m.waits, wait)
 				m.attempt++

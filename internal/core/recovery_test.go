@@ -281,11 +281,11 @@ func TestCheckpointerForgetSnapshotRace(t *testing.T) {
 			id := fmt.Sprintf("job@%d", w)
 			for i := 0; i < 20; i++ {
 				task := fmt.Sprintf("t%d", i%5)
-				if _, err := ck.snapshot(id, task, []byte("payload"), true); err != nil {
+				if _, err := ck.open(id).snapshot(task, []byte("payload"), true); err != nil {
 					t.Errorf("snapshot: %v", err)
 					return
 				}
-				if _, _, _, err := ck.restore(id, task); err != nil {
+				if _, _, _, err := ck.open(id).restore(task); err != nil {
 					t.Errorf("restore: %v", err)
 					return
 				}
@@ -321,7 +321,7 @@ func TestRestoreDeliversEmptyPayload(t *testing.T) {
 	// Simulate a prior attempt that checkpointed produce's output with an
 	// empty payload (hasOutput=true, zero bytes), and resume from it.
 	id := ck.NewRunID(j.Name())
-	if _, err := ck.snapshot(id, "produce", nil, true); err != nil {
+	if _, err := ck.open(id).snapshot("produce", nil, true); err != nil {
 		t.Fatal(err)
 	}
 	s, err := NewServer(ServerConfig{Runtime: rt, Recovery: &RecoveryPolicy{Checkpointer: ck}})
@@ -348,17 +348,17 @@ func TestRestoreDeliversEmptyPayload(t *testing.T) {
 // that completed without any output restores as "done, nothing to deliver".
 func TestCheckpointerOutputlessEntries(t *testing.T) {
 	ck, _ := newCkStore(t)
-	if _, err := ck.snapshot("id", "sink", nil, false); err != nil {
+	if _, err := ck.open("id").snapshot("sink", nil, false); err != nil {
 		t.Fatal(err)
 	}
-	data, hasOutput, _, err := ck.restore("id", "sink")
+	data, hasOutput, _, err := ck.open("id").restore("sink")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hasOutput || data != nil {
 		t.Errorf("outputless entry restored as (%v, hasOutput=%v), want (nil, false)", data, hasOutput)
 	}
-	if _, _, _, err := ck.restore("id", "missing"); err == nil {
+	if _, _, _, err := ck.open("id").restore("missing"); err == nil {
 		t.Error("restore of unknown task must fail")
 	}
 }

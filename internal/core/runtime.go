@@ -276,8 +276,9 @@ type run struct {
 	// context as its fence, and the report is the submitter's.
 	ctxs    []taskCtx
 	reports []TaskReport
-	ck      *Checkpointer // nil unless recovery drives the run
-	ckID    string        // unique per-submission snapshot namespace
+	// ck is the submission's snapshot namespace, opened once when drive takes
+	// the run on and handed to every retry; nil unless recovery drives the run.
+	ck *ckNamespace
 	// partial selects lazy restore I/O on replay: a replayed task's output
 	// payload is fetched from the store only when a re-executed consumer
 	// receives it as input, instead of eagerly when the task is replayed.
@@ -498,7 +499,7 @@ func (r *run) execTaskAt(w *wavefront, k int, view *topology.TaskView, start tim
 		// under partial replay, without eager restore I/O). A release error
 		// keeps the entry cold — the retry restores it eagerly, exactly as
 		// it always has.
-		r.ck.record(r.ckID, t.ID(), ctx.ckRestoreCost)
+		r.ck.record(t.ID(), ctx.ckRestoreCost)
 	}
 	r.rt.tel.Record(telemetry.Span{
 		Layer: telemetry.LayerRuntime, Job: r.job.Name(), Task: t.ID(),

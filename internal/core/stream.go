@@ -25,19 +25,19 @@ package core
 // window completion, like any served job), and each retirement writes a
 // marker snapshot "__window__%06d" under the stream's own namespace
 // carrying the window's makespan. A crashed stream — its context canceled
-// mid-window — keeps everything: the canceled window's partial task
-// snapshots survive because windows carry an external ResumeID (the same
-// rule that preserves a dead shard's checkpoints for failover), and
-// markers live under the stream namespace, which only a terminal outcome
-// forgets. Resuming (SubmitStream with opts.ResumeID = the crashed
+// mid-window — keeps what a resume needs: the oldest unretired window's
+// partial task snapshots survive because windows carry an external ResumeID
+// (the same rule that preserves a dead shard's checkpoints for failover),
+// and markers live under the stream namespace, which only a terminal
+// outcome forgets. Resuming (SubmitStream with opts.ResumeID = the crashed
 // ticket's ResumeID) scans the markers, rebuilds the watermark from their
 // recorded makespans, skips the completed windows without re-delivering
 // their reports, and re-runs the first incomplete window with
 // RecoveryPolicy.PartialReplay restoring its checkpointed prefix — its
 // report shows SkippedTasks > 0. Windows after the resume point are
-// re-run from scratch (their partial state from the crashed run is
-// dropped), keeping the resumed run a deterministic function of the
-// marker high-water mark alone.
+// re-run from scratch (the crashed run dropped their partial state as it
+// ended), keeping the resumed run a deterministic function of the marker
+// high-water mark alone.
 
 import (
 	"context"
@@ -168,10 +168,10 @@ func (t *StreamTicket) setErr(err error) {
 }
 
 // streamWindowNS is the checkpoint namespace of one window's task
-// snapshots: "<stream>/w%06d". Forgetting it (at window completion, the
-// ordinary served-job GC) never touches the stream's retirement markers,
-// which live directly under the stream namespace; forgetting the stream
-// namespace drops both.
+// snapshots: "<stream>/w%06d". It and the stream's own namespace, which
+// holds the retirement markers, are two namespaces like any two: forgetting
+// one (a window's at its completion, the ordinary served-job GC) never
+// touches the other, and the stream driver forgets both kinds when it ends.
 func streamWindowNS(streamID string, idx int) string {
 	return fmt.Sprintf("%s/w%06d", streamID, idx)
 }
@@ -246,7 +246,6 @@ func (s *Server) streamDriver(ctx context.Context, spec stream.Spec, opt SubmitO
 	if !ok {
 		return
 	}
-	resumeFrom := next
 
 	type inflight struct {
 		idx int
@@ -257,18 +256,31 @@ func (s *Server) streamDriver(ctx context.Context, spec stream.Spec, opt SubmitO
 	eof := false
 
 	// terminate cancels and awaits the in-flight windows, then settles the
-	// namespace: kept after a cancel (the simulated crash — resume replays
-	// it), forgotten on any terminal outcome (clean drain or failure).
+	// stream's namespaces. A cancel (the simulated crash) keeps the markers
+	// and the oldest unretired window's snapshots — the resume point, which a
+	// resume replays — and drops the younger windows': how far they got is
+	// wall-clock accident, and a resumed run must be a function of the marker
+	// high-water mark alone. Any terminal outcome (clean drain or failure)
+	// forgets everything, the resume point of a crashed predecessor included
+	// should this run never have reached it.
 	terminate := func(err error) {
 		t.setErr(err)
 		t.cancel()
 		for _, f := range q {
 			f.tk.Wait(nil) //nolint:errcheck // the server always delivers
 		}
-		if s.rec != nil && t.id != "" {
-			if canceled := errors.Is(err, ErrStreamCanceled); !canceled {
-				s.rec.ck.Forget(t.id)
-			}
+		if s.rec == nil {
+			return
+		}
+		drop := q
+		if errors.Is(err, ErrStreamCanceled) {
+			drop = q[min(1, len(q)):]
+		} else {
+			s.rec.ck.Forget(streamWindowNS(t.id, next))
+			s.rec.ck.Forget(t.id)
+		}
+		for _, f := range drop {
+			s.rec.ck.Forget(streamWindowNS(t.id, f.idx))
 		}
 	}
 
@@ -304,14 +316,6 @@ func (s *Server) streamDriver(ctx context.Context, spec stream.Spec, opt SubmitO
 			}
 			if s.rec != nil {
 				wopt.ResumeID = streamWindowNS(t.id, next)
-				if resumed && next != resumeFrom {
-					// Only the resume point replays the crashed attempt's
-					// partial checkpoints. Later windows may also have been
-					// mid-flight at the crash, but how far they got is
-					// wall-clock accident — drop their state so the resumed
-					// run is a function of the marker high-water mark alone.
-					s.rec.ck.Forget(wopt.ResumeID)
-				}
 			}
 			tk, err := s.SubmitAsync(ctx, job, wopt)
 			if err != nil {
@@ -345,7 +349,7 @@ func (s *Server) streamDriver(ctx context.Context, spec stream.Spec, opt SubmitO
 			// losing it.
 			payload := make([]byte, 8)
 			binary.BigEndian.PutUint64(payload, uint64(rep.Makespan))
-			if _, err := s.rec.ck.snapshot(t.id, streamMarker(head.idx), payload, true); err != nil {
+			if _, err := s.rec.ck.open(t.id).snapshot(streamMarker(head.idx), payload, true); err != nil {
 				terminate(err)
 				return
 			}
@@ -376,11 +380,12 @@ func (s *Server) streamResumeScan(spec stream.Spec, t *StreamTicket, resumed boo
 		return 0, true
 	}
 	next := 0
+	markers := s.rec.ck.open(t.id)
 	for {
-		if _, ok := s.rec.ck.lookup(t.id, streamMarker(next)); !ok {
+		if _, ok := markers.lookup(streamMarker(next)); !ok {
 			break
 		}
-		data, _, _, err := s.rec.ck.restore(t.id, streamMarker(next))
+		data, _, _, err := markers.restore(streamMarker(next))
 		if err != nil {
 			t.setErr(err)
 			return 0, false
@@ -389,8 +394,10 @@ func (s *Server) streamResumeScan(spec stream.Spec, t *StreamTicket, resumed boo
 			t.setErr(fmt.Errorf("core: stream %s window %d: malformed retirement marker", spec.Name, next))
 			return 0, false
 		}
+		makespan := time.Duration(binary.BigEndian.Uint64(data))
+		s.rec.ck.putBuf(data)
 		t.mu.Lock()
-		t.watermark += time.Duration(binary.BigEndian.Uint64(data))
+		t.watermark += makespan
 		t.skipped++
 		t.mu.Unlock()
 		next++

@@ -270,6 +270,12 @@ func crashResume(t *testing.T, workers int) (crashed, resumed *StreamTicket, res
 	if tk.Windows() != 2 {
 		t.Fatalf("crashed stream retired %d windows, want 2", tk.Windows())
 	}
+	// What the crash keeps is exactly what a resume reads: two markers and the
+	// resume point's two snapshots. Window 3 was in flight too; how far it
+	// got is wall-clock accident, and its snapshots went with the crash.
+	if got := s.Checkpointer().Snapshots(); got != 4 {
+		t.Errorf("crashed stream keeps %d snapshots, want 4 (markers w0, w1; w2's extract, transform)", got)
+	}
 
 	rtk, err := s.SubmitStream(context.Background(),
 		chainSpec("crashy", stream.NewSliceSource(chainEvents(windows*windowSize)), windowSize, 2, nil),
@@ -284,6 +290,9 @@ func crashResume(t *testing.T, workers int) (crashed, resumed *StreamTicket, res
 	<-rtk.Done()
 	if err := rtk.Err(); err != nil {
 		t.Fatal(err)
+	}
+	if got := s.Checkpointer().Snapshots(); got != 0 {
+		t.Errorf("drained stream leaves %d snapshots, want 0", got)
 	}
 	return tk, rtk, reps
 }

@@ -290,7 +290,7 @@ func (r *run) newWavefront(cancel func() error, seed *topology.TaskView) (*wavef
 	// observationally identical to consuming them at dispatch time.
 	for k, t := range order {
 		if r.ck != nil {
-			if _, ok := r.ck.lookup(r.ckID, t.ID()); ok {
+			if _, ok := r.ck.lookup(t.ID()); ok {
 				w.slots[k].restored = true
 				if r.partial && r.lazy == nil {
 					r.lazy = make([]*lazyRestore, n)
@@ -335,7 +335,7 @@ func (w *wavefront) finalize() (failedTask string, err error) {
 		if r.ck != nil {
 			for k := w.failRank + 1; k < len(w.slots); k++ {
 				if sl := &w.slots[k]; sl.state == tsDone && !sl.restored {
-					r.ck.drop(r.ckID, r.g.Order[k].ID())
+					r.ck.drop(r.g.Order[k].ID())
 				}
 			}
 		}

@@ -181,6 +181,11 @@ func (s *ErasureStore) sealLocked() (time.Duration, error) {
 // Get reads an object. Healthy path: read only the data shards covering the
 // object's byte range. Degraded path: reconstruct the span from any d shards.
 func (s *ErasureStore) Get(id ObjectID) ([]byte, time.Duration, error) {
+	return s.GetInto(id, nil)
+}
+
+// GetInto is Get into the caller's buffer.
+func (s *ErasureStore) GetInto(id ObjectID, buf []byte) ([]byte, time.Duration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	loc, ok := s.objects[id]
@@ -189,7 +194,7 @@ func (s *ErasureStore) Get(id ObjectID) ([]byte, time.Duration, error) {
 	}
 	// Still staged in the open span?
 	if s.open != nil && s.open.id == loc.span {
-		out := make([]byte, loc.size)
+		out := sized(buf, loc.size)
 		copy(out, s.open.buf[loc.off:loc.off+loc.size])
 		return out, 0, nil
 	}
@@ -198,7 +203,7 @@ func (s *ErasureStore) Get(id ObjectID) ([]byte, time.Duration, error) {
 		return nil, 0, fmt.Errorf("fault: object %d references missing span %d", id, loc.span)
 	}
 	// Fast path: read the byte range straight from data shards.
-	out := make([]byte, loc.size)
+	out := sized(buf, loc.size)
 	var total time.Duration
 	healthy := true
 	for n := 0; n < loc.size; {

@@ -3,7 +3,9 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -24,12 +26,19 @@ var ErrNotFound = errors.New("fault: object not found")
 // ObjectID names a stored object.
 type ObjectID uint64
 
-// Store is the common interface of both redundancy schemes.
+// Store is the common interface of the redundancy schemes.
 type Store interface {
-	// Put stores data under a fresh id, returning the virtual time spent.
+	// Put stores a copy of data under a fresh id, returning the virtual time
+	// spent. It must not retain data: the caller reuses the buffer as soon
+	// as Put returns.
 	Put(data []byte) (ObjectID, time.Duration, error)
-	// Get returns the object's bytes (reconstructing if nodes are down).
+	// Get returns the object's bytes (reconstructing if nodes are down) in a
+	// buffer that is the caller's: the store keeps no reference to it.
 	Get(id ObjectID) ([]byte, time.Duration, error)
+	// GetInto is Get into the caller's buffer: the bytes land in buf's
+	// backing array when its capacity holds them, in a fresh one otherwise,
+	// and the filled slice is returned.
+	GetInto(id ObjectID, buf []byte) ([]byte, time.Duration, error)
 	// Delete removes the object.
 	Delete(id ObjectID) (time.Duration, error)
 	// Recover re-establishes full redundancy after node failures,
@@ -54,8 +63,25 @@ type ReplicatedStore struct {
 }
 
 type replObject struct {
-	size   int
-	copies map[string]cluster.SlabID // node → slab
+	size int
+	// copies is sorted by node (a SlabID names its node), so read-any tries
+	// replicas in a deterministic order.
+	copies []cluster.SlabID
+}
+
+// add files a new replica in node order.
+func (o *replObject) add(slab cluster.SlabID) {
+	at, _ := slices.BinarySearchFunc(o.copies, slab, func(a, b cluster.SlabID) int { return strings.Compare(a.Node, b.Node) })
+	o.copies = slices.Insert(o.copies, at, slab)
+}
+
+// sized returns buf cut to n bytes when its capacity holds them, a fresh
+// buffer otherwise.
+func sized(buf []byte, n int) []byte {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]byte, n)
 }
 
 // NewReplicatedStore builds a store with the given replication factor.
@@ -69,35 +95,24 @@ func NewReplicatedStore(f *cluster.Fabric, replicas int) (*ReplicatedStore, erro
 	return &ReplicatedStore{fabric: f, replicas: replicas, objects: make(map[ObjectID]*replObject)}, nil
 }
 
-// pickNodes returns n distinct alive nodes round-robin, preferring spread.
-func (s *ReplicatedStore) pickNodes(n int) ([]string, error) {
-	alive := s.fabric.AliveNodes()
-	if len(alive) < n {
-		return nil, fmt.Errorf("%w: %d alive, need %d", cluster.ErrUnreachable, len(alive), n)
-	}
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, alive[(s.rr+i)%len(alive)])
-	}
-	s.rr = (s.rr + 1) % len(alive)
-	return out, nil
-}
-
-// Put writes the object to all replicas (write-all).
+// Put writes the object to all replicas (write-all): distinct alive nodes,
+// taken round-robin from the cursor for spread.
 func (s *ReplicatedStore) Put(data []byte) (ObjectID, time.Duration, error) {
 	if len(data) == 0 {
 		return 0, 0, cluster.ErrInvalidInput
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	nodes, err := s.pickNodes(s.replicas)
-	if err != nil {
-		return 0, 0, err
+	alive := s.fabric.AliveNodes()
+	if len(alive) < s.replicas {
+		return 0, 0, fmt.Errorf("%w: %d alive, need %d", cluster.ErrUnreachable, len(alive), s.replicas)
 	}
-	obj := &replObject{size: len(data), copies: make(map[string]cluster.SlabID)}
+	first := s.rr
+	s.rr = (s.rr + 1) % len(alive)
+	obj := &replObject{size: len(data), copies: make([]cluster.SlabID, 0, s.replicas)}
 	var total, maxT time.Duration
-	for _, n := range nodes {
-		id, d, err := s.fabric.AllocSlab(n, int64(len(data)))
+	for i := 0; i < s.replicas; i++ {
+		id, d, err := s.fabric.AllocSlab(alive[(first+i)%len(alive)], int64(len(data)))
 		total += d
 		if err != nil {
 			s.rollback(obj)
@@ -111,7 +126,7 @@ func (s *ReplicatedStore) Put(data []byte) (ObjectID, time.Duration, error) {
 			s.rollback(obj)
 			return 0, total, err
 		}
-		obj.copies[n] = id
+		obj.add(id)
 	}
 	// Replica writes go out in parallel: charge the slowest, not the sum.
 	total += maxT
@@ -129,16 +144,21 @@ func (s *ReplicatedStore) rollback(obj *replObject) {
 
 // Get reads from the first reachable replica (read-any).
 func (s *ReplicatedStore) Get(id ObjectID) ([]byte, time.Duration, error) {
+	return s.GetInto(id, nil)
+}
+
+// GetInto is Get into the caller's buffer.
+func (s *ReplicatedStore) GetInto(id ObjectID, buf []byte) ([]byte, time.Duration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	obj, ok := s.objects[id]
 	if !ok {
 		return nil, 0, ErrNotFound
 	}
-	buf := make([]byte, obj.size)
+	buf = sized(buf, obj.size)
 	var total time.Duration
-	for _, n := range sortedNodes(obj.copies) {
-		d, err := s.fabric.Read(obj.copies[n], 0, buf)
+	for _, slab := range obj.copies {
+		d, err := s.fabric.Read(slab, 0, buf)
 		total += d
 		if err == nil {
 			return buf, total, nil
@@ -179,21 +199,21 @@ func (s *ReplicatedStore) Recover() (int, time.Duration, error) {
 		obj := s.objects[oid]
 		// Probe copies, drop dead ones.
 		buf := make([]byte, obj.size)
-		var healthy []string
 		var data []byte
-		for _, n := range sortedNodes(obj.copies) {
-			d, err := s.fabric.Read(obj.copies[n], 0, buf)
+		healthy := obj.copies[:0]
+		for _, slab := range obj.copies {
+			d, err := s.fabric.Read(slab, 0, buf)
 			total += d
 			if err != nil {
-				delete(obj.copies, n)
 				continue
 			}
-			healthy = append(healthy, n)
+			healthy = append(healthy, slab)
 			if data == nil {
 				data = make([]byte, obj.size)
 				copy(data, buf)
 			}
 		}
+		obj.copies = healthy
 		if data == nil {
 			return repaired, total, fmt.Errorf("fault: object %d lost all replicas", oid)
 		}
@@ -202,7 +222,7 @@ func (s *ReplicatedStore) Recover() (int, time.Duration, error) {
 			n := ""
 			for i := range alive {
 				cand := alive[(s.rr+i)%len(alive)]
-				if _, dup := obj.copies[cand]; !dup {
+				if !slices.ContainsFunc(obj.copies, func(c cluster.SlabID) bool { return c.Node == cand }) {
 					n = cand
 					break
 				}
@@ -222,22 +242,11 @@ func (s *ReplicatedStore) Recover() (int, time.Duration, error) {
 			if err != nil {
 				return repaired, total, err
 			}
-			obj.copies[n] = slab
+			obj.add(slab)
 			repaired++
 		}
 	}
 	return repaired, total, nil
-}
-
-// sortedNodes returns the map's node keys in sorted order so replica
-// selection (and therefore simulated timing) is deterministic.
-func sortedNodes(m map[string]cluster.SlabID) []string {
-	out := make([]string, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // StoredBytes returns logical vs physical bytes.

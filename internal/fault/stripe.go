@@ -129,13 +129,18 @@ func (s *StripedStore) rollbackStripes(obj *stripedObj) {
 // Get gathers the chunks in parallel (charged time = slowest chunk, trying
 // mirrors when a primary's node is down).
 func (s *StripedStore) Get(id ObjectID) ([]byte, time.Duration, error) {
+	return s.GetInto(id, nil)
+}
+
+// GetInto is Get into the caller's buffer.
+func (s *StripedStore) GetInto(id ObjectID, buf []byte) ([]byte, time.Duration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	obj, ok := s.objs[id]
 	if !ok {
 		return nil, 0, ErrNotFound
 	}
-	out := make([]byte, obj.size)
+	out := sized(buf, obj.size)
 	var slowest time.Duration
 	for i, replicas := range obj.chunks {
 		lo, hi := s.chunkSpan(obj.size, i)
