@@ -31,7 +31,6 @@ func TestExamplesRun(t *testing.T) {
 		{"./examples/dbms", "naive is"},
 		{"./examples/mlpipeline", "cross-layer profile"},
 		{"./examples/streaming", "no data lost across the node crash"},
-		{"./examples/sharedmem", "zero regions leaked"},
 	}
 	for _, c := range cases {
 		c := c
@@ -65,7 +64,7 @@ func exampleJob(name string) *repro.Job {
 // server without blocking: SubmitAsync returns a Ticket immediately, and
 // Wait collects each job's report later, in any order.
 func ExampleServer_SubmitAsync() {
-	rt, err := repro.NewRuntime(repro.RuntimeConfig{})
+	rt, err := repro.NewRuntime(repro.ExecConfig{})
 	if err != nil {
 		panic(err)
 	}
@@ -110,7 +109,7 @@ func ExampleRuntime_Run() {
 	inj := repro.NewFaultInjector(1, 0, 1)
 	inj.Kill("sink", 1) // the sink's first execution fails
 
-	rt, err := repro.NewRuntime(repro.RuntimeConfig{Inject: inj})
+	rt, err := repro.NewRuntime(repro.ExecConfig{Inject: inj})
 	if err != nil {
 		panic(err)
 	}
@@ -170,7 +169,7 @@ func ExampleNewCluster() {
 // and reports retire in order while the watermark advances in virtual
 // time by each retired window's makespan.
 func ExampleServer_SubmitStream() {
-	rt, err := repro.NewRuntime(repro.RuntimeConfig{})
+	rt, err := repro.NewRuntime(repro.ExecConfig{})
 	if err != nil {
 		panic(err)
 	}

@@ -81,11 +81,9 @@ const (
 type (
 	// Runtime is the RTS: placement, scheduling, ownership, lifetimes.
 	Runtime = core.Runtime
-	// ExecConfig is the shared execution configuration consumed by both
-	// NewRuntime and ServerConfig's embedded defaults.
+	// ExecConfig assembles a Runtime (NewRuntime) and is embedded in
+	// ServerConfig as its defaults; zero values get defaults.
 	ExecConfig = core.ExecConfig
-	// RuntimeConfig assembles a Runtime; zero values get defaults.
-	RuntimeConfig = core.ExecConfig
 	// Report is the outcome of one job run.
 	Report = core.Report
 	// MultiReport is the outcome of a concurrent job batch.
@@ -133,7 +131,7 @@ type (
 // NewRuntime builds an RTS instance. A zero config gets the reference
 // single-node testbed, the best-fit placement optimizer, and the HEFT
 // scheduler.
-func NewRuntime(cfg RuntimeConfig) (*Runtime, error) { return core.New(cfg) }
+func NewRuntime(cfg ExecConfig) (*Runtime, error) { return core.New(cfg) }
 
 // NewCheckpointer wraps a fault-tolerant store (RecoveryPolicy.Checkpointer).
 var NewCheckpointer = core.NewCheckpointer
@@ -145,7 +143,7 @@ type (
 	// or Carbink-style erasure coding).
 	FaultStore = fault.Store
 	// FaultInjector deterministically kills chosen task executions so
-	// recovery can be exercised reproducibly (RuntimeConfig.Inject).
+	// recovery can be exercised reproducibly (ExecConfig.Inject).
 	FaultInjector = fault.Injector
 	// Fabric is the simulated far-memory cluster fault stores write to.
 	Fabric = cluster.Fabric
@@ -278,5 +276,5 @@ type (
 	RoundRobin = sched.RoundRobin
 )
 
-// NewTelemetry creates a metrics registry to pass into RuntimeConfig.
+// NewTelemetry creates a metrics registry to pass into ExecConfig.
 var NewTelemetry = telemetry.NewRegistry

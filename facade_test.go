@@ -12,7 +12,7 @@ import (
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
-	rt, err := repro.NewRuntime(repro.RuntimeConfig{})
+	rt, err := repro.NewRuntime(repro.ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestFacadeCustomAssembly(t *testing.T) {
 		t.Fatal(err)
 	}
 	tel := repro.NewTelemetry()
-	rt, err := repro.NewRuntime(repro.RuntimeConfig{
+	rt, err := repro.NewRuntime(repro.ExecConfig{
 		Topology:  topo,
 		Placer:    repro.NewBestFit(topo),
 		Scheduler: repro.HEFT{},

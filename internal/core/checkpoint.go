@@ -300,11 +300,9 @@ type RecoveryPolicy struct {
 	MaxAttempts int
 	// Backoff is the base per-retry delay in virtual time. Retries back off
 	// exponentially: the wait before attempt n+1 is Backoff·2^(n-1), capped
-	// at BackoffCap. Batch mates are unaffected; the waits a submission
+	// at 8×Backoff. Batch mates are unaffected; the waits a submission
 	// accumulated are reported in Report.AttemptWaits.
 	Backoff time.Duration
-	// BackoffCap bounds the exponential growth (default 8×Backoff).
-	BackoffCap time.Duration
 	// PartialReplay restores lazily: on a retry, completed tasks are still
 	// completed from their replay records without re-execution, but a task's
 	// output is fetched from the store only when a re-executed successor
@@ -321,7 +319,6 @@ type recoveryState struct {
 	ck          *Checkpointer
 	maxAttempts int
 	backoff     time.Duration
-	cap         time.Duration
 	partial     bool
 }
 
@@ -343,14 +340,10 @@ func resolveRecovery(pol *RecoveryPolicy) (*recoveryState, error) {
 	}
 	rec := &recoveryState{
 		ck: ck, maxAttempts: pol.MaxAttempts,
-		backoff: pol.Backoff, cap: pol.BackoffCap,
-		partial: pol.PartialReplay,
+		backoff: pol.Backoff, partial: pol.PartialReplay,
 	}
 	if rec.maxAttempts <= 0 {
 		rec.maxAttempts = 3
-	}
-	if rec.cap <= 0 {
-		rec.cap = 8 * rec.backoff
 	}
 	return rec, nil
 }

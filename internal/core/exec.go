@@ -186,21 +186,15 @@ func (rt *Runtime) driveOne(epoch *topology.Epoch, rec *recoveryState, r *run) (
 	return out.rep, out.err
 }
 
+// backoffDoublings bounds the exponential growth of retry waits: a wait
+// stops doubling at 8×Backoff.
+const backoffDoublings = 3
+
 // backoffWait is the virtual-time delay inserted before the retry that
 // follows a failed attempt (1-based): backoff·2^(attempt-1), capped.
 func backoffWait(rec *recoveryState, attempt int) time.Duration {
 	if rec.backoff <= 0 {
 		return 0
 	}
-	w := rec.backoff
-	for i := 1; i < attempt; i++ {
-		w <<= 1
-		if w >= rec.cap || w <= 0 { // cap reached or shift overflowed
-			return rec.cap
-		}
-	}
-	if w > rec.cap {
-		return rec.cap
-	}
-	return w
+	return rec.backoff << min(attempt-1, backoffDoublings)
 }

@@ -23,9 +23,6 @@ func TestStoresConcurrentRoundtrip(t *testing.T) {
 		"erasure": func(f *cluster.Fabric) (Store, error) {
 			return NewErasureStore(f, ErasureConfig{Data: 4, Parity: 2, SpanSize: 16 << 10})
 		},
-		"striped": func(f *cluster.Fabric) (Store, error) {
-			return NewStripedStore(f, StripeConfig{Width: 3, Mirrors: 1})
-		},
 	}
 	for name, build := range stores {
 		t.Run(name, func(t *testing.T) {

@@ -1,8 +1,7 @@
 // Package fault implements the fault-tolerance mechanisms the paper's
-// challenge 8(3) discusses for disaggregated memory: k-way replication,
-// page striping across memory nodes, and Carbink-style erasure coding with
-// span compaction — all built from scratch on the one-sided verbs of
-// internal/cluster.
+// challenge 8(3) discusses for disaggregated memory: k-way replication, and
+// Carbink-style Reed–Solomon striping with span compaction — both built from
+// scratch on the one-sided verbs of internal/cluster.
 //
 // This file is the finite-field arithmetic underneath Reed–Solomon:
 // GF(2^8) with the AES polynomial x^8+x^4+x^3+x+1 (0x11d generator

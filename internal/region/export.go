@@ -78,7 +78,7 @@ func (m *Manager) exportLocked(r *Region) (time.Duration, error) {
 		b.Free(r.offset) //nolint:errcheck // offset tracked by the manager
 	}
 	r.device.Release(r.blockSize)
-	m.putBacking(r.blockSize, r.data)
+	m.backing.Put(r.data)
 	r.data = nil
 	r.exported = true
 	r.token = token
@@ -121,12 +121,12 @@ func (m *Manager) recallLocked(r *Region) (time.Duration, error) {
 			return 0, err
 		}
 	}
-	buf := m.getBacking(r.blockSize, r.size)
+	buf := m.backing.Get(r.size, true)
 	cost, err := m.exporter.Fetch(r.token, buf)
 	if err != nil {
 		buddy.Free(off) //nolint:errcheck // offset came from this buddy
 		r.device.Release(r.blockSize)
-		m.putBacking(r.blockSize, buf)
+		m.backing.Put(buf)
 		return 0, fmt.Errorf("region: recall of %d: %w", r.id, err)
 	}
 	m.exporter.Drop(r.token) //nolint:errcheck // remote GC is best-effort

@@ -129,7 +129,7 @@ func TestUnrankedHandleDemandsFullBarrier(t *testing.T) {
 	rec := &recordFence{}
 	h := mustAlloc(t, m, Spec{Name: "out", Class: props.GlobalScratch, Size: 64,
 		Owner: "prod", Compute: "node0/cpu0"})
-	h.SetFence(rec.fence) // fence installed, rank left at the unranked default
+	h.Rebind(nil, -1, rec.fence) // fence installed, rank at the unranked default
 	if _, err := h.ShareRanked("c2", "node0/cpu0", 2); err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ type Handle struct {
 	// clock, when non-nil, is the virtual-time view accesses through this
 	// handle queue against; nil uses the device-global queues. Derived
 	// handles (Share, Transfer) inherit it; the runtime rebinds it when a
-	// handle crosses a task boundary (SetClock).
+	// handle crosses a task boundary (Rebind).
 	clock topology.VClock
 	// fence, when non-nil, is called before any access that may run the
 	// coherence protocol on a shared region. The wavefront runtime installs
@@ -69,20 +69,12 @@ type Handle struct {
 // non-nil deps is an established happens-before — no waiting at all.
 type Fence func(deps []int) error
 
-// SetClock rebinds the virtual-time view accesses through this handle are
-// priced against. The runtime calls it at task handoff points (never
-// concurrently with accesses through the same handle).
-func (h *Handle) SetClock(clk topology.VClock) { h.clock = clk }
-
-// SetFence installs the pre-access barrier for coherence-priced accesses.
-// Like SetClock, it is only called at handoff points.
-func (h *Handle) SetFence(f Fence) { h.fence = f }
-
 // Rebind installs clock view, task rank, and fence together — the runtime's
 // task-boundary handoff. A handle crossing into a task must get all three
 // from that task (its causal view, its schedule rank, its rank fence);
 // rebinding them atomically at one call site keeps the triple from drifting
-// apart as handoff points multiply.
+// apart as handoff points multiply. Only called at handoff points, never
+// concurrently with accesses through the same handle.
 func (h *Handle) Rebind(clk topology.VClock, rank int, f Fence) {
 	h.clock = clk
 	h.rank = rank

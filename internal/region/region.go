@@ -181,8 +181,8 @@ type Manager struct {
 	nextID  ID
 	regions map[ID]*Region
 	buddies map[string]*allocator.Buddy
-	backing map[int64][][]byte // block size → recycled zeroed data backings
-	secret  [32]byte           // root key material for confidential regions; fixed by NewManager, read without mu
+	backing allocator.BufList // freed regions' data backings, recycled by block class
+	secret  [32]byte          // root key material for confidential regions; fixed by NewManager, read without mu
 	// exporter, when set, is the remote memory pool cold regions can be
 	// evicted to (export.go). Nil keeps all tiering node-local.
 	exporter Exporter
@@ -227,7 +227,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		reg:     cfg.Telemetry,
 		regions: make(map[ID]*Region),
 		buddies: make(map[string]*allocator.Buddy),
-		backing: make(map[int64][][]byte),
+		backing: allocator.BufList{Limit: backingFreeBytes},
 
 		bytesRead:     cfg.Telemetry.Handle(telemetry.LayerRegion, "bytes_read"),
 		bytesWritten:  cfg.Telemetry.Handle(telemetry.LayerRegion, "bytes_written"),
@@ -245,31 +245,11 @@ func NewManager(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// backingClassCap bounds each block-size class of the backing free list, so
-// a burst of large regions can't pin their memory forever.
-const backingClassCap = 16
-
-// getBacking returns a zeroed backing slice of length size, reusing a
-// recycled buffer of the same buddy block class when one is available —
-// region churn in serving batches otherwise reallocates identical backings
-// every job. Caller holds m.mu.
-func (m *Manager) getBacking(block, size int64) []byte {
-	if list := m.backing[block]; len(list) > 0 {
-		buf := list[len(list)-1]
-		m.backing[block] = list[:len(list)-1]
-		clear(buf) // preserve the fresh-allocation zero-fill contract
-		return buf[:size]
-	}
-	return make([]byte, size, block)
-}
-
-// putBacking recycles a freed region's backing. Caller holds m.mu.
-func (m *Manager) putBacking(block int64, buf []byte) {
-	if int64(cap(buf)) < block || len(m.backing[block]) >= backingClassCap {
-		return
-	}
-	m.backing[block] = append(m.backing[block], buf[:block])
-}
+// backingFreeBytes bounds the freed regions' backings a manager keeps for
+// reuse — region churn in serving batches otherwise reallocates identical
+// backings every job — so a burst of large regions cannot pin their memory
+// forever.
+const backingFreeBytes = 8 << 20
 
 // Topology returns the hardware graph the manager places onto.
 func (m *Manager) Topology() *topology.Topology { return m.topo }
@@ -376,7 +356,7 @@ func (m *Manager) Alloc(spec Spec) (*Handle, error) {
 	r := &Region{
 		id: id, name: spec.Name, class: spec.Class, req: req,
 		device: dev, offset: off, size: spec.Size, blockSize: block,
-		data:   m.getBacking(block, spec.Size),
+		data:   m.backing.Get(spec.Size, true),
 		sealed: req.Confidential && caps.Remote,
 		owners: map[Owner]string{spec.Owner: spec.Compute},
 	}
@@ -401,7 +381,7 @@ func (m *Manager) free(r *Region) {
 			b.Free(r.offset) //nolint:errcheck // offset tracked by the manager
 		}
 		r.device.Release(r.blockSize)
-		m.putBacking(r.blockSize, r.data)
+		m.backing.Put(r.data)
 		r.data = nil
 	}
 	m.dir.DropRegion(uint64(r.id))

@@ -104,6 +104,46 @@ func TestUseAfterFree(t *testing.T) {
 	}
 }
 
+// TestFreedBackingsAreBoundedByBytesAndReadZero: a burst of large regions
+// freed at once leaves the manager holding no more than backingFreeBytes of
+// their backings — a bound in bytes, so it holds whatever the regions' size —
+// and a recycled backing handed to a smaller region of the same class reads
+// all zeros, as a fresh allocation would.
+func TestFreedBackingsAreBoundedByBytesAndReadZero(t *testing.T) {
+	m := newManager(t)
+	const size = 1 << 20
+	dirty := bytes.Repeat([]byte{0xa5}, size)
+	hs := make([]*Handle, 64)
+	for i := range hs {
+		hs[i] = mustAlloc(t, m, Spec{Class: props.PrivateScratch, Size: size, Owner: "t", Compute: "node0/cpu0"})
+		if _, err := hs[i].WriteAt(0, 0, dirty); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, h := range hs {
+		if err := h.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := m.backing.Held()
+	if held == 0 || held > backingFreeBytes {
+		t.Fatalf("manager retains %d B of freed backings, want some and at most %d", held, backingFreeBytes)
+	}
+
+	const smaller = size/2 + 64 // same 1 MiB block class
+	h := mustAlloc(t, m, Spec{Class: props.PrivateScratch, Size: smaller, Owner: "t", Compute: "node0/cpu0"})
+	if after := m.backing.Held(); after != held-size {
+		t.Fatalf("retained %d B after one reuse, want %d: the region did not take a recycled backing", after, held-size)
+	}
+	got := make([]byte, smaller)
+	if _, err := h.ReadAt(0, 0, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, smaller)) {
+		t.Error("a recycled backing shows its last region's bytes")
+	}
+}
+
 func TestClassPlacementFromCPU(t *testing.T) {
 	// Table 2 regions allocated from a CPU must land on devices that honour
 	// the class properties.

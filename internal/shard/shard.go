@@ -30,7 +30,22 @@ var (
 // slab: signature, routed ticket id, arrival, deadline — 8 bytes each.
 const ledgerRecordBytes = 32
 
-// Config assembles a Cluster. Zero fields get serving defaults.
+// What every cluster is built with, beside its Config.
+const (
+	// ledgerSlabBytes sizes each shard's ledger slab.
+	ledgerSlabBytes int64 = 1 << 20
+	// poolBytes is the extra fabric capacity each shard node exports for
+	// other shards' migrated regions (Migrate only).
+	poolBytes int64 = 64 << 20
+	// spillWatermark caps a remote host's fill fraction for migrated
+	// regions (Migrate only).
+	spillWatermark = 0.9
+)
+
+// Config assembles a Cluster. Zero fields get serving defaults. What no
+// caller varies is a constant, not a field: ledgerSlabBytes, poolBytes and
+// spillWatermark above, and the reference single-node testbed as every
+// shard's private hardware graph.
 type Config struct {
 	// Shards is the number of server shards (default 2).
 	Shards int
@@ -50,13 +65,8 @@ type Config struct {
 	// fabric store, so a survivor can restore what a dead shard
 	// checkpointed.
 	Server core.ServerConfig
-	// NewTopology builds one shard's private hardware graph. Nil uses the
-	// reference single-node testbed.
-	NewTopology func() (*topology.Topology, error)
 	// Fabric tunes the interconnect the shards share (RTT, bandwidth).
 	Fabric cluster.Config
-	// SlabBytes sizes each shard's ledger slab (default 1 MiB).
-	SlabBytes int64
 	// TrackLoad prices every routed job with the scheduler's estimator
 	// (sched.EstimateJob) and accumulates per-shard estimated virtual
 	// work — the router-side load view Stats reports. Off by default:
@@ -69,12 +79,6 @@ type Config struct {
 	// mirrored into the cluster-shared checkpoint store, so a region
 	// survives the crash of the memory node hosting its slab.
 	Migrate bool
-	// PoolBytes is the extra fabric capacity each shard node exports for
-	// other shards' migrated regions (default 64 MiB; Migrate only).
-	PoolBytes int64
-	// SpillWatermark caps a remote host's fill fraction for migrated
-	// regions (default 0.9; Migrate only).
-	SpillWatermark float64
 	// Rebalance is the tiering policy Cluster.Rebalance sweeps run with.
 	// With Migrate on and EvictWatermark unset, EvictWatermark defaults to
 	// 0.95 so only genuinely full devices shed regions to the cluster.
@@ -196,19 +200,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.VNodes <= 0 {
 		cfg.VNodes = 64
 	}
-	if cfg.SlabBytes <= 0 {
-		cfg.SlabBytes = 1 << 20
-	}
-	if cfg.Migrate {
-		if cfg.PoolBytes <= 0 {
-			cfg.PoolBytes = 64 << 20
-		}
-		if cfg.SpillWatermark <= 0 {
-			cfg.SpillWatermark = 0.9
-		}
-		if cfg.Rebalance.EvictWatermark <= 0 {
-			cfg.Rebalance.EvictWatermark = 0.95
-		}
+	if cfg.Migrate && cfg.Rebalance.EvictWatermark <= 0 {
+		cfg.Rebalance.EvictWatermark = 0.95
 	}
 	if cfg.Server.Runtime != nil || cfg.Server.Topology != nil {
 		return nil, errors.New("shard: Server.Runtime/Topology must be nil — every shard builds its own")
@@ -260,11 +253,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 // buildShard constructs one shard: fabric node + leased ledger slab +
 // server over a private runtime.
 func (c *Cluster) buildShard(i int, name string) (*Shard, error) {
-	// With migration on, each shard node exports PoolBytes beyond its
+	// With migration on, each shard node exports poolBytes beyond its
 	// ledger: the memory other shards park cold regions in.
-	capacity := c.cfg.SlabBytes
+	capacity := ledgerSlabBytes
 	if c.cfg.Migrate {
-		capacity += c.cfg.PoolBytes
+		capacity += poolBytes
 	}
 	if err := c.fabric.AddNode(name, capacity); err != nil {
 		return nil, err
@@ -275,13 +268,7 @@ func (c *Cluster) buildShard(i int, name string) (*Shard, error) {
 	}
 
 	scfg := c.cfg.Server // copy of the template
-	var topo *topology.Topology
-	var err error
-	if c.cfg.NewTopology != nil {
-		topo, err = c.cfg.NewTopology()
-	} else {
-		topo, err = topology.BuildSingleNode(topology.DefaultSingleNode())
-	}
+	topo, err := topology.BuildSingleNode(topology.DefaultSingleNode())
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +294,7 @@ func (c *Cluster) buildShard(i int, name string) (*Shard, error) {
 		sh.pool = cluster.NewRegionPool(
 			c.fabric, name,
 			func(int64) []string { return c.spillTargets(i) },
-			c.cfg.SpillWatermark,
+			spillWatermark,
 			&storeBackup{st: c.ckStore, ids: make(map[string]fault.ObjectID)},
 			c.tel,
 		)
@@ -376,7 +363,7 @@ func (b *storeBackup) Discard(key string) {
 // leaseLedger allocates and leases a fresh ledger slab for the shard.
 // Caller must not hold sh.mu.
 func (c *Cluster) leaseLedger(sh *Shard) error {
-	slab, _, err := c.fabric.AllocSlab(sh.name, c.cfg.SlabBytes)
+	slab, _, err := c.fabric.AllocSlab(sh.name, ledgerSlabBytes)
 	if err != nil {
 		return err
 	}
@@ -491,7 +478,7 @@ func (c *Cluster) ledgerWrite(sh *Shard, sig, ticket uint64, opt core.SubmitOpti
 	putBE(rec[24:], uint64(opt.Deadline))
 	sh.mu.Lock()
 	slab := sh.slab
-	slots := c.cfg.SlabBytes / ledgerRecordBytes
+	slots := ledgerSlabBytes / ledgerRecordBytes
 	off := (sh.ledgerSeq % slots) * ledgerRecordBytes
 	sh.ledgerSeq++
 	sh.mu.Unlock()
