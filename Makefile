@@ -16,13 +16,15 @@ test:
 	$(GO) test ./...
 
 # The concurrency-sensitive layers under the race detector: the serving
-# engine (core.Server, epochs, recovery), the region manager and the two
-# packages its access path reads without a lock of their own (topology
-# routes, memsim device counters), the fault injector/stores, the telemetry
+# engine (core.Server, epochs, recovery), the region manager, the coherence
+# directory its shared accesses lock, and the two packages its access path
+# reads without a lock of their own (topology routes, memsim device
+# counters), the fault injector/stores, the telemetry
 # registry, the cluster, and the scheduler, load generator, placement
 # optimizer and job graph the server calls from several goroutines.
 race:
-	$(GO) test -race ./internal/core/... ./internal/region/... ./internal/topology/... ./internal/memsim/... \
+	$(GO) test -race ./internal/core/... ./internal/region/... ./internal/coherence/... \
+		./internal/topology/... ./internal/memsim/... \
 		./internal/fault/... ./internal/telemetry/... ./internal/cluster/... ./internal/shard/... \
 		./internal/sched/... ./internal/loadgen/... ./internal/placement/... ./internal/dataflow/...
 
@@ -44,8 +46,8 @@ bench:
 # its exact metric too, and that one is a cost: the bytes a retry fetches back
 # from the checkpoint store, under full and under partial replay, may not grow
 # by one, nor the bytes it allocates by a tenth (one payload-sized buffer per
-# task is a fifth). The region access, placement, planner and checkpoint
-# micro-benchmarks are gated the other way round — their units are
+# task is a fifth). The region access, coherence directory, placement, planner
+# and checkpoint micro-benchmarks are gated the other way round — their units are
 # costs: time per operation may not triple, and allocations per operation may
 # not rise at all; a checkpoint's put → delete cycle may not double its bytes
 # either, which one payload-sized buffer per operation would do fifty times over. The region benchmark's parallel case runs at one core and
@@ -65,6 +67,7 @@ SMOKE_BENCHES = \
 	'stream:core:BenchmarkStreamServe:2x:solo-identical-windows/op:0' \
 	'migrate:shard:BenchmarkClusterRebalance:2x:exported/op:0,recalled/op:0' \
 	'region:region:BenchmarkRegionAccess:200000x:ns/op:2,allocs/op:0' \
+	'coherence:coherence:BenchmarkDropRegion|BenchmarkReadHit|BenchmarkDirectoryRange:200000x:ns/op:2,allocs/op:0' \
 	'place:placement:BenchmarkPlaceEpoch:200000x:ns/op:2,allocs/op:0' \
 	'plan:sched:BenchmarkHEFT|BenchmarkEstimateJob:20000x:ns/op:2,allocs/op:0'
 

@@ -14,7 +14,10 @@ package coherence
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
+
+	"repro/internal/allocator"
 )
 
 // State is a MESI cache-line state.
@@ -73,150 +76,175 @@ func (a Actions) Total() int {
 	return a.DirectoryLookups + a.Invalidations + a.Writebacks + a.Fetches
 }
 
-type lineState struct {
-	sharers map[string]State // device → state (Invalid entries elided)
+// Dev is a device's index in a directory's sharer sets, interned from its
+// name the first time the directory sees it. The zero Dev is no device: what
+// a caller of Access holds before its first access has resolved the name.
+type Dev int32
+
+// table is the directory's state for one region: its lines, densely, up to
+// the highest one touched, in one recycled buffer. A line is a value — MESI
+// lets Modified and Exclusive have exactly one holder and makes every holder
+// of any other line Shared, so one state and the set of holding devices are
+// the whole of it: a State byte, then width bytes of sharer set in which bit
+// d is device d. The zero table has no lines.
+type table struct {
+	buf   []byte
+	width int
 }
 
-// Directory is the home directory for a set of coherent lines. It is
-// safe for concurrent use; each line is serialized through the directory
-// lock, mirroring a real home node's ordering point.
+// line returns line l of the table, nil past the lines it has.
+func (t table) line(l uint64) []byte {
+	if n := uint64(1 + t.width); (l+1)*n <= uint64(len(t.buf)) {
+		return t.buf[l*n:][:n]
+	}
+	return nil
+}
+
+// has reports whether dev is in a line's sharer set. Nobody is in a line the
+// table does not have, and the zero Dev — a name never interned — in none.
+func has(line []byte, dev Dev) bool {
+	i := 1 + int(dev)>>3
+	return i < len(line) && line[i]>>(dev&7)&1 != 0
+}
+
+// sharers counts the devices in a line's sharer set.
+func sharers(line []byte) (n int) {
+	for i := 1; i < len(line); i++ {
+		n += bits.OnesCount8(line[i])
+	}
+	return n
+}
+
+// Directory is the home directory for a set of coherent lines. It is safe
+// for concurrent use; each access is serialized through the directory lock,
+// mirroring a real home node's ordering point.
 type Directory struct {
 	mu sync.Mutex
 	// lines holds the tracked lines region by region, so that dropping a
-	// region costs the lines it has, not the lines there are: a region is
-	// dropped every time one is freed or migrated, and most were never
-	// shared and have none.
-	lines map[uint64]map[uint64]*lineState
-	// spare keeps the emptied line maps of dropped regions for the next
-	// region that starts sharing, so the index costs a serving job — which
-	// shares a few regions and drops them all — no allocation of its own.
-	spare []map[uint64]*lineState
-
+	// region costs the lines it has, not the lines there are.
+	lines map[uint64]table
+	devs  map[string]Dev
+	// spare keeps the buffers of dropped regions' tables for the next regions
+	// that start sharing: a serving job shares a few regions while it runs
+	// and drops them all, and tracks their lines in the memory the job
+	// before it left.
+	spare allocator.BufList
 	stats Actions
 }
 
-// spareCap bounds the spare line maps kept.
-const spareCap = 32
+// spareBytes bounds the spare table buffers: the lines of 16 MiB of regions
+// shared by up to seven devices.
+const spareBytes = 1 << 20
 
 // NewDirectory returns an empty directory.
 func NewDirectory() *Directory {
-	return &Directory{lines: make(map[uint64]map[uint64]*lineState)}
+	return &Directory{lines: make(map[uint64]table), devs: make(map[string]Dev),
+		spare: allocator.BufList{Limit: spareBytes}}
 }
 
-// line returns the state of a line, tracking it from now on.
-func (d *Directory) line(id LineID) *lineState {
-	region := d.lines[id.Region]
-	if region == nil {
-		if n := len(d.spare); n > 0 {
-			region, d.spare = d.spare[n-1], d.spare[:n-1]
-		} else {
-			region = make(map[uint64]*lineState)
+// table returns the table of a region, tracking the region from now on, with
+// room for line last and device dev. A table is made as wide as the devices
+// seen so far need, so it is rebuilt for width only when a new one joins.
+func (d *Directory) table(region, last uint64, dev Dev) table {
+	t, ok := d.lines[region]
+	if !ok {
+		t.width = len(d.devs)>>3 + 1
+	}
+	if t.line(last) != nil && int(dev)>>3 < t.width {
+		return t
+	}
+	nt := table{width: max(t.width, int(dev)>>3+1)}
+	lines := max(last+1, uint64(len(t.buf)/(1+t.width)))
+	nt.buf = d.spare.Get(allocator.BlockSize(int64(lines)*int64(1+nt.width)), true)
+	for l := uint64(0); t.line(l) != nil; l++ {
+		copy(nt.line(l), t.line(l))
+	}
+	d.spare.Put(t.buf)
+	d.lines[region] = nt
+	return nt
+}
+
+// Access performs one coherent access by the named device, a read or a write
+// of lines first through last of a region, under one acquisition of the
+// directory lock, and returns the protocol actions taken over all the lines.
+// The caller keeps *at between its accesses by that device, zero before the
+// first, so that only the first looks the name up.
+func (d *Directory) Access(name string, at *Dev, region, first, last uint64, write bool) Actions {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if *at == 0 {
+		if *at = d.devs[name]; *at == 0 {
+			*at = Dev(len(d.devs) + 1)
+			d.devs[name] = *at
 		}
-		d.lines[id.Region] = region
 	}
-	ls := region[id.Line]
-	if ls == nil {
-		ls = &lineState{sharers: make(map[string]State)}
-		region[id.Line] = ls
+	dev := *at
+	t := d.table(region, last, dev)
+	var a Actions
+	for l := first; l <= last; l++ {
+		line := t.line(l)
+		st, held := State(line[0]), has(line, dev)
+		if held && (!write || st != Shared) {
+			// A hit; the one holder's write is at most a silent upgrade E→M.
+			if write {
+				line[0] = byte(Modified)
+			}
+			a.Hits++
+			continue
+		}
+		// A miss consults the directory: a dirty copy elsewhere writes back,
+		// and the line is fetched unless its writer was already sharing it.
+		a.DirectoryLookups++
+		if st == Modified {
+			a.Writebacks++
+		}
+		if !held {
+			a.Fetches++
+		}
+		switch {
+		case write: // every other sharer is invalidated
+			a.Invalidations += sharers(line)
+			if held {
+				a.Invalidations--
+			}
+			clear(line)
+			line[0] = byte(Modified)
+		case st == Invalid:
+			line[0] = byte(Exclusive)
+		default: // whoever held the line ends up sharing it
+			line[0] = byte(Shared)
+		}
+		line[1+dev>>3] |= 1 << (dev & 7)
 	}
-	return ls
-}
-
-// tracked returns the state of a line if the directory tracks it.
-func (d *Directory) tracked(id LineID) (*lineState, bool) {
-	ls, ok := d.lines[id.Region][id.Line]
-	return ls, ok
+	d.stats.Add(a)
+	return a
 }
 
 // Read performs a coherent read of a line by device dev and returns the
 // protocol actions taken.
 func (d *Directory) Read(dev string, id LineID) Actions {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ls := d.line(id)
-	var a Actions
-	switch ls.sharers[dev] {
-	case Modified, Exclusive, Shared:
-		a.Hits++
-		d.stats.Add(a)
-		return a
-	}
-	// Miss: consult the directory.
-	a.DirectoryLookups++
-	// If some other cache holds it Modified, it must write back and demote.
-	for other, st := range ls.sharers {
-		if other == dev {
-			continue
-		}
-		if st == Modified {
-			a.Writebacks++
-			ls.sharers[other] = Shared
-		} else if st == Exclusive {
-			ls.sharers[other] = Shared
-		}
-	}
-	a.Fetches++
-	if len(ls.sharers) == 0 {
-		ls.sharers[dev] = Exclusive
-	} else {
-		ls.sharers[dev] = Shared
-	}
-	d.stats.Add(a)
-	return a
+	return d.Access(dev, new(Dev), id.Region, id.Line, id.Line, false)
 }
 
 // Write performs a coherent write of a line by device dev.
 func (d *Directory) Write(dev string, id LineID) Actions {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ls := d.line(id)
-	var a Actions
-	switch ls.sharers[dev] {
-	case Modified:
-		a.Hits++
-		d.stats.Add(a)
-		return a
-	case Exclusive:
-		// Silent upgrade E→M.
-		ls.sharers[dev] = Modified
-		a.Hits++
-		d.stats.Add(a)
-		return a
-	}
-	a.DirectoryLookups++
-	// Invalidate every other sharer; dirty copies write back first.
-	for other, st := range ls.sharers {
-		if other == dev {
-			continue
-		}
-		if st == Modified {
-			a.Writebacks++
-		}
-		a.Invalidations++
-		delete(ls.sharers, other)
-	}
-	if ls.sharers[dev] != Shared {
-		a.Fetches++ // read-for-ownership brings the line in
-	}
-	ls.sharers[dev] = Modified
-	d.stats.Add(a)
-	return a
+	return d.Access(dev, new(Dev), id.Region, id.Line, id.Line, true)
 }
 
 // Evict removes dev's copy of a line, writing back if dirty.
-func (d *Directory) Evict(dev string, id LineID) Actions {
+func (d *Directory) Evict(dev string, id LineID) (a Actions) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	ls, ok := d.tracked(id)
-	var a Actions
-	if !ok {
+	line, i := d.lines[id.Region].line(id.Line), d.devs[dev]
+	if !has(line, i) {
 		return a
 	}
-	if st, held := ls.sharers[dev]; held {
-		if st == Modified {
-			a.Writebacks++
-		}
-		delete(ls.sharers, dev)
+	if State(line[0]) == Modified {
+		a.Writebacks++
+	}
+	line[1+i>>3] &^= 1 << (i & 7)
+	if sharers(line) == 0 {
+		line[0] = byte(Invalid)
 	}
 	d.stats.Add(a)
 	return a
@@ -224,26 +252,20 @@ func (d *Directory) Evict(dev string, id LineID) Actions {
 
 // DropRegion forgets all lines of a region (region freed). Dirty lines are
 // counted as writebacks.
-func (d *Directory) DropRegion(region uint64) Actions {
+func (d *Directory) DropRegion(region uint64) (a Actions) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var a Actions
-	lines, ok := d.lines[region]
+	t, ok := d.lines[region]
 	if !ok {
 		return a
 	}
-	for _, ls := range lines {
-		for _, st := range ls.sharers {
-			if st == Modified {
-				a.Writebacks++
-			}
+	for l := uint64(0); t.line(l) != nil; l++ {
+		if State(t.line(l)[0]) == Modified {
+			a.Writebacks++
 		}
 	}
 	delete(d.lines, region)
-	if len(d.spare) < spareCap {
-		clear(lines)
-		d.spare = append(d.spare, lines)
-	}
+	d.spare.Put(t.buf)
 	d.stats.Add(a)
 	return a
 }
@@ -252,22 +274,17 @@ func (d *Directory) DropRegion(region uint64) Actions {
 func (d *Directory) StateOf(dev string, id LineID) State {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	ls, ok := d.tracked(id)
-	if !ok {
-		return Invalid
+	if line := d.lines[id.Region].line(id.Line); has(line, d.devs[dev]) {
+		return State(line[0])
 	}
-	return ls.sharers[dev]
+	return Invalid
 }
 
 // Sharers returns the number of caches holding the line in any valid state.
 func (d *Directory) Sharers(id LineID) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	ls, ok := d.tracked(id)
-	if !ok {
-		return 0
-	}
-	return len(ls.sharers)
+	return sharers(d.lines[id.Region].line(id.Line))
 }
 
 // Stats returns cumulative protocol actions.
@@ -277,34 +294,17 @@ func (d *Directory) Stats() Actions {
 	return d.stats
 }
 
-// CheckInvariants validates the single-writer-multiple-reader discipline:
-// a line in Modified or Exclusive anywhere has exactly one sharer, and
-// Shared lines have no Modified/Exclusive holder.
+// CheckInvariants validates the single-writer-multiple-reader discipline as
+// the tables encode it: a Modified or Exclusive line has exactly one holder,
+// a Shared line at least one, an Invalid line none.
 func (d *Directory) CheckInvariants() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for region, lines := range d.lines {
-		for line, ls := range lines {
-			id := LineID{Region: region, Line: line}
-			var mCount, eCount int
-			for _, st := range ls.sharers {
-				switch st {
-				case Modified:
-					mCount++
-				case Exclusive:
-					eCount++
-				case Invalid:
-					return fmt.Errorf("coherence: line %v tracks an Invalid sharer", id)
-				}
-			}
-			if mCount > 1 {
-				return fmt.Errorf("coherence: line %v has %d writers", id, mCount)
-			}
-			if eCount > 1 {
-				return fmt.Errorf("coherence: line %v has %d exclusive holders", id, eCount)
-			}
-			if (mCount == 1 || eCount == 1) && len(ls.sharers) != 1 {
-				return fmt.Errorf("coherence: line %v mixes M/E with other sharers", id)
+	for region, t := range d.lines {
+		for l := uint64(0); t.line(l) != nil; l++ {
+			st, n := State(t.line(l)[0]), sharers(t.line(l))
+			if (st == Invalid) != (n == 0) || (st == Modified || st == Exclusive) && n != 1 {
+				return fmt.Errorf("coherence: line %v is %s with %d holders", LineID{Region: region, Line: l}, st, n)
 			}
 		}
 	}

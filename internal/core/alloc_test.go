@@ -19,6 +19,7 @@ import (
 	"repro/internal/memsim"
 	"repro/internal/props"
 	"repro/internal/region"
+	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -174,12 +175,57 @@ func TestAllocBudgetCheckpointedJob(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetStreamWindow pins what a served stream window allocates, in
+// the repository benchmark's stream_windows shape: 64 events a window, two
+// aggregates that each read the 64 lines of the source's shared output for
+// the first and only time. Measured 203.4 allocations a window; 401.4 when
+// the coherence directory allocated a line's state on first touch, which the
+// budget fails on.
+func TestAllocBudgetStreamWindow(t *testing.T) {
+	s, err := NewServer(ServerConfig{
+		ExecConfig:   ExecConfig{Workers: 2},
+		EpochWorkers: 2, MaxBatch: 8, QueueDepth: 1024, Block: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(context.Background()) //nolint:errcheck
+	cfg := workload.StreamConfig{Windows: 64, WindowSize: 64, EventSize: 64, Keys: 16, Partitions: 2, MaxInFlight: 4}
+	serve := func(spec stream.Spec) {
+		tk, err := s.SubmitStream(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range tk.Reports() {
+		}
+		<-tk.Done()
+		if err := tk.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Both specs are built first: a spec holds its events, which are the
+	// test's input and not the engine's cost.
+	warm, measured := workload.Stream(cfg), workload.Stream(cfg)
+	serve(warm)
+	const budget = 224
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	serve(measured)
+	goruntime.ReadMemStats(&after)
+	got := float64(after.Mallocs-before.Mallocs) / float64(cfg.Windows)
+	t.Logf("served stream window: %.1f allocs (budget %d)", got, budget)
+	if got > budget {
+		t.Errorf("a stream window allocates %.1f, budget is %d — directory state allocated per cache line again?", got, budget)
+	}
+}
+
 // TestAllocBudgetAccessPath pins the per-access budget at zero, on a
 // runtime as the server builds it: a synchronous 64-byte read and write of
-// an exclusive region under a task view, the string-keyed pricing call the
-// placers and the benchmark's layer replay use, and a resolved counter's Add.
-// A task body makes thousands of these per job, so one allocation here is
-// thousands per job.
+// an exclusive region under a task view, the same of a shared coherent one —
+// where every access is the first touch of its cache line, as a served job's
+// are — the string-keyed pricing call the placers and the benchmark's layer
+// replay use, and a resolved counter's Add. A task body makes thousands of
+// these per job, so one allocation here is thousands per job.
 func TestAllocBudgetAccessPath(t *testing.T) {
 	rt, err := New(ExecConfig{Workers: 1})
 	if err != nil {
@@ -196,10 +242,39 @@ func TestAllocBudgetAccessPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The directory's table of a region grows to the highest line touched; a
+	// served job finds the capacity in the table the job before it dropped,
+	// this test by touching the last lines first.
+	const sharedLines = 1 << 12
+	var cold [2]*region.Handle
+	for k := range cold {
+		sh, err := rt.Regions().Alloc(region.Spec{Name: "shared", Class: props.GlobalScratch, Size: sharedLines * 64,
+			Owner: "t", Compute: "node0/cpu0", Clock: view})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sh.Release() //nolint:errcheck
+		if cold[k], err = sh.Share("u", "node0/cpu1"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cold[k].ReadAt(0, (sharedLines-1)*64, make([]byte, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	counter := rt.Telemetry().Handle(telemetry.LayerRegion, "bytes_read")
 	buf := make([]byte, 64)
 	i := 0
 	for name, fn := range map[string]func(){
+		"shared Handle.ReadAt, cold line": func() {
+			if _, err := cold[0].ReadAt(0, int64(i%(sharedLines-1))*64, buf); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"shared Handle.WriteAt, cold line": func() {
+			if _, err := cold[1].WriteAt(0, int64(i%(sharedLines-1))*64, buf); err != nil {
+				t.Fatal(err)
+			}
+		},
 		"Handle.ReadAt": func() {
 			if _, err := h.ReadAt(0, int64(i%1024)*64, buf); err != nil {
 				t.Fatal(err)

@@ -44,8 +44,13 @@ type Handle struct {
 	// rank is the deterministic schedule rank of the task accessing through
 	// this handle, or -1 when unranked (sequential mode, app-level handles).
 	// A ranked access on a closed-sharing region fences only against the
-	// region's lower-rank sharers instead of the whole run.
-	rank int
+	// region's lower-rank sharers instead of the whole run. Half a word, next
+	// to dev's half: a handle is allocated per owner of every task output, and
+	// its 128 bytes fill their size class.
+	rank int32
+	// dev is compute's index in the coherence directory, which the handle's
+	// first coherent access resolves; zero until then. Written under r.mu.
+	dev coherence.Dev
 	// deps is the reusable buffer fenceDeps filters sharer ranks into, so
 	// the per-access dependency list costs zero allocations. Owned by the
 	// task goroutine currently bound to the handle.
@@ -77,7 +82,7 @@ type Fence func(deps []int) error
 // concurrently with accesses through the same handle.
 func (h *Handle) Rebind(clk topology.VClock, rank int, f Fence) {
 	h.clock = clk
-	h.rank = rank
+	h.rank = int32(rank)
 	h.fence = f
 }
 
@@ -153,12 +158,13 @@ func checkRange(r *Region, off, n int64) error {
 }
 
 // coherenceCost runs the directory protocol for the touched lines of a
-// shared region and prices the actions; rt is the accessor's route to the
-// region's device, nil when it does not resolve. Caller holds r.mu.
+// shared region — one call into the directory, whatever the lines — and
+// prices the actions; rt is the accessor's route to the region's device, nil
+// when it does not resolve. Caller holds r.mu.
 func (h *Handle) coherenceCost(rt *topology.Route, off, n int64, write bool) time.Duration {
 	r, m := h.r, h.m
-	if !r.everShared || r.req.Coherent != props.Require {
-		return 0 // exclusive ownership needs no protocol (§2.2)
+	if !r.coherent() || n == 0 {
+		return 0 // exclusive ownership needs no protocol (§2.2), and no bytes touch no line
 	}
 	// Each protocol action costs one traversal to the region's home device.
 	// An unresolved route (disconnected topology) must not make the
@@ -171,17 +177,7 @@ func (h *Handle) coherenceCost(rt *topology.Route, off, n int64, write bool) tim
 		m.reg.Add(telemetry.LayerCoherence, "topology_miss", 1)
 	}
 	const lineSize = 64
-	first := off / lineSize
-	last := (off + n - 1) / lineSize
-	var acts coherence.Actions
-	for l := first; l <= last; l++ {
-		id := coherence.LineID{Region: uint64(r.id), Line: uint64(l)}
-		if write {
-			acts.Add(m.dir.Write(h.compute, id))
-		} else {
-			acts.Add(m.dir.Read(h.compute, id))
-		}
-	}
+	acts := m.dir.Access(h.compute, &h.dev, uint64(r.id), uint64(off/lineSize), uint64((off+n-1)/lineSize), write)
 	count(h.clock, m.invalidations, int64(acts.Invalidations))
 	count(h.clock, m.writebacks, int64(acts.Writebacks))
 	count(h.clock, m.fetches, int64(acts.Fetches))
@@ -214,7 +210,7 @@ func (h *Handle) fenceDeps() []int {
 	}
 	h.deps = h.deps[:0]
 	for _, s := range r.sharers {
-		if s < h.rank {
+		if s < int(h.rank) {
 			h.deps = append(h.deps, s)
 		}
 	}
@@ -269,7 +265,8 @@ func (h *Handle) resident() error {
 // (reopened if a fence has to wait or an exported region has to come home),
 // against the handle's cached route. The manager lock is not taken, and
 // with a task's clock view no shared counter is written either, so tasks on
-// different regions share nothing on this path.
+// different exclusive regions share nothing on this path; accesses to shared
+// coherent regions meet at the directory's lock, once each.
 //
 // sync marks a synchronous load/store, which fails on a device that only
 // exposes an asynchronous interface from here (Table 1's Sync column).
@@ -284,12 +281,12 @@ func (h *Handle) access(now time.Duration, off int64, buf []byte, write, sync bo
 		r.mu.Unlock()
 		return now, err
 	}
-	// Fence exactly when coherenceCost will consult the directory: the
+	// Fence exactly when coherenceCost may consult the directory: the
 	// everShared bit flips before any sharing consumer's handle exists, so
 	// never-shared regions skip the barrier entirely. Fencing drops the lock
 	// (the fence blocks on other tasks, which may need it), so handle and
 	// route are checked again afterwards.
-	if h.fence != nil && r.everShared && r.req.Coherent == props.Require {
+	if h.fence != nil && r.coherent() {
 		deps := h.fenceDeps()
 		r.mu.Unlock()
 		if err := h.fence(deps); err != nil {
@@ -540,7 +537,9 @@ func (m *Manager) migrateToLocked(r *Region, computeID, devID string, now time.D
 		b.Free(r.offset) //nolint:errcheck // offset tracked by the manager
 	}
 	r.device.Release(r.blockSize)
-	m.dir.DropRegion(uint64(r.id))
+	if r.coherent() {
+		m.dir.DropRegion(uint64(r.id))
+	}
 	r.device = dst
 	r.offset = off
 	// Crossing the on-/off-node boundary changes the at-rest encryption
@@ -602,11 +601,11 @@ func (h *Handle) share(to Owner, toCompute string, rank int, open bool) (*Handle
 	if open {
 		r.openShared = true
 	} else {
-		r.addSharer(h.rank)
+		r.addSharer(int(h.rank))
 		r.addSharer(rank)
 	}
 	h.m.reg.Add(telemetry.LayerRegion, "shares", 1)
-	return &Handle{m: h.m, r: r, gen: r.gen, ownVer: r.ownVer, owner: to, compute: toCompute, clock: h.clock, fence: h.fence, rank: rank}, nil
+	return &Handle{m: h.m, r: r, gen: r.gen, ownVer: r.ownVer, owner: to, compute: toCompute, clock: h.clock, fence: h.fence, rank: int32(rank)}, nil
 }
 
 // addSharer inserts a rank into the region's ascending sharer set, ignoring

@@ -166,6 +166,14 @@ type Region struct {
 	exported bool
 }
 
+// coherent reports whether accesses to the region run the coherence protocol,
+// which is to say whether the directory may know the region at all: shared
+// ownership of memory required to be coherent (§2.2). Once true it stays true.
+// Caller holds r.mu or Manager.mu.
+func (r *Region) coherent() bool {
+	return r.everShared && r.req.Coherent == props.Require
+}
+
 // Manager owns all regions, per-device allocators, the coherence directory,
 // and the placement policy — RTS duties (1)–(3) of §2.3.
 type Manager struct {
@@ -384,7 +392,9 @@ func (m *Manager) free(r *Region) {
 		m.backing.Put(r.data)
 		r.data = nil
 	}
-	m.dir.DropRegion(uint64(r.id))
+	if r.coherent() {
+		m.dir.DropRegion(uint64(r.id))
+	}
 	delete(m.regions, r.id)
 	m.reg.Add(telemetry.LayerRegion, "frees", 1)
 	m.reg.Add(telemetry.LayerRegion, "bytes_allocated", -r.blockSize)

@@ -7,7 +7,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"repro/internal/coherence"
 	"repro/internal/props"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
@@ -339,6 +341,39 @@ func TestSharedAccessPaysCoherence(t *testing.T) {
 	}
 	if m.reg.Counter(telemetry.LayerCoherence, "invalidations") == 0 {
 		t.Error("ping-pong must record invalidations")
+	}
+}
+
+// TestZeroLengthSharedAccessRunsNoProtocol: an access of no bytes touches no
+// cache line wherever it points, so on a shared coherent region it costs
+// what it costs on an exclusive one and the directory never hears of it.
+func TestZeroLengthSharedAccessRunsNoProtocol(t *testing.T) {
+	m := newManager(t)
+	spec := Spec{Class: props.GlobalState, Size: 4096, Owner: "t1", Compute: "node0/cpu0"}
+	spec.Clock = m.topo.NewTaskView()
+	excl := mustAlloc(t, m, spec)
+	defer excl.Release()
+	spec.Clock = m.topo.NewTaskView()
+	shared := mustAlloc(t, m, spec)
+	defer shared.Release()
+	if _, err := shared.Share("t2", "node0/cpu1"); err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range []int64{0, 1, 63, 64, 65} {
+		for name, ops := range map[string][2]func(time.Duration, int64, []byte) (time.Duration, error){
+			"read": {excl.ReadAt, shared.ReadAt}, "write": {excl.WriteAt, shared.WriteAt},
+		} {
+			want, err := ops[0](0, off, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := ops[1](0, off, nil); err != nil || got != want {
+				t.Errorf("0-byte %s at %d of a shared region: done %v (%v), of an exclusive one %v", name, off, got, err, want)
+			}
+		}
+	}
+	if got := m.Directory().Stats(); got != (coherence.Actions{}) {
+		t.Errorf("0-byte accesses ran the protocol: %+v", got)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/memsim"
 	"repro/internal/props"
@@ -367,9 +368,23 @@ func TestConcurrentAccessCountsMatchSequential(t *testing.T) {
 	}
 }
 
+// TestHandleFillsItsSizeClass: a handle is allocated per owner of every task
+// output, and one more word would take each into the 144-byte size class.
+func TestHandleFillsItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Handle{}); size > 128 {
+		t.Errorf("a Handle is %d bytes, more than the 128-byte size class it filled", size)
+	}
+}
+
 // BenchmarkRegionAccess is the cost of one 64-byte synchronous access under
 // a task view: the unit the serving path multiplies by thousands per job.
 // bench/BENCH_region_baseline.json gates it (allocs/op at zero tolerance).
+// shared/cold is the access the serving traffic actually makes to a shared
+// region — the first touch of a line, in a region that lives one job: every
+// 128 accesses are the whole life of a window's output (allocated, shared to
+// a second device, its 64 lines read once through each handle, released), so
+// an allocation per cold line shows as allocs/op and the region's own
+// dozen, once per 128 accesses, do not.
 // The parallel cases are tasks as the wavefront runs them — each goroutine
 // its own region, handle and view on the one manager — on one core and on
 // two: accesses to different regions share no lock and no counter, so the
@@ -407,6 +422,32 @@ func BenchmarkRegionAccess(b *testing.B) {
 			}
 		})
 	}
+	b.Run("shared/cold", func(b *testing.B) {
+		b.ReportAllocs()
+		var hs [2]*Handle
+		var err error
+		for i := 0; i < b.N; i++ {
+			if i%128 == 0 {
+				for _, h := range hs {
+					if h != nil {
+						h.Release() //nolint:errcheck
+					}
+				}
+				if hs[0], err = m.Alloc(Spec{Name: "w", Class: props.GlobalScratch, Size: 4096, Owner: "p", Compute: "node0/cpu0", Clock: view}); err != nil {
+					b.Fatal(err)
+				}
+				if hs[1], err = hs[0].ShareRanked("c", "node0/cpu1", 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := hs[i%128/64].ReadAt(0, int64(i%64)*64, buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, h := range hs {
+			h.Release() //nolint:errcheck
+		}
+	})
 	// Not b.RunParallel: at a fixed -benchtime its goroutines share out the
 	// iterations a handful at a time through one atomic counter, and on two
 	// cores that counter's cache line is the dearest thing in the loop.
