@@ -52,7 +52,11 @@ bench:
 # not rise at all; a checkpoint's put → delete cycle may not double its bytes
 # either, which one payload-sized buffer per operation would do fifty times over. The region benchmark's parallel case runs at one core and
 # at two, each its own gated row, so the baseline shows that the second core
-# does not make an access dearer.
+# does not make an access dearer; a region's allocate → release cycle and its
+# zero-copy transfer are gated with the accesses. The served row is the
+# engine's whole cost of a job — the nil-body serving mix through a Server,
+# no task body stalling anywhere, timed after a ramp that fills the free
+# lists — gated as a cost too: the serving gate no sleep bounds.
 #
 # One row per captured run, name:package:benchmark regexp:benchtime[:gate],
 # written to BENCH_<name>.json. The gate, when there is one, is benchgate's
@@ -66,7 +70,8 @@ SMOKE_BENCHES = \
 	'shard:shard:BenchmarkServeSharded:2x:jobs/s,speedup' \
 	'stream:core:BenchmarkStreamServe:2x:solo-identical-windows/op:0' \
 	'migrate:shard:BenchmarkClusterRebalance:2x:exported/op:0,recalled/op:0' \
-	'region:region:BenchmarkRegionAccess:200000x:ns/op:2,allocs/op:0' \
+	'region:region:BenchmarkRegionAccess|BenchmarkAllocRelease|BenchmarkTransferZeroCopy:200000x:ns/op:2,allocs/op:0' \
+	'served:core:BenchmarkServedJob:20000x:ns/op:2,allocs/op:0' \
 	'coherence:coherence:BenchmarkDropRegion|BenchmarkReadHit|BenchmarkDirectoryRange:200000x:ns/op:2,allocs/op:0' \
 	'place:placement:BenchmarkPlaceEpoch:200000x:ns/op:2,allocs/op:0' \
 	'plan:sched:BenchmarkHEFT|BenchmarkEstimateJob:20000x:ns/op:2,allocs/op:0'

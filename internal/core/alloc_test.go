@@ -24,9 +24,22 @@ import (
 	"repro/internal/workload"
 )
 
+// raceSlack is the budget a workload is held to in this build: the budget
+// itself, and a quarter more under the race detector, where sync.Pool drops a
+// quarter of what is put back (see raceBuild). The workloads run either way —
+// they are what drives the served mix through the recycled dispatcher under
+// `make race`.
+func raceSlack(budget float64) float64 {
+	if raceBuild {
+		return budget * 1.25
+	}
+	return budget
+}
+
 // allocBudget runs fn once to warm pools and caches, then measures.
 func allocBudget(t *testing.T, name string, budget float64, fn func()) {
 	t.Helper()
+	budget = raceSlack(budget)
 	fn()
 	got := testing.AllocsPerRun(5, fn)
 	t.Logf("%s: %.0f allocs/run (budget %.0f)", name, got, budget)
@@ -37,15 +50,16 @@ func allocBudget(t *testing.T, name string, budget float64, fn func()) {
 
 // TestAllocBudgetSoloWavefront pins the allocation count of one parallel
 // wavefront run of the wide diamond job (src → 8 branches → sink, with a
-// fenced job global): measured 397 with plan and run state in rank- and
-// device-indexed blocks (621 with them in maps keyed by task and device ID).
+// fenced job global): measured 227 with the dispatcher recycled, owners held in
+// the region and nothing allocated to launch a task (346 before that; 621
+// with plan and run state in maps keyed by task and device ID).
 func TestAllocBudgetSoloWavefront(t *testing.T) {
 	rt, err := New(ExecConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	iter := 0
-	allocBudget(t, "solo wavefront run", 457, func() {
+	allocBudget(t, "solo wavefront run", 250, func() {
 		iter++
 		if _, err := rt.Run(wideJob(fmt.Sprintf("alloc%d", iter), 8)); err != nil {
 			t.Fatal(err)
@@ -55,7 +69,7 @@ func TestAllocBudgetSoloWavefront(t *testing.T) {
 
 // TestAllocBudgetOverlappedBatch pins the allocation count of one
 // overlapped serving batch of four small jobs on a shared pool: measured
-// 1 038 (1 640 before the change named above).
+// 535 (831 before the change named above).
 func TestAllocBudgetOverlappedBatch(t *testing.T) {
 	rt, err := New(ExecConfig{Workers: 4})
 	if err != nil {
@@ -79,7 +93,7 @@ func TestAllocBudgetOverlappedBatch(t *testing.T) {
 			wideJob(fmt.Sprintf("w%d-3", iter), 4),
 		}
 	}
-	allocBudget(t, "overlapped batch (4 jobs)", 1194, func() {
+	allocBudget(t, "overlapped batch (4 jobs)", 589, func() {
 		jobs := batch()
 		tks := make([]*Ticket, len(jobs))
 		for k, j := range jobs {
@@ -102,23 +116,25 @@ func TestAllocBudgetOverlappedBatch(t *testing.T) {
 // nil-body draws (chains, fan-outs, diamonds; 5.2 tasks a job), submitted one
 // after another to a server of the benchmark's shape. A resubmitted job and a
 // fresh one take the same path; the pool is cycled so both are in the mean.
-// Measured 98.0, and 223.3 before the change named above (the benchmark's
-// serve_declared, whose batches hold several jobs, reads 89.7 and 209.3).
+// Measured 44.5, and 96.0 before the change named above (the benchmark's
+// serve_declared, whose batches hold several jobs, reads 39.8 and 89.6). What
+// is left is per job or per region — the run's blocks, its report and the
+// report's maps, a region and a handle per hand-over — and nothing per task
+// but its report's Regions map.
 func TestAllocBudgetServedJob(t *testing.T) {
 	pass, jobs := servedMixPass(t, nil)
-	const budget = 113
+	budget := raceSlack(49)
 	pass()
 	got := testing.AllocsPerRun(3, pass) / jobs
-	t.Logf("served nil-body mix job: %.1f allocs/job (budget %d)", got, budget)
+	t.Logf("served nil-body mix job: %.1f allocs/job (budget %.1f)", got, budget)
 	if got > budget {
-		t.Errorf("a served job allocates %.1f, budget is %d — per-task or per-device state back in maps?", got, budget)
+		t.Errorf("a served job allocates %.1f, budget is %.1f — per-task or per-device state back in maps?", got, budget)
 	}
 }
 
-// servedMixPass builds a server of the benchmark's shape, with rec as its
-// recovery policy, and returns a pass that submits 256 nil-body draws of the
-// serving mix to it one after another, with the number of jobs in a pass.
-func servedMixPass(t *testing.T, rec *RecoveryPolicy) (pass func(), jobs float64) {
+// servedMix builds a server of the benchmark's shape, with rec as its recovery
+// policy, and 256 nil-body draws of the serving mix to submit to it.
+func servedMix(t testing.TB, rec *RecoveryPolicy) (*Server, []*dataflow.Job) {
 	t.Helper()
 	s, err := NewServer(ServerConfig{
 		ExecConfig:   ExecConfig{Workers: 2},
@@ -134,6 +150,14 @@ func servedMixPass(t *testing.T, rec *RecoveryPolicy) (pass func(), jobs float64
 	for i := range pool {
 		pool[i] = mix.Next()
 	}
+	return s, pool
+}
+
+// servedMixPass returns a pass that submits servedMix's jobs to its server one
+// after another, with the number of jobs in a pass.
+func servedMixPass(t testing.TB, rec *RecoveryPolicy) (pass func(), jobs float64) {
+	t.Helper()
+	s, pool := servedMix(t, rec)
 	return func() {
 		for _, j := range pool {
 			if _, err := s.Submit(context.Background(), j); err != nil {
@@ -149,12 +173,13 @@ func servedMixPass(t *testing.T, rec *RecoveryPolicy) (pass func(), jobs float64
 // staged, written twice to the checkpoint fabric and forgotten when its job
 // settles. After a warm-up pass has filled the free lists from returned
 // buffers, that life cycle allocates nothing proportional to a payload.
-// Measured 20.1 KiB and 110.6 allocations a job; 137.3 KiB and 155.0 with a
-// fresh staging buffer and fresh slab backings per output, a namespace key
-// built per call and replica maps, which both budgets fail on.
+// Measured 14.1 KiB and 59.0 allocations a job (20.1 and 110.5 before the
+// change named above); 137.3 KiB and 155.0 with a fresh staging buffer and
+// fresh slab backings per output, a namespace key built per call and replica
+// maps, which both budgets fail on.
 func TestAllocBudgetCheckpointedJob(t *testing.T) {
 	pass, jobs := servedMixPass(t, &RecoveryPolicy{PartialReplay: true})
-	const budgetKiB, budgetAllocs = 24, 122
+	budgetKiB, budgetAllocs := raceSlack(16), raceSlack(65)
 	pass()
 	const passes = 3
 	var before, after goruntime.MemStats
@@ -166,21 +191,21 @@ func TestAllocBudgetCheckpointedJob(t *testing.T) {
 	jobs *= passes
 	kib := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / jobs
 	allocs := float64(after.Mallocs-before.Mallocs) / jobs
-	t.Logf("checkpointed nil-body mix job: %.1f KiB, %.1f allocs (budgets %d KiB, %d)", kib, allocs, budgetKiB, budgetAllocs)
+	t.Logf("checkpointed nil-body mix job: %.1f KiB, %.1f allocs (budgets %.1f KiB, %.1f)", kib, allocs, budgetKiB, budgetAllocs)
 	if kib > budgetKiB {
-		t.Errorf("a checkpointed job allocates %.1f KiB, budget is %d — a payload-sized buffer per output is back", kib, budgetKiB)
+		t.Errorf("a checkpointed job allocates %.1f KiB, budget is %.1f — a payload-sized buffer per output is back", kib, budgetKiB)
 	}
 	if allocs > budgetAllocs {
-		t.Errorf("a checkpointed job makes %.1f allocations, budget is %d", allocs, budgetAllocs)
+		t.Errorf("a checkpointed job makes %.1f allocations, budget is %.1f", allocs, budgetAllocs)
 	}
 }
 
 // TestAllocBudgetStreamWindow pins what a served stream window allocates, in
 // the repository benchmark's stream_windows shape: 64 events a window, two
 // aggregates that each read the 64 lines of the source's shared output for
-// the first and only time. Measured 203.4 allocations a window; 401.4 when
-// the coherence directory allocated a line's state on first touch, which the
-// budget fails on.
+// the first and only time. Measured 148.9 allocations a window (203.3 before
+// the change named above); 401.4 when the coherence directory allocated a
+// line's state on first touch, which the budget fails on.
 func TestAllocBudgetStreamWindow(t *testing.T) {
 	s, err := NewServer(ServerConfig{
 		ExecConfig:   ExecConfig{Workers: 2},
@@ -207,15 +232,15 @@ func TestAllocBudgetStreamWindow(t *testing.T) {
 	// test's input and not the engine's cost.
 	warm, measured := workload.Stream(cfg), workload.Stream(cfg)
 	serve(warm)
-	const budget = 224
+	budget := raceSlack(164)
 	var before, after goruntime.MemStats
 	goruntime.ReadMemStats(&before)
 	serve(measured)
 	goruntime.ReadMemStats(&after)
 	got := float64(after.Mallocs-before.Mallocs) / float64(cfg.Windows)
-	t.Logf("served stream window: %.1f allocs (budget %d)", got, budget)
+	t.Logf("served stream window: %.1f allocs (budget %.1f)", got, budget)
 	if got > budget {
-		t.Errorf("a stream window allocates %.1f, budget is %d — directory state allocated per cache line again?", got, budget)
+		t.Errorf("a stream window allocates %.1f, budget is %.1f — directory state allocated per cache line again?", got, budget)
 	}
 }
 
@@ -297,6 +322,31 @@ func TestAllocBudgetAccessPath(t *testing.T) {
 			t.Errorf("%s allocates %.0f per call, budget is 0", name, got)
 		}
 	}
+}
+
+// BenchmarkServedJob is what the engine itself spends on one served job, in
+// time and in allocations: the nil-body serving mix of the alloc budget above,
+// whose tasks stall nowhere, so nothing but admission, planning, dispatch,
+// output allocation and retirement is in the number. One whole pass is the
+// ramp — it fills the free lists, the pools and the route caches the way a
+// server's first seconds do — and is not timed. The bench-smoke row gating it (ns/op may not triple, allocs/op may
+// not rise) is the first serving gate that a slept task body does not bound.
+func BenchmarkServedJob(b *testing.B) {
+	s, pool := servedMix(b, nil)
+	submit := func(i int) {
+		if _, err := s.Submit(context.Background(), pool[i%len(pool)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := range pool {
+		submit(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		submit(i)
+	}
+	b.StopTimer()
 }
 
 // BenchmarkNewServer is the construction cost of the serving stack in the

@@ -6,6 +6,7 @@ package core
 // here, by one ladder (DESIGN.md §6.1).
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -18,8 +19,9 @@ import (
 // knows about the submitter; everything per attempt is the loop's.
 type member struct {
 	r *run
-	// cancel is the submitter's cancellation probe; nil never cancels.
-	cancel func() error
+	// ctx is the submitter's context, probed for cancellation; nil never
+	// cancels.
+	ctx context.Context
 	// resume is a snapshot namespace the submitter owns
 	// (SubmitOptions.ResumeID): the run restores from it instead of minting
 	// its own, and a cancellation leaves its snapshots for the owner's next
@@ -55,10 +57,9 @@ type outcome struct {
 // rec, when non-nil, is the recovery ladder: task outputs are checkpointed
 // under the member's snapshot namespace, and a failed attempt is followed —
 // up to rec.maxAttempts, while the submitter has not given up — by a fresh
-// run of the same plan that restores what was checkpointed, starts no earlier
-// than the backoff allows, and continues on the failed attempt's core clocks
-// as finalize rewound them: a retry happens later on the job's own clock, not
-// on a new one. The retry joins the live pool as a new member, overlapping the
+// run of the same plan (run.retry) that restores what was checkpointed and
+// starts no earlier than the backoff allows. The retry joins the live pool as
+// a new member — the drained attempt left it when it drained — overlapping the
 // rest of the batch. Snapshots are forgotten when the member settles, unless
 // it was canceled out of a namespace its submitter owns.
 func (rt *Runtime) drive(epoch *topology.Epoch, rec *recoveryState, members []member, settle func(i int, o outcome)) {
@@ -70,11 +71,18 @@ func (rt *Runtime) drive(epoch *topology.Epoch, rec *recoveryState, members []me
 	// execute is a failure of that attempt's first task.
 	begin := func(m *member) (failed string, err error) {
 		sv := topology.GetTaskView(seed)
-		if m.w, failed, err = m.r.newWavefront(m.cancel, sv); err != nil {
+		if m.w, failed, err = m.r.newWavefront(m.ctx, sv); err != nil {
 			topology.PutTaskView(sv)
 			m.r.cleanup()
 		}
 		return failed, err
+	}
+	// done settles m: the submitter gets the outcome and the free list the
+	// job's scratch, which nothing of m's is left to touch.
+	done := func(i int, m *member, o outcome) {
+		settle(i, o)
+		rt.putScratch(m.r.sc)
+		m.r.sc = nil
 	}
 	// fail settles m with its last attempt's failure.
 	fail := func(i int, m *member, task string, err error) {
@@ -85,7 +93,7 @@ func (rt *Runtime) drive(epoch *topology.Epoch, rec *recoveryState, members []me
 		} else {
 			err = fmt.Errorf("core: job %s task %s: %w", job, task, err)
 		}
-		settle(i, outcome{err: err})
+		done(i, m, outcome{err: err})
 	}
 
 	live := 0
@@ -126,12 +134,15 @@ func (rt *Runtime) drive(epoch *topology.Epoch, rec *recoveryState, members []me
 				continue
 			}
 			settled = true
-			// Finalization is region teardown and checkpoint-store I/O: the
-			// pool keeps dispatching the other members meanwhile.
+			// The attempt is over, whatever follows it: it leaves the pool
+			// here, before a retry can join. Finalization is region teardown
+			// and checkpoint-store I/O: the pool keeps dispatching the other
+			// members meanwhile.
+			p.detach(m.w)
 			p.mu.Unlock()
 			failed, err := m.w.finalize()
 			m.w = nil
-			gaveUp := m.cancel != nil && m.cancel() != nil
+			gaveUp := m.ctx != nil && m.ctx.Err() != nil
 			switch {
 			case err == nil:
 				rec.forget(m.r.ck)
@@ -140,20 +151,17 @@ func (rt *Runtime) drive(epoch *topology.Epoch, rec *recoveryState, members []me
 				if m.attempt > 1 || rep.SkippedTasks > 0 {
 					rep.ReplayedTasks = len(rep.Tasks) - rep.SkippedTasks
 				}
-				settle(i, outcome{rep: rep})
+				done(i, m, outcome{rep: rep})
 			case failed == "" && gaveUp:
 				// Canceled mid-wavefront; the run is already cleaned up.
 				if m.resume == "" {
 					rec.forget(m.r.ck)
 				}
-				settle(i, outcome{err: err, canceled: true})
+				done(i, m, outcome{err: err, canceled: true})
 			case rec != nil && m.attempt < rec.maxAttempts && !gaveUp:
 				rt.tel.Add(telemetry.LayerFault, "job_retries", 1)
 				wait := backoffWait(rec, m.attempt)
-				prev := m.r
-				m.r = rt.newRun(prev.job, prev.g, prev.schedule, epoch, prev.ns, prev.cores)
-				m.r.ck, m.r.partial = prev.ck, prev.partial
-				m.r.base = prev.base + wait
+				m.r = m.r.retry(wait)
 				m.waits = append(m.waits, wait)
 				m.attempt++
 				if failed, err = begin(m); err != nil {

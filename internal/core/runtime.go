@@ -70,6 +70,12 @@ type Runtime struct {
 	tel     *telemetry.Registry
 	inject  *fault.Injector
 	workers int
+
+	// free holds settled jobs' scratch for the next ones, freeBytes their
+	// footprints' sum (scratch.go).
+	freeMu    sync.Mutex
+	free      []*scratch
+	freeBytes int64
 }
 
 // New builds a runtime.
@@ -232,11 +238,13 @@ type globalEntry struct {
 	shared map[string]*region.Handle // task id → that task's share
 }
 
-// run is the per-job execution state. Per-task state is indexed by rank (the
-// task's position in g.Order), per-edge state by g's edge slots, per-device
-// state by the device's index in cs — and each table is one block allocated
-// by newRun, sized by the job.
-type run struct {
+// jobState is what every attempt of a job runs over: the plan, the names, the
+// recycled tables and the snapshot namespace. newRun builds it and retry hands
+// it on whole, so a field added here is the next attempt's without being named
+// there. Per-task state is indexed by rank (the task's position in g.Order),
+// per-edge state by g's edge slots, per-device state by the device's index in
+// cs.
+type jobState struct {
 	rt       *Runtime
 	job      *dataflow.Job
 	g        *dataflow.Graph      // the job's graph, resolved to ranks
@@ -250,14 +258,16 @@ type run struct {
 	// makes it unique per submission so identical jobs can run in one
 	// shared epoch without their owners colliding.
 	ns string
-	// base is the earliest virtual time any task of this run may start —
-	// recovery retries use it to model per-attempt backoff on the epoch
-	// clock without perturbing batch mates.
-	base time.Duration
+	// owners holds every task's owner names in one string, g.Names(ns+"/",
+	// inSuffix). A task owns its regions as its piece up to the suffix and its
+	// share of a fanned-out input as the whole piece (owner, inOwner).
+	owners string
+	// sc is the job's recycled scratch: the dispatcher, and the backing of
+	// handles and of a private cores. Nil once drive has given it back.
+	sc *scratch
 	// cores is the flat per-core availability table (cs.Cores windows it per
-	// device); idle marks a private table no task has finished on yet.
+	// device).
 	cores []time.Duration
-	idle  bool
 	// handles is one block of three tables. [0, g.Edges()): a delivered output
 	// awaiting its consumer, at the edge's slot. Then one slot per rank: a
 	// sink's final output, retained until cleanup. Then one per edge again:
@@ -265,6 +275,33 @@ type run struct {
 	// producer before it retires and read by the consumer after, which the
 	// pool lock orders; cleanup reads them all once the run has drained.
 	handles []*region.Handle
+	// ck is the submission's snapshot namespace, opened once when drive takes
+	// the run on; nil unless recovery drives the run.
+	ck *ckNamespace
+	// partial selects lazy restore I/O on replay: a replayed task's output
+	// payload is fetched from the store only when a re-executed consumer
+	// receives it as input, instead of eagerly when the task is replayed.
+	// Virtual time is identical either way (see restoreTaskAt).
+	partial bool
+	inject  *fault.Injector
+}
+
+// run is one attempt's execution state: the job's, and what the attempt has of
+// its own — each table one block sized by the job.
+type run struct {
+	jobState
+	// base is the earliest virtual time any task of this run may start —
+	// recovery retries use it to model per-attempt backoff on the epoch
+	// clock without perturbing batch mates.
+	base time.Duration
+	// idle marks cores as a private table no task has finished on yet: true of
+	// a first attempt built without a shared table, never of a retry.
+	idle bool
+	// pool and w are the pool this run executes in and its dispatcher there,
+	// from attach to detach; w is nil before and after. Guarded by pool.mu,
+	// they are how a task's fence finds the dispatcher — or finds the run over.
+	pool *wavePool
+	w    *wavefront
 	// smu guards the cross-task shared state (globals, the report's final
 	// outputs) against concurrent wavefront task goroutines. It is a leaf
 	// lock: nothing is called while holding it.
@@ -272,30 +309,38 @@ type run struct {
 	globals map[string]*globalEntry // created by the first global
 	report  *Report
 	// ctxs and reports are the tasks' contexts and reports, by rank. Neither
-	// is recycled: a handle a body kept outlives the run holding its task's
-	// context as its fence, and the report is the submitter's.
+	// is recycled with the scratch: a handle a body kept outlives the run
+	// holding its task's context as its fence, and the report is the
+	// submitter's.
 	ctxs    []taskCtx
 	reports []TaskReport
-	// ck is the submission's snapshot namespace, opened once when drive takes
-	// the run on and handed to every retry; nil unless recovery drives the run.
-	ck *ckNamespace
-	// partial selects lazy restore I/O on replay: a replayed task's output
-	// payload is fetched from the store only when a re-executed consumer
-	// receives it as input, instead of eagerly when the task is replayed.
-	// Virtual time is identical either way (see restoreTaskAt).
-	partial bool
 	// lazy holds, by producer rank, a replayed producer's re-materialized
 	// output's restore state; allocated by newWavefront when a partial replay
 	// restores anything. Written by the replayed producer, read by its
 	// consumers (ordered like handles).
-	lazy   []*lazyRestore
-	inject *fault.Injector
+	lazy []*lazyRestore
 }
 
 // inputBuf returns rank k's empty input list, with room for every in-edge.
 func (r *run) inputBuf(k int) []*region.Handle {
 	at := r.g.Edges() + r.g.Len() + r.g.InSlot(k)
 	return r.handles[at : at : at+len(r.g.Preds(k))]
+}
+
+// inSuffix ends the owner name under which a task holds its share of an input
+// that was fanned out to several consumers.
+const inSuffix = "/in"
+
+// inOwner returns ns/ID/in for rank k, a piece of r.owners.
+func (r *run) inOwner(k int) region.Owner {
+	return region.Owner(r.g.Name(r.owners, k, len(r.ns)+len("/")+len(inSuffix)))
+}
+
+// owner returns ns/ID for rank k: the owner of everything the task allocates
+// and of the inputs transferred to it.
+func (r *run) owner(k int) region.Owner {
+	in := r.inOwner(k)
+	return in[:len(in)-len(inSuffix)]
 }
 
 // coresOf returns the core clocks of the device rank k is assigned to.
@@ -344,38 +389,59 @@ func (rt *Runtime) Run(job *dataflow.Job, policy ...RecoveryPolicy) (*Report, er
 }
 
 // newRun assembles per-job execution state for the job and its resolved
-// graph. cores, a flat per-core table, may be shared between runs (RunAll,
-// Server batches); nil gets this run its own idle core availability. ns
-// namespaces region owners (see run.ns).
+// graph, over a scratch from the free list. cores, a flat per-core table, may
+// be shared between runs (RunAll); nil gets this run its own idle core
+// availability. ns namespaces region owners (see run.ns).
 func (rt *Runtime) newRun(job *dataflow.Job, g *dataflow.Graph, schedule *sched.Schedule, epoch *topology.Epoch, ns string, cores []time.Duration) *run {
 	cs := rt.topo.ComputeSet()
+	sc := rt.getScratch()
 	idle := cores == nil
 	if idle {
-		cores = make([]time.Duration, cs.NumCores())
+		sc.cores = sized(sc.cores, cs.NumCores())
+		cores = sc.cores
 	}
-	n := g.Len()
-	return &run{
-		rt: rt, job: job, g: g, cs: cs, schedule: schedule,
-		epoch: epoch, ns: ns,
-		cores: cores, idle: idle,
-		handles: make([]*region.Handle, 2*g.Edges()+n),
-		ctxs:    make([]taskCtx, n),
-		reports: make([]TaskReport, n),
-		inject:  rt.inject,
-		report: &Report{
-			Job: job.Name(), Scheduler: rt.sched.Name(), Placer: rt.placer.Name(),
-			Tasks:           make(map[string]*TaskReport, n),
-			PeakDeviceBytes: make(map[string]int64),
-			FinalOutputs:    make(map[string]string),
+	sc.handles = sized(sc.handles, 2*g.Edges()+g.Len())
+	return (&run{
+		jobState: jobState{
+			rt: rt, job: job, g: g, cs: cs, schedule: schedule,
+			epoch: epoch, ns: ns, owners: g.Names(ns+"/", inSuffix),
+			sc: sc, cores: cores, handles: sc.handles,
+			inject: rt.inject,
 		},
+		idle: idle,
+	}).attempt()
+}
+
+// attempt gives the run what each attempt has of its own — the task contexts
+// and the reports, which whoever ran or submitted it may keep — and returns it.
+func (r *run) attempt() *run {
+	n := r.g.Len()
+	r.ctxs, r.reports = make([]taskCtx, n), make([]TaskReport, n)
+	r.report = &Report{
+		Job: r.job.Name(), Scheduler: r.rt.sched.Name(), Placer: r.rt.placer.Name(),
+		PeakDeviceBytes: make(map[string]int64),
+		FinalOutputs:    make(map[string]string),
 	}
+	return r
+}
+
+// retry builds the run of the job's next attempt, which starts no earlier
+// than wait after r did: over the same job state — plan, owner names, snapshot
+// namespace and scratch, so it continues on r's core clocks as finalize
+// rewound them, a retry being later on the job's own clock and not on a new
+// one — with contexts and reports of its own. r has been finalized.
+func (r *run) retry(wait time.Duration) *run {
+	return (&run{jobState: r.jobState, base: r.base + wait}).attempt()
 }
 
 // execTaskAt runs the task of rank k at its scheduled placement, starting at
 // the virtual time the dispatcher's core claim granted. It runs on a wavefront
 // worker goroutine: all cross-task state it touches is either owned by this
 // task (its context, its clock view, its slots of r.handles) or guarded
-// (r.smu for globals, the pool lock inside fences). It returns the
+// (r.smu for globals, the pool lock inside fences). Launching a task allocates
+// nothing: its context is a slot of the run's block and is itself the fence of
+// the handles it touches, its owner name a piece of the run's one string, its
+// input list a window of r.handles. It returns the
 // task's virtual finish time and report — both non-nil even when a trailing
 // release failed, matching the sequential engine's accounting — or a nil
 // report on failure before completion.
@@ -384,15 +450,13 @@ func (r *run) execTaskAt(w *wavefront, k int, view *topology.TaskView, start tim
 	ctx := &r.ctxs[k]
 	*ctx = taskCtx{
 		run: r, task: t, compute: r.cs.Devices[asg.Dev],
-		now:     start,
-		owner:   region.Owner(r.ns + "/" + t.ID()),
-		inputs:  r.inputBuf(k),
-		regions: make(map[string]string),
-		view:    view,
-		rank:    k,
+		now:    start,
+		owner:  r.owner(k),
+		inputs: r.inputBuf(k),
+		view:   view,
+		rank:   k,
 	}
 	ctx.events = ctx.journal[:0]
-	ctx.fence = func(deps []int) error { return w.fence(k, deps) }
 	// Recovery fast path: a checkpointed task is restored, not re-run.
 	if w.slots[k].restored {
 		return r.restoreTaskAt(ctx, start)
@@ -418,7 +482,7 @@ func (r *run) execTaskAt(w *wavefront, k int, view *topology.TaskView, start tim
 				return 0, nil, fmt.Errorf("restoring input from %s: %w", pid, err)
 			}
 		}
-		h.Rebind(view, k, ctx.fence)
+		h.Rebind(view, k, ctx)
 		if cls, err := h.Class(); err == nil && cls == props.Transfer {
 			fromDev, _ := h.DeviceID()
 			nh, done, err := h.Transfer(ctx.now, ctx.owner, asg.Compute)
@@ -546,7 +610,7 @@ func (r *run) deliverOutput(ctx *taskCtx) error {
 			// before any consumer can launch — so the region's sharer set is
 			// closed by construction and ShareRanked's per-sharer fencing is
 			// sound (see wavefront.fence).
-			sh, err := ctx.output.ShareRanked(region.Owner(r.ns+"/"+sAsg.Task+"/in"), sAsg.Compute, int(s))
+			sh, err := ctx.output.ShareRanked(r.inOwner(int(s)), sAsg.Compute, int(s))
 			if err != nil {
 				return fmt.Errorf("sharing output with %s: %w", sAsg.Task, err)
 			}

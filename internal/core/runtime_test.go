@@ -412,6 +412,31 @@ func TestReportStringDeterministicOnTies(t *testing.T) {
 	}
 }
 
+// TestReportStringWithoutRegions: a task that labelled no region reports a
+// nil Regions map — it is made by the first label — and renders exactly as an
+// empty one does: its line, and no region line under it.
+func TestReportStringWithoutRegions(t *testing.T) {
+	rep, err := newRuntime(t).Run(pipelineJob("p"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := rep.Tasks["reduce"] // no output, no scratch, no global
+	if sink.Regions != nil {
+		t.Fatalf("reduce labelled no region, Regions = %v", sink.Regions)
+	}
+	if rep.Tasks["ingest"].Regions["out"] == "" {
+		t.Errorf("ingest's output is unplaced: %v", rep.Tasks["ingest"].Regions)
+	}
+	with := rep.String()
+	if strings.Count(with, "region ") != 2 { // ingest's and filter's outputs
+		t.Errorf("want two region lines:\n%s", with)
+	}
+	sink.Regions = map[string]string{}
+	if got := rep.String(); got != with {
+		t.Errorf("nil and empty Regions render differently:\n%s\nvs\n%s", with, got)
+	}
+}
+
 func TestGlobalShareReleaseFailureDoesNotLeak(t *testing.T) {
 	// A task that releases its own global shares makes the runtime's
 	// end-of-task release fail. Every share must still be walked (no leaks),

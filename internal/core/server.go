@@ -170,26 +170,35 @@ func NewRoutedTicket(id uint64, bestEffort bool) *Ticket {
 // (the server delivers those itself).
 func (t *Ticket) Deliver(rep *Report, err error) { t.deliver(rep, err) }
 
-// jobTicket is one admitted submission's server-side state.
+// jobTicket is one admitted submission's server-side state, the submitter's
+// Ticket included: the two are one object.
 type jobTicket struct {
+	Ticket
 	job      *dataflow.Job
 	ctx      context.Context
 	enqueued time.Time
-	tk       *Ticket
 	// SLO admission state (zero without ServerConfig.SLO): the plan the
 	// estimate was derived from — reused by its batch instead of
 	// replanning — plus the deadline judged against, the model's predicted
-	// sojourn, and whether the job was down-tiered to best-effort.
-	plan       *sched.Schedule
-	deadline   time.Duration
-	slowait    time.Duration // model's predicted virtual queue wait
-	predicted  time.Duration // slowait + makespan estimate
-	bestEffort bool
+	// sojourn. Whether the job was down-tiered to best-effort is the
+	// Ticket's bestEffort.
+	plan      *sched.Schedule
+	deadline  time.Duration
+	slowait   time.Duration // model's predicted virtual queue wait
+	predicted time.Duration // slowait + makespan estimate
 	// Sharded-serving metadata (SubmitOptions.Shard/ResumeID): the shard
 	// label stamped on the report, and the externally owned checkpoint
 	// namespace a failover re-submission resumes from.
 	shard  string
 	resume string
+}
+
+// deliver publishes the outcome and lets go of what the server held to produce
+// it: the ticket is the submitter's to keep, and one kept past its outcome
+// holds the report and not the job, its context and its plan with it.
+func (t *jobTicket) deliver(rep *Report, err error) {
+	t.job, t.ctx, t.plan, t.resume = nil, nil, nil, ""
+	t.Ticket.deliver(rep, err)
 }
 
 // Submitter is the submission side of a serving stack — what a traffic
@@ -221,8 +230,10 @@ type Server struct {
 	scaler    *scaler        // nil: fixed worker pool
 
 	// queueWait is the server_queue_wait histogram every dequeued ticket is
-	// observed into, resolved once.
-	queueWait *telemetry.Histogram
+	// observed into, resolved once — as are the counters every job or batch
+	// adds to.
+	queueWait                   *telemetry.Histogram
+	admitted, completed, epochs *telemetry.Counter
 
 	queue chan *jobTicket
 	// shrink carries the auto-scaler's scale-down tokens; a worker that
@@ -274,6 +285,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		maxLinger: cfg.MaxLinger,
 		rec:       rec,
 		queueWait: rt.tel.HistHandle(telemetry.LayerRuntime, "server_queue_wait"),
+		admitted:  rt.tel.Handle(telemetry.LayerRuntime, "server_admitted"),
+		completed: rt.tel.Handle(telemetry.LayerRuntime, "server_completed"),
+		epochs:    rt.tel.Handle(telemetry.LayerRuntime, "server_epochs"),
 		queue:     make(chan *jobTicket, depth),
 	}
 	if cfg.SLO != nil {
@@ -374,8 +388,8 @@ func (s *Server) submitAsync(ctx context.Context, job *dataflow.Job, opt SubmitO
 		return nil, err
 	}
 	t := &jobTicket{
-		job: job, ctx: ctx, enqueued: time.Now(),
-		tk:    &Ticket{id: s.seq.Add(1), done: make(chan struct{})},
+		Ticket: Ticket{id: s.seq.Add(1), done: make(chan struct{})},
+		job:    job, ctx: ctx, enqueued: time.Now(),
 		shard: opt.Shard, resume: opt.ResumeID,
 	}
 	if s.slo != nil && !opt.Preadmitted {
@@ -392,15 +406,13 @@ func (s *Server) submitAsync(ctx context.Context, job *dataflow.Job, opt SubmitO
 		t.deadline = s.slo.deadlineFor(opt)
 		if tier == tierBestEffort {
 			t.bestEffort = true
-			t.tk.bestEffort = true
 			s.rt.tel.Add(telemetry.LayerRuntime, "server_downtiered", 1)
 		}
 	}
-	if opt.BestEffort && !t.bestEffort {
+	if opt.BestEffort {
 		// Forced tiering outside the SLO path (no policy, or pre-admitted):
 		// the submission still runs and is marked best-effort.
 		t.bestEffort = true
-		t.tk.bestEffort = true
 	}
 
 	s.gate.RLock()
@@ -428,8 +440,8 @@ func (s *Server) submitAsync(ctx context.Context, job *dataflow.Job, opt SubmitO
 			return nil, ErrQueueFull
 		}
 	}
-	s.rt.tel.Add(telemetry.LayerRuntime, "server_admitted", 1)
-	return t.tk, nil
+	s.admitted.Add(1)
+	return &t.Ticket, nil
 }
 
 // Submit admits a job and blocks until its report is ready, admission is
@@ -544,7 +556,7 @@ func (s *Server) appendLive(batch []*jobTicket, t *jobTicket) []*jobTicket {
 	if err := t.ctx.Err(); err != nil {
 		s.noteQueueWait(time.Since(t.enqueued))
 		s.rt.tel.Add(telemetry.LayerRuntime, "server_canceled", 1)
-		t.tk.deliver(nil, err)
+		t.deliver(nil, err)
 		return batch
 	}
 	return append(batch, t)
@@ -578,7 +590,7 @@ func (s *Server) runBatch(batch []*jobTicket) {
 		s.noteQueueWait(dequeued.Sub(t.enqueued))
 		if err := t.ctx.Err(); err != nil {
 			rt.tel.Add(telemetry.LayerRuntime, "server_canceled", 1)
-			t.tk.deliver(nil, err)
+			t.deliver(nil, err)
 			continue
 		}
 		admitted = append(admitted, t)
@@ -586,7 +598,7 @@ func (s *Server) runBatch(batch []*jobTicket) {
 	if len(admitted) == 0 {
 		return
 	}
-	rt.tel.Add(telemetry.LayerRuntime, "server_epochs", 1)
+	s.epochs.Add(1)
 
 	// Plan every member; a scheduling failure only fails its own job.
 	epoch := rt.topo.NewEpoch()
@@ -612,10 +624,10 @@ func (s *Server) runBatch(batch []*jobTicket) {
 		}
 		// A unique owner namespace per submission lets identical jobs
 		// share the batch without region-owner collisions.
-		ns := t.job.Name() + "#" + strconv.FormatUint(t.tk.id, 10)
+		ns := t.job.Name() + "#" + strconv.FormatUint(t.id, 10)
 		members = append(members, member{
-			r:      rt.newRun(t.job, g, schedule, epoch, ns, nil),
-			cancel: t.ctx.Err, resume: t.resume,
+			r:   rt.newRun(t.job, g, schedule, epoch, ns, nil),
+			ctx: t.ctx, resume: t.resume,
 		})
 		planned = append(planned, t)
 	}
@@ -627,7 +639,7 @@ func (s *Server) runBatch(batch []*jobTicket) {
 		switch {
 		case o.canceled:
 			rt.tel.Add(telemetry.LayerRuntime, "server_canceled", 1)
-			t.tk.deliver(nil, o.err)
+			t.deliver(nil, o.err)
 		case o.err != nil:
 			s.fail(t, o.err)
 		default:
@@ -639,7 +651,7 @@ func (s *Server) runBatch(batch []*jobTicket) {
 // fail delivers an error outcome.
 func (s *Server) fail(t *jobTicket, err error) {
 	s.rt.tel.Add(telemetry.LayerRuntime, "server_failed", 1)
-	t.tk.deliver(nil, err)
+	t.deliver(nil, err)
 }
 
 // complete stamps a finished job's report with what the serving side knows —
@@ -658,10 +670,10 @@ func (s *Server) complete(t *jobTicket, rep *Report, batchSize, batchIndex int) 
 		span = "serve-recovered"
 		s.rt.tel.Add(telemetry.LayerRuntime, "server_recovered", 1)
 	}
-	s.rt.tel.Add(telemetry.LayerRuntime, "server_completed", 1)
+	s.completed.Add(1)
 	s.rt.tel.Record(telemetry.Span{
 		Layer: telemetry.LayerRuntime, Job: t.job.Name(),
 		Name: span, Start: 0, End: rep.Makespan,
 	})
-	t.tk.deliver(rep, nil)
+	t.deliver(rep, nil)
 }

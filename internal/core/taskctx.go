@@ -27,16 +27,16 @@ type taskCtx struct {
 	scratch      []*region.Handle
 	output       *region.Handle
 	globalShares map[string]*region.Handle
-	regions      map[string]string // label → device (for the report)
+	regions      map[string]string // label → device (for the report); made by the first label
 	logs         []string
 
 	// view is the task's private causal clock view (wavefront executor);
 	// nil falls back to the run's shared epoch. rank is the task's
-	// deterministic topological rank, fence its rank-order barrier — both
-	// are installed by the dispatcher.
-	view  *topology.TaskView
-	rank  int
-	fence region.Fence
+	// deterministic topological rank — both are installed by the dispatcher.
+	// The context is also the task's rank-order barrier (After), installed as
+	// the fence of every handle the task touches.
+	view *topology.TaskView
+	rank int
 	// events is the task's journal of the run's virtual memory ledger, which
 	// computePeak sweeps once the run has succeeded (wavefront.go); evseq
 	// orders same-time entries within the task. It starts in journal, which
@@ -58,6 +58,11 @@ func (c *taskCtx) clock() topology.VClock {
 	}
 	return c.run.epoch
 }
+
+// After implements region.Fence: the task's accesses wait on its run's
+// dispatcher, by rank. A handle a body kept past its job still holds the
+// context — which is why contexts are never recycled — and finds the run over.
+func (c *taskCtx) After(deps []int) error { return c.run.fence(c.rank, deps) }
 
 // Now implements dataflow.Ctx.
 func (c *taskCtx) Now() time.Duration { return c.now }
@@ -121,7 +126,7 @@ func (c *taskCtx) Scratch(name string, size int64) (*region.Handle, error) {
 	if err != nil {
 		return nil, err
 	}
-	h.Rebind(c.clock(), c.rank, c.fence)
+	h.Rebind(c.clock(), c.rank, c)
 	c.noteAlloc(h, size)
 	c.scratch = append(c.scratch, h)
 	c.noteRegion(name, h)
@@ -145,14 +150,14 @@ func (c *taskCtx) Output(size int64) (*region.Handle, error) {
 		req.Latency = props.LatencyMedium // coherent+shareable is never sub-200ns here
 	}
 	h, err := c.run.rt.regions.Alloc(region.Spec{
-		Name: c.task.ID() + "/out", Class: class, Size: size,
+		Name: c.run.g.OutName(c.rank), Class: class, Size: size,
 		Req: req, Owner: c.owner, Compute: c.compute.ID, Now: c.now,
 		Clock: c.clock(),
 	})
 	if err != nil {
 		return nil, err
 	}
-	h.Rebind(c.clock(), c.rank, c.fence)
+	h.Rebind(c.clock(), c.rank, c)
 	c.noteAlloc(h, size)
 	c.output = h
 	c.noteRegion("out", h)
@@ -185,16 +190,14 @@ func (c *taskCtx) Global(name string, class props.RegionClass, size int64) (*reg
 		// either finds the global or makes this task its deterministic
 		// creator (two concurrent creators are impossible: the higher rank
 		// blocks at its fence until the lower one finishes).
-		if c.fence != nil {
-			// Full barrier (nil deps): any lower rank could be the
-			// deterministic creator, so all of them must retire first.
-			if err := c.fence(nil); err != nil {
-				return nil, err
-			}
-			c.run.smu.Lock()
-			g, ok = c.run.globals[name]
-			c.run.smu.Unlock()
+		// Full barrier (nil deps): any lower rank could be the
+		// deterministic creator, so all of them must retire first.
+		if err := c.After(nil); err != nil {
+			return nil, err
 		}
+		c.run.smu.Lock()
+		g, ok = c.run.globals[name]
+		c.run.smu.Unlock()
 	}
 	if !ok {
 		if !class.Shareable() {
@@ -247,7 +250,7 @@ func (c *taskCtx) Global(name string, class props.RegionClass, size int64) (*reg
 	}
 	// The share inherited the creator's clock view; rebind it to this
 	// task's own before any access is priced through it.
-	sh.Rebind(c.clock(), c.rank, c.fence)
+	sh.Rebind(c.clock(), c.rank, c)
 	c.noteShare(sh)
 	c.globalShares[name] = sh
 	c.noteRegion(name, sh)
@@ -304,11 +307,16 @@ func (c *taskCtx) Telemetry() *telemetry.Registry { return c.run.rt.tel }
 // noteRegion records the placement of a labelled region for the report.
 func (c *taskCtx) noteRegion(label string, h *region.Handle) {
 	if dev, err := h.DeviceID(); err == nil {
-		c.regions[label] = dev
+		c.noteDevice(label, dev)
 	}
 }
 
-func (c *taskCtx) noteDevice(label, dev string) { c.regions[label] = dev }
+func (c *taskCtx) noteDevice(label, dev string) {
+	if c.regions == nil {
+		c.regions = make(map[string]string)
+	}
+	c.regions[label] = dev
+}
 
 // releaseScratchAndInputs frees task-lifetime regions after the body ran.
 // Only releases that actually dropped a claim are journaled: a handle the

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -59,5 +61,33 @@ func TestTelemetrySurfaceGolden(t *testing.T) {
 	}
 	if b.String() != string(want) {
 		t.Errorf("telemetry surface changed:\n--- got\n%s--- want\n%s", b.String(), want)
+	}
+}
+
+// TestServerCountersListedOnlyWhenAddedTo: the server's per-job counters are
+// resolved when it is built, like the region manager's above, and that must
+// not show either — a server nobody submitted to lists none of them, and one
+// job lists exactly the three it adds to. (The region lifecycle counters a
+// run never touches — transfers_migrated, migrations, bytes_migrated — are
+// absent from the golden file for the same reason.)
+func TestServerCountersListedOnlyWhenAddedTo(t *testing.T) {
+	tel := telemetry.NewRegistry()
+	s := newTestServer(t, ServerConfig{ExecConfig: ExecConfig{Telemetry: tel}})
+	if got := tel.Counters(); len(got) != 0 {
+		t.Errorf("Counters() of a server nobody submitted to = %v, want empty", got)
+	}
+	if _, err := s.Submit(context.Background(), pipelineJob("p")); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for k, v := range tel.Counters() {
+		if strings.HasPrefix(k, "runtime/server_") {
+			got = append(got, fmt.Sprintf("%s %d", k, v))
+		}
+	}
+	sort.Strings(got)
+	want := []string{"runtime/server_admitted 1", "runtime/server_completed 1", "runtime/server_epochs 1"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("server counters after one job = %v, want %v", got, want)
 	}
 }

@@ -60,6 +60,7 @@ package core
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -131,8 +132,13 @@ type wavePool struct {
 	// slots counts free worker slots. It transiently dips below zero when a
 	// fenced task resumes before a launch completes, matching the bounded
 	// overshoot the single-job dispatcher always had.
-	slots   int
+	slots int
+	// members holds the wavefronts with work left, in no order that matters:
+	// one leaves (detach) when it has drained, so next scans only what can
+	// still dispatch and never reads a dispatcher that was recycled since. seq
+	// counts the attaches, which is what numbers them.
 	members []*wavefront
+	seq     int
 }
 
 // newWavePool builds a pool with the given worker bound (minimum 1).
@@ -145,12 +151,26 @@ func newWavePool(workers int) *wavePool {
 	return p
 }
 
-// attach registers a member, assigning its submission sequence. Callers
-// either hold p.mu or are the only goroutine aware of the pool yet.
+// attach registers a member, assigning its submission sequence — a retry's
+// is later than everything attached before it — and makes it its run's
+// dispatcher. Callers either hold p.mu or are the only goroutine aware of the
+// pool yet.
 func (p *wavePool) attach(w *wavefront) {
-	w.pool = p
-	w.seq = len(p.members)
+	w.pool, w.seq = p, p.seq
+	p.seq++
 	p.members = append(p.members, w)
+	w.r.pool, w.r.w = p, w
+}
+
+// detach takes a drained member out of the pool and away from its run, whose
+// fences find it over from here on: nothing reaches w through the pool or the
+// run anymore, so once finalized it can serve another job. Caller holds p.mu.
+func (p *wavePool) detach(w *wavefront) {
+	i := slices.Index(p.members, w)
+	last := len(p.members) - 1
+	p.members[i], p.members[last] = p.members[last], nil
+	p.members = p.members[:last]
+	w.r.w = nil
 }
 
 // next takes the pool's next dispatchable task — the lowest (rank, member
@@ -206,12 +226,14 @@ type slot struct {
 
 // wavefront is one run's dispatcher state — one member of a wavePool. All of
 // it is indexed by task rank (the run's graph) or by compute-device index
-// (the run's compute set); nothing here is looked up by ID.
+// (the run's compute set); nothing here is looked up by ID. It lives in the
+// job's scratch: newWavefront fills it anew for every attempt, over the tables
+// the last one left.
 type wavefront struct {
-	r      *run
-	pool   *wavePool
-	seq    int          // submission sequence within the pool (dispatch tiebreak)
-	cancel func() error // per-submission cancellation probe (Server); nil never cancels
+	r    *run
+	pool *wavePool
+	seq  int             // submission sequence within the pool (dispatch tiebreak)
+	ctx  context.Context // the submitter's, probed for cancellation (Server); nil never cancels
 
 	// seed is the epoch snapshot every task of this run prices against
 	// (merged with predecessor views). Snapshotting once — instead of
@@ -222,17 +244,21 @@ type wavefront struct {
 	seed *topology.TaskView
 	// baseCores snapshots the run's core clocks at wavefront construction,
 	// so a failure can rewind them to the deterministic sequential state.
-	// Nil when the run started on private idle clocks: the snapshot is zeros.
+	// Not taken when the run started on private idle clocks: the snapshot is
+	// zeros.
 	baseCores []time.Duration
 
 	slots []slot
 	// ready and readyAt are the claim ledgers' grant mask (rank is tsReady)
 	// and start floor (max predecessor finish, virtual); plain slices because
 	// sched.ClaimLedger.GrantBatch reads them.
-	ready    []bool
-	readyAt  []time.Duration
-	devs     []sched.ClaimLedger // by compute-device index
-	dispatch []int               // claimed ranks awaiting a worker slot, ascending
+	ready   []bool
+	readyAt []time.Duration
+	devs    []sched.ClaimLedger // by compute-device index
+	// dispatch holds the claimed ranks awaiting a worker slot, ascending. It is
+	// a window of queue, whole: a rank enters once and leaves from the front, so
+	// one array of a slot per rank holds a run.
+	dispatch, queue []int
 
 	inflight int // goroutines launched and not yet returned
 	frontier int // lowest rank not yet done
@@ -243,13 +269,13 @@ type wavefront struct {
 	canceled error
 }
 
-// newWavefront validates the run's plan and assembles its dispatcher state:
-// per-device claim queues, predecessor counts, the causal seed view, the
-// core-clock snapshot failure rewinds restore, and the eager rank-ordered
+// newWavefront validates the run's plan and fills the scratch's dispatcher
+// for it: per-device claim queues, predecessor counts, the causal seed view,
+// the core-clock snapshot failure rewinds restore, and the eager rank-ordered
 // injection / restore pre-pass. The returned wavefront is not yet attached
 // to a pool. On a validation error the failing task's ID is returned and
 // the caller owns run cleanup.
-func (r *run) newWavefront(cancel func() error, seed *topology.TaskView) (*wavefront, string, error) {
+func (r *run) newWavefront(ctx context.Context, seed *topology.TaskView) (*wavefront, string, error) {
 	order, plan := r.g.Order, r.schedule.Tasks
 	// Validate the plan up front so scheduling gaps surface as task errors
 	// rather than mid-flight panics.
@@ -262,15 +288,23 @@ func (r *run) newWavefront(cancel func() error, seed *topology.TaskView) (*wavef
 		}
 	}
 	n := len(order)
-	w := &wavefront{
-		r: r, cancel: cancel, seed: seed,
-		slots: make([]slot, n), ready: make([]bool, n), readyAt: make([]time.Duration, n),
-		devs:     make([]sched.ClaimLedger, len(r.cs.Devices)),
-		dispatch: make([]int, 0, n), // a rank enters once and leaves from the front: never regrows
+	w := &r.sc.w
+	devs := w.devs
+	if len(devs) != len(r.cs.Devices) {
+		devs = make([]sched.ClaimLedger, len(r.cs.Devices))
+	}
+	*w = wavefront{
+		r: r, ctx: ctx, seed: seed,
+		slots: sized(w.slots, n), ready: sized(w.ready, n), readyAt: sized(w.readyAt, n),
+		devs: devs, queue: sized(w.queue, n), baseCores: w.baseCores[:0],
 		failRank: -1,
 	}
+	w.dispatch = w.queue[:0]
+	for d := range w.devs {
+		w.devs[d].Reset()
+	}
 	if !r.idle {
-		w.baseCores = append([]time.Duration(nil), r.cores...)
+		w.baseCores = append(w.baseCores, r.cores...)
 	}
 	for k := range order {
 		w.devs[plan[k].Dev].Enqueue(k) // ascending: k iterates in rank order
@@ -339,7 +373,7 @@ func (w *wavefront) finalize() (failedTask string, err error) {
 				}
 			}
 		}
-		if w.baseCores == nil {
+		if r.idle {
 			clear(r.cores)
 		} else {
 			copy(r.cores, w.baseCores)
@@ -369,14 +403,16 @@ func (w *wavefront) finalize() (failedTask string, err error) {
 	r.cleanup()
 	w.recycleViews()
 	r.computePeak()
+	// Every task reported: hand the submitter the reports under their names.
+	r.report.Tasks = make(map[string]*TaskReport, len(w.slots))
 	for k := range w.slots {
-		if w.slots[k].restored {
-			r.report.SkippedTasks++
-		}
-	}
-	for _, tr := range r.report.Tasks {
+		tr := &r.reports[k]
+		r.report.Tasks[tr.Task] = tr
 		if tr.Finish > r.report.Makespan {
 			r.report.Makespan = tr.Finish
+		}
+		if w.slots[k].restored {
+			r.report.SkippedTasks++
 		}
 	}
 	return "", nil
@@ -415,8 +451,8 @@ func (w *wavefront) drainedLocked() bool {
 // does, so cross-member dispatch order stays deterministic. Caller holds
 // the pool lock.
 func (w *wavefront) advance() {
-	if w.cancel != nil && w.canceled == nil {
-		if err := w.cancel(); err != nil {
+	if w.ctx != nil && w.canceled == nil {
+		if err := w.ctx.Err(); err != nil {
 			w.canceled = err
 			w.pool.cond.Broadcast()
 		}
@@ -527,12 +563,11 @@ func (w *wavefront) execAndRetire(k int) (*wavefront, int, bool) {
 	w.ledger(k).Release(int(sl.claimCore))
 	if rep != nil {
 		// The task ran to completion (possibly with a release error):
-		// its core clock and report are recorded either way, exactly like
-		// the sequential engine.
+		// its core clock is recorded either way, exactly like the
+		// sequential engine, and its report (r.reports[k]) stands.
 		sl.reported = true
 		w.r.coresOf(k)[sl.claimCore] = fin
 		sl.finish = fin
-		w.r.report.Tasks[rep.Task] = rep
 	}
 	if err != nil {
 		sl.state = tsFailed
@@ -581,11 +616,18 @@ func (w *wavefront) execAndRetire(k int) (*wavefront, int, bool) {
 // the pool cannot starve; it aborts if a rank below it fails (its own
 // outcome would be unobservable sequentially — this also covers deps that
 // failed or were revoked and will never retire) or the run is canceled.
-func (w *wavefront) fence(k int, deps []int) error {
-	p := w.pool
+//
+// The dispatcher is found through the run, under the pool lock, and only
+// while the run is attached. A handle a task body kept can call this long
+// after its job settled, when the dispatcher it ran under is serving another
+// job: it finds r.w nil — a run that is over has nothing left to order — and
+// never looks at recycled state.
+func (r *run) fence(k int, deps []int) error {
+	p := r.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if w.fenceOpenLocked(k, deps) {
+	w := r.w
+	if w == nil || w.fenceOpenLocked(k, deps) {
 		return nil
 	}
 	p.slots++
@@ -593,18 +635,16 @@ func (w *wavefront) fence(k int, deps []int) error {
 	// and let the pool start whatever is now dispatchable, across all members.
 	w.advance()
 	p.launch()
-	for !w.fenceOpenLocked(k, deps) {
+	defer func() { p.slots-- }()
+	for r.w == w && !w.fenceOpenLocked(k, deps) {
 		if w.failRank >= 0 && w.failRank < k {
-			p.slots--
 			return errWavefrontAborted
 		}
 		if w.canceled != nil {
-			p.slots--
 			return w.canceled
 		}
 		p.cond.Wait()
 	}
-	p.slots--
 	return nil
 }
 
@@ -634,27 +674,21 @@ func (w *wavefront) fenceOpenLocked(k int, deps []int) bool {
 // outputs) stay live through the end of the sweep, matching their actual
 // lifetime.
 func (r *run) computePeak() {
-	total := 0
-	for k := range r.ctxs {
-		total += len(r.ctxs[k].events)
-	}
-	events := make([]memEvent, 0, total)
+	sc := r.sc
+	events := sc.events[:0]
 	for k := range r.ctxs {
 		events = append(events, r.ctxs[k].events...)
 	}
+	sc.events = events
 	slices.SortFunc(events, func(a, b memEvent) int {
 		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.rank, b.rank), cmp.Compare(a.seq, b.seq))
 	})
-	type liveRegion struct {
-		dev   string
-		bytes int64
-		refs  int
-	}
-	live := make(map[region.ID]liveRegion)
-	cur := make(map[string]int64)
+	live, cur, peak := sc.live, sc.cur, r.report.PeakDeviceBytes
+	clear(live)
+	clear(cur)
 	bump := func(dev string) {
-		if cur[dev] > r.report.PeakDeviceBytes[dev] {
-			r.report.PeakDeviceBytes[dev] = cur[dev]
+		if cur[dev] > peak[dev] {
+			peak[dev] = cur[dev]
 		}
 	}
 	for _, e := range events {
@@ -682,6 +716,14 @@ func (r *run) computePeak() {
 		}
 		live[e.id] = lr
 	}
+}
+
+// liveRegion is a region as computePeak's sweep sees it: where it is, how
+// big, and how many owners it has left.
+type liveRegion struct {
+	dev   string
+	bytes int64
+	refs  int
 }
 
 // note journals one ledger event at the context's current virtual time.

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -193,7 +194,15 @@ type Graph struct {
 	// to succs: the position in preds of the same edge seen from its consumer.
 	predOff, succOff    []int32
 	preds, succs, slots []int32
+	// idOff[k] is the summed length of the IDs of the ranks below k: where
+	// rank k's piece starts in a string Names built, once the frames around the
+	// pieces before it are added. outNames is Names("", outSuffix).
+	idOff    []int32
+	outNames string
 }
+
+// outSuffix ends the name of a task's output region.
+const outSuffix = "/out"
 
 // Len returns the task count.
 func (g *Graph) Len() int { return len(g.Order) }
@@ -215,6 +224,32 @@ func (g *Graph) InSlot(k int) int { return int(g.predOff[k]) }
 // OutSlots is parallel to Succs(k): the slot each out-edge has at its
 // consumer, i.e. OutSlots(k)[i] == InSlot(s)+j where Preds(s)[j] is this edge.
 func (g *Graph) OutSlots(k int) []int32 { return g.slots[g.succOff[k]:g.succOff[k+1]] }
+
+// Names returns a name for every task in one string: prefix+ID+suffix, rank
+// after rank. A caller that needs a name per task — the runtime's region
+// owners — keeps the string and has Name cut rank k's piece out of it, so
+// naming a job's tasks costs one string, not one per task.
+func (g *Graph) Names(prefix, suffix string) string {
+	n := len(g.Order)
+	var b strings.Builder
+	b.Grow(int(g.idOff[n]) + n*(len(prefix)+len(suffix)))
+	for _, t := range g.Order {
+		b.WriteString(prefix)
+		b.WriteString(t.id)
+		b.WriteString(suffix)
+	}
+	return b.String()
+}
+
+// Name returns rank k's piece of names, which Names built with a prefix and a
+// suffix of frame bytes together.
+func (g *Graph) Name(names string, k, frame int) string {
+	return names[int(g.idOff[k])+k*frame : int(g.idOff[k+1])+(k+1)*frame]
+}
+
+// OutName returns the name of rank k's output region, ID+"/out": a piece of
+// one string built with the graph.
+func (g *Graph) OutName(k int) string { return g.Name(g.outNames, k, len(outSuffix)) }
 
 // NewJob creates an empty job.
 func NewJob(name string) *Job {
@@ -345,9 +380,9 @@ func (j *Job) resolve() (*Graph, error) {
 	}
 	// Every predecessor is in the job (a foreign one would have left its task
 	// unsorted above); a foreign successor is skipped as the sort skipped it.
-	block := make([]int32, 2*(n+1)+nPreds+2*nSuccs)
-	g := &Graph{Order: out, predOff: block[:n+1], succOff: block[n+1 : 2*(n+1)]}
-	block = block[2*(n+1):]
+	block := make([]int32, 3*(n+1)+nPreds+2*nSuccs)
+	g := &Graph{Order: out, predOff: block[:n+1], succOff: block[n+1 : 2*(n+1)], idOff: block[2*(n+1) : 3*(n+1)]}
+	block = block[3*(n+1):]
 	g.preds, block = block[:0:nPreds], block[nPreds:]
 	g.succs, g.slots = block[:0:nSuccs], block[nSuccs:nSuccs:2*nSuccs]
 	for k, t := range out {
@@ -361,7 +396,9 @@ func (j *Job) resolve() (*Graph, error) {
 			}
 		}
 		g.succOff[k+1] = int32(len(g.succs))
+		g.idOff[k+1] = g.idOff[k] + int32(len(t.id))
 	}
+	g.outNames = g.Names("", outSuffix)
 	// Pair each out-edge with its consumer's in-edge: the first one from this
 	// producer not paired yet (Then appends both ends of an edge together, so
 	// a repeated edge pairs up in order).

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -27,7 +28,11 @@ func checkGraph(t *testing.T, j *Job, g *Graph) {
 		rank[task] = int32(k)
 	}
 	edges, used := 0, make(map[int32]bool)
+	framed := g.Names("ns/", "/in")
 	for k, task := range order {
+		if got := g.Name(framed, k, len("ns/")+len("/in")); got != "ns/"+task.ID()+"/in" || g.OutName(k) != task.ID()+"/out" {
+			t.Fatalf("%s: Name %q, OutName %q", task.ID(), got, g.OutName(k))
+		}
 		preds := g.Preds(k)
 		if len(preds) != task.NumPreds() {
 			t.Fatalf("%s: %d in-edges, %d preds", task.ID(), len(preds), task.NumPreds())
@@ -76,7 +81,7 @@ func TestGraphAgreesWithTheTasks(t *testing.T) {
 		j := NewJob("rand")
 		tasks := make([]*Task, n)
 		for i := range tasks {
-			tasks[i] = j.Task(string(rune('A'+i)), Props{}, nil)
+			tasks[i] = j.Task(strings.Repeat(string(rune('A'+i)), 1+i%3), Props{}, nil)
 		}
 		// A random permutation decides which way an edge may point, so ranks
 		// differ from insertion indices.

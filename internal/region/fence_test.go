@@ -14,7 +14,7 @@ type recordFence struct {
 	calls [][]int
 }
 
-func (f *recordFence) fence(deps []int) error {
+func (f *recordFence) After(deps []int) error {
 	if deps == nil {
 		f.calls = append(f.calls, nil)
 	} else {
@@ -24,6 +24,11 @@ func (f *recordFence) fence(deps []int) error {
 	}
 	return nil
 }
+
+// fenceFunc adapts a function to the Fence interface.
+type fenceFunc func(deps []int) error
+
+func (f fenceFunc) After(deps []int) error { return f(deps) }
 
 func depsEqual(a, b []int) bool {
 	if (a == nil) != (b == nil) || len(a) != len(b) {
@@ -46,7 +51,7 @@ func TestShareRankedFencesOnlyAgainstLowerSharers(t *testing.T) {
 	rec := &recordFence{}
 	h := mustAlloc(t, m, Spec{Name: "out", Class: props.GlobalScratch, Size: 256,
 		Owner: "prod", Compute: "node0/cpu0"})
-	h.Rebind(nil, 1, rec.fence) // producer at rank 1
+	h.Rebind(nil, 1, rec) // producer at rank 1
 
 	c3, err := h.ShareRanked("c3", "node0/cpu0", 3)
 	if err != nil {
@@ -56,8 +61,8 @@ func TestShareRankedFencesOnlyAgainstLowerSharers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c3.Rebind(nil, 3, rec.fence)
-	c5.Rebind(nil, 5, rec.fence)
+	c3.Rebind(nil, 3, rec)
+	c5.Rebind(nil, 5, rec)
 
 	buf := make([]byte, 64)
 	if _, err := h.ReadAt(0, 0, buf); err != nil {
@@ -94,7 +99,7 @@ func TestOpenShareDemandsFullBarrier(t *testing.T) {
 	rec := &recordFence{}
 	h := mustAlloc(t, m, Spec{Name: "g", Class: props.GlobalState, Size: 128,
 		Owner: "job", Compute: "node0/cpu0"})
-	h.Rebind(nil, 2, rec.fence)
+	h.Rebind(nil, 2, rec)
 
 	if _, err := h.ShareRanked("c4", "node0/cpu0", 4); err != nil {
 		t.Fatal(err)
@@ -103,7 +108,7 @@ func TestOpenShareDemandsFullBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh.Rebind(nil, 7, rec.fence)
+	sh.Rebind(nil, 7, rec)
 
 	buf := make([]byte, 32)
 	if _, err := sh.ReadAt(0, 0, buf); err != nil {
@@ -129,7 +134,7 @@ func TestUnrankedHandleDemandsFullBarrier(t *testing.T) {
 	rec := &recordFence{}
 	h := mustAlloc(t, m, Spec{Name: "out", Class: props.GlobalScratch, Size: 64,
 		Owner: "prod", Compute: "node0/cpu0"})
-	h.Rebind(nil, -1, rec.fence) // fence installed, rank at the unranked default
+	h.Rebind(nil, -1, rec) // fence installed, rank at the unranked default
 	if _, err := h.ShareRanked("c2", "node0/cpu0", 2); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +153,7 @@ func TestFenceErrorAbortsAccess(t *testing.T) {
 	boom := errors.New("aborted")
 	h := mustAlloc(t, m, Spec{Name: "out", Class: props.GlobalScratch, Size: 64,
 		Owner: "prod", Compute: "node0/cpu0"})
-	h.Rebind(nil, 1, func([]int) error { return boom })
+	h.Rebind(nil, 1, fenceFunc(func([]int) error { return boom }))
 	if _, err := h.ShareRanked("c2", "node0/cpu0", 2); err != nil {
 		t.Fatal(err)
 	}

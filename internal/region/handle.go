@@ -19,10 +19,10 @@ import (
 // All access methods take and return *virtual* time: `now` is the caller's
 // task-local clock, the returned value is the access completion time.
 type Handle struct {
-	m *Manager
 	// r is the region itself, held for the handle's whole life: an access
 	// locks it and validates the handle against it, with no table between
-	// them. A freed region stays behind its handles as a tombstone.
+	// them, and reaches the manager through it. A freed region stays behind
+	// its handles as a tombstone.
 	r   *Region
 	gen uint64
 	// ownVer is r.ownVer as of the last time owner was found among the
@@ -68,11 +68,16 @@ type Handle struct {
 // Fence is the pre-access barrier the runtime installs on handles whose
 // accesses may run the coherence protocol. deps, when non-nil, lists the
 // task ranks the access must happen after — the region's lower-rank sharer
-// set; the fence returns once all of them have retired. A nil deps demands
+// set; After returns once all of them have retired. A nil deps demands
 // the full rank barrier (every lower rank retired): the conservative form
 // used for open sharing, where future joiners are unknowable. An empty
 // non-nil deps is an established happens-before — no waiting at all.
-type Fence func(deps []int) error
+//
+// It is an interface so that the runtime's per-task state can be the fence
+// of every handle the task touches: installing it allocates nothing.
+type Fence interface {
+	After(deps []int) error
+}
 
 // Rebind installs clock view, task rank, and fence together — the runtime's
 // task-boundary handoff. A handle crossing into a task must get all three
@@ -104,7 +109,7 @@ func (h *Handle) enter() (*Region, error) {
 	case r.gen != h.gen:
 		err = ErrStaleHandle
 	case h.ownVer != r.ownVer:
-		if _, owns := r.owners[h.owner]; owns {
+		if r.owners.find(h.owner) != nil {
 			h.ownVer = r.ownVer
 		} else {
 			err = fmt.Errorf("%w: %s", ErrNotOwner, h.owner)
@@ -162,7 +167,7 @@ func checkRange(r *Region, off, n int64) error {
 // prices the actions; rt is the accessor's route to the region's device, nil
 // when it does not resolve. Caller holds r.mu.
 func (h *Handle) coherenceCost(rt *topology.Route, off, n int64, write bool) time.Duration {
-	r, m := h.r, h.m
+	r, m := h.r, h.r.m
 	if !r.coherent() || n == 0 {
 		return 0 // exclusive ownership needs no protocol (§2.2), and no bytes touch no line
 	}
@@ -225,7 +230,7 @@ func (h *Handle) route() *topology.Route {
 	if rt := h.rt; rt != nil && rt.Mem == h.r.device && rt.Valid() {
 		return rt
 	}
-	h.rt, _ = h.m.topo.Route(h.compute, h.r.device.ID)
+	h.rt, _ = h.r.m.topo.Route(h.compute, h.r.device.ID)
 	return h.rt
 }
 
@@ -247,7 +252,7 @@ func (m *Manager) price(clk topology.VClock, rt *topology.Route, now time.Durati
 func (h *Handle) resident() error {
 	for r := h.r; r.exported; {
 		r.mu.Unlock()
-		if err := h.m.recall(r); err != nil {
+		if err := h.r.m.recall(r); err != nil {
 			return err
 		}
 		if _, err := h.enter(); err != nil {
@@ -289,7 +294,7 @@ func (h *Handle) access(now time.Duration, off int64, buf []byte, write, sync bo
 	if h.fence != nil && r.coherent() {
 		deps := h.fenceDeps()
 		r.mu.Unlock()
-		if err := h.fence(deps); err != nil {
+		if err := h.fence.After(deps); err != nil {
 			return now, err
 		}
 		if _, err := h.enter(); err != nil {
@@ -316,26 +321,26 @@ func (h *Handle) access(now time.Duration, off int64, buf []byte, write, sync bo
 	}
 	r.heat++
 	if rt == nil {
-		err := h.m.topo.RouteError(h.compute, r.device.ID)
+		err := h.r.m.topo.RouteError(h.compute, r.device.ID)
 		r.mu.Unlock()
 		return now, err
 	}
-	kind, moved := memsim.Read, h.m.bytesRead
+	kind, moved := memsim.Read, h.r.m.bytesRead
 	if write {
-		kind, moved = memsim.Write, h.m.bytesWritten
+		kind, moved = memsim.Write, h.r.m.bytesWritten
 	}
-	done := h.m.price(h.clock, rt, now, n, kind, pat)
+	done := h.r.m.price(h.clock, rt, now, n, kind, pat)
 	done += h.coherenceCost(rt, off, n, write)
 	count(h.clock, moved, n)
 	if write {
 		if r.sealed {
-			sealRange(h.m.secret, r.id, r.data, off, buf)
+			sealRange(h.r.m.secret, r.id, r.data, off, buf)
 		} else {
 			copy(r.data[off:], buf)
 		}
 	} else {
 		if r.sealed {
-			unsealRange(h.m.secret, r.id, r.data, off, buf)
+			unsealRange(h.r.m.secret, r.id, r.data, off, buf)
 		} else {
 			copy(buf, r.data[off:])
 		}
@@ -417,7 +422,7 @@ func (h *Handle) Hydrate(off int64, data []byte) error {
 	}
 	defer r.mu.Unlock()
 	if r.sealed {
-		sealRange(h.m.secret, r.id, r.data, off, data)
+		sealRange(h.r.m.secret, r.id, r.data, off, data)
 	} else {
 		copy(r.data[off:], data)
 	}
@@ -431,8 +436,8 @@ func (h *Handle) Hydrate(off int64, data []byte) error {
 // migrates the region to a device suitable for the receiver and pays the
 // copy. The source handle is invalidated either way.
 func (h *Handle) Transfer(now time.Duration, to Owner, toCompute string) (*Handle, time.Duration, error) {
-	h.m.mu.Lock()
-	defer h.m.mu.Unlock()
+	h.r.m.mu.Lock()
+	defer h.r.m.mu.Unlock()
 	r, err := h.enter()
 	if err != nil {
 		return nil, now, err
@@ -441,13 +446,13 @@ func (h *Handle) Transfer(now time.Duration, to Owner, toCompute string) (*Handl
 	if !r.class.Transferable() {
 		return nil, now, fmt.Errorf("%w: %s", ErrNotMovable, r.class)
 	}
-	if len(r.owners) != 1 {
-		return nil, now, fmt.Errorf("%w: %d owners", ErrExclusive, len(r.owners))
+	if n := r.owners.len(); n != 1 {
+		return nil, now, fmt.Errorf("%w: %d owners", ErrExclusive, n)
 	}
-	if _, ok := h.m.topo.Compute(toCompute); !ok {
+	if _, ok := h.r.m.topo.Compute(toCompute); !ok {
 		return nil, now, fmt.Errorf("region: unknown compute device %q", toCompute)
 	}
-	caps, addressable := h.m.topo.EffectiveCaps(toCompute, r.device.ID)
+	caps, addressable := h.r.m.topo.EffectiveCaps(toCompute, r.device.ID)
 	zeroCopy := false
 	if addressable {
 		// The region already owns its space on the device, so the free-
@@ -458,13 +463,13 @@ func (h *Handle) Transfer(now time.Duration, to Owner, toCompute string) (*Handl
 	}
 	r.gen++ // invalidate the source handle (move semantics)
 	r.setOwner(h.owner, to, toCompute)
-	nh := &Handle{m: h.m, r: r, gen: r.gen, ownVer: r.ownVer, owner: to, compute: toCompute, clock: h.clock, fence: h.fence, rank: h.rank}
+	nh := &Handle{r: r, gen: r.gen, ownVer: r.ownVer, owner: to, compute: toCompute, clock: h.clock, fence: h.fence, rank: h.rank}
 	if zeroCopy {
-		h.m.reg.Add(telemetry.LayerRegion, "transfers_zero_copy", 1)
+		h.r.m.zeroCopies.Add(1)
 		return nh, now, nil
 	}
 	// Migration: re-place for the receiver and copy through the fabric.
-	done, err := h.m.migrateLocked(r, toCompute, now, h.clock)
+	done, err := h.r.m.migrateLocked(r, toCompute, now, h.clock)
 	if err != nil {
 		// Roll the ownership move back so the caller still owns the data.
 		r.gen++
@@ -472,15 +477,15 @@ func (h *Handle) Transfer(now time.Duration, to Owner, toCompute string) (*Handl
 		h.gen, h.ownVer = r.gen, r.ownVer
 		return nil, now, err
 	}
-	h.m.reg.Add(telemetry.LayerRegion, "transfers_migrated", 1)
+	h.r.m.migratedTransfers.Add(1)
 	return nh, done, nil
 }
 
 // setOwner replaces owner from with owner to, running on compute. Caller
 // holds m.mu and r.mu.
 func (r *Region) setOwner(from, to Owner, compute string) {
-	delete(r.owners, from)
-	r.owners[to] = compute
+	r.owners.remove(from)
+	r.owners.add(to, compute)
 	r.ownVer++
 }
 
@@ -549,8 +554,8 @@ func (m *Manager) migrateToLocked(r *Region, computeID, devID string, now time.D
 		keystreamAt(m.secret, r.id, 0, r.data)
 		r.sealed = newSealed
 	}
-	m.reg.Add(telemetry.LayerRegion, "migrations", 1)
-	m.reg.Add(telemetry.LayerRegion, "bytes_migrated", r.size)
+	m.migrations.Add(1)
+	m.bytesMigrated.Add(r.size)
 	return wr, nil
 }
 
@@ -577,8 +582,8 @@ func (h *Handle) ShareRanked(to Owner, toCompute string, rank int) (*Handle, err
 }
 
 func (h *Handle) share(to Owner, toCompute string, rank int, open bool) (*Handle, error) {
-	h.m.mu.Lock()
-	defer h.m.mu.Unlock()
+	h.r.m.mu.Lock()
+	defer h.r.m.mu.Unlock()
 	r, err := h.enter()
 	if err != nil {
 		return nil, err
@@ -587,16 +592,16 @@ func (h *Handle) share(to Owner, toCompute string, rank int, open bool) (*Handle
 	if !r.class.Shareable() {
 		return nil, fmt.Errorf("%w: %s", ErrNotShareable, r.class)
 	}
-	if _, ok := h.m.topo.Compute(toCompute); !ok {
+	if _, ok := h.r.m.topo.Compute(toCompute); !ok {
 		return nil, fmt.Errorf("region: unknown compute device %q", toCompute)
 	}
-	if !h.m.topo.Addressable(toCompute, r.device.ID) {
+	if !h.r.m.topo.Addressable(toCompute, r.device.ID) {
 		return nil, fmt.Errorf("region: %s cannot address %s", toCompute, r.device.ID)
 	}
-	if _, dup := r.owners[to]; dup {
+	if r.owners.find(to) != nil {
 		return nil, fmt.Errorf("region: %s already owns region %d", to, r.id)
 	}
-	r.owners[to] = toCompute
+	r.owners.add(to, toCompute)
 	r.everShared = true
 	if open {
 		r.openShared = true
@@ -604,8 +609,8 @@ func (h *Handle) share(to Owner, toCompute string, rank int, open bool) (*Handle
 		r.addSharer(int(h.rank))
 		r.addSharer(rank)
 	}
-	h.m.reg.Add(telemetry.LayerRegion, "shares", 1)
-	return &Handle{m: h.m, r: r, gen: r.gen, ownVer: r.ownVer, owner: to, compute: toCompute, clock: h.clock, fence: h.fence, rank: int32(rank)}, nil
+	h.r.m.shares.Add(1)
+	return &Handle{r: r, gen: r.gen, ownVer: r.ownVer, owner: to, compute: toCompute, clock: h.clock, fence: h.fence, rank: int32(rank)}, nil
 }
 
 // addSharer inserts a rank into the region's ascending sharer set, ignoring
@@ -613,6 +618,9 @@ func (h *Handle) share(to Owner, toCompute string, rank int, open bool) (*Handle
 func (r *Region) addSharer(rank int) {
 	if rank < 0 {
 		return
+	}
+	if r.sharers == nil {
+		r.sharers = make([]int, 0, 2*ownersInline) // a producer and its consumers: sized like the owners they are
 	}
 	i := 0
 	for i < len(r.sharers) && r.sharers[i] < rank {
@@ -630,17 +638,17 @@ func (r *Region) addSharer(rank int) {
 // releases it — RTS duty (3) of §2.3, replacing garbage collection with
 // ownership-tracked lifetimes (Broom [25]).
 func (h *Handle) Release() error {
-	h.m.mu.Lock()
-	defer h.m.mu.Unlock()
+	h.r.m.mu.Lock()
+	defer h.r.m.mu.Unlock()
 	r, err := h.enter()
 	if err != nil {
 		return err
 	}
 	defer r.mu.Unlock()
-	delete(r.owners, h.owner)
+	r.owners.remove(h.owner)
 	r.ownVer++
-	if len(r.owners) == 0 {
-		h.m.free(r)
+	if r.owners.len() == 0 {
+		h.r.m.free(r)
 	}
 	return nil
 }

@@ -89,11 +89,12 @@ type RebalanceStats struct {
 // a region's owners. Caller holds m.mu.
 func ownerCompute(r *Region) string {
 	best := ""
-	for _, c := range r.owners {
+	r.owners.computes(func(c string) bool {
 		if best == "" || c < best {
 			best = c
 		}
-	}
+		return true
+	})
 	return best
 }
 
@@ -102,16 +103,13 @@ func ownerCompute(r *Region) string {
 func (m *Manager) addressableByAllOwners(r *Region, dev string) bool {
 	req := r.req
 	req.Capacity = 0
-	for _, c := range r.owners {
+	all := true
+	r.owners.computes(func(c string) bool {
 		caps, ok := m.topo.EffectiveCaps(c, dev)
-		if !ok {
-			return false
-		}
-		if !req.Matches(caps) {
-			return false
-		}
-	}
-	return true
+		all = ok && req.Matches(caps)
+		return all
+	})
+	return all
 }
 
 // Rebalance runs one tiering epoch at virtual time now and halves every

@@ -105,6 +105,7 @@ type PlacerEpoch interface {
 // it holds the *Region itself, so an access finds it without the manager.
 type Region struct {
 	// Fixed at Alloc.
+	m         *Manager
 	id        ID
 	name      string
 	class     props.RegionClass
@@ -125,7 +126,7 @@ type Region struct {
 	offset int64  // offset within the device's buddy arena
 	data   []byte // real host backing; ciphertext when sealed
 	gen    uint64 // bumped on ownership transfer to invalidate handles
-	owners map[Owner]string
+	owners ownerSet
 	// ownVer counts the times an owner was taken out of owners. A handle
 	// stamps the value at which it last found its owner there, so the probe
 	// runs once per handle per removal instead of once per access.
@@ -164,6 +165,91 @@ type Region struct {
 	// region keeps device as its pricing identity and recall target, so
 	// virtual access costs never depend on whether it was away.
 	exported bool
+	// first is the handle Alloc returns, the initial owner's: it lives in the
+	// region it points to, so a region and its first handle are one object.
+	first Handle
+}
+
+// ownersInline is how many owners a region holds in place. A transferred
+// output has one owner at a time and a shared one its producer plus its
+// consumers until the producer lets go, so a fan-out of up to three never
+// leaves the region.
+const ownersInline = 4
+
+// ownerSlot is one owner of a region and the compute device it runs on.
+type ownerSlot struct {
+	owner   Owner
+	compute string
+}
+
+// ownerSet is a region's owners with their compute devices, held as a value:
+// the first ownersInline in place, the rest in a spill slice that only a
+// wider sharing ever allocates. Order carries no meaning. A region's
+// ownership is read through find and len, written through add and remove, and
+// walked (the rebalance sweep) through computes; nothing else knows the layout.
+type ownerSet struct {
+	n      int // owners held, in place and spilled
+	inline [ownersInline]ownerSlot
+	spill  []ownerSlot
+}
+
+// at returns the i'th slot, 0 ≤ i < s.n.
+func (s *ownerSet) at(i int) *ownerSlot {
+	if i < ownersInline {
+		return &s.inline[i]
+	}
+	return &s.spill[i-ownersInline]
+}
+
+// len returns the number of owners.
+func (s *ownerSet) len() int { return s.n }
+
+// computes calls f with the compute device of each owner, until f returns
+// false.
+func (s *ownerSet) computes(f func(compute string) bool) {
+	for i := 0; i < s.n; i++ {
+		if !f(s.at(i).compute) {
+			return
+		}
+	}
+}
+
+// find returns the slot o holds, nil if o is not an owner.
+func (s *ownerSet) find(o Owner) *ownerSlot {
+	for i := 0; i < s.n; i++ {
+		if sl := s.at(i); sl.owner == o {
+			return sl
+		}
+	}
+	return nil
+}
+
+// add makes o, running on compute, an owner. The caller has checked that it
+// is not one already.
+func (s *ownerSet) add(o Owner, compute string) {
+	if s.n >= ownersInline {
+		if s.spill == nil {
+			// Whoever shares past the inline slots is a fan-out, and usually a
+			// wide one: start at a size that does not regrow at once.
+			s.spill = make([]ownerSlot, 0, 2*ownersInline)
+		}
+		s.spill = append(s.spill[:s.n-ownersInline], ownerSlot{})
+	}
+	s.n++
+	*s.at(s.n - 1) = ownerSlot{o, compute}
+}
+
+// remove takes o out of the set — the last slot moves into its place — and
+// reports whether it was there.
+func (s *ownerSet) remove(o Owner) bool {
+	sl := s.find(o)
+	if sl == nil {
+		return false
+	}
+	last := s.at(s.n - 1)
+	*sl, *last = *last, ownerSlot{}
+	s.n--
+	return true
 }
 
 // coherent reports whether accesses to the region run the coherence protocol,
@@ -207,6 +293,12 @@ type Manager struct {
 	// through a task's clock view defers the add to the view (count).
 	bytesRead, bytesWritten            *telemetry.Counter
 	invalidations, writebacks, fetches *telemetry.Counter
+	// And the lifecycle counters — an allocation, a share, a transfer, a free
+	// each add to one or two — resolved the same way, so a region's life takes
+	// the registry lock no more than an access does.
+	allocs, frees, bytesAllocated         *telemetry.Counter
+	shares, zeroCopies, migratedTransfers *telemetry.Counter
+	migrations, bytesMigrated             *telemetry.Counter
 }
 
 // Config assembles a Manager.
@@ -242,6 +334,15 @@ func NewManager(cfg Config) (*Manager, error) {
 		invalidations: cfg.Telemetry.Handle(telemetry.LayerCoherence, "invalidations"),
 		writebacks:    cfg.Telemetry.Handle(telemetry.LayerCoherence, "writebacks"),
 		fetches:       cfg.Telemetry.Handle(telemetry.LayerCoherence, "fetches"),
+
+		allocs:            cfg.Telemetry.Handle(telemetry.LayerRegion, "allocs"),
+		frees:             cfg.Telemetry.Handle(telemetry.LayerRegion, "frees"),
+		bytesAllocated:    cfg.Telemetry.Handle(telemetry.LayerRegion, "bytes_allocated"),
+		shares:            cfg.Telemetry.Handle(telemetry.LayerRegion, "shares"),
+		zeroCopies:        cfg.Telemetry.Handle(telemetry.LayerRegion, "transfers_zero_copy"),
+		migratedTransfers: cfg.Telemetry.Handle(telemetry.LayerRegion, "transfers_migrated"),
+		migrations:        cfg.Telemetry.Handle(telemetry.LayerRegion, "migrations"),
+		bytesMigrated:     cfg.Telemetry.Handle(telemetry.LayerRegion, "bytes_migrated"),
 	}
 	m.missLatency = time.Microsecond
 	for _, dev := range cfg.Topology.Memories() {
@@ -362,16 +463,18 @@ func (m *Manager) Alloc(spec Spec) (*Handle, error) {
 	id := m.nextID
 	m.nextID++
 	r := &Region{
-		id: id, name: spec.Name, class: spec.Class, req: req,
+		m: m, id: id, name: spec.Name, class: spec.Class, req: req,
 		device: dev, offset: off, size: spec.Size, blockSize: block,
 		data:   m.backing.Get(spec.Size, true),
 		sealed: req.Confidential && caps.Remote,
-		owners: map[Owner]string{spec.Owner: spec.Compute},
+		first:  Handle{owner: spec.Owner, compute: spec.Compute, clock: spec.Clock, rank: -1},
 	}
+	r.first.r = r
+	r.owners.add(spec.Owner, spec.Compute)
 	m.regions[id] = r
-	m.reg.Add(telemetry.LayerRegion, "allocs", 1)
-	m.reg.Add(telemetry.LayerRegion, "bytes_allocated", block)
-	return &Handle{m: m, r: r, owner: spec.Owner, compute: spec.Compute, clock: spec.Clock, rank: -1}, nil
+	m.allocs.Add(1)
+	m.bytesAllocated.Add(block)
+	return &r.first, nil
 }
 
 // free releases the region's resources: its local space or, for an exported
@@ -396,8 +499,8 @@ func (m *Manager) free(r *Region) {
 		m.dir.DropRegion(uint64(r.id))
 	}
 	delete(m.regions, r.id)
-	m.reg.Add(telemetry.LayerRegion, "frees", 1)
-	m.reg.Add(telemetry.LayerRegion, "bytes_allocated", -r.blockSize)
+	m.frees.Add(1)
+	m.bytesAllocated.Add(-r.blockSize)
 }
 
 // Live returns the number of live regions (leak checks in tests).

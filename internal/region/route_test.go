@@ -252,7 +252,7 @@ func TestAccessAllocatesNothing(t *testing.T) {
 	view := m.topo.NewTaskView()
 	excl := mustAlloc(t, m, Spec{Name: "x", Class: props.Transfer, Size: 1 << 16, Owner: "t", Compute: "node0/cpu0", Clock: view})
 	prod := mustAlloc(t, m, Spec{Name: "s", Class: props.GlobalScratch, Size: 1 << 16, Owner: "p", Compute: "node0/cpu0", Clock: view})
-	prod.Rebind(view, 0, func([]int) error { return nil })
+	prod.Rebind(view, 0, fenceFunc(func([]int) error { return nil }))
 	cons, err := prod.ShareRanked("c", "node0/cpu0", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -400,7 +400,7 @@ func BenchmarkRegionAccess(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prod.Rebind(view, 0, func([]int) error { return nil })
+	prod.Rebind(view, 0, fenceFunc(func([]int) error { return nil }))
 	shared, err := prod.ShareRanked("c", "node0/cpu0", 1)
 	if err != nil {
 		b.Fatal(err)

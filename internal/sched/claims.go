@@ -1,6 +1,9 @@
 package sched
 
-import "time"
+import (
+	"time"
+	"unsafe"
+)
 
 // This file implements the rank-ordered virtual-core claim ledger the
 // wavefront executor grants against. The ledger is the determinism-critical
@@ -28,7 +31,11 @@ type Grant struct {
 // ranks still awaiting a core and the claims currently in flight. The zero
 // value is an empty ledger.
 type ClaimLedger struct {
-	queue []int // ranks awaiting a core claim, ascending
+	// queue holds the ranks enqueued, ascending; those from head on still
+	// await a core claim. Granting moves head and leaves the slice whole, so a
+	// Reset ledger fills the same array again.
+	queue []int
+	head  int
 	// held is indexed by core: the in-flight claim's start plus one, zero for
 	// a free core. Sized by the first grant.
 	held   []time.Duration
@@ -37,6 +44,19 @@ type ClaimLedger struct {
 
 // NewClaimLedger returns an empty ledger.
 func NewClaimLedger() *ClaimLedger { return &ClaimLedger{} }
+
+// Reset empties the ledger for another run and keeps what it had allocated.
+func (l *ClaimLedger) Reset() {
+	l.queue, l.head, l.grants = l.queue[:0], 0, l.grants[:0]
+	clear(l.held)
+}
+
+// Footprint returns the bytes the ledger's buffers keep allocated, for a
+// holder that recycles ledgers under a byte bound.
+func (l *ClaimLedger) Footprint() int {
+	return cap(l.queue)*int(unsafe.Sizeof(0)) + cap(l.held)*int(unsafe.Sizeof(time.Duration(0))) +
+		cap(l.grants)*int(unsafe.Sizeof(Grant{}))
+}
 
 // Enqueue appends a rank to the claim queue. Callers enqueue in ascending
 // rank order (the wavefront builds queues by iterating ranks 0..n-1).
@@ -64,11 +84,11 @@ func (l *ClaimLedger) Release(core int) {
 // it before touching the ledger again.
 func (l *ClaimLedger) GrantBatch(cores []time.Duration, base time.Duration, limit int, ready []bool, readyAt []time.Duration) []Grant {
 	l.grants = l.grants[:0]
-	if len(l.held) < len(cores) && len(l.queue) > 0 {
+	if len(l.held) < len(cores) && l.head < len(l.queue) {
 		l.held = append(l.held, make([]time.Duration, len(cores)-len(l.held))...)
 	}
-	for len(l.queue) > 0 {
-		k := l.queue[0]
+	for l.head < len(l.queue) {
+		k := l.queue[l.head]
 		if k >= limit || !ready[k] {
 			break // head not dispatchable: later ranks must wait their turn
 		}
@@ -88,7 +108,7 @@ func (l *ClaimLedger) GrantBatch(cores []time.Duration, base time.Duration, limi
 		}
 		l.held[cand] = start + 1
 		l.grants = append(l.grants, Grant{Rank: k, Core: cand, Start: start})
-		l.queue = l.queue[1:]
+		l.head++
 	}
 	return l.grants
 }

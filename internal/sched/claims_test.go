@@ -179,12 +179,17 @@ func (l *refLedger) grantBatch(cores []time.Duration, base time.Duration, limit 
 // TestClaimLedgerAgainstReference drives the ledger and the map-held
 // reference through the same random history — ranks becoming ready, batches
 // granted, claims retiring in random order at random finish times, a limit
-// that sometimes bites — and requires the same grants at every step.
+// that sometimes bites — and requires the same grants at every step. One
+// ledger serves every history, Reset in between with claims still in flight
+// and ranks still queued, as a recycled dispatcher's is; the reference starts
+// fresh each time.
 func TestClaimLedgerAgainstReference(t *testing.T) {
+	l := NewClaimLedger()
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n, nCores := 1+rng.Intn(40), 1+rng.Intn(6)
-		l, ref := NewClaimLedger(), &refLedger{held: map[int]time.Duration{}}
+		l.Reset()
+		ref := &refLedger{held: map[int]time.Duration{}}
 		for k := 0; k < n; k++ {
 			l.Enqueue(k)
 			ref.queue = append(ref.queue, k)

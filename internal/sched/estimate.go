@@ -10,6 +10,7 @@ package sched
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/dataflow"
@@ -32,21 +33,44 @@ type Estimate struct {
 	Tasks int
 }
 
+// planScratch is what planning one job computes on the way to its plan and
+// does not keep: the mean execution times and upward ranks, HEFT's priority
+// order and its core clocks. Plans are made per submission, by whoever admits
+// it, so the buffers are recycled through planPool instead of allocated per
+// plan (topology's view pool is the pattern).
+type planScratch struct {
+	dur  []time.Duration // meanExec, rank and cores, one block
+	prio []int32
+}
+
+var planPool = sync.Pool{New: func() any { return new(planScratch) }}
+
+// durations returns the scratch's duration block cut into three zeroed
+// tables: two by rank and one by core.
+func (sc *planScratch) durations(n, cores int) (meanExec, rank, clocks []time.Duration) {
+	if cap(sc.dur) < 2*n+cores {
+		sc.dur = make([]time.Duration, 2*n+cores)
+	}
+	sc.dur = sc.dur[:2*n+cores]
+	clear(sc.dur)
+	return sc.dur[:n:n], sc.dur[n : 2*n : 2*n], sc.dur[2*n:]
+}
+
 // upwardRanks computes the HEFT cost-model primitives shared by scheduling
 // and estimation, indexed by rank: the job's graph, each task's mean
 // execution time across its eligible devices, and each task's upward rank
-// (critical-path length to a sink under mean costs).
-func upwardRanks(job *dataflow.Job, cs *topology.ComputeSet) (g *dataflow.Graph, meanExec, rank []time.Duration, err error) {
+// (critical-path length to a sink under mean costs). The tables, and the idle
+// core clocks heft goes on to fill, are sc's: good until it goes back.
+func upwardRanks(job *dataflow.Job, cs *topology.ComputeSet, sc *planScratch) (g *dataflow.Graph, meanExec, rank, cores []time.Duration, err error) {
 	if g, err = job.Graph(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	n := g.Len()
-	buf := make([]time.Duration, 2*n)
-	meanExec, rank = buf[:n], buf[n:]
+	meanExec, rank, cores = sc.durations(n, cs.NumCores())
 	for k, t := range g.Order {
 		devs := eligible(t, cs)
 		if len(devs) == 0 {
-			return nil, nil, nil, fmt.Errorf("%w: %s wants %s", ErrNoDevice, t.ID(), t.Props().Compute)
+			return nil, nil, nil, nil, fmt.Errorf("%w: %s wants %s", ErrNoDevice, t.ID(), t.Props().Compute)
 		}
 		var sum time.Duration
 		for _, d := range devs {
@@ -69,7 +93,7 @@ func upwardRanks(job *dataflow.Job, cs *topology.ComputeSet) (g *dataflow.Graph,
 		}
 		rank[k] = meanExec[k] + max
 	}
-	return g, meanExec, rank, nil
+	return g, meanExec, rank, cores, nil
 }
 
 // EstimateJob prices a job on an idle topology with scheduler s (nil gives
@@ -86,13 +110,15 @@ func EstimateJob(job *dataflow.Job, topo *topology.Topology, s Scheduler) (Estim
 		return Estimate{}, nil, err
 	}
 	cs := topo.ComputeSet()
-	g, meanExec, rank, err := upwardRanks(job, cs)
+	sc := planPool.Get().(*planScratch)
+	defer planPool.Put(sc)
+	g, meanExec, rank, cores, err := upwardRanks(job, cs, sc)
 	if err != nil {
 		return Estimate{}, nil, err
 	}
 	var schedule *Schedule
 	if _, isHEFT := s.(HEFT); isHEFT {
-		schedule = heft(g, cs, rank, nil)
+		schedule = heft(g, cs, rank, cores, sc)
 	} else if schedule, err = s.Schedule(job, topo); err != nil {
 		return Estimate{}, nil, err
 	}

@@ -156,25 +156,29 @@ func (HEFT) ScheduleLoaded(job *dataflow.Job, topo *topology.Topology, initial [
 		return nil, err
 	}
 	cs := topo.ComputeSet()
-	g, _, rank, err := upwardRanks(job, cs)
+	sc := planPool.Get().(*planScratch)
+	defer planPool.Put(sc)
+	g, _, rank, cores, err := upwardRanks(job, cs, sc)
 	if err != nil {
 		return nil, err
 	}
-	return heft(g, cs, rank, initial), nil
+	copy(cores, initial)
+	return heft(g, cs, rank, cores, sc), nil
 }
 
-// heft is the HEFT placement loop over precomputed upward ranks.
-func heft(g *dataflow.Graph, cs *topology.ComputeSet, rank, initial []time.Duration) *Schedule {
+// heft is the HEFT placement loop over precomputed upward ranks. cores is the
+// flat per-core table of times before which nothing can start, which the loop
+// fills in; like rank it belongs to sc.
+func heft(g *dataflow.Graph, cs *topology.ComputeSet, rank, cores []time.Duration, sc *planScratch) *Schedule {
 	// Priority: rank descending (ties by topological position for
 	// determinism and dependency safety).
-	prio := make([]int32, g.Len())
+	prio := slices.Grow(sc.prio[:0], g.Len())[:g.Len()]
 	for k := range prio {
 		prio[k] = int32(k)
 	}
+	sc.prio = prio
 	slices.SortStableFunc(prio, func(a, b int32) int { return cmp.Compare(rank[b], rank[a]) })
 
-	cores := make([]time.Duration, cs.NumCores())
-	copy(cores, initial)
 	s := &Schedule{Policy: "HEFT", Tasks: make([]Assignment, g.Len())}
 	for _, k := range prio {
 		t := g.Order[k]
