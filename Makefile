@@ -23,7 +23,7 @@ test:
 # registry, the cluster, and the scheduler, load generator, placement
 # optimizer and job graph the server calls from several goroutines.
 race:
-	$(GO) test -race ./internal/core/... ./internal/region/... ./internal/coherence/... \
+	$(GO) test -race ./internal/core/... ./internal/region/... ./internal/coherence/... ./internal/allocator/... \
 		./internal/topology/... ./internal/memsim/... \
 		./internal/fault/... ./internal/telemetry/... ./internal/cluster/... ./internal/shard/... \
 		./internal/sched/... ./internal/loadgen/... ./internal/placement/... ./internal/dataflow/...

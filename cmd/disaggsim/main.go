@@ -125,19 +125,16 @@ func main() {
 	if o.faultRate > 0 {
 		inject = fault.NewInjector(uint64(o.seed), o.faultRate, 1)
 	}
-	rt, err := core.New(core.ExecConfig{
+	ec := core.ExecConfig{
 		Topology: topo, Placer: placer, Scheduler: scheduler, Telemetry: tel,
 		Inject: inject, Workers: o.execWorkers,
-	})
-	if err != nil {
-		fatal(err)
 	}
-
 	if o.stream || o.serve {
+		var err error
 		if o.stream {
-			err = serveStream(rt, o)
+			err = serveStream(ec, o)
 		} else {
-			err = serveJobs(rt, buildJob, o, scheduler, inject)
+			err = serveJobs(ec, buildJob, o)
 		}
 		if err != nil {
 			fatal(err)
@@ -150,6 +147,10 @@ func main() {
 		return
 	}
 
+	rt, err := core.New(ec)
+	if err != nil {
+		fatal(err)
+	}
 	if o.jobs != "" {
 		var jobs []*dataflow.Job
 		for _, name := range strings.Split(o.jobs, ",") {
@@ -229,10 +230,10 @@ func serverConfig(o *options) core.ServerConfig {
 
 // serveJobs is serve mode. -jobs is either a plain number (that many copies
 // of -job) or a comma-separated mix; every job goes through one
-// core.Submitter — a server over rt, or with -shards N a cluster of N servers
-// (shard.go) — enqueued up front via the ticket API and then collected, so no
-// per-submission goroutine is needed.
-func serveJobs(rt *core.Runtime, buildJob func(string) (*dataflow.Job, error), o *options, scheduler sched.Scheduler, inject *fault.Injector) error {
+// core.Submitter — a server built from ec, or with -shards N a cluster of N
+// servers (shard.go) — enqueued up front via the ticket API and then
+// collected, so no per-submission goroutine is needed.
+func serveJobs(ec core.ExecConfig, buildJob func(string) (*dataflow.Job, error), o *options) error {
 	names := serveJobNames(o)
 	jobs := make([]*dataflow.Job, len(names))
 	for i, name := range names {
@@ -249,17 +250,15 @@ func serveJobs(rt *core.Runtime, buildJob func(string) (*dataflow.Job, error), o
 		err error
 	)
 	cfg := serverConfig(o)
+	cfg.ExecConfig = ec
 	if o.shards > 1 {
-		// Each shard builds its own runtime, so hand over what rt was built
-		// from — except the placer, which is bound to rt's topology.
-		cfg.ExecConfig = core.ExecConfig{
-			Scheduler: scheduler, Workers: o.execWorkers, Inject: inject, Telemetry: rt.Telemetry(),
-		}
+		// Each shard builds its own topology, and the placer is bound to
+		// ec's.
+		cfg.Topology, cfg.Placer = nil, nil
 		if sc, err = startSharded(cfg, o); err == nil {
 			sub = sc.c
 		}
 	} else {
-		cfg.Runtime = rt
 		sub, err = core.NewServer(cfg)
 	}
 	if err != nil {
@@ -318,7 +317,7 @@ func serveJobs(rt *core.Runtime, buildJob func(string) (*dataflow.Job, error), o
 		fmt.Printf("queue wait: p50 %v, p99 %v, max %v (n=%d)\n",
 			h.Quantile(0.50), h.Quantile(0.99), h.Max(), h.Count())
 	}
-	if inject != nil || o.recover {
+	if inject := ec.Inject; inject != nil || o.recover {
 		fmt.Printf("faults: injected %d; recovery: retries %d, checkpoints %d, restores %d, recovered jobs %d\n",
 			inject.Injected(),
 			tel.Counter(telemetry.LayerFault, "job_retries"),

@@ -20,13 +20,13 @@ import (
 
 // serveStream drives one stream (and, with -crashwindow, its resumed
 // successor) through the serving engine.
-func serveStream(rt *core.Runtime, o *options) error {
+func serveStream(ec core.ExecConfig, o *options) error {
 	if o.crashWindow >= 0 && !o.recover {
 		return fmt.Errorf("-crashwindow requires -recover (resume restores from checkpoints)")
 	}
-	tel := rt.Telemetry()
+	tel := ec.Telemetry
 	cfg := serverConfig(o)
-	cfg.Runtime = rt
+	cfg.ExecConfig = ec
 	srv, err := core.NewServer(cfg)
 	if err != nil {
 		return err

@@ -152,7 +152,7 @@ func runOnce(cfg loadgen.Config, shards, workers, maxBatch, queue int, downTier 
 		scfg.SLO = &core.SLOPolicy{Workers: workers, DownTier: downTier}
 	}
 	if scaleMax > 0 {
-		scfg.AutoScale = &core.AutoScalePolicy{Min: workers, Max: scaleMax, TargetP99: scaleTarget}
+		scfg.AutoScale = &core.AutoScalePolicy{Max: scaleMax, TargetP99: scaleTarget}
 	}
 
 	var (

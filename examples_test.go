@@ -64,11 +64,7 @@ func exampleJob(name string) *repro.Job {
 // server without blocking: SubmitAsync returns a Ticket immediately, and
 // Wait collects each job's report later, in any order.
 func ExampleServer_SubmitAsync() {
-	rt, err := repro.NewRuntime(repro.ExecConfig{})
-	if err != nil {
-		panic(err)
-	}
-	srv, err := repro.NewServer(repro.ServerConfig{Runtime: rt, Block: true})
+	srv, err := repro.NewServer(repro.ServerConfig{Block: true})
 	if err != nil {
 		panic(err)
 	}
@@ -169,11 +165,7 @@ func ExampleNewCluster() {
 // and reports retire in order while the watermark advances in virtual
 // time by each retired window's makespan.
 func ExampleServer_SubmitStream() {
-	rt, err := repro.NewRuntime(repro.ExecConfig{})
-	if err != nil {
-		panic(err)
-	}
-	srv, err := repro.NewServer(repro.ServerConfig{Runtime: rt, Block: true})
+	srv, err := repro.NewServer(repro.ServerConfig{Block: true})
 	if err != nil {
 		panic(err)
 	}

@@ -1,9 +1,11 @@
 package core
 
-// Allocation-regression gate for the determinism-tax work: the wavefront
-// executor pools task clock views (topology.GetTaskView), the region manager
-// pools data backings, and the claim ledger reuses its grant buffer. These
-// budgets are pinned with modest headroom above the measured post-pooling
+// Allocation-regression gate for the determinism-tax work: a job's clock
+// views, dispatcher tables and core clocks live in its recycled scratch, the
+// region manager recycles data backings, and the claim ledger reuses its grant
+// buffer. Every recycler is a bounded list its owner alone puts to and takes
+// from, so the counts are the program's in every build, the race detector's
+// included. These budgets are pinned with modest headroom above the measured
 // numbers so the optimizations can't silently regress — if a change pushes a
 // run back toward per-task map/backing churn, these fail before any
 // benchmark is looked at.
@@ -23,35 +25,23 @@ import (
 	"repro/internal/workload"
 )
 
-// raceSlack is the budget a workload is held to in this build: the budget
-// itself, and a quarter more under the race detector, where sync.Pool drops a
-// quarter of what is put back (see raceBuild). The workloads run either way —
-// they are what drives the served mix through the recycled dispatcher under
-// `make race`.
-func raceSlack(budget float64) float64 {
-	if raceBuild {
-		return budget * 1.25
-	}
-	return budget
-}
-
-// allocBudget runs fn once to warm pools and caches, then measures.
+// allocBudget runs fn once to warm the free lists and caches, then measures.
 func allocBudget(t *testing.T, name string, budget float64, fn func()) {
 	t.Helper()
-	budget = raceSlack(budget)
 	fn()
 	got := testing.AllocsPerRun(5, fn)
 	t.Logf("%s: %.0f allocs/run (budget %.0f)", name, got, budget)
 	if got > budget {
-		t.Errorf("%s allocates %.0f per run, budget is %.0f — pooling regressed?", name, got, budget)
+		t.Errorf("%s allocates %.0f per run, budget is %.0f — recycling regressed?", name, got, budget)
 	}
 }
 
 // TestAllocBudgetSoloWavefront pins the allocation count of one parallel
 // wavefront run of the wide diamond job (src → 8 branches → sink, with a
-// fenced job global): measured 227 with the dispatcher recycled, owners held in
-// the region and nothing allocated to launch a task (346 before that; 621
-// with plan and run state in maps keyed by task and device ID).
+// fenced job global): measured 224 with the clock views in the job's scratch
+// (227 with them in a sync.Pool; 346 before the dispatcher was recycled,
+// owners held in the region and nothing allocated to launch a task; 621 with
+// plan and run state in maps keyed by task and device ID).
 func TestAllocBudgetSoloWavefront(t *testing.T) {
 	rt, err := New(ExecConfig{Workers: 4})
 	if err != nil {
@@ -68,14 +58,10 @@ func TestAllocBudgetSoloWavefront(t *testing.T) {
 
 // TestAllocBudgetOverlappedBatch pins the allocation count of one
 // overlapped serving batch of four small jobs on a shared pool: measured
-// 535 (831 before the change named above).
+// 523 (831 before the dispatcher was recycled).
 func TestAllocBudgetOverlappedBatch(t *testing.T) {
-	rt, err := New(ExecConfig{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
 	s, err := NewServer(ServerConfig{
-		Runtime: rt, EpochWorkers: 1, MaxBatch: 8, QueueDepth: 64, Block: true,
+		ExecConfig: ExecConfig{Workers: 4}, EpochWorkers: 1, MaxBatch: 8, QueueDepth: 64, Block: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,14 +100,15 @@ func TestAllocBudgetOverlappedBatch(t *testing.T) {
 // nil-body draws (chains, fan-outs, diamonds; 5.2 tasks a job), submitted one
 // after another to a server of the benchmark's shape. A resubmitted job and a
 // fresh one take the same path; the pool is cycled so both are in the mean.
-// Measured 44.5, and 96.0 before the change named above (the benchmark's
-// serve_declared, whose batches hold several jobs, reads 39.8 and 89.6). What
+// Measured 44.4, and 96.0 before the run's state was carved from its blocks
+// (the benchmark's serve_declared, whose batches hold several jobs, reads
+// 37.9 and 89.6). What
 // is left is per job or per region — the run's blocks, its report and the
 // report's maps, a region and a handle per hand-over — and nothing per task
 // but its report's Regions map.
 func TestAllocBudgetServedJob(t *testing.T) {
 	pass, jobs := servedMixPass(t, nil)
-	budget := raceSlack(49)
+	const budget = 49.0
 	pass()
 	got := testing.AllocsPerRun(3, pass) / jobs
 	t.Logf("served nil-body mix job: %.1f allocs/job (budget %.1f)", got, budget)
@@ -171,13 +158,14 @@ func servedMixPass(t testing.TB, rec *RecoveryPolicy) (pass func(), jobs float64
 // staged, written twice to the checkpoint fabric and forgotten when its job
 // settles. After a warm-up pass has filled the free lists from returned
 // buffers, that life cycle allocates nothing proportional to a payload.
-// Measured 14.1 KiB and 59.0 allocations a job (20.1 and 110.5 before the
-// change named above); 137.3 KiB and 155.0 with a fresh staging buffer and
+// Measured 14.1 KiB and 58.9 allocations a job (20.1 and 110.5 before the
+// run's state was carved from its blocks); 137.3 KiB and 155.0 with a fresh
+// staging buffer and
 // fresh slab backings per output, a namespace key built per call and replica
 // maps, which both budgets fail on.
 func TestAllocBudgetCheckpointedJob(t *testing.T) {
 	pass, jobs := servedMixPass(t, &RecoveryPolicy{PartialReplay: true})
-	budgetKiB, budgetAllocs := raceSlack(16), raceSlack(65)
+	const budgetKiB, budgetAllocs = 16.0, 65.0
 	pass()
 	const passes = 3
 	var before, after goruntime.MemStats
@@ -201,9 +189,10 @@ func TestAllocBudgetCheckpointedJob(t *testing.T) {
 // TestAllocBudgetStreamWindow pins what a served stream window allocates, in
 // the repository benchmark's stream_windows shape: 64 events a window, two
 // aggregates that each read the 64 lines of the source's shared output for
-// the first and only time. Measured 148.9 allocations a window (203.3 before
-// the change named above); 401.4 when the coherence directory allocated a
-// line's state on first touch, which the budget fails on.
+// the first and only time. Measured 144.1 allocations a window (203.3 before
+// the run's state was carved from its blocks); 401.4 when the coherence
+// directory allocated a line's state on first touch, which the budget fails
+// on.
 func TestAllocBudgetStreamWindow(t *testing.T) {
 	s, err := NewServer(ServerConfig{
 		ExecConfig:   ExecConfig{Workers: 2},
@@ -230,7 +219,7 @@ func TestAllocBudgetStreamWindow(t *testing.T) {
 	// test's input and not the engine's cost.
 	warm, measured := workload.Stream(cfg), workload.Stream(cfg)
 	serve(warm)
-	budget := raceSlack(164)
+	const budget = 164.0
 	var before, after goruntime.MemStats
 	goruntime.ReadMemStats(&before)
 	serve(measured)
@@ -326,7 +315,7 @@ func TestAllocBudgetAccessPath(t *testing.T) {
 // time and in allocations: the nil-body serving mix of the alloc budget above,
 // whose tasks stall nowhere, so nothing but admission, planning, dispatch,
 // output allocation and retirement is in the number. One whole pass is the
-// ramp — it fills the free lists, the pools and the route caches the way a
+// ramp — it fills the free lists and the route caches the way a
 // server's first seconds do — and is not timed. The bench-smoke row gating it (ns/op may not triple, allocs/op may
 // not rise) is the first serving gate that a slept task body does not bound.
 func BenchmarkServedJob(b *testing.B) {

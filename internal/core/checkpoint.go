@@ -395,7 +395,6 @@ func (r *run) checkpointTask(ctx *taskCtx, t *dataflow.Task) error {
 // wall-clock fetch is serialized, never virtual time.
 type lazyRestore struct {
 	mu   sync.Mutex
-	size int64
 	done bool
 }
 
@@ -508,7 +507,7 @@ func (r *run) restoreTaskAt(ctx *taskCtx, start time.Duration) (time.Duration, *
 			}
 			ctx.now = now
 			if lazy {
-				r.lazy[ctx.rank] = &lazyRestore{size: e.size}
+				r.lazy[ctx.rank] = new(lazyRestore)
 			}
 		}
 		if err := r.deliverOutput(ctx); err != nil {

@@ -56,16 +56,12 @@ func readCounts(rt *Runtime) accessCounts {
 // countServer is a one-epoch-worker server on a fresh runtime.
 func countServer(t *testing.T, cfg ExecConfig, rec *RecoveryPolicy) (*Runtime, *Server) {
 	t.Helper()
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewServer(ServerConfig{Runtime: rt, EpochWorkers: 1, MaxBatch: 8, QueueDepth: 64, Block: true, Recovery: rec})
+	s, err := NewServer(ServerConfig{ExecConfig: cfg, EpochWorkers: 1, MaxBatch: 8, QueueDepth: 64, Block: true, Recovery: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close(context.Background()) }) //nolint:errcheck
-	return rt, s
+	return s.Runtime(), s
 }
 
 // TestAccessCountsExactAndVisibleAtDelivery serves a fixed mix of real-body

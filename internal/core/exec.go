@@ -63,16 +63,19 @@ type outcome struct {
 // rest of the batch. Snapshots are forgotten when the member settles, unless
 // it was canceled out of a namespace its submitter owns.
 func (rt *Runtime) drive(epoch *topology.Epoch, rec *recoveryState, members []member, settle func(i int, o outcome)) {
-	// Every attempt seeds from a clone of this view, never from a live epoch
-	// read that could see a mate's mid-flight absorb.
-	seed := epoch.View()
 	p := newWavePool(rt.workers)
 	// begin builds the dispatcher of m's current run; a plan the run cannot
-	// execute is a failure of that attempt's first task.
+	// execute is a failure of that attempt's first task. A first attempt
+	// snapshots the epoch as its seed: every member begins before anything of
+	// this call launches, so each snapshots the epoch as it stood when drive
+	// was called. A retry keeps the seed its first attempt took, never reading
+	// the live epoch, which a mate's mid-flight absorb may have moved.
 	begin := func(m *member) (failed string, err error) {
-		sv := topology.GetTaskView(seed)
-		if m.w, failed, err = m.r.newWavefront(m.ctx, sv); err != nil {
-			topology.PutTaskView(sv)
+		var seed topology.VClock
+		if m.attempt == 1 {
+			seed = epoch
+		}
+		if m.w, failed, err = m.r.newWavefront(m.ctx, seed); err != nil {
 			m.r.cleanup()
 		}
 		return failed, err
@@ -184,7 +187,6 @@ func (rt *Runtime) drive(epoch *topology.Epoch, rec *recoveryState, members []me
 		}
 	}
 	p.mu.Unlock()
-	topology.PutTaskView(seed)
 }
 
 // driveOne is drive for a batch of one: the run, nobody to cancel it.

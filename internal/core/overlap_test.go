@@ -109,12 +109,8 @@ func TestServeOverlapDeterministicAcrossWorkerCounts(t *testing.T) {
 		// Repeat each pool size a few times: a race that perturbs virtual
 		// time is unlikely to strike the first run.
 		for rep := 0; rep < 3; rep++ {
-			rt, err := New(ExecConfig{Workers: w})
-			if err != nil {
-				t.Fatal(err)
-			}
 			s, err := NewServer(ServerConfig{
-				Runtime: rt, EpochWorkers: 1, MaxBatch: 8, QueueDepth: 16, Block: true,
+				ExecConfig: ExecConfig{Workers: w}, EpochWorkers: 1, MaxBatch: 8, QueueDepth: 16, Block: true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -131,7 +127,7 @@ func TestServeOverlapDeterministicAcrossWorkerCounts(t *testing.T) {
 			if err := s.Close(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			if live := rt.Regions().Live(); live != 0 {
+			if live := s.Runtime().Regions().Live(); live != 0 {
 				t.Fatalf("workers=%d: leaked %d regions", w, live)
 			}
 			for i, r := range got {
@@ -172,12 +168,8 @@ func TestServeOverlapFaultIsolation(t *testing.T) {
 		return boom
 	})
 
-	rt, err := New(ExecConfig{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
 	s, err := NewServer(ServerConfig{
-		Runtime: rt, EpochWorkers: 1, MaxBatch: 8, QueueDepth: 16, Block: true,
+		ExecConfig: ExecConfig{Workers: 4}, EpochWorkers: 1, MaxBatch: 8, QueueDepth: 16, Block: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -208,6 +200,7 @@ func TestServeOverlapFaultIsolation(t *testing.T) {
 	if err := s.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	rt := s.Runtime()
 	tel := rt.Telemetry()
 	if got := tel.Counter(telemetry.LayerRuntime, "server_failed"); got != 1 {
 		t.Errorf("server_failed = %d, want 1", got)
@@ -406,12 +399,8 @@ func BenchmarkServeOverlap(b *testing.B) {
 	}
 	// The sub-benchmark name is the one bench/BENCH_serve_baseline.json gates.
 	b.Run("overlap", func(b *testing.B) {
-		rt, err := New(ExecConfig{Workers: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
 		s, err := NewServer(ServerConfig{
-			Runtime: rt, EpochWorkers: 1, MaxBatch: 8, QueueDepth: 64, Block: true,
+			ExecConfig: ExecConfig{Workers: 4}, EpochWorkers: 1, MaxBatch: 8, QueueDepth: 64, Block: true,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -218,12 +218,8 @@ func TestServePartialReplayOverlappedMatchesFull(t *testing.T) {
 	serve := func(partial bool) []*Report {
 		inj := fault.NewInjector(1, 0, 1)
 		inj.Kill("sink", 2) // first executions: pa's attempt 1, pb's attempt 1
-		rt, err := New(ExecConfig{Inject: inj, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
 		s, err := NewServer(ServerConfig{
-			Runtime: rt, EpochWorkers: 1, MaxBatch: 8, QueueDepth: 16, Block: true,
+			ExecConfig: ExecConfig{Inject: inj, Workers: 4}, EpochWorkers: 1, MaxBatch: 8, QueueDepth: 16, Block: true,
 			Recovery: &RecoveryPolicy{MaxAttempts: 3, PartialReplay: partial},
 		})
 		if err != nil {
@@ -249,7 +245,7 @@ func TestServePartialReplayOverlappedMatchesFull(t *testing.T) {
 		if got := s.Checkpointer().Snapshots(); got != 0 {
 			t.Errorf("partial=%v: %d snapshots leaked", partial, got)
 		}
-		if live := rt.Regions().Live(); live != 0 {
+		if live := s.Runtime().Regions().Live(); live != 0 {
 			t.Errorf("partial=%v: leaked %d regions", partial, live)
 		}
 		return reps

@@ -11,17 +11,14 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/fault"
 	"repro/internal/telemetry"
+	"repro/internal/topology"
 )
 
 // newRecoveryServer builds a server with recovery over the default store and
 // a runtime carrying the given injector.
 func newRecoveryServer(t *testing.T, inj *fault.Injector, pol RecoveryPolicy, cfg ServerConfig) *Server {
 	t.Helper()
-	rt, err := New(ExecConfig{Inject: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Runtime = rt
+	cfg.Inject = inj
 	cfg.Recovery = &pol
 	s, err := NewServer(cfg)
 	if err != nil {
@@ -128,11 +125,7 @@ func TestServeRecoveryConcurrentStress(t *testing.T) {
 // same injected workload without a RecoveryPolicy fails its submitters.
 func TestServeWithoutRecoverySurfacesFault(t *testing.T) {
 	inj := fault.NewInjector(1, 1.0, 1)
-	rt, err := New(ExecConfig{Inject: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newTestServer(t, ServerConfig{Runtime: rt, EpochWorkers: 2, Block: true})
+	s := newTestServer(t, ServerConfig{ExecConfig: ExecConfig{Inject: inj}, EpochWorkers: 2, Block: true})
 	const n = 8
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -152,6 +145,7 @@ func TestServeWithoutRecoverySurfacesFault(t *testing.T) {
 	if err := s.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	rt := s.Runtime()
 	tel := rt.Telemetry()
 	if got := tel.Counter(telemetry.LayerRuntime, "server_failed"); got != n {
 		t.Errorf("server_failed = %d, want %d", got, n)
@@ -306,7 +300,6 @@ func TestCheckpointerForgetSnapshotRace(t *testing.T) {
 // checkpoint entry that recorded an output with an empty payload must still
 // deliver a region to successors instead of starving them.
 func TestRestoreDeliversEmptyPayload(t *testing.T) {
-	rt := newRuntime(t)
 	ck, _ := newCkStore(t)
 
 	j := dataflow.NewJob("empty-out")
@@ -324,7 +317,7 @@ func TestRestoreDeliversEmptyPayload(t *testing.T) {
 	if _, err := ck.open(id).snapshot("produce", nil, true); err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewServer(ServerConfig{Runtime: rt, Recovery: &RecoveryPolicy{Checkpointer: ck}})
+	s, err := NewServer(ServerConfig{Recovery: &RecoveryPolicy{Checkpointer: ck}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +332,7 @@ func TestRestoreDeliversEmptyPayload(t *testing.T) {
 	if inputs := <-got; inputs != 1 {
 		t.Errorf("consumer saw %d inputs, want 1 (empty snapshot must still deliver)", inputs)
 	}
-	if live := rt.Regions().Live(); live != 0 {
+	if live := s.Runtime().Regions().Live(); live != 0 {
 		t.Errorf("leaked %d regions", live)
 	}
 }
@@ -360,5 +353,49 @@ func TestCheckpointerOutputlessEntries(t *testing.T) {
 	}
 	if _, _, _, err := ck.open("id").restore("missing"); err == nil {
 		t.Error("restore of unknown task must fail")
+	}
+}
+
+// TestRetriesQueueBehindEveryEarlierAttempt: a retry is later on the job's own
+// clock, so each further attempt a job needs makes it finish later. Three CPU
+// tasks feed a sink killed k times, on a CPU of one to three cores: a failed
+// retry rewinds its core clocks to the ones it started on, which hold the
+// earlier attempts' completions. Rewinding a failed retry to idle clocks
+// instead loses them wherever the retry's restored tasks did not land on every
+// core, and a job killed twice finished before one killed once.
+func TestRetriesQueueBehindEveryEarlierAttempt(t *testing.T) {
+	for cores := 1; cores <= 3; cores++ {
+		var last time.Duration
+		for kills := 1; kills <= 3; kills++ {
+			inj := fault.NewInjector(1, 0, 1)
+			inj.Kill("victim", kills)
+			topo, err := topology.BuildSingleNode(topology.SingleNodeConfig{Sockets: 1, CoresPerCPU: cores})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt, err := New(ExecConfig{Topology: topo, Inject: inj, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cpu := func(ops float64, out int64) dataflow.Props {
+				return dataflow.Props{Compute: dataflow.OnCPU, Ops: ops, OutputBytes: out}
+			}
+			j := dataflow.NewJob("rewind")
+			sink := j.Task("victim", cpu(1e5, 0), nil)
+			a, b, c := j.Task("a", cpu(3e6, 1<<10), nil), j.Task("b", cpu(9e6, 1<<10), nil), j.Task("c", cpu(1e6, 1<<10), nil)
+			a.Then(b).Then(sink)
+			c.Then(sink)
+			rep, err := rt.Run(j, RecoveryPolicy{MaxAttempts: 5, Backoff: time.Microsecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Attempts != kills+1 {
+				t.Fatalf("%d cores, killed %d times: %d attempts", cores, kills, rep.Attempts)
+			}
+			if rep.Makespan <= last {
+				t.Errorf("%d cores: killed %d times the job finishes at %v, killed once fewer at %v", cores, kills, rep.Makespan, last)
+			}
+			last = rep.Makespan
+		}
 	}
 }

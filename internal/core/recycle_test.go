@@ -9,15 +9,19 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	goruntime "runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/dataflow"
 	"repro/internal/fault"
+	"repro/internal/props"
 	"repro/internal/region"
 	"repro/internal/sched"
+	"repro/internal/topology"
 )
 
 // settledBatchReports is the hash of TestSettledMembersLeaveThePool's eight
@@ -27,8 +31,15 @@ const settledBatchReports = 0x750450540f5e9b75
 // TestSettledMembersLeaveThePool: a batch of eight jobs that each need three
 // attempts never has more than eight wavefronts in its pool — a drained
 // attempt leaves before its retry joins — and the ladder's reports are the
-// bytes they were when every attempt stayed a member to the end of the batch.
+// bytes they were when every attempt stayed a member to the end of the batch,
+// at one worker and at eight.
 func TestSettledMembersLeaveThePool(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { settledMembersLeaveThePool(t, workers) })
+	}
+}
+
+func settledMembersLeaveThePool(t *testing.T, workers int) {
 	const batch, attempts = 8, 3
 	inj := fault.NewInjector(1, 0, 1)
 	for i := 0; i < batch; i++ {
@@ -36,7 +47,7 @@ func TestSettledMembersLeaveThePool(t *testing.T) {
 	}
 	s := newRecoveryServer(t, inj,
 		RecoveryPolicy{MaxAttempts: attempts, Backoff: 5 * time.Microsecond},
-		ServerConfig{EpochWorkers: 1, MaxBatch: batch, QueueDepth: 2 * batch, Block: true})
+		ServerConfig{ExecConfig: ExecConfig{Workers: workers}, EpochWorkers: 1, MaxBatch: batch, QueueDepth: 2 * batch, Block: true})
 
 	var widest atomic.Int64
 	probe := func(ctx dataflow.Ctx) error {
@@ -114,8 +125,8 @@ func leakyJob(name string, leak chan<- *region.Handle, outsider chan<- *region.H
 				if err != nil {
 					return err
 				}
-				// An epoch of its own: the task's view goes back to the pool
-				// with the run.
+				// An epoch of its own: the task's view is the scratch's, and
+				// the next job resets it.
 				extra.Rebind(c.run.rt.topo.NewEpoch(), c.rank, c)
 				outsider <- extra
 			}
@@ -138,108 +149,113 @@ func leakyJob(name string, leak chan<- *region.Handle, outsider chan<- *region.H
 
 // TestLeakedHandlesNeverReachRecycledState: handles a task body kept, used
 // after their job settled and 128 later jobs have been through the runtime's
-// free lists, with 64 more going through them meanwhile, fail every method with the region layer's own
-// errors — the regions were released with the run — and the one that is still
-// good is served through a fence that finds its run over instead of waiting on
-// the dispatcher, by then another job's. For a job that completed, one that
-// was canceled mid-run, and one that failed and was retried.
+// free lists, with 64 more going through them meanwhile, fail every method
+// with the region layer's own errors — the regions were released with the run
+// — and the one that is still good is served through a fence that finds its
+// run over instead of waiting on the dispatcher, by then another job's. For a
+// job that completed, one that was canceled mid-run, and one that failed and
+// was retried; each at one worker and at eight.
 func TestLeakedHandlesNeverReachRecycledState(t *testing.T) {
-	ctxCancel, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	failOnce := true
-	scenarios := []struct {
-		name    string
-		ctx     context.Context
-		stop    func() error
-		wantErr bool
-	}{
-		{"completed", context.Background(), nil, false},
-		{"canceled", ctxCancel, func() error { cancel(); return nil }, true},
-		{"failed then retried", context.Background(), func() error {
+	for _, name := range []string{"completed", "canceled", "failed then retried"} {
+		t.Run(name, func(t *testing.T) {
+			for _, workers := range []int{1, 8} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { leakedHandlesNeverReachRecycledState(t, name, workers) })
+			}
+		})
+	}
+}
+
+func leakedHandlesNeverReachRecycledState(t *testing.T, scenario string, workers int) {
+	ctx, stop, wantErr := context.Background(), (func() error)(nil), false
+	switch scenario {
+	case "canceled":
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithCancel(ctx)
+		defer cancel()
+		stop, wantErr = func() error { cancel(); return nil }, true
+	case "failed then retried":
+		failOnce := true
+		stop = func() error {
 			if failOnce {
 				failOnce = false
 				return errors.New("join: first attempt fails")
 			}
 			return nil
-		}, false},
+		}
 	}
-	for _, sc := range scenarios {
-		t.Run(sc.name, func(t *testing.T) {
-			s := newRecoveryServer(t, nil, RecoveryPolicy{},
-				ServerConfig{EpochWorkers: 2, MaxBatch: 8, QueueDepth: 256, Block: true})
-			// Twice what the bodies send in one attempt: a retry runs them again.
-			leak, outsider := make(chan *region.Handle, 16), make(chan *region.Handle, 4)
-			// Wait for the job to settle, not for its context: a canceled one
-			// is still being torn down when the context ends.
-			tk, err := s.SubmitAsync(sc.ctx, leakyJob("leaky", leak, outsider, sc.stop))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := tk.Wait(context.Background()); (err != nil) != sc.wantErr {
-				t.Fatalf("leaky job: err = %v", err)
-			}
-			close(leak)
-			close(outsider)
+	s := newRecoveryServer(t, nil, RecoveryPolicy{},
+		ServerConfig{ExecConfig: ExecConfig{Workers: workers}, EpochWorkers: 2, MaxBatch: 8, QueueDepth: 256, Block: true})
+	// Twice what the bodies send in one attempt: a retry runs them again.
+	leak, outsider := make(chan *region.Handle, 16), make(chan *region.Handle, 4)
+	// Wait for the job to settle, not for its context: a canceled one
+	// is still being torn down when the context ends.
+	tk, err := s.SubmitAsync(ctx, leakyJob("leaky", leak, outsider, stop))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tk.Wait(context.Background()); (err != nil) != wantErr {
+		t.Fatalf("leaky job: err = %v", err)
+	}
+	close(leak)
+	close(outsider)
 
-			// The free lists turn over: every later job takes the scratch an
-			// earlier one put back, the leaky job's included.
-			tks := make([]*Ticket, 192)
-			for i := range tks {
-				if tks[i], err = s.SubmitAsync(context.Background(), wideJob(fmt.Sprintf("later%d", i), 4)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// 128 have settled, and the rest still run, when the leaked handles
-			// are used.
-			const settledFirst = 128
-			for _, tk := range tks[:settledFirst] {
-				if _, err := tk.Wait(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-			}
+	// The free lists turn over: every later job takes the scratch an
+	// earlier one put back, the leaky job's included.
+	tks := make([]*Ticket, 192)
+	for i := range tks {
+		if tks[i], err = s.SubmitAsync(context.Background(), wideJob(fmt.Sprintf("later%d", i), 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 128 have settled, and the rest still run, when the leaked handles
+	// are used.
+	const settledFirst = 128
+	for _, tk := range tks[:settledFirst] {
+		if _, err := tk.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				n := 0
-				for h := range leak {
-					n++
-					for method, err := range everyMethod(h) {
-						if !errors.Is(err, region.ErrFreed) && !errors.Is(err, region.ErrStaleHandle) && !errors.Is(err, region.ErrNotOwner) {
-							t.Errorf("leaked handle %d of %s: %s: %v", n, h.Owner(), method, err)
-						}
-					}
-				}
-				if n < 6 {
-					t.Errorf("%d handles leaked, want the six of one attempt at least", n)
-				}
-				for h := range outsider {
-					buf := make([]byte, 64)
-					if _, err := h.ReadAt(0, 0, buf); err != nil {
-						t.Errorf("the outsider's share: read: %v", err)
-					}
-					if _, err := h.WriteAt(0, 64, buf); err != nil {
-						t.Errorf("the outsider's share: write: %v", err)
-					}
-					if err := h.Release(); err != nil {
-						t.Errorf("the outsider's share: release: %v", err)
-					}
-				}
-			}()
-			select {
-			case <-done:
-			case <-time.After(30 * time.Second):
-				t.Fatal("a leaked handle blocked: in a fence on a dispatcher that is not its run's anymore?")
-			}
-			for _, tk := range tks[settledFirst:] {
-				if _, err := tk.Wait(context.Background()); err != nil {
-					t.Fatal(err)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		n := 0
+		for h := range leak {
+			n++
+			for method, err := range everyMethod(h) {
+				if !errors.Is(err, region.ErrFreed) && !errors.Is(err, region.ErrStaleHandle) && !errors.Is(err, region.ErrNotOwner) {
+					t.Errorf("leaked handle %d of %s: %s: %v", n, h.Owner(), method, err)
 				}
 			}
-			if live := s.Runtime().Regions().Live(); live != 0 {
-				t.Errorf("%d regions live after everything was released", live)
+		}
+		if n < 6 {
+			t.Errorf("%d handles leaked, want the six of one attempt at least", n)
+		}
+		for h := range outsider {
+			buf := make([]byte, 64)
+			if _, err := h.ReadAt(0, 0, buf); err != nil {
+				t.Errorf("the outsider's share: read: %v", err)
 			}
-		})
+			if _, err := h.WriteAt(0, 64, buf); err != nil {
+				t.Errorf("the outsider's share: write: %v", err)
+			}
+			if err := h.Release(); err != nil {
+				t.Errorf("the outsider's share: release: %v", err)
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a leaked handle blocked: in a fence on a dispatcher that is not its run's anymore?")
+	}
+	for _, tk := range tks[settledFirst:] {
+		if _, err := tk.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if live := s.Runtime().Regions().Live(); live != 0 {
+		t.Errorf("%d regions live after everything was released", live)
 	}
 }
 
@@ -269,9 +285,15 @@ func everyMethod(h *region.Handle) map[string]error {
 // needs next and no more than scratchFreeBytes of it — a scratch whose tables
 // alone are past the bound leaves nothing behind, many middling ones stop at
 // the bound, many small ones at scratchFreeMax entries — and taking the
-// entries back leaves the count at zero.
+// entries back leaves the count at zero; at one worker and at eight.
 func TestScratchFreeListBounded(t *testing.T) {
-	rt, err := New(ExecConfig{Workers: 2})
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { scratchFreeListBounded(t, workers) })
+	}
+}
+
+func scratchFreeListBounded(t *testing.T, workers int) {
+	rt, err := New(ExecConfig{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,50 +303,56 @@ func TestScratchFreeListBounded(t *testing.T) {
 		if _, err := rt.Run(wideJob(fmt.Sprintf("bounded%d", i), 8)); err != nil {
 			t.Fatal(err)
 		}
-		if len(rt.free) != 1 || rt.freeBytes <= 0 || rt.freeBytes != rt.free[0].footprint() {
-			t.Fatalf("after job %d: %d entries counted at %d bytes", i, len(rt.free), rt.freeBytes)
+		if rt.free.Len() != 1 || rt.free.Held() <= 0 {
+			t.Fatalf("after job %d: %d entries counted at %d bytes", i, rt.free.Len(), rt.free.Held())
 		}
 	}
-	rt.getScratch()
-	if len(rt.free) != 0 || rt.freeBytes != 0 {
-		t.Fatalf("emptied list has %d entries, %d bytes", len(rt.free), rt.freeBytes)
+	held := rt.free.Held()
+	if sc := rt.free.Get(); sc.footprint() != held || len(sc.views) != 8+3 {
+		t.Fatalf("the scratch was counted at %d bytes, holds %d, with %d views", held, sc.footprint(), len(sc.views))
+	}
+	if rt.free.Len() != 0 || rt.free.Held() != 0 {
+		t.Fatalf("emptied list has %d entries, %d bytes", rt.free.Len(), rt.free.Held())
 	}
 
 	const ptr = 8
-	// Each of the three tables that grow with the job, past the bound alone.
+	// Each of the tables that grow with the job, past the bound alone.
 	for name, sc := range map[string]*scratch{
 		"handles (a dense graph)":         {handles: make([]*region.Handle, scratchFreeBytes/ptr+1)},
 		"events (a body that allocates)":  {events: make([]memEvent, 0, scratchFreeBytes/64)},
-		"slots (a wide graph)":            {w: wavefront{slots: make([]slot, scratchFreeBytes/32)}},
+		"slots (a wide graph)":            {w: wavefront{slots: make([]slot, scratchFreeBytes/unsafe.Sizeof(slot{})+1)}},
 		"claim queues (a wide graph too)": {w: wavefront{devs: wideLedgers(8, scratchFreeBytes/ptr+1)}},
+		"views (a wide graph's clocks)":   {views: make([]topology.TaskView, scratchFreeBytes/unsafe.Sizeof(topology.TaskView{})+1)},
 	} {
 		rt.putScratch(sc)
-		if len(rt.free) != 0 || rt.freeBytes != 0 {
-			t.Errorf("%s past the bound left %d entries, %d bytes behind", name, len(rt.free), rt.freeBytes)
-			rt.free, rt.freeBytes = nil, 0
+		if rt.free.Len() != 0 || rt.free.Held() != 0 {
+			t.Errorf("%s past the bound left %d entries, %d bytes behind", name, rt.free.Len(), rt.free.Held())
+			for rt.free.Len() > 0 {
+				rt.free.Get()
+			}
 		}
 	}
 	// Middling ones: the bytes bound cuts in before the entry bound.
 	for i := 0; i < 2*scratchFreeMax; i++ {
 		rt.putScratch(&scratch{handles: make([]*region.Handle, scratchFreeBytes/ptr/8)})
 	}
-	if n := len(rt.free); n == 0 || n >= scratchFreeMax || rt.freeBytes > scratchFreeBytes {
+	if n := rt.free.Len(); n == 0 || n >= scratchFreeMax || rt.free.Held() > scratchFreeBytes {
 		t.Errorf("middling scratches: %d entries, %d bytes kept, want some, fewer than %d and at most %d bytes",
-			n, rt.freeBytes, scratchFreeMax, scratchFreeBytes)
+			n, rt.free.Held(), scratchFreeMax, scratchFreeBytes)
 	}
-	for len(rt.free) > 0 {
-		rt.getScratch()
+	for rt.free.Len() > 0 {
+		rt.free.Get()
 	}
-	if rt.freeBytes != 0 {
-		t.Errorf("emptied list still counts %d bytes", rt.freeBytes)
+	if rt.free.Held() != 0 {
+		t.Errorf("emptied list still counts %d bytes", rt.free.Held())
 	}
 	// Small ones: the entry bound.
 	for i := 0; i < 2*scratchFreeMax; i++ {
 		rt.putScratch(&scratch{handles: make([]*region.Handle, 16)})
 	}
-	if len(rt.free) != scratchFreeMax || rt.freeBytes != scratchFreeMax*16*ptr {
+	if rt.free.Len() != scratchFreeMax || rt.free.Held() != scratchFreeMax*16*ptr {
 		t.Errorf("small scratches: %d entries, %d bytes kept, want %d and %d",
-			len(rt.free), rt.freeBytes, scratchFreeMax, scratchFreeMax*16*ptr)
+			rt.free.Len(), rt.free.Held(), scratchFreeMax, scratchFreeMax*16*ptr)
 	}
 }
 
@@ -372,4 +400,62 @@ func TestKeptTicketHoldsNoJob(t *testing.T) {
 	}
 	t.Error("a delivered ticket still keeps its job from the collector")
 	goruntime.KeepAlive(tk)
+}
+
+// TestReportIndependentOfWhatRanBefore: a job's report is a function of the
+// job, not of the runtime's history. One runtime first serves jobs of several
+// widths — outputs handed over and fanned out, private scratch, Global State
+// and Global Scratch, and a job whose sink fails once and is retried — so its
+// free list holds views, tables and clocks those jobs left behind; then a
+// probe job's report must deep-equal the probe's on a fresh runtime, at one
+// worker and at eight.
+// A view that kept a previous job's queue state, a table not cleared or a
+// core clock not reset shows up here as a later start or finish.
+func TestReportIndependentOfWhatRanBefore(t *testing.T) {
+	probe := func(rt *Runtime) *Report {
+		t.Helper()
+		rep, err := rt.Run(wideJob("probe", 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	for _, workers := range []int{1, 8} {
+		inj := fault.NewInjector(1, 0, 1)
+		inj.Kill("victim", 1)
+		warm, err := New(ExecConfig{Workers: workers, Inject: inj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, width := range []int{16, 2, 9} {
+			if _, err := warm.Run(wideJob(fmt.Sprintf("warm%d", i), width)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		retried := wideJob("retried", 12)
+		retried.Task("victim", dataflow.Props{Ops: 1e5}, nil)
+		retried.Task("cache", dataflow.Props{Ops: 1e5}, func(ctx dataflow.Ctx) error {
+			h, err := ctx.Global("cache", props.GlobalScratch, 8<<10)
+			if err != nil {
+				return err
+			}
+			now, err := h.WriteAt(ctx.Now(), 0, make([]byte, 8<<10))
+			ctx.Wait(now)
+			return err
+		})
+		rep, err := warm.Run(retried, RecoveryPolicy{MaxAttempts: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Attempts != 2 {
+			t.Fatalf("workers=%d: the retried job took %d attempts, want 2", workers, rep.Attempts)
+		}
+		fresh, err := New(ExecConfig{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := probe(warm), probe(fresh); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: the probe after other jobs differs from the probe alone:\n%s\nwant\n%s", workers, got, want)
+		}
+	}
 }

@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/allocator"
 	"repro/internal/dataflow"
 	"repro/internal/fault"
 	"repro/internal/placement"
@@ -71,11 +72,8 @@ type Runtime struct {
 	inject  *fault.Injector
 	workers int
 
-	// free holds settled jobs' scratch for the next ones, freeBytes their
-	// footprints' sum (scratch.go).
-	freeMu    sync.Mutex
-	free      []*scratch
-	freeBytes int64
+	// free holds settled jobs' scratch for the next ones (scratch.go).
+	free *allocator.FreeList[scratch]
 }
 
 // New builds a runtime.
@@ -108,7 +106,10 @@ func New(cfg ExecConfig) (*Runtime, error) {
 	if workers <= 0 {
 		workers = goruntime.GOMAXPROCS(0)
 	}
-	return &Runtime{topo: topo, placer: placer, sched: scheduler, regions: mgr, tel: tel, inject: cfg.Inject, workers: workers}, nil
+	return &Runtime{
+		topo: topo, placer: placer, sched: scheduler, regions: mgr, tel: tel, inject: cfg.Inject, workers: workers,
+		free: allocator.NewFreeList(scratchFreeMax, scratchFreeBytes, (*scratch).footprint),
+	}, nil
 }
 
 // Workers reports the wavefront executor's worker-pool bound.
@@ -231,13 +232,6 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// globalEntry is a job-wide named region (Global State / Global Scratch).
-type globalEntry struct {
-	handle *region.Handle
-	class  props.RegionClass
-	shared map[string]*region.Handle // task id → that task's share
-}
-
 // jobState is what every attempt of a job runs over: the plan, the names, the
 // recycled tables and the snapshot namespace. newRun builds it and retry hands
 // it on whole, so a field added here is the next attempt's without being named
@@ -294,9 +288,6 @@ type run struct {
 	// recovery retries use it to model per-attempt backoff on the epoch
 	// clock without perturbing batch mates.
 	base time.Duration
-	// idle marks cores as a private table no task has finished on yet: true of
-	// a first attempt built without a shared table, never of a retry.
-	idle bool
 	// pool and w are the pool this run executes in and its dispatcher there,
 	// from attach to detach; w is nil before and after. Guarded by pool.mu,
 	// they are how a task's fence finds the dispatcher — or finds the run over.
@@ -305,8 +296,10 @@ type run struct {
 	// smu guards the cross-task shared state (globals, the report's final
 	// outputs) against concurrent wavefront task goroutines. It is a leaf
 	// lock: nothing is called while holding it.
-	smu     sync.Mutex
-	globals map[string]*globalEntry // created by the first global
+	smu sync.Mutex
+	// globals holds the job-wide named regions (Global State / Global
+	// Scratch) by name, under the job's owner; made by the first global.
+	globals map[string]*region.Handle
 	report  *Report
 	// ctxs and reports are the tasks' contexts and reports, by rank. Neither
 	// is recycled with the scratch: a handle a body kept outlives the run
@@ -394,9 +387,8 @@ func (rt *Runtime) Run(job *dataflow.Job, policy ...RecoveryPolicy) (*Report, er
 // availability. ns namespaces region owners (see run.ns).
 func (rt *Runtime) newRun(job *dataflow.Job, g *dataflow.Graph, schedule *sched.Schedule, epoch *topology.Epoch, ns string, cores []time.Duration) *run {
 	cs := rt.topo.ComputeSet()
-	sc := rt.getScratch()
-	idle := cores == nil
-	if idle {
+	sc := rt.free.Get()
+	if cores == nil {
 		sc.cores = sized(sc.cores, cs.NumCores())
 		cores = sc.cores
 	}
@@ -408,7 +400,6 @@ func (rt *Runtime) newRun(job *dataflow.Job, g *dataflow.Graph, schedule *sched.
 			sc: sc, cores: cores, handles: sc.handles,
 			inject: rt.inject,
 		},
-		idle: idle,
 	}).attempt()
 }
 
@@ -635,8 +626,8 @@ func (r *run) cleanup() {
 	globals := r.globals
 	r.globals = nil
 	r.smu.Unlock()
-	for _, g := range globals {
-		g.handle.Release() //nolint:errcheck // best-effort teardown
+	for _, h := range globals {
+		h.Release() //nolint:errcheck // best-effort teardown
 	}
 	held := r.handles[:r.g.Edges()+r.g.Len()]
 	for i, h := range held {

@@ -57,16 +57,14 @@ var (
 //
 // The embedded ExecConfig is the single source of execution knobs — the
 // topology, placer, scheduler, telemetry, fault injection, and the
-// worker-pool bound (ExecConfig.Workers) every batch's tasks share. It is
-// consulted only when Runtime is nil; a non-nil Runtime brings its own.
-// Note the worker-knob split: ExecConfig.Workers bounds *task* concurrency
-// inside one batch, EpochWorkers bounds how many *batches* run at once.
+// worker-pool bound (ExecConfig.Workers) every batch's tasks share: NewServer
+// builds the server's runtime from it (Server.Runtime returns it), and its
+// zero value gives the reference testbed, best-fit placer, and HEFT
+// scheduler. Note the worker-knob split: ExecConfig.Workers bounds *task*
+// concurrency inside one batch, EpochWorkers bounds how many *batches* run at
+// once.
 type ServerConfig struct {
 	ExecConfig
-	// Runtime executes the admitted jobs. Nil builds one from the embedded
-	// ExecConfig (whose zero value gives the reference testbed, best-fit
-	// placer, and HEFT scheduler).
-	Runtime *Runtime
 	// QueueDepth bounds the admission queue (default 64). Submissions
 	// beyond the bound are rejected or block, per Block.
 	QueueDepth int
@@ -246,13 +244,9 @@ type Server struct {
 // NewServer builds and starts a serving engine: its workers are live when
 // NewServer returns. Callers must Close it to drain.
 func NewServer(cfg ServerConfig) (*Server, error) {
-	rt := cfg.Runtime
-	if rt == nil {
-		var err error
-		rt, err = New(cfg.ExecConfig)
-		if err != nil {
-			return nil, err
-		}
+	rt, err := New(cfg.ExecConfig)
+	if err != nil {
+		return nil, err
 	}
 	depth := cfg.QueueDepth
 	if depth <= 0 {
@@ -392,10 +386,10 @@ func (s *Server) submitAsync(ctx context.Context, job *dataflow.Job, opt SubmitO
 		wait, predicted, tier := s.slo.admit(opt, est.Makespan)
 		if tier == tierRejected {
 			s.rt.tel.Add(telemetry.LayerRuntime, "server_slo_rejected", 1)
-			return nil, fmt.Errorf("%w: predicted %v, deadline %v", ErrDeadline, predicted, s.slo.deadlineFor(opt))
+			return nil, fmt.Errorf("%w: predicted %v, deadline %v", ErrDeadline, predicted, opt.Deadline)
 		}
 		t.plan, t.slowait, t.predicted = plan, wait, predicted
-		t.deadline = s.slo.deadlineFor(opt)
+		t.deadline = opt.Deadline
 		if tier == tierBestEffort {
 			t.bestEffort = true
 			s.rt.tel.Add(telemetry.LayerRuntime, "server_downtiered", 1)

@@ -34,14 +34,12 @@ import (
 var ErrDeadline = errors.New("core: predicted completion exceeds the submission's deadline")
 
 // SLOPolicy makes admission deadline-aware (ServerConfig.SLO).
+//
+// A submission's deadline is its own (SubmitOptions.Deadline), measured in
+// virtual time from its arrival: queue wait in the admission model plus the
+// scheduler's makespan estimate must fit inside it. A submission without one
+// is admitted ungated.
 type SLOPolicy struct {
-	// Deadline is the default completion deadline for every submission,
-	// measured in virtual time from the submission's arrival: queue wait in
-	// the admission model plus the scheduler's makespan estimate must fit
-	// inside it. Individual submissions may override it
-	// (SubmitOptions.Deadline). Zero means no default deadline — only
-	// submissions carrying their own deadline are gated.
-	Deadline time.Duration
 	// DownTier admits deadline-missing jobs as best-effort instead of
 	// rejecting them: the job runs (and occupies model capacity, since it
 	// consumes real capacity), its report is marked BestEffort, and it is
@@ -66,8 +64,9 @@ type SubmitOptions struct {
 	// arrival process, which is what makes replayed admission decisions
 	// reproducible run-to-run.
 	Arrival time.Duration
-	// Deadline overrides SLOPolicy.Deadline for this submission; zero keeps
-	// the policy default.
+	// Deadline is the submission's completion deadline for the SLO admission
+	// model (SLOPolicy), in virtual time from its arrival. Zero admits it
+	// ungated.
 	Deadline time.Duration
 	// BestEffort forces the submission down to the best-effort tier: under
 	// an SLO policy it is admitted (and occupies model capacity) even when
@@ -126,21 +125,12 @@ func newSLOState(pol SLOPolicy, epochWorkers int) *sloState {
 	return &sloState{pol: pol, freeAt: make([]time.Duration, w)}
 }
 
-// deadlineFor resolves a submission's effective deadline: its own override,
-// else the policy default.
-func (m *sloState) deadlineFor(opt SubmitOptions) time.Duration {
-	if opt.Deadline > 0 {
-		return opt.Deadline
-	}
-	return m.pol.Deadline
-}
-
 // admit plays one arrival through the queue model. It returns the predicted
 // queue wait, the predicted sojourn (wait + service estimate), and the
 // verdict; only admitted submissions (guaranteed or best-effort) occupy
 // model capacity.
 func (m *sloState) admit(opt SubmitOptions, estimate time.Duration) (wait, predicted time.Duration, tier sloTier) {
-	deadline := m.deadlineFor(opt)
+	deadline := opt.Deadline
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if opt.Arrival > m.clock {
@@ -178,9 +168,9 @@ func (m *sloState) admit(opt SubmitOptions, estimate time.Duration) (wait, predi
 // AutoScalePolicy grows and shrinks the live epoch-worker pool against the
 // observed queue-wait p99 (ServerConfig.AutoScale).
 type AutoScalePolicy struct {
-	// Min and Max bound the live worker count. Min defaults to EpochWorkers;
-	// Max defaults to 4×Min.
-	Min, Max int
+	// Max bounds the live worker count from above (default 4×EpochWorkers).
+	// It never shrinks below the configured EpochWorkers.
+	Max int
 	// TargetP99 is the queue-wait p99 the controller steers toward: above
 	// it the pool grows, comfortably below it (half the target, for
 	// hysteresis) the pool shrinks. Default 10ms.
@@ -208,14 +198,11 @@ type scaler struct {
 }
 
 func newScaler(s *Server, pol AutoScalePolicy, epochWorkers int) *scaler {
-	if pol.Min <= 0 {
-		pol.Min = epochWorkers
-	}
 	if pol.Max <= 0 {
-		pol.Max = 4 * pol.Min
+		pol.Max = 4 * epochWorkers
 	}
-	if pol.Max < pol.Min {
-		pol.Max = pol.Min
+	if pol.Max < epochWorkers {
+		pol.Max = epochWorkers
 	}
 	if pol.TargetP99 <= 0 {
 		pol.TargetP99 = 10 * time.Millisecond
@@ -298,7 +285,7 @@ func (sc *scaler) step() {
 		sc.s.wg.Add(1)
 		go sc.s.worker()
 		sc.s.rt.tel.Add(telemetry.LayerRuntime, "server_scale_up", 1)
-	case cur > sc.pol.Min && p99 < sc.pol.TargetP99/2:
+	case cur > sc.s.workers && p99 < sc.pol.TargetP99/2:
 		select {
 		case sc.s.shrink <- struct{}{}:
 			sc.mu.Lock()

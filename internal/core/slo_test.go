@@ -191,11 +191,11 @@ func TestLiveWorkersWithoutScaler(t *testing.T) {
 // TestAutoScaleGrowsUnderPressure holds the single worker hostage while
 // jobs pile up, then releases it: the observed queue waits blow past the
 // target and the controller must grow the pool. Afterwards a stream of
-// quick jobs with negligible waits must shrink it back to Min.
+// quick jobs with negligible waits must shrink it back to EpochWorkers.
 func TestAutoScaleGrowsUnderPressure(t *testing.T) {
 	s := newTestServer(t, ServerConfig{
 		EpochWorkers: 1, QueueDepth: 64, MaxBatch: 1, Block: true,
-		AutoScale: &AutoScalePolicy{Min: 1, Max: 3, TargetP99: 2 * time.Millisecond,
+		AutoScale: &AutoScalePolicy{Max: 3, TargetP99: 2 * time.Millisecond,
 			Interval: 2 * time.Millisecond, Window: 4},
 	})
 	started := make(chan struct{})
@@ -257,7 +257,7 @@ func TestAutoScaleCloseRace(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s, err := NewServer(ServerConfig{
 			EpochWorkers: 1, QueueDepth: 8, MaxBatch: 2,
-			AutoScale: &AutoScalePolicy{Min: 1, Max: 4, TargetP99: time.Microsecond,
+			AutoScale: &AutoScalePolicy{Max: 4, TargetP99: time.Microsecond,
 				Interval: time.Millisecond, Window: 2},
 		})
 		if err != nil {

@@ -51,12 +51,8 @@ func BenchmarkStreamServe(b *testing.B) {
 
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			rt, err := New(ExecConfig{})
-			if err != nil {
-				b.Fatal(err)
-			}
 			s, err := NewServer(ServerConfig{
-				Runtime: rt, EpochWorkers: workers, MaxBatch: 8, QueueDepth: 64, Block: true,
+				EpochWorkers: workers, MaxBatch: 8, QueueDepth: 64, Block: true,
 			})
 			if err != nil {
 				b.Fatal(err)

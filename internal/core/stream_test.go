@@ -227,12 +227,8 @@ func TestSubmitStreamValidation(t *testing.T) {
 // transform — the resumed run is identical at any pool size.
 func crashResume(t *testing.T, workers int) (crashed, resumed *StreamTicket, resumedReps []*Report) {
 	t.Helper()
-	rt, err := New(ExecConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	s, err := NewServer(ServerConfig{
-		Runtime: rt, EpochWorkers: workers, MaxBatch: 4, Block: true,
+		EpochWorkers: workers, MaxBatch: 4, Block: true,
 		Recovery: &RecoveryPolicy{MaxAttempts: 3, PartialReplay: true},
 	})
 	if err != nil {
@@ -334,12 +330,8 @@ func TestStreamCrashResume(t *testing.T) {
 
 	// Post-crash-point windows are byte-identical to an uninterrupted
 	// stream on an identical serving stack (same recovery pricing).
-	rt, err := New(ExecConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	base, err := NewServer(ServerConfig{
-		Runtime: rt, EpochWorkers: 2, MaxBatch: 4, Block: true,
+		EpochWorkers: 2, MaxBatch: 4, Block: true,
 		Recovery: &RecoveryPolicy{MaxAttempts: 3, PartialReplay: true},
 	})
 	if err != nil {

@@ -30,8 +30,8 @@ type taskCtx struct {
 	regions      map[string]string // label → device (for the report); made by the first label
 	logs         []string
 
-	// view is the task's private causal clock view (wavefront executor);
-	// nil falls back to the run's shared epoch. rank is the task's
+	// view is the task's private causal clock view, the one every allocation
+	// and access of the task is priced against. rank is the task's
 	// deterministic topological rank — both are installed by the dispatcher.
 	// The context is also the task's rank-order barrier (After), installed as
 	// the fence of every handle the task touches.
@@ -48,15 +48,6 @@ type taskCtx struct {
 	// on full completion it becomes the entry's deterministic replay price
 	// (Checkpointer.record).
 	ckRestoreCost time.Duration
-}
-
-// clock is the virtual-time view this task's allocations and accesses are
-// priced against.
-func (c *taskCtx) clock() topology.VClock {
-	if c.view != nil {
-		return c.view
-	}
-	return c.run.epoch
 }
 
 // After implements region.Fence: the task's accesses wait on its run's
@@ -121,12 +112,12 @@ func (c *taskCtx) Scratch(name string, size int64) (*region.Handle, error) {
 	h, err := c.run.rt.regions.Alloc(region.Spec{
 		Name: name, Class: class, Size: size,
 		Req: req, Owner: c.owner, Compute: c.compute.ID, Now: c.now,
-		Clock: c.clock(),
+		Clock: c.view,
 	})
 	if err != nil {
 		return nil, err
 	}
-	h.Rebind(c.clock(), c.rank, c)
+	h.Rebind(c.view, c.rank, c)
 	c.noteAlloc(h, size)
 	c.scratch = append(c.scratch, h)
 	c.noteRegion(name, h)
@@ -152,12 +143,12 @@ func (c *taskCtx) Output(size int64) (*region.Handle, error) {
 	h, err := c.run.rt.regions.Alloc(region.Spec{
 		Name: c.run.g.OutName(c.rank), Class: class, Size: size,
 		Req: req, Owner: c.owner, Compute: c.compute.ID, Now: c.now,
-		Clock: c.clock(),
+		Clock: c.view,
 	})
 	if err != nil {
 		return nil, err
 	}
-	h.Rebind(c.clock(), c.rank, c)
+	h.Rebind(c.view, c.rank, c)
 	c.noteAlloc(h, size)
 	c.output = h
 	c.noteRegion("out", h)
@@ -213,44 +204,39 @@ func (c *taskCtx) Global(name string, class props.RegionClass, size int64) (*reg
 		}); ok {
 			computes := c.run.scheduledComputes()
 			if dev, err := shared.PlaceShared(req, computes); err == nil {
-				h, err := c.run.rt.regions.Alloc(region.Spec{
+				g, _ = c.run.rt.regions.Alloc(region.Spec{
 					Name: name, Class: class, Size: size,
 					Owner: region.Owner(c.run.ns), Compute: c.pinCompute(dev),
-					Device: dev, Clock: c.clock(),
+					Device: dev, Clock: c.view,
 				})
-				if err == nil {
-					g = &globalEntry{handle: h, class: class, shared: map[string]*region.Handle{}}
-				}
 			}
 		}
 		if g == nil {
-			h, err := c.run.rt.regions.Alloc(region.Spec{
+			if g, err = c.run.rt.regions.Alloc(region.Spec{
 				Name: name, Class: class, Size: size,
 				Owner: region.Owner(c.run.ns), Compute: c.compute.ID,
-				Clock: c.clock(),
-			})
-			if err != nil {
+				Clock: c.view,
+			}); err != nil {
 				return nil, err
 			}
-			g = &globalEntry{handle: h, class: class, shared: map[string]*region.Handle{}}
 		}
-		c.noteAlloc(g.handle, size)
+		c.noteAlloc(g, size)
 		c.run.smu.Lock()
 		if c.run.globals == nil {
-			c.run.globals = make(map[string]*globalEntry)
+			c.run.globals = make(map[string]*region.Handle)
 		}
 		c.run.globals[name] = g
 		c.run.smu.Unlock()
-		dev, _ := g.handle.DeviceID()
+		dev, _ := g.DeviceID()
 		c.noteDevice(name, dev)
 	}
-	sh, err := g.handle.Share(c.owner, c.compute.ID)
+	sh, err := g.Share(c.owner, c.compute.ID)
 	if err != nil {
 		return nil, fmt.Errorf("core: sharing global %q: %w", name, err)
 	}
 	// The share inherited the creator's clock view; rebind it to this
 	// task's own before any access is priced through it.
-	sh.Rebind(c.clock(), c.rank, c)
+	sh.Rebind(c.view, c.rank, c)
 	c.noteShare(sh)
 	c.globalShares[name] = sh
 	c.noteRegion(name, sh)

@@ -221,31 +221,24 @@ type slot struct {
 	claimCore  int32
 	claimStart time.Duration
 	finish     time.Duration
-	view       *topology.TaskView // final clock view, once done
 }
 
 // wavefront is one run's dispatcher state — one member of a wavePool. All of
 // it is indexed by task rank (the run's graph) or by compute-device index
 // (the run's compute set); nothing here is looked up by ID. It lives in the
 // job's scratch: newWavefront fills it anew for every attempt, over the tables
-// the last one left.
+// the last one left. The tasks' clock views are the scratch's too: rank k's is
+// r.sc.views[k], final once the rank is tsDone.
 type wavefront struct {
 	r    *run
 	pool *wavePool
 	seq  int             // submission sequence within the pool (dispatch tiebreak)
 	ctx  context.Context // the submitter's, probed for cancellation (Server); nil never cancels
 
-	// seed is the epoch snapshot every task of this run prices against
-	// (merged with predecessor views). Snapshotting once — instead of
-	// reading the epoch per task — is what keeps batch members
-	// deterministic: a mate that finishes mid-flight absorbs its views into
-	// the shared epoch, and a live read would leak that wall-clock-dependent
-	// backlog into this job's virtual time.
-	seed *topology.TaskView
 	// baseCores snapshots the run's core clocks at wavefront construction,
-	// so a failure can rewind them to the deterministic sequential state.
-	// Not taken when the run started on private idle clocks: the snapshot is
-	// zeros.
+	// so a failure can rewind them to the deterministic sequential state. A
+	// retry starts on clocks that hold the earlier attempts' completions, so a
+	// failed retry rewinds to them and not to idle clocks.
 	baseCores []time.Duration
 
 	slots []slot
@@ -270,12 +263,16 @@ type wavefront struct {
 }
 
 // newWavefront validates the run's plan and fills the scratch's dispatcher
-// for it: per-device claim queues, predecessor counts, the causal seed view,
-// the core-clock snapshot failure rewinds restore, and the eager rank-ordered
-// injection / restore pre-pass. The returned wavefront is not yet attached
-// to a pool. On a validation error the failing task's ID is returned and
-// the caller owns run cleanup.
-func (r *run) newWavefront(ctx context.Context, seed *topology.TaskView) (*wavefront, string, error) {
+// for it: per-device claim queues, predecessor counts, the view table, the
+// core-clock snapshot failure rewinds restore, and the eager rank-ordered
+// injection / restore pre-pass. The table's last view is the attempt's seed,
+// the epoch snapshot every task prices against, merged with its predecessors'
+// views. seed, when non-nil, is the clock it is reset from; nil keeps the seed
+// the job's last attempt started from, which nothing since has written — how a
+// retry prices against the snapshot its first attempt took. The returned
+// wavefront is not yet attached to a pool. On a validation error the failing
+// task's ID is returned and the caller owns run cleanup.
+func (r *run) newWavefront(ctx context.Context, seed topology.VClock) (*wavefront, string, error) {
 	order, plan := r.g.Order, r.schedule.Tasks
 	// Validate the plan up front so scheduling gaps surface as task errors
 	// rather than mid-flight panics.
@@ -294,17 +291,18 @@ func (r *run) newWavefront(ctx context.Context, seed *topology.TaskView) (*wavef
 		devs = make([]sched.ClaimLedger, len(r.cs.Devices))
 	}
 	*w = wavefront{
-		r: r, ctx: ctx, seed: seed,
+		r: r, ctx: ctx,
 		slots: sized(w.slots, n), ready: sized(w.ready, n), readyAt: sized(w.readyAt, n),
-		devs: devs, queue: sized(w.queue, n), baseCores: w.baseCores[:0],
+		devs: devs, queue: sized(w.queue, n), baseCores: append(w.baseCores[:0], r.cores...),
 		failRank: -1,
 	}
 	w.dispatch = w.queue[:0]
 	for d := range w.devs {
 		w.devs[d].Reset()
 	}
-	if !r.idle {
-		w.baseCores = append(w.baseCores, r.cores...)
+	r.sc.views = slices.Grow(r.sc.views[:0], n+1)[:n+1]
+	if seed != nil {
+		r.sc.views[n].Reset(seed)
 	}
 	for k := range order {
 		w.devs[plan[k].Dev].Enqueue(k) // ascending: k iterates in rank order
@@ -346,10 +344,13 @@ func (r *run) newWavefront(ctx context.Context, seed *topology.TaskView) (*wavef
 
 // finalize settles a drained wavefront: releases the run's regions and, on
 // success, folds its clock views into the epoch and finalizes the report's
-// peak-memory and makespan figures. On failure it additionally drops
-// snapshots that ranks above the failure produced out of sequential order,
-// and rewinds the run's core clocks to the deterministic post-failure
-// state: the construction-time snapshot replayed with exactly the
+// peak-memory and makespan figures. The views stay in the scratch: every one
+// was published as its task retired, and every handle that could price
+// through one is released with the run, so a later job may reset them. On
+// failure it additionally drops snapshots that ranks above the failure
+// produced out of sequential order, and rewinds the run's core clocks to the
+// deterministic post-failure state: the construction-time snapshot replayed
+// with exactly the
 // completions a sequential run would have made (reported ranks at or below
 // the failure). Without the rewind, in-flight tasks above the failure rank
 // — which only exist at Workers>1 — would leave their finish times on the
@@ -362,7 +363,6 @@ func (w *wavefront) finalize() (failedTask string, err error) {
 	r := w.r
 	if w.canceled != nil {
 		r.cleanup()
-		w.recycleViews()
 		return "", w.canceled
 	}
 	if w.failRank >= 0 {
@@ -373,18 +373,13 @@ func (w *wavefront) finalize() (failedTask string, err error) {
 				}
 			}
 		}
-		if r.idle {
-			clear(r.cores)
-		} else {
-			copy(r.cores, w.baseCores)
-		}
+		copy(r.cores, w.baseCores)
 		for k := 0; k <= w.failRank && k < len(w.slots); k++ {
 			if sl := &w.slots[k]; sl.reported {
 				r.coresOf(k)[sl.claimCore] = sl.finish
 			}
 		}
 		r.cleanup()
-		w.recycleViews()
 		return w.failTask, w.failErr
 	}
 
@@ -392,16 +387,15 @@ func (w *wavefront) finalize() (failedTask string, err error) {
 	// driven over the same epoch afterwards queues behind this one's device
 	// backlog (RunAll; the members of one drive call seeded before anyone
 	// absorbed, so among them this is inert bookkeeping). The views are
-	// merged into the seed first — the epoch already dominates it, and it is
-	// about to be recycled — so the epoch is locked once.
+	// merged into the seed first — the epoch already dominates it, and no task
+	// reads it anymore — so the epoch is locked once.
+	views := r.sc.views
+	seed := &views[len(w.slots)]
 	for k := range w.slots {
-		if v := w.slots[k].view; v != nil {
-			w.seed.Merge(v)
-		}
+		seed.Merge(&views[k])
 	}
-	r.epoch.Absorb(w.seed)
+	r.epoch.Absorb(seed)
 	r.cleanup()
-	w.recycleViews()
 	r.computePeak()
 	// Every task reported: hand the submitter the reports under their names.
 	r.report.Tasks = make(map[string]*TaskReport, len(w.slots))
@@ -416,19 +410,6 @@ func (w *wavefront) finalize() (failedTask string, err error) {
 		}
 	}
 	return "", nil
-}
-
-// recycleViews returns the run's task views and seed snapshot to the pool.
-// Safe only after cleanup: every region the run held has been released, so
-// stale handles fail validation before their clock view — possibly one of
-// these, now recycled — would be consulted.
-func (w *wavefront) recycleViews() {
-	for k := range w.slots {
-		topology.PutTaskView(w.slots[k].view) // nil-safe: failed/skipped ranks have no view
-		w.slots[k].view = nil
-	}
-	topology.PutTaskView(w.seed)
-	w.seed = nil
 }
 
 // drainedLocked reports whether the wavefront has nothing left to do.
@@ -511,14 +492,17 @@ func insertRank(s []int, k int) []int {
 	return s
 }
 
-// seedView builds the task's causal clock view: the wavefront's seed
-// snapshot merged with every predecessor's final view. Predecessor views
-// are published under the pool lock before the successor launches, so
-// reading them here without the lock is race-free.
+// seedView builds the task's causal clock view in its slot of the view
+// table: the attempt's seed snapshot merged with every predecessor's final
+// view. The predecessors are done — the pool lock that retired them ordered
+// their views' last writes before this launch — so reading them here without
+// the lock is race-free.
 func (w *wavefront) seedView(k int) *topology.TaskView {
-	v := topology.GetTaskView(w.seed)
+	views := w.r.sc.views
+	v := &views[k]
+	v.Reset(&views[len(w.slots)])
 	for _, p := range w.r.g.Preds(k) {
-		v.Merge(w.slots[p].view)
+		v.Merge(&views[p])
 	}
 	return v
 }
@@ -574,13 +558,9 @@ func (w *wavefront) execAndRetire(k int) (*wavefront, int, bool) {
 		if !errors.Is(err, errWavefrontAborted) && (w.failRank < 0 || k < w.failRank) {
 			w.failRank, w.failErr, w.failTask = k, err, w.r.g.Order[k].ID()
 		}
-		// The failed task's view was never published to its slot, so nothing
-		// merges from it or prices through it again — recycle it now.
-		topology.PutTaskView(view)
 	} else {
 		sl.state = tsDone
 		w.done++
-		sl.view = view
 		for _, sk := range w.r.g.Succs(k) {
 			succ := &w.slots[sk]
 			succ.unmet--
@@ -683,6 +663,9 @@ func (r *run) computePeak() {
 	slices.SortFunc(events, func(a, b memEvent) int {
 		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.rank, b.rank), cmp.Compare(a.seq, b.seq))
 	})
+	if sc.live == nil {
+		sc.live, sc.cur = make(map[region.ID]liveRegion), make(map[string]int64)
+	}
 	live, cur, peak := sc.live, sc.cur, r.report.PeakDeviceBytes
 	clear(live)
 	clear(cur)

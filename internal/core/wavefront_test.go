@@ -431,11 +431,7 @@ func BenchmarkServeParallel(b *testing.B) {
 	}
 	for _, w := range counts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			rt, err := New(ExecConfig{Workers: w})
-			if err != nil {
-				b.Fatal(err)
-			}
-			s, err := NewServer(ServerConfig{Runtime: rt, EpochWorkers: 2, MaxBatch: 4, Block: true})
+			s, err := NewServer(ServerConfig{ExecConfig: ExecConfig{Workers: w}, EpochWorkers: 2, MaxBatch: 4, Block: true})
 			if err != nil {
 				b.Fatal(err)
 			}

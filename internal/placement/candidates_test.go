@@ -118,7 +118,8 @@ func TestCachedBestFitMatchesFresh(t *testing.T) {
 	}
 	epoch.AccessRoute(rt, 0, 64<<20, memsim.Write, memsim.Sequential)
 	check("epoch backlog", 0, epoch)
-	view := epoch.View()
+	view := topo.NewTaskView()
+	view.Reset(epoch)
 	view.AccessRoute(rt, 0, 256<<20, memsim.Write, memsim.Sequential)
 	check("view backlog", 10*time.Microsecond, view)
 

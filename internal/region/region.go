@@ -101,7 +101,6 @@ type Region struct {
 	// Fixed at Alloc.
 	m         *Manager
 	id        ID
-	name      string
 	class     props.RegionClass
 	req       props.Requirements
 	size      int64
@@ -449,7 +448,7 @@ func (m *Manager) Alloc(spec Spec) (*Handle, error) {
 	id := m.nextID
 	m.nextID++
 	r := &Region{
-		m: m, id: id, name: spec.Name, class: spec.Class, req: req,
+		m: m, id: id, class: spec.Class, req: req,
 		device: dev, offset: off, size: spec.Size, blockSize: block,
 		data:   m.backing.Get(spec.Size, true),
 		sealed: req.Confidential && caps.Remote,

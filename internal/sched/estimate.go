@@ -10,9 +10,9 @@ package sched
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
+	"repro/internal/allocator"
 	"repro/internal/dataflow"
 	"repro/internal/topology"
 )
@@ -36,14 +36,21 @@ type Estimate struct {
 // planScratch is what planning one job computes on the way to its plan and
 // does not keep: the mean execution times and upward ranks, HEFT's priority
 // order and its core clocks. Plans are made per submission, by whoever admits
-// it, so the buffers are recycled through planPool instead of allocated per
-// plan (topology's view pool is the pattern).
+// it, so the buffers are recycled through planFree instead of allocated per
+// plan.
 type planScratch struct {
 	dur  []time.Duration // meanExec, rank and cores, one block
 	prio []int32
 }
 
-var planPool = sync.Pool{New: func() any { return new(planScratch) }}
+// planFree holds the plan buffers for the next plans, made by epoch workers
+// and, under SLO admission, by submitters: as many at once as a server's
+// scratch list keeps jobs, and at most 1 MiB of them, so a job of some fifty
+// thousand tasks plans with buffers of its own and leaves them to the
+// collector.
+var planFree = allocator.NewFreeList(32, 1<<20, func(sc *planScratch) int64 {
+	return int64(cap(sc.dur))*8 + int64(cap(sc.prio))*4
+})
 
 // durations returns the scratch's duration block cut into three zeroed
 // tables: two by rank and one by core.
@@ -110,8 +117,8 @@ func EstimateJob(job *dataflow.Job, topo *topology.Topology, s Scheduler) (Estim
 		return Estimate{}, nil, err
 	}
 	cs := topo.ComputeSet()
-	sc := planPool.Get().(*planScratch)
-	defer planPool.Put(sc)
+	sc := planFree.Get()
+	defer planFree.Put(sc)
 	g, meanExec, rank, cores, err := upwardRanks(job, cs, sc)
 	if err != nil {
 		return Estimate{}, nil, err

@@ -156,8 +156,8 @@ func (HEFT) ScheduleLoaded(job *dataflow.Job, topo *topology.Topology, initial [
 		return nil, err
 	}
 	cs := topo.ComputeSet()
-	sc := planPool.Get().(*planScratch)
-	defer planPool.Put(sc)
+	sc := planFree.Get()
+	defer planFree.Put(sc)
 	g, _, rank, cores, err := upwardRanks(job, cs, sc)
 	if err != nil {
 		return nil, err

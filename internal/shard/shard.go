@@ -51,10 +51,10 @@ const (
 type Config struct {
 	// Shards is the number of server shards (default 2).
 	Shards int
-	// Server is the per-shard serving template. Runtime and
-	// ExecConfig.Topology must be nil: every shard is given its own private
-	// runtime (own topology instance, region manager, epoch pool) so
-	// shards never share device queues. Telemetry, if set, is shared by
+	// Server is the per-shard serving template. ExecConfig.Topology must be
+	// nil: every shard's server builds its own private runtime (own topology
+	// instance, region manager, epoch pool) so shards never share device
+	// queues. Telemetry, if set, is shared by
 	// all shards; nil builds one shared registry. Recovery, if set,
 	// enables cross-shard failover replay: the cluster replaces the
 	// policy's store with one shared checkpointer over a replicated
@@ -88,7 +88,6 @@ type Shard struct {
 	id   int
 	name string // fabric node name
 	srv  *core.Server
-	c    *Cluster
 	pool *cluster.RegionPool // remote-exporter for this shard's regions; nil without Migrate
 
 	mu        sync.Mutex
@@ -196,8 +195,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Migrate && cfg.Rebalance.EvictWatermark <= 0 {
 		cfg.Rebalance.EvictWatermark = 0.95
 	}
-	if cfg.Server.Runtime != nil || cfg.Server.Topology != nil {
-		return nil, errors.New("shard: Server.Runtime/Topology must be nil — every shard builds its own")
+	if cfg.Server.Topology != nil {
+		return nil, errors.New("shard: Server.Topology must be nil — every shard builds its own")
 	}
 	tel := cfg.Server.Telemetry
 	if tel == nil {
@@ -255,7 +254,7 @@ func (c *Cluster) buildShard(i int, name string) (*Shard, error) {
 	if err := c.fabric.AddNode(name, capacity); err != nil {
 		return nil, err
 	}
-	sh := &Shard{id: i, name: name, c: c}
+	sh := &Shard{id: i, name: name}
 	if err := c.leaseLedger(sh); err != nil {
 		return nil, err
 	}
@@ -265,14 +264,7 @@ func (c *Cluster) buildShard(i int, name string) (*Shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	ec := scfg.ExecConfig
-	ec.Topology = topo
-	ec.Telemetry = c.tel
-	rt, err := core.New(ec)
-	if err != nil {
-		return nil, err
-	}
-	scfg.Runtime = rt
+	scfg.Topology, scfg.Telemetry = topo, c.tel
 	if scfg.Recovery != nil {
 		rp := *scfg.Recovery
 		rp.Checkpointer = c.ck
@@ -291,7 +283,7 @@ func (c *Cluster) buildShard(i int, name string) (*Shard, error) {
 			&storeBackup{st: c.ckStore, ids: make(map[string]fault.ObjectID)},
 			c.tel,
 		)
-		rt.Regions().SetExporter(sh.pool)
+		sh.srv.Runtime().Regions().SetExporter(sh.pool)
 	}
 	sh.active = make(map[uint64]context.CancelFunc)
 	return sh, nil

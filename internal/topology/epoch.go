@@ -3,6 +3,7 @@ package topology
 import (
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/memsim"
 	"repro/internal/telemetry"
@@ -140,19 +141,6 @@ func (e *Epoch) AccessTime(computeID, memID string, now time.Duration, size int6
 	return e.AccessRoute(rt, now, size, kind, pat), nil
 }
 
-// View snapshots the epoch's current queue state into a TaskView. Wavefront
-// source tasks seed from this; everything downstream seeds from merged
-// predecessor views. The view comes from the pool that every run hands its
-// seed back to (PutTaskView), so a batch does not allocate one.
-func (e *Epoch) View() *TaskView {
-	v := viewPool.Get().(*TaskView)
-	v.topo = e.topo
-	e.mu.Lock()
-	v.busy = append(v.busy[:0], e.busy...)
-	e.mu.Unlock()
-	return v
-}
-
 // Absorb folds finished task views back into the epoch as an element-wise
 // max, under one lock acquisition: after a run completes, the epoch's drain
 // times reflect the deepest backlog any of the run's tasks produced, so later
@@ -190,8 +178,8 @@ type TaskView struct {
 	topo *Topology
 	busy []time.Duration // queue drain time per memory device, by Route.Idx
 	// The ledger lives in the view itself, in fixed arrays: it costs no
-	// allocation, GetTaskView has nothing to size, and what carries queue
-	// state over (GetTaskView, Merge, Epoch.View) cannot carry it along. A task
+	// allocation, Reset has nothing to size, and what carries queue state
+	// over (Reset, Merge) cannot carry it along. A task
 	// touches a device or two and the region layer defers to five counters;
 	// what does not fit is counted at once, as an epoch would.
 	touched  [4]deviceTally // accesses priced since the last Publish, nTouched in use
@@ -212,39 +200,6 @@ type owedAdd struct {
 	n  int64
 }
 
-// viewPool recycles TaskViews (and, most importantly, their queue state): a
-// wavefront allocates one view per task, and on short serving batches the
-// per-task churn was a measurable slice of the determinism tax. Views enter
-// the pool through PutTaskView once their run has absorbed them and released
-// every region that could price through them.
-var viewPool = sync.Pool{
-	New: func() any { return new(TaskView) },
-}
-
-// GetTaskView returns a pooled view initialized as a copy of src's queue
-// state (same topology) with an empty ledger — PutTaskView published it. The
-// caller owns the view until it hands it to PutTaskView.
-func GetTaskView(src *TaskView) *TaskView {
-	v := viewPool.Get().(*TaskView)
-	v.topo = src.topo
-	v.busy = append(v.busy[:0], src.busy...)
-	return v
-}
-
-// PutTaskView recycles a view, publishing first whatever its ledger still
-// holds. The caller must guarantee nothing can price an access through it
-// anymore — in the wavefront executor that holds after finalize: the run's
-// regions are released first, and every handle fails validation before its
-// clock view would be consulted. Nil is a no-op, so callers can put back
-// sparse view tables without filtering.
-func PutTaskView(v *TaskView) {
-	if v == nil {
-		return
-	}
-	v.Publish()
-	viewPool.Put(v)
-}
-
 // NewTaskView starts an empty view: every queue drained at t=0.
 func (t *Topology) NewTaskView() *TaskView {
 	return &TaskView{topo: t, busy: make([]time.Duration, len(t.mems))}
@@ -255,6 +210,27 @@ func (v *TaskView) Topology() *Topology { return v.topo }
 
 // BusyAt implements VClock.
 func (v *TaskView) BusyAt(idx int) time.Duration { return busyAt(v.busy, idx) }
+
+// Reset makes v a copy of from's queue state, in place: from is a TaskView,
+// or an Epoch read under its lock. The ledger starts empty — whatever it
+// still held is published first, so nothing is counted twice or lost — and
+// the queue state reuses v's own storage, so a view kept for reuse (a job's
+// scratch keeps one per task) allocates nothing to be seeded again.
+func (v *TaskView) Reset(from VClock) {
+	v.Publish()
+	if c, ok := from.(*TaskView); ok {
+		v.topo, v.busy = c.topo, append(v.busy[:0], c.busy...)
+		return
+	}
+	e := from.(*Epoch)
+	e.mu.Lock()
+	v.topo, v.busy = e.topo, append(v.busy[:0], e.busy...)
+	e.mu.Unlock()
+}
+
+// Footprint returns the bytes the view's queue state keeps allocated, for a
+// holder that recycles views under a byte bound.
+func (v *TaskView) Footprint() int { return cap(v.busy) * int(unsafe.Sizeof(time.Duration(0))) }
 
 // Merge folds another view in as an element-wise max. Seeding a task's view
 // is Merge over every predecessor's final view.
@@ -307,7 +283,7 @@ func (v *TaskView) Defer(c *telemetry.Counter, n int64) {
 // Publish adds everything the ledger holds to the shared counters — each
 // device's access counts, each deferred add — and empties it, so publishing
 // twice counts once. The wavefront calls it as a task retires, on whichever
-// path the task took there; PutTaskView calls it again as a backstop.
+// path the task took there; Reset calls it again as a backstop.
 func (v *TaskView) Publish() {
 	for i := range v.touched[:v.nTouched] {
 		v.touched[i].mem.AddTally(v.touched[i].Tally)

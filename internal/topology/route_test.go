@@ -123,8 +123,8 @@ func TestAddMemoryInvalidatesRoutesAndGrowsViews(t *testing.T) {
 	if _, ok := topo.Route("cpu", "late"); ok {
 		t.Fatal("late is not a memory device yet")
 	}
-	view, epoch := topo.NewTaskView(), topo.NewEpoch()
-	snap := epoch.View()
+	view, epoch, snap := topo.NewTaskView(), topo.NewEpoch(), new(TaskView)
+	snap.Reset(epoch)
 
 	d, err := memsim.NewDevice("late", memsim.DRAMSpec())
 	if err != nil {
@@ -167,11 +167,22 @@ func TestAddMemoryInvalidatesRoutesAndGrowsViews(t *testing.T) {
 	if busyUntil(epoch, "late") != busyUntil(view, "late") {
 		t.Error("Absorb must take the element-wise max")
 	}
-	pooled := GetTaskView(view)
-	if busyUntil(pooled, "dram") != time.Hour || busyUntil(pooled, "late") != busyUntil(view, "late") {
-		t.Error("GetTaskView must copy the source's queue state")
+	// A reused view takes the source's queue state whole: what it held before
+	// — here a backlog on late that short does not have — is gone.
+	reused := topo.NewTaskView()
+	reused.AccessRoute(rt, 0, 1<<20, memsim.Write, memsim.Sequential)
+	reused.Reset(view)
+	if busyUntil(reused, "dram") != time.Hour || busyUntil(reused, "late") != busyUntil(view, "late") {
+		t.Error("Reset must copy the source's queue state")
 	}
-	PutTaskView(pooled)
+	reused.Reset(&TaskView{topo: topo, busy: []time.Duration{time.Minute}})
+	if busyUntil(reused, "dram") != time.Minute || busyUntil(reused, "late") != 0 {
+		t.Error("Reset must drop the queue state the view held before")
+	}
+	reused.Reset(epoch)
+	if busyUntil(reused, "late") != busyUntil(epoch, "late") {
+		t.Error("Reset must copy an epoch's queue state")
+	}
 }
 
 // busyUntil reads a clock's queue drain time for a memory device by ID; an
@@ -215,8 +226,9 @@ func TestViewsAgreeWithEpoch(t *testing.T) {
 // TestViewLedger: a view counts what is priced through it and what is
 // deferred to it, shows none of it until it is published, and publishes each
 // count once — to a counter even a sum of zero, which is what lists it. A
-// merge and a pooled copy take the queue state and leave the ledger.
-// What does not fit the view's fixed storage is counted at once instead.
+// merge and a reset copy take the queue state and leave the ledger; a reset
+// view publishes what its own ledger still held. What does not fit the view's
+// fixed storage is counted at once instead.
 func TestViewLedger(t *testing.T) {
 	topo := testbed(t)
 	reg := telemetry.NewRegistry()
@@ -233,13 +245,14 @@ func TestViewLedger(t *testing.T) {
 	if s := dram.Stats(); s.Reads+s.Writes != 0 || len(reg.Counters()) != 0 {
 		t.Fatalf("counts visible before the view was published: %+v %v", s, reg.Counters())
 	}
-	merged, pooled := topo.NewTaskView(), GetTaskView(view)
+	merged, copied := topo.NewTaskView(), new(TaskView)
 	merged.Merge(view)
-	if busyUntil(merged, dram.ID) != busyUntil(view, dram.ID) || busyUntil(pooled, dram.ID) != busyUntil(view, dram.ID) {
+	copied.Reset(view)
+	if busyUntil(merged, dram.ID) != busyUntil(view, dram.ID) || busyUntil(copied, dram.ID) != busyUntil(view, dram.ID) {
 		t.Error("copies must carry the queue state")
 	}
 	merged.Publish()
-	PutTaskView(pooled)
+	copied.Reset(merged)
 	if s := dram.Stats(); s.Reads+s.Writes != 0 {
 		t.Fatalf("a copy of the view published the view's ledger: %+v", s)
 	}
@@ -275,6 +288,11 @@ func TestViewLedger(t *testing.T) {
 			t.Errorf("counter %d = %d, want 3", i, got)
 		}
 	}
+	view.Defer(counters[0], 1)
+	view.Reset(topo.NewEpoch())
+	if got := reg.Counter(telemetry.LayerRuntime, "c0"); got != 4 {
+		t.Errorf("counter 0 = %d after a Reset, want 4: the ledger it held is published", got)
+	}
 	reached := 0
 	for _, m := range mems {
 		if _, ok := topo.Route("node0/cpu0", m.ID); !ok {
@@ -302,7 +320,7 @@ func b2u(b bool) uint64 {
 // is resolved.
 func TestAccessPathAllocatesNothing(t *testing.T) {
 	topo := testbed(t)
-	view := topo.NewTaskView()
+	view, reused, epoch := topo.NewTaskView(), topo.NewTaskView(), topo.NewEpoch()
 	rt, ok := topo.Route("node0/cpu0", "node0/dram0")
 	if !ok {
 		t.Fatal("cpu0→dram0 must resolve")
@@ -316,11 +334,11 @@ func TestAccessPathAllocatesNothing(t *testing.T) {
 		"Topology.EffectiveCaps": func() {
 			_, _ = topo.EffectiveCaps("node0/cpu0", "node0/dram0")
 		},
-		"GetTaskView+Merge": func() {
-			v := GetTaskView(view)
-			v.Merge(view)
-			PutTaskView(v)
+		"TaskView.Reset+Merge": func() {
+			reused.Reset(view)
+			reused.Merge(view)
 		},
+		"TaskView.Reset from an Epoch": func() { reused.Reset(epoch) },
 	} {
 		fn()
 		if got := testing.AllocsPerRun(100, fn); got != 0 {
