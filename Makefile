@@ -117,7 +117,8 @@ doccheck:
 # linked just before math/rand (memsim through sched) moves it. Builds
 # ./benchmark to a temporary path as benchmark/run.sh does, prints the address,
 # and fails unless it is 32 mod 64. Not part of all: alignment is not a
-# correctness property, but a benchmarked commit should pass it.
+# correctness property, but a benchmarked commit should pass it, so CI runs it
+# as a step of its own.
 linkcheck:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/benchmark" ./benchmark; \

@@ -80,15 +80,17 @@
 // A [FaultInjector] deterministically kills chosen task executions so
 // recovery is reproducible. Task outputs are checkpointed through a
 // [Checkpointer] into a fault-tolerant far-memory [FaultStore]
-// ([NewReplicatedStore], or the erasure-coded store in internal/fault).
-// A [RecoveryPolicy] turns that on: passed to Runtime.Run it makes one run
+// ([NewReplicatedStore], or the erasure-coded store in internal/fault);
+// RecoveryPolicy.Checkpointer says which, and nil means a default
+// replicated store. A [RecoveryPolicy] turns that on: passed to Runtime.Run
+// it makes one run
 // fault-tolerant, set as ServerConfig.Recovery it does the same for every
 // served job — one mechanism, so the same job and fault report the same
 // bytes whichever door the job came through. A failed job is retried in
-// place, on its own virtual clock, completing checkpointed tasks from
-// their snapshots instead of re-executing them; [Report] says how many
-// attempts it took, what each waited, and how many tasks were skipped and
-// replayed.
+// place, on the core clocks its failed attempt left, completing
+// checkpointed tasks from their snapshots instead of re-executing them;
+// [Report] says how many attempts it took and how many tasks were skipped
+// and replayed.
 //
 // RecoveryPolicy.PartialReplay is the lazy variant: a snapshot's payload
 // is fetched from the store only when a re-executed task actually reads

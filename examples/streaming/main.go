@@ -127,7 +127,7 @@ func main() {
 	}
 	srv, err := repro.NewServer(repro.ServerConfig{
 		EpochWorkers: 4, Block: true,
-		Recovery: &repro.RecoveryPolicy{Store: ckStore, MaxAttempts: 3, PartialReplay: true},
+		Recovery: &repro.RecoveryPolicy{Checkpointer: repro.NewCheckpointer(ckStore), MaxAttempts: 3, PartialReplay: true},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -122,7 +122,7 @@ func ExampleRuntime_Run() {
 		panic(err)
 	}
 
-	rep, err := rt.Run(exampleJob("etl"), repro.RecoveryPolicy{Store: store, PartialReplay: true})
+	rep, err := rt.Run(exampleJob("etl"), repro.RecoveryPolicy{Checkpointer: repro.NewCheckpointer(store), PartialReplay: true})
 	if err != nil {
 		panic(err)
 	}

@@ -103,7 +103,7 @@ type (
 	Ticket = core.Ticket
 	// SubmitOptions is the unified per-submission surface accepted by
 	// Submit, SubmitAsync, and SubmitStream (at most one per call):
-	// admission inputs, tiering, resume, pre-admission, shard labeling.
+	// admission inputs, resume, pre-admission, shard labeling.
 	SubmitOptions = core.SubmitOptions
 	// Submitter is the submission side of a serving stack; a Server is one
 	// and a Cluster is one, so a driver written against it serves both.
@@ -113,8 +113,9 @@ type (
 	// AutoScalePolicy grows/shrinks the live worker pool against observed
 	// queue-wait p99 (ServerConfig.AutoScale).
 	AutoScalePolicy = core.AutoScalePolicy
-	// RecoveryPolicy makes execution fault-tolerant: checkpointed task
-	// outputs, bounded retries, virtual-time backoff. Pass one to Runtime.Run
+	// RecoveryPolicy makes execution fault-tolerant: task outputs
+	// checkpointed where its Checkpointer says, bounded retries that start on
+	// the core clocks the failed attempt left. Pass one to Runtime.Run
 	// for a single job, or set ServerConfig.Recovery for every served job —
 	// the same job and fault report the same either way. Set PartialReplay to
 	// restore checkpoint payloads lazily on retries; recovered reports stay
@@ -187,7 +188,7 @@ var (
 // template and executed on the serving pool.
 type (
 	// StreamSpec declares a streaming dataflow: source, window size, the
-	// per-window task graph, key partitioning, and the in-flight bound.
+	// per-window task graph, and the in-flight bound.
 	StreamSpec = stream.Spec
 	// StreamEvent is one element of a stream: a partition key plus payload.
 	StreamEvent = stream.Event
@@ -226,10 +227,10 @@ type (
 	// remote pools, recalled on access, bytes moved each way, fabric verb
 	// time priced into maintenance sweeps, and regions currently remote.
 	MigrationStats = cluster.RegionPoolStats
-	// RebalancePolicy tunes the maintenance sweep: promotion/demotion
-	// watermarks across the local tier hierarchy, plus the eviction
-	// watermark past which cold regions spill to remote shards' pools
-	// (ClusterConfig.Rebalance; zero value = local-only sweeps).
+	// RebalancePolicy tunes the maintenance sweep: the eviction watermark
+	// past which cold regions spill to remote shards' pools
+	// (ClusterConfig.Rebalance; zero value = local-only sweeps). Promotion
+	// and demotion across the local tier hierarchy run at fixed thresholds.
 	RebalancePolicy = region.RebalancePolicy
 )
 

@@ -281,28 +281,21 @@ func defaultFaultStore() (fault.Store, error) {
 
 // RecoveryPolicy makes execution fault-tolerant: Runtime.Run takes one
 // for a single job, ServerConfig.Recovery one for every admitted job. Task
-// outputs are checkpointed into the policy's store, and a failed job is
-// retried in place — checkpointed tasks restored instead of re-executed, on
-// the job's own virtual clock — up to MaxAttempts.
+// outputs are checkpointed, and a failed job is retried in place —
+// checkpointed tasks restored instead of re-executed, on the core clocks the
+// failed attempt left — up to MaxAttempts.
 type RecoveryPolicy struct {
-	// Store is the fault-tolerant far-memory store holding checkpoints,
-	// shared by all workers — the operator's redundancy choice
-	// (fault.NewReplicatedStore, fault.NewErasureStore). Nil builds a
-	// default 2-way replicated store over a private 3-node fabric.
-	Store fault.Store
-	// Checkpointer, when set, is used directly instead of wrapping Store —
-	// the way a sharded deployment shares one snapshot namespace across
-	// every shard's server, so a job resubmitted on a survivor
-	// (SubmitOptions.ResumeID) can restore what a dead shard checkpointed.
+	// Checkpointer says where snapshots go: NewCheckpointer over the
+	// operator's fault-tolerant store (fault.NewReplicatedStore,
+	// fault.NewErasureStore), shared by all workers. Sharing one across
+	// servers is how a sharded deployment lets a job resubmitted on a
+	// survivor (SubmitOptions.ResumeID) restore what a dead shard
+	// checkpointed. Nil builds a default 2-way replicated store over a
+	// private 3-node fabric.
 	Checkpointer *Checkpointer
 	// MaxAttempts caps total runs per submission, first included
 	// (default 3).
 	MaxAttempts int
-	// Backoff is the base per-retry delay in virtual time. Retries back off
-	// exponentially: the wait before attempt n+1 is Backoff·2^(n-1), capped
-	// at 8×Backoff. Batch mates are unaffected; the waits a submission
-	// accumulated are reported in Report.AttemptWaits.
-	Backoff time.Duration
 	// PartialReplay restores lazily: on a retry, completed tasks are still
 	// completed from their replay records without re-execution, but a task's
 	// output is fetched from the store only when a re-executed successor
@@ -318,7 +311,6 @@ type RecoveryPolicy struct {
 type recoveryState struct {
 	ck          *Checkpointer
 	maxAttempts int
-	backoff     time.Duration
 	partial     bool
 }
 
@@ -329,19 +321,13 @@ func resolveRecovery(pol *RecoveryPolicy) (*recoveryState, error) {
 	}
 	ck := pol.Checkpointer
 	if ck == nil {
-		store := pol.Store
-		if store == nil {
-			var err error
-			if store, err = defaultFaultStore(); err != nil {
-				return nil, err
-			}
+		store, err := defaultFaultStore()
+		if err != nil {
+			return nil, err
 		}
 		ck = NewCheckpointer(store)
 	}
-	rec := &recoveryState{
-		ck: ck, maxAttempts: pol.MaxAttempts,
-		backoff: pol.Backoff, partial: pol.PartialReplay,
-	}
+	rec := &recoveryState{ck: ck, maxAttempts: pol.MaxAttempts, partial: pol.PartialReplay}
 	if rec.maxAttempts <= 0 {
 		rec.maxAttempts = 3
 	}

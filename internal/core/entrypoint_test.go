@@ -16,7 +16,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
@@ -226,15 +225,14 @@ var entryPoints = []struct {
 
 // entryView is what must not depend on the entry point.
 type entryView struct {
-	Report       string
-	Attempts     int
-	AttemptWaits []time.Duration
-	Skipped      int
-	Replayed     int
+	Report   string
+	Attempts int
+	Skipped  int
+	Replayed int
 }
 
 func viewOf(r *core.Report) entryView {
-	return entryView{r.String(), r.Attempts, r.AttemptWaits, r.SkippedTasks, r.ReplayedTasks}
+	return entryView{r.String(), r.Attempts, r.SkippedTasks, r.ReplayedTasks}
 }
 
 func TestEntryPointsAgree(t *testing.T) {
@@ -242,17 +240,15 @@ func TestEntryPointsAgree(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			cases := []entryCase{{shape: shape, workers: workers}} // fault-free, no policy: plain Run(job)
 			for _, partial := range []bool{false, true} {
-				for _, backoff := range []time.Duration{0, 10 * time.Microsecond} {
-					pol := &core.RecoveryPolicy{PartialReplay: partial, Backoff: backoff}
-					cases = append(cases,
-						entryCase{shape: shape, workers: workers, pol: pol, kill: true},
-						entryCase{shape: shape, workers: workers, pol: pol})
-				}
+				pol := &core.RecoveryPolicy{PartialReplay: partial}
+				cases = append(cases,
+					entryCase{shape: shape, workers: workers, pol: pol, kill: true},
+					entryCase{shape: shape, workers: workers, pol: pol})
 			}
 			for _, c := range cases {
 				name := fmt.Sprintf("%s/workers=%d/plain", shape, workers)
 				if c.pol != nil {
-					name = fmt.Sprintf("%s/workers=%d/partial=%v/backoff=%v/kill=%v", shape, workers, c.pol.PartialReplay, c.pol.Backoff, c.kill)
+					name = fmt.Sprintf("%s/workers=%d/partial=%v/kill=%v", shape, workers, c.pol.PartialReplay, c.kill)
 				}
 				t.Run(name, func(t *testing.T) { checkEntryCase(t, c) })
 			}
@@ -274,15 +270,12 @@ func checkEntryCase(t *testing.T, c entryCase) {
 	}
 	tasks := strings.Count(want.Report, " on ")
 	if !c.kill {
-		if want.Attempts != 1 || want.AttemptWaits != nil || want.Skipped != 0 || want.Replayed != 0 {
+		if want.Attempts != 1 || want.Skipped != 0 || want.Replayed != 0 {
 			t.Errorf("fault-free run shows recovery: %+v", want)
 		}
 		return
 	}
 	if want.Attempts != 2 || want.Skipped == 0 || want.Skipped+want.Replayed != tasks {
 		t.Errorf("recovery accounting: %d attempts, %d skipped + %d replayed of %d tasks", want.Attempts, want.Skipped, want.Replayed, tasks)
-	}
-	if len(want.AttemptWaits) != 1 || want.AttemptWaits[0] != c.pol.Backoff {
-		t.Errorf("AttemptWaits = %v, want [%v]", want.AttemptWaits, c.pol.Backoff)
 	}
 }

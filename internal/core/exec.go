@@ -8,7 +8,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/telemetry"
 	"repro/internal/topology"
@@ -28,9 +27,8 @@ type member struct {
 	// attempt. Ignored without recovery.
 	resume string
 
-	w       *wavefront      // the current attempt's dispatcher; nil once the member settled
-	attempt int             // 1-based
-	waits   []time.Duration // virtual backoff waited before each retry
+	w       *wavefront // the current attempt's dispatcher; nil once the member settled
+	attempt int        // 1-based
 }
 
 // outcome is what drive hands back for one member, as that member settles.
@@ -58,10 +56,10 @@ type outcome struct {
 // under the member's snapshot namespace, and a failed attempt is followed —
 // up to rec.maxAttempts, while the submitter has not given up — by a fresh
 // run of the same plan (run.retry) that restores what was checkpointed and
-// starts no earlier than the backoff allows. The retry joins the live pool as
-// a new member — the drained attempt left it when it drained — overlapping the
-// rest of the batch. Snapshots are forgotten when the member settles, unless
-// it was canceled out of a namespace its submitter owns.
+// continues on the core clocks its failed attempt left. The retry joins the
+// live pool as a new member — the drained attempt left it when it drained —
+// overlapping the rest of the batch. Snapshots are forgotten when the member
+// settles, unless it was canceled out of a namespace its submitter owns.
 func (rt *Runtime) drive(epoch *topology.Epoch, rec *recoveryState, members []member, settle func(i int, o outcome)) {
 	p := newWavePool(rt.workers)
 	// begin builds the dispatcher of m's current run; a plan the run cannot
@@ -150,7 +148,7 @@ func (rt *Runtime) drive(epoch *topology.Epoch, rec *recoveryState, members []me
 			case err == nil:
 				rec.forget(m.r.ck)
 				rep := m.r.report
-				rep.Attempts, rep.AttemptWaits = m.attempt, m.waits
+				rep.Attempts = m.attempt
 				if m.attempt > 1 || rep.SkippedTasks > 0 {
 					rep.ReplayedTasks = len(rep.Tasks) - rep.SkippedTasks
 				}
@@ -163,9 +161,7 @@ func (rt *Runtime) drive(epoch *topology.Epoch, rec *recoveryState, members []me
 				done(i, m, outcome{err: err, canceled: true})
 			case rec != nil && m.attempt < rec.maxAttempts && !gaveUp:
 				rt.tel.Add(telemetry.LayerFault, "job_retries", 1)
-				wait := backoffWait(rec, m.attempt)
-				m.r = m.r.retry(wait)
-				m.waits = append(m.waits, wait)
+				m.r = m.r.retry()
 				m.attempt++
 				if failed, err = begin(m); err != nil {
 					fail(i, m, failed, err)
@@ -194,17 +190,4 @@ func (rt *Runtime) driveOne(epoch *topology.Epoch, rec *recoveryState, r *run) (
 	var out outcome
 	rt.drive(epoch, rec, []member{{r: r}}, func(_ int, o outcome) { out = o })
 	return out.rep, out.err
-}
-
-// backoffDoublings bounds the exponential growth of retry waits: a wait
-// stops doubling at 8×Backoff.
-const backoffDoublings = 3
-
-// backoffWait is the virtual-time delay inserted before the retry that
-// follows a failed attempt (1-based): backoff·2^(attempt-1), capped.
-func backoffWait(rec *recoveryState, attempt int) time.Duration {
-	if rec.backoff <= 0 {
-		return 0
-	}
-	return rec.backoff << min(attempt-1, backoffDoublings)
 }

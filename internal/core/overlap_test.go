@@ -238,7 +238,7 @@ func TestServeOverlapRecoveryIsolation(t *testing.T) {
 	}
 	serve := func(inj *fault.Injector) ([]*Report, []error, *Server) {
 		s := newRecoveryServer(t, inj,
-			RecoveryPolicy{MaxAttempts: 2, Backoff: time.Millisecond},
+			RecoveryPolicy{MaxAttempts: 2},
 			ServerConfig{EpochWorkers: 1, MaxBatch: 8, QueueDepth: 16, Block: true})
 		tks := submitOneBatch(t, s, batch())
 		reps := make([]*Report, len(tks))

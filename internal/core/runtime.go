@@ -155,10 +155,6 @@ type Report struct {
 	// Attempts is the number of runs the job needed to complete (1 = no
 	// retry; only a RecoveryPolicy makes it more).
 	Attempts int
-	// AttemptWaits records the virtual backoff each retry waited before
-	// starting: AttemptWaits[i] is the delay applied ahead of attempt i+2.
-	// Empty when the job completed on its first attempt.
-	AttemptWaits []time.Duration
 	// BatchSize and BatchIndex identify the serving batch this job executed
 	// in: how many jobs its epoch packed and this job's position in
 	// admission order. Both zero outside the serving path (Runtime.Run,
@@ -284,10 +280,6 @@ type jobState struct {
 // its own — each table one block sized by the job.
 type run struct {
 	jobState
-	// base is the earliest virtual time any task of this run may start —
-	// recovery retries use it to model per-attempt backoff on the epoch
-	// clock without perturbing batch mates.
-	base time.Duration
 	// pool and w are the pool this run executes in and its dispatcher there,
 	// from attach to detach; w is nil before and after. Guarded by pool.mu,
 	// they are how a task's fence finds the dispatcher — or finds the run over.
@@ -348,8 +340,8 @@ func (r *run) coresOf(k int) []time.Duration {
 // At most one RecoveryPolicy may be passed; with one the run is
 // fault-tolerant, exactly as a job served by a Server built with that policy
 // is: outputs are checkpointed, a failed attempt is retried with completed
-// tasks restored, and Report.Attempts, AttemptWaits, SkippedTasks and
-// ReplayedTasks say what it took.
+// tasks restored, and Report.Attempts, SkippedTasks and ReplayedTasks say
+// what it took.
 //
 // Run is a batch of one through the engine's drive loop (exec.go), in a fresh
 // virtual-time epoch: device service queues start drained and never touch the
@@ -416,13 +408,13 @@ func (r *run) attempt() *run {
 	return r
 }
 
-// retry builds the run of the job's next attempt, which starts no earlier
-// than wait after r did: over the same job state — plan, owner names, snapshot
-// namespace and scratch, so it continues on r's core clocks as finalize
-// rewound them, a retry being later on the job's own clock and not on a new
-// one — with contexts and reports of its own. r has been finalized.
-func (r *run) retry(wait time.Duration) *run {
-	return (&run{jobState: r.jobState, base: r.base + wait}).attempt()
+// retry builds the run of the job's next attempt over the same job state —
+// plan, owner names, snapshot namespace and scratch, so it continues on r's
+// core clocks as finalize rewound them, a retry being later on the job's own
+// clock and not on a new one — with contexts and reports of its own. r has
+// been finalized.
+func (r *run) retry() *run {
+	return (&run{jobState: r.jobState}).attempt()
 }
 
 // execTaskAt runs the task of rank k at its scheduled placement, starting at

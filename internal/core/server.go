@@ -340,11 +340,11 @@ func ResolveOptions(opts []SubmitOptions) (SubmitOptions, error) {
 //
 // At most one SubmitOptions may be passed — the whole per-submission
 // surface in one place: virtual arrival and deadline for the SLO admission
-// model, forced best-effort tiering, the shard label, an external
-// checkpoint namespace to resume from, and pre-admission. Traffic
-// harnesses submit through the options so replayed arrival sequences make
-// identical admission decisions run-to-run. Submit and SubmitStream accept
-// the same options; omitted options mean a plain submission.
+// model, the shard label, an external checkpoint namespace to resume from,
+// and pre-admission. Traffic harnesses submit through the options so
+// replayed arrival sequences make identical admission decisions run-to-run.
+// Submit and SubmitStream accept the same options; omitted options mean a
+// plain submission.
 func (s *Server) SubmitAsync(ctx context.Context, job *dataflow.Job, opts ...SubmitOptions) (*Ticket, error) {
 	opt, err := ResolveOptions(opts)
 	if err != nil {
@@ -394,11 +394,6 @@ func (s *Server) submitAsync(ctx context.Context, job *dataflow.Job, opt SubmitO
 			t.bestEffort = true
 			s.rt.tel.Add(telemetry.LayerRuntime, "server_downtiered", 1)
 		}
-	}
-	if opt.BestEffort {
-		// Forced tiering outside the SLO path (no policy, or pre-admitted):
-		// the submission still runs and is marked best-effort.
-		t.bestEffort = true
 	}
 
 	s.gate.RLock()
@@ -456,12 +451,10 @@ func (s *Server) Close(ctx context.Context) error {
 	s.closed = true
 	s.gate.Unlock()
 	if !already {
-		// The scale controller must be fully stopped before the drain: a
-		// late scale-up would Add on a WaitGroup already being waited on.
 		if s.scaler != nil {
 			s.scaler.stopWait()
 		}
-		close(s.queue) // no Submit can be mid-send once the gate flipped
+		close(s.queue) // no Submit or scale-up can be mid-flight once the gate flipped
 	}
 	done := make(chan struct{})
 	go func() {

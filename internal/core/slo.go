@@ -53,10 +53,9 @@ type SLOPolicy struct {
 
 // SubmitOptions is the unified per-submission surface shared by Submit,
 // SubmitAsync, and SubmitStream (each accepts at most one): admission
-// inputs for the SLO model (Arrival, Deadline), tiering (BestEffort),
-// resume (ResumeID), pre-admission (Preadmitted), and the shard label
-// sharded routers stamp on reports (Shard). The zero value is a plain
-// submission.
+// inputs for the SLO model (Arrival, Deadline), resume (ResumeID),
+// pre-admission (Preadmitted), and the shard label sharded routers stamp on
+// reports (Shard). The zero value is a plain submission.
 type SubmitOptions struct {
 	// Arrival is the submission's virtual arrival time on the server's
 	// admission clock. Zero (or any value behind the clock) means "now":
@@ -68,13 +67,6 @@ type SubmitOptions struct {
 	// model (SLOPolicy), in virtual time from its arrival. Zero admits it
 	// ungated.
 	Deadline time.Duration
-	// BestEffort forces the submission down to the best-effort tier: under
-	// an SLO policy it is admitted (and occupies model capacity) even when
-	// the predicted sojourn misses its deadline, exactly as a DownTier
-	// policy would admit it; without a policy it merely marks the ticket
-	// and report. Best-effort submissions are excluded from the
-	// SLO-attainment population either way.
-	BestEffort bool
 	// Shard labels the serving shard handling this submission. Purely
 	// informational: it is copied to Report.Shard (which String() omits, so
 	// sharded reports stay byte-identical to solo runs).
@@ -149,12 +141,6 @@ func (m *sloState) admit(opt SubmitOptions, estimate time.Duration) (wait, predi
 	}
 	wait = start - arrival
 	predicted = wait + estimate
-	if opt.BestEffort {
-		// Forced down-tier: never rejected, but it runs, so it occupies
-		// model capacity like any admitted submission.
-		m.freeAt[best] = start + estimate
-		return wait, predicted, tierBestEffort
-	}
 	if deadline > 0 && predicted > deadline && !m.pol.DownTier {
 		return wait, predicted, tierRejected
 	}
@@ -175,12 +161,14 @@ type AutoScalePolicy struct {
 	// it the pool grows, comfortably below it (half the target, for
 	// hysteresis) the pool shrinks. Default 10ms.
 	TargetP99 time.Duration
-	// Interval between control decisions (default 25ms).
-	Interval time.Duration
-	// Window is the sliding queue-wait sample window the p99 is computed
-	// over (default 256).
-	Window int
 }
+
+// The controller decides every scaleInterval, over the queue waits of the
+// last scaleWindow dequeued jobs.
+const (
+	scaleInterval = 25 * time.Millisecond
+	scaleWindow   = 256
+)
 
 // scaler is the running controller.
 type scaler struct {
@@ -207,17 +195,11 @@ func newScaler(s *Server, pol AutoScalePolicy, epochWorkers int) *scaler {
 	if pol.TargetP99 <= 0 {
 		pol.TargetP99 = 10 * time.Millisecond
 	}
-	if pol.Interval <= 0 {
-		pol.Interval = 25 * time.Millisecond
-	}
-	if pol.Window <= 0 {
-		pol.Window = 256
-	}
 	return &scaler{
 		s: s, pol: pol,
 		stop: make(chan struct{}), done: make(chan struct{}),
 		cur:  epochWorkers,
-		ring: make([]time.Duration, pol.Window),
+		ring: make([]time.Duration, scaleWindow),
 	}
 }
 
@@ -256,7 +238,7 @@ func (sc *scaler) windowP99() time.Duration {
 // loop runs control decisions until stopped (Server.Close).
 func (sc *scaler) loop() {
 	defer close(sc.done)
-	t := time.NewTicker(sc.pol.Interval)
+	t := time.NewTicker(scaleInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -271,7 +253,9 @@ func (sc *scaler) loop() {
 // step makes one scaling decision. Growing spawns a worker on the shared
 // queue; shrinking parks a token on the shrink channel, which the next
 // worker to observe it consumes by exiting. Both directions move one worker
-// per interval — deliberate damping against a noisy p99.
+// per interval — deliberate damping against a noisy p99. A scale-up holds
+// the admission gate's read side, so once Close has flipped the server closed
+// no step adds a worker to the group Close waits on.
 func (sc *scaler) step() {
 	p99 := sc.windowP99()
 	sc.mu.Lock()
@@ -279,6 +263,11 @@ func (sc *scaler) step() {
 	sc.mu.Unlock()
 	switch {
 	case p99 > sc.pol.TargetP99 && cur < sc.pol.Max:
+		sc.s.gate.RLock()
+		defer sc.s.gate.RUnlock()
+		if sc.s.closed {
+			return
+		}
 		sc.mu.Lock()
 		sc.cur++
 		sc.mu.Unlock()
@@ -297,8 +286,7 @@ func (sc *scaler) step() {
 	}
 }
 
-// stopWait halts the controller and blocks until its goroutine exited, so
-// no scale-up can race Server.Close's queue close and drain.
+// stopWait halts the controller and blocks until its goroutine exited.
 func (sc *scaler) stopWait() {
 	close(sc.stop)
 	<-sc.done

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -188,88 +189,86 @@ func TestLiveWorkersWithoutScaler(t *testing.T) {
 	}
 }
 
-// TestAutoScaleGrowsUnderPressure holds the single worker hostage while
-// jobs pile up, then releases it: the observed queue waits blow past the
-// target and the controller must grow the pool. Afterwards a stream of
-// quick jobs with negligible waits must shrink it back to EpochWorkers.
+// TestAutoScaleGrowsUnderPressure drives the controller one decision at a
+// time. A window of queue waits ten times the target grows the pool to Max
+// and no further; a window of negligible waits shrinks it back to
+// EpochWorkers and no further. Between decisions the pool never leaves those
+// bounds. (The controller's own ticker may add a decision of its own; the
+// bounds and the counts below hold either way.)
 func TestAutoScaleGrowsUnderPressure(t *testing.T) {
+	const workers, max = 1, 3
 	s := newTestServer(t, ServerConfig{
-		EpochWorkers: 1, QueueDepth: 64, MaxBatch: 1, Block: true,
-		AutoScale: &AutoScalePolicy{Max: 3, TargetP99: 2 * time.Millisecond,
-			Interval: 2 * time.Millisecond, Window: 4},
+		EpochWorkers: workers, QueueDepth: 8,
+		AutoScale: &AutoScalePolicy{Max: max, TargetP99: 2 * time.Millisecond},
 	})
-	started := make(chan struct{})
-	release := make(chan struct{})
-	go s.Submit(context.Background(), blockingJob("holder", started, release)) //nolint:errcheck
-	<-started
-
-	// Pile up jobs; they will dequeue with waits far above target.
-	var tks []*Ticket
-	for i := 0; i < 8; i++ {
-		tk, err := s.SubmitAsync(context.Background(), pipelineJob("queued"))
-		if err != nil {
-			t.Fatal(err)
+	tel := s.Runtime().Telemetry()
+	settle := func(wait time.Duration, want int) {
+		t.Helper()
+		for i := 0; i < scaleWindow; i++ {
+			s.scaler.note(wait)
 		}
-		tks = append(tks, tk)
-	}
-	time.Sleep(20 * time.Millisecond) // let the queued jobs accumulate wait
-	close(release)
-	for _, tk := range tks {
-		if _, err := tk.Wait(context.Background()); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 2*max; i++ {
+			s.scaler.step()
+			if got := s.LiveWorkers(); got < workers || got > max {
+				t.Fatalf("LiveWorkers = %d, outside the policy's bounds [%d, %d]", got, workers, max)
+			}
+		}
+		if got := s.LiveWorkers(); got != want {
+			t.Fatalf("LiveWorkers = %d after a window of %v waits, want %d", got, wait, want)
 		}
 	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Runtime().Telemetry().Counter(telemetry.LayerRuntime, "server_scale_up") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("auto-scaler never scaled up despite queue waits 10x the target")
-		}
-		time.Sleep(time.Millisecond)
+	settle(20*time.Millisecond, max)
+	if got := tel.Counter(telemetry.LayerRuntime, "server_scale_up"); got != max-workers {
+		t.Errorf("server_scale_up = %d, want %d", got, max-workers)
 	}
-	if got := s.LiveWorkers(); got < 1 || got > 3 {
-		t.Errorf("LiveWorkers = %d, outside policy bounds [1,3]", got)
+	settle(0, workers)
+	if got := tel.Counter(telemetry.LayerRuntime, "server_scale_down"); got != max-workers {
+		t.Errorf("server_scale_down = %d, want %d", got, max-workers)
 	}
-
-	// Feed quick jobs so the window refills with negligible waits; the
-	// controller must come back down to Min (one step per interval).
-	for time.Now().Before(deadline) {
-		if _, err := s.Submit(context.Background(), pipelineJob("quick")); err != nil {
-			t.Fatal(err)
-		}
-		if s.LiveWorkers() == 1 {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if got := s.LiveWorkers(); got != 1 {
-		t.Errorf("LiveWorkers = %d after sustained low load, want 1", got)
-	}
-	if got := s.Runtime().Telemetry().Counter(telemetry.LayerRuntime, "server_scale_down"); got == 0 {
-		t.Error("server_scale_down = 0, want > 0")
+	if _, err := s.Submit(context.Background(), pipelineJob("after")); err != nil {
+		t.Fatalf("the shrunk pool does not serve: %v", err)
 	}
 }
 
-// TestAutoScaleCloseRace: Close with an active scaler must not race the
-// worker drain (the scaler is stopped before the queue closes). Run with
-// -race to make this meaningful.
+// TestAutoScaleCloseRace: a scale-up racing Close either lands before the
+// drain, and its worker drains with the rest, or finds the server closed and
+// adds nobody. Run with -race: a worker added to the group Close is already
+// waiting on is a race.
 func TestAutoScaleCloseRace(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s, err := NewServer(ServerConfig{
 			EpochWorkers: 1, QueueDepth: 8, MaxBatch: 2,
-			AutoScale: &AutoScalePolicy{Max: 4, TargetP99: time.Microsecond,
-				Interval: time.Millisecond, Window: 2},
+			AutoScale: &AutoScalePolicy{Max: 16, TargetP99: time.Microsecond},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.scaler.note(time.Millisecond) // every decision wants to grow
 		for j := 0; j < 4; j++ {
 			if _, err := s.SubmitAsync(context.Background(), pipelineJob("j")); err != nil {
 				t.Fatal(err)
 			}
 		}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 8; k++ {
+				s.scaler.step()
+			}
+		}()
 		if err := s.Close(context.Background()); err != nil {
 			t.Fatal(err)
+		}
+		wg.Wait()
+		live, ups := s.LiveWorkers(), s.Runtime().Telemetry().Counter(telemetry.LayerRuntime, "server_scale_up")
+		if live < 1 || live > 16 {
+			t.Errorf("LiveWorkers = %d, outside the policy's bounds [1, 16]", live)
+		}
+		s.scaler.step() // below Max, yet a decision after Close adds nobody
+		if s.LiveWorkers() != live || s.Runtime().Telemetry().Counter(telemetry.LayerRuntime, "server_scale_up") != ups {
+			t.Errorf("a scale-up after Close: %d → %d workers", live, s.LiveWorkers())
 		}
 	}
 }

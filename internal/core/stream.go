@@ -185,11 +185,11 @@ func streamMarker(idx int) string { return fmt.Sprintf("__window__%06d", idx) }
 // on the serving pool, with at most spec.MaxInFlight windows in flight
 // and reports retired strictly in window order. Accepts at most one
 // SubmitOptions, sharing the unified submission surface with
-// Submit/SubmitAsync: Shard labels the windows' reports, BestEffort
-// down-tiers them, and ResumeID resumes a crashed stream from its last
-// completed window (requires ServerConfig.Recovery). Streams bypass the
-// SLO admission model — their windows are submitted pre-admitted, since
-// an unbounded source has no finite makespan estimate to admit against.
+// Submit/SubmitAsync: Shard labels the windows' reports, and ResumeID
+// resumes a crashed stream from its last completed window (requires
+// ServerConfig.Recovery). Streams bypass the SLO admission model — their
+// windows are submitted pre-admitted, since an unbounded source has no
+// finite makespan estimate to admit against.
 //
 // The stream runs until the source drains, Drain or Cancel is called, the
 // submission context ends, or a window fails terminally (after the
@@ -311,9 +311,7 @@ func (s *Server) streamDriver(ctx context.Context, spec stream.Spec, opt SubmitO
 				terminate(err)
 				return
 			}
-			wopt := SubmitOptions{
-				Shard: opt.Shard, Preadmitted: true, BestEffort: opt.BestEffort,
-			}
+			wopt := SubmitOptions{Shard: opt.Shard, Preadmitted: true}
 			if s.rec != nil {
 				wopt.ResumeID = streamWindowNS(t.id, next)
 			}

@@ -454,7 +454,7 @@ func (w *wavefront) advance() {
 			// section instead of one wakeup each. Devices are independent, and
 			// dispatch is kept in rank order, so their order here is immaterial.
 			cores := w.r.cs.Cores(w.r.cores, dev)
-			for _, g := range w.devs[dev].GrantBatch(cores, w.r.base, limit, w.ready, w.readyAt) {
+			for _, g := range w.devs[dev].GrantBatch(cores, limit, w.ready, w.readyAt) {
 				sl := &w.slots[g.Rank]
 				sl.claimCore, sl.claimStart = int32(g.Core), g.Start
 				sl.state = tsClaimed

@@ -30,8 +30,6 @@ type ErasureStore struct {
 	nextSpan int
 	open     *openSpan
 	rr       int
-	// gcThreshold: compact spans whose live ratio falls below this.
-	gcThreshold float64
 }
 
 type objLoc struct {
@@ -58,10 +56,12 @@ type openSpan struct {
 
 // ErasureConfig tunes the store.
 type ErasureConfig struct {
-	Data, Parity int     // RS geometry, default 4+2
-	SpanSize     int     // payload bytes per span, default 64 KiB
-	GCThreshold  float64 // compact below this live ratio, default 0.5
+	Data, Parity int // RS geometry, default 4+2
+	SpanSize     int // payload bytes per span, default 64 KiB
 }
+
+// gcThreshold is the live ratio below which Compact rewrites a span.
+const gcThreshold = 0.5
 
 // NewErasureStore builds a Carbink-style store over the fabric.
 func NewErasureStore(f *cluster.Fabric, cfg ErasureConfig) (*ErasureStore, error) {
@@ -74,9 +74,6 @@ func NewErasureStore(f *cluster.Fabric, cfg ErasureConfig) (*ErasureStore, error
 	if cfg.SpanSize <= 0 {
 		cfg.SpanSize = 64 << 10
 	}
-	if cfg.GCThreshold <= 0 {
-		cfg.GCThreshold = 0.5
-	}
 	rs, err := NewRS(cfg.Data, cfg.Parity)
 	if err != nil {
 		return nil, err
@@ -87,7 +84,6 @@ func NewErasureStore(f *cluster.Fabric, cfg ErasureConfig) (*ErasureStore, error
 	return &ErasureStore{
 		fabric: f, rs: rs, spanSize: cfg.SpanSize,
 		objects: make(map[ObjectID]objLoc), spans: make(map[int]*span),
-		gcThreshold: cfg.GCThreshold,
 	}, nil
 }
 
@@ -296,7 +292,7 @@ func (s *ErasureStore) Compact() (int, time.Duration, error) {
 		if !sp.sealed {
 			continue
 		}
-		if sp.usedBytes == 0 || float64(sp.liveBytes)/float64(sp.usedBytes) < s.gcThreshold {
+		if sp.usedBytes == 0 || float64(sp.liveBytes)/float64(sp.usedBytes) < gcThreshold {
 			victims = append(victims, id)
 		}
 	}

@@ -306,7 +306,7 @@ func TestErasureRecoverRebuildsShards(t *testing.T) {
 
 func TestErasureCompactReclaimsGarbage(t *testing.T) {
 	f := fabricWithNodes(t, 6, 1<<22)
-	s, _ := NewErasureStore(f, ErasureConfig{Data: 4, Parity: 2, SpanSize: 1024, GCThreshold: 0.6})
+	s, _ := NewErasureStore(f, ErasureConfig{Data: 4, Parity: 2, SpanSize: 1024})
 	var ids []ObjectID
 	for i := 0; i < 12; i++ {
 		id, _, err := s.Put(make([]byte, 250))
@@ -319,7 +319,7 @@ func TestErasureCompactReclaimsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, physBefore := s.StoredBytes()
-	// Delete 3 of every 4 objects: spans drop below the 0.6 live threshold.
+	// Delete 3 of every 4 objects: spans drop below the half-live threshold.
 	var keep []ObjectID
 	for i, id := range ids {
 		if i%4 == 0 {

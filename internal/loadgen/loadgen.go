@@ -77,7 +77,7 @@ type Config struct {
 	// to the expected span of the run (N/Rate), i.e. one full "day".
 	DiurnalPeriod time.Duration
 	// Deadline is stamped on every submission (SubmitOptions.Deadline).
-	// Zero defers to the server's SLOPolicy default.
+	// Zero leaves every submission ungated by SLO admission.
 	Deadline time.Duration
 	// Warmup excludes the first Warmup submissions from the latency
 	// distributions (they still count in the admission ledger and the

@@ -271,7 +271,7 @@ func AblationRecovery() (*Artifact, error) {
 		return nil, err
 	}
 	zero = 0
-	ovRep, err := rtOv.Run(mkJob(&zero), core.RecoveryPolicy{Store: storeOverhead})
+	ovRep, err := rtOv.Run(mkJob(&zero), core.RecoveryPolicy{Checkpointer: core.NewCheckpointer(storeOverhead)})
 	if err != nil {
 		return nil, err
 	}
@@ -293,7 +293,7 @@ func AblationRecovery() (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	repCk, err := rtCk.Run(mkJob(&failures), core.RecoveryPolicy{Store: store})
+	repCk, err := rtCk.Run(mkJob(&failures), core.RecoveryPolicy{Checkpointer: core.NewCheckpointer(store)})
 	if err != nil {
 		return nil, err
 	}

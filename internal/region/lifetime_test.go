@@ -56,10 +56,12 @@ func TestLifetimeUnderTheRegionLock(t *testing.T) {
 	fe := newFakeExporter()
 	m.SetExporter(fe)
 	computes := [2]string{"node0/cpu0", "node0/cpu1"}
-	// Demote under pressure, promote and recall anything touched, and evict
-	// every resident region on every sweep, so accesses keep finding their
-	// region on another device or gone to the pool.
-	pol := RebalancePolicy{PromoteHeat: 1, EvictWatermark: 1e-12, EvictHeat: math.MaxUint64}
+	// Demote under pressure, promote and recall anything the accesses heat,
+	// and evict every resident region on every sweep however hot, so accesses
+	// keep finding their region on another device or gone to the pool.
+	pol := RebalancePolicy{EvictWatermark: 1e-12}
+	defer func(h uint64) { evictHeat = h }(evictHeat)
+	evictHeat = math.MaxUint64
 
 	type slot struct {
 		cur       atomic.Pointer[Handle] // the exclusive owner's handle; Transfer replaces it
@@ -356,7 +358,7 @@ func TestHeatDecayLosesNoIncrement(t *testing.T) {
 	if _, err := h.WriteAt(0, 0, make([]byte, 8)); err != nil { // k = 1001, odd
 		t.Fatal(err)
 	}
-	if _, err := rebalance(m, 0, RebalancePolicy{PromoteHeat: math.MaxUint64}); err != nil {
+	if _, err := rebalance(m, 0, RebalancePolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	const k = goroutines*each + 1

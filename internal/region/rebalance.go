@@ -24,47 +24,32 @@ import (
 
 // RebalancePolicy tunes the tiering pass.
 type RebalancePolicy struct {
-	// HighWatermark triggers demotion when a device's utilization exceeds
-	// it. Default 0.90.
-	HighWatermark float64
-	// LowWatermark is the demotion target. Default 0.70.
-	LowWatermark float64
-	// PromoteHeat is the minimum epoch access count for promotion
-	// candidates. Default 8.
-	PromoteHeat uint64
-	// ScoreMargin is how much better (in props.Score units) a destination
-	// must be to justify moving a hot region. Default 2.
-	ScoreMargin float64
 	// EvictWatermark triggers the cross-node eviction pass: when a device's
 	// utilization still exceeds it after local demotion and the manager has
 	// an Exporter, the sweep exports the device's coldest regions to the
-	// remote pool until utilization falls to min(LowWatermark,
+	// remote pool until utilization falls to min(lowWatermark,
 	// EvictWatermark). Zero disables eviction (the default) — regions then
 	// never leave the node.
 	EvictWatermark float64
-	// EvictHeat is the maximum epoch access count an eviction victim may
-	// have: hotter regions stay local no matter the pressure. Default 1.
-	EvictHeat uint64
 }
 
-func (p RebalancePolicy) withDefaults() RebalancePolicy {
-	if p.HighWatermark <= 0 {
-		p.HighWatermark = 0.90
-	}
-	if p.LowWatermark <= 0 {
-		p.LowWatermark = 0.70
-	}
-	if p.PromoteHeat == 0 {
-		p.PromoteHeat = 8
-	}
-	if p.ScoreMargin == 0 {
-		p.ScoreMargin = 2
-	}
-	if p.EvictHeat == 0 {
-		p.EvictHeat = 1
-	}
-	return p
-}
+// What every tiering pass runs with, beside its policy.
+const (
+	// highWatermark triggers demotion when a device's utilization exceeds it.
+	highWatermark = 0.90
+	// lowWatermark is the demotion target.
+	lowWatermark = 0.70
+	// promoteHeat is the minimum epoch access count for promotion candidates.
+	promoteHeat = 8
+	// scoreMargin is how much better (in props.Score units) a destination
+	// must be to justify moving a hot region.
+	scoreMargin = 2
+)
+
+// evictHeat is the maximum epoch access count an eviction victim may have:
+// hotter regions stay local no matter the pressure. A variable only so the
+// lifetime stress test can make its constantly accessed regions evictable.
+var evictHeat uint64 = 1
 
 // RebalanceStats reports what a tiering pass did.
 type RebalanceStats struct {
@@ -123,7 +108,6 @@ func (m *Manager) RebalanceIn(clk topology.VClock, now time.Duration, pol Rebala
 	if clk == nil {
 		return RebalanceStats{}, errNoClock
 	}
-	pol = pol.withDefaults()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var stats RebalanceStats
@@ -143,11 +127,11 @@ func (m *Manager) RebalanceIn(clk topology.VClock, now time.Duration, pol Rebala
 	// regions to the best *other* matching device until below the low
 	// watermark.
 	for _, dev := range m.topo.Memories() {
-		if dev.HardwareManaged || dev.Utilization() <= pol.HighWatermark {
+		if dev.HardwareManaged || dev.Utilization() <= highWatermark {
 			continue
 		}
 		for _, r := range m.coldestOn(dev, math.MaxUint64, nil) {
-			if dev.Utilization() <= pol.LowWatermark {
+			if dev.Utilization() <= lowWatermark {
 				break
 			}
 			comp := ownerCompute(r)
@@ -178,7 +162,7 @@ func (m *Manager) RebalanceIn(clk topology.VClock, now time.Duration, pol Rebala
 	for _, id := range ids {
 		r := m.regions[id]
 		r.mu.Lock()
-		if r.heat < pol.PromoteHeat {
+		if r.heat < promoteHeat {
 			r.mu.Unlock()
 			continue
 		}
@@ -188,7 +172,7 @@ func (m *Manager) RebalanceIn(clk topology.VClock, now time.Duration, pol Rebala
 				stats.BytesRecalled += r.size
 				stats.Cost += cost
 			}
-		} else if best, ok := m.promotionTarget(r, pol.ScoreMargin); ok {
+		} else if best, ok := m.promotionTarget(r); ok {
 			if done, err := m.migrateToLocked(r, ownerCompute(r), best, now, clk); err == nil {
 				moved(r, &stats.Promoted, done)
 			}
@@ -199,17 +183,14 @@ func (m *Manager) RebalanceIn(clk topology.VClock, now time.Duration, pol Rebala
 	// Pass 3 — eviction: a device still over the eviction watermark after
 	// local demotion has run out of local tiers for its cold set; export
 	// the coldest regions to the remote pool. Only regions at or below
-	// EvictHeat leave — the sweep never exports the working set.
+	// evictHeat leave — the sweep never exports the working set.
 	if pol.EvictWatermark > 0 && m.exporter != nil {
-		target := pol.LowWatermark
-		if pol.EvictWatermark < target {
-			target = pol.EvictWatermark
-		}
+		target := min(lowWatermark, pol.EvictWatermark)
 		for _, dev := range m.topo.Memories() {
 			if dev.HardwareManaged || dev.Utilization() <= pol.EvictWatermark {
 				continue
 			}
-			for _, r := range m.coldestOn(dev, pol.EvictHeat, nil) {
+			for _, r := range m.coldestOn(dev, evictHeat, nil) {
 				if dev.Utilization() <= target {
 					break
 				}
@@ -243,9 +224,9 @@ func (m *Manager) RebalanceIn(clk topology.VClock, now time.Duration, pol Rebala
 
 // promotionTarget names the device a hot resident region should move to: the
 // placer's choice for it, when that is another device, scores better than
-// the current one by at least margin, and every owner can address it. Caller
-// holds m.mu.
-func (m *Manager) promotionTarget(r *Region, margin float64) (string, bool) {
+// the current one by at least scoreMargin, and every owner can address it.
+// Caller holds m.mu.
+func (m *Manager) promotionTarget(r *Region) (string, bool) {
 	comp := ownerCompute(r)
 	curCaps, ok := m.topo.EffectiveCaps(comp, r.device.ID)
 	if !ok {
@@ -262,7 +243,7 @@ func (m *Manager) promotionTarget(r *Region, margin float64) (string, bool) {
 		return "", false
 	}
 	req.Capacity = 0
-	if req.Score(bestCaps)-req.Score(curCaps) < margin {
+	if req.Score(bestCaps)-req.Score(curCaps) < scoreMargin {
 		return "", false
 	}
 	return best, m.addressableByAllOwners(r, best)

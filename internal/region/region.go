@@ -297,9 +297,8 @@ type Manager struct {
 // Config assembles a Manager.
 type Config struct {
 	Topology  *topology.Topology
-	Placer    Placer               // nil → FirstFit baseline
-	Telemetry *telemetry.Registry  // nil → disabled
-	Directory *coherence.Directory // nil → fresh directory
+	Placer    Placer              // nil → FirstFit baseline
+	Telemetry *telemetry.Registry // nil → disabled
 }
 
 // NewManager builds a region manager.
@@ -310,13 +309,10 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Placer == nil {
 		cfg.Placer = FirstFit{Topo: cfg.Topology}
 	}
-	if cfg.Directory == nil {
-		cfg.Directory = coherence.NewDirectory()
-	}
 	m := &Manager{
 		topo:    cfg.Topology,
 		placer:  cfg.Placer,
-		dir:     cfg.Directory,
+		dir:     coherence.NewDirectory(),
 		reg:     cfg.Telemetry,
 		regions: make(map[ID]*Region),
 		buddies: make(map[string]*allocator.Buddy),

@@ -92,7 +92,7 @@ func TestCachedRouteFollowsTheRegion(t *testing.T) {
 					heatRegion(t, h)
 				}
 			}
-			if s, err := rebalance(m, 0, RebalancePolicy{PromoteHeat: 1 << 30}); err != nil || s.Demoted == 0 {
+			if s, err := rebalance(m, 0, RebalancePolicy{}); err != nil || s.Demoted == 0 {
 				t.Fatalf("sweep = %+v, %v; want demotions", s, err)
 			}
 			return coldest, true

@@ -77,12 +77,11 @@ func (l *ClaimLedger) Release(core int) {
 // free, and the determinism guard holds: the free core's availability must
 // not exceed the earliest in-flight claim's start, since an in-flight task
 // finishes no earlier than it starts and could otherwise still lower the
-// chosen clock. readyAt[rank] is the max predecessor finish; base floors
-// every start (retry backoff).
+// chosen clock. readyAt[rank] is the max predecessor finish.
 //
 // The returned slice is reused by the next GrantBatch call — callers consume
 // it before touching the ledger again.
-func (l *ClaimLedger) GrantBatch(cores []time.Duration, base time.Duration, limit int, ready []bool, readyAt []time.Duration) []Grant {
+func (l *ClaimLedger) GrantBatch(cores []time.Duration, limit int, ready []bool, readyAt []time.Duration) []Grant {
 	l.grants = l.grants[:0]
 	if len(l.held) < len(cores) && l.head < len(l.queue) {
 		l.held = append(l.held, make([]time.Duration, len(cores)-len(l.held))...)
@@ -102,9 +101,6 @@ func (l *ClaimLedger) GrantBatch(cores []time.Duration, base time.Duration, limi
 		start := readyAt[k]
 		if cores[cand] > start {
 			start = cores[cand]
-		}
-		if base > start {
-			start = base
 		}
 		l.held[cand] = start + 1
 		l.grants = append(l.grants, Grant{Rank: k, Core: cand, Start: start})

@@ -36,7 +36,7 @@ func TestClaimLedgerGrants(t *testing.T) {
 		ready, readyAt := allReady(3)
 		readyAt[1] = 7 * us
 		cores := []time.Duration{5 * us, 2 * us, 2 * us, 9 * us}
-		got := l.GrantBatch(cores, 0, 3, ready, readyAt)
+		got := l.GrantBatch(cores, 3, ready, readyAt)
 		want := []Grant{{0, 1, 2 * us}, {1, 2, 7 * us}}
 		// Rank 2 would take core 0 (5µs), which an in-flight claim that
 		// started at 2µs could still undercut: it waits.
@@ -48,11 +48,11 @@ func TestClaimLedgerGrants(t *testing.T) {
 		l := ledgerOf(0, 1)
 		ready, readyAt := allReady(2)
 		ready[0] = false
-		if got := l.GrantBatch(make([]time.Duration, 4), 0, 2, ready, readyAt); len(got) != 0 {
+		if got := l.GrantBatch(make([]time.Duration, 4), 2, ready, readyAt); len(got) != 0 {
 			t.Fatalf("granted %v past an unready head", got)
 		}
 		ready[0] = true
-		if got := l.GrantBatch(make([]time.Duration, 4), 0, 2, ready, readyAt); len(got) != 2 {
+		if got := l.GrantBatch(make([]time.Duration, 4), 2, ready, readyAt); len(got) != 2 {
 			t.Fatalf("granted %v once the head was ready, want both ranks", got)
 		}
 	})
@@ -62,46 +62,37 @@ func TestClaimLedgerGrants(t *testing.T) {
 		l := ledgerOf(0, 1)
 		ready, readyAt := allReady(2)
 		cores := []time.Duration{3 * us, 4 * us}
-		if got := l.GrantBatch(cores, 0, 2, ready, readyAt); !reflect.DeepEqual(got, []Grant{{0, 0, 3 * us}}) {
+		if got := l.GrantBatch(cores, 2, ready, readyAt); !reflect.DeepEqual(got, []Grant{{0, 0, 3 * us}}) {
 			t.Fatalf("first grant = %v", got)
 		}
-		if got := l.GrantBatch(cores, 0, 2, ready, readyAt); len(got) != 0 {
+		if got := l.GrantBatch(cores, 2, ready, readyAt); len(got) != 0 {
 			t.Fatalf("granted %v on a core later than an in-flight start", got)
 		}
 		// The claim retires at 6µs: nothing is in flight, the guard is moot.
 		cores[0] = 6 * us
 		l.Release(0)
-		if got := l.GrantBatch(cores, 0, 2, ready, readyAt); !reflect.DeepEqual(got, []Grant{{1, 1, 4 * us}}) {
+		if got := l.GrantBatch(cores, 2, ready, readyAt); !reflect.DeepEqual(got, []Grant{{1, 1, 4 * us}}) {
 			t.Fatalf("grant after release = %v", got)
 		}
 	})
 	t.Run("limit", func(t *testing.T) {
 		l := ledgerOf(0, 1, 2)
 		ready, readyAt := allReady(3)
-		if got := l.GrantBatch(make([]time.Duration, 4), 0, 2, ready, readyAt); len(got) != 2 || got[1].Rank != 1 {
+		if got := l.GrantBatch(make([]time.Duration, 4), 2, ready, readyAt); len(got) != 2 || got[1].Rank != 1 {
 			t.Fatalf("grants below limit 2 = %v", got)
 		}
-		if got := l.GrantBatch(make([]time.Duration, 4), 0, 2, ready, readyAt); len(got) != 0 {
+		if got := l.GrantBatch(make([]time.Duration, 4), 2, ready, readyAt); len(got) != 0 {
 			t.Fatalf("granted %v at the limit", got)
-		}
-	})
-	t.Run("base floors every start", func(t *testing.T) {
-		l := ledgerOf(0, 1)
-		ready, readyAt := allReady(2)
-		readyAt[1] = 30 * us
-		got := l.GrantBatch(make([]time.Duration, 2), 10*us, 2, ready, readyAt)
-		if !reflect.DeepEqual(got, []Grant{{0, 0, 10 * us}, {1, 1, 30 * us}}) {
-			t.Fatalf("grants = %v", got)
 		}
 	})
 	t.Run("every core in flight", func(t *testing.T) {
 		l := ledgerOf(0, 1, 2)
 		ready, readyAt := allReady(3)
 		cores := make([]time.Duration, 2)
-		if got := l.GrantBatch(cores, 0, 3, ready, readyAt); len(got) != 2 {
+		if got := l.GrantBatch(cores, 3, ready, readyAt); len(got) != 2 {
 			t.Fatalf("grants = %v, want one per core", got)
 		}
-		if got := l.GrantBatch(cores, 0, 3, ready, readyAt); len(got) != 0 {
+		if got := l.GrantBatch(cores, 3, ready, readyAt); len(got) != 0 {
 			t.Fatalf("granted %v with no core free", got)
 		}
 	})
@@ -109,12 +100,12 @@ func TestClaimLedgerGrants(t *testing.T) {
 		l := ledgerOf(0, 1, 2, 3)
 		ready, readyAt := allReady(4)
 		cores := make([]time.Duration, 3)
-		l.GrantBatch(cores, 0, 4, ready, readyAt) // ranks 0..2 on cores 0..2
+		l.GrantBatch(cores, 4, ready, readyAt) // ranks 0..2 on cores 0..2
 		for c := range cores {
 			cores[c] = 8 * us
 			l.Release(c)
 		}
-		if got := l.GrantBatch(cores, 0, 4, ready, readyAt); !reflect.DeepEqual(got, []Grant{{3, 0, 8 * us}}) {
+		if got := l.GrantBatch(cores, 4, ready, readyAt); !reflect.DeepEqual(got, []Grant{{3, 0, 8 * us}}) {
 			t.Fatalf("re-grant = %v, want rank 3 on core 0", got)
 		}
 	})
@@ -122,9 +113,9 @@ func TestClaimLedgerGrants(t *testing.T) {
 		l := ledgerOf(0, 1, 2, 3)
 		ready, readyAt := allReady(4)
 		cores := make([]time.Duration, 4)
-		first := l.GrantBatch(cores, 0, 2, ready, readyAt)
+		first := l.GrantBatch(cores, 2, ready, readyAt)
 		held := first[0]
-		second := l.GrantBatch(cores, 0, 4, ready, readyAt)
+		second := l.GrantBatch(cores, 4, ready, readyAt)
 		if len(second) != 2 || &first[0] != &second[0] {
 			t.Fatalf("second batch %v does not reuse the first's buffer", second)
 		}
@@ -140,7 +131,7 @@ type refLedger struct {
 	held  map[int]time.Duration
 }
 
-func (l *refLedger) grantBatch(cores []time.Duration, base time.Duration, limit int, ready []bool, readyAt []time.Duration) []Grant {
+func (l *refLedger) grantBatch(cores []time.Duration, limit int, ready []bool, readyAt []time.Duration) []Grant {
 	var grants []Grant
 	for len(l.queue) > 0 {
 		k := l.queue[0]
@@ -168,7 +159,7 @@ func (l *refLedger) grantBatch(cores []time.Duration, base time.Duration, limit 
 		if blocked {
 			break
 		}
-		start := max(readyAt[k], cores[cand], base)
+		start := max(readyAt[k], cores[cand])
 		l.held[cand] = start
 		grants = append(grants, Grant{Rank: k, Core: cand, Start: start})
 		l.queue = l.queue[1:]
@@ -199,7 +190,6 @@ func TestClaimLedgerAgainstReference(t *testing.T) {
 			cores[c] = time.Duration(rng.Intn(5)) * us
 		}
 		ready, readyAt := make([]bool, n), make([]time.Duration, n)
-		base := time.Duration(rng.Intn(3)) * us
 		limit := n
 		if rng.Intn(4) == 0 {
 			limit = rng.Intn(n + 1)
@@ -225,7 +215,7 @@ func TestClaimLedgerAgainstReference(t *testing.T) {
 				l.Release(f.core)
 				delete(ref.held, f.core)
 			}
-			got, want := l.GrantBatch(cores, base, limit, ready, readyAt), ref.grantBatch(cores, base, limit, ready, readyAt)
+			got, want := l.GrantBatch(cores, limit, ready, readyAt), ref.grantBatch(cores, limit, ready, readyAt)
 			if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
 				t.Fatalf("seed %d step %d: grants %v, reference %v", seed, step, got, want)
 			}

@@ -46,8 +46,9 @@ const (
 
 // Config assembles a Cluster. Zero fields get serving defaults. What no
 // caller varies is a constant, not a field: ledgerSlabBytes, poolBytes,
-// spillWatermark and vnodes above, and the reference single-node testbed as
-// every shard's private hardware graph.
+// spillWatermark and vnodes above, the reference single-node testbed as
+// every shard's private hardware graph, and the default cluster.Config
+// fabric the shards share.
 type Config struct {
 	// Shards is the number of server shards (default 2).
 	Shards int
@@ -57,12 +58,10 @@ type Config struct {
 	// queues. Telemetry, if set, is shared by
 	// all shards; nil builds one shared registry. Recovery, if set,
 	// enables cross-shard failover replay: the cluster replaces the
-	// policy's store with one shared checkpointer over a replicated
+	// policy's checkpointer with one shared checkpointer over a replicated
 	// fabric store, so a survivor can restore what a dead shard
 	// checkpointed.
 	Server core.ServerConfig
-	// Fabric tunes the interconnect the shards share (RTT, bandwidth).
-	Fabric cluster.Config
 	// TrackLoad prices every routed job with the scheduler's estimator
 	// (sched.EstimateJob) and accumulates per-shard estimated virtual
 	// work — the router-side load view Stats reports. Off by default:
@@ -202,7 +201,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if tel == nil {
 		tel = telemetry.NewRegistry()
 	}
-	c := &Cluster{cfg: cfg, fabric: cluster.NewFabric(cfg.Fabric), tel: tel}
+	c := &Cluster{cfg: cfg, fabric: cluster.NewFabric(cluster.Config{}), tel: tel}
 
 	// Cross-shard durable state: one 2-way replicated store on a private
 	// checkpoint fabric (pmem nodes), shared by every shard — a node crash
@@ -210,7 +209,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	// through the shared checkpointer; migration mirrors exported region
 	// payloads into it so a region survives its slab host's death.
 	if cfg.Server.Recovery != nil || cfg.Migrate {
-		ckFabric := cluster.NewFabric(cfg.Fabric)
+		ckFabric := cluster.NewFabric(cluster.Config{})
 		for i := 0; i < 3; i++ {
 			if err := ckFabric.AddNode(fmt.Sprintf("pmem%d", i), 1<<28); err != nil {
 				return nil, err
@@ -268,7 +267,6 @@ func (c *Cluster) buildShard(i int, name string) (*Shard, error) {
 	if scfg.Recovery != nil {
 		rp := *scfg.Recovery
 		rp.Checkpointer = c.ck
-		rp.Store = nil
 		scfg.Recovery = &rp
 	}
 	sh.srv, err = core.NewServer(scfg)
@@ -633,6 +631,16 @@ func (c *Cluster) SubmitAsync(ctx context.Context, job *dataflow.Job, opts ...co
 		opt.ResumeID = c.ck.NewRunID(job.Name())
 	}
 
+	// Priced once, whatever the walk: every shard's topology and scheduler
+	// are the same, so the estimate is too.
+	var est time.Duration
+	if c.cfg.TrackLoad {
+		rt := c.Runtime()
+		if e, _, err := sched.EstimateJob(job, rt.Topology(), rt.Scheduler()); err == nil {
+			est = e.Makespan
+		}
+	}
+
 	// Route, probing health with the ledger write: an unreachable home
 	// shard is marked down and the walk continues on the survivors.
 	for hops := 0; hops <= len(c.shards); hops++ {
@@ -641,22 +649,20 @@ func (c *Cluster) SubmitAsync(ctx context.Context, job *dataflow.Job, opts ...co
 			return nil, ErrNoShards
 		}
 		sh := c.shards[idx]
-		if c.cfg.TrackLoad {
-			rt := sh.srv.Runtime()
-			if est, _, err := sched.EstimateJob(job, rt.Topology(), rt.Scheduler()); err == nil {
-				sh.estWorkNs.Add(est.Makespan.Nanoseconds())
-			}
-		}
 		if !c.ledgerWrite(sh, sig, ticketID, opt) {
 			c.markDown(sh)
 			continue
 		}
 		opt.Shard = sh.name
 		tk, cleanup, err := sh.submit(ctx, job, opt)
+		if err != nil && sh.isDown() {
+			continue // died between ledger write and submit
+		}
+		if c.cfg.TrackLoad {
+			// This shard decided the admission: the routed work is its own.
+			sh.estWorkNs.Add(est.Nanoseconds())
+		}
 		if err != nil {
-			if sh.isDown() {
-				continue // died between ledger write and submit
-			}
 			switch {
 			case errors.Is(err, core.ErrDeadline):
 				sh.note('S')

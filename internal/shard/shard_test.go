@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
+	"repro/internal/sched"
 	"repro/internal/telemetry"
 )
 
@@ -188,6 +189,37 @@ func TestRoutingDeterministic(t *testing.T) {
 		_ = fa // b still partitioned: fingerprints must differ
 	} else {
 		t.Fatal("healed cluster must route differently from a partitioned one")
+	}
+}
+
+// TestTrackLoadChargesTheDecidingShard: a submission whose home node died
+// without the router knowing is priced once and charged once, to the
+// survivor that admitted it — not also to the home shard whose failed ledger
+// write detected the crash.
+func TestTrackLoadChargesTheDecidingShard(t *testing.T) {
+	c := newTestCluster(t, Config{Shards: 2, TrackLoad: true})
+	name := findJobFor(t, c, 0, "load")
+	if err := c.fabric.Crash(c.shards[0].name); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.Submit(context.Background(), gateJob(name, nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Shard != c.shards[1].name {
+		t.Fatalf("served on %q, want the survivor %s", rep.Shard, c.shards[1].name)
+	}
+	rt := c.Runtime()
+	est, _, err := sched.EstimateJob(gateJob(name, nil, nil), rt.Topology(), rt.Scheduler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum int64
+	for _, st := range c.Stats() {
+		sum += st.EstWorkNs
+	}
+	if sum != est.Makespan.Nanoseconds() {
+		t.Errorf("shards' EstWorkNs sum to %d, want one estimate, %d", sum, est.Makespan.Nanoseconds())
 	}
 }
 

@@ -135,9 +135,6 @@ type Spec struct {
 	// WindowSize is the number of events per tumbling window (> 0). A
 	// finite source's last window may be partial.
 	WindowSize int
-	// Partitions is the key-partition fan-out Build may use
-	// (Window.Partition). Informational to the engine; defaults to 1.
-	Partitions int
 	// MaxInFlight bounds how many windows may be executing or awaiting
 	// retirement at once (default 2). The source is not pulled while the
 	// stream is at the bound — deterministic backpressure.

@@ -155,7 +155,7 @@ func TestInFlightDefault(t *testing.T) {
 // emit, sized by the window's bytes.
 func fanSpec(partitions int) Spec {
 	return Spec{
-		Name: "fan", Source: NewSliceSource(nil), WindowSize: 8, Partitions: partitions,
+		Name: "fan", Source: NewSliceSource(nil), WindowSize: 8,
 		Build: func(w Window, j *dataflow.Job) error {
 			ingest := j.Task("ingest", dataflow.Props{Ops: 1e3, OutputBytes: w.Bytes() + 1}, nil)
 			emit := j.Task("emit", dataflow.Props{Ops: 1e3}, nil)

@@ -84,12 +84,17 @@ var (
 
 // Config tunes the heap.
 type Config struct {
-	LocalCapacity int64         // bytes of fast local memory
-	LocalLatency  time.Duration // per local access, default 100ns
-	RemoteLatency time.Duration // per remote access, default 3µs
-	PromoteAt     int           // hotness that triggers promotion, default 4
-	DecayShift    uint          // hotness >>= DecayShift per sweep, default 1
+	LocalCapacity int64 // bytes of fast local memory
+	PromoteAt     int   // hotness that triggers promotion, default 4
 }
+
+// The two tiers' virtual access latencies, and the hotness decay: every
+// counter is halved by each sweep.
+const (
+	localLatency  = 100 * time.Nanosecond
+	remoteLatency = 3 * time.Microsecond
+	decayShift    = 1
+)
 
 // Heap is a two-tier object heap: a bounded local arena and unbounded far
 // memory, with hotness-driven migration. All durations are virtual.
@@ -112,17 +117,8 @@ func NewHeap(cfg Config) (*Heap, error) {
 	if cfg.LocalCapacity <= 0 {
 		return nil, fmt.Errorf("swizzle: local capacity %d", cfg.LocalCapacity)
 	}
-	if cfg.LocalLatency <= 0 {
-		cfg.LocalLatency = 100 * time.Nanosecond
-	}
-	if cfg.RemoteLatency <= 0 {
-		cfg.RemoteLatency = 3 * time.Microsecond
-	}
 	if cfg.PromoteAt <= 0 {
 		cfg.PromoteAt = 4
-	}
-	if cfg.DecayShift == 0 {
-		cfg.DecayShift = 1
 	}
 	return &Heap{
 		cfg:    cfg,
@@ -178,10 +174,10 @@ func (h *Heap) Access(id ObjID) ([]byte, time.Duration, error) {
 	h.ptrs[id] = p.withHotness(p.Hotness() + 1)
 	if p.Remote() {
 		h.remoteHits++
-		return h.remote[p.Loc()], h.cfg.RemoteLatency, nil
+		return h.remote[p.Loc()], remoteLatency, nil
 	}
 	h.localHits++
-	return h.local[p.Loc()], h.cfg.LocalLatency, nil
+	return h.local[p.Loc()], localLatency, nil
 }
 
 // Free releases an object.
@@ -249,7 +245,7 @@ func (h *Heap) Sweep() (int, int, time.Duration) {
 			h.remote[vp.Loc()] = buf
 			h.ptrs[vid] = makePtr(true, vp.Hotness(), vp.Loc())
 			demoted++
-			cost += h.cfg.RemoteLatency
+			cost += remoteLatency
 		}
 		if h.used+size > h.cfg.LocalCapacity {
 			continue // nothing colder to evict
@@ -260,11 +256,11 @@ func (h *Heap) Sweep() (int, int, time.Duration) {
 		h.used += size
 		h.ptrs[c.id] = makePtr(false, c.p.Hotness(), c.p.Loc())
 		promoted++
-		cost += h.cfg.RemoteLatency
+		cost += remoteLatency
 	}
 	// Decay all counters.
 	for id, p := range h.ptrs {
-		h.ptrs[id] = p.withHotness(p.Hotness() >> h.cfg.DecayShift)
+		h.ptrs[id] = p.withHotness(p.Hotness() >> decayShift)
 	}
 	h.promotions += uint64(promoted)
 	h.demotions += uint64(demoted)

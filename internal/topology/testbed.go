@@ -32,15 +32,14 @@ const (
 
 // SingleNodeConfig tunes the reference single-node testbed.
 type SingleNodeConfig struct {
-	Sockets      int  // CPU sockets, default 2
-	WithGPU      bool // add GPU + GDDR
-	WithTPU      bool
-	WithFPGA     bool
-	WithFarMem   bool // add a NIC-attached memory pool node
-	FarMemNodes  int  // number of far-memory nodes, default 1
-	CoresPerCPU  int  // default 32
-	ScaleCap     func(memsim.Spec) memsim.Spec
-	DisableCache bool // omit per-socket cache devices (they're tiny)
+	Sockets     int  // CPU sockets, default 2
+	WithGPU     bool // add GPU + GDDR
+	WithTPU     bool
+	WithFPGA    bool
+	WithFarMem  bool // add a NIC-attached memory pool node
+	FarMemNodes int  // number of far-memory nodes, default 1
+	CoresPerCPU int  // default 32
+	ScaleCap    func(memsim.Spec) memsim.Spec
 }
 
 // DefaultSingleNode returns the fully populated configuration used by the
@@ -63,14 +62,13 @@ func BuildSingleNode(cfg SingleNodeConfig) (*Topology, error) {
 	if cfg.FarMemNodes <= 0 {
 		cfg.FarMemNodes = 1
 	}
-	scale := cfg.ScaleCap
-	if scale == nil {
-		scale = func(s memsim.Spec) memsim.Spec { return s }
-	}
 	t := New()
 
 	addMem := func(id string, spec memsim.Spec) (*memsim.Device, error) {
-		d, err := memsim.NewDevice(id, scale(spec))
+		if cfg.ScaleCap != nil {
+			spec = cfg.ScaleCap(spec)
+		}
+		d, err := memsim.NewDevice(id, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -87,14 +85,12 @@ func BuildSingleNode(cfg SingleNodeConfig) (*Topology, error) {
 		if err := t.AddCompute(cpu); err != nil {
 			return nil, err
 		}
-		if !cfg.DisableCache {
-			cache, err := addMem(fmt.Sprintf("%s/cache%d", onNodeName, s), memsim.CacheSpec())
-			if err != nil {
-				return nil, err
-			}
-			if err := t.Connect(Link{A: cpu.ID, B: cache.ID, Kind: LinkOnChip, Latency: time.Nanosecond, Bandwidth: 2000e9, Coherent: true}); err != nil {
-				return nil, err
-			}
+		cache, err := addMem(fmt.Sprintf("%s/cache%d", onNodeName, s), memsim.CacheSpec())
+		if err != nil {
+			return nil, err
+		}
+		if err := t.Connect(Link{A: cpu.ID, B: cache.ID, Kind: LinkOnChip, Latency: time.Nanosecond, Bandwidth: 2000e9, Coherent: true}); err != nil {
+			return nil, err
 		}
 		dram, err := addMem(fmt.Sprintf("%s/dram%d", onNodeName, s), memsim.DRAMSpec())
 		if err != nil {

@@ -432,16 +432,16 @@ func TestComputeKindUnknownString(t *testing.T) {
 }
 
 func TestBuildSingleNodeVariants(t *testing.T) {
-	// Minimal config: no accelerators, no far memory, no caches.
-	topo, err := BuildSingleNode(SingleNodeConfig{Sockets: 1, DisableCache: true})
+	// Minimal config: no accelerators, no far memory.
+	topo, err := BuildSingleNode(SingleNodeConfig{Sockets: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(topo.Computes()) != 1 {
 		t.Errorf("computes = %d, want 1 CPU", len(topo.Computes()))
 	}
-	if _, ok := topo.Memory("node0/cache0"); ok {
-		t.Error("DisableCache must omit cache devices")
+	if _, ok := topo.Memory("node0/cache0"); !ok {
+		t.Error("every socket has its cache")
 	}
 	if _, ok := topo.Memory("node0/gddr0"); ok {
 		t.Error("no GPU means no GDDR")

@@ -25,13 +25,6 @@ import (
 type MixConfig struct {
 	// Seed drives every draw (shape, size, family). Same seed, same stream.
 	Seed int64
-	// Alpha is the Pareto tail index of the job-size distribution (default
-	// 1.6). Smaller is heavier: more of the total work rides in rare large
-	// jobs.
-	Alpha float64
-	// MaxScale caps the size draw (default 64): the largest job carries
-	// MaxScale× the base per-task cost.
-	MaxScale float64
 	// RealFraction is the fraction of draws that build a full Table 3
 	// workload (alternating scaled-down graph analytics and DBMS query
 	// pipelines) instead of a declared-cost synthetic shape (default
@@ -43,6 +36,15 @@ type MixConfig struct {
 	RealFraction float64
 }
 
+// The job-size distribution is a Pareto of tail index mixAlpha, capped at
+// mixMaxScale: the largest job carries mixMaxScale× the base per-task cost.
+// A smaller index is a heavier tail — more of the total work rides in rare
+// large jobs.
+const (
+	mixAlpha    = 1.6
+	mixMaxScale = 64
+)
+
 // Mix is a deterministic job-stream sampler. Not safe for concurrent use;
 // the load harness draws from one goroutine.
 type Mix struct {
@@ -53,12 +55,6 @@ type Mix struct {
 
 // NewMix builds a sampler; zero config fields get the defaults above.
 func NewMix(cfg MixConfig) *Mix {
-	if cfg.Alpha <= 0 {
-		cfg.Alpha = 1.6
-	}
-	if cfg.MaxScale <= 1 {
-		cfg.MaxScale = 64
-	}
 	switch {
 	case cfg.RealFraction < 0:
 		cfg.RealFraction = 0
@@ -70,17 +66,13 @@ func NewMix(cfg MixConfig) *Mix {
 	return &Mix{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
-// pareto draws a size scale in [1, MaxScale) with tail index Alpha.
+// pareto draws a size scale in [1, mixMaxScale] with tail index mixAlpha.
 func (m *Mix) pareto() float64 {
 	u := m.rng.Float64()
 	if u <= 0 {
 		u = math.SmallestNonzeroFloat64
 	}
-	s := math.Pow(u, -1/m.cfg.Alpha)
-	if s > m.cfg.MaxScale {
-		s = m.cfg.MaxScale
-	}
-	return s
+	return min(math.Pow(u, -1/mixAlpha), mixMaxScale)
 }
 
 // Next draws the stream's next job. Job names are unique within the mix

@@ -69,14 +69,14 @@ func TestMixRealFraction(t *testing.T) {
 }
 
 // TestMixHeavyTail: the bounded Pareto size draw must put most jobs near
-// the minimum with a real tail toward MaxScale.
+// the minimum with a real tail toward mixMaxScale.
 func TestMixHeavyTail(t *testing.T) {
 	m := NewMix(MixConfig{Seed: 5})
 	small, large := 0, 0
 	for i := 0; i < 5000; i++ {
 		s := m.pareto()
-		if s < 1 || s > m.cfg.MaxScale {
-			t.Fatalf("size draw %g outside [1, %g]", s, m.cfg.MaxScale)
+		if s < 1 || s > mixMaxScale {
+			t.Fatalf("size draw %g outside [1, %d]", s, mixMaxScale)
 		}
 		if s < 2 {
 			small++

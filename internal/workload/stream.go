@@ -74,7 +74,6 @@ func Stream(cfg StreamConfig) stream.Spec {
 		Name:        "streaming",
 		Source:      stream.NewSliceSource(StreamEvents(cfg)),
 		WindowSize:  cfg.WindowSize,
-		Partitions:  cfg.Partitions,
 		MaxInFlight: cfg.MaxInFlight,
 		Build: func(w stream.Window, j *dataflow.Job) error {
 			return buildStreamWindow(cfg, w, j)
