@@ -46,11 +46,13 @@ bench:
 # its exact metric too, and that one is a cost: the bytes a retry fetches back
 # from the checkpoint store, under full and under partial replay, may not grow
 # by one, nor the bytes it allocates by a tenth (one payload-sized buffer per
-# task is a fifth). The region access, coherence directory, placement, planner
-# and checkpoint micro-benchmarks are gated the other way round — their units are
-# costs: time per operation may not triple, and allocations per operation may
-# not rise at all; a checkpoint's put → delete cycle may not double its bytes
-# either, which one payload-sized buffer per operation would do fifty times over. The region benchmark's parallel case runs at one core and
+# task is a fifth). The region access, coherence directory, placement, planner,
+# span record and checkpoint micro-benchmarks are gated the other way round —
+# their units are costs: time per operation may not triple, and allocations per
+# operation may not rise at all; a checkpoint's put → delete cycle may not double its bytes
+# either, which one payload-sized buffer per operation would do fifty times over,
+# and a span recorded on the telemetry registry's full ring may not allocate a
+# byte, which an unbounded append does by about 400 a span. The region benchmark's parallel case runs at one core and
 # at two, each its own gated row, so the baseline shows that the second core
 # does not make an access dearer; a region's allocate → release cycle and its
 # zero-copy transfer are gated with the accesses. The served row is the
@@ -74,7 +76,8 @@ SMOKE_BENCHES = \
 	'served:core:BenchmarkServedJob:20000x:ns/op:2,allocs/op:0' \
 	'coherence:coherence:BenchmarkDropRegion|BenchmarkReadHit|BenchmarkDirectoryRange:200000x:ns/op:2,allocs/op:0' \
 	'place:placement:BenchmarkPlaceEpoch:200000x:ns/op:2,allocs/op:0' \
-	'plan:sched:BenchmarkHEFT|BenchmarkEstimateJob:20000x:ns/op:2,allocs/op:0'
+	'plan:sched:BenchmarkHEFT|BenchmarkEstimateJob:20000x:ns/op:2,allocs/op:0' \
+	'telemetry:telemetry:BenchmarkRecord:200000x:ns/op:2,allocs/op:0,B/op:0'
 
 bench-smoke: loadgen-smoke
 	@set -e; for spec in $(SMOKE_BENCHES); do \

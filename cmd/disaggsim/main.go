@@ -360,6 +360,9 @@ func writeTrace(tel *telemetry.Registry, path string) {
 		fatal(err)
 	}
 	fmt.Printf("\nwrote Chrome trace to %s (open in chrome://tracing or ui.perfetto.dev)\n", path)
+	if kept, recorded := len(tel.Spans()), tel.SpansRecorded(); recorded > int64(kept) {
+		fmt.Printf("trace holds the last %d of %d spans\n", kept, recorded)
+	}
 }
 
 func fatal(err error) {

@@ -443,6 +443,38 @@ func TestServeIsolatedDeterminism(t *testing.T) {
 	}
 }
 
+// TestServedSpansStayInTheRing serves more jobs than the telemetry registry
+// keeps spans for through one Server: the registry holds a full ring whose
+// newest span is the last delivered job's serve span, and its lifetime count
+// is every task's exec span plus every job's serve span.
+func TestServedSpansStayInTheRing(t *testing.T) {
+	const spanRing = 4096 // telemetry's spanCap
+	s := newTestServer(t, ServerConfig{EpochWorkers: 1, MaxBatch: 1})
+	var recorded int64
+	last := ""
+	for i := 0; i <= spanRing; i++ {
+		last = fmt.Sprintf("one%d", i)
+		j := dataflow.NewJob(last)
+		j.Task("only", dataflow.Props{Ops: 1e3}, nil)
+		rep, err := s.Submit(context.Background(), j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recorded += int64(len(rep.Tasks)) + 1
+	}
+	tel := s.Runtime().Telemetry()
+	spans := tel.Spans()
+	if len(spans) != spanRing {
+		t.Fatalf("registry holds %d spans, want a full ring of %d", len(spans), spanRing)
+	}
+	if newest := spans[len(spans)-1]; newest.Name != "serve" || newest.Job != last {
+		t.Errorf("newest span = %s of %q, want serve of %q", newest.Name, newest.Job, last)
+	}
+	if got := tel.SpansRecorded(); got != recorded {
+		t.Errorf("registry recorded %d spans, want %d (tasks plus jobs)", got, recorded)
+	}
+}
+
 // TestConcurrentRunsAreIsolated pins the epoch refactor underneath the
 // Server: parallel Run calls on one runtime never perturb each other's
 // virtual clocks.

@@ -37,7 +37,7 @@ type Decision struct {
 
 // DefaultDecisionCap bounds BestFit's decision log: under sustained serving
 // load the log would otherwise grow without bound. Decisions() returns the
-// most recent DefaultDecisionCap entries unless SetDecisionCap overrides it.
+// most recent DefaultDecisionCap entries.
 const DefaultDecisionCap = 4096
 
 // BestFit is the cost-model optimizer: among devices whose topology-adjusted
@@ -58,7 +58,6 @@ type BestFit struct {
 	// the oldest entry once the buffer wrapped.
 	decisions []Decision
 	start     int
-	cap       int // 0 → DefaultDecisionCap
 	// shapes holds the candidate list of every request shape resolved on
 	// graph version shapesAt. Lists are immutable once stored. Resolved on
 	// first use, emptied when the graph changes or maxShapes is reached.
@@ -132,55 +131,17 @@ func NewBestFit(topo *topology.Topology) *BestFit {
 // Name implements region.Placer.
 func (b *BestFit) Name() string { return "best-fit" }
 
-// SetDecisionCap bounds the retained decision log to the n most recent
-// placements (n ≤ 0 restores DefaultDecisionCap). Shrinking the cap drops
-// the oldest excess entries.
-func (b *BestFit) SetDecisionCap(n int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if n <= 0 {
-		n = DefaultDecisionCap
-	}
-	if len(b.decisions) > n {
-		b.decisions = b.chronologicalLocked()[len(b.decisions)-n:]
-		b.start = 0
-	}
-	b.cap = n
-}
-
-// ResetDecisions clears the decision log (tests and between benchmark
-// phases).
-func (b *BestFit) ResetDecisions() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.decisions = nil
-	b.start = 0
-}
-
 // record appends to the bounded decision log, overwriting the oldest entry
-// once the cap is reached.
+// once it holds DefaultDecisionCap.
 func (b *BestFit) record(d Decision) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	limit := b.cap
-	if limit == 0 {
-		limit = DefaultDecisionCap
-	}
-	if len(b.decisions) < limit {
+	if len(b.decisions) < DefaultDecisionCap {
 		b.decisions = append(b.decisions, d)
 		return
 	}
 	b.decisions[b.start] = d
-	b.start = (b.start + 1) % len(b.decisions)
-}
-
-// chronologicalLocked unrolls the ring into oldest-first order. Caller
-// holds b.mu.
-func (b *BestFit) chronologicalLocked() []Decision {
-	out := make([]Decision, 0, len(b.decisions))
-	out = append(out, b.decisions[b.start:]...)
-	out = append(out, b.decisions[:b.start]...)
-	return out
+	b.start = (b.start + 1) % DefaultDecisionCap
 }
 
 // Place implements region.Placer: the best match by score alone, blind to
@@ -240,12 +201,14 @@ func (b *BestFit) placeAt(req props.Requirements, computeID string, now time.Dur
 }
 
 // Decisions returns a copy of the retained decision log, oldest first. The
-// log is bounded (SetDecisionCap), so under sustained load this is the most
+// log is bounded (DefaultDecisionCap), so under sustained load this is the most
 // recent window, not the full history.
 func (b *BestFit) Decisions() []Decision {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.chronologicalLocked()
+	out := make([]Decision, 0, len(b.decisions))
+	out = append(out, b.decisions[b.start:]...)
+	return append(out, b.decisions[:b.start]...)
 }
 
 // PlaceShared finds the best device addressable — and matching — from

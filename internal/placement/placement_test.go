@@ -269,12 +269,15 @@ func BenchmarkBestFitPlace(b *testing.B) {
 	}
 }
 
+// TestBestFitDecisionCapRing records past the log's bound: the log keeps the
+// most recent DefaultDecisionCap placements, oldest first, through more than
+// one lap of the ring.
 func TestBestFitDecisionCapRing(t *testing.T) {
 	topo := testbed(t)
 	b := NewBestFit(topo)
-	b.SetDecisionCap(3)
+	const extra = DefaultDecisionCap + 50
 	req := props.Requirements{Capacity: 1 << 10}
-	for i := 0; i < 7; i++ {
+	for i := 0; i < DefaultDecisionCap+extra; i++ {
 		// Vary the capacity so each decision is distinguishable in the log.
 		req.Capacity = int64(1<<10 + i)
 		if _, err := b.Place(req, "node0/cpu0"); err != nil {
@@ -282,34 +285,13 @@ func TestBestFitDecisionCapRing(t *testing.T) {
 		}
 	}
 	got := b.Decisions()
-	if len(got) != 3 {
-		t.Fatalf("retained %d decisions, want 3", len(got))
+	if len(got) != DefaultDecisionCap {
+		t.Fatalf("retained %d decisions, want %d", len(got), DefaultDecisionCap)
 	}
-	// Most recent window, oldest first: capacities 4,5,6.
 	for i, d := range got {
-		if want := int64(1<<10 + 4 + i); d.Req.Capacity != want {
-			t.Errorf("decision %d capacity = %d, want %d (ring must be chronological)", i, d.Req.Capacity, want)
+		if want := int64(1<<10 + extra + i); d.Req.Capacity != want {
+			t.Fatalf("decision %d capacity = %d, want %d (ring must be chronological)", i, d.Req.Capacity, want)
 		}
-	}
-
-	// Shrinking the cap drops the oldest excess entries.
-	b.SetDecisionCap(2)
-	got = b.Decisions()
-	if len(got) != 2 || got[0].Req.Capacity != 1<<10+5 || got[1].Req.Capacity != 1<<10+6 {
-		t.Errorf("after shrink got %+v, want capacities %d,%d", got, 1<<10+5, 1<<10+6)
-	}
-
-	b.ResetDecisions()
-	if got := b.Decisions(); len(got) != 0 {
-		t.Errorf("ResetDecisions left %d entries", len(got))
-	}
-	// Cap ≤ 0 restores the default bound.
-	b.SetDecisionCap(0)
-	if _, err := b.Place(req, "node0/cpu0"); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Decisions(); len(got) != 1 {
-		t.Errorf("after reset-to-default got %d decisions, want 1", len(got))
 	}
 }
 

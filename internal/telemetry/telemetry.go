@@ -30,14 +30,26 @@ const (
 	LayerCluster   Layer = "cluster"
 )
 
+// spanCap bounds the span ring at 320 KiB, the bound placement keeps its
+// decision log to: a registry behind a long-lived server records a few spans
+// per job forever, so it keeps the most recent spanCap of them.
+const spanCap = 4096
+
 // Registry collects counters and spans. The zero value is unusable; use
 // NewRegistry. A nil *Registry is a valid no-op sink, so hot paths can be
 // instrumented unconditionally.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[metricKey]*Counter
-	spans    []Span
-	hists    map[metricKey]*Histogram
+	// spans is a ring of the most recent spans: it grows to spanCap, after
+	// which head is the oldest entry, the one the next Record overwrites.
+	spans []Span
+	head  int
+	// recorded and layerTime cover every span since the last Reset, the ones
+	// the ring has dropped included.
+	recorded  int64
+	layerTime map[Layer]time.Duration
+	hists     map[metricKey]*Histogram
 }
 
 // metricKey names a counter or histogram; it prints as "layer/name".
@@ -85,7 +97,11 @@ func (s Span) Duration() time.Duration { return s.End - s.Start }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{counters: make(map[metricKey]*Counter), hists: make(map[metricKey]*Histogram)}
+	return &Registry{
+		counters:  make(map[metricKey]*Counter),
+		layerTime: make(map[Layer]time.Duration),
+		hists:     make(map[metricKey]*Histogram),
+	}
 }
 
 // Handle resolves a named counter, creating it unlisted on first use. The
@@ -168,7 +184,8 @@ func (r *Registry) Hist(layer Layer, name string) *Histogram {
 	return h
 }
 
-// Record stores a completed span. Nil-safe.
+// Record stores a completed span, overwriting the oldest once the ring holds
+// spanCap, and adds its duration to its layer's total. Nil-safe.
 func (r *Registry) Record(s Span) {
 	if r == nil {
 		return
@@ -177,20 +194,47 @@ func (r *Registry) Record(s Span) {
 		s.End = s.Start
 	}
 	r.mu.Lock()
-	r.spans = append(r.spans, s)
+	if len(r.spans) < spanCap {
+		r.spans = append(r.spans, s)
+	} else {
+		r.spans[r.head] = s
+		r.head = (r.head + 1) % spanCap
+	}
+	r.recorded++
+	r.layerTime[s.Layer] += s.Duration()
 	r.mu.Unlock()
 }
 
-// Spans returns a copy of all recorded spans. Nil-safe.
+// Spans returns a copy of the retained spans, oldest first: every span since
+// the last Reset, or the most recent spanCap once more were recorded.
+// Nil-safe.
 func (r *Registry) Spans() []Span {
+	spans, _ := r.window()
+	return spans
+}
+
+// SpansRecorded returns how many spans were recorded since the last Reset,
+// the ones Spans no longer holds included. Nil-safe.
+func (r *Registry) SpansRecorded() int64 {
 	if r == nil {
-		return nil
+		return 0
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Span, len(r.spans))
-	copy(out, r.spans)
-	return out
+	return r.recorded
+}
+
+// window copies the retained spans, oldest first, and reads the lifetime
+// count under the same lock.
+func (r *Registry) window() ([]Span, int64) {
+	if r == nil {
+		return nil, 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]Span, 0, len(r.spans))
+	out = append(out, r.spans[r.head:]...)
+	return append(out, r.spans[:r.head]...), r.recorded
 }
 
 // Counters returns a sorted copy of all counters. Nil-safe.
@@ -211,7 +255,8 @@ func (r *Registry) Counters() map[string]int64 {
 
 // Reset clears all state. Counters and histograms are emptied in place, not
 // dropped, so handles resolved before the reset keep feeding the registry
-// after it. Nil-safe.
+// after it; the span ring keeps its storage and fills it again from the
+// start. Nil-safe.
 func (r *Registry) Reset() {
 	if r == nil {
 		return
@@ -221,29 +266,27 @@ func (r *Registry) Reset() {
 		c.listed.Store(false)
 		c.n.Store(0)
 	}
-	r.spans = nil
+	r.spans, r.head, r.recorded = r.spans[:0], 0, 0
+	clear(r.layerTime)
 	for _, h := range r.hists {
 		h.reset()
 	}
 	r.mu.Unlock()
 }
 
-// ByLayer aggregates total span time per layer — the "which layer is my
-// dataflow spending time in" profile.
+// ByLayer returns the total span time per layer since the last Reset — the
+// "which layer is my dataflow spending time in" profile. It is exact however
+// many spans the ring has dropped.
 func (r *Registry) ByLayer() map[Layer]time.Duration {
 	out := make(map[Layer]time.Duration)
-	for _, s := range r.Spans() {
-		out[s.Layer] += s.Duration()
+	if r == nil {
+		return out
 	}
-	return out
-}
-
-// ByTask aggregates total span time per (job, task).
-func (r *Registry) ByTask() map[string]time.Duration {
-	out := make(map[string]time.Duration)
-	for _, s := range r.Spans() {
-		out[s.Job+"/"+s.Task] += s.Duration()
+	r.mu.Lock()
+	for l, d := range r.layerTime {
+		out[l] = d
 	}
+	r.mu.Unlock()
 	return out
 }
 

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -44,12 +46,8 @@ func TestSpansAndAggregation(t *testing.T) {
 	r.Record(Span{Layer: LayerDevice, Job: "j", Task: "t2", Start: 50, End: 150})
 	r.Record(Span{Layer: LayerScheduler, Job: "j", Task: "t1", Start: 0, End: 10})
 	byLayer := r.ByLayer()
-	if byLayer[LayerDevice] != 200 {
-		t.Errorf("device time = %v, want 200", byLayer[LayerDevice])
-	}
-	byTask := r.ByTask()
-	if byTask["j/t1"] != 110 {
-		t.Errorf("t1 time = %v, want 110", byTask["j/t1"])
+	if byLayer[LayerDevice] != 200 || byLayer[LayerScheduler] != 10 {
+		t.Errorf("by layer = %v, want device 200, scheduler 10", byLayer)
 	}
 }
 
@@ -102,8 +100,93 @@ func TestConcurrentAccess(t *testing.T) {
 	if got := r.Counter(LayerDevice, "ops"); got != 8000 {
 		t.Errorf("ops = %d, want 8000", got)
 	}
-	if got := len(r.Spans()); got != 8000 {
-		t.Errorf("spans = %d, want 8000", got)
+	if got := len(r.Spans()); got != spanCap {
+		t.Errorf("retained spans = %d, want the ring's %d", got, spanCap)
+	}
+	if got := r.SpansRecorded(); got != 8000 {
+		t.Errorf("recorded spans = %d, want 8000", got)
+	}
+	if got := r.ByLayer()[LayerDevice]; got != 8000 {
+		t.Errorf("device time = %v, want 8000", got)
+	}
+}
+
+// TestSpanRingWraps records three laps of the ring with known durations: the
+// ring keeps the last spanCap in order, per-layer time counts every span (an
+// inverted one as 0), and a Reset after the wrap starts clean.
+func TestSpanRingWraps(t *testing.T) {
+	r := NewRegistry()
+	layers := []Layer{LayerRuntime, LayerDevice, LayerFault}
+	want := map[Layer]time.Duration{}
+	const n = 3 * spanCap
+	for i := 0; i < n; i++ {
+		s := Span{Layer: layers[i%len(layers)], Start: time.Duration(i), End: time.Duration(i + i%7)}
+		if i%5 == 0 {
+			s.End = s.Start - 1 // clamped: counts 0
+		}
+		r.Record(s)
+		want[s.Layer] += max(s.End-s.Start, 0)
+	}
+	spans := r.Spans()
+	if len(spans) != spanCap {
+		t.Fatalf("retained %d spans, want %d", len(spans), spanCap)
+	}
+	for k, s := range spans {
+		if want := time.Duration(n - spanCap + k); s.Start != want {
+			t.Fatalf("span %d starts at %v, want %v (oldest first)", k, s.Start, want)
+		}
+	}
+	if got := r.ByLayer(); !reflect.DeepEqual(got, want) {
+		t.Errorf("by layer = %v, want %v", got, want)
+	}
+	if got := r.SpansRecorded(); got != n {
+		t.Errorf("recorded = %d, want %d", got, n)
+	}
+
+	r.Reset()
+	if len(r.Spans()) != 0 || r.SpansRecorded() != 0 || len(r.ByLayer()) != 0 {
+		t.Fatal("Reset after a wrap must leave the ring and totals empty")
+	}
+	r.Record(Span{Layer: LayerApp, Job: "j", Start: 1, End: 3})
+	r.Record(Span{Layer: LayerApp, Job: "k", Start: 3, End: 4})
+	if got := r.Spans(); len(got) != 2 || got[0].Job != "j" || got[1].Job != "k" {
+		t.Errorf("after Reset spans = %+v, want j then k", got)
+	}
+	if got := r.ByLayer(); len(got) != 1 || got[LayerApp] != 3 {
+		t.Errorf("after Reset by layer = %v, want app 3", got)
+	}
+}
+
+// TestRecordAllocatesNothingOnAFullRing: once the ring holds spanCap spans, a
+// span overwrites the oldest in place. AllocsPerRun's warm-up run fills the
+// ring; the one measured run is eight laps, because AllocsPerRun rounds down
+// per run and a slice that still grows by a quarter at a time does so more
+// than once in eight laps.
+func TestRecordAllocatesNothingOnAFullRing(t *testing.T) {
+	r := NewRegistry()
+	s := Span{Layer: LayerRuntime, Job: "j", Task: "t", Name: "exec", End: time.Microsecond}
+	laps := func() {
+		for i := 0; i < 8*spanCap; i++ {
+			r.Record(s)
+		}
+	}
+	if got := testing.AllocsPerRun(1, laps); got != 0 {
+		t.Errorf("eight laps of Record on a full ring allocate %.0f times, want 0", got)
+	}
+}
+
+// BenchmarkRecord is one span recorded on a full ring: the cost every served
+// task and job pays. It must not allocate.
+func BenchmarkRecord(b *testing.B) {
+	r := NewRegistry()
+	s := Span{Layer: LayerRuntime, Job: "j", Task: "t", Name: "exec", End: time.Microsecond}
+	for i := 0; i < spanCap; i++ {
+		r.Record(s)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Record(s)
 	}
 }
 
@@ -188,6 +271,9 @@ func TestExportChromeTrace(t *testing.T) {
 			}
 		case "M":
 			meta++
+			if e["name"] == "dropped_spans" {
+				t.Error("a trace that dropped nothing must not carry dropped_spans")
+			}
 		}
 	}
 	if complete != 2 {
@@ -232,6 +318,40 @@ func TestExportChromeTraceGolden(t *testing.T) {
 		"]\n"
 	if got := buf.String(); got != golden {
 		t.Errorf("trace mismatch:\ngot:  %s\nwant: %s", got, golden)
+	}
+}
+
+// TestExportChromeTraceCountsDroppedSpans: a trace of a wrapped ring holds
+// the ring's spans and opens with a dropped_spans event that counts the rest.
+func TestExportChromeTraceCountsDroppedSpans(t *testing.T) {
+	r := NewRegistry()
+	for i := 0; i < spanCap+3; i++ {
+		r.Record(Span{Layer: LayerRuntime, Job: "j", Task: "t", Name: "exec", Start: time.Duration(i) * time.Microsecond, End: time.Duration(i+1) * time.Microsecond})
+	}
+	var buf bytes.Buffer
+	if err := r.ExportChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Name, Ph string
+		Args     map[string]string
+	}
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	first := events[0]
+	if recorded := strconv.Itoa(spanCap + 3); first.Name != "dropped_spans" || first.Ph != "M" ||
+		first.Args["dropped"] != "3" || first.Args["recorded"] != recorded {
+		t.Errorf("first event = %+v, want dropped_spans with dropped 3 of %s", first, recorded)
+	}
+	complete := 0
+	for _, e := range events {
+		if e.Ph == "X" {
+			complete++
+		}
+	}
+	if complete != spanCap {
+		t.Errorf("complete events = %d, want the ring's %d", complete, spanCap)
 	}
 }
 

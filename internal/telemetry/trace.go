@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 )
 
 // ExportChromeTrace writes the registry's spans in the Chrome trace-event
@@ -16,7 +17,8 @@ import (
 // Events are "complete" events (ph="X"): timestamps and durations are the
 // registry's virtual nanoseconds converted to microseconds (the format's
 // unit). Layers map to process IDs so the viewer groups them; tasks map to
-// thread names.
+// thread names. The spans are the ones Spans returns; when the ring has
+// dropped some, a leading dropped_spans metadata event counts them.
 func (r *Registry) ExportChromeTrace(w io.Writer) error {
 	if r == nil {
 		_, err := io.WriteString(w, "[]")
@@ -40,7 +42,7 @@ func (r *Registry) ExportChromeTrace(w io.Writer) error {
 		Args map[string]string `json:"args"`
 	}
 
-	spans := r.Spans()
+	spans, recorded := r.window()
 	sort.SliceStable(spans, func(i, j int) bool {
 		if spans[i].Start != spans[j].Start {
 			return spans[i].Start < spans[j].Start
@@ -55,6 +57,17 @@ func (r *Registry) ExportChromeTrace(w io.Writer) error {
 	taskTid := map[string]int{}
 	nextTid := map[int]int{}
 	var events []any
+	// A trace of a registry whose ring wrapped is a window: say so in the
+	// file, so a viewer does not read the missing start of the run as idle.
+	if dropped := recorded - int64(len(spans)); dropped > 0 {
+		events = append(events, metaEvent{
+			Name: "dropped_spans", Ph: "M",
+			Args: map[string]string{
+				"dropped":  strconv.FormatInt(dropped, 10),
+				"recorded": strconv.FormatInt(recorded, 10),
+			},
+		})
+	}
 	for _, s := range spans {
 		pid, ok := layerPid[s.Layer]
 		if !ok {
