@@ -52,6 +52,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -198,8 +199,8 @@ func main() {
 	fmt.Print(rep.String())
 	fmt.Println("\npeak device allocation:")
 	for _, m := range topo.Memories() {
-		if b, ok := rep.PeakDeviceBytes[m.ID]; ok && b > 0 {
-			fmt.Printf("  %-18s %d bytes\n", m.ID, b)
+		if i := slices.IndexFunc(rep.PeakDeviceBytes, func(p core.DeviceBytes) bool { return p.Device == m.ID }); i >= 0 {
+			fmt.Printf("  %-18s %d bytes\n", m.ID, rep.PeakDeviceBytes[i].Bytes)
 		}
 	}
 	if o.profile {

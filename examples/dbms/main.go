@@ -50,8 +50,8 @@ func main() {
 	fmt.Printf("query makespan: optimizer %v vs naive %v — naive is %.1f× slower\n",
 		best.Makespan, worst.Makespan, float64(worst.Makespan)/float64(best.Makespan))
 	fmt.Println("\nthe hash-join re-used the aggregation's hash index from Global Scratch:")
-	fmt.Printf("  agg-index lives on %s\n", best.Tasks["hash-aggregate"].Regions["agg-index"])
-	for _, l := range best.Tasks["hash-join"].Logs {
+	fmt.Printf("  agg-index lives on %s\n", best.Task("hash-aggregate").Region("agg-index"))
+	for _, l := range best.Task("hash-join").Logs {
 		fmt.Println("  join:", l)
 	}
 }

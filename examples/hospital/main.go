@@ -39,10 +39,10 @@ func main() {
 		{"alert-caregivers", "missing-patients", "persistent media"},
 	}
 	for _, c := range checks {
-		dev := report.Tasks[c.task].Regions[c.region]
+		dev := report.Task(c.task).Region(c.region)
 		fmt.Printf("  %-18s %-18s → %-16s (%s)\n", c.task, c.region, dev, c.want)
 	}
-	ledger := report.Tasks["alert-caregivers"].Regions["missing-patients"]
+	ledger := report.Task("alert-caregivers").Region("missing-patients")
 	if m, ok := rt.Topology().Memory(ledger); ok && m.Persistent {
 		fmt.Println("\n✓ the missing-patient ledger survives a crash: placed on", ledger)
 	} else {

@@ -14,6 +14,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/telemetry"
@@ -34,10 +35,12 @@ func main() {
 	fmt.Print(report.String())
 
 	fmt.Println("\nplacements the pipeline never had to spell out:")
-	fmt.Printf("  sample cache (Global Scratch) → %s\n", report.Tasks["preprocess"].Regions["sample-cache"])
-	fmt.Printf("  worker state (Global State)   → %s\n", report.Tasks["preprocess"].Regions["worker-state"])
-	fmt.Printf("  model weights (Priv. Scratch) → %s\n", report.Tasks["train"].Regions["weights"])
-	fmt.Printf("  trained model (final output)  → %s\n", report.FinalOutputs["train"])
+	fmt.Printf("  sample cache (Global Scratch) → %s\n", report.Task("preprocess").Region("sample-cache"))
+	fmt.Printf("  worker state (Global State)   → %s\n", report.Task("preprocess").Region("worker-state"))
+	fmt.Printf("  model weights (Priv. Scratch) → %s\n", report.Task("train").Region("weights"))
+	if i := slices.IndexFunc(report.FinalOutputs, func(o core.TaskOutput) bool { return o.Task == "train" }); i >= 0 {
+		fmt.Printf("  trained model (final output)  → %s\n", report.FinalOutputs[i].Device)
+	}
 
 	fmt.Println("\ncross-layer profile (challenge 8(1)):")
 	fmt.Print(tel.Report())

@@ -86,6 +86,17 @@ type (
 	ExecConfig = core.ExecConfig
 	// Report is the outcome of one job run.
 	Report = core.Report
+	// TaskReport describes one executed task of a Report (Report.Task).
+	TaskReport = core.TaskReport
+	// RegionPlacement is the device the RTS chose for one labelled region of
+	// a task (TaskReport.Regions, TaskReport.Region).
+	RegionPlacement = core.RegionPlacement
+	// DeviceBytes is one device's high-water allocation over a run
+	// (Report.PeakDeviceBytes).
+	DeviceBytes = core.DeviceBytes
+	// TaskOutput is the device holding a sink task's retained output
+	// (Report.FinalOutputs).
+	TaskOutput = core.TaskOutput
 	// MultiReport is the outcome of a concurrent job batch.
 	MultiReport = core.MultiReport
 	// Checkpointer persists task outputs for recovery

@@ -49,6 +49,14 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if rep.Makespan <= 0 {
 		t.Error("makespan must be positive")
 	}
+	// The report's tables are nameable through the facade alone.
+	var tr *repro.TaskReport = rep.Task("produce")
+	var out repro.RegionPlacement = tr.Regions[0]
+	var peak []repro.DeviceBytes = rep.PeakDeviceBytes
+	var final []repro.TaskOutput = rep.FinalOutputs
+	if out.Label != "out" || len(peak) == 0 || len(final) != 0 {
+		t.Errorf("produce placed %v; peaks %v; final outputs %v", out, peak, final)
+	}
 	if rt.Regions().Live() != 0 {
 		t.Error("regions leaked through the facade")
 	}

@@ -153,7 +153,7 @@ func TestRecoverySkipsCheckpointedTasks(t *testing.T) {
 	}
 	// The data flowed through the restore intact.
 	var final string
-	for _, l := range rep.Tasks["consume"].Logs {
+	for _, l := range rep.Task("consume").Logs {
 		if strings.Contains(l, "final:") {
 			final = l
 		}
@@ -163,7 +163,7 @@ func TestRecoverySkipsCheckpointedTasks(t *testing.T) {
 	}
 	// The restore is visible in the report.
 	restored := false
-	for _, l := range rep.Tasks["produce"].Logs {
+	for _, l := range rep.Task("produce").Logs {
 		if strings.Contains(l, "restored from checkpoint") {
 			restored = true
 		}
@@ -226,7 +226,7 @@ func TestRecoverySurvivesStorageNodeCrash(t *testing.T) {
 		t.Errorf("produce re-executed despite degraded checkpoint read")
 	}
 	var final string
-	for _, l := range rep.Tasks["consume"].Logs {
+	for _, l := range rep.Task("consume").Logs {
 		final += l
 	}
 	if !strings.Contains(final, "PRECIOUS INTERMEDIATE") {

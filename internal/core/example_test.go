@@ -46,7 +46,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(report.Tasks["consume"].Logs[0])
+	fmt.Println(report.Task("consume").Logs[0])
 	fmt.Println("regions leaked:", rt.Regions().Live())
 	// Output:
 	// got hi
@@ -78,7 +78,7 @@ func Example_declarativeProperties() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(report.Tasks["ledger-keeper"].Logs[0])
+	fmt.Println(report.Task("ledger-keeper").Logs[0])
 	// Output:
 	// ledger on node0/pmem0 (persistent: true)
 }
@@ -122,7 +122,7 @@ func Example_globalRegions() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(report.Tasks["reader"].Logs[0])
+	fmt.Println(report.Task("reader").Logs[0])
 	// Output:
 	// flag=42
 }

@@ -73,7 +73,7 @@ func requireSoloEqual(t *testing.T, label string, got, solo *Report) {
 	if !reflect.DeepEqual(got.Tasks, solo.Tasks) {
 		for id, tr := range solo.Tasks {
 			if !reflect.DeepEqual(got.Tasks[id], tr) {
-				t.Fatalf("%s: task %s: %+v != solo %+v", label, id, got.Tasks[id], tr)
+				t.Fatalf("%s: task %s: %+v != solo %+v", label, tr.Task, got.Tasks[id], tr)
 			}
 		}
 		t.Fatalf("%s: task reports diverge from solo", label)

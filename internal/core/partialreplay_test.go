@@ -129,7 +129,7 @@ func TestPartialReplayMatchesFullReplay(t *testing.T) {
 		if !reflect.DeepEqual(full, part) {
 			for id := range full.Tasks {
 				if !reflect.DeepEqual(full.Tasks[id], part.Tasks[id]) {
-					t.Errorf("workers=%d task %s:\nfull    %+v\npartial %+v", w, id, full.Tasks[id], part.Tasks[id])
+					t.Errorf("workers=%d task %s:\nfull    %+v\npartial %+v", w, full.Tasks[id].Task, full.Tasks[id], part.Tasks[id])
 				}
 			}
 			t.Fatalf("workers=%d: partial report diverges from full:\nfull    %+v\npartial %+v", w, full, part)

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	goruntime "runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -129,17 +130,49 @@ func (rt *Runtime) Telemetry() *telemetry.Registry { return rt.tel }
 // target utilization.
 func (rt *Runtime) Scheduler() sched.Scheduler { return rt.sched }
 
+// RegionPlacement is where the RTS put one labelled region of a task.
+type RegionPlacement struct {
+	Label  string
+	Device string
+}
+
+// DeviceBytes is one device's high-water allocation over a run.
+type DeviceBytes struct {
+	Device string
+	Bytes  int64
+}
+
+// TaskOutput is the device holding a sink task's retained output.
+type TaskOutput struct {
+	Task   string
+	Device string
+}
+
 // TaskReport describes one executed task.
 type TaskReport struct {
 	Task    string
 	Compute string
 	Start   time.Duration
 	Finish  time.Duration
-	// Regions maps region label → physical device the RTS chose, the
-	// observable outcome of declarative placement (Fig. 3).
-	Regions map[string]string
+	// Regions lists the physical device the RTS chose for each region label,
+	// the observable outcome of declarative placement (Fig. 3): one entry per
+	// label, in label order, the last placement of a relabelled label. Nil
+	// when the task labelled none.
+	Regions []RegionPlacement
 	Logs    []string
 }
+
+// Region returns the device the task placed its region label on, "" if it
+// placed nothing under that label.
+func (t *TaskReport) Region(label string) string {
+	i, ok := slices.BinarySearchFunc(t.Regions, label, byLabel)
+	if !ok {
+		return ""
+	}
+	return t.Regions[i].Device
+}
+
+func byLabel(p RegionPlacement, label string) int { return strings.Compare(p.Label, label) }
 
 // Report is the outcome of one job run.
 type Report struct {
@@ -147,11 +180,14 @@ type Report struct {
 	Scheduler string
 	Placer    string
 	Makespan  time.Duration
-	Tasks     map[string]*TaskReport
-	// PeakDeviceBytes is the high-water allocation per device.
-	PeakDeviceBytes map[string]int64
-	// FinalOutputs maps sink task → device holding its retained output.
-	FinalOutputs map[string]string
+	// Tasks holds one report per task, in the job's topological rank order.
+	Tasks []TaskReport
+	// PeakDeviceBytes is the high-water allocation per device that held any,
+	// in device order.
+	PeakDeviceBytes []DeviceBytes
+	// FinalOutputs lists each sink task that retained an output and the device
+	// holding it, in rank order.
+	FinalOutputs []TaskOutput
 	// Attempts is the number of runs the job needed to complete (1 = no
 	// retry; only a RecoveryPolicy makes it more).
 	Attempts int
@@ -193,33 +229,37 @@ type Report struct {
 	Shard string
 }
 
-// String renders the report as a fixed-width table.
+// Task returns the report of the task with the given ID, nil if the job has
+// none.
+func (r *Report) Task(id string) *TaskReport {
+	for k := range r.Tasks {
+		if r.Tasks[k].Task == id {
+			return &r.Tasks[k]
+		}
+	}
+	return nil
+}
+
+// String renders the report as a fixed-width table: tasks by start time, ties
+// by ID.
 func (r *Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "job %q (%s scheduler, %s placer): makespan %v\n", r.Job, r.Scheduler, r.Placer, r.Makespan)
-	ids := make([]string, 0, len(r.Tasks))
-	for id := range r.Tasks {
-		ids = append(ids, id)
+	byStart := make([]*TaskReport, len(r.Tasks))
+	for k := range r.Tasks {
+		byStart[k] = &r.Tasks[k]
 	}
-	// Stable order with an ID tie-break: map iteration seeds ids randomly,
-	// so sorting on Start alone renders same-start tasks nondeterministically.
-	sort.SliceStable(ids, func(a, b int) bool {
-		ta, tb := r.Tasks[ids[a]], r.Tasks[ids[b]]
+	sort.SliceStable(byStart, func(a, b int) bool {
+		ta, tb := byStart[a], byStart[b]
 		if ta.Start != tb.Start {
 			return ta.Start < tb.Start
 		}
-		return ids[a] < ids[b]
+		return ta.Task < tb.Task
 	})
-	for _, id := range ids {
-		t := r.Tasks[id]
+	for _, t := range byStart {
 		fmt.Fprintf(&b, "  %-22s on %-14s %12v → %12v\n", t.Task, t.Compute, t.Start, t.Finish)
-		names := make([]string, 0, len(t.Regions))
-		for n := range t.Regions {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Fprintf(&b, "      region %-18s → %s\n", n, t.Regions[n])
+		for _, p := range t.Regions {
+			fmt.Fprintf(&b, "      region %-18s → %s\n", p.Label, p.Device)
 		}
 		for _, l := range t.Logs {
 			fmt.Fprintf(&b, "      log: %s\n", l)
@@ -285,18 +325,18 @@ type run struct {
 	// they are how a task's fence finds the dispatcher — or finds the run over.
 	pool *wavePool
 	w    *wavefront
-	// smu guards the cross-task shared state (globals, the report's final
-	// outputs) against concurrent wavefront task goroutines. It is a leaf
-	// lock: nothing is called while holding it.
+	// smu guards the cross-task shared state (globals) against concurrent
+	// wavefront task goroutines. It is a leaf lock: nothing is called while
+	// holding it.
 	smu sync.Mutex
 	// globals holds the job-wide named regions (Global State / Global
-	// Scratch) by name, under the job's owner; made by the first global.
-	globals map[string]*region.Handle
+	// Scratch) under the job's owner, in creation order.
+	globals []namedHandle
 	report  *Report
 	// ctxs and reports are the tasks' contexts and reports, by rank. Neither
 	// is recycled with the scratch: a handle a body kept outlives the run
-	// holding its task's context as its fence, and the report is the
-	// submitter's.
+	// holding its task's context as its fence, and the reports are the
+	// submitter's Report.Tasks.
 	ctxs    []taskCtx
 	reports []TaskReport
 	// lazy holds, by producer rank, a replayed producer's re-materialized
@@ -400,11 +440,7 @@ func (rt *Runtime) newRun(job *dataflow.Job, g *dataflow.Graph, schedule *sched.
 func (r *run) attempt() *run {
 	n := r.g.Len()
 	r.ctxs, r.reports = make([]taskCtx, n), make([]TaskReport, n)
-	r.report = &Report{
-		Job: r.job.Name(), Scheduler: r.rt.sched.Name(), Placer: r.rt.placer.Name(),
-		PeakDeviceBytes: make(map[string]int64),
-		FinalOutputs:    make(map[string]string),
-	}
+	r.report = &Report{Job: r.job.Name(), Scheduler: r.rt.sched.Name(), Placer: r.rt.placer.Name()}
 	return r
 }
 
@@ -439,7 +475,7 @@ func (r *run) execTaskAt(w *wavefront, k int, view *topology.TaskView, start tim
 		view:   view,
 		rank:   k,
 	}
-	ctx.events = ctx.journal[:0]
+	ctx.events, ctx.regions = ctx.journal[:0], ctx.placed[:0]
 	// Recovery fast path: a checkpointed task is restored, not re-run.
 	if w.slots[k].restored {
 		return r.restoreTaskAt(ctx, start)
@@ -520,20 +556,14 @@ func (r *run) execTaskAt(w *wavefront, k int, view *topology.TaskView, start tim
 	ctx.releaseScratchAndInputs()
 	// Release this task's shares of globals (the job-level owner keeps
 	// them alive until the job ends). One failed release must not leak
-	// the remaining shares: release them all in deterministic order and
-	// aggregate the errors.
-	names := make([]string, 0, len(ctx.globalShares))
-	for name := range ctx.globalShares {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	// the remaining shares: release them all in name order and aggregate
+	// the errors.
 	var relErrs []error
-	for _, name := range names {
-		h := ctx.globalShares[name]
-		if err := h.Release(); err != nil {
-			relErrs = append(relErrs, fmt.Errorf("releasing global %s: %w", name, err))
+	for _, g := range ctx.globalShares {
+		if err := g.h.Release(); err != nil {
+			relErrs = append(relErrs, fmt.Errorf("releasing global %s: %w", g.name, err))
 		} else {
-			ctx.noteRelease(h)
+			ctx.noteRelease(g.h)
 		}
 	}
 
@@ -576,9 +606,7 @@ func (r *run) deliverOutput(ctx *taskCtx) error {
 		if err != nil {
 			return err
 		}
-		r.smu.Lock()
-		r.report.FinalOutputs[ctx.task.ID()] = dev
-		r.smu.Unlock()
+		ctx.finalDev = dev
 		r.handles[r.g.Edges()+k] = ctx.output // retain until cleanup
 		ctx.output = nil
 		return nil
@@ -618,8 +646,8 @@ func (r *run) cleanup() {
 	globals := r.globals
 	r.globals = nil
 	r.smu.Unlock()
-	for _, h := range globals {
-		h.Release() //nolint:errcheck // best-effort teardown
+	for _, g := range globals {
+		g.h.Release() //nolint:errcheck // best-effort teardown
 	}
 	held := r.handles[:r.g.Edges()+r.g.Len()]
 	for i, h := range held {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestStructuralJobRuns(t *testing.T) {
 	if len(rep.Tasks) != 2 {
 		t.Errorf("task reports = %d", len(rep.Tasks))
 	}
-	if rep.Tasks["b"].Start < rep.Tasks["a"].Finish {
+	if rep.Task("b").Start < rep.Task("a").Finish {
 		t.Error("b must start after a")
 	}
 	if rt.Regions().Live() != 0 {
@@ -80,28 +81,28 @@ func TestHospitalEndToEnd(t *testing.T) {
 	}
 	// GPU tasks on the GPU (Fig. 2 annotations).
 	for _, id := range []string{"preprocess", "face-recognition"} {
-		if got := rep.Tasks[id].Compute; got != "node0/gpu0" {
+		if got := rep.Task(id).Compute; got != "node0/gpu0" {
 			t.Errorf("%s ran on %s, want GPU", id, got)
 		}
 	}
 	for _, id := range []string{"track-hours", "compute-utilization", "alert-caregivers"} {
-		c, _ := rt.Topology().Compute(rep.Tasks[id].Compute)
+		c, _ := rt.Topology().Compute(rep.Task(id).Compute)
 		if c.Kind != topology.CPU {
 			t.Errorf("%s ran on %s, want CPU", id, c.Kind)
 		}
 	}
 	// The persistent missing-patient ledger must be on persistent media.
-	ledger := rep.Tasks["alert-caregivers"].Regions["missing-patients"]
+	ledger := rep.Task("alert-caregivers").Region("missing-patients")
 	dev, ok := rt.Topology().Memory(ledger)
 	if !ok || !dev.Persistent {
 		t.Errorf("missing-patient ledger on %q, want persistent device", ledger)
 	}
 	// GPU scratch must be GPU-local (Fig. 3): the preprocess frame buffer.
-	if got := rep.Tasks["preprocess"].Regions["framebuf"]; got != "node0/gddr0" {
+	if got := rep.Task("preprocess").Region("framebuf"); got != "node0/gddr0" {
 		t.Errorf("GPU frame buffer on %s, want GDDR", got)
 	}
 	// All three sinks ran; utilization produced a final output.
-	if _, ok := rep.FinalOutputs["compute-utilization"]; !ok {
+	if !slices.ContainsFunc(rep.FinalOutputs, func(o TaskOutput) bool { return o.Task == "compute-utilization" }) {
 		t.Error("utilization output missing")
 	}
 	if rt.Regions().Live() != 0 {
@@ -109,7 +110,7 @@ func TestHospitalEndToEnd(t *testing.T) {
 	}
 	// Logs made it into the report.
 	found := false
-	for _, l := range rep.Tasks["alert-caregivers"].Logs {
+	for _, l := range rep.Task("alert-caregivers").Logs {
 		if strings.Contains(l, "alerted caregivers") {
 			found = true
 		}
@@ -127,7 +128,7 @@ func TestDBMSEndToEnd(t *testing.T) {
 	}
 	// The join must have found matches via the re-used hash index.
 	var joined string
-	for _, l := range rep.Tasks["hash-join"].Logs {
+	for _, l := range rep.Task("hash-join").Logs {
 		if strings.Contains(l, "join matched") {
 			joined = l
 		}
@@ -136,7 +137,7 @@ func TestDBMSEndToEnd(t *testing.T) {
 		t.Errorf("join produced no matches: %q", joined)
 	}
 	// The agg index went to a shared (coherent) device.
-	idxDev := rep.Tasks["hash-aggregate"].Regions["agg-index"]
+	idxDev := rep.Task("hash-aggregate").Region("agg-index")
 	if idxDev == "" {
 		t.Fatal("agg-index placement not recorded")
 	}
@@ -151,10 +152,10 @@ func TestMLEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rep.Tasks["train"].Compute; got != "node0/tpu0" {
+	if got := rep.Task("train").Compute; got != "node0/tpu0" {
 		t.Errorf("training on %s, want TPU", got)
 	}
-	if _, ok := rep.FinalOutputs["train"]; !ok {
+	if !slices.ContainsFunc(rep.FinalOutputs, func(o TaskOutput) bool { return o.Task == "train" }) {
 		t.Error("trained weights must be a final output")
 	}
 	if rt.Regions().Live() != 0 {
@@ -354,9 +355,9 @@ func TestRepeatedRunsAreIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same job twice: same placements (devices drained between runs).
-	for id, t1 := range r1.Tasks {
-		if r2.Tasks[id].Compute != t1.Compute {
-			t.Errorf("%s moved between runs: %s → %s", id, t1.Compute, r2.Tasks[id].Compute)
+	for k, t1 := range r1.Tasks {
+		if r2.Tasks[k].Compute != t1.Compute {
+			t.Errorf("%s moved between runs: %s → %s", t1.Task, t1.Compute, r2.Tasks[k].Compute)
 		}
 	}
 	if rt.Regions().Live() != 0 {
@@ -387,14 +388,14 @@ func BenchmarkDBMSRun(b *testing.B) {
 }
 
 func TestReportStringDeterministicOnTies(t *testing.T) {
-	// Two tasks with identical Start times: map iteration order must not
-	// leak into the rendering — ties break on task ID.
+	// Two tasks with identical Start times: the rendering orders by start,
+	// whatever the rank order, and ties break on task ID.
 	rep := &Report{
 		Job: "tie", Scheduler: "heft", Placer: "best-fit", Makespan: 10,
-		Tasks: map[string]*TaskReport{
-			"zeta":  {Task: "zeta", Compute: "node0/cpu0", Start: 0, Finish: 5},
-			"alpha": {Task: "alpha", Compute: "node0/cpu0", Start: 0, Finish: 7},
-			"mid":   {Task: "mid", Compute: "node0/gpu0", Start: 3, Finish: 9},
+		Tasks: []TaskReport{
+			{Task: "mid", Compute: "node0/gpu0", Start: 3, Finish: 9},
+			{Task: "zeta", Compute: "node0/cpu0", Start: 0, Finish: 5},
+			{Task: "alpha", Compute: "node0/cpu0", Start: 0, Finish: 7},
 		},
 	}
 	first := rep.String()
@@ -412,26 +413,26 @@ func TestReportStringDeterministicOnTies(t *testing.T) {
 	}
 }
 
-// TestReportStringWithoutRegions: a task that labelled no region reports a
-// nil Regions map — it is made by the first label — and renders exactly as an
-// empty one does: its line, and no region line under it.
+// TestReportStringWithoutRegions: a task that labelled no region reports nil
+// Regions and renders exactly as an empty slice does: its line, and no region
+// line under it.
 func TestReportStringWithoutRegions(t *testing.T) {
 	rep, err := newRuntime(t).Run(pipelineJob("p"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := rep.Tasks["reduce"] // no output, no scratch, no global
+	sink := rep.Task("reduce") // no output, no scratch, no global
 	if sink.Regions != nil {
 		t.Fatalf("reduce labelled no region, Regions = %v", sink.Regions)
 	}
-	if rep.Tasks["ingest"].Regions["out"] == "" {
-		t.Errorf("ingest's output is unplaced: %v", rep.Tasks["ingest"].Regions)
+	if rep.Task("ingest").Region("out") == "" {
+		t.Errorf("ingest's output is unplaced: %v", rep.Task("ingest").Regions)
 	}
 	with := rep.String()
 	if strings.Count(with, "region ") != 2 { // ingest's and filter's outputs
 		t.Errorf("want two region lines:\n%s", with)
 	}
-	sink.Regions = map[string]string{}
+	sink.Regions = []RegionPlacement{}
 	if got := rep.String(); got != with {
 		t.Errorf("nil and empty Regions render differently:\n%s\nvs\n%s", with, got)
 	}

@@ -19,7 +19,7 @@ import (
 //
 // What a submitter or a handle a task body kept can still reach is not here:
 // the task contexts (a kept handle's fence), the task reports and the Report
-// with its maps stay the run's own and go to the collector with it. A kept
+// with its slices stay the run's own and go to the collector with it. A kept
 // handle's clock is one of the views, but it was released with the run, and
 // a released handle fails before its clock is consulted.
 type scratch struct {
@@ -32,10 +32,12 @@ type scratch struct {
 	views   []topology.TaskView
 	handles []*region.Handle // run.handles
 	cores   []time.Duration  // run.cores, when the run's table is private
-	// computePeak's event list and its two maps.
+	// computePeak's event list and its three maps: the live regions, and
+	// each device's bytes now and at its peak.
 	events []memEvent
 	live   map[region.ID]liveRegion
 	cur    map[string]int64
+	peak   map[string]int64
 }
 
 // The runtime's free list (allocator.FreeList) is bounded twice, like the
@@ -54,8 +56,8 @@ const (
 // footprint is what the scratch's tables keep reachable, in bytes: every
 // slice's capacity, each view's queue state, and for computePeak's live map an
 // entry per event slot — the map held at most as many regions at once as the
-// sweep had events, and events only grows. cur is keyed by device and so
-// bounded by the topology; it is not counted.
+// sweep had events, and events only grows. cur and peak are keyed by device
+// and so bounded by the topology; they are not counted.
 func (sc *scratch) footprint() int64 {
 	const (
 		word      = int(unsafe.Sizeof(uintptr(0)))

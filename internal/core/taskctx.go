@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/dataflow"
@@ -26,9 +28,17 @@ type taskCtx struct {
 	inputs       []*region.Handle
 	scratch      []*region.Handle
 	output       *region.Handle
-	globalShares map[string]*region.Handle
-	regions      map[string]string // label → device (for the report); made by the first label
-	logs         []string
+	globalShares []namedHandle // the task's shares of job globals, by name
+	// regions is the task's labelled placements, by label, which finalize
+	// copies into the report. It starts in placed, which holds the most a
+	// task of the serving mix labels: three, DBMS hash-aggregate's table,
+	// index and output (TestServingMixPlacementsFitInline). The ML and HPC
+	// jobs' four-label tasks spill.
+	regions []RegionPlacement
+	placed  [3]RegionPlacement
+	// finalDev is the device of the output a sink retained, "" if none.
+	finalDev string
+	logs     []string
 
 	// view is the task's private causal clock view, the one every allocation
 	// and access of the task is priced against. rank is the task's
@@ -37,12 +47,11 @@ type taskCtx struct {
 	// the fence of every handle the task touches.
 	view *topology.TaskView
 	rank int
-	// events is the task's journal of the run's virtual memory ledger, which
-	// computePeak sweeps once the run has succeeded (wavefront.go); evseq
-	// orders same-time entries within the task. It starts in journal, which
-	// holds what a task with an output and an input or two notes.
+	// events is the task's journal of the run's virtual memory ledger, in the
+	// order the task noted them, which computePeak sweeps once the run has
+	// succeeded (wavefront.go). It starts in journal, which holds what a task
+	// with an output and an input or two notes.
 	events  []memEvent
-	evseq   int
 	journal [4]memEvent
 	// ckRestoreCost is the snapshot Put price stashed by checkpointTask;
 	// on full completion it becomes the entry's deterministic replay price
@@ -164,16 +173,14 @@ func (c *taskCtx) Inputs() []*region.Handle {
 // first use with a placement addressable by every scheduled compute device
 // (§2.2 challenge (2)), then shared with each requesting task.
 func (c *taskCtx) Global(name string, class props.RegionClass, size int64) (*region.Handle, error) {
-	if c.globalShares == nil {
-		c.globalShares = make(map[string]*region.Handle)
-	}
-	if h, ok := c.globalShares[name]; ok {
-		return h, nil
+	at, ok := slices.BinarySearchFunc(c.globalShares, name, byName)
+	if ok {
+		return c.globalShares[at].h, nil
 	}
 	c.run.smu.Lock()
-	g, ok := c.run.globals[name]
+	g := c.run.global(name)
 	c.run.smu.Unlock()
-	if !ok {
+	if g == nil {
 		// First use: fence on rank order so the creating task — whose
 		// compute device anchors the placement — is the same task a
 		// sequential run would pick, regardless of wall-clock arrival.
@@ -187,10 +194,10 @@ func (c *taskCtx) Global(name string, class props.RegionClass, size int64) (*reg
 			return nil, err
 		}
 		c.run.smu.Lock()
-		g, ok = c.run.globals[name]
+		g = c.run.global(name)
 		c.run.smu.Unlock()
 	}
-	if !ok {
+	if g == nil {
 		if !class.Shareable() {
 			return nil, fmt.Errorf("core: global %q needs a shareable class, got %s", name, class)
 		}
@@ -222,10 +229,7 @@ func (c *taskCtx) Global(name string, class props.RegionClass, size int64) (*reg
 		}
 		c.noteAlloc(g, size)
 		c.run.smu.Lock()
-		if c.run.globals == nil {
-			c.run.globals = make(map[string]*region.Handle)
-		}
-		c.run.globals[name] = g
+		c.run.globals = append(c.run.globals, namedHandle{name, g})
 		c.run.smu.Unlock()
 		dev, _ := g.DeviceID()
 		c.noteDevice(name, dev)
@@ -238,9 +242,29 @@ func (c *taskCtx) Global(name string, class props.RegionClass, size int64) (*reg
 	// task's own before any access is priced through it.
 	sh.Rebind(c.view, c.rank, c)
 	c.noteShare(sh)
-	c.globalShares[name] = sh
+	c.globalShares = slices.Insert(c.globalShares, at, namedHandle{name, sh})
 	c.noteRegion(name, sh)
 	return sh, nil
+}
+
+// namedHandle is a job global's region, or a task's share of it, under the
+// global's name.
+type namedHandle struct {
+	name string
+	h    *region.Handle
+}
+
+func byName(g namedHandle, name string) int { return strings.Compare(g.name, name) }
+
+// global returns the job global of that name, nil before its first use.
+// Caller holds r.smu.
+func (r *run) global(name string) *region.Handle {
+	for _, g := range r.globals {
+		if g.name == name {
+			return g.h
+		}
+	}
+	return nil
 }
 
 // pinCompute finds a compute device that can address dev, preferring the
@@ -271,13 +295,13 @@ func (r *run) scheduledComputes() []string {
 	return out
 }
 
-// report fills in the task's report from what the context recorded.
+// report fills in the task's report from what the context recorded, bar its
+// Regions, which finalize copies out of the context once the run succeeded.
 func (c *taskCtx) report(start time.Duration) *TaskReport {
 	rep := &c.run.reports[c.rank]
 	*rep = TaskReport{
 		Task: c.task.ID(), Compute: c.compute.ID,
-		Start: start, Finish: c.now,
-		Regions: c.regions, Logs: c.logs,
+		Start: start, Finish: c.now, Logs: c.logs,
 	}
 	return rep
 }
@@ -297,11 +321,15 @@ func (c *taskCtx) noteRegion(label string, h *region.Handle) {
 	}
 }
 
+// noteDevice records that the labelled region is on dev; relabelling a label
+// overwrites its placement.
 func (c *taskCtx) noteDevice(label, dev string) {
-	if c.regions == nil {
-		c.regions = make(map[string]string)
+	i, ok := slices.BinarySearchFunc(c.regions, label, byLabel)
+	if ok {
+		c.regions[i].Device = dev
+		return
 	}
-	c.regions[label] = dev
+	c.regions = slices.Insert(c.regions, i, RegionPlacement{Label: label, Device: dev})
 }
 
 // releaseScratchAndInputs frees task-lifetime regions after the body ran.
@@ -330,8 +358,8 @@ func (c *taskCtx) releaseAll() {
 		c.output.Release() //nolint:errcheck // best-effort teardown
 		c.output = nil
 	}
-	for _, h := range c.globalShares {
-		h.Release() //nolint:errcheck // best-effort teardown
+	for _, g := range c.globalShares {
+		g.h.Release() //nolint:errcheck // best-effort teardown
 	}
 	c.globalShares = nil
 }

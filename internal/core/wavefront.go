@@ -54,9 +54,10 @@ package core
 // sequence) claimed task (sched.BatchBefore).
 //
 // Peak device memory is likewise virtualized: tasks journal alloc / share /
-// release / migrate events stamped with (virtual time, rank, sequence), and
-// the high-water mark per device is computed by a deterministic sweep over
-// the sorted journal instead of sampling wall-clock allocator state.
+// release / migrate events stamped with (virtual time, rank), in the order
+// they happen, and the high-water mark per device is computed by a
+// deterministic sweep over the sorted journal instead of sampling wall-clock
+// allocator state.
 
 import (
 	"cmp"
@@ -65,6 +66,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -102,17 +104,16 @@ const (
 	evMove                  // region migrated to dev
 )
 
-// memEvent is one entry in the run's virtual memory ledger. The (at, rank,
-// seq) triple totally orders events deterministically: virtual time first,
-// task rank for cross-task ties, per-task sequence within a task.
+// memEvent is one entry in the run's virtual memory ledger. Events are
+// totally ordered, deterministically, by virtual time, then task rank, then
+// their place in the task's journal (computePeak).
 type memEvent struct {
 	at    time.Duration
-	rank  int
-	seq   int
 	id    region.ID
-	kind  evKind
 	dev   string // evAlloc / evMove: the region's (new) home device
 	bytes int64  // evAlloc: allocator block size
+	rank  int32
+	kind  evKind
 }
 
 // wavePool arbitrates one bounded worker pool across one or more
@@ -397,19 +398,43 @@ func (w *wavefront) finalize() (failedTask string, err error) {
 	r.epoch.Absorb(seed)
 	r.cleanup()
 	r.computePeak()
-	// Every task reported: hand the submitter the reports under their names.
-	r.report.Tasks = make(map[string]*TaskReport, len(w.slots))
-	for k := range w.slots {
-		tr := &r.reports[k]
-		r.report.Tasks[tr.Task] = tr
-		if tr.Finish > r.report.Makespan {
-			r.report.Makespan = tr.Finish
-		}
-		if w.slots[k].restored {
-			r.report.SkippedTasks++
+	r.fillReport(w.slots)
+	return "", nil
+}
+
+// fillReport hands the submitter a succeeded run's reports, in rank order,
+// with what only the task contexts recorded copied out of them: each task's
+// placements, as its window of one block the size of them all, and the sinks'
+// retained outputs.
+func (r *run) fillReport(slots []slot) {
+	rep := r.report
+	rep.Tasks = r.reports
+	placed, sinks := 0, 0
+	for k := range r.ctxs {
+		placed += len(r.ctxs[k].regions)
+		if r.ctxs[k].finalDev != "" {
+			sinks++
 		}
 	}
-	return "", nil
+	block := make([]RegionPlacement, 0, placed)
+	rep.FinalOutputs = make([]TaskOutput, 0, sinks)
+	for k := range r.reports {
+		c, tr := &r.ctxs[k], &r.reports[k]
+		if len(c.regions) > 0 {
+			at := len(block)
+			block = append(block, c.regions...)
+			tr.Regions = block[at:len(block):len(block)]
+		}
+		if c.finalDev != "" {
+			rep.FinalOutputs = append(rep.FinalOutputs, TaskOutput{Task: tr.Task, Device: c.finalDev})
+		}
+		if tr.Finish > rep.Makespan {
+			rep.Makespan = tr.Finish
+		}
+		if slots[k].restored {
+			rep.SkippedTasks++
+		}
+	}
 }
 
 // drainedLocked reports whether the wavefront has nothing left to do.
@@ -649,10 +674,12 @@ func (w *wavefront) fenceOpenLocked(k int, deps []int) bool {
 
 // computePeak sweeps the run's virtual memory ledger — every task's journal;
 // in a run that succeeded each task ran to completion, so each journal is
-// whole — in deterministic (time, rank, seq) order and records the per-device
-// high-water mark. Regions never released (job globals, retained final
-// outputs) stay live through the end of the sweep, matching their actual
-// lifetime.
+// whole — in deterministic (time, rank, journal position) order and records
+// the per-device high-water mark in the report, by device. The journals are
+// gathered in rank order and each is in the order its task noted them, so a
+// stable sort on (time, rank) keeps that order. Regions never released (job
+// globals, retained final outputs) stay live through the end of the sweep,
+// matching their actual lifetime.
 func (r *run) computePeak() {
 	sc := r.sc
 	events := sc.events[:0]
@@ -660,15 +687,16 @@ func (r *run) computePeak() {
 		events = append(events, r.ctxs[k].events...)
 	}
 	sc.events = events
-	slices.SortFunc(events, func(a, b memEvent) int {
-		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.rank, b.rank), cmp.Compare(a.seq, b.seq))
+	slices.SortStableFunc(events, func(a, b memEvent) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.rank, b.rank))
 	})
 	if sc.live == nil {
-		sc.live, sc.cur = make(map[region.ID]liveRegion), make(map[string]int64)
+		sc.live, sc.cur, sc.peak = make(map[region.ID]liveRegion), make(map[string]int64), make(map[string]int64)
 	}
-	live, cur, peak := sc.live, sc.cur, r.report.PeakDeviceBytes
+	live, cur, peak := sc.live, sc.cur, sc.peak
 	clear(live)
 	clear(cur)
+	clear(peak)
 	bump := func(dev string) {
 		if cur[dev] > peak[dev] {
 			peak[dev] = cur[dev]
@@ -699,6 +727,12 @@ func (r *run) computePeak() {
 		}
 		live[e.id] = lr
 	}
+	out := make([]DeviceBytes, 0, len(peak))
+	for dev, b := range peak {
+		out = append(out, DeviceBytes{Device: dev, Bytes: b})
+	}
+	slices.SortFunc(out, func(a, b DeviceBytes) int { return strings.Compare(a.Device, b.Device) })
+	r.report.PeakDeviceBytes = out
 }
 
 // liveRegion is a region as computePeak's sweep sees it: where it is, how
@@ -712,10 +746,9 @@ type liveRegion struct {
 // note journals one ledger event at the context's current virtual time.
 func (c *taskCtx) note(kind evKind, id region.ID, dev string, bytes int64) {
 	c.events = append(c.events, memEvent{
-		at: c.now, rank: c.rank, seq: c.evseq,
+		at: c.now, rank: int32(c.rank),
 		id: id, kind: kind, dev: dev, bytes: bytes,
 	})
-	c.evseq++
 }
 
 func (c *taskCtx) noteAlloc(h *region.Handle, size int64) {

@@ -129,7 +129,7 @@ func TestWavefrontDeterministicAcrossWorkerCounts(t *testing.T) {
 			if !reflect.DeepEqual(got.Tasks, want.Tasks) {
 				for id, tr := range want.Tasks {
 					if !reflect.DeepEqual(got.Tasks[id], tr) {
-						t.Fatalf("workers=%d: task %s: %+v != %+v", w, id, got.Tasks[id], tr)
+						t.Fatalf("workers=%d: task %s: %+v != %+v", w, tr.Task, got.Tasks[id], tr)
 					}
 				}
 				t.Fatalf("workers=%d: task reports diverge", w)

@@ -79,21 +79,21 @@ func Figure2() (*Artifact, error) {
 	}
 	violations := 0.0
 	for _, id := range []string{"preprocess", "face-recognition", "track-hours", "compute-utilization", "alert-caregivers"} {
-		tr, ok := rep.Tasks[id]
-		if !ok {
+		tr := rep.Task(id)
+		if tr == nil {
 			return nil, fmt.Errorf("paper: hospital task %s missing from report", id)
 		}
 		label := keyRegion[id]
-		dev := tr.Regions[label]
+		dev := tr.Region(label)
 		tbl.add(id, decls[id], tr.Compute, label, dev)
 	}
 	// Verify: persistent ledger on persistent media.
-	if dev, ok := rt.Topology().Memory(rep.Tasks["alert-caregivers"].Regions["missing-patients"]); !ok || !dev.Persistent {
+	if dev, ok := rt.Topology().Memory(rep.Task("alert-caregivers").Region("missing-patients")); !ok || !dev.Persistent {
 		violations++
 	}
 	// Verify: GPU tasks on GPU.
 	for _, id := range []string{"preprocess", "face-recognition"} {
-		if c, ok := rt.Topology().Compute(rep.Tasks[id].Compute); !ok || c.Kind != topology.GPU {
+		if c, ok := rt.Topology().Compute(rep.Task(id).Compute); !ok || c.Kind != topology.GPU {
 			violations++
 		}
 	}

@@ -192,7 +192,7 @@ func Table3() (*Artifact, error) {
 	for _, r := range rows {
 		rep := runs[r.app]
 		for i := 0; i < 3; i++ {
-			dev := rep.Tasks[r.tasks[i]].Regions[r.labels[i]]
+			dev := rep.Task(r.tasks[i]).Region(r.labels[i])
 			if dev == "" {
 				dev = "(not recorded)"
 			} else {

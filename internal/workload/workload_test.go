@@ -27,7 +27,7 @@ func runJob(t *testing.T, job *dataflow.Job) *core.Report {
 }
 
 func logOf(rep *core.Report, task, substr string) string {
-	for _, l := range rep.Tasks[task].Logs {
+	for _, l := range rep.Task(task).Logs {
 		if strings.Contains(l, substr) {
 			return l
 		}
@@ -106,7 +106,7 @@ func TestDBMSQueryCorrectness(t *testing.T) {
 
 func TestDBMSAggregateUsesPrivateScratch(t *testing.T) {
 	rep := runJob(t, DBMS(DefaultDBMS()))
-	dev := rep.Tasks["hash-aggregate"].Regions["group-ht"]
+	dev := rep.Task("hash-aggregate").Region("group-ht")
 	if dev == "" {
 		t.Fatal("group hash table placement missing")
 	}
@@ -125,8 +125,8 @@ func TestMLTrainingConsumesCache(t *testing.T) {
 	}
 	// The sample cache is shared between CPU preprocess and TPU train:
 	// both tasks must record the same placement for it.
-	p := rep.Tasks["preprocess"].Regions["sample-cache"]
-	tr := rep.Tasks["train"].Regions["sample-cache"]
+	p := rep.Task("preprocess").Region("sample-cache")
+	tr := rep.Task("train").Region("sample-cache")
 	if p == "" || p != tr {
 		t.Errorf("sample cache moved: preprocess=%s train=%s", p, tr)
 	}
@@ -185,7 +185,7 @@ func TestStreamWindowPartitionedMatchesSingle(t *testing.T) {
 	}
 	for p := 0; p < cfg.Partitions; p++ {
 		name := fmt.Sprintf("window-aggregate-%d", p)
-		if _, ok := rep.Tasks[name]; !ok {
+		if rep.Task(name) == nil {
 			t.Errorf("missing partition task %s", name)
 		}
 	}
