@@ -2,15 +2,19 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke loadgen-smoke doccheck linkcheck serve serve-recover clean
+.PHONY: all build vet fmtcheck test race bench bench-smoke loadgen-smoke doccheck linkcheck serve serve-recover clean
 
-all: build vet test race doccheck
+all: build vet fmtcheck test race doccheck
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Fail if any Go file is not gofmt-clean, naming the files.
+fmtcheck:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: not gofmt-clean:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

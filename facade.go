@@ -214,7 +214,8 @@ type (
 	// watermark, Cancel (simulated crash), Drain.
 	StreamTicket = core.StreamTicket
 	// JobTemplate stamps numbered job instances from a shared builder —
-	// what a StreamSpec's windows are instantiated from.
+	// what a StreamSpec's windows are instantiated from. It builds each
+	// instance along the previous one's checked graph, so use it by pointer.
 	JobTemplate = dataflow.Template
 )
 

@@ -29,9 +29,10 @@ type scratch struct {
 	// task of the attempt starts from, drive's snapshot of the epoch. Each
 	// keeps its queue state's storage from job to job: the table is resliced,
 	// not zeroed, and every view is reset before use.
-	views   []topology.TaskView
-	handles []*region.Handle // run.handles
-	cores   []time.Duration  // run.cores, when the run's table is private
+	views    []topology.TaskView
+	handles  []*region.Handle // run.handles
+	cores    []time.Duration  // run.cores, when the run's table is private
+	computes []string         // run.scheduledComputes
 	// computePeak's event list and its three maps: the live regions, and
 	// each device's bytes now and at its peak.
 	events []memEvent
@@ -64,7 +65,7 @@ func (sc *scratch) footprint() int64 {
 		eventSlot = int(unsafe.Sizeof(memEvent{}) + unsafe.Sizeof(region.ID(0)) + unsafe.Sizeof(liveRegion{}))
 	)
 	w := &sc.w
-	n := cap(sc.handles)*word + cap(sc.cores)*word + cap(sc.events)*eventSlot +
+	n := cap(sc.handles)*word + cap(sc.cores)*word + cap(sc.computes)*2*word + cap(sc.events)*eventSlot +
 		cap(sc.views)*int(unsafe.Sizeof(topology.TaskView{})) +
 		cap(w.slots)*int(unsafe.Sizeof(slot{})) + cap(w.ready) +
 		(cap(w.readyAt)+cap(w.queue)+cap(w.baseCores))*word

@@ -253,6 +253,7 @@ func (s *Server) streamDriver(ctx context.Context, spec stream.Spec, opt SubmitO
 	}
 	var q []inflight
 	maxInFlight := spec.InFlight()
+	windows := spec.Windows()
 	eof := false
 
 	// terminate cancels and awaits the in-flight windows, then settles the
@@ -306,7 +307,7 @@ func (s *Server) streamDriver(ctx context.Context, spec stream.Spec, opt SubmitO
 			if len(events) == 0 {
 				break
 			}
-			job, err := spec.Instantiate(next, events)
+			job, err := windows.Instantiate(next, events)
 			if err != nil {
 				terminate(err)
 				return

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -110,6 +111,66 @@ func TestStreamReportsMatchSoloAcrossWorkers(t *testing.T) {
 		}
 		if tk.Watermark() != wm {
 			t.Errorf("EpochWorkers=%d watermark %v != sum of retired makespans %v", workers, tk.Watermark(), wm)
+		}
+	}
+}
+
+// TestStreamShapeChangesMatchSolo: a window graph with one aggregate per
+// non-empty key partition changes shape whenever a window leaves a partition
+// empty or fills it again. The driver builds each window along the window
+// before it, so here some windows pass the shape check and some fall back;
+// either way every report equals the window's solo run.
+func TestStreamShapeChangesMatchSolo(t *testing.T) {
+	const partitions, windowSize = 3, 4
+	// Per window, the partitions its keys fill: all, {0}, {1,2}, all, all,
+	// {0}, {0}.
+	keys := []uint64{0, 1, 2, 0, 0, 3, 6, 0, 1, 4, 2, 5, 2, 1, 0, 3, 5, 4, 3, 0, 3, 3, 0, 6, 0, 0, 3, 0}
+	events := make([]stream.Event, len(keys))
+	for i, k := range keys {
+		events[i] = stream.Event{Key: k, Payload: make([]byte, 1+i%3)}
+	}
+	fan := func(src stream.Source) stream.Spec {
+		return stream.Spec{
+			Name: "fan", Source: src, WindowSize: windowSize, MaxInFlight: 2,
+			Build: func(w stream.Window, j *dataflow.Job) error {
+				ingest := j.Task("ingest", dataflow.Props{Ops: 1e3, OutputBytes: w.Bytes() + 1}, nil)
+				emit := j.Task("emit", dataflow.Props{Ops: 1e3}, nil)
+				for i, part := range w.Partition(partitions) {
+					if len(part) == 0 {
+						continue
+					}
+					agg := j.Task(fmt.Sprintf("agg%02d", i), dataflow.Props{Ops: float64(len(part)) * 1e3, OutputBytes: 8}, nil)
+					ingest.Then(agg)
+					agg.Then(emit)
+				}
+				return nil
+			},
+		}
+	}
+	var want []string
+	for w := 0; w*windowSize < len(events); w++ {
+		job, err := fan(nil).Instantiate(w, events[w*windowSize:(w+1)*windowSize])
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := New(ExecConfig{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := rt.Run(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, rep.String())
+	}
+	s := newTestServer(t, ServerConfig{EpochWorkers: 2, MaxBatch: 4, Block: true})
+	reps, _ := collectStream(t, s, fan(stream.NewSliceSource(events)))
+	if len(reps) != len(want) {
+		t.Fatalf("retired %d windows, want %d", len(reps), len(want))
+	}
+	for i, rep := range reps {
+		if got := rep.String(); got != want[i] {
+			t.Errorf("window %d diverges from its solo run:\n--- solo ---\n%s--- served ---\n%s", i, want[i], got)
 		}
 	}
 }

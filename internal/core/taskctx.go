@@ -282,16 +282,17 @@ func (c *taskCtx) pinCompute(dev string) string {
 }
 
 // scheduledComputes lists the distinct compute devices the schedule uses,
-// in the rank order of their first task.
+// in the rank order of their first task. The list is the job scratch's, built
+// again on every call: only a global's creator calls it, and creators run one
+// at a time (Global's fence).
 func (r *run) scheduledComputes() []string {
-	seen := make([]bool, len(r.cs.Devices))
-	var out []string
+	out := r.sc.computes[:0]
 	for _, a := range r.schedule.Tasks {
-		if !seen[a.Dev] {
-			seen[a.Dev] = true
+		if !slices.Contains(out, a.Compute) {
 			out = append(out, a.Compute)
 		}
 	}
+	r.sc.computes = out
 	return out
 }
 

@@ -12,6 +12,7 @@ package dataflow
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -165,11 +166,16 @@ func (t *Task) Then(next *Task) *Task {
 
 // Job is a named DAG of tasks plus job-level properties.
 type Job struct {
-	name  string
+	name string
+	// tasks finds a task by ID, to refuse a duplicate. A job built along a
+	// shape has none while its tasks follow the shape (see Task).
 	tasks map[string]*Task
 	order []*Task // insertion order
 	// topo remembers Graph's result and the graph it was computed on.
 	topo atomic.Pointer[topoMemo]
+	// shape is the graph a Template builds this job along (alongShape), nil
+	// for a job of NewJob's or one whose tasks left the shape.
+	shape *Graph
 }
 
 // topoMemo is one resolved graph. A job's tasks and edges are only ever
@@ -199,6 +205,10 @@ type Graph struct {
 	// pieces before it are added. outNames is Names("", outSuffix).
 	idOff    []int32
 	outNames string
+	// rank maps a task's insertion index to its rank, ins a rank back to the
+	// insertion index: what building a job along this graph (alongShape) and
+	// checking it against the graph (along) index by.
+	rank, ins []int32
 }
 
 // outSuffix ends the name of a task's output region.
@@ -261,9 +271,23 @@ func (j *Job) Name() string { return j.name }
 
 // Task adds a task. Duplicate IDs panic: they are programming errors in the
 // dataflow definition, not runtime conditions.
+//
+// On a job built along a shape, a task that has the shape's next ID takes its
+// slot in the job's blocks. The shape's IDs are distinct, so no such task can
+// be a duplicate and no ID map is kept; the first task that deviates builds
+// the map from the tasks added so far and leaves the shape for good.
 func (j *Job) Task(id string, p Props, fn Fn) *Task {
 	if id == "" {
 		panic("dataflow: empty task id")
+	}
+	if s := j.shape; s != nil {
+		if i := len(j.order); i < len(s.Order) && s.Order[s.rank[i]].id == id {
+			j.order = j.order[:i+1]
+			t := j.order[i] // alongShape put task i's slot here
+			t.id, t.props, t.fn = id, p, fn
+			return t
+		}
+		j.leaveShape()
 	}
 	if _, dup := j.tasks[id]; dup {
 		panic("dataflow: duplicate task id " + id)
@@ -274,10 +298,26 @@ func (j *Job) Task(id string, p Props, fn Fn) *Task {
 	return t
 }
 
+// leaveShape turns a job built along a shape into an ordinary one: its tasks
+// so far go into an ID map, and its order is clipped so that a new task
+// appends to a slice of its own rather than into the shape's blocks.
+func (j *Job) leaveShape() {
+	j.shape = nil
+	j.order = slices.Clip(j.order)
+	j.tasks = make(map[string]*Task, len(j.order))
+	for _, t := range j.order {
+		j.tasks[t.id] = t
+	}
+}
+
 // Get returns a task by ID.
 func (j *Job) Get(id string) (*Task, bool) {
-	t, ok := j.tasks[id]
-	return t, ok
+	for _, t := range j.order {
+		if t.id == id {
+			return t, true
+		}
+	}
+	return nil, false
 }
 
 // Tasks returns all tasks in insertion order.
@@ -332,9 +372,80 @@ func (j *Job) Graph() (*Graph, error) {
 	if m := j.topo.Load(); m != nil && m.tasks == len(j.order) && m.edges == edges {
 		return m.g, m.err
 	}
-	g, err := j.resolve()
+	var g *Graph
+	var err error
+	if j.shape != nil {
+		g = j.along()
+	}
+	if g == nil {
+		g, err = j.resolve()
+	}
 	j.topo.Store(&topoMemo{tasks: len(j.order), edges: edges, g: g, err: err})
 	return g, err
+}
+
+// alongShape returns an empty job to be built along shape s, in storage sized
+// from it: one block of len(s.Order) tasks, and one block of task pointers
+// that holds the insertion order, every task's pred and succ lists as windows
+// clipped to the shape's counts, and the rank-ordered Order that along fills.
+// A job built differently still works: a list that outgrows its window moves
+// out of the block, and a task off the shape leaves it (leaveShape).
+func alongShape(name string, s *Graph) *Job {
+	n := len(s.Order)
+	tasks := make([]Task, n)
+	ptrs := make([]*Task, 2*n+len(s.preds)+len(s.succs))
+	at := int32(n)
+	for i := range tasks {
+		k := s.rank[i]
+		np, ns := s.predOff[k+1]-s.predOff[k], s.succOff[k+1]-s.succOff[k]
+		tasks[i].preds = ptrs[at : at : at+np]
+		tasks[i].succs = ptrs[at+np : at+np : at+np+ns]
+		at += np + ns
+		ptrs[i] = &tasks[i]
+	}
+	return &Job{name: name, order: ptrs[:0], shape: s}
+}
+
+// along returns the job's graph on its shape's blocks if the job has the
+// shape, nil if not. The check is the whole graph: the shape's IDs in
+// insertion order, and every task's preds and succs the shape's, edge for
+// edge, by identity — a missing, extra or reordered edge fails it, and so does
+// a successor in another job. Two jobs that pass it have the same ranks, edges,
+// slots and names, so only Order is the job's own.
+func (j *Job) along() *Graph {
+	s := j.shape
+	n := len(s.Order)
+	if len(j.order) != n {
+		return nil
+	}
+	for i, t := range j.order {
+		k := int(s.rank[i])
+		if t.id != s.Order[k].id || !j.matches(t.preds, s.Preds(k)) || !j.matches(t.succs, s.Succs(k)) {
+			return nil
+		}
+	}
+	block := j.order[:cap(j.order)]
+	order := block[len(block)-n:]
+	for k, i := range s.ins {
+		order[k] = j.order[i]
+	}
+	g := *s
+	g.Order = order
+	return &g
+}
+
+// matches reports whether tasks are the job's tasks of these ranks in its shape,
+// one for one.
+func (j *Job) matches(tasks []*Task, ranks []int32) bool {
+	if len(tasks) != len(ranks) {
+		return false
+	}
+	for e, k := range ranks {
+		if tasks[e] != j.order[j.shape.ins[k]] {
+			return false
+		}
+	}
+	return true
 }
 
 // resolve is the uncached sort behind Graph: Kahn's algorithm over the
@@ -356,10 +467,12 @@ func (j *Job) resolve() (*Graph, error) {
 		}
 	}
 	out := make([]*Task, 0, n)
-	rank := make([]int32, n) // insertion index → rank
+	block := make([]int32, 5*n+3+nPreds+2*nSuccs)
+	rank, ins := block[:n], block[n:2*n]
+	block = block[2*n:]
 	for len(ready) > 0 {
 		t := j.order[ready[0]]
-		rank[ready[0]] = int32(len(out))
+		rank[ready[0]], ins[len(out)] = int32(len(out)), int32(ready[0])
 		ready = ready[1:]
 		out = append(out, t)
 		for _, s := range t.succs {
@@ -380,8 +493,10 @@ func (j *Job) resolve() (*Graph, error) {
 	}
 	// Every predecessor is in the job (a foreign one would have left its task
 	// unsorted above); a foreign successor is skipped as the sort skipped it.
-	block := make([]int32, 3*(n+1)+nPreds+2*nSuccs)
-	g := &Graph{Order: out, predOff: block[:n+1], succOff: block[n+1 : 2*(n+1)], idOff: block[2*(n+1) : 3*(n+1)]}
+	g := &Graph{
+		Order: out, rank: rank, ins: ins,
+		predOff: block[:n+1], succOff: block[n+1 : 2*(n+1)], idOff: block[2*(n+1) : 3*(n+1)],
+	}
 	block = block[3*(n+1):]
 	g.preds, block = block[:0:nPreds], block[nPreds:]
 	g.succs, g.slots = block[:0:nSuccs], block[nSuccs:nSuccs:2*nSuccs]

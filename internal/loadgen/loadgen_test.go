@@ -48,7 +48,7 @@ func checkLedger(t *testing.T, r *Result) {
 func TestRunReproducible(t *testing.T) {
 	cfg := Config{
 		N: 1500, Seed: 42, Process: Poisson,
-		Rho: 1.3, // overloaded, so decisions include real rejections
+		Rho:      1.3, // overloaded, so decisions include real rejections
 		Deadline: 50 * time.Microsecond,
 	}
 	slo := &core.SLOPolicy{Workers: 4}

@@ -220,7 +220,7 @@ func (b *BestFit) PlaceShared(req props.Requirements, computeIDs []string) (stri
 		return "", fmt.Errorf("%w: no compute devices given", ErrNoCandidate)
 	}
 	best, bestScore := "", 0.0
-	for _, dev := range b.Topo.Memories() {
+	for _, dev := range b.Topo.MemoryDevices() {
 		if dev.HardwareManaged {
 			continue
 		}

@@ -72,6 +72,11 @@ func (s *SliceSource) Next() (Event, bool) {
 	return ev, true
 }
 
+// pullCap bounds the room Pull makes up front: a window of up to this many
+// events is read into one exact slice, and a larger n allocates no more than
+// this until the events are there.
+const pullCap = 1024
+
 // Pull reads up to n events from src. ok is false once the source is
 // exhausted (the returned slice may still hold a final partial batch).
 func Pull(src Source, n int) (events []Event, ok bool) {
@@ -79,6 +84,9 @@ func Pull(src Source, n int) (events []Event, ok bool) {
 		ev, more := src.Next()
 		if !more {
 			return events, false
+		}
+		if events == nil {
+			events = make([]Event, 0, min(n, pullCap))
 		}
 		events = append(events, ev)
 	}
@@ -174,18 +182,36 @@ func (s Spec) InFlight() int {
 	return s.MaxInFlight
 }
 
-// Template returns the dataflow template window jobs are stamped from.
-func (s Spec) Template(events []Event) dataflow.Template {
-	return dataflow.Template{
-		Name: s.Name + "/w%06d",
-		Build: func(j *dataflow.Job, n int) error {
-			return s.Build(Window{Index: n, Events: events}, j)
-		},
+// Windows stamps a stream's window jobs from one dataflow.Template, so each
+// window is built along the graph of the window before it (Template says
+// what is checked before that graph is shared). The stream driver makes one
+// per stream. A Windows is used from one goroutine at a time.
+type Windows struct {
+	tmpl   dataflow.Template
+	events []Event // the window being built, for tmpl.Build
+}
+
+// Windows returns the spec's window stamper.
+func (s Spec) Windows() *Windows {
+	w := &Windows{}
+	w.tmpl.Name = s.Name + "/w%06d"
+	w.tmpl.Build = func(j *dataflow.Job, n int) error {
+		return s.Build(Window{Index: n, Events: w.events}, j)
 	}
+	return w
 }
 
 // Instantiate builds window idx's sub-DAG over the given events. The
 // resulting job is named "<Name>/w<idx>" and validated — ready to submit.
+func (w *Windows) Instantiate(idx int, events []Event) (*dataflow.Job, error) {
+	w.events = events
+	j, err := w.tmpl.Instantiate(idx)
+	w.events = nil
+	return j, err
+}
+
+// Instantiate builds window idx's sub-DAG over the given events on a
+// stamper of its own: one window, nothing shared with any other.
 func (s Spec) Instantiate(idx int, events []Event) (*dataflow.Job, error) {
-	return s.Template(events).Instantiate(idx)
+	return s.Windows().Instantiate(idx, events)
 }

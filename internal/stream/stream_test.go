@@ -58,6 +58,27 @@ func TestPull(t *testing.T) {
 	}
 }
 
+// TestPullHugeN: a window size far beyond what the source holds costs no
+// room up front — Pull makes one slice, of at most pullCap events, and that
+// slice is what it returns.
+func TestPullHugeN(t *testing.T) {
+	evs := events(3)
+	var got []Event
+	allocs := testing.AllocsPerRun(20, func() {
+		got, _ = Pull(NewSliceSource(evs), 1<<40)
+	})
+	// One allocation is the slice; the other the SliceSource.
+	if allocs != 2 || len(got) != 3 || cap(got) > pullCap {
+		t.Errorf("Pull(1<<40) over 3 events: %.0f allocations, len %d cap %d; want 2, 3, ≤ %d", allocs, len(got), cap(got), pullCap)
+	}
+	if got, more := Pull(NewSliceSource(nil), 1<<40); got != nil || more {
+		t.Errorf("Pull(1<<40) over nothing = %v, %v; want nil, false", got, more)
+	}
+	if got, _ := Pull(NewSliceSource(events(9)), 5); len(got) != 5 || cap(got) != 5 {
+		t.Errorf("Pull(5) made room for %d events, want exactly 5", cap(got))
+	}
+}
+
 func TestWindowPartition(t *testing.T) {
 	w := Window{Events: events(23)}
 	for _, p := range []int{1, 2, 7, 23, 40} {

@@ -344,10 +344,15 @@ func (t *Topology) Computes() []*ComputeDevice {
 	return append([]*ComputeDevice(nil), t.ComputeSet().Devices...)
 }
 
-// Memories returns all memory devices in insertion order.
+// Memories returns all memory devices in insertion order. The slice is the
+// caller's own copy; loops that only read use MemoryDevices.
 func (t *Topology) Memories() []*memsim.Device {
 	return append([]*memsim.Device(nil), t.mems...)
 }
+
+// MemoryDevices lists the memory devices in insertion order; a device's
+// position is its dense index. The list is shared: read-only.
+func (t *Topology) MemoryDevices() []*memsim.Device { return t.mems }
 
 // ComputesByKind returns compute devices of the given kind, as the caller's
 // own copy; loops that only read use ComputeSet().ByKind.

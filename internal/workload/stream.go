@@ -190,8 +190,20 @@ func buildStreamWindow(cfg StreamConfig, w stream.Window, j *dataflow.Job) error
 	})
 
 	// Key-partitioned aggregate fan-out. A single partition keeps the
-	// Table 3 task name "window-aggregate" verbatim.
+	// Table 3 task name "window-aggregate" verbatim. Each partition's event
+	// indices, in arrival order, are a window of one block: counted first
+	// (in the block's tail), then filled in place.
 	parts := make([][]int, cfg.Partitions)
+	block := make([]int, n+cfg.Partitions)
+	counts := block[n:]
+	for _, ev := range w.Events {
+		counts[ev.Key%uint64(cfg.Partitions)]++
+	}
+	at := 0
+	for p, c := range counts {
+		parts[p] = block[at : at : at+c]
+		at += c
+	}
 	for i, ev := range w.Events {
 		p := int(ev.Key % uint64(cfg.Partitions))
 		parts[p] = append(parts[p], i)
