@@ -17,7 +17,7 @@ fmtcheck:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: not gofmt-clean:"; echo "$$out"; exit 1; fi
 
 test:
-	$(GO) test ./...
+	$(GO) test -shuffle=on ./...
 
 # The concurrency-sensitive layers under the race detector: the serving
 # engine (core.Server, epochs, recovery), the region manager, the coherence

@@ -2,8 +2,10 @@ package repro_test
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -231,6 +233,197 @@ func TestEveryOptionHasACaller(t *testing.T) {
 	for name := range optionAllowlist {
 		if _, ok := slices.BinarySearch(unset, name); !ok {
 			t.Errorf("allowlisted %s is set by non-test code, or gone: drop it from optionAllowlist", name)
+		}
+	}
+}
+
+// funcAllowlist names the exported functions and methods under internal/ that
+// TestEveryFunctionHasACaller lets stand without a non-test caller, each with
+// the reason it stays.
+var funcAllowlist = map[string]string{
+	"core.Server.Submit":         "serving API of the facade's Server, which README and doc.go document",
+	"core.Server.Checkpointer":   "as core.Server.Submit",
+	"core.Server.LiveWorkers":    "as core.Server.Submit",
+	"core.Runtime.Workers":       "serving API of the facade's Runtime: Server.LiveWorkers's solo counterpart",
+	"core.Ticket.Done":           "serving API of the facade's Ticket, which README and doc.go document",
+	"core.StreamTicket.Drain":    "serving API of the facade's StreamTicket, which README and doc.go document",
+	"shard.Cluster.Submit":       "serving API of the facade's Cluster, which README and doc.go document",
+	"shard.Cluster.Checkpointer": "as shard.Cluster.Submit",
+	"shard.Cluster.Partition":    "the facade Cluster's failure API, which README documents beside Crash",
+	"shard.Cluster.Heal":         "undoes Partition on the facade Cluster",
+	"shard.Cluster.Restart":      "undoes Crash on the facade Cluster",
+
+	"fault.Injector.Kill":                 "the fault hook the core tests and examples_test.go kill named tasks with",
+	"core.Checkpointer.Snapshots":         "the leak check the core and shard tests run after every recovered job",
+	"coherence.Directory.CheckInvariants": "the directory check the region tests run after their stress loops",
+	"region.Manager.DeviceBytes":          "the leak check the core tests run over a runtime's devices",
+	"region.Handle.Sealed":                "the seal state the core tests read off a handle a task leaked",
+	"region.Handle.Owner":                 "the owner the core tests name a leaked handle by",
+	"allocator.BufList.Held":              "the bound the cluster, coherence, region and core tests hold their buffer free lists to",
+	"allocator.FreeList.Held":             "the byte bound the core tests hold the runtime's scratch free list to",
+}
+
+// moduleImporter type-checks the module's packages from their non-test files
+// and hands every other import path to the standard importer.
+type moduleImporter struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File // import path → non-test files
+	pkgs  map[string]*types.Package
+	std   types.Importer
+	info  *types.Info
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	if p, ok := m.pkgs[path]; ok {
+		return p, nil
+	}
+	files, ok := m.files[path]
+	if !ok {
+		return m.std.Import(path)
+	}
+	conf := types.Config{Importer: m}
+	p, err := conf.Check(path, m.fset, files, m.info)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[path] = p
+	return p, nil
+}
+
+// TestEveryFunctionHasACaller is the functions rule, executable: every
+// exported function or method declared in a non-test file under internal/ is
+// called by non-test code. Called means a non-test file of the module, outside
+// the function's own declaration, holds a reference that resolves to it, or
+// the method shares its name with a method of an interface the module declares
+// (named, or a literal such as a type assertion's) or of error, fmt.Stringer,
+// sort.Interface and heap.Interface: a call through the interface may reach
+// it. A function only tests call belongs in a _test.go file.
+func TestEveryFunctionHasACaller(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module; skipped in -short mode")
+	}
+	fset := token.NewFileSet()
+	m := &moduleImporter{
+		fset:  fset,
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		std:   importer.Default(),
+		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && (d.Name() == "testdata" || path != "." && strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := "repro"
+		if dir := filepath.Dir(path); dir != "." {
+			pkg += "/" + filepath.ToSlash(dir)
+		}
+		m.files[pkg] = append(m.files[pkg], f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pkg := range m.files {
+		if _, err := m.Import(pkg); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The exported functions under internal/, with the span of each one's
+	// declaration.
+	type span struct{ from, to token.Pos }
+	decls := map[*types.Func]span{}
+	for pkg, files := range m.files {
+		if !strings.HasPrefix(pkg, "repro/internal/") {
+			continue
+		}
+		for _, f := range files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() {
+					decls[m.info.Defs[fd.Name].(*types.Func)] = span{fd.Pos(), fd.End()}
+				}
+			}
+		}
+	}
+	called := map[*types.Func]bool{}
+	for id, obj := range m.info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		fn = fn.Origin()
+		if s, ok := decls[fn]; ok && (id.Pos() < s.from || id.Pos() >= s.to) {
+			called[fn] = true
+		}
+	}
+
+	// A method may be reached through an interface instead of by name: one
+	// named like a method of an interface the module declares, or of error,
+	// fmt.Stringer, sort.Interface or heap.Interface, counts as called.
+	dispatched := map[string]bool{}
+	addMethods := func(it *types.Interface) {
+		for i := range it.NumMethods() {
+			dispatched[it.Method(i).Name()] = true
+		}
+	}
+	for _, tv := range m.info.Types {
+		if !tv.IsType() {
+			continue
+		}
+		switch typ := types.Unalias(tv.Type).(type) {
+		case *types.Interface:
+			addMethods(typ)
+		case *types.Named:
+			if it, ok := typ.Underlying().(*types.Interface); ok && typ.Obj().Pkg() != nil && m.files[typ.Obj().Pkg().Path()] != nil {
+				addMethods(it)
+			}
+		}
+	}
+	addMethods(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	for _, name := range []string{"fmt.Stringer", "sort.Interface", "container/heap.Interface"} {
+		path, typ, _ := strings.Cut(name, ".")
+		p, err := m.std.Import(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addMethods(p.Scope().Lookup(typ).Type().Underlying().(*types.Interface))
+	}
+
+	var uncalled []string
+	for fn := range decls {
+		recv := fn.Type().(*types.Signature).Recv()
+		if called[fn] || recv != nil && dispatched[fn.Name()] {
+			continue
+		}
+		name := fn.Pkg().Name() + "." + fn.Name()
+		if recv != nil {
+			typ := recv.Type()
+			if p, ok := typ.(*types.Pointer); ok {
+				typ = p.Elem()
+			}
+			name = fn.Pkg().Name() + "." + typ.(*types.Named).Obj().Name() + "." + fn.Name()
+		}
+		uncalled = append(uncalled, name)
+	}
+	slices.Sort(uncalled)
+	for _, name := range uncalled {
+		if funcAllowlist[name] == "" {
+			t.Errorf("%s: no non-test code calls it; delete it, move it into a _test.go file, or give it a caller", name)
+		}
+	}
+	for name := range funcAllowlist {
+		if _, ok := slices.BinarySearch(uncalled, name); !ok {
+			t.Errorf("allowlisted %s is called by non-test code, or gone: drop it from funcAllowlist", name)
 		}
 	}
 }

@@ -8,7 +8,6 @@ package allocator
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 )
 
@@ -136,94 +135,5 @@ func (b *Buddy) Free(off int64) error {
 		order++
 	}
 	b.free[order][off] = struct{}{}
-	return nil
-}
-
-// Size returns the arena size.
-func (b *Buddy) Size() int64 { return b.size }
-
-// Used returns bytes currently allocated (after power-of-two rounding).
-func (b *Buddy) Used() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.used
-}
-
-// LargestFree returns the size of the largest allocatable block — the
-// external-fragmentation witness: Size-Used bytes may be free, but only
-// LargestFree is contiguous.
-func (b *Buddy) LargestFree() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for k := b.maxOrder; k >= MinOrder; k-- {
-		if len(b.free[k]) > 0 {
-			return 1 << k
-		}
-	}
-	return 0
-}
-
-// Fragmentation returns 1 - LargestFree/TotalFree in [0,1]; 0 when the free
-// space is one contiguous block or the arena is full.
-func (b *Buddy) Fragmentation() float64 {
-	b.mu.Lock()
-	totalFree := b.size - b.used
-	var largest int64
-	for k := b.maxOrder; k >= MinOrder; k-- {
-		if len(b.free[k]) > 0 {
-			largest = 1 << k
-			break
-		}
-	}
-	b.mu.Unlock()
-	if totalFree == 0 {
-		return 0
-	}
-	return 1 - float64(largest)/float64(totalFree)
-}
-
-// CheckInvariants validates internal consistency (tests and fault drills):
-// no block is both free and allocated, free+used accounting matches the
-// arena, and no two live or free blocks overlap.
-func (b *Buddy) CheckInvariants() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	type span struct {
-		off, size int64
-		free      bool
-	}
-	var spans []span
-	var freeBytes int64
-	for k, set := range b.free {
-		for off := range set {
-			spans = append(spans, span{off, 1 << k, true})
-			freeBytes += 1 << k
-		}
-	}
-	var usedBytes int64
-	for off, k := range b.allocated {
-		spans = append(spans, span{off, 1 << k, false})
-		usedBytes += 1 << k
-	}
-	if usedBytes != b.used {
-		return fmt.Errorf("allocator: used accounting %d != live blocks %d", b.used, usedBytes)
-	}
-	if freeBytes+usedBytes != b.size {
-		return fmt.Errorf("allocator: free %d + used %d != size %d", freeBytes, usedBytes, b.size)
-	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].off < spans[j].off })
-	var pos int64
-	for _, s := range spans {
-		if s.off != pos {
-			return fmt.Errorf("allocator: gap or overlap at offset %d (expected %d)", s.off, pos)
-		}
-		if s.off%s.size != 0 {
-			return fmt.Errorf("allocator: block at %d misaligned for size %d", s.off, s.size)
-		}
-		pos = s.off + s.size
-	}
-	if pos != b.size {
-		return fmt.Errorf("allocator: spans cover %d of %d", pos, b.size)
-	}
 	return nil
 }

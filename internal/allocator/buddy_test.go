@@ -1,10 +1,68 @@
 package allocator
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// Used returns bytes currently allocated (after power-of-two rounding).
+func (b *Buddy) Used() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.used
+}
+
+// coalesced reports whether the whole arena is one free block.
+func (b *Buddy) coalesced() bool { return len(b.free[b.maxOrder]) == 1 }
+
+// CheckInvariants validates internal consistency: no block is both free and
+// allocated, free+used accounting matches the arena, and no two live or free
+// blocks overlap.
+func (b *Buddy) CheckInvariants() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	type span struct {
+		off, size int64
+		free      bool
+	}
+	var spans []span
+	var freeBytes int64
+	for k, set := range b.free {
+		for off := range set {
+			spans = append(spans, span{off, 1 << k, true})
+			freeBytes += 1 << k
+		}
+	}
+	var usedBytes int64
+	for off, k := range b.allocated {
+		spans = append(spans, span{off, 1 << k, false})
+		usedBytes += 1 << k
+	}
+	if usedBytes != b.used {
+		return fmt.Errorf("allocator: used accounting %d != live blocks %d", b.used, usedBytes)
+	}
+	if freeBytes+usedBytes != b.size {
+		return fmt.Errorf("allocator: free %d + used %d != size %d", freeBytes, usedBytes, b.size)
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].off < spans[j].off })
+	var pos int64
+	for _, s := range spans {
+		if s.off != pos {
+			return fmt.Errorf("allocator: gap or overlap at offset %d (expected %d)", s.off, pos)
+		}
+		if s.off%s.size != 0 {
+			return fmt.Errorf("allocator: block at %d misaligned for size %d", s.off, s.size)
+		}
+		pos = s.off + s.size
+	}
+	if pos != b.size {
+		return fmt.Errorf("allocator: spans cover %d of %d", pos, b.size)
+	}
+	return nil
+}
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New(0); err == nil {
@@ -51,8 +109,8 @@ func TestAllocFreeRoundtrip(t *testing.T) {
 	if b.Used() != 0 {
 		t.Errorf("Used after free = %d, want 0", b.Used())
 	}
-	if b.LargestFree() != 1<<16 {
-		t.Errorf("free space must fully coalesce, largest = %d", b.LargestFree())
+	if !b.coalesced() {
+		t.Error("free space must fully coalesce")
 	}
 }
 
@@ -101,7 +159,7 @@ func TestExhaustion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if b.LargestFree() != 1<<12 {
+	if !b.coalesced() {
 		t.Error("arena must coalesce back to one block")
 	}
 	if err := b.CheckInvariants(); err != nil {
@@ -127,13 +185,11 @@ func TestOffsetsDisjoint(t *testing.T) {
 	}
 }
 
+// TestFragmentationMetric: with every other 64 B block of the arena freed,
+// half of it is free yet no two free blocks are buddies, so nothing larger
+// than 64 B can be allocated.
 func TestFragmentationMetric(t *testing.T) {
 	b, _ := New(1 << 12)
-	if f := b.Fragmentation(); f != 0 {
-		t.Errorf("pristine arena fragmentation = %f, want 0", f)
-	}
-	// Allocate all 64 B blocks, free every other one: free space is maximally
-	// fragmented into 64 B islands.
 	var offs []int64
 	for {
 		off, err := b.Alloc(64)
@@ -147,11 +203,14 @@ func TestFragmentationMetric(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if b.LargestFree() != 64 {
-		t.Errorf("LargestFree = %d, want 64", b.LargestFree())
+	if b.Used() != 1<<11 {
+		t.Errorf("Used = %d, want half the arena", b.Used())
 	}
-	if f := b.Fragmentation(); f < 0.9 {
-		t.Errorf("checkerboard fragmentation = %f, want ≥ 0.9", f)
+	if _, err := b.Alloc(128); err == nil {
+		t.Error("a 128 B block must not fit in 64 B islands")
+	}
+	if _, err := b.Alloc(64); err != nil {
+		t.Errorf("a 64 B island must still fit: %v", err)
 	}
 	if err := b.CheckInvariants(); err != nil {
 		t.Error(err)
@@ -233,7 +292,7 @@ func TestFullCoalesceProperty(t *testing.T) {
 				return false
 			}
 		}
-		return b.Used() == 0 && b.LargestFree() == 1<<18 && b.CheckInvariants() == nil
+		return b.Used() == 0 && b.coalesced() && b.CheckInvariants() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

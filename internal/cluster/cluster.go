@@ -1,6 +1,6 @@
 // Package cluster simulates the disaggregated memory fabric: memory nodes
 // exporting slabs of byte-addressable storage, reached from compute nodes
-// through one-sided verbs (Read/Write/CompareAndSwap) in the style of RDMA.
+// through one-sided verbs (Read/Write) in the style of RDMA.
 //
 // The paper's challenge 8(3) — faults are common "in data centers having
 // thousands of interconnected compute and memory devices" — is modeled with
@@ -27,7 +27,6 @@ var (
 	ErrUnreachable  = errors.New("cluster: node unreachable")
 	ErrBadSlab      = errors.New("cluster: unknown slab")
 	ErrOutOfRange   = errors.New("cluster: access out of slab range")
-	ErrCASMismatch  = errors.New("cluster: compare-and-swap mismatch")
 	ErrSlabExists   = errors.New("cluster: slab already exists")
 	ErrOutOfMemory  = errors.New("cluster: memory node capacity exhausted")
 	ErrUnknownNode  = errors.New("cluster: unknown node")
@@ -175,8 +174,8 @@ func (f *Fabric) count(n *node, payload int) {
 
 // AllocSlab carves size bytes out of a node and returns its slab handle and
 // the virtual time the verb took. The slab reads all zeros, whether its
-// backing is fresh or a freed slab's: CompareAndSwap from 0 on a new slab
-// relies on it, and one tenant's bytes must not show in another's slab.
+// backing is fresh or a freed slab's: one tenant's bytes must not show in
+// another's slab.
 func (f *Fabric) AllocSlab(nodeName string, size int64) (SlabID, time.Duration, error) {
 	if size <= 0 {
 		return SlabID{}, 0, ErrInvalidInput
@@ -264,45 +263,6 @@ func (f *Fabric) Write(id SlabID, off int64, buf []byte) (time.Duration, error) 
 	return f.xferTime(len(buf)), nil
 }
 
-// CompareAndSwap atomically replaces the 8 bytes at off with swap if they
-// equal compare — the fabric's synchronization primitive (used for far
-// latches in Global State spillover).
-func (f *Fabric) CompareAndSwap(id SlabID, off int64, compare, swap uint64) (time.Duration, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n, err := f.reachable(id.Node)
-	if err != nil {
-		return f.rtt, err
-	}
-	slab, ok := n.slabs[id.Slab]
-	if !ok {
-		return f.rtt, fmt.Errorf("%w: %s", ErrBadSlab, id)
-	}
-	if off < 0 || off+8 > int64(len(slab)) {
-		return f.rtt, fmt.Errorf("%w: CAS at %d of %d", ErrOutOfRange, off, len(slab))
-	}
-	cur := beUint64(slab[off:])
-	if cur != compare {
-		// A failed compare is still an executed verb: the request traversed
-		// the fabric and the node performed the comparison.
-		f.count(n, 0)
-		return f.rtt, fmt.Errorf("%w: have %d, want %d", ErrCASMismatch, cur, compare)
-	}
-	putBEUint64(slab[off:], swap)
-	f.count(n, 8)
-	return f.rtt, nil
-}
-
-func beUint64(b []byte) uint64 {
-	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
-}
-
-func putBEUint64(b []byte, v uint64) {
-	b[0], b[1], b[2], b[3] = byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32)
-	b[4], b[5], b[6], b[7] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
-}
-
 // Crash marks a node dead, losing its volatile contents.
 func (f *Fabric) Crash(nodeName string) error {
 	f.mu.Lock()
@@ -386,17 +346,6 @@ func (f *Fabric) StatsByNode() map[string]NodeStats {
 	return out
 }
 
-// NodeStats reports the verb/byte counters of one node.
-func (f *Fabric) NodeStats(nodeName string) (NodeStats, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n, ok := f.nodes[nodeName]
-	if !ok {
-		return NodeStats{}, fmt.Errorf("%w: %s", ErrUnknownNode, nodeName)
-	}
-	return NodeStats{Verbs: n.verbs, Bytes: n.bytes}, nil
-}
-
 // Lease claims ownership of a slab for an initiator. The registry lives in
 // the fabric control plane (MIND's "memory-management logic belongs in the
 // network"), so ownership metadata survives the death of the slab's home
@@ -417,14 +366,6 @@ func (f *Fabric) Lease(id SlabID, owner string) (time.Duration, error) {
 	f.leases[id] = owner
 	f.verbCount++
 	return f.rtt, nil
-}
-
-// Owner reports the current lease holder of a slab, if any.
-func (f *Fabric) Owner(id SlabID) (string, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	owner, ok := f.leases[id]
-	return owner, ok
 }
 
 // LeasesOf lists the slabs currently leased by an owner, sorted for

@@ -128,27 +128,6 @@ func TestVerbTimeScalesWithPayload(t *testing.T) {
 	}
 }
 
-func TestCompareAndSwap(t *testing.T) {
-	f := newTestFabric(t, 1)
-	id, _, _ := f.AllocSlab("mem0", 64)
-	if _, err := f.CompareAndSwap(id, 0, 0, 42); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 8)
-	if _, err := f.Read(id, 0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := beUint64(buf); got != 42 {
-		t.Errorf("CAS stored %d, want 42", got)
-	}
-	if _, err := f.CompareAndSwap(id, 0, 0, 7); !errors.Is(err, ErrCASMismatch) {
-		t.Error("stale compare must fail")
-	}
-	if _, err := f.CompareAndSwap(id, 60, 0, 7); !errors.Is(err, ErrOutOfRange) {
-		t.Error("CAS straddling the slab end must fail")
-	}
-}
-
 func TestCrashLosesDataAndRestartIsEmpty(t *testing.T) {
 	f := newTestFabric(t, 1)
 	id, _, _ := f.AllocSlab("mem0", 64)
@@ -305,14 +284,6 @@ func TestReadWriteProperty(t *testing.T) {
 	}
 }
 
-func TestBigEndianHelpers(t *testing.T) {
-	buf := make([]byte, 8)
-	putBEUint64(buf, 0x0123456789abcdef)
-	if beUint64(buf) != 0x0123456789abcdef {
-		t.Error("big-endian round trip failed")
-	}
-}
-
 func BenchmarkOneSidedRead(b *testing.B) {
 	f := NewFabric(Config{})
 	if err := f.AddNode("m", 1<<26); err != nil {
@@ -349,14 +320,8 @@ func TestPerNodeStatsAttribution(t *testing.T) {
 	if _, err := f.Write(b, 0, buf[:40]); err != nil {
 		t.Fatal(err)
 	}
-	s0, err := f.NodeStats(nodeName(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := f.NodeStats(nodeName(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	byNode := f.StatsByNode()
+	s0, s1 := byNode[nodeName(0)], byNode[nodeName(1)]
 	if s0.Verbs != 3 || s0.Bytes != 200 { // alloc + write + read
 		t.Errorf("node0 stats = %+v, want {Verbs:3 Bytes:200}", s0)
 	}
@@ -365,7 +330,7 @@ func TestPerNodeStatsAttribution(t *testing.T) {
 	}
 	verbs, bytes := f.Stats()
 	var sumV, sumB uint64
-	for _, s := range f.StatsByNode() {
+	for _, s := range byNode {
 		sumV += s.Verbs
 		sumB += s.Bytes
 	}
@@ -373,35 +338,8 @@ func TestPerNodeStatsAttribution(t *testing.T) {
 		t.Errorf("per-node totals (%d verbs, %d bytes) != fabric totals (%d, %d)",
 			sumV, sumB, verbs, bytes)
 	}
-	if _, err := f.NodeStats("nope"); !errors.Is(err, ErrUnknownNode) {
-		t.Errorf("unknown node: err = %v, want ErrUnknownNode", err)
-	}
-}
-
-func TestCASMismatchCountsAsVerb(t *testing.T) {
-	f := newTestFabric(t, 1)
-	id, _, err := f.AllocSlab(nodeName(0), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, _ := f.Stats()
-	if _, err := f.CompareAndSwap(id, 0, 7, 9); !errors.Is(err, ErrCASMismatch) {
-		t.Fatalf("CAS err = %v, want ErrCASMismatch", err)
-	}
-	after, _ := f.Stats()
-	if after != before+1 {
-		t.Errorf("failed CAS did not count as a verb: %d -> %d", before, after)
-	}
-	st, _ := f.NodeStats(nodeName(0))
-	if st.Verbs != 2 { // alloc + failed CAS
-		t.Errorf("node verbs = %d, want 2", st.Verbs)
-	}
-	if _, err := f.CompareAndSwap(id, 0, 0, 9); err != nil {
-		t.Fatal(err)
-	}
-	after2, _ := f.Stats()
-	if after2 != after+1 {
-		t.Errorf("successful CAS did not count as a verb: %d -> %d", after, after2)
+	if len(byNode) != 2 {
+		t.Errorf("StatsByNode has %d nodes, want 2", len(byNode))
 	}
 }
 
@@ -411,8 +349,8 @@ func TestSlabLeaseAndHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := f.Owner(id); ok {
-		t.Fatal("fresh slab must be unleased")
+	if got := f.LeasesOf("shard0"); len(got) != 0 {
+		t.Fatalf("fresh slab must be unleased, shard0 holds %v", got)
 	}
 	if _, err := f.Lease(id, "shard0"); err != nil {
 		t.Fatal(err)
@@ -429,8 +367,8 @@ func TestSlabLeaseAndHandoff(t *testing.T) {
 	if d, err := f.Handoff(id, "shard0", "shard1"); err != nil || d <= 0 {
 		t.Fatalf("handoff = (%v, %v), want priced success", d, err)
 	}
-	if owner, _ := f.Owner(id); owner != "shard1" {
-		t.Fatalf("owner = %q, want shard1", owner)
+	if got := f.LeasesOf("shard1"); !slices.Equal(got, []SlabID{id}) || len(f.LeasesOf("shard0")) != 0 {
+		t.Fatalf("shard1 holds %v, shard0 %v; want the slab moved to shard1", got, f.LeasesOf("shard0"))
 	}
 	// The ownership registry lives in the fabric: a handoff must succeed
 	// even when the slab's home node is dead (failover adoption).
@@ -440,8 +378,8 @@ func TestSlabLeaseAndHandoff(t *testing.T) {
 	if _, err := f.Handoff(id, "shard1", "shard2"); err != nil {
 		t.Fatalf("handoff with crashed home node: %v", err)
 	}
-	if owner, _ := f.Owner(id); owner != "shard2" {
-		t.Fatalf("owner after crash handoff = %q, want shard2", owner)
+	if got := f.LeasesOf("shard2"); !slices.Equal(got, []SlabID{id}) {
+		t.Fatalf("shard2 holds %v after the crash handoff, want [%v]", got, id)
 	}
 	if err := f.Restart(nodeName(0)); err != nil {
 		t.Fatal(err)
@@ -457,7 +395,7 @@ func TestSlabLeaseAndHandoff(t *testing.T) {
 	if _, err := f.FreeSlab(id2); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := f.Owner(id2); ok {
-		t.Error("freed slab must be unleased")
+	if got := f.LeasesOf("shard0"); len(got) != 0 {
+		t.Errorf("freed slab must be unleased, shard0 holds %v", got)
 	}
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -207,22 +206,6 @@ func (p *RegionPool) Drop(token string) error {
 		p.stats.VerbTime += d
 	}
 	return nil
-}
-
-// Slabs lists the pool's live remote placements, sorted by token.
-func (p *RegionPool) Slabs() []SlabID {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	toks := make([]string, 0, len(p.slabs))
-	for t := range p.slabs {
-		toks = append(toks, t)
-	}
-	sort.Strings(toks)
-	out := make([]SlabID, len(toks))
-	for i, t := range toks {
-		out[i] = p.slabs[t].slab
-	}
-	return out
 }
 
 // Abandon is the adoption sweep a survivor runs over a dead shard's pool:

@@ -73,22 +73,11 @@ func TestRegionPoolRoundtrip(t *testing.T) {
 		t.Error("export verbs must cost virtual time")
 	}
 	// Ownership is in the fabric control plane.
-	slabs := p.Slabs()
-	if len(slabs) != 1 {
-		t.Fatalf("pool holds %d slabs, want 1", len(slabs))
-	}
-	if owner, ok := f.Owner(slabs[0]); !ok || owner != "shard0" {
-		t.Errorf("slab lease = %q, %v; want shard0", owner, ok)
-	}
-	if got := f.LeasesOf("shard0"); len(got) != 1 || got[0] != slabs[0] {
-		t.Errorf("LeasesOf = %v, want [%v]", got, slabs[0])
+	if got := f.LeasesOf("shard0"); len(got) != 1 || got[0].Node != "pool0" {
+		t.Errorf("LeasesOf = %v, want one slab on pool0", got)
 	}
 	// The NIC-side counters saw the payload.
-	ns, err := f.NodeStats("pool0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ns.Bytes < uint64(len(payload)) {
+	if ns := f.StatsByNode()["pool0"]; ns.Bytes < uint64(len(payload)) {
 		t.Errorf("NodeStats.Bytes = %d, want >= %d", ns.Bytes, len(payload))
 	}
 

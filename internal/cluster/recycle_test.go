@@ -53,17 +53,22 @@ func TestRecycledSlabReadsZeroAtLargerSize(t *testing.T) {
 	}
 }
 
+// TestCASFromZeroOnRecycledSlab checks the zero-fill at the size the last
+// tenant wrote in full: a caller that claims a fresh slab's word by moving it
+// from zero must find zero there, recycled backing or not.
 func TestCASFromZeroOnRecycledSlab(t *testing.T) {
 	f := newTestFabric(t, 1)
+	got := make([]byte, 64)
 	dirtySlab(t, f, "mem0", 64)
-	id, _, err := f.AllocSlab("mem0", 64)
+	small, _, err := f.AllocSlab("mem0", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for off := int64(0); off < 64; off += 8 {
-		if _, err := f.CompareAndSwap(id, off, 0, 7); err != nil {
-			t.Errorf("CAS from 0 at %d on a recycled slab: %v", off, err)
-		}
+	if held := f.nodes["mem0"].free.Held(); held != 0 {
+		t.Fatalf("free list holds %d bytes, want 0: the backing was not reused", held)
+	}
+	if _, err := f.Read(small, 0, got); err != nil || !bytes.Equal(got, make([]byte, 64)) {
+		t.Errorf("a recycled 64 B slab reads %v, %v; want zeros", got, err)
 	}
 }
 

@@ -231,25 +231,6 @@ func (d *Directory) Write(dev string, id LineID) Actions {
 	return d.Access(dev, new(Dev), id.Region, id.Line, id.Line, true)
 }
 
-// Evict removes dev's copy of a line, writing back if dirty.
-func (d *Directory) Evict(dev string, id LineID) (a Actions) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	line, i := d.lines[id.Region].line(id.Line), d.devs[dev]
-	if !has(line, i) {
-		return a
-	}
-	if State(line[0]) == Modified {
-		a.Writebacks++
-	}
-	line[1+i>>3] &^= 1 << (i & 7)
-	if sharers(line) == 0 {
-		line[0] = byte(Invalid)
-	}
-	d.stats.Add(a)
-	return a
-}
-
 // DropRegion forgets all lines of a region (region freed). Dirty lines are
 // counted as writebacks.
 func (d *Directory) DropRegion(region uint64) (a Actions) {
@@ -268,23 +249,6 @@ func (d *Directory) DropRegion(region uint64) (a Actions) {
 	d.spare.Put(t.buf)
 	d.stats.Add(a)
 	return a
-}
-
-// StateOf reports dev's state for a line (Invalid when absent).
-func (d *Directory) StateOf(dev string, id LineID) State {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if line := d.lines[id.Region].line(id.Line); has(line, d.devs[dev]) {
-		return State(line[0])
-	}
-	return Invalid
-}
-
-// Sharers returns the number of caches holding the line in any valid state.
-func (d *Directory) Sharers(id LineID) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return sharers(d.lines[id.Region].line(id.Line))
 }
 
 // Stats returns cumulative protocol actions.

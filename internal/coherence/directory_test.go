@@ -95,27 +95,6 @@ func TestWriteAfterRemoteWrite(t *testing.T) {
 	}
 }
 
-func TestEvict(t *testing.T) {
-	d := NewDirectory()
-	d.Write("cpu0", l0)
-	a := d.Evict("cpu0", l0)
-	if a.Writebacks != 1 {
-		t.Errorf("dirty evict writebacks = %d, want 1", a.Writebacks)
-	}
-	if d.StateOf("cpu0", l0) != Invalid {
-		t.Error("evicted line must be Invalid")
-	}
-	// Clean evict and evict of unknown line are free.
-	d.Read("cpu0", l0)
-	d.Read("gpu0", l0)
-	if a := d.Evict("cpu0", l0); a.Writebacks != 0 {
-		t.Error("clean evict must not write back")
-	}
-	if a := d.Evict("cpu0", LineID{9, 9}); a.Total() != 0 {
-		t.Error("evicting an untracked line is free")
-	}
-}
-
 func TestDropRegion(t *testing.T) {
 	d := NewDirectory()
 	d.Write("cpu0", LineID{1, 0})
@@ -184,13 +163,10 @@ func TestProtocolInvariantsProperty(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			dev := devs[rng.Intn(len(devs))]
 			id := LineID{Region: uint64(rng.Intn(3)), Line: uint64(rng.Intn(8))}
-			switch rng.Intn(4) {
-			case 0, 1:
+			if rng.Intn(3) < 2 {
 				d.Read(dev, id)
-			case 2:
+			} else {
 				d.Write(dev, id)
-			case 3:
-				d.Evict(dev, id)
 			}
 			if d.CheckInvariants() != nil {
 				return false
@@ -274,6 +250,23 @@ func BenchmarkWriteContention(b *testing.B) {
 	}
 }
 
+// StateOf reports dev's state for a line (Invalid when absent).
+func (d *Directory) StateOf(dev string, id LineID) State {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if line := d.lines[id.Region].line(id.Line); has(line, d.devs[dev]) {
+		return State(line[0])
+	}
+	return Invalid
+}
+
+// Sharers returns the number of caches holding the line in any valid state.
+func (d *Directory) Sharers(id LineID) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return sharers(d.lines[id.Region].line(id.Line))
+}
+
 // refDirectory is the protocol written the obvious way — per line, a map from
 // device to its state — and the reference the tables are checked against: the
 // implementation Directory had before its lines became values.
@@ -337,15 +330,6 @@ func (d *refDirectory) Write(dev string, id LineID) (a Actions) {
 	return a
 }
 
-func (d *refDirectory) Evict(dev string, id LineID) (a Actions) {
-	defer func() { d.stats.Add(a) }()
-	if d.lines[id][dev] == Modified {
-		a.Writebacks++
-	}
-	delete(d.lines[id], dev)
-	return a
-}
-
 func (d *refDirectory) DropRegion(region uint64) (a Actions) {
 	defer func() { d.stats.Add(a) }()
 	for id, ls := range d.lines {
@@ -364,7 +348,7 @@ func (d *refDirectory) DropRegion(region uint64) (a Actions) {
 
 // step is one directory call of the differential tests.
 type step struct {
-	kind byte // 'R', 'W', 'E' or 'D'
+	kind byte // 'R', 'W' or 'D'
 	dev  string
 	id   LineID
 	nth  int // dev's place in the test's list of devices
@@ -394,8 +378,6 @@ func (tw twin) call(s step) (got, want Actions) {
 		return tw.d.Read(s.dev, s.id), tw.ref.Read(s.dev, s.id)
 	case 'W':
 		return tw.d.Write(s.dev, s.id), tw.ref.Write(s.dev, s.id)
-	case 'E':
-		return tw.d.Evict(s.dev, s.id), tw.ref.Evict(s.dev, s.id)
 	default:
 		return tw.d.DropRegion(s.id.Region), tw.ref.DropRegion(s.id.Region)
 	}
@@ -445,7 +427,7 @@ func (tw twin) key(devs []string, regions []uint64) string {
 	return string(append(k, byte(d.spare.Held()>>6)))
 }
 
-// TestDifferentialExhaustive walks every sequence of Read, Write, Evict and
+// TestDifferentialExhaustive walks every sequence of Read, Write and
 // DropRegion calls by 3 devices on the 2 lines of each of 2 regions, to depth
 // 7, and holds the directory to the reference model after every call.
 //
@@ -464,7 +446,7 @@ func TestDifferentialExhaustive(t *testing.T) {
 	steps := []step{{kind: 'D', id: LineID{Region: 1}}, {kind: 'D', id: LineID{Region: 2}}}
 	for _, id := range ids {
 		for nth, dev := range devs {
-			for _, kind := range []byte("RWE") {
+			for _, kind := range []byte("RW") {
 				steps = append(steps, step{kind, dev, id, nth})
 			}
 		}

@@ -134,7 +134,16 @@ func TestRandomDAGIntegrityUnderRecovery(t *testing.T) {
 	// Inject one failure into the last task by wrapping... instead, build a
 	// dedicated flaky verifier appended to the DAG.
 	fails := 1
-	sinks := job.Sinks()
+	g, err := job.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sinks []*dataflow.Task
+	for k, task := range g.Order {
+		if len(g.Succs(k)) == 0 {
+			sinks = append(sinks, task)
+		}
+	}
 	probe := job.Task("probe", dataflow.Props{Ops: 1e3}, func(ctx dataflow.Ctx) error {
 		if fails > 0 {
 			fails--

@@ -291,6 +291,7 @@ func TestServeOverlapRecoveryIsolation(t *testing.T) {
 // unique and ascending in admission order.
 func TestTicketDoneAndID(t *testing.T) {
 	s := newTestServer(t, ServerConfig{EpochWorkers: 1, MaxBatch: 4, QueueDepth: 8, Block: true})
+	release, _ := holdWorker(t, s) // tkA cannot settle before the canceled Wait
 	tkA, err := s.SubmitAsync(context.Background(), pipelineJob("tk-a"))
 	if err != nil {
 		t.Fatal(err)
@@ -308,6 +309,7 @@ func TestTicketDoneAndID(t *testing.T) {
 	if _, err := tkA.Wait(canceled); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Wait(canceled) err = %v, want context.Canceled", err)
 	}
+	release()
 	repA, err := tkA.Wait(context.Background())
 	if err != nil || repA == nil {
 		t.Fatalf("Wait after canceled Wait: rep=%v err=%v", repA, err)

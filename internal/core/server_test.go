@@ -107,14 +107,8 @@ func TestServeQueueFullRejects(t *testing.T) {
 			t.Errorf("queued: %v", err)
 		}
 	}()
-	// The queued job is admitted asynchronously; poll until the slot is taken.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(s.queue) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("queued job never reached the admission queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// The queued job is admitted asynchronously: wait until the slot is taken.
+	waitQueued(t, s, 1)
 
 	if _, err := s.Submit(context.Background(), pipelineJob("overflow")); !errors.Is(err, ErrQueueFull) {
 		t.Errorf("err = %v, want ErrQueueFull", err)
@@ -149,13 +143,7 @@ func TestServeBlockingBackpressure(t *testing.T) {
 			t.Errorf("queued: %v", err)
 		}
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(s.queue) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("queued job never reached the admission queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, s, 1)
 
 	// Queue full + Block: Submit parks until its context ends.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -206,13 +194,7 @@ func TestServeCancelWhileQueued(t *testing.T) {
 		_, err := s.Submit(ctx, j)
 		errc <- err
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(s.queue) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("doomed job never reached the admission queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, s, 1)
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
@@ -270,13 +252,7 @@ func TestServeBatchFailureIsolation(t *testing.T) {
 		_, err := s.Submit(context.Background(), pipelineJob("good"))
 		goodErr <- err
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(s.queue) < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("batch mates never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, s, 2)
 	close(release)
 	wg.Wait()
 

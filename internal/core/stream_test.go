@@ -135,11 +135,15 @@ func TestStreamShapeChangesMatchSolo(t *testing.T) {
 			Build: func(w stream.Window, j *dataflow.Job) error {
 				ingest := j.Task("ingest", dataflow.Props{Ops: 1e3, OutputBytes: w.Bytes() + 1}, nil)
 				emit := j.Task("emit", dataflow.Props{Ops: 1e3}, nil)
-				for i, part := range w.Partition(partitions) {
-					if len(part) == 0 {
+				events := make([]int, partitions)
+				for _, ev := range w.Events {
+					events[ev.Key%partitions]++
+				}
+				for i, n := range events {
+					if n == 0 {
 						continue
 					}
-					agg := j.Task(fmt.Sprintf("agg%02d", i), dataflow.Props{Ops: float64(len(part)) * 1e3, OutputBytes: 8}, nil)
+					agg := j.Task(fmt.Sprintf("agg%02d", i), dataflow.Props{Ops: float64(n) * 1e3, OutputBytes: 8}, nil)
 					ingest.Then(agg)
 					agg.Then(emit)
 				}

@@ -137,24 +137,12 @@ func (t *Task) Props() Props { return t.props }
 func (t *Task) Fn() Fn { return t.fn }
 
 // Preds returns the predecessor tasks in edge-insertion order. The slice is
-// the caller's own copy; loops that only read use NumPreds and Pred.
+// the caller's own copy; loops that only read use the Graph's Preds.
 func (t *Task) Preds() []*Task { return append([]*Task(nil), t.preds...) }
 
 // Succs returns the successor tasks in edge-insertion order. The slice is
-// the caller's own copy; loops that only read use NumSuccs and Succ.
+// the caller's own copy; loops that only read use the Graph's Succs.
 func (t *Task) Succs() []*Task { return append([]*Task(nil), t.succs...) }
-
-// NumPreds returns the number of predecessors.
-func (t *Task) NumPreds() int { return len(t.preds) }
-
-// Pred returns the i'th predecessor in edge-insertion order, 0 ≤ i < NumPreds.
-func (t *Task) Pred(i int) *Task { return t.preds[i] }
-
-// NumSuccs returns the number of successors.
-func (t *Task) NumSuccs() int { return len(t.succs) }
-
-// Succ returns the i'th successor in edge-insertion order, 0 ≤ i < NumSuccs.
-func (t *Task) Succ(i int) *Task { return t.succs[i] }
 
 // Then connects t → next and returns next, allowing chain syntax:
 // preprocess.Then(recognize).Then(track).
@@ -195,8 +183,8 @@ type Graph struct {
 	// Order is the topological order: Order[k] is the task of rank k.
 	Order []*Task
 	// Rank k's in-edges are preds[predOff[k]:predOff[k+1]], in edge-insertion
-	// order (Task.Pred order); its out-edges succs[succOff[k]:succOff[k+1]],
-	// in Task.Succ order with edges out of the job left out. slots is parallel
+	// order (Task.Preds order); its out-edges succs[succOff[k]:succOff[k+1]],
+	// in Task.Succs order with edges out of the job left out. slots is parallel
 	// to succs: the position in preds of the same edge seen from its consumer.
 	predOff, succOff    []int32
 	preds, succs, slots []int32
@@ -221,10 +209,10 @@ func (g *Graph) Len() int { return len(g.Order) }
 // (a delivered output awaiting its consumer) is sized by.
 func (g *Graph) Edges() int { return len(g.preds) }
 
-// Preds returns the ranks of rank k's predecessors, in Task.Pred order.
+// Preds returns the ranks of rank k's predecessors, in Task.Preds order.
 func (g *Graph) Preds(k int) []int32 { return g.preds[g.predOff[k]:g.predOff[k+1]] }
 
-// Succs returns the ranks of rank k's successors, in Task.Succ order.
+// Succs returns the ranks of rank k's successors, in Task.Succs order.
 func (g *Graph) Succs(k int) []int32 { return g.succs[g.succOff[k]:g.succOff[k+1]] }
 
 // InSlot returns the edge slot of rank k's first in-edge; its i'th in-edge
@@ -531,50 +519,4 @@ func (j *Job) resolve() (*Graph, error) {
 		}
 	}
 	return g, nil
-}
-
-// Sources returns tasks with no predecessors.
-func (j *Job) Sources() []*Task {
-	var out []*Task
-	for _, t := range j.order {
-		if len(t.preds) == 0 {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// Sinks returns tasks with no successors.
-func (j *Job) Sinks() []*Task {
-	var out []*Task
-	for _, t := range j.order {
-		if len(t.succs) == 0 {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// CriticalPathOps returns the largest sum of Ops along any source→sink path
-// — a device-independent lower bound used by scheduler tests.
-func (j *Job) CriticalPathOps() (float64, error) {
-	g, err := j.Graph()
-	if err != nil {
-		return 0, err
-	}
-	best := make([]float64, g.Len())
-	var max float64
-	for k, t := range g.Order {
-		var in float64
-		for _, p := range g.Preds(k) {
-			if best[p] > in {
-				in = best[p]
-			}
-		}
-		best[k] = in + t.props.Ops
-		if best[k] > max {
-			max = best[k]
-		}
-	}
-	return max, nil
 }

@@ -213,24 +213,27 @@ func TestValidateRejectsEmptyAndNegative(t *testing.T) {
 	}
 }
 
+// TestSourcesAndSinks reads a job's sources and sinks off its Graph: the
+// ranks without in-edges and without out-edges.
 func TestSourcesAndSinks(t *testing.T) {
-	j := diamond()
-	if s := j.Sources(); len(s) != 1 || s[0].ID() != "a" {
-		t.Errorf("sources = %v", s)
-	}
-	if s := j.Sinks(); len(s) != 1 || s[0].ID() != "d" {
-		t.Errorf("sinks = %v", s)
-	}
-}
-
-func TestCriticalPathOps(t *testing.T) {
-	j := diamond()
-	cp, err := j.CriticalPathOps()
+	g, err := diamond().Graph()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp != 45 { // a(10) → c(30) → d(5)
-		t.Errorf("critical path = %f, want 45", cp)
+	var sources, sinks []string
+	for k, task := range g.Order {
+		if len(g.Preds(k)) == 0 {
+			sources = append(sources, task.ID())
+		}
+		if len(g.Succs(k)) == 0 {
+			sinks = append(sinks, task.ID())
+		}
+	}
+	if len(sources) != 1 || sources[0] != "a" {
+		t.Errorf("sources = %v, want [a]", sources)
+	}
+	if len(sinks) != 1 || sinks[0] != "d" {
+		t.Errorf("sinks = %v, want [d]", sinks)
 	}
 }
 
@@ -261,8 +264,18 @@ func TestHospitalShape(t *testing.T) {
 	if err := j.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(j.Sinks()); got != 3 {
-		t.Errorf("hospital sinks = %d, want 3", got)
+	g, err := j.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sinks := 0
+	for k := range g.Order {
+		if len(g.Succs(k)) == 0 {
+			sinks++
+		}
+	}
+	if sinks != 3 {
+		t.Errorf("hospital sinks = %d, want 3", sinks)
 	}
 	if !t5.Props().Persistent || !t5.Props().Confidential {
 		t.Error("T5 must be persistent and confidential (Fig. 2)")

@@ -34,18 +34,19 @@ func checkGraph(t *testing.T, j *Job, g *Graph) {
 			t.Fatalf("%s: Name %q, OutName %q", task.ID(), got, g.OutName(k))
 		}
 		preds := g.Preds(k)
-		if len(preds) != task.NumPreds() {
-			t.Fatalf("%s: %d in-edges, %d preds", task.ID(), len(preds), task.NumPreds())
+		taskPreds := task.Preds()
+		if len(preds) != len(taskPreds) {
+			t.Fatalf("%s: %d in-edges, %d preds", task.ID(), len(preds), len(taskPreds))
 		}
 		for i, p := range preds {
-			if p != rank[task.Pred(i)] {
-				t.Fatalf("%s in-edge %d is rank %d, Pred(%d) has rank %d", task.ID(), i, p, i, rank[task.Pred(i)])
+			if p != rank[taskPreds[i]] {
+				t.Fatalf("%s in-edge %d is rank %d, Preds()[%d] has rank %d", task.ID(), i, p, i, rank[taskPreds[i]])
 			}
 		}
 		edges += len(preds)
 		var mine []int32
-		for i := 0; i < task.NumSuccs(); i++ {
-			if s, ok := rank[task.Succ(i)]; ok {
+		for _, succ := range task.Succs() {
+			if s, ok := rank[succ]; ok {
 				mine = append(mine, s)
 			}
 		}

@@ -27,9 +27,9 @@ func replay(src *dataflow.Job) func(*dataflow.Job, int) error {
 		for progress := true; progress; {
 			progress = false
 			for _, task := range tasks {
-				for nextSucc[task] < task.NumSuccs() {
-					s := task.Succ(nextSucc[task])
-					if nextPred[s] >= s.NumPreds() || s.Pred(nextPred[s]) != task {
+				for succs := task.Succs(); nextSucc[task] < len(succs); {
+					s := succs[nextSucc[task]]
+					if preds := s.Preds(); nextPred[s] >= len(preds) || preds[nextPred[s]] != task {
 						break
 					}
 					mine[task].Then(mine[s])

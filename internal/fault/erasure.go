@@ -14,10 +14,9 @@ import (
 // span size (or Flush is called), the span is split into d data shards plus
 // p parity shards, each written to a distinct memory node. Reads of healthy
 // spans touch only the data shards holding the object; degraded reads
-// reconstruct from any d shards. Deleting objects leaves garbage in their
-// spans; Compact rewrites spans whose live fraction drops below a threshold,
-// reclaiming physical memory — the "compaction" the paper cites from
-// Carbink.
+// reconstruct from any d shards. Deleting an object leaves garbage in its
+// span until the span's last object is deleted; then the span's shards are
+// freed.
 type ErasureStore struct {
 	mu     sync.Mutex
 	fabric *cluster.Fabric
@@ -44,7 +43,6 @@ type span struct {
 	nodes     []string
 	liveBytes int
 	usedBytes int
-	sealed    bool
 }
 
 type openSpan struct {
@@ -59,9 +57,6 @@ type ErasureConfig struct {
 	Data, Parity int // RS geometry, default 4+2
 	SpanSize     int // payload bytes per span, default 64 KiB
 }
-
-// gcThreshold is the live ratio below which Compact rewrites a span.
-const gcThreshold = 0.5
 
 // NewErasureStore builds a Carbink-style store over the fabric.
 func NewErasureStore(f *cluster.Fabric, cfg ErasureConfig) (*ErasureStore, error) {
@@ -86,9 +81,6 @@ func NewErasureStore(f *cluster.Fabric, cfg ErasureConfig) (*ErasureStore, error
 		objects: make(map[ObjectID]objLoc), spans: make(map[int]*span),
 	}, nil
 }
-
-// Overhead returns the configured storage expansion factor.
-func (s *ErasureStore) Overhead() float64 { return s.rs.Overhead() }
 
 // Put appends the object to the open span, sealing the span when full.
 func (s *ErasureStore) Put(data []byte) (ObjectID, time.Duration, error) {
@@ -148,7 +140,11 @@ func (s *ErasureStore) sealLocked() (time.Duration, error) {
 			live += loc.size
 		}
 	}
-	sp := &span{shardSize: shardSize, liveBytes: live, usedBytes: len(s.open.buf), sealed: true}
+	if live == 0 { // every staged object was deleted: nothing to ship
+		s.open = nil
+		return 0, nil
+	}
+	sp := &span{shardSize: shardSize, liveBytes: live, usedBytes: len(s.open.buf)}
 	var total, maxWrite time.Duration
 	for i, shard := range shards {
 		node := alive[(s.rr+i)%len(alive)]
@@ -262,7 +258,8 @@ func (s *ErasureStore) readSpanLocked(sp *span) ([]byte, time.Duration, error) {
 	return joined, total, nil
 }
 
-// Delete marks the object dead; physical space is reclaimed by Compact.
+// Delete marks the object dead. Deleting the last live object of a sealed
+// span frees the span's shards; the returned time is those frees'.
 func (s *ErasureStore) Delete(id ObjectID) (time.Duration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -274,81 +271,21 @@ func (s *ErasureStore) Delete(id ObjectID) (time.Duration, error) {
 	if s.open != nil && s.open.id == loc.span {
 		return 0, nil // staged bytes die with the rewrite at seal
 	}
-	if sp, ok := s.spans[loc.span]; ok {
-		sp.liveBytes -= loc.size
+	sp, ok := s.spans[loc.span]
+	if !ok {
+		return 0, nil
 	}
-	return 0, nil
-}
-
-// Compact rewrites spans whose live ratio fell below the threshold: live
-// objects are re-Put into fresh spans, dead spans are freed. Returns the
-// number of compacted spans and the virtual time spent (the offloadable
-// parity work the paper mentions).
-func (s *ErasureStore) Compact() (int, time.Duration, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var victims []int
-	for id, sp := range s.spans {
-		if !sp.sealed {
-			continue
-		}
-		if sp.usedBytes == 0 || float64(sp.liveBytes)/float64(sp.usedBytes) < gcThreshold {
-			victims = append(victims, id)
-		}
+	sp.liveBytes -= loc.size
+	if sp.liveBytes > 0 {
+		return 0, nil
 	}
-	sort.Ints(victims)
+	delete(s.spans, loc.span)
 	var total time.Duration
-	compacted := 0
-	for _, vid := range victims {
-		sp := s.spans[vid]
-		// Collect live objects of this span.
-		type liveObj struct {
-			id   ObjectID
-			data []byte
-		}
-		var live []liveObj
-		if sp.liveBytes > 0 {
-			payload, d, err := s.readSpanLocked(sp)
-			total += d
-			if err != nil {
-				return compacted, total, err
-			}
-			for oid, loc := range s.objects {
-				if loc.span != vid {
-					continue
-				}
-				data := make([]byte, loc.size)
-				copy(data, payload[loc.off:loc.off+loc.size])
-				live = append(live, liveObj{oid, data})
-			}
-			sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
-		}
-		// Free the old shards.
-		for _, slab := range sp.shards {
-			d, _ := s.fabric.FreeSlab(slab)
-			total += d
-		}
-		delete(s.spans, vid)
-		// Re-stage live objects preserving their IDs.
-		for _, lo := range live {
-			if s.open != nil && len(s.open.buf)+len(lo.data) > s.spanSize {
-				d, err := s.sealLocked()
-				total += d
-				if err != nil {
-					return compacted, total, err
-				}
-			}
-			if s.open == nil {
-				s.open = &openSpan{id: s.nextSpan}
-				s.nextSpan++
-			}
-			s.objects[lo.id] = objLoc{span: s.open.id, off: len(s.open.buf), size: len(lo.data)}
-			s.open.buf = append(s.open.buf, lo.data...)
-			s.open.staged = append(s.open.staged, lo.id)
-		}
-		compacted++
+	for _, slab := range sp.shards {
+		d, _ := s.fabric.FreeSlab(slab) // an unreachable node keeps its shard
+		total += d
 	}
-	return compacted, total, nil
+	return total, nil
 }
 
 // Recover rebuilds shards lost to node crashes: every sealed span is probed
@@ -449,11 +386,4 @@ func (s *ErasureStore) StoredBytes() (int64, int64) {
 		physical += int64(len(s.open.buf))
 	}
 	return logical, physical
-}
-
-// SpanCount returns the number of sealed spans (tests and reports).
-func (s *ErasureStore) SpanCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.spans)
 }

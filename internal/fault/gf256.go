@@ -1,7 +1,7 @@
 // Package fault implements the fault-tolerance mechanisms the paper's
 // challenge 8(3) discusses for disaggregated memory: k-way replication, and
-// Carbink-style Reed–Solomon striping with span compaction — both built from
-// scratch on the one-sided verbs of internal/cluster.
+// Carbink-style Reed–Solomon striping into spans, each freed with its last
+// object — both built from scratch on the one-sided verbs of internal/cluster.
 //
 // This file is the finite-field arithmetic underneath Reed–Solomon:
 // GF(2^8) with the AES polynomial x^8+x^4+x^3+x+1 (0x11d generator

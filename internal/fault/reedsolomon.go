@@ -51,15 +51,8 @@ func NewRS(d, p int) (*RS, error) {
 // DataShards returns d.
 func (r *RS) DataShards() int { return r.data }
 
-// ParityShards returns p.
-func (r *RS) ParityShards() int { return r.parity }
-
 // TotalShards returns d+p.
 func (r *RS) TotalShards() int { return r.data + r.parity }
-
-// Overhead returns the storage expansion factor (d+p)/d — e.g. 1.375 for
-// RS(11,8), the knob Carbink trades against replication's 2×.
-func (r *RS) Overhead() float64 { return float64(r.data+r.parity) / float64(r.data) }
 
 func (r *RS) checkShards(shards [][]byte, wantAll bool) (int, error) {
 	if len(shards) != r.TotalShards() {
@@ -105,31 +98,6 @@ func (r *RS) Encode(shards [][]byte) error {
 		}
 	}
 	return nil
-}
-
-// Verify recomputes parity and reports whether it matches shards[d:].
-func (r *RS) Verify(shards [][]byte) (bool, error) {
-	size, err := r.checkShards(shards, true)
-	if err != nil {
-		return false, err
-	}
-	buf := make([]byte, size)
-	for pi := 0; pi < r.parity; pi++ {
-		for i := range buf {
-			buf[i] = 0
-		}
-		row := r.enc.row(r.data + pi)
-		for di := 0; di < r.data; di++ {
-			mulSlice(row[di], shards[di], buf)
-		}
-		got := shards[r.data+pi]
-		for i := range buf {
-			if buf[i] != got[i] {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
 }
 
 // Reconstruct rebuilds every nil shard in place. At least d shards must be

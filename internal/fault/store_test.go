@@ -173,8 +173,8 @@ func TestErasurePutGetWithFlush(t *testing.T) {
 	if _, err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if s.SpanCount() != 1 {
-		t.Errorf("spans = %d, want 1", s.SpanCount())
+	if len(s.spans) != 1 {
+		t.Errorf("spans = %d, want 1", len(s.spans))
 	}
 	got, _, err = s.Get(id)
 	if err != nil || !bytes.Equal(got, data) {
@@ -211,8 +211,8 @@ func TestErasureAutoSealsFullSpans(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.SpanCount() < 2 {
-		t.Errorf("10×300B into 1KiB spans must seal ≥2 spans, got %d", s.SpanCount())
+	if len(s.spans) < 2 {
+		t.Errorf("10×300B into 1KiB spans must seal ≥2 spans, got %d", len(s.spans))
 	}
 }
 
@@ -304,55 +304,91 @@ func TestErasureRecoverRebuildsShards(t *testing.T) {
 	}
 }
 
-func TestErasureCompactReclaimsGarbage(t *testing.T) {
-	f := fabricWithNodes(t, 6, 1<<22)
-	s, _ := NewErasureStore(f, ErasureConfig{Data: 4, Parity: 2, SpanSize: 1024})
-	var ids []ObjectID
-	for i := 0; i < 12; i++ {
-		id, _, err := s.Put(make([]byte, 250))
+// TestErasureDeleteFreesDeadSpans: a store whose objects are all deleted
+// holds no fabric memory, and an object that shared its span with deleted
+// ones still reads back, healthy, degraded and after Recover.
+func TestErasureDeleteFreesDeadSpans(t *testing.T) {
+	f := fabricWithNodes(t, 8, 1<<26)
+	s, _ := NewErasureStore(f, ErasureConfig{Data: 4, Parity: 2, SpanSize: 64 << 10})
+	obj := make([]byte, 4096)
+	for i := 0; i < 6400; i++ {
+		id, _, err := s.Put(obj)
 		if err != nil {
 			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	if _, err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	_, physBefore := s.StoredBytes()
-	// Delete 3 of every 4 objects: spans drop below the half-live threshold.
-	var keep []ObjectID
-	for i, id := range ids {
-		if i%4 == 0 {
-			keep = append(keep, id)
-			continue
 		}
 		if _, err := s.Delete(id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	n, _, err := s.Compact()
-	if err != nil {
+	if _, err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 {
-		t.Fatal("compaction must find victims")
+	if logical, physical := s.StoredBytes(); logical != 0 || physical != 0 {
+		t.Errorf("after deleting everything: %d logical, %d physical bytes; want 0, 0", logical, physical)
+	}
+	for _, n := range f.Nodes() {
+		if used, _, _ := f.NodeUsage(n); used != 0 {
+			t.Errorf("%s still holds %d bytes", n, used)
+		}
+	}
+
+	// One survivor among deleted neighbours, in a span sealed before and
+	// after they died.
+	var ids []ObjectID
+	for i := 0; i < 12; i++ {
+		data := bytes.Repeat([]byte{byte(i)}, 250)
+		id, _, err := s.Put(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+		if i == 5 {
+			if _, err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if _, err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	_, physAfter := s.StoredBytes()
-	if physAfter >= physBefore {
-		t.Errorf("compaction must shrink physical bytes: %d → %d", physBefore, physAfter)
+	keep := []ObjectID{ids[3], ids[9]}
+	for _, id := range ids {
+		if id != keep[0] && id != keep[1] {
+			if _, err := s.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	// Survivors keep their identity and content.
+	check := func(label string) {
+		t.Helper()
+		for _, id := range keep {
+			got, _, err := s.Get(id)
+			if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{byte(id - ids[0])}, 250)) {
+				t.Fatalf("%s: object %d = %v, %v", label, id, got, err)
+			}
+		}
+	}
+	check("healthy")
+	for _, n := range []string{"mem0", "mem1"} {
+		if err := f.Crash(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("degraded")
+	if _, _, err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Crash("mem2"); err != nil {
+		t.Fatal(err)
+	}
+	check("after Recover")
 	for _, id := range keep {
-		got, _, err := s.Get(id)
-		if err != nil {
-			t.Fatalf("object %d lost in compaction: %v", id, err)
+		if _, err := s.Delete(id); err != nil {
+			t.Fatal(err)
 		}
-		if len(got) != 250 {
-			t.Errorf("object %d size = %d", id, len(got))
-		}
+	}
+	if _, physical := s.StoredBytes(); physical != 0 {
+		t.Errorf("after deleting the survivors: %d physical bytes, want 0", physical)
 	}
 }
 
@@ -404,7 +440,7 @@ func TestErasureDurabilityProperty(t *testing.T) {
 		live := map[ObjectID][]byte{}
 		crashed := 0
 		for op := 0; op < 60; op++ {
-			switch rng.Intn(6) {
+			switch rng.Intn(5) {
 			case 0, 1:
 				data := make([]byte, 1+rng.Intn(500))
 				rng.Read(data)
@@ -443,10 +479,6 @@ func TestErasureDurabilityProperty(t *testing.T) {
 						return false
 					}
 					crashed--
-				}
-			case 5:
-				if _, _, err := s.Compact(); err != nil {
-					return false
 				}
 			}
 		}

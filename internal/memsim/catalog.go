@@ -62,8 +62,7 @@ func PMemSpec() Spec {
 
 // CXLDRAMSpec models a CXL.mem DRAM expansion card: DRAM media behind a
 // PCIe5/CXL link, so medium latency; coherent via CXL; sync or async per
-// Table 1 ("✓/✗"). The optional persistence of the table row is modeled by
-// CXLPMemSpec.
+// Table 1 ("✓/✗"). The table row's optional persistence is not modeled.
 func CXLDRAMSpec() Spec {
 	return Spec{
 		Name: "CXL-DRAM", Class: CXLDRAM,
@@ -72,17 +71,6 @@ func CXLDRAMSpec() Spec {
 		Coherent: true, Sync: true, Persistent: false,
 		Capacity: 512 * GiB,
 	}
-}
-
-// CXLPMemSpec is the persistent variant of the CXL expansion row.
-func CXLPMemSpec() Spec {
-	s := CXLDRAMSpec()
-	s.Name = "CXL-PMem"
-	s.Latency = 400 * time.Nanosecond
-	s.Bandwidth = 10e9
-	s.Persistent = true
-	s.Capacity = 2 * TiB
-	return s
 }
 
 // DisaggMemSpec models NIC-attached far memory on a memory node (Bw ◦,
@@ -131,14 +119,5 @@ func GDDRSpec() Spec {
 		Granularity: 64, Attach: AttachPCIe,
 		Coherent: false, Sync: true, Persistent: false,
 		Capacity: 24 * GiB,
-	}
-}
-
-// Table1Specs returns the catalogue in the paper's row order (the nine specs
-// that make up Table 1 plus GDDR).
-func Table1Specs() []Spec {
-	return []Spec{
-		CacheSpec(), HBMSpec(), DRAMSpec(), PMemSpec(),
-		CXLDRAMSpec(), DisaggMemSpec(), SSDSpec(), HDDSpec(),
 	}
 }

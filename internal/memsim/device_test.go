@@ -16,8 +16,10 @@ func mustDevice(t *testing.T, spec Spec) *Device {
 }
 
 func TestCatalogSpecsValid(t *testing.T) {
-	specs := append(Table1Specs(), GDDRSpec(), CXLPMemSpec())
-	for _, s := range specs {
+	for _, s := range []Spec{
+		CacheSpec(), HBMSpec(), DRAMSpec(), PMemSpec(),
+		CXLDRAMSpec(), DisaggMemSpec(), SSDSpec(), HDDSpec(), GDDRSpec(),
+	} {
 		if err := s.Validate(); err != nil {
 			t.Errorf("%s: %v", s.Name, err)
 		}

@@ -2,7 +2,6 @@ package placement
 
 import (
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +15,7 @@ import (
 // BestFit did before it kept candidate lists: every device's capabilities,
 // hard-constraint match and score derived on the spot. The cached optimizer
 // must reproduce it decision for decision.
-func referencePlace(topo *topology.Topology, req props.Requirements, computeID string, now time.Duration, clk topology.VClock) (string, float64) {
+func referencePlace(topo *topology.Topology, req props.Requirements, computeID string, now time.Duration, clk topology.VClock) string {
 	best, bestScore := "", 0.0
 	for i, dev := range topo.Memories() {
 		if dev.HardwareManaged {
@@ -37,19 +36,18 @@ func referencePlace(topo *topology.Topology, req props.Requirements, computeID s
 			best, bestScore = dev.ID, s
 		}
 	}
-	return best, bestScore
+	return best
 }
 
 // TestCachedBestFitMatchesFresh drives one long-lived BestFit through a
 // sequence that interleaves placements with everything that may change
 // their outcome — new links, new memory and compute devices, a device
-// filling up, a backlog appearing on a clock view — and checks every decision (device, score, decision-log entry,
-// error text) against a BestFit built fresh for that one call and against
-// the from-scratch reference.
+// filling up, a backlog appearing on a clock view — and checks every decision
+// (device, error text) against a BestFit built fresh for that one call and
+// against the from-scratch reference.
 func TestCachedBestFitMatchesFresh(t *testing.T) {
 	topo := testbed(t)
 	cached := NewBestFit(topo)
-	var wantLog []Decision
 
 	reqs := []props.Requirements{
 		{Capacity: 1 << 20},
@@ -86,7 +84,7 @@ func TestCachedBestFitMatchesFresh(t *testing.T) {
 					got, gotErr = cached.PlaceEpoch(req, comp, now, clk)
 					want, wantErr = fresh.PlaceEpoch(req, comp, now, clk)
 				}
-				refDev, refScore := referencePlace(topo, req, comp, now, refClk)
+				refDev := referencePlace(topo, req, comp, now, refClk)
 				if got != want || got != refDev {
 					t.Fatalf("%s: %s from %s: cached %q, fresh %q, reference %q", label, req, comp, got, want, refDev)
 				}
@@ -95,13 +93,6 @@ func TestCachedBestFitMatchesFresh(t *testing.T) {
 				}
 				if (gotErr != nil) != (refDev == "") {
 					t.Fatalf("%s: %s from %s: error %v but reference chose %q", label, req, comp, gotErr, refDev)
-				}
-				if gotErr == nil {
-					d := fresh.Decisions()
-					if len(d) != 1 || d[0].Score != refScore {
-						t.Fatalf("%s: %s from %s: fresh log %+v, reference score %v", label, req, comp, d, refScore)
-					}
-					wantLog = append(wantLog, d[0])
 				}
 			}
 		}
@@ -156,14 +147,6 @@ func TestCachedBestFitMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after AddCompute", 0, epoch)
-
-	got := cached.Decisions()
-	if len(wantLog) > DefaultDecisionCap {
-		wantLog = wantLog[len(wantLog)-DefaultDecisionCap:]
-	}
-	if !reflect.DeepEqual(got, wantLog) {
-		t.Fatalf("decision log diverges: %d cached entries vs %d fresh", len(got), len(wantLog))
-	}
 }
 
 // TestAddComputeAloneInvalidates: a compute device that becomes known
@@ -259,8 +242,7 @@ func TestConcurrentPlacementsAgree(t *testing.T) {
 
 // warmPlaceEpoch returns one placement on the reference testbed — the
 // per-output-allocation decision of the serving path — with its shape
-// resolved and the decision ring full, so that what remains is the steady
-// state.
+// resolved, so that what remains is the steady state.
 func warmPlaceEpoch(tb testing.TB) func() {
 	topo := testbed(tb)
 	bf := NewBestFit(topo)
@@ -271,9 +253,7 @@ func warmPlaceEpoch(tb testing.TB) func() {
 			tb.Fatal(err)
 		}
 	}
-	for i := 0; i <= DefaultDecisionCap; i++ {
-		place()
-	}
+	place()
 	return place
 }
 

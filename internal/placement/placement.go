@@ -5,10 +5,10 @@
 // matching devices, a cost model built on topology-adjusted capabilities
 // picks the best one.
 //
-// The package also ships the baselines the paper's motivation cites:
-// a naive first-match policy, a static class→device table (the
-// "traditional" explicit placement that ignores the compute device), and a
-// seeded random policy. The claim-placement bench contrasts them.
+// The package also ships baselines a cost model must beat: a seeded random
+// policy and an adversarial worst-fit one (region.FirstFit is the naive
+// first-match policy). The claim-placement artifact contrasts worst-fit with
+// the optimizer.
 package placement
 
 import (
@@ -27,19 +27,6 @@ import (
 // ErrNoCandidate is returned when no device passes the hard constraints.
 var ErrNoCandidate = errors.New("placement: no device satisfies the request")
 
-// Decision records one placement for reports and tests.
-type Decision struct {
-	Compute string
-	Device  string
-	Score   float64
-	Req     props.Requirements
-}
-
-// DefaultDecisionCap bounds BestFit's decision log: under sustained serving
-// load the log would otherwise grow without bound. Decisions() returns the
-// most recent DefaultDecisionCap entries.
-const DefaultDecisionCap = 4096
-
 // BestFit is the cost-model optimizer: among devices whose topology-adjusted
 // capabilities match the request's hard constraints, pick the one maximizing
 // props.Score (low latency, high bandwidth, confidentiality locality, and
@@ -54,10 +41,6 @@ type BestFit struct {
 	Topo *topology.Topology
 
 	mu sync.Mutex
-	// decisions is a ring buffer of the most recent placements: start is
-	// the oldest entry once the buffer wrapped.
-	decisions []Decision
-	start     int
 	// shapes holds the candidate list of every request shape resolved on
 	// graph version shapesAt. Lists are immutable once stored. Resolved on
 	// first use, emptied when the graph changes or maxShapes is reached.
@@ -131,19 +114,6 @@ func NewBestFit(topo *topology.Topology) *BestFit {
 // Name implements region.Placer.
 func (b *BestFit) Name() string { return "best-fit" }
 
-// record appends to the bounded decision log, overwriting the oldest entry
-// once it holds DefaultDecisionCap.
-func (b *BestFit) record(d Decision) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.decisions) < DefaultDecisionCap {
-		b.decisions = append(b.decisions, d)
-		return
-	}
-	b.decisions[b.start] = d
-	b.start = (b.start + 1) % DefaultDecisionCap
-}
-
 // Place implements region.Placer: the best match by score alone, blind to
 // any queue backlog.
 func (b *BestFit) Place(req props.Requirements, computeID string) (string, error) {
@@ -196,19 +166,7 @@ func (b *BestFit) placeAt(req props.Requirements, computeID string, now time.Dur
 	if best == "" {
 		return "", fmt.Errorf("%w: %s from %s", ErrNoCandidate, req, computeID)
 	}
-	b.record(Decision{Compute: computeID, Device: best, Score: bestScore, Req: req})
 	return best, nil
-}
-
-// Decisions returns a copy of the retained decision log, oldest first. The
-// log is bounded (DefaultDecisionCap), so under sustained load this is the most
-// recent window, not the full history.
-func (b *BestFit) Decisions() []Decision {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]Decision, 0, len(b.decisions))
-	out = append(out, b.decisions[b.start:]...)
-	return append(out, b.decisions[:b.start]...)
 }
 
 // PlaceShared finds the best device addressable — and matching — from
@@ -252,43 +210,6 @@ func (b *BestFit) PlaceShared(req props.Requirements, computeIDs []string) (stri
 		return "", fmt.Errorf("%w: %s from %v", ErrNoCandidate, req, computeIDs)
 	}
 	return best, nil
-}
-
-// Static is the traditional explicit-placement baseline: a fixed preference
-// order of device IDs per request "shape", chosen once by a developer for
-// the CPU and applied no matter which compute device asks — exactly the
-// pattern Figure 3 shows failing for GPUs.
-type Static struct {
-	Topo *topology.Topology
-	// Order is the developer's hardcoded device preference list.
-	Order []string
-}
-
-// NewStatic builds the baseline with the given device preference order.
-func NewStatic(topo *topology.Topology, order []string) *Static {
-	return &Static{Topo: topo, Order: order}
-}
-
-// Name implements region.Placer.
-func (s *Static) Name() string { return "static" }
-
-// Place implements region.Placer: first device in the hardcoded order that
-// satisfies the hard constraints, regardless of the compute device's view.
-func (s *Static) Place(req props.Requirements, computeID string) (string, error) {
-	for _, id := range s.Order {
-		dev, known := s.Topo.Memory(id)
-		if !known || dev.HardwareManaged {
-			continue
-		}
-		caps, ok := s.Topo.EffectiveCaps(computeID, id)
-		if !ok {
-			continue
-		}
-		if req.Matches(caps) {
-			return id, nil
-		}
-	}
-	return "", fmt.Errorf("%w: static order exhausted for %s from %s", ErrNoCandidate, req, computeID)
 }
 
 // Random places uniformly among matching devices — the lower bound any

@@ -47,6 +47,18 @@ func TestBestFitFigure3(t *testing.T) {
 	}
 }
 
+// TestStaticIgnoresComputeDevice checks the testbed behind the paper's case
+// for runtime placement: a static placement fixed for the CPU — DRAM, whoever
+// asks — is measurably worse for the GPU than the GDDR BestFit picks.
+func TestStaticIgnoresComputeDevice(t *testing.T) {
+	topo := testbed(t)
+	dramCaps, _ := topo.EffectiveCaps("node0/gpu0", "node0/dram0")
+	gddrCaps, _ := topo.EffectiveCaps("node0/gpu0", "node0/gddr0")
+	if dramCaps.Latency <= gddrCaps.Latency {
+		t.Error("testbed must make a CPU-fixed placement hurt the GPU")
+	}
+}
+
 func TestBestFitPersistent(t *testing.T) {
 	topo := testbed(t)
 	b := NewBestFit(topo)
@@ -89,19 +101,6 @@ func TestBestFitNoCandidate(t *testing.T) {
 	}
 }
 
-func TestBestFitDecisionLog(t *testing.T) {
-	topo := testbed(t)
-	b := NewBestFit(topo)
-	req := props.Requirements{Capacity: 64, Latency: props.LatencyBulk}
-	if _, err := b.Place(req, "node0/cpu0"); err != nil {
-		t.Fatal(err)
-	}
-	d := b.Decisions()
-	if len(d) != 1 || d[0].Compute != "node0/cpu0" || d[0].Device == "" {
-		t.Errorf("decision log = %+v", d)
-	}
-}
-
 func TestPlaceSharedAddressableByAll(t *testing.T) {
 	topo := testbed(t)
 	b := NewBestFit(topo)
@@ -121,34 +120,6 @@ func TestPlaceSharedAddressableByAll(t *testing.T) {
 	}
 	if _, err := b.PlaceShared(req, nil); err == nil {
 		t.Error("empty compute list must fail")
-	}
-}
-
-func TestStaticIgnoresComputeDevice(t *testing.T) {
-	// The static baseline always prefers DRAM — right for CPUs, wrong for
-	// GPUs, which is the paper's argument for runtime placement.
-	topo := testbed(t)
-	s := NewStatic(topo, []string{"node0/dram0", "node0/dram1", "node0/cxl0", "node0/ssd0"})
-	req := props.Requirements{Capacity: 1 << 20, Latency: props.LatencyBulk, ByteAddr: props.Require}
-	cpuDev, err := s.Place(req, "node0/cpu0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gpuDev, err := s.Place(req, "node0/gpu0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cpuDev != "node0/dram0" || gpuDev != "node0/dram0" {
-		t.Errorf("static must always pick dram0, got %s/%s", cpuDev, gpuDev)
-	}
-	// For the GPU that choice is measurably worse than GDDR.
-	dramCaps, _ := topo.EffectiveCaps("node0/gpu0", "node0/dram0")
-	gddrCaps, _ := topo.EffectiveCaps("node0/gpu0", "node0/gddr0")
-	if dramCaps.Latency <= gddrCaps.Latency {
-		t.Error("testbed must make static placement hurt the GPU")
-	}
-	if _, err := s.Place(props.Requirements{Persistent: props.Require, Latency: props.LatencyLow}, "node0/cpu0"); err == nil {
-		t.Error("exhausted static order must fail")
 	}
 }
 
@@ -207,8 +178,7 @@ func TestWorstStillMatchesButScoresLow(t *testing.T) {
 
 func TestPlacerNames(t *testing.T) {
 	topo := testbed(t)
-	if NewBestFit(topo).Name() != "best-fit" || NewStatic(topo, nil).Name() != "static" ||
-		NewRandom(topo, 1).Name() != "random" || NewWorst(topo).Name() != "worst-fit" {
+	if NewBestFit(topo).Name() != "best-fit" || NewRandom(topo, 1).Name() != "random" || NewWorst(topo).Name() != "worst-fit" {
 		t.Error("placer names wrong")
 	}
 }
@@ -266,45 +236,5 @@ func BenchmarkBestFitPlace(b *testing.B) {
 		if _, err := p.Place(req, "node0/gpu0"); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// TestBestFitDecisionCapRing records past the log's bound: the log keeps the
-// most recent DefaultDecisionCap placements, oldest first, through more than
-// one lap of the ring.
-func TestBestFitDecisionCapRing(t *testing.T) {
-	topo := testbed(t)
-	b := NewBestFit(topo)
-	const extra = DefaultDecisionCap + 50
-	req := props.Requirements{Capacity: 1 << 10}
-	for i := 0; i < DefaultDecisionCap+extra; i++ {
-		// Vary the capacity so each decision is distinguishable in the log.
-		req.Capacity = int64(1<<10 + i)
-		if _, err := b.Place(req, "node0/cpu0"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := b.Decisions()
-	if len(got) != DefaultDecisionCap {
-		t.Fatalf("retained %d decisions, want %d", len(got), DefaultDecisionCap)
-	}
-	for i, d := range got {
-		if want := int64(1<<10 + extra + i); d.Req.Capacity != want {
-			t.Fatalf("decision %d capacity = %d, want %d (ring must be chronological)", i, d.Req.Capacity, want)
-		}
-	}
-}
-
-func TestBestFitDecisionLogBoundedByDefault(t *testing.T) {
-	topo := testbed(t)
-	b := NewBestFit(topo)
-	req := props.Requirements{Capacity: 1 << 10}
-	for i := 0; i < DefaultDecisionCap+50; i++ {
-		if _, err := b.Place(req, "node0/cpu0"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := len(b.Decisions()); got != DefaultDecisionCap {
-		t.Errorf("unbounded default log: %d entries, want %d", got, DefaultDecisionCap)
 	}
 }

@@ -101,20 +101,6 @@ func (c LatencyClass) Ceiling() time.Duration {
 	}
 }
 
-// ClassifyLatency maps a concrete latency to the tightest class that admits it.
-func ClassifyLatency(d time.Duration) LatencyClass {
-	switch {
-	case d <= LatencyLow.Ceiling():
-		return LatencyLow
-	case d <= LatencyMedium.Ceiling():
-		return LatencyMedium
-	case d <= LatencyHigh.Ceiling():
-		return LatencyHigh
-	default:
-		return LatencyBulk
-	}
-}
-
 // Capabilities describes what a physical memory device offers as seen from a
 // specific compute device (topology-adjusted: latency and bandwidth include
 // the interconnect path).

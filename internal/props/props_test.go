@@ -65,17 +65,19 @@ func TestLatencyClassOrdering(t *testing.T) {
 	if !(LatencyLow.Ceiling() < LatencyMedium.Ceiling() && LatencyMedium.Ceiling() < LatencyHigh.Ceiling()) {
 		t.Fatal("latency class ceilings must be strictly increasing")
 	}
-	if ClassifyLatency(50*time.Nanosecond) != LatencyLow {
-		t.Error("50ns should classify as low")
-	}
-	if ClassifyLatency(300*time.Nanosecond) != LatencyMedium {
-		t.Error("300ns should classify as medium")
-	}
-	if ClassifyLatency(50*time.Microsecond) != LatencyHigh {
-		t.Error("50µs should classify as high")
-	}
-	if ClassifyLatency(8*time.Millisecond) != LatencyBulk {
-		t.Error("8ms should classify as bulk")
+	// Each class's ceiling lies between the latencies of the devices it is
+	// meant to separate.
+	for _, c := range []struct {
+		class         LatencyClass
+		admits, stops time.Duration
+	}{
+		{LatencyLow, 50 * time.Nanosecond, 300 * time.Nanosecond},
+		{LatencyMedium, 300 * time.Nanosecond, 50 * time.Microsecond},
+		{LatencyHigh, 50 * time.Microsecond, 8 * time.Millisecond},
+	} {
+		if ceil := c.class.Ceiling(); ceil < c.admits || ceil >= c.stops {
+			t.Errorf("%v ceiling %v must admit %v and stop %v", c.class, ceil, c.admits, c.stops)
+		}
 	}
 }
 

@@ -206,16 +206,3 @@ func (m *Manager) makeRoomLocked(need *Region) error {
 	}
 	return fmt.Errorf("region: device %s cannot host %d bytes even after eviction", need.device.ID, need.blockSize)
 }
-
-// Exported reports whether a region currently lives in the remote pool
-// (tests, stats). The region stays addressable either way: the next access
-// recalls it transparently.
-func (m *Manager) Exported(id ID) (bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r, ok := m.regions[id]
-	if !ok || r.freed {
-		return false, fmt.Errorf("%w: region %d", ErrFreed, id)
-	}
-	return r.exported, nil
-}

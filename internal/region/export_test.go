@@ -10,6 +10,19 @@ import (
 	"repro/internal/props"
 )
 
+// Exported reports whether a region currently lives in the remote pool
+// (tests, stats). The region stays addressable either way: the next access
+// recalls it transparently.
+func (m *Manager) Exported(id ID) (bool, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	r, ok := m.regions[id]
+	if !ok || r.freed {
+		return false, fmt.Errorf("%w: region %d", ErrFreed, id)
+	}
+	return r.exported, nil
+}
+
 // fakeExporter is an in-memory remote pool: a map of token → payload copy,
 // with fixed per-verb virtual costs so tests can assert cost accounting.
 type fakeExporter struct {

@@ -1,7 +1,6 @@
 package region
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -276,17 +275,4 @@ func (m *Manager) bestOtherDevice(r *Region, comp, exclude string) (string, bool
 		}
 	}
 	return best, best != ""
-}
-
-// Heat returns a region's current epoch access count (tests, reports).
-func (m *Manager) Heat(id ID) (uint64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r, ok := m.regions[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: region %d", ErrFreed, id)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.heat, nil
 }

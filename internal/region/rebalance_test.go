@@ -2,6 +2,7 @@ package region
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/memsim"
@@ -10,6 +11,19 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
+
+// Heat returns a region's current epoch access count (tests, reports).
+func (m *Manager) Heat(id ID) (uint64, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	r, ok := m.regions[id]
+	if !ok {
+		return 0, fmt.Errorf("%w: region %d", ErrFreed, id)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.heat, nil
+}
 
 // tieringManager builds a manager on a testbed with tiny device capacities
 // so pressure is easy to create.

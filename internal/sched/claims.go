@@ -42,9 +42,6 @@ type ClaimLedger struct {
 	grants []Grant // reusable GrantBatch result buffer
 }
 
-// NewClaimLedger returns an empty ledger.
-func NewClaimLedger() *ClaimLedger { return &ClaimLedger{} }
-
 // Reset empties the ledger for another run and keeps what it had allocated.
 func (l *ClaimLedger) Reset() {
 	l.queue, l.head, l.grants = l.queue[:0], 0, l.grants[:0]

@@ -15,7 +15,7 @@ const us = time.Microsecond
 
 // ledgerOf returns a ledger with the ranks enqueued.
 func ledgerOf(ranks ...int) *ClaimLedger {
-	l := NewClaimLedger()
+	l := new(ClaimLedger)
 	for _, k := range ranks {
 		l.Enqueue(k)
 	}
@@ -175,7 +175,7 @@ func (l *refLedger) grantBatch(cores []time.Duration, limit int, ready []bool, r
 // and ranks still queued, as a recycled dispatcher's is; the reference starts
 // fresh each time.
 func TestClaimLedgerAgainstReference(t *testing.T) {
-	l := NewClaimLedger()
+	l := new(ClaimLedger)
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n, nCores := 1+rng.Intn(40), 1+rng.Intn(6)

@@ -31,9 +31,9 @@ type refSchedule struct {
 
 func refEligible(t *dataflow.Task, topo *topology.Topology) []*topology.ComputeDevice {
 	if kind, ok := t.Props().Compute.Kind(); ok {
-		return topo.ComputesByKind(kind)
+		return topo.ComputeSet().ByKind(kind)
 	}
-	return topo.Computes()
+	return topo.ComputeSet().Devices
 }
 
 func refExecTime(t *dataflow.Task, c *topology.ComputeDevice) time.Duration {
@@ -101,7 +101,7 @@ func refUpwardRanks(job *dataflow.Job, topo *topology.Topology) (order []*datafl
 // fresh per-device core tables.
 func refStates(topo *topology.Topology, initial map[string][]time.Duration) map[string][]time.Duration {
 	states := make(map[string][]time.Duration)
-	for _, c := range topo.Computes() {
+	for _, c := range topo.ComputeSet().Devices {
 		states[c.ID] = make([]time.Duration, c.Cores)
 		copy(states[c.ID], initial[c.ID])
 	}

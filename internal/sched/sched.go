@@ -40,17 +40,6 @@ type Schedule struct {
 	Makespan time.Duration
 }
 
-// Of returns the assignment of a task by ID — for validation, tests and
-// tables; planning and execution index Tasks by rank.
-func (s *Schedule) Of(task string) (Assignment, bool) {
-	for k := range s.Tasks {
-		if s.Tasks[k].Task == task {
-			return s.Tasks[k], true
-		}
-	}
-	return Assignment{}, false
-}
-
 // BatchBefore is the deterministic cross-job dispatch order used when a
 // serving batch overlaps several jobs on one worker pool: task rank first
 // (the within-job sequential order), submission sequence as the tiebreak.
@@ -255,55 +244,4 @@ func listSchedule(job *dataflow.Job, topo *topology.Topology, policy string,
 		}
 	}
 	return s, nil
-}
-
-// Validate checks a schedule against the job: every task assigned exactly
-// once, precedence respected, and per-core capacity never exceeded.
-func Validate(job *dataflow.Job, topo *topology.Topology, s *Schedule) error {
-	if len(s.Tasks) != job.Len() {
-		return fmt.Errorf("sched: %d assignments for %d tasks", len(s.Tasks), job.Len())
-	}
-	for _, t := range job.Tasks() {
-		a, ok := s.Of(t.ID())
-		if !ok {
-			return fmt.Errorf("sched: task %s unassigned", t.ID())
-		}
-		if a.Finish < a.Start {
-			return fmt.Errorf("sched: task %s finishes before it starts", t.ID())
-		}
-		c, ok := topo.Compute(a.Compute)
-		if !ok {
-			return fmt.Errorf("sched: task %s on unknown device %s", t.ID(), a.Compute)
-		}
-		if kind, restricted := t.Props().Compute.Kind(); restricted && c.Kind != kind {
-			return fmt.Errorf("sched: task %s wants %s, got %s", t.ID(), t.Props().Compute, c.Kind)
-		}
-		for i, n := 0, t.NumPreds(); i < n; i++ {
-			p := t.Pred(i)
-			pa, _ := s.Of(p.ID())
-			if a.Start < pa.Finish {
-				return fmt.Errorf("sched: task %s starts before predecessor %s finishes", t.ID(), p.ID())
-			}
-		}
-	}
-	// Capacity: count overlapping tasks per device at each start instant.
-	byDev := make(map[string][]Assignment)
-	for _, a := range s.Tasks {
-		byDev[a.Compute] = append(byDev[a.Compute], a)
-	}
-	for dev, as := range byDev {
-		c, _ := topo.Compute(dev)
-		for _, probe := range as {
-			overlap := 0
-			for _, other := range as {
-				if other.Start <= probe.Start && probe.Start < other.Finish {
-					overlap++
-				}
-			}
-			if overlap > c.Cores {
-				return fmt.Errorf("sched: %s runs %d tasks concurrently with %d cores", dev, overlap, c.Cores)
-			}
-		}
-	}
-	return nil
 }

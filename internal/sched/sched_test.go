@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,67 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/topology"
 )
+
+// Of returns the assignment of a task by ID; planning and execution index
+// Tasks by rank.
+func (s *Schedule) Of(task string) (Assignment, bool) {
+	for k := range s.Tasks {
+		if s.Tasks[k].Task == task {
+			return s.Tasks[k], true
+		}
+	}
+	return Assignment{}, false
+}
+
+// Validate checks a schedule against the job: every task assigned exactly
+// once, precedence respected, and per-core capacity never exceeded.
+func Validate(job *dataflow.Job, topo *topology.Topology, s *Schedule) error {
+	if len(s.Tasks) != job.Len() {
+		return fmt.Errorf("sched: %d assignments for %d tasks", len(s.Tasks), job.Len())
+	}
+	for _, t := range job.Tasks() {
+		a, ok := s.Of(t.ID())
+		if !ok {
+			return fmt.Errorf("sched: task %s unassigned", t.ID())
+		}
+		if a.Finish < a.Start {
+			return fmt.Errorf("sched: task %s finishes before it starts", t.ID())
+		}
+		c, ok := topo.Compute(a.Compute)
+		if !ok {
+			return fmt.Errorf("sched: task %s on unknown device %s", t.ID(), a.Compute)
+		}
+		if kind, restricted := t.Props().Compute.Kind(); restricted && c.Kind != kind {
+			return fmt.Errorf("sched: task %s wants %s, got %s", t.ID(), t.Props().Compute, c.Kind)
+		}
+		for _, p := range t.Preds() {
+			pa, _ := s.Of(p.ID())
+			if a.Start < pa.Finish {
+				return fmt.Errorf("sched: task %s starts before predecessor %s finishes", t.ID(), p.ID())
+			}
+		}
+	}
+	// Capacity: count overlapping tasks per device at each start instant.
+	byDev := make(map[string][]Assignment)
+	for _, a := range s.Tasks {
+		byDev[a.Compute] = append(byDev[a.Compute], a)
+	}
+	for dev, as := range byDev {
+		c, _ := topo.Compute(dev)
+		for _, probe := range as {
+			overlap := 0
+			for _, other := range as {
+				if other.Start <= probe.Start && probe.Start < other.Finish {
+					overlap++
+				}
+			}
+			if overlap > c.Cores {
+				return fmt.Errorf("sched: %s runs %d tasks concurrently with %d cores", dev, overlap, c.Cores)
+			}
+		}
+	}
+	return nil
+}
 
 func testbed(t testing.TB) *topology.Topology {
 	t.Helper()

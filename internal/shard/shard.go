@@ -91,7 +91,8 @@ type Shard struct {
 
 	mu        sync.Mutex
 	down      bool
-	adopted   bool // ledger lease already handed to a survivor
+	downs     uint64 // times markDown took the shard down
+	adopted   bool   // ledger lease already handed to a survivor
 	slab      cluster.SlabID
 	ledgerSeq int64 // records written (ring-buffer cursor)
 	// active holds one cancel func per in-flight submission; markDown calls
@@ -384,25 +385,6 @@ func (c *Cluster) alive(i int) bool { return !c.shards[i].isDown() }
 // front end agrees without coordination.
 func (c *Cluster) Route(sig uint64) int { return c.ring.successor(sig, c.alive) }
 
-// RouteFingerprint hashes the current shard assignment of n synthetic
-// signatures — the membership-determinism witness: two clusters with the
-// same shard count, weights, vnodes, and down set produce identical
-// fingerprints.
-func (c *Cluster) RouteFingerprint(n int) uint64 {
-	const fnvOffset, fnvPrime = 0xcbf29ce484222325, 0x100000001b3
-	var h uint64 = fnvOffset
-	key := uint64(0x9e3779b97f4a7c15)
-	for i := 0; i < n; i++ {
-		key ^= key << 13
-		key ^= key >> 7
-		key ^= key << 17
-		idx := c.Route(key)
-		h ^= uint64(idx) + 1
-		h *= fnvPrime
-	}
-	return h
-}
-
 // note folds one primary admission decision into the shard's fingerprint
 // and counters. Decision bytes mirror loadgen's signature alphabet.
 func (sh *Shard) note(d byte) {
@@ -481,6 +463,9 @@ func (c *Cluster) markDown(sh *Shard) {
 	sh.mu.Lock()
 	wasDown := sh.down
 	sh.down = true
+	if !wasDown {
+		sh.downs++
+	}
 	cancels := make([]context.CancelFunc, 0, len(sh.active))
 	for _, cf := range sh.active {
 		cancels = append(cancels, cf)
@@ -570,8 +555,9 @@ func (c *Cluster) Restart(i int) error {
 
 // submit places a job on this shard under a context that also dies with
 // the shard (markDown cancels it). The returned cleanup must be called
-// once the ticket settled.
-func (sh *Shard) submit(ctx context.Context, job *dataflow.Job, opt core.SubmitOptions) (*core.Ticket, func(), error) {
+// once the ticket settled; it reports whether the shard went down since the
+// job was placed, even if it has come back up since.
+func (sh *Shard) submit(ctx context.Context, job *dataflow.Job, opt core.SubmitOptions) (*core.Ticket, func() bool, error) {
 	mctx, cancel := context.WithCancel(ctx)
 	sh.mu.Lock()
 	if sh.down {
@@ -579,15 +565,17 @@ func (sh *Shard) submit(ctx context.Context, job *dataflow.Job, opt core.SubmitO
 		cancel()
 		return nil, nil, fmt.Errorf("%w: %s is down", ErrNoShards, sh.name)
 	}
-	id := sh.nextSub
+	id, at := sh.nextSub, sh.downs
 	sh.nextSub++
 	sh.active[id] = cancel
 	sh.mu.Unlock()
-	cleanup := func() {
+	cleanup := func() bool {
 		sh.mu.Lock()
 		delete(sh.active, id)
+		died := sh.downs != at
 		sh.mu.Unlock()
 		cancel()
+		return died
 	}
 	tk, err := sh.srv.SubmitAsync(mctx, job, opt)
 	if err != nil {
@@ -698,7 +686,7 @@ func (c *Cluster) Submit(ctx context.Context, job *dataflow.Job, opts ...core.Su
 
 // watch drives one routed submission to a terminal outcome, re-routing it
 // to ring successors as shards die underneath it.
-func (c *Cluster) watch(ctx context.Context, rtk *core.Ticket, sh *Shard, tk *core.Ticket, cleanup func(), job *dataflow.Job, opt core.SubmitOptions, sig uint64) {
+func (c *Cluster) watch(ctx context.Context, rtk *core.Ticket, sh *Shard, tk *core.Ticket, cleanup func() bool, job *dataflow.Job, opt core.SubmitOptions, sig uint64) {
 	defer c.wg.Done()
 	// settle delivers the terminal outcome; the router owns the submission's
 	// checkpoint namespace, so it is the one that forgets it.
@@ -710,15 +698,15 @@ func (c *Cluster) watch(ctx context.Context, rtk *core.Ticket, sh *Shard, tk *co
 	}
 	for {
 		rep, err := tk.Wait(nil) // the server always delivers exactly once
-		cleanup()
+		died := cleanup()
 		if err == nil {
 			sh.noteComplete(rep)
 			settle(rep, nil)
 			return
 		}
-		if ctx.Err() != nil || !sh.isDown() {
-			// The submitter gave up, or the job genuinely failed on a
-			// healthy shard: terminal either way, and not the shard's fault.
+		if ctx.Err() != nil || !died {
+			// The submitter gave up, or the job genuinely failed on a shard
+			// that stayed up: terminal either way, and not the shard's fault.
 			sh.failed.Add(1)
 			settle(nil, err)
 			return

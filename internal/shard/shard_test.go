@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,25 @@ import (
 	"repro/internal/sched"
 	"repro/internal/telemetry"
 )
+
+// RouteFingerprint hashes the current shard assignment of n synthetic
+// signatures — the membership-determinism witness: two clusters with the
+// same shard count, weights, vnodes, and down set produce identical
+// fingerprints.
+func (c *Cluster) RouteFingerprint(n int) uint64 {
+	const fnvOffset, fnvPrime = 0xcbf29ce484222325, 0x100000001b3
+	var h uint64 = fnvOffset
+	key := uint64(0x9e3779b97f4a7c15)
+	for i := 0; i < n; i++ {
+		key ^= key << 13
+		key ^= key >> 7
+		key ^= key << 17
+		idx := c.Route(key)
+		h ^= uint64(idx) + 1
+		h *= fnvPrime
+	}
+	return h
+}
 
 // chainJob builds a deterministic three-stage pipeline. Structurally
 // identical inputs yield identical virtual timelines; only the name (the
@@ -308,7 +328,8 @@ func TestFailoverReroutesByteIdentical(t *testing.T) {
 			if !st[victim].Down {
 				t.Error("crashed shard must report Down")
 			}
-			if _, ok := c.Fabric().Owner(c.shards[victim].slab); !ok {
+			slab := c.shards[victim].slab
+			if !slices.Contains(c.Fabric().LeasesOf(c.shards[victim].name), slab) && !slices.Contains(c.Fabric().LeasesOf(c.shards[1-victim].name), slab) {
 				t.Error("dead shard's ledger lease must survive in the control plane")
 			}
 		})
@@ -364,7 +385,9 @@ func TestFailoverPartialReplayResumes(t *testing.T) {
 
 // TestClusterSoak drives concurrent submitters, in-epoch rebalance sweeps,
 // and a crash/restart cycle through a 2-shard cluster — the -race workout
-// for the router's locking. Every submission must settle.
+// for the router's locking. Shard 1 crashes once a third of the submissions
+// have settled and restarts at two thirds, so both land while traffic is in
+// flight. Every submission must settle.
 func TestClusterSoak(t *testing.T) {
 	c := newTestCluster(t, Config{
 		Shards: 2,
@@ -373,6 +396,8 @@ func TestClusterSoak(t *testing.T) {
 	const (
 		submitters = 3
 		perG       = 20
+		crashAt    = submitters * perG / 3
+		restartAt  = 2 * crashAt
 	)
 	var wg sync.WaitGroup
 	var settled, failed int64
@@ -386,38 +411,37 @@ func TestClusterSoak(t *testing.T) {
 				mu.Lock()
 				if err != nil {
 					failed++
+					t.Errorf("soak submission %d-%d failed: %v", g, i, err)
 				} else {
 					settled++
 					if rep.Shard == "" {
 						t.Error("soak report lost its shard label")
 					}
 				}
+				switch settled + failed {
+				case crashAt:
+					if err := c.Crash(1); err != nil {
+						t.Error(err)
+					}
+				case restartAt:
+					if err := c.Restart(1); err != nil {
+						t.Error(err)
+					}
+				}
 				mu.Unlock()
 			}
 		}(g)
 	}
-	// Maintenance sweeps concurrent with serving (satellite 1): each runs
-	// in its own epoch, so serving reports stay solo-identical throughout.
+	// Maintenance sweeps concurrent with serving: each runs in its own epoch,
+	// so serving reports stay solo-identical throughout.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
 			c.Rebalance(time.Duration(i) * time.Millisecond)
-			time.Sleep(time.Millisecond)
 		}
 	}()
-	time.Sleep(5 * time.Millisecond)
-	if err := c.Crash(1); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(5 * time.Millisecond)
-	if err := c.Restart(1); err != nil {
-		t.Fatal(err)
-	}
 	wg.Wait()
-	if failed != 0 {
-		t.Errorf("%d soak submissions failed", failed)
-	}
 	if settled != submitters*perG {
 		t.Errorf("settled %d of %d", settled, submitters*perG)
 	}

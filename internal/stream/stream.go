@@ -28,8 +28,7 @@ import (
 // Event is one element of a stream: an opaque payload plus the key the
 // window graph may partition on.
 type Event struct {
-	// Key selects the partition for key-partitioned window graphs
-	// (Window.Partition groups by Key modulo the partition count).
+	// Key selects the partition for key-partitioned window graphs.
 	Key uint64
 	// Payload is the event bytes, owned by the consumer once pulled.
 	Payload []byte
@@ -101,21 +100,6 @@ type Window struct {
 	// Events are the window's events in arrival order; the final window of
 	// a finite stream may hold fewer than Spec.WindowSize.
 	Events []Event
-}
-
-// Partition groups the window's events by Key modulo p, preserving
-// arrival order inside each group — the key-partitioned fan-out a window
-// graph shards its aggregation tasks over. p < 1 is treated as 1.
-func (w Window) Partition(p int) [][]Event {
-	if p < 1 {
-		p = 1
-	}
-	parts := make([][]Event, p)
-	for _, ev := range w.Events {
-		i := int(ev.Key % uint64(p))
-		parts[i] = append(parts[i], ev)
-	}
-	return parts
 }
 
 // Bytes concatenates the window's payloads — the ingest task's staging

@@ -79,52 +79,6 @@ func TestPullHugeN(t *testing.T) {
 	}
 }
 
-func TestWindowPartition(t *testing.T) {
-	w := Window{Events: events(23)}
-	for _, p := range []int{1, 2, 7, 23, 40} {
-		parts := w.Partition(p)
-		if len(parts) != p {
-			t.Fatalf("Partition(%d) made %d groups", p, len(parts))
-		}
-		seen := map[uint64]int{}
-		for i, part := range parts {
-			last := -1
-			for _, ev := range part {
-				seen[ev.Key]++
-				if ev.Key%uint64(p) != uint64(i) {
-					t.Errorf("p=%d: key %d landed in partition %d", p, ev.Key, i)
-				}
-				if int(ev.Key) <= last {
-					t.Errorf("p=%d: partition %d lost arrival order at key %d", p, i, ev.Key)
-				}
-				last = int(ev.Key)
-			}
-		}
-		if len(seen) != len(w.Events) {
-			t.Errorf("p=%d: %d of %d events were placed", p, len(seen), len(w.Events))
-		}
-		for key, n := range seen {
-			if n != 1 {
-				t.Errorf("p=%d: key %d placed %d times", p, key, n)
-			}
-		}
-	}
-	// A key's partition depends on the key and p alone, not on the window.
-	a := Window{Events: []Event{{Key: 12}, {Key: 5}}}.Partition(4)
-	b := Window{Events: []Event{{Key: 5}, {Key: 3}, {Key: 12}}}.Partition(4)
-	if len(a[0]) != 1 || len(b[0]) != 1 || a[0][0].Key != 12 || b[0][0].Key != 12 || a[1][0].Key != 5 || b[1][0].Key != 5 {
-		t.Errorf("keys 12 and 5 moved between windows: %v vs %v", a, b)
-	}
-	for _, p := range []int{0, -3} {
-		if parts := w.Partition(p); len(parts) != 1 || len(parts[0]) != len(w.Events) {
-			t.Errorf("Partition(%d) = %d groups; p < 1 means one group of everything", p, len(parts))
-		}
-	}
-	if parts := (Window{}).Partition(3); len(parts) != 3 || parts[0] != nil {
-		t.Errorf("empty window Partition(3) = %v", parts)
-	}
-}
-
 func TestWindowBytes(t *testing.T) {
 	if got := (Window{}).Bytes(); got != 0 {
 		t.Errorf("empty window Bytes = %d", got)
@@ -172,19 +126,23 @@ func TestInFlightDefault(t *testing.T) {
 	}
 }
 
-// fanSpec builds per window: ingest → one agg task per non-empty partition →
-// emit, sized by the window's bytes.
+// fanSpec builds per window: ingest → one agg task per non-empty partition of
+// the events by Key → emit, sized by the window's bytes.
 func fanSpec(partitions int) Spec {
 	return Spec{
 		Name: "fan", Source: NewSliceSource(nil), WindowSize: 8,
 		Build: func(w Window, j *dataflow.Job) error {
 			ingest := j.Task("ingest", dataflow.Props{Ops: 1e3, OutputBytes: w.Bytes() + 1}, nil)
 			emit := j.Task("emit", dataflow.Props{Ops: 1e3}, nil)
-			for i, part := range w.Partition(partitions) {
-				if len(part) == 0 {
+			events := make([]int, partitions)
+			for _, ev := range w.Events {
+				events[ev.Key%uint64(partitions)]++
+			}
+			for i, n := range events {
+				if n == 0 {
 					continue
 				}
-				agg := j.Task(fmt.Sprintf("agg%02d", i), dataflow.Props{Ops: float64(len(part)) * 1e3, OutputBytes: 8}, nil)
+				agg := j.Task(fmt.Sprintf("agg%02d", i), dataflow.Props{Ops: float64(n) * 1e3, OutputBytes: 8}, nil)
 				ingest.Then(agg)
 				agg.Then(emit)
 			}

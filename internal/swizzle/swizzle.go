@@ -151,17 +151,6 @@ func (h *Heap) Alloc(data []byte) (ObjID, error) {
 	return id, nil
 }
 
-// Ptr returns the current tagged pointer for an object.
-func (h *Heap) Ptr(id ObjID) (TaggedPtr, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	p, ok := h.ptrs[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNoObject, id)
-	}
-	return p, nil
-}
-
 // Access dereferences the object: it returns the bytes, the virtual access
 // latency (local vs remote), and bumps the hotness tag.
 func (h *Heap) Access(id ObjID) ([]byte, time.Duration, error) {
@@ -178,24 +167,6 @@ func (h *Heap) Access(id ObjID) ([]byte, time.Duration, error) {
 	}
 	h.localHits++
 	return h.local[p.Loc()], localLatency, nil
-}
-
-// Free releases an object.
-func (h *Heap) Free(id ObjID) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	p, ok := h.ptrs[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoObject, id)
-	}
-	if p.Remote() {
-		delete(h.remote, p.Loc())
-	} else {
-		h.used -= int64(len(h.local[p.Loc()]))
-		delete(h.local, p.Loc())
-	}
-	delete(h.ptrs, id)
-	return nil
 }
 
 // Sweep runs one migration epoch, the background work AIFM/Carbink perform:

@@ -63,8 +63,8 @@ func TestAllocSpillsToRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa, _ := h.Ptr(a)
-	pb, _ := h.Ptr(b)
+	pa := h.ptrs[a]
+	pb := h.ptrs[b]
 	if pa.Remote() {
 		t.Error("first object must be local")
 	}
@@ -88,7 +88,7 @@ func TestAccessCostsAndHotness(t *testing.T) {
 	if dRemote <= dLocal {
 		t.Errorf("remote access (%v) must cost more than local (%v)", dRemote, dLocal)
 	}
-	p, _ := h.Ptr(local)
+	p := h.ptrs[local]
 	if p.Hotness() != 1 {
 		t.Errorf("hotness after one access = %d, want 1", p.Hotness())
 	}
@@ -107,12 +107,6 @@ func TestUnknownObjectErrors(t *testing.T) {
 	h := newHeap(t, 100)
 	if _, _, err := h.Access(99); !errors.Is(err, ErrNoObject) {
 		t.Error("access of unknown object must fail")
-	}
-	if _, err := h.Ptr(99); !errors.Is(err, ErrNoObject) {
-		t.Error("ptr of unknown object must fail")
-	}
-	if err := h.Free(99); !errors.Is(err, ErrNoObject) {
-		t.Error("free of unknown object must fail")
 	}
 	if _, err := h.Alloc(nil); err == nil {
 		t.Error("empty alloc must fail")
@@ -141,8 +135,8 @@ func TestSweepPromotesHotRemote(t *testing.T) {
 	if cost <= 0 {
 		t.Error("migrations must cost time")
 	}
-	ph, _ := h.Ptr(hot)
-	pc, _ := h.Ptr(cold)
+	ph := h.ptrs[hot]
+	pc := h.ptrs[cold]
 	if ph.Remote() {
 		t.Error("hot object must be swizzled local")
 	}
@@ -163,7 +157,7 @@ func TestSweepDecaysHotness(t *testing.T) {
 		h.Access(id)
 	}
 	h.Sweep()
-	p, _ := h.Ptr(id)
+	p := h.ptrs[id]
 	if p.Hotness() != 4 {
 		t.Errorf("hotness after decay = %d, want 4", p.Hotness())
 	}
@@ -184,30 +178,13 @@ func TestSweepRespectsCapacity(t *testing.T) {
 		h.Access(big)
 	}
 	h.Sweep()
-	pl, _ := h.Ptr(local)
-	pb, _ := h.Ptr(big)
+	pl := h.ptrs[local]
+	pb := h.ptrs[big]
 	if pb.Remote() == false {
 		t.Error("object larger than the arena must stay remote")
 	}
 	if pl.Remote() {
 		t.Error("local object must not be evicted for an unpromotable one")
-	}
-}
-
-func TestFreeReclaimsLocalSpace(t *testing.T) {
-	h := newHeap(t, 100)
-	a, _ := h.Alloc(make([]byte, 80))
-	if err := h.Free(a); err != nil {
-		t.Fatal(err)
-	}
-	b, _ := h.Alloc(make([]byte, 80))
-	pb, _ := h.Ptr(b)
-	if pb.Remote() {
-		t.Error("freed space must be reusable locally")
-	}
-	st := h.Stats()
-	if st.LocalObjects != 1 || st.RemoteObjects != 0 {
-		t.Errorf("stats = %+v", st)
 	}
 }
 

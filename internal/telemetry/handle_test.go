@@ -54,33 +54,6 @@ func TestResolvedCounterIsUnlistedUntilAdded(t *testing.T) {
 	}
 }
 
-// TestHandlesSurviveReset: Reset empties counters and histograms in place,
-// so a handle resolved before it keeps feeding the registry after it — and
-// is unlisted again until it does.
-func TestHandlesSurviveReset(t *testing.T) {
-	r := NewRegistry()
-	c := r.Handle(LayerCoherence, "fetches")
-	h := r.HistHandle(LayerRuntime, "wait")
-	c.Add(5)
-	h.Observe(time.Second)
-	r.Record(Span{Layer: LayerApp, End: 1})
-	r.Reset()
-	if len(r.Counters()) != 0 || r.Hist(LayerRuntime, "wait") != nil || len(r.Spans()) != 0 {
-		t.Fatalf("Reset left state behind: %v", r.Counters())
-	}
-	if s := h.Snapshot(); s != (HistSnapshot{}) {
-		t.Errorf("histogram after Reset = %+v, want zero", s)
-	}
-	c.Add(2)
-	h.Observe(time.Microsecond)
-	if got, want := r.Counters(), map[string]int64{"coherence/fetches": 2}; !reflect.DeepEqual(got, want) {
-		t.Errorf("Counters() after Reset+Add = %v, want %v", got, want)
-	}
-	if got := r.Hist(LayerRuntime, "wait"); got != h || got.Max() != time.Microsecond {
-		t.Errorf("histogram after Reset+Observe = %+v", got.Snapshot())
-	}
-}
-
 // TestNilHandlesAreNoops: a nil registry hands out nil handles, and adding
 // to them is as safe as adding to the nil registry.
 func TestNilHandlesAreNoops(t *testing.T) {

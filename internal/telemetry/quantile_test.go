@@ -18,7 +18,7 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	grid := []float64{0, 0.01, 0.1, 0.25, 0.5, 0.5000001, 0.75, 0.9, 0.95, 0.99, 0.999, 1}
 	for trial := 0; trial < 300; trial++ {
-		h := NewHistogram(DefaultLatencyBounds()...)
+		h := &Histogram{bounds: latencyBounds}
 		n := rng.Intn(60) + 1
 		for i := 0; i < n; i++ {
 			// Span below the first bound, across every bucket, and past the

@@ -9,7 +9,7 @@ import (
 // TestHistogramSnapshot: Snapshot must agree with the individual accessors
 // and carry the p999 the serving harness reports.
 func TestHistogramSnapshot(t *testing.T) {
-	h := NewHistogram(DefaultWaitBounds()...)
+	h := &Histogram{bounds: DefaultWaitBounds()}
 	if got := h.Snapshot(); got != (HistSnapshot{}) {
 		t.Errorf("empty snapshot = %+v, want zero", got)
 	}

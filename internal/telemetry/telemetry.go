@@ -45,8 +45,8 @@ type Registry struct {
 	// which head is the oldest entry, the one the next Record overwrites.
 	spans []Span
 	head  int
-	// recorded and layerTime cover every span since the last Reset, the ones
-	// the ring has dropped included.
+	// recorded and layerTime cover every span, the ones the ring has dropped
+	// included.
 	recorded  int64
 	layerTime map[Layer]time.Duration
 	hists     map[metricKey]*Histogram
@@ -105,10 +105,9 @@ func NewRegistry() *Registry {
 }
 
 // Handle resolves a named counter, creating it unlisted on first use. The
-// returned counter stays the same object for the registry's lifetime (Reset
-// zeroes it in place), so a layer resolves its hot counters once and adds to
-// them without touching the registry again. Nil-safe: a nil registry
-// resolves to the nil counter.
+// returned counter stays the same object for the registry's lifetime, so a
+// layer resolves its hot counters once and adds to them without touching the
+// registry again. Nil-safe: a nil registry resolves to the nil counter.
 func (r *Registry) Handle(layer Layer, name string) *Counter {
 	if r == nil {
 		return nil
@@ -205,16 +204,16 @@ func (r *Registry) Record(s Span) {
 	r.mu.Unlock()
 }
 
-// Spans returns a copy of the retained spans, oldest first: every span since
-// the last Reset, or the most recent spanCap once more were recorded.
+// Spans returns a copy of the retained spans, oldest first: every span, or
+// the most recent spanCap once more were recorded.
 // Nil-safe.
 func (r *Registry) Spans() []Span {
 	spans, _ := r.window()
 	return spans
 }
 
-// SpansRecorded returns how many spans were recorded since the last Reset,
-// the ones Spans no longer holds included. Nil-safe.
+// SpansRecorded returns how many spans were recorded, the ones Spans no
+// longer holds included. Nil-safe.
 func (r *Registry) SpansRecorded() int64 {
 	if r == nil {
 		return 0
@@ -253,30 +252,9 @@ func (r *Registry) Counters() map[string]int64 {
 	return out
 }
 
-// Reset clears all state. Counters and histograms are emptied in place, not
-// dropped, so handles resolved before the reset keep feeding the registry
-// after it; the span ring keeps its storage and fills it again from the
-// start. Nil-safe.
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	for _, c := range r.counters {
-		c.listed.Store(false)
-		c.n.Store(0)
-	}
-	r.spans, r.head, r.recorded = r.spans[:0], 0, 0
-	clear(r.layerTime)
-	for _, h := range r.hists {
-		h.reset()
-	}
-	r.mu.Unlock()
-}
-
-// ByLayer returns the total span time per layer since the last Reset — the
-// "which layer is my dataflow spending time in" profile. It is exact however
-// many spans the ring has dropped.
+// ByLayer returns the total span time per layer — the "which layer is my
+// dataflow spending time in" profile. It is exact however many spans the ring
+// has dropped.
 func (r *Registry) ByLayer() map[Layer]time.Duration {
 	out := make(map[Layer]time.Duration)
 	if r == nil {
@@ -351,25 +329,6 @@ type Histogram struct {
 	max     time.Duration
 }
 
-// NewHistogram builds a histogram with the given ascending bucket bounds;
-// an implicit +Inf bucket catches the tail.
-func NewHistogram(bounds ...time.Duration) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("telemetry: histogram bounds must be ascending")
-		}
-	}
-	return &Histogram{bounds: bounds}
-}
-
-// DefaultLatencyBounds spans Table 1's latency range: 100ns … 10ms.
-func DefaultLatencyBounds() []time.Duration {
-	return []time.Duration{
-		100 * time.Nanosecond, time.Microsecond, 10 * time.Microsecond,
-		100 * time.Microsecond, time.Millisecond, 10 * time.Millisecond,
-	}
-}
-
 // defaultWaitBounds is the one bounds slice every registry histogram shares.
 var defaultWaitBounds = DefaultWaitBounds()
 
@@ -402,29 +361,11 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 }
 
-// reset empties the histogram in place.
-func (h *Histogram) reset() {
-	h.mu.Lock()
-	clear(h.buckets)
-	h.count, h.sum, h.max = 0, 0, 0
-	h.mu.Unlock()
-}
-
 // Count returns the number of samples.
 func (h *Histogram) Count() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.count
-}
-
-// Mean returns the average sample, 0 when empty.
-func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / time.Duration(h.count)
 }
 
 // Max returns the largest sample.
@@ -495,18 +436,8 @@ func (h *Histogram) quantileLocked(q float64) time.Duration {
 			} else {
 				upper = h.max
 			}
-			frac := (rank - float64(cum-c)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			if frac > 1 {
-				frac = 1
-			}
-			v := lower + time.Duration(frac*float64(upper-lower))
-			if v > h.max {
-				v = h.max
-			}
-			return v
+			frac := min(max((rank-float64(cum-c))/float64(c), 0), 1)
+			return min(lower+time.Duration(frac*float64(upper-lower)), h.max)
 		}
 	}
 	return h.max

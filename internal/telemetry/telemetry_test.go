@@ -31,7 +31,6 @@ func TestNilRegistryIsNoop(t *testing.T) {
 	var r *Registry
 	r.Add(LayerApp, "x", 1) // must not panic
 	r.Record(Span{})
-	r.Reset()
 	if r.Counter(LayerApp, "x") != 0 || r.Spans() != nil || r.Counters() != nil {
 		t.Error("nil registry must behave as empty")
 	}
@@ -73,16 +72,6 @@ func TestReportDeterministic(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	r := NewRegistry()
-	r.Add(LayerApp, "x", 1)
-	r.Record(Span{Layer: LayerApp, End: 5})
-	r.Reset()
-	if r.Counter(LayerApp, "x") != 0 || len(r.Spans()) != 0 {
-		t.Error("reset must clear everything")
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup
@@ -112,8 +101,8 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 // TestSpanRingWraps records three laps of the ring with known durations: the
-// ring keeps the last spanCap in order, per-layer time counts every span (an
-// inverted one as 0), and a Reset after the wrap starts clean.
+// ring keeps the last spanCap in order, and per-layer time counts every span
+// (an inverted one as 0).
 func TestSpanRingWraps(t *testing.T) {
 	r := NewRegistry()
 	layers := []Layer{LayerRuntime, LayerDevice, LayerFault}
@@ -141,19 +130,6 @@ func TestSpanRingWraps(t *testing.T) {
 	}
 	if got := r.SpansRecorded(); got != n {
 		t.Errorf("recorded = %d, want %d", got, n)
-	}
-
-	r.Reset()
-	if len(r.Spans()) != 0 || r.SpansRecorded() != 0 || len(r.ByLayer()) != 0 {
-		t.Fatal("Reset after a wrap must leave the ring and totals empty")
-	}
-	r.Record(Span{Layer: LayerApp, Job: "j", Start: 1, End: 3})
-	r.Record(Span{Layer: LayerApp, Job: "k", Start: 3, End: 4})
-	if got := r.Spans(); len(got) != 2 || got[0].Job != "j" || got[1].Job != "k" {
-		t.Errorf("after Reset spans = %+v, want j then k", got)
-	}
-	if got := r.ByLayer(); len(got) != 1 || got[LayerApp] != 3 {
-		t.Errorf("after Reset by layer = %v, want app 3", got)
 	}
 }
 
@@ -190,8 +166,14 @@ func BenchmarkRecord(b *testing.B) {
 	}
 }
 
+// latencyBounds spans Table 1's latency range: 100ns … 10ms.
+var latencyBounds = []time.Duration{
+	100 * time.Nanosecond, time.Microsecond, 10 * time.Microsecond,
+	100 * time.Microsecond, time.Millisecond, 10 * time.Millisecond,
+}
+
 func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(DefaultLatencyBounds()...)
+	h := &Histogram{bounds: latencyBounds}
 	samples := []time.Duration{
 		50 * time.Nanosecond, 90 * time.Nanosecond, // ≤100ns
 		500 * time.Nanosecond,  // ≤1µs
@@ -207,7 +189,7 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Max() != 100*time.Millisecond {
 		t.Errorf("max = %v", h.Max())
 	}
-	mean := h.Mean()
+	mean := h.Snapshot().Mean
 	if mean < 20*time.Millisecond || mean > 21*time.Millisecond {
 		t.Errorf("mean = %v, want ≈100.05ms/5", mean)
 	}
@@ -223,23 +205,14 @@ func TestHistogramBasics(t *testing.T) {
 }
 
 func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram(time.Microsecond)
-	if h.Mean() != 0 || h.Quantile(0.99) != 0 || h.Count() != 0 {
+	h := &Histogram{bounds: []time.Duration{time.Microsecond}}
+	if h.Snapshot().Mean != 0 || h.Quantile(0.99) != 0 || h.Count() != 0 {
 		t.Error("empty histogram must return zeros")
 	}
 }
 
-func TestHistogramBadBoundsPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("descending bounds must panic")
-		}
-	}()
-	NewHistogram(time.Second, time.Millisecond)
-}
-
 func TestHistogramQuantileClamping(t *testing.T) {
-	h := NewHistogram(time.Microsecond)
+	h := &Histogram{bounds: []time.Duration{time.Microsecond}}
 	h.Observe(time.Nanosecond)
 	if h.Quantile(-1) != h.Quantile(0) {
 		t.Error("q<0 must clamp to 0")
@@ -411,9 +384,5 @@ func TestReportIncludesHistograms(t *testing.T) {
 		if !strings.Contains(rep, field) {
 			t.Errorf("report missing %q:\n%s", field, rep)
 		}
-	}
-	r.Reset()
-	if r.Hist(LayerRuntime, "queue_wait") != nil {
-		t.Error("Reset must clear histograms")
 	}
 }

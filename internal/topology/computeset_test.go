@@ -8,7 +8,7 @@ import (
 
 // TestComputeSetDescribesTheComputes: devices by dense index, per-kind lists,
 // core windows that tile one flat table, links equal to the string-keyed
-// Path — and Computes/ComputesByKind still the caller's own copies.
+// Path.
 func TestComputeSetDescribesTheComputes(t *testing.T) {
 	topo := testbed(t)
 	cs := topo.ComputeSet()
@@ -69,14 +69,6 @@ func TestComputeSetDescribesTheComputes(t *testing.T) {
 				t.Errorf("Link(%s, %s) = %v, %v, %v; Path says %v, %v, %v", a.ID, b.ID, lat, bw, linked, p.Latency, p.Bandwidth, ok)
 			}
 		}
-	}
-
-	all := topo.Computes()
-	all[0] = nil
-	cpus := topo.ComputesByKind(CPU)
-	cpus[0] = nil
-	if cs.Devices[0] == nil || cs.ByKind(CPU)[0] == nil || topo.Computes()[0] == nil {
-		t.Error("Computes and ComputesByKind must return the caller's own copy")
 	}
 }
 

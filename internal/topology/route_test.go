@@ -14,7 +14,7 @@ import (
 // to one shared object.
 func TestRouteMatchesEffectiveCaps(t *testing.T) {
 	topo := testbed(t)
-	for _, c := range topo.Computes() {
+	for _, c := range topo.ComputeSet().Devices {
 		for i, m := range topo.Memories() {
 			rt, ok := topo.Route(c.ID, m.ID)
 			caps, capsOK := topo.EffectiveCaps(c.ID, m.ID)

@@ -238,16 +238,6 @@ func BuildSingleNode(cfg SingleNodeConfig) (*Topology, error) {
 	return t, nil
 }
 
-// MustSingleNode builds the default testbed and panics on error; intended
-// for tests and benches where the configuration is static and known-good.
-func MustSingleNode() *Topology {
-	t, err := BuildSingleNode(DefaultSingleNode())
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // BuildRack wires rackSize copies of the single-node testbed to a shared
 // fabric with memNodes pooled far-memory nodes — the paper's Figure 1b
 // memory pool. Node i's devices are namespaced "rack/nodeI/...".

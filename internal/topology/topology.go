@@ -338,12 +338,6 @@ func (cs *ComputeSet) Link(from, to int) (lat time.Duration, bandwidth float64, 
 	return rt.Path.Latency, rt.Path.Bandwidth, rt.reachable
 }
 
-// Computes returns all compute devices in insertion order. The slice is the
-// caller's own copy; loops that only read use ComputeSet().Devices.
-func (t *Topology) Computes() []*ComputeDevice {
-	return append([]*ComputeDevice(nil), t.ComputeSet().Devices...)
-}
-
 // Memories returns all memory devices in insertion order. The slice is the
 // caller's own copy; loops that only read use MemoryDevices.
 func (t *Topology) Memories() []*memsim.Device {
@@ -353,12 +347,6 @@ func (t *Topology) Memories() []*memsim.Device {
 // MemoryDevices lists the memory devices in insertion order; a device's
 // position is its dense index. The list is shared: read-only.
 func (t *Topology) MemoryDevices() []*memsim.Device { return t.mems }
-
-// ComputesByKind returns compute devices of the given kind, as the caller's
-// own copy; loops that only read use ComputeSet().ByKind.
-func (t *Topology) ComputesByKind(k ComputeKind) []*ComputeDevice {
-	return append([]*ComputeDevice(nil), t.ComputeSet().ByKind(k)...)
-}
 
 // Path routes from one endpoint to another, minimizing latency (ties broken
 // by hop count, then lexicographically for determinism). It returns false if

@@ -21,7 +21,7 @@ func testbed(t *testing.T) *Topology {
 
 func TestBuildSingleNodeInventory(t *testing.T) {
 	topo := testbed(t)
-	if got := len(topo.Computes()); got != 5 { // 2 CPUs, GPU, TPU, FPGA
+	if got := len(topo.ComputeSet().Devices); got != 5 { // 2 CPUs, GPU, TPU, FPGA
 		t.Errorf("compute count = %d, want 5", got)
 	}
 	for _, id := range []string{"node0/cpu0", "node0/cpu1", "node0/gpu0", "node0/tpu0", "node0/fpga0"} {
@@ -270,10 +270,10 @@ func TestAddressable(t *testing.T) {
 
 func TestComputesByKind(t *testing.T) {
 	topo := testbed(t)
-	if got := len(topo.ComputesByKind(CPU)); got != 2 {
+	if got := len(topo.ComputeSet().ByKind(CPU)); got != 2 {
 		t.Errorf("CPU count = %d, want 2", got)
 	}
-	if got := len(topo.ComputesByKind(GPU)); got != 1 {
+	if got := len(topo.ComputeSet().ByKind(GPU)); got != 1 {
 		t.Errorf("GPU count = %d, want 1", got)
 	}
 }
@@ -283,8 +283,8 @@ func TestBuildRack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(topo.Computes()) != 4 {
-		t.Errorf("rack computes = %d, want 4", len(topo.Computes()))
+	if len(topo.ComputeSet().Devices) != 4 {
+		t.Errorf("rack computes = %d, want 4", len(topo.ComputeSet().Devices))
 	}
 	if len(topo.Memories()) != 6 { // 4 local DRAM + 2 far
 		t.Errorf("rack memories = %d, want 6", len(topo.Memories()))
@@ -306,7 +306,7 @@ func TestBuildRack(t *testing.T) {
 func TestPathOptimalityProperty(t *testing.T) {
 	topo := testbed(t)
 	var ids []string
-	for _, c := range topo.Computes() {
+	for _, c := range topo.ComputeSet().Devices {
 		ids = append(ids, c.ID)
 	}
 	for _, m := range topo.Memories() {
@@ -406,6 +406,16 @@ func BenchmarkAccessTime(b *testing.B) {
 	}
 }
 
+// MustSingleNode builds the default testbed and panics on error: its
+// configuration is static and known-good.
+func MustSingleNode() *Topology {
+	t, err := BuildSingleNode(DefaultSingleNode())
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
 // TestMustSingleNodeAndFreshEpoch: an access advances its own epoch's queue
 // and no other, so a fresh epoch sees every device drained.
 func TestMustSingleNodeAndFreshEpoch(t *testing.T) {
@@ -437,8 +447,8 @@ func TestBuildSingleNodeVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(topo.Computes()) != 1 {
-		t.Errorf("computes = %d, want 1 CPU", len(topo.Computes()))
+	if len(topo.ComputeSet().Devices) != 1 {
+		t.Errorf("computes = %d, want 1 CPU", len(topo.ComputeSet().Devices))
 	}
 	if _, ok := topo.Memory("node0/cache0"); !ok {
 		t.Error("every socket has its cache")

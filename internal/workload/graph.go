@@ -51,31 +51,6 @@ func synthesizeCSR(cfg GraphConfig) (offsets []uint32, edges []uint32) {
 	return offsets, edges
 }
 
-// referenceBFS computes distances from vertex 0 natively (test oracle).
-func referenceBFS(offsets, edges []uint32) []uint32 {
-	const unreached = ^uint32(0)
-	dist := make([]uint32, len(offsets)-1)
-	for i := range dist {
-		dist[i] = unreached
-	}
-	dist[0] = 0
-	frontier := []uint32{0}
-	for len(frontier) > 0 {
-		var nxt []uint32
-		for _, v := range frontier {
-			for i := offsets[v]; i < offsets[v+1]; i++ {
-				w := edges[i]
-				if dist[w] == unreached {
-					dist[w] = dist[v] + 1
-					nxt = append(nxt, w)
-				}
-			}
-		}
-		frontier = nxt
-	}
-	return dist
-}
-
 // Graph builds the job: load (materialize CSR) → bfs (level-synchronous
 // traversal with the frontier in Private Scratch) → summarize (distance
 // histogram into Global Scratch).
@@ -261,26 +236,6 @@ func Graph(cfg GraphConfig) *dataflow.Job {
 	load.Then(bfs)
 	bfs.Then(summarize)
 	return j
-}
-
-// GraphOracle exposes the reference BFS for tests: it regenerates the same
-// graph the job materializes and returns the expected reached count and
-// max distance.
-func GraphOracle(cfg GraphConfig) (reached int, maxDist uint32) {
-	if cfg.Vertices <= 0 {
-		cfg = DefaultGraph()
-	}
-	offsets, edges := synthesizeCSR(cfg)
-	dist := referenceBFS(offsets, edges)
-	for _, d := range dist {
-		if d != ^uint32(0) {
-			reached++
-			if d > maxDist {
-				maxDist = d
-			}
-		}
-	}
-	return reached, maxDist
 }
 
 // String renders the config.

@@ -160,6 +160,3 @@ func (m *Mix) diamond(i int, s float64) *dataflow.Job {
 	r1.Then(sink)
 	return j
 }
-
-// Drawn reports how many jobs the mix has produced so far.
-func (m *Mix) Drawn() int { return m.n }

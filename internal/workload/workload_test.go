@@ -10,6 +10,51 @@ import (
 	"repro/internal/props"
 )
 
+// referenceBFS computes distances from vertex 0 natively (test oracle).
+func referenceBFS(offsets, edges []uint32) []uint32 {
+	const unreached = ^uint32(0)
+	dist := make([]uint32, len(offsets)-1)
+	for i := range dist {
+		dist[i] = unreached
+	}
+	dist[0] = 0
+	frontier := []uint32{0}
+	for len(frontier) > 0 {
+		var nxt []uint32
+		for _, v := range frontier {
+			for i := offsets[v]; i < offsets[v+1]; i++ {
+				w := edges[i]
+				if dist[w] == unreached {
+					dist[w] = dist[v] + 1
+					nxt = append(nxt, w)
+				}
+			}
+		}
+		frontier = nxt
+	}
+	return dist
+}
+
+// GraphOracle runs the reference BFS: it regenerates the same
+// graph the job materializes and returns the expected reached count and
+// max distance.
+func GraphOracle(cfg GraphConfig) (reached int, maxDist uint32) {
+	if cfg.Vertices <= 0 {
+		cfg = DefaultGraph()
+	}
+	offsets, edges := synthesizeCSR(cfg)
+	dist := referenceBFS(offsets, edges)
+	for _, d := range dist {
+		if d != ^uint32(0) {
+			reached++
+			if d > maxDist {
+				maxDist = d
+			}
+		}
+	}
+	return reached, maxDist
+}
+
 func runJob(t *testing.T, job *dataflow.Job) *core.Report {
 	t.Helper()
 	rt, err := core.New(core.ExecConfig{})
@@ -43,8 +88,18 @@ func TestHospitalJobShape(t *testing.T) {
 	if j.Len() != 5 {
 		t.Errorf("tasks = %d, want 5 (Fig. 2)", j.Len())
 	}
-	if len(j.Sinks()) != 3 {
-		t.Errorf("sinks = %d, want T3/T4/T5", len(j.Sinks()))
+	g, err := j.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sinks := 0
+	for k := range g.Order {
+		if len(g.Succs(k)) == 0 {
+			sinks++
+		}
+	}
+	if sinks != 3 {
+		t.Errorf("sinks = %d, want T3/T4/T5", sinks)
 	}
 	t2, _ := j.Get("face-recognition")
 	if len(t2.Succs()) != 3 {
