@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,7 +34,10 @@ import (
 // Scope: the snapshot covers dataflow state (task outputs). Side effects on
 // job-global regions are transient by definition (Global Scratch) or
 // synchronization state (Global State) that tasks must be able to rebuild —
-// the same contract Spark-style lineage recovery imposes.
+// the same contract Spark-style lineage recovery imposes. A retry starts
+// with no globals, so a task that created one is re-executed rather than
+// restored (ckEntry.createdGlobal): the global exists again for the
+// successors that read it.
 
 // Checkpointer stores task output snapshots in a fault.Store, one namespace
 // per submission. A run opens its namespace once and holds it, so a snapshot,
@@ -77,6 +82,11 @@ type ckEntry struct {
 	// (possibly with an empty payload — successors still expect delivery)
 	// from a sink that completed without one.
 	hasOutput bool
+	// createdGlobal marks the snapshot of a task that created a job global
+	// (taskCtx.Global's first use). The snapshot holds the task's output, not
+	// the global, so a retry re-executes such a task instead of restoring
+	// it: a successor reading the global finds it republished.
+	createdGlobal bool
 	// recorded marks the snapshot of a task that fully completed, making
 	// it warm-replayable: restoreCost below is valid, and partial replay
 	// may defer the real store fetch until a re-executed consumer needs
@@ -106,9 +116,16 @@ func NewCheckpointer(store fault.Store) *Checkpointer {
 // and threads it through SubmitOptions.ResumeID so every attempt of that
 // submission — the original and any failover re-submissions — shares the
 // namespace. Whoever minted it owns its lifecycle: call Forget once the
-// submission is settled.
+// submission is settled. The ID is job+"@"+N, built in one allocation.
 func (c *Checkpointer) NewRunID(job string) string {
-	return fmt.Sprintf("%s@%d", job, c.seq.Add(1))
+	var num [20]byte
+	n := strconv.AppendUint(num[:0], c.seq.Add(1), 10)
+	var b strings.Builder
+	b.Grow(len(job) + 1 + len(n))
+	b.WriteString(job)
+	b.WriteByte('@')
+	b.Write(n)
+	return b.String()
 }
 
 // open returns the namespace of runID, creating it on first use.
@@ -149,14 +166,15 @@ func (ns *ckNamespace) lookup(task string) (ckEntry, bool) {
 // snapshot persists a completed task's output bytes. hasOutput marks
 // whether the task produced an output region at all; data may be empty
 // either way, and is the caller's again on return (fault.Store.Put copies).
-// Returns the virtual time the store took.
+// createdGlobal marks a task that created a job global. Returns the virtual
+// time the store took.
 //
 // The store round-trips run outside the namespace lock: N workers
 // checkpointing concurrently contend on the store's own synchronization
 // only, never on each other's bookkeeping.
-func (ns *ckNamespace) snapshot(task string, data []byte, hasOutput bool) (time.Duration, error) {
+func (ns *ckNamespace) snapshot(task string, data []byte, hasOutput, createdGlobal bool) (time.Duration, error) {
 	store := ns.c.store
-	e := ckEntry{hasOutput: hasOutput}
+	e := ckEntry{hasOutput: hasOutput, createdGlobal: createdGlobal}
 	var d time.Duration
 	if hasOutput && len(data) > 0 {
 		obj, dd, err := store.Put(data)
@@ -364,7 +382,7 @@ func (r *run) checkpointTask(ctx *taskCtx, t *dataflow.Task) error {
 		}
 		ctx.now = now
 	}
-	d, err := r.ck.snapshot(t.ID(), data, hasOutput)
+	d, err := r.ck.snapshot(t.ID(), data, hasOutput, r.createdGlobal(ctx.rank))
 	if err != nil {
 		return err
 	}
@@ -501,7 +519,7 @@ func (r *run) restoreTaskAt(ctx *taskCtx, start time.Duration) (time.Duration, *
 			return 0, nil, err
 		}
 	}
-	ctx.Log("restored from checkpoint")
+	ctx.logs = append(ctx.logs, "restored from checkpoint") // not Log: no format to run
 	r.rt.tel.Add(telemetry.LayerFault, "restores", 1)
 	r.rt.tel.Record(telemetry.Span{
 		Layer: telemetry.LayerFault, Job: r.job.Name(), Task: t.ID(),

@@ -47,7 +47,7 @@ func TestForgetDoesNotCrossNamespaces(t *testing.T) {
 	ck, store := newReplicatedCk(t)
 	put := func(id, task, payload string) {
 		t.Helper()
-		if _, err := ck.open(id).snapshot(task, []byte(payload), true); err != nil {
+		if _, err := ck.open(id).snapshot(task, []byte(payload), true, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -94,7 +94,7 @@ func TestForgetDoesNotCrossNamespaces(t *testing.T) {
 				ns := ck.open(ck.NewRunID("same/name@0"))
 				mine := []byte(fmt.Sprintf("worker %d round %d", w, i))
 				for _, task := range []string{"t", "t/u", "t@1"} {
-					if _, err := ns.snapshot(task, mine, true); err != nil {
+					if _, err := ns.snapshot(task, mine, true, false); err != nil {
 						t.Error(err)
 						return
 					}
@@ -125,7 +125,7 @@ func TestSnapshotIntoForgottenNamespaceStoresNothing(t *testing.T) {
 	ck, store := newReplicatedCk(t)
 	ns := ck.open("gone@1")
 	ck.Forget(ns.id)
-	if _, err := ns.snapshot("late", []byte("after the forget"), true); err != nil {
+	if _, err := ns.snapshot("late", []byte("after the forget"), true, false); err != nil {
 		t.Fatal(err)
 	}
 	ns.record("late", 1)
@@ -165,7 +165,7 @@ func TestCheckpointerStagingConcurrent(t *testing.T) {
 							stage := ck.getBuf(int64(1+rng.Intn(12<<10)), false)
 							rng.Read(stage)
 							want[task] = append([]byte(nil), stage...)
-							_, err := ns.snapshot(task, stage, true)
+							_, err := ns.snapshot(task, stage, true, false)
 							ck.putBuf(stage)
 							if err != nil {
 								t.Error(err)

@@ -21,23 +21,28 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/fault"
 	"repro/internal/shard"
+	"repro/internal/workload"
 )
 
-// victim is the task the injector kills: a name no batch mate's task shares,
-// since a targeted kill matches by task name in any submission. (Rate-based
-// sites hash the per-submission namespace, so they legitimately differ by
-// entry point and are not used here.)
+// victim is the task the injector kills in the synthetic shapes: a name no
+// batch mate's task shares, since a targeted kill matches by task name in any
+// submission. (Rate-based sites hash the per-submission namespace, so they
+// legitimately differ by entry point and are not used here.)
 const victim = "victim"
 
-// The shapes carry no job-level globals: a restored task does not republish
-// them (a known bug that belongs to the crash-explorer work, not here). Every
-// task is pinned to the FPGA, whose eight cores each shape outnumbers: by the
-// time the victim fails every core's clock has moved, so a retry that
-// continues on the job's clocks and one that restarts on idle ones report
-// different bytes.
-var entryShapes = map[string]func(name string) *dataflow.Job{
+// entryShape is a job of the matrix and the task its kill targets.
+type entryShape struct {
+	build  func(name string) *dataflow.Job
+	victim string
+}
+
+// Every synthetic task is pinned to the FPGA, whose eight cores each of those
+// shapes outnumbers: by the time the victim fails every core's clock has
+// moved, so a retry that continues on the job's clocks and one that restarts
+// on idle ones report different bytes.
+var entryShapes = map[string]entryShape{
 	// s0 → … → s8 → victim: everything before the failure is restored.
-	"chain": func(name string) *dataflow.Job {
+	"chain": {func(name string) *dataflow.Job {
 		j := dataflow.NewJob(name)
 		prev := j.Task("s0", entryProps(2e6, 16<<10), nil)
 		for i := 1; i < 9; i++ {
@@ -47,10 +52,10 @@ var entryShapes = map[string]func(name string) *dataflow.Job{
 		}
 		prev.Then(j.Task(victim, entryProps(1e6, 0), nil))
 		return j
-	},
+	}, victim},
 	// src → twelve leaves, the victim in the middle of the ranks: at
 	// Workers > 1 leaves above it run out of order and are rewound.
-	"fan-out": func(name string) *dataflow.Job {
+	"fan-out": {func(name string) *dataflow.Job {
 		j := dataflow.NewJob(name)
 		src := j.Task("src", entryProps(1e6, 32<<10), nil)
 		for i := 0; i < 12; i++ {
@@ -61,9 +66,9 @@ var entryShapes = map[string]func(name string) *dataflow.Job{
 			src.Then(j.Task(id, entryProps(float64(1+i)*5e5, 0), nil))
 		}
 		return j
-	},
+	}, victim},
 	// src → ten branches → victim: the join fails with every input checkpointed.
-	"diamond": func(name string) *dataflow.Job {
+	"diamond": {func(name string) *dataflow.Job {
 		j := dataflow.NewJob(name)
 		src := j.Task("src", entryProps(1e6, 32<<10), nil)
 		join := j.Task(victim, entryProps(1e6, 0), nil)
@@ -73,7 +78,12 @@ var entryShapes = map[string]func(name string) *dataflow.Job{
 			b.Then(join)
 		}
 		return j
-	},
+	}, victim},
+	// scan → filter → hash-aggregate → hash-join, the join killed: the
+	// aggregate created the agg-index global the join reads, and scan the
+	// admission latch, so the retry re-executes both rather than restoring
+	// them, and restores filter alone.
+	"dbms": {func(string) *dataflow.Job { return workload.DBMS(workload.DefaultDBMS()) }, "hash-join"},
 }
 
 func entryProps(ops float64, out int64) dataflow.Props {
@@ -98,14 +108,14 @@ type entryCase struct {
 	kill    bool
 }
 
-func (c entryCase) job() *dataflow.Job { return entryShapes[c.shape]("job") }
+func (c entryCase) job() *dataflow.Job { return entryShapes[c.shape].build("job") }
 
 // exec is the fresh ExecConfig of one run: its own injector, so a kill is
 // consumed by exactly the run it was scheduled for.
 func (c entryCase) exec() core.ExecConfig {
 	inj := fault.NewInjector(1, 0, 1)
 	if c.kill {
-		inj.Kill(victim, 1)
+		inj.Kill(entryShapes[c.shape].victim, 1)
 	}
 	return core.ExecConfig{Inject: inj, Workers: c.workers}
 }

@@ -269,7 +269,7 @@ func TestCheckpointerForgetSnapshotRace(t *testing.T) {
 			id := fmt.Sprintf("job@%d", w)
 			for i := 0; i < 20; i++ {
 				task := fmt.Sprintf("t%d", i%5)
-				if _, err := ck.open(id).snapshot(task, []byte("payload"), true); err != nil {
+				if _, err := ck.open(id).snapshot(task, []byte("payload"), true, false); err != nil {
 					t.Errorf("snapshot: %v", err)
 					return
 				}
@@ -308,7 +308,7 @@ func TestRestoreDeliversEmptyPayload(t *testing.T) {
 	// Simulate a prior attempt that checkpointed produce's output with an
 	// empty payload (hasOutput=true, zero bytes), and resume from it.
 	id := ck.NewRunID(j.Name())
-	if _, err := ck.open(id).snapshot("produce", nil, true); err != nil {
+	if _, err := ck.open(id).snapshot("produce", nil, true, false); err != nil {
 		t.Fatal(err)
 	}
 	s, err := NewServer(ServerConfig{Recovery: &RecoveryPolicy{Checkpointer: ck}})
@@ -335,7 +335,7 @@ func TestRestoreDeliversEmptyPayload(t *testing.T) {
 // that completed without any output restores as "done, nothing to deliver".
 func TestCheckpointerOutputlessEntries(t *testing.T) {
 	ck, _ := newCkStore(t)
-	if _, err := ck.open("id").snapshot("sink", nil, false); err != nil {
+	if _, err := ck.open("id").snapshot("sink", nil, false, false); err != nil {
 		t.Fatal(err)
 	}
 	data, hasOutput, _, err := ck.open("id").restore("sink")

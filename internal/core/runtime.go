@@ -331,7 +331,7 @@ type run struct {
 	smu sync.Mutex
 	// globals holds the job-wide named regions (Global State / Global
 	// Scratch) under the job's owner, in creation order.
-	globals []namedHandle
+	globals []jobGlobal
 	report  *Report
 	// ctxs and reports are the tasks' contexts and reports, by rank. Neither
 	// is recycled with the scratch: a handle a body kept outlives the run

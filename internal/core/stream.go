@@ -348,7 +348,7 @@ func (s *Server) streamDriver(ctx context.Context, spec stream.Spec, opt SubmitO
 			// losing it.
 			payload := make([]byte, 8)
 			binary.BigEndian.PutUint64(payload, uint64(rep.Makespan))
-			if _, err := s.rec.ck.open(t.id).snapshot(streamMarker(head.idx), payload, true); err != nil {
+			if _, err := s.rec.ck.open(t.id).snapshot(streamMarker(head.idx), payload, true, false); err != nil {
 				terminate(err)
 				return
 			}

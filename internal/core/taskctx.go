@@ -229,7 +229,7 @@ func (c *taskCtx) Global(name string, class props.RegionClass, size int64) (*reg
 		}
 		c.noteAlloc(g, size)
 		c.run.smu.Lock()
-		c.run.globals = append(c.run.globals, namedHandle{name, g})
+		c.run.globals = append(c.run.globals, jobGlobal{namedHandle{name, g}, c.rank})
 		c.run.smu.Unlock()
 		dev, _ := g.DeviceID()
 		c.noteDevice(name, dev)
@@ -256,6 +256,13 @@ type namedHandle struct {
 
 func byName(g namedHandle, name string) int { return strings.Compare(g.name, name) }
 
+// jobGlobal is a job global and the rank of the task whose first use
+// created it.
+type jobGlobal struct {
+	namedHandle
+	creator int
+}
+
 // global returns the job global of that name, nil before its first use.
 // Caller holds r.smu.
 func (r *run) global(name string) *region.Handle {
@@ -265,6 +272,19 @@ func (r *run) global(name string) *region.Handle {
 		}
 	}
 	return nil
+}
+
+// createdGlobal reports whether the task of rank k created a job global,
+// which its snapshot records (ckEntry.createdGlobal).
+func (r *run) createdGlobal(k int) bool {
+	r.smu.Lock()
+	defer r.smu.Unlock()
+	for _, g := range r.globals {
+		if g.creator == k {
+			return true
+		}
+	}
+	return false
 }
 
 // pinCompute finds a compute device that can address dev, preferring the

@@ -320,10 +320,13 @@ func (r *run) newWavefront(ctx context.Context, seed topology.VClock) (*wavefron
 	// checkpointed by a prior attempt never step the injector, and stepping
 	// stops at the first failure (ranks above it never consume injector
 	// state). Injector passes are mutation-free, so pre-consuming them is
-	// observationally identical to consuming them at dispatch time.
+	// observationally identical to consuming them at dispatch time. A task
+	// that created a job global is re-executed, not restored, so the global
+	// exists again for the successors that read it; it steps the injector
+	// like any task that runs.
 	for k, t := range order {
 		if r.ck != nil {
-			if _, ok := r.ck.lookup(t.ID()); ok {
+			if e, ok := r.ck.lookup(t.ID()); ok && !e.createdGlobal {
 				w.slots[k].restored = true
 				if r.partial && r.lazy == nil {
 					r.lazy = make([]*lazyRestore, n)

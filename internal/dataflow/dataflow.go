@@ -314,6 +314,10 @@ func (j *Job) Tasks() []*Task { return append([]*Task(nil), j.order...) }
 // Len returns the task count.
 func (j *Job) Len() int { return len(j.order) }
 
+// TaskAt returns the task added i'th, 0 ≤ i < Len: Tasks()[i] without the
+// copy.
+func (j *Job) TaskAt(i int) *Task { return j.order[i] }
+
 // ErrCycle is returned by Validate for cyclic graphs.
 var ErrCycle = errors.New("dataflow: job graph has a cycle")
 

@@ -64,20 +64,26 @@ func (in *Injector) Kill(task string, n int) {
 // Step is called by the runtime immediately before a task body runs; a
 // non-nil return is the injected fault and the task fails as if its body
 // had returned it. id identifies the submission (unique per Server
-// submission), task the task within it.
+// submission), task the task within it. The site string id+"/"+task is
+// built only for a site that fails: a task the injector passes costs a hash
+// and no allocation.
 func (in *Injector) Step(id, task string) error {
 	if in == nil {
 		return nil
 	}
-	site := id + "/" + task
+	picked := in.rate > 0 && in.hash(id, task) < in.rate
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if n := in.targets[task]; n > 0 {
 		in.targets[task] = n - 1
 		in.injected++
-		return fmt.Errorf("%w: %s (targeted)", ErrInjected, site)
+		return fmt.Errorf("%w: %s/%s (targeted)", ErrInjected, id, task)
 	}
-	if in.rate > 0 && in.counts[site] < in.kills && in.hash(site) < in.rate {
+	if !picked {
+		return nil
+	}
+	site := id + "/" + task
+	if in.counts[site] < in.kills {
 		in.counts[site]++
 		in.injected++
 		return fmt.Errorf("%w: %s (kill %d/%d)", ErrInjected, site, in.counts[site], in.kills)
@@ -95,16 +101,24 @@ func (in *Injector) Injected() int64 {
 	return in.injected
 }
 
-// hash maps a site to [0,1) with FNV-1a over the key, mixed with the seed
-// and finalized with a 64-bit avalanche.
-func (in *Injector) hash(site string) float64 {
+// hash maps the site id+"/"+task to [0,1) with FNV-1a over the site's
+// bytes, mixed with the seed and finalized with a 64-bit avalanche. It reads
+// the two halves in place, never joining them.
+func (in *Injector) hash(id, task string) float64 {
 	h := uint64(1469598103934665603) ^ (in.seed * 0x9e3779b97f4a7c15)
-	for i := 0; i < len(site); i++ {
-		h ^= uint64(site[i])
-		h *= 1099511628211
-	}
+	h = fnv1a(fnv1a(h, id), "/")
+	h = fnv1a(h, task)
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
 	return float64(h>>11) / float64(1<<53)
+}
+
+// fnv1a folds s into the FNV-1a state h.
+func fnv1a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
 }

@@ -2,6 +2,8 @@ package fault
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -30,7 +32,7 @@ func TestInjectorDeterministic(t *testing.T) {
 	same := true
 	for i := 0; i < 64; i++ {
 		id := string(rune('a' + i%26))
-		if (a.hash(id) < 0.5) != (c.hash(id) < 0.5) {
+		if (a.hash(id, "t") < 0.5) != (c.hash(id, "t") < 0.5) {
 			same = false
 			break
 		}
@@ -119,5 +121,89 @@ func TestInjectorConcurrent(t *testing.T) {
 	}
 	if total != 1 {
 		t.Errorf("shared site killed %d times across goroutines, want exactly 1", total)
+	}
+}
+
+// refInjector is the injector as it was when it joined the site string for
+// every step: the reference TestInjectorVerdictsUnchanged holds Step to.
+type refInjector struct {
+	seed    uint64
+	rate    float64
+	kills   int
+	counts  map[string]int
+	targets map[string]int
+}
+
+func (in *refInjector) step(id, task string) error {
+	site := id + "/" + task
+	if n := in.targets[task]; n > 0 {
+		in.targets[task] = n - 1
+		return fmt.Errorf("%w: %s (targeted)", ErrInjected, site)
+	}
+	if in.rate > 0 && in.counts[site] < in.kills && in.hash(site) < in.rate {
+		in.counts[site]++
+		return fmt.Errorf("%w: %s (kill %d/%d)", ErrInjected, site, in.counts[site], in.kills)
+	}
+	return nil
+}
+
+func (in *refInjector) hash(site string) float64 {
+	h := uint64(1469598103934665603) ^ (in.seed * 0x9e3779b97f4a7c15)
+	for i := 0; i < len(site); i++ {
+		h ^= uint64(site[i])
+		h *= 1099511628211
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return float64(h>>11) / float64(1<<53)
+}
+
+// TestInjectorVerdictsUnchanged holds Step, which hashes a site's two halves
+// in place, to the injector that hashed the joined site string: 10 000 seeded
+// steps, revisiting sites and interleaving targeted kills, give the same
+// verdicts and the same error texts. A step the injector passes allocates
+// nothing.
+func TestInjectorVerdictsUnchanged(t *testing.T) {
+	tasks := []string{"scan", "hash-join", "a/b", "s\x00", "", "summarize", "leaf07"}
+	for _, seed := range []uint64{42, 7} {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		in := NewInjector(seed, 0.05, 2)
+		ref := &refInjector{seed: seed, rate: 0.05, kills: 2, counts: map[string]int{}, targets: map[string]int{}}
+		picked := 0
+		for i := 0; i < 10000; i++ {
+			if rng.Intn(500) == 0 {
+				task := tasks[rng.Intn(len(tasks))]
+				in.Kill(task, 1)
+				ref.targets[task]++
+			}
+			id := fmt.Sprintf("job@%d", rng.Intn(2000))
+			task := tasks[rng.Intn(len(tasks))]
+			got, want := in.Step(id, task), ref.step(id, task)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("seed %d step %d at %s/%s: got %v, want %v", seed, i, id, task, got, want)
+			}
+			if got != nil {
+				picked++
+			}
+		}
+		if picked == 0 {
+			t.Fatalf("seed %d: no step failed, so nothing was compared", seed)
+		}
+	}
+
+	in := NewInjector(42, 0.05, 1)
+	id, task := "", "t"
+	for i := 0; ; i++ {
+		if id = fmt.Sprintf("job@%d", i); in.hash(id, task) >= 0.05 {
+			break
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if in.Step(id, task) != nil {
+			t.Fatal("a site the rate does not pick failed")
+		}
+	}); got != 0 {
+		t.Errorf("a passed step allocates %.0f, want 0", got)
 	}
 }

@@ -8,7 +8,9 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
+	"repro/internal/allocator"
 	"repro/internal/cluster"
 )
 
@@ -52,7 +54,10 @@ type Store interface {
 // ---------------------------------------------------------------------------
 // Replication
 
-// ReplicatedStore keeps k full copies of each object on distinct nodes.
+// ReplicatedStore keeps k full copies of each object on distinct nodes. The
+// record of a deleted object, with its replica list, goes to a bounded free
+// list for the next Put, so a checkpoint's put → delete cycle allocates no
+// bookkeeping once the list has filled.
 type ReplicatedStore struct {
 	mu       sync.Mutex
 	fabric   *cluster.Fabric
@@ -60,13 +65,27 @@ type ReplicatedStore struct {
 	next     ObjectID
 	objects  map[ObjectID]*replObject
 	rr       int // round-robin cursor over nodes
+	free     *allocator.FreeList[replObject]
 }
+
+// The free list of a ReplicatedStore holds at most replFreeEntries records
+// and replFreeBytes of them and their replica lists: more than the serving
+// default has objects in flight.
+const (
+	replFreeEntries = 1024
+	replFreeBytes   = 256 << 10
+)
 
 type replObject struct {
 	size int
 	// copies is sorted by node (a SlabID names its node), so read-any tries
 	// replicas in a deterministic order.
 	copies []cluster.SlabID
+}
+
+// footprint is what a recycled record keeps reachable.
+func (o *replObject) footprint() int64 {
+	return int64(unsafe.Sizeof(*o)) + int64(cap(o.copies))*int64(unsafe.Sizeof(cluster.SlabID{}))
 }
 
 // add files a new replica in node order.
@@ -92,7 +111,10 @@ func NewReplicatedStore(f *cluster.Fabric, replicas int) (*ReplicatedStore, erro
 	if len(f.Nodes()) < replicas {
 		return nil, fmt.Errorf("fault: %d nodes cannot host %d replicas", len(f.Nodes()), replicas)
 	}
-	return &ReplicatedStore{fabric: f, replicas: replicas, objects: make(map[ObjectID]*replObject)}, nil
+	return &ReplicatedStore{
+		fabric: f, replicas: replicas, objects: make(map[ObjectID]*replObject),
+		free: allocator.NewFreeList(replFreeEntries, replFreeBytes, (*replObject).footprint),
+	}, nil
 }
 
 // Put writes the object to all replicas (write-all): distinct alive nodes,
@@ -109,7 +131,11 @@ func (s *ReplicatedStore) Put(data []byte) (ObjectID, time.Duration, error) {
 	}
 	first := s.rr
 	s.rr = (s.rr + 1) % len(alive)
-	obj := &replObject{size: len(data), copies: make([]cluster.SlabID, 0, s.replicas)}
+	obj := s.free.Get()
+	obj.size = len(data)
+	if cap(obj.copies) < s.replicas {
+		obj.copies = make([]cluster.SlabID, 0, s.replicas)
+	}
 	var total, maxT time.Duration
 	for i := 0; i < s.replicas; i++ {
 		id, d, err := s.fabric.AllocSlab(alive[(first+i)%len(alive)], int64(len(data)))
@@ -140,6 +166,15 @@ func (s *ReplicatedStore) rollback(obj *replObject) {
 	for _, slab := range obj.copies {
 		s.fabric.FreeSlab(slab) //nolint:errcheck // best-effort cleanup
 	}
+	s.recycle(obj)
+}
+
+// recycle hands a record no object holds any more to the free list, its
+// replica list emptied, so a reuse never shows an earlier object's replicas.
+func (s *ReplicatedStore) recycle(obj *replObject) {
+	clear(obj.copies)
+	obj.size, obj.copies = 0, obj.copies[:0]
+	s.free.Put(obj)
 }
 
 // Get reads from the first reachable replica (read-any).
@@ -181,6 +216,7 @@ func (s *ReplicatedStore) Delete(id ObjectID) (time.Duration, error) {
 		total += d
 	}
 	delete(s.objects, id)
+	s.recycle(obj)
 	return total, nil
 }
 

@@ -152,6 +152,106 @@ func TestReplicatedDeleteFrees(t *testing.T) {
 	}
 }
 
+// TestReplicatedRecycledRecordsAreClean runs puts and deletes across a node
+// crash and its repair, so new objects take the records (and replica lists)
+// of deleted ones: every object still reads its own bytes from replicas on
+// distinct alive nodes that no other object holds, the store reads empty once
+// everything is deleted, and a burst of deletes leaves the free list within
+// its bounds.
+func TestReplicatedRecycledRecordsAreClean(t *testing.T) {
+	f := fabricWithNodes(t, 4, 1<<24)
+	s, err := NewReplicatedStore(f, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := map[ObjectID][]byte{}
+	put := func(tag string) {
+		t.Helper()
+		data := []byte(tag)
+		id, _, err := s.Put(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live[id] = data
+	}
+	del := func(id ObjectID) {
+		t.Helper()
+		if _, err := s.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		delete(live, id)
+	}
+	check := func(when string) {
+		t.Helper()
+		held := map[cluster.SlabID]ObjectID{}
+		var logical int64
+		for id, want := range live {
+			got, _, err := s.Get(id)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s: object %d reads %q, %v; want %q", when, id, got, err, want)
+			}
+			obj := s.objects[id]
+			if obj.size != len(want) || len(obj.copies) != 2 || obj.copies[0].Node >= obj.copies[1].Node {
+				t.Fatalf("%s: object %d has size %d and replicas %v", when, id, obj.size, obj.copies)
+			}
+			for _, c := range obj.copies {
+				if c.Node == "mem0" {
+					t.Fatalf("%s: object %d keeps a replica on the crashed node: %v", when, id, obj.copies)
+				}
+				if other, dup := held[c]; dup {
+					t.Fatalf("%s: objects %d and %d share replica %v", when, id, other, c)
+				}
+				held[c] = id
+			}
+			logical += int64(len(want))
+		}
+		if l, p := s.StoredBytes(); l != logical || p != 2*logical {
+			t.Fatalf("%s: StoredBytes %d/%d, want %d/%d", when, l, p, logical, 2*logical)
+		}
+	}
+
+	for i := 0; i < 16; i++ {
+		put(fmt.Sprintf("before the crash %d", i))
+	}
+	for id := range live {
+		if id%2 == 0 {
+			del(id)
+		}
+	}
+	if err := f.Crash("mem0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	check("after the repair")
+	for i := 0; i < 24; i++ {
+		put(fmt.Sprintf("on recycled records %d", i))
+	}
+	check("after reuse")
+	for id := range live {
+		del(id)
+	}
+	if l, p := s.StoredBytes(); l != 0 || p != 0 {
+		t.Fatalf("everything deleted, StoredBytes reads %d/%d", l, p)
+	}
+	for _, n := range f.AliveNodes() {
+		if used, _, _ := f.NodeUsage(n); used != 0 {
+			t.Errorf("%s still holds %d bytes", n, used)
+		}
+	}
+
+	for i := 0; i < replFreeEntries+100; i++ {
+		put(fmt.Sprintf("burst %d", i))
+	}
+	for id := range live {
+		del(id)
+	}
+	if n, held := s.free.Len(), s.free.Held(); n > replFreeEntries || held > replFreeBytes {
+		t.Errorf("free list holds %d records of %d B, bounds are %d and %d B", n, held, replFreeEntries, replFreeBytes)
+	}
+}
+
 // --- ErasureStore ---
 
 func TestErasurePutGetWithFlush(t *testing.T) {

@@ -32,17 +32,32 @@ import (
 )
 
 // Signature is the routing key of a job: an FNV-64a hash over the job name
-// and its task IDs in declaration order. Two structurally identical
-// submissions route to the same shard; the signature is independent of
-// membership, so the ring — not the key — absorbs shard failures.
+// and its task IDs in declaration order, each ID after a NUL byte. Two
+// structurally identical submissions route to the same shard; the signature
+// is independent of membership, so the ring — not the key — absorbs shard
+// failures. It reads the name and the IDs in place and allocates nothing.
 func Signature(job *dataflow.Job) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, job.Name())
-	for _, t := range job.Tasks() {
-		h.Write([]byte{0})
-		io.WriteString(h, t.ID())
+	h := fnvAdd(fnvOffset, job.Name())
+	for i := range job.Len() {
+		h *= fnvPrime // the NUL byte: FNV-1a's xor with 0 changes nothing
+		h = fnvAdd(h, job.TaskAt(i).ID())
 	}
-	return h.Sum64()
+	return h
+}
+
+// The FNV-64a parameters (hash/fnv's New64a).
+const (
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
+)
+
+// fnvAdd folds s into the FNV-64a state h.
+func fnvAdd(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime
+	}
+	return h
 }
 
 // ringPoint is one virtual node on the hash circle.
