@@ -17,7 +17,8 @@
 // requires current ≥ (1 - tolerance) × baseline. A unit may carry its own
 // tolerance as unit:tolerance — `-metrics ns/op:2,allocs/op:0` lets time
 // triple before failing but not a single allocation appear; units without
-// one use -tolerance. Benchmarks present in only one file are reported but
+// one use -tolerance, or BENCHGATE_TOLERANCE when the command line does not
+// set -tolerance. Benchmarks present in only one file are reported but
 // never fail the gate, so the baseline does not have to be regenerated when
 // a benchmark is added. Every metric that is skipped (present in the
 // baseline but missing from the current capture, or a non-positive baseline
@@ -202,25 +203,41 @@ func gate(w io.Writer, base, cur metrics, units map[string]float64) (compared in
 	return compared, failed
 }
 
+// tolerance returns the fractional regression allowed for units without a
+// tolerance of their own: fs's -tolerance when its command line set the flag,
+// else env (BENCHGATE_TOLERANCE) when that is set, else the flag's default. A
+// gate that asks for a tolerance on its command line, such as loadgen-smoke's
+// -tolerance 0, keeps it whatever the environment says.
+func tolerance(fs *flag.FlagSet, env string) (float64, error) {
+	f := fs.Lookup("tolerance")
+	set := false
+	fs.Visit(func(v *flag.Flag) { set = set || v == f })
+	if set || env == "" {
+		return strconv.ParseFloat(f.Value.String(), 64)
+	}
+	v, err := strconv.ParseFloat(env, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad BENCHGATE_TOLERANCE %q: %v", env, err)
+	}
+	return v, nil
+}
+
 func main() {
 	baseline := flag.String("baseline", "", "committed test2json baseline capture")
 	current := flag.String("current", "", "fresh test2json capture to gate")
-	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional regression (0.10 = 10%) for units without their own")
+	flag.Float64("tolerance", 0.10, "allowed fractional regression (0.10 = 10%) for units without their own; BENCHGATE_TOLERANCE, when set, replaces the default but not an explicit flag")
 	unitList := flag.String("metrics", "jobs/s", "comma-separated units to gate on, each optionally unit:tolerance; ns/op, B/op and allocs/op are lower-is-better, all others higher-is-better")
 	flag.Parse()
 	if *baseline == "" || *current == "" {
 		fmt.Fprintln(os.Stderr, "benchgate: -baseline and -current are required")
 		os.Exit(2)
 	}
-	if tol := os.Getenv("BENCHGATE_TOLERANCE"); tol != "" {
-		v, err := strconv.ParseFloat(tol, 64)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: bad BENCHGATE_TOLERANCE %q: %v\n", tol, err)
-			os.Exit(2)
-		}
-		*tolerance = v
+	tol, err := tolerance(flag.CommandLine, os.Getenv("BENCHGATE_TOLERANCE"))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
+		os.Exit(2)
 	}
-	units, err := parseUnits(*unitList, *tolerance)
+	units, err := parseUnits(*unitList, tol)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: -metrics: %v\n", err)
 		os.Exit(2)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -168,6 +169,35 @@ func TestGateVacuousAndSkipped(t *testing.T) {
 	for _, want := range []string{"non-positive baseline", "BenchmarkGone: in baseline only"} {
 		if !strings.Contains(log.String(), want) {
 			t.Errorf("log lacks %q:\n%s", want, log.String())
+		}
+	}
+}
+
+// An explicit -tolerance wins over BENCHGATE_TOLERANCE, which in turn wins over
+// the flag's default: CI's 25 % for throughputs must not loosen a gate that
+// asks for 0 on its command line.
+func TestExplicitToleranceWinsOverTheEnvironment(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		env  string
+		want float64
+		bad  bool
+	}{
+		{args: nil, env: "", want: 0.10},
+		{args: nil, env: "0.25", want: 0.25},
+		{args: []string{"-tolerance", "0"}, env: "0.25", want: 0},
+		{args: []string{"-tolerance", "0.10"}, env: "0.25", want: 0.10},
+		{args: []string{"-tolerance", "0"}, env: "loose", want: 0},
+		{args: nil, env: "loose", bad: true},
+	} {
+		fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
+		fs.Float64("tolerance", 0.10, "")
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		got, err := tolerance(fs, tc.env)
+		if (err != nil) != tc.bad || got != tc.want {
+			t.Errorf("%v with BENCHGATE_TOLERANCE=%q: %v, %v; want %v (error: %v)", tc.args, tc.env, got, err, tc.want, tc.bad)
 		}
 	}
 }

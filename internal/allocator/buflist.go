@@ -22,23 +22,45 @@ type BufList struct {
 // guarantees, all zeros; without it a recycled buffer still carries its last
 // user's bytes, which suits a caller about to overwrite every one of them.
 func (l *BufList) Get(size int64, zero bool) []byte {
+	if buf := l.Reuse(size); buf != nil {
+		if zero {
+			clear(buf)
+		}
+		return buf
+	}
+	return l.Make(size)
+}
+
+// Reuse returns a recycled buffer of length size, still carrying its last
+// user's bytes, or nil when the list holds none of its class. With Make it is
+// Get in two halves, for an owner that takes the buffer off the list under its
+// lock but allocates or zeroes it after letting go.
+func (l *BufList) Reuse(size int64) []byte {
 	block := BlockSize(size)
 	if block > l.Limit {
-		return make([]byte, size)
+		return nil
 	}
 	k := orderFor(size) - MinOrder
 	n := len(l.free[k])
 	if n == 0 {
-		return make([]byte, size, block)
+		return nil
 	}
 	buf := l.free[k][n-1][:size]
 	l.free[k][n-1] = nil
 	l.free[k] = l.free[k][:n-1]
 	l.held -= block
-	if zero {
-		clear(buf)
-	}
 	return buf
+}
+
+// Make returns a fresh, zeroed buffer of length size with the capacity Put
+// files it under — exactly size when its class alone exceeds Limit. It reads
+// only Limit, so it needs none of the owner's locking.
+func (l *BufList) Make(size int64) []byte {
+	c := BlockSize(size)
+	if c > l.Limit {
+		c = size
+	}
+	return make([]byte, size, c)
 }
 
 // Put recycles buf if its capacity is a class and the bound has room for it.

@@ -341,6 +341,50 @@ func BenchmarkServedJob(b *testing.B) {
 	b.StopTimer()
 }
 
+// BenchmarkServedJobClosedLoop is BenchmarkServedJob with the repository
+// benchmark's closed loop in front: 64 jobs stay in flight through
+// SubmitAsync, each new one submitted as the oldest is collected, so the
+// server's workers run side by side and whatever they queue on — the region
+// manager's lock, the placer's cache — is in ns/op, where one job at a time
+// hides it. One whole pass, collected, is the untimed ramp; the timed loop
+// collects its own last 64 before the clock stops.
+func BenchmarkServedJobClosedLoop(b *testing.B) {
+	s, pool := servedMix(b, nil)
+	const inFlight = 64
+	var ring [inFlight]*Ticket
+	collect := func(slot int) {
+		if tk := ring[slot]; tk != nil {
+			if _, err := tk.Wait(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+			ring[slot] = nil
+		}
+	}
+	submit := func(i int) {
+		collect(i % inFlight)
+		tk, err := s.SubmitAsync(context.Background(), pool[i%len(pool)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		ring[i%inFlight] = tk
+	}
+	for i := range pool {
+		submit(i)
+	}
+	for slot := range ring {
+		collect(slot)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		submit(i)
+	}
+	for slot := range ring {
+		collect(slot)
+	}
+	b.StopTimer()
+}
+
 // BenchmarkNewServer is the construction cost of the serving stack in the
 // repository benchmark's configuration — what its setup_s metric pays per
 // run besides generating inputs. Nothing on the access path may be

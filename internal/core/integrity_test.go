@@ -1,107 +1,202 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/dataflow"
+	"repro/internal/props"
+	"repro/internal/region"
 )
 
-// The data-integrity property: on a random DAG, every task writes a
-// payload derived from its identity into its output; every consumer
-// verifies each input matches its producer's expected payload. Any bug in
-// ownership transfer, sharing, migration, sealing, or buffering surfaces
-// as a payload mismatch.
+// The data-integrity property: on a random program, every task writes a
+// payload derived from the seed and its identity into its output; every
+// consumer verifies each input matches its producer's expected payload, and
+// every user of a job global finds it zero (its creator) or carrying the
+// global's payload. Any bug in ownership transfer, sharing, migration,
+// sealing, zeroing or buffering surfaces as a payload mismatch.
 
 const integrityPayload = 96
 
-func stampFor(task string) []byte {
-	buf := make([]byte, integrityPayload)
+// stampFor returns size bytes derived from key alone.
+func stampFor(key string, size int) []byte {
+	buf := make([]byte, (size+7)/8*8)
 	h := uint64(1469598103934665603)
-	for _, c := range task {
+	for _, c := range key {
 		h ^= uint64(c)
 		h *= 1099511628211
 	}
-	for i := 0; i < integrityPayload; i += 8 {
+	for i := 0; i < len(buf); i += 8 {
 		h = h*6364136223846793005 + 1442695040888963407
 		binary.BigEndian.PutUint64(buf[i:], h)
 	}
-	return buf
+	return buf[:size]
 }
 
-// buildIntegrityDAG creates a random DAG whose tasks stamp and verify.
-func buildIntegrityDAG(t *testing.T, rng *rand.Rand, name string) *dataflow.Job {
+// integrityProgram is a random job whose tasks stamp and verify.
+type integrityProgram struct {
+	job *dataflow.Job
+	// salt is the seed's share of every payload: stamp(task,
+	// integrityPayload) is the bytes the task's output carries, stamp(gN,
+	// size) the bytes global gN's creator writes.
+	salt    uint64
+	globals int // job globals g0, g1, ...; each has exactly one creator
+}
+
+func (p *integrityProgram) stamp(key string, size int) []byte {
+	return stampFor(fmt.Sprintf("%s/%x/%s", p.job.Name(), p.salt, key), size)
+}
+
+// creators checks that every job global was created by exactly one task: the
+// lowest-ranked of its users, the only one that found it zero.
+func (p *integrityProgram) creators(rep *Report) error {
+	n := 0
+	for _, tr := range rep.Tasks {
+		for _, l := range tr.Logs {
+			if strings.HasSuffix(l, " created") {
+				n++
+			}
+		}
+	}
+	if n != p.globals {
+		return fmt.Errorf("%d job globals, %d creators", p.globals, n)
+	}
+	return nil
+}
+
+// buildIntegrityDAG creates a random program from rng. The seed decides all
+// of it: the DAG's width and depth, each task's compute preference and
+// confidentiality, the payload bytes, and which of these shapes it holds:
+//   - random forward edges, so an output with one successor is transferred
+//     (migrated when the successor cannot address it) and one with several
+//     is shared with each, ranked (the fan-out);
+//   - at least one fan-out of two or more;
+//   - a transfer chain: 2–4 tasks appended, each the only successor of the
+//     one before, the first fed by a random task;
+//   - up to two job globals, each used by 2–4 random tasks at whatever ranks
+//     the schedule gives them. The first user in rank order creates it, finds
+//     it zero, writes its payload and logs "gN created"; every later user
+//     must find that payload, and logs "gN found".
+func buildIntegrityDAG(t *testing.T, rng *rand.Rand, name string) *integrityProgram {
 	t.Helper()
 	n := 3 + rng.Intn(10)
+	chain := 2 + rng.Intn(3)
 	j := dataflow.NewJob(name)
-	tasks := make([]*dataflow.Task, n)
+	p := &integrityProgram{job: j, salt: rng.Uint64(), globals: rng.Intn(3)}
+	tasks := make([]*dataflow.Task, n+chain)
 	prefs := []dataflow.DevicePref{dataflow.AnyDevice, dataflow.OnCPU, dataflow.OnGPU, dataflow.OnTPU}
-	type edgeSet struct{ preds []string }
-	edges := make([]edgeSet, n)
-	for i := 0; i < n; i++ {
+	preds := make([][]string, len(tasks))
+	// uses[i] lists the globals task i uses, with each global's class and size.
+	type global struct {
+		name  string
+		class props.RegionClass
+		size  int64
+	}
+	uses := make([][]global, len(tasks))
+	for g := 0; g < p.globals; g++ {
+		gl := global{fmt.Sprint("g", g), props.GlobalState, int64(64 * (1 + rng.Intn(4)))}
+		if rng.Intn(2) == 0 {
+			gl.class = props.GlobalScratch
+		}
+		for _, i := range rng.Perm(len(tasks))[:2+rng.Intn(3)] {
+			uses[i] = append(uses[i], gl)
+		}
+	}
+	read := func(ctx dataflow.Ctx, h *region.Handle, buf []byte) error {
+		now, err := h.ReadAsync(ctx.Now(), 0, buf).Await(ctx.Now())
+		ctx.Wait(now)
+		return err
+	}
+	for i := range tasks {
 		id := fmt.Sprintf("t%02d", i)
-		conf := rng.Intn(4) == 0
-		mk := func(id string) dataflow.Fn {
-			return func(ctx dataflow.Ctx) error {
-				// Verify every input against its producer's stamp.
-				ins := ctx.Inputs()
-				if len(ins) != len(edges[indexOf(id)].preds) {
-					return fmt.Errorf("%s: %d inputs, want %d", id, len(ins), len(edges[indexOf(id)].preds))
+		body := func(ctx dataflow.Ctx) error {
+			// Verify every input against its producer's stamp.
+			ins := ctx.Inputs()
+			if len(ins) != len(preds[i]) {
+				return fmt.Errorf("%s: %d inputs, want %d", id, len(ins), len(preds[i]))
+			}
+			got := make([]byte, integrityPayload)
+			for k, in := range ins {
+				if err := read(ctx, in, got); err != nil {
+					return fmt.Errorf("%s reading input %d: %w", id, k, err)
 				}
-				for k, in := range ins {
-					want := stampFor(name + "/" + edges[indexOf(id)].preds[k])
-					got := make([]byte, integrityPayload)
-					f := in.ReadAsync(ctx.Now(), 0, got)
-					now, err := f.Await(ctx.Now())
+				if !bytes.Equal(got, p.stamp(preds[i][k], integrityPayload)) {
+					return fmt.Errorf("%s: input %d from %s corrupted", id, k, preds[i][k])
+				}
+			}
+			// Create or check every global the task uses.
+			for _, gl := range uses[i] {
+				h, err := ctx.Global(gl.name, gl.class, gl.size)
+				if err != nil {
+					return err
+				}
+				buf := make([]byte, gl.size)
+				if err := read(ctx, h, buf); err != nil {
+					return fmt.Errorf("%s reading %s: %w", id, gl.name, err)
+				}
+				want := p.stamp(gl.name, int(gl.size))
+				switch {
+				case bytes.Equal(buf, want):
+					ctx.Log("%s found", gl.name)
+				case bytes.Equal(buf, make([]byte, gl.size)):
+					now, err := h.WriteAsync(ctx.Now(), 0, want).Await(ctx.Now())
 					if err != nil {
-						return fmt.Errorf("%s reading input %d: %w", id, k, err)
+						return err
 					}
 					ctx.Wait(now)
-					for b := range want {
-						if got[b] != want[b] {
-							return fmt.Errorf("%s: input %d from %s corrupted at byte %d", id, k, edges[indexOf(id)].preds[k], b)
-						}
-					}
+					ctx.Log("%s created", gl.name)
+				default:
+					return fmt.Errorf("%s: %s is neither zero nor its payload", id, gl.name)
 				}
-				// Stamp the output.
-				out, err := ctx.Output(integrityPayload)
-				if err != nil {
-					return err
-				}
-				f := out.WriteAsync(ctx.Now(), 0, stampFor(name+"/"+id))
-				now, err := f.Await(ctx.Now())
-				if err != nil {
-					return err
-				}
-				ctx.Wait(now)
-				return nil
 			}
+			// Stamp the output.
+			out, err := ctx.Output(integrityPayload)
+			if err != nil {
+				return err
+			}
+			now, err := out.WriteAsync(ctx.Now(), 0, p.stamp(id, integrityPayload)).Await(ctx.Now())
+			ctx.Wait(now)
+			return err
 		}
 		tasks[i] = j.Task(id, dataflow.Props{
 			Compute:      prefs[rng.Intn(len(prefs))],
-			Confidential: conf,
+			Confidential: rng.Intn(4) == 0,
 			Ops:          float64(1+rng.Intn(100)) * 1e4,
 			OutputBytes:  integrityPayload,
-		}, mk(id))
+		}, body)
 	}
-	// Forward edges only (acyclic by construction).
+	edge := func(from, to int) {
+		for _, id := range preds[to] {
+			if id == tasks[from].ID() {
+				return
+			}
+		}
+		tasks[from].Then(tasks[to])
+		preds[to] = append(preds[to], tasks[from].ID())
+	}
+	// Forward edges only (acyclic by construction), one fan-out at least.
 	for i := 0; i < n; i++ {
 		for k := i + 1; k < n; k++ {
 			if rng.Intn(3) == 0 {
-				tasks[i].Then(tasks[k])
-				edges[k].preds = append(edges[k].preds, tasks[i].ID())
+				edge(i, k)
 			}
 		}
 	}
-	return j
-}
-
-// indexOf extracts the numeric suffix of "tNN".
-func indexOf(id string) int {
-	return int(id[1]-'0')*10 + int(id[2]-'0')
+	fan := rng.Intn(n - 2)
+	edge(fan, fan+1+rng.Intn(n-fan-2))
+	edge(fan, n-1)
+	// The transfer chain, fed by any task of the DAG above.
+	edge(rng.Intn(n), n)
+	for i := n; i < n+chain-1; i++ {
+		edge(i, i+1)
+	}
+	return p
 }
 
 func TestRandomDAGDataIntegrityProperty(t *testing.T) {
@@ -111,8 +206,12 @@ func TestRandomDAGDataIntegrityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		job := buildIntegrityDAG(t, rng, fmt.Sprintf("integ-%d", seed))
-		if _, err := rt.Run(job); err != nil {
+		p := buildIntegrityDAG(t, rng, fmt.Sprintf("integ-%d", seed))
+		rep, err := rt.Run(p.job)
+		if err == nil {
+			err = p.creators(rep)
+		}
+		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
@@ -130,7 +229,8 @@ func TestRandomDAGIntegrityUnderRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	rt := newRuntime(t)
 	ck, _ := newCkStore(t)
-	job := buildIntegrityDAG(t, rng, "integ-recover")
+	p := buildIntegrityDAG(t, rng, "integ-recover")
+	job := p.job
 	// Inject one failure into the last task by wrapping... instead, build a
 	// dedicated flaky verifier appended to the DAG.
 	fails := 1
@@ -157,7 +257,7 @@ func TestRandomDAGIntegrityUnderRecovery(t *testing.T) {
 				return err
 			}
 			ctx.Wait(now)
-			want := stampFor("integ-recover/" + sinks[k].ID())
+			want := p.stamp(sinks[k].ID(), integrityPayload)
 			for b := range want {
 				if got[b] != want[b] {
 					return fmt.Errorf("restored input %d corrupted at byte %d", k, b)
@@ -178,5 +278,91 @@ func TestRandomDAGIntegrityUnderRecovery(t *testing.T) {
 	}
 	if rt.Regions().Live() != 0 {
 		t.Errorf("leaked %d regions", rt.Regions().Live())
+	}
+}
+
+// integrityBudget is how many random programs TestRandomProgramRelations
+// checks, and how many other programs warm a runtime before each: a few
+// seconds of make test, less under -short, more under the race detector.
+func integrityBudget() (seeds, warmers int) {
+	switch {
+	case testing.Short():
+		return 30, 3
+	case raceBuild:
+		return 240, 6
+	}
+	return 200, 4
+}
+
+// TestRandomProgramRelations checks two relations a report must satisfy, on
+// random programs, each as one assertion on Report.String() bytes: a report
+// depends on the program and nothing else —
+//   - (i) not on what the runtime ran before: a fresh Runtime and one warmed
+//     by other random programs report the same;
+//   - (ii) not on how a server is deployed: every program of a seed,
+//     submitted together to a server of two epoch workers, eight task
+//     workers and batches of eight, reports what it reports from a server of
+//     one and one.
+//
+// A failure names the seed, which rebuilds every program of the case.
+func TestRandomProgramRelations(t *testing.T) {
+	seeds, warmers := integrityBudget()
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		progs := make([]*integrityProgram, 1+warmers)
+		for i := range progs {
+			progs[i] = buildIntegrityDAG(t, rng, fmt.Sprintf("rel-%d-%d", seed, i))
+		}
+
+		// (i) The first program on a fresh runtime, and after the others.
+		run := func(rt *Runtime, p *integrityProgram) string {
+			rep, err := rt.Run(p.job)
+			if err == nil {
+				err = p.creators(rep)
+			}
+			if err != nil {
+				t.Fatalf("seed %d: %s: %v", seed, p.job.Name(), err)
+			}
+			return rep.String()
+		}
+		fresh, warm := newRuntime(t), newRuntime(t)
+		for _, p := range progs[1:] {
+			run(warm, p)
+		}
+		if got, want := run(warm, progs[0]), run(fresh, progs[0]); got != want {
+			t.Errorf("seed %d: (i) a warmed runtime reports\n%s\na fresh one\n%s", seed, got, want)
+		}
+
+		// (ii) Every program at once, on two deployments of a server.
+		serve := func(cfg ServerConfig) string {
+			cfg.QueueDepth, cfg.Block = len(progs), true
+			s, err := NewServer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close(context.Background()) //nolint:errcheck
+			tickets := make([]*Ticket, len(progs))
+			for i, p := range progs {
+				if tickets[i], err = s.SubmitAsync(context.Background(), p.job); err != nil {
+					t.Fatalf("seed %d: %s: %v", seed, p.job.Name(), err)
+				}
+			}
+			var b strings.Builder
+			for i, tk := range tickets {
+				rep, err := tk.Wait(context.Background())
+				if err == nil {
+					err = progs[i].creators(rep)
+				}
+				if err != nil {
+					t.Fatalf("seed %d: %s: %v", seed, progs[i].job.Name(), err)
+				}
+				b.WriteString(rep.String())
+			}
+			return b.String()
+		}
+		wide := serve(ServerConfig{ExecConfig: ExecConfig{Workers: 8}, EpochWorkers: 2, MaxBatch: 8})
+		if one := serve(ServerConfig{ExecConfig: ExecConfig{Workers: 1}, EpochWorkers: 1}); wide != one {
+			t.Errorf("seed %d: (ii) 2 epoch workers × 8 task workers report\n%s\n1 × 1\n%s", seed, wide, one)
+		}
 	}
 }

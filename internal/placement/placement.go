@@ -40,7 +40,9 @@ var ErrNoCandidate = errors.New("placement: no device satisfies the request")
 type BestFit struct {
 	Topo *topology.Topology
 
-	mu sync.Mutex
+	// mu guards shapes and shapesAt: a placement that finds its list takes it
+	// shared, and only storing a newly resolved list takes it exclusively.
+	mu sync.RWMutex
 	// shapes holds the candidate list of every request shape resolved on
 	// graph version shapesAt. Lists are immutable once stored. Resolved on
 	// first use, emptied when the graph changes or maxShapes is reached.
@@ -75,10 +77,10 @@ const maxShapes = 1024
 func (b *BestFit) candidates(sh shape) []candidate {
 	sh.req.Capacity = 0
 	at := b.Topo.Version()
-	b.mu.Lock()
+	b.mu.RLock()
 	list, ok := b.shapes[sh]
 	ok = ok && b.shapesAt == at
-	b.mu.Unlock()
+	b.mu.RUnlock()
 	if ok {
 		return list
 	}

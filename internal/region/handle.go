@@ -423,44 +423,36 @@ func (h *Handle) Hydrate(off int64, data []byte) error {
 // Transfer moves exclusive ownership to the next task (Fig. 4's
 // "out becomes the new in"). If the receiving compute device can address
 // the region's current device within the region's requirements, the
-// transfer is pure bookkeeping — zero bytes move. Otherwise the runtime
-// migrates the region to a device suitable for the receiver and pays the
-// copy. The source handle is invalidated either way.
+// transfer is pure bookkeeping — zero bytes move, and only the region's own
+// lock is taken. Otherwise the runtime migrates the region to a device
+// suitable for the receiver and pays the copy, which changes the manager's
+// tables: the transfer lets go of the region, comes back in lock order and
+// decides again. The source handle is invalidated either way.
 func (h *Handle) Transfer(now time.Duration, to Owner, toCompute string) (*Handle, time.Duration, error) {
-	h.r.m.mu.Lock()
-	defer h.r.m.mu.Unlock()
-	r, err := h.enter()
+	m := h.r.m
+	nh := &Handle{owner: to, compute: toCompute, clock: h.clock, fence: h.fence, rank: h.rank}
+	r, zeroCopy, err := h.enterTransfer(toCompute)
 	if err != nil {
 		return nil, now, err
 	}
+	if !zeroCopy {
+		r.mu.Unlock()
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if r, zeroCopy, err = h.enterTransfer(toCompute); err != nil {
+			return nil, now, err
+		}
+	}
 	defer r.mu.Unlock()
-	if !r.class.Transferable() {
-		return nil, now, fmt.Errorf("%w: %s", ErrNotMovable, r.class)
-	}
-	if n := r.owners.len(); n != 1 {
-		return nil, now, fmt.Errorf("%w: %d owners", ErrExclusive, n)
-	}
-	if _, ok := h.r.m.topo.Compute(toCompute); !ok {
-		return nil, now, fmt.Errorf("region: unknown compute device %q", toCompute)
-	}
-	caps, addressable := h.r.m.topo.EffectiveCaps(toCompute, r.device.ID)
-	zeroCopy := false
-	if addressable {
-		// The region already owns its space on the device, so the free-
-		// capacity constraint does not apply to staying put.
-		req := r.req
-		req.Capacity = 0
-		zeroCopy = req.Matches(caps)
-	}
 	r.gen++ // invalidate the source handle (move semantics)
 	r.setOwner(h.owner, to, toCompute)
-	nh := &Handle{r: r, gen: r.gen, ownVer: r.ownVer, owner: to, compute: toCompute, clock: h.clock, fence: h.fence, rank: h.rank}
+	nh.r, nh.gen, nh.ownVer = r, r.gen, r.ownVer
 	if zeroCopy {
-		h.r.m.zeroCopies.Add(1)
+		m.zeroCopies.Add(1)
 		return nh, now, nil
 	}
 	// Migration: re-place for the receiver and copy through the fabric.
-	done, err := h.r.m.migrateLocked(r, toCompute, now, h.clock)
+	done, err := m.migrateLocked(r, toCompute, now, h.clock)
 	if err != nil {
 		// Roll the ownership move back so the caller still owns the data.
 		r.gen++
@@ -468,12 +460,43 @@ func (h *Handle) Transfer(now time.Duration, to Owner, toCompute string) (*Handl
 		h.gen, h.ownVer = r.gen, r.ownVer
 		return nil, now, err
 	}
-	h.r.m.migratedTransfers.Add(1)
+	m.migratedTransfers.Add(1)
 	return nh, done, nil
 }
 
+// enterTransfer locks and validates the handle's region for a transfer to
+// toCompute and decides whether the region can stay where it is. On an error
+// nothing is left locked.
+func (h *Handle) enterTransfer(toCompute string) (r *Region, zeroCopy bool, err error) {
+	if r, err = h.enter(); err != nil {
+		return nil, false, err
+	}
+	switch n := r.owners.len(); {
+	case !r.class.Transferable():
+		err = fmt.Errorf("%w: %s", ErrNotMovable, r.class)
+	case n != 1:
+		err = fmt.Errorf("%w: %d owners", ErrExclusive, n)
+	default:
+		if _, ok := r.m.topo.Compute(toCompute); !ok {
+			err = fmt.Errorf("region: unknown compute device %q", toCompute)
+		}
+	}
+	if err != nil {
+		r.mu.Unlock()
+		return nil, false, err
+	}
+	if caps, ok := r.m.topo.EffectiveCaps(toCompute, r.device.ID); ok {
+		// The region already owns its space on the device, so the free-
+		// capacity constraint does not apply to staying put.
+		req := r.req
+		req.Capacity = 0
+		zeroCopy = req.Matches(caps)
+	}
+	return r, zeroCopy, nil
+}
+
 // setOwner replaces owner from with owner to, running on compute. Caller
-// holds m.mu and r.mu.
+// holds r.mu.
 func (r *Region) setOwner(from, to Owner, compute string) {
 	r.owners.remove(from)
 	r.owners.add(to, compute)
@@ -572,9 +595,11 @@ func (h *Handle) ShareRanked(to Owner, toCompute string, rank int) (*Handle, err
 	return h.share(to, toCompute, rank, false)
 }
 
+// share takes only the region's lock: adding an owner moves no bytes and
+// touches none of the manager's tables.
 func (h *Handle) share(to Owner, toCompute string, rank int, open bool) (*Handle, error) {
-	h.r.m.mu.Lock()
-	defer h.r.m.mu.Unlock()
+	m := h.r.m
+	nh := &Handle{owner: to, compute: toCompute, clock: h.clock, fence: h.fence, rank: int32(rank)}
 	r, err := h.enter()
 	if err != nil {
 		return nil, err
@@ -583,10 +608,10 @@ func (h *Handle) share(to Owner, toCompute string, rank int, open bool) (*Handle
 	if !r.class.Shareable() {
 		return nil, fmt.Errorf("%w: %s", ErrNotShareable, r.class)
 	}
-	if _, ok := h.r.m.topo.Compute(toCompute); !ok {
+	if _, ok := m.topo.Compute(toCompute); !ok {
 		return nil, fmt.Errorf("region: unknown compute device %q", toCompute)
 	}
-	if !h.r.m.topo.Addressable(toCompute, r.device.ID) {
+	if !m.topo.Addressable(toCompute, r.device.ID) {
 		return nil, fmt.Errorf("region: %s cannot address %s", toCompute, r.device.ID)
 	}
 	if r.owners.find(to) != nil {
@@ -600,12 +625,13 @@ func (h *Handle) share(to Owner, toCompute string, rank int, open bool) (*Handle
 		r.addSharer(int(h.rank))
 		r.addSharer(rank)
 	}
-	h.r.m.shares.Add(1)
-	return &Handle{r: r, gen: r.gen, ownVer: r.ownVer, owner: to, compute: toCompute, clock: h.clock, fence: h.fence, rank: int32(rank)}, nil
+	m.shares.Add(1)
+	nh.r, nh.gen, nh.ownVer = r, r.gen, r.ownVer
+	return nh, nil
 }
 
 // addSharer inserts a rank into the region's ascending sharer set, ignoring
-// duplicates and unranked (-1) parties. Caller holds m.mu and r.mu.
+// duplicates and unranked (-1) parties. Caller holds r.mu.
 func (r *Region) addSharer(rank int) {
 	if rank < 0 {
 		return
@@ -627,19 +653,33 @@ func (r *Region) addSharer(rank int) {
 
 // Release drops this owner's claim; the region is freed when the last owner
 // releases it — RTS duty (3) of §2.3, replacing garbage collection with
-// ownership-tracked lifetimes (Broom [25]).
+// ownership-tracked lifetimes (Broom [25]). A release that leaves another
+// owner takes only the region's lock; the last owner's frees the region's
+// space, so it lets go, comes back in lock order and validates again — by then
+// another owner may have joined, and the region lives on.
 func (h *Handle) Release() error {
-	h.r.m.mu.Lock()
-	defer h.r.m.mu.Unlock()
 	r, err := h.enter()
 	if err != nil {
 		return err
 	}
-	defer r.mu.Unlock()
+	m := r.m
+	last := r.owners.len() == 1
+	if last {
+		r.mu.Unlock()
+		m.mu.Lock()
+		if r, err = h.enter(); err != nil {
+			m.mu.Unlock()
+			return err
+		}
+	}
 	r.owners.remove(h.owner)
 	r.ownVer++
 	if r.owners.len() == 0 {
-		h.r.m.free(r)
+		m.free(r)
+	}
+	r.mu.Unlock()
+	if last {
+		m.mu.Unlock()
 	}
 	return nil
 }

@@ -70,7 +70,8 @@ type RebalanceStats struct {
 }
 
 // ownerCompute returns a deterministic representative compute device among
-// a region's owners. Caller holds m.mu.
+// a region's owners, "" when it has none. Caller holds r.mu: ownership changes
+// under the region's lock alone.
 func ownerCompute(r *Region) string {
 	best := ""
 	r.owners.computes(func(c string) bool {
@@ -83,7 +84,7 @@ func ownerCompute(r *Region) string {
 }
 
 // addressableByAllOwners reports whether every owner's compute device can
-// reach dev within the region's requirements. Caller holds m.mu.
+// reach dev within the region's requirements. Caller holds m.mu and r.mu.
 func (m *Manager) addressableByAllOwners(r *Region, dev string) bool {
 	req := r.req
 	req.Capacity = 0
@@ -111,9 +112,11 @@ func (m *Manager) RebalanceIn(clk topology.VClock, now time.Duration, pol Rebala
 	defer m.mu.Unlock()
 	var stats RebalanceStats
 	// The sweep holds the manager lock throughout, so no region is placed,
-	// moved, shared or freed under it; it takes a region's own lock only
-	// while it works on that region, and accesses to every other region run
-	// beside it. moved books one migration of r that completed at done.
+	// moved or freed under it; it takes a region's own lock while it reads
+	// the region's owners or works on it — shares, zero-copy transfers and
+	// releases that leave an owner change ownership under that lock alone —
+	// and accesses and ownership changes of every other region run beside
+	// it. moved books one migration of r that completed at done.
 	moved := func(r *Region, n *int, done time.Duration) {
 		*n++
 		stats.BytesMoved += r.size
@@ -133,17 +136,15 @@ func (m *Manager) RebalanceIn(clk topology.VClock, now time.Duration, pol Rebala
 			if dev.Utilization() <= lowWatermark {
 				break
 			}
-			comp := ownerCompute(r)
-			dst, ok := m.bestOtherDevice(r, comp, dev.ID)
-			if !ok {
-				continue
-			}
 			r.mu.Lock()
-			done, err := m.migrateToLocked(r, comp, dst, now, clk)
-			r.mu.Unlock()
-			if err == nil { // best-effort: skip unmovable regions
-				moved(r, &stats.Demoted, done)
+			if comp := ownerCompute(r); comp != "" {
+				if dst, ok := m.bestOtherDevice(r, comp, dev.ID); ok {
+					if done, err := m.migrateToLocked(r, comp, dst, now, clk); err == nil { // best-effort: skip unmovable regions
+						moved(r, &stats.Demoted, done)
+					}
+				}
 			}
+			r.mu.Unlock()
 		}
 	}
 
@@ -224,7 +225,7 @@ func (m *Manager) RebalanceIn(clk topology.VClock, now time.Duration, pol Rebala
 // promotionTarget names the device a hot resident region should move to: the
 // placer's choice for it, when that is another device, scores better than
 // the current one by at least scoreMargin, and every owner can address it.
-// Caller holds m.mu.
+// Caller holds m.mu and r.mu.
 func (m *Manager) promotionTarget(r *Region) (string, bool) {
 	comp := ownerCompute(r)
 	curCaps, ok := m.topo.EffectiveCaps(comp, r.device.ID)
@@ -250,7 +251,7 @@ func (m *Manager) promotionTarget(r *Region) (string, bool) {
 
 // bestOtherDevice finds the highest-scoring device other than exclude that
 // satisfies the region's requirements from comp and is addressable by all
-// owners. Caller holds m.mu.
+// owners. Caller holds m.mu and r.mu.
 func (m *Manager) bestOtherDevice(r *Region, comp, exclude string) (string, bool) {
 	req := r.req
 	req.Capacity = r.blockSize

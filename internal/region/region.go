@@ -108,12 +108,18 @@ type Region struct {
 
 	// mu is the region's one lock: it guards every field below, which is
 	// everything an access reads, and an access takes no other. A field below
-	// is written only with mu held; every writer but the access path (which
-	// writes heat alone) holds Manager.mu as well, so a holder of Manager.mu
-	// may read any of them but heat without mu. Lock order: Manager.mu before
-	// mu, never the reverse — an access that needs the manager (recall of an
-	// exported region) lets go of mu first. Only a holder of Manager.mu ever
-	// holds two regions' locks at once.
+	// is written only with mu held. The placement fields — device, offset,
+	// data, token and the sealed, freed and exported flags — are written by
+	// whoever moves the payload or frees the region, which holds Manager.mu as
+	// well, so a holder of Manager.mu may read those without mu (data aside:
+	// Alloc fills it in after publishing the region, under mu alone). The
+	// ownership fields — gen, owners, ownVer, sharers and the sharing flags —
+	// and heat change under mu alone: a share, a zero-copy transfer and a
+	// release that leaves another owner take no other lock, so only a holder
+	// of mu may read them. Lock order: Manager.mu before mu, never the
+	// reverse — a caller that needs the manager (recall, migration, the last
+	// owner's free) lets go of mu first and validates again once it holds
+	// both. Only a holder of Manager.mu ever holds two regions' locks at once.
 	mu     sync.Mutex
 	device *memsim.Device
 	offset int64  // offset within the device's buddy arena
@@ -248,7 +254,7 @@ func (s *ownerSet) remove(o Owner) bool {
 // coherent reports whether accesses to the region run the coherence protocol,
 // which is to say whether the directory may know the region at all: shared
 // ownership of memory required to be coherent (§2.2). Once true it stays true.
-// Caller holds r.mu or Manager.mu.
+// Caller holds r.mu.
 func (r *Region) coherent() bool {
 	return r.everShared && r.req.Coherent == props.Require
 }
@@ -261,9 +267,11 @@ type Manager struct {
 	dir    *coherence.Directory
 	reg    *telemetry.Registry
 
-	// mu guards the manager's tables below. Whoever changes a region's
-	// placement, ownership or lifetime holds it, and the region's own lock
-	// while it writes the region's fields.
+	// mu guards the manager's tables below: the region table, the buddy
+	// arenas, device reservations and the backing free list. Whoever changes a
+	// region's placement or ends its life holds it, and the region's own lock
+	// while it writes the region's fields. A change of ownership that moves no
+	// bytes does not take it.
 	mu      sync.Mutex
 	nextID  ID
 	regions map[ID]*Region
@@ -426,33 +434,48 @@ func (m *Manager) Alloc(spec Spec) (*Handle, error) {
 		return nil, fmt.Errorf("%w: placer chose %s violating %v", ErrNoPlacement, devID, viol)
 	}
 
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	buddy, err := m.buddyFor(dev)
-	if err != nil {
-		return nil, err
-	}
-	off, err := buddy.Alloc(spec.Size)
-	if err != nil {
-		return nil, err
-	}
+	// The region and its first handle are built before the table lock, which
+	// covers only what the manager's tables hold: the space, the id, a
+	// recycled backing and the insert. The region is published with its own
+	// lock held, and its backing is made or zeroed after the table lock is
+	// dropped but before the region's is, so no access and no sweep ever sees
+	// a recycled backing's old bytes.
 	block := allocator.BlockSize(spec.Size)
-	if err := dev.Reserve(block); err != nil {
-		buddy.Free(off) //nolint:errcheck // offset came from this buddy
-		return nil, err
-	}
-	id := m.nextID
-	m.nextID++
 	r := &Region{
-		m: m, id: id, class: spec.Class, req: req,
-		device: dev, offset: off, size: spec.Size, blockSize: block,
-		data:   m.backing.Get(spec.Size, true),
+		m: m, class: spec.Class, req: req,
+		device: dev, size: spec.Size, blockSize: block,
 		sealed: req.Confidential && caps.Remote,
 		first:  Handle{owner: spec.Owner, compute: spec.Compute, clock: spec.Clock, rank: -1},
 	}
 	r.first.r = r
 	r.owners.add(spec.Owner, spec.Compute)
-	m.regions[id] = r
+	m.mu.Lock()
+	buddy, err := m.buddyFor(dev)
+	if err != nil {
+		m.mu.Unlock()
+		return nil, err
+	}
+	if r.offset, err = buddy.Alloc(spec.Size); err != nil {
+		m.mu.Unlock()
+		return nil, err
+	}
+	if err := dev.Reserve(block); err != nil {
+		buddy.Free(r.offset) //nolint:errcheck // offset came from this buddy
+		m.mu.Unlock()
+		return nil, err
+	}
+	r.id = m.nextID
+	m.nextID++
+	r.data = m.backing.Reuse(spec.Size)
+	r.mu.Lock()
+	m.regions[r.id] = r
+	m.mu.Unlock()
+	if r.data == nil {
+		r.data = m.backing.Make(spec.Size)
+	} else {
+		clear(r.data)
+	}
+	r.mu.Unlock()
 	m.allocs.Add(1)
 	m.bytesAllocated.Add(block)
 	return &r.first, nil
