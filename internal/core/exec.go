@@ -40,7 +40,7 @@ type outcome struct {
 	canceled bool
 }
 
-// drive executes members to completion on one shared worker pool and calls
+// drive executes members to completion on the worker pool p and calls
 // settle exactly once per member, with its index, as soon as that member is
 // done — never at the end of the batch. Every member's ready tasks compete for
 // the pool's slots in deterministic (rank, submission) order, so the narrow
@@ -60,8 +60,12 @@ type outcome struct {
 // live pool as a new member — the drained attempt left it when it drained —
 // overlapping the rest of the batch. Snapshots are forgotten when the member
 // settles, unless it was canceled out of a namespace its submitter owns.
-func (rt *Runtime) drive(epoch *topology.Epoch, rec *recoveryState, members []member, settle func(i int, o outcome)) {
-	p := newWavePool(rt.workers)
+//
+// p is idle — no member attached, no task in flight — and drive resets its
+// slots and sequence, so a caller may hand the same pool to one drive call
+// after another (a server's epoch worker); drive leaves it idle again.
+func (rt *Runtime) drive(p *wavePool, epoch *topology.Epoch, rec *recoveryState, members []member, settle func(i int, o outcome)) {
+	p.reset()
 	// begin builds the dispatcher of m's current run; a plan the run cannot
 	// execute is a failure of that attempt's first task. A first attempt
 	// snapshots the epoch as its seed: every member begins before anything of
@@ -185,9 +189,10 @@ func (rt *Runtime) drive(epoch *topology.Epoch, rec *recoveryState, members []me
 	p.mu.Unlock()
 }
 
-// driveOne is drive for a batch of one: the run, nobody to cancel it.
+// driveOne is drive for a batch of one, on a pool of its own: the run, nobody
+// to cancel it.
 func (rt *Runtime) driveOne(epoch *topology.Epoch, rec *recoveryState, r *run) (*Report, error) {
 	var out outcome
-	rt.drive(epoch, rec, []member{{r: r}}, func(_ int, o outcome) { out = o })
+	rt.drive(newWavePool(rt.workers), epoch, rec, []member{{r: r}}, func(_ int, o outcome) { out = o })
 	return out.rep, out.err
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -281,6 +283,27 @@ func TestRandomDAGIntegrityUnderRecovery(t *testing.T) {
 	}
 }
 
+// errWarmerFailed is the failure of failingWarmer's second task.
+var errWarmerFailed = errors.New("warmer failed on purpose")
+
+// failingWarmer is a job that fails halfway: its first task hands an output
+// to the second, which reads it and fails, so the job leaves by the failure
+// path — its regions released, nothing absorbed into its epoch.
+func failingWarmer(name string) *dataflow.Job {
+	j := dataflow.NewJob(name)
+	produce := j.Task("produce", dataflow.Props{Ops: 1e5, OutputBytes: 4 << 10}, nil)
+	fail := j.Task("fail", dataflow.Props{Ops: 1e5}, func(ctx dataflow.Ctx) error {
+		now, err := ctx.Inputs()[0].ReadAt(ctx.Now(), 0, make([]byte, 1<<10))
+		if err != nil {
+			return err
+		}
+		ctx.Wait(now)
+		return errWarmerFailed
+	})
+	produce.Then(fail)
+	return j
+}
+
 // integrityBudget is how many random programs TestRandomProgramRelations
 // checks, and how many other programs warm a runtime before each: a few
 // seconds of make test, less under -short, more under the race detector.
@@ -298,7 +321,10 @@ func integrityBudget() (seeds, warmers int) {
 // random programs, each as one assertion on Report.String() bytes: a report
 // depends on the program and nothing else —
 //   - (i) not on what the runtime ran before: a fresh Runtime and one warmed
-//     by other random programs report the same;
+//     by other random programs report the same, and so do a fresh server and
+//     one whose only epoch worker served those programs first, one batch
+//     each, so that one worker's epoch, pool and batch slices carried every
+//     batch before. In both doors one warmer fails halfway;
 //   - (ii) not on how a server is deployed: every program of a seed,
 //     submitted together to a server of two epoch workers, eight task
 //     workers and batches of eight, reports what it reports from a server of
@@ -306,31 +332,73 @@ func integrityBudget() (seeds, warmers int) {
 //
 // A failure names the seed, which rebuilds every program of the case.
 func TestRandomProgramRelations(t *testing.T) {
-	seeds, warmers := integrityBudget()
+	seeds, others := integrityBudget()
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		progs := make([]*integrityProgram, 1+warmers)
+		progs := make([]*integrityProgram, 1+others)
 		for i := range progs {
 			progs[i] = buildIntegrityDAG(t, rng, fmt.Sprintf("rel-%d-%d", seed, i))
 		}
-
-		// (i) The first program on a fresh runtime, and after the others.
-		run := func(rt *Runtime, p *integrityProgram) string {
-			rep, err := rt.Run(p.job)
+		// The warmers are the other programs and, at a place the seed picks
+		// among them, one that fails halfway.
+		failing := &integrityProgram{job: failingWarmer(fmt.Sprintf("rel-%d-fail", seed))}
+		warmers := slices.Insert(slices.Clone(progs[1:]), rng.Intn(len(progs)), failing)
+		// settle checks one program's outcome: the failing warmer fails, with
+		// its own error, and every other reports its globals' creators.
+		settle := func(p *integrityProgram, rep *Report, err error) {
+			if p == failing {
+				if !errors.Is(err, errWarmerFailed) {
+					t.Fatalf("seed %d: %s: err = %v, want %v", seed, p.job.Name(), err, errWarmerFailed)
+				}
+				return
+			}
 			if err == nil {
 				err = p.creators(rep)
 			}
 			if err != nil {
 				t.Fatalf("seed %d: %s: %v", seed, p.job.Name(), err)
 			}
+		}
+
+		// (i) The first program on a fresh runtime, and after the others.
+		run := func(rt *Runtime, p *integrityProgram) string {
+			rep, err := rt.Run(p.job)
+			settle(p, rep, err)
 			return rep.String()
 		}
 		fresh, warm := newRuntime(t), newRuntime(t)
-		for _, p := range progs[1:] {
-			run(warm, p)
+		for _, p := range warmers {
+			rep, err := warm.Run(p.job)
+			settle(p, rep, err)
 		}
 		if got, want := run(warm, progs[0]), run(fresh, progs[0]); got != want {
 			t.Errorf("seed %d: (i) a warmed runtime reports\n%s\na fresh one\n%s", seed, got, want)
+		}
+
+		// (i), served: the first program on a fresh server of one epoch worker
+		// and batches of one, and on one whose worker served the others first.
+		serveAfter := func(warmers []*integrityProgram) string {
+			s, err := NewServer(ServerConfig{EpochWorkers: 1, MaxBatch: 1, QueueDepth: len(warmers) + 1, Block: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close(context.Background()) //nolint:errcheck
+			tickets := make([]*Ticket, len(warmers))
+			for i, p := range warmers {
+				if tickets[i], err = s.SubmitAsync(context.Background(), p.job); err != nil {
+					t.Fatalf("seed %d: %s: %v", seed, p.job.Name(), err)
+				}
+			}
+			for i, tk := range tickets {
+				rep, err := tk.Wait(context.Background())
+				settle(warmers[i], rep, err)
+			}
+			rep, err := s.Submit(context.Background(), progs[0].job)
+			settle(progs[0], rep, err)
+			return rep.String()
+		}
+		if got, want := serveAfter(warmers), serveAfter(nil); got != want {
+			t.Errorf("seed %d: (i) a warmed server reports\n%s\na fresh one\n%s", seed, got, want)
 		}
 
 		// (ii) Every program at once, on two deployments of a server.

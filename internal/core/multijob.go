@@ -141,7 +141,7 @@ func (rt *Runtime) RunAll(jobs []*dataflow.Job) (*MultiReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		runs = append(runs, rt.newRun(j, g, schedule, epoch, j.Name(), cores))
+		runs = append(runs, rt.newRun(j, g, schedule, epoch, 0, cores))
 	}
 
 	// One drive call per job, in admission order, each over the shared core

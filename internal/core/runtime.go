@@ -23,6 +23,7 @@ import (
 	goruntime "runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -284,13 +285,14 @@ type jobState struct {
 	// Runs in different epochs are fully isolated; runs sharing one epoch
 	// (RunAll, Server batches) contend on the same device queues.
 	epoch *topology.Epoch
-	// ns namespaces region owners. Defaults to the job name; the Server
-	// makes it unique per submission so identical jobs can run in one
-	// shared epoch without their owners colliding.
+	// ns namespaces region owners: the job name, and for a served job
+	// name#id with its submission ID, so identical jobs can run in one shared
+	// epoch without their owners colliding. It is the head of owners.
 	ns string
-	// owners holds every task's owner names in one string, g.Names(ns+"/",
-	// inSuffix). A task owns its regions as its piece up to the suffix and its
-	// share of a fanned-out input as the whole piece (owner, inOwner).
+	// owners holds every task's owner names in one string, ns/ID/in rank after
+	// rank (Graph.Names). A task owns its regions as its piece up to the
+	// suffix and its share of a fanned-out input as the whole piece (owner,
+	// inOwner).
 	owners string
 	// sc is the job's recycled scratch: the dispatcher, and the backing of
 	// handles and of a private cores. Nil once drive has given it back.
@@ -410,14 +412,15 @@ func (rt *Runtime) Run(job *dataflow.Job, policy ...RecoveryPolicy) (*Report, er
 		return nil, err
 	}
 	epoch := rt.topo.NewEpoch()
-	return rt.driveOne(epoch, rec, rt.newRun(job, g, schedule, epoch, job.Name(), nil))
+	return rt.driveOne(epoch, rec, rt.newRun(job, g, schedule, epoch, 0, nil))
 }
 
 // newRun assembles per-job execution state for the job and its resolved
 // graph, over a scratch from the free list. cores, a flat per-core table, may
 // be shared between runs (RunAll); nil gets this run its own idle core
-// availability. ns namespaces region owners (see run.ns).
-func (rt *Runtime) newRun(job *dataflow.Job, g *dataflow.Graph, schedule *sched.Schedule, epoch *topology.Epoch, ns string, cores []time.Duration) *run {
+// availability. id is the submission ID a served job's owners are namespaced
+// by, 0 for a run that is not served (see run.ns).
+func (rt *Runtime) newRun(job *dataflow.Job, g *dataflow.Graph, schedule *sched.Schedule, epoch *topology.Epoch, id uint64, cores []time.Duration) *run {
 	cs := rt.topo.ComputeSet()
 	sc := rt.free.Get()
 	if cores == nil {
@@ -425,10 +428,18 @@ func (rt *Runtime) newRun(job *dataflow.Job, g *dataflow.Graph, schedule *sched.
 		cores = sc.cores
 	}
 	sc.handles = sized(sc.handles, 2*g.Edges()+g.Len())
+	// ns/ is built on the stack and named once, at the head of owners.
+	var buf [64]byte
+	prefix := append(buf[:0], job.Name()...)
+	if id != 0 {
+		prefix = strconv.AppendUint(append(prefix, '#'), id, 10)
+	}
+	prefix = append(prefix, '/')
+	owners := g.Names(prefix, inSuffix)
 	return (&run{
 		jobState: jobState{
 			rt: rt, job: job, g: g, cs: cs, schedule: schedule,
-			epoch: epoch, ns: ns, owners: g.Names(ns+"/", inSuffix),
+			epoch: epoch, ns: owners[:len(prefix)-1], owners: owners,
 			sc: sc, cores: cores, handles: sc.handles,
 			inject: rt.inject,
 		},

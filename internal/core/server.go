@@ -33,7 +33,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,6 +41,7 @@ import (
 	"repro/internal/region"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
+	"repro/internal/topology"
 )
 
 // Errors reported by the serving layer.
@@ -469,24 +469,59 @@ func (s *Server) Close(ctx context.Context) error {
 	}
 }
 
+// batch is an epoch worker's scaffolding, which every batch the worker runs
+// runs in, one at a time: the virtual-time epoch and the wavePool, which
+// runBatch and drive reset at the start of each batch, so each starts from an
+// idle machine, and the batch's tickets and planned members, each bounded by
+// MaxBatch. It lives as long as its worker, so a job served alone costs no
+// epoch, pool or slice of its own.
+type batch struct {
+	epoch   *topology.Epoch
+	pool    *wavePool
+	tickets []*jobTicket
+	members []member
+}
+
+// newBatch builds a worker's batch scaffolding.
+func (s *Server) newBatch() *batch {
+	return &batch{
+		epoch:   s.rt.topo.NewEpoch(),
+		pool:    newWavePool(s.rt.workers),
+		tickets: make([]*jobTicket, 0, s.maxBatch),
+		members: make([]member, 0, s.maxBatch),
+	}
+}
+
+// clear lets go of a finished batch: the tickets were delivered and the
+// members' runs settled, and neither may stay reachable from a worker that
+// idles until its next batch — a ticket holds its report, a run its tables.
+func (b *batch) clear() {
+	clear(b.tickets)
+	clear(b.members)
+	b.tickets, b.members = b.tickets[:0], b.members[:0]
+}
+
 // worker serves batches until the queue is closed and drained, or the
 // auto-scaler hands it a scale-down token.
 func (s *Server) worker() {
 	defer s.wg.Done()
+	b := s.newBatch()
 	for {
 		select {
 		case t, ok := <-s.queue:
 			if !ok {
 				return
 			}
-			s.runBatch(s.collect(t))
+			s.collect(b, t)
+			s.runBatch(b)
+			b.clear()
 		case <-s.shrink: // nil without a scaler: never ready
 			return
 		}
 	}
 }
 
-// collect folds queued jobs behind first into one batch, up to MaxBatch —
+// collect folds queued jobs behind first into b's tickets, up to MaxBatch —
 // the batch shares one virtual-time epoch. The fold is opportunistic: the
 // worker takes whatever is already queued and launches at once.
 //
@@ -494,20 +529,19 @@ func (s *Server) worker() {
 // occupy a batch slot: a dead job must not displace a live one from the
 // epoch. The batch may come back empty (every candidate was dead); runBatch
 // no-ops on it.
-func (s *Server) collect(first *jobTicket) []*jobTicket {
-	batch := s.appendLive(nil, first)
-	for len(batch) < s.maxBatch {
+func (s *Server) collect(b *batch, first *jobTicket) {
+	b.tickets = s.appendLive(b.tickets, first)
+	for len(b.tickets) < s.maxBatch {
 		select {
 		case t, ok := <-s.queue:
 			if !ok {
-				return batch
+				return
 			}
-			batch = s.appendLive(batch, t)
+			b.tickets = s.appendLive(b.tickets, t)
 		default:
-			return batch
+			return
 		}
 	}
-	return batch
 }
 
 // appendLive folds a dequeued ticket into the batch, unless its context
@@ -533,22 +567,22 @@ func (s *Server) noteQueueWait(d time.Duration) {
 	}
 }
 
-// runBatch plans one batch and drives it. Members get private core clocks
-// and are planned against an idle machine, so each member's virtual-time
-// report is byte-identical to running the job alone at any pool size; mates
-// contend only for wall-clock resources (the shared worker pool, the
-// allocator, the checkpoint store). Failures and cancellations are isolated
-// per job: the failing run's regions are released and only its submitter
-// sees the error.
-func (s *Server) runBatch(batch []*jobTicket) {
+// runBatch plans the batch b collected and drives it. Members get private core
+// clocks and are planned against an idle machine, so each member's
+// virtual-time report is byte-identical to running the job alone at any pool
+// size; mates contend only for wall-clock resources (the shared worker pool,
+// the allocator, the checkpoint store). Failures and cancellations are
+// isolated per job: the failing run's regions are released and only its
+// submitter sees the error.
+func (s *Server) runBatch(b *batch) {
 	rt := s.rt
 	dequeued := time.Now()
 
 	// Queue-wait accounting; jobs whose context ended between collect and
 	// here (collect already dropped those dead while queued) are finished
 	// without ever executing.
-	admitted := batch[:0]
-	for _, t := range batch {
+	admitted := b.tickets[:0]
+	for _, t := range b.tickets {
 		s.noteQueueWait(dequeued.Sub(t.enqueued))
 		if err := t.ctx.Err(); err != nil {
 			rt.tel.Add(telemetry.LayerRuntime, "server_canceled", 1)
@@ -562,10 +596,11 @@ func (s *Server) runBatch(batch []*jobTicket) {
 	}
 	s.epochs.Add(1)
 
-	// Plan every member; a scheduling failure only fails its own job.
-	epoch := rt.topo.NewEpoch()
-	members := make([]member, 0, len(admitted))
-	planned := admitted[:0] // planned[i] is members[i]'s ticket
+	// Plan every member; a scheduling failure only fails its own job. The
+	// epoch is drained before anyone is planned over it: the worker's last
+	// batch absorbed its backlog into it.
+	b.epoch.Reset()
+	planned := admitted[:0] // planned[i] is b.members[i]'s ticket
 	for _, t := range admitted {
 		// SLO admission already planned the job against an idle machine —
 		// the plan the job would get alone, which is what makes served
@@ -584,19 +619,18 @@ func (s *Server) runBatch(batch []*jobTicket) {
 			s.fail(t, err)
 			continue
 		}
-		// A unique owner namespace per submission lets identical jobs
+		// The submission ID namespaces the job's owners, so identical jobs
 		// share the batch without region-owner collisions.
-		ns := t.job.Name() + "#" + strconv.FormatUint(t.id, 10)
-		members = append(members, member{
-			r:   rt.newRun(t.job, g, schedule, epoch, ns, nil),
+		b.members = append(b.members, member{
+			r:   rt.newRun(t.job, g, schedule, b.epoch, t.id, nil),
 			ctx: t.ctx, resume: t.resume,
 		})
 		planned = append(planned, t)
 	}
-	if len(members) == 0 {
+	if len(b.members) == 0 {
 		return
 	}
-	rt.drive(epoch, s.rec, members, func(i int, o outcome) {
+	rt.drive(b.pool, b.epoch, s.rec, b.members, func(i int, o outcome) {
 		t := planned[i]
 		switch {
 		case o.canceled:

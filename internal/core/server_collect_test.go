@@ -11,7 +11,6 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/dataflow"
 	"repro/internal/telemetry"
@@ -31,15 +30,13 @@ func holdWorker(t *testing.T, s *Server) (release func(), done *Ticket) {
 	return func() { close(rel) }, tk
 }
 
-// waitQueued polls until the admission queue holds n tickets.
-func waitQueued(t *testing.T, s *Server, n int) {
+// requireQueued asserts that the admission queue holds n tickets. SubmitAsync
+// has queued its ticket by the time it returns, and a held worker takes none,
+// so there is nothing to wait for.
+func requireQueued(t *testing.T, s *Server, n int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(s.queue) < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue never reached %d tickets (have %d)", n, len(s.queue))
-		}
-		time.Sleep(time.Millisecond)
+	if got := len(s.queue); got != n {
+		t.Fatalf("queue holds %d tickets, want %d", got, n)
 	}
 }
 
@@ -94,7 +91,7 @@ func TestCollectCanceledTicketFreesBatchSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitQueued(t, s, 3)
+	requireQueued(t, s, 3)
 	cancel() // kill the head-of-line ticket while it sits in the queue
 
 	release()
@@ -134,7 +131,7 @@ func TestCollectEntireBatchCanceled(t *testing.T) {
 		}
 		doomed = append(doomed, tk)
 	}
-	waitQueued(t, s, 3)
+	requireQueued(t, s, 3)
 	cancel()
 	release()
 	if _, err := holder.Wait(context.Background()); err != nil {
@@ -167,7 +164,7 @@ func TestCollectMaxBatchOne(t *testing.T) {
 		}
 		tks = append(tks, tk)
 	}
-	waitQueued(t, s, 4)
+	requireQueued(t, s, 4)
 	release()
 	if _, err := holder.Wait(context.Background()); err != nil {
 		t.Fatal(err)

@@ -99,16 +99,19 @@ func TestServeQueueFullRejects(t *testing.T) {
 	}()
 	<-started // the single worker is now parked inside the holder's task
 
+	// Fills the queue's only slot and waits behind the holder.
+	queued, err := s.SubmitAsync(context.Background(), pipelineJob("queued"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// Fills the queue's only slot and waits behind the holder.
-		if _, err := s.Submit(context.Background(), pipelineJob("queued")); err != nil {
+		if _, err := queued.Wait(context.Background()); err != nil {
 			t.Errorf("queued: %v", err)
 		}
 	}()
-	// The queued job is admitted asynchronously: wait until the slot is taken.
-	waitQueued(t, s, 1)
+	requireQueued(t, s, 1)
 
 	if _, err := s.Submit(context.Background(), pipelineJob("overflow")); !errors.Is(err, ErrQueueFull) {
 		t.Errorf("err = %v, want ErrQueueFull", err)
@@ -136,14 +139,18 @@ func TestServeBlockingBackpressure(t *testing.T) {
 	}()
 	<-started
 
+	queued, err := s.SubmitAsync(context.Background(), pipelineJob("queued"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := s.Submit(context.Background(), pipelineJob("queued")); err != nil {
+		if _, err := queued.Wait(context.Background()); err != nil {
 			t.Errorf("queued: %v", err)
 		}
 	}()
-	waitQueued(t, s, 1)
+	requireQueued(t, s, 1)
 
 	// Queue full + Block: Submit parks until its context ends.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -189,12 +196,16 @@ func TestServeCancelWhileQueued(t *testing.T) {
 		return nil
 	})
 	ctx, cancel := context.WithCancel(context.Background())
+	doomed, err := s.SubmitAsync(ctx, j)
+	if err != nil {
+		t.Fatal(err)
+	}
 	errc := make(chan error, 1)
 	go func() {
-		_, err := s.Submit(ctx, j)
+		_, err := doomed.Wait(ctx)
 		errc <- err
 	}()
-	waitQueued(t, s, 1)
+	requireQueued(t, s, 1)
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
@@ -241,18 +252,22 @@ func TestServeBatchFailureIsolation(t *testing.T) {
 
 	badErr := make(chan error, 1)
 	goodErr := make(chan error, 1)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		_, err := s.Submit(context.Background(), bad)
-		badErr <- err
-	}()
-	go func() {
-		defer wg.Done()
-		_, err := s.Submit(context.Background(), pipelineJob("good"))
-		goodErr <- err
-	}()
-	waitQueued(t, s, 2)
+	for _, sub := range []struct {
+		job  *dataflow.Job
+		errc chan error
+	}{{bad, badErr}, {pipelineJob("good"), goodErr}} {
+		tk, err := s.SubmitAsync(context.Background(), sub.job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := tk.Wait(context.Background())
+			sub.errc <- err
+		}()
+	}
+	requireQueued(t, s, 2)
 	close(release)
 	wg.Wait()
 

@@ -42,10 +42,11 @@ package core
 //     so recovery replays exactly what a sequential run would have.
 //
 // A wavefront executes inside a wavePool, and drive (exec.go) is the one
-// function that builds pools and attaches members to them. Runtime.Run and
-// RunAll drive a pool with a single member; a Server batch attaches every
-// batch member (and every recovery retry) to one shared pool, so many jobs'
-// ready tasks compete for the same bounded worker slots concurrently.
+// function that attaches members to pools. Runtime.Run and RunAll drive a
+// fresh pool with a single member; a Server's epoch worker drives its own
+// pool batch after batch, attaching every batch member (and every recovery
+// retry) to it, so many jobs' ready tasks compete for the same bounded worker
+// slots concurrently.
 // Determinism generalizes from one job to N because everything virtual is
 // per member — seed views, core clocks, claim ledgers, fences, failure
 // frontiers — and the only shared state, the pool's wall-clock worker
@@ -140,6 +141,18 @@ type wavePool struct {
 	// counts the attaches, which is what numbers them.
 	members []*wavefront
 	seq     int
+	workers int // the bound slots starts from
+	// claims holds the tasks launch claimed for goroutines it started that
+	// have not taken them up yet. Those goroutines all start in start, one
+	// function value made with the pool, so starting one allocates nothing.
+	claims []claim
+	start  func()
+}
+
+// claim is a task launch claimed, rank k of w, on its way to a goroutine.
+type claim struct {
+	w *wavefront
+	k int
 }
 
 // newWavePool builds a pool with the given worker bound (minimum 1).
@@ -147,9 +160,17 @@ func newWavePool(workers int) *wavePool {
 	if workers <= 0 {
 		workers = 1
 	}
-	p := &wavePool{slots: workers}
+	p := &wavePool{slots: workers, workers: workers}
 	p.cond = sync.NewCond(&p.mu)
+	p.start = p.runClaim
 	return p
+}
+
+// reset readies an idle pool — no member attached, every one detached — for
+// another drive: every slot free, sequence numbers from 0 again, as
+// newWavePool left it. Caller is the only goroutine driving the pool.
+func (p *wavePool) reset() {
+	p.slots, p.seq = p.workers, 0
 }
 
 // attach registers a member, assigning its submission sequence — a retry's
@@ -209,8 +230,21 @@ func (p *wavePool) launch() {
 		if !ok {
 			return
 		}
-		go w.runTask(k)
+		p.claims = append(p.claims, claim{w, k})
+		go p.start()
 	}
+}
+
+// runClaim is a task goroutine launch started: it takes up one of the claims
+// and runs it. Which claim is wall-clock only, like which goroutine runs it.
+func (p *wavePool) runClaim() {
+	p.mu.Lock()
+	last := len(p.claims) - 1
+	c := p.claims[last]
+	p.claims[last] = claim{}
+	p.claims = p.claims[:last]
+	p.mu.Unlock()
+	c.w.runTask(c.k)
 }
 
 // slot is one task's dispatcher state; a wavefront holds one per rank.

@@ -217,6 +217,56 @@ func TestWavefrontBodyFailureDrainsClean(t *testing.T) {
 	}
 }
 
+// TestDriveReusesPoolAndEpoch drives one batch after another on one pool and
+// one epoch, reset between batches, as an epoch worker does: each batch — a
+// wide job, one that fails halfway, a pipeline — reports what the first did,
+// and drive hands the pool back idle, every slot free and no member attached,
+// whether its members succeeded or failed.
+func TestDriveReusesPoolAndEpoch(t *testing.T) {
+	rt, err := New(ExecConfig{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, epoch := newWavePool(rt.workers), rt.topo.NewEpoch()
+	var first []string
+	for round := uint64(1); round <= 3; round++ {
+		epoch.Reset()
+		jobs := []*dataflow.Job{wideJob("wide", 8), failingWarmer("fail"), pipelineJob("pipe")}
+		members := make([]member, len(jobs))
+		for i, j := range jobs {
+			schedule, err := rt.sched.Schedule(j, rt.topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := j.Graph()
+			if err != nil {
+				t.Fatal(err)
+			}
+			members[i].r = rt.newRun(j, g, schedule, epoch, round*10+uint64(i), nil)
+		}
+		got := make([]string, len(jobs))
+		rt.drive(p, epoch, nil, members, func(i int, o outcome) {
+			if o.err != nil {
+				got[i] = o.err.Error()
+			} else {
+				got[i] = o.rep.String()
+			}
+		})
+		if !strings.Contains(got[1], errWarmerFailed.Error()) {
+			t.Fatalf("round %d: the failing job settled with %q", round, got[1])
+		}
+		if p.slots != p.workers || len(p.members) != 0 {
+			t.Fatalf("round %d: drive left the pool with %d of %d slots free and %d members", round, p.slots, p.workers, len(p.members))
+		}
+		if first == nil {
+			first = got
+		} else if !reflect.DeepEqual(got, first) {
+			t.Errorf("round %d on a reused pool and epoch reports\n%v\nround 1\n%v", round, got, first)
+		}
+	}
+	requireNoLeak(t, rt, "reused pool")
+}
+
 // TestWavefrontCancellationDrainsClean cancels a submission from inside a
 // running task body: the wavefront must stop dispatching, drain, release
 // every region, and surface the context error to the submitter.

@@ -226,13 +226,15 @@ func (g *Graph) OutSlots(k int) []int32 { return g.slots[g.succOff[k]:g.succOff[
 // Names returns a name for every task in one string: prefix+ID+suffix, rank
 // after rank. A caller that needs a name per task — the runtime's region
 // owners — keeps the string and has Name cut rank k's piece out of it, so
-// naming a job's tasks costs one string, not one per task.
-func (g *Graph) Names(prefix, suffix string) string {
+// naming a job's tasks costs one string, not one per task. The prefix is
+// bytes the caller may have built on its stack: the string is the only
+// allocation, and rank 0's piece begins with the prefix.
+func (g *Graph) Names(prefix []byte, suffix string) string {
 	n := len(g.Order)
 	var b strings.Builder
 	b.Grow(int(g.idOff[n]) + n*(len(prefix)+len(suffix)))
 	for _, t := range g.Order {
-		b.WriteString(prefix)
+		b.Write(prefix)
 		b.WriteString(t.id)
 		b.WriteString(suffix)
 	}
@@ -505,7 +507,7 @@ func (j *Job) resolve() (*Graph, error) {
 		g.succOff[k+1] = int32(len(g.succs))
 		g.idOff[k+1] = g.idOff[k] + int32(len(t.id))
 	}
-	g.outNames = g.Names("", outSuffix)
+	g.outNames = g.Names(nil, outSuffix)
 	// Pair each out-edge with its consumer's in-edge: the first one from this
 	// producer not paired yet (Then appends both ends of an edge together, so
 	// a repeated edge pairs up in order).

@@ -25,7 +25,7 @@ func DiffGraphs(got, want *Graph) string {
 	if !slices.Equal(got.rank, want.rank) || !slices.Equal(got.ins, want.ins) {
 		return fmt.Sprintf("rank %v ins %v, want %v %v", got.rank, got.ins, want.rank, want.ins)
 	}
-	if a, b := got.Names("p/", "/s"), want.Names("p/", "/s"); a != b {
+	if a, b := got.Names([]byte("p/"), "/s"), want.Names([]byte("p/"), "/s"); a != b {
 		return fmt.Sprintf("Names %q, want %q", a, b)
 	}
 	for k := range want.Order {

@@ -28,7 +28,7 @@ func checkGraph(t *testing.T, j *Job, g *Graph) {
 		rank[task] = int32(k)
 	}
 	edges, used := 0, make(map[int32]bool)
-	framed := g.Names("ns/", "/in")
+	framed := g.Names([]byte("ns/"), "/in")
 	for k, task := range order {
 		if got := g.Name(framed, k, len("ns/")+len("/in")); got != "ns/"+task.ID()+"/in" || g.OutName(k) != task.ID()+"/out" {
 			t.Fatalf("%s: Name %q, OutName %q", task.ID(), got, g.OutName(k))

@@ -71,9 +71,10 @@ func (rt *Route) stretch(size int64) time.Duration {
 	return extra
 }
 
-// slot returns queue state long enough to hold index i. State is sized to
-// the topology when a view is made; it grows only when a memory device was
-// added afterwards.
+// slot returns queue state long enough to hold index i, every index it adds
+// idle. State is sized to the topology when a view is made; it grows only when
+// a memory device was added afterwards, or into its own capacity after an
+// Epoch.Reset.
 func slot(busy []time.Duration, i int) []time.Duration {
 	for len(busy) <= i {
 		busy = append(busy, 0)
@@ -106,6 +107,17 @@ func busyAt(busy []time.Duration, idx int) time.Duration {
 // queue is seen as drained at t=0.
 func (t *Topology) NewEpoch() *Epoch {
 	return &Epoch{topo: t, busy: make([]time.Duration, len(t.mems))}
+}
+
+// Reset drains every queue in place: the epoch reads as NewEpoch's would,
+// idle at t=0, over the storage it already holds — how a holder that runs one
+// epoch after another (a server's epoch worker) starts each from an idle
+// machine without allocating. Queue state past its length reads as idle, so
+// truncating it is enough; the queues grow back into its capacity (slot).
+func (e *Epoch) Reset() {
+	e.mu.Lock()
+	e.busy = e.busy[:0]
+	e.mu.Unlock()
 }
 
 // Topology returns the shared hardware graph this epoch runs on.

@@ -417,7 +417,8 @@ func MustSingleNode() *Topology {
 }
 
 // TestMustSingleNodeAndFreshEpoch: an access advances its own epoch's queue
-// and no other, so a fresh epoch sees every device drained.
+// and no other, so a fresh epoch — or a used one after Reset — sees every
+// device drained.
 func TestMustSingleNodeAndFreshEpoch(t *testing.T) {
 	topo := MustSingleNode()
 	used := topo.NewEpoch()
@@ -429,6 +430,23 @@ func TestMustSingleNodeAndFreshEpoch(t *testing.T) {
 	}
 	if got := busyUntil(topo.NewEpoch(), "node0/dram0"); got != 0 {
 		t.Errorf("a fresh epoch sees dram0 busy until %v, want drained", got)
+	}
+	used.Reset()
+	if got := busyUntil(used, "node0/dram0"); got != 0 {
+		t.Errorf("a reset epoch sees dram0 busy until %v, want drained", got)
+	}
+	// The queues grow back into the storage Reset kept: an access prices as
+	// on a fresh epoch, not behind the backlog that storage once held.
+	again, err := used.AccessTime("node0/cpu0", "node0/dram0", 0, 1<<20, memsim.Read, memsim.Sequential)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := topo.NewEpoch().AccessTime("node0/cpu0", "node0/dram0", 0, 1<<20, memsim.Read, memsim.Sequential)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != fresh {
+		t.Errorf("an access on a reset epoch completes at %v, on a fresh one at %v", again, fresh)
 	}
 }
 
