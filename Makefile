@@ -25,12 +25,14 @@ test:
 # reads without a lock of their own (topology routes, memsim device
 # counters), the fault injector/stores, the telemetry
 # registry, the cluster, and the scheduler, load generator, placement
-# optimizer and job graph the server calls from several goroutines.
+# optimizer and job graph the server calls from several goroutines; and the
+# paper artifacts and the access planner, which drive clock views by hand.
 race:
 	$(GO) test -race ./internal/core/... ./internal/region/... ./internal/coherence/... ./internal/allocator/... \
 		./internal/topology/... ./internal/memsim/... \
 		./internal/fault/... ./internal/telemetry/... ./internal/cluster/... ./internal/shard/... \
-		./internal/sched/... ./internal/loadgen/... ./internal/placement/... ./internal/dataflow/...
+		./internal/sched/... ./internal/loadgen/... ./internal/placement/... ./internal/dataflow/... \
+		./internal/paper/... ./internal/planner/...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -52,7 +52,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.BoolVar(&o.serve, "serve", false, "submit jobs through the admission-controlled server (see -jobs, -workers)")
 	fs.IntVar(&o.workers, "workers", 4, "serve mode: epoch workers in the pool")
 	fs.IntVar(&o.queue, "queue", 64, "serve mode: admission queue depth")
-	fs.IntVar(&o.batch, "batch", 8, "serve mode: max jobs folded into one shared epoch")
+	fs.IntVar(&o.batch, "batch", 8, "serve mode: max jobs folded into one batch")
 	fs.BoolVar(&o.recover, "recover", false, "checkpointed recovery: retry failed jobs, restoring completed tasks")
 	fs.BoolVar(&o.partialReplay, "partialreplay", false, "with -recover: restore checkpoint payloads lazily, skipping store reads no re-executed task needs")
 	fs.Float64Var(&o.faultRate, "faultrate", 0, "inject one deterministic fault into this fraction of task sites (0..1)")

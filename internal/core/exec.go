@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"repro/internal/telemetry"
-	"repro/internal/topology"
 )
 
 // member is one job's passage through drive. The caller builds the first
@@ -45,12 +44,12 @@ type outcome struct {
 // done — never at the end of the batch. Every member's ready tasks compete for
 // the pool's slots in deterministic (rank, submission) order, so the narrow
 // phases of one job overlap its mates' work. Virtual time is per member: each
-// prices against its own clone of the epoch as it stood when drive was called
-// and against its own run's core clocks, so a mate's failure, retry or mere
+// prices against its own tasks' clock views, seeded from its run's seed, and
+// against its own run's core clocks, so a mate's failure, retry or mere
 // presence never moves anyone else's report. What members share in virtual
-// time is what the caller made them share before calling — the epoch's
-// backlog and, if their runs were built over one table, the core clocks
-// (RunAll, which calls drive once per job).
+// time is what the caller made them share before calling — a seed view and,
+// if their runs were built over one table, the core clocks (RunAll, which
+// calls drive once per job).
 //
 // rec, when non-nil, is the recovery ladder: task outputs are checkpointed
 // under the member's snapshot namespace, and a failed attempt is followed —
@@ -64,20 +63,12 @@ type outcome struct {
 // p is idle — no member attached, no task in flight — and drive resets its
 // slots and sequence, so a caller may hand the same pool to one drive call
 // after another (a server's epoch worker); drive leaves it idle again.
-func (rt *Runtime) drive(p *wavePool, epoch *topology.Epoch, rec *recoveryState, members []member, settle func(i int, o outcome)) {
+func (rt *Runtime) drive(p *wavePool, rec *recoveryState, members []member, settle func(i int, o outcome)) {
 	p.reset()
 	// begin builds the dispatcher of m's current run; a plan the run cannot
-	// execute is a failure of that attempt's first task. A first attempt
-	// snapshots the epoch as its seed: every member begins before anything of
-	// this call launches, so each snapshots the epoch as it stood when drive
-	// was called. A retry keeps the seed its first attempt took, never reading
-	// the live epoch, which a mate's mid-flight absorb may have moved.
+	// execute is a failure of that attempt's first task.
 	begin := func(m *member) (failed string, err error) {
-		var seed topology.VClock
-		if m.attempt == 1 {
-			seed = epoch
-		}
-		if m.w, failed, err = m.r.newWavefront(m.ctx, seed); err != nil {
+		if m.w, failed, err = m.r.newWavefront(m.ctx); err != nil {
 			m.r.cleanup()
 		}
 		return failed, err
@@ -191,8 +182,8 @@ func (rt *Runtime) drive(p *wavePool, epoch *topology.Epoch, rec *recoveryState,
 
 // driveOne is drive for a batch of one, on a pool of its own: the run, nobody
 // to cancel it.
-func (rt *Runtime) driveOne(epoch *topology.Epoch, rec *recoveryState, r *run) (*Report, error) {
+func (rt *Runtime) driveOne(rec *recoveryState, r *run) (*Report, error) {
 	var out outcome
-	rt.drive(newWavePool(rt.workers), epoch, rec, []member{{r: r}}, func(_ int, o outcome) { out = o })
+	rt.drive(newWavePool(rt.workers), rec, []member{{r: r}}, func(_ int, o outcome) { out = o })
 	return out.rep, out.err
 }

@@ -288,7 +288,7 @@ var errWarmerFailed = errors.New("warmer failed on purpose")
 
 // failingWarmer is a job that fails halfway: its first task hands an output
 // to the second, which reads it and fails, so the job leaves by the failure
-// path — its regions released, nothing absorbed into its epoch.
+// path — its regions released, its clock views merged nowhere.
 func failingWarmer(name string) *dataflow.Job {
 	j := dataflow.NewJob(name)
 	produce := j.Task("produce", dataflow.Props{Ops: 1e5, OutputBytes: 4 << 10}, nil)
@@ -323,8 +323,8 @@ func integrityBudget() (seeds, warmers int) {
 //   - (i) not on what the runtime ran before: a fresh Runtime and one warmed
 //     by other random programs report the same, and so do a fresh server and
 //     one whose only epoch worker served those programs first, one batch
-//     each, so that one worker's epoch, pool and batch slices carried every
-//     batch before. In both doors one warmer fails halfway;
+//     each, so that one worker's pool and batch slices carried every batch
+//     before. In both doors one warmer fails halfway;
 //   - (ii) not on how a server is deployed: every program of a seed,
 //     submitted together to a server of two epoch workers, eight task
 //     workers and batches of eight, reports what it reports from a server of

@@ -22,8 +22,8 @@ import (
 // free-capacity. Contention is therefore emergent, not modeled.
 //
 // RunAll is the *virtual-contention* multi-job mode: members run
-// job-after-job, each queueing behind the backlog its predecessors absorbed
-// into the shared epoch, so interference (stretch) is observable in the
+// job-after-job, each queueing behind the backlog its predecessors merged
+// into the shared seed view, so interference (stretch) is observable in the
 // reports. A Server batch makes the opposite trade — overlapped wall-clock
 // execution with virtual isolation per member (see server.go). Both are
 // callers of the same drive loop (exec.go); they differ in what they make
@@ -123,10 +123,10 @@ func (rt *Runtime) RunAll(jobs []*dataflow.Job) (*MultiReport, error) {
 		}
 	}
 
-	// One fresh virtual-time epoch shared by every job below — contention
-	// between the jobs is the point; isolation from *other* batches and
-	// concurrent Runs comes from the epoch being private to this call.
-	epoch := rt.topo.NewEpoch()
+	// One idle seed view shared by every job below — contention between the
+	// jobs is the point; isolation from *other* batches and concurrent Runs
+	// comes from the view being private to this call.
+	seed := rt.topo.NewTaskView()
 	// Shared core availability across all jobs, and the planner's estimate
 	// of it.
 	nCores := rt.topo.ComputeSet().NumCores()
@@ -141,15 +141,17 @@ func (rt *Runtime) RunAll(jobs []*dataflow.Job) (*MultiReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		runs = append(runs, rt.newRun(j, g, schedule, epoch, 0, cores))
+		r := rt.newRun(j, g, schedule, 0, cores)
+		r.seed = seed
+		runs = append(runs, r)
 	}
 
 	// One drive call per job, in admission order, each over the shared core
-	// clocks: a completed job's clock views are absorbed into the shared
-	// epoch before the next call seeds from it, so later jobs queue behind its
+	// clocks: a completed job's clock views are merged into the shared seed
+	// before the next call seeds from it, so later jobs queue behind its
 	// device backlog — contention stays emergent and deterministic.
 	for _, r := range runs {
-		if _, err := rt.driveOne(epoch, nil, r); err != nil {
+		if _, err := rt.driveOne(nil, r); err != nil {
 			return nil, err
 		}
 	}

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dataflow"
+	"repro/internal/memsim"
+	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
@@ -158,5 +161,86 @@ func BenchmarkRunAllJobMix(b *testing.B) {
 		if _, err := rt.RunAll(jobs); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestRunAllCarriesBacklogJobToJob pins what RunAll alone among the entry
+// points does: a finished job's device backlog carries into the next job's
+// clock. Two one-task jobs run on disjoint compute devices and meet only at
+// the one memory device both write to, so the second job's write queues behind
+// the first's there — its makespan in the pair exceeds its makespan alone, by
+// no more than the first job's write takes.
+func TestRunAllCarriesBacklogJobToJob(t *testing.T) {
+	const size = 1 << 20
+	build := func() *Runtime {
+		topo := topology.New()
+		for _, c := range []*topology.ComputeDevice{
+			{ID: "cpu", Kind: topology.CPU, Gops: 100, Cores: 1},
+			{ID: "gpu", Kind: topology.GPU, Gops: 100, Cores: 1},
+		} {
+			if err := topo.AddCompute(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mem, err := memsim.NewDevice("mem", memsim.DRAMSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := topo.AddMemory(mem); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []string{"cpu", "gpu"} {
+			if err := topo.Connect(topology.Link{A: c, B: "mem", Kind: topology.LinkMemBus, Latency: 10 * time.Nanosecond, Bandwidth: 200e9, Coherent: true}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rt, err := New(ExecConfig{Topology: topo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt
+	}
+	writer := func(name string, on dataflow.DevicePref) *dataflow.Job {
+		j := dataflow.NewJob(name)
+		j.Task("write", dataflow.Props{Compute: on, Ops: 1}, func(ctx dataflow.Ctx) error {
+			h, err := ctx.Scratch("buf", size)
+			if err != nil {
+				return err
+			}
+			now, err := h.WriteAt(ctx.Now(), 0, make([]byte, size))
+			if err != nil {
+				return err
+			}
+			ctx.Wait(now)
+			return nil
+		})
+		return j
+	}
+	soloA, err := build().Run(writer("a", dataflow.OnCPU))
+	if err != nil {
+		t.Fatal(err)
+	}
+	soloB, err := build().Run(writer("b", dataflow.OnGPU))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, err := build().RunAll([]*dataflow.Job{writer("a", dataflow.OnCPU), writer("b", dataflow.OnGPU)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := pair.Jobs["a"].Report, pair.Jobs["b"].Report
+	for _, c := range []struct {
+		rep     *Report
+		compute string
+	}{{a, "cpu"}, {b, "gpu"}} {
+		if tr := c.rep.Task("write"); tr.Compute != c.compute || tr.Region("buf") != "mem" {
+			t.Fatalf("%s ran on %s writing %s, want %s writing mem", c.rep.Job, tr.Compute, tr.Region("buf"), c.compute)
+		}
+	}
+	if a.Makespan != soloA.Makespan {
+		t.Errorf("first job's makespan %v in the pair, %v alone: nothing runs before it", a.Makespan, soloA.Makespan)
+	}
+	if b.Makespan <= soloB.Makespan || b.Makespan > soloB.Makespan+soloA.Makespan {
+		t.Errorf("second job's makespan %v in the pair, %v alone: it must queue behind the first job's %v of backlog", b.Makespan, soloB.Makespan, soloA.Makespan)
 	}
 }

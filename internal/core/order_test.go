@@ -86,7 +86,7 @@ func TestScheduledComputesFollowRankOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := rt.newRun(j, g, schedule, rt.topo.NewEpoch(), 0, nil)
+		r := rt.newRun(j, g, schedule, 0, nil)
 		if got := r.scheduledComputes(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("run %d: scheduledComputes() = %v, want %v (first use, in rank order)", run, got, want)
 		}

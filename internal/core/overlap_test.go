@@ -153,7 +153,7 @@ func TestServeOverlapDeterministicAcrossWorkerCounts(t *testing.T) {
 
 // TestServeOverlapFaultIsolation fails one member mid-batch while its mates
 // are in flight on the same pool: only the bad submitter sees the error,
-// the mates' reports stay byte-identical to solo runs, and the epoch drains
+// the mates' reports stay byte-identical to solo runs, and the batch drains
 // without leaking a region.
 func TestServeOverlapFaultIsolation(t *testing.T) {
 	soloA := mustSoloRun(t, wideJob("good-a", 8))

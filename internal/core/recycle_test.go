@@ -126,9 +126,9 @@ func leakyJob(name string, leak chan<- *region.Handle, outsider chan<- *region.H
 				if err != nil {
 					return err
 				}
-				// An epoch of its own: the task's view is the scratch's, and
+				// A clock of its own: the task's view is the scratch's, and
 				// the next job resets it.
-				extra.Rebind(c.run.rt.topo.NewEpoch(), c.rank, c)
+				extra.Rebind(c.run.rt.topo.NewTaskView(), c.rank, c)
 				outsider <- extra
 			}
 			return nil
@@ -309,7 +309,7 @@ func scratchFreeListBounded(t *testing.T, workers int) {
 		}
 	}
 	held := rt.free.Held()
-	if sc := rt.free.Get(); sc.footprint() != held || len(sc.views) != 8+3 {
+	if sc := rt.free.Get(); sc.footprint() != held || len(sc.views) != 8+2 { // one view a task: src, 8 branches, sink
 		t.Fatalf("the scratch was counted at %d bytes, holds %d, with %d views", held, sc.footprint(), len(sc.views))
 	}
 	if rt.free.Len() != 0 || rt.free.Held() != 0 {

@@ -62,7 +62,7 @@ type ExecConfig struct {
 }
 
 // Runtime is the RTS instance. Run is safe for concurrent submission from
-// multiple goroutines: each call executes in its own virtual-time epoch
+// multiple goroutines: each call prices against clock views of its own
 // (fresh device queues), so jobs never corrupt each other's clocks. For
 // admission control, batching, and backpressure on top of this, use Server.
 type Runtime struct {
@@ -193,7 +193,7 @@ type Report struct {
 	// retry; only a RecoveryPolicy makes it more).
 	Attempts int
 	// BatchSize and BatchIndex identify the serving batch this job executed
-	// in: how many jobs its epoch packed and this job's position in
+	// in: how many jobs its batch packed and this job's position in
 	// admission order. Both zero outside the serving path (Runtime.Run,
 	// RunAll). Like every other report field they are a pure function of
 	// the batch, identical at any worker-pool size.
@@ -281,13 +281,15 @@ type jobState struct {
 	g        *dataflow.Graph      // the job's graph, resolved to ranks
 	cs       *topology.ComputeSet // the devices schedule and cores index into
 	schedule *sched.Schedule
-	// epoch is the virtual-time view this run's accesses queue against.
-	// Runs in different epochs are fully isolated; runs sharing one epoch
-	// (RunAll, Server batches) contend on the same device queues.
-	epoch *topology.Epoch
+	// seed is the device backlog every attempt's tasks start from, merged
+	// with their predecessors' views; nil is an idle machine, as for Run and
+	// every served job. RunAll alone sets it, to one view all its jobs share:
+	// each finished job's views merge into it, so the next job queues behind
+	// that job's device backlog.
+	seed *topology.TaskView
 	// ns namespaces region owners: the job name, and for a served job
-	// name#id with its submission ID, so identical jobs can run in one shared
-	// epoch without their owners colliding. It is the head of owners.
+	// name#id with its submission ID, so identical jobs can run in one batch
+	// without their owners colliding. It is the head of owners.
 	ns string
 	// owners holds every task's owner names in one string, ns/ID/in rank after
 	// rank (Graph.Names). A task owns its regions as its piece up to the
@@ -385,9 +387,9 @@ func (r *run) coresOf(k int) []time.Duration {
 // tasks restored, and Report.Attempts, SkippedTasks and ReplayedTasks say
 // what it took.
 //
-// Run is a batch of one through the engine's drive loop (exec.go), in a fresh
-// virtual-time epoch: device service queues start drained and never touch the
-// shared topology, so concurrent Runs are isolated.
+// Run is a batch of one through the engine's drive loop (exec.go), from an
+// idle machine: every device service queue starts drained, in clock views the
+// run alone holds, so concurrent Runs are isolated.
 func (rt *Runtime) Run(job *dataflow.Job, policy ...RecoveryPolicy) (*Report, error) {
 	var rec *recoveryState
 	switch len(policy) {
@@ -411,8 +413,7 @@ func (rt *Runtime) Run(job *dataflow.Job, policy ...RecoveryPolicy) (*Report, er
 	if err != nil {
 		return nil, err
 	}
-	epoch := rt.topo.NewEpoch()
-	return rt.driveOne(epoch, rec, rt.newRun(job, g, schedule, epoch, 0, nil))
+	return rt.driveOne(rec, rt.newRun(job, g, schedule, 0, nil))
 }
 
 // newRun assembles per-job execution state for the job and its resolved
@@ -420,7 +421,7 @@ func (rt *Runtime) Run(job *dataflow.Job, policy ...RecoveryPolicy) (*Report, er
 // be shared between runs (RunAll); nil gets this run its own idle core
 // availability. id is the submission ID a served job's owners are namespaced
 // by, 0 for a run that is not served (see run.ns).
-func (rt *Runtime) newRun(job *dataflow.Job, g *dataflow.Graph, schedule *sched.Schedule, epoch *topology.Epoch, id uint64, cores []time.Duration) *run {
+func (rt *Runtime) newRun(job *dataflow.Job, g *dataflow.Graph, schedule *sched.Schedule, id uint64, cores []time.Duration) *run {
 	cs := rt.topo.ComputeSet()
 	sc := rt.free.Get()
 	if cores == nil {
@@ -439,7 +440,7 @@ func (rt *Runtime) newRun(job *dataflow.Job, g *dataflow.Graph, schedule *sched.
 	return (&run{
 		jobState: jobState{
 			rt: rt, job: job, g: g, cs: cs, schedule: schedule,
-			epoch: epoch, ns: owners[:len(prefix)-1], owners: owners,
+			ns: owners[:len(prefix)-1], owners: owners,
 			sc: sc, cores: cores, handles: sc.handles,
 			inject: rt.inject,
 		},

@@ -25,10 +25,9 @@ import (
 type scratch struct {
 	w wavefront
 	// views holds the attempt's clock views: views[k] is rank k's, seeded when
-	// the task launches (wavefront.seedView), and views[n] the seed every
-	// task of the attempt starts from, drive's snapshot of the epoch. Each
-	// keeps its queue state's storage from job to job: the table is resliced,
-	// not zeroed, and every view is reset before use.
+	// the task launches (wavefront.seedView). Each keeps its queue state's
+	// storage from job to job: the table is resliced, not zeroed, and every
+	// view is reset before use.
 	views    []topology.TaskView
 	handles  []*region.Handle // run.handles
 	cores    []time.Duration  // run.cores, when the run's table is private

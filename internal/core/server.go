@@ -2,7 +2,7 @@ package core
 
 // This file implements core.Server — the concurrent job-submission engine
 // the paper's deployment story implies (§2.1: "dataflow systems that serve
-// thousands of jobs in parallel"). Runtime.Run gives per-call epoch
+// thousands of jobs in parallel"). Runtime.Run gives per-call clock
 // isolation; Server adds what a multi-tenant front door needs on top:
 //
 //   - a bounded admission queue with configurable backpressure (fail fast
@@ -41,7 +41,6 @@ import (
 	"repro/internal/region"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
-	"repro/internal/topology"
 )
 
 // Errors reported by the serving layer.
@@ -72,9 +71,9 @@ type ServerConfig struct {
 	// (default 4). Each worker runs one batch at a time; batches run
 	// concurrently.
 	EpochWorkers int
-	// MaxBatch caps how many queued jobs one worker folds into a shared
-	// virtual-time epoch (default 8). 1 disables batching: every job gets
-	// a private epoch.
+	// MaxBatch caps how many queued jobs one worker folds into one batch
+	// (default 8), whose members overlap on the worker's pool. 1 disables
+	// batching: every job runs alone.
 	MaxBatch int
 	// Block selects the backpressure policy: false (default) makes Submit
 	// fail fast with ErrQueueFull when the queue is full; true makes it
@@ -297,13 +296,16 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 func (s *Server) Runtime() *Runtime { return s.rt }
 
 // Rebalance runs one region-tiering sweep on the server's runtime, priced
-// inside a private epoch (region.RebalanceIn) so it is safe to call while
-// the server is serving: admitted batches never observe the sweep's device
-// backlog. With an exporter wired into the region manager (cross-shard
-// migration), the sweep may also evict cold regions to the remote pool and
-// recall hot exported ones.
+// inside a private, idle clock view (region.RebalanceIn) so it is safe to
+// call while the server is serving: admitted jobs never observe the sweep's
+// device backlog. The view is published after the sweep, so the migrations'
+// device counts land. With an exporter wired into the region manager
+// (cross-shard migration), the sweep may also evict cold regions to the
+// remote pool and recall hot exported ones.
 func (s *Server) Rebalance(now time.Duration, pol region.RebalancePolicy) (region.RebalanceStats, error) {
-	return s.rt.Regions().RebalanceIn(s.rt.Topology().NewEpoch(), now, pol)
+	clk := s.rt.topo.NewTaskView()
+	defer clk.Publish()
+	return s.rt.regions.RebalanceIn(clk, now, pol)
 }
 
 // Checkpointer returns the recovery checkpointer, or nil when the server
@@ -470,13 +472,11 @@ func (s *Server) Close(ctx context.Context) error {
 }
 
 // batch is an epoch worker's scaffolding, which every batch the worker runs
-// runs in, one at a time: the virtual-time epoch and the wavePool, which
-// runBatch and drive reset at the start of each batch, so each starts from an
-// idle machine, and the batch's tickets and planned members, each bounded by
+// runs in, one at a time: the wavePool, which drive resets at the start of
+// each batch, and the batch's tickets and planned members, each bounded by
 // MaxBatch. It lives as long as its worker, so a job served alone costs no
-// epoch, pool or slice of its own.
+// pool or slice of its own.
 type batch struct {
-	epoch   *topology.Epoch
 	pool    *wavePool
 	tickets []*jobTicket
 	members []member
@@ -485,7 +485,6 @@ type batch struct {
 // newBatch builds a worker's batch scaffolding.
 func (s *Server) newBatch() *batch {
 	return &batch{
-		epoch:   s.rt.topo.NewEpoch(),
 		pool:    newWavePool(s.rt.workers),
 		tickets: make([]*jobTicket, 0, s.maxBatch),
 		members: make([]member, 0, s.maxBatch),
@@ -522,12 +521,12 @@ func (s *Server) worker() {
 }
 
 // collect folds queued jobs behind first into b's tickets, up to MaxBatch —
-// the batch shares one virtual-time epoch. The fold is opportunistic: the
-// worker takes whatever is already queued and launches at once.
+// the batch shares one worker pool. The fold is opportunistic: the worker
+// takes whatever is already queued and launches at once.
 //
 // Tickets whose context ended while queued are finished here and never
 // occupy a batch slot: a dead job must not displace a live one from the
-// epoch. The batch may come back empty (every candidate was dead); runBatch
+// batch. The batch may come back empty (every candidate was dead); runBatch
 // no-ops on it.
 func (s *Server) collect(b *batch, first *jobTicket) {
 	b.tickets = s.appendLive(b.tickets, first)
@@ -596,10 +595,7 @@ func (s *Server) runBatch(b *batch) {
 	}
 	s.epochs.Add(1)
 
-	// Plan every member; a scheduling failure only fails its own job. The
-	// epoch is drained before anyone is planned over it: the worker's last
-	// batch absorbed its backlog into it.
-	b.epoch.Reset()
+	// Plan every member; a scheduling failure only fails its own job.
 	planned := admitted[:0] // planned[i] is b.members[i]'s ticket
 	for _, t := range admitted {
 		// SLO admission already planned the job against an idle machine —
@@ -622,7 +618,7 @@ func (s *Server) runBatch(b *batch) {
 		// The submission ID namespaces the job's owners, so identical jobs
 		// share the batch without region-owner collisions.
 		b.members = append(b.members, member{
-			r:   rt.newRun(t.job, g, schedule, b.epoch, t.id, nil),
+			r:   rt.newRun(t.job, g, schedule, t.id, nil),
 			ctx: t.ctx, resume: t.resume,
 		})
 		planned = append(planned, t)
@@ -630,7 +626,7 @@ func (s *Server) runBatch(b *batch) {
 	if len(b.members) == 0 {
 		return
 	}
-	rt.drive(b.pool, b.epoch, s.rec, b.members, func(i int, o outcome) {
+	rt.drive(b.pool, s.rec, b.members, func(i int, o outcome) {
 		t := planned[i]
 		switch {
 		case o.canceled:

@@ -152,7 +152,7 @@ func TestCollectEntireBatchCanceled(t *testing.T) {
 }
 
 // TestCollectMaxBatchOne: MaxBatch=1 disables folding — queued jobs each
-// get a private epoch even when they are all simultaneously available.
+// get a batch of their own even when they are all simultaneously available.
 func TestCollectMaxBatchOne(t *testing.T) {
 	s := newTestServer(t, ServerConfig{EpochWorkers: 1, MaxBatch: 1, QueueDepth: 8})
 	release, holder := holdWorker(t, s)

@@ -38,7 +38,7 @@ func newTestServer(t *testing.T, cfg ServerConfig) *Server {
 
 func TestServeSingleJobMatchesRun(t *testing.T) {
 	// A batch of one through the Server is the same computation as Run on a
-	// fresh runtime: same schedule, fresh epoch, zero competing load.
+	// fresh runtime: same schedule, idle device queues, zero competing load.
 	iso := newRuntime(t)
 	want, err := iso.Run(pipelineJob("p"))
 	if err != nil {
@@ -466,7 +466,7 @@ func TestServedSpansStayInTheRing(t *testing.T) {
 	}
 }
 
-// TestConcurrentRunsAreIsolated pins the epoch refactor underneath the
+// TestConcurrentRunsAreIsolated pins the clock isolation underneath the
 // Server: parallel Run calls on one runtime never perturb each other's
 // virtual clocks.
 func TestConcurrentRunsAreIsolated(t *testing.T) {

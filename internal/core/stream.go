@@ -32,9 +32,11 @@ package core
 // outcome forgets. Resuming (SubmitStream with opts.ResumeID = the crashed
 // ticket's ResumeID) scans the markers, rebuilds the watermark from their
 // recorded makespans, skips the completed windows without re-delivering
-// their reports, and re-runs the first incomplete window with
-// RecoveryPolicy.PartialReplay restoring its checkpointed prefix — its
-// report shows SkippedTasks > 0. Windows after the resume point are
+// their reports, and re-runs the first incomplete window with its
+// checkpointed prefix restored — its report shows SkippedTasks > 0. The
+// prefix is restored under either replay mode; RecoveryPolicy.PartialReplay
+// only makes the restore lazy, fetching an output from the store only when
+// a re-executed task receives it. Windows after the resume point are
 // re-run from scratch (the crashed run dropped their partial state as it
 // ended), keeping the resumed run a deterministic function of the marker
 // high-water mark alone.

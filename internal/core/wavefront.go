@@ -300,14 +300,10 @@ type wavefront struct {
 // newWavefront validates the run's plan and fills the scratch's dispatcher
 // for it: per-device claim queues, predecessor counts, the view table, the
 // core-clock snapshot failure rewinds restore, and the eager rank-ordered
-// injection / restore pre-pass. The table's last view is the attempt's seed,
-// the epoch snapshot every task prices against, merged with its predecessors'
-// views. seed, when non-nil, is the clock it is reset from; nil keeps the seed
-// the job's last attempt started from, which nothing since has written — how a
-// retry prices against the snapshot its first attempt took. The returned
-// wavefront is not yet attached to a pool. On a validation error the failing
-// task's ID is returned and the caller owns run cleanup.
-func (r *run) newWavefront(ctx context.Context, seed topology.VClock) (*wavefront, string, error) {
+// injection / restore pre-pass. The returned wavefront is not yet attached to
+// a pool. On a validation error the failing task's ID is returned and the
+// caller owns run cleanup.
+func (r *run) newWavefront(ctx context.Context) (*wavefront, string, error) {
 	order, plan := r.g.Order, r.schedule.Tasks
 	// Validate the plan up front so scheduling gaps surface as task errors
 	// rather than mid-flight panics.
@@ -335,10 +331,7 @@ func (r *run) newWavefront(ctx context.Context, seed topology.VClock) (*wavefron
 	for d := range w.devs {
 		w.devs[d].Reset()
 	}
-	r.sc.views = slices.Grow(r.sc.views[:0], n+1)[:n+1]
-	if seed != nil {
-		r.sc.views[n].Reset(seed)
-	}
+	r.sc.views = slices.Grow(r.sc.views[:0], n)[:n]
 	for k := range order {
 		w.devs[plan[k].Dev].Enqueue(k) // ascending: k iterates in rank order
 		sl := &w.slots[k]
@@ -381,16 +374,15 @@ func (r *run) newWavefront(ctx context.Context, seed topology.VClock) (*wavefron
 }
 
 // finalize settles a drained wavefront: releases the run's regions and, on
-// success, folds its clock views into the epoch and finalizes the report's
-// peak-memory and makespan figures. The views stay in the scratch: every one
-// was published as its task retired, and every handle that could price
-// through one is released with the run, so a later job may reset them. On
-// failure it additionally drops snapshots that ranks above the failure
-// produced out of sequential order, and rewinds the run's core clocks to the
-// deterministic post-failure state: the construction-time snapshot replayed
-// with exactly the
-// completions a sequential run would have made (reported ranks at or below
-// the failure). Without the rewind, in-flight tasks above the failure rank
+// success, merges its clock views into the run's seed, if it has one, and
+// finalizes the report's peak-memory and makespan figures. The views stay in
+// the scratch: every one was published as its task retired, and every handle
+// that could price through one is released with the run, so a later job may
+// reset them. On failure it additionally drops snapshots that ranks above the
+// failure produced out of sequential order, and rewinds the run's core clocks
+// to the deterministic post-failure state: the construction-time snapshot
+// replayed with exactly the completions a sequential run would have made
+// (reported ranks at or below the failure). Without the rewind, in-flight tasks above the failure rank
 // — which only exist at Workers>1 — would leave their finish times on the
 // clocks and make every retry's virtual time depend on the pool size.
 //
@@ -421,18 +413,13 @@ func (w *wavefront) finalize() (failedTask string, err error) {
 		return w.failTask, w.failErr
 	}
 
-	// Success: fold every task's clock view back into the epoch, so a job
-	// driven over the same epoch afterwards queues behind this one's device
-	// backlog (RunAll; the members of one drive call seeded before anyone
-	// absorbed, so among them this is inert bookkeeping). The views are
-	// merged into the seed first — the epoch already dominates it, and no task
-	// reads it anymore — so the epoch is locked once.
-	views := r.sc.views
-	seed := &views[len(w.slots)]
-	for k := range w.slots {
-		seed.Merge(&views[k])
+	// Success: merge every task's clock view into the seed, so the job RunAll
+	// drives next queues behind this one's device backlog.
+	if r.seed != nil {
+		for k := range w.slots {
+			r.seed.Merge(&r.sc.views[k])
+		}
 	}
-	r.epoch.Absorb(seed)
 	r.cleanup()
 	r.computePeak()
 	r.fillReport(w.slots)
@@ -555,14 +542,15 @@ func insertRank(s []int, k int) []int {
 }
 
 // seedView builds the task's causal clock view in its slot of the view
-// table: the attempt's seed snapshot merged with every predecessor's final
-// view. The predecessors are done — the pool lock that retired them ordered
-// their views' last writes before this launch — so reading them here without
+// table: the run's seed (idle when it has none) merged with every
+// predecessor's final view. The predecessors are done — the pool lock that
+// retired them ordered their views' last writes before this launch — and the
+// seed is written only once the run has drained, so reading them here without
 // the lock is race-free.
 func (w *wavefront) seedView(k int) *topology.TaskView {
 	views := w.r.sc.views
 	v := &views[k]
-	v.Reset(&views[len(w.slots)])
+	v.Reset(w.r.seed)
 	for _, p := range w.r.g.Preds(k) {
 		v.Merge(&views[p])
 	}

@@ -217,20 +217,18 @@ func TestWavefrontBodyFailureDrainsClean(t *testing.T) {
 	}
 }
 
-// TestDriveReusesPoolAndEpoch drives one batch after another on one pool and
-// one epoch, reset between batches, as an epoch worker does: each batch — a
-// wide job, one that fails halfway, a pipeline — reports what the first did,
-// and drive hands the pool back idle, every slot free and no member attached,
-// whether its members succeeded or failed.
-func TestDriveReusesPoolAndEpoch(t *testing.T) {
+// TestDriveReusesPool drives one batch after another on one pool, as an epoch
+// worker does: each batch — a wide job, one that fails halfway, a pipeline —
+// reports what the first did, and drive hands the pool back idle, every slot
+// free and no member attached, whether its members succeeded or failed.
+func TestDriveReusesPool(t *testing.T) {
 	rt, err := New(ExecConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, epoch := newWavePool(rt.workers), rt.topo.NewEpoch()
+	p := newWavePool(rt.workers)
 	var first []string
 	for round := uint64(1); round <= 3; round++ {
-		epoch.Reset()
 		jobs := []*dataflow.Job{wideJob("wide", 8), failingWarmer("fail"), pipelineJob("pipe")}
 		members := make([]member, len(jobs))
 		for i, j := range jobs {
@@ -242,10 +240,10 @@ func TestDriveReusesPoolAndEpoch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			members[i].r = rt.newRun(j, g, schedule, epoch, round*10+uint64(i), nil)
+			members[i].r = rt.newRun(j, g, schedule, round*10+uint64(i), nil)
 		}
 		got := make([]string, len(jobs))
-		rt.drive(p, epoch, nil, members, func(i int, o outcome) {
+		rt.drive(p, nil, members, func(i int, o outcome) {
 			if o.err != nil {
 				got[i] = o.err.Error()
 			} else {
@@ -261,7 +259,7 @@ func TestDriveReusesPoolAndEpoch(t *testing.T) {
 		if first == nil {
 			first = got
 		} else if !reflect.DeepEqual(got, first) {
-			t.Errorf("round %d on a reused pool and epoch reports\n%v\nround 1\n%v", round, got, first)
+			t.Errorf("round %d on a reused pool reports\n%v\nround 1\n%v", round, got, first)
 		}
 	}
 	requireNoLeak(t, rt, "reused pool")

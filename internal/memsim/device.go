@@ -8,8 +8,7 @@
 // serviced after the device latency plus s divided by the device bandwidth,
 // behind a FIFO service queue that provides bandwidth contention. The device
 // holds no queue state of its own: the caller's virtual clock (a
-// topology.Epoch or TaskView) keeps each queue's drain time and hands it to
-// Queued. Accesses still touch real host memory (the backing arena lives in
+// topology.TaskView) keeps each queue's drain time and hands it to Queued. Accesses still touch real host memory (the backing arena lives in
 // internal/region), so the data path is genuinely exercised; only *time* is
 // simulated. All state is deterministic — no wall clocks, no randomness.
 package memsim
@@ -159,9 +158,9 @@ type Device struct {
 	mu        sync.Mutex
 	allocated int64 // bytes handed out by the allocator layer
 
-	// The access counters are atomics, not fields under mu: every epoch and
-	// every retiring task adds to them, and must not serialize on one device
-	// lock just to count.
+	// The access counters are atomics, not fields under mu: every clock view
+	// a retiring task publishes adds to them, and must not serialize on one
+	// device lock just to count.
 	reads     atomic.Uint64
 	writes    atomic.Uint64
 	bytesRead atomic.Uint64

@@ -139,7 +139,7 @@ type queue struct {
 	busy time.Duration
 }
 
-// access queues one access and counts it, as an epoch does.
+// access queues one access and counts it at once.
 func (q *queue) access(now time.Duration, size int64, kind AccessKind, pat Pattern) time.Duration {
 	q.busy = q.d.Queued(q.busy, now, size, kind, pat)
 	q.d.Count(size, kind)

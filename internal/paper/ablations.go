@@ -30,7 +30,7 @@ func AblationAsync() (*Artifact, error) {
 	h, err := mgr.Alloc(region.Spec{
 		Name: "far-scan", Class: props.Custom, Size: chunk * chunks,
 		Req:   props.Requirements{Latency: props.LatencyHigh, Sync: props.Forbid, ByteAddr: props.Require},
-		Owner: "ablation", Compute: "node0/cpu0", Clock: topo.NewEpoch(),
+		Owner: "ablation", Compute: "node0/cpu0", Clock: topo.NewTaskView(),
 	})
 	if err != nil {
 		return nil, err
@@ -52,8 +52,8 @@ func AblationAsync() (*Artifact, error) {
 	syncTotal := now
 
 	// A fresh clock for a fair second run: the first run's backlog stays in
-	// the first epoch.
-	h.Rebind(topo.NewEpoch(), -1, nil)
+	// the first view.
+	h.Rebind(topo.NewTaskView(), -1, nil)
 
 	// Asynchronous pipeline: keep 8 requests in flight.
 	const depth = 8
@@ -161,7 +161,7 @@ func AblationCoherence() (*Artifact, error) {
 	// Shared ownership: two owners alternate writes to the same line.
 	shared, err := mgr.Alloc(region.Spec{
 		Name: "counter", Class: props.GlobalState, Size: 4096,
-		Owner: "t1", Compute: "node0/cpu0", Clock: topo.NewEpoch(),
+		Owner: "t1", Compute: "node0/cpu0", Clock: topo.NewTaskView(),
 	})
 	if err != nil {
 		return nil, err
@@ -193,7 +193,7 @@ func AblationCoherence() (*Artifact, error) {
 	// not leave a virtual backlog.
 	excl, err := mgr.Alloc(region.Spec{
 		Name: "counter", Class: props.Transfer, Size: 4096,
-		Owner: "t1", Compute: "node0/cpu0", Clock: topo.NewEpoch(),
+		Owner: "t1", Compute: "node0/cpu0", Clock: topo.NewTaskView(),
 	})
 	if err != nil {
 		return nil, err

@@ -27,10 +27,10 @@ func ClaimNUMA() (*Artifact, error) {
 	const cpu = "node0/cpu0"
 	const accesses = 4096
 	measure := func(dev string) (time.Duration, error) {
-		epoch := topo.NewEpoch()
+		clk := topo.NewTaskView()
 		var now time.Duration
 		for i := 0; i < accesses; i++ {
-			done, err := epoch.AccessTime(cpu, dev, now, 64, memsim.Read, memsim.Random)
+			done, err := clk.AccessTime(cpu, dev, now, 64, memsim.Read, memsim.Random)
 			if err != nil {
 				return 0, err
 			}
@@ -69,7 +69,7 @@ func ClaimPlacement() (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	epoch := topo.NewEpoch() // both policies' runs queue on one clock
+	clk := topo.NewTaskView() // both policies' runs queue on one clock
 	run := func(placer region.Placer) (time.Duration, string, error) {
 		mgr, err := region.NewManager(region.Config{Topology: topo, Placer: placer})
 		if err != nil {
@@ -81,7 +81,7 @@ func ClaimPlacement() (*Artifact, error) {
 		h, err := mgr.Alloc(region.Spec{
 			Name: "group-ht", Class: props.Custom, Size: 1 << 20,
 			Req:   props.Requirements{Sync: props.Require, ByteAddr: props.Require},
-			Owner: "q1", Compute: "node0/cpu0", Clock: epoch,
+			Owner: "q1", Compute: "node0/cpu0", Clock: clk,
 		})
 		if err != nil {
 			return 0, "", err

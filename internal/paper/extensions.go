@@ -33,7 +33,7 @@ func AblationTiering() (*Artifact, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		epoch := topo.NewEpoch() // the reads and the sweeps' migrations queue on one clock
+		clk := topo.NewTaskView() // the reads and the sweeps' migrations queue on one clock
 		// 16 regions stranded in far memory; 2 of them take 90% of traffic.
 		var handles []*region.Handle
 		for i := 0; i < 16; i++ {
@@ -41,7 +41,7 @@ func AblationTiering() (*Artifact, error) {
 				Name: fmt.Sprintf("obj%d", i), Class: props.Custom, Size: 64 << 10,
 				Req:   props.Requirements{Latency: props.LatencyHigh, ByteAddr: props.Require},
 				Owner: region.Owner(fmt.Sprintf("t%d", i)), Compute: "node0/cpu0",
-				Device: "memnode0/far0", Clock: epoch,
+				Device: "memnode0/far0", Clock: clk,
 			})
 			if err != nil {
 				return 0, 0, err
@@ -72,7 +72,7 @@ func AblationTiering() (*Artifact, error) {
 			}
 			now = done
 			if tiering && i%250 == 249 {
-				stats, err := mgr.RebalanceIn(epoch, now, region.RebalancePolicy{})
+				stats, err := mgr.RebalanceIn(clk, now, region.RebalancePolicy{})
 				if err != nil {
 					return 0, 0, err
 				}
@@ -124,7 +124,7 @@ func AblationPlanner() (*Artifact, error) {
 			h, err := mgr.Alloc(region.Spec{
 				Name: "scan", Class: props.Custom, Size: spec.TotalBytes,
 				Req:   props.Requirements{Latency: props.LatencyBulk, ByteAddr: props.Require},
-				Owner: "a5", Compute: "node0/cpu0", Device: device, Clock: topo.NewEpoch(),
+				Owner: "a5", Compute: "node0/cpu0", Device: device, Clock: topo.NewTaskView(),
 			})
 			if err != nil {
 				return 0, planner.Plan{}, err

@@ -127,7 +127,7 @@ func Figure3() (*Artifact, error) {
 		if err != nil {
 			return nil, fmt.Errorf("paper: figure3 %s: %w", comp, err)
 		}
-		done, err := topo.NewEpoch().AccessTime(comp, dev, 0, 64, memsim.Read, memsim.Sequential)
+		done, err := topo.NewTaskView().AccessTime(comp, dev, 0, 64, memsim.Read, memsim.Sequential)
 		if err != nil {
 			return nil, err
 		}
@@ -155,14 +155,14 @@ func Figure4() (*Artifact, error) {
 		return nil, err
 	}
 	// One clock for every size: each size's copies queue behind the last's.
-	epoch := topo.NewEpoch()
+	clk := topo.NewTaskView()
 	tbl := &table{header: []string{"Output size", "Ownership transfer", "Physical copy", "Speedup"}}
 	metrics := map[string]float64{}
 	for _, size := range []int64{64 << 10, 1 << 20, 16 << 20, 64 << 20} {
 		// Ownership transfer: producer on cpu0, consumer on cpu1.
 		h, err := mgr.Alloc(region.Spec{
 			Name: "out", Class: props.Transfer, Size: size,
-			Owner: "job/t1", Compute: "node0/cpu0", Clock: epoch,
+			Owner: "job/t1", Compute: "node0/cpu0", Clock: clk,
 		})
 		if err != nil {
 			return nil, err
@@ -177,11 +177,11 @@ func Figure4() (*Artifact, error) {
 		}
 
 		// Physical copy: producer region + consumer region + byte copy.
-		src, err := mgr.Alloc(region.Spec{Name: "src", Class: props.Transfer, Size: size, Owner: "job/t1", Compute: "node0/cpu0", Clock: epoch})
+		src, err := mgr.Alloc(region.Spec{Name: "src", Class: props.Transfer, Size: size, Owner: "job/t1", Compute: "node0/cpu0", Clock: clk})
 		if err != nil {
 			return nil, err
 		}
-		dst, err := mgr.Alloc(region.Spec{Name: "dst", Class: props.Transfer, Size: size, Owner: "job/t2", Compute: "node0/cpu1", Clock: epoch})
+		dst, err := mgr.Alloc(region.Spec{Name: "dst", Class: props.Transfer, Size: size, Owner: "job/t2", Compute: "node0/cpu1", Clock: clk})
 		if err != nil {
 			return nil, err
 		}

@@ -35,7 +35,7 @@ func Table1Sweep() (*Artifact, error) {
 	for _, size := range sizes {
 		row := []string{fmtBytes(size)}
 		for _, d := range devices {
-			done, err := topo.NewEpoch().AccessTime(cpu, d.id, 0, size, memsim.Read, memsim.Sequential)
+			done, err := topo.NewTaskView().AccessTime(cpu, d.id, 0, size, memsim.Read, memsim.Sequential)
 			if err != nil {
 				return nil, err
 			}

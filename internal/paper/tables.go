@@ -52,14 +52,14 @@ func Table1() (*Artifact, error) {
 			return nil, fmt.Errorf("paper: %s unreachable from %s", d.id, cpu)
 		}
 		// Measured latency: one granule-sized sequential access on an idle
-		// queue, a fresh epoch.
-		small, err := topo.NewEpoch().AccessTime(cpu, d.id, 0, int64(dev.Granularity), memsim.Read, memsim.Sequential)
+		// queue, a fresh view.
+		small, err := topo.NewTaskView().AccessTime(cpu, d.id, 0, int64(dev.Granularity), memsim.Read, memsim.Sequential)
 		if err != nil {
 			return nil, err
 		}
 		// Measured bandwidth: one 64 MiB stream, minus the latency part.
 		const streamSize = 64 << 20
-		big, err := topo.NewEpoch().AccessTime(cpu, d.id, 0, streamSize, memsim.Read, memsim.Sequential)
+		big, err := topo.NewTaskView().AccessTime(cpu, d.id, 0, streamSize, memsim.Read, memsim.Sequential)
 		if err != nil {
 			return nil, err
 		}
@@ -92,7 +92,7 @@ func Table2() (*Artifact, error) {
 		return nil, err
 	}
 	const cpu = "node0/cpu0"
-	epoch := topo.NewEpoch() // every class's accesses queue on one clock
+	clk := topo.NewTaskView() // every class's accesses queue on one clock
 	tbl := &table{header: []string{"Name", "Properties", "Purpose", "Placed on", "Access"}}
 	metrics := map[string]float64{}
 	rows := []struct {
@@ -107,7 +107,7 @@ func Table2() (*Artifact, error) {
 	for _, r := range rows {
 		h, err := mgr.Alloc(region.Spec{
 			Name: r.class.String(), Class: r.class, Size: 1 << 20,
-			Owner: "paper/table2", Compute: cpu, Clock: epoch,
+			Owner: "paper/table2", Compute: cpu, Clock: clk,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("paper: alloc %s: %w", r.class, err)

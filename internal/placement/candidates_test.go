@@ -15,7 +15,7 @@ import (
 // BestFit did before it kept candidate lists: every device's capabilities,
 // hard-constraint match and score derived on the spot. The cached optimizer
 // must reproduce it decision for decision.
-func referencePlace(topo *topology.Topology, req props.Requirements, computeID string, now time.Duration, clk topology.VClock) string {
+func referencePlace(topo *topology.Topology, req props.Requirements, computeID string, now time.Duration, clk *topology.TaskView) string {
 	best, bestScore := "", 0.0
 	for i, dev := range topo.Memories() {
 		if dev.HardwareManaged {
@@ -62,7 +62,7 @@ func TestCachedBestFitMatchesFresh(t *testing.T) {
 	computes := []string{"node0/cpu0", "node0/cpu1", "node0/gpu0", "node0/fpga0", "nowhere/cpu9"}
 
 	step := 0
-	check := func(label string, now time.Duration, clk topology.VClock) {
+	check := func(label string, now time.Duration, clk *topology.TaskView) {
 		t.Helper()
 		for _, comp := range computes {
 			for _, req := range reqs {
@@ -71,7 +71,7 @@ func TestCachedBestFitMatchesFresh(t *testing.T) {
 				var got, want string
 				var gotErr, wantErr error
 				// Place and a clockless PlaceEpoch are blind to backlog.
-				var refClk topology.VClock
+				var refClk *topology.TaskView
 				switch step % 3 {
 				case 0:
 					got, gotErr = cached.Place(req, comp)
@@ -98,36 +98,36 @@ func TestCachedBestFitMatchesFresh(t *testing.T) {
 		}
 	}
 
-	epoch := topo.NewEpoch()
-	check("initial", 0, epoch)
-	check("warm", 0, epoch) // the same shapes again, now from resolved lists
+	clk := topo.NewTaskView()
+	check("initial", 0, clk)
+	check("warm", 0, clk) // the same shapes again, now from resolved lists
 
-	// A backlog on the epoch, then on a view of it.
+	// A backlog on the clock, then on a copy of it.
 	rt, ok := topo.Route("node0/cpu0", "node0/dram0")
 	if !ok {
 		t.Fatal("no route to dram0")
 	}
-	epoch.AccessRoute(rt, 0, 64<<20, memsim.Write, memsim.Sequential)
-	check("epoch backlog", 0, epoch)
+	clk.AccessRoute(rt, 0, 64<<20, memsim.Write, memsim.Sequential)
+	check("backlog", 0, clk)
 	view := topo.NewTaskView()
-	view.Reset(epoch)
+	view.Reset(clk)
 	view.AccessRoute(rt, 0, 256<<20, memsim.Write, memsim.Sequential)
-	check("view backlog", 10*time.Microsecond, view)
+	check("copied backlog", 10*time.Microsecond, view)
 
 	// A device fills up: free capacity is read per call, never resolved.
 	hbm, _ := topo.Memory("node0/hbm0")
 	if err := hbm.Reserve(hbm.Free() - 1<<14); err != nil {
 		t.Fatal(err)
 	}
-	check("hbm nearly full", 0, epoch)
+	check("hbm nearly full", 0, clk)
 	hbm.Release(1 << 30)
-	check("hbm freed", 0, epoch)
+	check("hbm freed", 0, clk)
 
 	// The graph changes under the resolved lists.
 	if err := topo.Connect(topology.Link{A: "node0/cpu1", B: "node0/hbm0", Kind: topology.LinkOnChip, Latency: 2 * time.Nanosecond, Bandwidth: 900e9, Coherent: true}); err != nil {
 		t.Fatal(err)
 	}
-	check("after Connect", 0, epoch)
+	check("after Connect", 0, clk)
 	fast, err := memsim.NewDevice("node0/fast0", memsim.HBMSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -135,18 +135,18 @@ func TestCachedBestFitMatchesFresh(t *testing.T) {
 	if err := topo.AddMemory(fast); err != nil {
 		t.Fatal(err)
 	}
-	check("after AddMemory (unlinked)", 0, epoch)
+	check("after AddMemory (unlinked)", 0, clk)
 	if err := topo.Connect(topology.Link{A: "node0/cpu0", B: "node0/fast0", Kind: topology.LinkOnChip, Latency: time.Nanosecond, Bandwidth: 1000e9, Coherent: true}); err != nil {
 		t.Fatal(err)
 	}
-	check("after AddMemory+Connect", 0, topo.NewEpoch())
+	check("after AddMemory+Connect", 0, topo.NewTaskView())
 	if err := topo.AddCompute(&topology.ComputeDevice{ID: "nowhere/cpu9", Kind: topology.CPU, Gops: 100}); err != nil {
 		t.Fatal(err)
 	}
 	if err := topo.Connect(topology.Link{A: "nowhere/cpu9", B: "fabric", Kind: topology.LinkNIC, Latency: time.Microsecond, Bandwidth: 25e9}); err != nil {
 		t.Fatal(err)
 	}
-	check("after AddCompute", 0, epoch)
+	check("after AddCompute", 0, clk)
 }
 
 // TestAddComputeAloneInvalidates: a compute device that becomes known

@@ -62,7 +62,7 @@ type shape struct {
 // the score it earns before the per-call backlog penalty.
 type candidate struct {
 	dev   *memsim.Device
-	idx   int // dev's dense index: its slot in a VClock's queue state
+	idx   int // dev's dense index: its slot in a TaskView's queue state
 	score float64
 }
 
@@ -124,12 +124,12 @@ func (b *BestFit) Place(req props.Requirements, computeID string) (string, error
 
 // PlaceEpoch implements region.PlacerEpoch: the request's virtual time and
 // clock let the optimizer see how far each device's service queue is backed
-// up *right now* in the requester's own view (a shared epoch or a wavefront
-// task's causal view) and steer hot allocations away from contended devices
-// — the utilization awareness §3's challenges 1-3 require of the RTS — while
+// up *right now* in the requester's own view (a wavefront task's causal
+// view) and steer hot allocations away from contended devices — the
+// utilization awareness §3's challenges 1-3 require of the RTS — while
 // concurrently running tasks steer by their own contention instead of each
 // other's.
-func (b *BestFit) PlaceEpoch(req props.Requirements, computeID string, now time.Duration, clk topology.VClock) (string, error) {
+func (b *BestFit) PlaceEpoch(req props.Requirements, computeID string, now time.Duration, clk *topology.TaskView) (string, error) {
 	return b.placeAt(req, computeID, now, clk)
 }
 
@@ -151,7 +151,7 @@ func backlogPenalty(busyUntil, now time.Duration) float64 {
 // placeAt picks the best-scoring candidate with room for the request; with a
 // clock, each candidate first loses the penalty for its backlog in that
 // clock.
-func (b *BestFit) placeAt(req props.Requirements, computeID string, now time.Duration, clk topology.VClock) (string, error) {
+func (b *BestFit) placeAt(req props.Requirements, computeID string, now time.Duration, clk *topology.TaskView) (string, error) {
 	best, bestScore := "", 0.0
 	for _, c := range b.candidates(shape{compute: computeID, req: req}) {
 		if req.Capacity > 0 && c.dev.Free() < req.Capacity {

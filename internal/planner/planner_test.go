@@ -96,7 +96,7 @@ func executeAgainst(t *testing.T, topo *topology.Topology, device string, spec A
 	h, err := mgr.Alloc(region.Spec{
 		Name: "scan", Class: props.Custom, Size: spec.TotalBytes,
 		Req:   props.Requirements{Latency: props.LatencyBulk, ByteAddr: props.Require},
-		Owner: "planner-test", Compute: "node0/cpu0", Device: device, Clock: topo.NewEpoch(),
+		Owner: "planner-test", Compute: "node0/cpu0", Device: device, Clock: topo.NewTaskView(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestExecuteDeliversAllChunksInOrder(t *testing.T) {
 	h, err := mgr.Alloc(region.Spec{
 		Name: "data", Class: props.Custom, Size: total,
 		Req:   props.Requirements{Latency: props.LatencyBulk, ByteAddr: props.Require},
-		Owner: "t", Compute: "node0/cpu0", Device: "node0/dram0", Clock: topo.NewEpoch(),
+		Owner: "t", Compute: "node0/cpu0", Device: "node0/dram0", Clock: topo.NewTaskView(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestExecuteRejectsWrongDevice(t *testing.T) {
 	}
 	h, err := mgr.Alloc(region.Spec{
 		Name: "x", Class: props.PrivateScratch, Size: 4096,
-		Owner: "t", Compute: "node0/cpu0", Clock: topo.NewEpoch(),
+		Owner: "t", Compute: "node0/cpu0", Clock: topo.NewTaskView(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +265,7 @@ func TestExecuteRoundtripProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	epoch := topo.NewEpoch()
+	clk := topo.NewTaskView()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		total := int64(rng.Intn(8192) + 256)
@@ -276,7 +276,7 @@ func TestExecuteRoundtripProperty(t *testing.T) {
 		h, err := mgr.Alloc(region.Spec{
 			Name: "rt", Class: props.Custom, Size: total,
 			Req:   props.Requirements{Latency: props.LatencyBulk, ByteAddr: props.Require},
-			Owner: "t", Compute: "node0/cpu0", Device: "node0/cxl0", Clock: epoch,
+			Owner: "t", Compute: "node0/cpu0", Device: "node0/cxl0", Clock: clk,
 		})
 		if err != nil {
 			return false

@@ -20,7 +20,7 @@ import (
 // promotes every hot stranded region of the manager, the other tenant's too,
 // on the clock of whoever sweeps first, so the last step is the cost of a read
 // of the promoted region issued long after either sweep's moves drained.
-func clockScript(t *testing.T, m *Manager, clk topology.VClock, tag string, barrier func()) []time.Duration {
+func clockScript(t *testing.T, m *Manager, clk *topology.TaskView, tag string, barrier func()) []time.Duration {
 	t.Helper()
 	var times []time.Duration
 	note := func(d time.Duration, err error) time.Duration {
@@ -95,11 +95,11 @@ func clockScript(t *testing.T, m *Manager, clk topology.VClock, tag string, barr
 	return times
 }
 
-// TestVirtualTimeDependsOnlyOnTheClock: one topology, one manager, two epochs.
-// The same script run on each epoch from two goroutines at once reports, on
-// each, the times it reports run alone — nothing one clock queues is seen by
-// the other. A backlog built on one epoch steers BestFit away from the backed
-// up device for allocations on that epoch and for no other. And there is no
+// TestVirtualTimeDependsOnlyOnTheClock: one topology, one manager, two clock
+// views. The same script run on each view from two goroutines at once
+// reports, on each, the times it reports run alone — nothing one clock queues
+// is seen by the other. A backlog built on one view steers BestFit away from
+// the backed up device for allocations on that view and for no other. And there is no
 // clock to fall back on: an allocation without one is refused.
 func TestVirtualTimeDependsOnlyOnTheClock(t *testing.T) {
 	topo, err := topology.BuildSingleNode(topology.DefaultSingleNode())
@@ -111,9 +111,9 @@ func TestVirtualTimeDependsOnlyOnTheClock(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := clockScript(t, m, topo.NewEpoch(), "alone", func() {})
-	if again := clockScript(t, m, topo.NewEpoch(), "again", func() {}); !reflect.DeepEqual(again, want) {
-		t.Fatalf("the script alone on a second fresh epoch: %v, first %v", again, want)
+	want := clockScript(t, m, topo.NewTaskView(), "alone", func() {})
+	if again := clockScript(t, m, topo.NewTaskView(), "again", func() {}); !reflect.DeepEqual(again, want) {
+		t.Fatalf("the script alone on a second fresh view: %v, first %v", again, want)
 	}
 	var arrived sync.WaitGroup
 	arrived.Add(2)
@@ -125,25 +125,25 @@ func TestVirtualTimeDependsOnlyOnTheClock(t *testing.T) {
 	var wg sync.WaitGroup
 	for i, tag := range []string{"a", "b"} {
 		wg.Add(1)
-		go func(i int, tag string, clk *topology.Epoch) {
+		go func(i int, tag string, clk *topology.TaskView) {
 			defer wg.Done()
 			got[i] = clockScript(t, m, clk, tag, barrier)
-		}(i, tag, topo.NewEpoch())
+		}(i, tag, topo.NewTaskView())
 	}
 	wg.Wait()
 	for i, times := range got {
 		if !reflect.DeepEqual(times, want) {
-			t.Errorf("epoch %d beside another: %v, alone %v", i, times, want)
+			t.Errorf("view %d beside another: %v, alone %v", i, times, want)
 		}
 	}
 	if m.Live() != 0 {
 		t.Fatalf("scripts left %d regions", m.Live())
 	}
 
-	// Steering: back up the device an allocation lands on, in epoch a only.
-	a, b := topo.NewEpoch(), topo.NewEpoch()
+	// Steering: back up the device an allocation lands on, in view a only.
+	a, b := topo.NewTaskView(), topo.NewTaskView()
 	spec := Spec{Name: "steer", Class: props.Transfer, Size: 1 << 20, Owner: "steer", Compute: "node0/cpu0"}
-	place := func(clk topology.VClock) string {
+	place := func(clk *topology.TaskView) string {
 		t.Helper()
 		spec.Clock = clk
 		h, err := m.Alloc(spec)
@@ -164,10 +164,10 @@ func TestVirtualTimeDependsOnlyOnTheClock(t *testing.T) {
 	}
 	a.AccessRoute(rt, 0, 1<<30, memsim.Write, memsim.Sequential)
 	if dev := place(a); dev == idle {
-		t.Errorf("a backlog on %s in epoch a did not steer epoch a's allocation away from it", idle)
+		t.Errorf("a backlog on %s in view a did not steer view a's allocation away from it", idle)
 	}
 	if dev := place(b); dev != idle {
-		t.Errorf("epoch b's allocation went to %s, want %s: epoch a's backlog steered it", dev, idle)
+		t.Errorf("view b's allocation went to %s, want %s: view a's backlog steered it", dev, idle)
 	}
 
 	spec.Clock = nil

@@ -168,7 +168,7 @@ func TestFenceErrorAbortsAccess(t *testing.T) {
 // manager default) and the miss must be counted, instead of returning 0.
 func TestCoherenceCostTopologyMissIsNotFree(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	topo := newManager(t).Topology()
+	topo := newManager(t).topo
 	m, err := NewManager(Config{Topology: topo, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)

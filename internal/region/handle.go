@@ -31,9 +31,10 @@ type Handle struct {
 	owner   Owner
 	compute string
 	// clock is the virtual-time view accesses through this handle queue
-	// against, never nil. Derived handles (Share, Transfer) inherit it; the
-	// runtime rebinds it when a handle crosses a task boundary (Rebind).
-	clock topology.VClock
+	// against and are counted in, never nil. Derived handles (Share,
+	// Transfer) inherit it; the runtime rebinds it when a handle crosses a
+	// task boundary (Rebind).
+	clock *topology.TaskView
 	// fence, when non-nil, is called before any access that may run the
 	// coherence protocol on a shared region. The wavefront runtime installs
 	// a rank-order barrier here so directory traffic happens in schedule
@@ -85,7 +86,7 @@ type Fence interface {
 // apart as handoff points multiply. The clock must be non-nil, as at Alloc:
 // every access is priced on it. Only called at handoff points, never
 // concurrently with accesses through the same handle.
-func (h *Handle) Rebind(clk topology.VClock, rank int, f Fence) {
+func (h *Handle) Rebind(clk *topology.TaskView, rank int, f Fence) {
 	h.clock = clk
 	h.rank = int32(rank)
 	h.fence = f
@@ -183,21 +184,10 @@ func (h *Handle) coherenceCost(rt *topology.Route, off, n int64, write bool) tim
 	}
 	const lineSize = 64
 	acts := m.dir.Access(h.compute, &h.dev, uint64(r.id), uint64(off/lineSize), uint64((off+n-1)/lineSize), write)
-	count(h.clock, m.invalidations, int64(acts.Invalidations))
-	count(h.clock, m.writebacks, int64(acts.Writebacks))
-	count(h.clock, m.fetches, int64(acts.Fetches))
+	h.clock.Defer(m.invalidations, int64(acts.Invalidations))
+	h.clock.Defer(m.writebacks, int64(acts.Writebacks))
+	h.clock.Defer(m.fetches, int64(acts.Fetches))
 	return time.Duration(acts.Total()) * latency
-}
-
-// count adds n to one of the manager's per-access counters: at once, or —
-// for an access priced through a task's own clock view — in the view's
-// ledger, which the runtime publishes when the task retires.
-func count(clk topology.VClock, c *telemetry.Counter, n int64) {
-	if v, ok := clk.(*topology.TaskView); ok {
-		v.Defer(c, n)
-		return
-	}
-	c.Add(n)
 }
 
 // fenceDeps decides what the pre-access fence must wait for: nil demands
@@ -259,10 +249,11 @@ func (h *Handle) resident() error {
 // check, fence, recall, bounds, queueing, coherence, counting — and the
 // payload copy happen in one critical section of the region's own lock
 // (reopened if a fence has to wait or an exported region has to come home),
-// against the handle's cached route. The manager lock is not taken, and
-// with a task's clock view no shared counter is written either, so tasks on
-// different exclusive regions share nothing on this path; accesses to shared
-// coherent regions meet at the directory's lock, once each.
+// against the handle's cached route. The manager lock is not taken, and no
+// shared counter is written either — the counts wait in the clock's ledger —
+// so tasks on different exclusive regions share nothing on this path;
+// accesses to shared coherent regions meet at the directory's lock, once
+// each.
 //
 // sync marks a synchronous load/store, which fails on a device that only
 // exposes an asynchronous interface from here (Table 1's Sync column).
@@ -322,7 +313,7 @@ func (h *Handle) access(now time.Duration, off int64, buf []byte, write, sync bo
 	}
 	done := h.clock.AccessRoute(rt, now, n, kind, pat)
 	done += h.coherenceCost(rt, off, n, write)
-	count(h.clock, moved, n)
+	h.clock.Defer(moved, n)
 	if write {
 		if r.sealed {
 			sealRange(h.r.m.secret, r.id, r.data, off, buf)
@@ -505,7 +496,7 @@ func (r *Region) setOwner(from, to Owner, compute string) {
 
 // migrateLocked moves a region to a device matching its requirements from
 // computeID, paying read+write virtual time. Caller holds m.mu and r.mu.
-func (m *Manager) migrateLocked(r *Region, computeID string, now time.Duration, clk topology.VClock) (time.Duration, error) {
+func (m *Manager) migrateLocked(r *Region, computeID string, now time.Duration, clk *topology.TaskView) (time.Duration, error) {
 	devID, err := m.placer.Place(r.req, computeID)
 	if err != nil {
 		return now, fmt.Errorf("%w: migration: %v", ErrNoPlacement, err)
@@ -515,7 +506,7 @@ func (m *Manager) migrateLocked(r *Region, computeID string, now time.Duration, 
 
 // migrateToLocked moves a region to the named device. Caller holds m.mu and
 // r.mu.
-func (m *Manager) migrateToLocked(r *Region, computeID, devID string, now time.Duration, clk topology.VClock) (time.Duration, error) {
+func (m *Manager) migrateToLocked(r *Region, computeID, devID string, now time.Duration, clk *topology.TaskView) (time.Duration, error) {
 	dst, ok := m.topo.Memory(devID)
 	if !ok {
 		return now, fmt.Errorf("region: placer chose unknown device %q", devID)

@@ -71,7 +71,7 @@ func TestLifetimeUnderTheRegionLock(t *testing.T) {
 	for i := range slots {
 		h := mustAlloc(t, m, Spec{
 			Name: "live", Class: props.GlobalScratch, Size: 4096, Owner: Owner(fmt.Sprint("own", i)),
-			Compute: computes[0], Device: "node0/hbm0", Clock: m.topo.NewEpoch(),
+			Compute: computes[0], Device: "node0/hbm0", Clock: m.topo.NewTaskView(),
 		})
 		block := make([]byte, 64)
 		stamp(block, i, 0)
@@ -153,7 +153,7 @@ func TestLifetimeUnderTheRegionLock(t *testing.T) {
 	}
 	// The first sweep runs here, under the reads and writes but before
 	// anything else moves a region, so it finds HBM over its watermark.
-	swept, err := m.RebalanceIn(m.topo.NewEpoch(), 0, pol)
+	swept, err := m.RebalanceIn(m.topo.NewTaskView(), 0, pol)
 	if err != nil || swept.Demoted == 0 || swept.Exported == 0 {
 		t.Errorf("first sweep = %+v, %v; want demotions and evictions under the accesses", swept, err)
 	}
@@ -198,7 +198,7 @@ func TestLifetimeUnderTheRegionLock(t *testing.T) {
 	go func() { // sweeper
 		defer mutators.Done()
 		for n := 1; n < sweeps; n++ {
-			_, err := m.RebalanceIn(m.topo.NewEpoch(), 0, pol)
+			_, err := m.RebalanceIn(m.topo.NewTaskView(), 0, pol)
 			fail(err)
 			runtime.Gosched()
 		}
@@ -266,7 +266,7 @@ func TestAccessMeetsRecallInProgress(t *testing.T) {
 		return mustAlloc(t, m, Spec{
 			Name: "cold", Class: props.Custom, Size: 4096, Owner: owner, Compute: "node0/cpu0",
 			Req:    props.Requirements{Latency: props.LatencyHigh, ByteAddr: props.Require},
-			Device: "memnode0/far0", Clock: m.topo.NewEpoch(),
+			Device: "memnode0/far0", Clock: m.topo.NewTaskView(),
 		})
 	}
 	x, y := far("x"), far("y")
@@ -337,7 +337,7 @@ func TestAccessMeetsRecallInProgress(t *testing.T) {
 func TestHeatDecayLosesNoIncrement(t *testing.T) {
 	m := newManager(t)
 	h := mustAlloc(t, m, Spec{Name: "hot", Class: props.GlobalState, Size: 4096, Owner: "t",
-		Compute: "node0/cpu0", Clock: m.topo.NewEpoch()})
+		Compute: "node0/cpu0", Clock: m.topo.NewTaskView()})
 	defer h.Release() //nolint:errcheck
 	const goroutines, each = 8, 125
 	var wg sync.WaitGroup

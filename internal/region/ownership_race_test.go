@@ -73,7 +73,7 @@ func TestSweepBesideLockFreeOwnershipChanges(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
-			clk := m.topo.NewEpoch()
+			clk := m.topo.NewTaskView()
 			lanes := make([]*lane, perWorker)
 			block := make([]byte, 64)
 			full := make([]byte, 4096)
@@ -177,7 +177,7 @@ func TestSweepBesideLockFreeOwnershipChanges(t *testing.T) {
 		default:
 			runtime.Gosched()
 		}
-		s, err := m.RebalanceIn(m.topo.NewEpoch(), 0, pols[n%2])
+		s, err := m.RebalanceIn(m.topo.NewTaskView(), 0, pols[n%2])
 		fail(err)
 		total.Demoted += s.Demoted
 		total.Promoted += s.Promoted

@@ -98,13 +98,13 @@ func (m *Manager) addressableByAllOwners(r *Region, dev string) bool {
 }
 
 // RebalanceIn runs one tiering epoch at virtual time now and halves every
-// region's heat afterwards (exponential decay). Migrations are priced through
-// clk — an epoch or task view (topology.VClock), required like every other
-// clock. A maintenance sweep handed its own private epoch runs fully inside
-// that epoch's virtual clock, which is what makes the sweep safe to execute
-// concurrently with serving: serving batches price their work in their own
-// epochs and never observe the sweep's backlog.
-func (m *Manager) RebalanceIn(clk topology.VClock, now time.Duration, pol RebalancePolicy) (RebalanceStats, error) {
+// region's heat afterwards (exponential decay). Migrations are priced and
+// counted through clk, required like every other clock; the caller publishes
+// it after the sweep. A maintenance sweep handed its own idle view runs fully
+// inside that view's virtual clock, which is what makes the sweep safe to
+// execute concurrently with serving: serving jobs price their work in their
+// own views and never observe the sweep's backlog.
+func (m *Manager) RebalanceIn(clk *topology.TaskView, now time.Duration, pol RebalancePolicy) (RebalanceStats, error) {
 	if clk == nil {
 		return RebalanceStats{}, errNoClock
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // busySnapshot captures every memory device's queue drain time in clk.
-func busySnapshot(clk topology.VClock) []time.Duration {
-	out := make([]time.Duration, len(clk.Topology().Memories()))
+func busySnapshot(topo *topology.Topology, clk *topology.TaskView) []time.Duration {
+	out := make([]time.Duration, len(topo.Memories()))
 	for i := range out {
 		out[i] = clk.BusyAt(i)
 	}
@@ -32,12 +32,12 @@ func heatRegion(t *testing.T, h *Handle) {
 
 // TestRebalanceInPricesThroughEpoch pins the property that makes the
 // maintenance sweep safe to run concurrently with serving: handed a private
-// epoch, the sweep's migrations advance only that epoch's device queues,
+// clock view, the sweep's migrations advance only that view's device queues,
 // leaving the queues of the clock the region's accesses run on exactly as
 // they were. A sweep with no clock at all is refused.
 func TestRebalanceInPricesThroughEpoch(t *testing.T) {
 	m := newManager(t)
-	serving := m.topo.NewEpoch()
+	serving := m.topo.NewTaskView()
 	h := mustAlloc(t, m, Spec{
 		Name: "hot-index", Class: props.Custom, Size: 4096, Owner: "t", Compute: "node0/cpu0",
 		Req:    props.Requirements{Latency: props.LatencyHigh, ByteAddr: props.Require},
@@ -47,28 +47,28 @@ func TestRebalanceInPricesThroughEpoch(t *testing.T) {
 	heatRegion(t, h)
 
 	topo := m.topo
-	before := busySnapshot(serving)
-	epoch := topo.NewEpoch()
-	stats, err := m.RebalanceIn(epoch, 0, RebalancePolicy{})
+	before := busySnapshot(topo, serving)
+	sweep := topo.NewTaskView()
+	stats, err := m.RebalanceIn(sweep, 0, RebalancePolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Promoted != 1 || stats.Cost <= 0 {
-		t.Fatalf("epoch-priced sweep must still promote with a real cost: %+v", stats)
+		t.Fatalf("a sweep on its own view must still promote with a real cost: %+v", stats)
 	}
-	// The migration's transfer landed on the epoch's clock...
-	var epochBusy time.Duration
-	for _, b := range busySnapshot(epoch) {
-		epochBusy = max(epochBusy, b)
+	// The migration's transfer landed on the sweep's clock...
+	var sweepBusy time.Duration
+	for _, b := range busySnapshot(topo, sweep) {
+		sweepBusy = max(sweepBusy, b)
 	}
-	if epochBusy <= 0 {
-		t.Error("migration must have advanced the sweep epoch's device queues")
+	if sweepBusy <= 0 {
+		t.Error("migration must have advanced the sweep view's device queues")
 	}
 	// ...and the serving clock is untouched: a concurrently serving batch
 	// would never observe the sweep's backlog.
-	for i, b := range busySnapshot(serving) {
+	for i, b := range busySnapshot(topo, serving) {
 		if b != before[i] {
-			t.Errorf("serving queue of %s moved %v -> %v during an epoch-priced sweep", topo.Memories()[i].ID, before[i], b)
+			t.Errorf("serving queue of %s moved %v -> %v during a sweep on its own view", topo.Memories()[i].ID, before[i], b)
 		}
 	}
 
@@ -83,7 +83,7 @@ func TestRebalanceInPricesThroughEpoch(t *testing.T) {
 	}
 }
 
-// TestRebalanceInConcurrentWithAccesses runs epoch-priced sweeps while
+// TestRebalanceInConcurrentWithAccesses runs sweeps, each on its own view, while
 // other goroutines allocate, access, and release regions — the serving
 // shape. Run under -race this pins the sweep's locking.
 func TestRebalanceInConcurrentWithAccesses(t *testing.T) {
@@ -118,8 +118,7 @@ func TestRebalanceInConcurrentWithAccesses(t *testing.T) {
 		}(g)
 	}
 	for i := 0; i < 20; i++ {
-		epoch := m.topo.NewEpoch()
-		if _, err := m.RebalanceIn(epoch, time.Duration(i)*time.Millisecond, RebalancePolicy{}); err != nil {
+		if _, err := m.RebalanceIn(m.topo.NewTaskView(), time.Duration(i)*time.Millisecond, RebalancePolicy{}); err != nil {
 			t.Error(err)
 			break
 		}

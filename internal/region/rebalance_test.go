@@ -124,7 +124,7 @@ func TestRebalanceDemotesUnderPressure(t *testing.T) {
 		}
 		handles = append(handles, h)
 	}
-	hbm, _ := m.Topology().Memory("node0/hbm0")
+	hbm, _ := m.topo.Memory("node0/hbm0")
 	if u := hbm.Utilization(); u < 0.9 {
 		t.Fatalf("setup: HBM utilization %.2f, want > 0.9", u)
 	}
@@ -144,7 +144,7 @@ func TestRebalanceDemotesUnderPressure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		caps, _ := m.Topology().EffectiveCaps("node0/cpu0", dev)
+		caps, _ := m.topo.EffectiveCaps("node0/cpu0", dev)
 		req := props.Requirements{Latency: props.LatencyLow, Sync: props.Require, ByteAddr: props.Require}
 		if ok, viol := req.Match(caps); !ok {
 			t.Errorf("demotion violated requirements: %s %v", dev, viol)
@@ -205,7 +205,7 @@ func TestRebalanceReSealsConfidentialData(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev, _ := h.DeviceID()
-	caps, _ := m.Topology().EffectiveCaps("node0/cpu0", dev)
+	caps, _ := m.topo.EffectiveCaps("node0/cpu0", dev)
 	sealed, _ := h.Sealed()
 	if caps.Remote && !sealed {
 		t.Error("still remote but unsealed")
@@ -242,7 +242,7 @@ func TestRebalanceSkipsSharedRegionsWithUnreachableOwners(t *testing.T) {
 	}
 	dev, _ := h.DeviceID()
 	for _, comp := range []string{"node0/cpu0", "node0/gpu0"} {
-		caps, ok := m.Topology().EffectiveCaps(comp, dev)
+		caps, ok := m.topo.EffectiveCaps(comp, dev)
 		if !ok {
 			t.Fatalf("%s lost addressability to %s", comp, dev)
 		}

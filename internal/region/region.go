@@ -80,19 +80,20 @@ type Spec struct {
 	// RTS to track. Zero is a valid time (job start).
 	Now time.Duration
 	// Clock is the virtual-time view all of this region's accesses are
-	// queued against — an *topology.Epoch (shared FIFO view) or a
-	// *topology.TaskView (one wavefront task's causal view). It is required:
-	// a device keeps no queue of its own. Handles derived from the
-	// allocation (shares, transfers) inherit it, so one view's backlog never
-	// leaks into another — the isolation concurrent job submission requires.
-	Clock topology.VClock
+	// queued against and counted in: in a run, the wavefront task's causal
+	// view. It is required: a device keeps no queue of its own. Handles
+	// derived from the allocation (shares, transfers) inherit it, so one
+	// view's backlog never leaks into another — the isolation concurrent job
+	// submission requires. A view is one goroutine's: its counts reach the
+	// shared counters when its holder publishes it.
+	Clock *topology.TaskView
 }
 
 // PlacerEpoch is the clock-aware extension of Placer: the backlog signal is
-// read from the requester's own virtual-time view (epoch or task view), so
-// concurrent runs steer by their own contention.
+// read from the requester's own virtual-time view, so concurrent runs steer
+// by their own contention.
 type PlacerEpoch interface {
-	PlaceEpoch(req props.Requirements, computeID string, now time.Duration, clk topology.VClock) (string, error)
+	PlaceEpoch(req props.Requirements, computeID string, now time.Duration, clk *topology.TaskView) (string, error)
 }
 
 // Region is the manager-internal state of one memory region. Every handle to
@@ -290,8 +291,8 @@ type Manager struct {
 	missLatency time.Duration
 
 	// The counters every access adds to, resolved once so the access path
-	// neither builds their keys nor takes the registry lock. An access priced
-	// through a task's clock view defers the add to the view (count).
+	// neither builds their keys nor takes the registry lock. An access defers
+	// the add to its clock's ledger (TaskView.Defer).
 	bytesRead, bytesWritten            *telemetry.Counter
 	invalidations, writebacks, fetches *telemetry.Counter
 	// And the lifecycle counters — an allocation, a share, a transfer, a free
@@ -356,9 +357,6 @@ func NewManager(cfg Config) (*Manager, error) {
 // backings every job — so a burst of large regions cannot pin their memory
 // forever.
 const backingFreeBytes = 8 << 20
-
-// Topology returns the hardware graph the manager places onto.
-func (m *Manager) Topology() *topology.Topology { return m.topo }
 
 // Directory exposes the coherence directory (for tests and reports).
 func (m *Manager) Directory() *coherence.Directory { return m.dir }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -29,26 +28,19 @@ func newManager(t testing.TB) *Manager {
 	return m
 }
 
-// testClocks holds one epoch per topology: the clock a spec that names none
-// queues on in these tests, shared by every manager on the topology.
-var testClocks sync.Map // *topology.Topology → *topology.Epoch
+// clockOf returns an idle clock view on m's topology: the clock a spec that
+// names none queues on in these tests. Each call makes its own, so no two
+// goroutines share one; a test that reads counts after accessing through it
+// names a clock of its own and publishes it.
+func clockOf(m *Manager) *topology.TaskView { return m.topo.NewTaskView() }
 
-// clockOf returns the test epoch of m's topology.
-func clockOf(m *Manager) *topology.Epoch {
-	if e, ok := testClocks.Load(m.topo); ok {
-		return e.(*topology.Epoch)
-	}
-	e, _ := testClocks.LoadOrStore(m.topo, m.topo.NewEpoch())
-	return e.(*topology.Epoch)
-}
-
-// rebalance sweeps m in its topology's test epoch.
+// rebalance sweeps m in an idle clock view.
 func rebalance(m *Manager, now time.Duration, pol RebalancePolicy) (RebalanceStats, error) {
 	return m.RebalanceIn(clockOf(m), now, pol)
 }
 
-// mustAlloc allocates spec, on the topology's test epoch unless it names a
-// clock of its own.
+// mustAlloc allocates spec, on an idle clock view of its own unless it names
+// a clock.
 func mustAlloc(t *testing.T, m *Manager, spec Spec) *Handle {
 	t.Helper()
 	if spec.Clock == nil {
@@ -191,7 +183,7 @@ func TestClassPlacementFromCPU(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		caps, ok := m.Topology().EffectiveCaps("node0/cpu0", dev)
+		caps, ok := m.topo.EffectiveCaps("node0/cpu0", dev)
 		if !ok {
 			t.Fatalf("no caps for %s", dev)
 		}
@@ -351,7 +343,8 @@ func TestSharedAccessPaysCoherence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := mustAlloc(t, m, Spec{Class: props.GlobalState, Size: 4096, Owner: "t1", Compute: "node0/cpu0"})
+	clk := m.topo.NewTaskView()
+	shared := mustAlloc(t, m, Spec{Class: props.GlobalState, Size: 4096, Owner: "t1", Compute: "node0/cpu0", Clock: clk})
 	defer shared.Release()
 	h2, err := shared.Share("t2", "node0/cpu1")
 	if err != nil {
@@ -372,6 +365,7 @@ func TestSharedAccessPaysCoherence(t *testing.T) {
 	if pingPong <= base {
 		t.Errorf("contended shared write (%v) must cost more than exclusive (%v)", pingPong, base)
 	}
+	clk.Publish()
 	if m.reg.Counter(telemetry.LayerCoherence, "invalidations") == 0 {
 		t.Error("ping-pong must record invalidations")
 	}
@@ -646,7 +640,7 @@ func TestAllocReleaseLeakProperty(t *testing.T) {
 
 func BenchmarkAllocRelease(b *testing.B) {
 	m := newManager(b)
-	spec := Spec{Class: props.PrivateScratch, Size: 4096, Owner: "t", Compute: "node0/cpu0", Clock: m.topo.NewEpoch()}
+	spec := Spec{Class: props.PrivateScratch, Size: 4096, Owner: "t", Compute: "node0/cpu0", Clock: m.topo.NewTaskView()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h, err := m.Alloc(spec)
@@ -661,7 +655,7 @@ func BenchmarkAllocRelease(b *testing.B) {
 
 func BenchmarkSyncRead4K(b *testing.B) {
 	m := newManager(b)
-	h, err := m.Alloc(Spec{Class: props.PrivateScratch, Size: 1 << 20, Owner: "t", Compute: "node0/cpu0", Clock: m.topo.NewEpoch()})
+	h, err := m.Alloc(Spec{Class: props.PrivateScratch, Size: 1 << 20, Owner: "t", Compute: "node0/cpu0", Clock: m.topo.NewTaskView()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -677,7 +671,7 @@ func BenchmarkSyncRead4K(b *testing.B) {
 
 func BenchmarkTransferZeroCopy(b *testing.B) {
 	m := newManager(b)
-	h, err := m.Alloc(Spec{Class: props.Transfer, Size: 1 << 20, Owner: "t0", Compute: "node0/cpu0", Clock: m.topo.NewEpoch()})
+	h, err := m.Alloc(Spec{Class: props.Transfer, Size: 1 << 20, Owner: "t0", Compute: "node0/cpu0", Clock: m.topo.NewTaskView()})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func probe(t *testing.T, h *Handle) []time.Duration {
 // promoted, demoted, or exported and recalled prices its next accesses
 // exactly as a fresh handle taken after the move does.
 func TestCachedRouteFollowsTheRegion(t *testing.T) {
-	farSpec := func(clk topology.VClock) Spec {
+	farSpec := func(clk *topology.TaskView) Spec {
 		return Spec{
 			Name: "moving", Class: props.Custom, Size: 4096, Owner: "t", Compute: "node0/cpu0",
 			Req:    props.Requirements{Latency: props.LatencyHigh, ByteAddr: props.Require},
@@ -67,7 +67,7 @@ func TestCachedRouteFollowsTheRegion(t *testing.T) {
 	moves := map[string]func(t *testing.T) (h *Handle, moved bool){
 		"promotion": func(t *testing.T) (*Handle, bool) {
 			m := newManager(t)
-			h := mustAlloc(t, m, farSpec(m.topo.NewEpoch()))
+			h := mustAlloc(t, m, farSpec(m.topo.NewTaskView()))
 			heatRegion(t, h) // resolves and caches the route to far memory
 			if s, err := rebalance(m, 0, RebalancePolicy{}); err != nil || s.Promoted != 1 {
 				t.Fatalf("sweep = %+v, %v; want one promotion", s, err)
@@ -100,7 +100,7 @@ func TestCachedRouteFollowsTheRegion(t *testing.T) {
 		"export and recall": func(t *testing.T) (*Handle, bool) {
 			m := newManager(t)
 			m.SetExporter(newFakeExporter())
-			h := mustAlloc(t, m, farSpec(nil)) // priced on the topology's test epoch
+			h := mustAlloc(t, m, farSpec(nil)) // priced on an idle view of its own
 			if f := h.WriteAsync(0, 0, []byte("payload")); f.err != nil {
 				t.Fatal(f.err)
 			}
@@ -278,7 +278,8 @@ func TestAccessAllocatesNothing(t *testing.T) {
 }
 
 // hammer runs workers goroutines, each making accesses to its own region of
-// one manager, and returns the counters a report would print.
+// one manager through a clock view of its own, published after every access
+// pair, and returns the counters a report would print.
 func hammer(t *testing.T, workers, accesses int, poll bool) (map[string]int64, memsim.Stats) {
 	t.Helper()
 	topo, err := topology.BuildSingleNode(topology.DefaultSingleNode())
@@ -305,9 +306,9 @@ func hammer(t *testing.T, workers, accesses int, poll bool) (map[string]int64, m
 		}
 	}()
 	work := func(w int) error {
-		epoch := topo.NewEpoch()
+		clk := topo.NewTaskView()
 		h, err := m.Alloc(Spec{Name: "w", Class: props.Custom, Size: 1 << 14, Owner: Owner(fmt.Sprint("w", w)),
-			Compute: "node0/cpu0", Device: "node0/dram0", Clock: epoch,
+			Compute: "node0/cpu0", Device: "node0/dram0", Clock: clk,
 			Req: props.Requirements{Latency: props.LatencyLow, Sync: props.Require, ByteAddr: props.Require}})
 		if err != nil {
 			return err
@@ -320,6 +321,7 @@ func hammer(t *testing.T, workers, accesses int, poll bool) (map[string]int64, m
 			if _, err := h.ReadAt(0, int64(i%256)*64, buf); err != nil {
 				return err
 			}
+			clk.Publish()
 		}
 		return h.Release()
 	}
@@ -348,9 +350,9 @@ func hammer(t *testing.T, workers, accesses int, poll bool) (map[string]int64, m
 	return reg.Counters(), dram.Stats()
 }
 
-// TestConcurrentAccessCountsMatchSequential: the access path counts with
-// atomics — device counters and registry counters — and takes no lock for
-// it, so a concurrent run with a reader polling both must end on exactly the
+// TestConcurrentAccessCountsMatchSequential: publishing a clock view counts
+// with atomics — device counters and registry counters — and takes no lock
+// for it, so a concurrent run with a reader polling both must end on exactly the
 // sequential run's numbers (run under -race).
 func TestConcurrentAccessCountsMatchSequential(t *testing.T) {
 	const workers, accesses = 8, 400

@@ -79,8 +79,9 @@ func migrateJob(name string, stall time.Duration) *dataflow.Job {
 	return j
 }
 
-// sweepUntil runs epoch-priced rebalance sweeps every interval until stop
-// is closed — the cluster's maintenance loop, concurrent with serving.
+// sweepUntil runs rebalance sweeps, each on its own clock, every interval
+// until stop is closed — the cluster's maintenance loop, concurrent with
+// serving.
 func sweepUntil(c *Cluster, interval time.Duration, stop <-chan struct{}) {
 	for {
 		select {
@@ -226,6 +227,22 @@ func migrateGateJob(name string, started chan<- struct{}, release <-chan struct{
 	return j
 }
 
+// exportSweeps bounds sweepUntilExported: heat halves every sweep, so a
+// region the job no longer touches goes cold within a few.
+const exportSweeps = 64
+
+// sweepUntilExported sweeps c until shard i has exported a region into the
+// cluster pool, and fails the test after exportSweeps sweeps without one.
+func sweepUntilExported(t *testing.T, c *Cluster, i int) {
+	t.Helper()
+	for n := 1; c.shards[i].pool.Stats().Live == 0; n++ {
+		if n > exportSweeps {
+			t.Fatalf("shard %d exported no region in %d sweeps", i, exportSweeps)
+		}
+		c.Rebalance(0)
+	}
+}
+
 // crashMidMigration drives the shared choreography of the owner-crash
 // tests: park a migrateGateJob on the victim shard, sweep until the
 // victim's regions are exported (the job is now mid-migration), crash the
@@ -252,15 +269,10 @@ func crashMidMigration(t *testing.T, c *Cluster, victim int, prefix string) (*co
 	<-started // produce completed; consume not dispatched
 
 	// Sweep until the victim's cold regions (produce's output shares) are
-	// exported into the cluster pool.
-	deadline := time.Now().Add(5 * time.Second)
-	for c.shards[victim].pool.Stats().Live == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("victim never exported a region")
-		}
-		c.Rebalance(0)
-		time.Sleep(100 * time.Microsecond)
-	}
+	// exported into the cluster pool. produce has retired and gate holds its
+	// share until released, so when that happens depends only on how fast
+	// heat decays, sweep by sweep — never on the wall clock.
+	sweepUntilExported(t, c, victim)
 
 	if err := c.Crash(victim); err != nil {
 		t.Fatal(err)
@@ -357,14 +369,7 @@ func TestMigrationSlabHostCrashRecallsFromBackup(t *testing.T) {
 	}
 	<-started
 
-	deadline := time.Now().Add(5 * time.Second)
-	for c.shards[home].pool.Stats().Live == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("home shard never exported a region")
-		}
-		c.Rebalance(0)
-		time.Sleep(100 * time.Microsecond)
-	}
+	sweepUntilExported(t, c, home)
 
 	// Kill the slab host (the other shard). home's exported payloads are
 	// gone from the fabric; only the pmem backup still has them.

@@ -20,7 +20,7 @@
 // Each shard keeps the engine's core invariant: virtual-time reports are
 // byte-identical to solo Runtime.Run at any shard count, worker count, or
 // failover history (a re-routed job re-plans against the survivor's idle
-// epoch exactly as it would have at home).
+// machine exactly as it would have at home).
 package shard
 
 import (

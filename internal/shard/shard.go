@@ -106,7 +106,7 @@ type Shard struct {
 	// timing is wall-clock). Reproducible when submissions come from one
 	// goroutine, as the traffic harness does.
 	sigMu sync.Mutex
-	sig   uint64 // running FNV-64a
+	sig   uint64 // running FNV-64a, fnvOffset over no decisions
 
 	submitted     atomic.Int64
 	admitted      atomic.Int64
@@ -254,7 +254,7 @@ func (c *Cluster) buildShard(i int, name string) (*Shard, error) {
 	if err := c.fabric.AddNode(name, capacity); err != nil {
 		return nil, err
 	}
-	sh := &Shard{id: i, name: name}
+	sh := &Shard{id: i, name: name, sig: fnvOffset}
 	if err := c.leaseLedger(sh); err != nil {
 		return nil, err
 	}
@@ -388,11 +388,7 @@ func (c *Cluster) Route(sig uint64) int { return c.ring.successor(sig, c.alive) 
 // note folds one primary admission decision into the shard's fingerprint
 // and counters. Decision bytes mirror loadgen's signature alphabet.
 func (sh *Shard) note(d byte) {
-	const fnvPrime = 0x100000001b3
 	sh.sigMu.Lock()
-	if sh.sig == 0 {
-		sh.sig = 0xcbf29ce484222325
-	}
 	sh.sig ^= uint64(d)
 	sh.sig *= fnvPrime
 	sh.sigMu.Unlock()
@@ -415,11 +411,7 @@ func (sh *Shard) note(d byte) {
 func (sh *Shard) admissionSig() string {
 	sh.sigMu.Lock()
 	defer sh.sigMu.Unlock()
-	s := sh.sig
-	if s == 0 {
-		s = 0xcbf29ce484222325 // empty stream = FNV offset basis
-	}
-	return fmt.Sprintf("%016x", s)
+	return fmt.Sprintf("%016x", sh.sig)
 }
 
 // noteComplete accounts one delivered report.
@@ -795,11 +787,10 @@ func (c *Cluster) Stats() []ShardStats {
 	return out
 }
 
-// Rebalance runs one epoch-priced region-tiering sweep on every alive
-// shard's runtime — the maintenance pass a production cluster runs
-// concurrently with serving. Each sweep prices its migrations inside a
-// private epoch (region.RebalanceIn), so serving batches never observe
-// its backlog. With Config.Migrate, the sweep additionally evicts regions
+// Rebalance runs one region-tiering sweep on every alive shard's runtime —
+// the maintenance pass a production cluster runs concurrently with serving.
+// Each sweep prices its migrations inside a private clock view
+// (Server.Rebalance), so serving jobs never observe its backlog. With Config.Migrate, the sweep additionally evicts regions
 // that went cold past the local tiers into the ring successors' pools and
 // recalls exported regions that ran hot. Returns the number of regions
 // moved (local migrations + exports + recalls).

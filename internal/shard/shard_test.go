@@ -173,6 +173,12 @@ func TestRoutingDeterministic(t *testing.T) {
 	if fa, fb := a.RouteFingerprint(4096), b.RouteFingerprint(4096); fa != fb {
 		t.Fatalf("identical clusters route differently: %016x != %016x", fa, fb)
 	}
+	// A shard that has decided nothing renders the FNV-64a offset basis.
+	for i, s := range a.Stats() {
+		if s.AdmissionSig != "cbf29ce484222325" {
+			t.Errorf("shard %d before any submission: AdmissionSig %s, want the offset basis", i, s.AdmissionSig)
+		}
+	}
 
 	for i := 0; i < 24; i++ {
 		name := fmt.Sprintf("stream%02d", i)
@@ -184,10 +190,19 @@ func TestRoutingDeterministic(t *testing.T) {
 		}
 	}
 	sa, sb := a.Stats(), b.Stats()
+	// The fingerprints are pinned: the 24 submissions split 2/16/6 over the
+	// ring, every one admitted.
+	want := []struct {
+		sig       string
+		submitted int64
+	}{{"09086307b5a0ebf7", 2}, {"15ac6239832e2a75", 16}, {"425925eec98bd38b", 6}}
 	for i := range sa {
 		if sa[i].AdmissionSig != sb[i].AdmissionSig || sa[i].Submitted != sb[i].Submitted {
 			t.Errorf("shard %d: %s/%d != %s/%d", i,
 				sa[i].AdmissionSig, sa[i].Submitted, sb[i].AdmissionSig, sb[i].Submitted)
+		}
+		if sa[i].AdmissionSig != want[i].sig || sa[i].Submitted != want[i].submitted {
+			t.Errorf("shard %d: %s/%d, want %s/%d", i, sa[i].AdmissionSig, sa[i].Submitted, want[i].sig, want[i].submitted)
 		}
 	}
 
@@ -383,7 +398,7 @@ func TestFailoverPartialReplayResumes(t *testing.T) {
 	}
 }
 
-// TestClusterSoak drives concurrent submitters, in-epoch rebalance sweeps,
+// TestClusterSoak drives concurrent submitters, rebalance sweeps,
 // and a crash/restart cycle through a 2-shard cluster — the -race workout
 // for the router's locking. Shard 1 crashes once a third of the submissions
 // have settled and restarts at two thirds, so both land while traffic is in
@@ -432,7 +447,7 @@ func TestClusterSoak(t *testing.T) {
 			}
 		}(g)
 	}
-	// Maintenance sweeps concurrent with serving: each runs in its own epoch,
+	// Maintenance sweeps concurrent with serving: each runs on its own clock,
 	// so serving reports stay solo-identical throughout.
 	wg.Add(1)
 	go func() {

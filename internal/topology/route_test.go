@@ -78,11 +78,11 @@ func TestConnectInvalidatesRoutes(t *testing.T) {
 	if _, ok := topo.Route("cpu", "spare"); ok {
 		t.Fatal("spare is unlinked and must not resolve")
 	}
-	epoch := topo.NewEpoch()
-	if _, err := epoch.AccessTime("cpu", "spare", 0, 64, memsim.Read, memsim.Sequential); err == nil || err.Error() != "topology: no path cpu→spare" {
+	clk := topo.NewTaskView()
+	if _, err := clk.AccessTime("cpu", "spare", 0, 64, memsim.Read, memsim.Sequential); err == nil || err.Error() != "topology: no path cpu→spare" {
 		t.Errorf("unreachable AccessTime err = %v", err)
 	}
-	if _, err := epoch.AccessTime("cpu", "ghost", 0, 64, memsim.Read, memsim.Sequential); err == nil || err.Error() != `topology: unknown memory device "ghost"` {
+	if _, err := clk.AccessTime("cpu", "ghost", 0, 64, memsim.Read, memsim.Sequential); err == nil || err.Error() != `topology: unknown memory device "ghost"` {
 		t.Errorf("unknown-device AccessTime err = %v", err)
 	}
 
@@ -123,8 +123,8 @@ func TestAddMemoryInvalidatesRoutesAndGrowsViews(t *testing.T) {
 	if _, ok := topo.Route("cpu", "late"); ok {
 		t.Fatal("late is not a memory device yet")
 	}
-	view, epoch, snap := topo.NewTaskView(), topo.NewEpoch(), new(TaskView)
-	snap.Reset(epoch)
+	view, snap := topo.NewTaskView(), new(TaskView)
+	snap.Reset(view)
 
 	d, err := memsim.NewDevice("late", memsim.DRAMSpec())
 	if err != nil {
@@ -142,7 +142,7 @@ func TestAddMemoryInvalidatesRoutesAndGrowsViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, clk := range map[string]VClock{"view": view, "epoch": epoch, "snapshot": snap} {
+	for name, clk := range map[string]*TaskView{"view": view, "snapshot": snap} {
 		if got := busyUntil(clk, "late"); got != 0 {
 			t.Errorf("%s: drain time of late before any access = %v", name, got)
 		}
@@ -163,9 +163,9 @@ func TestAddMemoryInvalidatesRoutesAndGrowsViews(t *testing.T) {
 	if busyUntil(view, "dram") != time.Hour || busyUntil(view, "late") == 0 {
 		t.Error("Merge of a shorter view must keep the longer one's tail")
 	}
-	epoch.Absorb(short)
-	if busyUntil(epoch, "late") != busyUntil(view, "late") {
-		t.Error("Absorb must take the element-wise max")
+	snap.Merge(short)
+	if busyUntil(snap, "late") != busyUntil(view, "late") || busyUntil(snap, "dram") != 0 {
+		t.Error("Merge must take the element-wise max")
 	}
 	// A reused view takes the source's queue state whole: what it held before
 	// — here a backlog on late that short does not have — is gone.
@@ -179,28 +179,28 @@ func TestAddMemoryInvalidatesRoutesAndGrowsViews(t *testing.T) {
 	if busyUntil(reused, "dram") != time.Minute || busyUntil(reused, "late") != 0 {
 		t.Error("Reset must drop the queue state the view held before")
 	}
-	reused.Reset(epoch)
-	if busyUntil(reused, "late") != busyUntil(epoch, "late") {
-		t.Error("Reset must copy an epoch's queue state")
+	reused.Reset(nil)
+	if busyUntil(reused, "dram") != 0 || busyUntil(reused, "late") != 0 {
+		t.Error("Reset(nil) must drain every queue")
 	}
 }
 
 // busyUntil reads a clock's queue drain time for a memory device by ID; an
 // unknown ID is idle.
-func busyUntil(clk VClock, memID string) time.Duration {
-	i, ok := clk.Topology().memIdx[memID]
+func busyUntil(clk *TaskView, memID string) time.Duration {
+	i, ok := clk.topo.memIdx[memID]
 	if !ok {
 		return 0
 	}
 	return clk.BusyAt(i)
 }
 
-// TestViewsAgreeWithEpoch: both queue stores price the same access sequence
-// identically, and exactly as the queue arithmetic written out by hand — one
-// FIFO queue per device behind the path latency, stretched by a narrow path.
-func TestViewsAgreeWithEpoch(t *testing.T) {
+// TestViewMatchesHandArithmetic: a view prices an access sequence exactly as
+// the queue arithmetic written out by hand — one FIFO queue per device behind
+// the path latency, stretched by a narrow path.
+func TestViewMatchesHandArithmetic(t *testing.T) {
 	topo := testbed(t)
-	view, epoch := topo.NewTaskView(), topo.NewEpoch()
+	view := topo.NewTaskView()
 	ref := map[string]time.Duration{} // drain time per device, by hand
 	now := time.Duration(0)
 	for i, mem := range []string{"node0/dram0", "memnode0/far0", "node0/dram0", "node0/ssd0", "node0/dram0"} {
@@ -211,13 +211,11 @@ func TestViewsAgreeWithEpoch(t *testing.T) {
 		}
 		ref[mem] = rt.Mem.Queued(ref[mem], now+rt.Path.Latency, size, kind, memsim.Random)
 		want := ref[mem] + rt.stretch(size) + rt.Path.Latency
-		v, _ := view.AccessTime("node0/gpu0", mem, now, size, kind, memsim.Random)
-		e, _ := epoch.AccessTime("node0/gpu0", mem, now, size, kind, memsim.Random)
-		if v != want || e != want {
-			t.Errorf("access %d to %s: by hand %v, view %v, epoch %v", i, mem, want, v, e)
+		if v, _ := view.AccessTime("node0/gpu0", mem, now, size, kind, memsim.Random); v != want {
+			t.Errorf("access %d to %s: by hand %v, view %v", i, mem, want, v)
 		}
-		if busyUntil(view, mem) != ref[mem] || busyUntil(epoch, mem) != ref[mem] {
-			t.Errorf("access %d to %s: queue drain times diverge", i, mem)
+		if busyUntil(view, mem) != ref[mem] {
+			t.Errorf("access %d to %s: queue drain time %v, by hand %v", i, mem, busyUntil(view, mem), ref[mem])
 		}
 		now += time.Microsecond
 	}
@@ -289,7 +287,7 @@ func TestViewLedger(t *testing.T) {
 		}
 	}
 	view.Defer(counters[0], 1)
-	view.Reset(topo.NewEpoch())
+	view.Reset(nil)
 	if got := reg.Counter(telemetry.LayerRuntime, "c0"); got != 4 {
 		t.Errorf("counter 0 = %d after a Reset, want 4: the ledger it held is published", got)
 	}
@@ -320,7 +318,7 @@ func b2u(b bool) uint64 {
 // is resolved.
 func TestAccessPathAllocatesNothing(t *testing.T) {
 	topo := testbed(t)
-	view, reused, epoch := topo.NewTaskView(), topo.NewTaskView(), topo.NewEpoch()
+	view, reused := topo.NewTaskView(), topo.NewTaskView()
 	rt, ok := topo.Route("node0/cpu0", "node0/dram0")
 	if !ok {
 		t.Fatal("cpu0→dram0 must resolve")
@@ -338,7 +336,7 @@ func TestAccessPathAllocatesNothing(t *testing.T) {
 			reused.Reset(view)
 			reused.Merge(view)
 		},
-		"TaskView.Reset from an Epoch": func() { reused.Reset(epoch) },
+		"TaskView.Reset to idle": func() { reused.Reset(nil) },
 	} {
 		fn()
 		if got := testing.AllocsPerRun(100, fn); got != 0 {

@@ -9,8 +9,8 @@
 // Route resolves, once per (compute device, memory device) pair, the
 // cheapest interconnect path and everything about the pair that is fixed by
 // the graph; Path, EffectiveCaps and Addressable read it, and a virtual clock
-// (Epoch, TaskView) prices accesses over it. The same memory device therefore presents different capabilities to different
-// compute devices (Figure 3).
+// (TaskView) prices accesses over it. The same memory device therefore
+// presents different capabilities to different compute devices (Figure 3).
 package topology
 
 import (
@@ -125,7 +125,7 @@ type PathInfo struct {
 // must drop it once Valid reports false.
 type Route struct {
 	Mem    *memsim.Device // the memory device; nil when the destination is not one, or is unreachable
-	Idx    int            // Mem's dense index: its slot in Epoch and TaskView queue state
+	Idx    int            // Mem's dense index: its slot in a TaskView's queue state
 	Path   PathInfo
 	Remote bool          // the path crosses the network fabric
 	Sync   bool          // synchronous loads/stores are sensible: Mem.Sync and not Remote

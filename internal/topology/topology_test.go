@@ -215,7 +215,7 @@ func TestAccessTimeIncludesPath(t *testing.T) {
 	topo := testbed(t)
 	dram, _ := topo.Memory("node0/dram0")
 	svc := dram.ServiceTime(64, memsim.Read, memsim.Sequential)
-	done, err := topo.NewEpoch().AccessTime("node0/cpu0", "node0/dram0", 0, 64, memsim.Read, memsim.Sequential)
+	done, err := topo.NewTaskView().AccessTime("node0/cpu0", "node0/dram0", 0, 64, memsim.Read, memsim.Sequential)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestAccessTimeNarrowPathStretchesTransfer(t *testing.T) {
 	far, _ := topo.Memory("memnode0/far0")
 	const size = 64 << 20
 	svc := far.ServiceTime(size, memsim.Read, memsim.Sequential)
-	done, err := topo.NewEpoch().AccessTime("node0/cpu0", "memnode0/far0", 0, size, memsim.Read, memsim.Sequential)
+	done, err := topo.NewTaskView().AccessTime("node0/cpu0", "memnode0/far0", 0, size, memsim.Read, memsim.Sequential)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestAccessTimeNarrowPathStretchesTransfer(t *testing.T) {
 
 func TestAccessTimeErrors(t *testing.T) {
 	topo := testbed(t)
-	if _, err := topo.NewEpoch().AccessTime("node0/cpu0", "nope", 0, 64, memsim.Read, memsim.Sequential); err == nil {
+	if _, err := topo.NewTaskView().AccessTime("node0/cpu0", "nope", 0, 64, memsim.Read, memsim.Sequential); err == nil {
 		t.Error("unknown device must error")
 	}
 	iso := New()
@@ -253,7 +253,7 @@ func TestAccessTimeErrors(t *testing.T) {
 	if err := iso.AddCompute(&ComputeDevice{ID: "c", Kind: CPU, Gops: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := iso.NewEpoch().AccessTime("c", "island", 0, 64, memsim.Read, memsim.Sequential); err == nil {
+	if _, err := iso.NewTaskView().AccessTime("c", "island", 0, 64, memsim.Read, memsim.Sequential); err == nil {
 		t.Error("unreachable device must error")
 	}
 }
@@ -416,37 +416,37 @@ func MustSingleNode() *Topology {
 	return t
 }
 
-// TestMustSingleNodeAndFreshEpoch: an access advances its own epoch's queue
-// and no other, so a fresh epoch — or a used one after Reset — sees every
+// TestMustSingleNodeAndFreshEpoch: an access advances its own view's queue
+// and no other, so a fresh view — or a used one after Reset(nil) — sees every
 // device drained.
 func TestMustSingleNodeAndFreshEpoch(t *testing.T) {
 	topo := MustSingleNode()
-	used := topo.NewEpoch()
+	used := topo.NewTaskView()
 	if _, err := used.AccessTime("node0/cpu0", "node0/dram0", 0, 1<<20, memsim.Read, memsim.Sequential); err != nil {
 		t.Fatal(err)
 	}
 	if busyUntil(used, "node0/dram0") == 0 {
 		t.Fatal("access must advance the queue")
 	}
-	if got := busyUntil(topo.NewEpoch(), "node0/dram0"); got != 0 {
-		t.Errorf("a fresh epoch sees dram0 busy until %v, want drained", got)
+	if got := busyUntil(topo.NewTaskView(), "node0/dram0"); got != 0 {
+		t.Errorf("a fresh view sees dram0 busy until %v, want drained", got)
 	}
-	used.Reset()
+	used.Reset(nil)
 	if got := busyUntil(used, "node0/dram0"); got != 0 {
-		t.Errorf("a reset epoch sees dram0 busy until %v, want drained", got)
+		t.Errorf("a view reset to idle sees dram0 busy until %v, want drained", got)
 	}
 	// The queues grow back into the storage Reset kept: an access prices as
-	// on a fresh epoch, not behind the backlog that storage once held.
+	// on a fresh view, not behind the backlog that storage once held.
 	again, err := used.AccessTime("node0/cpu0", "node0/dram0", 0, 1<<20, memsim.Read, memsim.Sequential)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := topo.NewEpoch().AccessTime("node0/cpu0", "node0/dram0", 0, 1<<20, memsim.Read, memsim.Sequential)
+	fresh, err := topo.NewTaskView().AccessTime("node0/cpu0", "node0/dram0", 0, 1<<20, memsim.Read, memsim.Sequential)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again != fresh {
-		t.Errorf("an access on a reset epoch completes at %v, on a fresh one at %v", again, fresh)
+		t.Errorf("an access on a view reset to idle completes at %v, on a fresh one at %v", again, fresh)
 	}
 }
 
