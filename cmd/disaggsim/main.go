@@ -24,8 +24,8 @@
 //
 // With -serve, the listed jobs (or N copies of -job when -jobs is a plain
 // number) are submitted from parallel goroutines through core.Server's
-// bounded admission queue and executed by a worker pool that batches them
-// into shared virtual-time epochs.
+// bounded admission queue and executed by a worker pool that runs them in
+// batches, in which every job is priced from an idle machine.
 //
 // With -serve -shards N, submissions are consistent-hashed across N server
 // shards over the cluster fabric; -crash K kills shard K mid-stream to

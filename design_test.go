@@ -439,3 +439,147 @@ func TestDesignHeadingsCarryNoHistory(t *testing.T) {
 		t.Errorf("DESIGN.md heading carries a PR number: %q", h)
 	}
 }
+
+// The design records every session reads are bounded: EXPERIMENTS.md keeps
+// each reproduced experiment's claim, table and command, and one ledger row
+// for every engine-cost or deletion entry; DESIGN.md states the design, not
+// how it came about.
+const (
+	experimentsMaxBytes = 90 << 10
+	designMaxBytes      = 70 << 10
+	changesEntryMax     = 1536 // bytes per CHANGES.md entry, from firstCappedPR on
+	firstCappedPR       = 38
+)
+
+// TestDesignRecordsFitTheirBounds: a record that outgrows its bound is
+// condensed, not the bound raised — the full write-up of an entry stays
+// reachable through the commit its ledger row names.
+func TestDesignRecordsFitTheirBounds(t *testing.T) {
+	for file, max := range map[string]int{"EXPERIMENTS.md": experimentsMaxBytes, "DESIGN.md": designMaxBytes} {
+		fi, err := os.Stat(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() > int64(max) {
+			t.Errorf("%s is %d bytes, over its bound of %d", file, fi.Size(), max)
+		}
+	}
+}
+
+// experimentIDs returns the ids EXPERIMENTS.md defines, by heading ("## A7 —")
+// or ledger row ("| A33 |"), each with its ledger row's cells (nil for a
+// heading).
+func experimentIDs(t *testing.T) map[string][]string {
+	t.Helper()
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := map[string][]string{}
+	for _, m := range regexp.MustCompile(`(?m)^## ([TFCA][0-9]+) `).FindAllStringSubmatch(string(doc), -1) {
+		ids[m[1]] = nil
+	}
+	for _, m := range regexp.MustCompile(`(?m)^\| (A[0-9]+) \|(.*)\|$`).FindAllStringSubmatch(string(doc), -1) {
+		if _, dup := ids[m[1]]; dup {
+			t.Errorf("EXPERIMENTS.md defines %s twice", m[1])
+		}
+		ids[m[1]] = strings.Split(m[2], "|")
+	}
+	return ids
+}
+
+// citedID matches an experiment id: T1–T3, F1–F4, C1–C5 or A<n>.
+var citedID = regexp.MustCompile(`\b(T[1-3]|F[1-4]|C[1-5]|A[0-9]+)\b`)
+
+// TestCitedExperimentsResolve: every experiment id the code, its tests and
+// the documents cite names a heading or a ledger row of EXPERIMENTS.md, so
+// condensing an entry into the ledger, or dropping a row, cannot leave a
+// citation pointing nowhere. benchmark/ is frozen and cites nothing.
+func TestCitedExperimentsResolve(t *testing.T) {
+	ids := experimentIDs(t)
+	files := []string{"EXPERIMENTS.md", "ROADMAP.md", "DESIGN.md", "CHANGES.md", "README.md"}
+	skills, err := filepath.Glob(filepath.Join(".claude", "skills", "*", "SKILL.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, skills...)
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && (path == "benchmark" || d.Name() == "testdata" || path != "." && strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
+		case !d.IsDir() && strings.HasSuffix(path, ".go"):
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range files {
+		text, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, id := range citedID.FindAllString(line, -1) {
+				if _, ok := ids[id]; !ok {
+					t.Errorf("%s:%d cites %s, which EXPERIMENTS.md has no heading or ledger row for", file, i+1, id)
+				}
+			}
+		}
+	}
+}
+
+// TestChangesEntriesStayShort: a CHANGES.md entry says what a PR did in at
+// most changesEntryMax bytes; its measurements go to a ledger row and the
+// numbers behind them to the PR's commit.
+func TestChangesEntriesStayShort(t *testing.T) {
+	doc, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts := regexp.MustCompile(`(?m)^- PR ([0-9]+)\b`).FindAllSubmatchIndex(doc, -1)
+	for i, m := range starts {
+		end := len(doc)
+		if i+1 < len(starts) {
+			end = starts[i+1][0]
+		}
+		pr, _ := strconv.Atoi(string(doc[m[2]:m[3]]))
+		if n := len(strings.TrimRight(string(doc[m[0]:end]), "\n")); pr >= firstCappedPR && n > changesEntryMax {
+			t.Errorf("CHANGES.md entry for PR %d is %d bytes, over %d", pr, n, changesEntryMax)
+		}
+	}
+}
+
+// TestLedgerCommitsHoldTheirEntries: the commit a ledger row names still holds
+// the row's full entry, so `git show <commit>:EXPERIMENTS.md` gives its
+// narrative. It needs the repository's history, so it skips outside a full
+// git clone.
+func TestLedgerCommitsHoldTheirEntries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs git; skipped in -short mode")
+	}
+	if out, err := exec.Command("git", "rev-parse", "--is-shallow-repository").Output(); err != nil || strings.TrimSpace(string(out)) != "false" {
+		t.Skip("no full git history here")
+	}
+	for id, cells := range experimentIDs(t) {
+		if cells == nil {
+			continue
+		}
+		if len(cells) != 6 {
+			t.Errorf("ledger row %s has %d cells after its id, want 6", id, len(cells))
+			continue
+		}
+		commit := strings.Trim(strings.TrimSpace(cells[4]), "`")
+		doc, err := exec.Command("git", "show", commit+":EXPERIMENTS.md").Output()
+		if err != nil {
+			t.Errorf("ledger row %s: git show %s:EXPERIMENTS.md: %v", id, commit, err)
+			continue
+		}
+		if !regexp.MustCompile(`(?m)^## ` + id + ` `).Match(doc) {
+			t.Errorf("ledger row %s names %s, whose EXPERIMENTS.md has no \"## %s \" entry", id, commit, id)
+		}
+	}
+}

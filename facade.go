@@ -104,8 +104,8 @@ type (
 	// able to restore each other's snapshots.
 	Checkpointer = core.Checkpointer
 	// Server is the concurrent job-submission engine: bounded admission
-	// queue, worker pool batching jobs into shared virtual-time epochs,
-	// per-job cancellation, graceful drain.
+	// queue, worker pool running jobs in batches in which every job is
+	// priced from an idle machine, per-job cancellation, graceful drain.
 	Server = core.Server
 	// ServerConfig assembles a Server; zero values get serving defaults.
 	ServerConfig = core.ServerConfig

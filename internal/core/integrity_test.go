@@ -13,6 +13,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/dataflow"
+	"repro/internal/fault"
 	"repro/internal/props"
 	"repro/internal/region"
 )
@@ -317,7 +318,11 @@ func integrityBudget() (seeds, warmers int) {
 	return 200, 4
 }
 
-// TestRandomProgramRelations checks two relations a report must satisfy, on
+// relationFaultRate is the share of task sites relation (iv)'s injector fails
+// once each.
+const relationFaultRate = 0.3
+
+// TestRandomProgramRelations checks three relations a report must satisfy, on
 // random programs, each as one assertion on Report.String() bytes: a report
 // depends on the program and nothing else —
 //   - (i) not on what the runtime ran before: a fresh Runtime and one warmed
@@ -328,7 +333,11 @@ func integrityBudget() (seeds, warmers int) {
 //   - (ii) not on how a server is deployed: every program of a seed,
 //     submitted together to a server of two epoch workers, eight task
 //     workers and batches of eight, reports what it reports from a server of
-//     one and one.
+//     one and one;
+//   - (iv) not on how a retry restores: the first program, under faults a
+//     seeded injector places, recovers with eager replay and with lazy
+//     (partial) replay to the same report, after the same attempts, with the
+//     same tasks skipped and replayed.
 //
 // A failure names the seed, which rebuilds every program of the case.
 func TestRandomProgramRelations(t *testing.T) {
@@ -431,6 +440,24 @@ func TestRandomProgramRelations(t *testing.T) {
 		wide := serve(ServerConfig{ExecConfig: ExecConfig{Workers: 8}, EpochWorkers: 2, MaxBatch: 8})
 		if one := serve(ServerConfig{ExecConfig: ExecConfig{Workers: 1}, EpochWorkers: 1}); wide != one {
 			t.Errorf("seed %d: (ii) 2 epoch workers × 8 task workers report\n%s\n1 × 1\n%s", seed, wide, one)
+		}
+
+		// (iv) The first program under the seed's faults, replayed eagerly
+		// and lazily, each on a fresh runtime with a fresh injector.
+		replay := func(partial bool) *Report {
+			rt, err := New(ExecConfig{Inject: fault.NewInjector(uint64(seed), relationFaultRate, 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := rt.Run(progs[0].job, RecoveryPolicy{MaxAttempts: 64, PartialReplay: partial})
+			settle(progs[0], rep, err)
+			return rep
+		}
+		eager, lazy := replay(false), replay(true)
+		if got, want := lazy.String(), eager.String(); got != want ||
+			lazy.Attempts != eager.Attempts || lazy.SkippedTasks != eager.SkippedTasks || lazy.ReplayedTasks != eager.ReplayedTasks {
+			t.Errorf("seed %d: (iv) lazy replay reports (%d attempts, %d skipped, %d replayed)\n%s\neager replay (%d, %d, %d)\n%s",
+				seed, lazy.Attempts, lazy.SkippedTasks, lazy.ReplayedTasks, got, eager.Attempts, eager.SkippedTasks, eager.ReplayedTasks, want)
 		}
 	}
 }

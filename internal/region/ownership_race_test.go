@@ -45,6 +45,12 @@ func TestSweepBesideLockFreeOwnershipChanges(t *testing.T) {
 	computes := [2]string{"node0/cpu0", "node0/cpu1"}
 	baseline := m.Live()
 
+	// covered is set once the sweeper has seen a demotion, an eviction and a
+	// recall. Workers run steps steps, then on until it is set, up to
+	// maxSteps: timing decides when a sweep lands, so a run of steps alone
+	// may see none of one kind.
+	var covered atomic.Bool
+	maxSteps := 10 * steps
 	var ranks, owners atomic.Int64
 	next := func(prefix string) Owner { return Owner(fmt.Sprint(prefix, owners.Add(1))) }
 	// lane is one region a worker owns: the handle of its current owner and
@@ -88,7 +94,7 @@ func TestSweepBesideLockFreeOwnershipChanges(t *testing.T) {
 				}
 				return err
 			}
-			for step := 0; step < steps; step++ {
+			for step := 0; step < steps || !covered.Load() && step < maxSteps; step++ {
 				i := rng.Intn(perWorker)
 				l := lanes[i]
 				if l == nil { // allocate: a fresh region reads zeros, every byte
@@ -169,6 +175,7 @@ func TestSweepBesideLockFreeOwnershipChanges(t *testing.T) {
 	// on every other sweep eviction of whatever is left over the eviction
 	// watermark, however hot — not on every one, or HBM would seldom fill.
 	var total RebalanceStats
+	recalled := func() int64 { return m.reg.Counter(telemetry.LayerRegion, "recalls") }
 	pols := [2]RebalancePolicy{{}, {EvictWatermark: 0.5}}
 	for n, swept := 0, false; !swept; n++ {
 		select {
@@ -183,9 +190,12 @@ func TestSweepBesideLockFreeOwnershipChanges(t *testing.T) {
 		total.Promoted += s.Promoted
 		total.Exported += s.Exported
 		total.Recalled += s.Recalled
+		if total.Demoted > 0 && total.Exported > 0 && recalled() > 0 {
+			covered.Store(true)
+		}
 	}
 
-	recalls := m.reg.Counter(telemetry.LayerRegion, "recalls")
+	recalls := recalled()
 	t.Logf("sweeps: %+v; recalls %d", total, recalls)
 	if total.Demoted == 0 || total.Exported == 0 || recalls == 0 {
 		t.Errorf("sweeps %+v, %d recalls: want demotion, eviction and recall beside the ownership changes", total, recalls)

@@ -5,8 +5,9 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"runtime"
+	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
@@ -32,14 +33,45 @@ func migratePayload(name string, n int) []byte {
 
 const migrateRegionBytes = 64 << 10
 
+// sweepCount counts the finished sweeps of a maintenance loop, so a task can
+// wait for sweeps rather than for wall time.
+type sweepCount struct {
+	mu   sync.Mutex
+	cond sync.Cond
+	n    int
+}
+
+func newSweepCount() *sweepCount {
+	s := &sweepCount{}
+	s.cond.L = &s.mu
+	return s
+}
+
+// done records one finished sweep.
+func (s *sweepCount) done() {
+	s.mu.Lock()
+	s.n++
+	s.mu.Unlock()
+	s.cond.Broadcast()
+}
+
+// await blocks until k more sweeps have finished.
+func (s *sweepCount) await(k int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for target := s.n + k; s.n < target; {
+		s.cond.Wait()
+	}
+}
+
 // migrateJob is the migration workload: a producer fills a job-wide Global
-// Scratch region, a stall stage holds the wall clock open (the window
-// maintenance sweeps fire in — while it runs the region goes cold and is
-// evicted to a remote shard), and a consumer reads the payload back,
-// verifying every byte survived the remote round trip. Virtual time is a
-// pure function of the structure, so the served report must be
+// Scratch region, a hold stage waits out two maintenance sweeps (the window
+// in which the region goes cold and is evicted to a remote shard), and a
+// consumer reads the payload back, verifying every byte survived the remote
+// round trip. With sweeps nil the hold stage does not wait. Virtual time is
+// a pure function of the structure, so the served report must be
 // byte-identical to a solo run that never migrated.
-func migrateJob(name string, stall time.Duration) *dataflow.Job {
+func migrateJob(name string, sweeps *sweepCount) *dataflow.Job {
 	j := dataflow.NewJob(name)
 	payload := migratePayload(name, migrateRegionBytes)
 	produce := j.Task("produce", dataflow.Props{Ops: 1e6}, func(ctx dataflow.Ctx) error {
@@ -55,7 +87,9 @@ func migrateJob(name string, stall time.Duration) *dataflow.Job {
 		return nil
 	})
 	hold := j.Task("hold", dataflow.Props{Ops: 1e5}, func(ctx dataflow.Ctx) error {
-		time.Sleep(stall) // real time only; invisible to the virtual clock
+		if sweeps != nil {
+			sweeps.await(2) // real time only; invisible to the virtual clock
+		}
 		return nil
 	})
 	consume := j.Task("consume", dataflow.Props{Ops: 1e6}, func(ctx dataflow.Ctx) error {
@@ -79,10 +113,10 @@ func migrateJob(name string, stall time.Duration) *dataflow.Job {
 	return j
 }
 
-// sweepUntil runs rebalance sweeps, each on its own clock, every interval
-// until stop is closed — the cluster's maintenance loop, concurrent with
-// serving.
-func sweepUntil(c *Cluster, interval time.Duration, stop <-chan struct{}) {
+// sweepUntil runs rebalance sweeps, each on its own clock, until stop is
+// closed, counting each in sweeps — the cluster's maintenance loop,
+// concurrent with serving. It yields between sweeps.
+func sweepUntil(c *Cluster, sweeps *sweepCount, stop <-chan struct{}) {
 	for {
 		select {
 		case <-stop:
@@ -90,7 +124,8 @@ func sweepUntil(c *Cluster, interval time.Duration, stop <-chan struct{}) {
 		default:
 		}
 		c.Rebalance(0)
-		time.Sleep(interval)
+		sweeps.done()
+		runtime.Gosched()
 	}
 }
 
@@ -114,12 +149,11 @@ func evictingConfig(shards int) Config {
 // Runtime.Run at shard counts 1, 2, and 4. At one shard there is no spill
 // target, so the same sweeps must simply do nothing remote.
 func TestMigrationReportEqualityAcrossShardCounts(t *testing.T) {
-	const stall = 10 * time.Millisecond
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			c := newTestCluster(t, evictingConfig(shards))
-			stop := make(chan struct{})
-			go sweepUntil(c, 200*time.Microsecond, stop)
+			stop, sweeps := make(chan struct{}), newSweepCount()
+			go sweepUntil(c, sweeps, stop)
 			defer close(stop)
 
 			type pending struct {
@@ -130,8 +164,8 @@ func TestMigrationReportEqualityAcrossShardCounts(t *testing.T) {
 			var subs []pending
 			for i := 0; i < 8; i++ {
 				name := fmt.Sprintf("mig-%d", i)
-				want := soloReport(t, migrateJob(name, 0)).String()
-				tk, err := c.SubmitAsync(context.Background(), migrateJob(name, stall))
+				want := soloReport(t, migrateJob(name, nil)).String()
+				tk, err := c.SubmitAsync(context.Background(), migrateJob(name, sweeps))
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -154,8 +188,8 @@ func TestMigrationReportEqualityAcrossShardCounts(t *testing.T) {
 				}
 				return
 			}
-			// The stall window gives the sweep loop dozens of chances to
-			// export each job's cold region; the consumer then recalls it.
+			// Each hold waits out two sweeps, each a chance to export the
+			// job's cold region; the consumer then recalls it.
 			if ms.Exported == 0 || ms.Recalled == 0 {
 				t.Fatalf("migration path not exercised: %+v", ms)
 			}
