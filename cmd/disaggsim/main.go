@@ -49,8 +49,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strconv"
@@ -68,12 +70,35 @@ import (
 )
 
 func main() {
-	o := registerFlags(flag.CommandLine)
-	flag.Parse()
+	switch err := run(os.Args[1:], os.Stdout); {
+	case errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	case err != nil:
+		fmt.Fprintln(os.Stderr, "disaggsim:", err)
+		os.Exit(1)
+	}
+}
+
+// errUsage reports flags that did not parse; the flag package has already
+// printed why, with the usage text.
+var errUsage = errors.New("usage")
+
+// run is the whole command: it parses args, runs what they ask for and
+// writes the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("disaggsim", flag.ContinueOnError)
+	o := registerFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
 
 	topo, err := topology.BuildSingleNode(topology.DefaultSingleNode())
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	var placer region.Placer
@@ -81,13 +106,13 @@ func main() {
 	case "best":
 		placer = placement.NewBestFit(topo)
 	case "first":
-		placer = region.FirstFit{Topo: topo}
+		placer = placement.NewFirstFit(topo)
 	case "worst":
 		placer = placement.NewWorst(topo)
 	case "random":
 		placer = placement.NewRandom(topo, o.seed)
 	default:
-		fatal(fmt.Errorf("unknown placer %q", o.placer))
+		return fmt.Errorf("unknown placer %q", o.placer)
 	}
 
 	var scheduler sched.Scheduler
@@ -99,7 +124,7 @@ func main() {
 	case "rr":
 		scheduler = sched.RoundRobin{}
 	default:
-		fatal(fmt.Errorf("unknown scheduler %q", o.scheduler))
+		return fmt.Errorf("unknown scheduler %q", o.scheduler)
 	}
 
 	buildJob := func(name string) (*dataflow.Job, error) {
@@ -130,55 +155,53 @@ func main() {
 		Topology: topo, Placer: placer, Scheduler: scheduler, Telemetry: tel,
 		Inject: inject, Workers: o.execWorkers,
 	}
+	// profile ends every mode: the telemetry profile and the trace file.
+	profile := func() error {
+		if o.profile {
+			fmt.Fprintln(stdout)
+			fmt.Fprint(stdout, tel.Report())
+		}
+		return writeTrace(stdout, tel, o.trace)
+	}
 	if o.stream || o.serve {
 		var err error
 		if o.stream {
-			err = serveStream(ec, o)
+			err = serveStream(stdout, ec, o)
 		} else {
-			err = serveJobs(ec, buildJob, o)
+			err = serveJobs(stdout, ec, buildJob, o)
 		}
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		if o.profile {
-			fmt.Println()
-			fmt.Print(tel.Report())
-		}
-		writeTrace(tel, o.trace)
-		return
+		return profile()
 	}
 
 	rt, err := core.New(ec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if o.jobs != "" {
 		var jobs []*dataflow.Job
 		for _, name := range strings.Split(o.jobs, ",") {
 			j, err := buildJob(strings.TrimSpace(name))
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			jobs = append(jobs, j)
 		}
 		rep, err := rt.RunAll(jobs)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Print(rep.String())
-		fmt.Printf("sequential baseline: %v (concurrency saves %.1f%%)\n",
+		fmt.Fprint(stdout, rep.String())
+		fmt.Fprintf(stdout, "sequential baseline: %v (concurrency saves %.1f%%)\n",
 			rep.SumIsolated, 100*(1-float64(rep.Makespan)/float64(rep.SumIsolated)))
-		if o.profile {
-			fmt.Println()
-			fmt.Print(tel.Report())
-		}
-		writeTrace(tel, o.trace)
-		return
+		return profile()
 	}
 
 	job, err := buildJob(o.job)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	var rep *core.Report
@@ -188,26 +211,22 @@ func main() {
 		rep, err = rt.Run(job)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if o.recover {
-		fmt.Printf("recovered run: %d attempt(s), %d restore(s), %d task(s) skipped, %d replayed, %d bytes restored\n",
+		fmt.Fprintf(stdout, "recovered run: %d attempt(s), %d restore(s), %d task(s) skipped, %d replayed, %d bytes restored\n",
 			rep.Attempts, tel.Counter(telemetry.LayerFault, "restores"),
 			rep.SkippedTasks, rep.ReplayedTasks,
 			tel.Counter(telemetry.LayerFault, "restored_bytes"))
 	}
-	fmt.Print(rep.String())
-	fmt.Println("\npeak device allocation:")
+	fmt.Fprint(stdout, rep.String())
+	fmt.Fprintln(stdout, "\npeak device allocation:")
 	for _, m := range topo.Memories() {
 		if i := slices.IndexFunc(rep.PeakDeviceBytes, func(p core.DeviceBytes) bool { return p.Device == m.ID }); i >= 0 {
-			fmt.Printf("  %-18s %d bytes\n", m.ID, rep.PeakDeviceBytes[i].Bytes)
+			fmt.Fprintf(stdout, "  %-18s %d bytes\n", m.ID, rep.PeakDeviceBytes[i].Bytes)
 		}
 	}
-	if o.profile {
-		fmt.Println()
-		fmt.Print(tel.Report())
-	}
-	writeTrace(tel, o.trace)
+	return profile()
 }
 
 // recoveryPolicy is -recover as a policy: checkpoints go to the engine's
@@ -234,7 +253,7 @@ func serverConfig(o *options) core.ServerConfig {
 // core.Submitter — a server built from ec, or with -shards N a cluster of N
 // servers (shard.go) — enqueued up front via the ticket API and then
 // collected, so no per-submission goroutine is needed.
-func serveJobs(ec core.ExecConfig, buildJob func(string) (*dataflow.Job, error), o *options) error {
+func serveJobs(stdout io.Writer, ec core.ExecConfig, buildJob func(string) (*dataflow.Job, error), o *options) error {
 	names := serveJobNames(o)
 	jobs := make([]*dataflow.Job, len(names))
 	for i, name := range names {
@@ -272,7 +291,7 @@ func serveJobs(ec core.ExecConfig, buildJob func(string) (*dataflow.Job, error),
 			return err
 		}
 		if sc != nil && i == len(jobs)/2 {
-			if err := sc.crash(i + 1); err != nil {
+			if err := sc.crash(stdout, i+1); err != nil {
 				return err
 			}
 		}
@@ -282,7 +301,7 @@ func serveJobs(ec core.ExecConfig, buildJob func(string) (*dataflow.Job, error),
 		rep, err := tk.Wait(context.Background())
 		if err != nil {
 			failed++
-			fmt.Printf("  %-16s #%-3d FAILED: %v\n", names[i], i, err)
+			fmt.Fprintf(stdout, "  %-16s #%-3d FAILED: %v\n", names[i], i, err)
 			continue
 		}
 		line := fmt.Sprintf("  %-16s #%-3d ", names[i], i)
@@ -296,18 +315,18 @@ func serveJobs(ec core.ExecConfig, buildJob func(string) (*dataflow.Job, error),
 		if rep.SkippedTasks > 0 {
 			line += fmt.Sprintf("  (resumed: %d tasks restored)", rep.SkippedTasks)
 		}
-		fmt.Println(line)
+		fmt.Fprintln(stdout, line)
 	}
-	fmt.Printf("served %d of %d jobs: %d shard(s), %d workers each (queue %d, batch %d)\n",
+	fmt.Fprintf(stdout, "served %d of %d jobs: %d shard(s), %d workers each (queue %d, batch %d)\n",
 		len(jobs)-failed, len(jobs), max(o.shards, 1), o.workers, o.queue, o.batch)
 	if sc != nil {
-		sc.finish()
+		sc.finish(stdout)
 	}
 	if err := sub.Close(context.Background()); err != nil {
 		return err
 	}
 	tel := sub.Runtime().Telemetry()
-	fmt.Printf("admission: admitted %d, completed %d, rejected %d, canceled %d, failed %d, epochs %d\n",
+	fmt.Fprintf(stdout, "admission: admitted %d, completed %d, rejected %d, canceled %d, failed %d, epochs %d\n",
 		tel.Counter(telemetry.LayerRuntime, "server_admitted"),
 		tel.Counter(telemetry.LayerRuntime, "server_completed"),
 		tel.Counter(telemetry.LayerRuntime, "server_rejected"),
@@ -315,17 +334,17 @@ func serveJobs(ec core.ExecConfig, buildJob func(string) (*dataflow.Job, error),
 		tel.Counter(telemetry.LayerRuntime, "server_failed"),
 		tel.Counter(telemetry.LayerRuntime, "server_epochs"))
 	if h := tel.Hist(telemetry.LayerRuntime, "server_queue_wait"); h != nil {
-		fmt.Printf("queue wait: p50 %v, p99 %v, max %v (n=%d)\n",
+		fmt.Fprintf(stdout, "queue wait: p50 %v, p99 %v, max %v (n=%d)\n",
 			h.Quantile(0.50), h.Quantile(0.99), h.Max(), h.Count())
 	}
 	if inject := ec.Inject; inject != nil || o.recover {
-		fmt.Printf("faults: injected %d; recovery: retries %d, checkpoints %d, restores %d, recovered jobs %d\n",
+		fmt.Fprintf(stdout, "faults: injected %d; recovery: retries %d, checkpoints %d, restores %d, recovered jobs %d\n",
 			inject.Injected(),
 			tel.Counter(telemetry.LayerFault, "job_retries"),
 			tel.Counter(telemetry.LayerFault, "checkpoints"),
 			tel.Counter(telemetry.LayerFault, "restores"),
 			tel.Counter(telemetry.LayerRuntime, "server_recovered"))
-		fmt.Printf("restore I/O: %d bytes fetched, %d lazy hydration(s)\n",
+		fmt.Fprintf(stdout, "restore I/O: %d bytes fetched, %d lazy hydration(s)\n",
 			tel.Counter(telemetry.LayerFault, "restored_bytes"),
 			tel.Counter(telemetry.LayerFault, "lazy_hydrations"))
 	}
@@ -348,27 +367,27 @@ func serveJobNames(o *options) []string {
 	return names
 }
 
-func writeTrace(tel *telemetry.Registry, path string) {
+// writeTrace writes the Chrome trace to path, when one is named.
+func writeTrace(stdout io.Writer, tel *telemetry.Registry, path string) error {
 	if path == "" {
-		return
+		return nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	defer f.Close()
 	if err := tel.ExportChromeTrace(f); err != nil {
-		fatal(err)
+		f.Close()
+		return err
 	}
-	fmt.Printf("\nwrote Chrome trace to %s (open in chrome://tracing or ui.perfetto.dev)\n", path)
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "\nwrote Chrome trace to %s (open in chrome://tracing or ui.perfetto.dev)\n", path)
 	if kept, recorded := len(tel.Spans()), tel.SpansRecorded(); recorded > int64(kept) {
-		fmt.Printf("trace holds the last %d of %d spans\n", kept, recorded)
+		fmt.Fprintf(stdout, "trace holds the last %d of %d spans\n", kept, recorded)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "disaggsim:", err)
-	os.Exit(1)
+	return nil
 }
 
 func splitTrim(s string) []string {

@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"repro"
@@ -69,20 +70,20 @@ func startSharded(cfg core.ServerConfig, o *options) (*shardedServe, error) {
 
 // crash kills the -crash shard, if one was named, with inFlight submissions
 // behind it.
-func (sc *shardedServe) crash(inFlight int) error {
+func (sc *shardedServe) crash(stdout io.Writer, inFlight int) error {
 	if sc.o.crash < 0 || sc.o.crash >= sc.o.shards {
 		return nil
 	}
 	if err := sc.c.Crash(sc.o.crash); err != nil {
 		return err
 	}
-	fmt.Printf("crashed shard%d with %d submissions in flight\n", sc.o.crash, inFlight)
+	fmt.Fprintf(stdout, "crashed shard%d with %d submissions in flight\n", sc.o.crash, inFlight)
 	return nil
 }
 
 // finish ends the sweeps and prints the per-shard ledger, which reads the
 // live fabric: call it before the cluster closes.
-func (sc *shardedServe) finish() {
+func (sc *shardedServe) finish(stdout io.Writer) {
 	close(sc.sweeping)
 	<-sc.swept
 	for _, st := range sc.c.Stats() {
@@ -90,13 +91,13 @@ func (sc *shardedServe) finish() {
 		if st.Down {
 			state = "DOWN"
 		}
-		fmt.Printf("  %-7s %-4s submitted=%d admitted=%d rerouted=%d completed=%d est-work=%v fabric: %d verbs, %d bytes\n",
+		fmt.Fprintf(stdout, "  %-7s %-4s submitted=%d admitted=%d rerouted=%d completed=%d est-work=%v fabric: %d verbs, %d bytes\n",
 			st.Name, state, st.Submitted, st.Admitted, st.Rerouted, st.Completed,
 			time.Duration(st.EstWorkNs), st.Fabric.Verbs, st.Fabric.Bytes)
 	}
 	if sc.o.migrate {
 		mig := sc.c.MigrationStats()
-		fmt.Printf("migration: %d regions exported (%d bytes), %d recalled (%d bytes), %d live remote, verb time %v\n",
+		fmt.Fprintf(stdout, "migration: %d regions exported (%d bytes), %d recalled (%d bytes), %d live remote, verb time %v\n",
 			mig.Exported, mig.BytesOut, mig.Recalled, mig.BytesBack, mig.Live, mig.VerbTime)
 	}
 }

@@ -12,6 +12,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 
 	"repro/internal/core"
 	"repro/internal/telemetry"
@@ -20,7 +21,7 @@ import (
 
 // serveStream drives one stream (and, with -crashwindow, its resumed
 // successor) through the serving engine.
-func serveStream(ec core.ExecConfig, o *options) error {
+func serveStream(stdout io.Writer, ec core.ExecConfig, o *options) error {
 	if o.crashWindow >= 0 && !o.recover {
 		return fmt.Errorf("-crashwindow requires -recover (resume restores from checkpoints)")
 	}
@@ -45,7 +46,7 @@ func serveStream(ec core.ExecConfig, o *options) error {
 		tk.Cancel()
 	}
 	for rep := range tk.Reports() {
-		printWindow(rep)
+		printWindow(stdout, rep)
 		if o.crashWindow > 0 && tk.Windows() >= o.crashWindow {
 			tk.Cancel()
 		}
@@ -55,10 +56,10 @@ func serveStream(ec core.ExecConfig, o *options) error {
 		if err := tk.Err(); err != nil {
 			return err
 		}
-		fmt.Printf("stream drained: %d windows, watermark %v\n", tk.Windows(), tk.Watermark())
+		fmt.Fprintf(stdout, "stream drained: %d windows, watermark %v\n", tk.Windows(), tk.Watermark())
 		return nil
 	}
-	fmt.Printf("crashed stream after %d windows (watermark %v): %v\n",
+	fmt.Fprintf(stdout, "crashed stream after %d windows (watermark %v): %v\n",
 		tk.Windows(), tk.Watermark(), tk.Err())
 
 	// Resume: same spec, fresh source, the crashed ticket's namespace.
@@ -67,25 +68,25 @@ func serveStream(ec core.ExecConfig, o *options) error {
 		return err
 	}
 	for rep := range rtk.Reports() {
-		printWindow(rep)
+		printWindow(stdout, rep)
 	}
 	<-rtk.Done()
 	if err := rtk.Err(); err != nil {
 		return err
 	}
-	fmt.Printf("resumed stream: skipped %d completed windows, retired %d more, final watermark %v\n",
+	fmt.Fprintf(stdout, "resumed stream: skipped %d completed windows, retired %d more, final watermark %v\n",
 		rtk.SkippedWindows(), rtk.Windows(), rtk.Watermark())
-	fmt.Printf("stream windows served: %d, restores %d\n",
+	fmt.Fprintf(stdout, "stream windows served: %d, restores %d\n",
 		tel.Counter(telemetry.LayerRuntime, "server_stream_windows"),
 		tel.Counter(telemetry.LayerFault, "restores"))
 	return nil
 }
 
 // printWindow renders one retired window's report line.
-func printWindow(rep *core.Report) {
+func printWindow(stdout io.Writer, rep *core.Report) {
 	line := fmt.Sprintf("  %-20s makespan %12v", rep.Job, rep.Makespan)
 	if rep.SkippedTasks > 0 {
 		line += fmt.Sprintf("  (resumed: %d task(s) restored)", rep.SkippedTasks)
 	}
-	fmt.Println(line)
+	fmt.Fprintln(stdout, line)
 }

@@ -33,7 +33,8 @@ import (
 type JobResult struct {
 	Report *Report
 	// Stretch is this job's concurrent makespan divided by its makespan
-	// when run alone on a fresh default testbed — the interference factor.
+	// when run alone on the same topology, placer and scheduler (its own
+	// telemetry, no injected faults) — the interference factor.
 	Stretch float64
 }
 
@@ -164,8 +165,9 @@ func (rt *Runtime) RunAll(jobs []*dataflow.Job) (*MultiReport, error) {
 		out.Jobs[r.job.Name()] = &JobResult{Report: r.report}
 	}
 
+	// The isolated baseline: each job alone on the same machine.
 	for i, j := range jobs {
-		iso, err := New(ExecConfig{Scheduler: rt.sched})
+		iso, err := New(ExecConfig{Topology: rt.topo, Placer: rt.placer, Scheduler: rt.sched, Workers: rt.workers})
 		if err != nil {
 			return nil, err
 		}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dataflow"
 	"repro/internal/memsim"
+	"repro/internal/placement"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -242,5 +243,40 @@ func TestRunAllCarriesBacklogJobToJob(t *testing.T) {
 	}
 	if b.Makespan <= soloB.Makespan || b.Makespan > soloB.Makespan+soloA.Makespan {
 		t.Errorf("second job's makespan %v in the pair, %v alone: it must queue behind the first job's %v of backlog", b.Makespan, soloB.Makespan, soloA.Makespan)
+	}
+}
+
+// TestLoneJobStretchIsOne: RunAll prices each job's Stretch against the same
+// job run alone on the same machine with the same placer and scheduler, so a
+// lone job's stretch is exactly 1 — on a rack as on the default testbed, and
+// under worst-fit placement as under best-fit.
+func TestLoneJobStretchIsOne(t *testing.T) {
+	rack, err := topology.BuildRack(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := topology.BuildSingleNode(topology.DefaultSingleNode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cfg := range map[string]ExecConfig{
+		"rack":      {Topology: rack},
+		"worst-fit": {Topology: single, Placer: placement.NewWorst(single)},
+	} {
+		rt, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range []*dataflow.Job{workload.DBMS(workload.DefaultDBMS()), workload.HPC(workload.DefaultHPC())} {
+			rep, err := rt.RunAll([]*dataflow.Job{j})
+			if err != nil {
+				t.Fatal(err)
+			}
+			jr := rep.Jobs[j.Name()]
+			if jr.Stretch != 1 || rep.SumIsolated != jr.Report.Makespan {
+				t.Errorf("%s: lone %s stretch %v, isolated %v, makespan %v; want stretch 1",
+					name, j.Name(), jr.Stretch, rep.SumIsolated, jr.Report.Makespan)
+			}
+		}
 	}
 }

@@ -326,6 +326,32 @@ func TestPlacerChoiceAffectsPlacement(t *testing.T) {
 	}
 }
 
+// TestRandomPlacerIgnoresWorkerCount: the random placer's picks are a
+// function of the run, so a hospital run under it reports the same bytes
+// whatever the executor's pool size, like every other placer.
+func TestRandomPlacerIgnoresWorkerCount(t *testing.T) {
+	var want string
+	for _, workers := range []int{1, 2, 8} {
+		topo, err := topology.BuildSingleNode(topology.DefaultSingleNode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := New(ExecConfig{Topology: topo, Placer: placement.NewRandom(topo, 1), Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := rt.Run(workload.Hospital(workload.DefaultHospital()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.String(); want == "" {
+			want = got
+		} else if got != want {
+			t.Fatalf("Workers %d reports\n%s\nWorkers 1 reports\n%s", workers, got, want)
+		}
+	}
+}
+
 func TestReportRendering(t *testing.T) {
 	rt := newRuntime(t)
 	rep, err := rt.Run(workload.Hospital(workload.DefaultHospital()))

@@ -123,7 +123,7 @@ func Figure3() (*Artifact, error) {
 	tbl := &table{header: []string{"Compute device", "Request", "Mapped to", "Access latency"}}
 	metrics := map[string]float64{}
 	for _, comp := range []string{"node0/cpu0", "node0/gpu0", "node0/tpu0"} {
-		dev, err := best.Place(req, comp)
+		dev, err := best.PlaceEpoch(req, comp, 0, nil)
 		if err != nil {
 			return nil, fmt.Errorf("paper: figure3 %s: %w", comp, err)
 		}

@@ -25,55 +25,38 @@ type Artifact struct {
 	Metrics map[string]float64 // structured findings for assertions
 }
 
-// Generator produces an artifact.
-type Generator func() (*Artifact, error)
-
-// Registry returns all artifact generators keyed by ID.
-func Registry() map[string]Generator {
-	return map[string]Generator{
-		"table1":             Table1,
-		"table1-sweep":       Table1Sweep,
-		"table2":             Table2,
-		"table3":             Table3,
-		"figure1":            Figure1,
-		"figure1-sweep":      Figure1Sweep,
-		"figure2":            Figure2,
-		"figure3":            Figure3,
-		"figure4":            Figure4,
-		"claim-numa":         ClaimNUMA,
-		"claim-placement":    ClaimPlacement,
-		"claim-util":         ClaimUtilization,
-		"claim-fault":        ClaimFaultTolerance,
-		"claim-swizzle":      ClaimSwizzle,
-		"ablation-async":     AblationAsync,
-		"ablation-sched":     AblationScheduler,
-		"ablation-coherence": AblationCoherence,
-		"ablation-tiering":   AblationTiering,
-		"ablation-planner":   AblationPlanner,
-		"ablation-multijob":  AblationMultiJob,
-		"ablation-recovery":  AblationRecovery,
-	}
+// artifacts is every artifact generator, in DESIGN.md order: the one list
+// IDs and Generate read.
+var artifacts = []struct {
+	id  string
+	gen func() (*Artifact, error)
+}{
+	{"table1", Table1}, {"table1-sweep", Table1Sweep}, {"table2", Table2}, {"table3", Table3},
+	{"figure1", Figure1}, {"figure1-sweep", Figure1Sweep}, {"figure2", Figure2}, {"figure3", Figure3}, {"figure4", Figure4},
+	{"claim-numa", ClaimNUMA}, {"claim-placement", ClaimPlacement}, {"claim-util", ClaimUtilization},
+	{"claim-fault", ClaimFaultTolerance}, {"claim-swizzle", ClaimSwizzle},
+	{"ablation-async", AblationAsync}, {"ablation-sched", AblationScheduler}, {"ablation-coherence", AblationCoherence},
+	{"ablation-tiering", AblationTiering}, {"ablation-planner", AblationPlanner}, {"ablation-multijob", AblationMultiJob},
+	{"ablation-recovery", AblationRecovery},
 }
 
 // IDs returns the artifact IDs in DESIGN.md order.
 func IDs() []string {
-	return []string{
-		"table1", "table1-sweep", "table2", "table3",
-		"figure1", "figure1-sweep", "figure2", "figure3", "figure4",
-		"claim-numa", "claim-placement", "claim-util", "claim-fault", "claim-swizzle",
-		"ablation-async", "ablation-sched", "ablation-coherence",
-		"ablation-tiering", "ablation-planner", "ablation-multijob", "ablation-recovery",
+	ids := make([]string, len(artifacts))
+	for i, a := range artifacts {
+		ids[i] = a.id
 	}
+	return ids
 }
 
 // Generate runs one artifact by ID.
 func Generate(id string) (*Artifact, error) {
-	gen, ok := Registry()[id]
-	if !ok {
-		known := IDs()
-		return nil, fmt.Errorf("paper: unknown artifact %q (known: %s)", id, strings.Join(known, ", "))
+	for _, a := range artifacts {
+		if a.id == id {
+			return a.gen()
+		}
 	}
-	return gen()
+	return nil, fmt.Errorf("paper: unknown artifact %q (known: %s)", id, strings.Join(IDs(), ", "))
 }
 
 // table renders rows with a header in aligned columns.

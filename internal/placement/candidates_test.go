@@ -2,6 +2,8 @@ package placement
 
 import (
 	"fmt"
+	"hash/fnv"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -11,12 +13,13 @@ import (
 	"repro/internal/topology"
 )
 
-// referencePlace is the placement decision computed from scratch, the way
-// BestFit did before it kept candidate lists: every device's capabilities,
-// hard-constraint match and score derived on the spot. The cached optimizer
-// must reproduce it decision for decision.
-func referencePlace(topo *topology.Topology, req props.Requirements, computeID string, now time.Duration, clk *topology.TaskView) string {
-	best, bestScore := "", 0.0
+// referenceFilter is the candidate pass computed from scratch, the way the
+// policies did before they shared candidate lists: every device's
+// capabilities — free capacity included — and hard-constraint match derived
+// on the spot. It returns the matching devices in device order, with their
+// dense indexes and scores.
+func referenceFilter(topo *topology.Topology, req props.Requirements, computeID string) []candidate {
+	var out []candidate
 	for i, dev := range topo.Memories() {
 		if dev.HardwareManaged {
 			continue
@@ -25,29 +28,72 @@ func referencePlace(topo *topology.Topology, req props.Requirements, computeID s
 		if !ok {
 			continue
 		}
-		if ok, _ := req.Match(caps); !ok {
-			continue
-		}
-		s := req.Score(caps)
-		if clk != nil {
-			s -= backlogPenalty(clk.BusyAt(i), now)
-		}
-		if best == "" || s > bestScore {
-			best, bestScore = dev.ID, s
+		if ok, _ := req.Match(caps); ok {
+			out = append(out, candidate{dev: dev, idx: i, score: req.Score(caps)})
 		}
 	}
-	return best
+	return out
 }
 
-// TestCachedBestFitMatchesFresh drives one long-lived BestFit through a
-// sequence that interleaves placements with everything that may change
-// their outcome — new links, new memory and compute devices, a device
-// filling up, a backlog appearing on a clock view — and checks every decision
-// (device, error text) against a BestFit built fresh for that one call and
-// against the from-scratch reference.
+// referencePick is each policy's rule applied to the reference filter: the
+// device it must choose, or "" when nothing matches.
+func referencePick(policy string, seed int64, req props.Requirements, computeID string, now time.Duration, clk *topology.TaskView, list []candidate) string {
+	if len(list) == 0 {
+		return ""
+	}
+	switch policy {
+	case "first-fit":
+		return list[0].dev.ID
+	case "random":
+		var ids []string
+		for _, c := range list {
+			ids = append(ids, c.dev.ID)
+		}
+		sort.Strings(ids)
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%d\x00%s\x00%#v\x00%d", seed, computeID, req, now)
+		return ids[h.Sum64()%uint64(len(ids))]
+	}
+	pick, pickScore := "", 0.0
+	for _, c := range list {
+		s := c.score
+		if policy == "worst-fit" {
+			s = -s
+		} else if clk != nil {
+			s -= backlogPenalty(clk.BusyAt(c.idx), now)
+		}
+		if pick == "" || s > pickScore {
+			pick, pickScore = c.dev.ID, s
+		}
+	}
+	return pick
+}
+
+// placer is what the tests drive: every policy of the package.
+type placer interface {
+	PlaceEpoch(req props.Requirements, computeID string, now time.Duration, clk *topology.TaskView) (string, error)
+	Name() string
+}
+
+// TestCachedBestFitMatchesFresh drives one long-lived placer of each policy
+// through a sequence that interleaves placements with everything that may
+// change their outcome — a device filling up, a backlog appearing on a clock
+// view — and checks every decision (device, error text) against a placer
+// built fresh for that one call and against the policy's rule applied to the
+// from-scratch reference filter.
 func TestCachedBestFitMatchesFresh(t *testing.T) {
+	const seed = 11
 	topo := testbed(t)
-	cached := NewBestFit(topo)
+	policies := []func() placer{
+		func() placer { return NewBestFit(topo) },
+		func() placer { return NewWorst(topo) },
+		func() placer { return NewRandom(topo, seed) },
+		func() placer { return NewFirstFit(topo) },
+	}
+	cached := make([]placer, len(policies))
+	for i, mk := range policies {
+		cached[i] = mk()
+	}
 
 	reqs := []props.Requirements{
 		{Capacity: 1 << 20},
@@ -66,33 +112,27 @@ func TestCachedBestFitMatchesFresh(t *testing.T) {
 		t.Helper()
 		for _, comp := range computes {
 			for _, req := range reqs {
-				step++
-				fresh := NewBestFit(topo)
-				var got, want string
-				var gotErr, wantErr error
-				// Place and a clockless PlaceEpoch are blind to backlog.
-				var refClk *topology.TaskView
-				switch step % 3 {
-				case 0:
-					got, gotErr = cached.Place(req, comp)
-					want, wantErr = fresh.Place(req, comp)
-				case 1:
-					got, gotErr = cached.PlaceEpoch(req, comp, now, nil)
-					want, wantErr = fresh.PlaceEpoch(req, comp, now, nil)
-				default:
-					refClk = clk
-					got, gotErr = cached.PlaceEpoch(req, comp, now, clk)
-					want, wantErr = fresh.PlaceEpoch(req, comp, now, clk)
-				}
-				refDev := referencePlace(topo, req, comp, now, refClk)
-				if got != want || got != refDev {
-					t.Fatalf("%s: %s from %s: cached %q, fresh %q, reference %q", label, req, comp, got, want, refDev)
-				}
-				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-					t.Fatalf("%s: %s from %s: cached error %q, fresh error %q", label, req, comp, gotErr, wantErr)
-				}
-				if (gotErr != nil) != (refDev == "") {
-					t.Fatalf("%s: %s from %s: error %v but reference chose %q", label, req, comp, gotErr, refDev)
+				list := referenceFilter(topo, req, comp)
+				for i, mk := range policies {
+					step++
+					var refClk *topology.TaskView
+					if step%2 == 0 {
+						refClk = clk // a clockless call is blind to backlog
+					}
+					got, gotErr := cached[i].PlaceEpoch(req, comp, now, refClk)
+					want, wantErr := mk().PlaceEpoch(req, comp, now, refClk)
+					name := cached[i].Name()
+					refDev := referencePick(name, seed, req, comp, now, refClk, list)
+					if got != want || got != refDev {
+						t.Fatalf("%s: %s: %s from %s: cached %q, fresh %q, reference %q", label, name, req, comp, got, want, refDev)
+					}
+					refErr := "<nil>"
+					if refDev == "" {
+						refErr = fmt.Sprintf("placement: no device satisfies the request: %s from %s", req, comp)
+					}
+					if fmt.Sprint(gotErr) != refErr || fmt.Sprint(wantErr) != refErr {
+						t.Fatalf("%s: %s: %s from %s: cached error %q, fresh error %q, reference %q", label, name, req, comp, gotErr, wantErr, refErr)
+					}
 				}
 			}
 		}
@@ -122,58 +162,49 @@ func TestCachedBestFitMatchesFresh(t *testing.T) {
 	check("hbm nearly full", 0, clk)
 	hbm.Release(1 << 30)
 	check("hbm freed", 0, clk)
-
-	// The graph changes under the resolved lists.
-	if err := topo.Connect(topology.Link{A: "node0/cpu1", B: "node0/hbm0", Kind: topology.LinkOnChip, Latency: 2 * time.Nanosecond, Bandwidth: 900e9, Coherent: true}); err != nil {
-		t.Fatal(err)
-	}
-	check("after Connect", 0, clk)
-	fast, err := memsim.NewDevice("node0/fast0", memsim.HBMSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := topo.AddMemory(fast); err != nil {
-		t.Fatal(err)
-	}
-	check("after AddMemory (unlinked)", 0, clk)
-	if err := topo.Connect(topology.Link{A: "node0/cpu0", B: "node0/fast0", Kind: topology.LinkOnChip, Latency: time.Nanosecond, Bandwidth: 1000e9, Coherent: true}); err != nil {
-		t.Fatal(err)
-	}
-	check("after AddMemory+Connect", 0, topo.NewTaskView())
-	if err := topo.AddCompute(&topology.ComputeDevice{ID: "nowhere/cpu9", Kind: topology.CPU, Gops: 100}); err != nil {
-		t.Fatal(err)
-	}
-	if err := topo.Connect(topology.Link{A: "nowhere/cpu9", B: "fabric", Kind: topology.LinkNIC, Latency: time.Microsecond, Bandwidth: 25e9}); err != nil {
-		t.Fatal(err)
-	}
-	check("after AddCompute", 0, clk)
 }
 
-// TestAddComputeAloneInvalidates: a compute device that becomes known
-// without any link change must stop answering from the list resolved while
-// it was unknown (EffectiveCaps refuses an unregistered compute ID).
-func TestAddComputeAloneInvalidates(t *testing.T) {
-	topo := topology.New()
-	dev, err := memsim.NewDevice("m", memsim.DRAMSpec())
-	if err != nil {
-		t.Fatal(err)
+// TestRandomIsOrderIndependent: a random pick is a function of its inputs,
+// not of the placements asked before it, so two placers with one seed agree
+// however their calls are ordered; the picks still spread.
+func TestRandomIsOrderIndependent(t *testing.T) {
+	topo := testbed(t)
+	type call struct {
+		req  props.Requirements
+		comp string
+		now  time.Duration
 	}
-	if err := topo.AddMemory(dev); err != nil {
-		t.Fatal(err)
+	var calls []call
+	for i := 0; i < 64; i++ {
+		calls = append(calls, call{
+			req:  props.Requirements{Capacity: int64(4096 << (i % 4)), Latency: props.LatencyBulk},
+			comp: []string{"node0/cpu0", "node0/cpu1", "node0/gpu0"}[i%3],
+			now:  time.Duration(i) * time.Microsecond,
+		})
 	}
-	if err := topo.Connect(topology.Link{A: "c", B: "m", Kind: topology.LinkMemBus, Latency: time.Nanosecond, Bandwidth: 100e9, Coherent: true}); err != nil {
-		t.Fatal(err)
+	forward, backward := NewRandom(topo, 3), NewRandom(topo, 3)
+	picks := make([]string, len(calls))
+	for i, c := range calls {
+		dev, err := forward.PlaceEpoch(c.req, c.comp, c.now, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		picks[i] = dev
 	}
-	b := NewBestFit(topo)
-	req := props.Requirements{Capacity: 4096}
-	if _, err := b.Place(req, "c"); err == nil {
-		t.Fatal("placement from an unregistered compute device must fail")
+	spread := map[string]bool{}
+	for i := len(calls) - 1; i >= 0; i-- {
+		c := calls[i]
+		dev, err := backward.PlaceEpoch(c.req, c.comp, c.now, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dev != picks[i] {
+			t.Fatalf("call %d (%s from %s at %v): %q in reverse order, %q in order", i, c.req, c.comp, c.now, dev, picks[i])
+		}
+		spread[dev] = true
 	}
-	if err := topo.AddCompute(&topology.ComputeDevice{ID: "c", Kind: topology.CPU, Gops: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := b.Place(req, "c"); err != nil || got != "m" {
-		t.Fatalf("after AddCompute: %q, %v; want m", got, err)
+	if len(spread) < 2 {
+		t.Errorf("%d random picks all landed on %v", len(calls), spread)
 	}
 }
 
@@ -184,13 +215,13 @@ func TestCandidateCacheBounded(t *testing.T) {
 	topo := testbed(t)
 	b := NewBestFit(topo)
 	hot := props.Requirements{Capacity: 1 << 20, Latency: props.LatencyLow}
-	want, err := b.Place(hot, "node0/cpu0")
+	want, err := b.PlaceEpoch(hot, "node0/cpu0", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3*maxShapes; i++ {
 		req := props.Requirements{Capacity: 4096, MinBandwidth: float64(i + 1)}
-		if _, err := b.Place(req, "node0/cpu0"); err != nil {
+		if _, err := b.PlaceEpoch(req, "node0/cpu0", 0, nil); err != nil {
 			t.Fatal(err)
 		}
 		b.mu.Lock()
@@ -200,7 +231,7 @@ func TestCandidateCacheBounded(t *testing.T) {
 			t.Fatalf("after %d distinct shapes the cache holds %d lists, bound %d", i+1, n, maxShapes)
 		}
 	}
-	if got, err := b.Place(hot, "node0/cpu0"); err != nil || got != want {
+	if got, err := b.PlaceEpoch(hot, "node0/cpu0", 0, nil); err != nil || got != want {
 		t.Fatalf("after the cache was dropped: %q, %v; want %q", got, err, want)
 	}
 }
@@ -217,7 +248,7 @@ func TestConcurrentPlacementsAgree(t *testing.T) {
 	want := make([]string, len(reqs))
 	seq := NewBestFit(topo)
 	for i, req := range reqs {
-		want[i], _ = seq.Place(req, "node0/cpu0")
+		want[i], _ = seq.PlaceEpoch(req, "node0/cpu0", 0, nil)
 	}
 	shared := NewBestFit(topo)
 	var wg sync.WaitGroup
@@ -227,12 +258,12 @@ func TestConcurrentPlacementsAgree(t *testing.T) {
 			defer wg.Done()
 			for n := 0; n < 40*len(reqs); n++ {
 				i := (n + g*7) % len(reqs)
-				if got, _ := shared.Place(reqs[i], "node0/cpu0"); got != want[i] {
+				if got, _ := shared.PlaceEpoch(reqs[i], "node0/cpu0", 0, nil); got != want[i] {
 					t.Errorf("goroutine %d: %s placed on %q, want %q", g, reqs[i], got, want[i])
 					return
 				}
 				if g == 0 { // one goroutine floods the cache with one-off shapes
-					shared.Place(props.Requirements{Capacity: 64, MaxLatency: time.Duration(n+1) * time.Second}, "node0/cpu1") //nolint:errcheck
+					shared.PlaceEpoch(props.Requirements{Capacity: 64, MaxLatency: time.Duration(n+1) * time.Second}, "node0/cpu1", 0, nil) //nolint:errcheck
 				}
 			}
 		}(g)

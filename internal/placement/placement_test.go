@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/props"
 	"repro/internal/topology"
@@ -27,11 +28,11 @@ func TestBestFitFigure3(t *testing.T) {
 		Capacity: 1 << 20, Latency: props.LatencyLow,
 		Sync: props.Require, ByteAddr: props.Require, PreferLocal: true,
 	}
-	cpuDev, err := b.Place(req, "node0/cpu0")
+	cpuDev, err := b.PlaceEpoch(req, "node0/cpu0", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gpuDev, err := b.Place(req, "node0/gpu0")
+	gpuDev, err := b.PlaceEpoch(req, "node0/gpu0", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestBestFitPersistent(t *testing.T) {
 	topo := testbed(t)
 	b := NewBestFit(topo)
 	req := props.Requirements{Capacity: 1 << 20, Latency: props.LatencyMedium, Persistent: props.Require}
-	dev, err := b.Place(req, "node0/cpu0")
+	dev, err := b.PlaceEpoch(req, "node0/cpu0", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestBestFitConservesPremiumCapacity(t *testing.T) {
 	topo := testbed(t)
 	b := NewBestFit(topo)
 	req := props.Requirements{Capacity: 1 << 20, Latency: props.LatencyMedium}
-	dev, err := b.Place(req, "node0/cpu0")
+	dev, err := b.PlaceEpoch(req, "node0/cpu0", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestBestFitNoCandidate(t *testing.T) {
 	b := NewBestFit(topo)
 	// Impossible: persistent AND sub-200ns from a CPU on this testbed.
 	req := props.Requirements{Latency: props.LatencyLow, Persistent: props.Require, MaxLatency: 50}
-	if _, err := b.Place(req, "node0/cpu0"); !errors.Is(err, ErrNoCandidate) {
+	if _, err := b.PlaceEpoch(req, "node0/cpu0", 0, nil); !errors.Is(err, ErrNoCandidate) {
 		t.Errorf("err = %v, want ErrNoCandidate", err)
 	}
 }
@@ -129,11 +130,11 @@ func TestRandomIsSeededAndValid(t *testing.T) {
 	a := NewRandom(topo, 42)
 	b := NewRandom(topo, 42)
 	for i := 0; i < 20; i++ {
-		da, err := a.Place(req, "node0/cpu0")
+		da, err := a.PlaceEpoch(req, "node0/cpu0", 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		db, err := b.Place(req, "node0/cpu0")
+		db, err := b.PlaceEpoch(req, "node0/cpu0", 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +146,7 @@ func TestRandomIsSeededAndValid(t *testing.T) {
 			t.Fatalf("random placement %s violates the request", da)
 		}
 	}
-	if _, err := a.Place(props.Requirements{MaxLatency: 1}, "node0/cpu0"); !errors.Is(err, ErrNoCandidate) {
+	if _, err := a.PlaceEpoch(props.Requirements{MaxLatency: 1}, "node0/cpu0", 0, nil); !errors.Is(err, ErrNoCandidate) {
 		t.Error("impossible request must fail")
 	}
 }
@@ -155,11 +156,11 @@ func TestWorstStillMatchesButScoresLow(t *testing.T) {
 	w := NewWorst(topo)
 	b := NewBestFit(topo)
 	req := props.Requirements{Capacity: 1 << 20, Latency: props.LatencyBulk, ByteAddr: props.Require}
-	wd, err := w.Place(req, "node0/cpu0")
+	wd, err := w.PlaceEpoch(req, "node0/cpu0", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bd, err := b.Place(req, "node0/cpu0")
+	bd, err := b.PlaceEpoch(req, "node0/cpu0", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,25 +172,28 @@ func TestWorstStillMatchesButScoresLow(t *testing.T) {
 	if req.Score(wCaps) >= req.Score(bCaps) {
 		t.Error("worst-fit must score below best-fit")
 	}
-	if _, err := w.Place(props.Requirements{MaxLatency: 1}, "node0/cpu0"); !errors.Is(err, ErrNoCandidate) {
+	if _, err := w.PlaceEpoch(props.Requirements{MaxLatency: 1}, "node0/cpu0", 0, nil); !errors.Is(err, ErrNoCandidate) {
 		t.Error("impossible request must fail")
 	}
 }
 
 func TestPlacerNames(t *testing.T) {
 	topo := testbed(t)
-	if NewBestFit(topo).Name() != "best-fit" || NewRandom(topo, 1).Name() != "random" || NewWorst(topo).Name() != "worst-fit" {
+	if NewBestFit(topo).Name() != "best-fit" || NewRandom(topo, 1).Name() != "random" || NewWorst(topo).Name() != "worst-fit" ||
+		NewFirstFit(topo).Name() != "first-fit" {
 		t.Error("placer names wrong")
 	}
 }
 
 // Property: best-fit dominates — for any satisfiable request, the device
-// best-fit picks scores at least as high as random's and worst-fit's picks.
+// best-fit picks scores at least as high as random's, worst-fit's and
+// first-fit's picks.
 func TestBestFitDominatesProperty(t *testing.T) {
 	topo := testbed(t)
 	best := NewBestFit(topo)
 	rnd := NewRandom(topo, 7)
 	worst := NewWorst(topo)
+	first := NewFirstFit(topo)
 	computes := []string{"node0/cpu0", "node0/cpu1", "node0/gpu0", "node0/tpu0"}
 	f := func(latSel, comSel uint8, persist bool, conf bool) bool {
 		req := props.Requirements{
@@ -201,16 +205,16 @@ func TestBestFitDominatesProperty(t *testing.T) {
 		}
 		req.Confidential = conf
 		c := computes[int(comSel)%len(computes)]
-		bd, err := best.Place(req, c)
+		bd, err := best.PlaceEpoch(req, c, 0, nil)
 		if err != nil {
 			return true // unsatisfiable is fine
 		}
 		bCaps, _ := topo.EffectiveCaps(c, bd)
 		bScore := req.Score(bCaps)
 		for _, other := range []interface {
-			Place(props.Requirements, string) (string, error)
-		}{rnd, worst} {
-			od, err := other.Place(req, c)
+			PlaceEpoch(props.Requirements, string, time.Duration, *topology.TaskView) (string, error)
+		}{rnd, worst, first} {
+			od, err := other.PlaceEpoch(req, c, 0, nil)
 			if err != nil {
 				return false // best found one, others must too
 			}
@@ -233,7 +237,7 @@ func BenchmarkBestFitPlace(b *testing.B) {
 	req.Capacity = 1 << 20
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Place(req, "node0/gpu0"); err != nil {
+		if _, err := p.PlaceEpoch(req, "node0/gpu0", 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/placement"
 	"repro/internal/props"
 	"repro/internal/telemetry"
 )
@@ -169,7 +170,7 @@ func TestFenceErrorAbortsAccess(t *testing.T) {
 func TestCoherenceCostTopologyMissIsNotFree(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	topo := newManager(t).topo
-	m, err := NewManager(Config{Topology: topo, Telemetry: reg})
+	m, err := NewManager(Config{Topology: topo, Placer: placement.NewFirstFit(topo), Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

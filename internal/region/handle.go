@@ -58,10 +58,9 @@ type Handle struct {
 	// rt caches the resolved route from compute to the region's device, so
 	// pricing an access probes no routing table. It is good for as long as
 	// it still leads to the device the region is on — a migration (Transfer,
-	// Rebalance) changes r.device and the next access re-resolves by itself
-	// — and the graph it was resolved on has not changed. Nil until the
-	// first access, and while the pair does not resolve. Like ownVer, written
-	// under r.mu.
+	// Rebalance) changes r.device and the next access re-resolves by itself;
+	// the graph cannot change once read. Nil until the first access, and
+	// while the pair does not resolve. Like ownVer, written under r.mu.
 	rt *topology.Route
 }
 
@@ -213,11 +212,11 @@ func (h *Handle) fenceDeps() []int {
 }
 
 // route returns the resolved route from the handle's compute device to the
-// region's current device: the cached one while it is still good, a fresh
-// resolution otherwise. Nil when the pair does not resolve. Caller holds
-// r.mu.
+// region's current device: the cached one while the region has not moved, a
+// fresh resolution otherwise. Nil when the pair does not resolve. Caller
+// holds r.mu.
 func (h *Handle) route() *topology.Route {
-	if rt := h.rt; rt != nil && rt.Mem == h.r.device && rt.Valid() {
+	if rt := h.rt; rt != nil && rt.Mem == h.r.device {
 		return rt
 	}
 	h.rt, _ = h.r.m.topo.Route(h.compute, h.r.device.ID)
@@ -497,7 +496,7 @@ func (r *Region) setOwner(from, to Owner, compute string) {
 // migrateLocked moves a region to a device matching its requirements from
 // computeID, paying read+write virtual time. Caller holds m.mu and r.mu.
 func (m *Manager) migrateLocked(r *Region, computeID string, now time.Duration, clk *topology.TaskView) (time.Duration, error) {
-	devID, err := m.placer.Place(r.req, computeID)
+	devID, err := m.placer.PlaceEpoch(r.req, computeID, 0, nil)
 	if err != nil {
 		return now, fmt.Errorf("%w: migration: %v", ErrNoPlacement, err)
 	}

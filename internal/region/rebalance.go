@@ -234,7 +234,7 @@ func (m *Manager) promotionTarget(r *Region) (string, bool) {
 	}
 	req := r.req
 	req.Capacity = r.blockSize
-	best, err := m.placer.Place(req, comp)
+	best, err := m.placer.PlaceEpoch(req, comp, 0, nil)
 	if err != nil || best == r.device.ID {
 		return "", false
 	}

@@ -51,12 +51,13 @@ type Owner string
 // ID is a region identifier, unique per Manager.
 type ID uint64
 
-// Placer decides which memory device serves a request. The placement
-// package provides cost-model implementations; FirstFit below is the naive
-// baseline.
+// Placer decides which memory device serves a request; the placement
+// package provides the policies.
 type Placer interface {
-	// Place returns the device ID to allocate on.
-	Place(req props.Requirements, computeID string) (string, error)
+	// PlaceEpoch returns the device ID to allocate on. now and clk are the
+	// requester's virtual time and clock view, for a policy that steers by
+	// queue backlog; a nil clk asks for a decision blind to backlog.
+	PlaceEpoch(req props.Requirements, computeID string, now time.Duration, clk *topology.TaskView) (string, error)
 	// Name labels the policy in reports.
 	Name() string
 }
@@ -74,10 +75,10 @@ type Spec struct {
 	// region was already co-placed for several compute devices; the pinned
 	// device must still satisfy the merged requirements.
 	Device string
-	// Now is the requester's virtual time at allocation. Placers that
-	// implement PlacerEpoch read each device's queue backlog in Clock as of
-	// Now — the "resource utilization" signal §3's challenges 1-3 ask the
-	// RTS to track. Zero is a valid time (job start).
+	// Now is the requester's virtual time at allocation. A placer may read
+	// each device's queue backlog in Clock as of Now — the "resource
+	// utilization" signal §3's challenges 1-3 ask the RTS to track. Zero is
+	// a valid time (job start).
 	Now time.Duration
 	// Clock is the virtual-time view all of this region's accesses are
 	// queued against and counted in: in a run, the wavefront task's causal
@@ -87,13 +88,6 @@ type Spec struct {
 	// submission requires. A view is one goroutine's: its counts reach the
 	// shared counters when its holder publishes it.
 	Clock *topology.TaskView
-}
-
-// PlacerEpoch is the clock-aware extension of Placer: the backlog signal is
-// read from the requester's own virtual-time view, so concurrent runs steer
-// by their own contention.
-type PlacerEpoch interface {
-	PlaceEpoch(req props.Requirements, computeID string, now time.Duration, clk *topology.TaskView) (string, error)
 }
 
 // Region is the manager-internal state of one memory region. Every handle to
@@ -306,7 +300,7 @@ type Manager struct {
 // Config assembles a Manager.
 type Config struct {
 	Topology  *topology.Topology
-	Placer    Placer              // nil → FirstFit baseline
+	Placer    Placer
 	Telemetry *telemetry.Registry // nil → disabled
 }
 
@@ -316,7 +310,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		return nil, errors.New("region: topology required")
 	}
 	if cfg.Placer == nil {
-		cfg.Placer = FirstFit{Topo: cfg.Topology}
+		return nil, errors.New("region: placer required")
 	}
 	m := &Manager{
 		topo:    cfg.Topology,
@@ -408,11 +402,7 @@ func (m *Manager) Alloc(spec Spec) (*Handle, error) {
 
 	devID := spec.Device
 	if devID == "" {
-		if p, ok := m.placer.(PlacerEpoch); ok {
-			devID, err = p.PlaceEpoch(req, spec.Compute, spec.Now, spec.Clock)
-		} else {
-			devID, err = m.placer.Place(req, spec.Compute)
-		}
+		devID, err = m.placer.PlaceEpoch(req, spec.Compute, spec.Now, spec.Clock)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s for %s on %s: %v", ErrNoPlacement, req, spec.Name, spec.Compute, err)
 		}
@@ -525,31 +515,3 @@ func (m *Manager) DeviceBytes() map[string]int64 {
 	}
 	return out
 }
-
-// FirstFit is the naive placement baseline the paper's intro warns about:
-// it scans devices in topology order and takes the first hard-constraint
-// match, ignoring latency/bandwidth quality entirely. Figure-1/claim
-// benches contrast it against the cost-model optimizer.
-type FirstFit struct {
-	Topo *topology.Topology
-}
-
-// Place implements Placer.
-func (f FirstFit) Place(req props.Requirements, computeID string) (string, error) {
-	for _, dev := range f.Topo.Memories() {
-		if dev.HardwareManaged {
-			continue
-		}
-		caps, ok := f.Topo.EffectiveCaps(computeID, dev.ID)
-		if !ok {
-			continue
-		}
-		if req.Matches(caps) {
-			return dev.ID, nil
-		}
-	}
-	return "", fmt.Errorf("no matching device for %s from %s", req, computeID)
-}
-
-// Name implements Placer.
-func (f FirstFit) Name() string { return "first-fit" }

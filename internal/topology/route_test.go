@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -66,14 +67,12 @@ func island(t *testing.T) *Topology {
 	return topo
 }
 
-// TestConnectInvalidatesRoutes: a link added after routes were resolved
-// drops them — positive and negative ones — and marks the old objects stale
-// for whoever cached them.
-func TestConnectInvalidatesRoutes(t *testing.T) {
+// TestIslandRoutes: a linked pair resolves, an unlinked memory device and an
+// unknown ID do not, and pricing an access to either says which it was.
+func TestIslandRoutes(t *testing.T) {
 	topo := island(t)
-	old, ok := topo.Route("cpu", "dram")
-	if !ok || old.Path.Latency != time.Microsecond || !old.Valid() {
-		t.Fatalf("cpu→dram = %+v ok=%v, want a valid 1µs route", old, ok)
+	if rt, ok := topo.Route("cpu", "dram"); !ok || rt.Path.Latency != time.Microsecond {
+		t.Fatalf("cpu→dram = %+v ok=%v, want a 1µs route", rt, ok)
 	}
 	if _, ok := topo.Route("cpu", "spare"); ok {
 		t.Fatal("spare is unlinked and must not resolve")
@@ -85,102 +84,92 @@ func TestConnectInvalidatesRoutes(t *testing.T) {
 	if _, err := clk.AccessTime("cpu", "ghost", 0, 64, memsim.Read, memsim.Sequential); err == nil || err.Error() != `topology: unknown memory device "ghost"` {
 		t.Errorf("unknown-device AccessTime err = %v", err)
 	}
+}
 
-	// A faster link to dram and a first link to spare.
-	if err := topo.Connect(Link{A: "cpu", B: "dram", Kind: LinkMemBus, Latency: 100 * time.Nanosecond, Bandwidth: 1e9, Coherent: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := topo.Connect(Link{A: "cpu", B: "spare", Kind: LinkNIC, Latency: 5 * time.Microsecond, Bandwidth: 1e9}); err != nil {
-		t.Fatal(err)
-	}
-	if old.Valid() {
-		t.Error("a route resolved before Connect must report stale")
-	}
-	fresh, ok := topo.Route("cpu", "dram")
-	if !ok || fresh == old || fresh.Path.Latency != 100*time.Nanosecond || !fresh.Valid() {
-		t.Errorf("cpu→dram after Connect = %+v ok=%v, want a new valid 100ns route", fresh, ok)
-	}
-	spare, ok := topo.Route("cpu", "spare")
-	if !ok || !spare.Remote || spare.Sync {
-		t.Errorf("cpu→spare after Connect = %+v ok=%v, want a remote, async-only route", spare, ok)
-	}
-	if p, ok := topo.Path("cpu", "dram"); !ok || p.Latency != 100*time.Nanosecond {
-		t.Errorf("Path after Connect = %+v ok=%v", p, ok)
+// TestGraphSealsAtFirstRead: building a graph reads nothing from it, and
+// each kind of read that derives state from it — a route, a path, effective
+// capabilities from a known and from an unregistered compute device, the
+// compute set, a task view, the memory list — seals it: AddCompute,
+// AddMemory and Connect fail after it and leave the graph as it was.
+func TestGraphSealsAtFirstRead(t *testing.T) {
+	for name, read := range map[string]func(*Topology){
+		"Route":                      func(g *Topology) { g.Route("cpu", "dram") },
+		"Path":                       func(g *Topology) { g.Path("cpu", "spare") },
+		"EffectiveCaps":              func(g *Topology) { g.EffectiveCaps("cpu", "dram") },
+		"EffectiveCaps unregistered": func(g *Topology) { g.EffectiveCaps("ghost", "dram") },
+		"ComputeSet":                 func(g *Topology) { g.ComputeSet() },
+		"NewTaskView":                func(g *Topology) { g.NewTaskView() },
+		"Memories":                   func(g *Topology) { g.Memories() },
+	} {
+		topo := island(t)
+		if _, ok := topo.Compute("cpu"); !ok {
+			t.Fatal("cpu must be registered")
+		}
+		if _, ok := topo.Memory("dram"); !ok {
+			t.Fatal("dram must be registered")
+		}
+		if err := topo.Connect(Link{A: "cpu", B: "spare", Kind: LinkNIC, Latency: time.Microsecond, Bandwidth: 1e9}); err != nil {
+			t.Fatalf("%s: a lookup by ID must not seal the graph: %v", name, err)
+		}
+		computes, mems, links := len(topo.computeOrder), len(topo.mems), len(topo.adj["cpu"])
+		read(topo)
+		late, err := memsim.NewDevice("late", memsim.DRAMSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for op, err := range map[string]error{
+			"AddCompute": topo.AddCompute(&ComputeDevice{ID: "ghost", Kind: CPU, Gops: 1}),
+			"AddMemory":  topo.AddMemory(late),
+			"Connect":    topo.Connect(Link{A: "cpu", B: "late", Kind: LinkPCIe, Latency: time.Microsecond, Bandwidth: 1e9}),
+		} {
+			if !errors.Is(err, errSealed) {
+				t.Errorf("after %s: %s err = %v, want the graph sealed", name, op, err)
+			}
+		}
+		if len(topo.computeOrder) != computes || len(topo.computes) != computes || len(topo.mems) != mems ||
+			len(topo.memIdx) != mems || len(topo.adj["cpu"]) != links || len(topo.adj["late"]) != 0 {
+			t.Errorf("after %s: a refused change altered the graph", name)
+		}
+		if _, ok := topo.EffectiveCaps("ghost", "dram"); ok {
+			t.Errorf("after %s: a refused compute device answers", name)
+		}
 	}
 }
 
-// TestAddMemoryInvalidatesRoutesAndGrowsViews: an ID that resolved as a
-// switch becomes a memory route once the device is registered, and queue
-// state taken before the device existed grows to hold it.
-func TestAddMemoryInvalidatesRoutesAndGrowsViews(t *testing.T) {
+// TestViewsOfDifferentLengthsFold: queue state shorter than the topology —
+// a view reset to idle grows back only as far as it is used — folds into a
+// longer one and takes a longer one in, in both directions.
+func TestViewsOfDifferentLengthsFold(t *testing.T) {
 	topo := island(t)
-	if err := topo.Connect(Link{A: "cpu", B: "late", Kind: LinkPCIe, Latency: 2 * time.Microsecond, Bandwidth: 1e9}); err != nil {
-		t.Fatal(err)
+	rt, ok := topo.Route("cpu", "dram")
+	if !ok {
+		t.Fatal("cpu→dram must resolve")
 	}
-	if _, ok := topo.Path("cpu", "late"); !ok {
-		t.Fatal("late is linked (as a switch) and must route")
-	}
-	if _, ok := topo.Route("cpu", "late"); ok {
-		t.Fatal("late is not a memory device yet")
-	}
-	view, snap := topo.NewTaskView(), new(TaskView)
-	snap.Reset(view)
-
-	d, err := memsim.NewDevice("late", memsim.DRAMSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := topo.AddMemory(d); err != nil {
-		t.Fatal(err)
-	}
-	rt, ok := topo.Route("cpu", "late")
-	if !ok || rt.Mem != d || rt.Idx != 2 {
-		t.Fatalf("cpu→late after AddMemory = %+v ok=%v, want index 2", rt, ok)
-	}
-
-	want, err := topo.NewTaskView().AccessTime("cpu", "late", 0, 4096, memsim.Write, memsim.Sequential)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, clk := range map[string]*TaskView{"view": view, "snapshot": snap} {
-		if got := busyUntil(clk, "late"); got != 0 {
-			t.Errorf("%s: drain time of late before any access = %v", name, got)
-		}
-		if got := clk.AccessRoute(rt, 0, 4096, memsim.Write, memsim.Sequential); got != want {
-			t.Errorf("%s: access to the late device = %v; want %v", name, got, want)
-		}
-		if busyUntil(clk, "late") == 0 {
-			t.Errorf("%s: access did not advance the late device's queue", name)
-		}
-	}
-	// Views of different lengths fold into each other in both directions.
+	view := topo.NewTaskView()
+	view.AccessRoute(rt, 0, 4096, memsim.Write, memsim.Sequential)
+	view.busy[1] = time.Minute // a backlog on spare, which no route reaches
 	short := &TaskView{topo: topo, busy: make([]time.Duration, 1)}
 	short.Merge(view)
-	if busyUntil(short, "late") != busyUntil(view, "late") {
+	if busyUntil(short, "spare") != time.Minute || busyUntil(short, "dram") != busyUntil(view, "dram") {
 		t.Error("Merge of a longer view must grow the shorter one")
 	}
 	view.Merge(&TaskView{topo: topo, busy: []time.Duration{time.Hour}})
-	if busyUntil(view, "dram") != time.Hour || busyUntil(view, "late") == 0 {
+	if busyUntil(view, "dram") != time.Hour || busyUntil(view, "spare") != time.Minute {
 		t.Error("Merge of a shorter view must keep the longer one's tail")
 	}
-	snap.Merge(short)
-	if busyUntil(snap, "late") != busyUntil(view, "late") || busyUntil(snap, "dram") != 0 {
-		t.Error("Merge must take the element-wise max")
-	}
 	// A reused view takes the source's queue state whole: what it held before
-	// — here a backlog on late that short does not have — is gone.
+	// — here a backlog on spare that the source does not have — is gone.
 	reused := topo.NewTaskView()
-	reused.AccessRoute(rt, 0, 1<<20, memsim.Write, memsim.Sequential)
 	reused.Reset(view)
-	if busyUntil(reused, "dram") != time.Hour || busyUntil(reused, "late") != busyUntil(view, "late") {
+	if busyUntil(reused, "dram") != time.Hour || busyUntil(reused, "spare") != time.Minute {
 		t.Error("Reset must copy the source's queue state")
 	}
-	reused.Reset(&TaskView{topo: topo, busy: []time.Duration{time.Minute}})
-	if busyUntil(reused, "dram") != time.Minute || busyUntil(reused, "late") != 0 {
+	reused.Reset(&TaskView{topo: topo, busy: []time.Duration{time.Second}})
+	if busyUntil(reused, "dram") != time.Second || busyUntil(reused, "spare") != 0 {
 		t.Error("Reset must drop the queue state the view held before")
 	}
 	reused.Reset(nil)
-	if busyUntil(reused, "dram") != 0 || busyUntil(reused, "late") != 0 {
+	if busyUntil(reused, "dram") != 0 || busyUntil(reused, "spare") != 0 {
 		t.Error("Reset(nil) must drain every queue")
 	}
 }

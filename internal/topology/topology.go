@@ -11,9 +11,14 @@
 // the graph; Path, EffectiveCaps and Addressable read it, and a virtual clock
 // (TaskView) prices accesses over it. The same memory device therefore
 // presents different capabilities to different compute devices (Figure 3).
+//
+// A graph is built, then read: the first read that derives anything from it
+// seals it, and AddCompute, AddMemory and Connect refuse to change it after
+// that. What is derived from a graph is therefore never out of date.
 package topology
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -121,8 +126,7 @@ type PathInfo struct {
 // that the graph fixes: the cheapest path and, when the destination is a
 // memory device, the device itself and the pair's derived access properties.
 // Routes are resolved lazily by Topology.Route and shared: treat one as
-// read-only. A holder that keeps a *Route across calls (region.Handle does)
-// must drop it once Valid reports false.
+// read-only. The graph cannot change under one, so a holder may keep it.
 type Route struct {
 	Mem    *memsim.Device // the memory device; nil when the destination is not one, or is unreachable
 	Idx    int            // Mem's dense index: its slot in a TaskView's queue state
@@ -132,12 +136,7 @@ type Route struct {
 	Lat    time.Duration // Mem.Latency + Path.Latency: one traversal to the device
 
 	reachable bool
-	stale     atomic.Bool // set when Connect or AddMemory changed the graph under it
 }
-
-// Valid reports whether the graph is still the one the route was resolved
-// on. Connect and AddMemory invalidate every route resolved before them.
-func (rt *Route) Valid() bool { return !rt.stale.Load() }
 
 // Topology is the full hardware graph.
 type Topology struct {
@@ -153,12 +152,22 @@ type Topology struct {
 	// resolution: building a topology precomputes nothing.
 	routeMu sync.RWMutex
 	routes  map[[2]string]*Route
-	// version counts graph changes (AddCompute, AddMemory, Connect): what a
-	// holder of state derived from the graph compares to know it is current.
-	version atomic.Uint64
-	// cset is the compute side of the graph resolved at one version; see
-	// ComputeSet.
+	// sealed is set by the first read that derives state from the graph;
+	// from then on the graph refuses changes.
+	sealed atomic.Bool
+	// cset is the compute side of the graph; see ComputeSet.
 	cset atomic.Pointer[ComputeSet]
+}
+
+// errSealed refuses a change to a graph that has been read.
+var errSealed = errors.New("topology: the graph is sealed: it was read before this change")
+
+// seal marks the graph read. It writes the flag once, so the readers that
+// call it afterwards share the cache line.
+func (t *Topology) seal() {
+	if !t.sealed.Load() {
+		t.sealed.Store(true)
+	}
 }
 
 // New returns an empty topology.
@@ -171,7 +180,11 @@ func New() *Topology {
 }
 
 // AddCompute registers a compute device. IDs must be unique across the graph.
+// It fails once the graph has been read.
 func (t *Topology) AddCompute(c *ComputeDevice) error {
+	if t.sealed.Load() {
+		return errSealed
+	}
 	if c == nil || c.ID == "" {
 		return fmt.Errorf("topology: compute device must have an id")
 	}
@@ -187,18 +200,15 @@ func (t *Topology) AddCompute(c *ComputeDevice) error {
 	c.idx = len(t.computeOrder)
 	t.computes[c.ID] = c
 	t.computeOrder = append(t.computeOrder, c.ID)
-	t.version.Add(1) // no route changes, but EffectiveCaps now answers for c.ID
 	return nil
 }
 
-// Version identifies the current graph: it changes whenever AddCompute,
-// AddMemory or Connect does. State derived from the graph (placement
-// candidates) records the version it was resolved at and is dropped once
-// Version differs.
-func (t *Topology) Version() uint64 { return t.version.Load() }
-
-// AddMemory registers a memory device built by memsim.
+// AddMemory registers a memory device built by memsim. It fails once the
+// graph has been read.
 func (t *Topology) AddMemory(d *memsim.Device) error {
+	if t.sealed.Load() {
+		return errSealed
+	}
 	if d == nil {
 		return fmt.Errorf("topology: nil memory device")
 	}
@@ -207,7 +217,6 @@ func (t *Topology) AddMemory(d *memsim.Device) error {
 	}
 	t.memIdx[d.ID] = len(t.mems)
 	t.mems = append(t.mems, d)
-	t.invalidateRoutes() // a route ending at this ID resolved it as a switch
 	return nil
 }
 
@@ -221,22 +230,13 @@ func (t *Topology) has(id string) bool {
 	return false
 }
 
-// invalidateRoutes advances the graph version, drops every resolved route
-// and marks it stale for the holders that cached it. An empty cache is left as it is, so building a
-// graph link by link allocates nothing here.
-func (t *Topology) invalidateRoutes() {
-	t.version.Add(1)
-	t.routeMu.Lock()
-	for _, rt := range t.routes {
-		rt.stale.Store(true)
-	}
-	clear(t.routes)
-	t.routeMu.Unlock()
-}
-
 // Connect adds a bidirectional link. Unknown endpoints are allowed — they
-// become switches (pure routing vertices).
+// become switches (pure routing vertices). It fails once the graph has been
+// read.
 func (t *Topology) Connect(l Link) error {
+	if t.sealed.Load() {
+		return errSealed
+	}
 	if l.A == "" || l.B == "" || l.A == l.B {
 		return fmt.Errorf("topology: invalid link %q-%q", l.A, l.B)
 	}
@@ -247,7 +247,6 @@ func (t *Topology) Connect(l Link) error {
 	rev := l
 	rev.A, rev.B = l.B, l.A
 	t.adj[l.B] = append(t.adj[l.B], rev)
-	t.invalidateRoutes()
 	return nil
 }
 
@@ -266,18 +265,17 @@ func (t *Topology) Memory(id string) (*memsim.Device, bool) {
 	return t.mems[i], true
 }
 
-// ComputeSet is the compute side of the graph resolved for one Version():
-// the devices by dense index, the per-kind lists, and where each device's
-// cores sit in one flat per-core table — what planning and execution index
-// their per-device state by instead of the device ID. It is resolved on
-// first use, shared and immutable; a graph change drops it.
+// ComputeSet is the compute side of the graph: the devices by dense index,
+// the per-kind lists, and where each device's cores sit in one flat per-core
+// table — what planning and execution index their per-device state by
+// instead of the device ID. It is resolved on first use, shared and
+// immutable.
 type ComputeSet struct {
 	// Devices lists the compute devices in insertion order; a device's
 	// position is its Index().
 	Devices []*ComputeDevice
 
 	topo    *Topology
-	version uint64
 	kinds   [FPGA + 1][]*ComputeDevice
 	coreOff []int32 // len(Devices)+1: device i's cores are [coreOff[i], coreOff[i+1])
 	// links is the Devices×Devices matrix of compute-to-compute routes, each
@@ -285,15 +283,15 @@ type ComputeSet struct {
 	links []atomic.Pointer[Route]
 }
 
-// ComputeSet returns the resolved compute side of the current graph.
+// ComputeSet returns the resolved compute side of the graph.
 func (t *Topology) ComputeSet() *ComputeSet {
-	v := t.Version()
-	if cs := t.cset.Load(); cs != nil && cs.version == v {
+	if cs := t.cset.Load(); cs != nil {
 		return cs
 	}
+	t.seal()
 	n := len(t.computeOrder)
 	cs := &ComputeSet{
-		Devices: make([]*ComputeDevice, n), topo: t, version: v,
+		Devices: make([]*ComputeDevice, n), topo: t,
 		coreOff: make([]int32, n+1), links: make([]atomic.Pointer[Route], n*n),
 	}
 	for i, id := range t.computeOrder {
@@ -304,7 +302,9 @@ func (t *Topology) ComputeSet() *ComputeSet {
 			cs.kinds[c.Kind] = append(cs.kinds[c.Kind], c)
 		}
 	}
-	t.cset.Store(cs)
+	if !t.cset.CompareAndSwap(nil, cs) {
+		return t.cset.Load() // one set per graph, whoever resolved it first
+	}
 	return cs
 }
 
@@ -338,15 +338,12 @@ func (cs *ComputeSet) Link(from, to int) (lat time.Duration, bandwidth float64, 
 	return rt.Path.Latency, rt.Path.Bandwidth, rt.reachable
 }
 
-// Memories returns all memory devices in insertion order. The slice is the
-// caller's own copy; loops that only read use MemoryDevices.
+// Memories lists the memory devices in insertion order; a device's position
+// is its dense index. The list is shared: read-only.
 func (t *Topology) Memories() []*memsim.Device {
-	return append([]*memsim.Device(nil), t.mems...)
+	t.seal()
+	return t.mems
 }
-
-// MemoryDevices lists the memory devices in insertion order; a device's
-// position is its dense index. The list is shared: read-only.
-func (t *Topology) MemoryDevices() []*memsim.Device { return t.mems }
 
 // Path routes from one endpoint to another, minimizing latency (ties broken
 // by hop count, then lexicographically for determinism). It returns false if
@@ -361,8 +358,7 @@ func (t *Topology) Path(from, to string) (PathInfo, bool) {
 
 // Route returns the resolved route from a compute device to a memory
 // device, or false when memID is not a memory device or no path reaches it.
-// Routes are resolved once per pair and memoized until Connect or AddMemory
-// changes the graph.
+// Routes are resolved once per pair and memoized.
 func (t *Topology) Route(computeID, memID string) (*Route, bool) {
 	rt := t.resolve(computeID, memID)
 	if rt.Mem == nil { // not a memory device, or unreachable
@@ -379,7 +375,8 @@ func (t *Topology) RouteError(computeID, memID string) error {
 	return fmt.Errorf("topology: no path %s→%s", computeID, memID)
 }
 
-// resolve returns the memoized route for a pair, searching on first use.
+// resolve returns the memoized route for a pair, searching on first use —
+// which seals the graph, so a memoized route is never out of date.
 func (t *Topology) resolve(from, to string) *Route {
 	key := [2]string{from, to}
 	t.routeMu.RLock()
@@ -388,6 +385,7 @@ func (t *Topology) resolve(from, to string) *Route {
 	if hit {
 		return rt
 	}
+	t.seal()
 	rt = &Route{Idx: -1}
 	rt.Path, rt.reachable = t.route(from, to)
 	if i, ok := t.memIdx[to]; ok && rt.reachable {
@@ -488,6 +486,7 @@ func (t *Topology) route(from, to string) (PathInfo, bool) {
 // Everything but FreeCapacity is fixed by the route.
 func (t *Topology) EffectiveCaps(computeID, memID string) (props.Capabilities, bool) {
 	if _, ok := t.computes[computeID]; !ok {
+		t.seal() // the refusal is derived from the graph too
 		return props.Capabilities{}, false
 	}
 	rt, ok := t.Route(computeID, memID)

@@ -60,13 +60,14 @@ type owedAdd struct {
 
 // NewTaskView starts an empty view: every queue drained at t=0.
 func (t *Topology) NewTaskView() *TaskView {
+	t.seal()
 	return &TaskView{topo: t, busy: make([]time.Duration, len(t.mems))}
 }
 
 // BusyAt returns the queue drain time of the memory device with dense index
 // idx: its Route.Idx, which is also its position in Topology.Memories. A
-// device the view has not grown to yet (or no device at all, idx < 0) is
-// idle. It is the contention signal clock-aware placers steer by.
+// device the view has not grown to since a Reset to idle (or no device at
+// all, idx < 0) is idle. It is the contention signal clock-aware placers steer by.
 func (v *TaskView) BusyAt(idx int) time.Duration {
 	if idx >= 0 && idx < len(v.busy) {
 		return v.busy[idx]
@@ -192,9 +193,8 @@ func (rt *Route) stretch(size int64) time.Duration {
 }
 
 // slot returns queue state long enough to hold index i, every index it adds
-// idle. State is sized to the topology when a view is made; it grows only when
-// a memory device was added afterwards, or into its own capacity after a
-// Reset to idle.
+// idle. State is sized to the topology when a view is made; it grows only
+// into its own capacity after a Reset to idle.
 func slot(busy []time.Duration, i int) []time.Duration {
 	for len(busy) <= i {
 		busy = append(busy, 0)
