@@ -148,8 +148,10 @@ func (p *RegionPool) Export(id uint64, data []byte) (string, time.Duration, erro
 }
 
 // Fetch reads a payload back with one fabric read. When the hosting node is
-// unreachable (crashed or partitioned), the durable backup serves the bytes
-// instead — the same recovery story as cross-shard partial replay.
+// unreachable (crashed or partitioned), or reachable again but without the
+// slab (it crashed and restarted empty), the durable backup serves the bytes
+// instead — the same recovery story as cross-shard partial replay. A pool's
+// own placement can only read as unknown if its host lost it.
 func (p *RegionPool) Fetch(token string, buf []byte) (time.Duration, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -169,7 +171,7 @@ func (p *RegionPool) Fetch(token string, buf []byte) (time.Duration, error) {
 		p.tel.Add(telemetry.LayerCluster, "region_recall_bytes", pl.size)
 		return d, nil
 	}
-	if !errors.Is(err, ErrUnreachable) || p.backup == nil {
+	if !errors.Is(err, ErrUnreachable) && !errors.Is(err, ErrBadSlab) || p.backup == nil {
 		return d, err
 	}
 	data, bd, berr := p.backup.Load(token)

@@ -1,0 +1,22 @@
+package core
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/dataflow"
+)
+
+// IntegrityProgram builds the random program buildIntegrityDAG makes from
+// rng, for tests outside the package: its job and its creators check.
+func IntegrityProgram(t *testing.T, rng *rand.Rand, name string) (*dataflow.Job, func(*Report) error) {
+	t.Helper()
+	p := buildIntegrityDAG(t, rng, name)
+	return p.job, p.creators
+}
+
+// IntegrityBudget is integrityBudget's seed count.
+func IntegrityBudget() int {
+	seeds, _ := integrityBudget()
+	return seeds
+}

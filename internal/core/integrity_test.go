@@ -339,7 +339,9 @@ const relationFaultRate = 0.3
 //     (partial) replay to the same report, after the same attempts, with the
 //     same tasks skipped and replayed.
 //
-// A failure names the seed, which rebuilds every program of the case.
+// Relation (v), across shard counts, is TestRandomProgramShardCounts in
+// package core_test, which can import the cluster. A failure names the seed,
+// which rebuilds every program of the case.
 func TestRandomProgramRelations(t *testing.T) {
 	seeds, others := integrityBudget()
 	for seed := int64(1); seed <= int64(seeds); seed++ {

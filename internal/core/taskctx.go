@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/dataflow"
-	"repro/internal/placement"
 	"repro/internal/props"
 	"repro/internal/region"
 	"repro/internal/telemetry"
@@ -387,7 +386,3 @@ func (c *taskCtx) releaseAll() {
 
 // Compile-time check that taskCtx satisfies the programming-model contract.
 var _ dataflow.Ctx = (*taskCtx)(nil)
-
-// BestFitPlacer is re-exported so API users can reference the default
-// optimizer without importing internal/placement directly.
-type BestFitPlacer = placement.BestFit

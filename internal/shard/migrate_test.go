@@ -374,7 +374,19 @@ func TestMigrationOwnerCrashPartialReplay(t *testing.T) {
 // a migrated region: the fabric read fails, and the recall must transparently
 // fall back to the replicated checkpoint store — byte-identical report
 // included, because the fallback costs wall-clock only.
-func TestMigrationSlabHostCrashRecallsFromBackup(t *testing.T) {
+func TestMigrationSlabHostCrashRecallsFromBackup(t *testing.T) { slabHostLoss(t, false) }
+
+// TestMigrationSlabHostRestartRecallsFromBackup is the same loss with the
+// host back up, and empty, before the recall: the read reaches the node but
+// not the slab the crash destroyed, and the recall still comes from backup.
+func TestMigrationSlabHostRestartRecallsFromBackup(t *testing.T) { slabHostLoss(t, true) }
+
+// slabHostLoss parks a job whose regions spill to the only other shard,
+// crashes that shard (restarting it empty when restart is set), and checks
+// the job's report is byte-identical to solo with its recall served from
+// backup.
+func slabHostLoss(t *testing.T, restart bool) {
+	t.Helper()
 	cfg := evictingConfig(2)
 	cfg.Server.MaxBatch = 1
 	cfg.Server.EpochWorkers = 1
@@ -409,6 +421,11 @@ func TestMigrationSlabHostCrashRecallsFromBackup(t *testing.T) {
 	// gone from the fabric; only the pmem backup still has them.
 	if err := c.Crash(1 - home); err != nil {
 		t.Fatal(err)
+	}
+	if restart {
+		if err := c.Restart(1 - home); err != nil {
+			t.Fatal(err)
+		}
 	}
 	close(release)
 

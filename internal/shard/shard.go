@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -89,17 +90,8 @@ type Shard struct {
 	srv  *core.Server
 	pool *cluster.RegionPool // remote-exporter for this shard's regions; nil without Migrate
 
-	mu        sync.Mutex
-	down      bool
-	downs     uint64 // times markDown took the shard down
-	adopted   bool   // ledger lease already handed to a survivor
-	slab      cluster.SlabID
-	ledgerSeq int64 // records written (ring-buffer cursor)
-	// active holds one cancel func per in-flight submission; markDown calls
-	// them synchronously, so a Crash/Partition returns only after every
-	// submission on the shard has observed the death.
-	nextSub uint64
-	active  map[uint64]context.CancelFunc
+	mu  sync.Mutex // guards cur and its lives' dead, seq and cancel
+	cur *life      // the current incarnation; a dead one stays until revive
 
 	// Admission fingerprint over this shard's primary routing decisions,
 	// in submission order (failover re-submissions are excluded: their
@@ -127,11 +119,21 @@ func (sh *Shard) Name() string { return sh.name }
 // Server returns the shard's serving engine.
 func (sh *Shard) Server() *core.Server { return sh.srv }
 
-// isDown reports whether the shard has been marked dead.
+// life is one incarnation of a shard, from NewCluster or a revive to the
+// markDown that ends it. A watcher keeps the life its job was placed in, so
+// it learns whether that life ended whatever the shard did since.
+type life struct {
+	dead   bool
+	slab   cluster.SlabID                // ledger slab, leased by the shard until adopted
+	seq    int64                         // records written (ring-buffer cursor)
+	cancel map[uint64]context.CancelFunc // in-flight submissions by routed ticket ID
+}
+
+// isDown reports whether the shard's current life has ended.
 func (sh *Shard) isDown() bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.down
+	return sh.cur.dead
 }
 
 // ShardStats is one shard's routing, admission, and fabric accounting.
@@ -254,10 +256,11 @@ func (c *Cluster) buildShard(i int, name string) (*Shard, error) {
 	if err := c.fabric.AddNode(name, capacity); err != nil {
 		return nil, err
 	}
-	sh := &Shard{id: i, name: name, sig: fnvOffset}
-	if err := c.leaseLedger(sh); err != nil {
+	l, err := c.newLife(name)
+	if err != nil {
 		return nil, err
 	}
+	sh := &Shard{id: i, name: name, cur: l, sig: fnvOffset}
 
 	scfg := c.cfg.Server // copy of the template
 	topo, err := topology.BuildSingleNode(topology.DefaultSingleNode())
@@ -284,7 +287,6 @@ func (c *Cluster) buildShard(i int, name string) (*Shard, error) {
 		)
 		sh.srv.Runtime().Regions().SetExporter(sh.pool)
 	}
-	sh.active = make(map[uint64]context.CancelFunc)
 	return sh, nil
 }
 
@@ -344,21 +346,17 @@ func (b *storeBackup) Discard(key string) {
 	}
 }
 
-// leaseLedger allocates and leases a fresh ledger slab for the shard.
-// Caller must not hold sh.mu.
-func (c *Cluster) leaseLedger(sh *Shard) error {
-	slab, _, err := c.fabric.AllocSlab(sh.name, ledgerSlabBytes)
+// newLife allocates and leases a fresh ledger slab on the named shard's
+// node: the start of one incarnation.
+func (c *Cluster) newLife(name string) (*life, error) {
+	slab, _, err := c.fabric.AllocSlab(name, ledgerSlabBytes)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if _, err := c.fabric.Lease(slab, sh.name); err != nil {
-		return err
+	if _, err := c.fabric.Lease(slab, name); err != nil {
+		return nil, err
 	}
-	sh.mu.Lock()
-	sh.slab = slab
-	sh.ledgerSeq = 0
-	sh.mu.Unlock()
-	return nil
+	return &life{slab: slab, cancel: make(map[uint64]context.CancelFunc)}, nil
 }
 
 // Shards returns the shards in id order.
@@ -422,87 +420,80 @@ func (sh *Shard) noteComplete(rep *core.Report) {
 	}
 }
 
-// ledgerWrite appends one admission record to the shard's ledger slab with
-// a one-sided fabric Write — the routing hop every submission pays, and
-// what makes cross-shard traffic visible in the per-node fabric counters.
-// Returns false when the shard's fabric node is unreachable (the router's
-// failure detector).
+// ledgerWrite appends one admission record to the ledger slab of the shard's
+// current life with a one-sided fabric Write — the routing hop every
+// submission pays, and what makes cross-shard traffic visible in the
+// per-node fabric counters. Returns false when the shard's fabric node is
+// unreachable (the router's failure detector).
 func (c *Cluster) ledgerWrite(sh *Shard, sig, ticket uint64, opt core.SubmitOptions) bool {
 	var rec [ledgerRecordBytes]byte
-	putBE(rec[0:], sig)
-	putBE(rec[8:], ticket)
-	putBE(rec[16:], uint64(opt.Arrival))
-	putBE(rec[24:], uint64(opt.Deadline))
+	binary.BigEndian.PutUint64(rec[0:], sig)
+	binary.BigEndian.PutUint64(rec[8:], ticket)
+	binary.BigEndian.PutUint64(rec[16:], uint64(opt.Arrival))
+	binary.BigEndian.PutUint64(rec[24:], uint64(opt.Deadline))
 	sh.mu.Lock()
-	slab := sh.slab
-	slots := ledgerSlabBytes / ledgerRecordBytes
-	off := (sh.ledgerSeq % slots) * ledgerRecordBytes
-	sh.ledgerSeq++
+	l := sh.cur
+	off := (l.seq % (ledgerSlabBytes / ledgerRecordBytes)) * ledgerRecordBytes
+	l.seq++
 	sh.mu.Unlock()
-	_, err := c.fabric.Write(slab, off, rec[:])
+	_, err := c.fabric.Write(l.slab, off, rec[:])
 	return err == nil
 }
 
-func putBE(b []byte, v uint64) {
-	b[0], b[1], b[2], b[3] = byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32)
-	b[4], b[5], b[6], b[7] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
-}
-
-// markDown declares a shard dead and synchronously cancels every queued
-// and running submission on it (the watchers then re-route them).
-// Idempotent.
+// markDown ends the shard's current life: it synchronously cancels every
+// queued and running submission placed in it (their watchers then re-route
+// them), hands the life's ledger to the first alive ring successor with one
+// control-plane Handoff — the dead node is not consulted — and has that
+// successor adopt the shard's exported-region leases. Idempotent.
 func (c *Cluster) markDown(sh *Shard) {
 	sh.mu.Lock()
-	wasDown := sh.down
-	sh.down = true
-	if !wasDown {
-		sh.downs++
+	l := sh.cur
+	if l.dead {
+		sh.mu.Unlock()
+		return
 	}
-	cancels := make([]context.CancelFunc, 0, len(sh.active))
-	for _, cf := range sh.active {
+	l.dead = true
+	cancels := make([]context.CancelFunc, 0, len(l.cancel))
+	for _, cf := range l.cancel {
 		cancels = append(cancels, cf)
 	}
 	sh.mu.Unlock()
-	if !wasDown {
-		c.tel.Add(telemetry.LayerRuntime, "shard_down", 1)
-		for _, cf := range cancels {
-			cf()
-		}
-		if sh.pool != nil {
-			// Adoption sweep: the ring successor takes over the dead shard's
-			// exported-region leases (control-plane Handoff) and reclaims the
-			// slabs. The payloads are useless without the dead shard's region
-			// table — its jobs re-materialize from checkpoints on re-route —
-			// so freeing the memory is the disposition, not copying it.
-			adopter := ""
-			if next := c.ring.walkFrom(sh.id, c.alive); len(next) > 0 {
-				adopter = c.shards[next[0]].name
-			}
-			sh.pool.Abandon(adopter)
-		}
+	for _, cf := range cancels {
+		cf()
+	}
+	c.tel.Add(telemetry.LayerRuntime, "shard_down", 1)
+	adopter := ""
+	if next := c.ring.walkFrom(sh.id, c.alive); len(next) > 0 {
+		adopter = c.shards[next[0]].name
+		c.fabric.Handoff(l.slab, sh.name, adopter) //nolint:errcheck // a healed life already freed it
+		c.tel.Add(telemetry.LayerRuntime, "shard_ledger_adopted", 1)
+	}
+	if sh.pool != nil {
+		// The region payloads are useless without the dead shard's region
+		// table — its jobs re-materialize from checkpoints on re-route — so
+		// freeing the slabs is the disposition, not copying them.
+		sh.pool.Abandon(adopter)
 	}
 }
 
-// revive brings a healed/restarted shard back into the ring with a fresh
-// context and ledger slab (the old slab either died with the node or was
-// adopted by a survivor).
+// revive starts a new life for a healed or restarted shard: a fresh ledger
+// slab, and the shard back in the ring. A shard that is not down keeps its
+// life.
 func (c *Cluster) revive(sh *Shard) error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if !sh.cur.dead {
+		return nil
+	}
 	// A partition preserves the node's memory, so the old ledger slab still
 	// holds capacity; drop it before leasing a fresh one. After a crash the
 	// slab died with the node and the free is a tolerated no-op.
-	sh.mu.Lock()
-	old := sh.slab
-	sh.mu.Unlock()
-	if old != (cluster.SlabID{}) {
-		c.fabric.FreeSlab(old) //nolint:errcheck // gone after a crash
-	}
-	if err := c.leaseLedger(sh); err != nil {
+	c.fabric.FreeSlab(sh.cur.slab) //nolint:errcheck // gone after a crash
+	l, err := c.newLife(sh.name)
+	if err != nil {
 		return err
 	}
-	sh.mu.Lock()
-	sh.down = false
-	sh.adopted = false
-	sh.mu.Unlock()
+	sh.cur = l
 	c.tel.Add(telemetry.LayerRuntime, "shard_up", 1)
 	return nil
 }
@@ -545,36 +536,72 @@ func (c *Cluster) Restart(i int) error {
 	return c.revive(c.shards[i])
 }
 
-// submit places a job on this shard under a context that also dies with
-// the shard (markDown cancels it). The returned cleanup must be called
-// once the ticket settled; it reports whether the shard went down since the
-// job was placed, even if it has come back up since.
-func (sh *Shard) submit(ctx context.Context, job *dataflow.Job, opt core.SubmitOptions) (*core.Ticket, func() bool, error) {
+// submit places a job in the shard's current life, under a context that also
+// dies with that life (markDown cancels it), registered under the routed
+// ticket id. The caller must leave the returned life once the ticket
+// settled. errLifeEnded means the life was over before the job could run.
+func (sh *Shard) submit(ctx context.Context, id uint64, job *dataflow.Job, opt core.SubmitOptions) (*core.Ticket, *life, error) {
 	mctx, cancel := context.WithCancel(ctx)
 	sh.mu.Lock()
-	if sh.down {
+	l := sh.cur
+	if l.dead {
 		sh.mu.Unlock()
 		cancel()
-		return nil, nil, fmt.Errorf("%w: %s is down", ErrNoShards, sh.name)
+		return nil, nil, errLifeEnded
 	}
-	id, at := sh.nextSub, sh.downs
-	sh.nextSub++
-	sh.active[id] = cancel
+	l.cancel[id] = cancel
 	sh.mu.Unlock()
-	cleanup := func() bool {
-		sh.mu.Lock()
-		delete(sh.active, id)
-		died := sh.downs != at
-		sh.mu.Unlock()
-		cancel()
-		return died
-	}
 	tk, err := sh.srv.SubmitAsync(mctx, job, opt)
 	if err != nil {
-		cleanup()
+		if sh.leave(l, id) {
+			return nil, nil, errLifeEnded
+		}
 		return nil, nil, err
 	}
-	return tk, cleanup, nil
+	return tk, l, nil
+}
+
+// leave drops submission id from the life it was placed in and reports
+// whether that life ended, even if the shard has come back up since.
+func (sh *Shard) leave(l *life, id uint64) bool {
+	sh.mu.Lock()
+	cancel := l.cancel[id]
+	delete(l.cancel, id)
+	dead := l.dead
+	sh.mu.Unlock()
+	cancel()
+	return dead
+}
+
+// errLifeEnded reports a submission whose shard died between routing and
+// placement; place walks on.
+var errLifeEnded = errors.New("shard: life ended")
+
+// place walks the ring from the job's signature until a shard takes it:
+// route, write the admission record to the shard's ledger (an unreachable
+// shard is marked down), and submit (a shard that died meanwhile is passed
+// over). It returns the deciding shard, the life the job runs in, and its
+// ticket; sh is nil only when no alive shard remains. A primary submission
+// and a re-submission after a death differ only by opt.Preadmitted.
+func (c *Cluster) place(ctx context.Context, job *dataflow.Job, sig, id uint64, opt core.SubmitOptions) (*Shard, *life, *core.Ticket, error) {
+	for hops := 0; hops <= len(c.shards); hops++ {
+		idx := c.Route(sig)
+		if idx < 0 {
+			return nil, nil, nil, ErrNoShards
+		}
+		sh := c.shards[idx]
+		if !c.ledgerWrite(sh, sig, id, opt) {
+			c.markDown(sh)
+			continue
+		}
+		opt.Shard = sh.name
+		tk, l, err := sh.submit(ctx, id, job, opt)
+		if errors.Is(err, errLifeEnded) {
+			continue
+		}
+		return sh, l, tk, err
+	}
+	return nil, nil, nil, ErrNoShards
 }
 
 // SubmitAsync consistent-hashes the job to its home shard, records the
@@ -621,49 +648,34 @@ func (c *Cluster) SubmitAsync(ctx context.Context, job *dataflow.Job, opts ...co
 		}
 	}
 
-	// Route, probing health with the ledger write: an unreachable home
-	// shard is marked down and the walk continues on the survivors.
-	for hops := 0; hops <= len(c.shards); hops++ {
-		idx := c.Route(sig)
-		if idx < 0 {
-			return nil, ErrNoShards
-		}
-		sh := c.shards[idx]
-		if !c.ledgerWrite(sh, sig, ticketID, opt) {
-			c.markDown(sh)
-			continue
-		}
-		opt.Shard = sh.name
-		tk, cleanup, err := sh.submit(ctx, job, opt)
-		if err != nil && sh.isDown() {
-			continue // died between ledger write and submit
-		}
-		if c.cfg.TrackLoad {
-			// This shard decided the admission: the routed work is its own.
-			sh.estWorkNs.Add(est.Nanoseconds())
-		}
-		if err != nil {
-			switch {
-			case errors.Is(err, core.ErrDeadline):
-				sh.note('S')
-			case errors.Is(err, core.ErrQueueFull):
-				sh.note('Q')
-			default:
-				sh.note('E')
-			}
-			return nil, err
-		}
-		if tk.BestEffort() {
-			sh.note('B')
-		} else {
-			sh.note('A')
-		}
-		rtk := core.NewRoutedTicket(ticketID, tk.BestEffort())
-		c.wg.Add(1)
-		go c.watch(ctx, rtk, sh, tk, cleanup, job, opt, sig)
-		return rtk, nil
+	sh, l, tk, err := c.place(ctx, job, sig, ticketID, opt)
+	if sh == nil {
+		return nil, err
 	}
-	return nil, ErrNoShards
+	if c.cfg.TrackLoad {
+		// This shard decided the admission: the routed work is its own.
+		sh.estWorkNs.Add(est.Nanoseconds())
+	}
+	if err != nil {
+		switch {
+		case errors.Is(err, core.ErrDeadline):
+			sh.note('S')
+		case errors.Is(err, core.ErrQueueFull):
+			sh.note('Q')
+		default:
+			sh.note('E')
+		}
+		return nil, err
+	}
+	if tk.BestEffort() {
+		sh.note('B')
+	} else {
+		sh.note('A')
+	}
+	rtk := core.NewRoutedTicket(ticketID, tk.BestEffort())
+	c.wg.Add(1)
+	go c.watch(ctx, rtk, sh, l, tk, job, opt, sig)
+	return rtk, nil
 }
 
 // Submit is SubmitAsync — same unified options surface — followed by Wait
@@ -676,9 +688,9 @@ func (c *Cluster) Submit(ctx context.Context, job *dataflow.Job, opts ...core.Su
 	return tk.Wait(ctx)
 }
 
-// watch drives one routed submission to a terminal outcome, re-routing it
-// to ring successors as shards die underneath it.
-func (c *Cluster) watch(ctx context.Context, rtk *core.Ticket, sh *Shard, tk *core.Ticket, cleanup func() bool, job *dataflow.Job, opt core.SubmitOptions, sig uint64) {
+// watch drives one routed submission to a terminal outcome, re-placing it
+// along the ring whenever the life it runs in ends underneath it.
+func (c *Cluster) watch(ctx context.Context, rtk *core.Ticket, sh *Shard, l *life, tk *core.Ticket, job *dataflow.Job, opt core.SubmitOptions, sig uint64) {
 	defer c.wg.Done()
 	// settle delivers the terminal outcome; the router owns the submission's
 	// checkpoint namespace, so it is the one that forgets it.
@@ -688,73 +700,40 @@ func (c *Cluster) watch(ctx context.Context, rtk *core.Ticket, sh *Shard, tk *co
 		}
 		rtk.Deliver(rep, err)
 	}
+	opt.Preadmitted = true // a re-submission's admission was settled at the home shard
 	for {
 		rep, err := tk.Wait(nil) // the server always delivers exactly once
-		died := cleanup()
+		died := sh.leave(l, rtk.ID())
 		if err == nil {
 			sh.noteComplete(rep)
 			settle(rep, nil)
 			return
 		}
 		if ctx.Err() != nil || !died {
-			// The submitter gave up, or the job genuinely failed on a shard
-			// that stayed up: terminal either way, and not the shard's fault.
+			// The submitter gave up, or the job genuinely failed in a life
+			// that did not end: terminal either way, and not the shard's fault.
 			sh.failed.Add(1)
 			settle(nil, err)
 			return
 		}
-		// The shard died with the job in flight. Adopt its ledger on the
-		// ring successor and re-submit there. With recovery on, the
-		// re-submission carries the same ResumeID, so tasks the dead shard
-		// checkpointed are restored instead of re-executed.
-		next, ferr := c.failover(sh, sig, rtk.ID(), opt)
-		if ferr != nil {
-			settle(nil, fmt.Errorf("shard: re-routing %s after %s died: %w", job.Name(), sh.name, ferr))
+		// The life the job ran in ended; markDown already handed its ledger
+		// to the ring successor. Re-place the job along the ring. With
+		// recovery on, the re-submission carries the same ResumeID, so tasks
+		// the dead shard checkpointed are restored instead of re-executed.
+		next, nl, ntk, serr := c.place(ctx, job, sig, rtk.ID(), opt)
+		if next == nil {
+			settle(nil, fmt.Errorf("shard: re-routing %s after %s died: %w", job.Name(), sh.name, serr))
 			return
 		}
-		ropt := opt
-		ropt.Shard = next.name
-		ropt.Preadmitted = true // admission was settled at the home shard
-		ntk, ncleanup, serr := next.submit(ctx, job, ropt)
 		if serr != nil {
-			if next.isDown() {
-				sh = next // the successor died too; walk on
-				continue
-			}
 			next.errored.Add(1)
 			settle(nil, serr)
 			return
 		}
 		next.rerouted.Add(1)
 		c.tel.Add(telemetry.LayerRuntime, "shard_rerouted", 1)
-		sh, tk, cleanup = next, ntk, ncleanup
+		sh, l, tk = next, nl, ntk
 	}
-}
-
-// failover picks the ring successor for a dead shard's job, performs the
-// one-time ledger adoption (control-plane lease Handoff — it succeeds even
-// though the home node is dead), and replays the admission record onto the
-// survivor's ledger.
-func (c *Cluster) failover(dead *Shard, sig uint64, ticketID uint64, opt core.SubmitOptions) (*Shard, error) {
-	idx := c.Route(sig)
-	if idx < 0 {
-		return nil, ErrNoShards
-	}
-	next := c.shards[idx]
-	dead.mu.Lock()
-	adopt := !dead.adopted
-	dead.adopted = true
-	slab := dead.slab
-	dead.mu.Unlock()
-	if adopt {
-		// Ownership moves in the fabric control plane; the dead node is
-		// not consulted. Errors are tolerable (e.g. a second front end
-		// already moved it): the lease is advisory metadata for stats.
-		c.fabric.Handoff(slab, dead.name, next.name) //nolint:errcheck
-		c.tel.Add(telemetry.LayerRuntime, "shard_ledger_adopted", 1)
-	}
-	c.ledgerWrite(next, sig, ticketID, opt)
-	return next, nil
 }
 
 // Stats reports every shard's routing/admission/fabric accounting, in

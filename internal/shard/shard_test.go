@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/sched"
@@ -343,7 +344,7 @@ func TestFailoverReroutesByteIdentical(t *testing.T) {
 			if !st[victim].Down {
 				t.Error("crashed shard must report Down")
 			}
-			slab := c.shards[victim].slab
+			slab := c.shards[victim].cur.slab
 			if !slices.Contains(c.Fabric().LeasesOf(c.shards[victim].name), slab) && !slices.Contains(c.Fabric().LeasesOf(c.shards[1-victim].name), slab) {
 				t.Error("dead shard's ledger lease must survive in the control plane")
 			}
@@ -398,6 +399,93 @@ func TestFailoverPartialReplayResumes(t *testing.T) {
 	}
 }
 
+// adopted reads how many ledgers survivors have adopted.
+func adopted(c *Cluster) int64 {
+	return c.Runtime().Telemetry().Counter(telemetry.LayerRuntime, "shard_ledger_adopted")
+}
+
+// TestIdleShardCrashHandsOffItsLedger: a shard that dies with nothing in
+// flight still ends its life — no watcher has to fail over for its ledger to
+// reach the ring successor.
+func TestIdleShardCrashHandsOffItsLedger(t *testing.T) {
+	c := newTestCluster(t, Config{Shards: 2})
+	slab := c.shards[0].cur.slab
+	if err := c.Crash(0); err != nil {
+		t.Fatal(err)
+	}
+	if leases := c.Fabric().LeasesOf(c.shards[0].name); len(leases) != 0 {
+		t.Errorf("dead shard still leases %v", leases)
+	}
+	if !slices.Contains(c.Fabric().LeasesOf(c.shards[1].name), slab) {
+		t.Errorf("survivor does not lease the dead shard's ledger %s", slab)
+	}
+	if n := adopted(c); n != 1 {
+		t.Errorf("shard_ledger_adopted = %d, want 1", n)
+	}
+}
+
+// TestEveryLifeHandsOffItsLedger crashes a shard with a job in flight,
+// restarts it before the job's watcher wakes, and crashes it again with a
+// second job in flight: each life's ledger goes to the survivor, and the
+// watcher that woke into the shard's second life adopted nothing of it.
+func TestEveryLifeHandsOffItsLedger(t *testing.T) {
+	c := newTestCluster(t, Config{Shards: 2, Server: core.ServerConfig{EpochWorkers: 1, MaxBatch: 1}})
+	var slabs []cluster.SlabID
+	for round, prefix := range []string{"life1", "life2"} {
+		name := findJobFor(t, c, 0, prefix)
+		started := make(chan struct{}, 1)
+		release := make(chan struct{})
+		tk, err := c.SubmitAsync(context.Background(), gateJob(name, started, release))
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-started
+		slabs = append(slabs, c.shards[0].cur.slab)
+		if err := c.Crash(0); err != nil {
+			t.Fatal(err)
+		}
+		if round == 0 {
+			if err := c.Restart(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		close(release)
+		if _, err := tk.Wait(context.Background()); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	if leases := c.Fabric().LeasesOf(c.shards[0].name); len(leases) != 0 {
+		t.Errorf("dead shard still leases %v", leases)
+	}
+	for _, slab := range slabs {
+		if !slices.Contains(c.Fabric().LeasesOf(c.shards[1].name), slab) {
+			t.Errorf("survivor does not lease ledger %s", slab)
+		}
+	}
+	if n := adopted(c); n != 2 {
+		t.Errorf("shard_ledger_adopted = %d, want 2", n)
+	}
+}
+
+// TestReviveKeepsALiveShardsLife: healing or restarting a shard that is up
+// starts no new life.
+func TestReviveKeepsALiveShardsLife(t *testing.T) {
+	c := newTestCluster(t, Config{Shards: 2})
+	want := c.Fabric().LeasesOf(c.shards[0].name)
+	if err := c.Heal(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Restart(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Fabric().LeasesOf(c.shards[0].name); !slices.Equal(got, want) {
+		t.Errorf("leases %v, want %v", got, want)
+	}
+	if n := c.Runtime().Telemetry().Counter(telemetry.LayerRuntime, "shard_up"); n != 0 {
+		t.Errorf("shard_up = %d, want 0", n)
+	}
+}
+
 // TestClusterSoak drives concurrent submitters, rebalance sweeps,
 // and a crash/restart cycle through a 2-shard cluster — the -race workout
 // for the router's locking. Shard 1 crashes once a third of the submissions
@@ -408,6 +496,7 @@ func TestClusterSoak(t *testing.T) {
 		Shards: 2,
 		Server: core.ServerConfig{EpochWorkers: 2, MaxBatch: 4},
 	})
+	firstLife := c.shards[1].cur.slab
 	const (
 		submitters = 3
 		perG       = 20
@@ -466,6 +555,21 @@ func TestClusterSoak(t *testing.T) {
 	}
 	if completed != settled {
 		t.Errorf("shards completed %d, tickets settled %d", completed, settled)
+	}
+	// Every ticket settled, so no life holds a cancel registration; and each
+	// of shard 1's lives leases its ledger to exactly one live shard.
+	for _, sh := range c.shards {
+		sh.mu.Lock()
+		if n := len(sh.cur.cancel); n != 0 {
+			t.Errorf("%s: %d cancel registrations outlive their tickets", sh.name, n)
+		}
+		sh.mu.Unlock()
+	}
+	if got, want := c.Fabric().LeasesOf(c.shards[1].name), []cluster.SlabID{c.shards[1].cur.slab}; !slices.Equal(got, want) {
+		t.Errorf("restarted shard1 leases %v, want its current ledger %v", got, want)
+	}
+	if !slices.Contains(c.Fabric().LeasesOf(c.shards[0].name), firstLife) {
+		t.Errorf("shard0 does not lease shard1's first-life ledger %s", firstLife)
 	}
 }
 
