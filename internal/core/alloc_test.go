@@ -38,17 +38,18 @@ func allocBudget(t *testing.T, name string, budget float64, fn func()) {
 
 // TestAllocBudgetSoloWavefront pins the allocation count of one parallel
 // wavefront run of the wide diamond job (src → 8 branches → sink, with a
-// fenced job global): measured 224 with the clock views in the job's scratch
-// (227 with them in a sync.Pool; 346 before the dispatcher was recycled,
-// owners held in the region and nothing allocated to launch a task; 621 with
-// plan and run state in maps keyed by task and device ID).
+// fenced job global): measured 141 with every handle in its region's storage
+// (224 with a handle allocated per hand-over, 227 with the clock views in a
+// sync.Pool; 346 before the dispatcher was recycled, owners held in the region
+// and nothing allocated to launch a task; 621 with plan and run state in maps
+// keyed by task and device ID).
 func TestAllocBudgetSoloWavefront(t *testing.T) {
 	rt, err := New(ExecConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	iter := 0
-	allocBudget(t, "solo wavefront run", 250, func() {
+	allocBudget(t, "solo wavefront run", 170, func() {
 		iter++
 		if _, err := rt.Run(wideJob(fmt.Sprintf("alloc%d", iter), 8)); err != nil {
 			t.Fatal(err)
@@ -58,7 +59,8 @@ func TestAllocBudgetSoloWavefront(t *testing.T) {
 
 // TestAllocBudgetOverlappedBatch pins the allocation count of one
 // overlapped serving batch of four small jobs on a shared pool: measured
-// 523 (831 before the dispatcher was recycled).
+// 338 with every handle in its region's storage (523 with a handle allocated
+// per hand-over, 831 before the dispatcher was recycled).
 func TestAllocBudgetOverlappedBatch(t *testing.T) {
 	s, err := NewServer(ServerConfig{
 		ExecConfig: ExecConfig{Workers: 4}, EpochWorkers: 1, MaxBatch: 8, QueueDepth: 64, Block: true,
@@ -77,7 +79,7 @@ func TestAllocBudgetOverlappedBatch(t *testing.T) {
 			wideJob(fmt.Sprintf("w%d-3", iter), 4),
 		}
 	}
-	allocBudget(t, "overlapped batch (4 jobs)", 589, func() {
+	allocBudget(t, "overlapped batch (4 jobs)", 405, func() {
 		jobs := batch()
 		tks := make([]*Ticket, len(jobs))
 		for k, j := range jobs {
@@ -100,33 +102,34 @@ func TestAllocBudgetOverlappedBatch(t *testing.T) {
 // nil-body draws (chains, fan-outs, diamonds; 5.2 tasks a job), submitted one
 // after another to a server of the benchmark's shape. A resubmitted job and a
 // fresh one take the same path; the pool is cycled so both are in the mean.
-// Measured 22.4 with each epoch worker keeping one epoch, pool and pair of
-// batch slices, and a job's owner names one string; 33.1 with those per batch
-// and a closure per task goroutine, 44.4 with the
-// report's tables in maps and 96.0 before the run's state was carved from its
-// blocks (the benchmark's serve_declared, whose batches hold several jobs,
-// read 26.5, 37.9 and 89.6 for the last three). What is left is per job or per
-// region — the run's blocks, its report and the report's slices, a region and
-// a handle per hand-over. Per task there is only the
-// journal of a task that notes more than four ledger events: a fan-out's
-// sink, which releases one input per branch.
+// Measured 16.6 with every handle in its region's storage; 22.4 with a handle
+// allocated per hand-over (a transfer, a share), 33.1 with an epoch, a pool
+// and a pair of batch slices per batch and a closure per task goroutine, 44.4
+// with the report's tables in maps and 96.0 before the run's state was carved
+// from its blocks (the benchmark's serve_declared, whose batches hold several
+// jobs, read 26.5, 37.9 and 89.6 for the last three). What is left is per job
+// or per output — the run's blocks, its report and the report's slices, and a
+// region with its handles; TestAllocLedger splits it by function. Per task
+// there is only the journal of a task that notes more than four ledger events:
+// a fan-out's sink, which releases one input per branch.
 func TestAllocBudgetServedJob(t *testing.T) {
 	pass, jobs := servedMixPass(t, nil)
-	const budget = 27.0
+	const budget = 21.0
 	pass()
 	got := testing.AllocsPerRun(3, pass) / jobs
 	t.Logf("served nil-body mix job: %.1f allocs/job (budget %.1f)", got, budget)
 	if got > budget {
-		t.Errorf("a served job allocates %.1f, budget is %.1f — report tables or per-task state back in maps?", got, budget)
+		t.Errorf("a served job allocates %.1f, budget is %.1f — a handle allocated per hand-over again, or report tables or per-task state back in maps?", got, budget)
 	}
 }
 
 // TestAllocBudgetLoneJob pins that a job served alone pays for no batch: the
 // nil-body mix submitted one job at a time, each in a batch of its own,
 // allocates at most one more per job than the same mix kept 64 in flight, the
-// benchmark's closed loop, whose batches are full. Measured 22.4 and 22.4 with
-// each epoch worker keeping one epoch, pool and pair of batch slices, and a
-// task goroutine started from the pool's one function value; 24.1 and 22.7
+// benchmark's closed loop, whose batches are full. Measured 16.6 and 16.7 with
+// every handle in its region's storage; 22.4 and 22.4 with each epoch worker
+// keeping one epoch, pool and pair of batch slices, and a task goroutine
+// started from the pool's one function value; 24.1 and 22.7
 // with a closure per goroutine, 33.1 and 26.0 with an epoch, a pool and slices
 // per batch as well.
 func TestAllocBudgetLoneJob(t *testing.T) {
@@ -188,8 +191,10 @@ func servedMixPass(t testing.TB, rec *RecoveryPolicy) (pass func(), jobs float64
 // staged, written twice to the checkpoint fabric and forgotten when its job
 // settles. After a warm-up pass has filled the free lists from returned
 // buffers, that life cycle allocates nothing proportional to a payload, and
-// the store recycles its object records. Measured 9.8 KiB and 26.5
-// allocations a job (10.3 and 37.2 with an epoch, a pool and slices per batch,
+// the store recycles its object records. Measured 9.3 KiB and 20.8
+// allocations a job with every handle in its region's storage (9.8 and 26.5
+// with a handle allocated per hand-over, 10.3 and 37.2 with an epoch, a pool
+// and slices per batch,
 // 11.9 and 47.6 with a store record and replica list per
 // checkpoint and a formatted run ID, 13.3 and 58.9 with the report's tables
 // in maps, 20.1 and 110.5 before the run's state was carved from its blocks);
@@ -198,7 +203,7 @@ func servedMixPass(t testing.TB, rec *RecoveryPolicy) (pass func(), jobs float64
 // fail on.
 func TestAllocBudgetCheckpointedJob(t *testing.T) {
 	pass, jobs := servedMixPass(t, &RecoveryPolicy{PartialReplay: true})
-	const budgetKiB, budgetAllocs = 16.0, 31.0
+	const budgetKiB, budgetAllocs = 16.0, 25.0
 	pass()
 	const passes = 3
 	var before, after goruntime.MemStats
@@ -222,9 +227,11 @@ func TestAllocBudgetCheckpointedJob(t *testing.T) {
 // TestAllocBudgetStreamWindow pins what a served stream window allocates, in
 // the repository benchmark's stream_windows shape: 64 events a window, two
 // aggregates that each read the 64 lines of the source's shared output for
-// the first and only time. Measured 72.9 allocations a window, 79.5 under the
-// race detector (80.6 and 87.5 with an epoch, a pool and slices per batch),
-// with each window built along the graph of the window before it (127.2 when every window resolved its graph afresh, 144.3 with the
+// the first and only time. Measured 63.0 allocations a window, 69.6 under the
+// race detector, with every handle in its region's storage (72.9 and 79.5 with
+// a handle allocated per hand-over, 80.6 and 87.5 with an epoch, a pool and
+// slices per batch), with each window built along the graph of the window
+// before it (127.2 when every window resolved its graph afresh, 144.3 with the
 // report's tables in maps, 203.3 before the run's state was carved from its
 // blocks); 401.4 when the coherence directory allocated a line's state on
 // first touch. The budget fails on all of them.
@@ -254,7 +261,7 @@ func TestAllocBudgetStreamWindow(t *testing.T) {
 	// test's input and not the engine's cost.
 	warm, measured := workload.Stream(cfg), workload.Stream(cfg)
 	serve(warm)
-	const budget = 82.0
+	const budget = 72.0
 	var before, after goruntime.MemStats
 	goruntime.ReadMemStats(&before)
 	serve(measured)
@@ -270,9 +277,12 @@ func TestAllocBudgetStreamWindow(t *testing.T) {
 // runtime as the server builds it: a synchronous 64-byte read and write of
 // an exclusive region under a task view, the same of a shared coherent one —
 // where every access is the first touch of its cache line, as a served job's
-// are — the string-keyed pricing call the placers and the benchmark's layer
-// replay use, and a resolved counter's Add. A task body makes thousands of
-// these per job, so one allocation here is thousands per job.
+// are — and of a ranked one, shared as the runtime fans an output out, whose
+// every access passes a fence (one that lets it through at once) with the
+// region's lower sharers as its deps; the string-keyed pricing call the
+// placers and the benchmark's layer replay use, and a resolved counter's Add.
+// A task body makes thousands of these per job, so one allocation here is
+// thousands per job.
 func TestAllocBudgetAccessPath(t *testing.T) {
 	rt, err := New(ExecConfig{Workers: 1})
 	if err != nil {
@@ -293,18 +303,28 @@ func TestAllocBudgetAccessPath(t *testing.T) {
 	// served job finds the capacity in the table the job before it dropped,
 	// this test by touching the last lines first.
 	const sharedLines = 1 << 12
-	var cold [2]*region.Handle
-	for k := range cold {
+	// cold[0] and cold[1] are openly shared, ranked[0] and ranked[1] shared
+	// at rank 1 by a producer at rank 0 that installed the fence.
+	var cold, ranked [2]*region.Handle
+	for k := range 4 {
 		sh, err := rt.Regions().Alloc(region.Spec{Name: "shared", Class: props.GlobalScratch, Size: sharedLines * 64,
 			Owner: "t", Compute: "node0/cpu0", Clock: view})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer sh.Release() //nolint:errcheck
-		if cold[k], err = sh.Share("u", "node0/cpu1"); err != nil {
+		h := &cold[k%2]
+		if k < 2 {
+			*h, err = sh.Share("u", "node0/cpu1")
+		} else {
+			h = &ranked[k%2]
+			sh.Rebind(view, 0, passFence{})
+			*h, err = sh.ShareRanked("u", "node0/cpu1", 1)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cold[k].ReadAt(0, (sharedLines-1)*64, make([]byte, 64)); err != nil {
+		if _, err := (*h).ReadAt(0, (sharedLines-1)*64, make([]byte, 64)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -319,6 +339,16 @@ func TestAllocBudgetAccessPath(t *testing.T) {
 		},
 		"shared Handle.WriteAt, cold line": func() {
 			if _, err := cold[1].WriteAt(0, int64(i%(sharedLines-1))*64, buf); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"ranked shared Handle.ReadAt, fenced": func() {
+			if _, err := ranked[0].ReadAt(0, int64(i%(sharedLines-1))*64, buf); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"ranked shared Handle.WriteAt, fenced": func() {
+			if _, err := ranked[1].WriteAt(0, int64(i%(sharedLines-1))*64, buf); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -345,6 +375,11 @@ func TestAllocBudgetAccessPath(t *testing.T) {
 		}
 	}
 }
+
+// passFence is a region.Fence that never waits.
+type passFence struct{}
+
+func (passFence) After([]int32) error { return nil }
 
 // BenchmarkServedJob is what the engine itself spends on one served job, in
 // time and in allocations: the nil-body serving mix of the alloc budget above,

@@ -61,7 +61,7 @@ type taskCtx struct {
 // After implements region.Fence: the task's accesses wait on its run's
 // dispatcher, by rank. A handle a body kept past its job still holds the
 // context — which is why contexts are never recycled — and finds the run over.
-func (c *taskCtx) After(deps []int) error { return c.run.fence(c.rank, deps) }
+func (c *taskCtx) After(deps []int32) error { return c.run.fence(c.rank, deps) }
 
 // Now implements dataflow.Ctx.
 func (c *taskCtx) Now() time.Duration { return c.now }

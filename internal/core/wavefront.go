@@ -652,7 +652,7 @@ func (w *wavefront) execAndRetire(k int) (*wavefront, int, bool) {
 // after its job settled, when the dispatcher it ran under is serving another
 // job: it finds r.w nil — a run that is over has nothing left to order — and
 // never looks at recycled state.
-func (r *run) fence(k int, deps []int) error {
+func (r *run) fence(k int, deps []int32) error {
 	p := r.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -682,7 +682,7 @@ func (r *run) fence(k int, deps []int) error {
 // every rank below k retired (the frontier passed k), or — when deps lists
 // the access's happens-before set — every listed rank below k completed.
 // Caller holds the pool lock.
-func (w *wavefront) fenceOpenLocked(k int, deps []int) bool {
+func (w *wavefront) fenceOpenLocked(k int, deps []int32) bool {
 	if w.frontier >= k {
 		return true
 	}
@@ -690,7 +690,7 @@ func (w *wavefront) fenceOpenLocked(k int, deps []int) bool {
 		return false
 	}
 	for _, d := range deps {
-		if d < k && w.slots[d].state != tsDone {
+		if int(d) < k && w.slots[d].state != tsDone {
 			return false
 		}
 	}

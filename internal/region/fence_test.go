@@ -12,14 +12,14 @@ import (
 // recordFence captures every deps argument the region layer passes to the
 // pre-access fence. A nil entry means the full rank barrier was demanded.
 type recordFence struct {
-	calls [][]int
+	calls [][]int32
 }
 
-func (f *recordFence) After(deps []int) error {
+func (f *recordFence) After(deps []int32) error {
 	if deps == nil {
 		f.calls = append(f.calls, nil)
 	} else {
-		cp := make([]int, len(deps)) // stays non-nil when empty
+		cp := make([]int32, len(deps)) // stays non-nil when empty
 		copy(cp, deps)
 		f.calls = append(f.calls, cp)
 	}
@@ -27,11 +27,11 @@ func (f *recordFence) After(deps []int) error {
 }
 
 // fenceFunc adapts a function to the Fence interface.
-type fenceFunc func(deps []int) error
+type fenceFunc func(deps []int32) error
 
-func (f fenceFunc) After(deps []int) error { return f(deps) }
+func (f fenceFunc) After(deps []int32) error { return f(deps) }
 
-func depsEqual(a, b []int) bool {
+func depsEqual(a, b []int32) bool {
 	if (a == nil) != (b == nil) || len(a) != len(b) {
 		return false
 	}
@@ -75,7 +75,7 @@ func TestShareRankedFencesOnlyAgainstLowerSharers(t *testing.T) {
 	if _, err := c5.ReadAt(0, 0, buf); err != nil {
 		t.Fatal(err)
 	}
-	want := [][]int{
+	want := [][]int32{
 		{},     // producer (rank 1): no lower sharers, but NOT a full barrier
 		{1},    // rank 3 waits for the producer only
 		{1, 3}, // rank 5 waits for the producer and the rank-3 consumer
@@ -154,7 +154,7 @@ func TestFenceErrorAbortsAccess(t *testing.T) {
 	boom := errors.New("aborted")
 	h := mustAlloc(t, m, Spec{Name: "out", Class: props.GlobalScratch, Size: 64,
 		Owner: "prod", Compute: "node0/cpu0"})
-	h.Rebind(clockOf(m), 1, fenceFunc(func([]int) error { return boom }))
+	h.Rebind(clockOf(m), 1, fenceFunc(func([]int32) error { return boom }))
 	if _, err := h.ShareRanked("c2", "node0/cpu0", 2); err != nil {
 		t.Fatal(err)
 	}

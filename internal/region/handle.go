@@ -21,13 +21,11 @@ import (
 type Handle struct {
 	// r is the region itself, held for the handle's whole life: an access
 	// locks it and validates the handle against it, with no table between
-	// them, and reaches the manager through it. A freed region stays behind
-	// its handles as a tombstone.
-	r   *Region
-	gen uint64
-	// ownVer is r.ownVer as of the last time owner was found among the
-	// region's owners; while it still matches, owner is still there.
-	ownVer  uint64
+	// them, and reaches the manager through it. The handle lives in the
+	// region's storage, so a freed region stays behind its handles as a
+	// tombstone.
+	r       *Region
+	gen     uint64
 	owner   Owner
 	compute string
 	// clock is the virtual-time view accesses through this handle queue
@@ -41,41 +39,41 @@ type Handle struct {
 	// order regardless of wall-clock interleaving. A fence error aborts the
 	// access.
 	fence Fence
-	// rank is the deterministic schedule rank of the task accessing through
-	// this handle, or -1 when unranked (sequential mode, app-level handles).
-	// A ranked access on a closed-sharing region fences only against the
-	// region's lower-rank sharers instead of the whole run. Half a word, next
-	// to dev's half: a handle is allocated per owner of every task output, and
-	// its 128 bytes fill their size class.
-	rank int32
-	// dev is compute's index in the coherence directory, which the handle's
-	// first coherent access resolves; zero until then. Written under r.mu.
-	dev coherence.Dev
-	// deps is the reusable buffer fenceDeps filters sharer ranks into, so
-	// the per-access dependency list costs zero allocations. Owned by the
-	// task goroutine currently bound to the handle.
-	deps []int
 	// rt caches the resolved route from compute to the region's device, so
 	// pricing an access probes no routing table. It is good for as long as
 	// it still leads to the device the region is on — a migration (Transfer,
 	// Rebalance) changes r.device and the next access re-resolves by itself;
 	// the graph cannot change once read. Nil until the first access, and
-	// while the pair does not resolve. Like ownVer, written under r.mu.
+	// while the pair does not resolve. Written under r.mu.
 	rt *topology.Route
+	// rank is the deterministic schedule rank of the task accessing through
+	// this handle, or -1 when unranked (sequential mode, app-level handles).
+	// A ranked access on a closed-sharing region fences only against the
+	// region's lower-rank sharers instead of the whole run. Half a word, next
+	// to dev's half: every region carries its handles' storage, so a handle's
+	// bytes are counted in each region's size class.
+	rank int32
+	// dev is compute's index in the coherence directory, which the handle's
+	// first coherent access resolves; zero until then. Written under r.mu.
+	dev coherence.Dev
+	// owns reports whether the handle is one of its region's owners: set when
+	// ownerSet.add takes it in, cleared when remove lets it go, both under r.mu.
+	owns bool
 }
 
 // Fence is the pre-access barrier the runtime installs on handles whose
 // accesses may run the coherence protocol. deps, when non-nil, lists the
 // task ranks the access must happen after — the region's lower-rank sharer
-// set; After returns once all of them have retired. A nil deps demands
-// the full rank barrier (every lower rank retired): the conservative form
-// used for open sharing, where future joiners are unknowable. An empty
-// non-nil deps is an established happens-before — no waiting at all.
+// set, ascending and the region's own, so After only reads it; After returns
+// once all of them have retired. A nil deps demands the full rank barrier
+// (every lower rank retired): the conservative form used for open sharing,
+// where future joiners are unknowable. An empty non-nil deps is an
+// established happens-before — no waiting at all.
 //
 // It is an interface so that the runtime's per-task state can be the fence
 // of every handle the task touches: installing it allocates nothing.
 type Fence interface {
-	After(deps []int) error
+	After(deps []int32) error
 }
 
 // Rebind installs clock view, task rank, and fence together — the runtime's
@@ -108,12 +106,8 @@ func (h *Handle) enter() (*Region, error) {
 		err = ErrFreed
 	case r.gen != h.gen:
 		err = ErrStaleHandle
-	case h.ownVer != r.ownVer:
-		if r.owners.find(h.owner) != nil {
-			h.ownVer = r.ownVer
-		} else {
-			err = fmt.Errorf("%w: %s", ErrNotOwner, h.owner)
-		}
+	case !h.owns:
+		err = fmt.Errorf("%w: %s", ErrNotOwner, h.owner)
 	}
 	if err != nil {
 		r.mu.Unlock()
@@ -192,23 +186,21 @@ func (h *Handle) coherenceCost(rt *topology.Route, off, n int64, write bool) tim
 // fenceDeps decides what the pre-access fence must wait for: nil demands
 // the full rank barrier (open sharing, or an unranked handle that cannot
 // prove anything about ordering); otherwise the region's sharer ranks below
-// the accessor's own — returned in the handle's reusable buffer, non-nil
-// even when empty. Caller holds r.mu.
-func (h *Handle) fenceDeps() []int {
+// the accessor's own — the ascending set's prefix, which the fence reads
+// after r.mu is let go: the set is closed before any sharing consumer
+// accesses (sharers). Only a ranked share makes a region coherent without
+// opening it, so the set is non-nil here, even when the prefix is empty.
+// Caller holds r.mu.
+func (h *Handle) fenceDeps() []int32 {
 	r := h.r
 	if r.openShared || h.rank < 0 {
 		return nil
 	}
-	if h.deps == nil {
-		h.deps = make([]int, 0, 4)
+	i := 0
+	for i < len(r.sharers) && r.sharers[i] < h.rank {
+		i++
 	}
-	h.deps = h.deps[:0]
-	for _, s := range r.sharers {
-		if s < int(h.rank) {
-			h.deps = append(h.deps, s)
-		}
-	}
-	return h.deps
+	return r.sharers[:i:i]
 }
 
 // route returns the resolved route from the handle's compute device to the
@@ -420,7 +412,6 @@ func (h *Handle) Hydrate(off int64, data []byte) error {
 // decides again. The source handle is invalidated either way.
 func (h *Handle) Transfer(now time.Duration, to Owner, toCompute string) (*Handle, time.Duration, error) {
 	m := h.r.m
-	nh := &Handle{owner: to, compute: toCompute, clock: h.clock, fence: h.fence, rank: h.rank}
 	r, zeroCopy, err := h.enterTransfer(toCompute)
 	if err != nil {
 		return nil, now, err
@@ -435,8 +426,8 @@ func (h *Handle) Transfer(now time.Duration, to Owner, toCompute string) (*Handl
 	}
 	defer r.mu.Unlock()
 	r.gen++ // invalidate the source handle (move semantics)
-	r.setOwner(h.owner, to, toCompute)
-	nh.r, nh.gen, nh.ownVer = r, r.gen, r.ownVer
+	r.owners.remove(h)
+	nh := r.newHandle(to, toCompute, h.clock, h.fence, h.rank)
 	if zeroCopy {
 		m.zeroCopies.Add(1)
 		return nh, now, nil
@@ -444,10 +435,12 @@ func (h *Handle) Transfer(now time.Duration, to Owner, toCompute string) (*Handl
 	// Migration: re-place for the receiver and copy through the fabric.
 	done, err := m.migrateLocked(r, toCompute, now, h.clock)
 	if err != nil {
-		// Roll the ownership move back so the caller still owns the data.
+		// Roll the ownership move back so the caller still owns the data; the
+		// slot nh took stays spent, and nh stale.
 		r.gen++
-		r.setOwner(to, h.owner, h.compute)
-		h.gen, h.ownVer = r.gen, r.ownVer
+		r.owners.remove(nh)
+		r.owners.add(h)
+		h.gen = r.gen
 		return nil, now, err
 	}
 	m.migratedTransfers.Add(1)
@@ -483,14 +476,6 @@ func (h *Handle) enterTransfer(toCompute string) (r *Region, zeroCopy bool, err 
 		zeroCopy = req.Matches(caps)
 	}
 	return r, zeroCopy, nil
-}
-
-// setOwner replaces owner from with owner to, running on compute. Caller
-// holds r.mu.
-func (r *Region) setOwner(from, to Owner, compute string) {
-	r.owners.remove(from)
-	r.owners.add(to, compute)
-	r.ownVer++
 }
 
 // migrateLocked moves a region to a device matching its requirements from
@@ -589,7 +574,6 @@ func (h *Handle) ShareRanked(to Owner, toCompute string, rank int) (*Handle, err
 // touches none of the manager's tables.
 func (h *Handle) share(to Owner, toCompute string, rank int, open bool) (*Handle, error) {
 	m := h.r.m
-	nh := &Handle{owner: to, compute: toCompute, clock: h.clock, fence: h.fence, rank: int32(rank)}
 	r, err := h.enter()
 	if err != nil {
 		return nil, err
@@ -604,30 +588,26 @@ func (h *Handle) share(to Owner, toCompute string, rank int, open bool) (*Handle
 	if !m.topo.Addressable(toCompute, r.device.ID) {
 		return nil, fmt.Errorf("region: %s cannot address %s", toCompute, r.device.ID)
 	}
-	if r.owners.find(to) != nil {
+	if r.owners.has(to) {
 		return nil, fmt.Errorf("region: %s already owns region %d", to, r.id)
 	}
-	r.owners.add(to, toCompute)
 	r.everShared = true
 	if open {
 		r.openShared = true
 	} else {
-		r.addSharer(int(h.rank))
-		r.addSharer(rank)
+		r.addSharer(h.rank)
+		r.addSharer(int32(rank))
 	}
 	m.shares.Add(1)
-	nh.r, nh.gen, nh.ownVer = r, r.gen, r.ownVer
-	return nh, nil
+	return r.newHandle(to, toCompute, h.clock, h.fence, int32(rank)), nil
 }
 
 // addSharer inserts a rank into the region's ascending sharer set, ignoring
-// duplicates and unranked (-1) parties. Caller holds r.mu.
-func (r *Region) addSharer(rank int) {
+// duplicates and unranked (-1) parties; past the region's own storage, append
+// spills it. Caller holds r.mu.
+func (r *Region) addSharer(rank int32) {
 	if rank < 0 {
 		return
-	}
-	if r.sharers == nil {
-		r.sharers = make([]int, 0, 2*ownersInline) // a producer and its consumers: sized like the owners they are
 	}
 	i := 0
 	for i < len(r.sharers) && r.sharers[i] < rank {
@@ -662,8 +642,7 @@ func (h *Handle) Release() error {
 			return err
 		}
 	}
-	r.owners.remove(h.owner)
-	r.ownVer++
+	r.owners.remove(h)
 	if r.owners.len() == 0 {
 		m.free(r)
 	}

@@ -11,11 +11,17 @@ import (
 )
 
 // ownersModel is the reference the inline owner set is held to: a region's
-// ownership as the map it used to be, with the generation a transfer bumps.
+// ownership as a map from owner to the live handle it holds and the compute
+// device it asked for, with the generation a transfer bumps.
 type ownersModel struct {
-	owners map[Owner]string
+	owners map[Owner]modelOwner
 	gen    int
 	freed  bool
+}
+
+type modelOwner struct {
+	h       *Handle
+	compute string
 }
 
 // modelHandle is a handle with what the model knows of it: the generation it
@@ -26,9 +32,11 @@ type modelHandle struct {
 }
 
 // enterErr is the error class the model expects of any operation through mh,
-// before the operation's own checks: nil when the handle is good.
+// before the operation's own checks: nil when the handle is good. A handle
+// is good while it is the one its owner holds: one its owner released stays
+// dead when the owner joins again.
 func (mo *ownersModel) enterErr(mh modelHandle) error {
-	switch _, owns := mo.owners[mh.h.Owner()]; {
+	switch owns := mo.owners[mh.h.Owner()].h == mh.h; {
 	case mo.freed:
 		return ErrFreed
 	case mh.gen != mo.gen:
@@ -46,8 +54,9 @@ func (mo *ownersModel) enterErr(mh modelHandle) error {
 // error class of the step, the owner count and the representative compute
 // device, the manager's live count, and that a probe through the handle just
 // used fails or succeeds as the model says (so a released owner's next access
-// fails, whatever its handle had stamped). Sequences that mostly share reach
-// well past the owners a region holds in place, so the spill path runs.
+// fails, and so does its old handle's once it joins again). Sequences that
+// mostly share reach well past the owners a region holds in place, so the
+// spill path runs.
 func TestOwnerSetAgainstMapModel(t *testing.T) {
 	const sequences, depth = 3000, 40
 	computes := []string{"node0/cpu0", "node0/cpu1"}
@@ -62,7 +71,7 @@ func TestOwnerSetAgainstMapModel(t *testing.T) {
 		for step := 0; step < depth; step++ {
 			if mo == nil || mo.freed {
 				h := mustAlloc(t, m, Spec{Name: "r", Class: props.GlobalScratch, Size: 64, Owner: "o0", Compute: computes[0]})
-				mo = &ownersModel{owners: map[Owner]string{"o0": computes[0]}}
+				mo = &ownersModel{owners: map[Owner]modelOwner{"o0": {h, computes[0]}}}
 				handles = []modelHandle{{h, 0}}
 			}
 			mh := handles[rng.Intn(len(handles))]
@@ -93,7 +102,7 @@ func TestOwnerSetAgainstMapModel(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: share: %v", where, err)
 					}
-					mo.owners[to] = comp
+					mo.owners[to] = modelOwner{nh, comp}
 					handles = append(handles, modelHandle{nh, mo.gen})
 				}
 			case op < shareBias+1 || op == 9: // Transfer
@@ -112,7 +121,7 @@ func TestOwnerSetAgainstMapModel(t *testing.T) {
 						t.Fatalf("%s: transfer: %v", where, err)
 					}
 					mo.gen++
-					mo.owners = map[Owner]string{to: comp}
+					mo.owners = map[Owner]modelOwner{to: {nh, comp}}
 					handles = append(handles, modelHandle{nh, mo.gen})
 				}
 			default: // Release
@@ -137,18 +146,22 @@ func TestOwnerSetAgainstMapModel(t *testing.T) {
 				t.Fatalf("%s: %d live regions, want %d", where, live, wantLive)
 			}
 			r := mh.h.r
-			m.mu.Lock()
+			r.mu.Lock()
 			n, rep := r.owners.len(), ownerCompute(r)
-			for o, c := range mo.owners {
-				if sl := r.owners.find(o); sl == nil || sl.compute != c {
-					t.Errorf("%s: owner %s on %s: set has %+v", where, o, c, sl)
+			held := make(map[*Handle]bool, n)
+			for i := 0; i < n; i++ {
+				held[*r.owners.at(i)] = true
+			}
+			for o, own := range mo.owners {
+				if !held[own.h] || !own.h.owns || own.h.compute != own.compute {
+					t.Errorf("%s: owner %s on %s: handle %+v, in the set: %v", where, o, own.compute, *own.h, held[own.h])
 				}
 			}
-			m.mu.Unlock()
+			r.mu.Unlock()
 			wantRep := ""
-			for _, c := range mo.owners {
-				if wantRep == "" || c < wantRep {
-					wantRep = c
+			for _, own := range mo.owners {
+				if wantRep == "" || own.compute < wantRep {
+					wantRep = own.compute
 				}
 			}
 			if n != len(mo.owners) || rep != wantRep {
@@ -157,14 +170,9 @@ func TestOwnerSetAgainstMapModel(t *testing.T) {
 			widest = max(widest, n)
 		}
 		// Leave nothing live for the next sequence.
-		for o := range mo.owners {
-			for _, mh := range handles {
-				if mh.h.Owner() == o && mh.gen == mo.gen {
-					if err := mh.h.Release(); err != nil {
-						t.Fatalf("seq %d: releasing %s: %v", seq, o, err)
-					}
-					break
-				}
+		for o, own := range mo.owners {
+			if err := own.h.Release(); err != nil {
+				t.Fatalf("seq %d: releasing %s: %v", seq, o, err)
 			}
 		}
 		if live := m.Live(); live != 0 {

@@ -91,7 +91,8 @@ type Spec struct {
 }
 
 // Region is the manager-internal state of one memory region. Every handle to
-// it holds the *Region itself, so an access finds it without the manager.
+// it holds the *Region itself, so an access finds it without the manager, and
+// lives in the region's own storage (newHandle).
 type Region struct {
 	// Fixed at Alloc.
 	m         *Manager
@@ -108,35 +109,37 @@ type Region struct {
 	// whoever moves the payload or frees the region, which holds Manager.mu as
 	// well, so a holder of Manager.mu may read those without mu (data aside:
 	// Alloc fills it in after publishing the region, under mu alone). The
-	// ownership fields — gen, owners, ownVer, sharers and the sharing flags —
-	// and heat change under mu alone: a share, a zero-copy transfer and a
-	// release that leaves another owner take no other lock, so only a holder
-	// of mu may read them. Lock order: Manager.mu before mu, never the
-	// reverse — a caller that needs the manager (recall, migration, the last
-	// owner's free) lets go of mu first and validates again once it holds
-	// both. Only a holder of Manager.mu ever holds two regions' locks at once.
+	// ownership fields — gen, owners, sharers, slots, the sharing flags and
+	// each handle's owns flag — and heat change under mu alone: a share, a
+	// zero-copy transfer and a release that leaves another owner take no
+	// other lock, so only a holder of mu may read them. Lock order:
+	// Manager.mu before mu, never the reverse — a caller that needs the
+	// manager (recall, migration, the last owner's free) lets go of mu first
+	// and validates again once it holds both. Only a holder of Manager.mu ever
+	// holds two regions' locks at once.
 	mu     sync.Mutex
 	device *memsim.Device
 	offset int64  // offset within the device's buddy arena
 	data   []byte // real host backing; ciphertext when sealed
 	gen    uint64 // bumped on ownership transfer to invalidate handles
 	owners ownerSet
-	// ownVer counts the times an owner was taken out of owners. A handle
-	// stamps the value at which it last found its owner there, so the probe
-	// runs once per handle per removal instead of once per access.
-	ownVer uint64
 	heat   uint64 // accesses since the last rebalance epoch (tiering)
 	// sharers is the happens-before sharer set: the deterministic task
 	// ranks that were ever granted ownership through the rank-aware share
 	// path (ShareRanked — the runtime's output fan-out). An access through
 	// a ranked handle fences only against the *lower* ranks in this set
 	// instead of every lower rank of the run, so a region whose sharing
-	// phase has passed stops paying the global barrier. Kept ascending;
-	// complete before any sharing consumer can access, because the runtime
-	// grants all fan-out shares at producer completion — which
-	// happens-before every consumer launch.
-	sharers []int
-	token   string // names the remote placement while exported
+	// phase has passed stops paying the global barrier. Kept ascending, in
+	// the region's own storage until a fan-out outgrows it; complete before
+	// any sharing consumer can access, because the runtime grants all fan-out
+	// shares at producer completion — which happens-before every consumer
+	// launch. Nil for a class that cannot be shared.
+	sharers []int32
+	// slots is the handle storage no handle has taken yet: the rest of the
+	// region's own, then a spill chunk. newHandle takes from the front, so no
+	// slot is handed out twice in the region's life.
+	slots []Handle
+	token string // names the remote placement while exported
 	// The flags sit together so they pack into one word: a region is
 	// allocated per task output, and its size class is counted per job.
 	sealed bool // encrypted at rest
@@ -159,9 +162,6 @@ type Region struct {
 	// region keeps device as its pricing identity and recall target, so
 	// virtual access costs never depend on whether it was away.
 	exported bool
-	// first is the handle Alloc returns, the initial owner's: it lives in the
-	// region it points to, so a region and its first handle are one object.
-	first Handle
 }
 
 // ownersInline is how many owners a region holds in place. A transferred
@@ -170,25 +170,79 @@ type Region struct {
 // leaves the region.
 const ownersInline = 4
 
-// ownerSlot is one owner of a region and the compute device it runs on.
-type ownerSlot struct {
-	owner   Owner
-	compute string
+// A region and the handles it gives out are one allocation, its storage
+// sized by what its class can do: a private scratch region has only the
+// handle Alloc returns, a transferable one that and a transferee's, and a
+// shareable one a producer's, ownersInline−1 sharers' and their ranks.
+type (
+	privateRegion struct {
+		r     Region
+		slots [1]Handle
+	}
+	movableRegion struct {
+		r     Region
+		slots [2]Handle
+	}
+	sharedRegion struct {
+		r       Region
+		slots   [ownersInline]Handle
+		sharers [ownersInline]int32
+	}
+)
+
+// newRegion allocates a region of class with its handle storage. Regions are
+// never recycled: a handle lives in its region, so a recycled region would
+// give a handle a task body kept to a new owner.
+func newRegion(class props.RegionClass) *Region {
+	switch {
+	case class.Shareable():
+		w := new(sharedRegion)
+		w.r.slots, w.r.sharers = w.slots[:], w.sharers[:0]
+		return &w.r
+	case class.Transferable():
+		w := new(movableRegion)
+		w.r.slots = w.slots[:]
+		return &w.r
+	default:
+		w := new(privateRegion)
+		w.r.slots = w.slots[:]
+		return &w.r
+	}
 }
 
-// ownerSet is a region's owners with their compute devices, held as a value:
-// the first ownersInline in place, the rest in a spill slice that only a
-// wider sharing ever allocates. Order carries no meaning. A region's
-// ownership is read through find and len, written through add and remove, and
-// walked (the rebalance sweep) through computes; nothing else knows the layout.
+// newHandle takes the region's next unused handle slot for owner, running on
+// compute, and makes it an owner: the handle prices on clk, fences through f,
+// and accesses at rank. A region that has handed out all of its own storage
+// spills into one chunk twice as wide as its owners (2·ownersInline at
+// least), so a fan-out costs one allocation, not one a handle. A slot is never taken twice: a handle a task
+// body kept stays the dead handle it was. Caller holds r.mu, or has not
+// published r.
+func (r *Region) newHandle(owner Owner, compute string, clk *topology.TaskView, f Fence, rank int32) *Handle {
+	if len(r.slots) == 0 {
+		r.slots = make([]Handle, max(2*ownersInline, 2*r.owners.len()))
+	}
+	h := &r.slots[0]
+	r.slots = r.slots[1:]
+	*h = Handle{r: r, gen: r.gen, owner: owner, compute: compute, clock: clk, fence: f, rank: rank}
+	r.owners.add(h)
+	return h
+}
+
+// ownerSet is a region's owners: its live handles, held as a value — the
+// first ownersInline in place, the rest in a spill slice that only a wider
+// sharing ever allocates. Order carries no meaning. Membership is mirrored in
+// each handle's owns flag, so a handle validates without a walk. A region's
+// ownership is read through len, has and that flag, written through add and
+// remove, and walked (the rebalance sweep) through computes; nothing else
+// knows the layout.
 type ownerSet struct {
 	n      int // owners held, in place and spilled
-	inline [ownersInline]ownerSlot
-	spill  []ownerSlot
+	inline [ownersInline]*Handle
+	spill  []*Handle
 }
 
 // at returns the i'th slot, 0 ≤ i < s.n.
-func (s *ownerSet) at(i int) *ownerSlot {
+func (s *ownerSet) at(i int) **Handle {
 	if i < ownersInline {
 		return &s.inline[i]
 	}
@@ -202,48 +256,50 @@ func (s *ownerSet) len() int { return s.n }
 // false.
 func (s *ownerSet) computes(f func(compute string) bool) {
 	for i := 0; i < s.n; i++ {
-		if !f(s.at(i).compute) {
+		if !f((*s.at(i)).compute) {
 			return
 		}
 	}
 }
 
-// find returns the slot o holds, nil if o is not an owner.
-func (s *ownerSet) find(o Owner) *ownerSlot {
+// has reports whether o holds one of the live handles.
+func (s *ownerSet) has(o Owner) bool {
 	for i := 0; i < s.n; i++ {
-		if sl := s.at(i); sl.owner == o {
-			return sl
+		if (*s.at(i)).owner == o {
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
-// add makes o, running on compute, an owner. The caller has checked that it
-// is not one already.
-func (s *ownerSet) add(o Owner, compute string) {
+// add makes h an owner. The caller has checked that h's owner is not one
+// already.
+func (s *ownerSet) add(h *Handle) {
 	if s.n >= ownersInline {
 		if s.spill == nil {
 			// Whoever shares past the inline slots is a fan-out, and usually a
 			// wide one: start at a size that does not regrow at once.
-			s.spill = make([]ownerSlot, 0, 2*ownersInline)
+			s.spill = make([]*Handle, 0, 2*ownersInline)
 		}
-		s.spill = append(s.spill[:s.n-ownersInline], ownerSlot{})
+		s.spill = append(s.spill[:s.n-ownersInline], nil)
 	}
 	s.n++
-	*s.at(s.n - 1) = ownerSlot{o, compute}
+	*s.at(s.n - 1) = h
+	h.owns = true
 }
 
-// remove takes o out of the set — the last slot moves into its place — and
-// reports whether it was there.
-func (s *ownerSet) remove(o Owner) bool {
-	sl := s.find(o)
-	if sl == nil {
-		return false
+// remove takes h out of the set — the last slot moves into its place. h is
+// an owner.
+func (s *ownerSet) remove(h *Handle) {
+	for i := 0; i < s.n; i++ {
+		if sl := s.at(i); *sl == h {
+			last := s.at(s.n - 1)
+			*sl, *last = *last, nil
+			s.n--
+			h.owns = false
+			return
+		}
 	}
-	last := s.at(s.n - 1)
-	*sl, *last = *last, ownerSlot{}
-	s.n--
-	return true
 }
 
 // coherent reports whether accesses to the region run the coherence protocol,
@@ -422,21 +478,18 @@ func (m *Manager) Alloc(spec Spec) (*Handle, error) {
 		return nil, fmt.Errorf("%w: placer chose %s violating %v", ErrNoPlacement, devID, viol)
 	}
 
-	// The region and its first handle are built before the table lock, which
-	// covers only what the manager's tables hold: the space, the id, a
-	// recycled backing and the insert. The region is published with its own
-	// lock held, and its backing is made or zeroed after the table lock is
-	// dropped but before the region's is, so no access and no sweep ever sees
-	// a recycled backing's old bytes.
+	// The region and its first handle — one allocation — are built before the
+	// table lock, which covers only what the manager's tables hold: the space,
+	// the id, a recycled backing and the insert. The region is published with
+	// its own lock held, and its backing is made or zeroed after the table
+	// lock is dropped but before the region's is, so no access and no sweep
+	// ever sees a recycled backing's old bytes.
 	block := allocator.BlockSize(spec.Size)
-	r := &Region{
-		m: m, class: spec.Class, req: req,
-		device: dev, size: spec.Size, blockSize: block,
-		sealed: req.Confidential && caps.Remote,
-		first:  Handle{owner: spec.Owner, compute: spec.Compute, clock: spec.Clock, rank: -1},
-	}
-	r.first.r = r
-	r.owners.add(spec.Owner, spec.Compute)
+	r := newRegion(spec.Class)
+	r.m, r.class, r.req = m, spec.Class, req
+	r.device, r.size, r.blockSize = dev, spec.Size, block
+	r.sealed = req.Confidential && caps.Remote
+	h := r.newHandle(spec.Owner, spec.Compute, spec.Clock, nil, -1)
 	m.mu.Lock()
 	buddy, err := m.buddyFor(dev)
 	if err != nil {
@@ -466,7 +519,7 @@ func (m *Manager) Alloc(spec Spec) (*Handle, error) {
 	r.mu.Unlock()
 	m.allocs.Add(1)
 	m.bytesAllocated.Add(block)
-	return &r.first, nil
+	return h, nil
 }
 
 // free releases the region's resources: its local space or, for an exported

@@ -23,10 +23,12 @@ import (
 // has no cache to go stale.
 
 // uncached returns a copy of h that has never resolved a route: what a
-// caller holds who took a fresh handle after the move.
+// caller holds who took a fresh handle after the move. The copy is not in the
+// region's owner set, but carries h's owns flag, so it passes for h for as
+// long as h is an owner.
 func uncached(h *Handle) *Handle {
 	c := *h
-	c.rt, c.deps = nil, nil
+	c.rt = nil
 	return &c
 }
 
@@ -231,14 +233,14 @@ func TestSyncCheckAndUnresolvedRoutes(t *testing.T) {
 // TestAccessAllocatesNothing: a synchronous 64-byte access to an exclusive
 // region under a task view — the access every task body makes thousands of
 // times — takes no heap allocation, and neither does one to a ranked-shared
-// region once the handle's fence buffer and the directory's state for the
-// touched lines exist.
+// region, whose fence gets its deps in place from the sharer set, once the
+// directory's state for the touched lines exists.
 func TestAccessAllocatesNothing(t *testing.T) {
 	m := newManager(t)
 	view := m.topo.NewTaskView()
 	excl := mustAlloc(t, m, Spec{Name: "x", Class: props.Transfer, Size: 1 << 16, Owner: "t", Compute: "node0/cpu0", Clock: view})
 	prod := mustAlloc(t, m, Spec{Name: "s", Class: props.GlobalScratch, Size: 1 << 16, Owner: "p", Compute: "node0/cpu0", Clock: view})
-	prod.Rebind(view, 0, fenceFunc(func([]int) error { return nil }))
+	prod.Rebind(view, 0, fenceFunc(func([]int32) error { return nil }))
 	cons, err := prod.ShareRanked("c", "node0/cpu0", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -355,11 +357,23 @@ func TestConcurrentAccessCountsMatchSequential(t *testing.T) {
 	}
 }
 
-// TestHandleFillsItsSizeClass: a handle is allocated per owner of every task
-// output, and one more word would take each into the 144-byte size class.
+// TestHandleFillsItsSizeClass: a region and its handles are one allocation
+// per task output, its handle storage sized by class, and the private and the
+// movable kinds fill their size classes to the byte: one more word in a Handle
+// or a Region takes them into the 416- and 512-byte classes.
 func TestHandleFillsItsSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Handle{}); size > 128 {
-		t.Errorf("a Handle is %d bytes, more than the 128-byte size class it filled", size)
+	for _, c := range []struct {
+		kind        string
+		size, class uintptr
+	}{
+		{"private", unsafe.Sizeof(privateRegion{}), 384},
+		{"movable", unsafe.Sizeof(movableRegion{}), 480},
+		{"shared", unsafe.Sizeof(sharedRegion{}), 704},
+	} {
+		if c.size > c.class {
+			t.Errorf("a %s region is %d bytes with its handles (a Handle %d, a Region %d), more than the %d-byte size class it filled",
+				c.kind, c.size, unsafe.Sizeof(Handle{}), unsafe.Sizeof(Region{}), c.class)
+		}
 	}
 }
 
@@ -387,7 +401,7 @@ func BenchmarkRegionAccess(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prod.Rebind(view, 0, fenceFunc(func([]int) error { return nil }))
+	prod.Rebind(view, 0, fenceFunc(func([]int32) error { return nil }))
 	shared, err := prod.ShareRanked("c", "node0/cpu0", 1)
 	if err != nil {
 		b.Fatal(err)
