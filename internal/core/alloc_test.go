@@ -38,7 +38,7 @@ func allocBudget(t *testing.T, name string, budget float64, fn func()) {
 
 // TestAllocBudgetSoloWavefront pins the allocation count of one parallel
 // wavefront run of the wide diamond job (src → 8 branches → sink, with a
-// fenced job global): measured 141 with every handle in its region's storage
+// fenced job global): measured 138 with every handle in its region's storage
 // (224 with a handle allocated per hand-over, 227 with the clock views in a
 // sync.Pool; 346 before the dispatcher was recycled, owners held in the region
 // and nothing allocated to launch a task; 621 with plan and run state in maps
@@ -49,7 +49,7 @@ func TestAllocBudgetSoloWavefront(t *testing.T) {
 		t.Fatal(err)
 	}
 	iter := 0
-	allocBudget(t, "solo wavefront run", 170, func() {
+	allocBudget(t, "solo wavefront run", 165, func() {
 		iter++
 		if _, err := rt.Run(wideJob(fmt.Sprintf("alloc%d", iter), 8)); err != nil {
 			t.Fatal(err)
@@ -59,7 +59,7 @@ func TestAllocBudgetSoloWavefront(t *testing.T) {
 
 // TestAllocBudgetOverlappedBatch pins the allocation count of one
 // overlapped serving batch of four small jobs on a shared pool: measured
-// 338 with every handle in its region's storage (523 with a handle allocated
+// 330 with every handle in its region's storage (523 with a handle allocated
 // per hand-over, 831 before the dispatcher was recycled).
 func TestAllocBudgetOverlappedBatch(t *testing.T) {
 	s, err := NewServer(ServerConfig{
@@ -79,7 +79,7 @@ func TestAllocBudgetOverlappedBatch(t *testing.T) {
 			wideJob(fmt.Sprintf("w%d-3", iter), 4),
 		}
 	}
-	allocBudget(t, "overlapped batch (4 jobs)", 405, func() {
+	allocBudget(t, "overlapped batch (4 jobs)", 400, func() {
 		jobs := batch()
 		tks := make([]*Ticket, len(jobs))
 		for k, j := range jobs {
@@ -102,7 +102,7 @@ func TestAllocBudgetOverlappedBatch(t *testing.T) {
 // nil-body draws (chains, fan-outs, diamonds; 5.2 tasks a job), submitted one
 // after another to a server of the benchmark's shape. A resubmitted job and a
 // fresh one take the same path; the pool is cycled so both are in the mean.
-// Measured 16.6 with every handle in its region's storage; 22.4 with a handle
+// Measured 16.0 with every handle in its region's storage; 22.4 with a handle
 // allocated per hand-over (a transfer, a share), 33.1 with an epoch, a pool
 // and a pair of batch slices per batch and a closure per task goroutine, 44.4
 // with the report's tables in maps and 96.0 before the run's state was carved
@@ -126,7 +126,7 @@ func TestAllocBudgetServedJob(t *testing.T) {
 // TestAllocBudgetLoneJob pins that a job served alone pays for no batch: the
 // nil-body mix submitted one job at a time, each in a batch of its own,
 // allocates at most one more per job than the same mix kept 64 in flight, the
-// benchmark's closed loop, whose batches are full. Measured 16.6 and 16.7 with
+// benchmark's closed loop, whose batches are full. Measured 16.0 and 16.0 with
 // every handle in its region's storage; 22.4 and 22.4 with each epoch worker
 // keeping one epoch, pool and pair of batch slices, and a task goroutine
 // started from the pool's one function value; 24.1 and 22.7
@@ -191,7 +191,7 @@ func servedMixPass(t testing.TB, rec *RecoveryPolicy) (pass func(), jobs float64
 // staged, written twice to the checkpoint fabric and forgotten when its job
 // settles. After a warm-up pass has filled the free lists from returned
 // buffers, that life cycle allocates nothing proportional to a payload, and
-// the store recycles its object records. Measured 9.3 KiB and 20.8
+// the store recycles its object records. Measured 9.3 KiB and 20.1
 // allocations a job with every handle in its region's storage (9.8 and 26.5
 // with a handle allocated per hand-over, 10.3 and 37.2 with an epoch, a pool
 // and slices per batch,

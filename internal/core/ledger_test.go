@@ -239,8 +239,8 @@ var ledgerCases = []ledgerCase{
 // testing.AllocsPerRun counts for another pass to within the case's spread,
 // so the table is the whole of the budget tests' numbers: a regression there
 // names its function here, and a gain must show here too. The region layer is
-// gated here, at what a region and its handles cost: measured 5.18 a lone
-// served job, 6.08 a routed one and 7.02 a stream window; 10.90, 12.35 and
+// gated here, at what a region and its handles cost: measured 4.50 a lone
+// served job, 5.21 a routed one and 7.03 a stream window; 10.90, 12.35 and
 // 17.00 with a handle allocated per hand-over.
 func TestAllocLedger(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)

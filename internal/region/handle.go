@@ -591,6 +591,8 @@ func (h *Handle) share(to Owner, toCompute string, rank int, open bool) (*Handle
 	if r.owners.has(to) {
 		return nil, fmt.Errorf("region: %s already owns region %d", to, r.id)
 	}
+	// The handle first: a spill it takes has room for the ranks too.
+	nh := r.newHandle(to, toCompute, h.clock, h.fence, int32(rank))
 	r.everShared = true
 	if open {
 		r.openShared = true
@@ -599,7 +601,7 @@ func (h *Handle) share(to Owner, toCompute string, rank int, open bool) (*Handle
 		r.addSharer(int32(rank))
 	}
 	m.shares.Add(1)
-	return r.newHandle(to, toCompute, h.clock, h.fence, int32(rank)), nil
+	return nh, nil
 }
 
 // addSharer inserts a rank into the region's ascending sharer set, ignoring

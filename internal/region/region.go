@@ -210,16 +210,23 @@ func newRegion(class props.RegionClass) *Region {
 	}
 }
 
+// regionSpill is a region's storage past its own, taken at its first spill:
+// 2·ownersInline more handles, and room for as many more owners and sharer
+// ranks, so a fan-out up to 3·ownersInline−1 consumers wide costs this one
+// allocation.
+type regionSpill struct {
+	slots   [2 * ownersInline]Handle
+	owners  [2 * ownersInline]*Handle
+	sharers [3 * ownersInline]int32
+}
+
 // newHandle takes the region's next unused handle slot for owner, running on
 // compute, and makes it an owner: the handle prices on clk, fences through f,
-// and accesses at rank. A region that has handed out all of its own storage
-// spills into one chunk twice as wide as its owners (2·ownersInline at
-// least), so a fan-out costs one allocation, not one a handle. A slot is never taken twice: a handle a task
-// body kept stays the dead handle it was. Caller holds r.mu, or has not
-// published r.
+// and accesses at rank. A slot is never taken twice: a handle a task body kept
+// stays the dead handle it was. Caller holds r.mu, or has not published r.
 func (r *Region) newHandle(owner Owner, compute string, clk *topology.TaskView, f Fence, rank int32) *Handle {
 	if len(r.slots) == 0 {
-		r.slots = make([]Handle, max(2*ownersInline, 2*r.owners.len()))
+		r.spill()
 	}
 	h := &r.slots[0]
 	r.slots = r.slots[1:]
@@ -228,9 +235,25 @@ func (r *Region) newHandle(owner Owner, compute string, clk *topology.TaskView, 
 	return h
 }
 
+// spill gives a region that has handed out all of its handle storage more.
+// The first spill is one regionSpill, which the owner and sharer sets move
+// into as well; a later one is a chunk of handles twice as wide as the owners,
+// and the two sets grow by append. Caller holds r.mu.
+func (r *Region) spill() {
+	if r.owners.spill != nil {
+		r.slots = make([]Handle, max(2*ownersInline, 2*r.owners.len()))
+		return
+	}
+	sp := new(regionSpill)
+	r.slots, r.owners.spill = sp.slots[:], sp.owners[:0]
+	if r.sharers != nil {
+		r.sharers = append(sp.sharers[:0], r.sharers...)
+	}
+}
+
 // ownerSet is a region's owners: its live handles, held as a value — the
-// first ownersInline in place, the rest in a spill slice that only a wider
-// sharing ever allocates. Order carries no meaning. Membership is mirrored in
+// first ownersInline in place, the rest in a spill slice that the region's
+// first spill provides. Order carries no meaning. Membership is mirrored in
 // each handle's owns flag, so a handle validates without a walk. A region's
 // ownership is read through len, has and that flag, written through add and
 // remove, and walked (the rebalance sweep) through computes; nothing else
@@ -276,11 +299,6 @@ func (s *ownerSet) has(o Owner) bool {
 // already.
 func (s *ownerSet) add(h *Handle) {
 	if s.n >= ownersInline {
-		if s.spill == nil {
-			// Whoever shares past the inline slots is a fan-out, and usually a
-			// wide one: start at a size that does not regrow at once.
-			s.spill = make([]*Handle, 0, 2*ownersInline)
-		}
 		s.spill = append(s.spill[:s.n-ownersInline], nil)
 	}
 	s.n++
