@@ -428,6 +428,48 @@ func TestEveryFunctionHasACaller(t *testing.T) {
 	}
 }
 
+// TestShardProtocolIsPure keeps the shard router's protocol a pure
+// function that TestShardProtocolExhaustive can enumerate: protocol.go
+// imports no package of this module and nothing that blocks, waits, reads
+// the clock or draws randomness, and it starts no goroutine and uses no
+// channel.
+func TestShardProtocolIsPure(t *testing.T) {
+	const file = "internal/shard/protocol.go"
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	banned := []string{"sync", "sync/atomic", "context", "time", "os", "math/rand"}
+	for _, imp := range f.Imports {
+		path, _ := strconv.Unquote(imp.Path.Value)
+		if path == "repro" || strings.HasPrefix(path, "repro/") || slices.Contains(banned, path) {
+			t.Errorf("%s imports %q", file, path)
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		what := ""
+		switch n := n.(type) {
+		case *ast.GoStmt:
+			what = "a go statement"
+		case *ast.ChanType:
+			what = "a channel type"
+		case *ast.SendStmt:
+			what = "a send"
+		case *ast.UnaryExpr:
+			if n.Op == token.ARROW {
+				what = "a receive"
+			}
+		case *ast.SelectStmt:
+			what = "a select"
+		}
+		if what != "" {
+			t.Errorf("%s contains %s", fset.Position(n.Pos()), what)
+		}
+		return true
+	})
+}
+
 // TestDesignHeadingsCarryNoHistory: a DESIGN.md heading names what the
 // section describes, not the PR that added it; history is CHANGES.md's.
 func TestDesignHeadingsCarryNoHistory(t *testing.T) {

@@ -263,13 +263,17 @@ func (f *Fabric) Write(id SlabID, off int64, buf []byte) (time.Duration, error) 
 	return f.xferTime(len(buf)), nil
 }
 
-// Crash marks a node dead, losing its volatile contents.
+// Crash marks a node dead, losing its volatile contents and the leases of
+// the slabs it held: nobody can own a slab that no longer exists.
 func (f *Fabric) Crash(nodeName string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	n, ok := f.nodes[nodeName]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, nodeName)
+	}
+	for id := range n.slabs {
+		delete(f.leases, SlabID{Node: nodeName, Slab: id})
 	}
 	n.alive = false
 	n.slabs = make(map[uint64][]byte) // volatile memory is gone

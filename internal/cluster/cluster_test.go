@@ -370,16 +370,29 @@ func TestSlabLeaseAndHandoff(t *testing.T) {
 	if got := f.LeasesOf("shard1"); !slices.Equal(got, []SlabID{id}) || len(f.LeasesOf("shard0")) != 0 {
 		t.Fatalf("shard1 holds %v, shard0 %v; want the slab moved to shard1", got, f.LeasesOf("shard0"))
 	}
-	// The ownership registry lives in the fabric: a handoff must succeed
-	// even when the slab's home node is dead (failover adoption).
-	if err := f.Crash(nodeName(0)); err != nil {
+	// The ownership registry lives in the fabric: a handoff succeeds while
+	// the slab's home node is partitioned (failover adoption).
+	if err := f.Partition(nodeName(0)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.Handoff(id, "shard1", "shard2"); err != nil {
-		t.Fatalf("handoff with crashed home node: %v", err)
+		t.Fatalf("handoff with partitioned home node: %v", err)
 	}
 	if got := f.LeasesOf("shard2"); !slices.Equal(got, []SlabID{id}) {
-		t.Fatalf("shard2 holds %v after the crash handoff, want [%v]", got, id)
+		t.Fatalf("shard2 holds %v after the partition handoff, want [%v]", got, id)
+	}
+	if err := f.Heal(nodeName(0)); err != nil {
+		t.Fatal(err)
+	}
+	// A crash destroys the slab, and its lease with it: nobody adopts it.
+	if err := f.Crash(nodeName(0)); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.LeasesOf("shard2"); len(got) != 0 {
+		t.Fatalf("shard2 still holds %v after the crash destroyed it", got)
+	}
+	if _, err := f.Handoff(id, "shard2", "shard0"); !errors.Is(err, ErrLeaseHeld) {
+		t.Fatalf("handoff of a crashed slab: err = %v, want ErrLeaseHeld", err)
 	}
 	if err := f.Restart(nodeName(0)); err != nil {
 		t.Fatal(err)
@@ -397,5 +410,38 @@ func TestSlabLeaseAndHandoff(t *testing.T) {
 	}
 	if got := f.LeasesOf("shard0"); len(got) != 0 {
 		t.Errorf("freed slab must be unleased, shard0 holds %v", got)
+	}
+}
+
+// TestCrashDropsDestroyedLeases: a crash drops the lease of every slab it
+// destroys, and only those; the restarted node cannot free the old slab, so
+// a lease kept past the crash would be held forever.
+func TestCrashDropsDestroyedLeases(t *testing.T) {
+	f := newTestFabric(t, 2)
+	var ids []SlabID
+	for i := 0; i < 2; i++ {
+		id, _, err := f.AllocSlab(nodeName(i), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Lease(id, "owner"); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if err := f.Crash(nodeName(0)); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.LeasesOf("owner"); !slices.Equal(got, ids[1:]) {
+		t.Fatalf("owner leases %v after the crash, want only the survivor's %v", got, ids[1:])
+	}
+	if err := f.Restart(nodeName(0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.FreeSlab(ids[0]); !errors.Is(err, ErrBadSlab) {
+		t.Fatalf("freeing the destroyed slab: err = %v, want ErrBadSlab", err)
+	}
+	if got := f.LeasesOf("owner"); !slices.Equal(got, ids[1:]) {
+		t.Fatalf("owner leases %v after the restart, want %v", got, ids[1:])
 	}
 }

@@ -25,13 +25,13 @@ import (
 var ErrNoSpillTarget = errors.New("cluster: no spill target below watermark")
 
 // Backup is the durable store a RegionPool mirrors exported payloads into,
-// so a region survives the crash of the memory node hosting its slab.
-// Narrower than fault.Store to avoid an import cycle (internal/fault builds
-// on this package); internal/shard adapts fault.Store to it.
+// so a region survives the crash of the memory node hosting its slab. Every
+// fault.Store is one; the interface is narrower than fault.Store to avoid
+// an import cycle (internal/fault builds on this package).
 type Backup interface {
-	Save(key string, data []byte) (time.Duration, error)
-	Load(key string) ([]byte, time.Duration, error)
-	Discard(key string)
+	Put(data []byte) (uint64, time.Duration, error)
+	Get(id uint64) ([]byte, time.Duration, error)
+	Delete(id uint64) (time.Duration, error)
 }
 
 // RegionPoolStats counts what a pool did on behalf of its shard.
@@ -45,10 +45,19 @@ type RegionPoolStats struct {
 	Live      int           // remote placements currently held
 }
 
-// placement records where one exported region lives.
+// placement records where one exported region lives, and its durable copy.
 type placement struct {
-	slab SlabID
-	size int64
+	slab   SlabID
+	size   int64
+	saved  bool   // backup holds a copy under id
+	backup uint64 // the copy's id
+}
+
+// discard deletes the placement's durable copy, if it has one.
+func (p *RegionPool) discard(pl placement) {
+	if pl.saved {
+		p.backup.Delete(pl.backup) //nolint:errcheck // best-effort GC
+	}
 }
 
 // RegionPool implements region.Exporter over the cluster fabric for one
@@ -116,10 +125,10 @@ func (p *RegionPool) Export(id uint64, data []byte) (string, time.Duration, erro
 			total += d
 			continue
 		}
-		p.seq++
-		token := fmt.Sprintf("%s#%d", p.owner, p.seq)
+		pl := placement{slab: slab, size: size}
 		if p.backup != nil {
-			if d, err := p.backup.Save(token, data); err == nil {
+			if id, d, err := p.backup.Put(data); err == nil {
+				pl.saved, pl.backup = true, id
 				total += d
 			}
 		}
@@ -130,12 +139,12 @@ func (p *RegionPool) Export(id uint64, data []byte) (string, time.Duration, erro
 			// adoptable, the backup keeps the payload. Treat as failure so
 			// the region stays resident.
 			p.f.Handoff(slab, p.owner, p.owner+"?dead") //nolint:errcheck // best-effort release
-			if p.backup != nil {
-				p.backup.Discard(token)
-			}
+			p.discard(pl)
 			continue
 		}
-		p.slabs[token] = placement{slab: slab, size: size}
+		p.seq++
+		token := fmt.Sprintf("%s#%d", p.owner, p.seq)
+		p.slabs[token] = pl
 		p.stats.Exported++
 		p.stats.BytesOut += size
 		p.stats.VerbTime += total
@@ -171,10 +180,10 @@ func (p *RegionPool) Fetch(token string, buf []byte) (time.Duration, error) {
 		p.tel.Add(telemetry.LayerCluster, "region_recall_bytes", pl.size)
 		return d, nil
 	}
-	if !errors.Is(err, ErrUnreachable) && !errors.Is(err, ErrBadSlab) || p.backup == nil {
+	if !errors.Is(err, ErrUnreachable) && !errors.Is(err, ErrBadSlab) || !pl.saved {
 		return d, err
 	}
-	data, bd, berr := p.backup.Load(token)
+	data, bd, berr := p.backup.Get(pl.backup)
 	if berr != nil {
 		return d, fmt.Errorf("cluster: host lost and backup failed: %v (host: %w)", berr, err)
 	}
@@ -201,9 +210,7 @@ func (p *RegionPool) Drop(token string) error {
 	}
 	delete(p.slabs, token)
 	p.stats.Live = len(p.slabs)
-	if p.backup != nil {
-		p.backup.Discard(token)
-	}
+	p.discard(pl)
 	if d, err := p.f.FreeSlab(pl.slab); err == nil {
 		p.stats.VerbTime += d
 	}
@@ -229,10 +236,8 @@ func (p *RegionPool) Abandon(adopter string) int {
 		p.f.FreeSlab(slab) //nolint:errcheck // host may be dead; lease map is already clean
 		n++
 	}
-	for token := range p.slabs {
-		if p.backup != nil {
-			p.backup.Discard(token)
-		}
+	for token, pl := range p.slabs {
+		p.discard(pl)
 		delete(p.slabs, token)
 	}
 	p.stats.Live = 0

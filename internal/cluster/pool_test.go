@@ -12,35 +12,36 @@ import (
 
 // fakeBackup is an in-memory durable store.
 type fakeBackup struct {
-	mu    sync.Mutex
-	data  map[string][]byte
-	saves int
+	mu   sync.Mutex
+	data map[uint64][]byte
+	next uint64
 }
 
-func newFakeBackup() *fakeBackup { return &fakeBackup{data: make(map[string][]byte)} }
+func newFakeBackup() *fakeBackup { return &fakeBackup{data: make(map[uint64][]byte)} }
 
-func (b *fakeBackup) Save(key string, data []byte) (time.Duration, error) {
+func (b *fakeBackup) Put(data []byte) (uint64, time.Duration, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.data[key] = append([]byte(nil), data...)
-	b.saves++
-	return time.Microsecond, nil
+	b.next++
+	b.data[b.next] = append([]byte(nil), data...)
+	return b.next, time.Microsecond, nil
 }
 
-func (b *fakeBackup) Load(key string) ([]byte, time.Duration, error) {
+func (b *fakeBackup) Get(id uint64) ([]byte, time.Duration, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	d, ok := b.data[key]
+	d, ok := b.data[id]
 	if !ok {
 		return nil, 0, errors.New("fakeBackup: missing")
 	}
 	return append([]byte(nil), d...), time.Microsecond, nil
 }
 
-func (b *fakeBackup) Discard(key string) {
+func (b *fakeBackup) Delete(id uint64) (time.Duration, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	delete(b.data, key)
+	delete(b.data, id)
+	return time.Microsecond, nil
 }
 
 func (b *fakeBackup) len() int {

@@ -25,8 +25,9 @@ import (
 // ErrNotFound is returned when an object key is unknown.
 var ErrNotFound = errors.New("fault: object not found")
 
-// ObjectID names a stored object.
-type ObjectID uint64
+// ObjectID names a stored object. It is a plain uint64, so every Store is
+// also a cluster.Backup.
+type ObjectID = uint64
 
 // Store is the common interface of the redundancy schemes.
 type Store interface {
@@ -50,6 +51,8 @@ type Store interface {
 	// overhead witness.
 	StoredBytes() (int64, int64)
 }
+
+var _ cluster.Backup = Store(nil)
 
 // ---------------------------------------------------------------------------
 // Replication

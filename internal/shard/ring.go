@@ -12,10 +12,15 @@
 //     one-sided fabric Write, so cross-shard traffic is priced (and
 //     attributable per node via cluster.NodeStats);
 //   - slab ownership lives in the fabric control plane (cluster.Lease /
-//     Handoff), so when a shard dies a survivor adopts its ledger with a
-//     single control-plane CAS — no agreement with the dead node needed —
-//     and in-flight jobs are re-routed, resuming from whatever the dead
-//     shard checkpointed (partial replay across shards).
+//     Handoff), so when a shard is partitioned a survivor adopts its ledger
+//     with a single control-plane CAS — no agreement with the dead node
+//     needed (a crash destroys the ledger, and its lease with it) — and
+//     in-flight jobs are re-routed, resuming from whatever the dead shard
+//     checkpointed (partial replay across shards).
+//
+// Every routing decision is step (protocol.go), a pure function that
+// TestShardProtocolExhaustive runs over every interleaving; Cluster.feed
+// performs its effects.
 //
 // Each shard keeps the engine's core invariant: virtual-time reports are
 // byte-identical to solo Runtime.Run at any shard count, worker count, or

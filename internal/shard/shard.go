@@ -27,22 +27,13 @@ var (
 	ErrClosed = errors.New("shard: cluster closed")
 )
 
-// ledgerRecordBytes is the size of one admission record in a shard's ledger
-// slab: signature, routed ticket id, arrival, deadline — 8 bytes each.
-const ledgerRecordBytes = 32
-
 // What every cluster is built with, beside its Config.
 const (
-	// ledgerSlabBytes sizes each shard's ledger slab.
-	ledgerSlabBytes int64 = 1 << 20
-	// poolBytes is the extra fabric capacity each shard node exports for
-	// other shards' migrated regions (Migrate only).
-	poolBytes int64 = 64 << 20
-	// spillWatermark caps a remote host's fill fraction for migrated
-	// regions (Migrate only).
-	spillWatermark = 0.9
-	// vnodes is the number of virtual nodes each shard puts on the ring.
-	vnodes = 64
+	ledgerRecordBytes       = 32       // one admission record: sig, ticket ID, arrival, deadline
+	ledgerSlabBytes   int64 = 1 << 20  // each shard's ledger slab
+	poolBytes         int64 = 64 << 20 // a node's room for other shards' migrated regions (Migrate)
+	spillWatermark          = 0.9      // a remote host's fill cap for migrated regions (Migrate)
+	vnodes                  = 64       // virtual nodes each shard puts on the ring
 )
 
 // Config assembles a Cluster. Zero fields get serving defaults. What no
@@ -56,12 +47,11 @@ type Config struct {
 	// Server is the per-shard serving template. ExecConfig.Topology must be
 	// nil: every shard's server builds its own private runtime (own topology
 	// instance, region manager, epoch pool) so shards never share device
-	// queues. Telemetry, if set, is shared by
-	// all shards; nil builds one shared registry. Recovery, if set,
-	// enables cross-shard failover replay: the cluster replaces the
-	// policy's checkpointer with one shared checkpointer over a replicated
-	// fabric store, so a survivor can restore what a dead shard
-	// checkpointed.
+	// queues. Telemetry, if set, is shared by all shards; nil builds one
+	// shared registry. Recovery, if set, enables cross-shard failover
+	// replay: the cluster replaces the policy's checkpointer with one shared
+	// checkpointer over a replicated fabric store, so a survivor can restore
+	// what a dead shard checkpointed.
 	Server core.ServerConfig
 	// TrackLoad prices every routed job with the scheduler's estimator
 	// (sched.EstimateJob) and accumulates per-shard estimated virtual
@@ -82,35 +72,19 @@ type Config struct {
 }
 
 // Shard is one serving shard: a core.Server over its own runtime, a fabric
-// node exporting its ledger slab, and the router-side health/accounting
-// state.
+// node exporting its ledger slab, and the router-side accounting.
 type Shard struct {
-	id   int
 	name string // fabric node name
 	srv  *core.Server
 	pool *cluster.RegionPool // remote-exporter for this shard's regions; nil without Migrate
 
-	mu  sync.Mutex // guards cur and its lives' dead, seq and cancel
-	cur *life      // the current incarnation; a dead one stays until revive
-
-	// Admission fingerprint over this shard's primary routing decisions,
-	// in submission order (failover re-submissions are excluded: their
-	// timing is wall-clock). Reproducible when submissions come from one
-	// goroutine, as the traffic harness does.
-	sigMu sync.Mutex
-	sig   uint64 // running FNV-64a, fnvOffset over no decisions
-
-	submitted     atomic.Int64
-	admitted      atomic.Int64
-	bestEffort    atomic.Int64
-	rejectedSLO   atomic.Int64
-	rejectedQueue atomic.Int64
-	errored       atomic.Int64
-	completed     atomic.Int64
-	failed        atomic.Int64
-	rerouted      atomic.Int64 // failover re-submissions adopted by this shard
-	sloMissed     atomic.Int64 // admitted guaranteed-tier jobs that missed their virtual deadline
-	estWorkNs     atomic.Int64 // cumulative estimated virtual work routed here (TrackLoad)
+	// Accounting. stats holds the counters (Cluster.Stats fills in the
+	// rest); sig fingerprints this shard's primary routing decisions in
+	// submission order (failover re-submissions are excluded: their timing
+	// is wall-clock), reproducible when submissions come from one goroutine.
+	acctMu sync.Mutex
+	stats  ShardStats
+	sig    uint64 // running FNV-64a, fnvOffset over no decisions
 }
 
 // Name returns the shard's fabric node name ("shard0", "shard1", ...).
@@ -118,23 +92,6 @@ func (sh *Shard) Name() string { return sh.name }
 
 // Server returns the shard's serving engine.
 func (sh *Shard) Server() *core.Server { return sh.srv }
-
-// life is one incarnation of a shard, from NewCluster or a revive to the
-// markDown that ends it. A watcher keeps the life its job was placed in, so
-// it learns whether that life ended whatever the shard did since.
-type life struct {
-	dead   bool
-	slab   cluster.SlabID                // ledger slab, leased by the shard until adopted
-	seq    int64                         // records written (ring-buffer cursor)
-	cancel map[uint64]context.CancelFunc // in-flight submissions by routed ticket ID
-}
-
-// isDown reports whether the shard's current life has ended.
-func (sh *Shard) isDown() bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.cur.dead
-}
 
 // ShardStats is one shard's routing, admission, and fabric accounting.
 type ShardStats struct {
@@ -167,15 +124,12 @@ type ShardStats struct {
 }
 
 // Cluster is the sharded serving front end. Submissions are routed by
-// consistent hash of the job signature; it is a core.Submitter, like the
-// core.Server each shard runs, so harnesses drive either interchangeably. Safe for
-// concurrent use; fingerprint reproducibility additionally requires a
-// single submitting goroutine (same as the admission model's decision
-// order).
+// consistent hash of the job signature; it is a core.Submitter, like each
+// shard's core.Server. Safe for concurrent use; reproducible fingerprints
+// also need a single submitting goroutine.
 type Cluster struct {
 	cfg     Config
 	fabric  *cluster.Fabric
-	ring    *ring
 	shards  []*Shard
 	tel     *telemetry.Registry
 	ck      *core.Checkpointer // shared across shards; nil without recovery
@@ -183,6 +137,11 @@ type Cluster struct {
 	seq     atomic.Uint64      // routed ticket ids
 	wg      sync.WaitGroup     // in-flight watchers
 	closed  atomic.Bool
+
+	mu      sync.Mutex                    // guards st, slabs and cancels: step runs under it
+	st      state                         // the routing protocol (protocol.go)
+	slabs   map[int]cluster.SlabID        // ledger slabs by life number
+	cancels map[uint64]context.CancelFunc // members' contexts by routed ticket ID
 }
 
 var _ core.Submitter = (*Cluster)(nil)
@@ -204,13 +163,12 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if tel == nil {
 		tel = telemetry.NewRegistry()
 	}
-	c := &Cluster{cfg: cfg, fabric: cluster.NewFabric(cluster.Config{}), tel: tel}
+	c := &Cluster{cfg: cfg, fabric: cluster.NewFabric(cluster.Config{}), tel: tel,
+		slabs: map[int]cluster.SlabID{}, cancels: map[uint64]context.CancelFunc{}}
 
 	// Cross-shard durable state: one 2-way replicated store on a private
-	// checkpoint fabric (pmem nodes), shared by every shard — a node crash
-	// costs at most one replica of any snapshot. Failover replay uses it
-	// through the shared checkpointer; migration mirrors exported region
-	// payloads into it so a region survives its slab host's death.
+	// pmem fabric, shared by every shard. Failover replay restores from it;
+	// migration mirrors exported region payloads into it.
 	if cfg.Server.Recovery != nil || cfg.Migrate {
 		ckFabric := cluster.NewFabric(cluster.Config{})
 		for i := 0; i < 3; i++ {
@@ -232,8 +190,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	for i := range names {
 		names[i] = fmt.Sprintf("shard%d", i)
 	}
-	c.ring = buildRing(names)
-
+	c.st = state{ring: buildRing(names), shards: make([]lifeState, cfg.Shards), tickets: map[uint64]ticketState{}, lives: cfg.Shards}
 	for i := 0; i < cfg.Shards; i++ {
 		sh, err := c.buildShard(i, names[i])
 		if err != nil {
@@ -244,8 +201,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// buildShard constructs one shard: fabric node + leased ledger slab +
-// server over a private runtime.
+// buildShard builds shard i: its fabric node, ledger slab and server.
 func (c *Cluster) buildShard(i int, name string) (*Shard, error) {
 	// With migration on, each shard node exports poolBytes beyond its
 	// ledger: the memory other shards park cold regions in.
@@ -256,11 +212,13 @@ func (c *Cluster) buildShard(i int, name string) (*Shard, error) {
 	if err := c.fabric.AddNode(name, capacity); err != nil {
 		return nil, err
 	}
-	l, err := c.newLife(name)
+	slab, err := c.newLedger(name)
 	if err != nil {
 		return nil, err
 	}
-	sh := &Shard{id: i, name: name, cur: l, sig: fnvOffset}
+	c.st.shards[i].num = i + 1 // shard i starts in life i+1
+	c.slabs[i+1] = slab
+	sh := &Shard{name: name, sig: fnvOffset}
 
 	scfg := c.cfg.Server // copy of the template
 	topo, err := topology.BuildSingleNode(topology.DefaultSingleNode())
@@ -278,13 +236,8 @@ func (c *Cluster) buildShard(i int, name string) (*Shard, error) {
 		return nil, err
 	}
 	if c.cfg.Migrate {
-		sh.pool = cluster.NewRegionPool(
-			c.fabric, name,
-			func(int64) []string { return c.spillTargets(i) },
-			spillWatermark,
-			&storeBackup{st: c.ckStore, ids: make(map[string]fault.ObjectID)},
-			c.tel,
-		)
+		spill := func(int64) []string { return c.spillTargets(i) }
+		sh.pool = cluster.NewRegionPool(c.fabric, name, spill, spillWatermark, c.ckStore, c.tel)
 		sh.srv.Runtime().Regions().SetExporter(sh.pool)
 	}
 	return sh, nil
@@ -294,7 +247,9 @@ func (c *Cluster) buildShard(i int, name string) (*Shard, error) {
 // shard i — the preference order shard i's region pool exports to. Never
 // includes the shard itself: spilling home would be a no-op tier.
 func (c *Cluster) spillTargets(i int) []string {
-	idxs := c.ring.walkFrom(i, c.alive)
+	c.mu.Lock()
+	idxs := c.st.ring.walkFrom(i, c.st.alive)
+	c.mu.Unlock()
 	out := make([]string, len(idxs))
 	for j, idx := range idxs {
 		out[j] = c.shards[idx].name
@@ -302,61 +257,13 @@ func (c *Cluster) spillTargets(i int) []string {
 	return out
 }
 
-// storeBackup adapts the cluster-shared fault.Store to the narrow
-// cluster.Backup interface a RegionPool mirrors payloads into (the region
-// analogue of checkpoint snapshots; same pmem fabric, same replication).
-type storeBackup struct {
-	st  fault.Store
-	mu  sync.Mutex
-	ids map[string]fault.ObjectID
-}
-
-func (b *storeBackup) Save(key string, data []byte) (time.Duration, error) {
-	id, d, err := b.st.Put(data)
-	if err != nil {
-		return d, err
-	}
-	b.mu.Lock()
-	old, had := b.ids[key]
-	b.ids[key] = id
-	b.mu.Unlock()
-	if had {
-		b.st.Delete(old) //nolint:errcheck // replaced snapshot; best-effort GC
-	}
-	return d, nil
-}
-
-func (b *storeBackup) Load(key string) ([]byte, time.Duration, error) {
-	b.mu.Lock()
-	id, ok := b.ids[key]
-	b.mu.Unlock()
-	if !ok {
-		return nil, 0, fmt.Errorf("shard: no backup under %q", key)
-	}
-	return b.st.Get(id)
-}
-
-func (b *storeBackup) Discard(key string) {
-	b.mu.Lock()
-	id, ok := b.ids[key]
-	delete(b.ids, key)
-	b.mu.Unlock()
-	if ok {
-		b.st.Delete(id) //nolint:errcheck // best-effort GC
-	}
-}
-
-// newLife allocates and leases a fresh ledger slab on the named shard's
-// node: the start of one incarnation.
-func (c *Cluster) newLife(name string) (*life, error) {
+// newLedger allocates and leases a fresh ledger slab on the shard's node.
+func (c *Cluster) newLedger(name string) (cluster.SlabID, error) {
 	slab, _, err := c.fabric.AllocSlab(name, ledgerSlabBytes)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		_, err = c.fabric.Lease(slab, name)
 	}
-	if _, err := c.fabric.Lease(slab, name); err != nil {
-		return nil, err
-	}
-	return &life{slab: slab, cancel: make(map[uint64]context.CancelFunc)}, nil
+	return slab, err
 }
 
 // Shards returns the shards in id order.
@@ -366,256 +273,182 @@ func (c *Cluster) Shards() []*Shard { return append([]*Shard(nil), c.shards...) 
 func (c *Cluster) Fabric() *cluster.Fabric { return c.fabric }
 
 // Runtime returns shard 0's runtime. All shards share one telemetry
-// registry and structurally identical topologies, so harnesses that price
-// sample jobs or read aggregate counters (loadgen) see the cluster-wide
-// view through it.
+// registry and identical topologies, so it gives the cluster-wide view.
 func (c *Cluster) Runtime() *core.Runtime { return c.shards[0].srv.Runtime() }
 
-// Checkpointer returns the shared recovery checkpointer, nil without a
-// Recovery template.
+// Checkpointer returns the shared recovery checkpointer, nil without Recovery.
 func (c *Cluster) Checkpointer() *core.Checkpointer { return c.ck }
 
-// alive is the ring's liveness oracle.
-func (c *Cluster) alive(i int) bool { return !c.shards[i].isDown() }
+// down reports whether shard i's current life has ended.
+func (c *Cluster) down(i int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.st.shards[i].dead
+}
 
 // Route returns the shard a job with this signature currently routes to,
 // or -1 when none is alive. Pure function of (ring, membership): every
 // front end agrees without coordination.
-func (c *Cluster) Route(sig uint64) int { return c.ring.successor(sig, c.alive) }
-
-// note folds one primary admission decision into the shard's fingerprint
-// and counters. Decision bytes mirror loadgen's signature alphabet.
-func (sh *Shard) note(d byte) {
-	sh.sigMu.Lock()
-	sh.sig ^= uint64(d)
-	sh.sig *= fnvPrime
-	sh.sigMu.Unlock()
-	sh.submitted.Add(1)
-	switch d {
-	case 'A':
-		sh.admitted.Add(1)
-	case 'B':
-		sh.bestEffort.Add(1)
-	case 'S':
-		sh.rejectedSLO.Add(1)
-	case 'Q':
-		sh.rejectedQueue.Add(1)
-	default:
-		sh.errored.Add(1)
-	}
+func (c *Cluster) Route(sig uint64) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.st.ring.successor(sig, c.st.alive)
 }
 
-// admissionSig renders the fingerprint like loadgen.Result.AdmissionSig.
-func (sh *Shard) admissionSig() string {
-	sh.sigMu.Lock()
-	defer sh.sigMu.Unlock()
-	return fmt.Sprintf("%016x", sh.sig)
+// note folds one primary admission decision into the shard's fingerprint
+// and counters (n is the decision's own), with the job's estimated work
+// (Config.TrackLoad). Decision bytes mirror loadgen's signature alphabet.
+func (sh *Shard) note(d byte, n *int64, est time.Duration) {
+	sh.acctMu.Lock()
+	sh.sig = (sh.sig ^ uint64(d)) * fnvPrime
+	sh.stats.Submitted++
+	*n++
+	sh.stats.EstWorkNs += est.Nanoseconds()
+	sh.acctMu.Unlock()
+}
+
+// count adds d to one of the shard's counters.
+func (sh *Shard) count(n *int64, d int64) {
+	sh.acctMu.Lock()
+	*n += d
+	sh.acctMu.Unlock()
 }
 
 // noteComplete accounts one delivered report.
 func (sh *Shard) noteComplete(rep *core.Report) {
-	sh.completed.Add(1)
+	sh.count(&sh.stats.Completed, 1)
 	if rep.SLODeadline > 0 && !rep.BestEffort && rep.SLOWait+rep.Makespan > rep.SLODeadline {
-		sh.sloMissed.Add(1)
+		sh.count(&sh.stats.SLOMissed, 1)
 	}
 }
 
-// ledgerWrite appends one admission record to the ledger slab of the shard's
-// current life with a one-sided fabric Write — the routing hop every
-// submission pays, and what makes cross-shard traffic visible in the
-// per-node fabric counters. Returns false when the shard's fabric node is
-// unreachable (the router's failure detector).
-func (c *Cluster) ledgerWrite(sh *Shard, sig, ticket uint64, opt core.SubmitOptions) bool {
+// routed is what the driver holds for a routed ticket beside its ticketState.
+type routed struct {
+	ctx context.Context
+	job *dataflow.Job
+	sig uint64
+	opt core.SubmitOptions
+	sh  *Shard       // the shard whose server last decided the job
+	tk  *core.Ticket // the job's member there
+}
+
+// feed is the driver: it runs step on ev under c.mu, performs the effects,
+// and feeds write and submission results back in until ticket r rests in a
+// member (outPlaced) or is delivered. Control-plane effects run under c.mu,
+// so no walk sees a life before its ledger is leased; writes, submissions
+// and abandonment run outside it, on the submitter's or watcher's goroutine.
+// r is nil for a fault; err is a refusal, or a failure to lease a ledger.
+func (c *Cluster) feed(ev event, r *routed) (outcome, error) {
+	var (
+		buf  [4]effect
+		slab cluster.SlabID
+		mctx context.Context
+		err  error
+	)
+	for next := true; next; {
+		c.mu.Lock()
+		effs := step(&c.st, ev, buf[:0])
+		for _, e := range effs {
+			switch e.kind {
+			case effWrite:
+				slab = c.slabs[e.life]
+			case effSubmit:
+				var cancel context.CancelFunc
+				mctx, cancel = context.WithCancel(r.ctx)
+				c.cancels[e.ticket] = cancel
+			case effCancel:
+				if cancel := c.cancels[e.ticket]; cancel != nil {
+					delete(c.cancels, e.ticket)
+					cancel()
+				}
+			case effHandoff: // fails after a crash, which dropped the lease with the slab
+				if _, herr := c.fabric.Handoff(c.slabs[e.life], c.shards[e.shard].name, c.shards[e.to].name); herr == nil {
+					c.tel.Add(telemetry.LayerRuntime, "shard_ledger_adopted", 1)
+				}
+			case effFree: // a partitioned node kept the slab; a crashed one did not
+				c.fabric.FreeSlab(c.slabs[e.life]) //nolint:errcheck // gone after a crash
+				delete(c.slabs, e.life)
+			case effStart:
+				if c.slabs[e.life], err = c.newLedger(c.shards[e.shard].name); err == nil {
+					c.tel.Add(telemetry.LayerRuntime, "shard_up", 1)
+				}
+			}
+		}
+		c.mu.Unlock()
+		next = false
+		for _, e := range effs {
+			switch e.kind {
+			case effWrite:
+				ok := c.ledgerWrite(slab, e.seq, e.ticket, r)
+				ev, next = event{kind: evLedger, ticket: e.ticket, shard: e.shard, life: e.life, ok: ok}, true
+			case effSubmit:
+				r.sh = c.shards[e.shard]
+				r.opt.Shard = r.sh.name
+				r.tk, err = r.sh.srv.SubmitAsync(mctx, r.job, r.opt)
+				ev, next = event{kind: evServer, ticket: e.ticket, shard: e.shard, life: e.life, ok: err == nil}, true
+			case effAbandon:
+				c.tel.Add(telemetry.LayerRuntime, "shard_down", 1)
+				// The region payloads are useless without the dead shard's
+				// region table (its jobs re-materialize from checkpoints), so
+				// the adopter frees their slabs.
+				if pool, adopter := c.shards[e.shard].pool, ""; pool != nil {
+					if e.to >= 0 {
+						adopter = c.shards[e.to].name
+					}
+					pool.Abandon(adopter)
+				}
+			case effDeliver:
+				return e.outcome, err
+			}
+		}
+	}
+	return outPlaced, err
+}
+
+// ledgerWrite appends one admission record to a ledger slab with a one-sided
+// fabric Write. A failed write is the router's failure detector.
+func (c *Cluster) ledgerWrite(slab cluster.SlabID, seq int64, id uint64, r *routed) bool {
 	var rec [ledgerRecordBytes]byte
-	binary.BigEndian.PutUint64(rec[0:], sig)
-	binary.BigEndian.PutUint64(rec[8:], ticket)
-	binary.BigEndian.PutUint64(rec[16:], uint64(opt.Arrival))
-	binary.BigEndian.PutUint64(rec[24:], uint64(opt.Deadline))
-	sh.mu.Lock()
-	l := sh.cur
-	off := (l.seq % (ledgerSlabBytes / ledgerRecordBytes)) * ledgerRecordBytes
-	l.seq++
-	sh.mu.Unlock()
-	_, err := c.fabric.Write(l.slab, off, rec[:])
+	binary.BigEndian.PutUint64(rec[0:], r.sig)
+	binary.BigEndian.PutUint64(rec[8:], id)
+	binary.BigEndian.PutUint64(rec[16:], uint64(r.opt.Arrival))
+	binary.BigEndian.PutUint64(rec[24:], uint64(r.opt.Deadline))
+	off := (seq % (ledgerSlabBytes / ledgerRecordBytes)) * ledgerRecordBytes
+	_, err := c.fabric.Write(slab, off, rec[:])
 	return err == nil
 }
 
-// markDown ends the shard's current life: it synchronously cancels every
-// queued and running submission placed in it (their watchers then re-route
-// them), hands the life's ledger to the first alive ring successor with one
-// control-plane Handoff — the dead node is not consulted — and has that
-// successor adopt the shard's exported-region leases. Idempotent.
-func (c *Cluster) markDown(sh *Shard) {
-	sh.mu.Lock()
-	l := sh.cur
-	if l.dead {
-		sh.mu.Unlock()
-		return
-	}
-	l.dead = true
-	cancels := make([]context.CancelFunc, 0, len(l.cancel))
-	for _, cf := range l.cancel {
-		cancels = append(cancels, cf)
-	}
-	sh.mu.Unlock()
-	for _, cf := range cancels {
-		cf()
-	}
-	c.tel.Add(telemetry.LayerRuntime, "shard_down", 1)
-	adopter := ""
-	if next := c.ring.walkFrom(sh.id, c.alive); len(next) > 0 {
-		adopter = c.shards[next[0]].name
-		c.fabric.Handoff(l.slab, sh.name, adopter) //nolint:errcheck // a healed life already freed it
-		c.tel.Add(telemetry.LayerRuntime, "shard_ledger_adopted", 1)
-	}
-	if sh.pool != nil {
-		// The region payloads are useless without the dead shard's region
-		// table — its jobs re-materialize from checkpoints on re-route — so
-		// freeing the slabs is the disposition, not copying them.
-		sh.pool.Abandon(adopter)
-	}
-}
-
-// revive starts a new life for a healed or restarted shard: a fresh ledger
-// slab, and the shard back in the ring. A shard that is not down keeps its
-// life.
-func (c *Cluster) revive(sh *Shard) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if !sh.cur.dead {
-		return nil
-	}
-	// A partition preserves the node's memory, so the old ledger slab still
-	// holds capacity; drop it before leasing a fresh one. After a crash the
-	// slab died with the node and the free is a tolerated no-op.
-	c.fabric.FreeSlab(sh.cur.slab) //nolint:errcheck // gone after a crash
-	l, err := c.newLife(sh.name)
-	if err != nil {
-		return err
-	}
-	sh.cur = l
-	c.tel.Add(telemetry.LayerRuntime, "shard_up", 1)
-	return nil
-}
-
-// Crash kills shard i: its fabric node loses its memory (cluster.Crash)
+// Crash kills shard i: its fabric node loses its memory (cluster.Crash),
 // and every in-flight submission on it is canceled and re-routed by its
 // watcher to a surviving shard.
-func (c *Cluster) Crash(i int) error {
-	if err := c.fabric.Crash(c.shards[i].name); err != nil {
-		return err
-	}
-	c.markDown(c.shards[i])
-	return nil
-}
+func (c *Cluster) Crash(i int) error { return c.fault(i, c.fabric.Crash, evCrash) }
 
 // Partition cuts shard i off (memory preserved). The router treats it as
-// down: in-flight jobs are re-routed — a partitioned shard cannot deliver
-// outcomes to the front end.
-func (c *Cluster) Partition(i int) error {
-	if err := c.fabric.Partition(c.shards[i].name); err != nil {
-		return err
-	}
-	c.markDown(c.shards[i])
-	return nil
-}
+// down, as after a crash, and a survivor adopts its ledger.
+func (c *Cluster) Partition(i int) error { return c.fault(i, c.fabric.Partition, evPartition) }
 
 // Heal reconnects a partitioned shard and returns it to the ring.
-func (c *Cluster) Heal(i int) error {
-	if err := c.fabric.Heal(c.shards[i].name); err != nil {
-		return err
-	}
-	return c.revive(c.shards[i])
-}
+func (c *Cluster) Heal(i int) error { return c.fault(i, c.fabric.Heal, evHeal) }
 
 // Restart brings a crashed shard back (empty) and returns it to the ring.
-func (c *Cluster) Restart(i int) error {
-	if err := c.fabric.Restart(c.shards[i].name); err != nil {
+func (c *Cluster) Restart(i int) error { return c.fault(i, c.fabric.Restart, evRestart) }
+
+// fault applies op to shard i's fabric node, then tells the protocol.
+func (c *Cluster) fault(i int, op func(string) error, kind eventKind) error {
+	if err := op(c.shards[i].name); err != nil {
 		return err
 	}
-	return c.revive(c.shards[i])
-}
-
-// submit places a job in the shard's current life, under a context that also
-// dies with that life (markDown cancels it), registered under the routed
-// ticket id. The caller must leave the returned life once the ticket
-// settled. errLifeEnded means the life was over before the job could run.
-func (sh *Shard) submit(ctx context.Context, id uint64, job *dataflow.Job, opt core.SubmitOptions) (*core.Ticket, *life, error) {
-	mctx, cancel := context.WithCancel(ctx)
-	sh.mu.Lock()
-	l := sh.cur
-	if l.dead {
-		sh.mu.Unlock()
-		cancel()
-		return nil, nil, errLifeEnded
-	}
-	l.cancel[id] = cancel
-	sh.mu.Unlock()
-	tk, err := sh.srv.SubmitAsync(mctx, job, opt)
-	if err != nil {
-		if sh.leave(l, id) {
-			return nil, nil, errLifeEnded
-		}
-		return nil, nil, err
-	}
-	return tk, l, nil
-}
-
-// leave drops submission id from the life it was placed in and reports
-// whether that life ended, even if the shard has come back up since.
-func (sh *Shard) leave(l *life, id uint64) bool {
-	sh.mu.Lock()
-	cancel := l.cancel[id]
-	delete(l.cancel, id)
-	dead := l.dead
-	sh.mu.Unlock()
-	cancel()
-	return dead
-}
-
-// errLifeEnded reports a submission whose shard died between routing and
-// placement; place walks on.
-var errLifeEnded = errors.New("shard: life ended")
-
-// place walks the ring from the job's signature until a shard takes it:
-// route, write the admission record to the shard's ledger (an unreachable
-// shard is marked down), and submit (a shard that died meanwhile is passed
-// over). It returns the deciding shard, the life the job runs in, and its
-// ticket; sh is nil only when no alive shard remains. A primary submission
-// and a re-submission after a death differ only by opt.Preadmitted.
-func (c *Cluster) place(ctx context.Context, job *dataflow.Job, sig, id uint64, opt core.SubmitOptions) (*Shard, *life, *core.Ticket, error) {
-	for hops := 0; hops <= len(c.shards); hops++ {
-		idx := c.Route(sig)
-		if idx < 0 {
-			return nil, nil, nil, ErrNoShards
-		}
-		sh := c.shards[idx]
-		if !c.ledgerWrite(sh, sig, id, opt) {
-			c.markDown(sh)
-			continue
-		}
-		opt.Shard = sh.name
-		tk, l, err := sh.submit(ctx, id, job, opt)
-		if errors.Is(err, errLifeEnded) {
-			continue
-		}
-		return sh, l, tk, err
-	}
-	return nil, nil, nil, ErrNoShards
+	_, err := c.feed(event{kind: kind, shard: i}, nil)
+	return err
 }
 
 // SubmitAsync consistent-hashes the job to its home shard, records the
-// admission in the shard's ledger slab (a one-sided fabric Write), and
-// submits. The returned ticket is router-owned: if the home shard dies
-// before the job completes, the router re-routes it to the ring successor
-// — resuming from the dead shard's checkpoints when recovery is on — and
-// the ticket observes the final outcome, wherever it ran.
-//
-// It shares core.Server's unified submission surface: at most one
-// core.SubmitOptions, whose admission inputs (arrival, deadline, tiering,
-// pre-admission) are judged by the home shard's own SLO gate. Admission
-// errors (ErrDeadline, ErrQueueFull, validation) surface exactly as
-// core.Server reports them.
+// admission in the shard's ledger slab, and submits. The returned ticket is
+// router-owned: if the home shard dies before the job completes, the router
+// re-routes it to the ring successor (resuming from the dead shard's
+// checkpoints when recovery is on), and the ticket observes the final
+// outcome. Options and admission errors are core.Server's: the home shard's
+// own SLO gate judges the submission.
 func (c *Cluster) SubmitAsync(ctx context.Context, job *dataflow.Job, opts ...core.SubmitOptions) (*core.Ticket, error) {
 	opt, err := core.ResolveOptions(opts)
 	if err != nil {
@@ -630,7 +463,6 @@ func (c *Cluster) SubmitAsync(ctx context.Context, job *dataflow.Job, opts ...co
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	sig := Signature(job)
 	ticketID := c.seq.Add(1)
 	if c.ck != nil && opt.ResumeID == "" {
 		// One checkpoint namespace per submission, owned by the router:
@@ -648,33 +480,30 @@ func (c *Cluster) SubmitAsync(ctx context.Context, job *dataflow.Job, opts ...co
 		}
 	}
 
-	sh, l, tk, err := c.place(ctx, job, sig, ticketID, opt)
-	if sh == nil {
+	r := routed{ctx: ctx, job: job, sig: Signature(job), opt: opt}
+	o, err := c.feed(event{kind: evSubmit, ticket: ticketID, sig: r.sig}, &r)
+	if o == outNoShard {
+		return nil, ErrNoShards
+	}
+	st := &r.sh.stats
+	d, n := byte('E'), &st.Errors
+	switch {
+	case o == outPlaced && r.tk.BestEffort():
+		d, n = 'B', &st.BestEffort
+	case o == outPlaced:
+		d, n = 'A', &st.Admitted
+	case errors.Is(err, core.ErrDeadline):
+		d, n = 'S', &st.RejectedSLO
+	case errors.Is(err, core.ErrQueueFull):
+		d, n = 'Q', &st.RejectedQueue
+	}
+	r.sh.note(d, n, est)
+	if o != outPlaced {
 		return nil, err
 	}
-	if c.cfg.TrackLoad {
-		// This shard decided the admission: the routed work is its own.
-		sh.estWorkNs.Add(est.Nanoseconds())
-	}
-	if err != nil {
-		switch {
-		case errors.Is(err, core.ErrDeadline):
-			sh.note('S')
-		case errors.Is(err, core.ErrQueueFull):
-			sh.note('Q')
-		default:
-			sh.note('E')
-		}
-		return nil, err
-	}
-	if tk.BestEffort() {
-		sh.note('B')
-	} else {
-		sh.note('A')
-	}
-	rtk := core.NewRoutedTicket(ticketID, tk.BestEffort())
+	rtk := core.NewRoutedTicket(ticketID, r.tk.BestEffort())
 	c.wg.Add(1)
-	go c.watch(ctx, rtk, sh, l, tk, job, opt, sig)
+	go c.watch(rtk, r)
 	return rtk, nil
 }
 
@@ -688,51 +517,41 @@ func (c *Cluster) Submit(ctx context.Context, job *dataflow.Job, opts ...core.Su
 	return tk.Wait(ctx)
 }
 
-// watch drives one routed submission to a terminal outcome, re-placing it
-// along the ring whenever the life it runs in ends underneath it.
-func (c *Cluster) watch(ctx context.Context, rtk *core.Ticket, sh *Shard, l *life, tk *core.Ticket, job *dataflow.Job, opt core.SubmitOptions, sig uint64) {
+// watch drives one routed ticket to its delivery: each time its member
+// settles, step delivers it or, when the life it ran in ended, walks the
+// ring again. A re-submission keeps the ResumeID, so tasks the dead shard
+// checkpointed are restored, not re-executed.
+func (c *Cluster) watch(rtk *core.Ticket, r routed) {
 	defer c.wg.Done()
-	// settle delivers the terminal outcome; the router owns the submission's
-	// checkpoint namespace, so it is the one that forgets it.
-	settle := func(rep *core.Report, err error) {
-		if c.ck != nil {
-			c.ck.Forget(opt.ResumeID)
+	r.opt.Preadmitted = true // a re-submission's admission was settled at the home shard
+	for {
+		rep, err := r.tk.Wait(nil) // the server always delivers exactly once
+		from, ev := r.sh, event{kind: evSettle, ticket: rtk.ID()}
+		if err != nil {
+			ev = event{kind: evWake, ticket: rtk.ID(), gaveUp: r.ctx.Err() != nil}
+		}
+		o, serr := c.feed(ev, &r)
+		switch o {
+		case outPlaced:
+			r.sh.count(&r.sh.stats.Rerouted, 1)
+			c.tel.Add(telemetry.LayerRuntime, "shard_rerouted", 1)
+			continue
+		case outDone:
+			from.noteComplete(rep)
+		case outFailed: // the submitter gave up, or the job failed in a life that lived on
+			rep = nil
+			from.count(&from.stats.Failed, 1)
+		case outNoShard:
+			rep, err = nil, fmt.Errorf("shard: re-routing %s after %s died: %w", r.job.Name(), from.name, ErrNoShards)
+		case outRefused:
+			rep, err = nil, serr
+			r.sh.count(&r.sh.stats.Errors, 1)
+		}
+		if c.ck != nil { // the router owns the submission's checkpoint namespace
+			c.ck.Forget(r.opt.ResumeID)
 		}
 		rtk.Deliver(rep, err)
-	}
-	opt.Preadmitted = true // a re-submission's admission was settled at the home shard
-	for {
-		rep, err := tk.Wait(nil) // the server always delivers exactly once
-		died := sh.leave(l, rtk.ID())
-		if err == nil {
-			sh.noteComplete(rep)
-			settle(rep, nil)
-			return
-		}
-		if ctx.Err() != nil || !died {
-			// The submitter gave up, or the job genuinely failed in a life
-			// that did not end: terminal either way, and not the shard's fault.
-			sh.failed.Add(1)
-			settle(nil, err)
-			return
-		}
-		// The life the job ran in ended; markDown already handed its ledger
-		// to the ring successor. Re-place the job along the ring. With
-		// recovery on, the re-submission carries the same ResumeID, so tasks
-		// the dead shard checkpointed are restored instead of re-executed.
-		next, nl, ntk, serr := c.place(ctx, job, sig, rtk.ID(), opt)
-		if next == nil {
-			settle(nil, fmt.Errorf("shard: re-routing %s after %s died: %w", job.Name(), sh.name, serr))
-			return
-		}
-		if serr != nil {
-			next.errored.Add(1)
-			settle(nil, serr)
-			return
-		}
-		next.rerouted.Add(1)
-		c.tel.Add(telemetry.LayerRuntime, "shard_rerouted", 1)
-		sh, l, tk = next, nl, ntk
+		return
 	}
 }
 
@@ -742,41 +561,26 @@ func (c *Cluster) Stats() []ShardStats {
 	byNode := c.fabric.StatsByNode()
 	out := make([]ShardStats, len(c.shards))
 	for i, sh := range c.shards {
-		out[i] = ShardStats{
-			Name:          sh.name,
-			Down:          sh.isDown(),
-			Submitted:     sh.submitted.Load(),
-			Admitted:      sh.admitted.Load(),
-			BestEffort:    sh.bestEffort.Load(),
-			RejectedSLO:   sh.rejectedSLO.Load(),
-			RejectedQueue: sh.rejectedQueue.Load(),
-			Errors:        sh.errored.Load(),
-			Completed:     sh.completed.Load(),
-			Failed:        sh.failed.Load(),
-			Rerouted:      sh.rerouted.Load(),
-			SLOMissed:     sh.sloMissed.Load(),
-			EstWorkNs:     sh.estWorkNs.Load(),
-			AdmissionSig:  sh.admissionSig(),
-			Fabric:        byNode[sh.name],
-		}
+		sh.acctMu.Lock()
+		st, sig := sh.stats, sh.sig
+		sh.acctMu.Unlock()
+		st.Name, st.Down, st.AdmissionSig, st.Fabric = sh.name, c.down(i), fmt.Sprintf("%016x", sig), byNode[sh.name]
 		if sh.pool != nil {
-			out[i].Migration = sh.pool.Stats()
+			st.Migration = sh.pool.Stats()
 		}
+		out[i] = st
 	}
 	return out
 }
 
-// Rebalance runs one region-tiering sweep on every alive shard's runtime —
-// the maintenance pass a production cluster runs concurrently with serving.
-// Each sweep prices its migrations inside a private clock view
-// (Server.Rebalance), so serving jobs never observe its backlog. With Config.Migrate, the sweep additionally evicts regions
-// that went cold past the local tiers into the ring successors' pools and
-// recalls exported regions that ran hot. Returns the number of regions
-// moved (local migrations + exports + recalls).
+// Rebalance runs one region-tiering sweep on every alive shard's runtime,
+// concurrently with serving: each sweep prices its migrations in a private
+// clock view. With Config.Migrate it also evicts cold regions into the ring
+// successors' pools and recalls hot ones. It returns the regions moved.
 func (c *Cluster) Rebalance(now time.Duration) int {
 	moved := 0
-	for _, sh := range c.shards {
-		if sh.isDown() {
+	for i, sh := range c.shards {
+		if c.down(i) {
 			continue
 		}
 		stats, err := sh.srv.Rebalance(now, c.cfg.Rebalance)
@@ -823,10 +627,7 @@ func (c *Cluster) Close(ctx context.Context) error {
 		}
 	}
 	done := make(chan struct{})
-	go func() {
-		c.wg.Wait()
-		close(done)
-	}()
+	go func() { c.wg.Wait(); close(done) }()
 	select {
 	case <-done:
 	case <-ctx.Done():

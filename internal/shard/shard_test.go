@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -32,6 +33,23 @@ func (c *Cluster) RouteFingerprint(n int) uint64 {
 		h *= fnvPrime
 	}
 	return h
+}
+
+// ledger returns the ledger slab of shard i's current life.
+func (c *Cluster) ledger(i int) cluster.SlabID {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.slabs[c.st.shards[i].num]
+}
+
+// leases lists every lease held on the fabric, whoever holds it.
+func (c *Cluster) leases() []cluster.SlabID {
+	var out []cluster.SlabID
+	for _, sh := range c.shards {
+		out = append(out, c.Fabric().LeasesOf(sh.name)...)
+	}
+	slices.SortFunc(out, func(a, b cluster.SlabID) int { return strings.Compare(a.String(), b.String()) })
+	return out
 }
 
 // chainJob builds a deterministic three-stage pipeline. Structurally
@@ -344,9 +362,9 @@ func TestFailoverReroutesByteIdentical(t *testing.T) {
 			if !st[victim].Down {
 				t.Error("crashed shard must report Down")
 			}
-			slab := c.shards[victim].cur.slab
-			if !slices.Contains(c.Fabric().LeasesOf(c.shards[victim].name), slab) && !slices.Contains(c.Fabric().LeasesOf(c.shards[1-victim].name), slab) {
-				t.Error("dead shard's ledger lease must survive in the control plane")
+			// The crash destroyed the dead life's ledger, and its lease with it.
+			if slab := c.ledger(victim); slices.Contains(c.leases(), slab) {
+				t.Errorf("the crashed shard's ledger %s is still leased", slab)
 			}
 		})
 	}
@@ -405,29 +423,38 @@ func adopted(c *Cluster) int64 {
 }
 
 // TestIdleShardCrashHandsOffItsLedger: a shard that dies with nothing in
-// flight still ends its life — no watcher has to fail over for its ledger to
-// reach the ring successor.
+// flight still ends its life, with no watcher to fail over. After a
+// partition the ring successor adopts its ledger; after a crash the ledger
+// died with the node, and nobody leases it.
 func TestIdleShardCrashHandsOffItsLedger(t *testing.T) {
-	c := newTestCluster(t, Config{Shards: 2})
-	slab := c.shards[0].cur.slab
-	if err := c.Crash(0); err != nil {
-		t.Fatal(err)
-	}
-	if leases := c.Fabric().LeasesOf(c.shards[0].name); len(leases) != 0 {
-		t.Errorf("dead shard still leases %v", leases)
-	}
-	if !slices.Contains(c.Fabric().LeasesOf(c.shards[1].name), slab) {
-		t.Errorf("survivor does not lease the dead shard's ledger %s", slab)
-	}
-	if n := adopted(c); n != 1 {
-		t.Errorf("shard_ledger_adopted = %d, want 1", n)
+	for _, crash := range []bool{true, false} {
+		c := newTestCluster(t, Config{Shards: 2})
+		slab := c.ledger(0)
+		kill, want, adoptions := c.Partition, []cluster.SlabID{slab, c.ledger(1)}, int64(1)
+		if crash {
+			kill, want, adoptions = c.Crash, []cluster.SlabID{c.ledger(1)}, 0
+		}
+		if err := kill(0); err != nil {
+			t.Fatal(err)
+		}
+		if leases := c.Fabric().LeasesOf(c.shards[0].name); len(leases) != 0 {
+			t.Errorf("crash=%v: dead shard still leases %v", crash, leases)
+		}
+		if got := c.Fabric().LeasesOf(c.shards[1].name); !slices.Equal(got, want) {
+			t.Errorf("crash=%v: survivor leases %v, want %v", crash, got, want)
+		}
+		if n := adopted(c); n != adoptions {
+			t.Errorf("crash=%v: shard_ledger_adopted = %d, want %d", crash, n, adoptions)
+		}
 	}
 }
 
 // TestEveryLifeHandsOffItsLedger crashes a shard with a job in flight,
-// restarts it before the job's watcher wakes, and crashes it again with a
-// second job in flight: each life's ledger goes to the survivor, and the
-// watcher that woke into the shard's second life adopted nothing of it.
+// restarts it before the job's watcher wakes, and partitions it with a
+// second job in flight. The first life's ledger died with the crash, and
+// nobody leases it; the second life's goes to the survivor, once, at the
+// partition: the watcher that woke into the shard's second life adopted
+// nothing of it.
 func TestEveryLifeHandsOffItsLedger(t *testing.T) {
 	c := newTestCluster(t, Config{Shards: 2, Server: core.ServerConfig{EpochWorkers: 1, MaxBatch: 1}})
 	var slabs []cluster.SlabID
@@ -440,8 +467,12 @@ func TestEveryLifeHandsOffItsLedger(t *testing.T) {
 			t.Fatal(err)
 		}
 		<-started
-		slabs = append(slabs, c.shards[0].cur.slab)
-		if err := c.Crash(0); err != nil {
+		slabs = append(slabs, c.ledger(0))
+		kill := c.Crash
+		if round == 1 {
+			kill = c.Partition
+		}
+		if err := kill(0); err != nil {
 			t.Fatal(err)
 		}
 		if round == 0 {
@@ -457,13 +488,11 @@ func TestEveryLifeHandsOffItsLedger(t *testing.T) {
 	if leases := c.Fabric().LeasesOf(c.shards[0].name); len(leases) != 0 {
 		t.Errorf("dead shard still leases %v", leases)
 	}
-	for _, slab := range slabs {
-		if !slices.Contains(c.Fabric().LeasesOf(c.shards[1].name), slab) {
-			t.Errorf("survivor does not lease ledger %s", slab)
-		}
+	if got, want := c.leases(), []cluster.SlabID{slabs[1], c.ledger(1)}; !slices.Equal(got, want) {
+		t.Errorf("the fabric leases %v, want the survivor's ledger and the partitioned life's %v", got, want)
 	}
-	if n := adopted(c); n != 2 {
-		t.Errorf("shard_ledger_adopted = %d, want 2", n)
+	if n := adopted(c); n != 1 {
+		t.Errorf("shard_ledger_adopted = %d, want 1", n)
 	}
 }
 
@@ -496,7 +525,6 @@ func TestClusterSoak(t *testing.T) {
 		Shards: 2,
 		Server: core.ServerConfig{EpochWorkers: 2, MaxBatch: 4},
 	})
-	firstLife := c.shards[1].cur.slab
 	const (
 		submitters = 3
 		perG       = 20
@@ -556,20 +584,16 @@ func TestClusterSoak(t *testing.T) {
 	if completed != settled {
 		t.Errorf("shards completed %d, tickets settled %d", completed, settled)
 	}
-	// Every ticket settled, so no life holds a cancel registration; and each
-	// of shard 1's lives leases its ledger to exactly one live shard.
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		if n := len(sh.cur.cancel); n != 0 {
-			t.Errorf("%s: %d cancel registrations outlive their tickets", sh.name, n)
-		}
-		sh.mu.Unlock()
+	// Every ticket settled, so no life registers a ticket; and the crash
+	// destroyed shard 1's first ledger with its lease, so what the fabric
+	// leases is exactly the live lives' ledgers.
+	c.mu.Lock()
+	if len(c.st.tickets) != 0 || len(c.cancels) != 0 {
+		t.Errorf("%d tickets and %d cancel funcs outlive their delivery", len(c.st.tickets), len(c.cancels))
 	}
-	if got, want := c.Fabric().LeasesOf(c.shards[1].name), []cluster.SlabID{c.shards[1].cur.slab}; !slices.Equal(got, want) {
-		t.Errorf("restarted shard1 leases %v, want its current ledger %v", got, want)
-	}
-	if !slices.Contains(c.Fabric().LeasesOf(c.shards[0].name), firstLife) {
-		t.Errorf("shard0 does not lease shard1's first-life ledger %s", firstLife)
+	c.mu.Unlock()
+	if got, want := c.leases(), []cluster.SlabID{c.ledger(0), c.ledger(1)}; !slices.Equal(got, want) {
+		t.Errorf("the fabric leases %v, want the live lives' ledgers %v", got, want)
 	}
 }
 
