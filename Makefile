@@ -66,7 +66,9 @@ bench:
 # no task body stalling anywhere, timed after a ramp that fills the free
 # lists — gated as a cost too: the serving gate no sleep bounds. Beside it the
 # same mix runs with 64 jobs in flight, so what the server's workers queue on
-# (the region manager's lock, the placer's cache) is in its ns/op.
+# (the region manager's lock, the placer's cache) is in its ns/op. The graph
+# row is the first resolution of a fresh mix job's graph, which every new
+# submission pays once, gated as a cost as well.
 #
 # One row per captured run, name:package:benchmark regexp:benchtime[:gate],
 # written to BENCH_<name>.json. The gate, when there is one, is benchgate's
@@ -82,6 +84,7 @@ SMOKE_BENCHES = \
 	'migrate:shard:BenchmarkClusterRebalance:2x:exported/op:0,recalled/op:0' \
 	'region:region:BenchmarkRegionAccess|BenchmarkAllocRelease|BenchmarkTransferZeroCopy:200000x:ns/op:2,allocs/op:0' \
 	'served:core:BenchmarkServedJob|BenchmarkServedJobClosedLoop:20000x:ns/op:2,allocs/op:0' \
+	'graph:dataflow:BenchmarkResolveFreshJob:20000x:ns/op:2,allocs/op:0' \
 	'coherence:coherence:BenchmarkDropRegion|BenchmarkReadHit|BenchmarkDirectoryRange:200000x:ns/op:2,allocs/op:0' \
 	'place:placement:BenchmarkPlaceEpoch:200000x:ns/op:2,allocs/op:0' \
 	'plan:sched:BenchmarkHEFT|BenchmarkEstimateJob:20000x:ns/op:2,allocs/op:0' \

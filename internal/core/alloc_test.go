@@ -38,8 +38,8 @@ func allocBudget(t *testing.T, name string, budget float64, fn func()) {
 
 // TestAllocBudgetSoloWavefront pins the allocation count of one parallel
 // wavefront run of the wide diamond job (src → 8 branches → sink, with a
-// fenced job global): measured 138 with every handle in its region's storage
-// (224 with a handle allocated per hand-over, 227 with the clock views in a
+// fenced job global): measured 130 with a report that holds its tails (138
+// with the tails allocated apart, 224 with a handle allocated per hand-over, 227 with the clock views in a
 // sync.Pool; 346 before the dispatcher was recycled, owners held in the region
 // and nothing allocated to launch a task; 621 with plan and run state in maps
 // keyed by task and device ID).
@@ -49,7 +49,7 @@ func TestAllocBudgetSoloWavefront(t *testing.T) {
 		t.Fatal(err)
 	}
 	iter := 0
-	allocBudget(t, "solo wavefront run", 165, func() {
+	allocBudget(t, "solo wavefront run", 157, func() {
 		iter++
 		if _, err := rt.Run(wideJob(fmt.Sprintf("alloc%d", iter), 8)); err != nil {
 			t.Fatal(err)
@@ -59,8 +59,9 @@ func TestAllocBudgetSoloWavefront(t *testing.T) {
 
 // TestAllocBudgetOverlappedBatch pins the allocation count of one
 // overlapped serving batch of four small jobs on a shared pool: measured
-// 330 with every handle in its region's storage (523 with a handle allocated
-// per hand-over, 831 before the dispatcher was recycled).
+// 310 with reports that hold their tails (330 with the tails allocated apart,
+// 523 with a handle allocated per hand-over, 831 before the dispatcher was
+// recycled).
 func TestAllocBudgetOverlappedBatch(t *testing.T) {
 	s, err := NewServer(ServerConfig{
 		ExecConfig: ExecConfig{Workers: 4}, EpochWorkers: 1, MaxBatch: 8, QueueDepth: 64, Block: true,
@@ -79,7 +80,7 @@ func TestAllocBudgetOverlappedBatch(t *testing.T) {
 			wideJob(fmt.Sprintf("w%d-3", iter), 4),
 		}
 	}
-	allocBudget(t, "overlapped batch (4 jobs)", 400, func() {
+	allocBudget(t, "overlapped batch (4 jobs)", 380, func() {
 		jobs := batch()
 		tks := make([]*Ticket, len(jobs))
 		for k, j := range jobs {
@@ -102,19 +103,20 @@ func TestAllocBudgetOverlappedBatch(t *testing.T) {
 // nil-body draws (chains, fan-outs, diamonds; 5.2 tasks a job), submitted one
 // after another to a server of the benchmark's shape. A resubmitted job and a
 // fresh one take the same path; the pool is cycled so both are in the mean.
-// Measured 16.0 with every handle in its region's storage; 22.4 with a handle
-// allocated per hand-over (a transfer, a share), 33.1 with an epoch, a pool
-// and a pair of batch slices per batch and a closure per task goroutine, 44.4
-// with the report's tables in maps and 96.0 before the run's state was carved
-// from its blocks (the benchmark's serve_declared, whose batches hold several
-// jobs, read 26.5, 37.9 and 89.6 for the last three). What is left is per job
-// or per output — the run's blocks, its report and the report's slices, and a
-// region with its handles; TestAllocLedger splits it by function. Per task
-// there is only the journal of a task that notes more than four ledger events:
-// a fan-out's sink, which releases one input per branch.
+// Measured 14.0 with a report that holds its tails; 16.0 with the tails
+// allocated apart, 22.4 with a handle allocated per hand-over (a transfer, a
+// share), 33.1 with an epoch, a pool and a pair of batch slices per batch and a
+// closure per task goroutine, 44.4 with the report's tables in maps and 96.0
+// before the run's state was carved from its blocks (the benchmark's
+// serve_declared, whose batches hold several jobs, read 26.5, 37.9 and 89.6
+// for the last three). What is left is per job or per output — the run's
+// blocks, its report, and a region with its handles; TestAllocLedger splits it
+// by function. Per task there is only the journal of a task that notes more
+// than four ledger events: a fan-out's sink, which releases one input per
+// branch.
 func TestAllocBudgetServedJob(t *testing.T) {
 	pass, jobs := servedMixPass(t, nil)
-	const budget = 21.0
+	const budget = 19.0
 	pass()
 	got := testing.AllocsPerRun(3, pass) / jobs
 	t.Logf("served nil-body mix job: %.1f allocs/job (budget %.1f)", got, budget)
@@ -126,12 +128,12 @@ func TestAllocBudgetServedJob(t *testing.T) {
 // TestAllocBudgetLoneJob pins that a job served alone pays for no batch: the
 // nil-body mix submitted one job at a time, each in a batch of its own,
 // allocates at most one more per job than the same mix kept 64 in flight, the
-// benchmark's closed loop, whose batches are full. Measured 16.0 and 16.0 with
-// every handle in its region's storage; 22.4 and 22.4 with each epoch worker
-// keeping one epoch, pool and pair of batch slices, and a task goroutine
-// started from the pool's one function value; 24.1 and 22.7
-// with a closure per goroutine, 33.1 and 26.0 with an epoch, a pool and slices
-// per batch as well.
+// benchmark's closed loop, whose batches are full. Measured 14.0 and 14.0 with
+// a report that holds its tails; 16.0 and 16.0 with the tails allocated apart,
+// 22.4 and 22.4 with each epoch worker keeping one epoch, pool and pair of
+// batch slices, and a task goroutine started from the pool's one function
+// value; 24.1 and 22.7 with a closure per goroutine, 33.1 and 26.0 with an
+// epoch, a pool and slices per batch as well.
 func TestAllocBudgetLoneJob(t *testing.T) {
 	lone, jobs := servedMixPass(t, nil)
 	s, pool := servedMix(t, nil)
@@ -191,19 +193,18 @@ func servedMixPass(t testing.TB, rec *RecoveryPolicy) (pass func(), jobs float64
 // staged, written twice to the checkpoint fabric and forgotten when its job
 // settles. After a warm-up pass has filled the free lists from returned
 // buffers, that life cycle allocates nothing proportional to a payload, and
-// the store recycles its object records. Measured 9.3 KiB and 20.1
-// allocations a job with every handle in its region's storage (9.8 and 26.5
-// with a handle allocated per hand-over, 10.3 and 37.2 with an epoch, a pool
-// and slices per batch,
-// 11.9 and 47.6 with a store record and replica list per
-// checkpoint and a formatted run ID, 13.3 and 58.9 with the report's tables
-// in maps, 20.1 and 110.5 before the run's state was carved from its blocks);
-// 137.3 KiB and 155.0 with a fresh staging buffer and fresh slab backings per
-// output, a namespace key built per call and replica maps, which both budgets
-// fail on.
+// the store recycles its object records. Measured 9.4 KiB and 18.1
+// allocations a job with a report that holds its tails (9.3 and 20.1 with the
+// tails allocated apart, 9.8 and 26.5 with a handle allocated per hand-over,
+// 10.3 and 37.2 with an epoch, a pool and slices per batch, 11.9 and 47.6 with
+// a store record and replica list per checkpoint and a formatted run ID, 13.3
+// and 58.9 with the report's tables in maps, 20.1 and 110.5 before the run's
+// state was carved from its blocks); 137.3 KiB and 155.0 with a fresh staging
+// buffer and fresh slab backings per output, a namespace key built per call
+// and replica maps, which both budgets fail on.
 func TestAllocBudgetCheckpointedJob(t *testing.T) {
 	pass, jobs := servedMixPass(t, &RecoveryPolicy{PartialReplay: true})
-	const budgetKiB, budgetAllocs = 16.0, 25.0
+	const budgetKiB, budgetAllocs = 16.0, 23.0
 	pass()
 	const passes = 3
 	var before, after goruntime.MemStats
@@ -227,9 +228,10 @@ func TestAllocBudgetCheckpointedJob(t *testing.T) {
 // TestAllocBudgetStreamWindow pins what a served stream window allocates, in
 // the repository benchmark's stream_windows shape: 64 events a window, two
 // aggregates that each read the 64 lines of the source's shared output for
-// the first and only time. Measured 63.0 allocations a window, 69.6 under the
-// race detector, with every handle in its region's storage (72.9 and 79.5 with
-// a handle allocated per hand-over, 80.6 and 87.5 with an epoch, a pool and
+// the first and only time. Measured 58.9 allocations a window, 66.0 under the
+// race detector, with a report that holds its tails and a graph in its memo's
+// allocation (63.0 and 69.6 with both allocated apart, 72.9 and 79.5 with a
+// handle allocated per hand-over, 80.6 and 87.5 with an epoch, a pool and
 // slices per batch), with each window built along the graph of the window
 // before it (127.2 when every window resolved its graph afresh, 144.3 with the
 // report's tables in maps, 203.3 before the run's state was carved from its
@@ -261,7 +263,7 @@ func TestAllocBudgetStreamWindow(t *testing.T) {
 	// test's input and not the engine's cost.
 	warm, measured := workload.Stream(cfg), workload.Stream(cfg)
 	serve(warm)
-	const budget = 72.0
+	const budget = 68.0
 	var before, after goruntime.MemStats
 	goruntime.ReadMemStats(&before)
 	serve(measured)

@@ -6,6 +6,7 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
@@ -127,12 +129,29 @@ func innermostRepro(stk [32]uintptr) string {
 
 // ledgerCase is one workload the ledger splits: setup builds it and returns a
 // pass over units jobs or windows. spread is how far apart two passes' counts
-// may be, a unit, and region the most the region layer may allocate a unit.
+// may be, a unit, and limits what some of its rows may allocate a unit.
 type ledgerCase struct {
-	name, unit     string
-	spread, region float64
-	setup          func(t *testing.T) (pass func(), units float64)
+	name, unit string
+	spread     float64
+	limits     []ledgerLimit
+	setup      func(t *testing.T) (pass func(), units float64)
 }
+
+// ledgerLimit is the most the rows of some layers or functions may allocate a
+// unit together: rows names layers ("region") and functions
+// ("core.(*run).fillReport").
+type ledgerLimit struct {
+	rows []string
+	max  float64
+}
+
+// regionLimit gates the region layer at what a region and its handles cost.
+func regionLimit(max float64) ledgerLimit { return ledgerLimit{[]string{"region"}, max} }
+
+// reportTails are the functions that fill a succeeded job's report. Its tails
+// are in its own storage, so they allocate only past it; the Report itself is
+// newReport's row.
+var reportTails = ledgerLimit{[]string{"core.(*run).computePeak", "core.(*run).fillReport"}, 0.4}
 
 // handOvers are the functions that hand a region over. A region carries its
 // handles, so neither may allocate: no row may name them.
@@ -153,7 +172,7 @@ var ledgerCases = []ledgerCase{
 	// Which epoch worker a job lands on, and with it which free lists it
 	// finds grown, is wall-clock's: a pass in five makes up to 0.3 more
 	// allocations a job than the rest.
-	{"lone served job", "job", 0.3, 5.5, func(t *testing.T) (func(), float64) {
+	{"lone served job", "job", 0.3, []ledgerLimit{regionLimit(5.5), reportTails}, func(t *testing.T) (func(), float64) {
 		// TestAllocBudgetServedJob's shape: each job alone in its batch.
 		s, err := core.NewServer(core.ServerConfig{
 			ExecConfig:   core.ExecConfig{Workers: 2},
@@ -175,7 +194,7 @@ var ledgerCases = []ledgerCase{
 	// A fault site is a submission's run ID and a task, so each pass fails
 	// different tasks — about one in twenty — and retries a different number:
 	// two passes differ by up to 1.6 allocations a job.
-	{"routed checkpointed job", "job", 2, 6.5, func(t *testing.T) (func(), float64) {
+	{"routed checkpointed job", "job", 2, []ledgerLimit{regionLimit(6.5)}, func(t *testing.T) (func(), float64) {
 		// shard's TestAllocBudgetRoutedJob: cluster_recover's shape.
 		c, err := shard.NewCluster(shard.Config{Shards: 2, Server: core.ServerConfig{
 			ExecConfig:   core.ExecConfig{Workers: 2, Inject: fault.NewInjector(42, 0.05, 1)},
@@ -198,7 +217,7 @@ var ledgerCases = []ledgerCase{
 	// How many windows a batch holds is wall-clock's, and so is what the
 	// batches allocate: two passes differ by up to 0.3 allocations a window,
 	// and by up to 1 under the race detector.
-	{"stream window", "window", 1.5, 7.5, func(t *testing.T) (func(), float64) {
+	{"stream window", "window", 1.5, []ledgerLimit{regionLimit(7.5)}, func(t *testing.T) (func(), float64) {
 		// TestAllocBudgetStreamWindow's shape: stream_windows'.
 		s, err := core.NewServer(core.ServerConfig{
 			ExecConfig:   core.ExecConfig{Workers: 2},
@@ -210,8 +229,9 @@ var ledgerCases = []ledgerCase{
 		t.Cleanup(func() { s.Close(context.Background()) }) //nolint:errcheck
 		cfg := workload.StreamConfig{Windows: 64, WindowSize: 64, EventSize: 64, Keys: 16, Partitions: 2, MaxInFlight: 4}
 		// A spec holds its events, the test's input and not the engine's cost,
-		// so every pass's spec is built before any pass runs.
-		specs := make([]stream.Spec, 8)
+		// so every pass's spec is built before any pass runs: TestAllocLedger
+		// runs a case's pass four times.
+		specs := make([]stream.Spec, 4)
 		for i := range specs {
 			specs[i] = workload.Stream(cfg)
 		}
@@ -230,6 +250,46 @@ var ledgerCases = []ledgerCase{
 			}
 		}, float64(cfg.Windows)
 	}},
+	// serve_paced's shape: the default mix, real bodies and all, admitted
+	// against a deadline. Every job is new to the server, as a third of
+	// serve_paced's are and all of cmd/loadgen's, so each resolves its graph:
+	// the dataflow layer is that and the owner names, 4 and 1 (9.05 when the
+	// graph took eight). Passes submit equal jobs, drawn from one seed, and
+	// differ by up to 0.5 a job under the race detector beside other tests.
+	{"paced fresh job", "job", 1, []ledgerLimit{{[]string{"dataflow"}, 5.2}}, func(t *testing.T) (func(), float64) {
+		s, err := core.NewServer(core.ServerConfig{
+			ExecConfig:   core.ExecConfig{Workers: 2},
+			EpochWorkers: 2, MaxBatch: 8, QueueDepth: 1024, Block: true,
+			SLO: &core.SLOPolicy{Workers: 4},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close(context.Background()) }) //nolint:errcheck
+		// TestAllocLedger runs a case's pass four times, and no job twice.
+		const passes, perPass = 4, 64
+		pools := make([][]*dataflow.Job, passes)
+		for p := range pools {
+			mix := workload.NewMix(workload.MixConfig{Seed: 42})
+			pools[p] = make([]*dataflow.Job, perPass)
+			for i := range pools[p] {
+				pools[p][i] = mix.Next()
+			}
+		}
+		next := 0
+		return func() {
+			for i, j := range pools[next] {
+				// One arrival every 100µs leaves the modelled pool idle, so
+				// only a job whose own estimate misses the deadline is refused.
+				at := time.Duration(next*perPass+i) * 100 * time.Microsecond
+				opt := core.SubmitOptions{Arrival: at, Deadline: 50 * time.Microsecond}
+				if _, err := s.Submit(context.Background(), j, opt); err != nil && !errors.Is(err, core.ErrDeadline) {
+					t.Fatal(err)
+				}
+			}
+			next++
+		}, perPass
+	}},
 }
 
 // TestAllocLedger splits what a unit of each benchmark shape allocates by the
@@ -238,10 +298,13 @@ var ledgerCases = []ledgerCase{
 // rows sum to the runtime's count of the pass exactly, and to what
 // testing.AllocsPerRun counts for another pass to within the case's spread,
 // so the table is the whole of the budget tests' numbers: a regression there
-// names its function here, and a gain must show here too. The region layer is
-// gated here, at what a region and its handles cost: measured 4.50 a lone
-// served job, 5.21 a routed one and 7.03 a stream window; 10.90, 12.35 and
-// 17.00 with a handle allocated per hand-over.
+// names its function here, and a gain must show here too. Three things are
+// gated here. The region layer, at what a region and its handles cost:
+// measured 4.50 a lone served job, 5.21 a routed one and 7.03 a stream window;
+// 10.90, 12.35 and 17.00 with a handle allocated per hand-over. The report's
+// tails, which are in the report: 0 a lone served job, 2.0 when each was
+// allocated apart. And a fresh job's graph: the dataflow layer measured 5.00 a
+// paced fresh job, 9.05 when resolving took eight allocations.
 func TestAllocLedger(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
@@ -275,8 +338,16 @@ func TestAllocLedger(t *testing.T) {
 		if math.Abs(sum-total) > c.spread {
 			t.Errorf("%s: the rows sum to %.2f a %s, AllocsPerRun counts %.2f", c.name, sum, c.unit, total)
 		}
-		if got := layers["region"]; got > c.region {
-			t.Errorf("%s: the region layer allocates %.2f a %s, budget %.1f", c.name, got, c.unit, c.region)
+		for _, l := range c.limits {
+			got := 0.0
+			for _, r := range rows {
+				if slices.Contains(l.rows, r.layer()) || slices.Contains(l.rows, r.fn) {
+					got += r.allocs
+				}
+			}
+			if got > l.max {
+				t.Errorf("%s: %s allocate %.2f a %s, budget %.1f", c.name, strings.Join(l.rows, " + "), got, c.unit, l.max)
+			}
 		}
 		for _, r := range rows {
 			if slices.Contains(handOvers, r.fn) {

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dataflow"
 	"repro/internal/workload"
@@ -92,6 +95,79 @@ func TestReportAccessors(t *testing.T) {
 		if i > 0 && rep.PeakDeviceBytes[i-1].Device >= p.Device {
 			t.Errorf("PeakDeviceBytes not in device order: %v", rep.PeakDeviceBytes)
 		}
+	}
+}
+
+// TestReportTailsAreClipped: a served report's tails — PeakDeviceBytes,
+// FinalOutputs and every task's Regions — are windows of the report's own
+// storage or of one spill, each with room for exactly its length, so an append
+// to one moves it out: it writes into none of the others, and two appends to
+// the same tail do not write into each other. The jobs have room to spare in
+// the inline storage (one peak of two) and spill past it (a wide fan-out's
+// placements).
+func TestReportTailsAreClipped(t *testing.T) {
+	s := newTestServer(t, ServerConfig{EpochWorkers: 1})
+	spilled, inline := false, false
+	for _, job := range []*dataflow.Job{
+		pipelineJob("pipeline"),
+		workload.Hospital(workload.DefaultHospital()),
+		wideJob("wide", 8),
+		workload.StreamWindow(workload.DefaultStream(), 0),
+	} {
+		rep, err := s.Submit(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		placed := 0
+		for _, tr := range rep.Tasks {
+			placed += len(tr.Regions)
+		}
+		spilled = spilled || placed > inlinePlacements
+		inline = inline || placed <= inlinePlacements && len(rep.PeakDeviceBytes) < inlinePeaks
+		tails := func() string {
+			b := fmt.Sprint(rep.PeakDeviceBytes, rep.FinalOutputs)
+			for _, tr := range rep.Tasks {
+				b += fmt.Sprint(tr.Regions)
+			}
+			return b
+		}
+		before := tails()
+		ok := appendTwice(rep.PeakDeviceBytes, DeviceBytes{Device: "a"}, DeviceBytes{Device: "b"}) &&
+			appendTwice(rep.FinalOutputs, TaskOutput{Task: "a"}, TaskOutput{Task: "b"})
+		for _, tr := range rep.Tasks {
+			ok = appendTwice(tr.Regions, RegionPlacement{Label: "a"}, RegionPlacement{Label: "b"}) && ok
+		}
+		if !ok {
+			t.Errorf("%s: two appends to one tail wrote the same storage", job.Name())
+		}
+		if after := tails(); after != before {
+			t.Errorf("%s: appending to a tail wrote into another:\nbefore %s\nafter  %s", job.Name(), before, after)
+		}
+	}
+	if !spilled || !inline {
+		t.Errorf("spilled %v, fitted with room to spare %v: the jobs must do both", spilled, inline)
+	}
+}
+
+// appendTwice appends a to s and then b to s, and reports whether the first
+// append still reads a: it does unless both wrote the same storage.
+func appendTwice[T comparable](s []T, a, b T) bool {
+	first := append(s, a)
+	_ = append(s, b)
+	return first[len(s)] == a
+}
+
+// TestReportFillsItsSizeClass: a succeeded job's report is one allocation with
+// its tails, and its inline storage fills the 576-byte size class: one more
+// peak, output or placement would take it into the 640-byte class. An object
+// over 512 bytes that holds pointers carries an 8-byte header besides.
+func TestReportFillsItsSizeClass(t *testing.T) {
+	const class = 576
+	size := unsafe.Sizeof(Report{}) + 8
+	smallest := min(unsafe.Sizeof(DeviceBytes{}), unsafe.Sizeof(TaskOutput{}), unsafe.Sizeof(RegionPlacement{}))
+	if size > class || size+smallest <= class {
+		t.Errorf("a Report is %d bytes with its header (%d peaks, %d outputs, %d placements inline): it does not fill the %d-byte size class",
+			size, inlinePeaks, inlineOutputs, inlinePlacements, class)
 	}
 }
 

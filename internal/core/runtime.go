@@ -228,6 +228,33 @@ type Report struct {
 	// excluded from String() so sharded reports stay byte-identical to solo
 	// runs.
 	Shard string
+
+	// The tails above live here when they fit, as windows clipped to their
+	// length, so a succeeded job's report is one allocation (fillReport,
+	// computePeak). Sized from the serving mix: every job peaks on at most
+	// two devices and retains at most one output, and all but about one in a
+	// hundred place at most eight regions; a stream window places eight. With
+	// them a Report fills the 576-byte size class (TestReportFillsItsSizeClass).
+	peaks  [inlinePeaks]DeviceBytes
+	outs   [inlineOutputs]TaskOutput
+	placed [inlinePlacements]RegionPlacement
+}
+
+// How many of each tail a Report holds inline.
+const (
+	inlinePeaks      = 2
+	inlineOutputs    = 1
+	inlinePlacements = 8
+)
+
+// tail returns an empty slice with room for exactly n: a window of inline
+// when n fits in it, one allocation when not. Its capacity is n either way,
+// so an append past n moves out rather than into the storage after it.
+func tail[T any](inline []T, n int) []T {
+	if n <= len(inline) {
+		return inline[:0:n]
+	}
+	return make([]T, 0, n)
 }
 
 // Task returns the report of the task with the given ID, nil if the job has
@@ -336,7 +363,7 @@ type run struct {
 	// globals holds the job-wide named regions (Global State / Global
 	// Scratch) under the job's owner, in creation order.
 	globals []jobGlobal
-	report  *Report
+	report  *Report // the job's report, once the attempt succeeded
 	// ctxs and reports are the tasks' contexts and reports, by rank. Neither
 	// is recycled with the scratch: a handle a body kept outlives the run
 	// holding its task's context as its fence, and the reports are the
@@ -448,11 +475,12 @@ func (rt *Runtime) newRun(job *dataflow.Job, g *dataflow.Graph, schedule *sched.
 }
 
 // attempt gives the run what each attempt has of its own — the task contexts
-// and the reports, which whoever ran or submitted it may keep — and returns it.
+// and the task reports, which whoever ran or submitted it may keep — and
+// returns it. The job's Report is made only if the attempt succeeds
+// (fillReport).
 func (r *run) attempt() *run {
 	n := r.g.Len()
 	r.ctxs, r.reports = make([]taskCtx, n), make([]TaskReport, n)
-	r.report = &Report{Job: r.job.Name(), Scheduler: r.rt.sched.Name(), Placer: r.rt.placer.Name()}
 	return r
 }
 

@@ -89,9 +89,9 @@ type ServerConfig struct {
 	// priced with the scheduler's makespan estimate against a deterministic
 	// queue model of the pool, and predicted deadline misses are rejected
 	// (ErrDeadline) or down-tiered before they consume a queue slot. The
-	// model charges capacity at decision time, so pair it with Block or a
-	// queue deep enough that SLO admission — not ErrQueueFull — is the
-	// effective gate. See slo.go.
+	// model charges capacity at decision time; a submission the queue then
+	// refuses gives its charge back unless another was charged since. See
+	// slo.go.
 	SLO *SLOPolicy
 	// AutoScale, when set, lets the server grow and shrink its live
 	// epoch-worker pool between the policy's bounds, steering the observed
@@ -380,16 +380,19 @@ func (s *Server) submitAsync(ctx context.Context, job *dataflow.Job, opt SubmitO
 		job:    job, ctx: ctx, enqueued: time.Now(),
 		shard: opt.Shard, resume: opt.ResumeID,
 	}
+	charged := false
+	var charge sloCharge
 	if s.slo != nil && !opt.Preadmitted {
 		est, plan, err := sched.EstimateJob(job, s.rt.topo, s.rt.sched)
 		if err != nil {
 			return nil, err
 		}
-		wait, predicted, tier := s.slo.admit(opt, est.Makespan)
+		wait, predicted, tier, c := s.slo.admit(opt, est.Makespan)
 		if tier == tierRejected {
 			s.rt.tel.Add(telemetry.LayerRuntime, "server_slo_rejected", 1)
 			return nil, fmt.Errorf("%w: predicted %v, deadline %v", ErrDeadline, predicted, opt.Deadline)
 		}
+		charged, charge = true, c
 		t.plan, t.slowait, t.predicted = plan, wait, predicted
 		t.deadline = opt.Deadline
 		if tier == tierBestEffort {
@@ -397,34 +400,41 @@ func (s *Server) submitAsync(ctx context.Context, job *dataflow.Job, opt SubmitO
 			s.rt.tel.Add(telemetry.LayerRuntime, "server_downtiered", 1)
 		}
 	}
-
-	s.gate.RLock()
-	if s.closed {
-		s.gate.RUnlock()
+	if err := s.enqueue(ctx, t); err != nil {
+		// The job never runs: it gives back the capacity it was charged.
+		if charged {
+			s.slo.refund(charge)
+		}
 		s.rt.tel.Add(telemetry.LayerRuntime, "server_rejected", 1)
-		return nil, ErrServerClosed
+		return nil, err
+	}
+	s.admitted.Add(1)
+	return &t.Ticket, nil
+}
+
+// enqueue puts an admitted ticket on the queue, or says why it could not:
+// ErrServerClosed, ErrQueueFull without Block, and with Block ctx's error if
+// it ends while the queue is full.
+func (s *Server) enqueue(ctx context.Context, t *jobTicket) error {
+	s.gate.RLock()
+	defer s.gate.RUnlock()
+	if s.closed {
+		return ErrServerClosed
 	}
 	if s.block {
 		select {
 		case s.queue <- t:
-			s.gate.RUnlock()
+			return nil
 		case <-ctx.Done():
-			s.gate.RUnlock()
-			s.rt.tel.Add(telemetry.LayerRuntime, "server_rejected", 1)
-			return nil, ctx.Err()
-		}
-	} else {
-		select {
-		case s.queue <- t:
-			s.gate.RUnlock()
-		default:
-			s.gate.RUnlock()
-			s.rt.tel.Add(telemetry.LayerRuntime, "server_rejected", 1)
-			return nil, ErrQueueFull
+			return ctx.Err()
 		}
 	}
-	s.admitted.Add(1)
-	return &t.Ticket, nil
+	select {
+	case s.queue <- t:
+		return nil
+	default:
+		return ErrQueueFull
+	}
 }
 
 // Submit admits a job and blocks until its report is ready, admission is

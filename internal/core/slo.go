@@ -107,6 +107,17 @@ type sloState struct {
 	mu     sync.Mutex
 	freeAt []time.Duration // per modeled worker: virtual time it frees up
 	clock  time.Duration   // arrival high-water mark
+	// charges counts the admissions that occupy model capacity: a refund
+	// undoes a charge only while it is still the last one.
+	charges uint64
+}
+
+// sloCharge is what one admission charged the model: the worker it occupied,
+// that worker's free time before, and the charge's number.
+type sloCharge struct {
+	worker int
+	freeAt time.Duration
+	n      uint64
 }
 
 func newSLOState(pol SLOPolicy, epochWorkers int) *sloState {
@@ -120,8 +131,8 @@ func newSLOState(pol SLOPolicy, epochWorkers int) *sloState {
 // admit plays one arrival through the queue model. It returns the predicted
 // queue wait, the predicted sojourn (wait + service estimate), and the
 // verdict; only admitted submissions (guaranteed or best-effort) occupy
-// model capacity.
-func (m *sloState) admit(opt SubmitOptions, estimate time.Duration) (wait, predicted time.Duration, tier sloTier) {
+// model capacity, and for them charge is what refund gives back.
+func (m *sloState) admit(opt SubmitOptions, estimate time.Duration) (wait, predicted time.Duration, tier sloTier, charge sloCharge) {
 	deadline := opt.Deadline
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -142,13 +153,27 @@ func (m *sloState) admit(opt SubmitOptions, estimate time.Duration) (wait, predi
 	wait = start - arrival
 	predicted = wait + estimate
 	if deadline > 0 && predicted > deadline && !m.pol.DownTier {
-		return wait, predicted, tierRejected
+		return wait, predicted, tierRejected, sloCharge{}
 	}
+	m.charges++
+	charge = sloCharge{worker: best, freeAt: m.freeAt[best], n: m.charges}
 	m.freeAt[best] = start + estimate
 	if deadline > 0 && predicted > deadline {
-		return wait, predicted, tierBestEffort
+		return wait, predicted, tierBestEffort, charge
 	}
-	return wait, predicted, tierGuaranteed
+	return wait, predicted, tierGuaranteed, charge
+}
+
+// refund gives back the capacity an admission charged for a submission the
+// queue then refused, if no admission was charged since: a later verdict was
+// priced behind it, and stays as it was given.
+func (m *sloState) refund(c sloCharge) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.charges == c.n {
+		m.freeAt[c.worker] = c.freeAt
+		m.charges--
+	}
 }
 
 // AutoScalePolicy grows and shrinks the live epoch-worker pool against the

@@ -272,3 +272,53 @@ func TestAutoScaleCloseRace(t *testing.T) {
 		}
 	}
 }
+
+// TestSLORefusedSubmissionKeepsNoCharge: a submission the SLO model admitted
+// but the queue then refused never runs, so it gives back the capacity it was
+// charged. A one-worker server holds one job in its task body and one in its
+// queue slot; a third submission is refused — ErrQueueFull without Block, its
+// context's end with Block — and the next admitted job must see the model
+// wait it would see had the refused one never been offered.
+func TestSLORefusedSubmissionKeepsNoCharge(t *testing.T) {
+	for _, block := range []bool{false, true} {
+		// nextWait runs the sequence, with or without the refused third
+		// submission, and returns the SLOWait of the job submitted after it.
+		nextWait := func(refuse bool) time.Duration {
+			s := newTestServer(t, ServerConfig{EpochWorkers: 1, MaxBatch: 1, QueueDepth: 1, Block: block,
+				SLO: &SLOPolicy{Workers: 1}})
+			started, release := make(chan struct{}), make(chan struct{})
+			holder, err := s.SubmitAsync(context.Background(), blockingJob("holder", started, release))
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-started // the single worker is parked inside the holder's task
+			queued, err := s.SubmitAsync(context.Background(), pipelineJob("queued"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireQueued(t, s, 1)
+			if refuse {
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+				_, err := s.SubmitAsync(ctx, pipelineJob("refused"))
+				cancel()
+				if want := map[bool]error{false: ErrQueueFull, true: context.DeadlineExceeded}[block]; !errors.Is(err, want) {
+					t.Fatalf("block=%v: third submission: err = %v, want %v", block, err, want)
+				}
+			}
+			close(release)
+			for _, tk := range []*Ticket{holder, queued} {
+				if _, err := tk.Wait(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rep, err := s.Submit(context.Background(), pipelineJob("next"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep.SLOWait
+		}
+		if got, want := nextWait(true), nextWait(false); got != want {
+			t.Errorf("block=%v: after a refused submission the next job waits %v in the model, %v without it: the refusal kept its charge", block, got, want)
+		}
+	}
+}

@@ -421,18 +421,17 @@ func (w *wavefront) finalize() (failedTask string, err error) {
 		}
 	}
 	r.cleanup()
-	r.computePeak()
 	r.fillReport(w.slots)
+	r.computePeak()
 	return "", nil
 }
 
-// fillReport hands the submitter a succeeded run's reports, in rank order,
-// with what only the task contexts recorded copied out of them: each task's
-// placements, as its window of one block the size of them all, and the sinks'
-// retained outputs.
+// fillReport makes a succeeded run's Report, with its task reports in rank
+// order and what only the task contexts recorded copied out of them: each
+// task's placements, as its window of one block the size of them all, and the
+// sinks' retained outputs, both in the report's own storage when they fit.
 func (r *run) fillReport(slots []slot) {
-	rep := r.report
-	rep.Tasks = r.reports
+	rep := r.newReport()
 	placed, sinks := 0, 0
 	for k := range r.ctxs {
 		placed += len(r.ctxs[k].regions)
@@ -440,8 +439,8 @@ func (r *run) fillReport(slots []slot) {
 			sinks++
 		}
 	}
-	block := make([]RegionPlacement, 0, placed)
-	rep.FinalOutputs = make([]TaskOutput, 0, sinks)
+	block := tail(rep.placed[:], placed)
+	rep.FinalOutputs = tail(rep.outs[:], sinks)
 	for k := range r.reports {
 		c, tr := &r.ctxs[k], &r.reports[k]
 		if len(c.regions) > 0 {
@@ -459,6 +458,13 @@ func (r *run) fillReport(slots []slot) {
 			rep.SkippedTasks++
 		}
 	}
+}
+
+// newReport makes the run's Report, the one allocation of a report whose
+// tails fit in it.
+func (r *run) newReport() *Report {
+	r.report = &Report{Job: r.job.Name(), Scheduler: r.rt.sched.Name(), Placer: r.rt.placer.Name(), Tasks: r.reports}
+	return r.report
 }
 
 // drainedLocked reports whether the wavefront has nothing left to do.
@@ -700,11 +706,11 @@ func (w *wavefront) fenceOpenLocked(k int, deps []int32) bool {
 // computePeak sweeps the run's virtual memory ledger — every task's journal;
 // in a run that succeeded each task ran to completion, so each journal is
 // whole — in deterministic (time, rank, journal position) order and records
-// the per-device high-water mark in the report, by device. The journals are
-// gathered in rank order and each is in the order its task noted them, so a
-// stable sort on (time, rank) keeps that order. Regions never released (job
-// globals, retained final outputs) stay live through the end of the sweep,
-// matching their actual lifetime.
+// the per-device high-water mark in the report fillReport made, by device.
+// The journals are gathered in rank order and each is in the order its task
+// noted them, so a stable sort on (time, rank) keeps that order. Regions never
+// released (job globals, retained final outputs) stay live through the end of
+// the sweep, matching their actual lifetime.
 func (r *run) computePeak() {
 	sc := r.sc
 	events := sc.events[:0]
@@ -752,7 +758,7 @@ func (r *run) computePeak() {
 		}
 		live[e.id] = lr
 	}
-	out := make([]DeviceBytes, 0, len(peak))
+	out := tail(r.report.peaks[:], len(peak))
 	for dev, b := range peak {
 		out = append(out, DeviceBytes{Device: dev, Bytes: b})
 	}

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -125,6 +124,10 @@ type Task struct {
 	fn    Fn
 	preds []*Task
 	succs []*Task
+	// at is the task's insertion index in its job: what resolve indexes its
+	// working arrays by, and how it tells a successor in another job
+	// (j.order[at] is not the task).
+	at int32
 }
 
 // ID returns the task's identifier.
@@ -166,11 +169,12 @@ type Job struct {
 	shape *Graph
 }
 
-// topoMemo is one resolved graph. A job's tasks and edges are only ever
-// added, so the two counts identify the graph it belongs to.
+// topoMemo is one resolved graph, held by value: the memo and the graph are
+// one allocation. A job's tasks and edges are only ever added, so the two
+// counts identify the graph it belongs to.
 type topoMemo struct {
 	tasks, edges int
-	g            *Graph
+	g            Graph
 	err          error
 }
 
@@ -282,7 +286,7 @@ func (j *Job) Task(id string, p Props, fn Fn) *Task {
 	if _, dup := j.tasks[id]; dup {
 		panic("dataflow: duplicate task id " + id)
 	}
-	t := &Task{id: id, props: p, fn: fn}
+	t := &Task{id: id, props: p, fn: fn, at: int32(len(j.order))}
 	j.tasks[id] = t
 	j.order = append(j.order, t)
 	return t
@@ -363,19 +367,18 @@ func (j *Job) Graph() (*Graph, error) {
 	for _, t := range j.order {
 		edges += len(t.succs)
 	}
-	if m := j.topo.Load(); m != nil && m.tasks == len(j.order) && m.edges == edges {
-		return m.g, m.err
+	m := j.topo.Load()
+	if m == nil || m.tasks != len(j.order) || m.edges != edges {
+		m = &topoMemo{tasks: len(j.order), edges: edges}
+		if j.shape == nil || !j.along(&m.g) {
+			m.err = j.resolve(&m.g)
+		}
+		j.topo.Store(m)
 	}
-	var g *Graph
-	var err error
-	if j.shape != nil {
-		g = j.along()
+	if m.err != nil {
+		return nil, m.err
 	}
-	if g == nil {
-		g, err = j.resolve()
-	}
-	j.topo.Store(&topoMemo{tasks: len(j.order), edges: edges, g: g, err: err})
-	return g, err
+	return &m.g, nil
 }
 
 // alongShape returns an empty job to be built along shape s, in storage sized
@@ -396,26 +399,28 @@ func alongShape(name string, s *Graph) *Job {
 		tasks[i].succs = ptrs[at+np : at+np : at+np+ns]
 		at += np + ns
 		ptrs[i] = &tasks[i]
+		tasks[i].at = int32(i)
 	}
 	return &Job{name: name, order: ptrs[:0], shape: s}
 }
 
-// along returns the job's graph on its shape's blocks if the job has the
-// shape, nil if not. The check is the whole graph: the shape's IDs in
-// insertion order, and every task's preds and succs the shape's, edge for
-// edge, by identity — a missing, extra or reordered edge fails it, and so does
-// a successor in another job. Two jobs that pass it have the same ranks, edges,
-// slots and names, so only Order is the job's own.
-func (j *Job) along() *Graph {
+// along writes the job's graph on its shape's blocks to g and reports true if
+// the job has the shape; it leaves g alone and reports false if not. The check
+// is the whole graph: the shape's IDs in insertion order, and every task's
+// preds and succs the shape's, edge for edge, by identity — a missing, extra
+// or reordered edge fails it, and so does a successor in another job. Two jobs
+// that pass it have the same ranks, edges, slots and names, so only Order is
+// the job's own.
+func (j *Job) along(g *Graph) bool {
 	s := j.shape
 	n := len(s.Order)
 	if len(j.order) != n {
-		return nil
+		return false
 	}
 	for i, t := range j.order {
 		k := int(s.rank[i])
 		if t.id != s.Order[k].id || !j.matches(t.preds, s.Preds(k)) || !j.matches(t.succs, s.Succs(k)) {
-			return nil
+			return false
 		}
 	}
 	block := j.order[:cap(j.order)]
@@ -423,9 +428,9 @@ func (j *Job) along() *Graph {
 	for k, i := range s.ins {
 		order[k] = j.order[i]
 	}
-	g := *s
+	*g = *s
 	g.Order = order
-	return &g
+	return true
 }
 
 // matches reports whether tasks are the job's tasks of these ranks in its shape,
@@ -442,23 +447,38 @@ func (j *Job) matches(tasks []*Task, ranks []int32) bool {
 	return true
 }
 
-// resolve is the uncached sort behind Graph: Kahn's algorithm over the
-// tasks' insertion indices, the ready set kept ascending so the lowest index
-// is always next; then every edge is rewritten from task pointers to ranks.
-func (j *Job) resolve() (*Graph, error) {
+// resolveStack is how many int32s of working arrays resolve keeps on its
+// stack: a job's in-degrees and ready set take two per task, its pairing flags
+// one per edge. The serving mix's largest job (18 tasks, 32 edges) takes 68.
+const resolveStack = 128
+
+// resolve is the uncached sort behind Graph, written to g: Kahn's algorithm
+// over the tasks' insertion indices, the ready set kept ascending so the
+// lowest index is always next; then every edge is rewritten from task
+// pointers to ranks. It allocates g's Order, its one []int32 block and its
+// names; the working arrays are on its stack when they fit, one make when not.
+func (j *Job) resolve(g *Graph) error {
 	n := len(j.order)
-	idx := make(map[*Task]int, n)
-	indeg := make([]int, n)
-	ready := make([]int, 0, n)
 	nPreds, nSuccs := 0, 0
-	for i, t := range j.order {
-		idx[t] = i
-		indeg[i] = len(t.preds)
+	for _, t := range j.order {
 		nPreds += len(t.preds)
 		nSuccs += len(t.succs)
+	}
+	var stack [resolveStack]int32
+	work := stack[:]
+	if need := 2*n + nPreds; need > len(work) {
+		work = make([]int32, need)
+	}
+	indeg, ready, paired := work[:n], work[n:n:2*n], work[2*n:2*n+nPreds]
+	for i, t := range j.order {
+		indeg[i] = int32(len(t.preds))
 		if indeg[i] == 0 {
-			ready = append(ready, i)
+			ready = append(ready, int32(i))
 		}
+	}
+	// mine returns the insertion index of s if it is one of the job's tasks.
+	mine := func(s *Task) (int32, bool) {
+		return s.at, int(s.at) < n && j.order[s.at] == s
 	}
 	out := make([]*Task, 0, n)
 	block := make([]int32, 5*n+3+nPreds+2*nSuccs)
@@ -466,28 +486,26 @@ func (j *Job) resolve() (*Graph, error) {
 	block = block[2*n:]
 	for len(ready) > 0 {
 		t := j.order[ready[0]]
-		rank[ready[0]], ins[len(out)] = int32(len(out)), int32(ready[0])
+		rank[ready[0]], ins[len(out)] = int32(len(out)), ready[0]
 		ready = ready[1:]
 		out = append(out, t)
 		for _, s := range t.succs {
-			i, mine := idx[s]
-			if !mine {
+			i, ok := mine(s)
+			if !ok {
 				continue // an edge out of the job orders nothing in it
 			}
 			if indeg[i]--; indeg[i] == 0 {
-				at := sort.SearchInts(ready, i)
-				ready = append(ready, 0)
-				copy(ready[at+1:], ready[at:])
-				ready[at] = i
+				at, _ := slices.BinarySearch(ready, i)
+				ready = slices.Insert(ready, at, i)
 			}
 		}
 	}
 	if len(out) != n {
-		return nil, ErrCycle
+		return ErrCycle
 	}
 	// Every predecessor is in the job (a foreign one would have left its task
 	// unsorted above); a foreign successor is skipped as the sort skipped it.
-	g := &Graph{
+	*g = Graph{
 		Order: out, rank: rank, ins: ins,
 		predOff: block[:n+1], succOff: block[n+1 : 2*(n+1)], idOff: block[2*(n+1) : 3*(n+1)],
 	}
@@ -496,11 +514,11 @@ func (j *Job) resolve() (*Graph, error) {
 	g.succs, g.slots = block[:0:nSuccs], block[nSuccs:nSuccs:2*nSuccs]
 	for k, t := range out {
 		for _, p := range t.preds {
-			g.preds = append(g.preds, rank[idx[p]])
+			g.preds = append(g.preds, rank[p.at])
 		}
 		g.predOff[k+1] = int32(len(g.preds))
 		for _, s := range t.succs {
-			if i, mine := idx[s]; mine {
+			if i, ok := mine(s); ok {
 				g.succs = append(g.succs, rank[i])
 			}
 		}
@@ -512,17 +530,16 @@ func (j *Job) resolve() (*Graph, error) {
 	// producer not paired yet (Then appends both ends of an edge together, so
 	// a repeated edge pairs up in order).
 	g.slots = g.slots[:len(g.succs)]
-	paired := make([]bool, nPreds)
 	for p := range out {
 		for e := g.succOff[p]; e < g.succOff[p+1]; e++ {
 			s := g.succs[e]
 			for at := g.predOff[s]; at < g.predOff[s+1]; at++ {
-				if g.preds[at] == int32(p) && !paired[at] {
-					paired[at], g.slots[e] = true, at
+				if g.preds[at] == int32(p) && paired[at] == 0 {
+					paired[at], g.slots[e] = 1, at
 					break
 				}
 			}
 		}
 	}
-	return g, nil
+	return nil
 }

@@ -7,7 +7,13 @@ import (
 
 // Resolve is the uncached sort behind Graph: the reference a graph built
 // along a shape is compared with.
-func (j *Job) Resolve() (*Graph, error) { return j.resolve() }
+func (j *Job) Resolve() (*Graph, error) {
+	g := new(Graph)
+	if err := j.resolve(g); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
 
 // SharesShape reports whether g is on the ranks and edges of s: whether the job
 // g belongs to passed along's check against s.
@@ -44,3 +50,7 @@ func DiffGraphs(got, want *Graph) string {
 	}
 	return ""
 }
+
+// AlongShape returns an empty job to be built along s, as a Template builds
+// its next instance.
+func AlongShape(name string, s *Graph) *Job { return alongShape(name, s) }

@@ -368,9 +368,9 @@ func Run(ctx context.Context, srv core.Submitter, cfg Config) (*Result, error) {
 			res.RejectedSLO++
 			continue
 		case errors.Is(err, core.ErrQueueFull):
-			// Wall-clock dependent; excluded from the signature by design —
-			// pair the harness with Block or a queue deep enough that SLO
-			// admission is the operative gate when reproducibility matters.
+			// Wall-clock dependent; excluded from the signature by design.
+			// The refusal gave back the job's SLO charge, so later verdicts
+			// are priced as if it had never been offered.
 			res.RejectedQueue++
 			continue
 		default:
