@@ -25,14 +25,17 @@ test:
 # reads without a lock of their own (topology routes, memsim device
 # counters), the fault injector/stores, the telemetry
 # registry, the cluster, and the scheduler, load generator, placement
-# optimizer and job graph the server calls from several goroutines; and the
-# paper artifacts and the access planner, which drive clock views by hand.
+# optimizer and job graph the server calls from several goroutines; the
+# paper artifacts and the access planner, which drive clock views by hand;
+# and what drives Server and Cluster from outside: the facade, examples and
+# design checks (.), the CLI goldens, streams and workloads.
 race:
 	$(GO) test -race ./internal/core/... ./internal/region/... ./internal/coherence/... ./internal/allocator/... \
 		./internal/topology/... ./internal/memsim/... \
 		./internal/fault/... ./internal/telemetry/... ./internal/cluster/... ./internal/shard/... \
 		./internal/sched/... ./internal/loadgen/... ./internal/placement/... ./internal/dataflow/... \
-		./internal/paper/... ./internal/planner/...
+		./internal/paper/... ./internal/planner/... \
+		. ./cmd/disaggsim/... ./internal/stream/... ./internal/workload/...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

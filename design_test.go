@@ -470,6 +470,39 @@ func TestShardProtocolIsPure(t *testing.T) {
 	})
 }
 
+// TestPoolAloneRunsItsMembers keeps drive (internal/core/exec.go) a pump over
+// settled members: it joins them to the pool and takes them back, and never
+// reaches into the pool — no attach, detach, advance, launch or
+// drainedLocked call, no mu or cond of its own to lock or wait on. Nothing in
+// the package but the pool's own file (wavefront.go) calls launch or advance.
+func TestPoolAloneRunsItsMembers(t *testing.T) {
+	files, err := filepath.Glob("internal/core/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, file := range files {
+		base := filepath.Base(file)
+		if strings.HasSuffix(base, "_test.go") || base == "wavefront.go" {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		banned := []string{"launch", "advance"}
+		if base == "exec.go" {
+			banned = append(banned, "attach", "detach", "drainedLocked", "mu", "cond")
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && slices.Contains(banned, sel.Sel.Name) {
+				t.Errorf("%s: %s reaches into the pool (.%s)", fset.Position(sel.Pos()), base, sel.Sel.Name)
+			}
+			return true
+		})
+	}
+}
+
 // TestDesignHeadingsCarryNoHistory: a DESIGN.md heading names what the
 // section describes, not the PR that added it; history is CHANGES.md's.
 func TestDesignHeadingsCarryNoHistory(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/allocator"
-	"repro/internal/cluster"
 	"repro/internal/dataflow"
 	"repro/internal/fault"
 	"repro/internal/region"
@@ -285,18 +284,6 @@ func (c *Checkpointer) Snapshots() int {
 	return n
 }
 
-// defaultFaultStore builds the serving default: a 2-way replicated
-// far-memory store over a private 3-node fabric.
-func defaultFaultStore() (fault.Store, error) {
-	f := cluster.NewFabric(cluster.Config{})
-	for i := 0; i < 3; i++ {
-		if err := f.AddNode(fmt.Sprintf("ckmem%d", i), 1<<28); err != nil {
-			return nil, err
-		}
-	}
-	return fault.NewReplicatedStore(f, 2)
-}
-
 // RecoveryPolicy makes execution fault-tolerant: Runtime.Run takes one
 // for a single job, ServerConfig.Recovery one for every admitted job. Task
 // outputs are checkpointed, and a failed job is retried in place —
@@ -339,7 +326,7 @@ func resolveRecovery(pol *RecoveryPolicy) (*recoveryState, error) {
 	}
 	ck := pol.Checkpointer
 	if ck == nil {
-		store, err := defaultFaultStore()
+		store, err := fault.NewDefaultStore()
 		if err != nil {
 			return nil, err
 		}

@@ -2,8 +2,9 @@ package core
 
 // This file is the engine's one drive loop. Whatever submitted a job — a solo
 // Run, RunAll, a served batch, a shard's server, a stream's window — the job
-// executes here, as a member of one wavePool, and if it fails it is retried
-// here, by one ladder (DESIGN.md §6.1).
+// executes as a member of one wavePool, and if it fails it is retried here, by
+// one ladder (DESIGN.md §6.1). The pool alone runs its members; drive joins
+// them and pumps the ones that settle.
 
 import (
 	"context"
@@ -60,11 +61,10 @@ type outcome struct {
 // overlapping the rest of the batch. Snapshots are forgotten when the member
 // settles, unless it was canceled out of a namespace its submitter owns.
 //
-// p is idle — no member attached, no task in flight — and drive resets its
-// slots and sequence, so a caller may hand the same pool to one drive call
-// after another (a server's epoch worker); drive leaves it idle again.
+// p is idle — no member joined, every slot free — and drive leaves it idle
+// again, so a caller may hand the same pool to one drive call after another
+// (a server's epoch worker).
 func (rt *Runtime) drive(p *wavePool, rec *recoveryState, members []member, settle func(i int, o outcome)) {
-	p.reset()
 	// begin builds the dispatcher of m's current run; a plan the run cannot
 	// execute is a failure of that attempt's first task.
 	begin := func(m *member) (failed string, err error) {
@@ -109,75 +109,55 @@ func (rt *Runtime) drive(p *wavePool, rec *recoveryState, members []member, sett
 			fail(i, m, failed, err)
 			continue
 		}
-		p.attach(m.w)
 		live++
 	}
+	p.join(members)
 
-	p.mu.Lock()
-	// Grant every member's initial claims before the first launch, so the
-	// pool's (rank, submission) tiebreak sees the whole batch at once.
-	for i := range members {
-		if w := members[i].w; w != nil {
-			w.advance()
-		}
-	}
-	p.launch()
+	// The pump: each attempt over is finalized and run down the ladder here,
+	// outside the pool lock — finalization is region teardown and
+	// checkpoint-store I/O, and the pool keeps dispatching the other members
+	// meanwhile. A retry joins the live pool again.
 	for live > 0 {
-		settled := false
-		for i := range members {
-			m := &members[i]
-			if m.w == nil || !m.w.drainedLocked() {
-				continue
+		w := p.settled()
+		i := 0
+		for members[i].w != w {
+			i++
+		}
+		m := &members[i]
+		m.w = nil
+		failed, err := w.finalize()
+		gaveUp := m.ctx != nil && m.ctx.Err() != nil
+		switch {
+		case err == nil:
+			rec.forget(m.r.ck)
+			rep := m.r.report
+			rep.Attempts = m.attempt
+			if m.attempt > 1 || rep.SkippedTasks > 0 {
+				rep.ReplayedTasks = len(rep.Tasks) - rep.SkippedTasks
 			}
-			settled = true
-			// The attempt is over, whatever follows it: it leaves the pool
-			// here, before a retry can join. Finalization is region teardown
-			// and checkpoint-store I/O: the pool keeps dispatching the other
-			// members meanwhile.
-			p.detach(m.w)
-			p.mu.Unlock()
-			failed, err := m.w.finalize()
-			m.w = nil
-			gaveUp := m.ctx != nil && m.ctx.Err() != nil
-			switch {
-			case err == nil:
+			done(i, m, outcome{rep: rep})
+		case failed == "" && gaveUp:
+			// Canceled mid-wavefront; the run is already cleaned up.
+			if m.resume == "" {
 				rec.forget(m.r.ck)
-				rep := m.r.report
-				rep.Attempts = m.attempt
-				if m.attempt > 1 || rep.SkippedTasks > 0 {
-					rep.ReplayedTasks = len(rep.Tasks) - rep.SkippedTasks
-				}
-				done(i, m, outcome{rep: rep})
-			case failed == "" && gaveUp:
-				// Canceled mid-wavefront; the run is already cleaned up.
-				if m.resume == "" {
-					rec.forget(m.r.ck)
-				}
-				done(i, m, outcome{err: err, canceled: true})
-			case rec != nil && m.attempt < rec.maxAttempts && !gaveUp:
-				rt.tel.Add(telemetry.LayerFault, "job_retries", 1)
-				m.r = m.r.retry()
-				m.attempt++
-				if failed, err = begin(m); err != nil {
-					fail(i, m, failed, err)
-				}
-			default:
+			}
+			done(i, m, outcome{err: err, canceled: true})
+		case rec != nil && m.attempt < rec.maxAttempts && !gaveUp:
+			rt.tel.Add(telemetry.LayerFault, "job_retries", 1)
+			m.r = m.r.retry()
+			m.attempt++
+			if failed, err = begin(m); err != nil {
 				fail(i, m, failed, err)
 			}
-			p.mu.Lock()
-			if m.w == nil {
-				live--
-				continue
-			}
-			p.attach(m.w)
-			m.w.advance()
-			p.launch()
+		default:
+			fail(i, m, failed, err)
 		}
-		if !settled {
-			p.cond.Wait()
+		if m.w == nil {
+			live--
+		} else {
+			p.join(members[i : i+1])
 		}
 	}
-	p.mu.Unlock()
 }
 
 // driveOne is drive for a batch of one, on a pool of its own: the run, nobody

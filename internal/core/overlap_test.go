@@ -11,13 +11,17 @@ import (
 	"fmt"
 	"reflect"
 	goruntime "runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/dataflow"
 	"repro/internal/fault"
+	"repro/internal/sched"
 	"repro/internal/telemetry"
+	"repro/internal/topology"
 )
 
 // submitOneBatch forces the given jobs into a single overlapped batch: a
@@ -25,6 +29,13 @@ import (
 // admitted asynchronously while it is held, and releasing the holder lets
 // the next collection sweep them all up in submission order.
 func submitOneBatch(t *testing.T, s *Server, jobs []*dataflow.Job) []*Ticket {
+	t.Helper()
+	return submitOneBatchIn(t, s, jobs, nil)
+}
+
+// submitOneBatchIn is submitOneBatch with job i submitted under ctxs[i], when
+// ctxs has one.
+func submitOneBatchIn(t *testing.T, s *Server, jobs []*dataflow.Job, ctxs []context.Context) []*Ticket {
 	t.Helper()
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -39,7 +50,11 @@ func submitOneBatch(t *testing.T, s *Server, jobs []*dataflow.Job) []*Ticket {
 	<-started // the single epoch worker is parked inside the holder's task
 	tks := make([]*Ticket, len(jobs))
 	for i, j := range jobs {
-		tk, err := s.SubmitAsync(context.Background(), j)
+		ctx := context.Background()
+		if i < len(ctxs) && ctxs[i] != nil {
+			ctx = ctxs[i]
+		}
+		tk, err := s.SubmitAsync(ctx, j)
 		if err != nil {
 			t.Fatalf("SubmitAsync %s: %v", j.Name(), err)
 		}
@@ -283,6 +298,158 @@ func TestServeOverlapRecoveryIsolation(t *testing.T) {
 	}
 	if live := s.Runtime().Regions().Live(); live != 0 {
 		t.Errorf("leaked %d regions", live)
+	}
+}
+
+// cancelOnPlan is a scheduler that ends one job's context as it plans it:
+// after collect and runBatch's pre-planning drop have passed the job live,
+// and before drive joins it.
+type cancelOnPlan struct {
+	sched.Scheduler
+	job    string
+	cancel context.CancelFunc
+}
+
+func (c cancelOnPlan) Schedule(j *dataflow.Job, topo *topology.Topology) (*sched.Schedule, error) {
+	if j.Name() == c.job {
+		c.cancel()
+	}
+	return c.Scheduler.Schedule(j, topo)
+}
+
+// TestJoinTimeDrainSettlesOnce serves a batch whose middle member drains as
+// it joins the pool, before any of its tasks launches: its rank-0 task fails
+// the injector's pre-pass (once without recovery, once recovered by a retry,
+// on every attempt with recovery), or its context ends after collect, while
+// its batch is planned. The member settles exactly once, under the right
+// counter and with the right error, and its mates' reports are byte-identical
+// to their solo runs.
+func TestJoinTimeDrainSettlesOnce(t *testing.T) {
+	cases := []struct {
+		name     string
+		kills    int             // pre-pass failures of the member's rank-0 task
+		pol      *RecoveryPolicy // nil: no recovery
+		cancel   bool            // the member's context ends as it is planned
+		counter  string          // the serving counter the member settles under
+		err      string          // in the member's error; "" when it succeeds
+		attempts int
+	}{
+		{name: "pre-pass kill", kills: 1, counter: "server_failed", err: fault.ErrInjected.Error()},
+		{name: "pre-pass kill, recovered", kills: 1, pol: &RecoveryPolicy{MaxAttempts: 2}, counter: "server_recovered", attempts: 2},
+		{name: "pre-pass kill every attempt", kills: 99, pol: &RecoveryPolicy{MaxAttempts: 2}, counter: "server_failed", err: "failed after 2 attempts"},
+		{name: "context ends before drive", cancel: true, counter: "server_canceled", err: context.Canceled.Error()},
+	}
+	mates := func() []*dataflow.Job { return []*dataflow.Job{wideJob("mate-a", 8), wideJob("mate-c", 6)} }
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// A mate's solo run checkpoints as it does in the batch, or not.
+			var solo []*Report
+			for _, j := range mates() {
+				rt, err := New(ExecConfig{Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var rep *Report
+				if c.pol == nil {
+					rep, err = rt.Run(j)
+				} else {
+					rep, err = rt.Run(j, *c.pol)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				solo = append(solo, rep)
+			}
+			inj := fault.NewInjector(1, 0, 1)
+			if c.kills > 0 {
+				inj.Kill("ingest", c.kills) // the member's rank 0; no mate has the name
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cfg := ServerConfig{
+				ExecConfig: ExecConfig{Inject: inj, Workers: 4}, Recovery: c.pol,
+				EpochWorkers: 1, MaxBatch: 8, QueueDepth: 16, Block: true,
+			}
+			if c.cancel {
+				cfg.Scheduler = cancelOnPlan{Scheduler: sched.HEFT{}, job: "member", cancel: cancel}
+			}
+			s := newTestServer(t, cfg)
+			m := mates()
+			tks := submitOneBatchIn(t, s, []*dataflow.Job{m[0], pipelineJob("member"), m[1]},
+				[]context.Context{nil, ctx})
+			rep, err := tks[1].Wait(context.Background())
+			switch {
+			case c.err == "" && err != nil:
+				t.Fatalf("member: %v", err)
+			case c.err == "" && rep.Attempts != c.attempts:
+				t.Errorf("member settled after %d attempts, want %d", rep.Attempts, c.attempts)
+			case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)):
+				t.Errorf("member settled with %v, want an error naming %q", err, c.err)
+			}
+			for i, k := range []int{0, 2} {
+				mate, err := tks[k].Wait(context.Background())
+				if err != nil {
+					t.Fatalf("mate %d: %v", k, err)
+				}
+				if mate.String() != solo[i].String() {
+					t.Errorf("mate %d reports\n%s\nsolo\n%s", k, mate, solo[i])
+				}
+				requireSoloEqual(t, fmt.Sprintf("mate %d", k), mate, solo[i])
+			}
+			if err := s.Close(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			tel := s.Runtime().Telemetry()
+			want := map[string]int64{"server_completed": 3, "server_failed": 0, "server_canceled": 0, "server_recovered": 0}
+			if c.err == "" {
+				want["server_completed"]++ // the holder, both mates and the member
+			}
+			want[c.counter]++
+			for name, n := range want {
+				if got := tel.Counter(telemetry.LayerRuntime, name); got != n {
+					t.Errorf("%s = %d, want %d", name, got, n)
+				}
+			}
+			if live := s.Runtime().Regions().Live(); live != 0 {
+				t.Errorf("leaked %d regions", live)
+			}
+		})
+	}
+}
+
+// TestBatchMatesAllInFlight is the overlap half of the pump: with a pool of
+// N workers, all N members of one batch have a task in flight at once. Each
+// member is one task whose body waits at a barrier until all N have arrived,
+// so the batch completes only if the pool runs every member side by side.
+func TestBatchMatesAllInFlight(t *testing.T) {
+	const n = 6
+	var arrived atomic.Int32
+	all := make(chan struct{})
+	barrier := func(dataflow.Ctx) error {
+		if arrived.Add(1) == n {
+			close(all)
+		}
+		select {
+		case <-all:
+			return nil
+		case <-time.After(30 * time.Second):
+			return fmt.Errorf("only %d of %d batch mates were ever in flight together", arrived.Load(), n)
+		}
+	}
+	jobs := make([]*dataflow.Job, n)
+	for i := range jobs {
+		jobs[i] = dataflow.NewJob(fmt.Sprintf("mate%d", i))
+		jobs[i].Task("wait", dataflow.Props{Ops: 1e3}, barrier)
+	}
+	s := newTestServer(t, ServerConfig{ExecConfig: ExecConfig{Workers: n}, EpochWorkers: 1, MaxBatch: n, QueueDepth: 2 * n, Block: true})
+	for i, tk := range submitOneBatch(t, s, jobs) {
+		rep, err := tk.Wait(context.Background())
+		if err != nil {
+			t.Fatalf("mate %d: %v", i, err)
+		}
+		if rep.BatchSize != n {
+			t.Fatalf("mate %d ran in a batch of %d, want %d", i, rep.BatchSize, n)
+		}
 	}
 }
 

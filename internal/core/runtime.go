@@ -352,7 +352,7 @@ type jobState struct {
 type run struct {
 	jobState
 	// pool and w are the pool this run executes in and its dispatcher there,
-	// from attach to detach; w is nil before and after. Guarded by pool.mu,
+	// from join to settled; w is nil before and after. Guarded by pool.mu,
 	// they are how a task's fence finds the dispatcher — or finds the run over.
 	pool *wavePool
 	w    *wavefront

@@ -41,12 +41,12 @@ package core
 //     run's core clocks are rewound to the deterministic post-failure state
 //     so recovery replays exactly what a sequential run would have.
 //
-// A wavefront executes inside a wavePool, and drive (exec.go) is the one
-// function that attaches members to pools. Runtime.Run and RunAll drive a
-// fresh pool with a single member; a Server's epoch worker drives its own
-// pool batch after batch, attaching every batch member (and every recovery
-// retry) to it, so many jobs' ready tasks compete for the same bounded worker
-// slots concurrently.
+// A wavefront executes inside a wavePool, and the pool alone runs its
+// members: drive (exec.go) joins them and takes them back as they settle.
+// Runtime.Run and RunAll drive a fresh pool with a single member; a Server's
+// epoch worker drives its own pool batch after batch, joining every batch
+// member (and every recovery retry) to it, so many jobs' ready tasks compete
+// for the same bounded worker slots concurrently.
 // Determinism generalizes from one job to N because everything virtual is
 // per member — seed views, core clocks, claim ledgers, fences, failure
 // frontiers — and the only shared state, the pool's wall-clock worker
@@ -129,19 +129,21 @@ type memEvent struct {
 // wall-clock races; the tiebreak shapes only wall-clock interleaving, since
 // each member's virtual time is fixed by its own claim ledger.
 type wavePool struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
+	// cond wakes fenced tasks as ranks retire; drain wakes settled, the
+	// one goroutine driving the pool, only when a member has drained.
+	cond  *sync.Cond
+	drain sync.Cond
 	// slots counts free worker slots. It transiently dips below zero when a
 	// fenced task resumes before a launch completes, matching the bounded
 	// overshoot the single-job dispatcher always had.
 	slots int
-	// members holds the wavefronts with work left, in no order that matters:
-	// one leaves (detach) when it has drained, so next scans only what can
-	// still dispatch and never reads a dispatcher that was recycled since. seq
-	// counts the attaches, which is what numbers them.
+	// members holds the wavefronts joined and not yet settled, in no order
+	// that matters: one leaves (settled) once it has drained, so next never
+	// reads a dispatcher that was recycled since. seq counts the joins, which
+	// is what numbers them.
 	members []*wavefront
 	seq     int
-	workers int // the bound slots starts from
 	// claims holds the tasks launch claimed for goroutines it started that
 	// have not taken them up yet. Those goroutines all start in start, one
 	// function value made with the pool, so starting one allocates nothing.
@@ -160,39 +162,53 @@ func newWavePool(workers int) *wavePool {
 	if workers <= 0 {
 		workers = 1
 	}
-	p := &wavePool{slots: workers, workers: workers}
+	p := &wavePool{slots: workers}
 	p.cond = sync.NewCond(&p.mu)
+	p.drain.L = &p.mu
 	p.start = p.runClaim
 	return p
 }
 
-// reset readies an idle pool — no member attached, every one detached — for
-// another drive: every slot free, sequence numbers from 0 again, as
-// newWavePool left it. Caller is the only goroutine driving the pool.
-func (p *wavePool) reset() {
-	p.slots, p.seq = p.workers, 0
+// join attaches the members' current attempts — a member with none settled
+// before it could join — grants each its initial claims, and only then
+// launches, so the pool's (rank, submission) tiebreak sees them all at once.
+// An attempt with nothing to dispatch (its rank-0 task failed the injector's
+// pre-pass, or its submitter gave up) drains right here; settled finds it.
+func (p *wavePool) join(ms []member) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := range ms {
+		if w := ms[i].w; w != nil {
+			// A retry's sequence is later than everything joined before it.
+			w.pool, w.seq = p, p.seq
+			p.seq++
+			p.members = append(p.members, w)
+			w.r.pool, w.r.w = p, w
+			w.advance()
+		}
+	}
+	p.launch()
 }
 
-// attach registers a member, assigning its submission sequence — a retry's
-// is later than everything attached before it — and makes it its run's
-// dispatcher. Callers either hold p.mu or are the only goroutine aware of the
-// pool yet.
-func (p *wavePool) attach(w *wavefront) {
-	w.pool, w.seq = p, p.seq
-	p.seq++
-	p.members = append(p.members, w)
-	w.r.pool, w.r.w = p, w
-}
-
-// detach takes a drained member out of the pool and away from its run, whose
-// fences find it over from here on: nothing reaches w through the pool or the
-// run anymore, so once finalized it can serve another job. Caller holds p.mu.
-func (p *wavePool) detach(w *wavefront) {
-	i := slices.Index(p.members, w)
-	last := len(p.members) - 1
-	p.members[i], p.members[last] = p.members[last], nil
-	p.members = p.members[:last]
-	w.r.w = nil
+// settled blocks until an attached member has drained, detaches it and
+// returns it. Nothing reaches it through the pool or its run from here on —
+// its run's fences find it over — so once finalized it can serve another
+// job. Caller is the one goroutine driving the pool, with a member attached.
+func (p *wavePool) settled() *wavefront {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for {
+		for i, w := range p.members {
+			if w.drainedLocked() {
+				last := len(p.members) - 1
+				p.members[i], p.members[last] = p.members[last], nil
+				p.members = p.members[:last]
+				w.r.w = nil
+				return w
+			}
+		}
+		p.drain.Wait()
+	}
 }
 
 // next takes the pool's next dispatchable task — the lowest (rank, member
@@ -386,9 +402,8 @@ func (r *run) newWavefront(ctx context.Context) (*wavefront, string, error) {
 // — which only exist at Workers>1 — would leave their finish times on the
 // clocks and make every retry's virtual time depend on the pool size.
 //
-// Must be called exactly once, after drainedLocked() was observed under the
-// pool lock; at that point no task goroutine of this member is live, so its
-// state is safe to read unlocked.
+// Must be called exactly once, on the member settled returned: no task
+// goroutine of it is live, so its state is safe to read unlocked.
 func (w *wavefront) finalize() (failedTask string, err error) {
 	r := w.r
 	if w.canceled != nil {
@@ -633,6 +648,9 @@ func (w *wavefront) execAndRetire(k int) (*wavefront, int, bool) {
 		}
 	}
 	w.advance()
+	if w.drainedLocked() {
+		p.drain.Signal()
+	}
 	nw, nk, more := p.next() // this goroutine's next task, before any spawn
 	p.launch()
 	p.cond.Broadcast()

@@ -253,8 +253,8 @@ func TestDriveReusesPool(t *testing.T) {
 		if !strings.Contains(got[1], errWarmerFailed.Error()) {
 			t.Fatalf("round %d: the failing job settled with %q", round, got[1])
 		}
-		if p.slots != p.workers || len(p.members) != 0 {
-			t.Fatalf("round %d: drive left the pool with %d of %d slots free and %d members", round, p.slots, p.workers, len(p.members))
+		if p.slots != rt.workers || len(p.members) != 0 {
+			t.Fatalf("round %d: drive left the pool with %d of %d slots free and %d members", round, p.slots, rt.workers, len(p.members))
 		}
 		if first == nil {
 			first = got

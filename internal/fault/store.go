@@ -120,6 +120,20 @@ func NewReplicatedStore(f *cluster.Fabric, replicas int) (*ReplicatedStore, erro
 	}, nil
 }
 
+// NewDefaultStore builds the durable store a deployment gets when it names
+// none: 2-way replication over a private fabric of three 256 MiB nodes. A
+// server's default checkpoints and a cluster's shared failover and migration
+// store are each one.
+func NewDefaultStore() (*ReplicatedStore, error) {
+	f := cluster.NewFabric(cluster.Config{})
+	for i := 0; i < 3; i++ {
+		if err := f.AddNode(fmt.Sprintf("store%d", i), 1<<28); err != nil {
+			return nil, err
+		}
+	}
+	return NewReplicatedStore(f, 2)
+}
+
 // Put writes the object to all replicas (write-all): distinct alive nodes,
 // taken round-robin from the cursor for spread.
 func (s *ReplicatedStore) Put(data []byte) (ObjectID, time.Duration, error) {

@@ -136,7 +136,11 @@ type Cluster struct {
 	ckStore fault.Store        // backing store for ck and migration backups; nil without either
 	seq     atomic.Uint64      // routed ticket ids
 	wg      sync.WaitGroup     // in-flight watchers
-	closed  atomic.Bool
+	// gate orders admission against Close: a submission holds the read side
+	// from its closed check through wg.Add, and Close flips closed under the
+	// write side, so its Wait misses no watcher.
+	gate   sync.RWMutex
+	closed bool
 
 	mu      sync.Mutex                    // guards st, slabs and cancels: step runs under it
 	st      state                         // the routing protocol (protocol.go)
@@ -166,17 +170,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	c := &Cluster{cfg: cfg, fabric: cluster.NewFabric(cluster.Config{}), tel: tel,
 		slabs: map[int]cluster.SlabID{}, cancels: map[uint64]context.CancelFunc{}}
 
-	// Cross-shard durable state: one 2-way replicated store on a private
-	// pmem fabric, shared by every shard. Failover replay restores from it;
-	// migration mirrors exported region payloads into it.
+	// Cross-shard durable state: one default store, shared by every shard.
+	// Failover replay restores from it; migration mirrors exported region
+	// payloads into it.
 	if cfg.Server.Recovery != nil || cfg.Migrate {
-		ckFabric := cluster.NewFabric(cluster.Config{})
-		for i := 0; i < 3; i++ {
-			if err := ckFabric.AddNode(fmt.Sprintf("pmem%d", i), 1<<28); err != nil {
-				return nil, err
-			}
-		}
-		store, err := fault.NewReplicatedStore(ckFabric, 2)
+		store, err := fault.NewDefaultStore()
 		if err != nil {
 			return nil, err
 		}
@@ -454,7 +452,9 @@ func (c *Cluster) SubmitAsync(ctx context.Context, job *dataflow.Job, opts ...co
 	if err != nil {
 		return nil, err
 	}
-	if c.closed.Load() {
+	c.gate.RLock()
+	defer c.gate.RUnlock()
+	if c.closed {
 		return nil, ErrClosed
 	}
 	if job == nil {
@@ -619,7 +619,9 @@ func (c *Cluster) Close(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c.closed.Store(true)
+	c.gate.Lock()
+	c.closed = true
+	c.gate.Unlock()
 	var firstErr error
 	for _, sh := range c.shards {
 		if err := sh.srv.Close(ctx); err != nil && firstErr == nil {

@@ -3,9 +3,11 @@ package shard
 import (
 	"context"
 	"fmt"
+	goruntime "runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -605,5 +607,66 @@ func TestClusterClosedRejects(t *testing.T) {
 	}
 	if _, err := c.SubmitAsync(context.Background(), chainJob("late")); err != ErrClosed {
 		t.Fatalf("submit after Close: %v, want ErrClosed", err)
+	}
+}
+
+// TestCloseDeliversEveryAdmission races submitters against Close. Each
+// submission is admitted or refused with ErrClosed — never with a shard
+// server's own ErrServerClosed — and when Close returns, every admission
+// Stats counted has settled and every admitted ticket has its outcome: no
+// watcher registers after Close stopped waiting for them.
+func TestCloseDeliversEveryAdmission(t *testing.T) {
+	for round := 0; round < 24; round++ {
+		c, err := NewCluster(Config{Shards: 2, Server: core.ServerConfig{EpochWorkers: 1, MaxBatch: 4, QueueDepth: 8, Block: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			mu       sync.Mutex
+			tickets  []*core.Ticket
+			admitted atomic.Int64
+			wg       sync.WaitGroup
+		)
+		for g := 0; g < 3; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					tk, err := c.SubmitAsync(context.Background(), chainJob(fmt.Sprintf("r%d-g%d-%d", round, g, i)))
+					if err != nil {
+						if err != ErrClosed {
+							t.Errorf("round %d: a submission racing Close got %v, want ErrClosed", round, err)
+						}
+						return
+					}
+					admitted.Add(1)
+					mu.Lock()
+					tickets = append(tickets, tk)
+					mu.Unlock()
+				}
+			}()
+		}
+		for admitted.Load() < int64(round) {
+			goruntime.Gosched()
+		}
+		if err := c.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		var counted, settled int64
+		for _, st := range c.Stats() {
+			counted += st.Admitted + st.BestEffort
+			settled += st.Completed + st.Failed
+		}
+		wg.Wait()
+		if counted != settled || counted != int64(len(tickets)) {
+			t.Fatalf("round %d: when Close returned %d admissions were counted and %d settled; %d tickets were handed out", round, counted, settled, len(tickets))
+		}
+		for _, tk := range tickets {
+			select {
+			case <-tk.Done():
+			default:
+				t.Fatalf("round %d: ticket %d admitted but not delivered after Close", round, tk.ID())
+			}
+		}
 	}
 }
