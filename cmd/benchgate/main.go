@@ -6,29 +6,29 @@
 // Both files are test2json streams; benchmark results arrive as Output
 // lines like
 //
-//	BenchmarkServeOverlap/overlap ... 141.5 jobs/s ... 4728 allocs/op
+//	BenchmarkServedJob-8 ... 2510 ns/op ... 1442 B/op ... 14 allocs/op
 //
 // benchgate extracts, per benchmark name, every `<value> <unit>` metric
-// pair whose unit is listed in -metrics. "Worse" has a direction per unit:
-// the standard cost units of the testing package (ns/op, B/op, allocs/op)
-// and every other bytes-per-operation unit (restored-B/op) are
-// lower-is-better and require current ≤ (1 + tolerance) × baseline;
-// every other unit (jobs/s, speedup, admitted, ...) is higher-is-better and
-// requires current ≥ (1 - tolerance) × baseline. A unit may carry its own
-// tolerance as unit:tolerance — `-metrics ns/op:2,allocs/op:0` lets time
-// triple before failing but not a single allocation appear; units without
-// one use -tolerance, or BENCHGATE_TOLERANCE when the command line does not
-// set -tolerance. Benchmarks present in only one file are reported but
-// never fail the gate, so the baseline does not have to be regenerated when
-// a benchmark is added. Every metric that is skipped (present in the
-// baseline but missing from the current capture, or a non-positive baseline
-// of a higher-is-better unit) is logged, and if the run ends with zero
-// metrics actually compared the gate fails: a vacuous comparison must not
-// read as a pass.
+// pair whose unit is listed in -metrics. Every listed unit carries its own
+// tolerance, as unit:tolerance — `-metrics ns/op:2,allocs/op:0` lets time
+// triple before failing but not a single allocation appear — and a bare
+// unit is a usage error: there is no default tolerance to fall back on.
+// "Worse" has a direction per unit: the standard cost units of the testing
+// package (ns/op, B/op, allocs/op) and every other bytes-per-operation unit
+// (restored-B/op) are lower-is-better and require current ≤ (1 +
+// tolerance) × baseline; every other unit (admitted, exported/op, ...) is
+// higher-is-better and requires current ≥ (1 - tolerance) × baseline.
+// Benchmarks present in only one file are reported but never fail the
+// gate, so the baseline does not have to be regenerated when a benchmark is
+// added. Every metric that is skipped (present in the baseline but missing
+// from the current capture, or a non-positive baseline of a
+// higher-is-better unit) is logged, and if the run ends with zero metrics
+// actually compared the gate fails: a vacuous comparison must not read as
+// a pass.
 //
 // Usage:
 //
-//	benchgate -baseline bench/BENCH_serve_baseline.json -current BENCH_serve.json
+//	benchgate -baseline bench/BENCH_served_baseline.json -current BENCH_served.json -metrics ns/op:2,allocs/op:0
 //
 // A missing baseline file skips the gate with a notice (exit 0): fresh
 // clones and baseline-regeneration commits must not fail CI.
@@ -37,6 +37,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -55,24 +56,26 @@ func lowerIsBetter(unit string) bool {
 	return unit == "ns/op" || unit == "allocs/op" || strings.HasSuffix(unit, "B/op")
 }
 
-// parseUnits reads a -metrics list: comma-separated units, each optionally
-// followed by :tolerance; units without one get def.
-func parseUnits(list string, def float64) (map[string]float64, error) {
+// parseUnits reads a -metrics list: comma-separated unit:tolerance pairs.
+func parseUnits(list string) (map[string]float64, error) {
 	units := make(map[string]float64)
 	for _, u := range strings.Split(list, ",") {
 		u = strings.TrimSpace(u)
 		if u == "" {
 			continue
 		}
-		tol := def
-		if unit, t, ok := strings.Cut(u, ":"); ok {
-			v, err := strconv.ParseFloat(t, 64)
-			if err != nil || v < 0 {
-				return nil, fmt.Errorf("bad tolerance in %q", u)
-			}
-			u, tol = unit, v
+		unit, t, ok := strings.Cut(u, ":")
+		if !ok {
+			return nil, fmt.Errorf("%q has no tolerance: write %s:<tolerance>", u, u)
 		}
-		units[u] = tol
+		tol, err := strconv.ParseFloat(t, 64)
+		if err != nil || tol < 0 {
+			return nil, fmt.Errorf("bad tolerance in %q", u)
+		}
+		units[unit] = tol
+	}
+	if len(units) == 0 {
+		return nil, errors.New("no unit to gate on")
 	}
 	return units, nil
 }
@@ -203,72 +206,59 @@ func gate(w io.Writer, base, cur metrics, units map[string]float64) (compared in
 	return compared, failed
 }
 
-// tolerance returns the fractional regression allowed for units without a
-// tolerance of their own: fs's -tolerance when its command line set the flag,
-// else env (BENCHGATE_TOLERANCE) when that is set, else the flag's default. A
-// gate that asks for a tolerance on its command line, such as loadgen-smoke's
-// -tolerance 0, keeps it whatever the environment says.
-func tolerance(fs *flag.FlagSet, env string) (float64, error) {
-	f := fs.Lookup("tolerance")
-	set := false
-	fs.Visit(func(v *flag.Flag) { set = set || v == f })
-	if set || env == "" {
-		return strconv.ParseFloat(f.Value.String(), 64)
-	}
-	v, err := strconv.ParseFloat(env, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad BENCHGATE_TOLERANCE %q: %v", env, err)
-	}
-	return v, nil
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
-	baseline := flag.String("baseline", "", "committed test2json baseline capture")
-	current := flag.String("current", "", "fresh test2json capture to gate")
-	flag.Float64("tolerance", 0.10, "allowed fractional regression (0.10 = 10%) for units without their own; BENCHGATE_TOLERANCE, when set, replaces the default but not an explicit flag")
-	unitList := flag.String("metrics", "jobs/s", "comma-separated units to gate on, each optionally unit:tolerance; ns/op, B/op and allocs/op are lower-is-better, all others higher-is-better")
-	flag.Parse()
+// run is the command on args, writing its decisions to stdout and its
+// complaints to stderr, and returns the exit status: 0 pass, 1 a regression
+// or a vacuous comparison, 2 a usage or read error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	baseline := fs.String("baseline", "", "committed test2json baseline capture")
+	current := fs.String("current", "", "fresh test2json capture to gate")
+	unitList := fs.String("metrics", "", "comma-separated unit:tolerance pairs to gate on (0.10 = 10% worse allowed); ns/op, allocs/op and every B/op unit are lower-is-better, all others higher-is-better")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 	if *baseline == "" || *current == "" {
-		fmt.Fprintln(os.Stderr, "benchgate: -baseline and -current are required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchgate: -baseline and -current are required")
+		return 2
 	}
-	tol, err := tolerance(flag.CommandLine, os.Getenv("BENCHGATE_TOLERANCE"))
+	units, err := parseUnits(*unitList)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-		os.Exit(2)
-	}
-	units, err := parseUnits(*unitList, tol)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: -metrics: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchgate: -metrics: %v\n", err)
+		return 2
 	}
 
 	base, err := parse(*baseline, units)
 	if os.IsNotExist(err) {
-		fmt.Printf("benchgate: no baseline at %s — gate skipped\n", *baseline)
-		return
+		fmt.Fprintf(stdout, "benchgate: no baseline at %s — gate skipped\n", *baseline)
+		return 0
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: reading baseline: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchgate: reading baseline: %v\n", err)
+		return 2
 	}
 	cur, err := parse(*current, units)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: reading current: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchgate: reading current: %v\n", err)
+		return 2
 	}
 
-	compared, failed := gate(os.Stdout, base, cur, units)
+	compared, failed := gate(stdout, base, cur, units)
 	if compared == 0 {
 		// A gate that compared nothing passed nothing: renamed benchmarks,
 		// a bad -metrics list, or an empty capture must fail loudly, not
 		// report success.
-		fmt.Fprintf(os.Stderr, "benchgate: no metric compared between %s and %s — gate is vacuous\n",
+		fmt.Fprintf(stderr, "benchgate: no metric compared between %s and %s — gate is vacuous\n",
 			*baseline, *current)
-		os.Exit(1)
+		return 1
 	}
 	if failed {
-		fmt.Fprintf(os.Stderr, "benchgate: a gated metric got worse beyond its tolerance vs %s\n", *baseline)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "benchgate: a gated metric got worse beyond its tolerance vs %s\n", *baseline)
+		return 1
 	}
+	return 0
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,15 +45,15 @@ func mustParse(t *testing.T, path string, units map[string]float64) metrics {
 }
 
 func TestParseUnits(t *testing.T) {
-	units, err := parseUnits("jobs/s, ns/op:2,allocs/op:0", 0.1)
+	units, err := parseUnits("jobs/s:0.1, ns/op:2,allocs/op:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(units) != 3 || units["jobs/s"] != 0.1 || units["ns/op"] != 2 || units["allocs/op"] != 0 {
 		t.Errorf("units = %v", units)
 	}
-	for _, bad := range []string{"ns/op:fast", "ns/op:-1"} {
-		if _, err := parseUnits(bad, 0.1); err == nil {
+	for _, bad := range []string{"ns/op:fast", "ns/op:-1", "jobs/s", "ns/op:2,allocs/op", "", " , "} {
+		if _, err := parseUnits(bad); err == nil {
 			t.Errorf("parseUnits(%q) must fail", bad)
 		}
 	}
@@ -173,31 +172,23 @@ func TestGateVacuousAndSkipped(t *testing.T) {
 	}
 }
 
-// An explicit -tolerance wins over BENCHGATE_TOLERANCE, which in turn wins over
-// the flag's default: CI's 25 % for throughputs must not loosen a gate that
-// asks for 0 on its command line.
-func TestExplicitToleranceWinsOverTheEnvironment(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		env  string
-		want float64
-		bad  bool
-	}{
-		{args: nil, env: "", want: 0.10},
-		{args: nil, env: "0.25", want: 0.25},
-		{args: []string{"-tolerance", "0"}, env: "0.25", want: 0},
-		{args: []string{"-tolerance", "0.10"}, env: "0.25", want: 0.10},
-		{args: []string{"-tolerance", "0"}, env: "loose", want: 0},
-		{args: nil, env: "loose", bad: true},
-	} {
-		fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
-		fs.Float64("tolerance", 0.10, "")
-		if err := fs.Parse(tc.args); err != nil {
-			t.Fatal(err)
+// TestBareUnitIsAUsageError: a unit without a tolerance of its own, or no
+// -metrics at all, exits 2 before either capture is read — there is no
+// default tolerance for it to fall back on.
+func TestBareUnitIsAUsageError(t *testing.T) {
+	capt := capture(t, "BenchmarkServe \t 2\t 1000 ns/op\t 100 jobs/s")
+	for _, metrics := range [][]string{{"-metrics", "jobs/s"}, {"-metrics", "ns/op:2,jobs/s"}, nil} {
+		var stdout, stderr strings.Builder
+		args := append([]string{"-baseline", capt, "-current", capt}, metrics...)
+		if got := run(args, &stdout, &stderr); got != 2 {
+			t.Errorf("benchgate %v exits %d, want 2\n%s%s", metrics, got, stdout.String(), stderr.String())
 		}
-		got, err := tolerance(fs, tc.env)
-		if (err != nil) != tc.bad || got != tc.want {
-			t.Errorf("%v with BENCHGATE_TOLERANCE=%q: %v, %v; want %v (error: %v)", tc.args, tc.env, got, err, tc.want, tc.bad)
+		if stdout.Len() != 0 {
+			t.Errorf("benchgate %v compared before refusing:\n%s", metrics, stdout.String())
 		}
+	}
+	var stdout, stderr strings.Builder
+	if got := run([]string{"-baseline", capt, "-current", capt, "-metrics", "jobs/s:0"}, &stdout, &stderr); got != 0 {
+		t.Errorf("the same capture against itself exits %d, want 0\n%s%s", got, stdout.String(), stderr.String())
 	}
 }

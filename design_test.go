@@ -503,6 +503,67 @@ func TestPoolAloneRunsItsMembers(t *testing.T) {
 	}
 }
 
+// TestBenchGatesAreWhole keeps the Makefile's benchmark gates honest: every
+// SMOKE_BENCHES row (name:package:regexp:benchtime:gate) is gated against a
+// committed bench/BENCH_<name>_baseline.json, every unit a gate lists —
+// there and in loadgen-smoke — carries a tolerance of its own, since
+// benchgate has no default, and every file under bench/ is a row's baseline,
+// the baseline it replaced (BENCH_<name>_before.json), or a baseline the
+// Makefile names.
+func TestBenchGatesAreWhole(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := regexp.MustCompile(`(?m)^SMOKE_BENCHES = \\\n((?:\t.*\\\n)*\t.*\n)`).FindSubmatch(mk)
+	if block == nil {
+		t.Fatal("Makefile: no SMOKE_BENCHES block")
+	}
+	owned := map[string]bool{}
+	for _, m := range regexp.MustCompile(`bench/(BENCH_\w+\.json)`).FindAllSubmatch(mk, -1) {
+		owned[string(m[1])] = true
+	}
+	var gates []string
+	for _, m := range regexp.MustCompile(`(?m)^\t.*-metrics ([^\s"$]+)`).FindAllSubmatch(mk, -1) {
+		gates = append(gates, string(m[1]))
+	}
+	rows := regexp.MustCompile(`'([^']*)'`).FindAllSubmatch(block[1], -1)
+	if len(rows) == 0 {
+		t.Fatal("SMOKE_BENCHES lists no row")
+	}
+	for _, m := range rows {
+		fields := strings.SplitN(string(m[1]), ":", 5)
+		if len(fields) < 5 {
+			t.Errorf("SMOKE_BENCHES row %q has no gate", m[1])
+			continue
+		}
+		name := fields[0]
+		gates = append(gates, fields[4])
+		baseline := "BENCH_" + name + "_baseline.json"
+		if _, err := os.Stat(filepath.Join("bench", baseline)); err != nil {
+			t.Errorf("SMOKE_BENCHES row %s has no committed baseline: %v", name, err)
+		}
+		owned[baseline], owned["BENCH_"+name+"_before.json"] = true, true
+	}
+	for _, gate := range gates {
+		for _, u := range strings.Split(gate, ",") {
+			unit, tol, ok := strings.Cut(u, ":")
+			if v, err := strconv.ParseFloat(tol, 64); !ok || err != nil || v < 0 {
+				t.Errorf("gate %q: unit %q carries no tolerance of its own", gate, unit)
+			}
+		}
+	}
+	files, err := filepath.Glob("bench/BENCH_*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if !owned[filepath.Base(f)] {
+			t.Errorf("%s belongs to no bench-smoke row or Makefile gate", f)
+		}
+	}
+}
+
 // TestDesignHeadingsCarryNoHistory: a DESIGN.md heading names what the
 // section describes, not the PR that added it; history is CHANGES.md's.
 func TestDesignHeadingsCarryNoHistory(t *testing.T) {

@@ -387,9 +387,10 @@ func (passFence) After([]int32) error { return nil }
 // time and in allocations: the nil-body serving mix of the alloc budget above,
 // whose tasks stall nowhere, so nothing but admission, planning, dispatch,
 // output allocation and retirement is in the number. One whole pass is the
-// ramp — it fills the free lists and the route caches the way a
-// server's first seconds do — and is not timed. The bench-smoke row gating it (ns/op may not triple, allocs/op may
-// not rise) is the first serving gate that a slept task body does not bound.
+// ramp — it fills the free lists and the route caches the way a server's
+// first seconds do — and is not timed. The bench-smoke row gating it lets
+// ns/op triple and allocs/op not rise at all; BenchmarkServedWideDAG and
+// shard's BenchmarkRoutedJob are its fan-out and routed counterparts.
 func BenchmarkServedJob(b *testing.B) {
 	s, pool := servedMix(b, nil)
 	submit := func(i int) {

@@ -86,19 +86,11 @@ type ckEntry struct {
 	// the global, so a retry re-executes such a task instead of restoring
 	// it: a successor reading the global finds it republished.
 	createdGlobal bool
-	// recorded marks the snapshot of a task that fully completed, making
-	// it warm-replayable: restoreCost below is valid, and partial replay
-	// may defer the real store fetch until a re-executed consumer needs
-	// the payload. A snapshot without a record (the task failed between
-	// checkpoint and completion, or the entry was seeded outside the
-	// engine) replays cold — the store round trip is performed, and its
-	// observed price charged, eagerly in both modes.
-	recorded bool
-	// restoreCost is the virtual price charged for replaying a recorded
-	// snapshot — the snapshot Put duration, used as the deterministic
-	// proxy for a restore Get in both replay modes: the store's Get cost
-	// can depend on mutable cluster state (degraded erasure reads), and
-	// partial replay must know the price without performing the Get.
+	// restoreCost is the virtual price charged for replaying the snapshot —
+	// its Put duration, the deterministic proxy for a restore Get in both
+	// replay modes: the store's Get cost can depend on mutable cluster state
+	// (degraded erasure reads), and partial replay must know the price
+	// without performing the Get.
 	restoreCost time.Duration
 }
 
@@ -166,7 +158,7 @@ func (ns *ckNamespace) lookup(task string) (ckEntry, bool) {
 // whether the task produced an output region at all; data may be empty
 // either way, and is the caller's again on return (fault.Store.Put copies).
 // createdGlobal marks a task that created a job global. Returns the virtual
-// time the store took.
+// time the store took, which the entry keeps as its replay price.
 //
 // The store round-trips run outside the namespace lock: N workers
 // checkpointing concurrently contend on the store's own synchronization
@@ -180,7 +172,7 @@ func (ns *ckNamespace) snapshot(task string, data []byte, hasOutput, createdGlob
 		if err != nil {
 			return dd, fmt.Errorf("core: checkpoint %s/%s: %w", ns.id, task, err)
 		}
-		e.obj, e.size, d = obj, int64(len(data)), dd
+		e.obj, e.size, e.restoreCost, d = obj, int64(len(data)), dd, dd
 	}
 	ns.mu.Lock()
 	stale, had := e, true // forgotten meanwhile: nothing may outlive Forget
@@ -197,40 +189,24 @@ func (ns *ckNamespace) snapshot(task string, data []byte, hasOutput, createdGlob
 	return d, nil
 }
 
-// record marks an existing snapshot entry warm-replayable, attaching its
-// deterministic restore price. It is called once per task, at the very end
-// of the success path, so a task that failed after its snapshot keeps a
-// record-less entry and replays through the cold path. A re-snapshot
-// (snapshot called again for the same task) resets the entry cold until
-// the re-run completes and records again.
-func (ns *ckNamespace) record(task string, restoreCost time.Duration) {
-	ns.mu.Lock()
-	if e, ok := ns.entries[task]; ok {
-		e.recorded, e.restoreCost = true, restoreCost
-		ns.entries[task] = e
-	}
-	ns.mu.Unlock()
-}
-
 // restore fetches a snapshot's bytes into a buffer from the checkpointer's
 // free list: the caller hands data to putBuf when it has consumed it.
 // hasOutput reports whether the task had produced an output region (so an
 // empty payload still must be delivered to successors).
-func (ns *ckNamespace) restore(task string) (data []byte, hasOutput bool, d time.Duration, err error) {
+func (ns *ckNamespace) restore(task string) (data []byte, hasOutput bool, err error) {
 	e, ok := ns.lookup(task)
 	if !ok {
-		return nil, false, 0, fmt.Errorf("core: no checkpoint for %s/%s", ns.id, task)
+		return nil, false, fmt.Errorf("core: no checkpoint for %s/%s", ns.id, task)
 	}
 	if e.size == 0 {
-		return nil, e.hasOutput, 0, nil
+		return nil, e.hasOutput, nil
 	}
 	buf := ns.c.getBuf(e.size, false)
-	data, d, err = ns.c.store.GetInto(e.obj, buf)
-	if err != nil {
+	if data, _, err = ns.c.store.GetInto(e.obj, buf); err != nil {
 		ns.c.putBuf(buf)
-		return nil, true, d, fmt.Errorf("core: restoring %s/%s: %w", ns.id, task, err)
+		return nil, true, fmt.Errorf("core: restoring %s/%s: %w", ns.id, task, err)
 	}
-	return data, true, d, nil
+	return data, true, nil
 }
 
 // drop removes a single task's snapshot. The wavefront executor uses it
@@ -302,7 +278,7 @@ type RecoveryPolicy struct {
 	// (default 3).
 	MaxAttempts int
 	// PartialReplay restores lazily: on a retry, completed tasks are still
-	// completed from their replay records without re-execution, but a task's
+	// completed from their snapshots without re-execution, but a task's
 	// output is fetched from the store only when a re-executed successor
 	// actually receives it. Interior outputs of the skipped prefix — those no
 	// re-executed task reads — are never fetched at all, which is where wide
@@ -349,9 +325,8 @@ func (rec *recoveryState) forget(ns *ckNamespace) {
 
 // checkpointTask snapshots a completed task's output (if any) into the
 // checkpointer's store, charging the store's virtual time to the task. The
-// Put price is stashed on the context: when the task fully completes it
-// becomes the entry's deterministic replay price (record). The output is
-// staged through a recycled buffer that goes back when the store has copied it.
+// output is staged through a recycled buffer that goes back when the store
+// has copied it.
 func (r *run) checkpointTask(ctx *taskCtx, t *dataflow.Task) error {
 	var data []byte
 	hasOutput := ctx.output != nil
@@ -374,7 +349,6 @@ func (r *run) checkpointTask(ctx *taskCtx, t *dataflow.Task) error {
 		return err
 	}
 	ctx.now += d
-	ctx.ckRestoreCost = d
 	r.rt.tel.Add(telemetry.LayerFault, "checkpoints", 1)
 	return nil
 }
@@ -400,7 +374,7 @@ func (lr *lazyRestore) hydrate(r *run, task string, h *region.Handle) error {
 	if lr.done {
 		return nil
 	}
-	data, _, _, err := r.ck.restore(task)
+	data, _, err := r.ck.restore(task)
 	if err != nil {
 		return err
 	}
@@ -423,16 +397,13 @@ func (lr *lazyRestore) hydrate(r *run, task string, h *region.Handle) error {
 // legitimately expect the region are never starved. The dispatcher folds
 // the returned finish time and report into the run, like any executed task.
 //
-// Replay charges one store round trip of virtual time. For a recorded
-// (warm) snapshot the price is the deterministic recorded Put cost, and
-// partial replay elides the real store fetch entirely: a placeholder
-// payload of the snapshot's exact size backs the region until a
+// Replay charges one store round trip of virtual time, priced at the
+// snapshot's Put, and partial replay elides the real store fetch entirely: a
+// placeholder payload of the snapshot's exact size backs the region until a
 // re-executed consumer hydrates it (run.lazy) — so outputs no re-executed
 // task ever reads are never fetched at all. The virtual timeline, and with
 // it the final report, is byte-identical between the modes; only the real
-// store traffic differs. A record-less (cold) snapshot — the task failed
-// after its checkpoint, or the entry was seeded outside the engine —
-// fetches eagerly in both modes and charges the observed Get price.
+// store traffic differs.
 func (r *run) restoreTaskAt(ctx *taskCtx, start time.Duration) (time.Duration, *TaskReport, error) {
 	t := ctx.task
 	for i := range r.g.Preds(ctx.rank) {
@@ -447,29 +418,18 @@ func (r *run) restoreTaskAt(ctx *taskCtx, start time.Duration) (time.Duration, *
 	if !ok {
 		return 0, nil, fmt.Errorf("core: no checkpoint for %s/%s", r.ck.id, t.ID())
 	}
-	lazy := r.partial && e.recorded
+	lazy := r.partial
 	var data []byte
-	hasOutput := e.hasOutput
-	if lazy {
-		ctx.now += e.restoreCost
-	} else {
-		var d time.Duration
+	if !lazy {
 		var err error
-		data, hasOutput, d, err = r.ck.restore(t.ID())
-		if err != nil {
+		if data, _, err = r.ck.restore(t.ID()); err != nil {
 			return 0, nil, err
 		}
 		defer r.ck.c.putBuf(data)
-		if e.recorded {
-			// Charge the deterministic price partial replay would charge,
-			// not the observed Get — keeping the two modes' virtual
-			// timelines identical.
-			d = e.restoreCost
-		}
-		ctx.now += d
 		r.rt.tel.Add(telemetry.LayerFault, "restored_bytes", int64(len(data)))
 	}
-	if hasOutput {
+	ctx.now += e.restoreCost
+	if e.hasOutput {
 		size := e.size
 		if size == 0 {
 			// Regions have a one-byte floor; deliver the smallest region

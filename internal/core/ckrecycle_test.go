@@ -53,7 +53,7 @@ func TestForgetDoesNotCrossNamespaces(t *testing.T) {
 	}
 	want := func(id, task, payload string) {
 		t.Helper()
-		data, _, _, err := ck.open(id).restore(task)
+		data, _, err := ck.open(id).restore(task)
 		if err != nil || string(data) != payload {
 			t.Errorf("restore(%q, %q) = %q, %v; want %q", id, task, data, err, payload)
 		}
@@ -100,7 +100,7 @@ func TestForgetDoesNotCrossNamespaces(t *testing.T) {
 					}
 				}
 				for _, task := range []string{"t", "t/u", "t@1"} {
-					data, _, _, err := ns.restore(task)
+					data, _, err := ns.restore(task)
 					if err != nil || !bytes.Equal(data, mine) {
 						t.Errorf("worker %d restored %q, %v; want %q", w, data, err, mine)
 					}
@@ -128,7 +128,6 @@ func TestSnapshotIntoForgottenNamespaceStoresNothing(t *testing.T) {
 	if _, err := ns.snapshot("late", []byte("after the forget"), true, false); err != nil {
 		t.Fatal(err)
 	}
-	ns.record("late", 1)
 	ns.drop("late")
 	if _, ok := ns.lookup("late"); ok {
 		t.Error("a forgotten namespace took an entry")
@@ -173,7 +172,7 @@ func TestCheckpointerStagingConcurrent(t *testing.T) {
 							}
 						}
 						for task, w := range want {
-							data, _, _, err := ns.restore(task)
+							data, _, err := ns.restore(task)
 							if err != nil || !bytes.Equal(data, w) {
 								t.Errorf("restore(%s) returned %d bytes, %v; want the %d staged", task, len(data), err, len(w))
 							}

@@ -531,10 +531,11 @@ func benchChainJob(name string, depth int, payload int64, stall time.Duration) *
 	return j
 }
 
-// BenchmarkServeOverlap is the serving acceptance benchmark: a mixed batch —
-// two wide fan-outs that can use the pool alone and two serial chains that
-// cannot — served on one four-worker pool. Overlap lets the chains' stalls
-// hide under the wides' waves (the gate is the committed jobs/s); every
+// BenchmarkServeOverlap is the serving throughput of EXPERIMENTS.md A10: a
+// mixed batch — two wide fan-outs that can use the pool alone and two serial
+// chains that cannot — served on one four-worker pool. Overlap lets the
+// chains' stalls hide under the wides' waves (no gate reads its jobs/s:
+// TestBatchMatesAllInFlight shows the overlap exactly); every
 // member's virtual makespan is additionally asserted identical to its solo
 // Workers=1 run — throughput never buys back determinism.
 func BenchmarkServeOverlap(b *testing.B) {
@@ -566,7 +567,6 @@ func BenchmarkServeOverlap(b *testing.B) {
 		}
 		refs[i] = rep.Makespan
 	}
-	// The sub-benchmark name is the one bench/BENCH_serve_baseline.json gates.
 	b.Run("overlap", func(b *testing.B) {
 		s, err := NewServer(ServerConfig{
 			ExecConfig: ExecConfig{Workers: 4}, EpochWorkers: 1, MaxBatch: 8, QueueDepth: 64, Block: true,

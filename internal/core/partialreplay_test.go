@@ -1,7 +1,7 @@
 package core
 
 // Tests for partial-replay recovery (ISSUE 5): on a retry, checkpointed
-// tasks replay at the deterministic recorded price in both modes, and
+// tasks replay at their snapshot's Put price in both modes, and
 // partial replay additionally defers the real store fetch until a
 // re-executed consumer needs the payload. The headline contract under test:
 // a recovered report under RecoveryPolicy.PartialReplay is byte-identical to
@@ -10,14 +10,18 @@ package core
 // virtual time.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
 	goruntime "runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataflow"
 	"repro/internal/fault"
+	"repro/internal/props"
 	"repro/internal/telemetry"
 )
 
@@ -204,6 +208,87 @@ func TestPartialReplayMultiFault(t *testing.T) {
 		if part.SkippedTasks+part.ReplayedTasks != len(part.Tasks) {
 			t.Errorf("workers=%d: skipped %d + replayed %d != %d tasks",
 				w, part.SkippedTasks, part.ReplayedTasks, len(part.Tasks))
+		}
+	}
+}
+
+// selfReleaseJob is a writer that creates a job global, a reader of it that
+// writes a patternPayload output and then releases its own share of the
+// global, and a sink that verifies the reader's bytes. The reader's
+// end-of-task release fails after its checkpoint, so its first attempt fails
+// with a snapshot in place; ran counts how often the reader's body runs.
+func selfReleaseJob(name string, ran *atomic.Int32) *dataflow.Job {
+	const fill = 0x5a
+	j := dataflow.NewJob(name)
+	writer := j.Task("writer", dataflow.Props{Ops: 1e5}, func(ctx dataflow.Ctx) error {
+		g, err := ctx.Global("g", props.GlobalScratch, 4<<10)
+		if err != nil {
+			return err
+		}
+		now, err := g.WriteAt(ctx.Now(), 0, make([]byte, 4<<10))
+		ctx.Wait(now)
+		return err
+	})
+	reader := j.Task("reader", dataflow.Props{Ops: 1e5}, func(ctx dataflow.Ctx) error {
+		ran.Add(1)
+		g, err := ctx.Global("g", props.GlobalScratch, 4<<10)
+		if err != nil {
+			return err
+		}
+		out, err := ctx.Output(patternPayload)
+		if err != nil {
+			return err
+		}
+		now, err := out.WriteAsync(ctx.Now(), 0, bytes.Repeat([]byte{fill}, patternPayload)).Await(ctx.Now())
+		if err != nil {
+			return err
+		}
+		ctx.Wait(now)
+		return g.Release() // the runtime's own release of this share fails
+	})
+	sink := j.Task("sink", dataflow.Props{Ops: 1e5}, func(ctx dataflow.Ctx) error {
+		buf := make([]byte, patternPayload)
+		now, err := ctx.Inputs()[0].ReadAt(ctx.Now(), 0, buf)
+		if err != nil {
+			return err
+		}
+		ctx.Wait(now)
+		if i := bytes.IndexFunc(buf, func(r rune) bool { return r != fill }); i >= 0 {
+			return fmt.Errorf("reader's byte %d is not %#x", i, fill)
+		}
+		return nil
+	})
+	writer.Then(reader)
+	reader.Then(sink)
+	return j
+}
+
+// TestReplayRestoresATaskWhoseReleaseFailed: a task that fails after its
+// checkpoint — here a global's reader whose end-of-task share release fails
+// — is restored on the retry, not re-run, at its snapshot's Put price in
+// both modes. Partial replay defers its fetch to the sink that reads it, and
+// the two modes' reports are byte-identical at every pool size.
+func TestReplayRestoresATaskWhoseReleaseFailed(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		var reps [2]*Report
+		for i, partial := range []bool{false, true} {
+			var ran atomic.Int32
+			rep, rt := runReplay(t, selfReleaseJob("self-release", &ran), w, nil, partial, 3)
+			if rep.Attempts != 2 || ran.Load() != 1 {
+				t.Fatalf("workers=%d partial=%v: %d attempts, reader ran %d times; want 2 and 1", w, partial, rep.Attempts, ran.Load())
+			}
+			if logs := rep.Task("reader").Logs; !slices.Contains(logs, "restored from checkpoint") {
+				t.Errorf("workers=%d partial=%v: the retry did not restore the reader: %v", w, partial, logs)
+			}
+			tel := rt.Telemetry()
+			fetched, hydrated := tel.Counter(telemetry.LayerFault, "restored_bytes"), tel.Counter(telemetry.LayerFault, "lazy_hydrations")
+			if want := int64(map[bool]int{false: 0, true: 1}[partial]); hydrated != want || fetched != patternPayload {
+				t.Errorf("workers=%d partial=%v: fetched %d B in %d lazy hydrations, want %d B in %d", w, partial, fetched, hydrated, patternPayload, want)
+			}
+			reps[i] = rep
+		}
+		if !reflect.DeepEqual(reps[0], reps[1]) {
+			t.Errorf("workers=%d: partial report diverges from full:\nfull    %+v\npartial %+v", w, reps[0], reps[1])
 		}
 	}
 }

@@ -273,7 +273,7 @@ func TestCheckpointerForgetSnapshotRace(t *testing.T) {
 					t.Errorf("snapshot: %v", err)
 					return
 				}
-				if _, _, _, err := ck.open(id).restore(task); err != nil {
+				if _, _, err := ck.open(id).restore(task); err != nil {
 					t.Errorf("restore: %v", err)
 					return
 				}
@@ -338,14 +338,14 @@ func TestCheckpointerOutputlessEntries(t *testing.T) {
 	if _, err := ck.open("id").snapshot("sink", nil, false, false); err != nil {
 		t.Fatal(err)
 	}
-	data, hasOutput, _, err := ck.open("id").restore("sink")
+	data, hasOutput, err := ck.open("id").restore("sink")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hasOutput || data != nil {
 		t.Errorf("outputless entry restored as (%v, hasOutput=%v), want (nil, false)", data, hasOutput)
 	}
-	if _, _, _, err := ck.open("id").restore("missing"); err == nil {
+	if _, _, err := ck.open("id").restore("missing"); err == nil {
 		t.Error("restore of unknown task must fail")
 	}
 }

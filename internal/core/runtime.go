@@ -610,14 +610,6 @@ func (r *run) execTaskAt(w *wavefront, k int, view *topology.TaskView, start tim
 	// The task did run to completion: its report and finish time are
 	// recorded even when a share release failed, so downstream accounting
 	// (makespan, spans, reports) stays consistent.
-	if r.ck != nil && relErrs == nil {
-		// Fully successful: mark the snapshot warm-replayable so a later
-		// attempt can replay it at the deterministic recorded price (and,
-		// under partial replay, without eager restore I/O). A release error
-		// keeps the entry cold — the retry restores it eagerly, exactly as
-		// it always has.
-		r.ck.record(t.ID(), ctx.ckRestoreCost)
-	}
 	r.rt.tel.Record(telemetry.Span{
 		Layer: telemetry.LayerRuntime, Job: r.job.Name(), Task: t.ID(),
 		Name: "exec", Start: start, End: ctx.now,

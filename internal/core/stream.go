@@ -386,7 +386,7 @@ func (s *Server) streamResumeScan(spec stream.Spec, t *StreamTicket, resumed boo
 		if _, ok := markers.lookup(streamMarker(next)); !ok {
 			break
 		}
-		data, _, _, err := markers.restore(streamMarker(next))
+		data, _, err := markers.restore(streamMarker(next))
 		if err != nil {
 			t.setErr(err)
 			return 0, false

@@ -52,10 +52,6 @@ type taskCtx struct {
 	// with an output and an input or two notes.
 	events  []memEvent
 	journal [4]memEvent
-	// ckRestoreCost is the snapshot Put price stashed by checkpointTask;
-	// on full completion it becomes the entry's deterministic replay price
-	// (Checkpointer.record).
-	ckRestoreCost time.Duration
 }
 
 // After implements region.Fence: the task's accesses wait on its run's

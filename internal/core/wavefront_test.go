@@ -433,8 +433,9 @@ var benchRefMakespan struct {
 // BenchmarkWideDAGParallel measures wall-clock execution of a fan-out-16
 // DAG with real 4 MiB payload writes per branch across wavefront pool
 // sizes. Virtual makespan must be identical at every size; wall-clock time
-// should fall as workers are added (the acceptance gate records ≥2× at
-// workers=4 over workers=1).
+// should fall as workers are added — the speedup curve of EXPERIMENTS.md A9,
+// which no gate reads: BenchmarkServedWideDAG is the gated cost of the same
+// wave without its payloads and stalls.
 func BenchmarkWideDAGParallel(b *testing.B) {
 	const width, payload, stall = 16, 1 << 20, 5 * time.Millisecond
 	benchRefMakespan.once.Do(func() {
@@ -465,6 +466,69 @@ func BenchmarkWideDAGParallel(b *testing.B) {
 					b.Fatalf("makespan %v != workers=1 reference %v", rep.Makespan, benchRefMakespan.d)
 				}
 			}
+		})
+	}
+}
+
+// nilWideJob is benchWideJob's fan-out with nil bodies: a source handing a
+// 4 KiB region to width branches, each handing 256 B to one sink, every task
+// costing only its declared Ops. Nothing stalls, so serving it costs only
+// what the engine spends on a wide wave.
+func nilWideJob(name string, width int) *dataflow.Job {
+	j := dataflow.NewJob(name)
+	src := j.Task("src", dataflow.Props{Ops: 1e4, OutputBytes: 4 << 10}, nil)
+	sink := j.Task("sink", dataflow.Props{Ops: 1e4}, nil)
+	for i := 0; i < width; i++ {
+		t := j.Task(fmt.Sprintf("branch%02d", i), dataflow.Props{Ops: 1e5, OutputBytes: 256}, nil)
+		src.Then(t)
+		t.Then(sink)
+	}
+	return j
+}
+
+// BenchmarkServedWideDAG is what the engine spends on one served fan-out-16
+// job, in time and in allocations, at wavefront pool sizes 1 and 4: the
+// parallel-DAG counterpart of BenchmarkServedJob, one job after another on
+// servedMix's server shape. 64 untimed submissions are the ramp, and the
+// first of them is the determinism check: its report is byte for byte the
+// solo Workers=1 run's.
+func BenchmarkServedWideDAG(b *testing.B) {
+	job := nilWideJob("wide16", 16)
+	rt, err := New(ExecConfig{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	solo, err := rt.Run(job)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			s, err := NewServer(ServerConfig{
+				ExecConfig:   ExecConfig{Workers: w},
+				EpochWorkers: 2, MaxBatch: 8, QueueDepth: 1024, Block: true,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close(context.Background()) //nolint:errcheck
+			for i := 0; i < 64; i++ {
+				rep, err := s.Submit(context.Background(), job)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 && rep.String() != solo.String() {
+					b.Fatalf("served report diverges from solo Workers=1:\n got: %s\nwant: %s", rep, solo)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Submit(context.Background(), job); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
 		})
 	}
 }

@@ -25,16 +25,7 @@ import (
 // and on a handle allocated per hand-over.
 func TestAllocBudgetRoutedJob(t *testing.T) {
 	const budget = 31.0
-	c := newTestCluster(t, Config{Shards: 2, Server: core.ServerConfig{
-		ExecConfig:   core.ExecConfig{Workers: 2, Inject: fault.NewInjector(42, 0.05, 1)},
-		EpochWorkers: 2, MaxBatch: 8, QueueDepth: 1024,
-		Recovery: &core.RecoveryPolicy{MaxAttempts: 8, PartialReplay: true},
-	}})
-	mix := workload.NewMix(workload.MixConfig{Seed: 42, RealFraction: -1})
-	pool := make([]*dataflow.Job, 256)
-	for i := range pool {
-		pool[i] = mix.Next()
-	}
+	c, pool := routedMix(t)
 	pass := func() {
 		for _, j := range pool {
 			if _, err := c.Submit(context.Background(), j); err != nil {
@@ -55,4 +46,70 @@ func TestAllocBudgetRoutedJob(t *testing.T) {
 	if got > budget {
 		t.Errorf("a routed job makes %.1f allocations, budget is %.1f — a handle per hand-over, a store record, an injector site, a signature hasher, a run ID or a restore log allocating again?", got, budget)
 	}
+}
+
+// routedPolicy is the recovery every routed-mix shard and its solo reference
+// run under.
+var routedPolicy = core.RecoveryPolicy{MaxAttempts: 8, PartialReplay: true}
+
+// routedMix is the routed checkpointed serving shape: a 2-shard cluster
+// sharing one checkpointer, partial replay, 5 % of task sites failing their
+// first execution, and 256 jobs of the nil-body serving mix.
+func routedMix(tb testing.TB) (*Cluster, []*dataflow.Job) {
+	tb.Helper()
+	pol := routedPolicy
+	c := newTestCluster(tb, Config{Shards: 2, Server: core.ServerConfig{
+		ExecConfig:   core.ExecConfig{Workers: 2, Inject: fault.NewInjector(42, 0.05, 1)},
+		EpochWorkers: 2, MaxBatch: 8, QueueDepth: 1024,
+		Recovery: &pol,
+	}})
+	mix := workload.NewMix(workload.MixConfig{Seed: 42, RealFraction: -1})
+	pool := make([]*dataflow.Job, 256)
+	for i := range pool {
+		pool[i] = mix.Next()
+	}
+	return c, pool
+}
+
+// BenchmarkRoutedJob is BenchmarkServedJob (internal/core) through the
+// router: what the engine spends on one routed, checkpointed job of the
+// nil-body mix, in TestAllocBudgetRoutedJob's shape, one job after another
+// through Cluster.Submit. No task body stalls, so ring walk, ledger write,
+// admission, planning, dispatch, checkpoint, injected-fault retries and
+// retirement are the whole number. One pass over the pool is the untimed
+// ramp, and it is the determinism check as well: every job that ran in one
+// attempt (189 of the 256) reports byte for byte what its solo Workers=1 run
+// under the same recovery policy reports. A job the injector failed settles
+// after a retry with as many tasks as its solo run; no solo run meets its
+// faults, which the injector draws by the submission's snapshot namespace.
+func BenchmarkRoutedJob(b *testing.B) {
+	c, pool := routedMix(b)
+	for _, j := range pool {
+		rep, err := c.Submit(context.Background(), j)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rt, err := core.New(core.ExecConfig{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		solo, err := rt.Run(j, routedPolicy)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Attempts == 1 && rep.String() != solo.String() {
+			b.Fatalf("%s: routed report diverges from solo:\n got: %s\nwant: %s", j.Name(), rep, solo)
+		}
+		if rep.Attempts > 1 && len(rep.Tasks) != len(solo.Tasks) {
+			b.Fatalf("%s: retried report has %d tasks, solo %d", j.Name(), len(rep.Tasks), len(solo.Tasks))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Submit(context.Background(), pool[i%len(pool)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
 }

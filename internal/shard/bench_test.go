@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,34 +13,41 @@ import (
 	"repro/internal/props"
 )
 
-// benchStallJob is the serving workload: a three-stage chain whose stages
-// stall the wall clock (the far-memory round trips a real deployment
-// waits on) and write a small scratch payload. Virtual time is a pure
-// function of the structure, so every name has the same solo makespan.
-func benchStallJob(name string, stall time.Duration) *dataflow.Job {
+// stageChain is a three-stage chain whose every stage runs body. Its routing
+// signature depends on its name alone, so the benchmark's stalling jobs and
+// the tests' barrier jobs of one name land on the same shard.
+func stageChain(name string, body func(dataflow.Ctx) error) *dataflow.Job {
 	j := dataflow.NewJob(name)
 	var prev *dataflow.Task
 	for i := 0; i < 3; i++ {
-		t := j.Task(fmt.Sprintf("stage%d", i), dataflow.Props{Ops: 1e5}, func(ctx dataflow.Ctx) error {
-			scratch, err := ctx.Scratch("buf", 4<<10)
-			if err != nil {
-				return err
-			}
-			now, err := scratch.WriteAt(ctx.Now(), 0, make([]byte, 4<<10))
-			if err != nil {
-				return err
-			}
-			ctx.Wait(now)
-			time.Sleep(stall)
-			ctx.Charge(1e5)
-			return nil
-		})
+		t := j.Task(fmt.Sprintf("stage%d", i), dataflow.Props{Ops: 1e5}, body)
 		if prev != nil {
 			prev.Then(t)
 		}
 		prev = t
 	}
 	return j
+}
+
+// benchStallJob is the serving workload: a three-stage chain whose stages
+// stall the wall clock (the far-memory round trips a real deployment
+// waits on) and write a small scratch payload. Virtual time is a pure
+// function of the structure, so every name has the same solo makespan.
+func benchStallJob(name string, stall time.Duration) *dataflow.Job {
+	return stageChain(name, func(ctx dataflow.Ctx) error {
+		scratch, err := ctx.Scratch("buf", 4<<10)
+		if err != nil {
+			return err
+		}
+		now, err := scratch.WriteAt(ctx.Now(), 0, make([]byte, 4<<10))
+		if err != nil {
+			return err
+		}
+		ctx.Wait(now)
+		time.Sleep(stall)
+		ctx.Charge(1e5)
+		return nil
+	})
 }
 
 // benchJobNames picks jobCount names whose consistent-hash assignment is
@@ -55,7 +63,7 @@ func benchJobNames(jobCount int) []string {
 	count4 := make([]int, 4)
 	for i := 0; len(names) < jobCount && i < 65536; i++ {
 		name := fmt.Sprintf("sj-%d", i)
-		sig := Signature(benchStallJob(name, 0))
+		sig := Signature(stageChain(name, nil))
 		b2, b4 := ring2.successor(sig, alive), ring4.successor(sig, alive)
 		if count2[b2] >= jobCount/2 || count4[b4] >= jobCount/4 {
 			continue
@@ -67,14 +75,14 @@ func benchJobNames(jobCount int) []string {
 	return names
 }
 
-// BenchmarkServeSharded is the scaling acceptance benchmark: a fixed
-// 16-job wave served by 1, 2, and 4 shards, each shard a single-worker
-// core.Server over its own runtime and epoch pool. One shard drains the
-// wave serially; N shards overlap the stages' wall-clock stalls N ways, so
-// admitted jobs/s scales with the shard count (gated ≥1.7× at 2 shards,
-// ≥3× at 4 by bench-smoke). On the first iteration of every shard count,
-// each report is asserted byte-identical to the job's solo Workers=1 run —
-// horizontal scale never buys back determinism.
+// BenchmarkServeSharded is the scaling curve: a fixed 16-job wave served by
+// 1, 2, and 4 shards, each shard a single-worker core.Server over its own
+// runtime and epoch pool. One shard drains the wave serially; N shards
+// overlap the stages' wall-clock stalls N ways, so admitted jobs/s scales
+// with the shard count. No gate reads it: that the shards run side by side
+// is TestShardsAllInFlight, exactly. On the first iteration of every shard
+// count, each report is asserted byte-identical to the job's solo Workers=1
+// run — horizontal scale never buys back determinism.
 func BenchmarkServeSharded(b *testing.B) {
 	const (
 		jobCount = 16
@@ -133,6 +141,69 @@ func BenchmarkServeSharded(b *testing.B) {
 				b.ReportMetric(jobsPerSec/baseJobsPerSec, "speedup")
 			}
 		})
+	}
+}
+
+// TestShardsAllInFlight is the sharded twin of core's
+// TestBatchMatesAllInFlight: at 2 and 4 single-worker shards, the wave of
+// benchJobNames(16) has one job in flight on every shard at once. Every stage
+// waits at a barrier for one arrival per shard, and a single-worker shard
+// runs one stage at a time, so the wave completes only if the ring spread it
+// evenly and every shard ran side by side; the per-shard admission counts
+// are exact.
+func TestShardsAllInFlight(t *testing.T) {
+	const jobCount = 16
+	names := benchJobNames(jobCount)
+	for _, shards := range []int{2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			c := newTestCluster(t, Config{Shards: shards, Server: core.ServerConfig{
+				ExecConfig: core.ExecConfig{Workers: 1}, EpochWorkers: 1, MaxBatch: 1, QueueDepth: 2 * jobCount,
+			}})
+			bar := &barrier{n: shards, open: make(chan struct{})}
+			tks := make([]*core.Ticket, len(names))
+			for k, n := range names {
+				tk, err := c.SubmitAsync(context.Background(), stageChain(n, func(dataflow.Ctx) error { return bar.wait() }))
+				if err != nil {
+					t.Fatal(err)
+				}
+				tks[k] = tk
+			}
+			for k, tk := range tks {
+				if _, err := tk.Wait(context.Background()); err != nil {
+					t.Fatalf("%s: %v", names[k], err)
+				}
+			}
+			for _, st := range c.Stats() {
+				if st.Admitted != jobCount/int64(shards) || st.Completed != st.Admitted {
+					t.Errorf("%s admitted %d and completed %d jobs, want %d each", st.Name, st.Admitted, st.Completed, jobCount/shards)
+				}
+			}
+		})
+	}
+}
+
+// barrier is a cyclic barrier of n parties: wait returns once n callers
+// have arrived in the current round, and the next caller opens a new round.
+type barrier struct {
+	n       int
+	mu      sync.Mutex
+	arrived int
+	open    chan struct{} // closed when the current round is full
+}
+
+func (b *barrier) wait() error {
+	b.mu.Lock()
+	open := b.open
+	if b.arrived++; b.arrived == b.n {
+		close(open)
+		b.arrived, b.open = 0, make(chan struct{})
+	}
+	b.mu.Unlock()
+	select {
+	case <-open:
+		return nil
+	case <-time.After(30 * time.Second):
+		return fmt.Errorf("fewer than %d shards ever had a job in flight together", b.n)
 	}
 }
 
