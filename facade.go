@@ -28,7 +28,8 @@ type (
 	Task = dataflow.Task
 	// TaskProps are the declarative task properties of Fig. 2c.
 	TaskProps = dataflow.Props
-	// TaskCtx is the execution context passed to task bodies.
+	// TaskCtx is the execution context passed to task bodies, valid only
+	// while the body runs (dataflow.Ctx).
 	TaskCtx = dataflow.Ctx
 	// TaskFn is a task body.
 	TaskFn = dataflow.Fn

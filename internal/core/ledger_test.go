@@ -24,10 +24,11 @@ import (
 	"repro/internal/workload"
 )
 
-// ledgerRow is one function's share of a unit's allocations.
+// ledgerRow is one function's share of a unit's allocations and bytes.
 type ledgerRow struct {
 	fn     string  // innermost repro/ function on the stack, "repro/" and "internal/" trimmed
 	allocs float64 // per unit
+	bytes  float64 // per unit
 }
 
 // layer is the package a row's function belongs to.
@@ -49,9 +50,10 @@ const (
 
 // allocLedger runs pass once with every allocation profiled and returns what
 // it allocated per unit, one row per innermost repro/ function, largest first.
-// The rows sum to what the runtime counted over the pass — the count
-// testing.AllocsPerRun reads — exactly. The caller has set
-// runtime.MemProfileRate to 1.
+// The rows' allocations sum to what the runtime counted over the pass — the
+// count testing.AllocsPerRun reads — exactly, and so do their bytes, the
+// unprofiled row's being what the runtime counted beyond the profile's. The
+// caller has set runtime.MemProfileRate to 1.
 func allocLedger(t *testing.T, pass func(), units float64) []ledgerRow {
 	t.Helper()
 	// Both record buffers exist before the window opens, so the window holds
@@ -71,30 +73,35 @@ func allocLedger(t *testing.T, pass func(), units float64) []ledgerRow {
 	if !ok || !ok2 {
 		t.Fatal("memory profile outgrew the ledger's record buffers")
 	}
-	counts := make(map[[32]uintptr]int64, nb)
+	// An allocation count and its bytes, per stack or function.
+	type tally struct{ allocs, bytes int64 }
+	counts := make(map[[32]uintptr]tally, nb)
 	for _, r := range before[:nb] {
-		counts[r.Stack0] -= r.AllocObjects
+		c := counts[r.Stack0]
+		counts[r.Stack0] = tally{c.allocs - r.AllocObjects, c.bytes - r.AllocBytes}
 	}
 	for _, r := range after[:na] {
-		counts[r.Stack0] += r.AllocObjects
+		c := counts[r.Stack0]
+		counts[r.Stack0] = tally{c.allocs + r.AllocObjects, c.bytes + r.AllocBytes}
 	}
-	byFn := make(map[string]int64)
-	profiled := int64(0)
+	byFn := make(map[string]tally)
+	var profiled tally
 	for stk, c := range counts {
-		if c != 0 {
-			byFn[innermostRepro(stk)] += c
-			profiled += c
+		if c.allocs != 0 {
+			fn := innermostRepro(stk)
+			byFn[fn] = tally{byFn[fn].allocs + c.allocs, byFn[fn].bytes + c.bytes}
+			profiled = tally{profiled.allocs + c.allocs, profiled.bytes + c.bytes}
 		}
 	}
 	switch counted := int64(m1.Mallocs - m0.Mallocs); {
-	case profiled > counted:
-		t.Fatalf("the profile holds %d allocations of the pass, the runtime counted %d", profiled, counted)
-	case profiled < counted:
-		byFn[unprofiled] = counted - profiled
+	case profiled.allocs > counted:
+		t.Fatalf("the profile holds %d allocations of the pass, the runtime counted %d", profiled.allocs, counted)
+	case profiled.allocs < counted:
+		byFn[unprofiled] = tally{counted - profiled.allocs, max(0, int64(m1.TotalAlloc-m0.TotalAlloc)-profiled.bytes)}
 	}
 	var rows []ledgerRow
 	for fn, c := range byFn {
-		rows = append(rows, ledgerRow{fn, float64(c) / units})
+		rows = append(rows, ledgerRow{fn, float64(c.allocs) / units, float64(c.bytes) / units})
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].allocs != rows[j].allocs {
@@ -138,20 +145,26 @@ type ledgerCase struct {
 }
 
 // ledgerLimit is the most the rows of some layers or functions may allocate a
-// unit together: rows names layers ("region") and functions
-// ("core.(*run).fillReport").
+// unit together, in allocations or, with bytes set, in bytes: rows names
+// layers ("region") and functions ("core.(*run).fillReport").
 type ledgerLimit struct {
-	rows []string
-	max  float64
+	rows  []string
+	max   float64
+	bytes bool
 }
 
 // regionLimit gates the region layer at what a region and its handles cost.
-func regionLimit(max float64) ledgerLimit { return ledgerLimit{[]string{"region"}, max} }
+func regionLimit(max float64) ledgerLimit { return ledgerLimit{[]string{"region"}, max, false} }
 
 // reportTails are the functions that fill a succeeded job's report. Its tails
 // are in its own storage, so they allocate only past it; the Report itself is
 // newReport's row.
-var reportTails = ledgerLimit{[]string{"core.(*run).computePeak", "core.(*run).fillReport"}, 0.4}
+var reportTails = ledgerLimit{[]string{"core.(*run).computePeak", "core.(*run).fillReport"}, 0.4, false}
+
+// attemptBytes gates what an attempt allocates of its own: its task reports,
+// 96 bytes a task. Measured 516 bytes a lone served job; 3 364 when each
+// attempt allocated its task contexts as well, 520 bytes a task.
+var attemptBytes = ledgerLimit{[]string{"core.(*run).attempt"}, 700, true}
 
 // handOvers are the functions that hand a region over. A region carries its
 // handles, so neither may allocate: no row may name them.
@@ -172,7 +185,7 @@ var ledgerCases = []ledgerCase{
 	// Which epoch worker a job lands on, and with it which free lists it
 	// finds grown, is wall-clock's: a pass in five makes up to 0.3 more
 	// allocations a job than the rest.
-	{"lone served job", "job", 0.3, []ledgerLimit{regionLimit(5.5), reportTails}, func(t *testing.T) (func(), float64) {
+	{"lone served job", "job", 0.3, []ledgerLimit{regionLimit(5.5), reportTails, attemptBytes}, func(t *testing.T) (func(), float64) {
 		// TestAllocBudgetServedJob's shape: each job alone in its batch.
 		s, err := core.NewServer(core.ServerConfig{
 			ExecConfig:   core.ExecConfig{Workers: 2},
@@ -256,7 +269,7 @@ var ledgerCases = []ledgerCase{
 	// the dataflow layer is that and the owner names, 4 and 1 (9.05 when the
 	// graph took eight). Passes submit equal jobs, drawn from one seed, and
 	// differ by up to 0.5 a job under the race detector beside other tests.
-	{"paced fresh job", "job", 1, []ledgerLimit{{[]string{"dataflow"}, 5.2}}, func(t *testing.T) (func(), float64) {
+	{"paced fresh job", "job", 1, []ledgerLimit{{[]string{"dataflow"}, 5.2, false}}, func(t *testing.T) (func(), float64) {
 		s, err := core.NewServer(core.ServerConfig{
 			ExecConfig:   core.ExecConfig{Workers: 2},
 			EpochWorkers: 2, MaxBatch: 8, QueueDepth: 1024, Block: true,
@@ -314,11 +327,13 @@ func TestAllocLedger(t *testing.T) {
 		total := testing.AllocsPerRun(1, pass) / units
 		rows := allocLedger(t, pass, units)
 		var b strings.Builder
-		sum, layers := 0.0, map[string]float64{}
+		sum, bytes, layers := 0.0, 0.0, map[string]float64{}
+		fmt.Fprintf(&b, "  allocs    bytes  function\n")
 		for _, r := range rows {
 			sum += r.allocs
+			bytes += r.bytes
 			layers[r.layer()] += r.allocs
-			fmt.Fprintf(&b, "  %6.2f  %s\n", r.allocs, r.fn)
+			fmt.Fprintf(&b, "  %6.2f  %7.0f  %s\n", r.allocs, r.bytes, r.fn)
 		}
 		names := make([]string, 0, len(layers))
 		for l := range layers {
@@ -334,19 +349,23 @@ func TestAllocLedger(t *testing.T) {
 		for _, l := range names {
 			fmt.Fprintf(&b, " %s %.2f", l, layers[l])
 		}
-		t.Logf("%s: %.2f allocations a %s (AllocsPerRun %.2f)\n%s", c.name, sum, c.unit, total, b.String())
+		t.Logf("%s: %.2f allocations and %.0f bytes a %s (AllocsPerRun %.2f)\n%s", c.name, sum, bytes, c.unit, total, b.String())
 		if math.Abs(sum-total) > c.spread {
 			t.Errorf("%s: the rows sum to %.2f a %s, AllocsPerRun counts %.2f", c.name, sum, c.unit, total)
 		}
 		for _, l := range c.limits {
-			got := 0.0
+			got, what := 0.0, "allocations"
 			for _, r := range rows {
 				if slices.Contains(l.rows, r.layer()) || slices.Contains(l.rows, r.fn) {
-					got += r.allocs
+					if l.bytes {
+						got, what = got+r.bytes, "bytes"
+					} else {
+						got += r.allocs
+					}
 				}
 			}
 			if got > l.max {
-				t.Errorf("%s: %s allocate %.2f a %s, budget %.1f", c.name, strings.Join(l.rows, " + "), got, c.unit, l.max)
+				t.Errorf("%s: %s allocate %.2f %s a %s, budget %.1f", c.name, strings.Join(l.rows, " + "), got, what, c.unit, l.max)
 			}
 		}
 		for _, r := range rows {

@@ -11,6 +11,7 @@ import (
 	"hash/fnv"
 	"reflect"
 	goruntime "runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -94,7 +95,7 @@ func settledMembersLeaveThePool(t *testing.T, workers int) {
 // to use after the job has settled: the source's shared output and a scratch,
 // a consumer's share of that output and its own exclusive output, and — the
 // one handle that stays good — a share of the source's output that a consumer
-// made for an owner nobody releases, fenced by the consumer's context. stop,
+// made for an owner nobody releases, fenced by the consumer's run. stop,
 // when non-nil, runs in the sink's predecessor: what cancels or fails the job.
 func leakyJob(name string, leak chan<- *region.Handle, outsider chan<- *region.Handle, stop func() error) *dataflow.Job {
 	j := dataflow.NewJob(name)
@@ -128,7 +129,7 @@ func leakyJob(name string, leak chan<- *region.Handle, outsider chan<- *region.H
 				}
 				// A clock of its own: the task's view is the scratch's, and
 				// the next job resets it.
-				extra.Rebind(c.run.rt.topo.NewTaskView(), c.rank, c)
+				extra.Rebind(c.run.rt.topo.NewTaskView(), c.rank, c.run)
 				outsider <- extra
 			}
 			return nil
@@ -260,6 +261,197 @@ func leakedHandlesNeverReachRecycledState(t *testing.T, scenario string, workers
 	}
 }
 
+// TestKeptHandleNeverWaitsOnALaterJob: a share a body made for an owner
+// nobody releases outlives its job, fenced by the job's run at its task's
+// rank. A later job takes the same scratch, so its task of that rank runs in
+// the same context slot, and it is held at a barrier below that rank, so its
+// frontier is behind. The kept share's read and write return without waiting
+// on the later job: its fence finds its own run over. Fenced through its
+// task's context slot, the share would wait on the later job's barrier.
+func TestKeptHandleNeverWaitsOnALaterJob(t *testing.T) {
+	rt, err := New(ExecConfig{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := make(chan *region.Handle, 1)
+	early := dataflow.NewJob("early")
+	early.Task("first", dataflow.Props{Ops: 1e5}, nil).Then(early.Task("keeper", dataflow.Props{Ops: 1e5}, func(ctx dataflow.Ctx) error {
+		g, err := ctx.Global("g", props.GlobalState, 256)
+		if err != nil {
+			return err
+		}
+		// An open share of the task's own: it inherits the task's rank and
+		// the run as its fence, and gets a clock of its own, as the task's
+		// view is the scratch's.
+		sh, err := g.Share(region.Owner("early/outsider"), ctx.Compute())
+		if err != nil {
+			return err
+		}
+		c := ctx.(*taskCtx)
+		sh.Rebind(c.run.rt.topo.NewTaskView(), c.rank, c.run)
+		kept <- sh
+		return nil
+	}))
+	if _, err := rt.Run(early); err != nil {
+		t.Fatal(err)
+	}
+	sh := <-kept
+
+	// The later job: rank 0 waits at a barrier until the test releases it,
+	// and rank 1, in the keeper's slot, launches beside it.
+	release, launched := make(chan struct{}), make(chan int, 1)
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	later := dataflow.NewJob("later")
+	later.Task("barrier", dataflow.Props{Ops: 1e5}, func(dataflow.Ctx) error { <-release; return nil })
+	later.Task("beside", dataflow.Props{Ops: 1e5}, func(ctx dataflow.Ctx) error {
+		launched <- ctx.(*taskCtx).rank
+		return nil
+	})
+	done := make(chan error, 1)
+	go func() {
+		_, err := rt.Run(later)
+		done <- err
+	}()
+	defer func() {
+		free()
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+		if err := sh.Release(); err != nil {
+			t.Error(err)
+		}
+		if live := rt.Regions().Live(); live != 0 {
+			t.Errorf("%d regions live after everything was released", live)
+		}
+	}()
+	select {
+	case k := <-launched:
+		if k != 1 {
+			t.Fatalf("the later job's second task has rank %d, want the keeper's, 1", k)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the later job's second task never launched beside its barrier")
+	}
+
+	accessed := make(chan error, 1)
+	go func() {
+		buf := make([]byte, 64)
+		_, err := sh.ReadAt(0, 0, buf)
+		if err == nil {
+			_, err = sh.WriteAt(0, 64, buf)
+		}
+		accessed <- err
+	}()
+	select {
+	case err := <-accessed:
+		if err != nil {
+			t.Errorf("the kept share: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("the kept share's access waited on the later job's barrier: fenced through a recycled context slot?")
+		free()
+		<-accessed
+	}
+}
+
+// TestRecycledSlotsHoldNothing: once a job with job globals, a fan-out,
+// private scratch, logs and a retry has settled, after a wider job, the
+// context slots in the scratch on the free list — its own and the wider job's
+// beyond them — hold no pointer but their slices' own storage: no run, task,
+// device, view, handle, owner name, label or log line of either job. And they
+// kept that storage: the sink's spilled journal and the logging task's log
+// list are there for the next job.
+func TestRecycledSlotsHoldNothing(t *testing.T) {
+	inj := fault.NewInjector(1, 0, 1)
+	inj.Kill("victim", 1)
+	rt, err := New(ExecConfig{Workers: 4, Inject: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Run(wideJob("wider", 16)); err != nil {
+		t.Fatal(err)
+	}
+	job := wideJob("settled", 8)
+	job.Task("victim", dataflow.Props{Ops: 1e5}, nil)
+	job.Task("logger", dataflow.Props{Ops: 1e5}, func(ctx dataflow.Ctx) error {
+		for i := 0; i < 3; i++ {
+			ctx.Log("line %d", i)
+		}
+		return nil
+	})
+	rep, err := rt.Run(job, RecoveryPolicy{MaxAttempts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Attempts != 2 {
+		t.Fatalf("the job took %d attempts, want 2", rep.Attempts)
+	}
+	if rt.free.Len() != 1 {
+		t.Fatalf("%d scratches on the free list, want the job's", rt.free.Len())
+	}
+	sc := rt.free.Get()
+	slots := sc.ctxs[:cap(sc.ctxs)]
+	if len(slots) <= job.Len() {
+		t.Fatalf("%d context slots for %d tasks, want the wider job's more", len(slots), job.Len())
+	}
+	if found := pointersIn(reflect.ValueOf(slots), "ctxs", nil); len(found) > 0 {
+		t.Errorf("recycled context slots hold %d pointers: %v", len(found), found)
+	}
+	var spilled, logged bool
+	for k := range slots {
+		c := &slots[k]
+		spilled = spilled || cap(c.events) > len(c.journal)
+		logged = logged || cap(c.logs) >= 3
+	}
+	if !spilled || !logged {
+		t.Errorf("the slots kept a spilled journal: %t, a log list: %t; want both", spilled, logged)
+	}
+
+	// The report's log lines are its own: a later job logging in the same
+	// slot leaves them as they were.
+	rt.putScratch(sc)
+	next := dataflow.NewJob("next")
+	next.Task("logger", dataflow.Props{Ops: 1e5}, func(ctx dataflow.Ctx) error {
+		ctx.Log("a later job's line")
+		return nil
+	})
+	if _, err := rt.Run(next); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rep.Task("logger").Logs, []string{"line 0", "line 1", "line 2"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("the settled report's logs read %q after a later job, want %q", got, want)
+	}
+}
+
+// pointersIn appends the path of every non-nil pointer v holds to found,
+// slice storage aside: a slice's elements are walked to its capacity instead.
+// A non-empty string counts as the pointer to its bytes.
+func pointersIn(v reflect.Value, path string, found []string) []string {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+		if !v.IsNil() {
+			found = append(found, path)
+		}
+	case reflect.String:
+		if v.Len() > 0 {
+			found = append(found, path)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			found = pointersIn(v.Field(i), path+"."+v.Type().Field(i).Name, found)
+		}
+	case reflect.Slice:
+		v = v.Slice3(0, v.Cap(), v.Cap())
+		fallthrough
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			found = pointersIn(v.Index(i), fmt.Sprintf("%s[%d]", path, i), found)
+		}
+	}
+	return found
+}
+
 // everyMethod calls every method of a handle that can fail and returns the
 // errors by method name.
 func everyMethod(h *region.Handle) map[string]error {
@@ -324,6 +516,7 @@ func scratchFreeListBounded(t *testing.T, workers int) {
 		"slots (a wide graph)":            {w: wavefront{slots: make([]slot, scratchFreeBytes/unsafe.Sizeof(slot{})+1)}},
 		"claim queues (a wide graph too)": {w: wavefront{devs: wideLedgers(8, scratchFreeBytes/ptr+1)}},
 		"views (a wide graph's clocks)":   {views: make([]topology.TaskView, scratchFreeBytes/unsafe.Sizeof(topology.TaskView{})+1)},
+		"contexts (a wide graph's tasks)": {ctxs: make([]taskCtx, scratchFreeBytes/unsafe.Sizeof(taskCtx{})+1)},
 	} {
 		rt.putScratch(sc)
 		if rt.free.Len() != 0 || rt.free.Held() != 0 {
@@ -406,12 +599,15 @@ func TestKeptTicketHoldsNoJob(t *testing.T) {
 // TestReportIndependentOfWhatRanBefore: a job's report is a function of the
 // job, not of the runtime's history. One runtime first serves jobs of several
 // widths — outputs handed over and fanned out, private scratch, Global State
-// and Global Scratch, and a job whose sink fails once and is retried — so its
-// free list holds views, tables and clocks those jobs left behind; then a
-// probe job's report must deep-equal the probe's on a fresh runtime, at one
-// worker and at eight.
-// A view that kept a previous job's queue state, a table not cleared or a
-// core clock not reset shows up here as a later start or finish.
+// and Global Scratch, a job whose 16-input sink spills its journal and whose
+// tasks label four regions and log, and a job whose sink fails once and is
+// retried — so its free list holds views, tables, clocks and context slots
+// those jobs left behind; then a probe job's report must deep-equal the
+// probe's on a fresh runtime, at one worker and at eight.
+// A view that kept a previous job's queue state, a table not cleared, a core
+// clock not reset, or a context slot that kept stale events, placements or
+// logs shows up here as a later start or finish, another peak, or a region or
+// log line the probe never made.
 func TestReportIndependentOfWhatRanBefore(t *testing.T) {
 	probe := func(rt *Runtime) *Report {
 		t.Helper()
@@ -432,6 +628,9 @@ func TestReportIndependentOfWhatRanBefore(t *testing.T) {
 			if _, err := warm.Run(wideJob(fmt.Sprintf("warm%d", i), width)); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if _, err := warm.Run(labelledJob("labelled", 16)); err != nil {
+			t.Fatal(err)
 		}
 		retried := wideJob("retried", 12)
 		retried.Task("victim", dataflow.Props{Ops: 1e5}, nil)
@@ -459,4 +658,31 @@ func TestReportIndependentOfWhatRanBefore(t *testing.T) {
 			t.Errorf("workers=%d: the probe after other jobs differs from the probe alone:\n%s\nwant\n%s", workers, got, want)
 		}
 	}
+}
+
+// labelledJob is a source fanned out to width branches that each label four
+// regions — three private scratches and their output — and log a line, joined
+// by a sink with width inputs, which journals more events than its slot holds
+// inline.
+func labelledJob(name string, width int) *dataflow.Job {
+	j := dataflow.NewJob(name)
+	src := j.Task("src", dataflow.Props{Ops: 1e5, OutputBytes: 4 << 10}, nil)
+	sink := j.Task("sink", dataflow.Props{Ops: 1e5}, nil)
+	for i := 0; i < width; i++ {
+		b := j.Task(fmt.Sprintf("branch%02d", i), dataflow.Props{Ops: 1e5}, func(ctx dataflow.Ctx) error {
+			for _, label := range []string{"a", "b", "c"} {
+				if _, err := ctx.Scratch(label, 1<<10); err != nil {
+					return err
+				}
+			}
+			if _, err := ctx.Output(512); err != nil {
+				return err
+			}
+			ctx.Log("labelled four")
+			return nil
+		})
+		src.Then(b)
+		b.Then(sink)
+	}
+	return j
 }

@@ -364,11 +364,13 @@ type run struct {
 	// Scratch) under the job's owner, in creation order.
 	globals []jobGlobal
 	report  *Report // the job's report, once the attempt succeeded
-	// ctxs and reports are the tasks' contexts and reports, by rank. Neither
-	// is recycled with the scratch: a handle a body kept outlives the run
-	// holding its task's context as its fence, and the reports are the
-	// submitter's Report.Tasks.
-	ctxs    []taskCtx
+	// ctxs are the tasks' contexts, by rank: the scratch's slot block, which
+	// every attempt of the job and every later job that takes the scratch
+	// reuses. Nothing outside the engine holds a context past its body — a
+	// handle a body kept fences on the run, not on its task's context.
+	ctxs []taskCtx
+	// reports are the tasks' reports, by rank, the attempt's own: they become
+	// the submitter's Report.Tasks.
 	reports []TaskReport
 	// lazy holds, by producer rank, a replayed producer's re-materialized
 	// output's restore state; allocated by newWavefront when a partial replay
@@ -474,21 +476,21 @@ func (rt *Runtime) newRun(job *dataflow.Job, g *dataflow.Graph, schedule *sched.
 	}).attempt()
 }
 
-// attempt gives the run what each attempt has of its own — the task contexts
-// and the task reports, which whoever ran or submitted it may keep — and
-// returns it. The job's Report is made only if the attempt succeeds
-// (fillReport).
+// attempt gives the run its task contexts, the scratch's slot block, and what
+// each attempt has of its own — the task reports, which whoever ran or
+// submitted it may keep — and returns it. The job's Report is made only if the
+// attempt succeeds (fillReport).
 func (r *run) attempt() *run {
 	n := r.g.Len()
-	r.ctxs, r.reports = make([]taskCtx, n), make([]TaskReport, n)
+	r.ctxs, r.reports = r.sc.taskCtxs(n), make([]TaskReport, n)
 	return r
 }
 
 // retry builds the run of the job's next attempt over the same job state —
 // plan, owner names, snapshot namespace and scratch, so it continues on r's
 // core clocks as finalize rewound them, a retry being later on the job's own
-// clock and not on a new one — with contexts and reports of its own. r has
-// been finalized.
+// clock and not on a new one, and in r's context slots — with reports of its
+// own. r has been finalized.
 func (r *run) retry() *run {
 	return (&run{jobState: r.jobState}).attempt()
 }
@@ -498,31 +500,26 @@ func (r *run) retry() *run {
 // worker goroutine: all cross-task state it touches is either owned by this
 // task (its context, its clock view, its slots of r.handles) or guarded
 // (r.smu for globals, the pool lock inside fences). Launching a task allocates
-// nothing: its context is a slot of the run's block and is itself the fence of
-// the handles it touches, its owner name a piece of the run's one string, its
-// input list a window of r.handles. It returns the
+// nothing: its context is a slot of the scratch's block, reset field by field
+// so its slices keep their storage, the run is the fence of the handles it
+// touches, its owner name a piece of the run's one string, its input list a
+// window of r.handles. It returns the
 // task's virtual finish time and report — both non-nil even when a trailing
 // release failed, matching the sequential engine's accounting — or a nil
 // report on failure before completion.
 func (r *run) execTaskAt(w *wavefront, k int, view *topology.TaskView, start time.Duration) (time.Duration, *TaskReport, error) {
 	t, asg := r.g.Order[k], &r.schedule.Tasks[k]
 	ctx := &r.ctxs[k]
-	*ctx = taskCtx{
-		run: r, task: t, compute: r.cs.Devices[asg.Dev],
-		now:    start,
-		owner:  r.owner(k),
-		inputs: r.inputBuf(k),
-		view:   view,
-		rank:   k,
-	}
-	ctx.events, ctx.regions = ctx.journal[:0], ctx.placed[:0]
+	ctx.reset()
+	ctx.run, ctx.task, ctx.compute, ctx.now = r, t, r.cs.Devices[asg.Dev], start
+	ctx.owner, ctx.inputs, ctx.view, ctx.rank = r.owner(k), r.inputBuf(k), view, k
 	// Recovery fast path: a checkpointed task is restored, not re-run.
 	if w.slots[k].restored {
 		return r.restoreTaskAt(ctx, start)
 	}
 	// Collect inputs: transfer exclusive outputs from predecessors (the
 	// Fig. 4 handover), adopt shared ones as-is. Handles are rebound to
-	// this task's clock view and fence as they cross the task boundary.
+	// this task's clock view and rank as they cross the task boundary.
 	for i, p := range r.g.Preds(k) {
 		h := r.takePending(k, i)
 		if h == nil {
@@ -541,7 +538,7 @@ func (r *run) execTaskAt(w *wavefront, k int, view *topology.TaskView, start tim
 				return 0, nil, fmt.Errorf("restoring input from %s: %w", pid, err)
 			}
 		}
-		h.Rebind(view, k, ctx)
+		h.Rebind(view, k, r)
 		if cls, err := h.Class(); err == nil && cls == props.Transfer {
 			fromDev, _ := h.DeviceID()
 			nh, done, err := h.Transfer(ctx.now, ctx.owner, asg.Compute)
@@ -652,7 +649,7 @@ func (r *run) deliverOutput(ctx *taskCtx) error {
 			// All fan-out shares are granted here, at producer completion —
 			// before any consumer can launch — so the region's sharer set is
 			// closed by construction and ShareRanked's per-sharer fencing is
-			// sound (see wavefront.fence).
+			// sound (see run.After).
 			sh, err := ctx.output.ShareRanked(r.inOwner(int(s)), sAsg.Compute, int(s))
 			if err != nil {
 				return fmt.Errorf("sharing output with %s: %w", sAsg.Task, err)

@@ -10,20 +10,26 @@ import (
 
 // scratch is the part of a job's engine state that nothing outside the engine
 // can reach once the job has settled: the dispatcher with its rank- and
-// device-indexed tables, the tasks' clock views, the run's handle and core
-// tables, and what computePeak sweeps with. newRun takes one from the
-// runtime's free list, it serves every attempt of the job — which is how a
-// retry continues on the failed attempt's core clocks — and drive puts it
-// back when the job settles, so a served job finds its tables where the job
+// device-indexed tables, the task contexts, the tasks' clock views, the run's
+// handle and core tables, and what computePeak sweeps with. newRun takes one
+// from the runtime's free list, it serves every attempt of the job — which is
+// how a retry continues on the failed attempt's core clocks — and drive puts
+// it back when the job settles, so a served job finds its tables where the job
 // before it left them.
 //
 // What a submitter or a handle a task body kept can still reach is not here:
-// the task contexts (a kept handle's fence), the task reports and the Report
-// with its slices stay the run's own and go to the collector with it. A kept
-// handle's clock is one of the views, but it was released with the run, and
-// a released handle fails before its clock is consulted.
+// the run (a kept handle's fence), the task reports and the Report with its
+// slices stay the run's own and go to the collector with it. A context is
+// valid only while its body runs (dataflow.Ctx), and a kept handle fences on
+// the run and carries its own rank, so no handle reaches a context. A kept
+// handle's clock is one of the views, but it was released with the run, and a
+// released handle fails before its clock is consulted.
 type scratch struct {
 	w wavefront
+	// ctxs is the task context slot block, by rank (run.ctxs): sized once,
+	// grown only by a wider job, and reset slot by slot as each task launches
+	// (taskCtx.reset), so a slot keeps its slices' storage from job to job.
+	ctxs []taskCtx
 	// views holds the attempt's clock views: views[k] is rank k's, seeded when
 	// the task launches (wavefront.seedView). Each keeps its queue state's
 	// storage from job to job: the table is resliced, not zeroed, and every
@@ -54,10 +60,11 @@ const (
 )
 
 // footprint is what the scratch's tables keep reachable, in bytes: every
-// slice's capacity, each view's queue state, and for computePeak's live map an
-// entry per event slot — the map held at most as many regions at once as the
-// sweep had events, and events only grows. cur and peak are keyed by device
-// and so bounded by the topology; they are not counted.
+// slice's capacity, each context slot and the storage its slices kept, each
+// view's queue state, and for computePeak's live map an entry per event slot —
+// the map held at most as many regions at once as the sweep had events, and
+// events only grows. cur and peak are keyed by device and so bounded by the
+// topology; they are not counted.
 func (sc *scratch) footprint() int64 {
 	const (
 		word      = int(unsafe.Sizeof(uintptr(0)))
@@ -68,6 +75,10 @@ func (sc *scratch) footprint() int64 {
 		cap(sc.views)*int(unsafe.Sizeof(topology.TaskView{})) +
 		cap(w.slots)*int(unsafe.Sizeof(slot{})) + cap(w.ready) +
 		(cap(w.readyAt)+cap(w.queue)+cap(w.baseCores))*word
+	ctxs := sc.ctxs[:cap(sc.ctxs)]
+	for k := range ctxs {
+		n += ctxs[k].footprint()
+	}
 	views := sc.views[:cap(sc.views)]
 	for k := range views {
 		n += views[k].Footprint()
@@ -78,12 +89,27 @@ func (sc *scratch) footprint() int64 {
 	return int64(n)
 }
 
+// taskCtxs returns the slot block with a slot for each of n tasks. A block too
+// small is replaced, not grown: a slot's slices may point into its own inline
+// arrays, so slots are never copied.
+func (sc *scratch) taskCtxs(n int) []taskCtx {
+	if cap(sc.ctxs) < n {
+		sc.ctxs = make([]taskCtx, n)
+	}
+	sc.ctxs = sc.ctxs[:n]
+	return sc.ctxs
+}
+
 // putScratch gives a settled job's scratch back. The caller has finalized the
 // job's last wavefront: every handle the tables held was released and every
 // view published, and no goroutine of the job is left to read them.
 func (rt *Runtime) putScratch(sc *scratch) {
 	// Drop what the tables still point to, so the list pins no job's memory.
 	clear(sc.handles)
+	// The slots past the job's were reset when an earlier job put them back.
+	for k := range sc.ctxs {
+		sc.ctxs[k].reset()
+	}
 	sc.w.r, sc.w.pool, sc.w.ctx = nil, nil, nil
 	sc.w.failErr, sc.w.canceled = nil, nil
 	rt.free.Put(sc)

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"time"
+	"unsafe"
 
 	"repro/internal/dataflow"
 	"repro/internal/props"
@@ -41,9 +42,9 @@ type taskCtx struct {
 
 	// view is the task's private causal clock view, the one every allocation
 	// and access of the task is priced against. rank is the task's
-	// deterministic topological rank — both are installed by the dispatcher.
-	// The context is also the task's rank-order barrier (After), installed as
-	// the fence of every handle the task touches.
+	// deterministic topological rank — both are installed by the dispatcher,
+	// and installed with the run, the rank-order barrier (run.After), on every
+	// handle the task touches.
 	view *topology.TaskView
 	rank int
 	// events is the task's journal of the run's virtual memory ledger, in the
@@ -54,10 +55,43 @@ type taskCtx struct {
 	journal [4]memEvent
 }
 
-// After implements region.Fence: the task's accesses wait on its run's
-// dispatcher, by rank. A handle a body kept past its job still holds the
-// context — which is why contexts are never recycled — and finds the run over.
-func (c *taskCtx) After(deps []int32) error { return c.run.fence(c.rank, deps) }
+// reset empties the slot for its next task: every field is zero but the
+// slices, which keep their storage, emptied and cleared, so a slot holds no
+// earlier task's pointers and a journal or placement list that once spilled
+// does not spill again. A slot that never spilled starts in its inline arrays.
+func (c *taskCtx) reset() {
+	*c = taskCtx{
+		scratch: emptied(c.scratch), globalShares: emptied(c.globalShares),
+		regions: emptied(c.regions), logs: emptied(c.logs), events: emptied(c.events),
+	}
+	if c.regions == nil {
+		c.regions = c.placed[:0]
+	}
+	if c.events == nil {
+		c.events = c.journal[:0]
+	}
+}
+
+// footprint is the slot's bytes and what its slices kept beyond its inline
+// arrays, for scratch.footprint.
+func (c *taskCtx) footprint() int {
+	const word = int(unsafe.Sizeof(uintptr(0)))
+	n := int(unsafe.Sizeof(*c)) + cap(c.scratch)*word + cap(c.logs)*2*word +
+		cap(c.globalShares)*int(unsafe.Sizeof(namedHandle{}))
+	if cap(c.regions) > 0 && unsafe.SliceData(c.regions) != &c.placed[0] {
+		n += cap(c.regions) * int(unsafe.Sizeof(RegionPlacement{}))
+	}
+	if cap(c.events) > 0 && unsafe.SliceData(c.events) != &c.journal[0] {
+		n += cap(c.events) * int(unsafe.Sizeof(memEvent{}))
+	}
+	return n
+}
+
+// emptied returns s cleared to its capacity and emptied.
+func emptied[T any](s []T) []T {
+	clear(s[:cap(s)])
+	return s[:0]
+}
 
 // Now implements dataflow.Ctx.
 func (c *taskCtx) Now() time.Duration { return c.now }
@@ -121,7 +155,7 @@ func (c *taskCtx) Scratch(name string, size int64) (*region.Handle, error) {
 	if err != nil {
 		return nil, err
 	}
-	h.Rebind(c.view, c.rank, c)
+	h.Rebind(c.view, c.rank, c.run)
 	c.noteAlloc(h, size)
 	c.scratch = append(c.scratch, h)
 	c.noteRegion(name, h)
@@ -152,7 +186,7 @@ func (c *taskCtx) Output(size int64) (*region.Handle, error) {
 	if err != nil {
 		return nil, err
 	}
-	h.Rebind(c.view, c.rank, c)
+	h.Rebind(c.view, c.rank, c.run)
 	c.noteAlloc(h, size)
 	c.output = h
 	c.noteRegion("out", h)
@@ -185,7 +219,7 @@ func (c *taskCtx) Global(name string, class props.RegionClass, size int64) (*reg
 		// blocks at its fence until the lower one finishes).
 		// Full barrier (nil deps): any lower rank could be the
 		// deterministic creator, so all of them must retire first.
-		if err := c.After(nil); err != nil {
+		if err := c.run.After(int32(c.rank), nil); err != nil {
 			return nil, err
 		}
 		c.run.smu.Lock()
@@ -235,7 +269,7 @@ func (c *taskCtx) Global(name string, class props.RegionClass, size int64) (*reg
 	}
 	// The share inherited the creator's clock view; rebind it to this
 	// task's own before any access is priced through it.
-	sh.Rebind(c.view, c.rank, c)
+	sh.Rebind(c.view, c.rank, c.run)
 	c.noteShare(sh)
 	c.globalShares = slices.Insert(c.globalShares, at, namedHandle{name, sh})
 	c.noteRegion(name, sh)
@@ -313,11 +347,15 @@ func (r *run) scheduledComputes() []string {
 
 // report fills in the task's report from what the context recorded, bar its
 // Regions, which finalize copies out of the context once the run succeeded.
+// The logs are copied out too: the slot keeps its list for the next task.
 func (c *taskCtx) report(start time.Duration) *TaskReport {
 	rep := &c.run.reports[c.rank]
 	*rep = TaskReport{
 		Task: c.task.ID(), Compute: c.compute.ID,
-		Start: start, Finish: c.now, Logs: c.logs,
+		Start: start, Finish: c.now,
+	}
+	if len(c.logs) > 0 {
+		rep.Logs = append([]string(nil), c.logs...)
 	}
 	return rep
 }
@@ -358,7 +396,7 @@ func (c *taskCtx) releaseScratchAndInputs() {
 			c.noteRelease(h)
 		}
 	}
-	c.scratch = nil
+	c.scratch = emptied(c.scratch)
 	for _, h := range c.inputs {
 		if h.Release() == nil { //nolint:errcheck // may already be released by the task
 			c.noteRelease(h)
@@ -377,7 +415,7 @@ func (c *taskCtx) releaseAll() {
 	for _, g := range c.globalShares {
 		g.h.Release() //nolint:errcheck // best-effort teardown
 	}
-	c.globalShares = nil
+	c.globalShares = emptied(c.globalShares)
 }
 
 // Compile-time check that taskCtx satisfies the programming-model contract.

@@ -657,11 +657,12 @@ func (w *wavefront) execAndRetire(k int) (*wavefront, int, bool) {
 	return nw, nk, more
 }
 
-// fence blocks the calling task (rank k) until the ordering its access
-// needs is established — the barrier installed on coherence-priced accesses
-// and global first-use. deps == nil demands the full rank barrier (every
-// rank below k completed): the conservative form used for open sharing and
-// first-use creation, where the set of ordering-relevant parties is
+// After implements region.Fence: it blocks the task of rank k (rank) until
+// the ordering its access needs is established — the barrier the run is,
+// installed on the handles its tasks touch for coherence-priced accesses, and
+// taken at a global's first use. deps == nil demands the full rank barrier
+// (every rank below k completed): the conservative form used for open sharing
+// and first-use creation, where the set of ordering-relevant parties is
 // unknowable. A non-nil deps lists the region's happens-before sharer set
 // (region.Handle.fenceDeps); the fence then waits only for those ranks, so
 // a region whose sharing phase has passed stops serializing the whole run.
@@ -672,11 +673,13 @@ func (w *wavefront) execAndRetire(k int) (*wavefront, int, bool) {
 // failed or were revoked and will never retire) or the run is canceled.
 //
 // The dispatcher is found through the run, under the pool lock, and only
-// while the run is attached. A handle a task body kept can call this long
-// after its job settled, when the dispatcher it ran under is serving another
-// job: it finds r.w nil — a run that is over has nothing left to order — and
-// never looks at recycled state.
-func (r *run) fence(k int, deps []int32) error {
+// while the run is attached. A run is never recycled, and the rank comes with
+// the access, so a handle a task body kept can call this long after its job
+// settled — when the dispatcher and the context slots its task ran in serve
+// another job — and finds r.w nil: a run that is over has nothing left to
+// order, and nothing recycled is looked at.
+func (r *run) After(rank int32, deps []int32) error {
+	k := int(rank)
 	p := r.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -82,6 +82,11 @@ type Props struct {
 
 // Ctx is the execution context internal/core passes to task bodies. It is
 // an interface here to keep dataflow free of the runtime dependency.
+//
+// A Ctx is valid only while its body runs: once the body returns, the runtime
+// reuses it for another task, of this job or a later one. A handle is how a
+// body's work outlives the task: a region handle the body kept stays good for
+// as long as its owner holds it, and orders its accesses without the Ctx.
 type Ctx interface {
 	// Now returns the task-local virtual clock.
 	Now() time.Duration

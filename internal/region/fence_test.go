@@ -9,13 +9,16 @@ import (
 	"repro/internal/telemetry"
 )
 
-// recordFence captures every deps argument the region layer passes to the
-// pre-access fence. A nil entry means the full rank barrier was demanded.
+// recordFence captures every rank and deps argument the region layer passes
+// to the pre-access fence. A nil deps entry means the full rank barrier was
+// demanded.
 type recordFence struct {
+	ranks []int32
 	calls [][]int32
 }
 
-func (f *recordFence) After(deps []int32) error {
+func (f *recordFence) After(rank int32, deps []int32) error {
+	f.ranks = append(f.ranks, rank)
 	if deps == nil {
 		f.calls = append(f.calls, nil)
 	} else {
@@ -29,7 +32,68 @@ func (f *recordFence) After(deps []int32) error {
 // fenceFunc adapts a function to the Fence interface.
 type fenceFunc func(deps []int32) error
 
-func (f fenceFunc) After(deps []int32) error { return f(deps) }
+func (f fenceFunc) After(_ int32, deps []int32) error { return f(deps) }
+
+// TestFenceReceivesTheHandlesRank: the fence orders an access at the rank of
+// the handle it went through, whatever made the handle — a rebound one its
+// own, one a Transfer made its source's, one ShareRanked made the rank it was
+// granted at, and one an open Share made its parent's — so the fence needs
+// nothing of the task to know where the access stands.
+func TestFenceReceivesTheHandlesRank(t *testing.T) {
+	m := newManager(t)
+	rec := &recordFence{}
+	buf := make([]byte, 16)
+	read := func(h *Handle) {
+		t.Helper()
+		if _, err := h.ReadAt(0, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A rebound handle, made coherent by a ranked share.
+	out := mustAlloc(t, m, Spec{Name: "out", Class: props.GlobalScratch, Size: 64,
+		Owner: "prod", Compute: "node0/cpu0"})
+	out.Rebind(clockOf(m), 2, rec)
+	ranked, err := out.ShareRanked("c6", "node0/cpu0", 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read(out)
+	read(ranked)
+
+	// An open share of a handle at rank 4.
+	g := mustAlloc(t, m, Spec{Name: "g", Class: props.GlobalState, Size: 64,
+		Owner: "job", Compute: "node0/cpu0"})
+	g.Rebind(clockOf(m), 4, rec)
+	open, err := g.Share("outsider", "node0/cpu0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	read(open)
+
+	// A transferred handle, on a region a ranked share made coherent: the
+	// share is let go first, as a transfer needs its source alone.
+	tr := mustAlloc(t, m, Spec{Name: "tr", Class: props.GlobalScratch, Size: 64,
+		Owner: "a", Compute: "node0/cpu0"})
+	tr.Rebind(clockOf(m), 3, rec)
+	b, err := tr.ShareRanked("b", "node0/cpu0", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Release(); err != nil {
+		t.Fatal(err)
+	}
+	moved, _, err := tr.Transfer(0, "a2", "node0/cpu0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	read(moved)
+
+	want := []int32{2, 6, 4, 3}
+	if !depsEqual(rec.ranks, want) {
+		t.Errorf("the fence ordered accesses at ranks %v, want %v (rebound, ShareRanked, open Share, Transfer)", rec.ranks, want)
+	}
+}
 
 func depsEqual(a, b []int32) bool {
 	if (a == nil) != (b == nil) || len(a) != len(b) {

@@ -47,9 +47,10 @@ type Handle struct {
 	// while the pair does not resolve. Written under r.mu.
 	rt *topology.Route
 	// rank is the deterministic schedule rank of the task accessing through
-	// this handle, or -1 when unranked (sequential mode, app-level handles).
-	// A ranked access on a closed-sharing region fences only against the
-	// region's lower-rank sharers instead of the whole run. Half a word, next
+	// this handle, or -1 when unranked (sequential mode, app-level handles);
+	// the fence is asked to order the access at it. A ranked access on a
+	// closed-sharing region fences only against the region's lower-rank
+	// sharers instead of the whole run. Half a word, next
 	// to dev's half: every region carries its handles' storage, so a handle's
 	// bytes are counted in each region's size class.
 	rank int32
@@ -62,18 +63,21 @@ type Handle struct {
 }
 
 // Fence is the pre-access barrier the runtime installs on handles whose
-// accesses may run the coherence protocol. deps, when non-nil, lists the
-// task ranks the access must happen after — the region's lower-rank sharer
-// set, ascending and the region's own, so After only reads it; After returns
-// once all of them have retired. A nil deps demands the full rank barrier
-// (every lower rank retired): the conservative form used for open sharing,
+// accesses may run the coherence protocol. rank is the handle's: the
+// schedule rank the access is ordered at. deps, when non-nil, lists the task
+// ranks the access must happen after — the region's lower-rank sharer set,
+// ascending and the region's own, so After only reads it; After returns once
+// all of them have retired. A nil deps demands the full rank barrier (every
+// rank below rank retired): the conservative form used for open sharing,
 // where future joiners are unknowable. An empty non-nil deps is an
 // established happens-before — no waiting at all.
 //
-// It is an interface so that the runtime's per-task state can be the fence
-// of every handle the task touches: installing it allocates nothing.
+// It is an interface so that one value of the runtime's, a job's attempt,
+// can fence every handle its tasks touch: installing it allocates nothing,
+// and since the rank comes with the access, nothing per task is reached
+// through it.
 type Fence interface {
-	After(deps []int32) error
+	After(rank int32, deps []int32) error
 }
 
 // Rebind installs clock view, task rank, and fence together — the runtime's
@@ -267,7 +271,7 @@ func (h *Handle) access(now time.Duration, off int64, buf []byte, write, sync bo
 	if h.fence != nil && r.coherent() {
 		deps := h.fenceDeps()
 		r.mu.Unlock()
-		if err := h.fence.After(deps); err != nil {
+		if err := h.fence.After(h.rank, deps); err != nil {
 			return now, err
 		}
 		if _, err := h.enter(); err != nil {
@@ -554,9 +558,11 @@ func (m *Manager) migrateToLocked(r *Region, computeID, devID string, now time.D
 // Share is the *open* sharing path: nothing bounds who may join later, so
 // the region permanently falls back to the full rank barrier on fenced
 // accesses. The runtime's output fan-out uses ShareRanked instead, which
-// keeps the sharer set closed and the fence narrow.
+// keeps the sharer set closed and the fence narrow. The share inherits this
+// handle's clock, fence and rank, so a task body's own share fences at the
+// task's rank.
 func (h *Handle) Share(to Owner, toCompute string) (*Handle, error) {
-	return h.share(to, toCompute, -1, true)
+	return h.share(to, toCompute, h.rank, true)
 }
 
 // ShareRanked grants an additional concurrent owner whose deterministic
@@ -567,12 +573,12 @@ func (h *Handle) Share(to Owner, toCompute string) (*Handle, error) {
 // rather than the whole run. Both the producer's rank (this handle's) and
 // the consumer's are recorded.
 func (h *Handle) ShareRanked(to Owner, toCompute string, rank int) (*Handle, error) {
-	return h.share(to, toCompute, rank, false)
+	return h.share(to, toCompute, int32(rank), false)
 }
 
 // share takes only the region's lock: adding an owner moves no bytes and
 // touches none of the manager's tables.
-func (h *Handle) share(to Owner, toCompute string, rank int, open bool) (*Handle, error) {
+func (h *Handle) share(to Owner, toCompute string, rank int32, open bool) (*Handle, error) {
 	m := h.r.m
 	r, err := h.enter()
 	if err != nil {
@@ -592,13 +598,13 @@ func (h *Handle) share(to Owner, toCompute string, rank int, open bool) (*Handle
 		return nil, fmt.Errorf("region: %s already owns region %d", to, r.id)
 	}
 	// The handle first: a spill it takes has room for the ranks too.
-	nh := r.newHandle(to, toCompute, h.clock, h.fence, int32(rank))
+	nh := r.newHandle(to, toCompute, h.clock, h.fence, rank)
 	r.everShared = true
 	if open {
 		r.openShared = true
 	} else {
 		r.addSharer(h.rank)
-		r.addSharer(int32(rank))
+		r.addSharer(rank)
 	}
 	m.shares.Add(1)
 	return nh, nil
