@@ -52,8 +52,9 @@ bench:
 #     the row allows — a payload-sized buffer per operation is far beyond it.
 #     served, dag and routed are the engine's whole cost of a served job (the
 #     nil-body mix, a fan-out-16 wave at pool sizes 1 and 4, the mix routed
-#     through a 2-shard cluster with checkpoints and injected faults), each
-#     after an untimed ramp that also checks reports against solo runs; the
+#     through a 2-shard cluster with checkpoints and injected faults), and real
+#     that of a real-body job, whose bodies read inputs, log and use globals,
+#     each after an untimed ramp that also checks reports against solo runs; the
 #     rest are the region, coherence, placement, planner, graph, span-record
 #     and checkpoint paths underneath. recover's restored-B/op is the bytes a
 #     retry fetches back, under full and under partial replay.
@@ -71,6 +72,7 @@ SMOKE_BENCHES = \
 	'region:region:BenchmarkRegionAccess|BenchmarkAllocRelease|BenchmarkTransferZeroCopy:200000x:ns/op:2,allocs/op:0' \
 	'served:core:BenchmarkServedJob|BenchmarkServedJobClosedLoop:20000x:ns/op:2,allocs/op:0' \
 	'dag:core:BenchmarkServedWideDAG:20000x:ns/op:2,allocs/op:0' \
+	'real:core:BenchmarkServedRealJob:2560x:ns/op:2,allocs/op:0' \
 	'routed:shard:BenchmarkRoutedJob:20000x:ns/op:2,allocs/op:0' \
 	'graph:dataflow:BenchmarkResolveFreshJob:20000x:ns/op:2,allocs/op:0' \
 	'coherence:coherence:BenchmarkDropRegion|BenchmarkReadHit|BenchmarkDirectoryRange:200000x:ns/op:2,allocs/op:0' \

@@ -466,7 +466,8 @@ func (r *run) restoreTaskAt(ctx *taskCtx, start time.Duration) (time.Duration, *
 			return 0, nil, err
 		}
 	}
-	ctx.logs = append(ctx.logs, "restored from checkpoint") // not Log: no format to run
+	ctx.logText = append(ctx.logText, "restored from checkpoint"...) // not Log: no format to run
+	ctx.logEnds = append(ctx.logEnds, len(ctx.logText))
 	r.rt.tel.Add(telemetry.LayerFault, "restores", 1)
 	r.rt.tel.Record(telemetry.Span{
 		Layer: telemetry.LayerFault, Job: r.job.Name(), Task: t.ID(),

@@ -20,3 +20,6 @@ func IntegrityBudget() int {
 	seeds, _ := integrityBudget()
 	return seeds
 }
+
+// RaceBuild is raceBuild.
+const RaceBuild = raceBuild

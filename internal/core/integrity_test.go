@@ -85,7 +85,13 @@ func (p *integrityProgram) creators(rep *Report) error {
 //   - up to two job globals, each used by 2–4 random tasks at whatever ranks
 //     the schedule gives them. The first user in rank order creates it, finds
 //     it zero, writes its payload and logs "gN created"; every later user
-//     must find that payload, and logs "gN found".
+//     must find that payload, and logs "gN found";
+//   - up to three formatted log lines a task, of lengths that vary with the
+//     task and the line, through the context slot's recycled log buffer.
+//
+// Every body calls Inputs twice: it reverses the first slice, which is the
+// context's, and verifies its inputs through the second, which must list them
+// in predecessor order again.
 func buildIntegrityDAG(t *testing.T, rng *rand.Rand, name string) *integrityProgram {
 	t.Helper()
 	n := 3 + rng.Intn(10)
@@ -118,11 +124,18 @@ func buildIntegrityDAG(t *testing.T, rng *rand.Rand, name string) *integrityProg
 	}
 	for i := range tasks {
 		id := fmt.Sprintf("t%02d", i)
+		lines := rng.Intn(4)
 		body := func(ctx dataflow.Ctx) error {
-			// Verify every input against its producer's stamp.
+			// Verify every input against its producer's stamp, through a
+			// second Inputs call after scrambling the first's slice.
 			ins := ctx.Inputs()
 			if len(ins) != len(preds[i]) {
 				return fmt.Errorf("%s: %d inputs, want %d", id, len(ins), len(preds[i]))
+			}
+			slices.Reverse(ins)
+			ins = ctx.Inputs()
+			for l := 0; l < lines; l++ {
+				ctx.Log("%s line %d of %d: %s", id, l+1, lines, strings.Repeat("~", (i+l)%5*8))
 			}
 			got := make([]byte, integrityPayload)
 			for k, in := range ins {

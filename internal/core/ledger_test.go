@@ -166,6 +166,28 @@ var reportTails = ledgerLimit{[]string{"core.(*run).computePeak", "core.(*run).f
 // attempt allocated its task contexts as well, 520 bytes a task.
 var attemptBytes = ledgerLimit{[]string{"core.(*run).attempt"}, 700, true}
 
+// ctxCalls are what a task body calls on its context. Their state is in the
+// context slot or the job's scratch, both recycled, so a warm call allocates
+// nothing: measured 13.0 allocations a stream window and 11.0 a real-body job
+// when each call made its own slice, string or globals list, and no one of
+// them less than 1.5 a unit. What the limit allows is warm-up the ledger cannot
+// rule out. Log formats through fmt, which keeps its printers in a sync.Pool
+// that every collection empties, so a pass makes a few printers afresh, 0.03
+// to 0.16 a unit. And how many jobs are in flight at once is wall-clock's: a
+// pass that meets a scratch no earlier pass took grows that scratch's slots
+// once, 0.20 a stream window when one did. Under the race detector a sync.Pool
+// drops what it is given at random, and fmt makes a printer for most calls:
+// there Log is not gated.
+var ctxCalls = ledgerLimit{ctxCallRows(), 0.5, false}
+
+func ctxCallRows() []string {
+	rows := []string{"core.(*taskCtx).Inputs", "core.(*taskCtx).Global", "core.(*taskCtx).report"}
+	if !core.RaceBuild {
+		rows = append(rows, "core.(*taskCtx).Log")
+	}
+	return rows
+}
+
 // handOvers are the functions that hand a region over. A region carries its
 // handles, so neither may allocate: no row may name them.
 var handOvers = []string{"region.(*Handle).Transfer", "region.(*Handle).share"}
@@ -181,28 +203,54 @@ func ledgerMix() []*dataflow.Job {
 	return pool
 }
 
+// ledgerServer is the server of the served cases, the benchmark's shape, with
+// slo as its admission policy.
+func ledgerServer(t *testing.T, slo *core.SLOPolicy) *core.Server {
+	s, err := core.NewServer(core.ServerConfig{
+		ExecConfig:   core.ExecConfig{Workers: 2},
+		EpochWorkers: 2, MaxBatch: 8, QueueDepth: 1024, Block: true,
+		SLO: slo,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close(context.Background()) }) //nolint:errcheck
+	return s
+}
+
+// submitEach is a pass that submits the pool's jobs one after another.
+func submitEach(t *testing.T, s *core.Server, pool []*dataflow.Job) func() {
+	return func() {
+		for _, j := range pool {
+			if _, err := s.Submit(context.Background(), j); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 var ledgerCases = []ledgerCase{
 	// Which epoch worker a job lands on, and with it which free lists it
 	// finds grown, is wall-clock's: a pass in five makes up to 0.3 more
 	// allocations a job than the rest.
 	{"lone served job", "job", 0.3, []ledgerLimit{regionLimit(5.5), reportTails, attemptBytes}, func(t *testing.T) (func(), float64) {
 		// TestAllocBudgetServedJob's shape: each job alone in its batch.
-		s, err := core.NewServer(core.ServerConfig{
-			ExecConfig:   core.ExecConfig{Workers: 2},
-			EpochWorkers: 2, MaxBatch: 8, QueueDepth: 1024, Block: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close(context.Background()) }) //nolint:errcheck
 		pool := ledgerMix()
-		return func() {
-			for _, j := range pool {
-				if _, err := s.Submit(context.Background(), j); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}, float64(len(pool))
+		return submitEach(t, ledgerServer(t, nil), pool), float64(len(pool))
+	}},
+	// serve_real's shape: graph analytics and DBMS pipelines, whose bodies
+	// read their inputs, log and use job globals, one after another. The
+	// core layer measured 7.16 a job, 16.05 when a body's calls on its
+	// context allocated. Passes submit the same jobs and differ by up to 1.1
+	// a job under the race detector, whose sync.Pools drop fmt's printers at
+	// random.
+	{"real-body job", "job", 1.5, []ledgerLimit{ctxCalls}, func(t *testing.T) (func(), float64) {
+		mix := workload.NewMix(workload.MixConfig{Seed: 42, RealFraction: 1})
+		pool := make([]*dataflow.Job, 64)
+		for i := range pool {
+			pool[i] = mix.Next()
+		}
+		return submitEach(t, ledgerServer(t, nil), pool), float64(len(pool))
 	}},
 	// A fault site is a submission's run ID and a task, so each pass fails
 	// different tasks — about one in twenty — and retries a different number:
@@ -230,16 +278,9 @@ var ledgerCases = []ledgerCase{
 	// How many windows a batch holds is wall-clock's, and so is what the
 	// batches allocate: two passes differ by up to 0.3 allocations a window,
 	// and by up to 1 under the race detector.
-	{"stream window", "window", 1.5, []ledgerLimit{regionLimit(7.5)}, func(t *testing.T) (func(), float64) {
+	{"stream window", "window", 1.5, []ledgerLimit{regionLimit(7.5), ctxCalls}, func(t *testing.T) (func(), float64) {
 		// TestAllocBudgetStreamWindow's shape: stream_windows'.
-		s, err := core.NewServer(core.ServerConfig{
-			ExecConfig:   core.ExecConfig{Workers: 2},
-			EpochWorkers: 2, MaxBatch: 8, QueueDepth: 1024, Block: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close(context.Background()) }) //nolint:errcheck
+		s := ledgerServer(t, nil)
 		cfg := workload.StreamConfig{Windows: 64, WindowSize: 64, EventSize: 64, Keys: 16, Partitions: 2, MaxInFlight: 4}
 		// A spec holds its events, the test's input and not the engine's cost,
 		// so every pass's spec is built before any pass runs: TestAllocLedger
@@ -270,15 +311,7 @@ var ledgerCases = []ledgerCase{
 	// graph took eight). Passes submit equal jobs, drawn from one seed, and
 	// differ by up to 0.5 a job under the race detector beside other tests.
 	{"paced fresh job", "job", 1, []ledgerLimit{{[]string{"dataflow"}, 5.2, false}}, func(t *testing.T) (func(), float64) {
-		s, err := core.NewServer(core.ServerConfig{
-			ExecConfig:   core.ExecConfig{Workers: 2},
-			EpochWorkers: 2, MaxBatch: 8, QueueDepth: 1024, Block: true,
-			SLO: &core.SLOPolicy{Workers: 4},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close(context.Background()) }) //nolint:errcheck
+		s := ledgerServer(t, &core.SLOPolicy{Workers: 4})
 		// TestAllocLedger runs a case's pass four times, and no job twice.
 		const passes, perPass = 4, 64
 		pools := make([][]*dataflow.Job, passes)
@@ -311,13 +344,14 @@ var ledgerCases = []ledgerCase{
 // rows sum to the runtime's count of the pass exactly, and to what
 // testing.AllocsPerRun counts for another pass to within the case's spread,
 // so the table is the whole of the budget tests' numbers: a regression there
-// names its function here, and a gain must show here too. Three things are
+// names its function here, and a gain must show here too. Four things are
 // gated here. The region layer, at what a region and its handles cost:
 // measured 4.50 a lone served job, 5.21 a routed one and 7.03 a stream window;
 // 10.90, 12.35 and 17.00 with a handle allocated per hand-over. The report's
 // tails, which are in the report: 0 a lone served job, 2.0 when each was
-// allocated apart. And a fresh job's graph: the dataflow layer measured 5.00 a
-// paced fresh job, 9.05 when resolving took eight allocations.
+// allocated apart. A fresh job's graph: the dataflow layer measured 5.00 a
+// paced fresh job, 9.05 when resolving took eight allocations. And a task
+// body's calls on its context (ctxCalls).
 func TestAllocLedger(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1

@@ -11,6 +11,8 @@ import (
 	"hash/fnv"
 	"reflect"
 	goruntime "runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -356,12 +358,15 @@ func TestKeptHandleNeverWaitsOnALaterJob(t *testing.T) {
 }
 
 // TestRecycledSlotsHoldNothing: once a job with job globals, a fan-out,
-// private scratch, logs and a retry has settled, after a wider job, the
-// context slots in the scratch on the free list — its own and the wider job's
-// beyond them — hold no pointer but their slices' own storage: no run, task,
-// device, view, handle, owner name, label or log line of either job. And they
-// kept that storage: the sink's spilled journal and the logging task's log
-// list are there for the next job.
+// private scratch, logs, a body that edits the slice Inputs returned and a
+// partial-replay retry has settled, after a wider job, the context slots in
+// the scratch on the free list — its own and the wider job's beyond them — and
+// its globals list hold no pointer but their slices' own storage: no run,
+// task, device, view, handle, owner name, label or global of either job. And
+// they kept that storage: the sink's spilled journal, the logging task's log
+// buffer, the editor's input copy and the globals list are there for the next
+// job. The edits reached no list the engine releases: a second Inputs call
+// returns the original handles, and no region is left live.
 func TestRecycledSlotsHoldNothing(t *testing.T) {
 	inj := fault.NewInjector(1, 0, 1)
 	inj.Kill("victim", 1)
@@ -380,12 +385,28 @@ func TestRecycledSlotsHoldNothing(t *testing.T) {
 		}
 		return nil
 	})
-	rep, err := rt.Run(job, RecoveryPolicy{MaxAttempts: 2})
+	editor := job.Task("editor", dataflow.Props{Ops: 1e5}, func(ctx dataflow.Ctx) error {
+		ins := ctx.Inputs()
+		orig := slices.Clone(ins)
+		ins[0], ins[1] = ins[1], nil
+		_ = append(ins, orig...)
+		if again := ctx.Inputs(); !slices.Equal(again, orig) {
+			return fmt.Errorf("a second Inputs call returns %v, want %v", again, orig)
+		}
+		return nil
+	})
+	for _, id := range []string{"feed0", "feed1"} {
+		job.Task(id, dataflow.Props{Ops: 1e5, OutputBytes: 256}, nil).Then(editor)
+	}
+	rep, err := rt.Run(job, RecoveryPolicy{MaxAttempts: 2, PartialReplay: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Attempts != 2 {
 		t.Fatalf("the job took %d attempts, want 2", rep.Attempts)
+	}
+	if live := rt.Regions().Live(); live != 0 {
+		t.Errorf("%d regions live after the job settled: an edited input list leaked or released twice?", live)
 	}
 	if rt.free.Len() != 1 {
 		t.Fatalf("%d scratches on the free list, want the job's", rt.free.Len())
@@ -395,32 +416,69 @@ func TestRecycledSlotsHoldNothing(t *testing.T) {
 	if len(slots) <= job.Len() {
 		t.Fatalf("%d context slots for %d tasks, want the wider job's more", len(slots), job.Len())
 	}
-	if found := pointersIn(reflect.ValueOf(slots), "ctxs", nil); len(found) > 0 {
-		t.Errorf("recycled context slots hold %d pointers: %v", len(found), found)
+	found := pointersIn(reflect.ValueOf(slots), "ctxs", nil)
+	if found = pointersIn(reflect.ValueOf(sc.globals), "globals", found); len(found) > 0 {
+		t.Errorf("recycled context slots and globals hold %d pointers: %v", len(found), found)
 	}
-	var spilled, logged bool
+	var spilled, logged, copied bool
 	for k := range slots {
 		c := &slots[k]
 		spilled = spilled || cap(c.events) > len(c.journal)
-		logged = logged || cap(c.logs) >= 3
+		logged = logged || cap(c.logEnds) >= 3
+		copied = copied || cap(c.ins) >= 2
 	}
-	if !spilled || !logged {
-		t.Errorf("the slots kept a spilled journal: %t, a log list: %t; want both", spilled, logged)
+	if !spilled || !logged || !copied || cap(sc.globals) == 0 {
+		t.Errorf("the slots kept a spilled journal: %t, a log buffer: %t, an input copy: %t; the scratch a globals list: %t; want all",
+			spilled, logged, copied, cap(sc.globals) > 0)
 	}
-
-	// The report's log lines are its own: a later job logging in the same
-	// slot leaves them as they were.
 	rt.putScratch(sc)
-	next := dataflow.NewJob("next")
-	next.Task("logger", dataflow.Props{Ops: 1e5}, func(ctx dataflow.Ctx) error {
-		ctx.Log("a later job's line")
-		return nil
-	})
-	if _, err := rt.Run(next); err != nil {
-		t.Fatal(err)
+	checkReportLogsKept(t, rt, rep, len(slots))
+}
+
+// checkReportLogsKept checks that a settled report's log lines — the
+// logger's, which ran on the retry, and the restored tasks' — are its own: a
+// later job that logs in each of the runtime's width context slots, one line
+// longer than any slot's buffer has held, leaves them as they were, and reads
+// its own lines back whole.
+func checkReportLogsKept(t *testing.T, rt *Runtime, rep *Report, width int) {
+	t.Helper()
+	want, restored := rep.String(), false
+	for _, tr := range rep.Tasks {
+		restored = restored || slices.Contains(tr.Logs, "restored from checkpoint")
 	}
 	if got, want := rep.Task("logger").Logs, []string{"line 0", "line 1", "line 2"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("the settled report's logs read %q after a later job, want %q", got, want)
+		t.Fatalf("the logger logged %q, want %q", got, want)
+	}
+	if !restored {
+		t.Fatal("the retry restored no task from its checkpoint")
+	}
+	held := 0
+	sc := rt.free.Get()
+	slots := sc.ctxs[:cap(sc.ctxs)]
+	for k := range slots {
+		held = max(held, cap(slots[k].logText))
+	}
+	rt.putScratch(sc)
+	long := strings.Repeat("x", 2*held+1)
+	next := dataflow.NewJob("next")
+	for i := 0; i < width; i++ {
+		next.Task(fmt.Sprintf("t%02d", i), dataflow.Props{Ops: 1e5}, func(ctx dataflow.Ctx) error {
+			ctx.Log("a later job's line")
+			ctx.Log("%s", long)
+			return nil
+		})
+	}
+	later, err := rt.Run(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range later.Tasks {
+		if len(tr.Logs) != 2 || tr.Logs[0] != "a later job's line" || tr.Logs[1] != long {
+			t.Fatalf("the later job's %s logged %d lines, want its two, the second %d bytes", tr.Task, len(tr.Logs), len(long))
+		}
+	}
+	if got := rep.String(); got != want {
+		t.Errorf("the settled report reads\n%s\nafter a later job, want\n%s", got, want)
 	}
 }
 

@@ -361,7 +361,8 @@ type run struct {
 	// holding it.
 	smu sync.Mutex
 	// globals holds the job-wide named regions (Global State / Global
-	// Scratch) under the job's owner, in creation order.
+	// Scratch) under the job's owner, in creation order: the scratch's list,
+	// which cleanup empties and hands back for a retry or the next job.
 	globals []jobGlobal
 	report  *Report // the job's report, once the attempt succeeded
 	// ctxs are the tasks' contexts, by rank: the scratch's slot block, which
@@ -476,13 +477,13 @@ func (rt *Runtime) newRun(job *dataflow.Job, g *dataflow.Graph, schedule *sched.
 	}).attempt()
 }
 
-// attempt gives the run its task contexts, the scratch's slot block, and what
-// each attempt has of its own — the task reports, which whoever ran or
-// submitted it may keep — and returns it. The job's Report is made only if the
-// attempt succeeds (fillReport).
+// attempt gives the run its task contexts and globals list, the scratch's,
+// and what each attempt has of its own — the task reports, which whoever ran
+// or submitted it may keep — and returns it. The job's Report is made only if
+// the attempt succeeds (fillReport).
 func (r *run) attempt() *run {
 	n := r.g.Len()
-	r.ctxs, r.reports = r.sc.taskCtxs(n), make([]TaskReport, n)
+	r.ctxs, r.globals, r.reports = r.sc.taskCtxs(n), r.sc.globals[:0], make([]TaskReport, n)
 	return r
 }
 
@@ -669,7 +670,8 @@ func (r *run) deliverOutput(ctx *taskCtx) error {
 }
 
 // cleanup releases everything the run still holds: job globals, retained
-// final outputs, and any undelivered pending handles (failure paths).
+// final outputs, and any undelivered pending handles (failure paths). The
+// globals list goes back to the scratch empty.
 func (r *run) cleanup() {
 	r.smu.Lock()
 	globals := r.globals
@@ -678,6 +680,7 @@ func (r *run) cleanup() {
 	for _, g := range globals {
 		g.h.Release() //nolint:errcheck // best-effort teardown
 	}
+	r.sc.globals = emptied(globals)
 	held := r.handles[:r.g.Edges()+r.g.Len()]
 	for i, h := range held {
 		if h != nil {

@@ -25,7 +25,11 @@ type taskCtx struct {
 	now     time.Duration
 	owner   region.Owner
 
-	inputs       []*region.Handle
+	inputs []*region.Handle
+	// ins is the copy of inputs Inputs hands the body, refilled on every
+	// call: what a body does to it never reaches the list the engine
+	// releases.
+	ins          []*region.Handle
 	scratch      []*region.Handle
 	output       *region.Handle
 	globalShares []namedHandle // the task's shares of job globals, by name
@@ -38,7 +42,10 @@ type taskCtx struct {
 	placed  [3]RegionPlacement
 	// finalDev is the device of the output a sink retained, "" if none.
 	finalDev string
-	logs     []string
+	// logText holds the task's log lines back to back, and logEnds where
+	// each ends in it; fillReport copies them out once the run succeeded.
+	logText []byte
+	logEnds []int
 
 	// view is the task's private causal clock view, the one every allocation
 	// and access of the task is priced against. rank is the task's
@@ -57,12 +64,14 @@ type taskCtx struct {
 
 // reset empties the slot for its next task: every field is zero but the
 // slices, which keep their storage, emptied and cleared, so a slot holds no
-// earlier task's pointers and a journal or placement list that once spilled
-// does not spill again. A slot that never spilled starts in its inline arrays.
+// earlier task's pointers and a journal, placement list, input copy or log
+// buffer that once grew does not grow again. A slot that never spilled starts
+// in its inline arrays.
 func (c *taskCtx) reset() {
 	*c = taskCtx{
-		scratch: emptied(c.scratch), globalShares: emptied(c.globalShares),
-		regions: emptied(c.regions), logs: emptied(c.logs), events: emptied(c.events),
+		ins: emptied(c.ins), scratch: emptied(c.scratch), globalShares: emptied(c.globalShares),
+		regions: emptied(c.regions), events: emptied(c.events),
+		logText: c.logText[:0], logEnds: c.logEnds[:0], // no pointers to drop
 	}
 	if c.regions == nil {
 		c.regions = c.placed[:0]
@@ -76,7 +85,7 @@ func (c *taskCtx) reset() {
 // arrays, for scratch.footprint.
 func (c *taskCtx) footprint() int {
 	const word = int(unsafe.Sizeof(uintptr(0)))
-	n := int(unsafe.Sizeof(*c)) + cap(c.scratch)*word + cap(c.logs)*2*word +
+	n := int(unsafe.Sizeof(*c)) + (cap(c.ins)+cap(c.scratch)+cap(c.logEnds))*word + cap(c.logText) +
 		cap(c.globalShares)*int(unsafe.Sizeof(namedHandle{}))
 	if cap(c.regions) > 0 && unsafe.SliceData(c.regions) != &c.placed[0] {
 		n += cap(c.regions) * int(unsafe.Sizeof(RegionPlacement{}))
@@ -193,9 +202,11 @@ func (c *taskCtx) Output(size int64) (*region.Handle, error) {
 	return h, nil
 }
 
-// Inputs implements dataflow.Ctx.
+// Inputs implements dataflow.Ctx: the slot's copy of the input list, refilled
+// and clipped, so a body that appends to it moves out of the slot's storage.
 func (c *taskCtx) Inputs() []*region.Handle {
-	return append([]*region.Handle(nil), c.inputs...)
+	c.ins = append(c.ins[:0], c.inputs...)
+	return slices.Clip(c.ins)
 }
 
 // Global implements dataflow.Ctx: job-wide named regions, allocated on
@@ -346,23 +357,21 @@ func (r *run) scheduledComputes() []string {
 }
 
 // report fills in the task's report from what the context recorded, bar its
-// Regions, which finalize copies out of the context once the run succeeded.
-// The logs are copied out too: the slot keeps its list for the next task.
+// Regions and Logs, which fillReport copies out of the context once the run
+// succeeded.
 func (c *taskCtx) report(start time.Duration) *TaskReport {
 	rep := &c.run.reports[c.rank]
 	*rep = TaskReport{
 		Task: c.task.ID(), Compute: c.compute.ID,
 		Start: start, Finish: c.now,
 	}
-	if len(c.logs) > 0 {
-		rep.Logs = append([]string(nil), c.logs...)
-	}
 	return rep
 }
 
-// Log implements dataflow.Ctx.
+// Log implements dataflow.Ctx: the line is formatted into the slot's buffer.
 func (c *taskCtx) Log(format string, args ...any) {
-	c.logs = append(c.logs, fmt.Sprintf(format, args...))
+	c.logText = fmt.Appendf(c.logText, format, args...)
+	c.logEnds = append(c.logEnds, len(c.logText))
 }
 
 // Telemetry implements dataflow.Ctx.

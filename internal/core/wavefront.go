@@ -444,18 +444,34 @@ func (w *wavefront) finalize() (failedTask string, err error) {
 // fillReport makes a succeeded run's Report, with its task reports in rank
 // order and what only the task contexts recorded copied out of them: each
 // task's placements, as its window of one block the size of them all, and the
-// sinks' retained outputs, both in the report's own storage when they fit.
+// sinks' retained outputs, both in the report's own storage when they fit; and
+// each task's log lines, as its window of one block of lines that are pieces
+// of one string — two allocations for a job that logged, none for one that did
+// not.
 func (r *run) fillReport(slots []slot) {
 	rep := r.newReport()
-	placed, sinks := 0, 0
+	placed, sinks, lines, size := 0, 0, 0, 0
 	for k := range r.ctxs {
-		placed += len(r.ctxs[k].regions)
-		if r.ctxs[k].finalDev != "" {
+		c := &r.ctxs[k]
+		placed += len(c.regions)
+		if c.finalDev != "" {
 			sinks++
 		}
+		lines += len(c.logEnds)
+		size += len(c.logText)
 	}
 	block := tail(rep.placed[:], placed)
 	rep.FinalOutputs = tail(rep.outs[:], sinks)
+	var logs []string
+	var text strings.Builder
+	if lines > 0 {
+		logs = make([]string, 0, lines)
+		text.Grow(size)
+		for k := range r.ctxs {
+			text.Write(r.ctxs[k].logText)
+		}
+	}
+	all, base := text.String(), 0
 	for k := range r.reports {
 		c, tr := &r.ctxs[k], &r.reports[k]
 		if len(c.regions) > 0 {
@@ -463,6 +479,15 @@ func (r *run) fillReport(slots []slot) {
 			block = append(block, c.regions...)
 			tr.Regions = block[at:len(block):len(block)]
 		}
+		if len(c.logEnds) > 0 {
+			at, from := len(logs), base
+			for _, end := range c.logEnds {
+				logs = append(logs, all[from:base+end])
+				from = base + end
+			}
+			tr.Logs = logs[at:len(logs):len(logs)]
+		}
+		base += len(c.logText)
 		if c.finalDev != "" {
 			rep.FinalOutputs = append(rep.FinalOutputs, TaskOutput{Task: tr.Task, Device: c.finalDev})
 		}

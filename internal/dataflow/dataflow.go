@@ -107,7 +107,9 @@ type Ctx interface {
 	Output(size int64) (*region.Handle, error)
 	// Inputs returns the regions produced by predecessor tasks, in
 	// predecessor order. The task owns them and must not use them after
-	// returning.
+	// returning. The slice belongs to the Ctx and is valid only while the
+	// body runs: each call refills it, and editing it changes nothing the
+	// runtime releases.
 	Inputs() []*region.Handle
 	// Global returns (allocating on first use) a job-wide named region of
 	// the given class — Global State for synchronization, Global Scratch
