@@ -69,7 +69,7 @@ SMOKE_BENCHES = \
 	'checkpoint:fault:BenchmarkReplicatedPut:20000x:ns/op:2,allocs/op:0,B/op:1' \
 	'stream:core:BenchmarkStreamServe:2x:solo-identical-windows/op:0' \
 	'migrate:shard:BenchmarkClusterRebalance:2x:exported/op:0,recalled/op:0' \
-	'region:region:BenchmarkRegionAccess|BenchmarkAllocRelease|BenchmarkTransferZeroCopy:200000x:ns/op:2,allocs/op:0' \
+	'region:region:BenchmarkRegionAccess|BenchmarkAllocRelease|BenchmarkRegionChurn|BenchmarkTransferZeroCopy:200000x:ns/op:2,allocs/op:0' \
 	'served:core:BenchmarkServedJob|BenchmarkServedJobClosedLoop:20000x:ns/op:2,allocs/op:0' \
 	'dag:core:BenchmarkServedWideDAG:20000x:ns/op:2,allocs/op:0' \
 	'real:core:BenchmarkServedRealJob:2560x:ns/op:2,allocs/op:0' \

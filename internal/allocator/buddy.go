@@ -8,6 +8,7 @@ package allocator
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -24,9 +25,10 @@ type Buddy struct {
 	mu       sync.Mutex
 	size     int64
 	maxOrder int
-	// free[k] holds offsets of free blocks of size 2^k, as a set for O(1)
-	// buddy lookup during coalescing.
-	free []map[int64]struct{}
+	// free[k] holds the offsets of the free blocks of size 2^k, sorted
+	// descending: the lowest offset, the one Alloc takes, is the last, and
+	// coalescing finds a buddy by binary search.
+	free [][]int64
 	// allocated maps offset → order for live blocks.
 	allocated map[int64]int
 	used      int64
@@ -48,13 +50,10 @@ func New(size int64) (*Buddy, error) {
 	b := &Buddy{
 		size:      size,
 		maxOrder:  maxOrder,
-		free:      make([]map[int64]struct{}, maxOrder+1),
+		free:      make([][]int64, maxOrder+1),
 		allocated: make(map[int64]int),
 	}
-	for i := range b.free {
-		b.free[i] = make(map[int64]struct{})
-	}
-	b.free[maxOrder][0] = struct{}{}
+	b.free[maxOrder] = []int64{0}
 	return b, nil
 }
 
@@ -73,6 +72,21 @@ func BlockSize(n int64) int64 {
 		return 0
 	}
 	return 1 << orderFor(n)
+}
+
+// search returns the index of the first offset in the descending list s that
+// is not above off: where off is, or would be inserted.
+func search(s []int64, off int64) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid] > off {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // Alloc reserves a block of at least n bytes and returns its offset.
@@ -95,18 +109,14 @@ func (b *Buddy) Alloc(n int64) (int64, error) {
 		return 0, fmt.Errorf("allocator: out of memory (want %d, %d used of %d)", n, b.used, b.size)
 	}
 	// Take the lowest-offset free block for determinism.
-	off := int64(-1)
-	for o := range b.free[k] {
-		if off < 0 || o < off {
-			off = o
-		}
-	}
-	delete(b.free[k], off)
+	last := len(b.free[k]) - 1
+	off := b.free[k][last]
+	b.free[k] = b.free[k][:last]
 	// Split down to the target order, freeing the upper halves.
 	for k > order {
 		k--
 		buddy := off + (1 << k)
-		b.free[k][buddy] = struct{}{}
+		b.free[k] = slices.Insert(b.free[k], search(b.free[k], buddy), buddy)
 	}
 	b.allocated[off] = order
 	b.used += 1 << order
@@ -125,15 +135,16 @@ func (b *Buddy) Free(off int64) error {
 	b.used -= 1 << order
 	for order < b.maxOrder {
 		buddy := off ^ (1 << order)
-		if _, free := b.free[order][buddy]; !free {
+		i := search(b.free[order], buddy)
+		if i == len(b.free[order]) || b.free[order][i] != buddy {
 			break
 		}
-		delete(b.free[order], buddy)
+		b.free[order] = slices.Delete(b.free[order], i, i+1)
 		if buddy < off {
 			off = buddy
 		}
 		order++
 	}
-	b.free[order][off] = struct{}{}
+	b.free[order] = slices.Insert(b.free[order], search(b.free[order], off), off)
 	return nil
 }

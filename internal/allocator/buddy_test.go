@@ -30,8 +30,11 @@ func (b *Buddy) CheckInvariants() error {
 	}
 	var spans []span
 	var freeBytes int64
-	for k, set := range b.free {
-		for off := range set {
+	for k, list := range b.free {
+		for i, off := range list {
+			if i > 0 && list[i-1] <= off {
+				return fmt.Errorf("allocator: free list of order %d not strictly descending at %d", k, i)
+			}
 			spans = append(spans, span{off, 1 << k, true})
 			freeBytes += 1 << k
 		}

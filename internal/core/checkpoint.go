@@ -357,10 +357,15 @@ func (r *run) checkpointTask(ctx *taskCtx, t *dataflow.Task) error {
 // under partial replay: the region holds a placeholder payload until a
 // re-executed consumer receives it as input and hydrates the real bytes.
 // The mutex serializes concurrent consumers of a shared output — only the
-// wall-clock fetch is serialized, never virtual time.
+// wall-clock fetch is serialized, never virtual time. A run's are one block
+// of the job's scratch, by producer rank, zeroed for each attempt.
 type lazyRestore struct {
-	mu   sync.Mutex
-	done bool
+	mu sync.Mutex
+	// pending marks a producer the attempt replayed with a placeholder
+	// payload: written by the producer before it delivers, read by its
+	// consumers after (ordered like run.handles).
+	pending bool
+	done    bool
 }
 
 // hydrate fetches the replayed producer's payload from the checkpoint store
@@ -458,7 +463,7 @@ func (r *run) restoreTaskAt(ctx *taskCtx, start time.Duration) (time.Duration, *
 			}
 			ctx.now = now
 			if lazy {
-				r.lazy[ctx.rank] = new(lazyRestore)
+				r.lazy[ctx.rank].pending = true
 			}
 		}
 		if err := r.deliverOutput(ctx); err != nil {

@@ -40,9 +40,10 @@ func (r ledgerRow) layer() string {
 }
 
 // Two rows name no function. noReproFrame holds the allocations whose stack
-// holds no repro/ function: the runtime's own. unprofiled holds the tiny
-// allocations (pointer-free, under 16 bytes) that the runtime packs into a
-// block an earlier one opened, which it counts but does not profile.
+// holds no repro/ function: the runtime's own. unprofiled holds what the
+// runtime counts but the profile does not: the tiny allocations (pointer-free,
+// under 16 bytes) that the runtime packs into a block an earlier one opened,
+// and any made just outside the profile's window (allocLedger).
 const (
 	noReproFrame = "(runtime)"
 	unprofiled   = "(tiny, unprofiled)"
@@ -62,14 +63,20 @@ func allocLedger(t *testing.T, pass func(), units float64) []ledgerRow {
 	before := make([]runtime.MemProfileRecord, n+1<<10)
 	after := make([]runtime.MemProfileRecord, n+1<<12)
 	var m0, m1 runtime.MemStats
-	// runtime.GC publishes every allocation made before it to the profile.
+	// runtime.GC publishes every allocation made before it to the profile, so
+	// the profile's window runs from one collection to the next. The count's
+	// window holds it: it opens before the first and closes after the second.
+	// An allocation the runtime's own goroutines make in between (the
+	// scavenger growing a timer heap, seen right after a pass) or a server
+	// goroutine makes after Submit returned is then in both, or in the count
+	// alone, where the unprofiled row takes it; never in the profile alone.
+	runtime.ReadMemStats(&m0)
 	runtime.GC()
 	nb, ok := runtime.MemProfile(before, true)
-	runtime.ReadMemStats(&m0)
 	pass()
-	runtime.ReadMemStats(&m1)
 	runtime.GC()
 	na, ok2 := runtime.MemProfile(after, true)
+	runtime.ReadMemStats(&m1)
 	if !ok || !ok2 {
 		t.Fatal("memory profile outgrew the ledger's record buffers")
 	}

@@ -360,13 +360,14 @@ func TestKeptHandleNeverWaitsOnALaterJob(t *testing.T) {
 // TestRecycledSlotsHoldNothing: once a job with job globals, a fan-out,
 // private scratch, logs, a body that edits the slice Inputs returned and a
 // partial-replay retry has settled, after a wider job, the context slots in
-// the scratch on the free list — its own and the wider job's beyond them — and
-// its globals list hold no pointer but their slices' own storage: no run,
-// task, device, view, handle, owner name, label or global of either job. And
-// they kept that storage: the sink's spilled journal, the logging task's log
-// buffer, the editor's input copy and the globals list are there for the next
-// job. The edits reached no list the engine releases: a second Inputs call
-// returns the original handles, and no region is left live.
+// the scratch on the free list — its own and the wider job's beyond them — its
+// globals list and its restore states hold no pointer but their slices' own
+// storage: no run, task, device, view, handle, owner name, label or global of
+// either job. And they kept that storage: the sink's spilled journal, the
+// logging task's log buffer, the editor's input copy, the globals list and
+// the partial replay's restore-state block are there for the next job. The
+// edits reached no list the engine releases: a second Inputs call returns the
+// original handles, and no region is left live.
 func TestRecycledSlotsHoldNothing(t *testing.T) {
 	inj := fault.NewInjector(1, 0, 1)
 	inj.Kill("victim", 1)
@@ -417,8 +418,20 @@ func TestRecycledSlotsHoldNothing(t *testing.T) {
 		t.Fatalf("%d context slots for %d tasks, want the wider job's more", len(slots), job.Len())
 	}
 	found := pointersIn(reflect.ValueOf(slots), "ctxs", nil)
-	if found = pointersIn(reflect.ValueOf(sc.globals), "globals", found); len(found) > 0 {
-		t.Errorf("recycled context slots and globals hold %d pointers: %v", len(found), found)
+	found = pointersIn(reflect.ValueOf(sc.globals), "globals", found)
+	if found = pointersIn(reflect.ValueOf(sc.lazy[:cap(sc.lazy)]), "lazy", found); len(found) > 0 {
+		t.Errorf("recycled context slots, globals and restore states hold %d pointers: %v", len(found), found)
+	}
+	pending := -1
+	for k := range sc.lazy {
+		if sc.lazy[k].pending {
+			pending = k
+			break
+		}
+	}
+	if len(sc.lazy) != job.Len() || pending < 0 {
+		t.Errorf("the scratch kept %d restore states for %d tasks, the first pending at %d: want the partial replay's block, in use",
+			len(sc.lazy), job.Len(), pending)
 	}
 	var spilled, logged, copied bool
 	for k := range slots {

@@ -374,10 +374,9 @@ type run struct {
 	// the submitter's Report.Tasks.
 	reports []TaskReport
 	// lazy holds, by producer rank, a replayed producer's re-materialized
-	// output's restore state; allocated by newWavefront when a partial replay
-	// restores anything. Written by the replayed producer, read by its
-	// consumers (ordered like handles).
-	lazy []*lazyRestore
+	// output's restore state: the scratch's block, which newWavefront zeroes
+	// when a partial replay restores anything, nil otherwise.
+	lazy []lazyRestore
 }
 
 // inputBuf returns rank k's empty input list, with room for every in-edge.
@@ -527,7 +526,7 @@ func (r *run) execTaskAt(w *wavefront, k int, view *topology.TaskView, start tim
 			continue
 		}
 		pid := r.g.Order[p].ID()
-		if r.lazy != nil && r.lazy[p] != nil {
+		if r.lazy != nil && r.lazy[p].pending {
 			// The producer was replayed from its checkpoint under partial
 			// replay: its region carries a placeholder payload until a task
 			// that actually re-executes receives it as input. Fetch the real

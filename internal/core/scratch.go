@@ -39,6 +39,7 @@ type scratch struct {
 	cores    []time.Duration  // run.cores, when the run's table is private
 	computes []string         // run.scheduledComputes
 	globals  []jobGlobal      // run.globals, empty between attempts
+	lazy     []lazyRestore    // run.lazy, zeroed by each attempt that uses it
 	// computePeak's event list and its three maps: the live regions, and
 	// each device's bytes now and at its peak.
 	events []memEvent
@@ -73,7 +74,7 @@ func (sc *scratch) footprint() int64 {
 	)
 	w := &sc.w
 	n := cap(sc.handles)*word + cap(sc.cores)*word + cap(sc.computes)*2*word + cap(sc.events)*eventSlot +
-		cap(sc.globals)*int(unsafe.Sizeof(jobGlobal{})) +
+		cap(sc.globals)*int(unsafe.Sizeof(jobGlobal{})) + cap(sc.lazy)*int(unsafe.Sizeof(lazyRestore{})) +
 		cap(sc.views)*int(unsafe.Sizeof(topology.TaskView{})) +
 		cap(w.slots)*int(unsafe.Sizeof(slot{})) + cap(w.ready) +
 		(cap(w.readyAt)+cap(w.queue)+cap(w.baseCores))*word

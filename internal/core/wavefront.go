@@ -372,7 +372,8 @@ func (r *run) newWavefront(ctx context.Context) (*wavefront, string, error) {
 			if e, ok := r.ck.lookup(t.ID()); ok && !e.createdGlobal {
 				w.slots[k].restored = true
 				if r.partial && r.lazy == nil {
-					r.lazy = make([]*lazyRestore, n)
+					r.sc.lazy = sized(r.sc.lazy, n)
+					r.lazy = r.sc.lazy
 				}
 				continue
 			}

@@ -15,7 +15,6 @@ package memsim
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -155,12 +154,12 @@ type Device struct {
 	Spec
 	ID string // unique within a topology, e.g. "node0/dram0"
 
-	mu        sync.Mutex
-	allocated int64 // bytes handed out by the allocator layer
+	// allocated is the bytes handed out by the allocator layer. It is an
+	// atomic, as the access counters are: a placement reads Free on every
+	// candidate device, and must not serialize on a device lock to do it.
+	allocated atomic.Int64
 
-	// The access counters are atomics, not fields under mu: every clock view
-	// a retiring task publishes adds to them, and must not serialize on one
-	// device lock just to count.
+	// Every clock view a retiring task publishes adds to the access counters.
 	reads     atomic.Uint64
 	writes    atomic.Uint64
 	bytesRead atomic.Uint64
@@ -272,16 +271,13 @@ type Stats struct {
 	Allocated               int64
 }
 
-// Stats returns a snapshot. Allocated is read under the device lock; each
-// access counter is exact on its own, and all of them are mutually consistent
-// whenever no access is in flight.
+// Stats returns a snapshot. Each counter is exact on its own, and all of
+// them are mutually consistent whenever no access or allocation is in flight.
 func (d *Device) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return Stats{
 		Reads: d.reads.Load(), Writes: d.writes.Load(),
 		BytesRead: d.bytesRead.Load(), BytesWritten: d.bytesWr.Load(),
-		Allocated: d.allocated,
+		Allocated: d.allocated.Load(),
 	}
 }
 
@@ -291,37 +287,36 @@ func (d *Device) Reserve(n int64) error {
 	if n <= 0 {
 		return fmt.Errorf("memsim: %s: reserve of %d bytes", d.ID, n)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.allocated+n > d.Capacity {
-		return fmt.Errorf("memsim: %s: capacity exhausted (%d allocated, %d capacity, %d requested)",
-			d.ID, d.allocated, d.Capacity, n)
+	for {
+		a := d.allocated.Load()
+		if a+n > d.Capacity {
+			return fmt.Errorf("memsim: %s: capacity exhausted (%d allocated, %d capacity, %d requested)",
+				d.ID, a, d.Capacity, n)
+		}
+		if d.allocated.CompareAndSwap(a, a+n) {
+			return nil
+		}
 	}
-	d.allocated += n
-	return nil
 }
 
 // Release returns capacity. Releasing more than allocated is a bug in the
 // caller and panics loudly rather than corrupting accounting.
 func (d *Device) Release(n int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if n < 0 || n > d.allocated {
-		panic(fmt.Sprintf("memsim: %s: release %d with %d allocated", d.ID, n, d.allocated))
+	for {
+		a := d.allocated.Load()
+		if n < 0 || n > a {
+			panic(fmt.Sprintf("memsim: %s: release %d with %d allocated", d.ID, n, a))
+		}
+		if d.allocated.CompareAndSwap(a, a-n) {
+			return
+		}
 	}
-	d.allocated -= n
 }
 
 // Free returns the unallocated capacity in bytes.
-func (d *Device) Free() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.Capacity - d.allocated
-}
+func (d *Device) Free() int64 { return d.Capacity - d.allocated.Load() }
 
 // Utilization returns allocated/capacity in [0,1].
 func (d *Device) Utilization() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return float64(d.allocated) / float64(d.Capacity)
+	return float64(d.allocated.Load()) / float64(d.Capacity)
 }

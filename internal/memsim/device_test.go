@@ -1,6 +1,8 @@
 package memsim
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -191,6 +193,40 @@ func TestReserveRelease(t *testing.T) {
 	d.Release(10 * GiB)
 	if got := d.Free(); got != 16*GiB {
 		t.Errorf("Free after release = %d, want full capacity", got)
+	}
+}
+
+// TestConcurrentReserveNeverOversubscribes races reservers against one
+// device: exactly as many succeed as the capacity holds, and releasing them
+// all returns it to empty.
+func TestConcurrentReserveNeverOversubscribes(t *testing.T) {
+	d := mustDevice(t, HBMSpec()) // 16 GiB
+	const goroutines, each, chunk = 4, 64, GiB / 8
+	var granted atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if d.Reserve(chunk) == nil {
+					granted.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := granted.Load(), d.Capacity/chunk; got != want {
+		t.Fatalf("%d reservations of %d granted, want %d", got, chunk, want)
+	}
+	if d.Free() != 0 {
+		t.Fatalf("Free = %d after filling the device", d.Free())
+	}
+	for i := int64(0); i < granted.Load(); i++ {
+		d.Release(chunk)
+	}
+	if s := d.Stats(); s.Allocated != 0 {
+		t.Fatalf("Allocated = %d after releasing every reservation", s.Allocated)
 	}
 }
 

@@ -70,7 +70,7 @@ func (m *Manager) exportLocked(r *Region) (time.Duration, error) {
 	if m.exporter == nil {
 		return 0, ErrNoExporter
 	}
-	token, cost, err := m.exporter.Export(uint64(r.id), r.data[:r.size])
+	token, cost, err := m.exporter.Export(uint64(r.id), r.bytes()[:r.size])
 	if err != nil {
 		return 0, err
 	}
@@ -164,7 +164,7 @@ func (m *Manager) recall(r *Region) error {
 // the lock of except, which is left out.
 func (m *Manager) coldestOn(dev *memsim.Device, maxHeat uint64, except *Region) []*Region {
 	var cold []*Region
-	heat := make(map[*Region]uint64)
+	heat := make(map[*Region]uint32)
 	for _, r := range m.regions {
 		if r == except || r.exported || r.device != dev {
 			continue
@@ -172,7 +172,7 @@ func (m *Manager) coldestOn(dev *memsim.Device, maxHeat uint64, except *Region) 
 		r.mu.Lock()
 		h := r.heat
 		r.mu.Unlock()
-		if h <= maxHeat {
+		if uint64(h) <= maxHeat {
 			cold = append(cold, r)
 			heat[r] = h
 		}

@@ -16,11 +16,21 @@ import (
 func (m *Manager) Exported(id ID) (bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	r, ok := m.regions[id]
-	if !ok || r.freed {
+	r := m.find(id)
+	if r == nil || r.freed {
 		return false, fmt.Errorf("%w: region %d", ErrFreed, id)
 	}
 	return r.exported, nil
+}
+
+// find returns the live region id, nil when there is none. Caller holds m.mu.
+func (m *Manager) find(id ID) *Region {
+	for _, r := range m.regions {
+		if r.id == id {
+			return r
+		}
+	}
+	return nil
 }
 
 // fakeExporter is an in-memory remote pool: a map of token → payload copy,

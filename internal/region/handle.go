@@ -2,6 +2,7 @@ package region
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/coherence"
@@ -296,7 +297,9 @@ func (h *Handle) access(now time.Duration, off int64, buf []byte, write, sync bo
 		r.mu.Unlock()
 		return now, err
 	}
-	r.heat++
+	if r.heat < math.MaxUint32 {
+		r.heat++
+	}
 	if rt == nil {
 		err := h.r.m.topo.RouteError(h.compute, r.device.ID)
 		r.mu.Unlock()
@@ -309,17 +312,18 @@ func (h *Handle) access(now time.Duration, off int64, buf []byte, write, sync bo
 	done := h.clock.AccessRoute(rt, now, n, kind, pat)
 	done += h.coherenceCost(rt, off, n, write)
 	h.clock.Defer(moved, n)
+	data := r.bytes()
 	if write {
 		if r.sealed {
-			sealRange(h.r.m.secret, r.id, r.data, off, buf)
+			sealRange(h.r.m.secret, r.id, data, off, buf)
 		} else {
-			copy(r.data[off:], buf)
+			copy(data[off:], buf)
 		}
 	} else {
 		if r.sealed {
-			unsealRange(h.r.m.secret, r.id, r.data, off, buf)
+			unsealRange(h.r.m.secret, r.id, data, off, buf)
 		} else {
-			copy(buf, r.data[off:])
+			copy(buf, data[off:])
 		}
 	}
 	r.mu.Unlock()
@@ -399,9 +403,9 @@ func (h *Handle) Hydrate(off int64, data []byte) error {
 	}
 	defer r.mu.Unlock()
 	if r.sealed {
-		sealRange(h.r.m.secret, r.id, r.data, off, data)
+		sealRange(h.r.m.secret, r.id, r.bytes(), off, data)
 	} else {
-		copy(r.data[off:], data)
+		copy(r.bytes()[off:], data)
 	}
 	return nil
 }
@@ -544,7 +548,7 @@ func (m *Manager) migrateToLocked(r *Region, computeID, devID string, now time.D
 	// obligation of confidential regions; toggle the sealing of the whole
 	// backing (seal and unseal are the same XOR keystream).
 	if newSealed := r.req.Confidential && to.Remote; newSealed != r.sealed {
-		keystreamAt(m.secret, r.id, 0, r.data)
+		keystreamAt(m.secret, r.id, 0, r.bytes())
 		r.sealed = newSealed
 	}
 	m.migrations.Add(1)

@@ -1,8 +1,9 @@
 package region
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/telemetry"
@@ -148,19 +149,16 @@ func (m *Manager) RebalanceIn(clk *topology.TaskView, now time.Duration, pol Reb
 		}
 	}
 
-	// Deterministic region order for the remaining passes: by id.
-	ids := make([]ID, 0, len(m.regions))
-	for id := range m.regions {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	// Deterministic region order for the remaining passes: by id. No region
+	// leaves the table while the sweep holds the manager lock.
+	byID := slices.Clone(m.regions)
+	slices.SortFunc(byID, func(a, b *Region) int { return cmp.Compare(a.id, b.id) })
 
 	// Pass 2 — promotion: hot regions move when a clearly better device
 	// has room. An exported region that ran hot is recalled home instead —
 	// the sweep-driven counterpart of fetch-on-read, paying the fabric
 	// verbs on the sweep's clock.
-	for _, id := range ids {
-		r := m.regions[id]
+	for _, r := range byID {
 		r.mu.Lock()
 		if r.heat < promoteHeat {
 			r.mu.Unlock()
@@ -209,8 +207,7 @@ func (m *Manager) RebalanceIn(clk *topology.TaskView, now time.Duration, pol Reb
 
 	// Decay heat. An access counts under the region lock alone, so halving
 	// under it loses no increment.
-	for _, id := range ids {
-		r := m.regions[id]
+	for _, r := range byID {
 		r.mu.Lock()
 		r.heat >>= 1
 		r.mu.Unlock()

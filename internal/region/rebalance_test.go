@@ -16,13 +16,13 @@ import (
 func (m *Manager) Heat(id ID) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	r, ok := m.regions[id]
-	if !ok {
+	r := m.find(id)
+	if r == nil {
 		return 0, fmt.Errorf("%w: region %d", ErrFreed, id)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.heat, nil
+	return uint64(r.heat), nil
 }
 
 // tieringManager builds a manager on a testbed with tiny device capacities

@@ -107,8 +107,9 @@ type Region struct {
 	// is written only with mu held. The placement fields — device, offset,
 	// data, token and the sealed, freed and exported flags — are written by
 	// whoever moves the payload or frees the region, which holds Manager.mu as
-	// well, so a holder of Manager.mu may read those without mu (data aside:
-	// Alloc fills it in after publishing the region, under mu alone). The
+	// well, so a holder of Manager.mu may read those without mu (data and
+	// dirty aside: Alloc makes a fresh backing after publishing the region,
+	// and the first touch clears a recycled one, under mu alone). The
 	// ownership fields — gen, owners, sharers, slots, the sharing flags and
 	// each handle's owns flag — and heat change under mu alone: a share, a
 	// zero-copy transfer and a release that leaves another owner take no
@@ -120,10 +121,14 @@ type Region struct {
 	mu     sync.Mutex
 	device *memsim.Device
 	offset int64  // offset within the device's buddy arena
-	data   []byte // real host backing; ciphertext when sealed
+	data   []byte // real host backing; ciphertext when sealed; read through bytes
 	gen    uint64 // bumped on ownership transfer to invalidate handles
 	owners ownerSet
-	heat   uint64 // accesses since the last rebalance epoch (tiering)
+	heat   uint32 // accesses since the last rebalance epoch (tiering), saturating
+	// idx is the region's slot in Manager.regions, read and written under
+	// Manager.mu alone: a free moves the table's last region into the slot
+	// it leaves.
+	idx int32
 	// sharers is the happens-before sharer set: the deterministic task
 	// ranks that were ever granted ownership through the rank-aware share
 	// path (ShareRanked — the runtime's output fan-out). An access through
@@ -144,6 +149,10 @@ type Region struct {
 	// allocated per task output, and its size class is counted per job.
 	sealed bool // encrypted at rest
 	freed  bool
+	// dirty marks a recycled backing that still holds its last user's bytes:
+	// Alloc takes it under the table lock, and the region's first touch
+	// (bytes) clears it, so a region nobody reads or writes is never cleared.
+	dirty bool
 	// everShared latches once the region has had more than one owner:
 	// coherence pricing keys off it instead of the instantaneous owner
 	// count, so the cost of an access does not depend on whether a sibling
@@ -320,6 +329,17 @@ func (s *ownerSet) remove(h *Handle) {
 	}
 }
 
+// bytes returns the region's backing for a caller about to read or write it,
+// clearing a recycled one first: a region reads zeros until it is written.
+// Caller holds r.mu.
+func (r *Region) bytes() []byte {
+	if r.dirty {
+		clear(r.data)
+		r.dirty = false
+	}
+	return r.data
+}
+
 // coherent reports whether accesses to the region run the coherence protocol,
 // which is to say whether the directory may know the region at all: shared
 // ownership of memory required to be coherent (§2.2). Once true it stays true.
@@ -341,9 +361,10 @@ type Manager struct {
 	// region's placement or ends its life holds it, and the region's own lock
 	// while it writes the region's fields. A change of ownership that moves no
 	// bytes does not take it.
-	mu      sync.Mutex
-	nextID  ID
-	regions map[ID]*Region
+	mu     sync.Mutex
+	nextID ID
+	// regions is the live regions in no particular order, each at its idx.
+	regions []*Region
 	buddies map[string]*allocator.Buddy
 	backing allocator.BufList // freed regions' data backings, recycled by block class
 	secret  [32]byte          // root key material for confidential regions; fixed by NewManager, read without mu
@@ -391,7 +412,6 @@ func NewManager(cfg Config) (*Manager, error) {
 		placer:  cfg.Placer,
 		dir:     coherence.NewDirectory(),
 		reg:     cfg.Telemetry,
-		regions: make(map[ID]*Region),
 		buddies: make(map[string]*allocator.Buddy),
 		backing: allocator.BufList{Limit: backingFreeBytes},
 
@@ -499,9 +519,10 @@ func (m *Manager) Alloc(spec Spec) (*Handle, error) {
 	// The region and its first handle — one allocation — are built before the
 	// table lock, which covers only what the manager's tables hold: the space,
 	// the id, a recycled backing and the insert. The region is published with
-	// its own lock held, and its backing is made or zeroed after the table
-	// lock is dropped but before the region's is, so no access and no sweep
-	// ever sees a recycled backing's old bytes.
+	// its own lock held, and a fresh backing is made after the table lock is
+	// dropped but before the region's is. A recycled backing is marked dirty
+	// and cleared at the region's first touch (bytes), so no access and no
+	// sweep ever sees its old bytes.
 	block := allocator.BlockSize(spec.Size)
 	r := newRegion(spec.Class)
 	r.m, r.class, r.req = m, spec.Class, req
@@ -526,13 +547,13 @@ func (m *Manager) Alloc(spec Spec) (*Handle, error) {
 	r.id = m.nextID
 	m.nextID++
 	r.data = m.backing.Reuse(spec.Size)
+	r.dirty = r.data != nil
 	r.mu.Lock()
-	m.regions[r.id] = r
+	r.idx = int32(len(m.regions))
+	m.regions = append(m.regions, r)
 	m.mu.Unlock()
 	if r.data == nil {
 		r.data = m.backing.Make(spec.Size)
-	} else {
-		clear(r.data)
 	}
 	r.mu.Unlock()
 	m.allocs.Add(1)
@@ -561,7 +582,10 @@ func (m *Manager) free(r *Region) {
 	if r.coherent() {
 		m.dir.DropRegion(uint64(r.id))
 	}
-	delete(m.regions, r.id)
+	last := m.regions[len(m.regions)-1]
+	m.regions[r.idx], last.idx = last, r.idx
+	m.regions[len(m.regions)-1] = nil
+	m.regions = m.regions[:len(m.regions)-1]
 	m.frees.Add(1)
 	m.bytesAllocated.Add(-r.blockSize)
 }

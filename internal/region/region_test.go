@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -664,6 +665,43 @@ func BenchmarkAllocRelease(b *testing.B) {
 		if err := h.Release(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRegionChurn is a region's life as serving lives it: 64 live
+// regions, sized as the serving mix sizes task outputs (2 KiB times a bounded
+// Pareto draw, up to 512 KiB), each iteration releasing the oldest and
+// allocating the next. BenchmarkAllocRelease keeps one 4 KiB region live, so
+// its buddy has one free block per order to search and its backings are all
+// one small class; this one pays for the free lists a busy device builds and
+// for recycled backings of every size.
+func BenchmarkRegionChurn(b *testing.B) {
+	const live, draws = 64, 1024
+	rng := rand.New(rand.NewSource(42))
+	sizes := make([]int64, draws)
+	for i := range sizes {
+		sizes[i] = int64(2048 * min(math.Pow(1-rng.Float64(), -1/1.6), 256))
+	}
+	m := newManager(b)
+	spec := Spec{Class: props.Transfer, Owner: "t", Compute: "node0/cpu0", Clock: m.topo.NewTaskView()}
+	ring := make([]*Handle, live)
+	alloc := func(i int) {
+		spec.Size = sizes[i%draws]
+		h, err := m.Alloc(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ring[i%live] = h
+	}
+	for i := 0; i < live; i++ {
+		alloc(i)
+	}
+	b.ResetTimer()
+	for i := live; i < live+b.N; i++ {
+		if err := ring[i%live].Release(); err != nil {
+			b.Fatal(err)
+		}
+		alloc(i)
 	}
 }
 
