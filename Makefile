@@ -55,9 +55,9 @@ bench:
 #     through a 2-shard cluster with checkpoints and injected faults), and real
 #     that of a real-body job, whose bodies read inputs, log and use globals,
 #     each after an untimed ramp that also checks reports against solo runs; the
-#     rest are the region, coherence, placement, planner, graph, span-record
-#     and checkpoint paths underneath. recover's restored-B/op is the bytes a
-#     retry fetches back, under full and under partial replay.
+#     rest are the region, buddy, coherence, placement, planner, graph,
+#     span-record and checkpoint paths underneath. recover's restored-B/op is
+#     the bytes a retry fetches back, under full and under partial replay.
 #   - exact counts (:0): stream's windows that retire at the solo runs'
 #     virtual watermark, migrate's regions exported and recalled per wave.
 #
@@ -70,6 +70,7 @@ SMOKE_BENCHES = \
 	'stream:core:BenchmarkStreamServe:2x:solo-identical-windows/op:0' \
 	'migrate:shard:BenchmarkClusterRebalance:2x:exported/op:0,recalled/op:0' \
 	'region:region:BenchmarkRegionAccess|BenchmarkAllocRelease|BenchmarkRegionChurn|BenchmarkTransferZeroCopy:200000x:ns/op:2,allocs/op:0' \
+	'buddy:allocator:BenchmarkAllocChurn|BenchmarkAllocFree:200000x:ns/op:2,allocs/op:0' \
 	'served:core:BenchmarkServedJob|BenchmarkServedJobClosedLoop:20000x:ns/op:2,allocs/op:0' \
 	'dag:core:BenchmarkServedWideDAG:20000x:ns/op:2,allocs/op:0' \
 	'real:core:BenchmarkServedRealJob:2560x:ns/op:2,allocs/op:0' \

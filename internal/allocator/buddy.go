@@ -6,6 +6,7 @@
 package allocator
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -29,9 +30,12 @@ type Buddy struct {
 	// descending: the lowest offset, the one Alloc takes, is the last, and
 	// coalescing finds a buddy by binary search.
 	free [][]int64
-	// allocated maps offset → order for live blocks.
-	allocated map[int64]int
-	used      int64
+	// live holds a byte per 64 B block of the arena up to the highest live
+	// block's start: order+1 at a live block's first 64 B, 0 elsewhere. Every
+	// byte past its length, up to its capacity, is 0, so the table grows by
+	// reslicing into its capacity and shrinks by trimming its zero tail.
+	live []uint8
+	used int64
 }
 
 // New builds an allocator managing size bytes. Size must be a power of two
@@ -48,10 +52,9 @@ func New(size int64) (*Buddy, error) {
 		return nil, fmt.Errorf("allocator: size %d too large", size)
 	}
 	b := &Buddy{
-		size:      size,
-		maxOrder:  maxOrder,
-		free:      make([][]int64, maxOrder+1),
-		allocated: make(map[int64]int),
+		size:     size,
+		maxOrder: maxOrder,
+		free:     make([][]int64, maxOrder+1),
 	}
 	b.free[maxOrder] = []int64{0}
 	return b, nil
@@ -118,20 +121,53 @@ func (b *Buddy) Alloc(n int64) (int64, error) {
 		buddy := off + (1 << k)
 		b.free[k] = slices.Insert(b.free[k], search(b.free[k], buddy), buddy)
 	}
-	b.allocated[off] = order
+	i := int(off >> MinOrder)
+	if i >= len(b.live) {
+		if i >= cap(b.live) {
+			b.live = slices.Grow(b.live, i+1-len(b.live))
+		}
+		b.live = b.live[:i+1]
+	}
+	b.live[i] = uint8(order + 1)
 	b.used += 1 << order
 	return off, nil
+}
+
+// trimZeros cuts s's zero tail, eight bytes at a time while it can: freeing
+// the highest live block uncovers the free space and block interiors below it
+// back to the next live block's start.
+func trimZeros(s []uint8) []uint8 {
+	n := len(s)
+	for n >= 8 && binary.LittleEndian.Uint64(s[n-8:n]) == 0 {
+		n -= 8
+	}
+	for n > 0 && s[n-1] == 0 {
+		n--
+	}
+	return s[:n]
+}
+
+// liveOrder returns the order of the live block starting at off, false when
+// no live block starts there: a negative, misaligned or out-of-range offset,
+// one inside a live block, or one no block holds.
+func (b *Buddy) liveOrder(off int64) (int, bool) {
+	if off < 0 || off&(1<<MinOrder-1) != 0 || off>>MinOrder >= int64(len(b.live)) {
+		return 0, false
+	}
+	k := b.live[off>>MinOrder]
+	return int(k) - 1, k != 0
 }
 
 // Free releases a previously allocated block and coalesces buddies.
 func (b *Buddy) Free(off int64) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	order, ok := b.allocated[off]
+	order, ok := b.liveOrder(off)
 	if !ok {
 		return fmt.Errorf("allocator: free of unallocated offset %d", off)
 	}
-	delete(b.allocated, off)
+	b.live[off>>MinOrder] = 0
+	b.live = trimZeros(b.live)
 	b.used -= 1 << order
 	for order < b.maxOrder {
 		buddy := off ^ (1 << order)

@@ -40,9 +40,19 @@ func (b *Buddy) CheckInvariants() error {
 		}
 	}
 	var usedBytes int64
-	for off, k := range b.allocated {
-		spans = append(spans, span{off, 1 << k, false})
-		usedBytes += 1 << k
+	for i, k := range b.live {
+		if k != 0 {
+			spans = append(spans, span{int64(i) << MinOrder, 1 << (k - 1), false})
+			usedBytes += 1 << (k - 1)
+		}
+	}
+	if n := len(b.live); n > 0 && b.live[n-1] == 0 {
+		return fmt.Errorf("allocator: live table ends in a zero at %d", n-1)
+	}
+	for i, k := range b.live[len(b.live):cap(b.live)] {
+		if k != 0 {
+			return fmt.Errorf("allocator: live table holds %d past its length at %d", k, len(b.live)+i)
+		}
 	}
 	if usedBytes != b.used {
 		return fmt.Errorf("allocator: used accounting %d != live blocks %d", b.used, usedBytes)
@@ -338,5 +348,73 @@ func BenchmarkAllocChurn(b *testing.B) {
 			b.Fatal(err)
 		}
 		live = append(live, off)
+	}
+}
+
+// TestFreeRefusesWhatNoBlockStartsAt: the live table answers Free only for an
+// offset where a live block starts; a negative, misaligned, out-of-range or
+// interior offset is refused like a never-allocated one, and leaves the
+// allocator as it was.
+func TestFreeRefusesWhatNoBlockStartsAt(t *testing.T) {
+	b, _ := New(1 << 12)
+	big, _ := b.Alloc(1024) // [0, 1024)
+	small, _ := b.Alloc(64) // [1024, 1088)
+	for _, off := range []int64{-64, -1, 1, 63, small + 32, 64, 512, big + 960, 1 << 12, 1<<12 + 64, 1 << 40} {
+		err := b.Free(off)
+		if err == nil || err.Error() != fmt.Sprintf("allocator: free of unallocated offset %d", off) {
+			t.Errorf("Free(%d) = %v, want a refusal", off, err)
+		}
+	}
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if b.Used() != 1024+64 {
+		t.Fatalf("refused frees changed the accounting: %d used", b.Used())
+	}
+	for _, off := range []int64{small, big} {
+		if err := b.Free(off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !b.coalesced() {
+		t.Fatal("the arena did not coalesce")
+	}
+}
+
+// TestLiveTableFollowsTheHighestBlock: the live table never holds more than a
+// byte per 64 B block up to the highest live block's start, so it shrinks as
+// the top blocks go, and it is empty once nothing is live.
+func TestLiveTableFollowsTheHighestBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	b, _ := New(1 << 20)
+	var live []int64
+	for i := 0; i < 20000; i++ {
+		if len(live) == 0 || rng.Intn(2) == 0 {
+			if off, err := b.Alloc(1 + rng.Int63n(8192)); err == nil {
+				live = append(live, off)
+			}
+		} else {
+			j := rng.Intn(len(live))
+			if err := b.Free(live[j]); err != nil {
+				t.Fatal(err)
+			}
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		want := 0
+		for _, off := range live {
+			want = max(want, int(off>>MinOrder)+1)
+		}
+		if len(b.live) != want {
+			t.Fatalf("step %d: live table of %d bytes, want %d for a highest block at %d", i, len(b.live), want, (want-1)<<MinOrder)
+		}
+	}
+	for _, off := range live {
+		if err := b.Free(off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(b.live) != 0 {
+		t.Fatalf("%d bytes of live table with nothing live", len(b.live))
 	}
 }

@@ -540,7 +540,7 @@ func (r *run) execTaskAt(w *wavefront, k int, view *topology.TaskView, start tim
 		}
 		h.Rebind(view, k, r)
 		if cls, err := h.Class(); err == nil && cls == props.Transfer {
-			fromDev, _ := h.DeviceID()
+			fromDev, _ := h.DeviceIndex()
 			nh, done, err := h.Transfer(ctx.now, ctx.owner, asg.Compute)
 			if err != nil {
 				ctx.inputs = append(ctx.inputs, h) // keep it releasable
@@ -549,8 +549,8 @@ func (r *run) execTaskAt(w *wavefront, k int, view *topology.TaskView, start tim
 			}
 			ctx.now = done
 			h = nh
-			if toDev, err := h.DeviceID(); err == nil && toDev != fromDev {
-				ctx.noteMove(h)
+			if toDev, err := h.DeviceIndex(); err == nil && toDev != fromDev {
+				ctx.noteMove(h, toDev)
 			}
 		}
 		ctx.inputs = append(ctx.inputs, h)

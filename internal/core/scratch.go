@@ -40,12 +40,12 @@ type scratch struct {
 	computes []string         // run.scheduledComputes
 	globals  []jobGlobal      // run.globals, empty between attempts
 	lazy     []lazyRestore    // run.lazy, zeroed by each attempt that uses it
-	// computePeak's event list and its three maps: the live regions, and
-	// each device's bytes now and at its peak.
+	// computePeak's event list, its map of the live regions, and each
+	// device's bytes now and at its peak, by dense index.
 	events []memEvent
 	live   map[region.ID]liveRegion
-	cur    map[string]int64
-	peak   map[string]int64
+	cur    []int64
+	peak   []int64
 }
 
 // The runtime's free list (allocator.FreeList) is bounded twice, like the
@@ -65,8 +65,7 @@ const (
 // slice's capacity, each context slot and the storage its slices kept, each
 // view's queue state, and for computePeak's live map an entry per event slot —
 // the map held at most as many regions at once as the sweep had events, and
-// events only grows. cur and peak are keyed by device and so bounded by the
-// topology; they are not counted.
+// events only grows.
 func (sc *scratch) footprint() int64 {
 	const (
 		word      = int(unsafe.Sizeof(uintptr(0)))
@@ -74,6 +73,7 @@ func (sc *scratch) footprint() int64 {
 	)
 	w := &sc.w
 	n := cap(sc.handles)*word + cap(sc.cores)*word + cap(sc.computes)*2*word + cap(sc.events)*eventSlot +
+		(cap(sc.cur)+cap(sc.peak))*word +
 		cap(sc.globals)*int(unsafe.Sizeof(jobGlobal{})) + cap(sc.lazy)*int(unsafe.Sizeof(lazyRestore{})) +
 		cap(sc.views)*int(unsafe.Sizeof(topology.TaskView{})) +
 		cap(w.slots)*int(unsafe.Sizeof(slot{})) + cap(w.ready) +

@@ -63,19 +63,25 @@ type taskCtx struct {
 }
 
 // reset empties the slot for its next task: every field is zero but the
-// slices, which keep their storage, emptied and cleared, so a slot holds no
-// earlier task's pointers and a journal, placement list, input copy or log
-// buffer that once grew does not grow again. A slot that never spilled starts
-// in its inline arrays.
+// slices, which keep their storage, emptied, so a slot holds no earlier task's
+// pointers and a journal, placement list, input copy or log buffer that once
+// grew does not grow again. A slot that never spilled starts in its inline
+// arrays. It writes field by field, not a whole slot: every slice holds zeros
+// past its length (emptied), so only what a task used is cleared, and the
+// journal and log buffers hold no pointers and are not cleared at all. placed
+// is cleared when regions spilled out of it, since nothing else empties it.
 func (c *taskCtx) reset() {
-	*c = taskCtx{
-		ins: emptied(c.ins), scratch: emptied(c.scratch), globalShares: emptied(c.globalShares),
-		regions: emptied(c.regions), events: emptied(c.events),
-		logText: c.logText[:0], logEnds: c.logEnds[:0], // no pointers to drop
-	}
+	c.run, c.task, c.compute, c.now, c.owner = nil, nil, nil, 0, ""
+	c.inputs, c.output, c.finalDev = nil, nil, ""
+	c.view, c.rank = nil, 0
+	c.ins, c.scratch, c.globalShares = emptied(c.ins), emptied(c.scratch), emptied(c.globalShares)
+	c.logText, c.logEnds, c.events = c.logText[:0], c.logEnds[:0], c.events[:0]
 	if c.regions == nil {
 		c.regions = c.placed[:0]
+	} else if unsafe.SliceData(c.regions) != &c.placed[0] {
+		clear(c.placed[:])
 	}
+	c.regions = emptied(c.regions)
 	if c.events == nil {
 		c.events = c.journal[:0]
 	}
@@ -96,9 +102,11 @@ func (c *taskCtx) footprint() int {
 	return n
 }
 
-// emptied returns s cleared to its capacity and emptied.
+// emptied returns s cleared and emptied. A context slice only grows by
+// append or insert, and only shrinks here, so what lies past its length is
+// already zero.
 func emptied[T any](s []T) []T {
-	clear(s[:cap(s)])
+	clear(s)
 	return s[:0]
 }
 

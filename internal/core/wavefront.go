@@ -111,8 +111,8 @@ const (
 type memEvent struct {
 	at    time.Duration
 	id    region.ID
-	dev   string // evAlloc / evMove: the region's (new) home device
-	bytes int64  // evAlloc: allocator block size
+	bytes int64 // evAlloc: allocator block size
+	dev   int32 // evAlloc / evMove: the region's (new) home device, by dense index
 	rank  int32
 	kind  evKind
 }
@@ -769,14 +769,19 @@ func (r *run) computePeak() {
 		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.rank, b.rank))
 	})
 	if sc.live == nil {
-		sc.live, sc.cur, sc.peak = make(map[region.ID]liveRegion), make(map[string]int64), make(map[string]int64)
+		sc.live = make(map[region.ID]liveRegion)
 	}
-	live, cur, peak := sc.live, sc.cur, sc.peak
+	live := sc.live
 	clear(live)
-	clear(cur)
-	clear(peak)
-	bump := func(dev string) {
-		if cur[dev] > peak[dev] {
+	mems := r.rt.topo.Memories()
+	sc.cur, sc.peak = sized(sc.cur, len(mems)), sized(sc.peak, len(mems))
+	cur, peak := sc.cur, sc.peak
+	held := 0 // devices whose peak is above zero
+	add := func(dev int32, bytes int64) {
+		if cur[dev] += bytes; cur[dev] > peak[dev] {
+			if peak[dev] == 0 {
+				held++
+			}
 			peak[dev] = cur[dev]
 		}
 	}
@@ -785,8 +790,7 @@ func (r *run) computePeak() {
 		switch {
 		case e.kind == evAlloc:
 			lr = liveRegion{dev: e.dev, bytes: e.bytes, refs: 1}
-			cur[e.dev] += e.bytes
-			bump(e.dev)
+			add(e.dev, e.bytes)
 		case !known:
 			continue
 		case e.kind == evShare:
@@ -800,46 +804,43 @@ func (r *run) computePeak() {
 		case e.kind == evMove && lr.dev != e.dev:
 			cur[lr.dev] -= lr.bytes
 			lr.dev = e.dev
-			cur[e.dev] += lr.bytes
-			bump(e.dev)
+			add(e.dev, lr.bytes)
 		}
 		live[e.id] = lr
 	}
-	out := tail(r.report.peaks[:], len(peak))
-	for dev, b := range peak {
-		out = append(out, DeviceBytes{Device: dev, Bytes: b})
+	out := tail(r.report.peaks[:], held)
+	for i, b := range peak {
+		if b > 0 {
+			out = append(out, DeviceBytes{Device: mems[i].ID, Bytes: b})
+		}
 	}
 	slices.SortFunc(out, func(a, b DeviceBytes) int { return strings.Compare(a.Device, b.Device) })
 	r.report.PeakDeviceBytes = out
 }
 
-// liveRegion is a region as computePeak's sweep sees it: where it is, how
-// big, and how many owners it has left.
+// liveRegion is a region as computePeak's sweep sees it: where it is (its
+// device's dense index), how big, and how many owners it has left.
 type liveRegion struct {
-	dev   string
+	dev   int32
 	bytes int64
 	refs  int
 }
 
 // note journals one ledger event at the context's current virtual time.
-func (c *taskCtx) note(kind evKind, id region.ID, dev string, bytes int64) {
+func (c *taskCtx) note(kind evKind, id region.ID, dev int, bytes int64) {
 	c.events = append(c.events, memEvent{
 		at: c.now, rank: int32(c.rank),
-		id: id, kind: kind, dev: dev, bytes: bytes,
+		id: id, kind: kind, dev: int32(dev), bytes: bytes,
 	})
 }
 
 func (c *taskCtx) noteAlloc(h *region.Handle, size int64) {
-	if dev, err := h.DeviceID(); err == nil {
+	if dev, err := h.DeviceIndex(); err == nil {
 		c.note(evAlloc, h.ID(), dev, allocator.BlockSize(size))
 	}
 }
 
-func (c *taskCtx) noteShare(h *region.Handle)   { c.note(evShare, h.ID(), "", 0) }
-func (c *taskCtx) noteRelease(h *region.Handle) { c.note(evRelease, h.ID(), "", 0) }
+func (c *taskCtx) noteShare(h *region.Handle)   { c.note(evShare, h.ID(), 0, 0) }
+func (c *taskCtx) noteRelease(h *region.Handle) { c.note(evRelease, h.ID(), 0, 0) }
 
-func (c *taskCtx) noteMove(h *region.Handle) {
-	if dev, err := h.DeviceID(); err == nil {
-		c.note(evMove, h.ID(), dev, 0)
-	}
-}
+func (c *taskCtx) noteMove(h *region.Handle, dev int) { c.note(evMove, h.ID(), dev, 0) }

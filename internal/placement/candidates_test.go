@@ -72,6 +72,7 @@ func referencePick(policy string, seed int64, req props.Requirements, computeID 
 // placer is what the tests drive: every policy of the package.
 type placer interface {
 	PlaceEpoch(req props.Requirements, computeID string, now time.Duration, clk *topology.TaskView) (string, error)
+	Place(req props.Requirements, c *topology.ComputeDevice, now time.Duration, clk *topology.TaskView) (int, error)
 	Name() string
 }
 
@@ -132,6 +133,13 @@ func TestCachedBestFitMatchesFresh(t *testing.T) {
 					}
 					if fmt.Sprint(gotErr) != refErr || fmt.Sprint(wantErr) != refErr {
 						t.Fatalf("%s: %s: %s from %s: cached error %q, fresh error %q, reference %q", label, name, req, comp, gotErr, wantErr, refErr)
+					}
+					// Place is the same decision by index.
+					if c, ok := topo.Compute(comp); ok {
+						idx, err := cached[i].Place(req, c, now, refClk)
+						if err != nil && (refDev != "" || err.Error() != refErr) || err == nil && topo.Memories()[idx].ID != refDev {
+							t.Fatalf("%s: %s: %s from %s: Place (%d, %v), reference %q", label, name, req, comp, idx, err, refDev)
+						}
 					}
 				}
 			}

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -47,11 +48,11 @@ type candidates struct {
 }
 
 // shape is what a candidate list is a pure function of, besides the graph:
-// the requesting compute device and the requirements with Capacity zeroed
-// (free capacity is the one capability that moves between placements, and
-// Score does not read it).
+// the requesting compute device, by index, and the requirements with Capacity
+// zeroed (free capacity is the one capability that moves between placements,
+// and Score does not read it).
 type shape struct {
-	compute string
+	compute int
 	req     props.Requirements
 }
 
@@ -75,11 +76,12 @@ func (c candidate) fits(req props.Requirements) bool {
 // Reaching it drops every list: they are cheap to resolve again.
 const maxShapes = 1024
 
-// of returns the devices a request from computeID may be placed on if they
-// have room, in device order, resolving the list of its shape on first use.
-func (cs *candidates) of(req props.Requirements, computeID string) []candidate {
+// of returns the devices a request from compute device c may be placed on if
+// they have room, in device order, resolving the list of its shape on first
+// use.
+func (cs *candidates) of(req props.Requirements, c *topology.ComputeDevice) []candidate {
 	req.Capacity = 0
-	sh := shape{compute: computeID, req: req}
+	sh := shape{compute: c.Index(), req: req}
 	cs.mu.RLock()
 	list, ok := cs.shapes[sh]
 	cs.mu.RUnlock()
@@ -91,8 +93,12 @@ func (cs *candidates) of(req props.Requirements, computeID string) []candidate {
 		if dev.HardwareManaged {
 			continue
 		}
-		caps, ok := cs.topo.EffectiveCaps(computeID, dev.ID)
-		if !ok || !req.Matches(caps) {
+		rt, ok := cs.topo.ComputeSet().Route(c.Index(), i)
+		if !ok {
+			continue
+		}
+		caps := rt.Caps()
+		if !req.Matches(caps) {
 			continue
 		}
 		list = append(list, candidate{dev: dev, idx: i, score: req.Score(caps)})
@@ -112,6 +118,22 @@ func (cs *candidates) of(req props.Requirements, computeID string) []candidate {
 // noCandidate is every policy's refusal.
 func noCandidate(req props.Requirements, computeID string) error {
 	return fmt.Errorf("%w: %s from %s", ErrNoCandidate, req, computeID)
+}
+
+// byID is a policy's PlaceEpoch: its Place, called by compute device ID and
+// answering with the memory device's ID. An unknown compute device reaches no
+// device.
+func (cs *candidates) byID(req props.Requirements, computeID string, place func(*topology.ComputeDevice) (int, error)) (string, error) {
+	mems := cs.topo.Memories()
+	c, ok := cs.topo.Compute(computeID)
+	if !ok {
+		return "", noCandidate(req, computeID)
+	}
+	i, err := place(c)
+	if err != nil {
+		return "", err
+	}
+	return mems[i].ID, nil
 }
 
 // BestFit is the cost-model optimizer: among devices whose topology-adjusted
@@ -136,21 +158,27 @@ func (b *BestFit) Name() string { return "best-fit" }
 // concurrently running tasks steer by their own contention instead of each
 // other's. Without one (clk nil) it is blind to backlog.
 func (b *BestFit) PlaceEpoch(req props.Requirements, computeID string, now time.Duration, clk *topology.TaskView) (string, error) {
-	best, bestScore := "", 0.0
-	for _, c := range b.of(req, computeID) {
-		if !c.fits(req) {
+	return b.byID(req, computeID, func(c *topology.ComputeDevice) (int, error) { return b.Place(req, c, now, clk) })
+}
+
+// Place implements region.Placer: PlaceEpoch by index, from the compute
+// device to the chosen memory device's dense index.
+func (b *BestFit) Place(req props.Requirements, c *topology.ComputeDevice, now time.Duration, clk *topology.TaskView) (int, error) {
+	best, bestScore := -1, 0.0
+	for _, cd := range b.of(req, c) {
+		if !cd.fits(req) {
 			continue
 		}
-		s := c.score
+		s := cd.score
 		if clk != nil {
-			s -= backlogPenalty(clk.BusyAt(c.idx), now)
+			s -= backlogPenalty(clk.BusyAt(cd.idx), now)
 		}
-		if best == "" || s > bestScore {
-			best, bestScore = c.dev.ID, s
+		if best < 0 || s > bestScore {
+			best, bestScore = cd.idx, s
 		}
 	}
-	if best == "" {
-		return "", noCandidate(req, computeID)
+	if best < 0 {
+		return -1, noCandidate(req, c.ID)
 	}
 	return best, nil
 }
@@ -232,20 +260,25 @@ func NewRandom(topo *topology.Topology, seed int64) *Random {
 func (r *Random) Name() string { return "random" }
 
 // PlaceEpoch implements region.Placer; the clock is not read.
-func (r *Random) PlaceEpoch(req props.Requirements, computeID string, now time.Duration, _ *topology.TaskView) (string, error) {
-	var ids []string
-	for _, c := range r.of(req, computeID) {
-		if c.fits(req) {
-			ids = append(ids, c.dev.ID)
+func (r *Random) PlaceEpoch(req props.Requirements, computeID string, now time.Duration, clk *topology.TaskView) (string, error) {
+	return r.byID(req, computeID, func(c *topology.ComputeDevice) (int, error) { return r.Place(req, c, now, clk) })
+}
+
+// Place implements region.Placer; the clock is not read.
+func (r *Random) Place(req props.Requirements, c *topology.ComputeDevice, now time.Duration, _ *topology.TaskView) (int, error) {
+	var fit []candidate
+	for _, cd := range r.of(req, c) {
+		if cd.fits(req) {
+			fit = append(fit, cd)
 		}
 	}
-	if len(ids) == 0 {
-		return "", noCandidate(req, computeID)
+	if len(fit) == 0 {
+		return -1, noCandidate(req, c.ID)
 	}
-	slices.Sort(ids)
+	slices.SortFunc(fit, func(a, b candidate) int { return strings.Compare(a.dev.ID, b.dev.ID) })
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d\x00%s\x00%#v\x00%d", r.seed, computeID, req, now)
-	return ids[h.Sum64()%uint64(len(ids))], nil
+	fmt.Fprintf(h, "%d\x00%s\x00%#v\x00%d", r.seed, c.ID, req, now)
+	return fit[h.Sum64()%uint64(len(fit))].idx, nil
 }
 
 // Worst inverts the optimizer: among matching devices it picks the lowest
@@ -261,15 +294,20 @@ func NewWorst(topo *topology.Topology) *Worst { return &Worst{candidates{topo: t
 func (w *Worst) Name() string { return "worst-fit" }
 
 // PlaceEpoch implements region.Placer; the clock is not read.
-func (w *Worst) PlaceEpoch(req props.Requirements, computeID string, _ time.Duration, _ *topology.TaskView) (string, error) {
-	worst, worstScore := "", 0.0
-	for _, c := range w.of(req, computeID) {
-		if c.fits(req) && (worst == "" || c.score < worstScore) {
-			worst, worstScore = c.dev.ID, c.score
+func (w *Worst) PlaceEpoch(req props.Requirements, computeID string, now time.Duration, clk *topology.TaskView) (string, error) {
+	return w.byID(req, computeID, func(c *topology.ComputeDevice) (int, error) { return w.Place(req, c, now, clk) })
+}
+
+// Place implements region.Placer; the clock is not read.
+func (w *Worst) Place(req props.Requirements, c *topology.ComputeDevice, _ time.Duration, _ *topology.TaskView) (int, error) {
+	worst, worstScore := -1, 0.0
+	for _, cd := range w.of(req, c) {
+		if cd.fits(req) && (worst < 0 || cd.score < worstScore) {
+			worst, worstScore = cd.idx, cd.score
 		}
 	}
-	if worst == "" {
-		return "", noCandidate(req, computeID)
+	if worst < 0 {
+		return -1, noCandidate(req, c.ID)
 	}
 	return worst, nil
 }
@@ -286,11 +324,16 @@ func NewFirstFit(topo *topology.Topology) *FirstFit { return &FirstFit{candidate
 func (f *FirstFit) Name() string { return "first-fit" }
 
 // PlaceEpoch implements region.Placer; the clock is not read.
-func (f *FirstFit) PlaceEpoch(req props.Requirements, computeID string, _ time.Duration, _ *topology.TaskView) (string, error) {
-	for _, c := range f.of(req, computeID) {
-		if c.fits(req) {
-			return c.dev.ID, nil
+func (f *FirstFit) PlaceEpoch(req props.Requirements, computeID string, now time.Duration, clk *topology.TaskView) (string, error) {
+	return f.byID(req, computeID, func(c *topology.ComputeDevice) (int, error) { return f.Place(req, c, now, clk) })
+}
+
+// Place implements region.Placer; the clock is not read.
+func (f *FirstFit) Place(req props.Requirements, c *topology.ComputeDevice, _ time.Duration, _ *topology.TaskView) (int, error) {
+	for _, cd := range f.of(req, c) {
+		if cd.fits(req) {
+			return cd.idx, nil
 		}
 	}
-	return "", noCandidate(req, computeID)
+	return -1, noCandidate(req, c.ID)
 }

@@ -74,9 +74,7 @@ func (m *Manager) exportLocked(r *Region) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	if b, ok := m.buddies[r.device.ID]; ok {
-		b.Free(r.offset) //nolint:errcheck // offset tracked by the manager
-	}
+	m.freeSpace(r)
 	r.device.Release(r.blockSize)
 	m.backing.Put(r.data)
 	r.data = nil
@@ -98,7 +96,7 @@ func (m *Manager) recallLocked(r *Region) (time.Duration, error) {
 	if m.exporter == nil {
 		return 0, ErrNoExporter
 	}
-	buddy, err := m.buddyFor(r.device)
+	buddy, err := m.buddyFor(r.mem)
 	if err != nil {
 		return 0, err
 	}

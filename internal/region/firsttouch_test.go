@@ -23,6 +23,12 @@ var (
 		Req:    props.Requirements{Latency: props.LatencyHigh, ByteAddr: props.Require},
 		Device: "memnode0/far0",
 	}
+	// sealedSpec is farSpec made confidential: sealed on the memory node.
+	sealedSpec = func() Spec {
+		s := farSpec
+		s.Name, s.Req.Confidential = "sealed", true
+		return s
+	}()
 )
 
 // recycled allocates spec twice: the first region writes 0xa5 over all of
@@ -98,17 +104,19 @@ func TestFirstTouchReadsZeros(t *testing.T) {
 	t.Run("migration across the seal boundary", func(t *testing.T) {
 		// A confidential region unsealed in local memory moved to the memory
 		// node, and one sealed there moved home, each before its first write,
-		// read what a region given a fresh backing reads after the same move.
-		// (Home from the memory node that is not zeros: a fresh sealed
-		// backing is all-zero ciphertext.)
+		// read zeros, whether its backing was recycled or fresh.
 		for _, c := range []struct {
 			from, to   string
 			wantSealed bool
 		}{{"node0/dram0", "memnode0/far0", true}, {"memnode0/far0", "node0/dram0", false}} {
-			spec := farSpec
-			spec.Req.Confidential = true
+			spec := sealedSpec
 			spec.Device = c.from
-			migrated := func(m *Manager, h *Handle) []byte {
+			for _, backing := range []string{"recycled", "fresh"} {
+				m := newManager(t)
+				h := mustAlloc(t, m, spec)
+				if backing == "recycled" {
+					h = recycled(t, m, spec)
+				}
 				r := h.r
 				m.mu.Lock()
 				r.mu.Lock()
@@ -122,17 +130,36 @@ func TestFirstTouchReadsZeros(t *testing.T) {
 				if sealed != c.wantSealed {
 					t.Fatalf("%s → %s: sealed %v, want %v", c.from, c.to, sealed, c.wantSealed)
 				}
-				return readAll(t, h)
+				if got := readAll(t, h); !bytes.Equal(got, zeros) {
+					t.Errorf("%s → %s: a %s backing migrated unwritten does not read zeros", c.from, c.to, backing)
+				}
 			}
-			m := newManager(t)
-			got := migrated(m, recycled(t, m, spec))
-			// The keystream is the region id's: the fresh region takes the
-			// same id, its predecessor a backing of another class.
-			fm := newManager(t)
-			mustAlloc(t, fm, Spec{Class: props.PrivateScratch, Size: 64, Owner: "t", Compute: "node0/cpu0"})
-			if want := migrated(fm, mustAlloc(t, fm, spec)); !bytes.Equal(got, want) {
-				t.Errorf("%s → %s: a recycled backing reads unlike a fresh one", c.from, c.to)
-			}
+		}
+	})
+	t.Run("sealed", func(t *testing.T) {
+		// A fresh confidential region on the memory node is sealed, and reads
+		// zeros, not the keystream, until it is written: through ReadAsync,
+		// and around a partial Hydrate, whose bytes it stores sealed.
+		m := newManager(t)
+		h := mustAlloc(t, m, sealedSpec)
+		if sealed, _ := h.Sealed(); !sealed {
+			t.Fatal("a confidential region on the memory node is not sealed")
+		}
+		if got := readAll(t, h); !bytes.Equal(got, zeros) {
+			t.Error("a fresh sealed region's first ReadAsync does not read zeros")
+		}
+		h = mustAlloc(t, m, sealedSpec)
+		payload := []byte("restored from a checkpoint")
+		if err := h.Hydrate(1024, payload); err != nil {
+			t.Fatal(err)
+		}
+		want := make([]byte, firstTouchSize)
+		copy(want[1024:], payload)
+		if got := readAll(t, h); !bytes.Equal(got, want) {
+			t.Error("the bytes a partial Hydrate left alone in a sealed region are not zeros")
+		}
+		if bytes.Contains(h.r.data, payload) {
+			t.Error("a sealed region holds hydrated plaintext")
 		}
 	})
 	t.Run("export and recall", func(t *testing.T) {

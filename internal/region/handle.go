@@ -143,6 +143,12 @@ func (h *Handle) DeviceID() (string, error) {
 	return look(h, func(r *Region) string { return r.device.ID })
 }
 
+// DeviceIndex returns the dense index (Topology.Memories) of the memory
+// device the region currently lives on: DeviceID by number.
+func (h *Handle) DeviceIndex() (int, error) {
+	return look(h, func(r *Region) int { return int(r.mem) })
+}
+
 // Class returns the region class.
 func (h *Handle) Class() (props.RegionClass, error) {
 	return look(h, func(r *Region) props.RegionClass { return r.class })
@@ -462,13 +468,15 @@ func (h *Handle) enterTransfer(toCompute string) (r *Region, zeroCopy bool, err 
 	if r, err = h.enter(); err != nil {
 		return nil, false, err
 	}
+	var c *topology.ComputeDevice
 	switch n := r.owners.len(); {
 	case !r.class.Transferable():
 		err = fmt.Errorf("%w: %s", ErrNotMovable, r.class)
 	case n != 1:
 		err = fmt.Errorf("%w: %d owners", ErrExclusive, n)
 	default:
-		if _, ok := r.m.topo.Compute(toCompute); !ok {
+		var ok bool
+		if c, ok = r.m.topo.Compute(toCompute); !ok {
 			err = fmt.Errorf("region: unknown compute device %q", toCompute)
 		}
 	}
@@ -476,12 +484,12 @@ func (h *Handle) enterTransfer(toCompute string) (r *Region, zeroCopy bool, err 
 		r.mu.Unlock()
 		return nil, false, err
 	}
-	if caps, ok := r.m.topo.EffectiveCaps(toCompute, r.device.ID); ok {
+	if rt, ok := r.m.topo.ComputeSet().Route(c.Index(), int(r.mem)); ok {
 		// The region already owns its space on the device, so the free-
 		// capacity constraint does not apply to staying put.
 		req := r.req
 		req.Capacity = 0
-		zeroCopy = req.Matches(caps)
+		zeroCopy = req.Matches(rt.Caps())
 	}
 	return r, zeroCopy, nil
 }
@@ -516,7 +524,7 @@ func (m *Manager) migrateToLocked(r *Region, computeID, devID string, now time.D
 			return now, err
 		}
 	}
-	buddy, err := m.buddyFor(dst)
+	buddy, err := m.buddyFor(uint16(to.Idx))
 	if err != nil {
 		return now, err
 	}
@@ -535,20 +543,22 @@ func (m *Manager) migrateToLocked(r *Region, computeID, devID string, now time.D
 	}
 	wr := clk.AccessRoute(to, rd, r.size, memsim.Write, memsim.Sequential)
 	// Release the old placement.
-	if b, ok := m.buddies[r.device.ID]; ok {
-		b.Free(r.offset) //nolint:errcheck // offset tracked by the manager
-	}
+	m.freeSpace(r)
 	r.device.Release(r.blockSize)
 	if r.coherent() {
 		m.dir.DropRegion(uint64(r.id))
 	}
-	r.device = dst
+	r.device, r.mem = dst, uint16(to.Idx)
 	r.offset = off
 	// Crossing the on-/off-node boundary changes the at-rest encryption
 	// obligation of confidential regions; toggle the sealing of the whole
-	// backing (seal and unseal are the same XOR keystream).
+	// backing (seal and unseal are the same XOR keystream). A dirty backing
+	// holds no payload yet: its first touch makes it zeros under the new
+	// sealing.
 	if newSealed := r.req.Confidential && to.Remote; newSealed != r.sealed {
-		keystreamAt(m.secret, r.id, 0, r.bytes())
+		if !r.dirty {
+			keystreamAt(m.secret, r.id, 0, r.data)
+		}
 		r.sealed = newSealed
 	}
 	m.migrations.Add(1)
@@ -592,10 +602,11 @@ func (h *Handle) share(to Owner, toCompute string, rank int32, open bool) (*Hand
 	if !r.class.Shareable() {
 		return nil, fmt.Errorf("%w: %s", ErrNotShareable, r.class)
 	}
-	if _, ok := m.topo.Compute(toCompute); !ok {
+	c, ok := m.topo.Compute(toCompute)
+	if !ok {
 		return nil, fmt.Errorf("region: unknown compute device %q", toCompute)
 	}
-	if !m.topo.Addressable(toCompute, r.device.ID) {
+	if _, ok := m.topo.ComputeSet().Route(c.Index(), int(r.mem)); !ok {
 		return nil, fmt.Errorf("region: %s cannot address %s", toCompute, r.device.ID)
 	}
 	if r.owners.has(to) {

@@ -18,6 +18,7 @@ package region
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -57,7 +58,11 @@ type Placer interface {
 	// PlaceEpoch returns the device ID to allocate on. now and clk are the
 	// requester's virtual time and clock view, for a policy that steers by
 	// queue backlog; a nil clk asks for a decision blind to backlog.
+	// Migrations and rebalancing place through it.
 	PlaceEpoch(req props.Requirements, computeID string, now time.Duration, clk *topology.TaskView) (string, error)
+	// Place is PlaceEpoch by index: from the compute device to the chosen
+	// device's dense index (Topology.Memories). Alloc places through it.
+	Place(req props.Requirements, c *topology.ComputeDevice, now time.Duration, clk *topology.TaskView) (int, error)
 	// Name labels the policy in reports.
 	Name() string
 }
@@ -149,9 +154,11 @@ type Region struct {
 	// allocated per task output, and its size class is counted per job.
 	sealed bool // encrypted at rest
 	freed  bool
-	// dirty marks a recycled backing that still holds its last user's bytes:
-	// Alloc takes it under the table lock, and the region's first touch
-	// (bytes) clears it, so a region nobody reads or writes is never cleared.
+	// dirty marks a backing that does not yet hold the region's zeros: a
+	// recycled one still holds its last user's bytes, and a sealed one needs
+	// the ciphertext of zeros. Alloc sets it, and the region's first touch
+	// (bytes) establishes the zeros, so a region nobody reads or writes is
+	// never cleared or sealed.
 	dirty bool
 	// everShared latches once the region has had more than one owner:
 	// coherence pricing keys off it instead of the instantaneous owner
@@ -171,6 +178,9 @@ type Region struct {
 	// region keeps device as its pricing identity and recall target, so
 	// virtual access costs never depend on whether it was away.
 	exported bool
+	// mem is device's dense index (Topology.Memories), written with device;
+	// it fits the word the flags leave.
+	mem uint16
 }
 
 // ownersInline is how many owners a region holds in place. A transferred
@@ -330,11 +340,15 @@ func (s *ownerSet) remove(h *Handle) {
 }
 
 // bytes returns the region's backing for a caller about to read or write it,
-// clearing a recycled one first: a region reads zeros until it is written.
-// Caller holds r.mu.
+// making a dirty one zeros first — sealed zeros, the keystream, when the
+// region is sealed: a region reads zeros until it is written. Caller holds
+// r.mu.
 func (r *Region) bytes() []byte {
 	if r.dirty {
 		clear(r.data)
+		if r.sealed {
+			keystreamAt(r.m.secret, r.id, 0, r.data)
+		}
 		r.dirty = false
 	}
 	return r.data
@@ -365,9 +379,9 @@ type Manager struct {
 	nextID ID
 	// regions is the live regions in no particular order, each at its idx.
 	regions []*Region
-	buddies map[string]*allocator.Buddy
-	backing allocator.BufList // freed regions' data backings, recycled by block class
-	secret  [32]byte          // root key material for confidential regions; fixed by NewManager, read without mu
+	buddies []*allocator.Buddy // by memory device index, each made on first use
+	backing allocator.BufList  // freed regions' data backings, recycled by block class
+	secret  [32]byte           // root key material for confidential regions; fixed by NewManager, read without mu
 	// exporter, when set, is the remote memory pool cold regions can be
 	// evicted to (export.go). Nil keeps all tiering node-local.
 	exporter Exporter
@@ -407,12 +421,16 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Placer == nil {
 		return nil, errors.New("region: placer required")
 	}
+	mems := cfg.Topology.Memories()
+	if len(mems) > math.MaxUint16+1 {
+		return nil, fmt.Errorf("region: %d memory devices, more than a region indexes", len(mems))
+	}
 	m := &Manager{
 		topo:    cfg.Topology,
 		placer:  cfg.Placer,
 		dir:     coherence.NewDirectory(),
 		reg:     cfg.Telemetry,
-		buddies: make(map[string]*allocator.Buddy),
+		buddies: make([]*allocator.Buddy, len(mems)),
 		backing: allocator.BufList{Limit: backingFreeBytes},
 
 		bytesRead:     cfg.Telemetry.Handle(telemetry.LayerRegion, "bytes_read"),
@@ -431,7 +449,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		bytesMigrated:     cfg.Telemetry.Handle(telemetry.LayerRegion, "bytes_migrated"),
 	}
 	m.missLatency = time.Microsecond
-	for _, dev := range cfg.Topology.Memories() {
+	for _, dev := range mems {
 		if dev.Latency > m.missLatency {
 			m.missLatency = dev.Latency
 		}
@@ -458,17 +476,26 @@ func largestPow2(n int64) int64 {
 	return p
 }
 
-// buddyFor lazily creates the allocator for a device. Caller holds m.mu.
-func (m *Manager) buddyFor(dev *memsim.Device) (*allocator.Buddy, error) {
-	if b, ok := m.buddies[dev.ID]; ok {
+// buddyFor lazily creates the allocator for the memory device with dense
+// index mem. Caller holds m.mu.
+func (m *Manager) buddyFor(mem uint16) (*allocator.Buddy, error) {
+	if b := m.buddies[mem]; b != nil {
 		return b, nil
 	}
-	b, err := allocator.New(largestPow2(dev.Capacity))
+	b, err := allocator.New(largestPow2(m.topo.Memories()[mem].Capacity))
 	if err != nil {
 		return nil, err
 	}
-	m.buddies[dev.ID] = b
+	m.buddies[mem] = b
 	return b, nil
+}
+
+// freeSpace gives a region's space back to its device's allocator. Caller
+// holds m.mu.
+func (m *Manager) freeSpace(r *Region) {
+	if b := m.buddies[r.mem]; b != nil {
+		b.Free(r.offset) //nolint:errcheck // offset tracked by the manager
+	}
 }
 
 // Alloc satisfies a declarative memory request: it merges the class-default
@@ -485,7 +512,8 @@ func (m *Manager) Alloc(spec Spec) (*Handle, error) {
 	if spec.Clock == nil {
 		return nil, errNoClock
 	}
-	if _, ok := m.topo.Compute(spec.Compute); !ok {
+	c, ok := m.topo.Compute(spec.Compute)
+	if !ok {
 		return nil, fmt.Errorf("region: unknown compute device %q", spec.Compute)
 	}
 	req, err := props.Merge(spec.Class.Defaults(), spec.Req)
@@ -494,24 +522,27 @@ func (m *Manager) Alloc(spec Spec) (*Handle, error) {
 	}
 	req.Capacity = allocator.BlockSize(spec.Size)
 
-	devID := spec.Device
-	if devID == "" {
-		devID, err = m.placer.PlaceEpoch(req, spec.Compute, spec.Now, spec.Clock)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s for %s on %s: %v", ErrNoPlacement, req, spec.Name, spec.Compute, err)
+	mems := m.topo.Memories()
+	var mem int
+	if spec.Device != "" {
+		if mem, ok = m.topo.MemoryIndex(spec.Device); !ok {
+			return nil, fmt.Errorf("region: placer chose unknown device %q", spec.Device)
 		}
+	} else if mem, err = m.placer.Place(req, c, spec.Now, spec.Clock); err != nil {
+		return nil, fmt.Errorf("%w: %s for %s on %s: %v", ErrNoPlacement, req, spec.Name, spec.Compute, err)
+	} else if mem < 0 || mem >= len(mems) {
+		return nil, fmt.Errorf("region: placer chose unknown device index %d", mem)
 	}
-	dev, ok := m.topo.Memory(devID)
-	if !ok {
-		return nil, fmt.Errorf("region: placer chose unknown device %q", devID)
-	}
+	dev := mems[mem]
+	devID := dev.ID
 	if dev.HardwareManaged {
 		return nil, fmt.Errorf("region: %s is hardware-managed and cannot host regions", devID)
 	}
-	caps, ok := m.topo.EffectiveCaps(spec.Compute, devID)
+	rt, ok := m.topo.ComputeSet().Route(c.Index(), mem)
 	if !ok {
 		return nil, fmt.Errorf("region: %s cannot address %s", spec.Compute, devID)
 	}
+	caps := rt.Caps()
 	if ok, viol := req.Match(caps); !ok {
 		return nil, fmt.Errorf("%w: placer chose %s violating %v", ErrNoPlacement, devID, viol)
 	}
@@ -520,17 +551,18 @@ func (m *Manager) Alloc(spec Spec) (*Handle, error) {
 	// table lock, which covers only what the manager's tables hold: the space,
 	// the id, a recycled backing and the insert. The region is published with
 	// its own lock held, and a fresh backing is made after the table lock is
-	// dropped but before the region's is. A recycled backing is marked dirty
-	// and cleared at the region's first touch (bytes), so no access and no
-	// sweep ever sees its old bytes.
+	// dropped but before the region's is. A recycled or sealed backing is
+	// marked dirty and made zeros at the region's first touch (bytes), so no
+	// access and no sweep ever sees old bytes or unsealed keystream.
 	block := allocator.BlockSize(spec.Size)
 	r := newRegion(spec.Class)
 	r.m, r.class, r.req = m, spec.Class, req
-	r.device, r.size, r.blockSize = dev, spec.Size, block
+	r.device, r.mem, r.size, r.blockSize = dev, uint16(mem), spec.Size, block
 	r.sealed = req.Confidential && caps.Remote
 	h := r.newHandle(spec.Owner, spec.Compute, spec.Clock, nil, -1)
+	h.rt = rt
 	m.mu.Lock()
-	buddy, err := m.buddyFor(dev)
+	buddy, err := m.buddyFor(r.mem)
 	if err != nil {
 		m.mu.Unlock()
 		return nil, err
@@ -547,7 +579,7 @@ func (m *Manager) Alloc(spec Spec) (*Handle, error) {
 	r.id = m.nextID
 	m.nextID++
 	r.data = m.backing.Reuse(spec.Size)
-	r.dirty = r.data != nil
+	r.dirty = r.data != nil || r.sealed
 	r.mu.Lock()
 	r.idx = int32(len(m.regions))
 	m.regions = append(m.regions, r)
@@ -572,9 +604,7 @@ func (m *Manager) free(r *Region) {
 			m.exporter.Drop(r.token) //nolint:errcheck // remote GC is best-effort
 		}
 	} else {
-		if b, ok := m.buddies[r.device.ID]; ok {
-			b.Free(r.offset) //nolint:errcheck // offset tracked by the manager
-		}
+		m.freeSpace(r)
 		r.device.Release(r.blockSize)
 		m.backing.Put(r.data)
 		r.data = nil

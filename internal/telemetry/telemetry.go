@@ -30,6 +30,39 @@ const (
 	LayerCluster   Layer = "cluster"
 )
 
+// layers lists the Layer constants in the order their span totals sit in a
+// Registry's fixed array (layerSlot).
+var layers = [...]Layer{
+	LayerApp, LayerRuntime, LayerRegion, LayerPlacement, LayerScheduler,
+	LayerCoherence, LayerFault, LayerDevice, LayerCluster,
+}
+
+// layerSlot returns l's place in layers, -1 for a layer outside them. A
+// switch on a string compares, where a map would hash.
+func layerSlot(l Layer) int {
+	switch l {
+	case LayerApp:
+		return 0
+	case LayerRuntime:
+		return 1
+	case LayerRegion:
+		return 2
+	case LayerPlacement:
+		return 3
+	case LayerScheduler:
+		return 4
+	case LayerCoherence:
+		return 5
+	case LayerFault:
+		return 6
+	case LayerDevice:
+		return 7
+	case LayerCluster:
+		return 8
+	}
+	return -1
+}
+
 // spanCap bounds the span ring at 320 KiB, the bound placement keeps its
 // decision log to: a registry behind a long-lived server records a few spans
 // per job forever, so it keeps the most recent spanCap of them.
@@ -45,10 +78,14 @@ type Registry struct {
 	// which head is the oldest entry, the one the next Record overwrites.
 	spans []Span
 	head  int
-	// recorded and layerTime cover every span, the ones the ring has dropped
-	// included.
+	// recorded and the span totals cover every span, the ones the ring has
+	// dropped included. A Layer constant's total sits in layerTime, by
+	// layerSlot, with its bit in layerSeen set once a span of it, even an
+	// empty one, was recorded; any other layer's sits in otherTime.
 	recorded  int64
-	layerTime map[Layer]time.Duration
+	layerTime [len(layers)]time.Duration
+	layerSeen uint16
+	otherTime map[Layer]time.Duration
 	hists     map[metricKey]*Histogram
 }
 
@@ -98,9 +135,8 @@ func (s Span) Duration() time.Duration { return s.End - s.Start }
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:  make(map[metricKey]*Counter),
-		layerTime: make(map[Layer]time.Duration),
-		hists:     make(map[metricKey]*Histogram),
+		counters: make(map[metricKey]*Counter),
+		hists:    make(map[metricKey]*Histogram),
 	}
 }
 
@@ -200,7 +236,15 @@ func (r *Registry) Record(s Span) {
 		r.head = (r.head + 1) % spanCap
 	}
 	r.recorded++
-	r.layerTime[s.Layer] += s.Duration()
+	if i := layerSlot(s.Layer); i >= 0 {
+		r.layerTime[i] += s.Duration()
+		r.layerSeen |= 1 << i
+	} else {
+		if r.otherTime == nil {
+			r.otherTime = make(map[Layer]time.Duration)
+		}
+		r.otherTime[s.Layer] += s.Duration()
+	}
 	r.mu.Unlock()
 }
 
@@ -261,7 +305,12 @@ func (r *Registry) ByLayer() map[Layer]time.Duration {
 		return out
 	}
 	r.mu.Lock()
-	for l, d := range r.layerTime {
+	for i, d := range r.layerTime {
+		if r.layerSeen&(1<<i) != 0 {
+			out[layers[i]] = d
+		}
+	}
+	for l, d := range r.otherTime {
 		out[l] = d
 	}
 	r.mu.Unlock()
@@ -275,13 +324,13 @@ func (r *Registry) Report() string {
 	}
 	var b strings.Builder
 	byLayer := r.ByLayer()
-	layers := make([]string, 0, len(byLayer))
+	names := make([]string, 0, len(byLayer))
 	for l := range byLayer {
-		layers = append(layers, string(l))
+		names = append(names, string(l))
 	}
-	sort.Strings(layers)
+	sort.Strings(names)
 	b.WriteString("time by layer:\n")
-	for _, l := range layers {
+	for _, l := range names {
 		fmt.Fprintf(&b, "  %-12s %v\n", l, byLayer[Layer(l)])
 	}
 	counters := r.Counters()

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"reflect"
 	"strconv"
 	"strings"
@@ -384,5 +385,34 @@ func TestReportIncludesHistograms(t *testing.T) {
 		if !strings.Contains(rep, field) {
 			t.Errorf("report missing %q:\n%s", field, rep)
 		}
+	}
+}
+
+// TestByLayerListsEveryRecordedLayer: span totals keep a Layer constant's in a
+// fixed array and any other layer's in a map, and ByLayer and Report list
+// both, a layer whose only span is empty included, and no layer nobody
+// recorded.
+func TestByLayerListsEveryRecordedLayer(t *testing.T) {
+	for i, l := range layers {
+		if layerSlot(l) != i {
+			t.Fatalf("layerSlot(%q) = %d, want its place in layers, %d", l, layerSlot(l), i)
+		}
+	}
+	r := NewRegistry()
+	r.Record(Span{Layer: Layer("x"), Start: 0, End: 30})
+	r.Record(Span{Layer: Layer("x"), Start: 40, End: 50})
+	r.Record(Span{Layer: LayerFault, Start: 7, End: 7})
+	r.Record(Span{Layer: LayerCluster, Start: 0, End: 5})
+	want := map[Layer]time.Duration{"x": 40, LayerFault: 0, LayerCluster: 5}
+	if got := r.ByLayer(); !maps.Equal(got, want) {
+		t.Errorf("ByLayer = %v, want %v", got, want)
+	}
+	const wantReport = "time by layer:\n" +
+		"  cluster      5ns\n" +
+		"  fault        0s\n" +
+		"  x            40ns\n" +
+		"counters:\n"
+	if got := r.Report(); got != wantReport {
+		t.Errorf("Report =\n%s\nwant\n%s", got, wantReport)
 	}
 }

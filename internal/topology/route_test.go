@@ -3,6 +3,7 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -76,6 +77,9 @@ func TestIslandRoutes(t *testing.T) {
 	}
 	if _, ok := topo.Route("cpu", "spare"); ok {
 		t.Fatal("spare is unlinked and must not resolve")
+	}
+	if rt, ok := topo.ComputeSet().Route(0, 1); ok || rt != nil {
+		t.Fatalf("spare by index = %+v ok=%v, want no route", rt, ok)
 	}
 	clk := topo.NewTaskView()
 	if _, err := clk.AccessTime("cpu", "spare", 0, 64, memsim.Read, memsim.Sequential); err == nil || err.Error() != "topology: no path cpu→spare" {
@@ -330,6 +334,47 @@ func TestAccessPathAllocatesNothing(t *testing.T) {
 		fn()
 		if got := testing.AllocsPerRun(100, fn); got != 0 {
 			t.Errorf("%s allocates %.0f per call, want 0", name, got)
+		}
+	}
+}
+
+// TestColdRoutesResolveOncePerPair: eight goroutines resolve every
+// compute-to-memory pair of a fresh graph at once, half by ID and half by
+// index, and all get the same route object for a pair. Run it under -race: a
+// hit reads the route table without a lock.
+func TestColdRoutesResolveOncePerPair(t *testing.T) {
+	topo := testbed(t)
+	comps, mems := topo.ComputeSet().Devices, topo.Memories()
+	const workers = 8
+	got := make([][]*Route, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i, c := range comps {
+				for j, m := range mems {
+					var rt *Route
+					if w%2 == 0 {
+						rt, _ = topo.Route(c.ID, m.ID)
+					} else {
+						rt, _ = topo.ComputeSet().Route(i, j)
+					}
+					got[w] = append(got[w], rt)
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		for p, rt := range got[w] {
+			if rt != got[0][p] {
+				c, m := comps[p/len(mems)], mems[p%len(mems)]
+				t.Errorf("%s→%s: worker %d resolved another route object than worker 0", c.ID, m.ID, w)
+			}
 		}
 	}
 }

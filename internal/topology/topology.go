@@ -147,10 +147,13 @@ type Topology struct {
 	// iteration; a memory device's position in mems is its dense index.
 	computeOrder []string
 	mems         []*memsim.Device
-	// routes memoizes Route per (from, to) pair — the one routing cache;
-	// Route sits on every memory access's path. Created by the first
-	// resolution: building a topology precomputes nothing.
-	routeMu sync.RWMutex
+	// routes memoizes Route per (from, to) pair — the one routing cache,
+	// one route object per pair. A compute→memory pair, the kind every
+	// allocation and transfer resolves, is read from the ComputeSet's table
+	// without a lock; the map behind it, and any other pair, is read under
+	// routeMu. Created by the first resolution: building a topology
+	// precomputes nothing.
+	routeMu sync.Mutex
 	routes  map[[2]string]*Route
 	// sealed is set by the first read that derives state from the graph;
 	// from then on the graph refuses changes.
@@ -265,6 +268,13 @@ func (t *Topology) Memory(id string) (*memsim.Device, bool) {
 	return t.mems[i], true
 }
 
+// MemoryIndex returns a registered memory device's dense index: its position
+// in Memories, and its column in ComputeSet.Route.
+func (t *Topology) MemoryIndex(id string) (int, bool) {
+	i, ok := t.memIdx[id]
+	return i, ok
+}
+
 // ComputeSet is the compute side of the graph: the devices by dense index,
 // the per-kind lists, and where each device's cores sit in one flat per-core
 // table — what planning and execution index their per-device state by
@@ -278,9 +288,11 @@ type ComputeSet struct {
 	topo    *Topology
 	kinds   [FPGA + 1][]*ComputeDevice
 	coreOff []int32 // len(Devices)+1: device i's cores are [coreOff[i], coreOff[i+1])
-	// links is the Devices×Devices matrix of compute-to-compute routes, each
-	// resolved (and memoized in the topology's routing cache) on first use.
+	// links is the Devices×Devices matrix of compute-to-compute routes, and
+	// mems the Devices×Memories one of compute-to-memory routes, each resolved
+	// (and memoized in the topology's routing cache) on first use.
 	links []atomic.Pointer[Route]
+	mems  []atomic.Pointer[Route]
 }
 
 // ComputeSet returns the resolved compute side of the graph.
@@ -293,6 +305,7 @@ func (t *Topology) ComputeSet() *ComputeSet {
 	cs := &ComputeSet{
 		Devices: make([]*ComputeDevice, n), topo: t,
 		coreOff: make([]int32, n+1), links: make([]atomic.Pointer[Route], n*n),
+		mems: make([]atomic.Pointer[Route], n*len(t.mems)),
 	}
 	for i, id := range t.computeOrder {
 		c := t.computes[id]
@@ -338,6 +351,28 @@ func (cs *ComputeSet) Link(from, to int) (lat time.Duration, bandwidth float64, 
 	return rt.Path.Latency, rt.Path.Bandwidth, rt.reachable
 }
 
+// Route returns the resolved route from compute device c to the memory device
+// with dense index mem, false when no path reaches it: Topology.Route by
+// index. A resolved route is read without a lock.
+func (cs *ComputeSet) Route(c, mem int) (*Route, bool) {
+	if rt := cs.route(c, mem); rt.Mem != nil {
+		return rt, true
+	}
+	return nil, false
+}
+
+// route returns the memoized route from compute device c to memory device
+// mem, resolving it on first use.
+func (cs *ComputeSet) route(c, mem int) *Route {
+	cell := &cs.mems[c*len(cs.topo.mems)+mem]
+	rt := cell.Load()
+	if rt == nil {
+		rt = cs.topo.resolveSlow(cs.Devices[c].ID, cs.topo.mems[mem].ID)
+		cell.Store(rt)
+	}
+	return rt
+}
+
 // Memories lists the memory devices in insertion order; a device's position
 // is its dense index. The list is shared: read-only.
 func (t *Topology) Memories() []*memsim.Device {
@@ -376,17 +411,27 @@ func (t *Topology) RouteError(computeID, memID string) error {
 }
 
 // resolve returns the memoized route for a pair, searching on first use —
-// which seals the graph, so a memoized route is never out of date.
+// which seals the graph, so a memoized route is never out of date. A compute
+// device's route to a memory device is read from the ComputeSet's table.
 func (t *Topology) resolve(from, to string) *Route {
+	if c, ok := t.computes[from]; ok {
+		if mem, ok := t.memIdx[to]; ok {
+			return t.ComputeSet().route(c.idx, mem)
+		}
+	}
+	return t.resolveSlow(from, to)
+}
+
+// resolveSlow is resolve through the map, under its lock.
+func (t *Topology) resolveSlow(from, to string) *Route {
 	key := [2]string{from, to}
-	t.routeMu.RLock()
-	rt, hit := t.routes[key]
-	t.routeMu.RUnlock()
-	if hit {
+	t.routeMu.Lock()
+	defer t.routeMu.Unlock()
+	if rt, hit := t.routes[key]; hit {
 		return rt
 	}
 	t.seal()
-	rt = &Route{Idx: -1}
+	rt := &Route{Idx: -1}
 	rt.Path, rt.reachable = t.route(from, to)
 	if i, ok := t.memIdx[to]; ok && rt.reachable {
 		mem := t.mems[i]
@@ -400,16 +445,10 @@ func (t *Topology) resolve(from, to string) *Route {
 		rt.Sync = mem.Sync && !rt.Remote
 		rt.Lat = mem.Latency + rt.Path.Latency
 	}
-	t.routeMu.Lock()
-	if prior, raced := t.routes[key]; raced {
-		rt = prior // one route object per pair, whoever resolved it first
-	} else {
-		if t.routes == nil {
-			t.routes = make(map[[2]string]*Route)
-		}
-		t.routes[key] = rt
+	if t.routes == nil {
+		t.routes = make(map[[2]string]*Route)
 	}
-	t.routeMu.Unlock()
+	t.routes[key] = rt
 	return rt
 }
 
@@ -485,14 +524,21 @@ func (t *Topology) route(from, to string) (PathInfo, bool) {
 // the local CPU and slow from a GPU across PCIe; GDDR is the reverse.
 // Everything but FreeCapacity is fixed by the route.
 func (t *Topology) EffectiveCaps(computeID, memID string) (props.Capabilities, bool) {
-	if _, ok := t.computes[computeID]; !ok {
+	c, ok := t.computes[computeID]
+	mem, isMem := t.memIdx[memID]
+	if !ok || !isMem {
 		t.seal() // the refusal is derived from the graph too
 		return props.Capabilities{}, false
 	}
-	rt, ok := t.Route(computeID, memID)
+	rt, ok := t.ComputeSet().Route(c.idx, mem)
 	if !ok {
 		return props.Capabilities{}, false
 	}
+	return rt.Caps(), true
+}
+
+// Caps is EffectiveCaps over a resolved route to a memory device.
+func (rt *Route) Caps() props.Capabilities {
 	mem := rt.Mem
 	bw := mem.Bandwidth
 	if rt.Path.Bandwidth < bw {
@@ -508,7 +554,7 @@ func (t *Topology) EffectiveCaps(computeID, memID string) (props.Capabilities, b
 		Persistent:      mem.Persistent,
 		Remote:          rt.Remote,
 		FreeCapacity:    mem.Free(),
-	}, true
+	}
 }
 
 // Addressable reports whether the compute device can address the memory
