@@ -296,11 +296,14 @@ func serveJobs(stdout io.Writer, ec core.ExecConfig, buildJob func(string) (*dat
 			}
 		}
 	}
-	failed := 0
+	failed, faulted := 0, 0
 	for i, tk := range tickets {
 		rep, err := tk.Wait(context.Background())
 		if err != nil {
 			failed++
+			if errors.Is(err, fault.ErrInjected) {
+				faulted++
+			}
 			fmt.Fprintf(stdout, "  %-16s #%-3d FAILED: %v\n", names[i], i, err)
 			continue
 		}
@@ -337,10 +340,12 @@ func serveJobs(stdout io.Writer, ec core.ExecConfig, buildJob func(string) (*dat
 		fmt.Fprintf(stdout, "queue wait: p50 %v, p99 %v, max %v (n=%d)\n",
 			h.Quantile(0.50), h.Quantile(0.99), h.Max(), h.Count())
 	}
-	if inject := ec.Inject; inject != nil || o.recover {
+	if ec.Inject != nil || o.recover {
+		// Only the injector fails an attempt here: each retry follows one
+		// injected fault, and each job that failed with one ends at another.
+		retries := tel.Counter(telemetry.LayerFault, "job_retries")
 		fmt.Fprintf(stdout, "faults: injected %d; recovery: retries %d, checkpoints %d, restores %d, recovered jobs %d\n",
-			inject.Injected(),
-			tel.Counter(telemetry.LayerFault, "job_retries"),
+			retries+int64(faulted), retries,
 			tel.Counter(telemetry.LayerFault, "checkpoints"),
 			tel.Counter(telemetry.LayerFault, "restores"),
 			tel.Counter(telemetry.LayerRuntime, "server_recovered"))

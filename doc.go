@@ -78,15 +78,16 @@
 // # Fault tolerance and recovery
 //
 // A [FaultInjector] deterministically kills chosen task executions so
-// recovery is reproducible. Task outputs are checkpointed through a
-// [Checkpointer] into a fault-tolerant far-memory [FaultStore]
-// ([NewReplicatedStore], or the erasure-coded store in internal/fault);
-// RecoveryPolicy.Checkpointer says which, and nil means a default
-// replicated store. A [RecoveryPolicy] turns that on: passed to Runtime.Run
-// it makes one run
-// fault-tolerant, set as ServerConfig.Recovery it does the same for every
-// served job — one mechanism, so the same job and fault report the same
-// bytes whichever door the job came through. A failed job is retried in
+// recovery is reproducible. Fault sites are keyed by job name and task, never
+// by the submission, so a job fails at the same sites wherever it runs. Task
+// outputs are checkpointed through a [Checkpointer] into a fault-tolerant
+// far-memory [FaultStore] ([NewReplicatedStore], or the erasure-coded store
+// in internal/fault); RecoveryPolicy.Checkpointer says which, and nil means a
+// default replicated store. A [RecoveryPolicy] turns that on: passed to
+// Runtime.Run it makes one run fault-tolerant, set as ServerConfig.Recovery
+// it does the same for every served job — one mechanism, so the same job
+// under the same injector reports the same bytes whichever door the job came
+// through. A failed job is retried in
 // place, on the core clocks its failed attempt left, completing
 // checkpointed tasks from their snapshots instead of re-executing them;
 // [Report] says how many attempts it took and how many tasks were skipped

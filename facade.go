@@ -154,7 +154,9 @@ type (
 	// or Carbink-style erasure coding).
 	FaultStore = fault.Store
 	// FaultInjector deterministically kills chosen task executions so
-	// recovery can be exercised reproducibly (ExecConfig.Inject).
+	// recovery can be exercised reproducibly (ExecConfig.Inject). Its
+	// verdict is a pure function of seed, job name, task and how often the
+	// submission has executed the task, so one injector is safe to share.
 	FaultInjector = fault.Injector
 	// Fabric is the simulated far-memory cluster fault stores write to.
 	Fabric = cluster.Fabric
@@ -171,8 +173,8 @@ var (
 	NewReplicatedStore = fault.NewReplicatedStore
 	// NewErasureStore stripes objects RS(data+parity) across fabric nodes.
 	NewErasureStore = fault.NewErasureStore
-	// NewFaultInjector fails the first `kills` executions of a seeded
-	// `rate` fraction of task sites.
+	// NewFaultInjector fails the first `kills` executions, in every
+	// submission, of a seeded `rate` fraction of (job name, task) sites.
 	NewFaultInjector = fault.NewInjector
 	// ErrInjectedFault marks a deterministically injected task failure.
 	ErrInjectedFault = fault.ErrInjected

@@ -235,11 +235,12 @@ func TestAccessCountsPublishedOncePerTask(t *testing.T) {
 			}
 			return scratchTouch(5, nil)(ctx)
 		}))
-		if _, err := s.Submit(context.Background(), j); err != nil {
+		rep, err := s.Submit(context.Background(), j)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if inj.Injected() != 1 {
-			t.Fatalf("%d faults injected, want the one retry", inj.Injected())
+		if rep.Attempts != 2 {
+			t.Fatalf("%d attempts, want the one retry after the one fault", rep.Attempts)
 		}
 		want := accessCounts{reads: 10, writes: 12, devRead: 832, devWritten: 960, bytesRead: 832, bytesWritten: 960, transfers: 1, frees: 4}
 		if got := readCounts(rt); got != want {

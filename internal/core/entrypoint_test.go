@@ -1,13 +1,14 @@
 package core_test
 
 // The entry-point invariant: which front door a job came through does not
-// show in its report. The same job with the same fault, checkpoint store
+// show in its report. The same job with the same injector, checkpoint store
 // default and recovery policy reports the same bytes and the same recovery
 // accounting through Runtime.Run, through a Server alone in its batch,
 // through a Server beside seven batch mates, and through a two-shard Cluster
 // — because all of them execute it in one drive loop with one retry ladder
-// (exec.go). The test lives outside package core so it can import the
-// cluster.
+// (exec.go), and the injector's verdict is a function of the job's name and
+// task, not of the submission. The test lives outside package core so it can
+// import the cluster.
 
 import (
 	"context"
@@ -25,9 +26,8 @@ import (
 )
 
 // victim is the task the injector kills in the synthetic shapes: a name no
-// batch mate's task shares, since a targeted kill matches by task name in any
-// submission. (Rate-based sites hash the per-submission namespace, so they
-// legitimately differ by entry point and are not used here.)
+// batch mate's task shares, since a targeted kill matches by task name in
+// every submission. Rate-based sites are TestDoorsAgreeUnderRateFaults'.
 const victim = "victim"
 
 // entryShape is a job of the matrix and the task its kill targets.
@@ -99,25 +99,18 @@ func entryMate(i int) *dataflow.Job {
 	return j
 }
 
-// entryCase is one cell of the matrix. A nil policy is no recovery at all:
-// plain Run(job), and servers built without one.
+// entryCase is one cell of the matrix: a job, run through every door with
+// one injector. A nil policy is no recovery at all: plain Run(job), and
+// servers built without one.
 type entryCase struct {
-	shape   string
+	job     func() *dataflow.Job
 	workers int
 	pol     *core.RecoveryPolicy
-	kill    bool
+	inj     *fault.Injector
 }
 
-func (c entryCase) job() *dataflow.Job { return entryShapes[c.shape].build("job") }
-
-// exec is the fresh ExecConfig of one run: its own injector, so a kill is
-// consumed by exactly the run it was scheduled for.
 func (c entryCase) exec() core.ExecConfig {
-	inj := fault.NewInjector(1, 0, 1)
-	if c.kill {
-		inj.Kill(entryShapes[c.shape].victim, 1)
-	}
-	return core.ExecConfig{Inject: inj, Workers: c.workers}
+	return core.ExecConfig{Inject: c.inj, Workers: c.workers}
 }
 
 // entryPoints are the front doors. Each builds a fresh stack, runs the case's
@@ -246,19 +239,22 @@ func viewOf(r *core.Report) entryView {
 }
 
 func TestEntryPointsAgree(t *testing.T) {
-	for shape := range entryShapes {
+	for shape, sh := range entryShapes {
+		job := func() *dataflow.Job { return sh.build("job") }
+		killed := fault.NewInjector(1, 0, 1)
+		killed.Kill(sh.victim, 1)
 		for _, workers := range []int{1, 4} {
-			cases := []entryCase{{shape: shape, workers: workers}} // fault-free, no policy: plain Run(job)
+			cases := []entryCase{{job: job, workers: workers}} // fault-free, no policy: plain Run(job)
 			for _, partial := range []bool{false, true} {
 				pol := &core.RecoveryPolicy{PartialReplay: partial}
 				cases = append(cases,
-					entryCase{shape: shape, workers: workers, pol: pol, kill: true},
-					entryCase{shape: shape, workers: workers, pol: pol})
+					entryCase{job: job, workers: workers, pol: pol, inj: killed},
+					entryCase{job: job, workers: workers, pol: pol})
 			}
 			for _, c := range cases {
 				name := fmt.Sprintf("%s/workers=%d/plain", shape, workers)
 				if c.pol != nil {
-					name = fmt.Sprintf("%s/workers=%d/partial=%v/kill=%v", shape, workers, c.pol.PartialReplay, c.kill)
+					name = fmt.Sprintf("%s/workers=%d/partial=%v/kill=%v", shape, workers, c.pol.PartialReplay, c.inj != nil)
 				}
 				t.Run(name, func(t *testing.T) { checkEntryCase(t, c) })
 			}
@@ -266,7 +262,28 @@ func TestEntryPointsAgree(t *testing.T) {
 	}
 }
 
-func checkEntryCase(t *testing.T, c entryCase) {
+// TestDoorsAgreeUnderRateFaults serves hospital at 30 % seeded fault sites
+// through every door, each door under one injector per seed: a site is drawn
+// by the job's name, so the job fails and recovers alike at every door.
+func TestDoorsAgreeUnderRateFaults(t *testing.T) {
+	pol := &core.RecoveryPolicy{MaxAttempts: 8}
+	job := func() *dataflow.Job { return workload.Hospital(workload.DefaultHospital()) }
+	retried := 0
+	for seed := uint64(1); seed <= 20; seed++ {
+		c := entryCase{job: job, workers: 2, pol: pol, inj: fault.NewInjector(seed, 0.3, 1)}
+		if agreeAtEveryDoor(t, fmt.Sprintf("seed %d", seed), c).Attempts > 1 {
+			retried++
+		}
+	}
+	if retried == 0 {
+		t.Error("no seed failed a task, so no recovery was compared")
+	}
+}
+
+// agreeAtEveryDoor runs c through every entry point and returns what the first
+// reported, failing the test where another door's view differs from it.
+func agreeAtEveryDoor(t *testing.T, what string, c entryCase) entryView {
+	t.Helper()
 	var want entryView
 	for i, ep := range entryPoints {
 		got := viewOf(ep.run(t, c))
@@ -275,11 +292,16 @@ func checkEntryCase(t *testing.T, c entryCase) {
 			continue
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s differs from %s:\n%+v\n!=\n%+v", ep.name, entryPoints[0].name, got, want)
+			t.Errorf("%s: %s differs from %s:\n%+v\n!=\n%+v", what, ep.name, entryPoints[0].name, got, want)
 		}
 	}
+	return want
+}
+
+func checkEntryCase(t *testing.T, c entryCase) {
+	want := agreeAtEveryDoor(t, "", c)
 	tasks := strings.Count(want.Report, " on ")
-	if !c.kill {
+	if c.inj == nil {
 		if want.Attempts != 1 || want.Skipped != 0 || want.Replayed != 0 {
 			t.Errorf("fault-free run shows recovery: %+v", want)
 		}

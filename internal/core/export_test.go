@@ -21,5 +21,11 @@ func IntegrityBudget() int {
 	return seeds
 }
 
+// RelationFaultRate and RelationPolicy are the relations' faults and their
+// recovery.
+const RelationFaultRate = relationFaultRate
+
+var RelationPolicy = relationPolicy
+
 // RaceBuild is raceBuild.
 const RaceBuild = raceBuild

@@ -331,13 +331,17 @@ func integrityBudget() (seeds, warmers int) {
 	return 200, 4
 }
 
-// relationFaultRate is the share of task sites relation (iv)'s injector fails
-// once each.
+// relationFaultRate is the share of task sites the relations' injector fails
+// once each, and relationPolicy what recovers them: a program fails at most
+// once per site, so it settles in fewer attempts than it has tasks.
 const relationFaultRate = 0.3
+
+var relationPolicy = RecoveryPolicy{MaxAttempts: 64}
 
 // TestRandomProgramRelations checks three relations a report must satisfy, on
 // random programs, each as one assertion on Report.String() bytes: a report
-// depends on the program and nothing else —
+// depends on the program and nothing else, faults a seeded injector places
+// and their recovery included —
 //   - (i) not on what the runtime ran before: a fresh Runtime and one warmed
 //     by other random programs report the same, and so do a fresh server and
 //     one whose only epoch worker served those programs first, one batch
@@ -347,18 +351,20 @@ const relationFaultRate = 0.3
 //     submitted together to a server of two epoch workers, eight task
 //     workers and batches of eight, reports what it reports from a server of
 //     one and one;
-//   - (iv) not on how a retry restores: the first program, under faults a
-//     seeded injector places, recovers with eager replay and with lazy
-//     (partial) replay to the same report, after the same attempts, with the
-//     same tasks skipped and replayed.
+//   - (iv) not on how a retry restores: the first program recovers with
+//     eager replay and with lazy (partial) replay to the same report, after
+//     the same attempts, with the same tasks skipped and replayed.
 //
 // Relation (v), across shard counts, is TestRandomProgramShardCounts in
 // package core_test, which can import the cluster. A failure names the seed,
 // which rebuilds every program of the case.
 func TestRandomProgramRelations(t *testing.T) {
 	seeds, others := integrityBudget()
+	retried := 0
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		inj := fault.NewInjector(uint64(seed), relationFaultRate, 1)
+		exec := ExecConfig{Inject: inj}
 		progs := make([]*integrityProgram, 1+others)
 		for i := range progs {
 			progs[i] = buildIntegrityDAG(t, rng, fmt.Sprintf("rel-%d-%d", seed, i))
@@ -385,14 +391,21 @@ func TestRandomProgramRelations(t *testing.T) {
 		}
 
 		// (i) The first program on a fresh runtime, and after the others.
+		newRT := func() *Runtime {
+			rt, err := New(exec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rt
+		}
 		run := func(rt *Runtime, p *integrityProgram) string {
-			rep, err := rt.Run(p.job)
+			rep, err := rt.Run(p.job, relationPolicy)
 			settle(p, rep, err)
 			return rep.String()
 		}
-		fresh, warm := newRuntime(t), newRuntime(t)
+		fresh, warm := newRT(), newRT()
 		for _, p := range warmers {
-			rep, err := warm.Run(p.job)
+			rep, err := warm.Run(p.job, relationPolicy)
 			settle(p, rep, err)
 		}
 		if got, want := run(warm, progs[0]), run(fresh, progs[0]); got != want {
@@ -402,7 +415,10 @@ func TestRandomProgramRelations(t *testing.T) {
 		// (i), served: the first program on a fresh server of one epoch worker
 		// and batches of one, and on one whose worker served the others first.
 		serveAfter := func(warmers []*integrityProgram) string {
-			s, err := NewServer(ServerConfig{EpochWorkers: 1, MaxBatch: 1, QueueDepth: len(warmers) + 1, Block: true})
+			s, err := NewServer(ServerConfig{
+				ExecConfig: exec, Recovery: &relationPolicy,
+				EpochWorkers: 1, MaxBatch: 1, QueueDepth: len(warmers) + 1, Block: true,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -427,7 +443,7 @@ func TestRandomProgramRelations(t *testing.T) {
 
 		// (ii) Every program at once, on two deployments of a server.
 		serve := func(cfg ServerConfig) string {
-			cfg.QueueDepth, cfg.Block = len(progs), true
+			cfg.Inject, cfg.Recovery, cfg.QueueDepth, cfg.Block = inj, &relationPolicy, len(progs), true
 			s, err := NewServer(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -458,21 +474,25 @@ func TestRandomProgramRelations(t *testing.T) {
 		}
 
 		// (iv) The first program under the seed's faults, replayed eagerly
-		// and lazily, each on a fresh runtime with a fresh injector.
+		// and lazily, each on a fresh runtime.
 		replay := func(partial bool) *Report {
-			rt, err := New(ExecConfig{Inject: fault.NewInjector(uint64(seed), relationFaultRate, 1)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := rt.Run(progs[0].job, RecoveryPolicy{MaxAttempts: 64, PartialReplay: partial})
+			pol := relationPolicy
+			pol.PartialReplay = partial
+			rep, err := newRT().Run(progs[0].job, pol)
 			settle(progs[0], rep, err)
 			return rep
 		}
 		eager, lazy := replay(false), replay(true)
+		if eager.Attempts > 1 {
+			retried++
+		}
 		if got, want := lazy.String(), eager.String(); got != want ||
 			lazy.Attempts != eager.Attempts || lazy.SkippedTasks != eager.SkippedTasks || lazy.ReplayedTasks != eager.ReplayedTasks {
 			t.Errorf("seed %d: (iv) lazy replay reports (%d attempts, %d skipped, %d replayed)\n%s\neager replay (%d, %d, %d)\n%s",
 				seed, lazy.Attempts, lazy.SkippedTasks, lazy.ReplayedTasks, got, eager.Attempts, eager.SkippedTasks, eager.ReplayedTasks, want)
 		}
+	}
+	if retried == 0 {
+		t.Error("no first program met a fault, so no recovery was compared")
 	}
 }

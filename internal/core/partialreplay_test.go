@@ -302,7 +302,7 @@ func TestReplayRestoresATaskWhoseReleaseFailed(t *testing.T) {
 func TestServePartialReplayOverlappedMatchesFull(t *testing.T) {
 	serve := func(partial bool) []*Report {
 		inj := fault.NewInjector(1, 0, 1)
-		inj.Kill("sink", 2) // first executions: pa's attempt 1, pb's attempt 1
+		inj.Kill("sink", 1) // each submission's first: pa's attempt 1, pb's attempt 1
 		s, err := NewServer(ServerConfig{
 			ExecConfig: ExecConfig{Inject: inj, Workers: 4}, EpochWorkers: 1, MaxBatch: 8, QueueDepth: 16, Block: true,
 			Recovery: &RecoveryPolicy{MaxAttempts: 3, PartialReplay: partial},
@@ -399,6 +399,7 @@ func BenchmarkRecoverPartial(b *testing.B) {
 	for _, mode := range []string{"full", "partial"} {
 		b.Run(mode, func(b *testing.B) {
 			inj := fault.NewInjector(1, 0, 1)
+			inj.Kill("sink", 1) // every run's first attempt
 			rt, err := New(ExecConfig{Inject: inj, Workers: 4})
 			if err != nil {
 				b.Fatal(err)
@@ -409,7 +410,6 @@ func BenchmarkRecoverPartial(b *testing.B) {
 			b.ResetTimer()
 			var rep *Report
 			for i := 0; i < b.N; i++ {
-				inj.Kill("sink", 1)
 				r, err := rt.Run(benchRecoverJob("recover", width, depth, payload), pol)
 				if err != nil {
 					b.Fatal(err)

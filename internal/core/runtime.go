@@ -458,6 +458,9 @@ func (rt *Runtime) newRun(job *dataflow.Job, g *dataflow.Graph, schedule *sched.
 		cores = sc.cores
 	}
 	sc.handles = sized(sc.handles, 2*g.Edges()+g.Len())
+	if rt.inject != nil {
+		sc.executed = sized(sc.executed, g.Len())
+	}
 	// ns/ is built on the stack and named once, at the head of owners.
 	var buf [64]byte
 	prefix := append(buf[:0], job.Name()...)

@@ -40,6 +40,10 @@ type scratch struct {
 	computes []string         // run.scheduledComputes
 	globals  []jobGlobal      // run.globals, empty between attempts
 	lazy     []lazyRestore    // run.lazy, zeroed by each attempt that uses it
+	// executed counts, by rank, the submission's executions of each task the
+	// injector has stepped: newRun zeroes it and every attempt of the job
+	// carries it on, so a site's kills are spent once per submission.
+	executed []int
 	// computePeak's event list, its map of the live regions, and each
 	// device's bytes now and at its peak, by dense index.
 	events []memEvent
@@ -73,6 +77,7 @@ func (sc *scratch) footprint() int64 {
 	)
 	w := &sc.w
 	n := cap(sc.handles)*word + cap(sc.cores)*word + cap(sc.computes)*2*word + cap(sc.events)*eventSlot +
+		cap(sc.executed)*word +
 		(cap(sc.cur)+cap(sc.peak))*word +
 		cap(sc.globals)*int(unsafe.Sizeof(jobGlobal{})) + cap(sc.lazy)*int(unsafe.Sizeof(lazyRestore{})) +
 		cap(sc.views)*int(unsafe.Sizeof(topology.TaskView{})) +

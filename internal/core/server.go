@@ -286,8 +286,7 @@ func (s *Server) cancel(t *jobTicket, err error) {
 func (s *Server) runBatch(b *batch) {
 	rt := s.rt
 	// A job whose context ended since collect is finished before planning: a
-	// dead job must not pay for a plan, nor step the injector, whose targeted
-	// kills match a task name in any submission.
+	// dead job must not pay for a plan.
 	admitted := b.tickets[:0]
 	for _, t := range b.tickets {
 		if err := t.ctx.Err(); err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/shard"
 )
 
@@ -15,34 +16,42 @@ import (
 // import the cluster): a report does not depend on how many shards serve it,
 // nor on which of them are down. Every seed's program, submitted through
 // clusters of 1, 2 and 4 shards, reports the Report.String() bytes
-// Runtime.Run reports, and each global of it has exactly one creator. In the
-// 2- and 4-shard clusters the seed also picks a shard, crashes or partitions
-// it before the submission and restarts or heals it after; then every shard
-// leases exactly one slab, its own live ledger. A failure names the seed,
-// which rebuilds the program and its fault.
+// Runtime.Run reports, and each global of it has exactly one creator — all
+// under one seeded injector and one recovery policy, whose fault sites the
+// program's name, and so the seed, picks. In the 2- and 4-shard clusters the
+// seed also picks a shard, crashes or partitions it before the submission and
+// restarts or heals it after; then every shard leases exactly one slab, its
+// own live ledger. A failure names the seed, which rebuilds the program and
+// its faults.
 func TestRandomProgramShardCounts(t *testing.T) {
+	exec := core.ExecConfig{Inject: fault.NewInjector(1, core.RelationFaultRate, 1)}
+	pol := core.RelationPolicy
 	counts := []int{1, 2, 4}
 	clusters := make([]*shard.Cluster, len(counts))
 	for i, n := range counts {
-		c, err := shard.NewCluster(shard.Config{Shards: n, Server: core.ServerConfig{Block: true}})
+		c, err := shard.NewCluster(shard.Config{Shards: n, Server: core.ServerConfig{ExecConfig: exec, Recovery: &pol, Block: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { c.Close(context.Background()) }) //nolint:errcheck
 		clusters[i] = c
 	}
+	retried := 0
 	for seed := int64(1); seed <= int64(core.IntegrityBudget()); seed++ {
 		job, creators := core.IntegrityProgram(t, rand.New(rand.NewSource(seed)), fmt.Sprintf("shards-%d", seed))
-		rt, err := core.New(core.ExecConfig{})
+		rt, err := core.New(exec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := rt.Run(job)
+		rep, err := rt.Run(job, pol)
 		if err == nil {
 			err = creators(rep)
 		}
 		if err != nil {
 			t.Fatalf("seed %d: Run: %v", seed, err)
+		}
+		if rep.Attempts > 1 {
+			retried++
 		}
 		want := rep.String()
 		faults := rand.New(rand.NewSource(-seed))
@@ -84,5 +93,8 @@ func TestRandomProgramShardCounts(t *testing.T) {
 				}
 			}
 		}
+	}
+	if retried == 0 {
+		t.Error("no program met a fault, so no recovery was compared")
 	}
 }

@@ -359,14 +359,15 @@ func (r *run) newWavefront(ctx context.Context) (*wavefront, string, error) {
 	}
 
 	// Injection verdicts and restore decisions are taken eagerly in strict
-	// rank order, exactly as the sequential loop would consume them: tasks
+	// rank order, exactly as the sequential loop would take them: tasks
 	// checkpointed by a prior attempt never step the injector, and stepping
-	// stops at the first failure (ranks above it never consume injector
-	// state). Injector passes are mutation-free, so pre-consuming them is
-	// observationally identical to consuming them at dispatch time. A task
-	// that created a job global is re-executed, not restored, so the global
-	// exists again for the successors that read it; it steps the injector
-	// like any task that runs.
+	// stops at the first failure (ranks above it do not step, so their counts
+	// do not move). A verdict is a pure function of the job name, the
+	// task and the submission's count of its executions, which only this
+	// pass writes, so taking it here is identical to taking it at dispatch
+	// time. A task that created a job global is re-executed, not restored, so
+	// the global exists again for the successors that read it; it steps the
+	// injector like any task that runs.
 	for k, t := range order {
 		if r.ck != nil {
 			if e, ok := r.ck.lookup(t.ID()); ok && !e.createdGlobal {
@@ -379,7 +380,9 @@ func (r *run) newWavefront(ctx context.Context) (*wavefront, string, error) {
 			}
 		}
 		if r.inject != nil {
-			if err := r.inject.Step(r.ns, t.ID()); err != nil {
+			err := r.inject.Step(r.job.Name(), t.ID(), r.sc.executed[k])
+			r.sc.executed[k]++
+			if err != nil {
 				w.failRank, w.failErr, w.failTask = k, err, t.ID()
 				w.slots[k].state = tsFailed
 				w.ready[k] = false

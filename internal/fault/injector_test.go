@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -12,15 +13,15 @@ func TestInjectorDeterministic(t *testing.T) {
 	// Two injectors with the same seed make identical decisions.
 	a := NewInjector(42, 0.5, 1)
 	b := NewInjector(42, 0.5, 1)
-	sites := []struct{ id, task string }{
-		{"job#1", "ingest"}, {"job#1", "filter"}, {"job#2", "ingest"},
-		{"job#3", "reduce"}, {"job#4", "ingest"}, {"job#5", "filter"},
+	sites := []struct{ name, task string }{
+		{"job1", "ingest"}, {"job1", "filter"}, {"job2", "ingest"},
+		{"job3", "reduce"}, {"job4", "ingest"}, {"job5", "filter"},
 	}
 	for _, s := range sites {
-		ea := a.Step(s.id, s.task)
-		eb := b.Step(s.id, s.task)
+		ea := a.Step(s.name, s.task, 0)
+		eb := b.Step(s.name, s.task, 0)
 		if (ea == nil) != (eb == nil) {
-			t.Errorf("site %s/%s: seed-identical injectors disagree (%v vs %v)", s.id, s.task, ea, eb)
+			t.Errorf("site %s/%s: seed-identical injectors disagree (%v vs %v)", s.name, s.task, ea, eb)
 		}
 		if ea != nil && !errors.Is(ea, ErrInjected) {
 			t.Errorf("injected error must wrap ErrInjected, got %v", ea)
@@ -31,8 +32,8 @@ func TestInjectorDeterministic(t *testing.T) {
 	c := NewInjector(1, 0.5, 1)
 	same := true
 	for i := 0; i < 64; i++ {
-		id := string(rune('a' + i%26))
-		if (a.hash(id, "t") < 0.5) != (c.hash(id, "t") < 0.5) {
+		name := string(rune('a' + i%26))
+		if (a.hash(name, "t") < 0.5) != (c.hash(name, "t") < 0.5) {
 			same = false
 			break
 		}
@@ -42,45 +43,73 @@ func TestInjectorDeterministic(t *testing.T) {
 	}
 }
 
+// TestInjectorSiteHashPinned pins the site hash: FNV-1a over name+"/"+task,
+// mixed with the seed, read in place. A verdict moved by a change here moves
+// every seeded fault run's report.
+func TestInjectorSiteHashPinned(t *testing.T) {
+	joined := func(seed uint64, site string) float64 {
+		h := uint64(1469598103934665603) ^ (seed * 0x9e3779b97f4a7c15)
+		for i := 0; i < len(site); i++ {
+			h ^= uint64(site[i])
+			h *= 1099511628211
+		}
+		h ^= h >> 33
+		h *= 0xff51afd7ed558ccd
+		h ^= h >> 33
+		return float64(h>>11) / float64(1<<53)
+	}
+	tasks := []string{"scan", "hash-join", "a/b", "s\x00", "", "summarize", "leaf07"}
+	for _, seed := range []uint64{42, 7} {
+		in := NewInjector(seed, 0.05, 1)
+		for i := 0; i < 2000; i++ {
+			name, task := fmt.Sprintf("job@%d", i), tasks[i%len(tasks)]
+			if got, want := in.hash(name, task), joined(seed, name+"/"+task); got != want {
+				t.Fatalf("seed %d site %s/%s: hash %v, want %v", seed, name, task, got, want)
+			}
+		}
+	}
+}
+
 func TestInjectorKillBudgetExhausts(t *testing.T) {
 	in := NewInjector(7, 1.0, 2)
 	var fails int
-	for i := 0; i < 5; i++ {
-		if in.Step("job#1", "t") != nil {
+	for executed := 0; executed < 5; executed++ {
+		if in.Step("job", "t", executed) != nil {
 			fails++
 		}
 	}
 	if fails != 2 {
-		t.Errorf("site failed %d times, want exactly kills=2 (recovery must converge)", fails)
+		t.Errorf("site failed %d of 5 executions, want exactly kills=2 (recovery must converge)", fails)
 	}
-	if got := in.Injected(); got != 2 {
-		t.Errorf("Injected() = %d, want 2", got)
+	// A second submission of the job has executed the task no times: it
+	// meets the same faults, not a budget the first one spent.
+	if in.Step("job", "t", 0) == nil || in.Step("job", "t", 1) == nil || in.Step("job", "t", 2) != nil {
+		t.Error("a later submission must fail its first kills=2 executions again")
 	}
 }
 
 func TestInjectorTargetedKill(t *testing.T) {
 	in := NewInjector(7, 0, 1) // rate 0: only targeted kills fire
 	in.Kill("victim", 2)
-	if in.Step("any#1", "bystander") != nil {
+	if in.Step("any", "bystander", 0) != nil {
 		t.Error("untargeted task failed at rate 0")
 	}
-	// Targeted kills apply across submissions, by task name.
-	if in.Step("a#1", "victim") == nil || in.Step("b#2", "victim") == nil {
-		t.Error("targeted task must fail its next 2 executions")
-	}
-	if in.Step("c#3", "victim") != nil {
-		t.Error("targeted budget must exhaust after 2 kills")
+	// Targeted kills apply in every submission, by task name.
+	for _, name := range []string{"a", "b"} {
+		if in.Step(name, "victim", 0) == nil || in.Step(name, "victim", 1) == nil {
+			t.Errorf("job %s: targeted task must fail its first 2 executions", name)
+		}
+		if in.Step(name, "victim", 2) != nil {
+			t.Errorf("job %s: targeted kills must end after 2 executions", name)
+		}
 	}
 }
 
 func TestInjectorNilSafe(t *testing.T) {
 	var in *Injector
 	in.Kill("x", 1)
-	if err := in.Step("id", "x"); err != nil {
+	if err := in.Step("job", "x", 0); err != nil {
 		t.Errorf("nil injector must inject nothing, got %v", err)
-	}
-	if in.Injected() != 0 {
-		t.Error("nil injector reports nonzero injections")
 	}
 }
 
@@ -88,119 +117,123 @@ func TestInjectorRateBounds(t *testing.T) {
 	never := NewInjector(3, 0, 1)
 	always := NewInjector(3, 1.0, 1)
 	for i := 0; i < 32; i++ {
-		id := string(rune('a' + i))
-		if never.Step(id, "t") != nil {
-			t.Fatalf("rate 0 injected a fault at site %s", id)
+		name := string(rune('a' + i))
+		if never.Step(name, "t", 0) != nil {
+			t.Fatalf("rate 0 injected a fault at site %s", name)
 		}
-		if always.Step(id, "t") == nil {
-			t.Fatalf("rate 1 spared site %s on first execution", id)
+		if always.Step(name, "t", 0) == nil {
+			t.Fatalf("rate 1 spared site %s on first execution", name)
 		}
 	}
 }
 
+// injectorStep is one Step call's arguments.
+type injectorStep struct {
+	name, task string
+	executed   int
+}
+
+// injectorSweep returns 10 000 seeded steps over revisited sites, and how to
+// build the injector every test of them uses: rate faults that fail twice and
+// one targeted kill.
+func injectorSweep() ([]injectorStep, func() *Injector) {
+	tasks := []string{"scan", "hash-join", "a/b", "s\x00", "", "summarize", "leaf07"}
+	rng := rand.New(rand.NewSource(42))
+	steps := make([]injectorStep, 10000)
+	for i := range steps {
+		steps[i] = injectorStep{fmt.Sprintf("job@%d", rng.Intn(2000)), tasks[rng.Intn(len(tasks))], rng.Intn(3)}
+	}
+	return steps, func() *Injector {
+		in := NewInjector(42, 0.05, 2)
+		in.Kill("summarize", 1)
+		return in
+	}
+}
+
+// verdicts walks in through steps in order and returns each step's error text.
+func verdicts(t *testing.T, in *Injector, steps []injectorStep) []string {
+	t.Helper()
+	out := make([]string, len(steps))
+	failed := 0
+	for i, s := range steps {
+		err := in.Step(s.name, s.task, s.executed)
+		if err != nil {
+			failed++
+		}
+		out[i] = fmt.Sprint(err)
+	}
+	if failed == 0 {
+		t.Fatal("no step failed, so nothing was compared")
+	}
+	return out
+}
+
+// TestInjectorConcurrent: 8 goroutines step one injector through the sweep at
+// once, each in its own shuffled order, and every step gets the verdict a
+// lone sequential walk gave it (a shared write shows under -race).
 func TestInjectorConcurrent(t *testing.T) {
-	in := NewInjector(9, 1.0, 1)
+	steps, build := injectorSweep()
+	want := verdicts(t, build(), steps)
+	in := build()
 	const workers = 8
 	var wg sync.WaitGroup
-	fails := make([]int, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				if in.Step("shared", "task") != nil {
-					fails[w]++
+			for _, i := range rand.New(rand.NewSource(int64(w))).Perm(len(steps)) {
+				s := steps[i]
+				if got := fmt.Sprint(in.Step(s.name, s.task, s.executed)); got != want[i] {
+					t.Errorf("worker %d step %d at %s/%s#%d: got %v, want %v", w, i, s.name, s.task, s.executed, got, want[i])
+					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	total := 0
-	for _, f := range fails {
-		total += f
-	}
-	if total != 1 {
-		t.Errorf("shared site killed %d times across goroutines, want exactly 1", total)
-	}
 }
 
-// refInjector is the injector as it was when it joined the site string for
-// every step: the reference TestInjectorVerdictsUnchanged holds Step to.
-type refInjector struct {
-	seed    uint64
-	rate    float64
-	kills   int
-	counts  map[string]int
-	targets map[string]int
-}
-
-func (in *refInjector) step(id, task string) error {
-	site := id + "/" + task
-	if n := in.targets[task]; n > 0 {
-		in.targets[task] = n - 1
-		return fmt.Errorf("%w: %s (targeted)", ErrInjected, site)
-	}
-	if in.rate > 0 && in.counts[site] < in.kills && in.hash(site) < in.rate {
-		in.counts[site]++
-		return fmt.Errorf("%w: %s (kill %d/%d)", ErrInjected, site, in.counts[site], in.kills)
-	}
-	return nil
-}
-
-func (in *refInjector) hash(site string) float64 {
-	h := uint64(1469598103934665603) ^ (in.seed * 0x9e3779b97f4a7c15)
-	for i := 0; i < len(site); i++ {
-		h ^= uint64(site[i])
-		h *= 1099511628211
-	}
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return float64(h>>11) / float64(1<<53)
-}
-
-// TestInjectorVerdictsUnchanged holds Step, which hashes a site's two halves
-// in place, to the injector that hashed the joined site string: 10 000 seeded
-// steps, revisiting sites and interleaving targeted kills, give the same
-// verdicts and the same error texts. A step the injector passes allocates
-// nothing.
-func TestInjectorVerdictsUnchanged(t *testing.T) {
-	tasks := []string{"scan", "hash-join", "a/b", "s\x00", "", "summarize", "leaf07"}
-	for _, seed := range []uint64{42, 7} {
-		rng := rand.New(rand.NewSource(int64(seed)))
-		in := NewInjector(seed, 0.05, 2)
-		ref := &refInjector{seed: seed, rate: 0.05, kills: 2, counts: map[string]int{}, targets: map[string]int{}}
-		picked := 0
-		for i := 0; i < 10000; i++ {
-			if rng.Intn(500) == 0 {
-				task := tasks[rng.Intn(len(tasks))]
-				in.Kill(task, 1)
-				ref.targets[task]++
-			}
-			id := fmt.Sprintf("job@%d", rng.Intn(2000))
-			task := tasks[rng.Intn(len(tasks))]
-			got, want := in.Step(id, task), ref.step(id, task)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("seed %d step %d at %s/%s: got %v, want %v", seed, i, id, task, got, want)
-			}
-			if got != nil {
-				picked++
-			}
-		}
-		if picked == 0 {
-			t.Fatalf("seed %d: no step failed, so nothing was compared", seed)
+// TestInjectorVerdictIsPure holds Step to a function of (seed, name, task,
+// executed): two injectors built alike give every step of the sweep the same
+// verdict and error text, one walking it forward and the other backward.
+// 10 000 submissions at rate 0.5 leave an injector as it was built, and a
+// step the injector passes allocates nothing.
+func TestInjectorVerdictIsPure(t *testing.T) {
+	steps, build := injectorSweep()
+	want := verdicts(t, build(), steps)
+	backward := slices.Clone(steps)
+	slices.Reverse(backward)
+	got := verdicts(t, build(), backward)
+	slices.Reverse(got)
+	for i := range steps {
+		if got[i] != want[i] {
+			t.Fatalf("step %d at %s/%s#%d: backward %v, forward %v", i, steps[i].name, steps[i].task, steps[i].executed, got[i], want[i])
 		}
 	}
 
-	in := NewInjector(42, 0.05, 1)
-	id, task := "", "t"
+	half := NewInjector(42, 0.5, 1)
+	half.Kill("scan", 1)
+	before := fmt.Sprintf("%+v", *half)
+	for sub := 0; sub < 10000; sub++ {
+		name := fmt.Sprintf("job@%d", sub)
+		for _, task := range []string{"scan", "join", "sink"} {
+			for executed := 0; half.Step(name, task, executed) != nil; executed++ {
+			}
+		}
+	}
+	if after := fmt.Sprintf("%+v", *half); after != before {
+		t.Errorf("10 000 submissions changed the injector:\nbefore %s\nafter  %s", before, after)
+	}
+
+	in := build()
+	name, task := "", "t"
 	for i := 0; ; i++ {
-		if id = fmt.Sprintf("job@%d", i); in.hash(id, task) >= 0.05 {
+		if name = fmt.Sprintf("job@%d", i); in.hash(name, task) >= 0.05 {
 			break
 		}
 	}
 	if got := testing.AllocsPerRun(100, func() {
-		if in.Step(id, task) != nil {
+		if in.Step(name, task, 0) != nil {
 			t.Fatal("a site the rate does not pick failed")
 		}
 	}); got != 0 {

@@ -49,9 +49,11 @@ func TestAllocBudgetRoutedJob(t *testing.T) {
 	}
 }
 
-// routedPolicy is the recovery every routed-mix shard and its solo reference
-// run under.
+// routedPolicy and routedInjector are the recovery and the faults every
+// routed-mix shard and its solo reference run under.
 var routedPolicy = core.RecoveryPolicy{MaxAttempts: 8, PartialReplay: true}
+
+func routedInjector() *fault.Injector { return fault.NewInjector(42, 0.05, 1) }
 
 // routedMix is the routed checkpointed serving shape: a 2-shard cluster
 // sharing one checkpointer, partial replay, 5 % of task sites failing their
@@ -60,7 +62,7 @@ func routedMix(tb testing.TB) (*Cluster, []*dataflow.Job) {
 	tb.Helper()
 	pol := routedPolicy
 	c := newTestCluster(tb, Config{Shards: 2, Server: core.ServerConfig{
-		ExecConfig:   core.ExecConfig{Workers: 2, Inject: fault.NewInjector(42, 0.05, 1)},
+		ExecConfig:   core.ExecConfig{Workers: 2, Inject: routedInjector()},
 		EpochWorkers: 2, MaxBatch: 8, QueueDepth: 1024,
 		Recovery: &pol,
 	}})
@@ -78,19 +80,18 @@ func routedMix(tb testing.TB) (*Cluster, []*dataflow.Job) {
 // through Cluster.Submit. No task body stalls, so ring walk, ledger write,
 // admission, planning, dispatch, checkpoint, injected-fault retries and
 // retirement are the whole number. One pass over the pool is the untimed
-// ramp, and it is the determinism check as well: every job that ran in one
-// attempt (189 of the 256) reports byte for byte what its solo Workers=1 run
-// under the same recovery policy reports. A job the injector failed settles
-// after a retry with as many tasks as its solo run; no solo run meets its
-// faults, which the injector draws by the submission's snapshot namespace.
+// ramp, and it is the determinism check as well: every job reports byte for
+// byte what its solo Workers=1 run under the same injector and recovery
+// policy reports, the jobs the injector failed and retried among them — a
+// fault site is keyed by the job's name, not by the submission.
 func BenchmarkRoutedJob(b *testing.B) {
 	c, pool := routedMix(b)
+	rt, err := core.New(core.ExecConfig{Workers: 1, Inject: routedInjector()})
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, j := range pool {
 		rep, err := c.Submit(context.Background(), j)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rt, err := core.New(core.ExecConfig{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -98,11 +99,8 @@ func BenchmarkRoutedJob(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rep.Attempts == 1 && rep.String() != solo.String() {
+		if rep.String() != solo.String() {
 			b.Fatalf("%s: routed report diverges from solo:\n got: %s\nwant: %s", j.Name(), rep, solo)
-		}
-		if rep.Attempts > 1 && len(rep.Tasks) != len(solo.Tasks) {
-			b.Fatalf("%s: retried report has %d tasks, solo %d", j.Name(), len(rep.Tasks), len(solo.Tasks))
 		}
 	}
 	b.ReportAllocs()
