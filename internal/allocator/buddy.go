@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
 )
 
 // MinOrder is the smallest block the allocator hands out (64 B, one cache
@@ -21,9 +20,10 @@ const MinOrder = 6
 const maxOrders = 48
 
 // Buddy is a binary buddy allocator over a byte range [0, size).
-// The zero value is not usable; call New.
+// The zero value is not usable; call New. It is not safe for concurrent use:
+// the region manager serializes it, calling Alloc and Free only under its
+// table lock.
 type Buddy struct {
-	mu       sync.Mutex
 	size     int64
 	maxOrder int
 	// free[k] holds the offsets of the free blocks of size 2^k, sorted
@@ -101,8 +101,6 @@ func (b *Buddy) Alloc(n int64) (int64, error) {
 	if order > b.maxOrder {
 		return 0, fmt.Errorf("allocator: request %d exceeds arena %d", n, b.size)
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	// Find the smallest order ≥ request with a free block.
 	k := order
 	for k <= b.maxOrder && len(b.free[k]) == 0 {
@@ -160,8 +158,6 @@ func (b *Buddy) liveOrder(off int64) (int, bool) {
 
 // Free releases a previously allocated block and coalesces buddies.
 func (b *Buddy) Free(off int64) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	order, ok := b.liveOrder(off)
 	if !ok {
 		return fmt.Errorf("allocator: free of unallocated offset %d", off)

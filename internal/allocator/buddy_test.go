@@ -9,11 +9,7 @@ import (
 )
 
 // Used returns bytes currently allocated (after power-of-two rounding).
-func (b *Buddy) Used() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.used
-}
+func (b *Buddy) Used() int64 { return b.used }
 
 // coalesced reports whether the whole arena is one free block.
 func (b *Buddy) coalesced() bool { return len(b.free[b.maxOrder]) == 1 }
@@ -22,8 +18,6 @@ func (b *Buddy) coalesced() bool { return len(b.free[b.maxOrder]) == 1 }
 // allocated, free+used accounting matches the arena, and no two live or free
 // blocks overlap.
 func (b *Buddy) CheckInvariants() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	type span struct {
 		off, size int64
 		free      bool

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/dataflow"
-	"repro/internal/sched"
 	"repro/internal/telemetry"
 )
 
@@ -93,12 +92,9 @@ type jobTicket struct {
 	job      *dataflow.Job
 	ctx      context.Context
 	enqueued time.Time
-	// SLO admission state (zero without ServerConfig.SLO): the plan the
-	// estimate was derived from — reused by its batch instead of
-	// replanning — plus the deadline judged against, the model's predicted
-	// sojourn. Whether the job was down-tiered to best-effort is the
-	// Ticket's bestEffort.
-	plan      *sched.Schedule
+	// SLO admission state (zero without ServerConfig.SLO): the deadline
+	// judged against and the model's predicted sojourn. Whether the job was
+	// down-tiered to best-effort is the Ticket's bestEffort.
 	deadline  time.Duration
 	slowait   time.Duration // model's predicted virtual queue wait
 	predicted time.Duration // slowait + makespan estimate
@@ -111,9 +107,9 @@ type jobTicket struct {
 
 // deliver publishes the outcome and lets go of what the server held to produce
 // it: the ticket is the submitter's to keep, and one kept past its outcome
-// holds the report and not the job, its context and its plan with it.
+// holds the report and not the job and its context with it.
 func (t *jobTicket) deliver(rep *Report, err error) {
-	t.job, t.ctx, t.plan, t.resume = nil, nil, nil, ""
+	t.job, t.ctx, t.resume = nil, nil, ""
 	t.Ticket.deliver(rep, err)
 }
 
@@ -199,17 +195,17 @@ func (s *Server) submitAsync(ctx context.Context, job *dataflow.Job, opt SubmitO
 	charged := false
 	var charge sloCharge
 	if s.slo != nil && !opt.Preadmitted {
-		est, plan, err := sched.EstimateJob(job, s.rt.topo, s.rt.sched)
+		p, err := s.rt.Plan(job)
 		if err != nil {
 			return nil, err
 		}
-		wait, predicted, tier, c := s.slo.admit(opt, est.Makespan)
+		wait, predicted, tier, c := s.slo.admit(opt, p.Estimate.Makespan)
 		if tier == tierRejected {
 			s.rt.tel.Add(telemetry.LayerRuntime, "server_slo_rejected", 1)
 			return nil, fmt.Errorf("%w: predicted %v, deadline %v", ErrDeadline, predicted, opt.Deadline)
 		}
 		charged, charge = true, c
-		t.plan, t.slowait, t.predicted = plan, wait, predicted
+		t.slowait, t.predicted = wait, predicted
 		t.deadline = opt.Deadline
 		if tier == tierBestEffort {
 			t.bestEffort = true

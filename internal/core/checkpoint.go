@@ -474,9 +474,9 @@ func (r *run) restoreTaskAt(ctx *taskCtx, start time.Duration) (time.Duration, *
 	ctx.logText = append(ctx.logText, "restored from checkpoint"...) // not Log: no format to run
 	ctx.logEnds = append(ctx.logEnds, len(ctx.logText))
 	r.rt.tel.Add(telemetry.LayerFault, "restores", 1)
-	r.rt.tel.Record(telemetry.Span{
+	ctx.span = telemetry.Span{
 		Layer: telemetry.LayerFault, Job: r.job.Name(), Task: t.ID(),
 		Name: "restore", Start: start, End: ctx.now,
-	})
+	}
 	return ctx.now, ctx.report(start), nil
 }

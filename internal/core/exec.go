@@ -73,12 +73,13 @@ func (rt *Runtime) drive(p *wavePool, rec *recoveryState, members []member, sett
 		}
 		return failed, err
 	}
-	// done settles m: the submitter gets the outcome and the free list the
-	// job's scratch, which nothing of m's is left to touch.
+	// done settles m: the free list gets the job's scratch, which nothing of
+	// m's is left to touch, and then the submitter the outcome — in that
+	// order, so a submitter's next job finds the scratch there.
 	done := func(i int, m *member, o outcome) {
-		settle(i, o)
 		rt.putScratch(m.r.sc)
 		m.r.sc = nil
+		settle(i, o)
 	}
 	// fail settles m with its last attempt's failure.
 	fail := func(i int, m *member, task string, err error) {

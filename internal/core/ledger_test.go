@@ -195,6 +195,11 @@ func ctxCallRows() []string {
 	return rows
 }
 
+// replans are the planner's rows. A resubmitted job reads its plan, so a pass
+// of jobs the server has served makes none: measured 2.00 allocations a lone
+// served job when every submission ran HEFT.
+var replans = ledgerLimit{[]string{"sched.PlanJob", "sched.heft"}, 0, false}
+
 // handOvers are the functions that hand a region over. A region carries its
 // handles, so neither may allocate: no row may name them.
 var handOvers = []string{"region.(*Handle).Transfer", "region.(*Handle).share"}
@@ -240,7 +245,7 @@ var ledgerCases = []ledgerCase{
 	// Which epoch worker a job lands on, and with it which free lists it
 	// finds grown, is wall-clock's: a pass in five makes up to 0.3 more
 	// allocations a job than the rest.
-	{"lone served job", "job", 0.3, []ledgerLimit{regionLimit(5.5), reportTails, attemptBytes}, func(t *testing.T) (func(), float64) {
+	{"lone served job", "job", 0.3, []ledgerLimit{regionLimit(5.5), reportTails, attemptBytes, replans}, func(t *testing.T) (func(), float64) {
 		// TestAllocBudgetServedJob's shape: each job alone in its batch.
 		pool := ledgerMix()
 		return submitEach(t, ledgerServer(t, nil), pool), float64(len(pool))
@@ -262,7 +267,7 @@ var ledgerCases = []ledgerCase{
 	// A fault site is a submission's run ID and a task, so each pass fails
 	// different tasks — about one in twenty — and retries a different number:
 	// two passes differ by up to 1.6 allocations a job.
-	{"routed checkpointed job", "job", 2, []ledgerLimit{regionLimit(6.5)}, func(t *testing.T) (func(), float64) {
+	{"routed checkpointed job", "job", 2, []ledgerLimit{regionLimit(6.5), replans}, func(t *testing.T) (func(), float64) {
 		// shard's TestAllocBudgetRoutedJob: cluster_recover's shape.
 		c, err := shard.NewCluster(shard.Config{Shards: 2, Server: core.ServerConfig{
 			ExecConfig:   core.ExecConfig{Workers: 2, Inject: fault.NewInjector(42, 0.05, 1)},
@@ -345,14 +350,78 @@ var ledgerCases = []ledgerCase{
 	}},
 }
 
+// TestPlannedOncePerGraph: a job is planned once, at its first submission,
+// whatever door it comes through — a lone server, an SLO-admitting one, or a
+// 2-shard cluster that prices every job (TrackLoad) for shards that admit
+// against a deadline, where one submission meets three planning sites: the
+// router's price, the shard's admission and the shard's batch. HEFT is
+// counted by what it allocates: a plan is one sched.PlanJob allocation and
+// one of sched.heft's. A pool's first pass makes one plan a job, and a second
+// pass of the same jobs neither plans nor runs HEFT.
+func TestPlannedOncePerGraph(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	slo := &core.SLOPolicy{Workers: 4}
+	opt := core.SubmitOptions{Deadline: time.Second}
+	doors := []struct {
+		name string
+		open func(t *testing.T) core.Submitter
+	}{
+		{"lone server", func(t *testing.T) core.Submitter { return ledgerServer(t, nil) }},
+		{"SLO server", func(t *testing.T) core.Submitter { return ledgerServer(t, slo) }},
+		{"2-shard TrackLoad cluster", func(t *testing.T) core.Submitter {
+			c, err := shard.NewCluster(shard.Config{Shards: 2, TrackLoad: true, Server: core.ServerConfig{
+				ExecConfig: core.ExecConfig{Workers: 2}, EpochWorkers: 2, MaxBatch: 8, QueueDepth: 1024, Block: true, SLO: slo,
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close(context.Background()) }) //nolint:errcheck
+			return c
+		}},
+	}
+	for _, door := range doors {
+		sub := door.open(t)
+		pool := ledgerMix()[:64]
+		pass := func() {
+			for _, j := range pool {
+				tk, err := sub.SubmitAsync(context.Background(), j, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := tk.Wait(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		rows := func() (plans, heft float64) {
+			for _, r := range allocLedger(t, pass, float64(len(pool))) {
+				switch r.fn {
+				case "sched.PlanJob":
+					plans = r.allocs
+				case "sched.heft":
+					heft = r.allocs
+				}
+			}
+			return plans, heft
+		}
+		if plans, _ := rows(); plans != 1 {
+			t.Errorf("%s: a job's first submission made %.2f plans, want 1", door.name, plans)
+		}
+		if plans, heft := rows(); plans != 0 || heft != 0 {
+			t.Errorf("%s: a resubmitted job made %.2f plans and HEFT allocated %.2f, want none", door.name, plans, heft)
+		}
+	}
+}
+
 // TestAllocLedger splits what a unit of each benchmark shape allocates by the
 // innermost repro/ function on the allocating stack, with every allocation
 // profiled (runtime.MemProfileRate = 1), and prints one table per case. The
 // rows sum to the runtime's count of the pass exactly, and to what
 // testing.AllocsPerRun counts for another pass to within the case's spread,
 // so the table is the whole of the budget tests' numbers: a regression there
-// names its function here, and a gain must show here too. Four things are
-// gated here. The region layer, at what a region and its handles cost:
+// names its function here, and a gain must show here too. Five things are
+// gated here. A resubmitted job's plan (replans). The region layer, at what a region and its handles cost:
 // measured 4.50 a lone served job, 5.21 a routed one and 7.03 a stream window;
 // 10.90, 12.35 and 17.00 with a handle allocated per hand-over. The report's
 // tails, which are in the report: 0 a lone served job, 2.0 when each was

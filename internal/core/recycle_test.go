@@ -530,7 +530,7 @@ func everyMethod(h *region.Handle) map[string]error {
 	errs := make(map[string]error)
 	_, errs["Size"] = h.Size()
 	_, errs["DeviceID"] = h.DeviceID()
-	_, errs["Class"] = h.Class()
+	_, errs["Facts"] = h.Facts()
 	_, errs["Sealed"] = h.Sealed()
 	_, errs["ReadAt"] = h.ReadAt(0, 0, buf)
 	_, errs["WriteAt"] = h.WriteAt(0, 0, buf)
@@ -583,7 +583,7 @@ func scratchFreeListBounded(t *testing.T, workers int) {
 	// Each of the tables that grow with the job, past the bound alone.
 	for name, sc := range map[string]*scratch{
 		"handles (a dense graph)":         {handles: make([]*region.Handle, scratchFreeBytes/ptr+1)},
-		"events (a body that allocates)":  {events: make([]memEvent, 0, scratchFreeBytes/64)},
+		"events (a body that allocates)":  {events: make([]memEvent, 0, scratchFreeBytes/unsafe.Sizeof(memEvent{})+1)},
 		"slots (a wide graph)":            {w: wavefront{slots: make([]slot, scratchFreeBytes/unsafe.Sizeof(slot{})+1)}},
 		"claim queues (a wide graph too)": {w: wavefront{devs: wideLedgers(8, scratchFreeBytes/ptr+1)}},
 		"views (a wide graph's clocks)":   {views: make([]topology.TaskView, scratchFreeBytes/unsafe.Sizeof(topology.TaskView{})+1)},

@@ -66,9 +66,12 @@ type ExecConfig struct {
 // (fresh device queues), so jobs never corrupt each other's clocks. For
 // admission control, batching, and backpressure on top of this, use Server.
 type Runtime struct {
-	topo    *topology.Topology
-	placer  region.Placer
-	sched   sched.Scheduler
+	topo   *topology.Topology
+	placer region.Placer
+	sched  sched.Scheduler
+	// memoed names sched when it is a built-in policy, whose plans Plan
+	// keeps (the name is their Policy); "" when plans are made per call.
+	memoed  string
 	regions *region.Manager
 	tel     *telemetry.Registry
 	inject  *fault.Injector
@@ -108,10 +111,15 @@ func New(cfg ExecConfig) (*Runtime, error) {
 	if workers <= 0 {
 		workers = goruntime.GOMAXPROCS(0)
 	}
-	return &Runtime{
+	rt := &Runtime{
 		topo: topo, placer: placer, sched: scheduler, regions: mgr, tel: tel, inject: cfg.Inject, workers: workers,
 		free: allocator.NewFreeList(scratchFreeMax, scratchFreeBytes, (*scratch).footprint),
-	}, nil
+	}
+	switch scheduler.(type) {
+	case sched.HEFT, sched.FIFO, sched.RoundRobin:
+		rt.memoed = scheduler.Name()
+	}
+	return rt, nil
 }
 
 // Workers reports the wavefront executor's worker-pool bound.
@@ -130,6 +138,34 @@ func (rt *Runtime) Telemetry() *telemetry.Registry { return rt.tel }
 // sampled jobs (sched.EstimateJob) when deriving arrival rates from a
 // target utilization.
 func (rt *Runtime) Scheduler() sched.Scheduler { return rt.sched }
+
+// Plan returns the job's plan on an idle machine and the estimate priced with
+// it (sched.PlanJob): what Run and a served batch execute, what SLO admission
+// judges and what a shard router charges. Under a built-in scheduler the plan
+// is a pure function of the job's graph, the compute side of the topology and
+// the policy, so it is made once and kept in the graph's memo slot
+// (dataflow.Job.Memo), keyed by the policy and the compute set's fingerprint:
+// every submission of the job, on any runtime of that key — each shard of a
+// cluster — reads it. Any other scheduler plans on every call. The plan is
+// shared and read-only.
+func (rt *Runtime) Plan(job *dataflow.Job) (*sched.Plan, error) {
+	if rt.memoed == "" {
+		return sched.PlanJob(job, rt.topo, rt.sched)
+	}
+	slot, err := job.Memo()
+	if err != nil {
+		return nil, err
+	}
+	if p, _ := slot.Load().(*sched.Plan); p != nil && p.Policy == rt.memoed && p.Topo == rt.topo.ComputeSet().Fingerprint() {
+		return p, nil
+	}
+	p, err := sched.PlanJob(job, rt.topo, rt.sched)
+	if err != nil {
+		return nil, err
+	}
+	slot.Store(p)
+	return p, nil
+}
 
 // RegionPlacement is where the RTS put one labelled region of a task.
 type RegionPlacement struct {
@@ -431,10 +467,7 @@ func (rt *Runtime) Run(job *dataflow.Job, policy ...RecoveryPolicy) (*Report, er
 	default:
 		return nil, errors.New("core: at most one RecoveryPolicy per run")
 	}
-	if err := job.Validate(); err != nil {
-		return nil, err
-	}
-	schedule, err := rt.sched.Schedule(job, rt.topo)
+	p, err := rt.Plan(job)
 	if err != nil {
 		return nil, err
 	}
@@ -442,7 +475,7 @@ func (rt *Runtime) Run(job *dataflow.Job, policy ...RecoveryPolicy) (*Report, er
 	if err != nil {
 		return nil, err
 	}
-	return rt.driveOne(rec, rt.newRun(job, g, schedule, 0, nil))
+	return rt.driveOne(rec, rt.newRun(job, g, &p.Schedule, 0, nil))
 }
 
 // newRun assembles per-job execution state for the job and its resolved
@@ -542,8 +575,7 @@ func (r *run) execTaskAt(w *wavefront, k int, view *topology.TaskView, start tim
 			}
 		}
 		h.Rebind(view, k, r)
-		if cls, err := h.Class(); err == nil && cls == props.Transfer {
-			fromDev, _ := h.DeviceIndex()
+		if from, err := h.Facts(); err == nil && from.Class == props.Transfer {
 			nh, done, err := h.Transfer(ctx.now, ctx.owner, asg.Compute)
 			if err != nil {
 				ctx.inputs = append(ctx.inputs, h) // keep it releasable
@@ -552,8 +584,8 @@ func (r *run) execTaskAt(w *wavefront, k int, view *topology.TaskView, start tim
 			}
 			ctx.now = done
 			h = nh
-			if toDev, err := h.DeviceIndex(); err == nil && toDev != fromDev {
-				ctx.noteMove(h, toDev)
+			if to, err := h.Facts(); err == nil && to.Mem != from.Mem {
+				ctx.noteMove(h, to.Mem)
 			}
 		}
 		ctx.inputs = append(ctx.inputs, h)
@@ -607,13 +639,13 @@ func (r *run) execTaskAt(w *wavefront, k int, view *topology.TaskView, start tim
 		}
 	}
 
-	// The task did run to completion: its report and finish time are
-	// recorded even when a share release failed, so downstream accounting
+	// The task did run to completion: its report, span and finish time are
+	// kept even when a share release failed, so downstream accounting
 	// (makespan, spans, reports) stays consistent.
-	r.rt.tel.Record(telemetry.Span{
+	ctx.span = telemetry.Span{
 		Layer: telemetry.LayerRuntime, Job: r.job.Name(), Task: t.ID(),
 		Name: "exec", Start: start, End: ctx.now,
-	})
+	}
 	return ctx.now, ctx.report(start), errors.Join(relErrs...)
 }
 
@@ -673,8 +705,19 @@ func (r *run) deliverOutput(ctx *taskCtx) error {
 
 // cleanup releases everything the run still holds: job globals, retained
 // final outputs, and any undelivered pending handles (failure paths). The
-// globals list goes back to the scratch empty.
+// globals list goes back to the scratch empty. It ends the attempt on every
+// path, so it also hands the spans of the tasks that completed to the
+// registry, in rank order and under one lock, and leaves no span in a slot.
 func (r *run) cleanup() {
+	spans := r.sc.spans[:0]
+	for k := range r.ctxs {
+		if c := &r.ctxs[k]; c.span.Name != "" {
+			spans = append(spans, c.span)
+			c.span = telemetry.Span{}
+		}
+	}
+	r.rt.tel.Record(spans...)
+	r.sc.spans = emptied(spans)
 	r.smu.Lock()
 	globals := r.globals
 	r.globals = nil

@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"repro/internal/region"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
@@ -44,10 +45,15 @@ type scratch struct {
 	// injector has stepped: newRun zeroes it and every attempt of the job
 	// carries it on, so a site's kills are spent once per submission.
 	executed []int
-	// computePeak's event list, its map of the live regions, and each
-	// device's bytes now and at its peak, by dense index.
+	// spans is where cleanup gathers the attempt's task spans for the
+	// registry, empty between attempts.
+	spans []telemetry.Span
+	// computePeak's event list, the IDs of the regions the run allocated,
+	// sorted, and its table of them by their place there, and each device's
+	// bytes now and at its peak, by dense index.
 	events []memEvent
-	live   map[region.ID]liveRegion
+	ids    []region.ID
+	live   []liveRegion
 	cur    []int64
 	peak   []int64
 }
@@ -66,18 +72,15 @@ const (
 )
 
 // footprint is what the scratch's tables keep reachable, in bytes: every
-// slice's capacity, each context slot and the storage its slices kept, each
-// view's queue state, and for computePeak's live map an entry per event slot —
-// the map held at most as many regions at once as the sweep had events, and
-// events only grows.
+// slice's capacity, each context slot and the storage its slices kept, and
+// each view's queue state.
 func (sc *scratch) footprint() int64 {
-	const (
-		word      = int(unsafe.Sizeof(uintptr(0)))
-		eventSlot = int(unsafe.Sizeof(memEvent{}) + unsafe.Sizeof(region.ID(0)) + unsafe.Sizeof(liveRegion{}))
-	)
+	const word = int(unsafe.Sizeof(uintptr(0)))
 	w := &sc.w
-	n := cap(sc.handles)*word + cap(sc.cores)*word + cap(sc.computes)*2*word + cap(sc.events)*eventSlot +
-		cap(sc.executed)*word +
+	n := cap(sc.handles)*word + cap(sc.cores)*word + cap(sc.computes)*2*word +
+		cap(sc.events)*int(unsafe.Sizeof(memEvent{})) + cap(sc.ids)*int(unsafe.Sizeof(region.ID(0))) +
+		cap(sc.live)*int(unsafe.Sizeof(liveRegion{})) +
+		cap(sc.executed)*word + cap(sc.spans)*int(unsafe.Sizeof(telemetry.Span{})) +
 		(cap(sc.cur)+cap(sc.peak))*word +
 		cap(sc.globals)*int(unsafe.Sizeof(jobGlobal{})) + cap(sc.lazy)*int(unsafe.Sizeof(lazyRestore{})) +
 		cap(sc.views)*int(unsafe.Sizeof(topology.TaskView{})) +

@@ -303,17 +303,13 @@ func (s *Server) runBatch(b *batch) {
 	// Plan every member; a scheduling failure only fails its own job.
 	planned := admitted[:0] // planned[i] is b.members[i]'s ticket
 	for _, t := range admitted {
-		// SLO admission already planned the job against an idle machine —
-		// the plan the job would get alone, which is what makes served
-		// reports identical to solo runs — so reuse it rather than paying
-		// HEFT twice per submission.
-		schedule := t.plan
-		if schedule == nil {
-			var err error
-			if schedule, err = rt.sched.Schedule(t.job, rt.topo); err != nil {
-				s.fail(t, fmt.Errorf("core: scheduling %s: %w", t.job.Name(), err))
-				continue
-			}
+		// The plan the job would get alone, which is what makes served
+		// reports identical to solo runs: SLO admission, a shard router or
+		// an earlier submission of the job may have made it already.
+		p, err := rt.Plan(t.job)
+		if err != nil {
+			s.fail(t, fmt.Errorf("core: scheduling %s: %w", t.job.Name(), err))
+			continue
 		}
 		g, err := t.job.Graph()
 		if err != nil {
@@ -323,7 +319,7 @@ func (s *Server) runBatch(b *batch) {
 		// The submission ID namespaces the job's owners, so identical jobs
 		// share the batch without region-owner collisions.
 		b.members = append(b.members, member{
-			r:   rt.newRun(t.job, g, schedule, t.id, nil),
+			r:   rt.newRun(t.job, g, &p.Schedule, t.id, nil),
 			ctx: t.ctx, resume: t.resume,
 		})
 		planned = append(planned, t)

@@ -60,6 +60,10 @@ type taskCtx struct {
 	// with an output and an input or two notes.
 	events  []memEvent
 	journal [4]memEvent
+	// span is the task's trace span once it completed (execution or restore),
+	// zero until then: cleanup hands the attempt's spans to the registry in
+	// one call, in rank order, and zeroes them.
+	span telemetry.Span
 }
 
 // reset empties the slot for its next task: every field is zero but the
@@ -173,9 +177,8 @@ func (c *taskCtx) Scratch(name string, size int64) (*region.Handle, error) {
 		return nil, err
 	}
 	h.Rebind(c.view, c.rank, c.run)
-	c.noteAlloc(h, size)
+	c.noteAlloc(h, size, name)
 	c.scratch = append(c.scratch, h)
-	c.noteRegion(name, h)
 	return h, nil
 }
 
@@ -204,9 +207,8 @@ func (c *taskCtx) Output(size int64) (*region.Handle, error) {
 		return nil, err
 	}
 	h.Rebind(c.view, c.rank, c.run)
-	c.noteAlloc(h, size)
+	c.noteAlloc(h, size, "out")
 	c.output = h
-	c.noteRegion("out", h)
 	return h, nil
 }
 
@@ -275,12 +277,10 @@ func (c *taskCtx) Global(name string, class props.RegionClass, size int64) (*reg
 				return nil, err
 			}
 		}
-		c.noteAlloc(g, size)
+		c.noteAlloc(g, size, name)
 		c.run.smu.Lock()
 		c.run.globals = append(c.run.globals, jobGlobal{namedHandle{name, g}, c.rank})
 		c.run.smu.Unlock()
-		dev, _ := g.DeviceID()
-		c.noteDevice(name, dev)
 	}
 	sh, err := g.Share(c.owner, c.compute.ID)
 	if err != nil {

@@ -761,21 +761,29 @@ func (w *wavefront) fenceOpenLocked(k int, deps []int32) bool {
 // noted them, so a stable sort on (time, rank) keeps that order. Regions never
 // released (job globals, retained final outputs) stay live through the end of
 // the sweep, matching their actual lifetime.
+//
+// The live table is indexed by a run-local region number: the region's place
+// among the IDs the run allocated, sorted. An event on a region the run did
+// not allocate finds no number and is skipped, as is one on a region whose
+// owners are all gone.
 func (r *run) computePeak() {
 	sc := r.sc
-	events := sc.events[:0]
+	events, ids := sc.events[:0], sc.ids[:0]
 	for k := range r.ctxs {
-		events = append(events, r.ctxs[k].events...)
+		for _, e := range r.ctxs[k].events {
+			events = append(events, e)
+			if e.kind == evAlloc {
+				ids = append(ids, e.id)
+			}
+		}
 	}
-	sc.events = events
+	sc.events, sc.ids = events, ids
 	slices.SortStableFunc(events, func(a, b memEvent) int {
 		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.rank, b.rank))
 	})
-	if sc.live == nil {
-		sc.live = make(map[region.ID]liveRegion)
-	}
+	slices.Sort(ids)
+	sc.live = sized(sc.live, len(ids))
 	live := sc.live
-	clear(live)
 	mems := r.rt.topo.Memories()
 	sc.cur, sc.peak = sized(sc.cur, len(mems)), sized(sc.peak, len(mems))
 	cur, peak := sc.cur, sc.peak
@@ -789,27 +797,28 @@ func (r *run) computePeak() {
 		}
 	}
 	for _, e := range events {
-		lr, known := live[e.id]
+		n, ours := slices.BinarySearch(ids, e.id)
+		if !ours {
+			continue
+		}
+		lr := &live[n]
 		switch {
 		case e.kind == evAlloc:
-			lr = liveRegion{dev: e.dev, bytes: e.bytes, refs: 1}
+			*lr = liveRegion{dev: e.dev, bytes: e.bytes, refs: 1}
 			add(e.dev, e.bytes)
-		case !known:
-			continue
+		case lr.refs == 0:
+			// Not allocated yet, or every owner is gone.
 		case e.kind == evShare:
 			lr.refs++
 		case e.kind == evRelease:
 			if lr.refs--; lr.refs == 0 {
 				cur[lr.dev] -= lr.bytes
-				delete(live, e.id)
-				continue
 			}
 		case e.kind == evMove && lr.dev != e.dev:
 			cur[lr.dev] -= lr.bytes
 			lr.dev = e.dev
 			add(e.dev, lr.bytes)
 		}
-		live[e.id] = lr
 	}
 	out := tail(r.report.peaks[:], held)
 	for i, b := range peak {
@@ -837,9 +846,12 @@ func (c *taskCtx) note(kind evKind, id region.ID, dev int, bytes int64) {
 	})
 }
 
-func (c *taskCtx) noteAlloc(h *region.Handle, size int64) {
-	if dev, err := h.DeviceIndex(); err == nil {
-		c.note(evAlloc, h.ID(), dev, allocator.BlockSize(size))
+// noteAlloc journals a region the task allocated and records its placement
+// under label for the report, from one read of the handle.
+func (c *taskCtx) noteAlloc(h *region.Handle, size int64, label string) {
+	if f, err := h.Facts(); err == nil {
+		c.note(evAlloc, h.ID(), f.Mem, allocator.BlockSize(size))
+		c.noteDevice(label, f.Device)
 	}
 }
 

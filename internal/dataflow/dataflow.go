@@ -183,6 +183,9 @@ type topoMemo struct {
 	tasks, edges int
 	g            Graph
 	err          error
+	// derived is the slot Memo hands out: it goes with g, and it is the job's
+	// own, not a field of g that along would copy from a shape.
+	derived atomic.Value
 }
 
 // Graph is a job's DAG resolved to ranks: a task's rank is its position in
@@ -370,6 +373,29 @@ func (j *Job) Order() ([]*Task, error) {
 // the same one — and again only after a task or an edge was added. Safe for
 // concurrent callers once the job is no longer being built.
 func (j *Job) Graph() (*Graph, error) {
+	m := j.memo()
+	if m.err != nil {
+		return nil, m.err
+	}
+	return &m.g, nil
+}
+
+// Memo returns a slot for what a caller derives from the job's graph alone,
+// such as its plan: the slot is dropped with the graph when a task or an edge
+// is added, and it is this job's, never its shape's, since a job built along
+// a shape may differ from it in its tasks' props. Whoever stores into it keeps
+// one type there. It fails as Graph does.
+func (j *Job) Memo() (*atomic.Value, error) {
+	m := j.memo()
+	if m.err != nil {
+		return nil, m.err
+	}
+	return &m.derived, nil
+}
+
+// memo returns the memo of the job's current graph, resolving it first if the
+// job has none or gained a task or an edge since.
+func (j *Job) memo() *topoMemo {
 	edges := 0
 	for _, t := range j.order {
 		edges += len(t.succs)
@@ -382,10 +408,7 @@ func (j *Job) Graph() (*Graph, error) {
 		}
 		j.topo.Store(m)
 	}
-	if m.err != nil {
-		return nil, m.err
-	}
-	return &m.g, nil
+	return m
 }
 
 // alongShape returns an empty job to be built along shape s, in storage sized

@@ -143,15 +143,18 @@ func (h *Handle) DeviceID() (string, error) {
 	return look(h, func(r *Region) string { return r.device.ID })
 }
 
-// DeviceIndex returns the dense index (Topology.Memories) of the memory
-// device the region currently lives on: DeviceID by number.
-func (h *Handle) DeviceIndex() (int, error) {
-	return look(h, func(r *Region) int { return int(r.mem) })
+// Facts is what a handle's region is at one instant: its class and the
+// memory device it lives on, by ID and by dense index (Topology.Memories).
+type Facts struct {
+	Class  props.RegionClass
+	Device string
+	Mem    int
 }
 
-// Class returns the region class.
-func (h *Handle) Class() (props.RegionClass, error) {
-	return look(h, func(r *Region) props.RegionClass { return r.class })
+// Facts reads the region's class and device under one lock: what the runtime
+// journals and reports of a region it allocates or hands over.
+func (h *Handle) Facts() (Facts, error) {
+	return look(h, func(r *Region) Facts { return Facts{Class: r.class, Device: r.device.ID, Mem: int(r.mem)} })
 }
 
 // Sealed reports whether the region is encrypted at rest.

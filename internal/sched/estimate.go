@@ -105,36 +105,57 @@ func upwardRanks(job *dataflow.Job, cs *topology.ComputeSet, sc *planScratch) (g
 
 // EstimateJob prices a job on an idle topology with scheduler s (nil gives
 // HEFT). The returned schedule is the plan the estimate is derived from —
-// callers that go on to execute the job can reuse it instead of replanning,
-// which is how the serving path keeps SLO admission from doubling the
-// scheduling cost of every accepted submission. Under HEFT the estimate and
-// the plan come from one pass over the cost model.
+// callers that go on to execute the job can reuse it instead of replanning.
+// It is PlanJob's plan, taken apart.
 func EstimateJob(job *dataflow.Job, topo *topology.Topology, s Scheduler) (Estimate, *Schedule, error) {
+	p, err := PlanJob(job, topo, s)
+	if err != nil {
+		return Estimate{}, nil, err
+	}
+	return p.Estimate, &p.Schedule, nil
+}
+
+// Plan is a job's plan on an idle machine, the estimate priced with it, and
+// the compute set it was made for (topology.ComputeSet.Fingerprint): the
+// three together, so that whoever keeps a plan can tell what it holds. Under
+// HEFT it is two allocations, the struct and its Tasks.
+type Plan struct {
+	Schedule
+	Estimate Estimate
+	Topo     uint64
+}
+
+// PlanJob plans a job on an idle topology with scheduler s (nil gives HEFT)
+// and prices it. Under HEFT the estimate and the plan come from one pass over
+// the cost model.
+func PlanJob(job *dataflow.Job, topo *topology.Topology, s Scheduler) (*Plan, error) {
 	if s == nil {
 		s = HEFT{}
 	}
 	if err := job.Validate(); err != nil {
-		return Estimate{}, nil, err
+		return nil, err
 	}
 	cs := topo.ComputeSet()
 	sc := planFree.Get()
 	defer planFree.Put(sc)
 	g, meanExec, rank, cores, err := upwardRanks(job, cs, sc)
 	if err != nil {
-		return Estimate{}, nil, err
+		return nil, err
 	}
-	var schedule *Schedule
+	p := &Plan{Topo: cs.Fingerprint()}
 	if _, isHEFT := s.(HEFT); isHEFT {
-		schedule = heft(g, cs, rank, cores, sc)
-	} else if schedule, err = s.Schedule(job, topo); err != nil {
-		return Estimate{}, nil, err
+		heft(g, cs, rank, cores, sc, &p.Schedule)
+	} else if schedule, err := s.Schedule(job, topo); err != nil {
+		return nil, err
+	} else {
+		p.Schedule = *schedule
 	}
-	est := Estimate{Makespan: schedule.Makespan, Tasks: g.Len()}
+	p.Estimate = Estimate{Makespan: p.Makespan, Tasks: g.Len()}
 	for k := range g.Order {
-		est.TotalWork += meanExec[k]
-		if rank[k] > est.CriticalPath {
-			est.CriticalPath = rank[k]
+		p.Estimate.TotalWork += meanExec[k]
+		if rank[k] > p.Estimate.CriticalPath {
+			p.Estimate.CriticalPath = rank[k]
 		}
 	}
-	return est, schedule, nil
+	return p, nil
 }

@@ -152,13 +152,15 @@ func (HEFT) ScheduleLoaded(job *dataflow.Job, topo *topology.Topology, initial [
 		return nil, err
 	}
 	copy(cores, initial)
-	return heft(g, cs, rank, cores, sc), nil
+	s := new(Schedule)
+	heft(g, cs, rank, cores, sc, s)
+	return s, nil
 }
 
-// heft is the HEFT placement loop over precomputed upward ranks. cores is the
-// flat per-core table of times before which nothing can start, which the loop
-// fills in; like rank it belongs to sc.
-func heft(g *dataflow.Graph, cs *topology.ComputeSet, rank, cores []time.Duration, sc *planScratch) *Schedule {
+// heft is the HEFT placement loop over precomputed upward ranks, writing the
+// plan to s. cores is the flat per-core table of times before which nothing
+// can start, which the loop fills in; like rank it belongs to sc.
+func heft(g *dataflow.Graph, cs *topology.ComputeSet, rank, cores []time.Duration, sc *planScratch, s *Schedule) {
 	// Priority: rank descending (ties by topological position for
 	// determinism and dependency safety).
 	prio := slices.Grow(sc.prio[:0], g.Len())[:g.Len()]
@@ -168,7 +170,7 @@ func heft(g *dataflow.Graph, cs *topology.ComputeSet, rank, cores []time.Duratio
 	sc.prio = prio
 	slices.SortStableFunc(prio, func(a, b int32) int { return cmp.Compare(rank[b], rank[a]) })
 
-	s := &Schedule{Policy: "HEFT", Tasks: make([]Assignment, g.Len())}
+	*s = Schedule{Policy: "HEFT", Tasks: make([]Assignment, g.Len())}
 	for _, k := range prio {
 		t := g.Order[k]
 		var best *topology.ComputeDevice
@@ -186,7 +188,6 @@ func heft(g *dataflow.Graph, cs *topology.ComputeSet, rank, cores []time.Duratio
 			s.Makespan = bestFinish
 		}
 	}
-	return s
 }
 
 // FIFO assigns tasks in topological order to the first eligible device kind

@@ -14,7 +14,6 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/fault"
 	"repro/internal/region"
-	"repro/internal/sched"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
@@ -54,9 +53,10 @@ type Config struct {
 	// what a dead shard checkpointed.
 	Server core.ServerConfig
 	// TrackLoad prices every routed job with the scheduler's estimator
-	// (sched.EstimateJob) and accumulates per-shard estimated virtual
-	// work — the router-side load view Stats reports. Off by default:
-	// it costs one HEFT preamble per submission.
+	// (core.Runtime.Plan) and accumulates per-shard estimated virtual
+	// work — the router-side load view Stats reports. Off by default. The
+	// price comes with the plan the serving shard executes, so a job's
+	// first submission plans once, here, and a resubmission not at all.
 	TrackLoad bool
 	// Migrate enables cross-shard region migration: every shard gets a
 	// cluster.RegionPool wired into its region manager as the remote
@@ -471,12 +471,12 @@ func (c *Cluster) SubmitAsync(ctx context.Context, job *dataflow.Job, opts ...co
 	}
 
 	// Priced once, whatever the walk: every shard's topology and scheduler
-	// are the same, so the estimate is too.
+	// are the same, so the estimate is too, and the plan it comes with is the
+	// one the shard that serves the job executes (core.Runtime.Plan).
 	var est time.Duration
 	if c.cfg.TrackLoad {
-		rt := c.Runtime()
-		if e, _, err := sched.EstimateJob(job, rt.Topology(), rt.Scheduler()); err == nil {
-			est = e.Makespan
+		if p, err := c.Runtime().Plan(job); err == nil {
+			est = p.Estimate.Makespan
 		}
 	}
 

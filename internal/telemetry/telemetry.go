@@ -219,32 +219,36 @@ func (r *Registry) Hist(layer Layer, name string) *Histogram {
 	return h
 }
 
-// Record stores a completed span, overwriting the oldest once the ring holds
-// spanCap, and adds its duration to its layer's total. Nil-safe.
-func (r *Registry) Record(s Span) {
-	if r == nil {
+// Record stores completed spans in order, each overwriting the oldest once the
+// ring holds spanCap, and adds each one's duration to its layer's total: one
+// critical section however many, so a run hands over all its tasks' spans at
+// once. Nil-safe.
+func (r *Registry) Record(spans ...Span) {
+	if r == nil || len(spans) == 0 {
 		return
 	}
-	if s.End < s.Start {
-		s.End = s.Start
-	}
 	r.mu.Lock()
-	if len(r.spans) < spanCap {
-		r.spans = append(r.spans, s)
-	} else {
-		r.spans[r.head] = s
-		r.head = (r.head + 1) % spanCap
-	}
-	r.recorded++
-	if i := layerSlot(s.Layer); i >= 0 {
-		r.layerTime[i] += s.Duration()
-		r.layerSeen |= 1 << i
-	} else {
-		if r.otherTime == nil {
-			r.otherTime = make(map[Layer]time.Duration)
+	for _, s := range spans {
+		if s.End < s.Start {
+			s.End = s.Start
 		}
-		r.otherTime[s.Layer] += s.Duration()
+		if len(r.spans) < spanCap {
+			r.spans = append(r.spans, s)
+		} else {
+			r.spans[r.head] = s
+			r.head = (r.head + 1) % spanCap
+		}
+		if i := layerSlot(s.Layer); i >= 0 {
+			r.layerTime[i] += s.Duration()
+			r.layerSeen |= 1 << i
+		} else {
+			if r.otherTime == nil {
+				r.otherTime = make(map[Layer]time.Duration)
+			}
+			r.otherTime[s.Layer] += s.Duration()
+		}
 	}
+	r.recorded += int64(len(spans))
 	r.mu.Unlock()
 }
 

@@ -134,6 +134,34 @@ func TestSpanRingWraps(t *testing.T) {
 	}
 }
 
+// TestRecordBatchesAsOneByOne: spans handed over in one call each, and in
+// batches of 1 to 37 that straddle the ring's wrap, inverted ones among them,
+// leave the same ring, layer totals and count.
+func TestRecordBatchesAsOneByOne(t *testing.T) {
+	layers := []Layer{LayerRuntime, LayerFault, Layer("custom")}
+	spans := make([]Span, 2*spanCap+123)
+	for i := range spans {
+		spans[i] = Span{Layer: layers[i%len(layers)], Start: time.Duration(i), End: time.Duration(i + i%11 - 3)}
+	}
+	one, batched := NewRegistry(), NewRegistry()
+	for _, s := range spans {
+		one.Record(s)
+	}
+	for at, n := 0, 1; at < len(spans); at, n = at+n, n%37+1 {
+		batched.Record(spans[at:min(at+n, len(spans))]...)
+	}
+	batched.Record()
+	if !reflect.DeepEqual(batched.Spans(), one.Spans()) {
+		t.Error("batched spans differ from spans recorded one by one")
+	}
+	if got, want := batched.ByLayer(), one.ByLayer(); !reflect.DeepEqual(got, want) {
+		t.Errorf("by layer = %v batched, %v one by one", got, want)
+	}
+	if got, want := batched.SpansRecorded(), one.SpansRecorded(); got != want {
+		t.Errorf("recorded = %d batched, %d one by one", got, want)
+	}
+}
+
 // TestRecordAllocatesNothingOnAFullRing: once the ring holds spanCap spans, a
 // span overwrites the oldest in place. AllocsPerRun's warm-up run fills the
 // ring; the one measured run is eight laps, because AllocsPerRun rounds down

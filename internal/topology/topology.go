@@ -293,6 +293,7 @@ type ComputeSet struct {
 	// (and memoized in the topology's routing cache) on first use.
 	links []atomic.Pointer[Route]
 	mems  []atomic.Pointer[Route]
+	fp    atomic.Uint64 // Fingerprint, 0 until its first call
 }
 
 // ComputeSet returns the resolved compute side of the graph.
@@ -349,6 +350,50 @@ func (cs *ComputeSet) Link(from, to int) (lat time.Duration, bandwidth float64, 
 		cell.Store(rt)
 	}
 	return rt.Path.Latency, rt.Path.Bandwidth, rt.reachable
+}
+
+// Fingerprint identifies everything a plan over the set reads: each device's
+// ID, kind, speed and core count, in index order, and the latency, bandwidth
+// and reachability of every compute-to-compute path. Sets with one fingerprint
+// plan every job alike, whichever topology holds them, so the shards of a
+// cluster, each on a topology of its own, share a job's plan. It is an FNV-1a
+// hash, taken on the first call, which resolves every path; never 0.
+func (cs *ComputeSet) Fingerprint() uint64 {
+	if fp := cs.fp.Load(); fp != 0 {
+		return fp
+	}
+	h := uint64(14695981039346656037)
+	word := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h = (h ^ v&0xff) * 1099511628211
+			v >>= 8
+		}
+	}
+	word(uint64(len(cs.Devices)))
+	for _, c := range cs.Devices {
+		word(uint64(len(c.ID)))
+		for i := 0; i < len(c.ID); i++ {
+			h = (h ^ uint64(c.ID[i])) * 1099511628211
+		}
+		word(uint64(c.Kind))
+		word(math.Float64bits(c.Gops))
+		word(uint64(c.Cores))
+	}
+	for from := range cs.Devices {
+		for to := range cs.Devices {
+			lat, bw, ok := cs.Link(from, to)
+			if !ok {
+				lat, bw = -1, 0 // an unreachable pair, whatever the search left
+			}
+			word(uint64(lat))
+			word(math.Float64bits(bw))
+		}
+	}
+	if h == 0 {
+		h = 1
+	}
+	cs.fp.Store(h)
+	return h
 }
 
 // Route returns the resolved route from compute device c to the memory device
