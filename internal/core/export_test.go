@@ -29,3 +29,10 @@ var RelationPolicy = relationPolicy
 
 // RaceBuild is raceBuild.
 const RaceBuild = raceBuild
+
+// UpdateGolden is the package's -update flag, which also makes
+// TestAllocLedger rewrite this build's allocation table.
+var UpdateGolden = updateGolden
+
+// WideJob is wideJob, the wide diamond of the wavefront tests.
+func WideJob(name string, width int) *dataflow.Job { return wideJob(name, width) }

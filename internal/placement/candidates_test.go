@@ -71,9 +71,15 @@ func referencePick(policy string, seed int64, req props.Requirements, computeID 
 
 // placer is what the tests drive: every policy of the package.
 type placer interface {
-	PlaceEpoch(req props.Requirements, computeID string, now time.Duration, clk *topology.TaskView) (string, error)
 	Place(req props.Requirements, c *topology.ComputeDevice, now time.Duration, clk *topology.TaskView) (int, error)
 	Name() string
+	byID(req props.Requirements, computeID string, place func(*topology.ComputeDevice) (int, error)) (string, error)
+}
+
+// placeByID is p's Place called by compute device ID and answering with the
+// memory device's ID, as BestFit.PlaceEpoch is best-fit's.
+func placeByID(p placer, req props.Requirements, computeID string, now time.Duration, clk *topology.TaskView) (string, error) {
+	return p.byID(req, computeID, func(c *topology.ComputeDevice) (int, error) { return p.Place(req, c, now, clk) })
 }
 
 // TestCachedBestFitMatchesFresh drives one long-lived placer of each policy
@@ -120,8 +126,8 @@ func TestCachedBestFitMatchesFresh(t *testing.T) {
 					if step%2 == 0 {
 						refClk = clk // a clockless call is blind to backlog
 					}
-					got, gotErr := cached[i].PlaceEpoch(req, comp, now, refClk)
-					want, wantErr := mk().PlaceEpoch(req, comp, now, refClk)
+					got, gotErr := placeByID(cached[i], req, comp, now, refClk)
+					want, wantErr := placeByID(mk(), req, comp, now, refClk)
 					name := cached[i].Name()
 					refDev := referencePick(name, seed, req, comp, now, refClk, list)
 					if got != want || got != refDev {
@@ -193,7 +199,7 @@ func TestRandomIsOrderIndependent(t *testing.T) {
 	forward, backward := NewRandom(topo, 3), NewRandom(topo, 3)
 	picks := make([]string, len(calls))
 	for i, c := range calls {
-		dev, err := forward.PlaceEpoch(c.req, c.comp, c.now, nil)
+		dev, err := placeByID(forward, c.req, c.comp, c.now, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +208,7 @@ func TestRandomIsOrderIndependent(t *testing.T) {
 	spread := map[string]bool{}
 	for i := len(calls) - 1; i >= 0; i-- {
 		c := calls[i]
-		dev, err := backward.PlaceEpoch(c.req, c.comp, c.now, nil)
+		dev, err := placeByID(backward, c.req, c.comp, c.now, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

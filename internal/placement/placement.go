@@ -120,9 +120,8 @@ func noCandidate(req props.Requirements, computeID string) error {
 	return fmt.Errorf("%w: %s from %s", ErrNoCandidate, req, computeID)
 }
 
-// byID is a policy's PlaceEpoch: its Place, called by compute device ID and
-// answering with the memory device's ID. An unknown compute device reaches no
-// device.
+// byID is place called by compute device ID and answering with the memory
+// device's ID. An unknown compute device reaches no device.
 func (cs *candidates) byID(req props.Requirements, computeID string, place func(*topology.ComputeDevice) (int, error)) (string, error) {
 	mems := cs.topo.Memories()
 	c, ok := cs.topo.Compute(computeID)
@@ -150,19 +149,19 @@ func NewBestFit(topo *topology.Topology) *BestFit {
 // Name implements region.Placer.
 func (b *BestFit) Name() string { return "best-fit" }
 
-// PlaceEpoch implements region.Placer: with a clock, the request's virtual
-// time lets the optimizer see how far each device's service queue is backed
-// up *right now* in the requester's own view (a wavefront task's causal
-// view) and steer hot allocations away from contended devices — the
-// utilization awareness §3's challenges 1-3 require of the RTS — while
-// concurrently running tasks steer by their own contention instead of each
-// other's. Without one (clk nil) it is blind to backlog.
+// PlaceEpoch is Place by device ID, for callers that name devices: the paper
+// figures and the benchmark's layer replay.
 func (b *BestFit) PlaceEpoch(req props.Requirements, computeID string, now time.Duration, clk *topology.TaskView) (string, error) {
 	return b.byID(req, computeID, func(c *topology.ComputeDevice) (int, error) { return b.Place(req, c, now, clk) })
 }
 
-// Place implements region.Placer: PlaceEpoch by index, from the compute
-// device to the chosen memory device's dense index.
+// Place implements region.Placer: with a clock, the request's virtual time
+// lets the optimizer see how far each device's service queue is backed up
+// *right now* in the requester's own view (a wavefront task's causal view)
+// and steer hot allocations away from contended devices — the utilization
+// awareness §3's challenges 1-3 require of the RTS — while concurrently
+// running tasks steer by their own contention instead of each other's.
+// Without one (clk nil) it is blind to backlog.
 func (b *BestFit) Place(req props.Requirements, c *topology.ComputeDevice, now time.Duration, clk *topology.TaskView) (int, error) {
 	best, bestScore := -1, 0.0
 	for _, cd := range b.of(req, c) {
@@ -259,11 +258,6 @@ func NewRandom(topo *topology.Topology, seed int64) *Random {
 // Name implements region.Placer.
 func (r *Random) Name() string { return "random" }
 
-// PlaceEpoch implements region.Placer; the clock is not read.
-func (r *Random) PlaceEpoch(req props.Requirements, computeID string, now time.Duration, clk *topology.TaskView) (string, error) {
-	return r.byID(req, computeID, func(c *topology.ComputeDevice) (int, error) { return r.Place(req, c, now, clk) })
-}
-
 // Place implements region.Placer; the clock is not read.
 func (r *Random) Place(req props.Requirements, c *topology.ComputeDevice, now time.Duration, _ *topology.TaskView) (int, error) {
 	var fit []candidate
@@ -293,11 +287,6 @@ func NewWorst(topo *topology.Topology) *Worst { return &Worst{candidates{topo: t
 // Name implements region.Placer.
 func (w *Worst) Name() string { return "worst-fit" }
 
-// PlaceEpoch implements region.Placer; the clock is not read.
-func (w *Worst) PlaceEpoch(req props.Requirements, computeID string, now time.Duration, clk *topology.TaskView) (string, error) {
-	return w.byID(req, computeID, func(c *topology.ComputeDevice) (int, error) { return w.Place(req, c, now, clk) })
-}
-
 // Place implements region.Placer; the clock is not read.
 func (w *Worst) Place(req props.Requirements, c *topology.ComputeDevice, _ time.Duration, _ *topology.TaskView) (int, error) {
 	worst, worstScore := -1, 0.0
@@ -322,11 +311,6 @@ func NewFirstFit(topo *topology.Topology) *FirstFit { return &FirstFit{candidate
 
 // Name implements region.Placer.
 func (f *FirstFit) Name() string { return "first-fit" }
-
-// PlaceEpoch implements region.Placer; the clock is not read.
-func (f *FirstFit) PlaceEpoch(req props.Requirements, computeID string, now time.Duration, clk *topology.TaskView) (string, error) {
-	return f.byID(req, computeID, func(c *topology.ComputeDevice) (int, error) { return f.Place(req, c, now, clk) })
-}
 
 // Place implements region.Placer; the clock is not read.
 func (f *FirstFit) Place(req props.Requirements, c *topology.ComputeDevice, _ time.Duration, _ *topology.TaskView) (int, error) {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/props"
 	"repro/internal/topology"
@@ -130,11 +129,11 @@ func TestRandomIsSeededAndValid(t *testing.T) {
 	a := NewRandom(topo, 42)
 	b := NewRandom(topo, 42)
 	for i := 0; i < 20; i++ {
-		da, err := a.PlaceEpoch(req, "node0/cpu0", 0, nil)
+		da, err := placeByID(a, req, "node0/cpu0", 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		db, err := b.PlaceEpoch(req, "node0/cpu0", 0, nil)
+		db, err := placeByID(b, req, "node0/cpu0", 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +145,7 @@ func TestRandomIsSeededAndValid(t *testing.T) {
 			t.Fatalf("random placement %s violates the request", da)
 		}
 	}
-	if _, err := a.PlaceEpoch(props.Requirements{MaxLatency: 1}, "node0/cpu0", 0, nil); !errors.Is(err, ErrNoCandidate) {
+	if _, err := placeByID(a, props.Requirements{MaxLatency: 1}, "node0/cpu0", 0, nil); !errors.Is(err, ErrNoCandidate) {
 		t.Error("impossible request must fail")
 	}
 }
@@ -156,7 +155,7 @@ func TestWorstStillMatchesButScoresLow(t *testing.T) {
 	w := NewWorst(topo)
 	b := NewBestFit(topo)
 	req := props.Requirements{Capacity: 1 << 20, Latency: props.LatencyBulk, ByteAddr: props.Require}
-	wd, err := w.PlaceEpoch(req, "node0/cpu0", 0, nil)
+	wd, err := placeByID(w, req, "node0/cpu0", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +171,7 @@ func TestWorstStillMatchesButScoresLow(t *testing.T) {
 	if req.Score(wCaps) >= req.Score(bCaps) {
 		t.Error("worst-fit must score below best-fit")
 	}
-	if _, err := w.PlaceEpoch(props.Requirements{MaxLatency: 1}, "node0/cpu0", 0, nil); !errors.Is(err, ErrNoCandidate) {
+	if _, err := placeByID(w, props.Requirements{MaxLatency: 1}, "node0/cpu0", 0, nil); !errors.Is(err, ErrNoCandidate) {
 		t.Error("impossible request must fail")
 	}
 }
@@ -211,10 +210,8 @@ func TestBestFitDominatesProperty(t *testing.T) {
 		}
 		bCaps, _ := topo.EffectiveCaps(c, bd)
 		bScore := req.Score(bCaps)
-		for _, other := range []interface {
-			PlaceEpoch(props.Requirements, string, time.Duration, *topology.TaskView) (string, error)
-		}{rnd, worst, first} {
-			od, err := other.PlaceEpoch(req, c, 0, nil)
+		for _, other := range []placer{rnd, worst, first} {
+			od, err := placeByID(other, req, c, 0, nil)
 			if err != nil {
 				return false // best found one, others must too
 			}

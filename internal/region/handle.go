@@ -500,11 +500,15 @@ func (h *Handle) enterTransfer(toCompute string) (r *Region, zeroCopy bool, err 
 // migrateLocked moves a region to a device matching its requirements from
 // computeID, paying read+write virtual time. Caller holds m.mu and r.mu.
 func (m *Manager) migrateLocked(r *Region, computeID string, now time.Duration, clk *topology.TaskView) (time.Duration, error) {
-	devID, err := m.placer.PlaceEpoch(r.req, computeID, 0, nil)
+	c, ok := m.topo.Compute(computeID)
+	if !ok {
+		return now, fmt.Errorf("region: unknown compute device %q", computeID)
+	}
+	i, err := m.placer.Place(r.req, c, 0, nil)
 	if err != nil {
 		return now, fmt.Errorf("%w: migration: %v", ErrNoPlacement, err)
 	}
-	return m.migrateToLocked(r, computeID, devID, now, clk)
+	return m.migrateToLocked(r, computeID, m.topo.Memories()[i].ID, now, clk)
 }
 
 // migrateToLocked moves a region to the named device. Caller holds m.mu and

@@ -229,12 +229,14 @@ func (m *Manager) promotionTarget(r *Region) (string, bool) {
 	if !ok {
 		return "", false
 	}
+	c, _ := m.topo.Compute(comp) // EffectiveCaps found it
 	req := r.req
 	req.Capacity = r.blockSize
-	best, err := m.placer.PlaceEpoch(req, comp, 0, nil)
-	if err != nil || best == r.device.ID {
+	i, err := m.placer.Place(req, c, 0, nil)
+	if err != nil || i == int(r.mem) {
 		return "", false
 	}
+	best := m.topo.Memories()[i].ID
 	bestCaps, ok := m.topo.EffectiveCaps(comp, best)
 	if !ok {
 		return "", false

@@ -55,13 +55,10 @@ type ID uint64
 // Placer decides which memory device serves a request; the placement
 // package provides the policies.
 type Placer interface {
-	// PlaceEpoch returns the device ID to allocate on. now and clk are the
-	// requester's virtual time and clock view, for a policy that steers by
-	// queue backlog; a nil clk asks for a decision blind to backlog.
-	// Migrations and rebalancing place through it.
-	PlaceEpoch(req props.Requirements, computeID string, now time.Duration, clk *topology.TaskView) (string, error)
-	// Place is PlaceEpoch by index: from the compute device to the chosen
-	// device's dense index (Topology.Memories). Alloc places through it.
+	// Place returns the dense index (Topology.Memories) of the device to
+	// allocate on from compute device c. now and clk are the requester's
+	// virtual time and clock view, for a policy that steers by queue
+	// backlog; a nil clk asks for a decision blind to backlog.
 	Place(req props.Requirements, c *topology.ComputeDevice, now time.Duration, clk *topology.TaskView) (int, error)
 	// Name labels the policy in reports.
 	Name() string
