@@ -413,9 +413,7 @@ func (r *run) restoreTaskAt(ctx *taskCtx, start time.Duration) (time.Duration, *
 	t := ctx.task
 	for i := range r.g.Preds(ctx.rank) {
 		if h := r.takePending(ctx.rank, i); h != nil {
-			if h.Release() == nil { //nolint:errcheck // discarding a superseded input
-				ctx.noteRelease(h)
-			}
+			ctx.release(h) //nolint:errcheck // discarding a superseded input
 		}
 	}
 	// Adopt inputs list as empty: the restored task does not run.
@@ -441,7 +439,7 @@ func (r *run) restoreTaskAt(ctx *taskCtx, start time.Duration) (time.Duration, *
 			// with an empty payload rather than starving successors.
 			size = 1
 		}
-		out, err := ctx.Output(size)
+		out, err := ctx.newOutput(size, true)
 		if err != nil {
 			return 0, nil, err
 		}

@@ -263,6 +263,206 @@ func leakedHandlesNeverReachRecycledState(t *testing.T, scenario string, workers
 	}
 }
 
+// keeperJob is a job whose bodies keep every handle they see, passing each to
+// keep: the source's output, scratch and share of a job global, and the user's
+// inputs — the source's output and a nil-body feed's implicit one, which the
+// runtime allocated scoped — its output, and a share of the source's output it
+// makes for an owner nobody releases (share set), fenced by its run.
+func keeperJob(name string, keep func(h *region.Handle, share bool)) *dataflow.Job {
+	j := dataflow.NewJob(name)
+	feed := j.Task("feed", dataflow.Props{Ops: 1e5, OutputBytes: 512}, nil)
+	src := j.Task("src", dataflow.Props{Ops: 1e5}, func(ctx dataflow.Ctx) error {
+		out, err := ctx.Output(2 << 10)
+		if err != nil {
+			return err
+		}
+		sc, err := ctx.Scratch("s", 1<<10)
+		if err != nil {
+			return err
+		}
+		g, err := ctx.Global("g", props.GlobalScratch, 256)
+		if err != nil {
+			return err
+		}
+		keep(out, false)
+		keep(sc, false)
+		keep(g, false)
+		return nil
+	})
+	use := j.Task("use", dataflow.Props{Ops: 1e5}, func(ctx dataflow.Ctx) error {
+		out, err := ctx.Output(256)
+		if err != nil {
+			return err
+		}
+		keep(out, false)
+		for _, in := range ctx.Inputs() {
+			keep(in, false)
+			if f, err := in.Facts(); err != nil || !f.Class.Shareable() {
+				continue
+			}
+			sh, err := in.Share(region.Owner(name+"/outsider"), ctx.Compute())
+			if err != nil {
+				return err
+			}
+			// A clock of its own: the task's view is the scratch's.
+			c := ctx.(*taskCtx)
+			sh.Rebind(c.run.rt.topo.NewTaskView(), c.rank, c.run)
+			keep(sh, true)
+		}
+		return nil
+	})
+	feed.Then(use)
+	src.Then(use)
+	src.Then(j.Task("side", dataflow.Props{Ops: 1e5}, nil))
+	use.Then(j.Task("sink", dataflow.Props{Ops: 1e5}, nil))
+	return j
+}
+
+// probeJob is a job of nil bodies — a source shared by three consumers, two
+// of them the third's other inputs — whose last task passes note where its
+// inputs' regions are, reading its context's input list so as to lend none.
+func probeJob(name string, note func(region uintptr)) *dataflow.Job {
+	j := dataflow.NewJob(name)
+	a := j.Task("a", dataflow.Props{Ops: 1e5, OutputBytes: 1 << 10}, nil)
+	b := j.Task("b", dataflow.Props{Ops: 1e5, OutputBytes: 512}, nil)
+	c := j.Task("c", dataflow.Props{Ops: 1e5, OutputBytes: 512}, nil)
+	d := j.Task("d", dataflow.Props{Ops: 1e5}, func(ctx dataflow.Ctx) error {
+		for _, h := range ctx.(*taskCtx).inputs {
+			note(regionOf(h))
+		}
+		return nil
+	})
+	a.Then(b).Then(d)
+	a.Then(c).Then(d)
+	a.Then(d)
+	return j
+}
+
+// regionOf is the address of h's region.
+func regionOf(h *region.Handle) uintptr {
+	return reflect.ValueOf(h).Elem().FieldByName("r").Pointer()
+}
+
+// TestKeptHandlesNeverMeetARecycledRegion: real-body jobs keep every handle
+// they see (keeperJob), one in eight of 2 056 jobs through a 2 × 8 server, the
+// rest nil-body jobs whose regions are recycled (probeJob). No probe ever
+// finds a region at the address of a region a handle was kept in, while the
+// probes do find recycled regions again; once every job settled, each kept
+// handle fails every method with the region layer's own errors, and each
+// share a body made still reads, writes and releases; and every report is
+// its job's solo run's.
+func TestKeptHandlesNeverMeetARecycledRegion(t *testing.T) {
+	const jobs, keepEvery = 2056, 8
+	s, err := NewServer(ServerConfig{ExecConfig: ExecConfig{Workers: 2}, EpochWorkers: 2, MaxBatch: 8, QueueDepth: 64, Block: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close(context.Background()) }) //nolint:errcheck
+
+	var (
+		mu             sync.Mutex
+		kept, shares   []*region.Handle
+		keptAt         = map[uintptr]bool{}
+		seen           = map[uintptr]int{}
+		metKept, seen2 int
+	)
+	keep := func(h *region.Handle, share bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if share {
+			shares = append(shares, h)
+		} else {
+			kept = append(kept, h)
+		}
+		keptAt[regionOf(h)] = true
+	}
+	note := func(r uintptr) {
+		mu.Lock()
+		defer mu.Unlock()
+		if keptAt[r] {
+			metKept++
+		}
+		if seen[r]++; seen[r] == 2 {
+			seen2++
+		}
+	}
+	build := func(i int, keep func(*region.Handle, bool), note func(uintptr)) *dataflow.Job {
+		if i%keepEvery == 0 {
+			return keeperJob(fmt.Sprintf("keeper%d", i), keep)
+		}
+		return probeJob(fmt.Sprintf("probe%d", i), note)
+	}
+
+	tks := make([]*Ticket, jobs)
+	for i := range tks {
+		if tks[i], err = s.SubmitAsync(context.Background(), build(i, keep, note)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reps := make([]string, jobs)
+	for i, tk := range tks {
+		rep, err := tk.Wait(context.Background())
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		reps[i] = rep.String()
+	}
+	if metKept > 0 {
+		t.Errorf("probes found %d regions at a kept handle's region's address", metKept)
+	}
+	if seen2 == 0 {
+		t.Errorf("the probes saw %d regions, none of them twice: nothing was recycled", len(seen))
+	}
+	for i, h := range kept {
+		if regionOf(h) == 0 {
+			t.Errorf("kept handle %d was zeroed: its region went back to a free list", i)
+			continue
+		}
+		for method, err := range everyMethod(h) {
+			if !errors.Is(err, region.ErrFreed) && !errors.Is(err, region.ErrStaleHandle) && !errors.Is(err, region.ErrNotOwner) {
+				t.Errorf("kept handle %d of %s: %s: %v", i, h.Owner(), method, err)
+			}
+		}
+	}
+	if keepers := jobs / keepEvery; len(kept) != 6*keepers || len(shares) != keepers {
+		t.Errorf("%d handles and %d shares kept, want %d and %d", len(kept), len(shares), 6*keepers, keepers)
+	}
+	buf := make([]byte, 64)
+	for i, h := range shares {
+		if _, err := h.ReadAt(0, 0, buf); err != nil {
+			t.Errorf("share %d: read: %v", i, err)
+		}
+		if _, err := h.WriteAt(0, 64, buf); err != nil {
+			t.Errorf("share %d: write: %v", i, err)
+		}
+		if err := h.Release(); err != nil {
+			t.Errorf("share %d: release: %v", i, err)
+		}
+	}
+	if live := s.Runtime().Regions().Live(); live != 0 {
+		t.Errorf("%d regions live after everything was released", live)
+	}
+
+	solo, err := New(ExecConfig{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := func(h *region.Handle, share bool) {
+		if share {
+			h.Release() //nolint:errcheck // the solo runs keep nothing
+		}
+	}
+	for i, want := range reps {
+		rep, err := solo.Run(build(i, release, func(uintptr) {}))
+		if err != nil {
+			t.Fatalf("job %d alone: %v", i, err)
+		}
+		if got := rep.String(); got != want {
+			t.Fatalf("job %d served:\n%s\nalone:\n%s", i, want, got)
+		}
+	}
+}
+
 // TestKeptHandleNeverWaitsOnALaterJob: a share a body made for an owner
 // nobody releases outlives its job, fenced by the job's run at its task's
 // rank. A later job takes the same scratch, so its task of that rank runs in

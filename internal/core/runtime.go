@@ -603,7 +603,7 @@ func (r *run) execTaskAt(w *wavefront, k int, view *topology.TaskView, start tim
 	}
 	ctx.Charge(t.Props().Ops)
 	if ctx.output == nil && t.Props().OutputBytes > 0 && len(r.g.Succs(k)) > 0 {
-		if _, err := ctx.Output(t.Props().OutputBytes); err != nil {
+		if _, err := ctx.newOutput(t.Props().OutputBytes, true); err != nil {
 			ctx.releaseAll()
 			return 0, nil, fmt.Errorf("implicit output: %w", err)
 		}
@@ -632,10 +632,8 @@ func (r *run) execTaskAt(w *wavefront, k int, view *topology.TaskView, start tim
 	// the errors.
 	var relErrs []error
 	for _, g := range ctx.globalShares {
-		if err := g.h.Release(); err != nil {
+		if err := ctx.release(g.h); err != nil {
 			relErrs = append(relErrs, fmt.Errorf("releasing global %s: %w", g.name, err))
-		} else {
-			ctx.noteRelease(g.h)
 		}
 	}
 
@@ -693,11 +691,9 @@ func (r *run) deliverOutput(ctx *taskCtx) error {
 			r.handles[slots[i]] = sh
 		}
 		// The producer's own claim ends; the shares keep the region alive.
-		out := ctx.output
-		if err := out.Release(); err != nil {
+		if err := ctx.release(ctx.output); err != nil {
 			return err
 		}
-		ctx.noteRelease(out)
 		ctx.output = nil
 		return nil
 	}

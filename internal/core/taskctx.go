@@ -183,7 +183,13 @@ func (c *taskCtx) Scratch(name string, size int64) (*region.Handle, error) {
 }
 
 // Output implements dataflow.Ctx: the region handed to successors (Fig. 4).
-func (c *taskCtx) Output(size int64) (*region.Handle, error) {
+func (c *taskCtx) Output(size int64) (*region.Handle, error) { return c.newOutput(size, false) }
+
+// newOutput allocates the task's output. A scoped one is the runtime's own —
+// the implicit output of a task whose body made none, or the one a restore
+// rebuilds — until a consumer's Inputs lends it, so a job of nil bodies
+// recycles its regions.
+func (c *taskCtx) newOutput(size int64, scoped bool) (*region.Handle, error) {
 	if c.output != nil {
 		return nil, errors.New("core: task already allocated its output")
 	}
@@ -201,7 +207,7 @@ func (c *taskCtx) Output(size int64) (*region.Handle, error) {
 	h, err := c.run.rt.regions.Alloc(region.Spec{
 		Name: c.run.g.OutName(c.rank), Class: class, Size: size,
 		Req: req, Owner: c.owner, Compute: c.compute.ID, Now: c.now,
-		Clock: c.view,
+		Clock: c.view, Scoped: scoped,
 	})
 	if err != nil {
 		return nil, err
@@ -214,7 +220,11 @@ func (c *taskCtx) Output(size int64) (*region.Handle, error) {
 
 // Inputs implements dataflow.Ctx: the slot's copy of the input list, refilled
 // and clipped, so a body that appends to it moves out of the slot's storage.
+// Each input is lent first: the body may keep it past its region's life.
 func (c *taskCtx) Inputs() []*region.Handle {
+	for _, h := range c.inputs {
+		h.Lend() //nolint:errcheck // an input the body let go was lent when it first got it
+	}
 	c.ins = append(c.ins[:0], c.inputs...)
 	return slices.Clip(c.ins)
 }
@@ -409,17 +419,25 @@ func (c *taskCtx) noteDevice(label, dev string) {
 // release (or run end).
 func (c *taskCtx) releaseScratchAndInputs() {
 	for _, h := range c.scratch {
-		if h.Release() == nil { //nolint:errcheck // may already be released by the task
-			c.noteRelease(h)
-		}
+		c.release(h) //nolint:errcheck // may already be released by the task
 	}
 	c.scratch = emptied(c.scratch)
 	for _, h := range c.inputs {
-		if h.Release() == nil { //nolint:errcheck // may already be released by the task
-			c.noteRelease(h)
-		}
+		c.release(h) //nolint:errcheck // may already be released by the task
 	}
 	c.inputs = nil
+}
+
+// release lets h go and journals the release if it dropped a claim. It reads
+// the region's ID first: once released, a region nobody lent is the next
+// Alloc's to rewrite.
+func (c *taskCtx) release(h *region.Handle) error {
+	id := h.ID()
+	if err := h.Release(); err != nil {
+		return err
+	}
+	c.note(evRelease, id, 0, 0)
+	return nil
 }
 
 // releaseAll is the failure-path teardown.

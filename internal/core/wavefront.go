@@ -855,7 +855,6 @@ func (c *taskCtx) noteAlloc(h *region.Handle, size int64, label string) {
 	}
 }
 
-func (c *taskCtx) noteShare(h *region.Handle)   { c.note(evShare, h.ID(), 0, 0) }
-func (c *taskCtx) noteRelease(h *region.Handle) { c.note(evRelease, h.ID(), 0, 0) }
+func (c *taskCtx) noteShare(h *region.Handle) { c.note(evShare, h.ID(), 0, 0) }
 
 func (c *taskCtx) noteMove(h *region.Handle, dev int) { c.note(evMove, h.ID(), dev, 0) }

@@ -78,7 +78,7 @@ func (m *Manager) exportLocked(r *Region) (time.Duration, error) {
 	r.device.Release(r.blockSize)
 	m.backing.Put(r.data)
 	r.data = nil
-	r.exported = true
+	r.mflags.set(flagExported, true)
 	r.token = token
 	m.reg.Add(telemetry.LayerRegion, "exports", 1)
 	m.reg.Add(telemetry.LayerRegion, "bytes_exported", r.size)
@@ -130,7 +130,7 @@ func (m *Manager) recallLocked(r *Region) (time.Duration, error) {
 	m.exporter.Drop(r.token) //nolint:errcheck // remote GC is best-effort
 	r.data = buf
 	r.offset = off
-	r.exported = false
+	r.mflags.set(flagExported, false)
 	r.token = ""
 	m.reg.Add(telemetry.LayerRegion, "recalls", 1)
 	m.reg.Add(telemetry.LayerRegion, "bytes_recalled", r.size)
@@ -148,7 +148,7 @@ func (m *Manager) recall(r *Region) error {
 	defer m.mu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.freed || !r.exported {
+	if r.mflags.has(flagFreed) || !r.mflags.has(flagExported) {
 		return nil
 	}
 	_, err := m.recallLocked(r)
@@ -164,7 +164,7 @@ func (m *Manager) coldestOn(dev *memsim.Device, maxHeat uint64, except *Region) 
 	var cold []*Region
 	heat := make(map[*Region]uint32)
 	for _, r := range m.regions {
-		if r == except || r.exported || r.device != dev {
+		if r == except || r.mflags.has(flagExported) || r.device != dev {
 			continue
 		}
 		r.mu.Lock()

@@ -17,10 +17,10 @@ func (m *Manager) Exported(id ID) (bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	r := m.find(id)
-	if r == nil || r.freed {
+	if r == nil || r.mflags.has(flagFreed) {
 		return false, fmt.Errorf("%w: region %d", ErrFreed, id)
 	}
-	return r.exported, nil
+	return r.mflags.has(flagExported), nil
 }
 
 // find returns the live region id, nil when there is none. Caller holds m.mu.

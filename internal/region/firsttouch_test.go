@@ -56,7 +56,7 @@ func recycled(t *testing.T, m *Manager, spec Spec) *Handle {
 func isDirty(h *Handle) bool {
 	h.r.mu.Lock()
 	defer h.r.mu.Unlock()
-	return h.r.dirty
+	return h.r.flags.has(flagDirty)
 }
 
 // readAll reads all of h's region, asynchronously, so any device serves.
@@ -121,7 +121,7 @@ func TestFirstTouchReadsZeros(t *testing.T) {
 				m.mu.Lock()
 				r.mu.Lock()
 				_, err := m.migrateToLocked(r, "node0/cpu0", c.to, 0, clockOf(m))
-				sealed := r.sealed
+				sealed := r.mflags.has(flagSealed)
 				r.mu.Unlock()
 				m.mu.Unlock()
 				if err != nil {

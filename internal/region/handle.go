@@ -24,7 +24,8 @@ type Handle struct {
 	// locks it and validates the handle against it, with no table between
 	// them, and reaches the manager through it. The handle lives in the
 	// region's storage, so a freed region stays behind its handles as a
-	// tombstone.
+	// tombstone — unless none of them was lent (Spec.Scoped), and the region
+	// is recycled.
 	r       *Region
 	gen     uint64
 	owner   Owner
@@ -107,7 +108,7 @@ func (h *Handle) enter() (*Region, error) {
 	r.mu.Lock()
 	var err error
 	switch {
-	case r.freed:
+	case r.mflags.has(flagFreed):
 		err = ErrFreed
 	case r.gen != h.gen:
 		err = ErrStaleHandle
@@ -121,8 +122,8 @@ func (h *Handle) enter() (*Region, error) {
 	return r, nil
 }
 
-// look validates the handle and reads one property off its region, under
-// the region's lock.
+// look validates the handle and reads (for Lend, sets) one property off its
+// region, under the region's lock.
 func look[T any](h *Handle, get func(*Region) T) (v T, err error) {
 	r, err := h.enter()
 	if err != nil {
@@ -159,7 +160,7 @@ func (h *Handle) Facts() (Facts, error) {
 
 // Sealed reports whether the region is encrypted at rest.
 func (h *Handle) Sealed() (bool, error) {
-	return look(h, func(r *Region) bool { return r.sealed })
+	return look(h, func(r *Region) bool { return r.mflags.has(flagSealed) })
 }
 
 // checkRange validates [off, off+n) against the region.
@@ -207,7 +208,7 @@ func (h *Handle) coherenceCost(rt *topology.Route, off, n int64, write bool) tim
 // Caller holds r.mu.
 func (h *Handle) fenceDeps() []int32 {
 	r := h.r
-	if r.openShared || h.rank < 0 {
+	if r.flags.has(flagOpenShared) || h.rank < 0 {
 		return nil
 	}
 	i := 0
@@ -236,7 +237,7 @@ func (h *Handle) route() *topology.Route {
 // again. Whoever gets there first recalls; the others find it done. Caller
 // holds r.mu; on an error nothing is left locked.
 func (h *Handle) resident() error {
-	for r := h.r; r.exported; {
+	for r := h.r; r.mflags.has(flagExported); {
 		r.mu.Unlock()
 		if err := h.r.m.recall(r); err != nil {
 			return err
@@ -295,7 +296,7 @@ func (h *Handle) access(now time.Duration, off int64, buf []byte, write, sync bo
 	// lazy hydration), and the region returns to the exact device it is
 	// priced against, so the access below is byte-identical in virtual
 	// time to a run that never exported.
-	if r.exported {
+	if r.mflags.has(flagExported) {
 		if err := h.resident(); err != nil {
 			return now, err
 		}
@@ -323,13 +324,13 @@ func (h *Handle) access(now time.Duration, off int64, buf []byte, write, sync bo
 	h.clock.Defer(moved, n)
 	data := r.bytes()
 	if write {
-		if r.sealed {
+		if r.mflags.has(flagSealed) {
 			sealRange(h.r.m.secret, r.id, data, off, buf)
 		} else {
 			copy(data[off:], buf)
 		}
 	} else {
-		if r.sealed {
+		if r.mflags.has(flagSealed) {
 			unsealRange(h.r.m.secret, r.id, data, off, buf)
 		} else {
 			copy(buf, data[off:])
@@ -411,7 +412,7 @@ func (h *Handle) Hydrate(off int64, data []byte) error {
 		return err
 	}
 	defer r.mu.Unlock()
-	if r.sealed {
+	if r.mflags.has(flagSealed) {
 		sealRange(h.r.m.secret, r.id, r.bytes(), off, data)
 	} else {
 		copy(r.bytes()[off:], data)
@@ -526,7 +527,7 @@ func (m *Manager) migrateToLocked(r *Region, computeID, devID string, now time.D
 		return now, m.topo.RouteError(computeID, dst.ID)
 	}
 	// A local migration needs the payload resident; recall it first.
-	if r.exported {
+	if r.mflags.has(flagExported) {
 		if _, err := m.recallLocked(r); err != nil {
 			return now, err
 		}
@@ -562,11 +563,11 @@ func (m *Manager) migrateToLocked(r *Region, computeID, devID string, now time.D
 	// backing (seal and unseal are the same XOR keystream). A dirty backing
 	// holds no payload yet: its first touch makes it zeros under the new
 	// sealing.
-	if newSealed := r.req.Confidential && to.Remote; newSealed != r.sealed {
-		if !r.dirty {
+	if newSealed := r.req.Confidential && to.Remote; newSealed != r.mflags.has(flagSealed) {
+		if !r.flags.has(flagDirty) {
 			keystreamAt(m.secret, r.id, 0, r.data)
 		}
-		r.sealed = newSealed
+		r.mflags.set(flagSealed, newSealed)
 	}
 	m.migrations.Add(1)
 	m.bytesMigrated.Add(r.size)
@@ -621,9 +622,9 @@ func (h *Handle) share(to Owner, toCompute string, rank int32, open bool) (*Hand
 	}
 	// The handle first: a spill it takes has room for the ranks too.
 	nh := r.newHandle(to, toCompute, h.clock, h.fence, rank)
-	r.everShared = true
+	r.flags.set(flagEverShared, true)
 	if open {
-		r.openShared = true
+		r.flags.set(flagOpenShared, true)
 	} else {
 		r.addSharer(h.rank)
 		r.addSharer(rank)
@@ -656,7 +657,9 @@ func (r *Region) addSharer(rank int32) {
 // ownership-tracked lifetimes (Broom [25]). A release that leaves another
 // owner takes only the region's lock; the last owner's frees the region's
 // space, so it lets go, comes back in lock order and validates again — by then
-// another owner may have joined, and the region lives on.
+// another owner may have joined, and the region lives on. A freed region none
+// of whose handles was lent goes back to the manager's free lists, after its
+// lock is let go: no handle of it is anywhere but its allocator's hands.
 func (h *Handle) Release() error {
 	r, err := h.enter()
 	if err != nil {
@@ -673,12 +676,29 @@ func (h *Handle) Release() error {
 		}
 	}
 	r.owners.remove(h)
-	if r.owners.len() == 0 {
+	freed := r.owners.len() == 0
+	if freed {
 		m.free(r)
 	}
+	recycle := freed && !r.flags.has(flagLent)
 	r.mu.Unlock()
 	if last {
+		if recycle {
+			m.spare.put(r)
+		}
 		m.mu.Unlock()
 	}
 	return nil
+}
+
+// Lend marks the handle's region lent: a handle of it is about to leave the
+// hands of the Alloc caller that declared it scoped, so once freed the region
+// stays a tombstone behind its handles instead of being recycled. Lending a
+// lent region changes nothing.
+func (h *Handle) Lend() error {
+	_, err := look(h, func(r *Region) bool {
+		r.flags.set(flagLent, true)
+		return true
+	})
+	return err
 }

@@ -11,22 +11,26 @@ import (
 )
 
 // The handle lifecycle, enumerated: every sequence of operations up to a
-// depth, on two regions — a Transfer one and a GlobalScratch one — and three
-// owners, held against a map model after every step. A handle lives in its
-// region's storage, so what this pins is that no slot is handed out twice: a
-// handle a task body kept must fail as the model says, whatever was allocated,
-// shared or moved after it.
+// depth, on two regions — a Transfer one and a GlobalScratch one, each lent
+// from birth or scoped — and three owners, held against a map model after
+// every step. A handle lives in its region's storage, so what this pins is
+// that no slot of a lent region is handed out twice: a handle a task body kept
+// must fail as the model says, whatever was allocated, shared or moved after
+// it. A scoped region freed before it was lent is the next scoped Alloc's of
+// its kind, and its handles are touched no more, as Spec.Scoped promises.
 
 // lifeKind is one kind of operation of the enumeration.
 type lifeKind uint8
 
 const (
 	lifeAlloc       lifeKind = iota // allocate the region of kind at, owned by a on cpu0
+	lifeAllocScoped                 // the same, scoped
 	lifeTransfer                    // zero-copy: to the handle's own compute
 	lifeMigrate                     // to the other compute, where the region's requirements cannot stay
 	lifeShare                       // on the handle's own compute
 	lifeShareRanked                 // on the handle's own compute, at the owner's rank
 	lifeRelease
+	lifeLend
 )
 
 // lifeOp is one step: an Alloc of region kind at, or an operation through the
@@ -38,8 +42,8 @@ type lifeOp struct {
 }
 
 func (op lifeOp) String() string {
-	name := [...]string{"Alloc", "Transfer", "Migrate", "Share", "ShareRanked", "Release"}[op.kind]
-	if op.kind == lifeAlloc {
+	name := [...]string{"Alloc", "AllocScoped", "Transfer", "Migrate", "Share", "ShareRanked", "Release", "Lend"}[op.kind]
+	if op.kind <= lifeAllocScoped {
 		return fmt.Sprintf("%s(%s)", name, lifeClasses[op.at])
 	}
 	return fmt.Sprintf("h%d.%s(%s)", op.at, name, op.to)
@@ -56,6 +60,9 @@ var (
 	// errDupOwner stands for the error a share to an existing owner returns,
 	// which has no sentinel.
 	errDupOwner = errors.New("already owns")
+	// errRecycled marks a handle of a region that went back to the free
+	// lists: nothing may touch it.
+	errRecycled = errors.New("recycled")
 )
 
 const lifeSize = 4096
@@ -67,6 +74,11 @@ type lifeRegion struct {
 	gen    int           // bumped by every transfer, and twice by one that rolls back
 	owners map[Owner]int // owner → the handle it holds
 	freed  bool
+	first  int  // the handle Alloc returned
+	lent   bool // set from birth unless scoped, and by Lend
+	// recycled marks a region freed before it was lent: back on the free
+	// lists, handles and all.
+	recycled bool
 }
 
 // lifeHandle is the model of one handle ever returned.
@@ -89,6 +101,8 @@ type lifeModel struct {
 func (mo *lifeModel) enterErr(i int) error {
 	h := &mo.handles[i]
 	switch j, owns := h.reg.owners[h.owner]; {
+	case h.reg.recycled:
+		return errRecycled
 	case h.reg.freed:
 		return ErrFreed
 	case h.gen != h.reg.gen:
@@ -99,22 +113,26 @@ func (mo *lifeModel) enterErr(i int) error {
 	return nil
 }
 
-// next lists the operations to try at this state: an Alloc of each kind not
-// live, and every operation, to every owner, through every handle.
+// next lists the operations to try at this state: an Alloc, lent and scoped,
+// of each kind not live, and every operation, to every owner, through every
+// handle not recycled.
 func (mo *lifeModel) next() []lifeOp {
 	var ops []lifeOp
 	for k, r := range mo.live {
 		if r == nil {
-			ops = append(ops, lifeOp{kind: lifeAlloc, at: k})
+			ops = append(ops, lifeOp{kind: lifeAlloc, at: k}, lifeOp{kind: lifeAllocScoped, at: k})
 		}
 	}
 	for i := range mo.handles {
+		if mo.enterErr(i) == errRecycled {
+			continue
+		}
 		for _, kind := range []lifeKind{lifeTransfer, lifeMigrate, lifeShare, lifeShareRanked} {
 			for _, o := range lifeOwners {
 				ops = append(ops, lifeOp{kind, i, o})
 			}
 		}
-		ops = append(ops, lifeOp{kind: lifeRelease, at: i})
+		ops = append(ops, lifeOp{kind: lifeRelease, at: i}, lifeOp{kind: lifeLend, at: i})
 	}
 	return ops
 }
@@ -123,8 +141,8 @@ func (mo *lifeModel) next() []lifeOp {
 // and whether the model moved (an operation refused before it changed
 // anything leaves every continuation the same as the state before it).
 func (mo *lifeModel) apply(op lifeOp) (want error, moved bool) {
-	if op.kind == lifeAlloc {
-		r := &lifeRegion{kind: op.at, owners: map[Owner]int{"a": len(mo.handles)}}
+	if op.kind <= lifeAllocScoped {
+		r := &lifeRegion{kind: op.at, owners: map[Owner]int{"a": len(mo.handles)}, first: len(mo.handles), lent: op.kind == lifeAlloc}
 		mo.live[op.at] = r
 		mo.handles = append(mo.handles, lifeHandle{reg: r, owner: "a"})
 		return nil, true
@@ -135,6 +153,10 @@ func (mo *lifeModel) apply(op lifeOp) (want error, moved bool) {
 	h := mo.handles[op.at]
 	r := h.reg
 	switch op.kind {
+	case lifeLend:
+		moved = !r.lent
+		r.lent = true
+		return nil, moved
 	case lifeTransfer, lifeMigrate:
 		if len(r.owners) != 1 {
 			return ErrExclusive, false
@@ -166,6 +188,7 @@ func (mo *lifeModel) apply(op lifeOp) (want error, moved bool) {
 		delete(r.owners, h.owner)
 		if len(r.owners) == 0 {
 			r.freed = true
+			r.recycled = !r.lent
 			mo.live[r.kind] = nil
 		}
 		return nil, true
@@ -179,21 +202,27 @@ type lifeRun struct {
 	mo      lifeModel
 	handles []*Handle // every handle returned, in the model's order
 	seq     []lifeOp
+	// spare is the manager's free lists as the model knows them, by kind:
+	// the first handle of each recycled region, last recycled last. It is
+	// the manager's, so every replay on it shares one.
+	spare *[2][]*Handle
 }
 
 // exec runs op on the manager and returns its error and the handle it
 // returned, if any.
 func (lr *lifeRun) exec(op lifeOp) (*Handle, error) {
-	if op.kind == lifeAlloc {
+	if op.kind <= lifeAllocScoped {
 		return lr.m.Alloc(Spec{
 			Name: "life", Class: lifeClasses[op.at], Size: lifeSize, Owner: "a", Compute: lifeComputes[0],
 			Req:   props.Requirements{Latency: props.LatencyLow, Sync: props.Require, ByteAddr: props.Require},
-			Clock: clockOf(lr.m),
+			Clock: clockOf(lr.m), Scoped: op.kind == lifeAllocScoped,
 		})
 	}
 	h := lr.handles[op.at]
 	gpu := lr.mo.handles[op.at].gpu
 	switch op.kind {
+	case lifeLend:
+		return nil, h.Lend()
 	case lifeTransfer, lifeMigrate:
 		if op.kind == lifeMigrate {
 			gpu = !gpu
@@ -217,9 +246,17 @@ func b2i(b bool) int {
 }
 
 // step applies op to the model and the manager and checks that they agree:
-// on the error, and, when check is set, on everything the manager shows.
+// on the error, on the storage a scoped Alloc takes back, and, when check is
+// set, on everything the manager shows.
 func (lr *lifeRun) step(op lifeOp, check bool) (moved bool) {
 	lr.seq = append(lr.seq, op)
+	var reused *Handle
+	if op.kind == lifeAllocScoped {
+		if spare := &lr.spare[op.at]; len(*spare) > 0 {
+			reused, *spare = (*spare)[len(*spare)-1], (*spare)[:len(*spare)-1]
+		}
+	}
+	frees := op.kind == lifeRelease && lr.mo.enterErr(op.at) == nil && len(lr.mo.handles[op.at].reg.owners) == 1
 	want, moved := lr.mo.apply(op)
 	nh, err := lr.exec(op)
 	if !sameErr(err, want) {
@@ -228,13 +265,21 @@ func (lr *lifeRun) step(op lifeOp, check bool) (moved bool) {
 	if (nh != nil) != (len(lr.mo.handles) > len(lr.handles)) {
 		lr.t.Fatalf("%v: returned handle %p, the model returns %d new", lr.seq, nh, len(lr.mo.handles)-len(lr.handles))
 	}
+	if reused != nil && nh != reused {
+		lr.t.Fatalf("%v: a scoped Alloc returned %p, not the storage of the region last recycled, %p", lr.seq, nh, reused)
+	}
 	if nh != nil {
 		for i, h := range lr.handles {
-			if h == nh {
+			if h == nh && lr.mo.enterErr(i) != errRecycled {
 				lr.t.Fatalf("%v: returned handle h%d's storage again", lr.seq, i)
 			}
 		}
 		lr.handles = append(lr.handles, nh)
+	}
+	if frees {
+		if r := lr.mo.handles[op.at].reg; r.recycled {
+			lr.spare[r.kind] = append(lr.spare[r.kind], lr.handles[r.first])
+		}
 	}
 	if check {
 		lr.check()
@@ -273,6 +318,12 @@ func (lr *lifeRun) check() {
 	buf := make([]byte, 64)
 	for i, h := range lr.handles {
 		want := mo.enterErr(i)
+		if want == errRecycled {
+			continue
+		}
+		if h.r == nil {
+			t.Fatalf("%v: h%d's storage was zeroed, though its region was lent", lr.seq, i)
+		}
 		if _, err := h.ReadAt(0, 0, buf); !sameErr(err, want) {
 			t.Fatalf("%v: h%d.ReadAt: %v, want %v", lr.seq, i, err, want)
 		}
@@ -300,13 +351,15 @@ func (lr *lifeRun) release() {
 }
 
 // TestHandleLifecycleExhaustive runs every sequence of operations up to depth
-// 5 (4 under -short) — Alloc, a zero-copy Transfer, a Transfer that must
-// migrate (and, for the GlobalScratch region, cannot, so rolls back), Share,
-// ShareRanked and Release, each through every handle ever returned, stale
-// ones included, and to each of three owners — and after each step compares
-// the manager with the model: the kind of every error, Live and DeviceBytes,
-// that a returned handle is storage no handle had before, and that each
-// handle ever returned reads if the model holds it good and fails as the model
+// 5 (4 under -short) — Alloc, lent or scoped, a zero-copy Transfer, a
+// Transfer that must migrate (and, for the GlobalScratch region, cannot, so
+// rolls back), Share, ShareRanked, Release and Lend, each through every handle
+// ever returned, stale ones included, and to each of three owners — and after
+// each step compares the manager with the model: the kind of every error, Live
+// and DeviceBytes, that a returned handle is storage no handle of a lent
+// region had before, that a scoped Alloc takes back the storage of the region
+// of its kind last freed unlent, and that each handle ever returned but a
+// recycled region's reads if the model holds it good and fails as the model
 // says if not. Every sequence is replayed from nothing on one manager and
 // released again; an operation refused before it changed anything is checked,
 // and the sequences that go on from it are the ones that go on from the state
@@ -317,6 +370,7 @@ func TestHandleLifecycleExhaustive(t *testing.T) {
 		depth = 4
 	}
 	m := newManager(t)
+	var spare [2][]*Handle
 	steps := 0
 	var walk func(seq []lifeOp)
 	walk = func(seq []lifeOp) {
@@ -328,7 +382,7 @@ func TestHandleLifecycleExhaustive(t *testing.T) {
 			mo.apply(op)
 		}
 		for _, op := range mo.next() {
-			lr := &lifeRun{t: t, m: m}
+			lr := &lifeRun{t: t, m: m, spare: &spare}
 			for _, prev := range seq {
 				lr.step(prev, false)
 			}

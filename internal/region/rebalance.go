@@ -164,7 +164,7 @@ func (m *Manager) RebalanceIn(clk *topology.TaskView, now time.Duration, pol Reb
 			r.mu.Unlock()
 			continue
 		}
-		if r.exported {
+		if r.mflags.has(flagExported) {
 			if cost, err := m.recallLocked(r); err == nil {
 				stats.Recalled++
 				stats.BytesRecalled += r.size

@@ -21,6 +21,7 @@ import (
 	"math"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/allocator"
 	"repro/internal/coherence"
@@ -90,6 +91,13 @@ type Spec struct {
 	// submission requires. A view is one goroutine's: its counts reach the
 	// shared counters when its holder publishes it.
 	Clock *topology.TaskView
+	// Scoped declares that the caller holds every handle of the region until
+	// it lends one (Handle.Lend), and touches none after its last release.
+	// Such a region, freed before it was lent, goes back to the manager's
+	// free lists, handles and all, for the next scoped Alloc of its kind
+	// (DESIGN.md §6.7). Without it the region is lent from birth: a handle
+	// kept past the region's life stays the dead handle it was.
+	Scoped bool
 }
 
 // Region is the manager-internal state of one memory region. Every handle to
@@ -107,13 +115,12 @@ type Region struct {
 	// mu is the region's one lock: it guards every field below, which is
 	// everything an access reads, and an access takes no other. A field below
 	// is written only with mu held. The placement fields — device, offset,
-	// data, token and the sealed, freed and exported flags — are written by
-	// whoever moves the payload or frees the region, which holds Manager.mu as
-	// well, so a holder of Manager.mu may read those without mu (data and
-	// dirty aside: Alloc makes a fresh backing after publishing the region,
-	// and the first touch clears a recycled one, under mu alone). The
-	// ownership fields — gen, owners, sharers, slots, the sharing flags and
-	// each handle's owns flag — and heat change under mu alone: a share, a
+	// data, token and mflags — are written by whoever moves the payload or
+	// frees the region, which holds Manager.mu as well, so a holder of
+	// Manager.mu may read those without mu (data aside: Alloc makes a fresh
+	// backing after publishing the region). The ownership fields — gen,
+	// owners, sharers, slots, flags and each handle's owns flag — and heat
+	// change under mu alone: a share, a
 	// zero-copy transfer and a release that leaves another owner take no
 	// other lock, so only a holder of mu may read them. Lock order:
 	// Manager.mu before mu, never the reverse — a caller that needs the
@@ -147,37 +154,62 @@ type Region struct {
 	// slot is handed out twice in the region's life.
 	slots []Handle
 	token string // names the remote placement while exported
-	// The flags sit together so they pack into one word: a region is
-	// allocated per task output, and its size class is counted per job.
-	sealed bool // encrypted at rest
-	freed  bool
-	// dirty marks a backing that does not yet hold the region's zeros: a
+	// The flags and mem sit together in one word: a region is allocated per
+	// task output, and its size class is counted per job. mflags holds the
+	// placement flags — sealed, freed, exported — which a holder of
+	// Manager.mu may read, and flags the rest, which only a holder of mu may:
+	// were they one byte, a share's write would race with a table walk's read.
+	mflags, flags regionFlags
+	// mem is device's dense index (Topology.Memories), written with device.
+	mem uint16
+}
+
+// regionFlags is a set of a region's flags, one bit each.
+type regionFlags uint8
+
+const (
+	flagSealed regionFlags = 1 << iota // encrypted at rest
+	flagFreed
+	// flagExported marks a region whose payload currently lives in the remote
+	// pool (export.go): the local buddy space, device reservation, and backing
+	// are released, and token names the remote placement. The region keeps
+	// device as its pricing identity and recall target, so virtual access
+	// costs never depend on whether it was away.
+	flagExported
+	// flagDirty marks a backing that does not yet hold the region's zeros: a
 	// recycled one still holds its last user's bytes, and a sealed one needs
 	// the ciphertext of zeros. Alloc sets it, and the region's first touch
 	// (bytes) establishes the zeros, so a region nobody reads or writes is
 	// never cleared or sealed.
-	dirty bool
-	// everShared latches once the region has had more than one owner:
-	// coherence pricing keys off it instead of the instantaneous owner
-	// count, so the cost of an access does not depend on whether a sibling
-	// task has released its share yet — a wall-clock race under parallel
-	// execution. (Realistic too: the directory still tracks the lines until
-	// they are dropped.)
-	everShared bool
-	// openShared marks sharing through the rank-blind path (Handle.Share:
+	flagDirty
+	// flagEverShared latches once the region has had more than one owner:
+	// coherence pricing keys off it instead of the instantaneous owner count,
+	// so the cost of an access does not depend on whether a sibling task has
+	// released its share yet — a wall-clock race under parallel execution.
+	// (Realistic too: the directory still tracks the lines until they are
+	// dropped.)
+	flagEverShared
+	// flagOpenShared marks sharing through the rank-blind path (Handle.Share:
 	// job globals joined mid-execution, user-level sharing). Future joiners
-	// with lower ranks are unknowable there, so fencing falls back to the
-	// full rank barrier whenever it is set.
-	openShared bool
-	// exported marks a region whose payload currently lives in the remote
-	// pool (export.go): the local buddy space, device reservation, and
-	// backing are released, and token names the remote placement. The
-	// region keeps device as its pricing identity and recall target, so
-	// virtual access costs never depend on whether it was away.
-	exported bool
-	// mem is device's dense index (Topology.Memories), written with device;
-	// it fits the word the flags leave.
-	mem uint16
+	// with lower ranks are unknowable there, so fencing falls back to the full
+	// rank barrier whenever it is set.
+	flagOpenShared
+	// flagLent marks a region a handle of which may have left its allocator's
+	// hands (Spec.Scoped, Handle.Lend): once freed it stays a tombstone behind
+	// its handles, and never goes back to the manager's free lists.
+	flagLent
+)
+
+// has reports whether f holds x.
+func (f regionFlags) has(x regionFlags) bool { return f&x != 0 }
+
+// set adds x to f or takes it out.
+func (f *regionFlags) set(x regionFlags, on bool) {
+	if on {
+		*f |= x
+	} else {
+		*f &^= x
+	}
 }
 
 // ownersInline is how many owners a region holds in place. A transferred
@@ -206,24 +238,90 @@ type (
 	}
 )
 
-// newRegion allocates a region of class with its handle storage. Regions are
-// never recycled: a handle lives in its region, so a recycled region would
-// give a handle a task body kept to a new owner.
+// newRegion allocates a region of class with its handle storage.
 func newRegion(class props.RegionClass) *Region {
 	switch {
 	case class.Shareable():
-		w := new(sharedRegion)
-		w.r.slots, w.r.sharers = w.slots[:], w.sharers[:0]
-		return &w.r
+		return new(sharedRegion).region()
 	case class.Transferable():
-		w := new(movableRegion)
-		w.r.slots = w.slots[:]
-		return &w.r
+		return new(movableRegion).region()
 	default:
-		w := new(privateRegion)
-		w.r.slots = w.slots[:]
-		return &w.r
+		return new(privateRegion).region()
 	}
+}
+
+// region points the region's slices at the wrapper's own storage and returns
+// it.
+func (w *privateRegion) region() *Region { w.r.slots = w.slots[:]; return &w.r }
+func (w *movableRegion) region() *Region { w.r.slots = w.slots[:]; return &w.r }
+func (w *sharedRegion) region() *Region {
+	w.r.slots, w.r.sharers = w.slots[:], w.sharers[:0]
+	return &w.r
+}
+
+// regionFreeMax bounds each kind's free list, in regions: with a private,
+// movable and shared region 384, 480 and 688 bytes, the three lists hold at
+// most 194 KiB.
+const regionFreeMax = 128
+
+// freeRegions is the manager's recycled regions, a stack per wrapper: the
+// regions a scoped Alloc made whose last owner let go before any handle of
+// theirs was lent. Each is zeroed, handle storage included, so a list pins
+// nothing. A spill chunk is not kept. Guarded by Manager.mu.
+type freeRegions struct {
+	private []*privateRegion
+	movable []*movableRegion
+	shared  []*sharedRegion
+}
+
+// take returns a region of class off its list, or a new one when the list is
+// empty.
+func (f *freeRegions) take(class props.RegionClass) *Region {
+	switch {
+	case class.Shareable():
+		return pop(&f.shared).region()
+	case class.Transferable():
+		return pop(&f.movable).region()
+	default:
+		return pop(&f.private).region()
+	}
+}
+
+// put zeroes a freed region's wrapper and files it, unless its list is full.
+// No handle of the region may be in use: its lock is not held, and nothing
+// waits on it.
+func (f *freeRegions) put(r *Region) {
+	switch {
+	case r.class.Shareable():
+		push(&f.shared, r)
+	case r.class.Transferable():
+		push(&f.movable, r)
+	default:
+		push(&f.private, r)
+	}
+}
+
+// pop takes the wrapper put back last, or a new one when there is none.
+func pop[W any](list *[]*W) *W {
+	n := len(*list)
+	if n == 0 {
+		return new(W)
+	}
+	w := (*list)[n-1]
+	(*list)[n-1] = nil
+	*list = (*list)[:n-1]
+	return w
+}
+
+// push files r's wrapper, a W: a region is its wrapper's first field, so the
+// two share an address.
+func push[W any](list *[]*W, r *Region) {
+	if len(*list) == regionFreeMax {
+		return
+	}
+	w := (*W)(unsafe.Pointer(r))
+	*w = *new(W)
+	*list = append(*list, w)
 }
 
 // regionSpill is a region's storage past its own, taken at its first spill:
@@ -341,12 +439,12 @@ func (s *ownerSet) remove(h *Handle) {
 // region is sealed: a region reads zeros until it is written. Caller holds
 // r.mu.
 func (r *Region) bytes() []byte {
-	if r.dirty {
+	if r.flags.has(flagDirty) {
 		clear(r.data)
-		if r.sealed {
+		if r.mflags.has(flagSealed) {
 			keystreamAt(r.m.secret, r.id, 0, r.data)
 		}
-		r.dirty = false
+		r.flags.set(flagDirty, false)
 	}
 	return r.data
 }
@@ -356,7 +454,7 @@ func (r *Region) bytes() []byte {
 // ownership of memory required to be coherent (§2.2). Once true it stays true.
 // Caller holds r.mu.
 func (r *Region) coherent() bool {
-	return r.everShared && r.req.Coherent == props.Require
+	return r.flags.has(flagEverShared) && r.req.Coherent == props.Require
 }
 
 // Manager owns all regions, per-device allocators, the coherence directory,
@@ -378,6 +476,7 @@ type Manager struct {
 	regions []*Region
 	buddies []*allocator.Buddy // by memory device index, each made on first use
 	backing allocator.BufList  // freed regions' data backings, recycled by block class
+	spare   freeRegions        // freed regions no handle of which was lent
 	secret  [32]byte           // root key material for confidential regions; fixed by NewManager, read without mu
 	// exporter, when set, is the remote memory pool cold regions can be
 	// evicted to (export.go). Nil keeps all tiering node-local.
@@ -544,43 +643,51 @@ func (m *Manager) Alloc(spec Spec) (*Handle, error) {
 		return nil, fmt.Errorf("%w: placer chose %s violating %v", ErrNoPlacement, devID, viol)
 	}
 
-	// The region and its first handle — one allocation — are built before the
-	// table lock, which covers only what the manager's tables hold: the space,
-	// the id, a recycled backing and the insert. The region is published with
-	// its own lock held, and a fresh backing is made after the table lock is
-	// dropped but before the region's is. A recycled or sealed backing is
-	// marked dirty and made zeros at the region's first touch (bytes), so no
-	// access and no sweep ever sees old bytes or unsealed keystream.
+	// A lent region and its first handle — one allocation — are built before
+	// the table lock, which covers only what the manager's tables hold: the
+	// space, the id, a recycled region or backing and the insert. The region
+	// is published with its own lock held, and its handle and a fresh backing
+	// are made after the table lock is dropped but before the region's is. A
+	// recycled or sealed backing is marked dirty and made zeros at the
+	// region's first touch (bytes), so no access and no sweep ever sees old
+	// bytes or unsealed keystream.
 	block := allocator.BlockSize(spec.Size)
-	r := newRegion(spec.Class)
-	r.m, r.class, r.req = m, spec.Class, req
-	r.device, r.mem, r.size, r.blockSize = dev, uint16(mem), spec.Size, block
-	r.sealed = req.Confidential && caps.Remote
-	h := r.newHandle(spec.Owner, spec.Compute, spec.Clock, nil, -1)
-	h.rt = rt
+	var r *Region
+	if !spec.Scoped {
+		r = newRegion(spec.Class)
+	}
 	m.mu.Lock()
-	buddy, err := m.buddyFor(r.mem)
+	buddy, err := m.buddyFor(uint16(mem))
 	if err != nil {
 		m.mu.Unlock()
 		return nil, err
 	}
-	if r.offset, err = buddy.Alloc(spec.Size); err != nil {
+	off, err := buddy.Alloc(spec.Size)
+	if err != nil {
 		m.mu.Unlock()
 		return nil, err
 	}
 	if err := dev.Reserve(block); err != nil {
-		buddy.Free(r.offset) //nolint:errcheck // offset came from this buddy
+		buddy.Free(off) //nolint:errcheck // offset came from this buddy
 		m.mu.Unlock()
 		return nil, err
 	}
-	r.id = m.nextID
+	if r == nil {
+		r = m.spare.take(spec.Class)
+	}
+	r.m, r.class, r.req, r.id = m, spec.Class, req, m.nextID
+	r.device, r.mem, r.offset, r.size, r.blockSize = dev, uint16(mem), off, spec.Size, block
+	r.mflags.set(flagSealed, req.Confidential && caps.Remote)
+	r.flags.set(flagLent, !spec.Scoped)
 	m.nextID++
 	r.data = m.backing.Reuse(spec.Size)
-	r.dirty = r.data != nil || r.sealed
+	r.flags.set(flagDirty, r.data != nil || r.mflags.has(flagSealed))
 	r.mu.Lock()
 	r.idx = int32(len(m.regions))
 	m.regions = append(m.regions, r)
 	m.mu.Unlock()
+	h := r.newHandle(spec.Owner, spec.Compute, spec.Clock, nil, -1)
+	h.rt = rt
 	if r.data == nil {
 		r.data = m.backing.Make(spec.Size)
 	}
@@ -595,8 +702,8 @@ func (m *Manager) Alloc(spec Spec) (*Handle, error) {
 // under the lock every access copies under, so no access ever touches a
 // recycled backing. Caller holds m.mu and r.mu.
 func (m *Manager) free(r *Region) {
-	r.freed = true
-	if r.exported {
+	r.mflags.set(flagFreed, true)
+	if r.mflags.has(flagExported) {
 		if m.exporter != nil {
 			m.exporter.Drop(r.token) //nolint:errcheck // remote GC is best-effort
 		}
@@ -630,7 +737,7 @@ func (m *Manager) DeviceBytes() map[string]int64 {
 	defer m.mu.Unlock()
 	out := make(map[string]int64)
 	for _, r := range m.regions {
-		if r.exported {
+		if r.mflags.has(flagExported) {
 			continue // lives in the remote pool, not on a local device
 		}
 		out[r.device.ID] += r.blockSize
